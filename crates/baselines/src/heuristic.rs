@@ -14,12 +14,27 @@
 //! aligned inputs are all partitioned is cloned once per partition; anything
 //! else receives the packed (exchange-union) result. This mirrors MonetDB's
 //! mitosis + mergetable optimizer pair.
+//!
+//! The same rewriter is the paper's *work-stealing-style* baseline (§4.1.1):
+//! "One may argue that the work stealing approach could solve the problem of
+//! execution skew due to the static partitions. We analyze it by creating a
+//! large number of smaller partitions (128) operated upon by 8 threads.
+//! Large number of smaller partitions allows those threads that finish work
+//! early to operate on remaining partitions, while threads on skewed
+//! partitions stay busy." The engine's worker pool already behaves that way
+//! (idle workers pull the next ready operator), so the baseline is simply
+//! [`heuristic_parallelize`] with [`DEFAULT_WORK_STEALING_PARTITIONS`] (or
+//! any count far above the worker count) run on few workers.
 
 use std::collections::HashMap;
 
 use apq_columnar::Catalog;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::{EngineError, Result};
+
+/// Over-partitioning factor of the paper's work-stealing-style baseline
+/// (§4.1.1: 128 partitions for 8 threads).
+pub const DEFAULT_WORK_STEALING_PARTITIONS: usize = 128;
 
 /// Rewrites `serial` into a statically parallelized plan with one partition
 /// per `n_partitions`, using the largest base table referenced by the plan as
@@ -410,5 +425,28 @@ mod tests {
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
         assert_eq!(hp.count_of("select"), 64);
+    }
+
+    #[test]
+    fn over_partitioned_plan_runs_on_few_threads_and_matches_serial() {
+        // Large enough that the 32 partitions outlast thread wake-up: the
+        // `workers_used` assertion below needs every worker to get a turn.
+        let rows = 400_000;
+        let cat = catalog(rows);
+        let engine = Engine::with_workers(4); // far fewer workers than partitions
+        let serial = filter_sum_plan(rows);
+        let expected = engine.execute(&serial, &cat).unwrap().output;
+        let ws = heuristic_parallelize(&serial, &cat, 32).unwrap();
+        ws.validate().unwrap();
+        assert_eq!(ws.count_of("select"), 32);
+        let exec = engine.execute(&ws, &cat).unwrap();
+        assert_eq!(exec.output, expected);
+        // With 32 partitions on 4 workers every worker executes something.
+        assert_eq!(exec.profile.workers_used(), 4);
+    }
+
+    #[test]
+    fn default_partition_count_matches_the_paper() {
+        assert_eq!(DEFAULT_WORK_STEALING_PARTITIONS, 128);
     }
 }

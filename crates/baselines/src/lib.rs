@@ -4,18 +4,18 @@
 //!   parallelization technique in MonetDB" (§4.2.1): the serial plan is
 //!   rewritten by splitting the largest table into a fixed number of
 //!   partitions (one per thread) and propagating the partitions to all
-//!   data-flow dependent operators.
-//! * [`work_stealing`] — the work-stealing-style configuration of §4.1.1:
-//!   many small static partitions (e.g. 128) executed by few threads, so idle
-//!   threads pick up remaining partitions from the shared queue.
+//!   data-flow dependent operators. The work-stealing-style configuration
+//!   of §4.1.1 is the same rewrite over-partitioned
+//!   ([`DEFAULT_WORK_STEALING_PARTITIONS`] small partitions on few threads,
+//!   so idle threads pick up remaining partitions from the shared queue).
 //! * [`admission`] — an admission-controlled exchange engine modelling the
 //!   Vectorwise behaviour of §4.2.4: under a concurrent workload the first
 //!   client receives full parallelism while later clients are throttled.
 
 pub mod admission;
 pub mod heuristic;
-pub mod work_stealing;
 
 pub use admission::{AdmissionController, AdmissionTicket};
-pub use heuristic::{heuristic_parallelize, heuristic_parallelize_with_driver};
-pub use work_stealing::work_stealing_plan;
+pub use heuristic::{
+    heuristic_parallelize, heuristic_parallelize_with_driver, DEFAULT_WORK_STEALING_PARTITIONS,
+};

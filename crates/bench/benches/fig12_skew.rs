@@ -4,7 +4,7 @@
 //!
 //! Running the bench also prints the reproduced Figure 12 series.
 
-use apq_baselines::{heuristic_parallelize, work_stealing_plan};
+use apq_baselines::heuristic_parallelize;
 use apq_bench::{common, run_experiment, ExperimentConfig};
 use apq_workloads::micro::skewed;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -19,7 +19,8 @@ fn bench(c: &mut Criterion) {
     let catalog = skewed::catalog(cfg.micro_rows, cfg.seed);
     let serial = skewed::plan(&catalog, 3).unwrap();
     let static_plan = heuristic_parallelize(&serial, &catalog, engine.n_workers()).unwrap();
-    let stealing_plan = work_stealing_plan(&serial, &catalog, engine.n_workers() * 16).unwrap();
+    // Work-stealing style (paper §4.1.1): far more static partitions than workers.
+    let stealing_plan = heuristic_parallelize(&serial, &catalog, engine.n_workers() * 16).unwrap();
     let adaptive = common::adaptive(&cfg, &engine, &catalog, &serial);
 
     let mut group = c.benchmark_group("fig12_skewed_select");

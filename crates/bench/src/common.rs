@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use apq_columnar::Catalog;
 use apq_core::{AdaptiveConfig, AdaptiveOptimizer, AdaptiveReport};
-use apq_engine::{Engine, EngineConfig, Plan};
+use apq_engine::{Engine, EngineConfig, FaultConfig, Plan};
 
 use crate::config::ExperimentConfig;
 
@@ -24,12 +24,11 @@ pub fn engine_with_workers(workers: usize) -> Arc<Engine> {
 /// Engine emulating the slower-interconnect 4-socket machine of Fig. 17b:
 /// more workers, but a fixed per-operator latency penalty.
 pub fn four_socket_engine(cfg: &ExperimentConfig) -> Arc<Engine> {
-    Arc::new(Engine::new(EngineConfig {
-        n_workers: cfg.workers * 2,
-        per_operator_overhead_us: 30,
-        scheduler: cfg.scheduler,
-        ..EngineConfig::default()
-    }))
+    Arc::new(Engine::new(
+        EngineConfig::with_workers(cfg.workers * 2)
+            .with_scheduler(cfg.scheduler)
+            .with_faults(FaultConfig::fixed_delay(30)),
+    ))
 }
 
 /// Adaptive-optimizer configuration matching the experiment configuration.

@@ -3,7 +3,7 @@
 //! and dynamic (adaptive) partitioning, as the fraction of skewed matches
 //! grows from 10 % to 50 %.
 
-use apq_baselines::{heuristic_parallelize, work_stealing_plan};
+use apq_baselines::{heuristic_parallelize, DEFAULT_WORK_STEALING_PARTITIONS};
 use apq_workloads::micro::skewed;
 
 use crate::common::{adaptive, engine, time_plan_ms, us_to_ms};
@@ -14,7 +14,7 @@ use crate::reporting::{fmt_ms, ExperimentTable};
 pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
     let engine = engine(cfg);
     let static_parts = engine.n_workers();
-    let stealing_parts = (engine.n_workers() * 16).min(128);
+    let stealing_parts = (engine.n_workers() * 16).min(DEFAULT_WORK_STEALING_PARTITIONS);
     let catalog = skewed::catalog(cfg.micro_rows, cfg.seed);
 
     let mut table = ExperimentTable::new(
@@ -37,7 +37,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
         let serial = skewed::plan(&catalog, clusters).expect("skewed plan builds");
         let static_plan = heuristic_parallelize(&serial, &catalog, static_parts)
             .expect("static partitioning succeeds");
-        let stealing = work_stealing_plan(&serial, &catalog, stealing_parts)
+        let stealing = heuristic_parallelize(&serial, &catalog, stealing_parts)
             .expect("work-stealing plan builds");
         let static_ms = time_plan_ms(&engine, &catalog, &static_plan, cfg.measure_reps);
         let stealing_ms = time_plan_ms(&engine, &catalog, &stealing, cfg.measure_reps);

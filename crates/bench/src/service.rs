@@ -266,14 +266,12 @@ struct OverloadReport {
 /// deadline so the queue wait itself consumes the budget — the `timed_out`
 /// counter shows deadlines expiring *in the queue*, not in the engine.
 fn run_overload(cfg: &ServiceBenchConfig, max_queued: usize) -> OverloadReport {
-    let engine = EngineConfig {
-        // A fixed per-operator cost makes query runtime (and therefore
-        // queue pressure) deterministic instead of scale-factor noise.
-        per_operator_overhead_us: 300,
-        ..EngineConfig::with_workers(cfg.workers)
-            .with_scheduler(SchedulerPolicy::WorkStealing)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-    };
+    // A fixed per-operator cost makes query runtime (and therefore queue
+    // pressure) deterministic instead of scale-factor noise.
+    let engine = EngineConfig::with_workers(cfg.workers)
+        .with_scheduler(SchedulerPolicy::WorkStealing)
+        .with_execution_mode(ExecutionMode::MorselDriven)
+        .with_faults(FaultConfig::fixed_delay(300));
     let svc = QueryService::new(
         ServiceConfig::with_engine(engine).with_max_queued(max_queued),
         tpch::generate(TpchScale::new(cfg.tpch_sf), 1234),

@@ -1,0 +1,593 @@
+//! The morsel driver: the engine's one execution runtime.
+//!
+//! The paper's run-time is a single dataflow rule — "an operator is
+//! scheduled for execution once all its input sources are available" (§2) —
+//! and this module is its single implementation. A validated plan is first
+//! *planned* into a step graph by [`PipelinePlan::analyze`], and that call is
+//! the only place [`ExecutionMode`](crate::ExecutionMode) is consulted:
+//!
+//! * operator-at-a-time planning yields one [`Step::Single`] per live node —
+//!   every operator runs whole, as one task, exactly the model the paper's
+//!   adaptive optimizer was measured on;
+//! * morsel-driven planning additionally fuses streamable chains into
+//!   [`Step::Fused`] pipelines (see [`crate::pipeline`]).
+//!
+//! The driver then runs whatever graph it was given. Dependency tracking is
+//! at *step* granularity over the precomputed `deps`/`out_edges`: a step is
+//! launched when its last cross-step input edge is satisfied. A single step
+//! is one task ([`run_single_step`]); a fused step fans out into one task
+//! per morsel ([`run_morsel`]), and the last morsel to finish assembles the
+//! partial outputs in morsel order and publishes the terminal chunk exactly
+//! where whole-node execution would have published it. Everything the tasks
+//! share lives in the [`RunContext`].
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+use apq_columnar::partition::RowRange;
+use apq_columnar::Catalog;
+
+use super::run::{guarded_execute, RunContext};
+use super::{Engine, QueryExecution};
+use crate::chunk::Chunk;
+use crate::error::{EngineError, Result};
+use crate::interpreter::{exchange_union, slice_part};
+use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, PipelineSource, Step};
+use crate::plan::{NodeId, OperatorSpec, Plan};
+use crate::profiler::{OperatorProfile, PipelineProfile};
+use crate::scheduler::{QueryHandle, Task, TaskContext};
+use crate::sharing::SharedScan;
+
+/// Step-graph state of one query execution, shared by all of its tasks.
+struct Driver {
+    run: RunContext,
+    graph: PipelinePlan,
+    /// Remaining cross-step input edges per step.
+    step_deps: Vec<AtomicUsize>,
+    /// Morsel bookkeeping per step; set when a fused step is launched.
+    fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
+    /// Steps still to complete.
+    remaining: AtomicUsize,
+    /// Engine-default morsel size; each pipeline launch may override it
+    /// with the query's live hint (see [`FusedRun::morsel_rows`]).
+    morsel_rows: usize,
+    /// Per-step partial-aggregate cache key; `Some` only for steps whose
+    /// terminal is a cacheable aggregate and sharing is enabled.
+    partial_keys: Vec<Option<PartialKey>>,
+    /// Steps satisfied by a cached partial (or feeding only such steps);
+    /// they are never launched, their terminal chunk is seeded instead.
+    skipped: Vec<bool>,
+}
+
+/// Cache key of a step's partial-aggregate entry ([`crate::sharing`]): the
+/// terminal's structural signature plus the base tables its subtree reads
+/// (the per-table invalidation handle).
+#[derive(Clone)]
+struct PartialKey {
+    signature: String,
+    tables: Vec<String>,
+}
+
+impl Driver {
+    /// Keeps a step's aggregate output warm for the next query of the same
+    /// shape ([`crate::sharing`] partial-aggregate reuse). `grid` is the
+    /// morsel size the chunk was merged over; 0 for whole-node execution.
+    fn store_partial(&self, step: usize, grid: usize, chunk: &Chunk) {
+        if let (Some(registry), Some(key)) = (&self.run.sharing, &self.partial_keys[step]) {
+            let tables = key.tables.clone();
+            registry.partial_put(&self.run.catalog, grid, &key.signature, tables, chunk.clone());
+        }
+    }
+}
+
+/// Executes a validated plan: plans it into steps, seeds the runnable ones
+/// and blocks in [`RunContext::wait`] until the query completed or failed.
+pub(super) fn execute(
+    engine: &Engine,
+    plan: &Arc<Plan>,
+    catalog: &Arc<Catalog>,
+    handle: Arc<QueryHandle>,
+    concurrent_peers: usize,
+) -> Result<QueryExecution> {
+    let graph = PipelinePlan::analyze(plan, engine.config.execution_mode)?;
+    let n_steps = graph.steps.len();
+    let morsel_rows = engine.config.morsel_rows.max(1);
+    let run = RunContext::new(engine, plan, catalog, handle, concurrent_peers);
+
+    // Partial-aggregate reuse ([`crate::sharing`]): before anything is
+    // launched, probe the registry for cached terminal chunks of
+    // aggregate-terminated steps. A hit satisfies the whole step — its
+    // terminal chunk is published into the result slot (no task exists yet
+    // that could observe it half-way) instead of being recomputed.
+    let grid = run.handle.morsel_rows_hint().unwrap_or(morsel_rows).max(1);
+    let mut skipped = vec![false; n_steps];
+    let mut partial_keys: Vec<Option<PartialKey>> = vec![None; n_steps];
+    if let Some(registry) = &run.sharing {
+        for (idx, step) in graph.steps.iter().enumerate() {
+            // A fused pipeline's terminal chunk is the exchange-union merge
+            // over its morsel grid, so the cache key carries the grid;
+            // single steps execute whole (grid 0).
+            let (terminal, step_grid) = match step {
+                Step::Single(node) => (*node, 0),
+                Step::Fused(p) => (p.terminal(), grid),
+            };
+            let spec = &plan.node(terminal)?.spec;
+            if !matches!(spec, OperatorSpec::ScalarAgg { .. } | OperatorSpec::GroupAgg { .. }) {
+                continue;
+            }
+            let signature = plan.subtree_signature(terminal)?;
+            let tables = plan.subtree_tables(terminal)?;
+            if let Some(chunk) = registry.partial_get(catalog, step_grid, &signature) {
+                skipped[idx] = true;
+                let _ = run.results[terminal].set(chunk);
+            }
+            partial_keys[idx] = Some(PartialKey { signature, tables });
+        }
+    }
+
+    let mut deps = graph.deps.clone();
+    if skipped.contains(&true) {
+        // Transitively skip steps whose entire consumer set is skipped —
+        // their published output would feed only work that never runs. A
+        // fixpoint loop, not a single reverse sweep: step indices are not
+        // topologically ordered.
+        loop {
+            let mut changed = false;
+            for idx in 0..n_steps {
+                if !skipped[idx]
+                    && !graph.out_edges[idx].is_empty()
+                    && graph.out_edges[idx].iter().all(|&(c, _)| skipped[c])
+                {
+                    skipped[idx] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        // Remove skipped producers' edges from the dependency counts so
+        // live consumers do not wait on steps that will never run.
+        for (idx, _) in skipped.iter().enumerate().filter(|(_, &skip)| skip) {
+            for &(consumer, edges) in &graph.out_edges[idx] {
+                deps[consumer] -= edges;
+            }
+        }
+    }
+    let live_steps = skipped.iter().filter(|&&s| !s).count();
+
+    let state = Arc::new(Driver {
+        run,
+        step_deps: deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
+        fused_runs: (0..n_steps).map(|_| OnceLock::new()).collect(),
+        remaining: AtomicUsize::new(live_steps),
+        morsel_rows,
+        partial_keys,
+        skipped,
+        graph,
+    });
+
+    if live_steps == 0 {
+        // Every step was satisfied from the partial cache (the root's
+        // terminal chunk included): nothing to schedule.
+        state.run.finish();
+    }
+    // Seed every live step with no remaining cross-step dependencies.
+    // Seeding consults the *static* (pre-launch) dependency counts, not the
+    // atomic counters: workers already run seeded steps concurrently with
+    // this loop and may drive another step's counter to zero before the
+    // loop reaches it, which would double-launch that step.
+    let submit = |task: Task| {
+        let accepted = engine.scheduler.submit(task);
+        if !accepted {
+            // `Task::new` counted the task as in flight; the scheduler
+            // dropped it unrun, so balance the count or the drain in
+            // `RunContext::wait` could never reach zero.
+            state.run.handle.task_completed();
+        }
+        accepted
+    };
+    for (step, &n_deps) in deps.iter().enumerate() {
+        if n_deps == 0 && !state.skipped[step] && !launch_step(&state, step, &submit) {
+            // A refused submission is a failure like any other: tasks
+            // already handed over are drained by the common tail.
+            state.run.fail(EngineError::EngineShutDown);
+            break;
+        }
+    }
+    state.run.wait()
+}
+
+/// Per-pipeline morsel bookkeeping, created when the pipeline is launched
+/// (its fan-out depends on the actual source size).
+struct FusedRun {
+    /// Morsel size resolved at launch: the query's live override
+    /// ([`QueryHandle::morsel_rows_hint`], written by the adaptive
+    /// controller) or the engine default. Fixed for the pipeline's lifetime
+    /// so slicing and fan-out agree.
+    morsel_rows: usize,
+    n_morsels: usize,
+    /// Rows of the pipeline's input (effective scan range or source chunk).
+    source_rows: usize,
+    /// First effective row of a scan source (clamped to the table size).
+    scan_start: usize,
+    /// Terminal partial output per morsel, assembled in morsel order.
+    parts: Vec<OnceLock<Chunk>>,
+    remaining: AtomicUsize,
+    /// Accumulated per-stage execution time / output rows / output bytes,
+    /// indexed like `Pipeline::member_nodes`.
+    stage_time_us: Vec<AtomicU64>,
+    stage_rows: Vec<AtomicU64>,
+    stage_bytes: Vec<AtomicU64>,
+    /// Morsels executed per worker — the locality signal fig19 reports.
+    morsels_by_worker: Vec<AtomicU64>,
+    queue_wait_us: AtomicU64,
+    /// Offset since query start when the pipeline became runnable.
+    start_us: u64,
+    /// Shared-scan membership for the pipeline's lifetime (scan-source
+    /// pipelines with sharing on); dropping it detaches from the group.
+    shared: Option<SharedScan>,
+    /// Morsels of this pipeline served from the group's published windows.
+    morsels_shared: AtomicU64,
+    /// Process-wide typed-cache hit count sampled at launch; assembly
+    /// reports the delta as [`PipelineProfile::typed_cache_hits`].
+    typed_hits_at_launch: u64,
+}
+
+impl FusedRun {
+    /// Resolves a runnable pipeline's source geometry and morsel fan-out.
+    fn open(state: &Driver, pipeline: &Pipeline) -> Result<FusedRun> {
+        let run = &state.run;
+        let (source_rows, scan_start, sliceable, shared) = match pipeline.source {
+            PipelineSource::Scan { node } => {
+                let (table, column, range) = scan_source(&run.plan, node)?;
+                let len = run.catalog.table(table)?.column(column)?.len();
+                let end = range.end.min(len);
+                let start = range.start.min(end);
+                // Attach to the table's scan group for the pipeline's
+                // lifetime; the `FusedRun` holds the membership and every
+                // morsel produces-or-reuses through it.
+                let shared = run
+                    .sharing
+                    .as_ref()
+                    .filter(|_| pipeline.shareable)
+                    .map(|reg| reg.attach(&run.catalog, table, column));
+                (end - start, start, true, shared)
+            }
+            PipelineSource::Chunk { producer } => {
+                let chunk = run.input(pipeline.stages[0], producer)?;
+                // Non-positional chunks (hash tables, scalars, partials)
+                // cannot be sliced; the pipeline still runs, as a single
+                // morsel covering the whole input.
+                (chunk.rows(), 0, is_positional(chunk), None)
+            }
+        };
+        // Morsel size is resolved per pipeline launch: the adaptive
+        // controller may have overridden the query's size since the last
+        // pipeline started. Within one pipeline the size is fixed (slice
+        // offsets and fan-out must agree).
+        let morsel_rows = run.handle.morsel_rows_hint().unwrap_or(state.morsel_rows).max(1);
+        let n_morsels = if sliceable { morsel_count(source_rows, morsel_rows) } else { 1 };
+        let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let n_members = pipeline.member_nodes().len();
+        Ok(FusedRun {
+            morsel_rows,
+            n_morsels,
+            source_rows,
+            scan_start,
+            parts: (0..n_morsels).map(|_| OnceLock::new()).collect(),
+            remaining: AtomicUsize::new(n_morsels),
+            stage_time_us: counters(n_members),
+            stage_rows: counters(n_members),
+            stage_bytes: counters(n_members),
+            morsels_by_worker: counters(run.n_workers),
+            queue_wait_us: AtomicU64::new(0),
+            start_us: run.started.elapsed().as_micros() as u64,
+            shared,
+            morsels_shared: AtomicU64::new(0),
+            typed_hits_at_launch: apq_columnar::typed_cache_hits(),
+        })
+    }
+
+    fn record_stage(&self, member: usize, started: Instant, chunk: &Chunk) {
+        self.stage_time_us[member]
+            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.stage_rows[member].fetch_add(chunk.rows() as u64, Ordering::Relaxed);
+        self.stage_bytes[member].fetch_add(chunk.byte_size() as u64, Ordering::Relaxed);
+    }
+}
+
+/// The `(table, column, range)` of a pipeline's scan source.
+fn scan_source(plan: &Plan, node: NodeId) -> Result<(&str, &str, RowRange)> {
+    match &plan.node(node)?.spec {
+        OperatorSpec::ScanColumn { table, column, range } => Ok((table, column, *range)),
+        _ => Err(EngineError::InvalidPlan(format!("pipeline source {node} is not a scan"))),
+    }
+}
+
+/// True for chunks addressed by row position, which `slice_part` can cut
+/// on a morsel grid.
+fn is_positional(chunk: &Chunk) -> bool {
+    matches!(chunk, Chunk::Column(_) | Chunk::Oids(_) | Chunk::Join(_))
+}
+
+/// Launches a runnable step: submits the single-node task, or computes the
+/// morsel fan-out and submits one task per morsel.
+///
+/// Returns `false` only when the scheduler refused a submission (engine shut
+/// down). Query-level failures (bad catalog references, double launches) are
+/// routed through [`RunContext::fail`] and return `true` — the engine is
+/// alive, the query is not.
+fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) -> bool {
+    let handle = &state.run.handle;
+    match &state.graph.steps[step] {
+        Step::Single(node) => {
+            let (st, node) = (Arc::clone(state), *node);
+            submit(Task::new(Arc::clone(handle), move |ctx| run_single_step(st, ctx, step, node)))
+        }
+        Step::Fused(pipeline) => {
+            let opened = FusedRun::open(state, pipeline).and_then(|run| {
+                let n_morsels = run.n_morsels;
+                match state.fused_runs[step].set(Arc::new(run)) {
+                    Ok(()) => Ok(n_morsels),
+                    Err(_) => Err(EngineError::InvalidPlan(format!("step {step} launched twice"))),
+                }
+            });
+            let n_morsels = match opened {
+                Ok(n_morsels) => n_morsels,
+                Err(e) => {
+                    state.run.fail(e);
+                    return true;
+                }
+            };
+            (0..n_morsels).all(|morsel| {
+                let st = Arc::clone(state);
+                submit(Task::new(Arc::clone(handle), move |ctx| run_morsel(st, ctx, step, morsel)))
+            })
+        }
+    }
+}
+
+/// Executes a single-node step whole — operator-at-a-time execution — then
+/// advances the step graph.
+fn run_single_step(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, node: NodeId) {
+    let Some(inject_panic) = state.run.checkpoint(node) else { return };
+    if let Err(e) = state.run.execute_and_publish(ctx, node, inject_panic) {
+        return state.run.fail(e);
+    }
+    if let Some(chunk) = state.run.result(node) {
+        state.store_partial(step, 0, chunk);
+    }
+    complete_step(&state, ctx, step);
+}
+
+/// Executes one morsel of a fused step and stores its terminal partial
+/// output. The last morsel to finish assembles and publishes.
+fn run_morsel(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, morsel: usize) {
+    let Step::Fused(pipeline) = &state.graph.steps[step] else {
+        return state.run.fail(EngineError::InvalidPlan(format!("step {step} is not a pipeline")));
+    };
+    let run = Arc::clone(
+        state.fused_runs[step].get().expect("morsel dispatched before its step was launched"),
+    );
+    let part = match stream_morsel(&state.run, pipeline, &run, morsel) {
+        Ok(Some(part)) => part,
+        Ok(None) => return,
+        Err(e) => return state.run.fail(e),
+    };
+    run.morsels_by_worker[ctx.worker].fetch_add(1, Ordering::Relaxed);
+    run.queue_wait_us.fetch_add(ctx.queue_wait.as_micros() as u64, Ordering::Relaxed);
+    if run.parts[morsel].set(part).is_err() {
+        return state.run.fail(EngineError::InvalidPlan(format!(
+            "morsel {morsel} of step {step} executed twice"
+        )));
+    }
+    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        match assemble_pipeline(&state, ctx, step, pipeline, &run) {
+            Ok(()) => complete_step(&state, ctx, step),
+            Err(e) => state.run.fail(e),
+        }
+    }
+}
+
+/// Slices the pipeline's source at `morsel` and streams the slice through
+/// every fused stage while it is cache-hot, returning the terminal stage's
+/// partial output — or `None` when a [`RunContext::checkpoint`] stopped the
+/// task.
+fn stream_morsel(
+    ctx: &RunContext,
+    pipeline: &Pipeline,
+    run: &FusedRun,
+    morsel: usize,
+) -> Result<Option<Chunk>> {
+    let offset = morsel * run.morsel_rows;
+    // Stream slices go through `slice_part`, which preserves the
+    // `stream_base` alignment invariant (see `crate::chunk::Chunk::Oids`).
+    let mut member = 0;
+    let mut cur = match pipeline.source {
+        PipelineSource::Scan { node } => {
+            let Some(inject_panic) = ctx.checkpoint(node) else { return Ok(None) };
+            let (table, column, _) = scan_source(&ctx.plan, node)?;
+            let lo = run.scan_start + offset;
+            let hi = (lo + run.morsel_rows).min(run.scan_start + run.source_rows);
+            let sub = OperatorSpec::ScanColumn {
+                table: table.to_string(),
+                column: column.to_string(),
+                range: RowRange::new(lo, hi),
+            };
+            let started = Instant::now();
+            let execute = |inject| guarded_execute(node, &sub, &[], &ctx.catalog, inject);
+            // Produce-or-reuse through the scan group: the first member to
+            // need this window executes the slice and publishes it; everyone
+            // else (late attachers circling back for the prefix included)
+            // reuses the published chunk. Fault-injected morsels bypass the
+            // group — an injected panic must fail this query, never poison
+            // (or be masked by) a window other members reuse.
+            let (chunk, shared) = match &run.shared {
+                Some(scan) if !inject_panic => scan.window(lo, hi, || execute(false))?,
+                _ => (execute(inject_panic)?, false),
+            };
+            if shared {
+                run.morsels_shared.fetch_add(1, Ordering::Relaxed);
+            }
+            ctx.handle.record_morsel(shared);
+            run.record_stage(member, started, &chunk);
+            member = 1;
+            chunk
+        }
+        PipelineSource::Chunk { producer } => {
+            let chunk = ctx.input(pipeline.stages[0], producer)?;
+            if run.n_morsels == 1 {
+                chunk.clone()
+            } else {
+                slice_part(producer, chunk, offset, run.morsel_rows)?
+            }
+        }
+    };
+
+    for &stage in &pipeline.stages {
+        let node_ref = ctx.plan.node(stage)?;
+        let aligned = node_ref.spec.aligned_inputs(node_ref.inputs.len());
+        let mut inputs: Vec<Chunk> = Vec::with_capacity(node_ref.inputs.len());
+        inputs.push(cur);
+        for (i, &input) in node_ref.inputs.iter().enumerate().skip(1) {
+            let chunk = ctx.input(stage, input)?;
+            // A range-aligned secondary input (Calc col⊗col, IfThenElse,
+            // GroupAgg values) zips positionally against the pipeline
+            // stream, so it must be cut at the same relative window as the
+            // source morsel. The analyzer only fuses these stages when
+            // nothing upstream has compacted the stream, so the source's
+            // morsel grid applies verbatim. A whole-length mismatch is
+            // surfaced here exactly as whole-node execution would report
+            // it; without this check each morsel-sized slice pair could
+            // happen to agree and silently diverge from the serial
+            // semantics.
+            if run.n_morsels > 1 && aligned[i] && is_positional(chunk) {
+                if chunk.rows() != run.source_rows {
+                    return Err(apq_operators::OperatorError::LengthMismatch {
+                        left: run.source_rows,
+                        right: chunk.rows(),
+                    }
+                    .into());
+                }
+                inputs.push(slice_part(input, chunk, offset, run.morsel_rows)?);
+            } else {
+                inputs.push(chunk.clone());
+            }
+        }
+        let Some(inject_panic) = ctx.checkpoint(stage) else { return Ok(None) };
+        let started = Instant::now();
+        cur = guarded_execute(stage, &node_ref.spec, &inputs, &ctx.catalog, inject_panic)?;
+        run.record_stage(member, started, &cur);
+        member += 1;
+    }
+
+    // The injected delay applies once per morsel (the dispatch unit here,
+    // as the operator is for single steps), keyed on the pipeline terminal.
+    ctx.inject_delay(pipeline.terminal());
+    Ok(Some(cur))
+}
+
+/// Runs on the worker that finished a pipeline's last morsel: packs the
+/// partial outputs in morsel order (the exchange-union recombination, so the
+/// published chunk is byte-identical to whole-node execution) and publishes
+/// the terminal chunk and the per-node/per-pipeline profiles.
+fn assemble_pipeline(
+    state: &Driver,
+    ctx: &TaskContext<'_>,
+    step: usize,
+    pipeline: &Pipeline,
+    run: &FusedRun,
+) -> Result<()> {
+    let terminal = pipeline.terminal();
+    let members = pipeline.member_nodes();
+    let terminal_member = members.len() - 1;
+
+    let assembly_started = Instant::now();
+    let final_chunk = if run.n_morsels == 1 {
+        run.parts[0].get().cloned().expect("single morsel completed")
+    } else {
+        let parts: Vec<Chunk> =
+            run.parts.iter().map(|p| p.get().cloned().expect("all morsels completed")).collect();
+        exchange_union(terminal, &parts)?
+    };
+    run.stage_time_us[terminal_member]
+        .fetch_add(assembly_started.elapsed().as_micros() as u64, Ordering::Relaxed);
+
+    for (i, &node) in members.iter().enumerate() {
+        let spec = &state.run.plan.node(node)?.spec;
+        let is_terminal = i == terminal_member;
+        let profile = OperatorProfile {
+            node,
+            name: spec.name(),
+            start_us: run.start_us,
+            duration_us: run.stage_time_us[i].load(Ordering::Relaxed),
+            // The pipeline's accumulated morsel queue wait is attributed to
+            // the terminal stage so query-level totals stay meaningful
+            // without double counting per fused stage.
+            queue_wait_us: if is_terminal { run.queue_wait_us.load(Ordering::Relaxed) } else { 0 },
+            worker: ctx.worker,
+            rows_out: if is_terminal {
+                final_chunk.rows()
+            } else {
+                run.stage_rows[i].load(Ordering::Relaxed) as usize
+            },
+            bytes_out: if is_terminal {
+                final_chunk.byte_size()
+            } else {
+                run.stage_bytes[i].load(Ordering::Relaxed) as usize
+            },
+        };
+        if state.run.profiles[node].set(profile).is_err() {
+            return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
+        }
+    }
+
+    state.run.pipeline_profiles.lock().push(PipelineProfile {
+        step,
+        nodes: members,
+        n_morsels: run.n_morsels,
+        morsel_rows: run.morsel_rows,
+        source_rows: run.source_rows,
+        queue_wait_us: run.queue_wait_us.load(Ordering::Relaxed),
+        morsels_by_worker: run
+            .morsels_by_worker
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect(),
+        morsels_shared: run.morsels_shared.load(Ordering::Relaxed),
+        groupagg_fused: matches!(
+            state.run.plan.node(terminal)?.spec,
+            OperatorSpec::GroupAgg { .. }
+        ),
+        typed_cache_hits: apq_columnar::typed_cache_hits().saturating_sub(run.typed_hits_at_launch),
+    });
+
+    state.store_partial(step, run.morsel_rows, &final_chunk);
+    if state.run.results[terminal].set(final_chunk).is_err() {
+        return Err(EngineError::InvalidPlan(format!("node {terminal} produced two results")));
+    }
+    Ok(())
+}
+
+/// Marks a step complete: launches consumer steps whose dependencies are now
+/// all satisfied (their tasks go through the task context, so work-stealing
+/// schedulers keep them on the publishing worker's deque, where the chunk
+/// is cache-hot) and finishes the query when every step is done.
+fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
+    for &(consumer, edges) in &state.graph.out_edges[step] {
+        let before = state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel);
+        // A consumer satisfied from the partial cache already has its
+        // terminal chunk seeded; it must never launch.
+        if before == edges && !state.skipped[consumer] {
+            launch_step(state, consumer, &|task| {
+                ctx.submit(task);
+                true
+            });
+        }
+    }
+    if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        state.run.finish();
+    }
+}

@@ -1,0 +1,315 @@
+//! The run context: everything the tasks of one query execution share.
+//!
+//! One [`RunContext`] is built per submission and owned (inside the
+//! driver's step-graph state, see [`super::driver`]) by every task of the
+//! query. It holds the plan and catalog, the query handle, the write-once
+//! result/profile slots, the failure latch and completion signal, and the
+//! engine's optional chaos and work-sharing layers. It also owns the three
+//! protocols every task and the submitting client go through, so there is
+//! exactly one copy of each:
+//!
+//! * [`RunContext::checkpoint`] — the failed-flag → liveness → injected
+//!   fault preamble run before every operator execution, whole-node or
+//!   fused stage alike;
+//! * [`RunContext::execute_and_publish`] — gather inputs, execute the
+//!   operator panic-guarded, publish its chunk and profile;
+//! * [`RunContext::wait`] — the only way out of a submission once its first
+//!   task was handed to the scheduler: wait for completion or failure,
+//!   drain stragglers, then surface the error or the root's output.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
+
+use apq_columnar::Catalog;
+
+use super::{Engine, QueryExecution};
+use crate::chunk::Chunk;
+use crate::error::{EngineError, Result};
+use crate::fault::{FaultInjector, FaultKind};
+use crate::interpreter::execute_node;
+use crate::plan::{NodeId, OperatorSpec, Plan};
+use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
+use crate::scheduler::{QueryHandle, TaskContext};
+use crate::sharing::ScanRegistry;
+
+/// Shared state of one query execution.
+pub(super) struct RunContext {
+    pub plan: Arc<Plan>,
+    pub catalog: Arc<Catalog>,
+    pub handle: Arc<QueryHandle>,
+    /// One write-once slot per plan node: a producer publishes its chunk,
+    /// consumers read it lock-free. Only published nodes (whole-node steps
+    /// and pipeline terminals) are ever set.
+    pub results: Vec<OnceLock<Chunk>>,
+    pub profiles: Vec<OnceLock<OperatorProfile>>,
+    pub pipeline_profiles: Mutex<Vec<PipelineProfile>>,
+    /// Fast-path flag mirroring `error.is_some()`.
+    failed: AtomicBool,
+    error: Mutex<Option<EngineError>>,
+    done: Mutex<bool>,
+    done_cv: Condvar,
+    pub started: Instant,
+    /// Chaos layer ([`crate::fault`]); `None` when disabled.
+    faults: Option<Arc<FaultInjector>>,
+    /// Shared-scan coordinator ([`crate::sharing`]); `None` when disabled.
+    pub sharing: Option<Arc<ScanRegistry>>,
+    pub n_workers: usize,
+    concurrent_peers: usize,
+}
+
+impl RunContext {
+    pub fn new(
+        engine: &Engine,
+        plan: &Arc<Plan>,
+        catalog: &Arc<Catalog>,
+        handle: Arc<QueryHandle>,
+        concurrent_peers: usize,
+    ) -> Self {
+        let capacity = plan.capacity();
+        RunContext {
+            plan: Arc::clone(plan),
+            catalog: Arc::clone(catalog),
+            handle,
+            results: (0..capacity).map(|_| OnceLock::new()).collect(),
+            profiles: (0..capacity).map(|_| OnceLock::new()).collect(),
+            pipeline_profiles: Mutex::new(Vec::new()),
+            failed: AtomicBool::new(false),
+            error: Mutex::new(None),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+            started: Instant::now(),
+            faults: engine.faults.clone(),
+            sharing: engine.sharing.clone(),
+            n_workers: engine.config.n_workers,
+            concurrent_peers,
+        }
+    }
+
+    /// Wakes the submitting client: every step completed (or the query
+    /// failed, via [`RunContext::fail`]).
+    pub fn finish(&self) {
+        *self.done.lock() = true;
+        self.done_cv.notify_all();
+    }
+
+    /// Fails the query with `err` (the first failure wins) and wakes the
+    /// client; tasks still queued bail at their next checkpoint.
+    pub fn fail(&self, err: EngineError) {
+        self.error.lock().get_or_insert(err);
+        self.failed.store(true, Ordering::Release);
+        self.finish();
+    }
+
+    /// The preamble of every operator execution. `None` means the task must
+    /// stop: a sibling already failed the query, the query was cancelled or
+    /// timed out, or the chaos layer fired a
+    /// [`FaultKind::SpuriousCancel`] here (which flips the real cancel flag,
+    /// so every later checkpoint observes what an external cancellation
+    /// would have caused). `Some(inject_panic)` clears the operator to run;
+    /// `inject_panic` is the chaos layer's [`FaultKind::OperatorPanic`]
+    /// decision for [`guarded_execute`].
+    pub fn checkpoint(&self, node: NodeId) -> Option<bool> {
+        if self.failed.load(Ordering::Acquire) {
+            return None;
+        }
+        if let Some(err) = liveness_error(&self.handle) {
+            self.fail(err);
+            return None;
+        }
+        match self.faults.as_ref().and_then(|f| f.operator_fault(self.handle.id(), node)) {
+            Some(FaultKind::SpuriousCancel) => {
+                self.handle.cancel();
+                self.fail(EngineError::Cancelled);
+                None
+            }
+            fault => Some(fault == Some(FaultKind::OperatorPanic)),
+        }
+    }
+
+    /// The chunk `node` published, if it has completed.
+    pub fn result(&self, node: NodeId) -> Option<&Chunk> {
+        self.results.get(node).and_then(OnceLock::get)
+    }
+
+    /// The published chunk of `input`, which `consumer` depends on.
+    pub fn input(&self, consumer: NodeId, input: NodeId) -> Result<&Chunk> {
+        self.result(input).ok_or_else(|| {
+            EngineError::InvalidPlan(format!(
+                "node {consumer} was scheduled before its input {input} completed"
+            ))
+        })
+    }
+
+    /// Sleeps for the chaos layer's [`FaultKind::Delay`] at this site — the
+    /// engine's one injected-latency mechanism. Timing-only: results are
+    /// unaffected by construction.
+    pub fn inject_delay(&self, node: NodeId) {
+        if let Some(faults) = &self.faults {
+            let delay = faults.operator_delay_us(self.handle.id(), node);
+            if delay > 0 {
+                std::thread::sleep(Duration::from_micros(delay));
+            }
+        }
+    }
+
+    /// Gathers `node`'s materialized inputs from the write-once slots,
+    /// executes the operator whole (panic-guarded, injected delay applied)
+    /// and publishes its chunk and profile. Errors are returned for the
+    /// caller to fail the query with.
+    pub fn execute_and_publish(
+        &self,
+        ctx: &TaskContext<'_>,
+        node: NodeId,
+        inject_panic: bool,
+    ) -> Result<()> {
+        let node_ref = self.plan.node(node)?;
+        let inputs: Vec<Chunk> = node_ref
+            .inputs
+            .iter()
+            .map(|&input| self.input(node, input).cloned())
+            .collect::<Result<_>>()?;
+
+        let start_us = self.started.elapsed().as_micros() as u64;
+        let execute =
+            |inject| guarded_execute(node, &node_ref.spec, &inputs, &self.catalog, inject);
+        let outcome = match &node_ref.spec {
+            OperatorSpec::ScanColumn { table, column, range } => {
+                // Whole-node scans go through the shared-scan coordinator
+                // when sharing is on: the first consumer of the window
+                // executes the scan and publishes it, later consumers reuse
+                // the published chunk. Fault-injected executions bypass the
+                // coordinator — an injected panic must fail this query,
+                // never poison (or be masked by) a window other queries
+                // reuse.
+                let served = match &self.sharing {
+                    Some(registry) if !inject_panic => registry
+                        .attach(&self.catalog, table, column)
+                        .window(range.start, range.end, || execute(false)),
+                    _ => execute(inject_panic).map(|chunk| (chunk, false)),
+                };
+                served.map(|(chunk, shared)| {
+                    self.handle.record_morsel(shared);
+                    chunk
+                })
+            }
+            _ => execute(inject_panic),
+        };
+        self.inject_delay(node);
+        let end_us = self.started.elapsed().as_micros() as u64;
+
+        let chunk = outcome?;
+        let profile = OperatorProfile {
+            node,
+            name: node_ref.spec.name(),
+            start_us,
+            duration_us: end_us.saturating_sub(start_us),
+            queue_wait_us: ctx.queue_wait.as_micros() as u64,
+            worker: ctx.worker,
+            rows_out: chunk.rows(),
+            bytes_out: chunk.byte_size(),
+        };
+        if self.profiles[node].set(profile).is_err() {
+            return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
+        }
+        if self.results[node].set(chunk).is_err() {
+            return Err(EngineError::InvalidPlan(format!("node {node} produced two results")));
+        }
+        Ok(())
+    }
+
+    /// The tail of every submission, and the only way out once the first
+    /// task was submitted: waits for completion or failure, drains the
+    /// query's straggler tasks (so `running() == 0` holds the moment the
+    /// client gets its answer, errors included), then returns the recorded
+    /// error or the root's output with the query profile.
+    pub fn wait(&self) -> Result<QueryExecution> {
+        {
+            let mut done = self.done.lock();
+            while !*done {
+                self.done_cv.wait(&mut done);
+            }
+        }
+        drain_query_tasks(&self.handle);
+        if let Some(err) = self.error.lock().clone() {
+            return Err(err);
+        }
+        let root = self.plan.root().expect("validated plan has a root");
+        let output = self
+            .result(root)
+            .ok_or_else(|| EngineError::InvalidPlan("root node produced no result".to_string()))?
+            .to_output();
+        let profile = QueryProfile {
+            wall_time: self.started.elapsed(),
+            n_workers: self.n_workers,
+            concurrent_peers: self.concurrent_peers,
+            operators: self.profiles.iter().filter_map(OnceLock::get).cloned().collect(),
+            pipelines: std::mem::take(&mut *self.pipeline_profiles.lock()),
+            dop_timeline: self.handle.dop_timeline(),
+        };
+        Ok(QueryExecution { output, profile })
+    }
+}
+
+/// The liveness check every cancel checkpoint runs: `Cancelled` wins over
+/// `DeadlineExceeded` (an explicit client action over a passive expiry);
+/// expiry records the [`crate::DopPhase::Timeout`] timeline event on first
+/// observation.
+pub(super) fn liveness_error(handle: &QueryHandle) -> Option<EngineError> {
+    if handle.is_cancelled() {
+        return Some(EngineError::Cancelled);
+    }
+    if handle.deadline_exceeded() {
+        handle.mark_deadline_exceeded();
+        return Some(EngineError::DeadlineExceeded);
+    }
+    None
+}
+
+/// Spin-waits until no task of the query is left anywhere in the scheduler.
+///
+/// Completion (`done`) fires from inside the last task's body — and a
+/// *failure* fires from the first checkpoint that observes it, with sibling
+/// tasks still queued or executing. Returning to the client at that point
+/// would leak stragglers into the pool: they hold DOP slots, touch the run
+/// state, and skew the next submission's scheduling. Draining here makes
+/// `running() == 0` an invariant the moment a submission returns, errors
+/// included. The wait is short by construction — post-failure tasks bail at
+/// their first checkpoint before doing operator work.
+fn drain_query_tasks(handle: &QueryHandle) {
+    while handle.inflight_tasks() > 0 {
+        std::thread::yield_now();
+    }
+}
+
+/// Executes one operator, converting panics into query-level errors: a
+/// panicking operator must fail *this query* (waking the submitting client)
+/// rather than unwind through the shared worker pool.
+///
+/// `inject_panic` is the chaos layer's [`FaultKind::OperatorPanic`]: the
+/// injected panic unwinds from *inside* the guarded region, so it exercises
+/// exactly the containment path a genuine operator bug would take.
+pub(super) fn guarded_execute(
+    node: NodeId,
+    spec: &OperatorSpec,
+    inputs: &[Chunk],
+    catalog: &Catalog,
+    inject_panic: bool,
+) -> Result<Chunk> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!("injected operator fault");
+        }
+        execute_node(node, spec, inputs, catalog)
+    }))
+    .unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(EngineError::WorkerPanicked(format!("operator {node} panicked: {msg}")))
+    })
+}

@@ -1,0 +1,451 @@
+//! Engine-level tests of the one execution runtime under both plannings.
+
+use std::sync::Arc;
+
+use apq_columnar::partition::RowRange;
+use apq_columnar::{Catalog, ScalarValue, TableBuilder};
+use apq_operators::{AggFunc, CmpOp, Predicate};
+
+use super::*;
+use crate::error::EngineError;
+use crate::plan::OperatorSpec;
+
+fn catalog(rows: usize) -> Arc<Catalog> {
+    let mut c = Catalog::new();
+    c.register(
+        TableBuilder::new("t")
+            .i64_column("a", (0..rows as i64).collect())
+            .i64_column("b", (0..rows as i64).map(|v| v * 2).collect())
+            .build()
+            .unwrap(),
+    );
+    Arc::new(c)
+}
+
+fn scan(col: &str, rows: usize) -> OperatorSpec {
+    OperatorSpec::ScanColumn {
+        table: "t".into(),
+        column: col.into(),
+        range: RowRange::new(0, rows),
+    }
+}
+
+/// Serial plan: sum(b) where a < threshold.
+fn filter_sum_plan(rows: usize, threshold: i64) -> Plan {
+    let mut p = Plan::new();
+    let a = p.add(scan("a", rows), vec![]);
+    let sel =
+        p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
+    let b = p.add(scan("b", rows), vec![]);
+    let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    p.set_root(fin);
+    p
+}
+
+/// A hand-rolled heuristic partitioning of [`filter_sum_plan`]: `parts`
+/// equi-range clones of scan→select→fetch→agg under one finalize.
+fn partitioned_filter_sum_plan(rows: usize, threshold: i64, parts: usize) -> Plan {
+    let mut p = Plan::new();
+    let b = p.add(scan("b", rows), vec![]);
+    let pred = Predicate::cmp(CmpOp::Lt, threshold);
+    let partials = (0..parts)
+        .map(|i| {
+            let range = RowRange::new(i * rows / parts, (i + 1) * rows / parts);
+            let a = p.add(
+                OperatorSpec::ScanColumn { table: "t".into(), column: "a".into(), range },
+                vec![],
+            );
+            let sel = p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a]);
+            let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+            p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch])
+        })
+        .collect();
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
+    p.set_root(fin);
+    p
+}
+
+fn both_policies() -> [Engine; 2] {
+    [
+        Engine::new(EngineConfig::with_workers(2)),
+        Engine::new(EngineConfig::with_workers(2).with_scheduler(SchedulerPolicy::WorkStealing)),
+    ]
+}
+
+#[test]
+fn executes_serial_plan() {
+    for engine in both_policies() {
+        let cat = catalog(1000);
+        let plan = filter_sum_plan(1000, 10);
+        let exec = engine.execute(&plan, &cat).unwrap();
+        // sum of b over a in [0,10) = 2 * (0+..+9) = 90.
+        assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(90)));
+        assert_eq!(exec.profile.operators.len(), 6);
+        assert!(exec.profile.wall_us() > 0);
+        assert!(exec.profile.most_expensive().is_some());
+        // Every task's dispatch is recorded by the scheduler.
+        assert_eq!(engine.scheduler_stats().total_executed(), 6);
+    }
+}
+
+#[test]
+fn parallel_partitioned_plan_gives_same_answer() {
+    let engine = Engine::with_workers(4);
+    let cat = catalog(10_000);
+    let serial = filter_sum_plan(10_000, 500);
+    let serial_out = engine.execute(&serial, &cat).unwrap().output;
+
+    // Hand-built two-partition version of the same query.
+    let p = partitioned_filter_sum_plan(10_000, 500, 2);
+
+    let exec = engine.execute(&p, &cat).unwrap();
+    assert_eq!(exec.output, serial_out);
+    // Both partitions' operators were profiled.
+    assert_eq!(exec.profile.operators.len(), 10);
+}
+
+#[test]
+fn concurrent_queries_share_the_pool() {
+    for policy in SchedulerPolicy::ALL {
+        let engine = Arc::new(Engine::new(EngineConfig::with_workers(3).with_scheduler(policy)));
+        let cat = catalog(5_000);
+        let mut handles = Vec::new();
+        for i in 0..8 {
+            let engine = Arc::clone(&engine);
+            let cat = Arc::clone(&cat);
+            handles.push(std::thread::spawn(move || {
+                let plan = filter_sum_plan(5_000, 100 + i);
+                engine.execute(&plan, &cat).unwrap().output
+            }));
+        }
+        for (i, h) in handles.into_iter().enumerate() {
+            let out = h.join().unwrap();
+            let threshold = 100 + i as i64;
+            let expected: i64 = (0..threshold).map(|v| v * 2).sum();
+            assert_eq!(out, QueryOutput::Scalar(ScalarValue::I64(expected)));
+        }
+    }
+}
+
+#[test]
+fn execution_errors_are_propagated() {
+    for engine in both_policies() {
+        let cat = catalog(10);
+        // Division by zero in a calc node.
+        let mut p = Plan::new();
+        let a = p.add(scan("a", 10), vec![]);
+        let div = p.add(
+            OperatorSpec::Calc {
+                op: apq_operators::BinaryOp::Div,
+                left_scalar: None,
+                right_scalar: Some(ScalarValue::I64(0)),
+            },
+            vec![a],
+        );
+        p.set_root(div);
+        let err = engine.execute(&p, &cat).unwrap_err();
+        assert!(matches!(err, EngineError::Operator(_)));
+
+        // Unknown table surfaces as a storage error.
+        let mut p = Plan::new();
+        let bad = p.add(
+            OperatorSpec::ScanColumn {
+                table: "missing".into(),
+                column: "x".into(),
+                range: RowRange::new(0, 1),
+            },
+            vec![],
+        );
+        p.set_root(bad);
+        assert!(engine.execute(&p, &cat).is_err());
+
+        // Invalid plans are rejected before execution.
+        let p = Plan::new();
+        assert!(matches!(engine.execute(&p, &cat), Err(EngineError::InvalidPlan(_))));
+    }
+}
+
+#[test]
+fn injected_delay_inflates_operator_times() {
+    let cat = catalog(100);
+    let plan = filter_sum_plan(100, 50);
+    let quiet = Engine::new(EngineConfig::with_workers(2));
+    let slow =
+        Engine::new(EngineConfig::with_workers(2).with_faults(FaultConfig::fixed_delay(500)));
+    let q = quiet.execute(&plan, &cat).unwrap();
+    let s = slow.execute(&plan, &cat).unwrap();
+    assert_eq!(q.output, s.output);
+    assert!(s.profile.total_cpu_us() > q.profile.total_cpu_us() + 1_000);
+    assert_eq!(quiet.fault_stats().delays, 0);
+    assert_eq!(slow.fault_stats().delays, 6, "one delay per executed operator");
+
+    // Random jitter instead of a fixed cost: still timing-only.
+    let jitter = FaultConfig { delay_probability: 1.0, max_delay_us: 300, ..FaultConfig::quiet(7) };
+    let noisy = Engine::new(EngineConfig::with_workers(2).with_faults(jitter));
+    let n = noisy.execute(&plan, &cat).unwrap();
+    assert_eq!(n.output, q.output);
+    assert!(noisy.fault_stats().delays > 0);
+}
+
+#[test]
+fn engine_debug_and_config() {
+    let engine = Engine::with_workers(2);
+    assert_eq!(engine.n_workers(), 2);
+    assert!(format!("{engine:?}").contains("n_workers"));
+    assert!(engine.config().faults.is_none());
+    assert_eq!(engine.config().scheduler, SchedulerPolicy::GlobalQueue);
+    let default_cfg = EngineConfig::default();
+    assert!(default_cfg.n_workers >= 1);
+    assert_eq!(default_cfg.scheduler, SchedulerPolicy::GlobalQueue);
+}
+
+#[test]
+fn queue_wait_is_profiled() {
+    // One worker, a plan with independent scans: whichever scan runs
+    // second must have waited in the queue while the first executed.
+    let engine = Engine::with_workers(1);
+    let cat = catalog(50_000);
+    let plan = filter_sum_plan(50_000, 1_000);
+    let exec = engine.execute(&plan, &cat).unwrap();
+    let total_wait: u64 = exec.profile.operators.iter().map(|o| o.queue_wait_us).sum();
+    assert!(
+        total_wait > 0,
+        "no queue wait recorded on a single-worker engine: {:?}",
+        exec.profile.operators
+    );
+    assert_eq!(exec.profile.total_queue_wait_us(), total_wait);
+}
+
+#[test]
+fn cancellation_aborts_the_query() {
+    for engine in both_policies() {
+        let cat = catalog(1_000);
+        let plan = Arc::new(filter_sum_plan(1_000, 10));
+        let handle = engine.register_query(QueryOptions::default());
+        handle.cancel();
+        let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
+        assert_eq!(err, EngineError::Cancelled);
+    }
+}
+
+#[test]
+fn admitted_dop_throttles_but_preserves_results() {
+    for policy in SchedulerPolicy::ALL {
+        let engine = Engine::new(EngineConfig::with_workers(4).with_scheduler(policy));
+        let cat = catalog(10_000);
+        let plan = Arc::new(filter_sum_plan(10_000, 500));
+        let expected = engine.execute_shared(&plan, &cat).unwrap().output;
+        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+        let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
+        assert_eq!(exec.output, expected, "{policy}: throttled run diverged");
+    }
+}
+
+#[test]
+fn shared_plan_execution_avoids_replanning() {
+    let engine = Engine::with_workers(2);
+    let cat = catalog(2_000);
+    let plan = Arc::new(filter_sum_plan(2_000, 20));
+    let first = engine.execute_shared(&plan, &cat).unwrap().output;
+    for _ in 0..3 {
+        assert_eq!(engine.execute_shared(&plan, &cat).unwrap().output, first);
+    }
+}
+
+#[test]
+fn morsel_mode_matches_operator_at_a_time() {
+    let cat = catalog(10_000);
+    let plan = filter_sum_plan(10_000, 500);
+    let reference = Engine::with_workers(2).execute(&plan, &cat).unwrap();
+    for policy in SchedulerPolicy::ALL {
+        let engine = Engine::new(
+            EngineConfig::with_workers(2)
+                .with_scheduler(policy)
+                .with_execution_mode(ExecutionMode::MorselDriven)
+                .with_morsel_rows(1_000),
+        );
+        let exec = engine.execute(&plan, &cat).unwrap();
+        assert_eq!(exec.output, reference.output, "{policy}: morsel mode diverged");
+        // Every live node still gets a profile.
+        assert_eq!(exec.profile.operators.len(), reference.profile.operators.len());
+        // The scan→select→fetch→agg chain fused: 10 morsels of 1000 rows.
+        assert_eq!(exec.profile.pipelines.len(), 1);
+        let pipeline = &exec.profile.pipelines[0];
+        assert_eq!(pipeline.n_morsels, 10);
+        assert_eq!(pipeline.source_rows, 10_000);
+        assert_eq!(exec.profile.total_morsels(), 10);
+        assert_eq!(
+            exec.profile.morsels_by_worker().iter().sum::<u64>(),
+            10,
+            "{policy}: morsel worker counters incomplete"
+        );
+    }
+}
+
+#[test]
+fn morsel_mode_handles_errors_and_cancellation() {
+    let engine =
+        Engine::new(EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven));
+    let cat = catalog(100);
+    // Division by zero inside a fused stage fails the query cleanly.
+    let mut p = Plan::new();
+    let a = p.add(scan("a", 100), vec![]);
+    let div = p.add(
+        OperatorSpec::Calc {
+            op: apq_operators::BinaryOp::Div,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(0)),
+        },
+        vec![a],
+    );
+    p.set_root(div);
+    assert!(matches!(engine.execute(&p, &cat), Err(EngineError::Operator(_))));
+
+    // Cancellation before submission aborts the query.
+    let plan = Arc::new(filter_sum_plan(100, 10));
+    let handle = engine.register_query(QueryOptions::default());
+    handle.cancel();
+    let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
+
+    // And the engine still executes healthy queries afterwards.
+    let ok = engine.execute(&filter_sum_plan(100, 10), &cat).unwrap();
+    assert_eq!(ok.output, QueryOutput::Scalar(ScalarValue::I64(90)));
+}
+
+#[test]
+fn morsel_mode_respects_admitted_dop() {
+    for policy in SchedulerPolicy::ALL {
+        let engine = Engine::new(
+            EngineConfig::with_workers(4)
+                .with_scheduler(policy)
+                .with_execution_mode(ExecutionMode::MorselDriven)
+                .with_morsel_rows(512),
+        );
+        let cat = catalog(10_000);
+        let plan = Arc::new(filter_sum_plan(10_000, 500));
+        let expected = engine.execute_shared(&plan, &cat).unwrap().output;
+        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+        let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
+        assert_eq!(exec.output, expected, "{policy}: throttled morsel run diverged");
+    }
+}
+
+#[test]
+fn work_stealing_records_locality() {
+    let engine =
+        Engine::new(EngineConfig::with_workers(2).with_scheduler(SchedulerPolicy::WorkStealing));
+    let cat = catalog(20_000);
+    // A serial chain: every follow-up is produced on a worker, so local
+    // hits must appear.
+    let plan = filter_sum_plan(20_000, 500);
+    engine.execute(&plan, &cat).unwrap();
+    let stats = engine.scheduler_stats();
+    assert_eq!(stats.policy, "work-stealing");
+    assert_eq!(stats.total_executed(), 6);
+    assert!(stats.total_local_hits() > 0, "chained operators never hit the local deque: {stats:?}");
+}
+
+#[test]
+fn operator_at_a_time_profiles_every_operator_on_its_own() {
+    // The per-operator shape `mutate_most_expensive` reads: under
+    // operator-at-a-time planning every live node is its own task, so it
+    // carries its own worker and queue wait and no pipeline exists.
+    let cat = catalog(80_000);
+    let plan = partitioned_filter_sum_plan(80_000, 4_000, 8);
+    let expected = Engine::with_workers(2).execute(&filter_sum_plan(80_000, 4_000), &cat).unwrap();
+    for policy in SchedulerPolicy::ALL {
+        let engine = Engine::new(EngineConfig::with_workers(1).with_scheduler(policy));
+        let exec = engine.execute(&plan, &cat).unwrap();
+        assert_eq!(exec.output, expected.output, "{policy}");
+        assert!(exec.profile.pipelines.is_empty(), "{policy}: OAT planned a pipeline");
+        assert_eq!(exec.profile.total_morsels(), 0);
+        let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, plan.node_ids(), "{policy}: one profile per live node");
+        assert_eq!(engine.scheduler_stats().total_executed(), plan.node_count() as u64);
+        assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
+        // One worker, 34 tasks: queueing is spread over the operators
+        // rather than attributed to one terminal per pipeline.
+        let waited = exec.profile.operators.iter().filter(|o| o.queue_wait_us > 0).count();
+        assert!(waited >= 2, "{policy}: queue wait on {waited} operators only");
+    }
+}
+
+#[test]
+fn operator_at_a_time_reuses_whole_node_aggregate_partials() {
+    // With sharing on, a repeated aggregate plan is served from the
+    // partial cache under operator-at-a-time planning too — it is the same
+    // single-step probe/put morsel-driven planning uses for its breakers.
+    let cat = catalog(20_000);
+    let plan = Arc::new(filter_sum_plan(20_000, 700));
+    let expected = Engine::with_workers(2).execute_shared(&plan, &cat).unwrap().output;
+    let engine = Engine::new(EngineConfig::with_workers(2).with_sharing(SharingConfig::default()));
+    let cold = engine.execute_shared(&plan, &cat).unwrap();
+    assert_eq!(cold.output, expected);
+    assert_eq!(cold.profile.operators.len(), 6);
+    assert_eq!(engine.sharing_stats().partials_reused, 0);
+    assert_eq!(engine.sharing_stats().partials_stored, 1);
+    let warm = engine.execute_shared(&plan, &cat).unwrap();
+    assert_eq!(warm.output, expected, "reused partial changed the result");
+    assert_eq!(engine.sharing_stats().partials_reused, 1);
+    // Only the finalize ran: the aggregate and everything under it were
+    // pruned.
+    assert_eq!(warm.profile.operators.len(), 1);
+}
+
+#[test]
+fn fused_stage_time_is_cpu_time_bounded_by_wall_times_workers() {
+    // Fused stages add up per-morsel time across workers, so a stage's
+    // `duration_us` — and with it `total_cpu_us` — may exceed the query's
+    // wall time; what bounds it is wall time × workers.
+    let cat = catalog(200_000);
+    let plan = Arc::new(filter_sum_plan(200_000, 150_000));
+    for policy in SchedulerPolicy::ALL {
+        let engine = Engine::new(
+            EngineConfig::with_workers(2)
+                .with_scheduler(policy)
+                .with_execution_mode(ExecutionMode::MorselDriven)
+                .with_morsel_rows(2_000),
+        );
+        for _ in 0..5 {
+            let profile = engine.execute_shared(&plan, &cat).unwrap().profile;
+            assert_eq!(profile.total_morsels(), 100);
+            // +1: `wall_us` and every stage sum are truncated to whole µs.
+            let bound = (profile.wall_us() + 1) * profile.n_workers as u64;
+            assert!(
+                profile.total_cpu_us() <= bound,
+                "{policy}: {} µs of operator time in {} µs × {} workers",
+                profile.total_cpu_us(),
+                profile.wall_us(),
+                profile.n_workers
+            );
+            assert!(profile.operators.iter().all(|o| o.duration_us <= bound));
+            assert!(profile.parallelism_usage() <= 1.0);
+        }
+    }
+}
+
+#[test]
+fn refused_submission_still_drains_and_reports_shutdown() {
+    // The scheduler refuses work only once shut down (normally from
+    // `Engine::drop`). The refusal must leave through the common tail:
+    // error surfaced, nothing of the query left in the pool.
+    for policy in SchedulerPolicy::ALL {
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            let engine = Engine::new(
+                EngineConfig::with_workers(2).with_scheduler(policy).with_execution_mode(mode),
+            );
+            engine.scheduler.shutdown();
+            let handle = engine.register_query(QueryOptions::default());
+            let plan = Arc::new(filter_sum_plan(1_000, 10));
+            let err = engine.execute_with_handle(&plan, &catalog(1_000), Arc::clone(&handle));
+            assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{policy}/{mode}");
+            assert_eq!(handle.inflight_tasks(), 0, "{policy}/{mode}: refused task still counted");
+            assert_eq!(handle.running(), 0);
+            assert_eq!(engine.in_flight_queries(), 0);
+        }
+    }
+}

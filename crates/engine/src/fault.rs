@@ -2,12 +2,18 @@
 //!
 //! The source paper motivates its convergence algorithm with survival in "a
 //! noisy environment (operating system process interference, memory flushes,
-//! etc.)" (§3.3.3). [`crate::noise`] reproduces the *timing* half of that
-//! environment (random per-operator delays); this module generalizes it to
-//! the full failure menagerie a production service must shrug off:
+//! etc.)" (§3.3.3), where "the execution time of some of the runs is often
+//! greater than the serial plan execution time". Real OS noise is neither
+//! controllable nor reproducible, so the engine injects it synthetically —
+//! and this module is the *only* place it does: timing noise, emulated
+//! slower platforms and the full failure menagerie a production service must
+//! shrug off are all [`FaultKind`]s of one seeded layer:
 //!
-//! * [`FaultKind::Delay`] — an operator execution is stretched (the
-//!   [`crate::noise`] behavior, folded into the unified layer);
+//! * [`FaultKind::Delay`] — an operator execution is stretched by a delay
+//!   drawn from `[min_delay_us, max_delay_us]`: random jitter for
+//!   convergence-robustness runs, or a fixed per-operator cost
+//!   ([`FaultConfig::fixed_delay`]) emulating a platform with slower memory
+//!   access (the 4-socket machine of paper Fig. 17b);
 //! * [`FaultKind::OperatorPanic`] — an operator panics mid-execution,
 //!   exercising the executor's panic containment
 //!   ([`crate::EngineError::WorkerPanicked`] must wake the client, the
@@ -22,9 +28,9 @@
 //! # Determinism
 //!
 //! Worker interleaving is not reproducible, so a shared-RNG design (draws
-//! consumed in arrival order, like [`crate::noise::NoiseInjector`]) would
-//! make chaos runs unrepeatable. Here every decision is a **pure function
-//! of the fault site**: `hash(seed, kind, query_id, operator)` decides
+//! consumed in arrival order) would make chaos runs unrepeatable. Here
+//! every decision is a **pure function of the fault site**:
+//! `hash(seed, kind, query_id, operator)` decides
 //! whether the fault fires and how large it is. Two runs with the same seed
 //! and the same (query id, operator) population inject byte-for-byte the
 //! same outcome-changing faults regardless of thread timing — which is what
@@ -51,8 +57,8 @@ use crate::plan::NodeId;
 /// The kinds of synthetic fault the injector can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Stretch one operator execution by a bounded random delay
-    /// (timing-only; results are unaffected).
+    /// Stretch one operator execution by a bounded delay (timing-only;
+    /// results are unaffected).
     Delay,
     /// Panic inside one operator execution. Must surface as
     /// [`crate::EngineError::WorkerPanicked`] on the submitting client,
@@ -129,7 +135,11 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Per-operator probability of a [`FaultKind::Delay`] (0.0 ..= 1.0).
     pub delay_probability: f64,
-    /// Maximum injected operator delay, microseconds.
+    /// Minimum injected operator delay, microseconds (the delay floor: a
+    /// firing site sleeps for a value in `[min_delay_us, max_delay_us]`).
+    pub min_delay_us: u64,
+    /// Maximum injected operator delay, microseconds (raised to
+    /// `min_delay_us` when configured below it).
     pub max_delay_us: u64,
     /// Per-operator probability of a [`FaultKind::OperatorPanic`].
     pub panic_probability: f64,
@@ -155,6 +165,7 @@ impl FaultConfig {
         FaultConfig {
             seed,
             delay_probability: 0.0,
+            min_delay_us: 0,
             max_delay_us: 0,
             panic_probability: 0.0,
             stall_probability: 0.0,
@@ -188,6 +199,20 @@ impl FaultConfig {
             stall_probability: 0.1,
             max_stall_us: 1_000,
             ..FaultConfig::quiet(seed)
+        }
+    }
+
+    /// Every operator execution is stretched by exactly `delay_us`
+    /// microseconds and nothing else is injected: the emulation of a
+    /// platform with slower memory access (paper Fig. 17b's 4-socket
+    /// machine) and of a deliberately slow service in overload tests.
+    /// Timing-only, so no seed is involved.
+    pub fn fixed_delay(delay_us: u64) -> Self {
+        FaultConfig {
+            delay_probability: 1.0,
+            min_delay_us: delay_us,
+            max_delay_us: delay_us,
+            ..FaultConfig::quiet(0)
         }
     }
 
@@ -340,7 +365,8 @@ impl FaultInjector {
     }
 
     /// The delay (microseconds) to inject after executing `(query_id,
-    /// node)`; 0 most of the time. Timing-only: never changes results.
+    /// node)`: 0 unless the site fires, then a site-keyed value in
+    /// `[min_delay_us, max_delay_us]`. Timing-only: never changes results.
     pub fn operator_delay_us(&self, query_id: u64, node: NodeId) -> u64 {
         let scripted = self
             .config
@@ -352,10 +378,9 @@ impl FaultInjector {
             return 0;
         }
         self.delays.fetch_add(1, Ordering::Relaxed);
-        if self.config.max_delay_us == 0 {
-            return 0;
-        }
-        self.site_hash(FaultKind::Delay, query_id, node ^ 0x5D) % (self.config.max_delay_us + 1)
+        let min = self.config.min_delay_us;
+        let spread = self.config.max_delay_us.saturating_sub(min);
+        min + self.site_hash(FaultKind::Delay, query_id, node ^ 0x5D) % (spread + 1)
     }
 
     /// The stall (microseconds) a worker injects before dispatching the
@@ -461,6 +486,27 @@ mod tests {
         assert!(nonzero_delay);
         assert_eq!(inj.stats().delays, 100);
         assert_eq!(inj.stats().stalls, 100);
+    }
+
+    #[test]
+    fn delay_floor_bounds_every_draw_and_fixed_delay_is_exact() {
+        let cfg = FaultConfig {
+            delay_probability: 1.0,
+            min_delay_us: 40,
+            max_delay_us: 60,
+            ..FaultConfig::quiet(5)
+        };
+        let inj = FaultInjector::new(cfg);
+        let fixed = FaultInjector::new(FaultConfig::fixed_delay(30));
+        for q in 0..10 {
+            for n in 0..10 {
+                assert!((40..=60).contains(&inj.operator_delay_us(q, n)));
+                assert_eq!(fixed.operator_delay_us(q, n), 30);
+                assert_eq!(fixed.operator_fault(q, n), None);
+                assert_eq!(fixed.dispatch_stall_us(q, n as u64), 0);
+            }
+        }
+        assert_eq!(fixed.stats(), FaultStats { delays: 100, ..FaultStats::default() });
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   mutations rely on;
 //! * [`chunk`] — materialized intermediates flowing along plan edges;
 //! * [`interpreter`] — executes one operator over its inputs;
-//! * [`executor`] — the shared worker pool and dependency-driven dataflow
-//!   executor ("an operator is scheduled for execution once all its input
-//!   sources are available"), usable concurrently by many client threads;
-//! * [`pipeline`] — the morsel-driven execution mode: fused operator chains
-//!   driven by fixed-size morsels instead of whole-chunk materialization,
-//!   selectable via [`EngineConfig::execution_mode`];
+//! * [`executor`] — the shared worker pool, the live-query registry and the
+//!   one dependency-driven execution runtime ("an operator is scheduled for
+//!   execution once all its input sources are available"), usable
+//!   concurrently by many client threads;
+//! * [`pipeline`] — how a plan is *planned* into that runtime's steps: one
+//!   whole-node step per operator (operator-at-a-time) or fused operator
+//!   chains driven by fixed-size morsels, selectable via
+//!   [`EngineConfig::execution_mode`];
 //! * [`scheduler`] — pluggable task-scheduling policies (shared FIFO vs.
 //!   work-stealing deques), per-query scheduling state ([`QueryHandle`]:
 //!   priority, admitted DOP, cancellation, live dispatch signals) and
@@ -25,12 +27,11 @@
 //!   ([`EngineConfig::controller`]);
 //! * [`profiler`] — per-operator execution feedback (time, worker, memory
 //!   claim) and query-level multi-core-utilization metrics;
-//! * [`noise`] — reproducible synthetic OS-noise injection for the
-//!   convergence-robustness experiments;
-//! * [`fault`] — the deterministic chaos layer generalizing [`noise`]:
-//!   seeded, site-keyed injection of operator panics, dispatch stalls and
-//!   spurious cancellations ([`EngineConfig::with_faults`]), reproducible
-//!   byte-for-byte from a seed;
+//! * [`fault`] — the deterministic chaos layer and the engine's one
+//!   injected-latency mechanism: seeded, site-keyed injection of operator
+//!   delays and panics, dispatch stalls and spurious cancellations
+//!   ([`EngineConfig::with_faults`]), reproducible byte-for-byte from a
+//!   seed;
 //! * [`sharing`] — multi-query work sharing: cooperative shared scans
 //!   (per-table [`sharing::ScanGroup`]s hand out each morsel window exactly
 //!   once across all attached consumers) and a bounded partial-aggregate
@@ -48,7 +49,6 @@ pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod interpreter;
-pub mod noise;
 pub mod pipeline;
 pub mod plan;
 pub mod profiler;
@@ -61,7 +61,6 @@ pub use controller::{ControllerConfig, TickReport};
 pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, QueryOptions, ReservedQuery};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
-pub use noise::{NoiseConfig, NoiseInjector};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};

@@ -1,18 +1,25 @@
-//! Morsel-driven pipeline execution (Leis et al., "Morsel-Driven
-//! Parallelism", adapted to this engine's operator-at-a-time plan IR).
+//! Planning a query into steps: operator-at-a-time or fused morsel
+//! pipelines (Leis et al., "Morsel-Driven Parallelism", adapted to this
+//! engine's operator-at-a-time plan IR).
 //!
-//! The default execution model materializes every operator's whole output
-//! before any consumer starts ([`ExecutionMode::OperatorAtATime`]). That
-//! leaves the work-stealing scheduler's locality advantage mostly
-//! unexercised: a chunk produced on one core is consumed exactly once, by
-//! one follow-up task. Morsel-driven execution
-//! ([`ExecutionMode::MorselDriven`]) instead *fuses* compatible operator
-//! chains into pipelines, splits each pipeline's input into fixed-size
-//! **morsels** (configurable via [`crate::EngineConfig::morsel_rows`],
-//! default [`DEFAULT_MORSEL_ROWS`] rows) and dispatches one scheduler task
-//! per morsel. Workers pull morsels from their own deques, each morsel flows
-//! through *all* fused stages while its data is cache-hot, and the per-stage
-//! whole-chunk materialization disappears inside the pipeline.
+//! The engine has one execution runtime (the morsel driver behind
+//! [`crate::Engine`]) and two *plannings* of a plan into the step graph
+//! that runtime executes; [`ExecutionMode`] picks the planning and is read
+//! nowhere else.
+//!
+//! [`ExecutionMode::OperatorAtATime`] (the default, and the model the
+//! paper's adaptive optimizer was measured on) emits one whole-node step per
+//! operator: every operator's whole output materializes before any consumer
+//! starts. That leaves the work-stealing scheduler's locality advantage
+//! mostly unexercised: a chunk produced on one core is consumed exactly
+//! once, by one follow-up task. [`ExecutionMode::MorselDriven`] instead
+//! *fuses* compatible operator chains into pipelines, splits each pipeline's
+//! input into fixed-size **morsels** (configurable via
+//! [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
+//! rows) and dispatches one scheduler task per morsel. Workers pull morsels
+//! from their own deques, each morsel flows through *all* fused stages while
+//! its data is cache-hot, and the per-stage whole-chunk materialization
+//! disappears inside the pipeline.
 //!
 //! ```text
 //! operator-at-a-time                 morsel-driven
@@ -90,7 +97,9 @@ use crate::plan::{NodeId, OperatorSpec, Plan};
 /// morsels, rounded to a power of two).
 pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
-/// How the engine turns a validated plan into scheduler tasks.
+/// How the engine plans a validated plan into scheduler tasks. Consulted in
+/// exactly one place — the planner call at the head of every execution —
+/// because both plannings run on the same driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// One task per plan operator; every intermediate result materializes
@@ -180,22 +189,24 @@ impl Pipeline {
 /// One schedulable unit of the fused plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// A pipeline breaker (or unfusible node) executed whole, as in
-    /// operator-at-a-time mode.
+    /// A node executed whole as one task: every node under
+    /// operator-at-a-time planning, pipeline breakers and unfusible nodes
+    /// under morsel-driven planning.
     Single(NodeId),
     /// A fused pipeline executed morsel-at-a-time.
     Fused(Pipeline),
 }
 
-/// The fused decomposition of a plan: a DAG of [`Step`]s covering every live
+/// The step decomposition of a plan: a DAG of [`Step`]s covering every live
 /// node exactly once.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelinePlan {
-    /// The steps, in a valid (topological) execution order.
+    /// The steps. The driver orders execution by `deps`/`out_edges` alone,
+    /// never by index: morsel-driven planning happens to emit a topological
+    /// order, operator-at-a-time planning emits node-id order.
     pub steps: Vec<Step>,
-    /// `step_of[node] == Some(step index)` for every live node. Consumed by
-    /// the analysis itself and by diagnostics/tests.
-    #[allow(dead_code)]
+    /// `step_of[node] == Some(step index)` for every live node.
+    #[cfg(test)]
     pub step_of: Vec<Option<usize>>,
     /// Per step: number of input edges arriving from other steps.
     pub deps: Vec<usize>,
@@ -290,15 +301,24 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 }
 
 impl PipelinePlan {
-    /// Decomposes a validated plan into pipelines and single-node steps.
+    /// Plans a validated plan into steps under `mode`.
     ///
-    /// Fusion is conservative: a chain only forms where the plan structure
-    /// *guarantees* that intermediate outputs are consumed exactly once, by
-    /// the next stage, as its first input. Everything else — multi-consumer
-    /// fan-out, pipeline breakers, exotic arities — falls back to single-node
-    /// steps that behave exactly like operator-at-a-time execution.
-    pub fn analyze(plan: &Plan) -> Result<PipelinePlan> {
-        let order = plan.topo_order()?;
+    /// [`ExecutionMode::OperatorAtATime`] emits one [`Step::Single`] per
+    /// live node and never fuses — the step graph *is* the plan DAG.
+    ///
+    /// [`ExecutionMode::MorselDriven`] decomposes the plan into pipelines
+    /// and single-node steps. Fusion is conservative: a chain only forms
+    /// where the plan structure *guarantees* that intermediate outputs are
+    /// consumed exactly once, by the next stage, as its first input.
+    /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
+    /// arities — falls back to single-node steps.
+    pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
+        let fuse = mode == ExecutionMode::MorselDriven;
+        // Chain heads are found in topological order (a head's producer
+        // must already belong to a step). Without fusion any order does,
+        // and node-id order skips the quadratic sort — operator-at-a-time
+        // plans are the adaptive optimizer's, with hundreds of small nodes.
+        let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
         let mut steps: Vec<Step> = Vec::new();
@@ -336,6 +356,7 @@ impl PipelinePlan {
             // fusible stage, or a fusible stage whose first input is already
             // materialized by an external step.
             let head = match &node.spec {
+                _ if !fuse => None,
                 OperatorSpec::ScanColumn { .. } => chain_next(id, false)
                     .map(|first_stage| (PipelineSource::Scan { node: id }, first_stage)),
                 spec if is_fusible_stage(spec, node.inputs.len()) => {
@@ -417,11 +438,17 @@ impl PipelinePlan {
             }
         }
 
-        Ok(PipelinePlan { steps, step_of, deps, out_edges })
+        Ok(PipelinePlan {
+            steps,
+            #[cfg(test)]
+            step_of,
+            deps,
+            out_edges,
+        })
     }
 
-    /// Number of fused pipelines in the decomposition (diagnostics/tests).
-    #[allow(dead_code)]
+    /// Number of fused pipelines in the decomposition.
+    #[cfg(test)]
     pub fn n_pipelines(&self) -> usize {
         self.steps.iter().filter(|s| matches!(s, Step::Fused(_))).count()
     }
@@ -465,6 +492,42 @@ mod tests {
         p
     }
 
+    /// Morsel-driven planning of `plan` — and, for every plan this module's
+    /// tests build, the operator-at-a-time contract: exactly one
+    /// [`Step::Single`] per live node, no pipeline, and a step graph that is
+    /// the plan DAG edge for edge.
+    fn analyze(plan: &Plan) -> PipelinePlan {
+        let oat = PipelinePlan::analyze(plan, ExecutionMode::OperatorAtATime).unwrap();
+        assert_eq!(oat.n_pipelines(), 0);
+        let singles: Vec<NodeId> = oat
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Single(n) => *n,
+                Step::Fused(p) => panic!("operator-at-a-time planning fused {p:?}"),
+            })
+            .collect();
+        assert_eq!(singles, plan.node_ids());
+        for (idx, &node) in singles.iter().enumerate() {
+            assert_eq!(oat.step_of[node], Some(idx));
+            let inputs = &plan.node(node).unwrap().inputs;
+            assert_eq!(oat.deps[idx], inputs.len(), "node {node}");
+            let fed: usize = oat
+                .out_edges
+                .iter()
+                .flatten()
+                .filter(|&&(consumer, _)| consumer == idx)
+                .map(|&(_, edges)| edges)
+                .sum();
+            assert_eq!(fed, inputs.len(), "node {node}: out_edges disagree with deps");
+            for &input in inputs {
+                let producer = oat.step_of[input].unwrap();
+                assert!(oat.out_edges[producer].iter().any(|&(c, _)| c == idx));
+            }
+        }
+        PipelinePlan::analyze(plan, ExecutionMode::MorselDriven).unwrap()
+    }
+
     #[test]
     fn execution_mode_default_and_display() {
         assert_eq!(ExecutionMode::default(), ExecutionMode::OperatorAtATime);
@@ -475,7 +538,7 @@ mod tests {
     #[test]
     fn fuses_scan_select_fetch_agg_chain() {
         let plan = filter_sum_plan(1000);
-        let fused = PipelinePlan::analyze(&plan).unwrap();
+        let fused = analyze(&plan);
         // Expected: [scan a, select, fetch, agg] fused; scan b single
         // (feeds the fetch as a shared, unaligned input); finalize single.
         assert_eq!(fused.n_pipelines(), 1);
@@ -501,7 +564,7 @@ mod tests {
     #[test]
     fn step_dependencies_count_cross_step_edges() {
         let plan = filter_sum_plan(1000);
-        let fused = PipelinePlan::analyze(&plan).unwrap();
+        let fused = analyze(&plan);
         let pipe_idx = fused.steps.iter().position(|s| matches!(s, Step::Fused(_))).unwrap();
         let scan_b_idx = fused.step_of[2].unwrap();
         let fin_idx = fused.step_of[5].unwrap();
@@ -526,7 +589,7 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![a]);
         let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s2]);
         p.set_root(u);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         // The scan is a single step; each select becomes its own chunk-source
         // pipeline over the scan's chunk; the union is a breaker.
         assert_eq!(fused.step_of[a], Some(0));
@@ -554,7 +617,7 @@ mod tests {
         let s2 = p
             .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 10i64) }, vec![b, s1]);
         p.set_root(s2);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let s2_step = &fused.steps[fused.step_of[s2].unwrap()];
         assert!(matches!(s2_step, Step::Single(_)), "refining select fused: {s2_step:?}");
     }
@@ -569,7 +632,7 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
         let part = p.add(OperatorSpec::SlicePart { start: 10, len: 20 }, vec![sel]);
         p.set_root(part);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let part_step = &fused.steps[fused.step_of[part].unwrap()];
         assert!(matches!(part_step, Step::Single(_)));
         // But a fusible consumer of the SlicePart streams its chunk.
@@ -585,7 +648,7 @@ mod tests {
             vec![part],
         );
         p2.set_root(calc);
-        let fused2 = PipelinePlan::analyze(&p2).unwrap();
+        let fused2 = analyze(&p2);
         let calc_step = &fused2.steps[fused2.step_of[calc].unwrap()];
         assert!(
             matches!(calc_step, Step::Fused(pl) if pl.source == PipelineSource::Chunk { producer: part }),
@@ -608,7 +671,7 @@ mod tests {
         let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
         let semi = p.add(OperatorSpec::SemiJoin, vec![fetch, hash]);
         p.set_root(semi);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
 
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
@@ -636,7 +699,7 @@ mod tests {
         let agg = p2.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
         let fin = p2.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p2.set_root(fin);
-        let fused2 = PipelinePlan::analyze(&p2).unwrap();
+        let fused2 = analyze(&p2);
         let chain = &fused2.steps[fused2.step_of[join].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.stages == vec![join, side, fetched, agg]),
@@ -659,7 +722,7 @@ mod tests {
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![calc]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: a }
@@ -682,7 +745,7 @@ mod tests {
             p.add(OperatorSpec::IfThenElse { otherwise: ScalarValue::I64(0) }, vec![mask, vals]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![ite]);
         p.set_root(agg);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[ite].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: m }
@@ -709,7 +772,7 @@ mod tests {
             vec![fetch, c],
         );
         p.set_root(calc);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
@@ -735,7 +798,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
@@ -764,7 +827,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Min }, vec![shifted, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
@@ -788,7 +851,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
@@ -812,7 +875,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Count }, vec![x, x]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         assert!(matches!(fused.steps[fused.step_of[group].unwrap()], Step::Single(_)));
     }
 
@@ -827,7 +890,7 @@ mod tests {
             vec![a, a],
         );
         p.set_root(sq);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = analyze(&p);
         assert!(matches!(fused.steps[fused.step_of[sq].unwrap()], Step::Single(_)));
     }
 

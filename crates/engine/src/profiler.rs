@@ -28,7 +28,12 @@ pub struct OperatorProfile {
     pub name: &'static str,
     /// Start of execution, microseconds since the query started.
     pub start_us: u64,
-    /// Execution time in microseconds.
+    /// Execution time in microseconds — *CPU time*, not elapsed time. For a
+    /// whole-node step it is the operator's one execution, so it fits inside
+    /// the query's wall time. For a stage of a fused pipeline it is the
+    /// **sum of the stage's per-morsel times across all workers** (plus
+    /// assembly, on the terminal): morsels run concurrently, so the sum may
+    /// exceed the query's wall time. Its bound is `wall × n_workers`.
     pub duration_us: u64,
     /// Time the operator spent queued between becoming runnable (all inputs
     /// materialized) and starting execution, in microseconds. Separates
@@ -170,7 +175,11 @@ impl QueryProfile {
         self.wall_time.as_micros() as u64
     }
 
-    /// Sum of all operator execution times ("total CPU core time").
+    /// Sum of all operator execution times ("total CPU core time"). CPU
+    /// time: fused stages contribute worker-summed morsel time (see
+    /// [`OperatorProfile::duration_us`]), so on more than one worker the
+    /// total may exceed [`QueryProfile::wall_us`]; it is bounded by
+    /// `wall_us × n_workers`, not by the wall time.
     pub fn total_cpu_us(&self) -> u64 {
         self.operators.iter().map(|o| o.duration_us).sum()
     }
@@ -195,9 +204,12 @@ impl QueryProfile {
         wait / (wait + busy)
     }
 
-    /// Parallelism usage: aggregate operator busy time divided by
-    /// `wall time × workers`. This is the "parallelism usage" percentage the
-    /// paper's tomograph prints under Figs. 19/20.
+    /// Parallelism usage: aggregate operator busy time
+    /// ([`QueryProfile::total_cpu_us`], CPU time summed over workers)
+    /// divided by `wall time × workers` — the bound of that sum, so the
+    /// ratio is a fraction of the pool's capacity in `[0, 1]`. This is the
+    /// "parallelism usage" percentage the paper's tomograph prints under
+    /// Figs. 19/20.
     pub fn parallelism_usage(&self) -> f64 {
         let denom = self.wall_us().max(1) * self.n_workers.max(1) as u64;
         (self.total_cpu_us() as f64 / denom as f64).min(1.0)

@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
-use apq_engine::{EngineConfig, EngineError, QueryOutput, QueryService, ServiceConfig, Session};
+use apq_engine::{
+    EngineConfig, EngineError, FaultConfig, QueryOutput, QueryService, ServiceConfig, Session,
+};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
 const ROWS: usize = 2_000;
@@ -61,10 +63,8 @@ fn sum_plan(threshold: i64) -> Plan {
 /// A service whose every operator takes ~`overhead_ms`, so queries run long
 /// enough to race closes/deadlines against deterministically.
 fn slow_service(overhead_ms: u64, max_queued: usize) -> QueryService {
-    let engine = EngineConfig {
-        per_operator_overhead_us: overhead_ms * 1_000,
-        ..EngineConfig::with_workers(2)
-    };
+    let engine =
+        EngineConfig::with_workers(2).with_faults(FaultConfig::fixed_delay(overhead_ms * 1_000));
     QueryService::new(ServiceConfig::with_engine(engine).with_max_queued(max_queued), catalog())
 }
 

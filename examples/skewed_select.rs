@@ -14,7 +14,9 @@
 use std::time::Instant;
 
 use adaptive_parallelization::adaptive::{AdaptiveConfig, AdaptiveOptimizer};
-use adaptive_parallelization::baselines::{heuristic_parallelize, work_stealing_plan};
+use adaptive_parallelization::baselines::{
+    heuristic_parallelize, DEFAULT_WORK_STEALING_PARTITIONS,
+};
 use adaptive_parallelization::engine::Engine;
 use adaptive_parallelization::workloads::micro::skewed;
 
@@ -33,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for clusters in 1..=5usize {
         let serial = skewed::plan(&catalog, clusters)?;
         let static_plan = heuristic_parallelize(&serial, &catalog, workers)?;
-        let stealing_plan = work_stealing_plan(&serial, &catalog, 128)?;
+        let stealing_plan =
+            heuristic_parallelize(&serial, &catalog, DEFAULT_WORK_STEALING_PARTITIONS)?;
         let report = optimizer.optimize(&engine, &catalog, &serial)?;
 
         let static_ms = best_ms(&engine, &catalog, &static_plan);

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use adaptive_parallelization::adaptive::{AdaptiveConfig, AdaptiveOptimizer};
-use adaptive_parallelization::baselines::{heuristic_parallelize, work_stealing_plan};
+use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::Engine;
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
@@ -38,7 +38,8 @@ fn tpch_adaptive_and_heuristic_plans_match_serial_results() {
         let hp_out = engine.execute(&hp, &catalog).expect("HP executes").output;
         assert_eq!(hp_out, expected, "{query}: heuristic plan diverged");
 
-        let ws = work_stealing_plan(&serial, &catalog, workers * 8).expect("WS rewrite");
+        // Work-stealing style (paper §4.1.1): many more partitions than workers.
+        let ws = heuristic_parallelize(&serial, &catalog, workers * 8).expect("WS rewrite");
         let ws_out = engine.execute(&ws, &catalog).expect("WS executes").output;
         assert_eq!(ws_out, expected, "{query}: work-stealing plan diverged");
 
