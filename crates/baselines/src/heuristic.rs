@@ -228,7 +228,7 @@ mod tests {
     use super::*;
     use apq_columnar::partition::RowRange;
     use apq_columnar::{ScalarValue, TableBuilder};
-    use apq_engine::{Engine, QueryOutput};
+    use apq_engine::{Engine, EngineConfig, FaultConfig, QueryOutput};
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
     use std::sync::Arc;
 
@@ -429,11 +429,13 @@ mod tests {
 
     #[test]
     fn over_partitioned_plan_runs_on_few_threads_and_matches_serial() {
-        // Large enough that the 32 partitions outlast thread wake-up: the
-        // `workers_used` assertion below needs every worker to get a turn.
         let rows = 400_000;
         let cat = catalog(rows);
-        let engine = Engine::with_workers(4); // far fewer workers than partitions
+        // Far fewer workers than partitions. Every operator sleeps 1 ms so
+        // the partitions outlast thread wake-up on any core count: the
+        // `workers_used` assertion below needs every worker to get a turn.
+        let engine =
+            Engine::new(EngineConfig::with_workers(4).with_faults(FaultConfig::fixed_delay(1_000)));
         let serial = filter_sum_plan(rows);
         let expected = engine.execute(&serial, &cat).unwrap().output;
         let ws = heuristic_parallelize(&serial, &cat, 32).unwrap();

@@ -12,6 +12,8 @@
 //!   Vectorwise behaviour of §4.2.4: under a concurrent workload the first
 //!   client receives full parallelism while later clients are throttled.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod heuristic;
 

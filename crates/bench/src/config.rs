@@ -6,10 +6,9 @@ use apq_engine::SchedulerPolicy;
 /// experiments. Three presets exist:
 ///
 /// * [`ExperimentConfig::smoke`] — seconds-scale, used by unit tests;
-/// * [`ExperimentConfig::quick`] — the default of `run_experiments` and the
-///   Criterion benches (a couple of minutes end to end);
-/// * [`ExperimentConfig::full`] — larger inputs for the recorded
-///   `EXPERIMENTS.md` numbers.
+/// * [`ExperimentConfig::quick`] — the default of `run_experiments` (a
+///   couple of minutes end to end);
+/// * [`ExperimentConfig::full`] — larger inputs (`run_experiments --full`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Worker threads of the execution engine (the paper's machines expose

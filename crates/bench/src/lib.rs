@@ -1,24 +1,23 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§4), plus shared helpers for the Criterion benches.
+//! evaluation (§4).
 //!
 //! Each experiment lives in its own module under [`experiments`] and returns
 //! one or more [`reporting::ExperimentTable`]s whose rows mirror the series
-//! the paper plots. The `run_experiments` binary prints them; the Criterion
-//! benches under `benches/` additionally measure the key plan executions of
-//! each experiment.
+//! the paper plots; the `run_experiments` binary prints them. Performance
+//! is measured elsewhere: the repository's benchmark is the `benchmark/`
+//! package (see `benchmark/README.md`).
 //!
 //! Absolute numbers are *not* expected to match the paper (the substrate is a
 //! laptop-scale Rust engine, not the authors' 32-core MonetDB testbed); the
 //! shapes — who wins, by roughly what factor, where the crossovers lie — are
-//! what the experiments reproduce. See `EXPERIMENTS.md` at the repository
-//! root for the recorded comparison.
+//! what the experiments reproduce.
+
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod config;
 pub mod experiments;
-pub mod hotpath;
 pub mod reporting;
-pub mod service;
 
 pub use config::ExperimentConfig;
 pub use reporting::ExperimentTable;
@@ -65,7 +64,7 @@ mod tests {
     #[test]
     fn every_listed_experiment_is_runnable_by_id() {
         // Only checks the dispatch table; the experiments themselves are
-        // exercised by their own tests and by the benches.
+        // exercised by their own tests.
         for (id, description) in EXPERIMENTS {
             assert!(!description.is_empty());
             assert!(

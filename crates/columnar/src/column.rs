@@ -9,133 +9,29 @@
 //! visible row, which is what keeps partition boundaries aligned with the
 //! base column (paper Fig. 8).
 //!
-//! # Typed-access caches
+//! # Typed access
 //!
-//! Typed accessors ([`Column::i64_values`] and friends) used to re-match the
-//! [`ColumnData`] tag on every call. On the morsel hot path the same backing
-//! is accessed thousands of times through different windows, so every
-//! backing now carries a lazily published typed cache: the *first*
-//! successful typed access validates the tag and publishes a raw pointer to
-//! the typed storage into a per-type `OnceLock` cell; every later access on
-//! *any* clone or zero-copy window of the same backing is a lock-free
-//! pointer read plus window arithmetic — no tag match, no allocation.
-//!
-//! Publication rules (also documented in `docs/architecture.md` §2.2):
-//!
-//! * A cache cell is shared by exactly the views holding the same
-//!   `Arc<ColumnData>`; [`Column::slice`] clones the cache alongside the
-//!   data, [`Column::new`] mints a fresh (cold) one.
-//! * Only a *successful* publication counts as a validation; racing cold
-//!   readers that lose the `OnceLock` race are not counted, so the
-//!   per-backing validation count is bounded by the number of distinct
-//!   types successfully accessed (at most one for well-typed plans).
-//! * Mismatched-type accesses never publish and keep failing through the
-//!   (cold) tag match.
-//!
-//! The crate-level counters [`typed_cache_validations`] /
-//! [`typed_cache_hits`] let tests *prove* re-validation stops: the
-//! zero-alloc harness asserts a warm access performs zero allocations and
-//! moves the validation counter by zero.
+//! Typed accessors ([`Column::i64_values`] and friends) are a tag match on
+//! [`ColumnData`] plus window arithmetic — no cached state, no allocation.
+//! Kernels resolve them once per call, i.e. once per stage per morsel:
+//! measured 749 per 771-morsel pass over the seven TPC-H shapes at sf 1.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::{ColumnarError, Result};
 use crate::strings::StringColumn;
 use crate::value::{DataType, ScalarValue};
 use crate::Oid;
 
-/// Process-wide count of typed-cache validations (cold publications).
-static TYPED_VALIDATIONS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of typed-cache hits (warm, match-free accesses).
-static TYPED_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total number of typed-cache validations performed by this process.
+/// Always `0`: the typed-access cache this counted is gone (typed access is
+/// a plain tag match, see the module docs).
 ///
-/// A validation is a *cold* typed access: the accessor matched the
-/// [`ColumnData`] tag and published the typed pointer for its backing. Once
-/// every live backing is warm this counter stops moving — the property the
-/// counting test harness pins.
-pub fn typed_cache_validations() -> u64 {
-    TYPED_VALIDATIONS.load(Ordering::Relaxed)
-}
-
-/// Total number of warm typed-cache hits served by this process.
-///
-/// A hit is a typed access answered from a published cache cell: a lock-free
-/// pointer read, no tag match. The engine profiler samples this counter
-/// around pipeline execution to report per-pipeline hit deltas.
+/// Kept only because `benchmark/src/sut.rs` links this symbol and
+/// `benchmark/` cannot be edited outside a `[benchmark]` PR; the next one
+/// drops it together with the `columnar.typed_cache_hits_per_pass` row.
+#[doc(hidden)]
 pub fn typed_cache_hits() -> u64 {
-    TYPED_HITS.load(Ordering::Relaxed)
-}
-
-/// Lazily published typed views of one backing allocation.
-///
-/// One `TypedCache` is shared (via `Arc`) by every clone and zero-copy
-/// window of the same `ColumnData`. Cells hold raw pointers *into* that
-/// `ColumnData`, which is sound because:
-///
-/// * a cache is only ever reachable from a [`Column`] holding the matching
-///   `Arc<ColumnData>`, so the pointee outlives every reader, and
-/// * `ColumnData` is immutable after construction (no API hands out `&mut`,
-///   and `Arc::get_mut` cannot succeed while any sharing `Column` is alive),
-///   so the published addresses are stable.
-#[derive(Debug)]
-struct TypedCache {
-    i64s: OnceLock<*const Vec<i64>>,
-    i32s: OnceLock<*const Vec<i32>>,
-    f64s: OnceLock<*const Vec<f64>>,
-    bools: OnceLock<*const Vec<bool>>,
-    strs: OnceLock<*const StringColumn>,
-    /// Successful publications against this backing. Bounded by the number
-    /// of distinct types accessed — i.e. exactly 1 for well-typed plans —
-    /// regardless of how many clones, windows, or threads read the column.
-    validations: AtomicU64,
-}
-
-// SAFETY: the raw pointers are only dereferenced through `Column` accessors
-// whose `&self` borrow keeps the pointed-to `Arc<ColumnData>` alive, and the
-// pointee is immutable after construction (see the `TypedCache` docs), so
-// sharing the published addresses across threads is sound.
-unsafe impl Send for TypedCache {}
-unsafe impl Sync for TypedCache {}
-
-impl TypedCache {
-    fn new() -> Self {
-        TypedCache {
-            i64s: OnceLock::new(),
-            i32s: OnceLock::new(),
-            f64s: OnceLock::new(),
-            bools: OnceLock::new(),
-            strs: OnceLock::new(),
-            validations: AtomicU64::new(0),
-        }
-    }
-
-    /// Publishes a typed pointer after a successful (cold) tag match. Only
-    /// the racer that wins the `OnceLock` counts as a validation.
-    fn publish<T>(&self, cell: &OnceLock<*const T>, value: &T) {
-        if cell.set(value as *const T).is_ok() {
-            self.validations.fetch_add(1, Ordering::Relaxed);
-            TYPED_VALIDATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// True once any typed pointer has been published for this backing.
-    fn is_warm(&self) -> bool {
-        self.validations.load(Ordering::Relaxed) > 0
-    }
-}
-
-/// Reads a published cell, counting a warm hit. Returns a reference whose
-/// lifetime the caller must tie to a `Column` borrowing the matching
-/// `Arc<ColumnData>` (which is what keeps the pointee alive).
-fn warm<'a, T>(cell: &OnceLock<*const T>) -> Option<&'a T> {
-    let &ptr = cell.get()?;
-    TYPED_HITS.fetch_add(1, Ordering::Relaxed);
-    // SAFETY: see `TypedCache` — the pointee is kept alive by the caller's
-    // `Arc<ColumnData>` and is immutable after construction.
-    Some(unsafe { &*ptr })
+    0
 }
 
 /// Physical storage for one column.
@@ -195,8 +91,6 @@ impl ColumnData {
 #[derive(Debug, Clone)]
 pub struct Column {
     data: Arc<ColumnData>,
-    /// Typed-access cache shared by every view of `data` (see module docs).
-    typed: Arc<TypedCache>,
     offset: usize,
     len: usize,
     base: Oid,
@@ -206,13 +100,9 @@ impl Column {
     // ---------------------------------------------------------------- constructors
 
     /// Wraps existing storage, viewing all of it.
-    ///
-    /// Mints a fresh (cold) typed cache for the backing; clones and slices
-    /// share it, so the one allocation here is per *backing*, never per
-    /// window.
     pub fn new(data: Arc<ColumnData>) -> Self {
         let len = data.len();
-        Column { data, typed: Arc::new(TypedCache::new()), offset: 0, len, base: 0 }
+        Column { data, offset: 0, len, base: 0 }
     }
 
     /// Builds an `Int64` column from values.
@@ -290,39 +180,12 @@ impl Column {
         self.data.data_type()
     }
 
-    /// Approximate number of bytes covered by the visible window, plus the
-    /// typed-cache overhead attributed to this view (see
-    /// [`Column::cache_byte_size`]).
+    /// Bytes covered by the visible window: exactly `len × value_width`.
     ///
     /// The profiler reports this as the operator's memory claim, mirroring
     /// the "memory claims" item of the paper's profiled data (§2).
     pub fn byte_size(&self) -> usize {
-        self.len * self.data_type().value_width() + self.cache_byte_size()
-    }
-
-    /// Bytes of lazily materialized typed-cache state attributed to this
-    /// view.
-    ///
-    /// The cache is shared by every clone and window of one backing, so
-    /// charging it to each view would multiply-count it in profiler memory
-    /// claims. It is charged only to a *warm full-backing* view (offset 0,
-    /// window = whole backing): a set of disjoint morsel windows plus the
-    /// base view therefore counts the cache exactly once per backing, and a
-    /// cold column costs nothing extra.
-    pub fn cache_byte_size(&self) -> usize {
-        if self.offset == 0 && self.len == self.data.len() && self.typed.is_warm() {
-            std::mem::size_of::<TypedCache>()
-        } else {
-            0
-        }
-    }
-
-    /// Number of typed-cache validations performed against this view's
-    /// backing (successful publications; see the module docs). Test hook:
-    /// bounded by the number of distinct types accessed, no matter how many
-    /// clones, windows, or threads touched the column.
-    pub fn backing_validations(&self) -> u64 {
-        self.typed.validations.load(Ordering::Relaxed)
+        self.len * self.data_type().value_width()
     }
 
     /// Total length of the backing storage (ignoring the view window).
@@ -345,7 +208,6 @@ impl Column {
         }
         Ok(Column {
             data: Arc::clone(&self.data),
-            typed: Arc::clone(&self.typed),
             offset: self.offset + start,
             len,
             base: self.base + start as Oid,
@@ -368,92 +230,49 @@ impl Column {
     }
 
     // ---------------------------------------------------------------- typed access
-    //
-    // Every accessor follows the same two-step shape: a warm read of the
-    // published cache cell (lock-free pointer load + window arithmetic, no
-    // tag match, no allocation), falling back to a cold tag match that
-    // publishes the typed pointer for every later view of this backing.
 
     /// Visible rows as an `i64` slice.
     pub fn i64_values(&self) -> Result<&[i64]> {
-        if let Some(v) = warm(&self.typed.i64s) {
-            return Ok(&v[self.offset..self.offset + self.len]);
-        }
         match self.data.as_ref() {
-            ColumnData::Int64(v) => {
-                self.typed.publish(&self.typed.i64s, v);
-                Ok(&v[self.offset..self.offset + self.len])
-            }
+            ColumnData::Int64(v) => Ok(&v[self.offset..self.offset + self.len]),
             other => Err(self.type_error("int64", other)),
         }
     }
 
     /// Visible rows as an `i32` slice.
     pub fn i32_values(&self) -> Result<&[i32]> {
-        if let Some(v) = warm(&self.typed.i32s) {
-            return Ok(&v[self.offset..self.offset + self.len]);
-        }
         match self.data.as_ref() {
-            ColumnData::Int32(v) => {
-                self.typed.publish(&self.typed.i32s, v);
-                Ok(&v[self.offset..self.offset + self.len])
-            }
+            ColumnData::Int32(v) => Ok(&v[self.offset..self.offset + self.len]),
             other => Err(self.type_error("int32", other)),
         }
     }
 
     /// Visible rows as an `f64` slice.
     pub fn f64_values(&self) -> Result<&[f64]> {
-        if let Some(v) = warm(&self.typed.f64s) {
-            return Ok(&v[self.offset..self.offset + self.len]);
-        }
         match self.data.as_ref() {
-            ColumnData::Float64(v) => {
-                self.typed.publish(&self.typed.f64s, v);
-                Ok(&v[self.offset..self.offset + self.len])
-            }
+            ColumnData::Float64(v) => Ok(&v[self.offset..self.offset + self.len]),
             other => Err(self.type_error("float64", other)),
         }
     }
 
     /// Visible rows as a `bool` slice.
     pub fn bool_values(&self) -> Result<&[bool]> {
-        if let Some(v) = warm(&self.typed.bools) {
-            return Ok(&v[self.offset..self.offset + self.len]);
-        }
         match self.data.as_ref() {
-            ColumnData::Bool(v) => {
-                self.typed.publish(&self.typed.bools, v);
-                Ok(&v[self.offset..self.offset + self.len])
-            }
+            ColumnData::Bool(v) => Ok(&v[self.offset..self.offset + self.len]),
             other => Err(self.type_error("bool", other)),
         }
     }
 
     /// Visible rows as dictionary codes plus the shared dictionary.
     pub fn str_codes(&self) -> Result<(&[u32], &Arc<Vec<String>>)> {
-        if let Some(s) = warm(&self.typed.strs) {
-            return Ok((&s.codes()[self.offset..self.offset + self.len], s.dict()));
-        }
-        match self.data.as_ref() {
-            ColumnData::Str(s) => {
-                self.typed.publish(&self.typed.strs, s);
-                Ok((&s.codes()[self.offset..self.offset + self.len], s.dict()))
-            }
-            other => Err(self.type_error("str", other)),
-        }
+        let s = self.string_column()?;
+        Ok((&s.codes()[self.offset..self.offset + self.len], s.dict()))
     }
 
     /// The underlying [`StringColumn`] (whole backing storage, ignoring the view).
     pub fn string_column(&self) -> Result<&StringColumn> {
-        if let Some(s) = warm(&self.typed.strs) {
-            return Ok(s);
-        }
         match self.data.as_ref() {
-            ColumnData::Str(s) => {
-                self.typed.publish(&self.typed.strs, s);
-                Ok(s)
-            }
+            ColumnData::Str(s) => Ok(s),
             other => Err(self.type_error("str", other)),
         }
     }
@@ -600,17 +419,12 @@ mod tests {
     #[test]
     fn construct_and_access() {
         let c = Column::from_i64(vec![10, 20, 30, 40]);
-        // Cold column: window bytes only, no cache charge yet.
         assert_eq!(c.byte_size(), 32);
         assert_eq!(c.len(), 4);
         assert_eq!(c.data_type(), DataType::Int64);
         assert_eq!(c.i64_values().unwrap(), &[10, 20, 30, 40]);
         assert_eq!(c.get(2).unwrap(), ScalarValue::I64(30));
         assert!(c.get(4).is_err());
-        // Warm full-backing view: window bytes plus the (now materialized)
-        // typed-cache overhead, charged exactly once per backing.
-        assert!(c.cache_byte_size() > 0);
-        assert_eq!(c.byte_size(), 32 + c.cache_byte_size());
         assert!(!c.is_empty());
     }
 
@@ -742,82 +556,30 @@ mod tests {
         let b = Column::from_bool(vec![true, false]);
         assert_eq!(b.byte_size(), 2);
         assert_eq!(b.bool_values().unwrap(), &[true, false]);
-        assert_eq!(b.byte_size(), 2 + b.cache_byte_size());
     }
 
     #[test]
-    fn typed_cache_validates_once_per_backing() {
-        let c = Column::from_i64((0..1000).collect());
-        assert_eq!(c.backing_validations(), 0);
-        // First access validates and publishes.
-        c.i64_values().unwrap();
-        assert_eq!(c.backing_validations(), 1);
-        // Repeated accesses through clones and disjoint windows are warm:
-        // the per-backing validation count never moves again.
-        let clone = c.clone();
-        let hits_before = typed_cache_hits();
-        for start in (0..1000).step_by(100) {
-            let w = c.slice(start, 100).unwrap();
-            assert_eq!(w.i64_values().unwrap()[0], start as i64);
-            assert_eq!(w.backing_validations(), 1);
-        }
-        clone.i64_values().unwrap();
-        assert_eq!(c.backing_validations(), 1);
-        assert!(typed_cache_hits() >= hits_before + 11);
-    }
-
-    #[test]
-    fn typed_cache_slices_warm_before_base_access() {
-        // A slice taken *before* any typed access warms the shared cache
-        // for the base view too (same backing, same cells).
-        let c = Column::from_f64((0..64).map(|v| v as f64).collect());
-        let s = c.slice(32, 16).unwrap();
-        assert_eq!(s.f64_values().unwrap()[0], 32.0);
-        assert_eq!(c.backing_validations(), 1);
-        assert_eq!(c.f64_values().unwrap().len(), 64);
-        // (Global `typed_cache_validations()` deltas are pinned by the
-        // single-threaded zero_alloc_views harness; unit tests here run
-        // concurrently, so only the per-backing counter is deterministic.)
-        assert_eq!(c.backing_validations(), 1, "base access re-validated a warm backing");
-    }
-
-    #[test]
-    fn typed_cache_mismatch_never_publishes() {
-        let c = Column::from_f64(vec![1.0, 2.0]);
-        assert!(c.i64_values().is_err());
-        assert!(c.bool_values().is_err());
-        assert_eq!(c.backing_validations(), 0);
-        c.f64_values().unwrap();
-        assert_eq!(c.backing_validations(), 1);
-        // A published f64 cell never satisfies an i64 request.
-        assert!(c.i64_values().is_err());
-    }
-
-    #[test]
-    fn typed_cache_str_warm_path() {
+    fn str_access_through_a_window_sees_the_whole_dictionary() {
         let c = Column::from_strings(["a", "b", "c", "d"]);
-        let (codes, dict) = c.str_codes().unwrap();
-        assert_eq!(dict[codes[0] as usize], "a");
-        assert_eq!(c.backing_validations(), 1);
         let s = c.slice(2, 2).unwrap();
         let (codes, dict) = s.str_codes().unwrap();
+        assert_eq!(codes.len(), 2);
         assert_eq!(dict[codes[0] as usize], "c");
         assert_eq!(s.string_column().unwrap().len(), 4);
-        assert_eq!(c.backing_validations(), 1);
     }
 
     #[test]
-    fn cache_bytes_charged_once_per_backing() {
+    fn a_view_is_one_arc_plus_its_window() {
+        assert_eq!(
+            std::mem::size_of::<Column>(),
+            std::mem::size_of::<Arc<ColumnData>>()
+                + 2 * std::mem::size_of::<usize>()
+                + std::mem::size_of::<Oid>()
+        );
+        // Disjoint windows claim exactly the bytes of the view they split.
         let c = Column::from_i64((0..100).collect());
-        let w1 = c.slice(0, 50).unwrap();
-        let w2 = c.slice(50, 50).unwrap();
-        w1.i64_values().unwrap();
-        // Windows never carry the cache charge; only the warm full-backing
-        // view does, so claims sum to exactly one cache per backing.
-        assert_eq!(w1.cache_byte_size(), 0);
-        assert_eq!(w2.cache_byte_size(), 0);
-        assert_eq!(w1.byte_size() + w2.byte_size(), 800);
-        assert!(c.cache_byte_size() > 0);
-        assert_eq!(c.byte_size(), 800 + c.cache_byte_size());
+        let (w1, w2) = (c.slice(0, 50).unwrap(), c.slice(50, 50).unwrap());
+        assert_eq!(w1.byte_size() + w2.byte_size(), c.byte_size());
+        assert_eq!(c.byte_size(), 800);
     }
 }

@@ -21,6 +21,8 @@
 //! * [`datagen`] — synthetic data generators: uniform, sequential, Zipf and
 //!   the skewed distribution of paper Fig. 13, plus TPC-style helpers.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod column;
 pub mod datagen;
@@ -31,7 +33,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
-pub use column::{typed_cache_hits, typed_cache_validations, Column, ColumnData};
+pub use column::{typed_cache_hits, Column, ColumnData};
 pub use error::{ColumnarError, Result};
 pub use partition::{AlignmentScenario, PartitionSet, RowRange};
 pub use strings::StringColumn;

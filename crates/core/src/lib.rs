@@ -20,6 +20,7 @@
 //! * [`optimizer`] — the run loop (paper Fig. 2) driving it all;
 //! * [`config`] / [`report`] — tunables and result structures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -362,11 +362,9 @@ impl Chunk {
     /// Windowed variants (columns, oid lists, join results) report the
     /// *window* bytes, not the shared backing allocation — N views over one
     /// backing must not claim N× its memory. See [`OidsView::backing_len`] /
-    /// [`JoinView::backing_len`] for the backing size. Columns follow the
-    /// same rule for their lazily-typed caches: [`Column::byte_size`]
-    /// attributes the warm cache to exactly one view per backing (the
-    /// full-backing view), so a morsel decomposition plus its parent sums
-    /// to one cache, not one per window.
+    /// [`JoinView::backing_len`] for the backing size. A column view claims
+    /// exactly `len × value_width` ([`Column::byte_size`]), so disjoint
+    /// morsel windows sum to the bytes of the view they split.
     pub fn byte_size(&self) -> usize {
         match self {
             Chunk::Column(c) => c.byte_size(),

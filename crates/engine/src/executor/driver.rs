@@ -230,9 +230,6 @@ struct FusedRun {
     shared: Option<SharedScan>,
     /// Morsels of this pipeline served from the group's published windows.
     morsels_shared: AtomicU64,
-    /// Process-wide typed-cache hit count sampled at launch; assembly
-    /// reports the delta as [`PipelineProfile::typed_cache_hits`].
-    typed_hits_at_launch: u64,
 }
 
 impl FusedRun {
@@ -286,7 +283,6 @@ impl FusedRun {
             start_us: run.started.elapsed().as_micros() as u64,
             shared,
             morsels_shared: AtomicU64::new(0),
-            typed_hits_at_launch: apq_columnar::typed_cache_hits(),
         })
     }
 
@@ -561,7 +557,6 @@ fn assemble_pipeline(
             state.run.plan.node(terminal)?.spec,
             OperatorSpec::GroupAgg { .. }
         ),
-        typed_cache_hits: apq_columnar::typed_cache_hits().saturating_sub(run.typed_hits_at_launch),
     });
 
     state.store_partial(step, run.morsel_rows, &final_chunk);

@@ -41,6 +41,7 @@
 //!   registry reservation, one census with the controller) and shared
 //!   plan/result caches ([`QueryService`], [`Session`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;

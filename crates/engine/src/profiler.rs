@@ -137,13 +137,6 @@ pub struct PipelineProfile {
     /// the partials in morsel order (the `MergeGrouped` guarantee that
     /// keeps float results byte-exact).
     pub groupagg_fused: bool,
-    /// Typed-cache hits ([`apq_columnar::typed_cache_hits`]) observed
-    /// process-wide between this pipeline's launch and its assembly. On an
-    /// otherwise idle engine this is the pipeline's own warm typed-access
-    /// count; with concurrent queries it over-approximates (the counter is
-    /// global), so treat it as a warm-path activity signal, not an exact
-    /// attribution.
-    pub typed_cache_hits: u64,
 }
 
 /// Profile of one executed query.
@@ -272,13 +265,6 @@ impl QueryProfile {
     /// operator-at-a-time mode).
     pub fn fused_groupagg_pipelines(&self) -> usize {
         self.pipelines.iter().filter(|p| p.groupagg_fused).count()
-    }
-
-    /// Sum of per-pipeline typed-cache hit deltas
-    /// ([`PipelineProfile::typed_cache_hits`]); an activity signal for the
-    /// warm typed-access path, exact only on an idle engine.
-    pub fn total_typed_cache_hits(&self) -> u64 {
-        self.pipelines.iter().map(|p| p.typed_cache_hits).sum()
     }
 
     /// True when the admitted DOP was raised after the admit-time grant —
@@ -509,7 +495,6 @@ mod tests {
                 morsels_by_worker: vec![2, 1, 0, 0],
                 morsels_shared: 2,
                 groupagg_fused: false,
-                typed_cache_hits: 7,
             },
             PipelineProfile {
                 step: 2,
@@ -521,7 +506,6 @@ mod tests {
                 morsels_by_worker: vec![0, 1, 1, 0],
                 morsels_shared: 0,
                 groupagg_fused: true,
-                typed_cache_hits: 4,
             },
         ];
         assert_eq!(p.total_morsels(), 5);
@@ -529,7 +513,6 @@ mod tests {
         assert_eq!(p.morsel_sizes(), vec![1024, 1024]);
         assert_eq!(p.total_shared_morsels(), 2);
         assert_eq!(p.fused_groupagg_pipelines(), 1);
-        assert_eq!(p.total_typed_cache_hits(), 11);
     }
 
     #[test]

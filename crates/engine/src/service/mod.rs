@@ -73,15 +73,13 @@ pub struct ServiceConfig {
     /// Configuration of the service-owned engine (workers, scheduler,
     /// execution mode, elastic controller, ...).
     pub engine: EngineConfig,
-    /// Pool capacity the unified admission divides among concurrent
-    /// clients (`0` = the engine's worker count). When the elastic
-    /// controller is enabled this should match
-    /// [`crate::ControllerConfig::total_dop`] so admit-time grants and
-    /// tick re-grants share one budget.
-    pub total_dop: usize,
     /// Enables unified admission: submissions reserve a census slot and
-    /// run under the equal-share DOP grant. When `false`, submissions run
-    /// uncapped (registry-visible only while executing).
+    /// run under the equal-share DOP grant. The pool it divides is the
+    /// elastic controller's [`crate::ControllerConfig::total_dop`] when
+    /// `engine.controller` is set, else the engine's worker count, so
+    /// admit-time grants and tick re-grants share one budget. When
+    /// `false`, submissions run uncapped (registry-visible only while
+    /// executing).
     pub admission: bool,
     /// Plan-cache capacity in entries (`0` disables the plan cache).
     pub plan_cache_capacity: usize,
@@ -99,13 +97,6 @@ pub struct ServiceConfig {
     /// [`crate::EngineError::Overloaded`] instead of blocking. `0` (the
     /// default) means unbounded queues and no shedding.
     pub max_queued: usize,
-    /// Enables the engine's work-sharing subsystem ([`crate::sharing`]):
-    /// concurrent submissions scanning the same table cooperate through
-    /// per-table scan groups (each morsel window produced once, fanned to
-    /// every consumer) and repeated aggregate shapes resume from cached
-    /// partials. Off by default — results are byte-identical either way,
-    /// sharing only changes who executes the scan work.
-    pub enable_shared_scans: bool,
     /// Cost-aware result-cache admission: an execution's output is inserted
     /// into the result cache only when its wall-clock time reached this
     /// floor. `Duration::ZERO` (the default) admits everything; a nonzero
@@ -117,13 +108,11 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            total_dop: 0,
             admission: true,
             plan_cache_capacity: 256,
             result_cache_capacity: 128,
             default_timeout: None,
             max_queued: 0,
-            enable_shared_scans: false,
             min_cache_cost: Duration::ZERO,
         }
     }
@@ -133,12 +122,6 @@ impl ServiceConfig {
     /// Config with the given engine configuration.
     pub fn with_engine(engine: EngineConfig) -> Self {
         ServiceConfig { engine, ..ServiceConfig::default() }
-    }
-
-    /// Sets the admission pool capacity (`0` = engine worker count).
-    pub fn with_total_dop(mut self, total_dop: usize) -> Self {
-        self.total_dop = total_dop;
-        self
     }
 
     /// Enables or disables unified admission.
@@ -171,9 +154,20 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables shared scans + partial-aggregate reuse.
+    /// Enables or disables the engine's work-sharing subsystem
+    /// ([`crate::sharing`]) by setting `engine.sharing`: concurrent
+    /// submissions scanning the same table cooperate through per-table scan
+    /// groups (each morsel window produced once, fanned to every consumer)
+    /// and repeated aggregate shapes resume from cached partials. Enabling
+    /// keeps an already configured [`SharingConfig`]. Off by default —
+    /// results are byte-identical either way, sharing only changes who
+    /// executes the scan work.
     pub fn with_shared_scans(mut self, enabled: bool) -> Self {
-        self.enable_shared_scans = enabled;
+        if enabled {
+            self.engine.sharing.get_or_insert_with(SharingConfig::default);
+        } else {
+            self.engine.sharing = None;
+        }
         self
     }
 
@@ -397,11 +391,7 @@ impl QueryService {
     /// Creates a service around a fresh engine built from `config.engine`,
     /// serving `catalog`.
     pub fn new(config: ServiceConfig, catalog: Arc<Catalog>) -> Self {
-        let mut engine_config = config.engine.clone();
-        if config.enable_shared_scans && engine_config.sharing.is_none() {
-            engine_config.sharing = Some(SharingConfig::default());
-        }
-        let engine = Engine::new(engine_config);
+        let engine = Engine::new(config.engine.clone());
         QueryService {
             inner: Arc::new(ServiceInner {
                 engine,
@@ -517,5 +507,23 @@ impl QueryService {
             morsels_private: sharing.morsels_private,
             partials_reused: sharing.partials_reused,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn with_shared_scans_toggles_engine_sharing_and_keeps_a_configured_one() {
+        assert!(ServiceConfig::default().engine.sharing.is_none());
+        let on = ServiceConfig::default().with_shared_scans(true);
+        assert!(on.engine.sharing.is_some());
+        assert!(on.with_shared_scans(false).engine.sharing.is_none());
+
+        let tuned = SharingConfig::default().with_max_windows_per_group(7);
+        let kept = ServiceConfig::with_engine(EngineConfig::default().with_sharing(tuned))
+            .with_shared_scans(true);
+        assert_eq!(kept.engine.sharing.map(|s| s.max_windows_per_group), Some(7));
     }
 }

@@ -448,8 +448,10 @@ impl Session {
             // Unified admission: the reservation is the ticket AND the
             // census entry; it is held (registry-visible) until the
             // submission finishes, then dropped.
-            let reservation =
-                service.engine.reserve_admitted(inner.priority, service.config.total_dop);
+            // One budget for admit-time grants and tick re-grants: the
+            // controller's pool when there is one, else the worker count.
+            let total_dop = service.config.engine.controller.as_ref().map_or(0, |c| c.total_dop);
+            let reservation = service.engine.reserve_admitted(inner.priority, total_dop);
             handle = reservation.handle();
             if let Some(left) = remaining {
                 handle.set_deadline(left);

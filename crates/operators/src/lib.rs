@@ -22,6 +22,7 @@
 //!   results of cloned operators while preserving the mutation order.
 //! * [`sort`] — order-by / top-n helpers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

@@ -14,6 +14,7 @@
 //!   random queries) used by Figs. 1 and 16.
 //! * [`builder`] / [`dates`] — shared plan-construction and calendar helpers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 7. Work sharing: with `with_sharing` (or, at the service layer,
-    //    `ServiceConfig::enable_shared_scans`), overlapping queries
+    //    `ServiceConfig::with_shared_scans`), overlapping queries
     //    cooperate — each scan morsel is produced once and fanned to every
     //    concurrent reader, and repeated aggregate shapes resume from
     //    cached partials. Results stay byte-identical; only who executes

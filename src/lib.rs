@@ -13,6 +13,8 @@
 //! * [`apq_workloads`] — TPC-H-like and TPC-DS-like workloads, micro-benchmarks.
 //! * [`apq_bench`] — experiment harness reproducing the paper's tables and figures.
 
+#![forbid(unsafe_code)]
+
 pub use apq_baselines as baselines;
 pub use apq_bench as bench;
 pub use apq_columnar as columnar;
