@@ -258,28 +258,24 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_enforced_admission_preserves_results_under_both_policies() {
-        use apq_engine::{EngineConfig, SchedulerPolicy};
-
+    fn scheduler_enforced_admission_preserves_results() {
         let rows = 6_000;
         let cat = catalog(rows);
         let serial = serial_plan(rows);
-        for policy in SchedulerPolicy::ALL {
-            let engine = Engine::new(EngineConfig::with_workers(4).with_scheduler(policy));
-            let expected = engine.execute(&serial, &cat).unwrap().output;
-            // The plan stays fully parallel; only the scheduler throttles it.
-            let parallel = Arc::new(heuristic_parallelize(&serial, &cat, 4).unwrap());
-            let ctrl = AdmissionController::new(4);
-            // Saturate the system so the next admitted query gets DOP 1.
-            let _t1 = ctrl.admit();
-            let _t2 = ctrl.admit();
-            let _t3 = ctrl.admit();
-            let (exec, dop) = ctrl.execute_admitted(&engine, &parallel, &cat).unwrap();
-            assert_eq!(dop, 1, "{policy}: expected saturation-level DOP");
-            assert_eq!(exec.output, expected, "{policy}: throttled execution diverged");
-            // The plan itself was not rewritten: all 4 partitions executed.
-            assert_eq!(exec.profile.count_by_name()["select"], 4);
-        }
+        let engine = Engine::with_workers(4);
+        let expected = engine.execute(&serial, &cat).unwrap().output;
+        // The plan stays fully parallel; only the scheduler throttles it.
+        let parallel = Arc::new(heuristic_parallelize(&serial, &cat, 4).unwrap());
+        let ctrl = AdmissionController::new(4);
+        // Saturate the system so the next admitted query gets DOP 1.
+        let _t1 = ctrl.admit();
+        let _t2 = ctrl.admit();
+        let _t3 = ctrl.admit();
+        let (exec, dop) = ctrl.execute_admitted(&engine, &parallel, &cat).unwrap();
+        assert_eq!(dop, 1, "expected saturation-level DOP");
+        assert_eq!(exec.output, expected, "throttled execution diverged");
+        // The plan itself was not rewritten: all 4 partitions executed.
+        assert_eq!(exec.profile.count_by_name()["select"], 4);
     }
 
     #[test]

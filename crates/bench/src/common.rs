@@ -10,10 +10,9 @@ use apq_engine::{Engine, EngineConfig, FaultConfig, Plan};
 
 use crate::config::ExperimentConfig;
 
-/// Engine sized per the experiment configuration (worker count and
-/// scheduling policy).
+/// Engine sized per the experiment configuration (worker count).
 pub fn engine(cfg: &ExperimentConfig) -> Arc<Engine> {
-    Arc::new(Engine::new(EngineConfig::with_workers(cfg.workers).with_scheduler(cfg.scheduler)))
+    engine_with_workers(cfg.workers)
 }
 
 /// Engine with an explicit worker count (DOP sweeps, "4-socket" variant).
@@ -25,9 +24,7 @@ pub fn engine_with_workers(workers: usize) -> Arc<Engine> {
 /// more workers, but a fixed per-operator latency penalty.
 pub fn four_socket_engine(cfg: &ExperimentConfig) -> Arc<Engine> {
     Arc::new(Engine::new(
-        EngineConfig::with_workers(cfg.workers * 2)
-            .with_scheduler(cfg.scheduler)
-            .with_faults(FaultConfig::fixed_delay(30)),
+        EngineConfig::with_workers(cfg.workers * 2).with_faults(FaultConfig::fixed_delay(30)),
     ))
 }
 

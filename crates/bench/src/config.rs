@@ -1,7 +1,5 @@
 //! Experiment sizing.
 
-use apq_engine::SchedulerPolicy;
-
 /// Controls data sizes, worker counts and repetition counts of the
 /// experiments. Three presets exist:
 ///
@@ -30,8 +28,6 @@ pub struct ExperimentConfig {
     pub min_partition_rows: usize,
     /// RNG seed for data generation and workload mixing.
     pub seed: u64,
-    /// Task-scheduling policy of the engine's worker pool.
-    pub scheduler: SchedulerPolicy,
     /// Morsel size (rows) used by the morsel-driven execution comparisons
     /// (fig19's morsel-mode engines).
     pub morsel_rows: usize,
@@ -54,7 +50,6 @@ impl ExperimentConfig {
             adaptive_max_runs: 8,
             min_partition_rows: 512,
             seed: 42,
-            scheduler: SchedulerPolicy::default(),
             morsel_rows: 2_048,
         }
     }
@@ -71,7 +66,6 @@ impl ExperimentConfig {
             adaptive_max_runs: 24,
             min_partition_rows: 1024,
             seed: 42,
-            scheduler: SchedulerPolicy::default(),
             morsel_rows: 16_384,
         }
     }
@@ -88,7 +82,6 @@ impl ExperimentConfig {
             adaptive_max_runs: 48,
             min_partition_rows: 2048,
             seed: 42,
-            scheduler: SchedulerPolicy::default(),
             morsel_rows: 65_536,
         }
     }
@@ -96,12 +89,6 @@ impl ExperimentConfig {
     /// Scaled lineitem row count implied by the TPC-H scale factor.
     pub fn tpch_lineitem_rows(&self) -> usize {
         apq_workloads::tpch::TpchScale::new(self.tpch_sf).lineitem_rows()
-    }
-
-    /// Selects the engine's task-scheduling policy (builder style).
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 }
 

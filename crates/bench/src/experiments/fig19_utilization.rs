@@ -7,9 +7,8 @@
 //! "tables" with a single text row each so that `run_experiments` prints
 //! them. A third table reports the engine's per-worker scheduler counters
 //! (tasks executed, local-deque hits, steals, injector hits, accumulated
-//! queue wait) for the heuristic plan under **both** scheduling policies —
-//! the work-stealing-vs-shared-FIFO comparison of §4.1.1 at the dispatch
-//! level. A final table repeats the comparison in **morsel-driven**
+//! queue wait) for the heuristic plan — §4.1.1's work stealing at the
+//! dispatch level. A further table repeats the run in **morsel-driven**
 //! execution mode (`ExecutionMode::MorselDriven`): per worker, the tasks
 //! executed and the morsels pulled, showing how pipeline fan-out spreads
 //! locality-friendly work units across the pool.
@@ -23,9 +22,7 @@
 use std::sync::Arc;
 
 use apq_baselines::heuristic_parallelize;
-use apq_engine::{
-    ControllerConfig, Engine, EngineConfig, ExecutionMode, SchedulerPolicy, SharingConfig,
-};
+use apq_engine::{ControllerConfig, Engine, EngineConfig, ExecutionMode, SharingConfig};
 use apq_workloads::tpch::{self, queries::q14, TpchScale};
 
 use crate::common::{adaptive, engine};
@@ -45,11 +42,9 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
     let hp_exec = engine.execute(&hp_plan, &catalog).expect("HP executes");
 
     // Morsel-mode executions of the same two plans (fresh engine so the
-    // dispatch counters below stay attributable; same scheduler policy as
-    // the operator-at-a-time engine so the rows differ only in mode).
+    // dispatch counters below stay attributable).
     let morsel_engine = Engine::new(
         EngineConfig::with_workers(workers)
-            .with_scheduler(cfg.scheduler)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(cfg.morsel_rows),
     );
@@ -60,7 +55,6 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
     // controller ticking (adaptive morsel sizing; results must not change).
     let controlled_engine = Engine::new(
         EngineConfig::with_workers(workers)
-            .with_scheduler(cfg.scheduler)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(cfg.morsel_rows)
             .with_controller(
@@ -122,109 +116,90 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
         hp_trace.row(vec![line.to_string()]);
     }
 
-    // Per-worker dispatch counters of the heuristic plan under both
-    // scheduling policies (fresh engines, so the counters cover exactly one
-    // execution each).
+    // Per-worker dispatch counters of the heuristic plan (fresh engine, so
+    // the counters cover exactly one execution).
     let mut counters = ExperimentTable::new(
         "Figures 19/20 (scheduler counters)",
-        "per-worker dispatch counters of the heuristic Q14 plan, by scheduling policy",
-        &["policy", "worker", "executed", "local", "stolen", "injected", "queue_wait_ms"],
+        "per-worker dispatch counters of the heuristic Q14 plan",
+        &["worker", "executed", "local", "stolen", "injected", "queue_wait_ms"],
     );
     let hp_shared = Arc::new(hp_plan);
-    for policy in SchedulerPolicy::ALL {
-        let probe = Engine::new(EngineConfig::with_workers(workers).with_scheduler(policy));
-        probe.execute_shared(&hp_shared, &catalog).expect("HP executes under both policies");
-        let stats = probe.scheduler_stats();
-        for (w, ws) in stats.workers.iter().enumerate() {
-            counters.row(vec![
-                stats.policy.to_string(),
-                w.to_string(),
-                ws.executed.to_string(),
-                ws.local_hits.to_string(),
-                ws.steals.to_string(),
-                ws.injector_hits.to_string(),
-                format!("{:.3}", ws.queue_wait_us as f64 / 1000.0),
-            ]);
-        }
+    let probe = Engine::with_workers(workers);
+    probe.execute_shared(&hp_shared, &catalog).expect("HP executes");
+    let stats = probe.scheduler_stats();
+    for (w, ws) in stats.workers.iter().enumerate() {
+        counters.row(vec![
+            w.to_string(),
+            ws.executed.to_string(),
+            ws.local_hits.to_string(),
+            ws.steals.to_string(),
+            ws.injector_hits.to_string(),
+            format!("{:.3}", ws.queue_wait_us as f64 / 1000.0),
+        ]);
     }
 
-    // The same comparison in morsel-driven mode: per-worker task and morsel
-    // counters of the heuristic Q14 plan under both scheduling policies.
+    // The same in morsel-driven mode: per-worker task and morsel counters
+    // of the heuristic Q14 plan.
     let mut morsel_counters = ExperimentTable::new(
         "Figures 19/20 (morsel counters)",
         format!(
             "per-worker morsel counters of the heuristic Q14 plan in morsel-driven mode \
-             ({} rows per morsel), by scheduling policy",
+             ({} rows per morsel)",
             cfg.morsel_rows
         ),
-        &["policy", "worker", "executed", "morsels", "pipelines", "queue_wait_ms"],
+        &["worker", "executed", "morsels", "pipelines", "queue_wait_ms"],
     );
-    for policy in SchedulerPolicy::ALL {
-        let probe = Engine::new(
-            EngineConfig::with_workers(workers)
-                .with_scheduler(policy)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(cfg.morsel_rows),
-        );
-        let exec =
-            probe.execute_shared(&hp_shared, &catalog).expect("HP executes under morsel mode");
-        assert_eq!(
-            exec.output, hp_exec.output,
-            "{policy}: morsel-mode Q14 diverged from operator-at-a-time"
-        );
-        let stats = probe.scheduler_stats();
-        let morsels = exec.profile.morsels_by_worker();
-        let n_pipelines = exec.profile.pipelines.len();
-        for (w, ws) in stats.workers.iter().enumerate() {
-            morsel_counters.row(vec![
-                stats.policy.to_string(),
-                w.to_string(),
-                ws.executed.to_string(),
-                morsels.get(w).copied().unwrap_or(0).to_string(),
-                n_pipelines.to_string(),
-                format!("{:.3}", ws.queue_wait_us as f64 / 1000.0),
-            ]);
-        }
+    let probe = Engine::new(
+        EngineConfig::with_workers(workers)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(cfg.morsel_rows),
+    );
+    let exec = probe.execute_shared(&hp_shared, &catalog).expect("HP executes under morsel mode");
+    assert_eq!(exec.output, hp_exec.output, "morsel-mode Q14 diverged from operator-at-a-time");
+    let stats = probe.scheduler_stats();
+    let morsels = exec.profile.morsels_by_worker();
+    let n_pipelines = exec.profile.pipelines.len();
+    for (w, ws) in stats.workers.iter().enumerate() {
+        morsel_counters.row(vec![
+            w.to_string(),
+            ws.executed.to_string(),
+            morsels.get(w).copied().unwrap_or(0).to_string(),
+            n_pipelines.to_string(),
+            format!("{:.3}", ws.queue_wait_us as f64 / 1000.0),
+        ]);
     }
 
     // Work-sharing competitor rows: the same heuristic Q14 plan submitted
-    // four times back-to-back per cell (2 policies × sharing on/off, fresh
-    // morsel engine per cell). With sharing on, repeats reuse the first
-    // run's scan-group windows and aggregate partials; outputs are asserted
-    // identical to the unshared execution either way.
+    // four times back-to-back per cell (sharing on/off, fresh morsel engine
+    // per cell). With sharing on, repeats reuse the first run's scan-group
+    // windows and aggregate partials; outputs are asserted identical to the
+    // unshared execution either way.
     let mut sharing_rows = ExperimentTable::new(
         "Figures 19/20 (shared scans)",
-        "heuristic Q14 ×4 per cell, by scheduling policy and work-sharing toggle",
-        &["policy", "sharing", "queries", "morsels_shared", "morsels_private", "partials_reused"],
+        "heuristic Q14 ×4 per cell, by work-sharing toggle",
+        &["sharing", "queries", "morsels_shared", "morsels_private", "partials_reused"],
     );
     const SHARING_REPEATS: usize = 4;
-    for policy in SchedulerPolicy::ALL {
-        for sharing in [false, true] {
-            let mut config = EngineConfig::with_workers(workers)
-                .with_scheduler(policy)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(cfg.morsel_rows);
-            if sharing {
-                config = config.with_sharing(SharingConfig::default());
-            }
-            let probe = Engine::new(config);
-            for _ in 0..SHARING_REPEATS {
-                let exec = probe.execute_shared(&hp_shared, &catalog).expect("HP executes");
-                assert_eq!(
-                    exec.output, hp_exec.output,
-                    "{policy}/sharing={sharing}: shared execution diverged"
-                );
-            }
-            let stats = probe.sharing_stats();
-            sharing_rows.row(vec![
-                policy.to_string(),
-                if sharing { "on" } else { "off" }.to_string(),
-                SHARING_REPEATS.to_string(),
-                stats.morsels_shared.to_string(),
-                stats.morsels_private.to_string(),
-                stats.partials_reused.to_string(),
-            ]);
+    for sharing in [false, true] {
+        let mut config = EngineConfig::with_workers(workers)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(cfg.morsel_rows);
+        if sharing {
+            config = config.with_sharing(SharingConfig::default());
         }
+        let probe = Engine::new(config);
+        for _ in 0..SHARING_REPEATS {
+            let exec = probe.execute_shared(&hp_shared, &catalog).expect("HP executes");
+            assert_eq!(exec.output, hp_exec.output, "sharing={sharing}: shared execution diverged");
+        }
+        let stats = probe.sharing_stats();
+        sharing_rows.row(vec![
+            if sharing { "on" } else { "off" }.to_string(),
+            SHARING_REPEATS.to_string(),
+            stats.morsels_shared.to_string(),
+            stats.morsels_private.to_string(),
+            stats.partials_reused.to_string(),
+        ]);
     }
 
     vec![metrics, ap_trace, hp_trace, counters, morsel_counters, sharing_rows]
@@ -257,47 +232,29 @@ mod tests {
         assert_eq!(tables[0].rows[0][3], "0");
         let hp_morsels: usize = tables[0].rows[3][3].parse().unwrap();
         assert!(hp_morsels > 0, "morsel-driven HP run reported no morsels");
-        // Counter table: one row per worker per policy, both plans fully
-        // dispatched under each policy.
+        // Counter table: one row per worker, the plan fully dispatched.
         let counters = &tables[3];
-        assert_eq!(counters.len(), 2 * cfg.workers);
-        for policy in ["global-queue", "work-stealing"] {
-            let executed: u64 = counters
-                .rows
-                .iter()
-                .filter(|r| r[0] == policy)
-                .map(|r| r[2].parse::<u64>().unwrap())
-                .sum();
-            assert_eq!(executed, hp_ops as u64, "{policy}: dispatch count mismatch");
-        }
-        // Morsel counter table: per-worker morsel counts sum to the same
-        // total under both policies (the fan-out is policy-independent).
+        assert_eq!(counters.len(), cfg.workers);
+        let executed: u64 = counters.rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
+        assert_eq!(executed, hp_ops as u64, "dispatch count mismatch");
+        // Morsel counter table: per-worker morsel counts sum to the fan-out
+        // the metrics table reports for the same plan and morsel size.
         let morsel_counters = &tables[4];
-        assert_eq!(morsel_counters.len(), 2 * cfg.workers);
-        let mut totals = Vec::new();
-        for policy in ["global-queue", "work-stealing"] {
-            let morsels: u64 = morsel_counters
-                .rows
-                .iter()
-                .filter(|r| r[0] == policy)
-                .map(|r| r[3].parse::<u64>().unwrap())
-                .sum();
-            assert!(morsels > 0, "{policy}: no morsels recorded");
-            totals.push(morsels);
-        }
-        assert_eq!(totals[0], totals[1], "morsel fan-out differed across policies");
-        // Shared-scan rows: 2 policies × sharing on/off. With sharing off
-        // nothing is ever shared or reused; with sharing on the ×4 repeats
-        // must have hit group windows and/or cached partials.
+        assert_eq!(morsel_counters.len(), cfg.workers);
+        let morsels: u64 = morsel_counters.rows.iter().map(|r| r[2].parse::<u64>().unwrap()).sum();
+        assert_eq!(morsels, hp_morsels as u64, "morsel fan-out differed between probes");
+        // Shared-scan rows: sharing on/off. With sharing off nothing is
+        // ever shared or reused; with sharing on the ×4 repeats must have
+        // hit group windows and/or cached partials.
         let sharing_rows = &tables[5];
-        assert_eq!(sharing_rows.len(), 4);
+        assert_eq!(sharing_rows.len(), 2);
         for row in &sharing_rows.rows {
-            let shared: u64 = row[3].parse().unwrap();
-            let reused: u64 = row[5].parse().unwrap();
-            if row[1] == "off" {
-                assert_eq!(shared + reused, 0, "{}: sharing-off row shared work", row[0]);
+            let shared: u64 = row[2].parse().unwrap();
+            let reused: u64 = row[4].parse().unwrap();
+            if row[0] == "off" {
+                assert_eq!(shared + reused, 0, "sharing-off row shared work");
             } else {
-                assert!(shared + reused > 0, "{}: sharing-on repeats shared nothing", row[0]);
+                assert!(shared + reused > 0, "sharing-on repeats shared nothing");
             }
         }
     }

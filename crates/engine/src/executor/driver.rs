@@ -567,9 +567,9 @@ fn assemble_pipeline(
 }
 
 /// Marks a step complete: launches consumer steps whose dependencies are now
-/// all satisfied (their tasks go through the task context, so work-stealing
-/// schedulers keep them on the publishing worker's deque, where the chunk
-/// is cache-hot) and finishes the query when every step is done.
+/// all satisfied (their tasks go through the task context, so the scheduler
+/// keeps them on the publishing worker's deque, where the chunk is
+/// cache-hot) and finishes the query when every step is done.
 fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
     for &(consumer, edges) in &state.graph.out_edges[step] {
         let before = state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel);

@@ -24,13 +24,12 @@
 //!   wait-drain-collect tail every submission returns through.
 //!
 //! *Which* worker runs a task *when* is the scheduler's choice — see
-//! [`crate::scheduler`] for the pluggable policies
-//! ([`SchedulerPolicy::GlobalQueue`], the seed engine's shared FIFO, and
-//! [`SchedulerPolicy::WorkStealing`], per-worker deques with local-first
-//! pop). Because the pool is shared by *all* concurrently submitted queries,
-//! a heavy concurrent workload creates exactly the resource contention the
-//! paper studies; per-task queue-wait times are recorded in the profile so
-//! downstream consumers can tell operator cost from scheduler interference.
+//! [`crate::scheduler`] (per-worker deques with local-first pop, shared
+//! injectors, single-task steals). Because the pool is shared by *all*
+//! concurrently submitted queries, a heavy concurrent workload creates
+//! exactly the resource contention the paper studies; per-task queue-wait
+//! times are recorded in the profile so downstream consumers can tell
+//! operator cost from scheduler interference.
 
 mod driver;
 mod run;
@@ -56,7 +55,7 @@ use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 use crate::plan::Plan;
 use crate::profiler::{DopPhase, QueryProfile};
-use crate::scheduler::{QueryHandle, Scheduler, SchedulerPolicy, SchedulerStats};
+use crate::scheduler::{QueryHandle, Scheduler, SchedulerStats};
 use crate::sharing::{ScanRegistry, SharingConfig, SharingStats};
 
 /// Engine configuration.
@@ -65,8 +64,6 @@ pub struct EngineConfig {
     /// Number of worker threads ("interpreters"). The paper's machines have
     /// 32 / 96 hardware threads; experiments here scale this down.
     pub n_workers: usize,
-    /// Task-scheduling policy of the worker pool.
-    pub scheduler: SchedulerPolicy,
     /// How plans are *planned* into scheduler tasks: one whole-node step per
     /// operator (default) or fused pipelines driven by fixed-size morsels.
     /// One driver runs both plannings (see [`crate::pipeline`]); results are
@@ -85,8 +82,8 @@ pub struct EngineConfig {
     pub controller: Option<ControllerConfig>,
     /// Deterministic fault injection ([`crate::fault`]): seeded operator
     /// panics, dispatch stalls, spurious cancellations and delays, threaded
-    /// through the driver's operator checkpoint and both scheduler
-    /// policies' dispatch loops. Also the engine's one injected-latency
+    /// through the driver's operator checkpoint and the scheduler's
+    /// dispatch loop. Also the engine's one injected-latency
     /// mechanism: a fixed per-operator delay ([`FaultConfig::fixed_delay`])
     /// emulates a slower platform. `None` (default) disables the layer.
     pub faults: Option<FaultConfig>,
@@ -102,7 +99,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             n_workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            scheduler: SchedulerPolicy::default(),
             execution_mode: ExecutionMode::default(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             controller: None,
@@ -116,12 +112,6 @@ impl EngineConfig {
     /// Configuration with an explicit worker count and defaults otherwise.
     pub fn with_workers(n_workers: usize) -> Self {
         EngineConfig { n_workers: n_workers.max(1), ..EngineConfig::default() }
-    }
-
-    /// Sets the scheduling policy (builder style).
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Sets the execution mode (builder style).
@@ -163,7 +153,7 @@ impl EngineConfig {
 /// parallelism (see [`QueryHandle`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Scheduling priority; `> 0` uses the schedulers' priority lane.
+    /// Scheduling priority; `> 0` uses the scheduler's priority lane.
     pub priority: u8,
     /// Maximum concurrently executing tasks of this query (`0` = unlimited).
     pub admitted_dop: usize,
@@ -233,10 +223,10 @@ impl Drop for ReservedQuery {
     }
 }
 
-/// The shared execution engine (worker pool + pluggable task scheduler).
+/// The shared execution engine (worker pool + task scheduler).
 pub struct Engine {
     config: EngineConfig,
-    scheduler: Arc<dyn Scheduler>,
+    scheduler: Arc<Scheduler>,
     workers: Vec<JoinHandle<()>>,
     next_query_id: AtomicU64,
     /// Queries currently inside `execute_with_handle` (all clients).
@@ -265,10 +255,7 @@ pub struct Engine {
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("n_workers", &self.config.n_workers)
-            .field("scheduler", &self.config.scheduler)
-            .finish()
+        f.debug_struct("Engine").field("n_workers", &self.config.n_workers).finish()
     }
 }
 
@@ -277,7 +264,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let n_workers = config.n_workers.max(1);
         let faults = config.faults.clone().map(|c| Arc::new(FaultInjector::new(c)));
-        let scheduler = config.scheduler.build(n_workers, faults.clone());
+        let scheduler = Arc::new(Scheduler::with_faults(n_workers, faults.clone()));
         let mut workers = Vec::with_capacity(n_workers);
         for worker_idx in 0..n_workers {
             let sched = Arc::clone(&scheduler);
@@ -319,14 +306,7 @@ impl Engine {
                             return;
                         }
                     }
-                    supervised_tick(
-                        &ctrl,
-                        &registry,
-                        &*sched,
-                        faults.as_deref(),
-                        &ticks,
-                        &restarts,
-                    );
+                    supervised_tick(&ctrl, &registry, &sched, faults.as_deref(), &ticks, &restarts);
                 })
                 .expect("failed to spawn controller thread")
         });
@@ -401,7 +381,7 @@ impl Engine {
             Some(ctrl) => supervised_tick(
                 ctrl,
                 &self.registry,
-                &*self.scheduler,
+                &self.scheduler,
                 self.faults.as_deref(),
                 &self.controller_ticks,
                 &self.controller_restarts,
@@ -704,7 +684,7 @@ impl Drop for Engine {
 fn supervised_tick(
     ctrl: &ResourceController,
     registry: &Mutex<HashMap<u64, Arc<QueryHandle>>>,
-    sched: &dyn Scheduler,
+    sched: &Scheduler,
     faults: Option<&FaultInjector>,
     ticks: &AtomicU64,
     restarts: &AtomicU64,

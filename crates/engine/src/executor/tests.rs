@@ -67,27 +67,19 @@ fn partitioned_filter_sum_plan(rows: usize, threshold: i64, parts: usize) -> Pla
     p
 }
 
-fn both_policies() -> [Engine; 2] {
-    [
-        Engine::new(EngineConfig::with_workers(2)),
-        Engine::new(EngineConfig::with_workers(2).with_scheduler(SchedulerPolicy::WorkStealing)),
-    ]
-}
-
 #[test]
 fn executes_serial_plan() {
-    for engine in both_policies() {
-        let cat = catalog(1000);
-        let plan = filter_sum_plan(1000, 10);
-        let exec = engine.execute(&plan, &cat).unwrap();
-        // sum of b over a in [0,10) = 2 * (0+..+9) = 90.
-        assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(90)));
-        assert_eq!(exec.profile.operators.len(), 6);
-        assert!(exec.profile.wall_us() > 0);
-        assert!(exec.profile.most_expensive().is_some());
-        // Every task's dispatch is recorded by the scheduler.
-        assert_eq!(engine.scheduler_stats().total_executed(), 6);
-    }
+    let engine = Engine::with_workers(2);
+    let cat = catalog(1000);
+    let plan = filter_sum_plan(1000, 10);
+    let exec = engine.execute(&plan, &cat).unwrap();
+    // sum of b over a in [0,10) = 2 * (0+..+9) = 90.
+    assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(90)));
+    assert_eq!(exec.profile.operators.len(), 6);
+    assert!(exec.profile.wall_us() > 0);
+    assert!(exec.profile.most_expensive().is_some());
+    // Every task's dispatch is recorded by the scheduler.
+    assert_eq!(engine.scheduler_stats().total_executed(), 6);
 }
 
 #[test]
@@ -108,70 +100,67 @@ fn parallel_partitioned_plan_gives_same_answer() {
 
 #[test]
 fn concurrent_queries_share_the_pool() {
-    for policy in SchedulerPolicy::ALL {
-        let engine = Arc::new(Engine::new(EngineConfig::with_workers(3).with_scheduler(policy)));
-        let cat = catalog(5_000);
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let engine = Arc::clone(&engine);
-            let cat = Arc::clone(&cat);
-            handles.push(std::thread::spawn(move || {
-                let plan = filter_sum_plan(5_000, 100 + i);
-                engine.execute(&plan, &cat).unwrap().output
-            }));
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            let out = h.join().unwrap();
-            let threshold = 100 + i as i64;
-            let expected: i64 = (0..threshold).map(|v| v * 2).sum();
-            assert_eq!(out, QueryOutput::Scalar(ScalarValue::I64(expected)));
-        }
+    let engine = Arc::new(Engine::with_workers(3));
+    let cat = catalog(5_000);
+    let mut handles = Vec::new();
+    for i in 0..8 {
+        let engine = Arc::clone(&engine);
+        let cat = Arc::clone(&cat);
+        handles.push(std::thread::spawn(move || {
+            let plan = filter_sum_plan(5_000, 100 + i);
+            engine.execute(&plan, &cat).unwrap().output
+        }));
+    }
+    for (i, h) in handles.into_iter().enumerate() {
+        let out = h.join().unwrap();
+        let threshold = 100 + i as i64;
+        let expected: i64 = (0..threshold).map(|v| v * 2).sum();
+        assert_eq!(out, QueryOutput::Scalar(ScalarValue::I64(expected)));
     }
 }
 
 #[test]
 fn execution_errors_are_propagated() {
-    for engine in both_policies() {
-        let cat = catalog(10);
-        // Division by zero in a calc node.
-        let mut p = Plan::new();
-        let a = p.add(scan("a", 10), vec![]);
-        let div = p.add(
-            OperatorSpec::Calc {
-                op: apq_operators::BinaryOp::Div,
-                left_scalar: None,
-                right_scalar: Some(ScalarValue::I64(0)),
-            },
-            vec![a],
-        );
-        p.set_root(div);
-        let err = engine.execute(&p, &cat).unwrap_err();
-        assert!(matches!(err, EngineError::Operator(_)));
+    let engine = Engine::with_workers(2);
+    let cat = catalog(10);
+    // Division by zero in a calc node.
+    let mut p = Plan::new();
+    let a = p.add(scan("a", 10), vec![]);
+    let div = p.add(
+        OperatorSpec::Calc {
+            op: apq_operators::BinaryOp::Div,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(0)),
+        },
+        vec![a],
+    );
+    p.set_root(div);
+    let err = engine.execute(&p, &cat).unwrap_err();
+    assert!(matches!(err, EngineError::Operator(_)));
 
-        // Unknown table surfaces as a storage error.
-        let mut p = Plan::new();
-        let bad = p.add(
-            OperatorSpec::ScanColumn {
-                table: "missing".into(),
-                column: "x".into(),
-                range: RowRange::new(0, 1),
-            },
-            vec![],
-        );
-        p.set_root(bad);
-        assert!(engine.execute(&p, &cat).is_err());
+    // Unknown table surfaces as a storage error.
+    let mut p = Plan::new();
+    let bad = p.add(
+        OperatorSpec::ScanColumn {
+            table: "missing".into(),
+            column: "x".into(),
+            range: RowRange::new(0, 1),
+        },
+        vec![],
+    );
+    p.set_root(bad);
+    assert!(engine.execute(&p, &cat).is_err());
 
-        // Invalid plans are rejected before execution.
-        let p = Plan::new();
-        assert!(matches!(engine.execute(&p, &cat), Err(EngineError::InvalidPlan(_))));
-    }
+    // Invalid plans are rejected before execution.
+    let p = Plan::new();
+    assert!(matches!(engine.execute(&p, &cat), Err(EngineError::InvalidPlan(_))));
 }
 
 #[test]
 fn injected_delay_inflates_operator_times() {
     let cat = catalog(100);
     let plan = filter_sum_plan(100, 50);
-    let quiet = Engine::new(EngineConfig::with_workers(2));
+    let quiet = Engine::with_workers(2);
     let slow =
         Engine::new(EngineConfig::with_workers(2).with_faults(FaultConfig::fixed_delay(500)));
     let q = quiet.execute(&plan, &cat).unwrap();
@@ -195,10 +184,8 @@ fn engine_debug_and_config() {
     assert_eq!(engine.n_workers(), 2);
     assert!(format!("{engine:?}").contains("n_workers"));
     assert!(engine.config().faults.is_none());
-    assert_eq!(engine.config().scheduler, SchedulerPolicy::GlobalQueue);
     let default_cfg = EngineConfig::default();
     assert!(default_cfg.n_workers >= 1);
-    assert_eq!(default_cfg.scheduler, SchedulerPolicy::GlobalQueue);
 }
 
 #[test]
@@ -220,27 +207,24 @@ fn queue_wait_is_profiled() {
 
 #[test]
 fn cancellation_aborts_the_query() {
-    for engine in both_policies() {
-        let cat = catalog(1_000);
-        let plan = Arc::new(filter_sum_plan(1_000, 10));
-        let handle = engine.register_query(QueryOptions::default());
-        handle.cancel();
-        let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
-        assert_eq!(err, EngineError::Cancelled);
-    }
+    let engine = Engine::with_workers(2);
+    let cat = catalog(1_000);
+    let plan = Arc::new(filter_sum_plan(1_000, 10));
+    let handle = engine.register_query(QueryOptions::default());
+    handle.cancel();
+    let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
 }
 
 #[test]
 fn admitted_dop_throttles_but_preserves_results() {
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(EngineConfig::with_workers(4).with_scheduler(policy));
-        let cat = catalog(10_000);
-        let plan = Arc::new(filter_sum_plan(10_000, 500));
-        let expected = engine.execute_shared(&plan, &cat).unwrap().output;
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
-        let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
-        assert_eq!(exec.output, expected, "{policy}: throttled run diverged");
-    }
+    let engine = Engine::with_workers(4);
+    let cat = catalog(10_000);
+    let plan = Arc::new(filter_sum_plan(10_000, 500));
+    let expected = engine.execute_shared(&plan, &cat).unwrap().output;
+    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
+    assert_eq!(exec.output, expected, "throttled run diverged");
 }
 
 #[test]
@@ -259,29 +243,26 @@ fn morsel_mode_matches_operator_at_a_time() {
     let cat = catalog(10_000);
     let plan = filter_sum_plan(10_000, 500);
     let reference = Engine::with_workers(2).execute(&plan, &cat).unwrap();
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(
-            EngineConfig::with_workers(2)
-                .with_scheduler(policy)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(1_000),
-        );
-        let exec = engine.execute(&plan, &cat).unwrap();
-        assert_eq!(exec.output, reference.output, "{policy}: morsel mode diverged");
-        // Every live node still gets a profile.
-        assert_eq!(exec.profile.operators.len(), reference.profile.operators.len());
-        // The scan→select→fetch→agg chain fused: 10 morsels of 1000 rows.
-        assert_eq!(exec.profile.pipelines.len(), 1);
-        let pipeline = &exec.profile.pipelines[0];
-        assert_eq!(pipeline.n_morsels, 10);
-        assert_eq!(pipeline.source_rows, 10_000);
-        assert_eq!(exec.profile.total_morsels(), 10);
-        assert_eq!(
-            exec.profile.morsels_by_worker().iter().sum::<u64>(),
-            10,
-            "{policy}: morsel worker counters incomplete"
-        );
-    }
+    let engine = Engine::new(
+        EngineConfig::with_workers(2)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(1_000),
+    );
+    let exec = engine.execute(&plan, &cat).unwrap();
+    assert_eq!(exec.output, reference.output, "morsel mode diverged");
+    // Every live node still gets a profile.
+    assert_eq!(exec.profile.operators.len(), reference.profile.operators.len());
+    // The scan→select→fetch→agg chain fused: 10 morsels of 1000 rows.
+    assert_eq!(exec.profile.pipelines.len(), 1);
+    let pipeline = &exec.profile.pipelines[0];
+    assert_eq!(pipeline.n_morsels, 10);
+    assert_eq!(pipeline.source_rows, 10_000);
+    assert_eq!(exec.profile.total_morsels(), 10);
+    assert_eq!(
+        exec.profile.morsels_by_worker().iter().sum::<u64>(),
+        10,
+        "morsel worker counters incomplete"
+    );
 }
 
 #[test]
@@ -317,33 +298,28 @@ fn morsel_mode_handles_errors_and_cancellation() {
 
 #[test]
 fn morsel_mode_respects_admitted_dop() {
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(
-            EngineConfig::with_workers(4)
-                .with_scheduler(policy)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(512),
-        );
-        let cat = catalog(10_000);
-        let plan = Arc::new(filter_sum_plan(10_000, 500));
-        let expected = engine.execute_shared(&plan, &cat).unwrap().output;
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
-        let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
-        assert_eq!(exec.output, expected, "{policy}: throttled morsel run diverged");
-    }
+    let engine = Engine::new(
+        EngineConfig::with_workers(4)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(512),
+    );
+    let cat = catalog(10_000);
+    let plan = Arc::new(filter_sum_plan(10_000, 500));
+    let expected = engine.execute_shared(&plan, &cat).unwrap().output;
+    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
+    assert_eq!(exec.output, expected, "throttled morsel run diverged");
 }
 
 #[test]
 fn work_stealing_records_locality() {
-    let engine =
-        Engine::new(EngineConfig::with_workers(2).with_scheduler(SchedulerPolicy::WorkStealing));
+    let engine = Engine::with_workers(2);
     let cat = catalog(20_000);
     // A serial chain: every follow-up is produced on a worker, so local
     // hits must appear.
     let plan = filter_sum_plan(20_000, 500);
     engine.execute(&plan, &cat).unwrap();
     let stats = engine.scheduler_stats();
-    assert_eq!(stats.policy, "work-stealing");
     assert_eq!(stats.total_executed(), 6);
     assert!(stats.total_local_hits() > 0, "chained operators never hit the local deque: {stats:?}");
 }
@@ -356,22 +332,20 @@ fn operator_at_a_time_profiles_every_operator_on_its_own() {
     let cat = catalog(80_000);
     let plan = partitioned_filter_sum_plan(80_000, 4_000, 8);
     let expected = Engine::with_workers(2).execute(&filter_sum_plan(80_000, 4_000), &cat).unwrap();
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(EngineConfig::with_workers(1).with_scheduler(policy));
-        let exec = engine.execute(&plan, &cat).unwrap();
-        assert_eq!(exec.output, expected.output, "{policy}");
-        assert!(exec.profile.pipelines.is_empty(), "{policy}: OAT planned a pipeline");
-        assert_eq!(exec.profile.total_morsels(), 0);
-        let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, plan.node_ids(), "{policy}: one profile per live node");
-        assert_eq!(engine.scheduler_stats().total_executed(), plan.node_count() as u64);
-        assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
-        // One worker, 34 tasks: queueing is spread over the operators
-        // rather than attributed to one terminal per pipeline.
-        let waited = exec.profile.operators.iter().filter(|o| o.queue_wait_us > 0).count();
-        assert!(waited >= 2, "{policy}: queue wait on {waited} operators only");
-    }
+    let engine = Engine::with_workers(1);
+    let exec = engine.execute(&plan, &cat).unwrap();
+    assert_eq!(exec.output, expected.output);
+    assert!(exec.profile.pipelines.is_empty(), "OAT planned a pipeline");
+    assert_eq!(exec.profile.total_morsels(), 0);
+    let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
+    nodes.sort_unstable();
+    assert_eq!(nodes, plan.node_ids(), "one profile per live node");
+    assert_eq!(engine.scheduler_stats().total_executed(), plan.node_count() as u64);
+    assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
+    // One worker, 34 tasks: queueing is spread over the operators
+    // rather than attributed to one terminal per pipeline.
+    let waited = exec.profile.operators.iter().filter(|o| o.queue_wait_us > 0).count();
+    assert!(waited >= 2, "queue wait on {waited} operators only");
 }
 
 #[test]
@@ -403,28 +377,25 @@ fn fused_stage_time_is_cpu_time_bounded_by_wall_times_workers() {
     // wall time; what bounds it is wall time × workers.
     let cat = catalog(200_000);
     let plan = Arc::new(filter_sum_plan(200_000, 150_000));
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(
-            EngineConfig::with_workers(2)
-                .with_scheduler(policy)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(2_000),
+    let engine = Engine::new(
+        EngineConfig::with_workers(2)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(2_000),
+    );
+    for _ in 0..5 {
+        let profile = engine.execute_shared(&plan, &cat).unwrap().profile;
+        assert_eq!(profile.total_morsels(), 100);
+        // +1: `wall_us` and every stage sum are truncated to whole µs.
+        let bound = (profile.wall_us() + 1) * profile.n_workers as u64;
+        assert!(
+            profile.total_cpu_us() <= bound,
+            "{} µs of operator time in {} µs × {} workers",
+            profile.total_cpu_us(),
+            profile.wall_us(),
+            profile.n_workers
         );
-        for _ in 0..5 {
-            let profile = engine.execute_shared(&plan, &cat).unwrap().profile;
-            assert_eq!(profile.total_morsels(), 100);
-            // +1: `wall_us` and every stage sum are truncated to whole µs.
-            let bound = (profile.wall_us() + 1) * profile.n_workers as u64;
-            assert!(
-                profile.total_cpu_us() <= bound,
-                "{policy}: {} µs of operator time in {} µs × {} workers",
-                profile.total_cpu_us(),
-                profile.wall_us(),
-                profile.n_workers
-            );
-            assert!(profile.operators.iter().all(|o| o.duration_us <= bound));
-            assert!(profile.parallelism_usage() <= 1.0);
-        }
+        assert!(profile.operators.iter().all(|o| o.duration_us <= bound));
+        assert!(profile.parallelism_usage() <= 1.0);
     }
 }
 
@@ -433,19 +404,15 @@ fn refused_submission_still_drains_and_reports_shutdown() {
     // The scheduler refuses work only once shut down (normally from
     // `Engine::drop`). The refusal must leave through the common tail:
     // error surfaced, nothing of the query left in the pool.
-    for policy in SchedulerPolicy::ALL {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let engine = Engine::new(
-                EngineConfig::with_workers(2).with_scheduler(policy).with_execution_mode(mode),
-            );
-            engine.scheduler.shutdown();
-            let handle = engine.register_query(QueryOptions::default());
-            let plan = Arc::new(filter_sum_plan(1_000, 10));
-            let err = engine.execute_with_handle(&plan, &catalog(1_000), Arc::clone(&handle));
-            assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{policy}/{mode}");
-            assert_eq!(handle.inflight_tasks(), 0, "{policy}/{mode}: refused task still counted");
-            assert_eq!(handle.running(), 0);
-            assert_eq!(engine.in_flight_queries(), 0);
-        }
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let engine = Engine::new(EngineConfig::with_workers(2).with_execution_mode(mode));
+        engine.scheduler.shutdown();
+        let handle = engine.register_query(QueryOptions::default());
+        let plan = Arc::new(filter_sum_plan(1_000, 10));
+        let err = engine.execute_with_handle(&plan, &catalog(1_000), Arc::clone(&handle));
+        assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{mode}");
+        assert_eq!(handle.inflight_tasks(), 0, "{mode}: refused task still counted");
+        assert_eq!(handle.running(), 0);
+        assert_eq!(engine.in_flight_queries(), 0);
     }
 }

@@ -46,8 +46,8 @@
 //! scenarios.
 //!
 //! Enable injection with [`crate::EngineConfig::with_faults`]; the injector
-//! threads through the executor's panic-guarded operator runner and both
-//! scheduler policies' dispatch loops. The failure semantics each injected
+//! threads through the executor's panic-guarded operator runner and the
+//! scheduler's dispatch loop. The failure semantics each injected
 //! fault must surface as are specified in `docs/architecture.md` §9.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -268,8 +268,8 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Run-time state of the fault injector (shared by all workers and both
-/// scheduler policies). All methods are lock-free.
+/// Run-time state of the fault injector (shared by all workers). All
+/// methods are lock-free.
 #[derive(Debug)]
 pub struct FaultInjector {
     config: FaultConfig,
@@ -385,7 +385,7 @@ impl FaultInjector {
 
     /// The stall (microseconds) a worker injects before dispatching the
     /// `seq`-th observed task of `query_id`; 0 most of the time. Called
-    /// from both scheduler policies' dispatch loops. Timing-only.
+    /// from the scheduler's dispatch loop. Timing-only.
     pub fn dispatch_stall_us(&self, query_id: u64, seq: u64) -> u64 {
         if !self.fires(FaultKind::DispatchStall, query_id, seq) {
             return 0;
@@ -399,7 +399,7 @@ impl FaultInjector {
     }
 
     /// Sleeps for an injected dispatch stall (no-op most of the time);
-    /// convenience wrapper for the scheduler dispatch loops.
+    /// convenience wrapper for the scheduler's dispatch loop.
     pub fn maybe_stall(&self, query_id: u64, seq: u64) {
         let stall = self.dispatch_stall_us(query_id, seq);
         if stall > 0 {

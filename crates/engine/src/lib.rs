@@ -17,8 +17,8 @@
 //!   whole-node step per operator (operator-at-a-time) or fused operator
 //!   chains driven by fixed-size morsels, selectable via
 //!   [`EngineConfig::execution_mode`];
-//! * [`scheduler`] — pluggable task-scheduling policies (shared FIFO vs.
-//!   work-stealing deques), per-query scheduling state ([`QueryHandle`]:
+//! * [`scheduler`] — the work-stealing task scheduler (per-worker deques
+//!   plus shared injectors), per-query scheduling state ([`QueryHandle`]:
 //!   priority, admitted DOP, cancellation, live dispatch signals) and
 //!   per-worker dispatch counters;
 //! * [`controller`] — the elastic resource controller: a feedback loop over
@@ -65,6 +65,8 @@ pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFaul
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
-pub use scheduler::{QueryHandle, QuerySignals, SchedulerPolicy, SchedulerStats, WorkerStats};
+#[doc(hidden)]
+pub use scheduler::SchedulerPolicy;
+pub use scheduler::{QueryHandle, QuerySignals, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};
 pub use sharing::{ScanGroup, ScanRegistry, SharedScan, SharingConfig, SharingStats};

@@ -73,7 +73,7 @@
 //! # Result equivalence
 //!
 //! Morsel mode produces **byte-identical** results to operator-at-a-time
-//! under every scheduler policy. Three properties make this hold:
+//! whatever order the scheduler dispatches in. Three properties make this hold:
 //!
 //! 1. [`apq_columnar::Column::slice`] preserves absolute base oids, so a
 //!    selection over morsel *k* of a column emits exactly the oids the
@@ -112,11 +112,10 @@ pub enum ExecutionMode {
     /// results, different dispatch granularity.
     ///
     /// ```
-    /// use apq_engine::{Engine, EngineConfig, ExecutionMode, SchedulerPolicy};
+    /// use apq_engine::{Engine, EngineConfig, ExecutionMode};
     ///
     /// let engine = Engine::new(
     ///     EngineConfig::with_workers(2)
-    ///         .with_scheduler(SchedulerPolicy::WorkStealing)
     ///         .with_execution_mode(ExecutionMode::MorselDriven)
     ///         .with_morsel_rows(8_192),
     /// );

@@ -1,20 +1,18 @@
-//! Pluggable task scheduling for the execution engine.
+//! Task scheduling for the execution engine.
 //!
 //! The paper's run-time environment separates *what* runs (dataflow
 //! dependency tracking in [`crate::executor`]) from *where and when* it runs
-//! (the scheduler). This module makes the second half pluggable:
+//! (the scheduler). This module is the second half:
 //!
-//! * [`Scheduler`] — the policy interface: accept ready tasks, hand them to
-//!   worker threads, expose per-worker counters;
-//! * [`global::GlobalQueue`] — the original shared-FIFO policy (all queries
-//!   feed one MPMC queue; default, byte-compatible with the seed engine);
-//! * [`stealing::WorkStealing`] — per-worker deques with an injector for
-//!   cross-query submission and local-first pop for cache locality, the
-//!   work-stealing idiom of §4.1.1 (and of noria's sharded workers);
+//! * [`Scheduler`] — the engine's one dispatch loop: per-worker deques with
+//!   an injector for cross-query submission and local-first pop for cache
+//!   locality, the work-stealing idiom of §4.1.1 (and of noria's sharded
+//!   workers). It accepts ready tasks, hands them to worker threads and
+//!   exposes per-worker counters;
 //! * [`QueryHandle`] — per-query scheduling state: query id, priority,
 //!   admitted degree of parallelism, and a cancellation flag, so admission
-//!   control ([`crate::executor::Engine::execute_with_handle`]) is a real
-//!   scheduler policy rather than a plan-rewriting shim;
+//!   control ([`crate::executor::Engine::execute_with_handle`]) is enforced
+//!   by the scheduler rather than by a plan-rewriting shim;
 //! * [`SchedulerStats`] / [`WorkerStats`] — per-worker `local` / `steal` /
 //!   `inject` hit counters plus accumulated queue-wait time.
 //!
@@ -26,12 +24,11 @@
 //! scheduler interference it did not cause (paper §4.2.3's concurrent-
 //! workload analysis).
 //!
-//! Both policies guarantee identical query *results*: dependency order is
+//! Dispatch order never affects query *results*: dependency order is
 //! enforced by the executor's atomic dependency counters, never by queue
-//! order. The policies differ only in locality, fairness and contention.
+//! order.
 
-pub mod global;
-pub mod stealing;
+mod stealing;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,49 +37,28 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::fault::FaultInjector;
 use crate::profiler::{DopEvent, DopPhase};
 
-/// Which scheduling policy an engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+use stealing::LocalSubmitter;
+pub use stealing::Scheduler;
+
+/// Benchmark link compatibility only, ignored: `benchmark/src/sut.rs` names
+/// both variants and [`crate::EngineConfig::with_scheduler`], and may not be
+/// edited outside a `[benchmark]` PR. The next `[benchmark]` PR drops this
+/// enum and that method together with `Runtime::MorselGlobal` and the
+/// `scheduler.stealing_vs_global_ratio` rung.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerPolicy {
-    /// One shared MPMC FIFO for all queries (the seed engine's behavior).
-    #[default]
     GlobalQueue,
-    /// Per-worker deques + injector with local-first pop and stealing.
     WorkStealing,
 }
 
-impl fmt::Display for SchedulerPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedulerPolicy::GlobalQueue => f.write_str("global-queue"),
-            SchedulerPolicy::WorkStealing => f.write_str("work-stealing"),
-        }
-    }
-}
-
-impl SchedulerPolicy {
-    /// All selectable policies (used by experiments sweeping over them).
-    pub const ALL: [SchedulerPolicy; 2] =
-        [SchedulerPolicy::GlobalQueue, SchedulerPolicy::WorkStealing];
-
-    /// Builds a scheduler instance for `n_workers` worker threads. A fault
-    /// injector, when present, is consulted by the policy's dispatch loop
-    /// for [`crate::fault::FaultKind::DispatchStall`] injection.
-    pub(crate) fn build(
-        self,
-        n_workers: usize,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Arc<dyn Scheduler> {
-        match self {
-            SchedulerPolicy::GlobalQueue => {
-                Arc::new(global::GlobalQueue::with_faults(n_workers, faults))
-            }
-            SchedulerPolicy::WorkStealing => {
-                Arc::new(stealing::WorkStealing::with_faults(n_workers, faults))
-            }
-        }
+impl crate::EngineConfig {
+    /// Benchmark link compatibility only, ignored — see [`SchedulerPolicy`].
+    #[doc(hidden)]
+    pub fn with_scheduler(self, _: SchedulerPolicy) -> Self {
+        self
     }
 }
 
@@ -191,7 +167,7 @@ impl QueryHandle {
     }
 
     /// Scheduling priority; tasks of priority `> 0` are dispatched before
-    /// normal-priority tasks waiting in the same shared queue.
+    /// normal-priority tasks waiting in the shared injector.
     pub fn priority(&self) -> u8 {
         self.priority
     }
@@ -421,7 +397,7 @@ pub enum TaskOrigin {
     Local,
     /// Stolen from another worker's deque.
     Stolen,
-    /// Taken from the shared queue / injector.
+    /// Taken from a shared injector.
     Injected,
 }
 
@@ -433,22 +409,16 @@ pub struct TaskContext<'a> {
     pub queue_wait: Duration,
     /// Which queue the task was dispatched from.
     pub origin: TaskOrigin,
-    submitter: &'a dyn SubmitTask,
+    submitter: &'a LocalSubmitter<'a>,
 }
 
 impl TaskContext<'_> {
-    /// Submits a follow-up task from inside a running task. Work-stealing
-    /// schedulers push it onto the executing worker's local deque (cache
-    /// locality: the consumer of a chunk runs where the chunk was produced,
-    /// unless stolen).
+    /// Submits a follow-up task from inside a running task. It is pushed
+    /// onto the executing worker's local deque (cache locality: the consumer
+    /// of a chunk runs where the chunk was produced, unless stolen).
     pub fn submit(&self, task: Task) {
         self.submitter.submit_task(task);
     }
-}
-
-/// Internal: how a context forwards follow-up tasks.
-pub(crate) trait SubmitTask {
-    fn submit_task(&self, task: Task);
 }
 
 /// A unit of schedulable work: one ready plan operator of one query.
@@ -497,7 +467,7 @@ impl Task {
         worker: usize,
         origin: TaskOrigin,
         queue_wait: Duration,
-        submitter: &dyn SubmitTask,
+        submitter: &LocalSubmitter<'_>,
     ) {
         let ctx = TaskContext { worker, queue_wait, origin, submitter };
         let started = Instant::now();
@@ -525,38 +495,7 @@ impl fmt::Debug for Task {
     }
 }
 
-/// The scheduling-policy interface.
-///
-/// The executor tracks dataflow dependencies and submits a [`Task`] exactly
-/// when it becomes runnable; the scheduler decides which worker runs it when.
-/// Implementations must run every submitted task exactly once (until
-/// [`Scheduler::shutdown`]), but are free to reorder arbitrarily — dependency
-/// order is the executor's responsibility, not the scheduler's.
-pub trait Scheduler: Send + Sync {
-    /// Policy name (stable, for reports).
-    fn name(&self) -> &'static str;
-
-    /// Submits a task from outside the worker pool (query seeding). Returns
-    /// `false` when the scheduler has been shut down.
-    fn submit(&self, task: Task) -> bool;
-
-    /// Runs worker `worker`'s dispatch loop until shutdown. Called exactly
-    /// once per worker index, from that worker's thread.
-    fn run_worker(&self, worker: usize);
-
-    /// Asks all workers to exit once the queues are drained of runnable work.
-    fn shutdown(&self);
-
-    /// Snapshot of the per-worker counters.
-    fn stats(&self) -> SchedulerStats;
-
-    /// Number of submitted tasks not yet dispatched — the pool-pressure
-    /// signal ([`crate::controller`] reads it every tick). Approximate by
-    /// design: queues are concurrently drained while counting.
-    fn pending_tasks(&self) -> usize;
-}
-
-/// Per-worker counters, updated by the dispatch loops.
+/// Per-worker counters, updated by the dispatch loop.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCounters {
     pub(crate) executed: AtomicU64,
@@ -595,11 +534,11 @@ impl WorkerCounters {
 pub struct WorkerStats {
     /// Tasks this worker executed.
     pub executed: u64,
-    /// Tasks popped from the worker's own deque (work-stealing only).
+    /// Tasks popped from the worker's own deque.
     pub local_hits: u64,
-    /// Tasks stolen from sibling workers' deques (work-stealing only).
+    /// Tasks stolen from sibling workers' deques.
     pub steals: u64,
-    /// Tasks taken from the shared queue / injector.
+    /// Tasks taken from the shared injectors.
     pub injector_hits: u64,
     /// Total time tasks executed by this worker spent queued, microseconds.
     pub queue_wait_us: u64,
@@ -607,11 +546,9 @@ pub struct WorkerStats {
     pub dop_deferrals: u64,
 }
 
-/// Snapshot of a scheduler's per-worker counters.
+/// Snapshot of the scheduler's per-worker counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Policy name ([`Scheduler::name`]).
-    pub policy: &'static str,
     /// One entry per worker thread, indexed by worker id.
     pub workers: Vec<WorkerStats>,
 }
@@ -632,7 +569,7 @@ impl SchedulerStats {
         self.workers.iter().map(|w| w.steals).sum()
     }
 
-    /// Total shared-queue / injector hits across workers.
+    /// Total injector hits across workers.
     pub fn total_injector_hits(&self) -> u64 {
         self.workers.iter().map(|w| w.injector_hits).sum()
     }
@@ -648,7 +585,7 @@ impl SchedulerStats {
     }
 
     /// Fraction of executed tasks that ran on the worker that enqueued them
-    /// (locality; meaningful for the work-stealing policy).
+    /// (locality).
     pub fn locality(&self) -> f64 {
         let executed = self.total_executed();
         if executed == 0 {
@@ -663,11 +600,10 @@ impl SchedulerStats {
 /// the shutdown check and of DOP-cap re-evaluation.
 pub(crate) const IDLE_PARK: Duration = Duration::from_micros(500);
 
-/// Shared backoff for DOP-cap deferrals, so both dispatch loops keep
-/// identical policy: a worker that keeps popping tasks of a capped query
-/// re-queues them, and after `LIMIT` consecutive deferrals sleeps one
-/// [`IDLE_PARK`] instead of spinning (the capped query's running tasks
-/// finish on other workers and free the cap).
+/// Backoff for DOP-cap deferrals: a worker that keeps popping tasks of a
+/// capped query re-queues them, and after `LIMIT` consecutive deferrals
+/// sleeps one [`IDLE_PARK`] instead of spinning (the capped query's running
+/// tasks finish on other workers and free the cap).
 #[derive(Default)]
 pub(crate) struct DeferBackoff {
     streak: u32,
@@ -696,14 +632,6 @@ impl DeferBackoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_display_and_default() {
-        assert_eq!(SchedulerPolicy::default(), SchedulerPolicy::GlobalQueue);
-        assert_eq!(SchedulerPolicy::GlobalQueue.to_string(), "global-queue");
-        assert_eq!(SchedulerPolicy::WorkStealing.to_string(), "work-stealing");
-        assert_eq!(SchedulerPolicy::ALL.len(), 2);
-    }
 
     #[test]
     fn query_handle_state_machine() {
@@ -794,7 +722,6 @@ mod tests {
     #[test]
     fn stats_aggregation() {
         let stats = SchedulerStats {
-            policy: "test",
             workers: vec![
                 WorkerStats {
                     executed: 4,
@@ -821,7 +748,7 @@ mod tests {
         assert_eq!(stats.total_queue_wait_us(), 150);
         assert_eq!(stats.total_dop_deferrals(), 2);
         assert!((stats.locality() - 0.6).abs() < 1e-12);
-        let empty = SchedulerStats { policy: "t", workers: vec![] };
+        let empty = SchedulerStats { workers: vec![] };
         assert_eq!(empty.locality(), 0.0);
     }
 }

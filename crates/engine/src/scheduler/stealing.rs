@@ -1,19 +1,22 @@
-//! The work-stealing scheduling policy.
+//! The engine's scheduler: a work-stealing dispatch loop.
 //!
 //! Layout follows the classic sharded-worker design (crossbeam-deque's
 //! intended topology, as used by rayon and noria): every worker owns a
 //! local deque; follow-up tasks produced *on* a worker are pushed to that
-//! worker's own deque and popped LIFO-of-production order (FIFO deque,
-//! stolen from the opposite end), so a chunk's consumer usually runs on the
-//! core that just materialized the chunk — cache locality the shared FIFO
-//! cannot offer. Tasks submitted from *outside* the pool (query seeding)
-//! enter a shared [`Injector`]; a second injector forms the priority lane.
+//! worker's own deque and popped oldest-first (FIFO deque; thieves take the
+//! oldest task too), so a chunk's consumer usually runs on the core that
+//! just materialized the chunk. Tasks submitted from *outside* the pool
+//! (query seeding) enter a shared [`Injector`]; a second injector forms the
+//! priority lane.
 //!
 //! Dispatch order per worker:
 //! 1. own deque (locality),
 //! 2. priority injector,
-//! 3. normal injector (batch-steal: half the batch moves to the local deque),
+//! 3. normal injector,
 //! 4. steal from sibling deques, round-robin starting after own index.
+//!
+//! Every grab — injector or sibling — takes exactly one task (see
+//! `find_task` for why nothing is moved in batches).
 //!
 //! Idle workers park on a condvar with a short timeout; every submission
 //! notifies one sleeper.
@@ -21,22 +24,24 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::FaultInjector;
 
-use super::{
-    DeferBackoff, Scheduler, SchedulerStats, SubmitTask, Task, TaskOrigin, WorkerCounters,
-    IDLE_PARK,
-};
+use super::{DeferBackoff, SchedulerStats, Task, TaskOrigin, WorkerCounters, IDLE_PARK};
 
-/// Work-stealing scheduler: per-worker deques + shared injectors.
-pub struct WorkStealing {
+/// The engine's scheduler: per-worker deques + shared injectors.
+///
+/// The executor tracks dataflow dependencies and submits a [`Task`] exactly
+/// when it becomes runnable; the scheduler decides which worker runs it when.
+/// Every submitted task runs exactly once (until [`Scheduler::shutdown`]), in
+/// arbitrary order — dependency order is the executor's responsibility.
+pub struct Scheduler {
     injector: Injector<Task>,
     high_injector: Injector<Task>,
     /// Local deques, parked here until each worker thread claims its own at
-    /// the top of [`WorkStealing::run_worker`] (the `Worker` half is
+    /// the top of [`Scheduler::run_worker`] (the `Worker` half is
     /// single-owner by design).
     locals: Mutex<Vec<Option<Worker<Task>>>>,
     stealers: Vec<Stealer<Task>>,
@@ -49,10 +54,10 @@ pub struct WorkStealing {
     faults: Option<Arc<FaultInjector>>,
 }
 
-impl WorkStealing {
+impl Scheduler {
     /// Creates the scheduler for `n_workers` worker threads.
     pub fn new(n_workers: usize) -> Self {
-        WorkStealing::with_faults(n_workers, None)
+        Scheduler::with_faults(n_workers, None)
     }
 
     /// Creates the scheduler with an optional fault injector wired into the
@@ -61,7 +66,7 @@ impl WorkStealing {
         let n = n_workers.max(1);
         let locals: Vec<Worker<Task>> = (0..n).map(|_| Worker::new_fifo()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
-        WorkStealing {
+        Scheduler {
             injector: Injector::new(),
             high_injector: Injector::new(),
             locals: Mutex::new(locals.into_iter().map(Some).collect()),
@@ -142,29 +147,10 @@ impl WorkStealing {
             && self.injector.is_empty()
             && self.stealers.iter().all(Stealer::is_empty)
     }
-}
 
-/// Context submitter bound to the executing worker: follow-ups go to the
-/// local deque.
-struct LocalSubmitter<'a> {
-    scheduler: &'a WorkStealing,
-    local: &'a Worker<Task>,
-}
-
-impl SubmitTask for LocalSubmitter<'_> {
-    fn submit_task(&self, task: Task) {
-        self.local.push(task);
-        // Another worker may be idle while this one now has >1 queued task.
-        self.scheduler.notify_one();
-    }
-}
-
-impl Scheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "work-stealing"
-    }
-
-    fn submit(&self, task: Task) -> bool {
+    /// Submits a task from outside the worker pool (query seeding). Returns
+    /// `false` when the scheduler has been shut down.
+    pub fn submit(&self, task: Task) -> bool {
         if self.shutdown.load(Ordering::Acquire) {
             return false;
         }
@@ -172,7 +158,9 @@ impl Scheduler for WorkStealing {
         true
     }
 
-    fn run_worker(&self, worker: usize) {
+    /// Runs worker `worker`'s dispatch loop until shutdown. Called exactly
+    /// once per worker index, from that worker's thread.
+    pub fn run_worker(&self, worker: usize) {
         let local = self.locals.lock()[worker]
             .take()
             .expect("run_worker called twice for the same worker index");
@@ -224,24 +212,41 @@ impl Scheduler for WorkStealing {
         }
     }
 
-    fn shutdown(&self) {
+    /// Asks all workers to exit once the queues are drained of runnable work.
+    pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.notify_all();
     }
 
-    fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            policy: self.name(),
-            workers: self.counters.iter().map(WorkerCounters::snapshot).collect(),
-        }
+    /// Snapshot of the per-worker counters.
+    pub fn stats(&self) -> SchedulerStats {
+        SchedulerStats { workers: self.counters.iter().map(WorkerCounters::snapshot).collect() }
     }
 
-    fn pending_tasks(&self) -> usize {
+    /// Number of submitted tasks not yet dispatched — the pool-pressure
+    /// signal ([`crate::controller`] reads it every tick). Approximate by
+    /// design: queues are concurrently drained while counting.
+    pub fn pending_tasks(&self) -> usize {
         // Local deques are observed through their stealer halves; workers
         // drain concurrently, so the sum is a momentary approximation.
         self.injector.len()
             + self.high_injector.len()
             + self.stealers.iter().map(Stealer::len).sum::<usize>()
+    }
+}
+
+/// Context submitter bound to the executing worker: follow-ups go to the
+/// local deque.
+pub(crate) struct LocalSubmitter<'a> {
+    scheduler: &'a Scheduler,
+    local: &'a Worker<Task>,
+}
+
+impl LocalSubmitter<'_> {
+    pub(crate) fn submit_task(&self, task: Task) {
+        self.local.push(task);
+        // Another worker may be idle while this one now has >1 queued task.
+        self.scheduler.notify_one();
     }
 }
 
@@ -256,7 +261,7 @@ mod tests {
         Arc::new(QueryHandle::new(id, priority, dop))
     }
 
-    fn run_pool(sched: &Arc<WorkStealing>, n: usize) -> Vec<std::thread::JoinHandle<()>> {
+    fn run_pool(sched: &Arc<Scheduler>, n: usize) -> Vec<std::thread::JoinHandle<()>> {
         (0..n)
             .map(|w| {
                 let sched = Arc::clone(sched);
@@ -267,7 +272,7 @@ mod tests {
 
     #[test]
     fn injected_tasks_all_execute() {
-        let sched = Arc::new(WorkStealing::new(3));
+        let sched = Arc::new(Scheduler::new(3));
         let executed = Arc::new(AtomicUsize::new(0));
         for i in 0..50 {
             let executed = Arc::clone(&executed);
@@ -289,7 +294,7 @@ mod tests {
 
     #[test]
     fn follow_ups_stay_local_and_idle_workers_steal() {
-        let sched = Arc::new(WorkStealing::new(2));
+        let sched = Arc::new(Scheduler::new(2));
         let executed = Arc::new(AtomicUsize::new(0));
         // One seed task fans out 40 follow-ups from whichever worker runs it;
         // the other worker can only get work by stealing.
@@ -320,8 +325,36 @@ mod tests {
     }
 
     #[test]
+    fn follow_up_runs_from_the_local_deque_on_a_one_worker_pool() {
+        let sched = Arc::new(Scheduler::new(1));
+        let executed = Arc::new(AtomicUsize::new(0));
+        let h = handle(1, 0, 0);
+        let ex2 = Arc::clone(&executed);
+        let h2 = Arc::clone(&h);
+        assert!(sched.submit(Task::new(Arc::clone(&h), move |ctx| {
+            let ex3 = Arc::clone(&ex2);
+            ctx.submit(Task::new(h2, move |_ctx| {
+                ex3.fetch_add(10, Ordering::AcqRel);
+            }));
+            ex2.fetch_add(1, Ordering::AcqRel);
+        })));
+        let workers = run_pool(&sched, 1);
+        while executed.load(Ordering::Acquire) < 11 {
+            std::thread::yield_now();
+        }
+        sched.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.total_injector_hits(), 1, "the seed task enters through the injector");
+        assert_eq!(stats.total_local_hits(), 1, "the follow-up is popped from the own deque");
+        assert_eq!(stats.total_steals(), 0);
+    }
+
+    #[test]
     fn priority_lane_preempts_the_normal_injector() {
-        let sched = Arc::new(WorkStealing::new(1));
+        let sched = Arc::new(Scheduler::new(1));
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
         for i in 0..3 {
             let order = Arc::clone(&order);
@@ -348,7 +381,7 @@ mod tests {
 
     #[test]
     fn dop_cap_is_never_exceeded_under_stealing() {
-        let sched = Arc::new(WorkStealing::new(3));
+        let sched = Arc::new(Scheduler::new(3));
         let h = handle(5, 0, 2);
         let executed = Arc::new(AtomicUsize::new(0));
         let concurrent = Arc::new(AtomicUsize::new(0));
@@ -357,9 +390,15 @@ mod tests {
             let executed = Arc::clone(&executed);
             let concurrent = Arc::clone(&concurrent);
             let max_seen = Arc::clone(&max_seen);
+            let pool = Arc::clone(&sched);
             sched.submit(Task::new(Arc::clone(&h), move |_ctx| {
                 let now = concurrent.fetch_add(1, Ordering::AcqRel) + 1;
                 max_seen.fetch_max(now, Ordering::AcqRel);
+                // Hold the slot until the worker left without one has been
+                // turned away at least once, so the deferral path always runs.
+                while pool.stats().total_dop_deferrals() == 0 {
+                    std::thread::yield_now();
+                }
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 concurrent.fetch_sub(1, Ordering::AcqRel);
                 executed.fetch_add(1, Ordering::AcqRel);
@@ -375,15 +414,17 @@ mod tests {
         }
         assert_eq!(executed.load(Ordering::Acquire), 12);
         assert!(max_seen.load(Ordering::Acquire) <= 2, "admitted DOP 2 was exceeded");
+        assert!(sched.stats().total_dop_deferrals() > 0, "no task was deferred at the cap");
     }
 
     #[test]
-    fn panicking_task_does_not_kill_the_worker() {
-        let sched = Arc::new(WorkStealing::new(1));
+    fn panicking_task_does_not_kill_the_worker_or_leak_its_dop_slot() {
+        let sched = Arc::new(Scheduler::new(1));
+        let h = handle(1, 0, 1); // DOP 1: a leaked slot would deadlock task 2
         let executed = Arc::new(AtomicUsize::new(0));
-        sched.submit(Task::new(handle(1, 0, 0), |_ctx| panic!("boom")));
+        sched.submit(Task::new(Arc::clone(&h), |_ctx| panic!("boom")));
         let ex = Arc::clone(&executed);
-        sched.submit(Task::new(handle(2, 0, 0), move |_ctx| {
+        sched.submit(Task::new(Arc::clone(&h), move |_ctx| {
             ex.fetch_add(1, Ordering::AcqRel);
         }));
         let workers = run_pool(&sched, 1);
@@ -394,12 +435,13 @@ mod tests {
         for w in workers {
             w.join().expect("worker survived the panicking task");
         }
+        assert_eq!(h.running(), 0, "panicking task leaked its DOP slot");
         assert_eq!(sched.stats().total_executed(), 2);
     }
 
     #[test]
     fn run_worker_twice_for_same_index_panics() {
-        let sched = Arc::new(WorkStealing::new(1));
+        let sched = Arc::new(Scheduler::new(1));
         sched.shutdown();
         sched.run_worker(0); // returns immediately: shutdown + empty
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.run_worker(0)));

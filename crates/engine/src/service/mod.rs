@@ -427,7 +427,7 @@ impl QueryService {
     }
 
     /// Opens a session whose submissions run at `priority` (`> 0` uses the
-    /// schedulers' priority lane).
+    /// scheduler's priority lane).
     pub fn connect_with_priority(&self, priority: u8) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);

@@ -28,7 +28,6 @@ use apq_engine::controller::ControllerConfig;
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{
     DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, QueryOptions, QueryOutput,
-    SchedulerPolicy,
 };
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
@@ -135,28 +134,60 @@ fn regrant_racing_query_completion_is_harmless() {
 
 #[test]
 fn regrant_during_cancellation_does_not_resurrect_the_query() {
-    for policy in SchedulerPolicy::ALL {
+    let engine =
+        Arc::new(Engine::new(EngineConfig::with_workers(2).with_controller(manual_controller())));
+    let cat = catalog(10_000);
+    let plan = Arc::new(partitioned_plan(10_000, 100, 4));
+
+    // Cancelled before submission: a re-grant between cancel and execute
+    // must not bring it back.
+    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    handle.cancel();
+    handle.set_admitted_dop(4); // the controller racing the cancel
+    let err = engine.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
+    assert_slots_drain(&handle, "cancel before submission");
+
+    // Cancelled mid-flight while a sibling thread re-grants: the query
+    // either finished first (Ok) or observed the cancel (Cancelled);
+    // nothing else, and the engine survives either way.
+    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let runner = {
+        let engine = Arc::clone(&engine);
+        let plan = Arc::clone(&plan);
+        let cat = Arc::clone(&cat);
+        let handle = Arc::clone(&handle);
+        std::thread::spawn(move || engine.execute_with_handle(&plan, &cat, handle))
+    };
+    handle.set_admitted_dop(2);
+    handle.cancel();
+    handle.set_admitted_dop(4);
+    match runner.join().unwrap() {
+        Ok(exec) => assert_eq!(exec.output, expected_sum(100)),
+        Err(err) => assert_eq!(err, EngineError::Cancelled),
+    }
+    assert_slots_drain(&handle, "cancel race");
+    let ok = engine.execute_shared(&plan, &cat).unwrap();
+    assert_eq!(ok.output, expected_sum(100), "engine unhealthy after cancel race");
+}
+
+#[test]
+fn clawback_below_running_task_count_drains_gracefully() {
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
         let engine = Arc::new(Engine::new(
-            EngineConfig::with_workers(2)
-                .with_scheduler(policy)
+            EngineConfig::with_workers(4)
+                .with_execution_mode(mode)
+                .with_morsel_rows(2_048)
                 .with_controller(manual_controller()),
         ));
-        let cat = catalog(10_000);
-        let plan = Arc::new(partitioned_plan(10_000, 100, 4));
+        let cat = catalog(100_000);
+        let plan = Arc::new(partitioned_plan(100_000, 2_000, 8));
 
-        // Cancelled before submission: a re-grant between cancel and execute
-        // must not bring it back.
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
-        handle.cancel();
-        handle.set_admitted_dop(4); // the controller racing the cancel
-        let err = engine.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap_err();
-        assert_eq!(err, EngineError::Cancelled, "{policy}");
-        assert_slots_drain(&handle, "cancel before submission");
-
-        // Cancelled mid-flight while a sibling thread re-grants: the query
-        // either finished first (Ok) or observed the cancel (Cancelled);
-        // nothing else, and the engine survives either way.
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+        // Admit wide, then claw back to 1 while (potentially many) tasks
+        // are already running. The cap is only consulted at slot
+        // acquisition, so running tasks finish and the rest trickle
+        // through one at a time — completion, not pre-emption.
+        let handle = engine.register_query(QueryOptions::with_admitted_dop(4));
         let runner = {
             let engine = Arc::clone(&engine);
             let plan = Arc::clone(&plan);
@@ -164,51 +195,11 @@ fn regrant_during_cancellation_does_not_resurrect_the_query() {
             let handle = Arc::clone(&handle);
             std::thread::spawn(move || engine.execute_with_handle(&plan, &cat, handle))
         };
-        handle.set_admitted_dop(2);
-        handle.cancel();
-        handle.set_admitted_dop(4);
-        match runner.join().unwrap() {
-            Ok(exec) => assert_eq!(exec.output, expected_sum(100), "{policy}"),
-            Err(err) => assert_eq!(err, EngineError::Cancelled, "{policy}"),
-        }
-        assert_slots_drain(&handle, "cancel race");
-        let ok = engine.execute_shared(&plan, &cat).unwrap();
-        assert_eq!(ok.output, expected_sum(100), "{policy}: engine unhealthy after cancel race");
-    }
-}
-
-#[test]
-fn clawback_below_running_task_count_drains_gracefully() {
-    for policy in SchedulerPolicy::ALL {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let engine = Arc::new(Engine::new(
-                EngineConfig::with_workers(4)
-                    .with_scheduler(policy)
-                    .with_execution_mode(mode)
-                    .with_morsel_rows(2_048)
-                    .with_controller(manual_controller()),
-            ));
-            let cat = catalog(100_000);
-            let plan = Arc::new(partitioned_plan(100_000, 2_000, 8));
-
-            // Admit wide, then claw back to 1 while (potentially many) tasks
-            // are already running. The cap is only consulted at slot
-            // acquisition, so running tasks finish and the rest trickle
-            // through one at a time — completion, not pre-emption.
-            let handle = engine.register_query(QueryOptions::with_admitted_dop(4));
-            let runner = {
-                let engine = Arc::clone(&engine);
-                let plan = Arc::clone(&plan);
-                let cat = Arc::clone(&cat);
-                let handle = Arc::clone(&handle);
-                std::thread::spawn(move || engine.execute_with_handle(&plan, &cat, handle))
-            };
-            handle.set_admitted_dop(1);
-            let exec = runner.join().unwrap().unwrap();
-            assert_eq!(exec.output, expected_sum(2_000), "{policy}/{mode}: claw-back corrupted");
-            assert_slots_drain(&handle, "claw-back");
-            assert_eq!(handle.admitted_dop(), 1, "{policy}/{mode}: claw-back lost");
-        }
+        handle.set_admitted_dop(1);
+        let exec = runner.join().unwrap().unwrap();
+        assert_eq!(exec.output, expected_sum(2_000), "{mode}: claw-back corrupted");
+        assert_slots_drain(&handle, "claw-back");
+        assert_eq!(handle.admitted_dop(), 1, "{mode}: claw-back lost");
     }
 }
 

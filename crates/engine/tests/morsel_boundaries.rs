@@ -15,7 +15,7 @@ use std::sync::Arc;
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
-use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput, SchedulerPolicy};
+use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
@@ -32,10 +32,9 @@ fn catalog(rows: usize) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-fn morsel_engine(policy: SchedulerPolicy, morsel_rows: usize) -> Engine {
+fn morsel_engine(morsel_rows: usize) -> Engine {
     Engine::new(
         EngineConfig::with_workers(3)
-            .with_scheduler(policy)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(morsel_rows),
     )
@@ -126,22 +125,17 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
     let expected = Engine::with_workers(3).execute(&plan, &cat).unwrap().output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
 
-    for policy in SchedulerPolicy::ALL {
-        for morsel_rows in [7, 13, 100, 1_000, 3_999, 4_001, 1 << 20] {
-            let engine = morsel_engine(policy, morsel_rows);
-            let exec = engine.execute(&plan, &cat).unwrap();
+    for morsel_rows in [7, 13, 100, 1_000, 3_999, 4_001, 1 << 20] {
+        let engine = morsel_engine(morsel_rows);
+        let exec = engine.execute(&plan, &cat).unwrap();
+        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+        // The fan-out covered every source row.
+        for pipeline in &exec.profile.pipelines {
             assert_eq!(
-                exec.output, expected,
-                "{policy}, morsel_rows {morsel_rows}: morsel mode diverged"
+                pipeline.n_morsels,
+                pipeline.source_rows.div_ceil(morsel_rows).max(1),
+                "morsel_rows {morsel_rows}: wrong fan-out"
             );
-            // The fan-out covered every source row.
-            for pipeline in &exec.profile.pipelines {
-                assert_eq!(
-                    pipeline.n_morsels,
-                    pipeline.source_rows.div_ceil(morsel_rows).max(1),
-                    "{policy}, morsel_rows {morsel_rows}: wrong fan-out"
-                );
-            }
         }
     }
 }
@@ -156,20 +150,18 @@ fn stream_partitions_keep_alignment_under_morsel_execution() {
     let whole = probe_over_stream_plan(rows, None);
     let expected = Engine::with_workers(3).execute(&whole, &cat).unwrap().output;
 
-    for policy in SchedulerPolicy::ALL {
-        for (cut, morsel_rows) in [(1, 100), (7, 64), (100, 77), (1_000, 512), (2_000, 4_096)] {
-            let split = probe_over_stream_plan(rows, Some(cut));
-            let engine = morsel_engine(policy, morsel_rows);
-            let out = engine.execute(&split, &cat).unwrap().output;
-            assert_eq!(
-                out, expected,
-                "{policy}: probe over stream cut at {cut} (morsels of {morsel_rows}) \
-                 redistributed rows"
-            );
-            // The unsplit plan must agree too.
-            let out = engine.execute(&whole, &cat).unwrap().output;
-            assert_eq!(out, expected, "{policy}: unsplit plan diverged under morsels");
-        }
+    for (cut, morsel_rows) in [(1, 100), (7, 64), (100, 77), (1_000, 512), (2_000, 4_096)] {
+        let split = probe_over_stream_plan(rows, Some(cut));
+        let engine = morsel_engine(morsel_rows);
+        let out = engine.execute(&split, &cat).unwrap().output;
+        assert_eq!(
+            out, expected,
+            "probe over stream cut at {cut} (morsels of {morsel_rows}) \
+             redistributed rows"
+        );
+        // The unsplit plan must agree too.
+        let out = engine.execute(&whole, &cat).unwrap().output;
+        assert_eq!(out, expected, "unsplit plan diverged under morsels");
     }
 }
 
@@ -220,48 +212,44 @@ fn position_emitters_after_in_pipeline_selections_stay_global() {
     // Sanity: positions are a strictly increasing global sequence.
     assert!(oids.windows(2).all(|w| w[0] < w[1]), "reference positions not global");
 
-    for policy in SchedulerPolicy::ALL {
-        for morsel_rows in [100, 500, 777, 4_096] {
-            let engine = morsel_engine(policy, morsel_rows);
-            let out = engine.execute(&p, &cat).unwrap().output;
-            assert_eq!(
-                out, expected,
-                "{policy}, morsel_rows {morsel_rows}: semijoin after in-pipeline select \
-                 emitted morsel-local positions"
-            );
-        }
+    for morsel_rows in [100, 500, 777, 4_096] {
+        let engine = morsel_engine(morsel_rows);
+        let out = engine.execute(&p, &cat).unwrap().output;
+        assert_eq!(
+            out, expected,
+            "morsel_rows {morsel_rows}: semijoin after in-pipeline select \
+             emitted morsel-local positions"
+        );
     }
 }
 
 #[test]
 fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let cat = catalog(10);
-    for policy in SchedulerPolicy::ALL {
-        let engine = morsel_engine(policy, 1 << 16);
-        // Input much smaller than a morsel.
-        let plan = grouped_sum_plan(10);
-        let expected = Engine::with_workers(2).execute(&plan, &cat).unwrap().output;
-        let exec = engine.execute(&plan, &cat).unwrap();
-        assert_eq!(exec.output, expected);
-        assert!(exec.profile.pipelines.iter().all(|p| p.n_morsels == 1));
+    let engine = morsel_engine(1 << 16);
+    // Input much smaller than a morsel.
+    let plan = grouped_sum_plan(10);
+    let expected = Engine::with_workers(2).execute(&plan, &cat).unwrap().output;
+    let exec = engine.execute(&plan, &cat).unwrap();
+    assert_eq!(exec.output, expected);
+    assert!(exec.profile.pipelines.iter().all(|p| p.n_morsels == 1));
 
-        // A selection that keeps nothing: empty streams still flow through.
-        let mut p = Plan::new();
-        let grp = p.add(
-            OperatorSpec::ScanColumn {
-                table: "fact".into(),
-                column: "grp".into(),
-                range: RowRange::new(0, 10),
-            },
-            vec![],
-        );
-        let none =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, -1i64) }, vec![grp]);
-        let fetched = p.add(OperatorSpec::Fetch, vec![none, grp]);
-        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Count }, vec![fetched]);
-        let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Count }, vec![agg]);
-        p.set_root(fin);
-        let expected = Engine::with_workers(2).execute(&p, &cat).unwrap().output;
-        assert_eq!(engine.execute(&p, &cat).unwrap().output, expected);
-    }
+    // A selection that keeps nothing: empty streams still flow through.
+    let mut p = Plan::new();
+    let grp = p.add(
+        OperatorSpec::ScanColumn {
+            table: "fact".into(),
+            column: "grp".into(),
+            range: RowRange::new(0, 10),
+        },
+        vec![],
+    );
+    let none =
+        p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, -1i64) }, vec![grp]);
+    let fetched = p.add(OperatorSpec::Fetch, vec![none, grp]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Count }, vec![fetched]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Count }, vec![agg]);
+    p.set_root(fin);
+    let expected = Engine::with_workers(2).execute(&p, &cat).unwrap().output;
+    assert_eq!(engine.execute(&p, &cat).unwrap().output, expected);
 }

@@ -1,6 +1,6 @@
-//! Property tests for the pluggable scheduler: under arbitrary partition
-//! counts, worker counts and scheduling policies, dataflow dependency order
-//! is never violated and results are identical across policies.
+//! Property tests for the scheduler: under arbitrary partition counts,
+//! worker counts and skews, dataflow dependency order is never violated and
+//! the result matches an independently computed reference.
 //!
 //! Dependency order is checked two ways:
 //! * structurally — the executor fails a query loudly ("scheduled before its
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::OperatorSpec;
-use apq_engine::{Engine, EngineConfig, Plan, QueryOutput, SchedulerPolicy};
+use apq_engine::{Engine, Plan, QueryOutput};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 use proptest::prelude::*;
 
@@ -101,9 +101,7 @@ proptest! {
         let cat = catalog(rows);
         let plan = partitioned_plan(rows, partitions.min(rows), threshold, skew);
         plan.validate().unwrap();
-        let engine = Engine::new(
-            EngineConfig::with_workers(workers).with_scheduler(SchedulerPolicy::WorkStealing),
-        );
+        let engine = Engine::with_workers(workers);
         let exec = engine.execute(&plan, &cat).unwrap();
         prop_assert_eq!(
             &exec.output,
@@ -122,20 +120,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Both policies agree with each other bit-for-bit on the query output.
-    #[test]
-    fn policies_agree_on_results(rows in 500usize..3_000,
-                                 partitions in 1usize..10,
-                                 threshold in 1i64..1000) {
-        let cat = catalog(rows);
-        let plan = Arc::new(partitioned_plan(rows, partitions.min(rows), threshold, 0));
-        let mut outputs = Vec::new();
-        for policy in SchedulerPolicy::ALL {
-            let engine = Engine::new(EngineConfig::with_workers(3).with_scheduler(policy));
-            outputs.push(engine.execute_shared(&plan, &cat).unwrap().output);
-        }
-        prop_assert_eq!(&outputs[0], &outputs[1]);
     }
 }

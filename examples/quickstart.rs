@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use adaptive_parallelization::adaptive::{AdaptiveConfig, AdaptiveOptimizer};
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
-use adaptive_parallelization::engine::{
-    Engine, EngineConfig, ExecutionMode, SchedulerPolicy, SharingConfig,
-};
+use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode, SharingConfig};
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
 
@@ -44,12 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = builder.scalar_agg(AggFunc::Sum, revenue);
     let serial_plan = builder.finish(total)?;
 
-    // 3. Execute it serially once. The engine's task scheduler is pluggable:
-    //    `SchedulerPolicy::GlobalQueue` (one shared FIFO, the default) or
-    //    `SchedulerPolicy::WorkStealing` (per-worker deques, local-first pop,
-    //    stealing) — results are identical, the dispatch behavior differs.
-    let engine =
-        Engine::new(EngineConfig::with_workers(8).with_scheduler(SchedulerPolicy::WorkStealing));
+    // 3. Execute it serially once. The engine's task scheduler is a
+    //    work-stealing pool: per-worker deques, local-first pop, stealing.
+    let engine = Engine::with_workers(8);
     let serial = engine.execute(&serial_plan, &catalog)?;
     println!("serial result : {}", serial.output.summary());
     println!("serial time   : {:.3} ms", serial.profile.wall_us() as f64 / 1000.0);
@@ -80,8 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = engine.scheduler_stats();
     println!();
     println!(
-        "scheduler {}: {} tasks, {:.0}% local, {} steals, {:.3} ms total queue wait",
-        stats.policy,
+        "scheduler: {} tasks, {:.0}% local, {} steals, {:.3} ms total queue wait",
         stats.total_executed(),
         stats.locality() * 100.0,
         stats.total_steals(),
@@ -95,7 +89,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    granularity (and the work-stealing locality) changes.
     let morsel_engine = Engine::new(
         EngineConfig::with_workers(8)
-            .with_scheduler(SchedulerPolicy::WorkStealing)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(64 * 1024),
     );

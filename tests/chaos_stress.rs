@@ -1,5 +1,5 @@
 //! Chaos suite: seeded fault schedules across the full execution matrix
-//! (2 scheduler policies × 2 execution modes × controller on/off).
+//! (2 execution modes × controller on/off).
 //!
 //! Every cell must satisfy the robustness contract of
 //! `docs/architecture.md` §9:
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use adaptive_parallelization::engine::{
     ControllerConfig, DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig,
-    OperatorSpec, Plan, QueryOptions, QueryOutput, SchedulerPolicy, SharingConfig,
+    OperatorSpec, Plan, QueryOptions, QueryOutput, SharingConfig,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
@@ -107,24 +107,17 @@ fn workload() -> Vec<Plan> {
     ]
 }
 
-fn engine(
-    policy: SchedulerPolicy,
-    mode: ExecutionMode,
-    controller: bool,
-    faults: FaultConfig,
-) -> Engine {
-    engine_with_sharing(policy, mode, controller, faults, false)
+fn engine(mode: ExecutionMode, controller: bool, faults: FaultConfig) -> Engine {
+    engine_with_sharing(mode, controller, faults, false)
 }
 
 fn engine_with_sharing(
-    policy: SchedulerPolicy,
     mode: ExecutionMode,
     controller: bool,
     faults: FaultConfig,
     sharing: bool,
 ) -> Engine {
     let mut config = EngineConfig::with_workers(WORKERS)
-        .with_scheduler(policy)
         .with_execution_mode(mode)
         .with_morsel_rows(MORSEL_ROWS)
         .with_faults(faults);
@@ -161,23 +154,21 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
 /// are deterministic), returning each submission's outcome. Verifies the
 /// per-cell robustness contract before returning.
 fn run_cell(
-    policy: SchedulerPolicy,
     mode: ExecutionMode,
     controller: bool,
     faults: FaultConfig,
 ) -> Vec<Result<QueryOutput, EngineError>> {
-    run_cell_with_sharing(policy, mode, controller, faults, false)
+    run_cell_with_sharing(mode, controller, faults, false)
 }
 
 fn run_cell_with_sharing(
-    policy: SchedulerPolicy,
     mode: ExecutionMode,
     controller: bool,
     faults: FaultConfig,
     sharing: bool,
 ) -> Vec<Result<QueryOutput, EngineError>> {
     let catalog = catalog();
-    let engine = engine_with_sharing(policy, mode, controller, faults, sharing);
+    let engine = engine_with_sharing(mode, controller, faults, sharing);
     let mut outcomes = Vec::new();
     let mut handles = Vec::new();
     for round in 0..2 {
@@ -200,14 +191,14 @@ fn run_cell_with_sharing(
     // returned.
     assert!(
         engine.active_queries().is_empty(),
-        "[{policy}/{mode:?}/ctl={controller}] live-query registry not drained"
+        "[{mode:?}/ctl={controller}] live-query registry not drained"
     );
     // No leaked DOP slots, successful or failed alike.
     for handle in &handles {
         assert_eq!(
             handle.running(),
             0,
-            "[{policy}/{mode:?}/ctl={controller}] query {} leaked a DOP slot",
+            "[{mode:?}/ctl={controller}] query {} leaked a DOP slot",
             handle.id()
         );
     }
@@ -224,36 +215,34 @@ fn allowed_chaos_error(err: &EngineError) -> bool {
 #[test]
 fn chaos_matrix_terminates_cleanly_and_reproduces_from_the_seed() {
     for seed in SEEDS {
-        for policy in SchedulerPolicy::ALL {
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                for controller in [false, true] {
-                    let label = format!("seed {seed} [{policy}/{mode:?}/ctl={controller}]");
-                    let (first, second) = with_watchdog(&label, move || {
-                        (
-                            run_cell(policy, mode, controller, FaultConfig::chaos(seed)),
-                            run_cell(policy, mode, controller, FaultConfig::chaos(seed)),
-                        )
-                    });
-                    assert_eq!(first.len(), second.len());
-                    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-                        match (a, b) {
-                            // Outcome-changing faults are site-keyed: the
-                            // same seed must fail the same submissions and
-                            // produce byte-identical successes. (The *kind*
-                            // of failure may differ when two injected
-                            // faults race inside one query.)
-                            (Ok(x), Ok(y)) => {
-                                assert_eq!(x, y, "{label}: submission {i} output diverged")
-                            }
-                            (Err(x), Err(y)) => {
-                                assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
-                                assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
-                            }
-                            _ => panic!(
-                                "{label}: submission {i} flipped between identical seeded runs \
-                                 ({a:?} vs {b:?})"
-                            ),
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            for controller in [false, true] {
+                let label = format!("seed {seed} [{mode:?}/ctl={controller}]");
+                let (first, second) = with_watchdog(&label, move || {
+                    (
+                        run_cell(mode, controller, FaultConfig::chaos(seed)),
+                        run_cell(mode, controller, FaultConfig::chaos(seed)),
+                    )
+                });
+                assert_eq!(first.len(), second.len());
+                for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+                    match (a, b) {
+                        // Outcome-changing faults are site-keyed: the
+                        // same seed must fail the same submissions and
+                        // produce byte-identical successes. (The *kind*
+                        // of failure may differ when two injected
+                        // faults race inside one query.)
+                        (Ok(x), Ok(y)) => {
+                            assert_eq!(x, y, "{label}: submission {i} output diverged")
                         }
+                        (Err(x), Err(y)) => {
+                            assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
+                            assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
+                        }
+                        _ => panic!(
+                            "{label}: submission {i} flipped between identical seeded runs \
+                             ({a:?} vs {b:?})"
+                        ),
                     }
                 }
             }
@@ -266,29 +255,22 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     for seed in SEEDS {
-        for policy in SchedulerPolicy::ALL {
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                // `quiet` injects nothing; `timing_only` injects delays and
-                // stalls, which stretch wall-clock but may not change any
-                // result byte.
-                for faults in [FaultConfig::quiet(seed), FaultConfig::timing_only(seed)] {
-                    let engine = engine(policy, mode, false, faults);
-                    for plan in &workload() {
-                        let expected =
-                            reference.execute(plan, &catalog).expect("reference executes").output;
-                        let got = engine
-                            .execute(plan, &catalog)
-                            .expect("fault-free seed executes")
-                            .output;
-                        assert_eq!(
-                            got, expected,
-                            "seed {seed} [{policy}/{mode:?}]: fault-free run diverged"
-                        );
-                    }
-                    let stats = engine.fault_stats();
-                    assert_eq!(stats.panics, 0, "timing-only/quiet seeds never panic");
-                    assert_eq!(stats.cancels, 0, "timing-only/quiet seeds never cancel");
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            // `quiet` injects nothing; `timing_only` injects delays and
+            // stalls, which stretch wall-clock but may not change any
+            // result byte.
+            for faults in [FaultConfig::quiet(seed), FaultConfig::timing_only(seed)] {
+                let engine = engine(mode, false, faults);
+                for plan in &workload() {
+                    let expected =
+                        reference.execute(plan, &catalog).expect("reference executes").output;
+                    let got =
+                        engine.execute(plan, &catalog).expect("fault-free seed executes").output;
+                    assert_eq!(got, expected, "seed {seed} [{mode:?}]: fault-free run diverged");
                 }
+                let stats = engine.fault_stats();
+                assert_eq!(stats.panics, 0, "timing-only/quiet seeds never panic");
+                assert_eq!(stats.cancels, 0, "timing-only/quiet seeds never cancel");
             }
         }
     }
@@ -303,30 +285,28 @@ fn chaos_matrix_with_sharing_reproduces_from_the_seed() {
     // from their scan groups without corrupting what later submissions —
     // which reuse the surviving windows and partials — return.
     for seed in SEEDS {
-        for policy in SchedulerPolicy::ALL {
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                let label = format!("seed {seed} [{policy}/{mode:?}/sharing]");
-                let (first, second) = with_watchdog(&label, move || {
-                    (
-                        run_cell_with_sharing(policy, mode, false, FaultConfig::chaos(seed), true),
-                        run_cell_with_sharing(policy, mode, false, FaultConfig::chaos(seed), true),
-                    )
-                });
-                assert_eq!(first.len(), second.len());
-                for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-                    match (a, b) {
-                        (Ok(x), Ok(y)) => {
-                            assert_eq!(x, y, "{label}: submission {i} output diverged")
-                        }
-                        (Err(x), Err(y)) => {
-                            assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
-                            assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
-                        }
-                        _ => panic!(
-                            "{label}: submission {i} flipped between identical seeded runs \
-                             ({a:?} vs {b:?})"
-                        ),
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            let label = format!("seed {seed} [{mode:?}/sharing]");
+            let (first, second) = with_watchdog(&label, move || {
+                (
+                    run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true),
+                    run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true),
+                )
+            });
+            assert_eq!(first.len(), second.len());
+            for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+                match (a, b) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!(x, y, "{label}: submission {i} output diverged")
                     }
+                    (Err(x), Err(y)) => {
+                        assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
+                        assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
+                    }
+                    _ => panic!(
+                        "{label}: submission {i} flipped between identical seeded runs \
+                         ({a:?} vs {b:?})"
+                    ),
                 }
             }
         }
@@ -347,22 +327,20 @@ fn chaos_sharing_successes_match_the_unshared_reference() {
         .map(|p| reference.execute(p, &catalog).expect("reference executes").output)
         .collect();
     for seed in SEEDS {
-        for policy in SchedulerPolicy::ALL {
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                let label = format!("seed {seed} [{policy}/{mode:?}/sharing]");
-                let outcomes = with_watchdog(&label, move || {
-                    run_cell_with_sharing(policy, mode, false, FaultConfig::chaos(seed), true)
-                });
-                for (i, outcome) in outcomes.iter().enumerate() {
-                    match outcome {
-                        Ok(output) => assert_eq!(
-                            output,
-                            &expected[i % expected.len()],
-                            "{label}: surviving submission {i} was corrupted"
-                        ),
-                        Err(err) => {
-                            assert!(allowed_chaos_error(err), "{label}: unexpected error {err}")
-                        }
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            let label = format!("seed {seed} [{mode:?}/sharing]");
+            let outcomes = with_watchdog(&label, move || {
+                run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true)
+            });
+            for (i, outcome) in outcomes.iter().enumerate() {
+                match outcome {
+                    Ok(output) => assert_eq!(
+                        output,
+                        &expected[i % expected.len()],
+                        "{label}: surviving submission {i} was corrupted"
+                    ),
+                    Err(err) => {
+                        assert!(allowed_chaos_error(err), "{label}: unexpected error {err}")
                     }
                 }
             }
@@ -401,35 +379,29 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
     // mid-flight for at least some submissions; whatever the outcome, the
     // engine must drain clean.
     let catalog = catalog();
-    for policy in SchedulerPolicy::ALL {
-        let engine =
-            engine(policy, ExecutionMode::MorselDriven, false, FaultConfig::timing_only(7));
-        let mut timed_out = 0;
-        for (i, plan) in workload().iter().cycle().take(24).enumerate() {
-            let shared = Arc::new(plan.clone());
-            let handle = engine.register_query(QueryOptions { priority: 0, admitted_dop: 0 });
-            // Sweep the deadline from "hopeless" to "comfortable".
-            handle.set_deadline(Duration::from_micros(50 * (i as u64 + 1)));
-            match engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle)) {
-                Ok(_) => {}
-                Err(EngineError::DeadlineExceeded) => {
-                    timed_out += 1;
-                    let timeouts = handle
-                        .dop_timeline()
-                        .iter()
-                        .filter(|e| e.phase == DopPhase::Timeout)
-                        .count();
-                    assert_eq!(timeouts, 1, "[{policy}]: Timeout event recorded once");
-                }
-                Err(other) => panic!("[{policy}]: unexpected error {other}"),
+    let engine = engine(ExecutionMode::MorselDriven, false, FaultConfig::timing_only(7));
+    let mut timed_out = 0;
+    for (i, plan) in workload().iter().cycle().take(24).enumerate() {
+        let shared = Arc::new(plan.clone());
+        let handle = engine.register_query(QueryOptions { priority: 0, admitted_dop: 0 });
+        // Sweep the deadline from "hopeless" to "comfortable".
+        handle.set_deadline(Duration::from_micros(50 * (i as u64 + 1)));
+        match engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle)) {
+            Ok(_) => {}
+            Err(EngineError::DeadlineExceeded) => {
+                timed_out += 1;
+                let timeouts =
+                    handle.dop_timeline().iter().filter(|e| e.phase == DopPhase::Timeout).count();
+                assert_eq!(timeouts, 1, "Timeout event recorded once");
             }
-            assert_eq!(handle.running(), 0, "[{policy}]: query {i} leaked a DOP slot");
+            Err(other) => panic!("unexpected error {other}"),
         }
-        assert!(engine.active_queries().is_empty(), "[{policy}]: registry not drained");
-        // With 50µs–1.2ms deadlines over delay-stretched queries, at least
-        // the tightest submissions must have expired.
-        assert!(timed_out > 0, "[{policy}]: deadline sweep never timed out");
+        assert_eq!(handle.running(), 0, "query {i} leaked a DOP slot");
     }
+    assert!(engine.active_queries().is_empty(), "registry not drained");
+    // With 50µs–1.2ms deadlines over delay-stretched queries, at least
+    // the tightest submissions must have expired.
+    assert!(timed_out > 0, "deadline sweep never timed out");
 }
 
 #[test]

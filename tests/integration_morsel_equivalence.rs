@@ -1,6 +1,6 @@
 //! Cross-mode equivalence: morsel-driven execution must produce
 //! byte-identical results to operator-at-a-time execution for every
-//! evaluated query, under both scheduler policies.
+//! evaluated query.
 //!
 //! This is the execution-layer analogue of `integration_correctness.rs`:
 //! plan mutation changes *what the plan looks like*, the execution mode
@@ -16,7 +16,7 @@ use std::time::Duration;
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
     ControllerConfig, Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput,
-    QueryService, SchedulerPolicy, ServiceConfig, SharingConfig,
+    QueryService, ServiceConfig, SharingConfig,
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
@@ -28,17 +28,16 @@ const WORKERS: usize = 4;
 /// Small enough that the ~12k-row sample workloads split into many morsels.
 const MORSEL_ROWS: usize = 1_000;
 
-fn morsel_engine(policy: SchedulerPolicy) -> Engine {
+fn morsel_engine() -> Engine {
     Engine::new(
         EngineConfig::with_workers(WORKERS)
-            .with_scheduler(policy)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(MORSEL_ROWS),
     )
 }
 
-/// Executes `plan` operator-at-a-time, then under morsel mode with both
-/// scheduler policies, asserting identical outputs throughout.
+/// Executes `plan` operator-at-a-time, then under morsel mode, asserting
+/// identical outputs.
 fn assert_modes_agree(
     label: &str,
     plan: &Plan,
@@ -46,23 +45,21 @@ fn assert_modes_agree(
     reference: &Engine,
 ) -> QueryOutput {
     let expected = reference.execute(plan, catalog).expect("operator-at-a-time executes").output;
-    for policy in SchedulerPolicy::ALL {
-        let engine = morsel_engine(policy);
-        let exec = engine.execute(plan, catalog).expect("morsel mode executes");
-        assert_eq!(exec.output, expected, "{label} [{policy}]: morsel mode diverged");
-        // Morsel mode really ran morsel-wise: profiles carry pipelines and
-        // every executed node is profiled exactly once.
-        assert_eq!(
-            exec.profile.operators.len(),
-            plan.node_count(),
-            "{label} [{policy}]: missing operator profiles"
-        );
-        assert_eq!(
-            exec.profile.morsels_by_worker().iter().sum::<u64>() as usize,
-            exec.profile.total_morsels(),
-            "{label} [{policy}]: per-worker morsel counters do not add up"
-        );
-    }
+    let engine = morsel_engine();
+    let exec = engine.execute(plan, catalog).expect("morsel mode executes");
+    assert_eq!(exec.output, expected, "{label}: morsel mode diverged");
+    // Morsel mode really ran morsel-wise: profiles carry pipelines and
+    // every executed node is profiled exactly once.
+    assert_eq!(
+        exec.profile.operators.len(),
+        plan.node_count(),
+        "{label}: missing operator profiles"
+    );
+    assert_eq!(
+        exec.profile.morsels_by_worker().iter().sum::<u64>() as usize,
+        exec.profile.total_morsels(),
+        "{label}: per-worker morsel counters do not add up"
+    );
     expected
 }
 
@@ -102,10 +99,9 @@ fn tpcds_serial_and_heuristic_plans_match_across_modes() {
 /// every tick with hair-trigger thresholds, so sizes really change
 /// mid-workload. The elastic-DOP lever stays off: these queries are
 /// submitted uncapped and must remain so.
-fn adaptive_engine(policy: SchedulerPolicy) -> Engine {
+fn adaptive_engine() -> Engine {
     Engine::new(
         EngineConfig::with_workers(WORKERS)
-            .with_scheduler(policy)
             .with_execution_mode(ExecutionMode::MorselDriven)
             .with_morsel_rows(MORSEL_ROWS)
             .with_controller(
@@ -121,7 +117,7 @@ fn adaptive_engine(policy: SchedulerPolicy) -> Engine {
 fn adaptive_morsel_sizing_matches_static_sizing_under_both_policies() {
     // Morsel size is a pure dispatch-granularity knob: whatever trajectory
     // the controller drives it along, results must stay byte-identical to
-    // the static configuration — under both scheduler policies.
+    // the static configuration.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
@@ -129,25 +125,23 @@ fn adaptive_morsel_sizing_matches_static_sizing_under_both_policies() {
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         for plan in [&serial, &hp] {
             let expected = reference.execute(plan, &catalog).expect("reference executes").output;
-            for policy in SchedulerPolicy::ALL {
-                let engine = adaptive_engine(policy);
-                let shared = Arc::new(plan.clone());
-                // Repeats give the controller time to move the size around;
-                // every repeat must still match the static reference.
-                for rep in 0..4 {
-                    let exec = engine.execute_shared(&shared, &catalog).expect("executes");
-                    assert_eq!(
-                        exec.output, expected,
-                        "{query} [{policy}] rep {rep}: adaptive morsel sizing diverged"
+            let engine = adaptive_engine();
+            let shared = Arc::new(plan.clone());
+            // Repeats give the controller time to move the size around;
+            // every repeat must still match the static reference.
+            for rep in 0..4 {
+                let exec = engine.execute_shared(&shared, &catalog).expect("executes");
+                assert_eq!(
+                    exec.output, expected,
+                    "{query} rep {rep}: adaptive morsel sizing diverged"
+                );
+                // Whatever size each pipeline launched with, it stayed
+                // inside the configured clamps.
+                for &size in &exec.profile.morsel_sizes() {
+                    assert!(
+                        (250..=4_000).contains(&size),
+                        "{query}: morsel size {size} escaped the clamps"
                     );
-                    // Whatever size each pipeline launched with, it stayed
-                    // inside the configured clamps.
-                    for &size in &exec.profile.morsel_sizes() {
-                        assert!(
-                            (250..=4_000).contains(&size),
-                            "{query} [{policy}]: morsel size {size} escaped the clamps"
-                        );
-                    }
                 }
             }
         }
@@ -213,8 +207,8 @@ fn if_then_else_plan(rows: usize) -> (Plan, usize) {
 #[test]
 fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
     // The newly fusible two-range-aligned-input shapes (Calc col⊗col,
-    // IfThenElse) must stay byte-identical across 2 scheduler policies × 2
-    // execution modes × controller on/off — and must actually have fused:
+    // IfThenElse) must stay byte-identical across 2 execution modes ×
+    // controller on/off — and must actually have fused:
     // the two-input stage appears inside a multi-morsel pipeline.
     let rows = 12_345; // ragged last morsel at MORSEL_ROWS = 1_000
     let catalog = two_column_catalog(rows);
@@ -225,29 +219,19 @@ fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
         [("calc col⊗col", &calc_plan, calc_node), ("ifthenelse", &ite_plan, ite_node)]
     {
         let expected = assert_modes_agree(label, plan, &catalog, &reference);
-        for policy in SchedulerPolicy::ALL {
-            // Controller off: assert the stage really fused and morsel-ran.
-            let exec = morsel_engine(policy).execute(plan, &catalog).expect("morsel executes");
-            let pipeline = exec
-                .profile
-                .pipelines
-                .iter()
-                .find(|p| p.nodes.contains(&fused_node))
-                .unwrap_or_else(|| {
-                    panic!("{label} [{policy}]: stage {fused_node} not in any pipeline")
-                });
-            assert!(
-                pipeline.n_morsels > 1,
-                "{label} [{policy}]: fused pipeline ran a single morsel"
-            );
-            // Controller on (adaptive morsel re-sizing): still identical.
-            for rep in 0..3 {
-                let exec = adaptive_engine(policy).execute(plan, &catalog).expect("executes");
-                assert_eq!(
-                    exec.output, expected,
-                    "{label} [{policy}] rep {rep}: adaptive run diverged"
-                );
-            }
+        // Controller off: assert the stage really fused and morsel-ran.
+        let exec = morsel_engine().execute(plan, &catalog).expect("morsel executes");
+        let pipeline = exec
+            .profile
+            .pipelines
+            .iter()
+            .find(|p| p.nodes.contains(&fused_node))
+            .unwrap_or_else(|| panic!("{label}: stage {fused_node} not in any pipeline"));
+        assert!(pipeline.n_morsels > 1, "{label}: fused pipeline ran a single morsel");
+        // Controller on (adaptive morsel re-sizing): still identical.
+        for rep in 0..3 {
+            let exec = adaptive_engine().execute(plan, &catalog).expect("executes");
+            assert_eq!(exec.output, expected, "{label} rep {rep}: adaptive run diverged");
         }
     }
 }
@@ -270,8 +254,8 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
     // GroupAgg now fuses as a pipeline terminal over range-aligned
     // keys/values inputs: each morsel yields a partial grouped aggregate
     // and the driver merges them in morsel order. Results must stay
-    // byte-identical to operator-at-a-time across 2 scheduler policies ×
-    // 2 execution modes × sharing on/off × controller on/off — on a row
+    // byte-identical to operator-at-a-time across 2 execution modes ×
+    // sharing on/off × controller on/off — on a row
     // count that does not divide the morsel size (ragged last morsel).
     let rows = 12_345;
     let catalog = two_column_catalog(rows);
@@ -280,48 +264,39 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
         let label = format!("groupagg {}", func.name());
         let (plan, group_node) = group_agg_plan(rows, func);
         let expected = assert_modes_agree(&label, &plan, &catalog, &reference);
-        for policy in SchedulerPolicy::ALL {
-            // The aggregate really fused and morsel-ran, and the profile
-            // says so.
-            let exec = morsel_engine(policy).execute(&plan, &catalog).expect("morsel executes");
-            let pipeline = exec
-                .profile
-                .pipelines
-                .iter()
-                .find(|p| p.nodes.contains(&group_node))
-                .unwrap_or_else(|| panic!("{label} [{policy}]: groupagg not in any pipeline"));
-            assert!(pipeline.n_morsels > 1, "{label} [{policy}]: groupagg ran a single morsel");
-            assert!(pipeline.groupagg_fused, "{label} [{policy}]: terminal flag not set");
-            assert_eq!(exec.profile.fused_groupagg_pipelines(), 1, "{label} [{policy}]");
+        // The aggregate really fused and morsel-ran, and the profile
+        // says so.
+        let exec = morsel_engine().execute(&plan, &catalog).expect("morsel executes");
+        let pipeline = exec
+            .profile
+            .pipelines
+            .iter()
+            .find(|p| p.nodes.contains(&group_node))
+            .unwrap_or_else(|| panic!("{label}: groupagg not in any pipeline"));
+        assert!(pipeline.n_morsels > 1, "{label}: groupagg ran a single morsel");
+        assert!(pipeline.groupagg_fused, "{label}: terminal flag not set");
+        assert_eq!(exec.profile.fused_groupagg_pipelines(), 1, "{label}");
 
-            // Sharing on, both modes: cold run populates the partial cache
-            // with the fused grouped terminal, the warm repeat may resume
-            // from it — either way the bytes must not move.
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                let engine = Engine::new(
-                    EngineConfig::with_workers(WORKERS)
-                        .with_scheduler(policy)
-                        .with_execution_mode(mode)
-                        .with_morsel_rows(MORSEL_ROWS)
-                        .with_sharing(SharingConfig::default()),
-                );
-                for rep in 0..2 {
-                    let exec = engine.execute(&plan, &catalog).expect("sharing run executes");
-                    assert_eq!(
-                        exec.output, expected,
-                        "{label} [{policy}/{mode:?}] rep {rep}: sharing diverged"
-                    );
-                }
+        // Sharing on, both modes: cold run populates the partial cache
+        // with the fused grouped terminal, the warm repeat may resume
+        // from it — either way the bytes must not move.
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            let engine = Engine::new(
+                EngineConfig::with_workers(WORKERS)
+                    .with_execution_mode(mode)
+                    .with_morsel_rows(MORSEL_ROWS)
+                    .with_sharing(SharingConfig::default()),
+            );
+            for rep in 0..2 {
+                let exec = engine.execute(&plan, &catalog).expect("sharing run executes");
+                assert_eq!(exec.output, expected, "{label} [{mode:?}] rep {rep}: sharing diverged");
             }
+        }
 
-            // Controller on (adaptive morsel re-sizing): still identical.
-            for rep in 0..3 {
-                let exec = adaptive_engine(policy).execute(&plan, &catalog).expect("executes");
-                assert_eq!(
-                    exec.output, expected,
-                    "{label} [{policy}] rep {rep}: adaptive run diverged"
-                );
-            }
+        // Controller on (adaptive morsel re-sizing): still identical.
+        for rep in 0..3 {
+            let exec = adaptive_engine().execute(&plan, &catalog).expect("executes");
+            assert_eq!(exec.output, expected, "{label} rep {rep}: adaptive run diverged");
         }
     }
 }
@@ -330,7 +305,7 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
 fn fused_group_agg_handles_empty_and_tiny_inputs() {
     // Empty scans still run one morsel and publish an empty grouped
     // result; single-morsel inputs take the n_morsels == 1 fast path. Both
-    // must agree with operator-at-a-time under both policies.
+    // must agree with operator-at-a-time.
     let catalog = two_column_catalog(12_345);
     let reference = Engine::with_workers(WORKERS);
     for rows in [0, 1, MORSEL_ROWS - 1, MORSEL_ROWS] {
@@ -357,13 +332,11 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
         .execute(&p, &catalog)
         .expect_err("operator-at-a-time rejects mismatched lengths")
         .to_string();
-    for policy in SchedulerPolicy::ALL {
-        let morsel_err = morsel_engine(policy)
-            .execute(&p, &catalog)
-            .expect_err("morsel mode rejects mismatched lengths")
-            .to_string();
-        assert_eq!(morsel_err, oat_err, "[{policy}]: error mismatch across modes");
-    }
+    let morsel_err = morsel_engine()
+        .execute(&p, &catalog)
+        .expect_err("morsel mode rejects mismatched lengths")
+        .to_string();
+    assert_eq!(morsel_err, oat_err, "error mismatch across modes");
 }
 
 #[test]
@@ -371,40 +344,37 @@ fn service_plan_cache_hits_match_cold_execution_across_modes_and_policies() {
     // The service layer's plan cache is a dispatch-path knob like the
     // execution mode: a warm submission re-executes through the cached
     // `Arc<Plan>` and must stay byte-identical to the cold run and to the
-    // direct-engine reference — across 2 policies × 2 execution modes.
+    // direct-engine reference — in both execution modes.
     // The result cache is disabled so the warm submission really executes.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
         let plan = query.build(&catalog).expect("serial plan builds");
         let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
-        for policy in SchedulerPolicy::ALL {
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                let service = QueryService::new(
-                    ServiceConfig::with_engine(
-                        EngineConfig::with_workers(WORKERS)
-                            .with_scheduler(policy)
-                            .with_execution_mode(mode)
-                            .with_morsel_rows(MORSEL_ROWS),
-                    )
-                    .with_result_cache_capacity(0),
-                    Arc::clone(&catalog),
-                );
-                let session = service.connect();
-                let cold = session.submit(&plan).expect("cold submission executes");
-                assert!(!cold.plan_cache_hit);
-                assert_eq!(
-                    cold.output, expected,
-                    "{query} [{policy}/{mode:?}]: service diverged from direct engine"
-                );
-                let warm = session.submit(&plan).expect("warm submission executes");
-                assert!(warm.plan_cache_hit, "{query} [{policy}/{mode:?}]: expected a hit");
-                assert!(warm.profile.is_some(), "plan-cache hits still execute");
-                assert_eq!(
-                    warm.output, expected,
-                    "{query} [{policy}/{mode:?}]: plan-cache hit changed the result"
-                );
-            }
+        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+            let service = QueryService::new(
+                ServiceConfig::with_engine(
+                    EngineConfig::with_workers(WORKERS)
+                        .with_execution_mode(mode)
+                        .with_morsel_rows(MORSEL_ROWS),
+                )
+                .with_result_cache_capacity(0),
+                Arc::clone(&catalog),
+            );
+            let session = service.connect();
+            let cold = session.submit(&plan).expect("cold submission executes");
+            assert!(!cold.plan_cache_hit);
+            assert_eq!(
+                cold.output, expected,
+                "{query} [{mode:?}]: service diverged from direct engine"
+            );
+            let warm = session.submit(&plan).expect("warm submission executes");
+            assert!(warm.plan_cache_hit, "{query} [{mode:?}]: expected a hit");
+            assert!(warm.profile.is_some(), "plan-cache hits still execute");
+            assert_eq!(
+                warm.output, expected,
+                "{query} [{mode:?}]: plan-cache hit changed the result"
+            );
         }
     }
 }
@@ -414,7 +384,7 @@ fn shared_scans_stay_byte_identical_across_policies_and_modes() {
     // Work sharing (shared scan-group windows + partial-aggregate reuse)
     // is a who-does-the-work knob, never a what-comes-out knob: with
     // sharing enabled, every workload query must stay byte-identical to
-    // the unshared reference under 2 policies × 2 execution modes — on a
+    // the unshared reference in both execution modes — on a
     // cold engine AND on a warm one whose groups/partials are populated
     // from earlier submissions. Profile-shape assertions are deliberately
     // absent: a warm repeat may resume from a cached partial and legally
@@ -426,22 +396,19 @@ fn shared_scans_stay_byte_identical_across_policies_and_modes() {
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         for (label, plan) in [("serial", &serial), ("HP", &hp)] {
             let expected = reference.execute(plan, &catalog).expect("reference executes").output;
-            for policy in SchedulerPolicy::ALL {
-                for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                    let engine = Engine::new(
-                        EngineConfig::with_workers(WORKERS)
-                            .with_scheduler(policy)
-                            .with_execution_mode(mode)
-                            .with_morsel_rows(MORSEL_ROWS)
-                            .with_sharing(SharingConfig::default()),
+            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+                let engine = Engine::new(
+                    EngineConfig::with_workers(WORKERS)
+                        .with_execution_mode(mode)
+                        .with_morsel_rows(MORSEL_ROWS)
+                        .with_sharing(SharingConfig::default()),
+                );
+                for rep in 0..2 {
+                    let exec = engine.execute(plan, &catalog).expect("sharing run executes");
+                    assert_eq!(
+                        exec.output, expected,
+                        "{query} {label} [{mode:?}] rep {rep}: sharing diverged"
                     );
-                    for rep in 0..2 {
-                        let exec = engine.execute(plan, &catalog).expect("sharing run executes");
-                        assert_eq!(
-                            exec.output, expected,
-                            "{query} {label} [{policy}/{mode:?}] rep {rep}: sharing diverged"
-                        );
-                    }
                 }
             }
         }
@@ -454,7 +421,7 @@ fn morsel_mode_is_deterministic_across_repeats() {
     // whose pipelines see heavy inter-worker stealing.
     let catalog = tpch::generate(TpchScale::new(0.002), 99);
     let serial = TpchQuery::Q14.build(&catalog).expect("Q14 builds");
-    let engine = morsel_engine(SchedulerPolicy::WorkStealing);
+    let engine = morsel_engine();
     let plan = Arc::new(serial);
     let first = engine.execute_shared(&plan, &catalog).expect("executes").output;
     for _ in 0..5 {

@@ -1,19 +1,17 @@
-//! Cross-policy scheduler stress: N concurrent clients execute a mixed plan
-//! pool under every scheduling policy; every query's output must be
-//! byte-identical across policies, and the queue-wait signal must appear in
-//! the profiles whenever the pool is oversubscribed.
+//! Scheduler stress: N concurrent clients execute a mixed plan pool; every
+//! query's output must be byte-identical to the same plan run alone on one
+//! worker, and the queue-wait signal must appear in the profiles whenever
+//! the pool is oversubscribed.
 //!
-//! This is the correctness obligation of the pluggable scheduler subsystem:
-//! policies may reorder arbitrarily (local-first pop, stealing, priority
-//! lanes, DOP throttling), but dependency order — and therefore the result —
+//! This is the correctness obligation of the scheduler subsystem: dispatch
+//! may reorder arbitrarily (local-first pop, stealing, priority lanes, DOP
+//! throttling), but dependency order — and therefore the result —
 //! is enforced by the executor's dataflow counters, never by queue order.
 
 use std::sync::Arc;
 
 use adaptive_parallelization::baselines::{heuristic_parallelize, AdmissionController};
-use adaptive_parallelization::engine::{
-    Engine, EngineConfig, QueryOptions, QueryOutput, SchedulerPolicy,
-};
+use adaptive_parallelization::engine::{Engine, QueryOptions, QueryOutput};
 use adaptive_parallelization::workloads::micro::{join_sweep, select_sweep, skewed};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -40,43 +38,42 @@ fn concurrent_queries_produce_identical_outputs_under_every_policy() {
     let n_clients = 6;
     let rounds = 3;
 
-    let mut outputs_by_policy: Vec<Vec<QueryOutput>> = Vec::new();
-    for policy in SchedulerPolicy::ALL {
-        let engine = Arc::new(Engine::new(EngineConfig::with_workers(3).with_scheduler(policy)));
-        let mut clients = Vec::new();
-        for client in 0..n_clients {
-            let engine = Arc::clone(&engine);
-            let catalog = Arc::clone(&catalog);
-            let plans = plans.clone();
-            clients.push(std::thread::spawn(move || {
-                let mut outs = Vec::new();
-                for round in 0..rounds {
-                    // Deterministic interleaving-independent assignment.
-                    let plan = &plans[(client * rounds + round) % plans.len()];
-                    outs.push(
-                        engine
-                            .execute_shared(plan, &catalog)
-                            .expect("stress query executes")
-                            .output,
-                    );
-                }
-                outs
-            }));
-        }
-        let outputs: Vec<QueryOutput> =
-            clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect();
-        // Every task dispatched exactly once: the scheduler executed all the
-        // operators that all the queries produced.
-        assert!(engine.scheduler_stats().total_executed() > 0);
-        outputs_by_policy.push(outputs);
-    }
+    // Reference: every plan alone on a one-worker engine, where nothing can
+    // be stolen or run concurrently.
+    let solo = Engine::with_workers(1);
+    let reference: Vec<QueryOutput> = plans
+        .iter()
+        .map(|plan| solo.execute_shared(plan, &catalog).expect("reference executes").output)
+        .collect();
 
-    let [global, stealing] = &outputs_by_policy[..] else {
-        panic!("expected exactly two policies")
-    };
-    assert_eq!(global.len(), stealing.len());
-    for (i, (g, s)) in global.iter().zip(stealing).enumerate() {
-        assert_eq!(g, s, "query {i}: outputs diverged between scheduling policies");
+    let engine = Arc::new(Engine::with_workers(3));
+    let mut clients = Vec::new();
+    for client in 0..n_clients {
+        let engine = Arc::clone(&engine);
+        let catalog = Arc::clone(&catalog);
+        let plans = plans.clone();
+        clients.push(std::thread::spawn(move || {
+            let mut outs = Vec::new();
+            for round in 0..rounds {
+                // Deterministic interleaving-independent assignment.
+                let plan = &plans[(client * rounds + round) % plans.len()];
+                outs.push(
+                    engine.execute_shared(plan, &catalog).expect("stress query executes").output,
+                );
+            }
+            outs
+        }));
+    }
+    let outputs: Vec<QueryOutput> =
+        clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect();
+    // Every task dispatched exactly once: the scheduler executed all the
+    // operators that all the queries produced.
+    assert!(engine.scheduler_stats().total_executed() > 0);
+
+    assert_eq!(outputs.len(), n_clients * rounds);
+    for (i, out) in outputs.iter().enumerate() {
+        // Client-major order, the same `client * rounds + round` as above.
+        assert_eq!(out, &reference[i % plans.len()], "query {i}: concurrent output diverged");
     }
 }
 
@@ -85,26 +82,21 @@ fn oversubscribed_pool_records_queue_wait_under_every_policy() {
     let catalog = select_sweep::catalog(60_000, 7);
     let plan = select_sweep::plan(&catalog, 40).expect("plan builds");
     let parallel = Arc::new(heuristic_parallelize(&plan, &catalog, 8).expect("HP rewrite"));
-    for policy in SchedulerPolicy::ALL {
-        // 8 partitions on 2 workers: ready tasks must queue.
-        let engine = Engine::new(EngineConfig::with_workers(2).with_scheduler(policy));
-        let exec = engine.execute_shared(&parallel, &catalog).expect("executes");
-        assert!(
-            exec.profile.total_queue_wait_us() > 0,
-            "{policy}: oversubscribed plan recorded no queue wait"
-        );
-        let share = exec.profile.queue_wait_share();
-        assert!((0.0..=1.0).contains(&share), "{policy}: wait share {share} out of range");
-        let stats = engine.scheduler_stats();
-        assert_eq!(stats.total_executed() as usize, exec.profile.operators.len());
-        assert_eq!(stats.total_queue_wait_us(), exec.profile.total_queue_wait_us());
-    }
+    // 8 partitions on 2 workers: ready tasks must queue.
+    let engine = Engine::with_workers(2);
+    let exec = engine.execute_shared(&parallel, &catalog).expect("executes");
+    assert!(exec.profile.total_queue_wait_us() > 0, "oversubscribed plan recorded no queue wait");
+    let share = exec.profile.queue_wait_share();
+    assert!((0.0..=1.0).contains(&share), "wait share {share} out of range");
+    let stats = engine.scheduler_stats();
+    assert_eq!(stats.total_executed() as usize, exec.profile.operators.len());
+    assert_eq!(stats.total_queue_wait_us(), exec.profile.total_queue_wait_us());
 }
 
 #[test]
 fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
     // Heterogeneous pressure: a skewed select, a join plan and an admission-
-    // throttled query run concurrently under the work-stealing policy.
+    // throttled query run concurrently.
     let skew_cat = skewed::catalog(100_000, 5);
     let skew_plan = Arc::new(
         heuristic_parallelize(&skewed::plan(&skew_cat, 2).expect("builds"), &skew_cat, 6)
@@ -113,9 +105,7 @@ fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
     let join_cat = join_sweep::catalog(50_000, 256, 9);
     let join_plan = Arc::new(join_sweep::plan(&join_cat).expect("builds"));
 
-    let engine = Arc::new(Engine::new(
-        EngineConfig::with_workers(3).with_scheduler(SchedulerPolicy::WorkStealing),
-    ));
+    let engine = Arc::new(Engine::with_workers(3));
     let skew_expected = engine.execute_shared(&skew_plan, &skew_cat).expect("skew").output;
     let join_expected = engine.execute_shared(&join_plan, &join_cat).expect("join").output;
 
@@ -164,17 +154,15 @@ fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
 fn admission_as_scheduler_policy_matches_plan_rewriting_results() {
     let catalog = tpch::generate(TpchScale::new(0.002), 17);
     let serial = TpchQuery::Q6.build(&catalog).expect("Q6 builds");
-    for policy in SchedulerPolicy::ALL {
-        let engine = Engine::new(EngineConfig::with_workers(4).with_scheduler(policy));
-        let expected = engine.execute(&serial, &catalog).expect("serial").output;
-        let parallel = Arc::new(heuristic_parallelize(&serial, &catalog, 4).expect("HP"));
-        let ctrl = AdmissionController::new(4);
-        // Old mechanism: DOP baked into the plan.
-        let (rewritten, _ticket) = ctrl.plan_for(&serial, &catalog).expect("plan_for");
-        let rewritten_out = engine.execute(&rewritten, &catalog).expect("rewritten").output;
-        // New mechanism: DOP enforced by the scheduler.
-        let (exec, _dop) = ctrl.execute_admitted(&engine, &parallel, &catalog).expect("admitted");
-        assert_eq!(rewritten_out, expected, "{policy}: rewritten plan diverged");
-        assert_eq!(exec.output, expected, "{policy}: scheduler-throttled plan diverged");
-    }
+    let engine = Engine::with_workers(4);
+    let expected = engine.execute(&serial, &catalog).expect("serial").output;
+    let parallel = Arc::new(heuristic_parallelize(&serial, &catalog, 4).expect("HP"));
+    let ctrl = AdmissionController::new(4);
+    // Old mechanism: DOP baked into the plan.
+    let (rewritten, _ticket) = ctrl.plan_for(&serial, &catalog).expect("plan_for");
+    let rewritten_out = engine.execute(&rewritten, &catalog).expect("rewritten").output;
+    // New mechanism: DOP enforced by the scheduler.
+    let (exec, _dop) = ctrl.execute_admitted(&engine, &parallel, &catalog).expect("admitted");
+    assert_eq!(rewritten_out, expected, "rewritten plan diverged");
+    assert_eq!(exec.output, expected, "scheduler-throttled plan diverged");
 }

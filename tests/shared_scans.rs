@@ -7,8 +7,7 @@
 //!   roughly one private pass; every other morsel is served from the scan
 //!   group's published windows (`ServiceStats::morsels_shared`),
 //! * **byte-identical** — sharing changes who executes scan work, never
-//!   what a query returns, across both scheduler policies and both
-//!   execution modes,
+//!   what a query returns, in either execution mode,
 //! * **invalidation flushes** — per-table invalidation drops cached
 //!   partials alongside cached results,
 //! * **cost-aware caching** — executions cheaper than
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 use adaptive_parallelization::engine::{
     Engine, EngineConfig, EngineError, ExecutionMode, OperatorSpec, Plan, QueryService,
-    SchedulerPolicy, ServiceConfig,
+    ServiceConfig,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
@@ -68,15 +67,10 @@ fn scaled_sum(k: i64) -> Plan {
     p
 }
 
-fn sharing_service(
-    policy: SchedulerPolicy,
-    mode: ExecutionMode,
-    catalog: &Arc<Catalog>,
-) -> QueryService {
+fn sharing_service(mode: ExecutionMode, catalog: &Arc<Catalog>) -> QueryService {
     QueryService::new(
         ServiceConfig::with_engine(
             EngineConfig::with_workers(WORKERS)
-                .with_scheduler(policy)
                 .with_execution_mode(mode)
                 .with_morsel_rows(MORSEL_ROWS),
         )
@@ -95,56 +89,52 @@ fn sixteen_sessions_cost_one_table_pass() {
     // served from shared windows — with byte-identical outputs.
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
-    for policy in SchedulerPolicy::ALL {
-        let service = sharing_service(policy, ExecutionMode::MorselDriven, &catalog);
-        for k in 1..=16i64 {
-            let plan = scaled_sum(k);
-            let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
-            let session = service.connect();
-            let response = session.submit(&plan).expect("sharing submission executes");
-            assert_eq!(response.output, expected, "[{policy}] k={k}: sharing changed the result");
-            if k > 1 {
-                // Every member after the first is fully served from the
-                // group's published windows.
-                let profile = response.profile.expect("executions carry a profile");
-                assert!(
-                    profile.total_shared_morsels() > 0,
-                    "[{policy}] k={k}: expected shared morsels in the profile"
-                );
-            }
+    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
+    for k in 1..=16i64 {
+        let plan = scaled_sum(k);
+        let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
+        let session = service.connect();
+        let response = session.submit(&plan).expect("sharing submission executes");
+        assert_eq!(response.output, expected, "k={k}: sharing changed the result");
+        if k > 1 {
+            // Every member after the first is fully served from the
+            // group's published windows.
+            let profile = response.profile.expect("executions carry a profile");
+            assert!(
+                profile.total_shared_morsels() > 0,
+                "k={k}: expected shared morsels in the profile"
+            );
         }
-        let stats = service.stats();
-        assert_eq!(stats.scan_groups, 1, "[{policy}]: one scanned column, one group");
-        assert!(stats.morsels_private > 0 || stats.morsels_shared > 0);
-        // One private pass (the first session), fifteen shared passes.
-        assert_eq!(
-            stats.morsels_shared,
-            15 * stats.morsels_private,
-            "[{policy}]: expected 15 shared passes per private pass \
-             (shared {}, private {})",
-            stats.morsels_shared,
-            stats.morsels_private
-        );
     }
+    let stats = service.stats();
+    assert_eq!(stats.scan_groups, 1, "one scanned column, one group");
+    assert!(stats.morsels_private > 0 || stats.morsels_shared > 0);
+    // One private pass (the first session), fifteen shared passes.
+    assert_eq!(
+        stats.morsels_shared,
+        15 * stats.morsels_private,
+        "expected 15 shared passes per private pass \
+         (shared {}, private {})",
+        stats.morsels_shared,
+        stats.morsels_private
+    );
 }
 
 #[test]
 fn sharing_is_byte_identical_across_policies_and_modes() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
-    for policy in SchedulerPolicy::ALL {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let service = sharing_service(policy, mode, &catalog);
-            for k in [1, 3, 5] {
-                let plan = scaled_sum(k);
-                let expected = reference.execute(&plan, &catalog).expect("reference").output;
-                // Twice: the repeat exercises window reuse AND whole-query
-                // partial-aggregate reuse (identical signature).
-                for rep in 0..2 {
-                    let session = service.connect();
-                    let got = session.submit(&plan).expect("executes").output;
-                    assert_eq!(got, expected, "[{policy}/{mode:?}] k={k} rep {rep}: diverged");
-                }
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let service = sharing_service(mode, &catalog);
+        for k in [1, 3, 5] {
+            let plan = scaled_sum(k);
+            let expected = reference.execute(&plan, &catalog).expect("reference").output;
+            // Twice: the repeat exercises window reuse AND whole-query
+            // partial-aggregate reuse (identical signature).
+            for rep in 0..2 {
+                let session = service.connect();
+                let got = session.submit(&plan).expect("executes").output;
+                assert_eq!(got, expected, "[{mode:?}] k={k} rep {rep}: diverged");
             }
         }
     }
@@ -153,8 +143,7 @@ fn sharing_is_byte_identical_across_policies_and_modes() {
 #[test]
 fn repeated_aggregates_resume_from_cached_partials() {
     let catalog = catalog();
-    let service =
-        sharing_service(SchedulerPolicy::WorkStealing, ExecutionMode::MorselDriven, &catalog);
+    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
     let plan = scaled_sum(7);
     let session = service.connect();
     let first = session.submit(&plan).expect("cold run executes").output;
@@ -182,8 +171,7 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
             .unwrap(),
     );
     let catalog = Arc::new(c);
-    let service =
-        sharing_service(SchedulerPolicy::WorkStealing, ExecutionMode::MorselDriven, &catalog);
+    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
     let mut p = Plan::new();
     let k = p.add(
         OperatorSpec::ScanColumn {
@@ -224,8 +212,7 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
 #[test]
 fn per_table_invalidation_flushes_partials_and_windows() {
     let catalog = catalog();
-    let service =
-        sharing_service(SchedulerPolicy::GlobalQueue, ExecutionMode::MorselDriven, &catalog);
+    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
     let plan = scaled_sum(7);
     let session = service.connect();
     let expected = session.submit(&plan).expect("cold run executes").output;
@@ -250,8 +237,7 @@ fn cancellation_and_deadlines_leave_the_group_healthy() {
     // stalling or poisoning the group: the next member still executes and
     // still shares.
     let catalog = catalog();
-    let service =
-        sharing_service(SchedulerPolicy::WorkStealing, ExecutionMode::MorselDriven, &catalog);
+    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
     let plan = scaled_sum(3);
     let session = service.connect();
     session.submit(&plan).expect("seed the scan group");
