@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use apq_baselines::heuristic_parallelize;
-use apq_engine::{ControllerConfig, Engine, EngineConfig, ExecutionMode, SharingConfig};
+use apq_engine::{ControllerConfig, Engine, EngineConfig, ExecutionMode};
 use apq_workloads::tpch::{self, queries::q14, TpchScale};
 
 use crate::common::{adaptive, engine};
@@ -169,40 +169,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
         ]);
     }
 
-    // Work-sharing competitor rows: the same heuristic Q14 plan submitted
-    // four times back-to-back per cell (sharing on/off, fresh morsel engine
-    // per cell). With sharing on, repeats reuse the first run's scan-group
-    // windows and aggregate partials; outputs are asserted identical to the
-    // unshared execution either way.
-    let mut sharing_rows = ExperimentTable::new(
-        "Figures 19/20 (shared scans)",
-        "heuristic Q14 ×4 per cell, by work-sharing toggle",
-        &["sharing", "queries", "morsels_shared", "morsels_private", "partials_reused"],
-    );
-    const SHARING_REPEATS: usize = 4;
-    for sharing in [false, true] {
-        let mut config = EngineConfig::with_workers(workers)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(cfg.morsel_rows);
-        if sharing {
-            config = config.with_sharing(SharingConfig::default());
-        }
-        let probe = Engine::new(config);
-        for _ in 0..SHARING_REPEATS {
-            let exec = probe.execute_shared(&hp_shared, &catalog).expect("HP executes");
-            assert_eq!(exec.output, hp_exec.output, "sharing={sharing}: shared execution diverged");
-        }
-        let stats = probe.sharing_stats();
-        sharing_rows.row(vec![
-            if sharing { "on" } else { "off" }.to_string(),
-            SHARING_REPEATS.to_string(),
-            stats.morsels_shared.to_string(),
-            stats.morsels_private.to_string(),
-            stats.partials_reused.to_string(),
-        ]);
-    }
-
-    vec![metrics, ap_trace, hp_trace, counters, morsel_counters, sharing_rows]
+    vec![metrics, ap_trace, hp_trace, counters, morsel_counters]
 }
 
 #[cfg(test)]
@@ -213,7 +180,7 @@ mod tests {
     fn produces_metrics_two_traces_and_scheduler_counters() {
         let cfg = ExperimentConfig::smoke();
         let tables = run(&cfg);
-        assert_eq!(tables.len(), 6);
+        assert_eq!(tables.len(), 5);
         // Two plans × (operator-at-a-time, morsel, morsel + controller).
         assert_eq!(tables[0].len(), 6);
         // The controller rows really ran morsel-wise too.
@@ -243,19 +210,5 @@ mod tests {
         assert_eq!(morsel_counters.len(), cfg.workers);
         let morsels: u64 = morsel_counters.rows.iter().map(|r| r[2].parse::<u64>().unwrap()).sum();
         assert_eq!(morsels, hp_morsels as u64, "morsel fan-out differed between probes");
-        // Shared-scan rows: sharing on/off. With sharing off nothing is
-        // ever shared or reused; with sharing on the ×4 repeats must have
-        // hit group windows and/or cached partials.
-        let sharing_rows = &tables[5];
-        assert_eq!(sharing_rows.len(), 2);
-        for row in &sharing_rows.rows {
-            let shared: u64 = row[2].parse().unwrap();
-            let reused: u64 = row[4].parse().unwrap();
-            if row[0] == "off" {
-                assert_eq!(shared + reused, 0, "sharing-off row shared work");
-            } else {
-                assert!(shared + reused > 0, "sharing-on repeats shared nothing");
-            }
-        }
     }
 }

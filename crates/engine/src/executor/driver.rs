@@ -37,7 +37,6 @@ use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, PipelineSource, Step
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
-use crate::sharing::SharedScan;
 
 /// Step-graph state of one query execution, shared by all of its tasks.
 struct Driver {
@@ -52,33 +51,6 @@ struct Driver {
     /// Engine-default morsel size; each pipeline launch may override it
     /// with the query's live hint (see [`FusedRun::morsel_rows`]).
     morsel_rows: usize,
-    /// Per-step partial-aggregate cache key; `Some` only for steps whose
-    /// terminal is a cacheable aggregate and sharing is enabled.
-    partial_keys: Vec<Option<PartialKey>>,
-    /// Steps satisfied by a cached partial (or feeding only such steps);
-    /// they are never launched, their terminal chunk is seeded instead.
-    skipped: Vec<bool>,
-}
-
-/// Cache key of a step's partial-aggregate entry ([`crate::sharing`]): the
-/// terminal's structural signature plus the base tables its subtree reads
-/// (the per-table invalidation handle).
-#[derive(Clone)]
-struct PartialKey {
-    signature: String,
-    tables: Vec<String>,
-}
-
-impl Driver {
-    /// Keeps a step's aggregate output warm for the next query of the same
-    /// shape ([`crate::sharing`] partial-aggregate reuse). `grid` is the
-    /// morsel size the chunk was merged over; 0 for whole-node execution.
-    fn store_partial(&self, step: usize, grid: usize, chunk: &Chunk) {
-        if let (Some(registry), Some(key)) = (&self.run.sharing, &self.partial_keys[step]) {
-            let tables = key.tables.clone();
-            registry.partial_put(&self.run.catalog, grid, &key.signature, tables, chunk.clone());
-        }
-    }
 }
 
 /// Executes a validated plan: plans it into steps, seeds the runnable ones
@@ -95,85 +67,16 @@ pub(super) fn execute(
     let morsel_rows = engine.config.morsel_rows.max(1);
     let run = RunContext::new(engine, plan, catalog, handle, concurrent_peers);
 
-    // Partial-aggregate reuse ([`crate::sharing`]): before anything is
-    // launched, probe the registry for cached terminal chunks of
-    // aggregate-terminated steps. A hit satisfies the whole step — its
-    // terminal chunk is published into the result slot (no task exists yet
-    // that could observe it half-way) instead of being recomputed.
-    let grid = run.handle.morsel_rows_hint().unwrap_or(morsel_rows).max(1);
-    let mut skipped = vec![false; n_steps];
-    let mut partial_keys: Vec<Option<PartialKey>> = vec![None; n_steps];
-    if let Some(registry) = &run.sharing {
-        for (idx, step) in graph.steps.iter().enumerate() {
-            // A fused pipeline's terminal chunk is the exchange-union merge
-            // over its morsel grid, so the cache key carries the grid;
-            // single steps execute whole (grid 0).
-            let (terminal, step_grid) = match step {
-                Step::Single(node) => (*node, 0),
-                Step::Fused(p) => (p.terminal(), grid),
-            };
-            let spec = &plan.node(terminal)?.spec;
-            if !matches!(spec, OperatorSpec::ScalarAgg { .. } | OperatorSpec::GroupAgg { .. }) {
-                continue;
-            }
-            let signature = plan.subtree_signature(terminal)?;
-            let tables = plan.subtree_tables(terminal)?;
-            if let Some(chunk) = registry.partial_get(catalog, step_grid, &signature) {
-                skipped[idx] = true;
-                let _ = run.results[terminal].set(chunk);
-            }
-            partial_keys[idx] = Some(PartialKey { signature, tables });
-        }
-    }
-
-    let mut deps = graph.deps.clone();
-    if skipped.contains(&true) {
-        // Transitively skip steps whose entire consumer set is skipped —
-        // their published output would feed only work that never runs. A
-        // fixpoint loop, not a single reverse sweep: step indices are not
-        // topologically ordered.
-        loop {
-            let mut changed = false;
-            for idx in 0..n_steps {
-                if !skipped[idx]
-                    && !graph.out_edges[idx].is_empty()
-                    && graph.out_edges[idx].iter().all(|&(c, _)| skipped[c])
-                {
-                    skipped[idx] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Remove skipped producers' edges from the dependency counts so
-        // live consumers do not wait on steps that will never run.
-        for (idx, _) in skipped.iter().enumerate().filter(|(_, &skip)| skip) {
-            for &(consumer, edges) in &graph.out_edges[idx] {
-                deps[consumer] -= edges;
-            }
-        }
-    }
-    let live_steps = skipped.iter().filter(|&&s| !s).count();
-
     let state = Arc::new(Driver {
         run,
-        step_deps: deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
+        step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
         fused_runs: (0..n_steps).map(|_| OnceLock::new()).collect(),
-        remaining: AtomicUsize::new(live_steps),
+        remaining: AtomicUsize::new(n_steps),
         morsel_rows,
-        partial_keys,
-        skipped,
         graph,
     });
 
-    if live_steps == 0 {
-        // Every step was satisfied from the partial cache (the root's
-        // terminal chunk included): nothing to schedule.
-        state.run.finish();
-    }
-    // Seed every live step with no remaining cross-step dependencies.
+    // Seed every step with no remaining cross-step dependencies.
     // Seeding consults the *static* (pre-launch) dependency counts, not the
     // atomic counters: workers already run seeded steps concurrently with
     // this loop and may drive another step's counter to zero before the
@@ -188,8 +91,8 @@ pub(super) fn execute(
         }
         accepted
     };
-    for (step, &n_deps) in deps.iter().enumerate() {
-        if n_deps == 0 && !state.skipped[step] && !launch_step(&state, step, &submit) {
+    for (step, &n_deps) in state.graph.deps.iter().enumerate() {
+        if n_deps == 0 && !launch_step(&state, step, &submit) {
             // A refused submission is a failure like any other: tasks
             // already handed over are drained by the common tail.
             state.run.fail(EngineError::EngineShutDown);
@@ -225,39 +128,26 @@ struct FusedRun {
     queue_wait_us: AtomicU64,
     /// Offset since query start when the pipeline became runnable.
     start_us: u64,
-    /// Shared-scan membership for the pipeline's lifetime (scan-source
-    /// pipelines with sharing on); dropping it detaches from the group.
-    shared: Option<SharedScan>,
-    /// Morsels of this pipeline served from the group's published windows.
-    morsels_shared: AtomicU64,
 }
 
 impl FusedRun {
     /// Resolves a runnable pipeline's source geometry and morsel fan-out.
     fn open(state: &Driver, pipeline: &Pipeline) -> Result<FusedRun> {
         let run = &state.run;
-        let (source_rows, scan_start, sliceable, shared) = match pipeline.source {
+        let (source_rows, scan_start, sliceable) = match pipeline.source {
             PipelineSource::Scan { node } => {
                 let (table, column, range) = scan_source(&run.plan, node)?;
                 let len = run.catalog.table(table)?.column(column)?.len();
                 let end = range.end.min(len);
                 let start = range.start.min(end);
-                // Attach to the table's scan group for the pipeline's
-                // lifetime; the `FusedRun` holds the membership and every
-                // morsel produces-or-reuses through it.
-                let shared = run
-                    .sharing
-                    .as_ref()
-                    .filter(|_| pipeline.shareable)
-                    .map(|reg| reg.attach(&run.catalog, table, column));
-                (end - start, start, true, shared)
+                (end - start, start, true)
             }
             PipelineSource::Chunk { producer } => {
                 let chunk = run.input(pipeline.stages[0], producer)?;
                 // Non-positional chunks (hash tables, scalars, partials)
                 // cannot be sliced; the pipeline still runs, as a single
                 // morsel covering the whole input.
-                (chunk.rows(), 0, is_positional(chunk), None)
+                (chunk.rows(), 0, is_positional(chunk))
             }
         };
         // Morsel size is resolved per pipeline launch: the adaptive
@@ -281,8 +171,6 @@ impl FusedRun {
             morsels_by_worker: counters(run.n_workers),
             queue_wait_us: AtomicU64::new(0),
             start_us: run.started.elapsed().as_micros() as u64,
-            shared,
-            morsels_shared: AtomicU64::new(0),
         })
     }
 
@@ -352,9 +240,6 @@ fn run_single_step(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, node:
     if let Err(e) = state.run.execute_and_publish(ctx, node, inject_panic) {
         return state.run.fail(e);
     }
-    if let Some(chunk) = state.run.result(node) {
-        state.store_partial(step, 0, chunk);
-    }
     complete_step(&state, ctx, step);
 }
 
@@ -413,21 +298,7 @@ fn stream_morsel(
                 range: RowRange::new(lo, hi),
             };
             let started = Instant::now();
-            let execute = |inject| guarded_execute(node, &sub, &[], &ctx.catalog, inject);
-            // Produce-or-reuse through the scan group: the first member to
-            // need this window executes the slice and publishes it; everyone
-            // else (late attachers circling back for the prefix included)
-            // reuses the published chunk. Fault-injected morsels bypass the
-            // group — an injected panic must fail this query, never poison
-            // (or be masked by) a window other members reuse.
-            let (chunk, shared) = match &run.shared {
-                Some(scan) if !inject_panic => scan.window(lo, hi, || execute(false))?,
-                _ => (execute(inject_panic)?, false),
-            };
-            if shared {
-                run.morsels_shared.fetch_add(1, Ordering::Relaxed);
-            }
-            ctx.handle.record_morsel(shared);
+            let chunk = guarded_execute(node, &sub, &[], &ctx.catalog, inject_panic)?;
             run.record_stage(member, started, &chunk);
             member = 1;
             chunk
@@ -552,14 +423,12 @@ fn assemble_pipeline(
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect(),
-        morsels_shared: run.morsels_shared.load(Ordering::Relaxed),
         groupagg_fused: matches!(
             state.run.plan.node(terminal)?.spec,
             OperatorSpec::GroupAgg { .. }
         ),
     });
 
-    state.store_partial(step, run.morsel_rows, &final_chunk);
     if state.run.results[terminal].set(final_chunk).is_err() {
         return Err(EngineError::InvalidPlan(format!("node {terminal} produced two results")));
     }
@@ -572,10 +441,7 @@ fn assemble_pipeline(
 /// cache-hot) and finishes the query when every step is done.
 fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
     for &(consumer, edges) in &state.graph.out_edges[step] {
-        let before = state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel);
-        // A consumer satisfied from the partial cache already has its
-        // terminal chunk seeded; it must never launch.
-        if before == edges && !state.skipped[consumer] {
+        if state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel) == edges {
             launch_step(state, consumer, &|task| {
                 ctx.submit(task);
                 true

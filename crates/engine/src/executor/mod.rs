@@ -56,7 +56,6 @@ use crate::pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 use crate::plan::Plan;
 use crate::profiler::{DopPhase, QueryProfile};
 use crate::scheduler::{QueryHandle, Scheduler, SchedulerStats};
-use crate::sharing::{ScanRegistry, SharingConfig, SharingStats};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -87,12 +86,6 @@ pub struct EngineConfig {
     /// mechanism: a fixed per-operator delay ([`FaultConfig::fixed_delay`])
     /// emulates a slower platform. `None` (default) disables the layer.
     pub faults: Option<FaultConfig>,
-    /// Multi-query work sharing ([`crate::sharing`]): cooperative shared
-    /// scans (each morsel window of a table produced once and fanned to
-    /// every concurrent consumer) and bounded partial-aggregate reuse.
-    /// `None` (default) disables the subsystem — every query then scans
-    /// privately, exactly as before.
-    pub sharing: Option<SharingConfig>,
 }
 
 impl Default for EngineConfig {
@@ -103,7 +96,6 @@ impl Default for EngineConfig {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             controller: None,
             faults: None,
-            sharing: None,
         }
     }
 }
@@ -138,13 +130,6 @@ impl EngineConfig {
     /// [`crate::fault`] for the chaos-layer specification.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Enables multi-query work sharing (builder style); see
-    /// [`crate::sharing`] for the shared-scan and partial-reuse protocols.
-    pub fn with_sharing(mut self, sharing: SharingConfig) -> Self {
-        self.sharing = Some(sharing);
         self
     }
 }
@@ -242,8 +227,6 @@ pub struct Engine {
     controller_thread: Option<JoinHandle<()>>,
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
-    /// Work-sharing coordinator ([`crate::sharing`]); `None` when disabled.
-    sharing: Option<Arc<ScanRegistry>>,
     /// Monotonic controller tick number, shared by the background loop and
     /// [`Engine::controller_tick`] (the fault schedule keys scripted tick
     /// panics on it).
@@ -310,7 +293,6 @@ impl Engine {
                 })
                 .expect("failed to spawn controller thread")
         });
-        let sharing = config.sharing.clone().map(|cfg| Arc::new(ScanRegistry::new(cfg)));
         Engine {
             config,
             scheduler,
@@ -322,7 +304,6 @@ impl Engine {
             controller_stop,
             controller_thread,
             faults,
-            sharing,
             controller_ticks,
             controller_restarts,
         }
@@ -404,36 +385,6 @@ impl Engine {
     /// ([`crate::fault`]); all zeros when injection is disabled.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
-    }
-
-    /// Cumulative work-sharing counters ([`crate::sharing`]); all zeros when
-    /// sharing is disabled.
-    pub fn sharing_stats(&self) -> SharingStats {
-        self.sharing.as_ref().map(|s| s.stats()).unwrap_or_default()
-    }
-
-    /// True when the work-sharing subsystem is enabled.
-    pub fn sharing_enabled(&self) -> bool {
-        self.sharing.is_some()
-    }
-
-    /// Drops every shared-scan group over `table` and every cached
-    /// aggregate partial whose subtree read `table`. A no-op when sharing
-    /// is disabled. The service layer calls this from its per-table
-    /// invalidation so mutated tables can never serve stale windows.
-    pub fn invalidate_sharing_table(&self, table: &str) {
-        if let Some(sharing) = &self.sharing {
-            sharing.invalidate_table(table);
-        }
-    }
-
-    /// Flushes every shared-scan group and cached aggregate partial
-    /// (catalog swaps, global invalidation). A no-op when sharing is
-    /// disabled.
-    pub fn invalidate_sharing(&self) {
-        if let Some(sharing) = &self.sharing {
-            sharing.invalidate_all();
-        }
     }
 
     /// Registers a query with the scheduler, returning its handle. The handle

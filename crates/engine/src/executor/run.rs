@@ -4,9 +4,9 @@
 //! driver's step-graph state, see [`super::driver`]) by every task of the
 //! query. It holds the plan and catalog, the query handle, the write-once
 //! result/profile slots, the failure latch and completion signal, and the
-//! engine's optional chaos and work-sharing layers. It also owns the three
-//! protocols every task and the submitting client go through, so there is
-//! exactly one copy of each:
+//! engine's optional chaos layer. It also owns the three protocols every
+//! task and the submitting client go through, so there is exactly one copy
+//! of each:
 //!
 //! * [`RunContext::checkpoint`] — the failed-flag → liveness → injected
 //!   fault preamble run before every operator execution, whole-node or
@@ -33,7 +33,6 @@ use crate::interpreter::execute_node;
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
 use crate::scheduler::{QueryHandle, TaskContext};
-use crate::sharing::ScanRegistry;
 
 /// Shared state of one query execution.
 pub(super) struct RunContext {
@@ -54,8 +53,6 @@ pub(super) struct RunContext {
     pub started: Instant,
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
-    /// Shared-scan coordinator ([`crate::sharing`]); `None` when disabled.
-    pub sharing: Option<Arc<ScanRegistry>>,
     pub n_workers: usize,
     concurrent_peers: usize,
 }
@@ -82,7 +79,6 @@ impl RunContext {
             done_cv: Condvar::new(),
             started: Instant::now(),
             faults: engine.faults.clone(),
-            sharing: engine.sharing.clone(),
             n_workers: engine.config.n_workers,
             concurrent_peers,
         }
@@ -173,30 +169,7 @@ impl RunContext {
             .collect::<Result<_>>()?;
 
         let start_us = self.started.elapsed().as_micros() as u64;
-        let execute =
-            |inject| guarded_execute(node, &node_ref.spec, &inputs, &self.catalog, inject);
-        let outcome = match &node_ref.spec {
-            OperatorSpec::ScanColumn { table, column, range } => {
-                // Whole-node scans go through the shared-scan coordinator
-                // when sharing is on: the first consumer of the window
-                // executes the scan and publishes it, later consumers reuse
-                // the published chunk. Fault-injected executions bypass the
-                // coordinator — an injected panic must fail this query,
-                // never poison (or be masked by) a window other queries
-                // reuse.
-                let served = match &self.sharing {
-                    Some(registry) if !inject_panic => registry
-                        .attach(&self.catalog, table, column)
-                        .window(range.start, range.end, || execute(false)),
-                    _ => execute(inject_panic).map(|chunk| (chunk, false)),
-                };
-                served.map(|(chunk, shared)| {
-                    self.handle.record_morsel(shared);
-                    chunk
-                })
-            }
-            _ => execute(inject_panic),
-        };
+        let outcome = guarded_execute(node, &node_ref.spec, &inputs, &self.catalog, inject_panic);
         self.inject_delay(node);
         let end_us = self.started.elapsed().as_micros() as u64;
 

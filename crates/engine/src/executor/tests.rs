@@ -349,28 +349,6 @@ fn operator_at_a_time_profiles_every_operator_on_its_own() {
 }
 
 #[test]
-fn operator_at_a_time_reuses_whole_node_aggregate_partials() {
-    // With sharing on, a repeated aggregate plan is served from the
-    // partial cache under operator-at-a-time planning too — it is the same
-    // single-step probe/put morsel-driven planning uses for its breakers.
-    let cat = catalog(20_000);
-    let plan = Arc::new(filter_sum_plan(20_000, 700));
-    let expected = Engine::with_workers(2).execute_shared(&plan, &cat).unwrap().output;
-    let engine = Engine::new(EngineConfig::with_workers(2).with_sharing(SharingConfig::default()));
-    let cold = engine.execute_shared(&plan, &cat).unwrap();
-    assert_eq!(cold.output, expected);
-    assert_eq!(cold.profile.operators.len(), 6);
-    assert_eq!(engine.sharing_stats().partials_reused, 0);
-    assert_eq!(engine.sharing_stats().partials_stored, 1);
-    let warm = engine.execute_shared(&plan, &cat).unwrap();
-    assert_eq!(warm.output, expected, "reused partial changed the result");
-    assert_eq!(engine.sharing_stats().partials_reused, 1);
-    // Only the finalize ran: the aggregate and everything under it were
-    // pruned.
-    assert_eq!(warm.profile.operators.len(), 1);
-}
-
-#[test]
 fn fused_stage_time_is_cpu_time_bounded_by_wall_times_workers() {
     // Fused stages add up per-morsel time across workers, so a stage's
     // `duration_us` — and with it `total_cpu_us` — may exceed the query's

@@ -32,10 +32,6 @@
 //!   delays and panics, dispatch stalls and spurious cancellations
 //!   ([`EngineConfig::with_faults`]), reproducible byte-for-byte from a
 //!   seed;
-//! * [`sharing`] — multi-query work sharing: cooperative shared scans
-//!   (per-table [`sharing::ScanGroup`]s hand out each morsel window exactly
-//!   once across all attached consumers) and a bounded partial-aggregate
-//!   reuse cache ([`EngineConfig::sharing`]);
 //! * [`service`] — the long-lived production query service: sessions with
 //!   per-session submission queues, unified admission (a ticket *is* a
 //!   registry reservation, one census with the controller) and shared
@@ -55,7 +51,6 @@ pub mod plan;
 pub mod profiler;
 pub mod scheduler;
 pub mod service;
-pub mod sharing;
 
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
 pub use controller::{ControllerConfig, TickReport};
@@ -69,4 +64,3 @@ pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryPr
 pub use scheduler::SchedulerPolicy;
 pub use scheduler::{QueryHandle, QuerySignals, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};
-pub use sharing::{ScanGroup, ScanRegistry, SharedScan, SharingConfig, SharingStats};

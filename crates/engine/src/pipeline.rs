@@ -159,13 +159,6 @@ pub(crate) struct Pipeline {
     /// Fused stage nodes in chain order. `stages[0]` consumes the source;
     /// each later stage consumes its predecessor as first input. Non-empty.
     pub stages: Vec<NodeId>,
-    /// True when the pipeline's morsel stream can be served by a shared
-    /// [`crate::sharing::ScanGroup`]: the source is a `ScanColumn` leaf, so
-    /// every morsel is a deterministic zero-copy window of a base column
-    /// that any concurrent query over the same `(table, column)` can reuse
-    /// bit-for-bit. Chunk-source pipelines stream a query-private
-    /// intermediate and never share.
-    pub shareable: bool,
 }
 
 impl Pipeline {
@@ -391,12 +384,7 @@ impl PipelinePlan {
                             }
                         }
                     }
-                    // Scan-source pipelines are marked shareable here, at
-                    // analysis time: the executor only attaches a pipeline
-                    // to a scan group when the analyzer vouched that its
-                    // morsels are base-table windows.
-                    let shareable = matches!(source, PipelineSource::Scan { .. });
-                    Step::Fused(Pipeline { source, stages, shareable })
+                    Step::Fused(Pipeline { source, stages })
                 }
                 None => Step::Single(id),
             };
@@ -553,7 +541,6 @@ mod tests {
         assert_eq!(pipeline.stages, vec![1, 3, 4]);
         assert_eq!(pipeline.terminal(), 4);
         assert_eq!(pipeline.member_nodes(), vec![0, 1, 3, 4]);
-        assert!(pipeline.shareable, "scan-source pipeline must be shareable");
         // Every live node is assigned to exactly one step.
         for id in plan.node_ids() {
             assert!(fused.step_of[id].is_some(), "node {id} unassigned");
@@ -597,10 +584,6 @@ mod tests {
         assert!(
             matches!(s1_step, Step::Fused(p) if p.source == PipelineSource::Chunk { producer: a }),
             "select over a fan-out scan should stream the materialized chunk: {s1_step:?}"
-        );
-        assert!(
-            matches!(s1_step, Step::Fused(p) if !p.shareable),
-            "chunk-source pipelines must not be shareable: {s1_step:?}"
         );
         assert!(matches!(fused.steps[fused.step_of[u].unwrap()], Step::Single(_)));
     }

@@ -434,65 +434,6 @@ impl Plan {
         tables
     }
 
-    /// Canonical signature of the subtree rooted at `node`: a node-id-free
-    /// postorder encoding (`spec(input₁,input₂,…)`) of every operator the
-    /// node transitively consumes. Two plans that build the same subtree —
-    /// even with different node numbering — produce equal signatures, which
-    /// is what makes it the partial-aggregate reuse key of
-    /// [`crate::sharing`]: a repeated query shape hits the cache regardless
-    /// of how its DAG was assembled. Like [`Plan::signature`], every
-    /// operator parameter is encoded, so "same shape, different constants"
-    /// never collides.
-    pub fn subtree_signature(&self, node: NodeId) -> Result<String> {
-        let mut memo: HashMap<NodeId, String> = HashMap::new();
-        self.subtree_signature_memo(node, &mut memo)
-    }
-
-    fn subtree_signature_memo(
-        &self,
-        node: NodeId,
-        memo: &mut HashMap<NodeId, String>,
-    ) -> Result<String> {
-        if let Some(sig) = memo.get(&node) {
-            return Ok(sig.clone());
-        }
-        let n = self.node(node)?;
-        let mut sig = format!("{:?}(", n.spec);
-        for (i, &input) in n.inputs.iter().enumerate() {
-            if i > 0 {
-                sig.push(',');
-            }
-            let inner = self.subtree_signature_memo(input, memo)?;
-            sig.push_str(&inner);
-        }
-        sig.push(')');
-        memo.insert(node, sig.clone());
-        Ok(sig)
-    }
-
-    /// Names of the tables the subtree rooted at `node` reads, deduplicated
-    /// and sorted — the per-table invalidation key set of a cached partial
-    /// aggregate ([`crate::sharing`]).
-    pub fn subtree_tables(&self, node: NodeId) -> Result<Vec<String>> {
-        let mut stack = vec![node];
-        let mut seen: Vec<NodeId> = Vec::new();
-        let mut tables: Vec<String> = Vec::new();
-        while let Some(id) = stack.pop() {
-            if seen.contains(&id) {
-                continue;
-            }
-            seen.push(id);
-            let n = self.node(id)?;
-            if let OperatorSpec::ScanColumn { table, .. } = &n.spec {
-                tables.push(table.clone());
-            }
-            stack.extend_from_slice(&n.inputs);
-        }
-        tables.sort();
-        tables.dedup();
-        Ok(tables)
-    }
-
     /// Counts live operators per family name (e.g. `select`, `join`, `union`).
     pub fn count_by_name(&self) -> HashMap<&'static str, usize> {
         let mut out = HashMap::new();

@@ -127,11 +127,6 @@ pub struct PipelineProfile {
     /// Morsels executed per worker, indexed by worker id — the locality
     /// signal of the work-stealing comparison (fig19's morsel counters).
     pub morsels_by_worker: Vec<u64>,
-    /// Morsels of this pipeline served from a shared scan group's published
-    /// windows ([`crate::sharing`]) instead of re-executing the scan slice;
-    /// `n_morsels - morsels_shared` were executed privately. Always 0 when
-    /// sharing is disabled.
-    pub morsels_shared: u64,
     /// True when the pipeline's terminal stage is a fused `GroupAgg`: each
     /// morsel produced a partial grouped aggregate and the driver merged
     /// the partials in morsel order (the `MergeGrouped` guarantee that
@@ -253,11 +248,13 @@ impl QueryProfile {
         self.pipelines.iter().map(|p| p.morsel_rows).collect()
     }
 
-    /// Total morsels served from shared scan-group windows across all
-    /// pipelines ([`crate::sharing`]; 0 with sharing disabled or in
-    /// operator-at-a-time mode).
+    /// Always `0`: scan sharing is gone (`docs/architecture.md` §10). Kept
+    /// only because `benchmark/src/sut.rs` links this symbol and may not be
+    /// edited outside a `[benchmark]` PR; the next one drops it together with
+    /// the `sharing.*` rungs, the scheduler-policy shim and `typed_cache_hits`.
+    #[doc(hidden)]
     pub fn total_shared_morsels(&self) -> u64 {
-        self.pipelines.iter().map(|p| p.morsels_shared).sum()
+        0
     }
 
     /// Number of pipelines whose terminal stage was a fused `GroupAgg`
@@ -493,7 +490,6 @@ mod tests {
                 source_rows: 2500,
                 queue_wait_us: 10,
                 morsels_by_worker: vec![2, 1, 0, 0],
-                morsels_shared: 2,
                 groupagg_fused: false,
             },
             PipelineProfile {
@@ -504,14 +500,12 @@ mod tests {
                 source_rows: 1100,
                 queue_wait_us: 5,
                 morsels_by_worker: vec![0, 1, 1, 0],
-                morsels_shared: 0,
                 groupagg_fused: true,
             },
         ];
         assert_eq!(p.total_morsels(), 5);
         assert_eq!(p.morsels_by_worker(), vec![2, 2, 1, 0]);
         assert_eq!(p.morsel_sizes(), vec![1024, 1024]);
-        assert_eq!(p.total_shared_morsels(), 2);
         assert_eq!(p.fused_groupagg_pipelines(), 1);
     }
 

@@ -74,12 +74,6 @@ pub struct QuerySignals {
     pub busy_us: u64,
     /// Number of tasks dispatched so far.
     pub dispatched: u64,
-    /// Scan morsels served from a shared scan group's published windows
-    /// instead of re-executing the scan ([`crate::sharing`]).
-    pub morsels_shared: u64,
-    /// Scan morsels this query executed privately (first to need the window,
-    /// or sharing disabled).
-    pub morsels_private: u64,
 }
 
 /// Per-query scheduling state, shared between the submitting client, the
@@ -114,8 +108,6 @@ pub struct QueryHandle {
     queue_wait_us: AtomicU64,
     busy_us: AtomicU64,
     dispatched: AtomicU64,
-    morsels_shared: AtomicU64,
-    morsels_private: AtomicU64,
 }
 
 impl QueryHandle {
@@ -143,8 +135,6 @@ impl QueryHandle {
             queue_wait_us: AtomicU64::new(0),
             busy_us: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
-            morsels_shared: AtomicU64::new(0),
-            morsels_private: AtomicU64::new(0),
         }
     }
 
@@ -257,31 +247,7 @@ impl QueryHandle {
             queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
             busy_us: self.busy_us.load(Ordering::Relaxed),
             dispatched: self.dispatched.load(Ordering::Relaxed),
-            morsels_shared: self.morsels_shared.load(Ordering::Relaxed),
-            morsels_private: self.morsels_private.load(Ordering::Relaxed),
         }
-    }
-
-    /// Counts one scan morsel of this query: `shared == true` when it was
-    /// served from a scan group's published window, `false` when this query
-    /// executed the scan slice itself ([`crate::sharing`]).
-    pub(crate) fn record_morsel(&self, shared: bool) {
-        if shared {
-            self.morsels_shared.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.morsels_private.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Cumulative scan morsels served to this query from shared scan-group
-    /// windows (one scan pass amortized across consumers).
-    pub fn morsels_shared(&self) -> u64 {
-        self.morsels_shared.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative scan morsels this query executed privately.
-    pub fn morsels_private(&self) -> u64 {
-        self.morsels_private.load(Ordering::Relaxed)
     }
 
     /// Requests cancellation: tasks already running finish, queued tasks of

@@ -60,7 +60,6 @@ use apq_columnar::Catalog;
 
 use crate::executor::{Engine, EngineConfig};
 use crate::profiler::QueryProfile;
-use crate::sharing::SharingConfig;
 use crate::QueryOutput;
 
 use cache::{PlanCache, ResultCache};
@@ -154,20 +153,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables the engine's work-sharing subsystem
-    /// ([`crate::sharing`]) by setting `engine.sharing`: concurrent
-    /// submissions scanning the same table cooperate through per-table scan
-    /// groups (each morsel window produced once, fanned to every consumer)
-    /// and repeated aggregate shapes resume from cached partials. Enabling
-    /// keeps an already configured [`SharingConfig`]. Off by default —
-    /// results are byte-identical either way, sharing only changes who
-    /// executes the scan work.
-    pub fn with_shared_scans(mut self, enabled: bool) -> Self {
-        if enabled {
-            self.engine.sharing.get_or_insert_with(SharingConfig::default);
-        } else {
-            self.engine.sharing = None;
-        }
+    /// Ignored: scan sharing is gone (`docs/architecture.md` §10). Kept only
+    /// because `benchmark/src/sut.rs` calls it and may not be edited outside
+    /// a `[benchmark]` PR; the next one drops it together with the
+    /// `sharing.*` rungs, the scheduler-policy shim and `typed_cache_hits`.
+    #[doc(hidden)]
+    pub fn with_shared_scans(self, _: bool) -> Self {
         self
     }
 
@@ -222,17 +213,9 @@ pub struct ServiceStats {
     /// Faults the engine's chaos layer injected so far
     /// ([`crate::FaultStats::total`]); `0` when fault injection is off.
     pub faults_injected: u64,
-    /// Shared-scan groups created so far ([`crate::sharing`]); `0` when
-    /// shared scans are off.
-    pub scan_groups: u64,
-    /// Scan morsels served from shared scan-group windows instead of
-    /// re-executing the scan; `0` when shared scans are off.
-    pub morsels_shared: u64,
-    /// Scan morsels the engine executed privately (the first consumer of
-    /// each window, plus everything scanned while sharing is off).
-    pub morsels_private: u64,
-    /// Executions that resumed from a cached aggregate partial instead of
-    /// rescanning; `0` when shared scans are off.
+    /// Always `0`: `benchmark/src/workloads.rs` reads it; the next
+    /// `[benchmark]` PR drops it with `ServiceConfig::with_shared_scans`.
+    #[doc(hidden)]
     pub partials_reused: u64,
 }
 
@@ -457,7 +440,6 @@ impl QueryService {
     /// mutating that table's data); returns how many entries were dropped.
     pub fn invalidate_table(&self, table: &str) -> usize {
         let dropped = self.inner.result_cache.invalidate_table(table);
-        self.inner.engine.invalidate_sharing_table(table);
         self.inner.stats.results_invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
@@ -465,7 +447,6 @@ impl QueryService {
     /// Drops every cached result; returns how many entries were dropped.
     pub fn invalidate_results(&self) -> usize {
         let dropped = self.inner.result_cache.invalidate_all();
-        self.inner.engine.invalidate_sharing();
         self.inner.stats.results_invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
@@ -489,7 +470,6 @@ impl QueryService {
     /// Snapshot of the service's cumulative counters.
     pub fn stats(&self) -> ServiceStats {
         let s = &self.inner.stats;
-        let sharing = self.inner.engine.sharing_stats();
         ServiceStats {
             sessions_opened: s.sessions_opened.load(Ordering::Relaxed),
             sessions_closed: s.sessions_closed.load(Ordering::Relaxed),
@@ -502,28 +482,7 @@ impl QueryService {
             timed_out: s.timed_out.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
             faults_injected: self.inner.engine.fault_stats().total(),
-            scan_groups: sharing.scan_groups,
-            morsels_shared: sharing.morsels_shared,
-            morsels_private: sharing.morsels_private,
-            partials_reused: sharing.partials_reused,
+            partials_reused: 0,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_shared_scans_toggles_engine_sharing_and_keeps_a_configured_one() {
-        assert!(ServiceConfig::default().engine.sharing.is_none());
-        let on = ServiceConfig::default().with_shared_scans(true);
-        assert!(on.engine.sharing.is_some());
-        assert!(on.with_shared_scans(false).engine.sharing.is_none());
-
-        let tuned = SharingConfig::default().with_max_windows_per_group(7);
-        let kept = ServiceConfig::with_engine(EngineConfig::default().with_sharing(tuned))
-            .with_shared_scans(true);
-        assert_eq!(kept.engine.sharing.map(|s| s.max_windows_per_group), Some(7));
     }
 }

@@ -104,18 +104,26 @@ fn regrant_racing_query_completion_is_harmless() {
     // Hammer re-grants from a sibling thread for the query's whole life —
     // and beyond it (the controller may hold a completed query's handle).
     let stop = Arc::new(AtomicBool::new(false));
+    let regranting = Arc::new(AtomicBool::new(false));
     let regranter = {
         let handle = Arc::clone(&handle);
         let stop = Arc::clone(&stop);
+        let regranting = Arc::clone(&regranting);
         std::thread::spawn(move || {
             let mut dop = 1;
             while !stop.load(Ordering::Acquire) {
                 dop = if dop == 1 { 2 } else { 1 };
                 handle.set_admitted_dop(dop);
+                regranting.store(true, Ordering::Release);
                 std::thread::yield_now();
             }
         })
     };
+    // Submit only once the regranter is running: on a busy 2-core box the
+    // ~2 ms query can otherwise finish before the thread's first turn.
+    while !regranting.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
     let exec = engine.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap();
     // Late re-grants after completion write to a handle nobody dispatches
     // from anymore; explicitly exercise that window before stopping.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use adaptive_parallelization::adaptive::{AdaptiveConfig, AdaptiveOptimizer};
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
-use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode, SharingConfig};
+use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode};
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
 
@@ -102,29 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pipeline.nodes, pipeline.source_rows, pipeline.n_morsels, pipeline.morsels_by_worker,
         );
     }
-
-    // 7. Work sharing: with `with_sharing` (or, at the service layer,
-    //    `ServiceConfig::with_shared_scans`), overlapping queries
-    //    cooperate — each scan morsel is produced once and fanned to every
-    //    concurrent reader, and repeated aggregate shapes resume from
-    //    cached partials. Results stay byte-identical; only who executes
-    //    the scan work changes.
-    let sharing_engine = Engine::new(
-        EngineConfig::with_workers(8)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(64 * 1024)
-            .with_sharing(SharingConfig::default()),
-    );
-    sharing_engine.execute(&serial_plan, &catalog)?; // cold: scans privately
-    let shared = sharing_engine.execute(&serial_plan, &catalog)?; // warm: reuses
-    let stats = sharing_engine.sharing_stats();
-    println!();
-    println!("work sharing   : {}", shared.output.summary());
-    println!("identical      : {}", shared.output == serial.output);
-    println!(
-        "  {} scan groups, {} morsels shared / {} private, {} partials reused",
-        stats.scan_groups, stats.morsels_shared, stats.morsels_private, stats.partials_reused,
-    );
 
     // Where to next: `EngineConfig::with_controller` adds the elastic
     // resource controller — mid-flight DOP re-grants as clients come and go

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use adaptive_parallelization::engine::{
     ControllerConfig, DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig,
-    OperatorSpec, Plan, QueryOptions, QueryOutput, SharingConfig,
+    OperatorSpec, Plan, QueryOptions, QueryOutput,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
@@ -108,22 +108,10 @@ fn workload() -> Vec<Plan> {
 }
 
 fn engine(mode: ExecutionMode, controller: bool, faults: FaultConfig) -> Engine {
-    engine_with_sharing(mode, controller, faults, false)
-}
-
-fn engine_with_sharing(
-    mode: ExecutionMode,
-    controller: bool,
-    faults: FaultConfig,
-    sharing: bool,
-) -> Engine {
     let mut config = EngineConfig::with_workers(WORKERS)
         .with_execution_mode(mode)
         .with_morsel_rows(MORSEL_ROWS)
         .with_faults(faults);
-    if sharing {
-        config = config.with_sharing(SharingConfig::default());
-    }
     if controller {
         config = config.with_controller(
             ControllerConfig::default()
@@ -158,17 +146,8 @@ fn run_cell(
     controller: bool,
     faults: FaultConfig,
 ) -> Vec<Result<QueryOutput, EngineError>> {
-    run_cell_with_sharing(mode, controller, faults, false)
-}
-
-fn run_cell_with_sharing(
-    mode: ExecutionMode,
-    controller: bool,
-    faults: FaultConfig,
-    sharing: bool,
-) -> Vec<Result<QueryOutput, EngineError>> {
     let catalog = catalog();
-    let engine = engine_with_sharing(mode, controller, faults, sharing);
+    let engine = engine(mode, controller, faults);
     let mut outcomes = Vec::new();
     let mut handles = Vec::new();
     for round in 0..2 {
@@ -212,39 +191,41 @@ fn allowed_chaos_error(err: &EngineError) -> bool {
     )
 }
 
+/// Runs one chaos cell twice from the same seed under the watchdog and
+/// checks the reruns agree. Outcome-changing faults are site-keyed: the same
+/// seed must fail the same submissions and produce byte-identical successes.
+/// (The *kind* of failure may differ when two injected faults race inside
+/// one query.)
+fn assert_cell_reproduces(seed: u64, mode: ExecutionMode, controller: bool) {
+    let label = format!("seed {seed} [{mode:?}/ctl={controller}]");
+    let (first, second) = with_watchdog(&label, move || {
+        (
+            run_cell(mode, controller, FaultConfig::chaos(seed)),
+            run_cell(mode, controller, FaultConfig::chaos(seed)),
+        )
+    });
+    assert_eq!(first.len(), second.len());
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        match (a, b) {
+            (Ok(x), Ok(y)) => assert_eq!(x, y, "{label}: submission {i} output diverged"),
+            (Err(x), Err(y)) => {
+                assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
+                assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
+            }
+            _ => panic!(
+                "{label}: submission {i} flipped between identical seeded runs \
+                 ({a:?} vs {b:?})"
+            ),
+        }
+    }
+}
+
 #[test]
 fn chaos_matrix_terminates_cleanly_and_reproduces_from_the_seed() {
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
             for controller in [false, true] {
-                let label = format!("seed {seed} [{mode:?}/ctl={controller}]");
-                let (first, second) = with_watchdog(&label, move || {
-                    (
-                        run_cell(mode, controller, FaultConfig::chaos(seed)),
-                        run_cell(mode, controller, FaultConfig::chaos(seed)),
-                    )
-                });
-                assert_eq!(first.len(), second.len());
-                for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-                    match (a, b) {
-                        // Outcome-changing faults are site-keyed: the
-                        // same seed must fail the same submissions and
-                        // produce byte-identical successes. (The *kind*
-                        // of failure may differ when two injected
-                        // faults race inside one query.)
-                        (Ok(x), Ok(y)) => {
-                            assert_eq!(x, y, "{label}: submission {i} output diverged")
-                        }
-                        (Err(x), Err(y)) => {
-                            assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
-                            assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
-                        }
-                        _ => panic!(
-                            "{label}: submission {i} flipped between identical seeded runs \
-                             ({a:?} vs {b:?})"
-                        ),
-                    }
-                }
+                assert_cell_reproduces(seed, mode, controller);
             }
         }
     }
@@ -278,37 +259,11 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
 
 #[test]
 fn chaos_matrix_with_sharing_reproduces_from_the_seed() {
-    // Work sharing on top of the chaos matrix: the robustness contract is
-    // unchanged (no hang, no leaked slots, drained census — all checked
-    // inside the cell), and the same seed still yields the same pass/fail
-    // pattern with byte-identical successes. Faulty members must detach
-    // from their scan groups without corrupting what later submissions —
-    // which reuse the surviving windows and partials — return.
+    // The controller-off column of the matrix above (the name predates the
+    // removal of scan sharing and is kept for the test floor).
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let label = format!("seed {seed} [{mode:?}/sharing]");
-            let (first, second) = with_watchdog(&label, move || {
-                (
-                    run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true),
-                    run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true),
-                )
-            });
-            assert_eq!(first.len(), second.len());
-            for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-                match (a, b) {
-                    (Ok(x), Ok(y)) => {
-                        assert_eq!(x, y, "{label}: submission {i} output diverged")
-                    }
-                    (Err(x), Err(y)) => {
-                        assert!(allowed_chaos_error(x), "{label}: unexpected error {x}");
-                        assert!(allowed_chaos_error(y), "{label}: unexpected error {y}");
-                    }
-                    _ => panic!(
-                        "{label}: submission {i} flipped between identical seeded runs \
-                         ({a:?} vs {b:?})"
-                    ),
-                }
-            }
+            assert_cell_reproduces(seed, mode, false);
         }
     }
 }
@@ -316,10 +271,10 @@ fn chaos_matrix_with_sharing_reproduces_from_the_seed() {
 #[test]
 fn chaos_sharing_successes_match_the_unshared_reference() {
     // Whatever a chaos seed does to its victims, every submission that
-    // *succeeds* on a sharing engine must still be byte-identical to the
-    // fault-free unshared reference — shared windows seeded by a query
-    // that later failed are complete, correct units and must never leak
-    // partial state into other members' results.
+    // *succeeds* must still be byte-identical to the fault-free reference:
+    // a query that failed must never leak partial state into another
+    // query's result. (The name predates the removal of scan sharing and is
+    // kept for the test floor.)
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     let expected: Vec<QueryOutput> = workload()
@@ -328,10 +283,9 @@ fn chaos_sharing_successes_match_the_unshared_reference() {
         .collect();
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let label = format!("seed {seed} [{mode:?}/sharing]");
-            let outcomes = with_watchdog(&label, move || {
-                run_cell_with_sharing(mode, false, FaultConfig::chaos(seed), true)
-            });
+            let label = format!("seed {seed} [{mode:?}]");
+            let outcomes =
+                with_watchdog(&label, move || run_cell(mode, false, FaultConfig::chaos(seed)));
             for (i, outcome) in outcomes.iter().enumerate() {
                 match outcome {
                     Ok(output) => assert_eq!(

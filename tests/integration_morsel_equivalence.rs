@@ -16,7 +16,7 @@ use std::time::Duration;
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
     ControllerConfig, Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput,
-    QueryService, ServiceConfig, SharingConfig,
+    QueryService, ServiceConfig,
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
@@ -255,8 +255,8 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
     // keys/values inputs: each morsel yields a partial grouped aggregate
     // and the driver merges them in morsel order. Results must stay
     // byte-identical to operator-at-a-time across 2 execution modes ×
-    // sharing on/off × controller on/off — on a row
-    // count that does not divide the morsel size (ragged last morsel).
+    // controller on/off — on a row count that does not divide the morsel
+    // size (ragged last morsel).
     let rows = 12_345;
     let catalog = two_column_catalog(rows);
     let reference = Engine::with_workers(WORKERS);
@@ -276,22 +276,6 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
         assert!(pipeline.n_morsels > 1, "{label}: groupagg ran a single morsel");
         assert!(pipeline.groupagg_fused, "{label}: terminal flag not set");
         assert_eq!(exec.profile.fused_groupagg_pipelines(), 1, "{label}");
-
-        // Sharing on, both modes: cold run populates the partial cache
-        // with the fused grouped terminal, the warm repeat may resume
-        // from it — either way the bytes must not move.
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let engine = Engine::new(
-                EngineConfig::with_workers(WORKERS)
-                    .with_execution_mode(mode)
-                    .with_morsel_rows(MORSEL_ROWS)
-                    .with_sharing(SharingConfig::default()),
-            );
-            for rep in 0..2 {
-                let exec = engine.execute(&plan, &catalog).expect("sharing run executes");
-                assert_eq!(exec.output, expected, "{label} [{mode:?}] rep {rep}: sharing diverged");
-            }
-        }
 
         // Controller on (adaptive morsel re-sizing): still identical.
         for rep in 0..3 {
@@ -381,14 +365,10 @@ fn service_plan_cache_hits_match_cold_execution_across_modes_and_policies() {
 
 #[test]
 fn shared_scans_stay_byte_identical_across_policies_and_modes() {
-    // Work sharing (shared scan-group windows + partial-aggregate reuse)
-    // is a who-does-the-work knob, never a what-comes-out knob: with
-    // sharing enabled, every workload query must stay byte-identical to
-    // the unshared reference in both execution modes — on a
-    // cold engine AND on a warm one whose groups/partials are populated
-    // from earlier submissions. Profile-shape assertions are deliberately
-    // absent: a warm repeat may resume from a cached partial and legally
-    // skip entire pipelines.
+    // Every workload query stays byte-identical to the reference in both
+    // execution modes — on a cold engine AND on a repeat over the same
+    // engine, which must not carry state from the first run. (The name
+    // predates the removal of scan sharing and is kept for the test floor.)
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
@@ -400,14 +380,13 @@ fn shared_scans_stay_byte_identical_across_policies_and_modes() {
                 let engine = Engine::new(
                     EngineConfig::with_workers(WORKERS)
                         .with_execution_mode(mode)
-                        .with_morsel_rows(MORSEL_ROWS)
-                        .with_sharing(SharingConfig::default()),
+                        .with_morsel_rows(MORSEL_ROWS),
                 );
                 for rep in 0..2 {
-                    let exec = engine.execute(plan, &catalog).expect("sharing run executes");
+                    let exec = engine.execute(plan, &catalog).expect("executes");
                     assert_eq!(
                         exec.output, expected,
-                        "{query} {label} [{mode:?}] rep {rep}: sharing diverged"
+                        "{query} {label} [{mode:?}] rep {rep}: diverged"
                     );
                 }
             }

@@ -1,15 +1,17 @@
-//! Work-sharing acceptance suite: cooperative shared scans and
-//! partial-aggregate reuse (`docs/architecture.md` §10).
+//! Repeated and overlapping scans through the service, without scan sharing
+//! (`docs/architecture.md` §10 says why there is none; the file and test
+//! names predate its removal and are kept for the test floor).
 //!
 //! The contract under test:
 //!
-//! * **one table pass, not N** — N sessions scanning the same column cost
-//!   roughly one private pass; every other morsel is served from the scan
-//!   group's published windows (`ServiceStats::morsels_shared`),
-//! * **byte-identical** — sharing changes who executes scan work, never
-//!   what a query returns, in either execution mode,
-//! * **invalidation flushes** — per-table invalidation drops cached
-//!   partials alongside cached results,
+//! * **byte-identical** — many sessions over one column, and cold and warm
+//!   repeats of one shape, all return what a plain reference engine
+//!   returns, under both plannings; with the result cache off every
+//!   submission executes and carries a profile,
+//! * **failure isolation** — a submission that misses its deadline leaves
+//!   its session usable,
+//! * **invalidation flushes** — per-table invalidation drops the cached
+//!   results computed from that table, and the next run re-executes,
 //! * **cost-aware caching** — executions cheaper than
 //!   [`ServiceConfig::min_cache_cost`] never claim a result-cache slot.
 
@@ -40,9 +42,8 @@ fn catalog() -> Arc<Catalog> {
 }
 
 /// `SELECT sum(v * k) FROM t` — the scalar factor `k` makes each session's
-/// plan signature distinct (no whole-query partial reuse, no result-cache
-/// aliasing) while every plan scans the identical column range, which is
-/// exactly the shape scan groups share.
+/// plan signature distinct (no result-cache aliasing) while every plan scans
+/// the identical column range.
 fn scaled_sum(k: i64) -> Plan {
     let mut p = Plan::new();
     let scan = p.add(
@@ -67,57 +68,32 @@ fn scaled_sum(k: i64) -> Plan {
     p
 }
 
-fn sharing_service(mode: ExecutionMode, catalog: &Arc<Catalog>) -> QueryService {
-    QueryService::new(
-        ServiceConfig::with_engine(
-            EngineConfig::with_workers(WORKERS)
-                .with_execution_mode(mode)
-                .with_morsel_rows(MORSEL_ROWS),
-        )
-        .with_shared_scans(true)
-        // The result cache would satisfy repeats without executing; this
-        // suite needs every submission to reach the engine.
-        .with_result_cache_capacity(0),
-        Arc::clone(catalog),
+fn config(mode: ExecutionMode) -> ServiceConfig {
+    ServiceConfig::with_engine(
+        EngineConfig::with_workers(WORKERS).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS),
     )
+}
+
+/// A service whose every submission reaches the engine (result cache off).
+fn uncached_service(mode: ExecutionMode, catalog: &Arc<Catalog>) -> QueryService {
+    QueryService::new(config(mode).with_result_cache_capacity(0), Arc::clone(catalog))
 }
 
 #[test]
 fn sixteen_sessions_cost_one_table_pass() {
-    // The headline acceptance criterion: 16 sessions scanning the same
-    // table perform ~1 private pass over it; the other 15 passes are
-    // served from shared windows — with byte-identical outputs.
+    // 16 sessions scanning the same column: each executes (a profile comes
+    // back) and returns what the reference engine returns.
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
-    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     for k in 1..=16i64 {
         let plan = scaled_sum(k);
         let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
         let session = service.connect();
-        let response = session.submit(&plan).expect("sharing submission executes");
-        assert_eq!(response.output, expected, "k={k}: sharing changed the result");
-        if k > 1 {
-            // Every member after the first is fully served from the
-            // group's published windows.
-            let profile = response.profile.expect("executions carry a profile");
-            assert!(
-                profile.total_shared_morsels() > 0,
-                "k={k}: expected shared morsels in the profile"
-            );
-        }
+        let response = session.submit(&plan).expect("submission executes");
+        assert_eq!(response.output, expected, "k={k}: diverged from the reference");
+        assert!(response.profile.is_some(), "k={k}: executions carry a profile");
     }
-    let stats = service.stats();
-    assert_eq!(stats.scan_groups, 1, "one scanned column, one group");
-    assert!(stats.morsels_private > 0 || stats.morsels_shared > 0);
-    // One private pass (the first session), fifteen shared passes.
-    assert_eq!(
-        stats.morsels_shared,
-        15 * stats.morsels_private,
-        "expected 15 shared passes per private pass \
-         (shared {}, private {})",
-        stats.morsels_shared,
-        stats.morsels_private
-    );
 }
 
 #[test]
@@ -125,16 +101,16 @@ fn sharing_is_byte_identical_across_policies_and_modes() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let service = sharing_service(mode, &catalog);
+        let service = uncached_service(mode, &catalog);
         for k in [1, 3, 5] {
             let plan = scaled_sum(k);
             let expected = reference.execute(&plan, &catalog).expect("reference").output;
-            // Twice: the repeat exercises window reuse AND whole-query
-            // partial-aggregate reuse (identical signature).
+            // Twice: cold, then a warm repeat of the identical signature.
             for rep in 0..2 {
                 let session = service.connect();
-                let got = session.submit(&plan).expect("executes").output;
-                assert_eq!(got, expected, "[{mode:?}] k={k} rep {rep}: diverged");
+                let got = session.submit(&plan).expect("executes");
+                assert_eq!(got.output, expected, "[{mode:?}] k={k} rep {rep}: diverged");
+                assert!(got.profile.is_some(), "[{mode:?}] k={k} rep {rep}: did not execute");
             }
         }
     }
@@ -143,25 +119,21 @@ fn sharing_is_byte_identical_across_policies_and_modes() {
 #[test]
 fn repeated_aggregates_resume_from_cached_partials() {
     let catalog = catalog();
-    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     let plan = scaled_sum(7);
+    let expected = Engine::with_workers(WORKERS).execute(&plan, &catalog).expect("reference");
     let session = service.connect();
-    let first = session.submit(&plan).expect("cold run executes").output;
-    assert_eq!(service.stats().partials_reused, 0, "cold run cannot reuse partials");
-    let second = session.submit(&plan).expect("warm run executes").output;
-    assert_eq!(second, first, "partial reuse changed the result");
-    assert!(
-        service.stats().partials_reused > 0,
-        "identical resubmission should resume from cached partials"
-    );
+    let first = session.submit(&plan).expect("cold run executes");
+    assert_eq!(first.output, expected.output, "cold run diverged from the reference");
+    let second = session.submit(&plan).expect("warm run executes");
+    assert_eq!(second.output, first.output, "the repeat changed the result");
+    assert!(second.profile.is_some(), "warm run should have re-executed");
 }
 
 #[test]
 fn repeated_group_aggregates_resume_from_cached_partials() {
-    // Fused GroupAgg terminals cache like scalar-aggregate terminals: the
-    // partial cache is chunk-typed, so a `Chunk::Grouped` merged in morsel
-    // order stores under the same catalog/grid/signature key and a repeat
-    // of the shape skips the whole pipeline.
+    // A fused GroupAgg terminal, cold and warm: the partials merged in
+    // morsel order equal the reference engine's whole-node aggregate.
     let mut c = Catalog::new();
     c.register(
         TableBuilder::new("g")
@@ -171,7 +143,7 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
             .unwrap(),
     );
     let catalog = Arc::new(c);
-    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     let mut p = Plan::new();
     let k = p.add(
         OperatorSpec::ScanColumn {
@@ -193,54 +165,52 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
     let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
     p.set_root(merge);
 
+    let expected = Engine::with_workers(WORKERS).execute(&p, &catalog).expect("reference").output;
     let session = service.connect();
     let first = session.submit(&p).expect("cold run executes");
+    assert_eq!(first.output, expected, "cold run diverged from the reference");
     let profile = first.profile.as_ref().expect("executions carry a profile");
     assert!(
         profile.fused_groupagg_pipelines() > 0,
         "groupagg over range-aligned scans should fuse"
     );
-    assert_eq!(service.stats().partials_reused, 0, "cold run cannot reuse partials");
     let second = session.submit(&p).expect("warm run executes");
-    assert_eq!(second.output, first.output, "grouped partial reuse changed the result");
-    assert!(
-        service.stats().partials_reused > 0,
-        "identical grouped resubmission should resume from the cached partial"
-    );
+    assert_eq!(second.output, first.output, "the repeat changed the grouped result");
+    let profile = second.profile.as_ref().expect("warm run should have re-executed");
+    assert!(profile.fused_groupagg_pipelines() > 0, "warm run should fuse like the cold one");
 }
 
 #[test]
 fn per_table_invalidation_flushes_partials_and_windows() {
+    // What per-table invalidation flushes is the result cache.
     let catalog = catalog();
-    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
+    let service = QueryService::new(config(ExecutionMode::MorselDriven), Arc::clone(&catalog));
     let plan = scaled_sum(7);
     let session = service.connect();
     let expected = session.submit(&plan).expect("cold run executes").output;
-    session.submit(&plan).expect("warm run executes");
-    let reused_before = service.stats().partials_reused;
-    assert!(reused_before > 0, "warm run should have reused a partial");
+    let warm = session.submit(&plan).expect("warm run is served from cache");
+    assert!(warm.result_cache_hit, "warm run should hit the result cache");
+    assert_eq!(warm.output, expected);
 
-    // Flush: the next identical submission must re-execute from the table
-    // (no partial reuse, no shared windows left to serve from).
-    service.invalidate_table("t");
-    let shared_before = service.stats().morsels_shared;
-    let got = session.submit(&plan).expect("post-invalidation run executes").output;
-    assert_eq!(got, expected, "invalidation changed the result");
-    let stats = service.stats();
-    assert_eq!(stats.partials_reused, reused_before, "flushed partial was reused");
-    assert_eq!(stats.morsels_shared, shared_before, "flushed windows served a morsel");
+    // Flush: the next identical submission must re-execute from the table.
+    let invalidated_before = service.stats().results_invalidated;
+    let dropped = service.invalidate_table("t");
+    assert!(dropped >= 1, "the cached result read table t");
+    assert_eq!(service.stats().results_invalidated, invalidated_before + dropped as u64);
+    let got = session.submit(&plan).expect("post-invalidation run executes");
+    assert!(!got.result_cache_hit, "flushed result was served");
+    assert!(got.profile.is_some(), "post-invalidation run should have re-executed");
+    assert_eq!(got.output, expected, "invalidation changed the result");
 }
 
 #[test]
 fn cancellation_and_deadlines_leave_the_group_healthy() {
-    // A member failing out (expired deadline here) must detach without
-    // stalling or poisoning the group: the next member still executes and
-    // still shares.
+    // A submission failing out (expired deadline here) must not stall or
+    // poison its session: the next submission still executes.
     let catalog = catalog();
-    let service = sharing_service(ExecutionMode::MorselDriven, &catalog);
-    let plan = scaled_sum(3);
+    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     let session = service.connect();
-    session.submit(&plan).expect("seed the scan group");
+    session.submit(&scaled_sum(3)).expect("first submission executes");
     let err = session
         .submit_with_deadline(&scaled_sum(4), Duration::ZERO)
         .expect_err("expired deadline must fail");
@@ -248,9 +218,8 @@ fn cancellation_and_deadlines_leave_the_group_healthy() {
     let reference = Engine::with_workers(WORKERS);
     let follow_up = scaled_sum(5);
     let expected = reference.execute(&follow_up, &catalog).expect("reference").output;
-    let got = session.submit(&follow_up).expect("group survives a failed member").output;
+    let got = session.submit(&follow_up).expect("session survives a failed submission").output;
     assert_eq!(got, expected);
-    assert!(service.stats().morsels_shared > 0, "surviving members still share");
 }
 
 #[test]
