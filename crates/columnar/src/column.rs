@@ -298,48 +298,72 @@ impl Column {
 
     // ---------------------------------------------------------------- gathering / materializing
 
-    /// Gathers the rows addressed by absolute oids into a new, dense column.
+    /// Gathers the rows addressed by absolute oids into a new, dense column,
+    /// in `oids` order (duplicates and unsorted lists are fine).
     ///
     /// This is the tuple-reconstruction primitive (MonetDB `leftfetchjoin`):
     /// every oid must fall within this view's `[base_oid, end_oid)` range,
     /// otherwise the access is invalid (paper §2.3: misalignment leads to an
-    /// "invalid access").
+    /// "invalid access"). Validation and gathering are one pass; on error
+    /// nothing is returned and `MisalignedOid` names the *first* offending
+    /// oid in list order.
     pub fn gather_oids(&self, oids: &[Oid]) -> Result<Column> {
         let lo = self.base_oid();
-        let hi = self.end_oid();
-        for &oid in oids {
-            if oid < lo || oid >= hi {
-                return Err(ColumnarError::MisalignedOid { oid, lo, hi });
-            }
-        }
-        Ok(self.gather_positions_unchecked(oids.iter().map(|&o| (o - lo) as usize)))
+        // An oid below `lo` wraps to a position no slice can hold.
+        let positions =
+            oids.iter().map(|&o| usize::try_from(o.wrapping_sub(lo)).unwrap_or(usize::MAX));
+        self.gather(positions).map_err(|i| ColumnarError::MisalignedOid {
+            oid: oids[i],
+            lo,
+            hi: self.end_oid(),
+        })
     }
 
-    /// Gathers rows by positions relative to this view into a new dense column.
+    /// Gathers rows by positions relative to this view into a new dense
+    /// column, in `positions` order; `OutOfBounds` names the first position
+    /// outside the view.
     pub fn gather_positions(&self, positions: &[usize]) -> Result<Column> {
-        for &p in positions {
-            if p >= self.len {
-                return Err(ColumnarError::OutOfBounds { index: p, len: self.len });
-            }
-        }
-        Ok(self.gather_positions_unchecked(positions.iter().copied()))
+        self.gather(positions.iter().copied())
+            .map_err(|i| ColumnarError::OutOfBounds { index: positions[i], len: self.len })
     }
 
-    fn gather_positions_unchecked<I: Iterator<Item = usize> + Clone>(
-        &self,
-        positions: I,
-    ) -> Column {
-        let off = self.offset;
-        match self.data.as_ref() {
-            ColumnData::Int64(v) => Column::from_i64(positions.map(|p| v[off + p]).collect()),
-            ColumnData::Int32(v) => Column::from_i32(positions.map(|p| v[off + p]).collect()),
-            ColumnData::Float64(v) => Column::from_f64(positions.map(|p| v[off + p]).collect()),
-            ColumnData::Bool(v) => Column::from_bool(positions.map(|p| v[off + p]).collect()),
-            ColumnData::Str(s) => {
-                let abs: Vec<usize> = positions.map(|p| off + p).collect();
-                Column::from_string_column(s.gather(&abs))
-            }
+    /// The one gather loop: bounds check and load per position in a single
+    /// pass per type. `Err(i)` is the index (in list order) of the first
+    /// position outside the view.
+    fn gather(&self, positions: impl Iterator<Item = usize>) -> std::result::Result<Column, usize> {
+        fn pick<T: Copy + Default>(
+            values: &[T],
+            positions: impl Iterator<Item = usize>,
+            first_bad: &mut Option<usize>,
+        ) -> Vec<T> {
+            // A miss stores a placeholder and keeps going: the loop stays
+            // free of early exits (the iterator's exact length reserves the
+            // output once) and the caller discards everything on error.
+            positions
+                .enumerate()
+                .map(|(i, p)| match values.get(p) {
+                    Some(&v) => v,
+                    None => {
+                        first_bad.get_or_insert(i);
+                        T::default()
+                    }
+                })
+                .collect()
         }
+        let window = self.offset..self.offset + self.len;
+        let mut bad = None;
+        let out = match self.data.as_ref() {
+            ColumnData::Int64(v) => Column::from_i64(pick(&v[window], positions, &mut bad)),
+            ColumnData::Int32(v) => Column::from_i32(pick(&v[window], positions, &mut bad)),
+            ColumnData::Float64(v) => Column::from_f64(pick(&v[window], positions, &mut bad)),
+            ColumnData::Bool(v) => Column::from_bool(pick(&v[window], positions, &mut bad)),
+            ColumnData::Str(s) => Column::from_string_column(s.with_codes(pick(
+                &s.codes()[window],
+                positions,
+                &mut bad,
+            ))),
+        };
+        bad.map_or(Ok(out), Err)
     }
 
     /// Concatenates several columns of the same type into one dense column.
@@ -348,7 +372,13 @@ impl Column {
     /// ("mat.pack" in the paper's plans). The inputs are packed in argument
     /// order, which is what preserves the mutation-sequence ordering the
     /// paper relies on (§2.3 "the exchange union operator must maintain the
-    /// correct ordering").
+    /// correct ordering"). String parts that share one dictionary (every
+    /// window or gather of one base column does) keep it and concatenate
+    /// their codes; parts with different dictionaries are re-encoded into a
+    /// fresh one — the rows are the same either way.
+    ///
+    /// `InvalidPartitioning` for no parts, `TypeMismatch` naming the first
+    /// part whose type differs from the first part's.
     pub fn concat(parts: &[Column]) -> Result<Column> {
         let first = parts.first().ok_or_else(|| {
             ColumnarError::InvalidPartitioning("cannot concatenate zero columns".to_string())
@@ -393,13 +423,28 @@ impl Column {
                 Column::from_bool(out)
             }
             DataType::Str => {
-                // Re-encode through strings; dictionaries may differ between parts.
-                let mut values: Vec<String> = Vec::with_capacity(total);
+                let dict = first.string_column()?.dict();
+                let mut shared = true;
                 for p in parts {
-                    let (codes, dict) = p.str_codes()?;
-                    values.extend(codes.iter().map(|&c| dict[c as usize].clone()));
+                    shared &= Arc::ptr_eq(p.string_column()?.dict(), dict);
                 }
-                Column::from_strings(values)
+                if shared {
+                    // Windows and gathers of one base column share its
+                    // dictionary: the codes already mean the same strings.
+                    let mut codes = Vec::with_capacity(total);
+                    for p in parts {
+                        codes.extend_from_slice(p.str_codes()?.0);
+                    }
+                    Column::from_string_column(first.string_column()?.with_codes(codes))
+                } else {
+                    // Genuinely different dictionaries: re-encode through strings.
+                    let mut values: Vec<&str> = Vec::with_capacity(total);
+                    for p in parts {
+                        let (codes, dict) = p.str_codes()?;
+                        values.extend(codes.iter().map(|&c| dict[c as usize].as_str()));
+                    }
+                    Column::from_strings(values)
+                }
             }
         })
     }
@@ -512,20 +557,57 @@ mod tests {
     }
 
     #[test]
-    fn concat_strings_reencodes() {
-        let a = Column::from_strings(["x", "y"]);
-        let b = Column::from_strings(["y", "z"]);
-        let packed = Column::concat(&[a, b]).unwrap();
-        let vals: Vec<ScalarValue> = packed.to_scalars();
-        assert_eq!(
-            vals,
-            vec![
-                ScalarValue::Str("x".into()),
-                ScalarValue::Str("y".into()),
-                ScalarValue::Str("y".into()),
-                ScalarValue::Str("z".into())
-            ]
-        );
+    fn concat_strings_keeps_a_shared_dictionary_and_reencodes_distinct_ones() {
+        let strings = |c: &Column| -> Vec<String> {
+            let (codes, dict) = c.str_codes().unwrap();
+            codes.iter().map(|&code| dict[code as usize].clone()).collect()
+        };
+        // Windows and a gather of one base column: one dictionary, kept.
+        let base = Column::from_strings(["x", "y", "z", "y", "x"]);
+        let parts = [
+            base.slice(3, 2).unwrap(),
+            base.gather_oids(&[2, 0]).unwrap(),
+            base.slice(0, 1).unwrap(),
+        ];
+        let packed = Column::concat(&parts).unwrap();
+        assert_eq!(strings(&packed), ["y", "x", "z", "x", "x"]);
+        assert!(Arc::ptr_eq(
+            packed.string_column().unwrap().dict(),
+            base.string_column().unwrap().dict()
+        ));
+
+        // Different dictionaries (equal or not): re-encoded, same rows.
+        let other = Column::from_strings(["y", "w"]);
+        let packed = Column::concat(&[base.slice(1, 2).unwrap(), other.clone()]).unwrap();
+        assert_eq!(strings(&packed), ["y", "z", "y", "w"]);
+        assert!(!Arc::ptr_eq(
+            packed.string_column().unwrap().dict(),
+            base.string_column().unwrap().dict()
+        ));
+        assert_eq!(packed.string_column().unwrap().dict_len(), 3);
+        let twin = Column::from_strings(["x", "y", "z", "y", "x"]);
+        let packed = Column::concat(&[base.clone(), twin]).unwrap();
+        assert_eq!(packed.len(), 10);
+        assert_eq!(strings(&packed)[5..], strings(&base)[..]);
+    }
+
+    #[test]
+    fn gather_reports_the_first_offender_in_list_order() {
+        let part = Column::from_i64((0..100).collect()).slice(50, 10).unwrap(); // oids [50, 60)
+                                                                                // 70 comes before 3 in the list, although 3 is the smaller oid.
+        let err = part.gather_oids(&[55, 70, 3, 51]).unwrap_err();
+        assert_eq!(err, ColumnarError::MisalignedOid { oid: 70, lo: 50, hi: 60 });
+        let err = part.gather_oids(&[49]).unwrap_err();
+        assert_eq!(err, ColumnarError::MisalignedOid { oid: 49, lo: 50, hi: 60 });
+        let err = part.gather_positions(&[0, 10, 99]).unwrap_err();
+        assert_eq!(err, ColumnarError::OutOfBounds { index: 10, len: 10 });
+        // Duplicates, any order, all five types.
+        assert_eq!(part.gather_oids(&[59, 50, 59]).unwrap().i64_values().unwrap(), &[59, 50, 59]);
+        let strings = Column::from_strings(["a", "b", "c"]).slice(1, 2).unwrap();
+        assert_eq!(strings.gather_oids(&[2, 1, 2]).unwrap().to_scalars().len(), 3);
+        assert!(strings.gather_oids(&[0]).is_err());
+        assert!(Column::from_i64(vec![]).gather_oids(&[]).unwrap().is_empty());
+        assert!(Column::from_i64(vec![]).gather_oids(&[0]).is_err());
     }
 
     #[test]

@@ -47,6 +47,13 @@ impl StringColumn {
         StringColumn { codes, dict }
     }
 
+    /// A column over this column's dictionary with other rows. `codes` must
+    /// have been read from `self` (a window, a gather or a concatenation of
+    /// such), which is what keeps them in range without a re-validation pass.
+    pub(crate) fn with_codes(&self, codes: Vec<u32>) -> StringColumn {
+        StringColumn { codes, dict: Arc::clone(&self.dict) }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
@@ -97,18 +104,12 @@ impl StringColumn {
 
     /// Materializes a sub-range as a new `StringColumn` sharing the dictionary.
     pub fn slice(&self, start: usize, len: usize) -> StringColumn {
-        StringColumn {
-            codes: self.codes[start..start + len].to_vec(),
-            dict: Arc::clone(&self.dict),
-        }
+        self.with_codes(self.codes[start..start + len].to_vec())
     }
 
     /// Gathers the rows at `positions` into a new column sharing the dictionary.
     pub fn gather(&self, positions: &[usize]) -> StringColumn {
-        StringColumn {
-            codes: positions.iter().map(|&p| self.codes[p]).collect(),
-            dict: Arc::clone(&self.dict),
-        }
+        self.with_codes(positions.iter().map(|&p| self.codes[p]).collect())
     }
 }
 

@@ -35,9 +35,10 @@
 //! lockstep), so the invariant holds by construction along slice chains.
 //! The explicit label still exists — and matters — for views over *fresh*
 //! backing at a non-zero stream position ([`Chunk::oids_at`] /
-//! [`Chunk::join_at`]: a projected join side, a packed union of
-//! heterogeneous parts), where the backing offset is 0 but the stream
-//! offset is not.
+//! [`Chunk::join_at`]: a packed union of heterogeneous parts), where the
+//! backing offset is 0 but the stream offset is not. A projected join side
+//! is not fresh backing: it is the join window itself seen through one of
+//! the result's two `Arc`s, so it inherits window and stream offset alike.
 //!
 //! Fetch writes the offset into the output column's base oid
 //! ([`apq_columnar::Column::base_oid`]); position-emitting consumers
@@ -58,13 +59,15 @@ use std::sync::Arc;
 use apq_columnar::{Column, Oid, ScalarValue};
 use apq_operators::{AggState, GroupKey, GroupedAgg, JoinHashTable, JoinResult};
 
+use crate::plan::JoinSide;
+
 /// A zero-copy window over an `Arc`-shared candidate (oid) list — the
 /// stream analogue of [`Column`]'s `(storage, offset, len)` view.
 ///
 /// `stream_base` is the window's offset within the candidate *stream* it
 /// belongs to: equal to the backing offset for windows cut from a fresh
 /// stream, but independent of it for views over fresh backing at a non-zero
-/// stream position (a projected join side, a packed union of stream parts).
+/// stream position (a packed union of stream parts).
 /// [`OidsView::slice`] advances both in lockstep, so stream offsets are
 /// *derived* along slice chains rather than threaded by hand.
 #[derive(Debug, Clone)]
@@ -82,7 +85,7 @@ impl OidsView {
     }
 
     /// A full view of fresh backing sitting at `stream_base` within its
-    /// stream (e.g. a projected join side of a stream partition).
+    /// stream (e.g. a packed union of stream parts).
     pub fn at(oids: Vec<Oid>, stream_base: Oid) -> Self {
         let len = oids.len();
         OidsView { data: Arc::new(oids), offset: 0, len, stream_base }
@@ -167,9 +170,14 @@ impl OidsView {
 /// A zero-copy window over an `Arc`-shared join result, exactly like
 /// [`OidsView`] but windowing the parallel `(outer, inner)` oid vectors of a
 /// [`JoinResult`].
+///
+/// The two sides are separate `Arc`s, so projecting one side
+/// (`ProjectJoinSide`) is an [`OidsView`] over that side's backing — the same
+/// window, no copy.
 #[derive(Debug, Clone)]
 pub struct JoinView {
-    result: Arc<JoinResult>,
+    outer: Arc<Vec<Oid>>,
+    inner: Arc<Vec<Oid>>,
     offset: usize,
     len: usize,
     stream_base: Oid,
@@ -185,17 +193,40 @@ impl JoinView {
     /// its join-result stream.
     pub fn at(result: JoinResult, stream_base: Oid) -> Self {
         let len = result.len();
-        JoinView { result: Arc::new(result), offset: 0, len, stream_base }
+        JoinView {
+            outer: Arc::new(result.outer_oids),
+            inner: Arc::new(result.inner_oids),
+            offset: 0,
+            len,
+            stream_base,
+        }
     }
 
     /// The visible outer-side oids.
     pub fn outer(&self) -> &[Oid] {
-        &self.result.outer_oids[self.offset..self.offset + self.len]
+        &self.outer[self.offset..self.offset + self.len]
     }
 
     /// The visible inner-side oids.
     pub fn inner(&self) -> &[Oid] {
-        &self.result.inner_oids[self.offset..self.offset + self.len]
+        &self.inner[self.offset..self.offset + self.len]
+    }
+
+    /// One side of the visible pairs as a candidate-list view over the join
+    /// result's own backing: same window, same stream offset, no copy. Side
+    /// views of consecutive join windows are themselves consecutive
+    /// ([`OidsView::is_contiguous_with`]).
+    pub(crate) fn side(&self, side: JoinSide) -> OidsView {
+        let data = match side {
+            JoinSide::Outer => &self.outer,
+            JoinSide::Inner => &self.inner,
+        };
+        OidsView {
+            data: Arc::clone(data),
+            offset: self.offset,
+            len: self.len,
+            stream_base: self.stream_base,
+        }
     }
 
     /// Number of visible pairs.
@@ -220,7 +251,7 @@ impl JoinView {
 
     /// Total pair count of the shared backing join result.
     pub fn backing_len(&self) -> usize {
-        self.result.len()
+        self.outer.len()
     }
 
     /// Cuts a sub-window: window arithmetic only, no allocation, clamped
@@ -229,16 +260,16 @@ impl JoinView {
         let end = start.saturating_add(len).min(self.len);
         let start = start.min(end);
         JoinView {
-            result: Arc::clone(&self.result),
             offset: self.offset + start,
             len: end - start,
             stream_base: self.stream_base + start as Oid,
+            ..self.clone()
         }
     }
 
     /// True when both views window the same backing allocation.
     pub fn shares_backing_with(&self, other: &JoinView) -> bool {
-        Arc::ptr_eq(&self.result, &other.result)
+        Arc::ptr_eq(&self.outer, &other.outer) && Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// True when `next` immediately follows `self` in the same backing and
@@ -251,13 +282,8 @@ impl JoinView {
 
     /// The parent window covering `len` pairs from this view's start.
     pub fn widened(&self, len: usize) -> JoinView {
-        debug_assert!(self.offset + len <= self.result.len(), "widened window exceeds backing");
-        JoinView {
-            result: Arc::clone(&self.result),
-            offset: self.offset,
-            len,
-            stream_base: self.stream_base,
-        }
+        debug_assert!(self.offset + len <= self.outer.len(), "widened window exceeds backing");
+        JoinView { len, ..self.clone() }
     }
 }
 

@@ -17,7 +17,7 @@ use apq_operators::{
 
 use crate::chunk::{Chunk, JoinView, OidsView};
 use crate::error::{EngineError, Result};
-use crate::plan::{JoinSide, NodeId, OperatorSpec};
+use crate::plan::{NodeId, OperatorSpec};
 
 fn input_error(node: NodeId, expected: &'static str, found: &Chunk) -> EngineError {
     EngineError::InvalidInput { node, expected, found: found.kind() }
@@ -151,18 +151,13 @@ pub fn execute_node(
         OperatorSpec::AntiJoin => {
             let outer = as_column(node, &inputs[0])?;
             let hash = as_hash(node, &inputs[1])?;
-            Ok(Chunk::oids(anti_join(outer, hash)?))
+            Ok(Chunk::oids(hash.probe_anti(outer)?))
         }
 
         OperatorSpec::ProjectJoinSide { side } => {
-            let join = as_join(node, &inputs[0])?;
-            let oids = match side {
-                JoinSide::Outer => join.outer().to_vec(),
-                JoinSide::Inner => join.inner().to_vec(),
-            };
-            // The projected oid list is fresh backing, but inherits the join
-            // window's offset within the join-result stream.
-            Ok(Chunk::oids_at(oids, join.stream_base()))
+            // The join window seen through one side's backing: it inherits
+            // the window's offset within the join-result stream.
+            Ok(Chunk::Oids(as_join(node, &inputs[0])?.side(*side)))
         }
 
         OperatorSpec::OidsFromColumn => {
@@ -324,23 +319,6 @@ fn if_then_else(
     }
 }
 
-/// Outer oids that have no build-side match.
-fn anti_join(outer: &Column, hash: &JoinHashTable) -> Result<Vec<Oid>> {
-    let matching = hash.probe_semi(outer)?;
-    let mut matching_iter = matching.into_iter().peekable();
-    let base = outer.base_oid();
-    let mut out = Vec::new();
-    for i in 0..outer.len() {
-        let oid = base + i as Oid;
-        if matching_iter.peek() == Some(&oid) {
-            matching_iter.next();
-        } else {
-            out.push(oid);
-        }
-    }
-    Ok(out)
-}
-
 /// True when `(stream_base, len)` parts can be packed in argument order
 /// without mislabeling stream positions: either every part is a fresh stream
 /// (all bases 0 — the pack forms a new stream), or the parts are consecutive
@@ -497,6 +475,7 @@ fn calc_scalars(op: BinaryOp, a: &ScalarValue, b: &ScalarValue) -> Result<Scalar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::JoinSide;
     use apq_columnar::partition::RowRange;
     use apq_columnar::TableBuilder;
     use apq_operators::{AggFunc, CmpOp, Predicate};

@@ -13,6 +13,12 @@
 //! The fix threads a `stream_base` through `Chunk::Oids` / `Chunk::Join` and
 //! into fetch outputs' base oids. This test executes the exact pre-/post-
 //! mutation plan shapes deterministically and asserts identical results.
+//!
+//! The last two tests put the two position emitters added with the one-pass
+//! kernels through the same treatment: the anti-join (`probe_anti` emits
+//! `base + row` like every probe) and `ProjectJoinSide`, whose output is now
+//! the join window itself seen through one side's backing — it must carry
+//! the window's stream offset, not restart at 0.
 
 use std::sync::Arc;
 
@@ -202,4 +208,172 @@ fn sliced_join_results_keep_their_stream_offset() {
 
     let out = engine.execute(&split, &cat).expect("split executes").output;
     assert_eq!(out, expected, "sliced join windows lost their stream offsets");
+}
+
+/// Fact rows of the candidate stream (`grp < selected_max`) whose `fk` has no
+/// dimension match, summed per group — with the anti-join run over the whole
+/// stream, or cloned over the stream cut at `split`.
+fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) -> Plan {
+    let mut p = Plan::new();
+    let full = RowRange::new(0, rows);
+    let scan = |col: &str| OperatorSpec::ScanColumn {
+        table: "fact".into(),
+        column: col.into(),
+        range: full,
+    };
+    let grp = p.add(scan("grp"), vec![]);
+    let cands = p.add(
+        OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, selected_max) },
+        vec![grp],
+    );
+    let fk_col = p.add(scan("fk"), vec![]);
+    let measure_col = p.add(scan("measure"), vec![]);
+    let measure_stream = p.add(OperatorSpec::Fetch, vec![cands, measure_col]);
+    let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
+    let dim_key = p.add(
+        OperatorSpec::ScanColumn {
+            table: "dim".into(),
+            column: "key".into(),
+            range: RowRange::new(0, 20),
+        },
+        vec![],
+    );
+    let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
+
+    // Stream positions without a match.
+    let unmatched = match split {
+        None => {
+            let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
+            p.add(OperatorSpec::AntiJoin, vec![fk_stream, hash])
+        }
+        Some(k) => {
+            let parts: Vec<_> = [(0, k), (k, rows)]
+                .into_iter()
+                .map(|(start, len)| {
+                    let part = p.add(OperatorSpec::SlicePart { start, len }, vec![cands]);
+                    let fk = p.add(OperatorSpec::Fetch, vec![part, fk_col]);
+                    p.add(OperatorSpec::AntiJoin, vec![fk, hash])
+                })
+                .collect();
+            p.add(OperatorSpec::ExchangeUnion, parts)
+        }
+    };
+    let grp_u = p.add(OperatorSpec::Fetch, vec![unmatched, grp_stream]);
+    let measure_u = p.add(OperatorSpec::Fetch, vec![unmatched, measure_stream]);
+    let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_u, measure_u]);
+    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
+    p.set_root(merged);
+    p
+}
+
+#[test]
+fn anti_join_cloned_over_stream_partitions_matches_the_unsplit_plan() {
+    let rows = 4_000;
+    let cat = catalog(rows);
+    let engine = Engine::with_workers(3);
+    let expected = engine
+        .execute(&anti_join_over_stream_plan(rows, 4, None), &cat)
+        .expect("unsplit plan executes")
+        .output;
+    assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
+    for k in [1, 7, 100, 1_000, 2_000] {
+        let split = anti_join_over_stream_plan(rows, 4, Some(k));
+        split.validate().expect("split plan is valid");
+        let out = engine.execute(&split, &cat).expect("split plan executes").output;
+        assert_eq!(out, expected, "anti-join over stream partitions (cut at {k}) mislabelled rows");
+    }
+}
+
+/// Join-stream positions whose fact `measure` is below 500, grouped: the
+/// selection runs over the measure fetched through the projected outer side —
+/// of the whole join result, or of `SlicePart` windows of it. A projected
+/// window that forgot its stream offset would select positions from 0 again.
+/// `union_only` instead returns the projected outer side itself, whole or
+/// reassembled from the windows.
+fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) -> Plan {
+    let mut p = Plan::new();
+    let full = RowRange::new(0, rows);
+    let scan = |col: &str| OperatorSpec::ScanColumn {
+        table: "fact".into(),
+        column: col.into(),
+        range: full,
+    };
+    let fk = p.add(scan("fk"), vec![]);
+    let dim = p.add(
+        OperatorSpec::ScanColumn {
+            table: "dim".into(),
+            column: "key".into(),
+            range: RowRange::new(0, 20),
+        },
+        vec![],
+    );
+    let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
+    let join = p.add(OperatorSpec::HashProbe, vec![fk, hash]);
+    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
+    let measure = p.add(scan("measure"), vec![]);
+    let grp = p.add(scan("grp"), vec![]);
+    // Columns aligned with the whole join stream.
+    let measure_j = p.add(OperatorSpec::Fetch, vec![outer, measure]);
+    let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp]);
+
+    let below = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 500i64) };
+    let mut bounds = vec![0];
+    bounds.extend_from_slice(cuts);
+    bounds.push(rows);
+    let windows: Vec<_> = bounds
+        .windows(2)
+        .map(|w| {
+            let window =
+                p.add(OperatorSpec::SlicePart { start: w[0], len: w[1] - w[0] }, vec![join]);
+            p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![window])
+        })
+        .collect();
+    if union_only {
+        let root =
+            if cuts.is_empty() { outer } else { p.add(OperatorSpec::ExchangeUnion, windows) };
+        p.set_root(root);
+        return p;
+    }
+    let selected = if cuts.is_empty() {
+        p.add(below, vec![measure_j])
+    } else {
+        let parts: Vec<_> = windows
+            .into_iter()
+            .map(|side| {
+                let m = p.add(OperatorSpec::Fetch, vec![side, measure]);
+                p.add(below.clone(), vec![m])
+            })
+            .collect();
+        p.add(OperatorSpec::ExchangeUnion, parts)
+    };
+    let grp_s = p.add(OperatorSpec::Fetch, vec![selected, grp_j]);
+    let measure_s = p.add(OperatorSpec::Fetch, vec![selected, measure_j]);
+    let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_s, measure_s]);
+    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
+    p.set_root(merged);
+    p
+}
+
+#[test]
+fn projected_join_sides_of_stream_windows_keep_their_stream_offset() {
+    let rows = 3_000;
+    let cat = catalog(rows);
+    let engine = Engine::with_workers(2);
+    let run = |plan: Plan| {
+        plan.validate().expect("plan is valid");
+        engine.execute(&plan, &cat).expect("plan executes").output
+    };
+    let expected = run(project_over_join_stream_plan(rows, &[], false));
+    assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
+    let whole_side = run(project_over_join_stream_plan(rows, &[], true));
+    assert!(matches!(whole_side, QueryOutput::Oids(ref o) if o.len() > 1_000));
+    for cuts in [&[1][..], &[123], &[600, 601], &[5, 700, 1_100]] {
+        assert_eq!(
+            run(project_over_join_stream_plan(rows, cuts, false)),
+            expected,
+            "selection over projected join windows (cuts {cuts:?}) restarted its positions"
+        );
+        // Side views of consecutive windows reassemble into the whole side.
+        assert_eq!(run(project_over_join_stream_plan(rows, cuts, true)), whole_side);
+    }
 }

@@ -15,54 +15,68 @@
 //! arithmetic, cutting a window clones one `Arc`, and building a column
 //! allocates that one `Arc` and nothing else.
 //!
+//! The kernels above the views are held to ceilings through the same gate
+//! (`docs/architecture.md`, "kernel contract"): a select's live heap never
+//! exceeds its output (no row mask), a candidate select's likewise (no
+//! gathered column), projecting a join side allocates nothing, and a hash
+//! build or probe over `Int64` keys never holds a copy of them.
+//!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
-use apq_columnar::{Catalog, Column};
+use apq_columnar::{Catalog, Column, Oid};
 use apq_engine::interpreter::execute_node;
-use apq_engine::plan::OperatorSpec;
+use apq_engine::plan::{JoinSide, OperatorSpec};
 use apq_engine::{Chunk, JoinView, OidsView};
-use apq_operators::JoinResult;
+use apq_operators::{select, select_with_candidates, CmpOp, JoinHashTable, JoinResult, Predicate};
 
 /// Wraps the system allocator, counting allocations (and their bytes) made
-/// while the gate is open. Deallocations are not counted: dropping an
-/// `Arc`-backed view is free-ing, not allocating.
+/// while the gate is open. Deallocations do not count as allocations
+/// (dropping an `Arc`-backed view is free-ing, not allocating); they only
+/// lower the live-byte level whose high-water mark is [`PEAK`].
 struct CountingAlloc;
 
 static GATE: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated minus bytes freed since the gate opened, and its maximum.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+fn count(allocated: usize, freed: usize) {
+    if GATE.load(Ordering::Relaxed) {
+        if allocated > 0 {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(allocated, Ordering::Relaxed);
+        }
+        let delta = allocated as isize - freed as isize;
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if GATE.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        }
+        count(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if GATE.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        }
+        count(layout.size(), 0);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if GATE.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size, Ordering::Relaxed);
-        }
+        count(new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -74,11 +88,81 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, usize) {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
     GATE.store(true, Ordering::SeqCst);
     let out = f();
     GATE.store(false, Ordering::SeqCst);
     black_box(out);
     (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
+}
+
+/// Runs `f` with the gate open; returns the most heap it held at any moment.
+fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> usize {
+    allocations_during(f);
+    PEAK.load(Ordering::SeqCst) as usize
+}
+
+/// The kernels' ceilings: what each may hold live, at most.
+fn kernels_hold_no_more_than_their_outputs() {
+    const N: usize = 1 << 20;
+    const SLACK: usize = 16 * 1024;
+    let oid_bytes = std::mem::size_of::<Oid>();
+
+    // A 1 % selection of 1 Mi rows. A row mask would be 1 MiB, a gathered
+    // candidate column 8 MiB; the output's growth is at most twice its size.
+    let quantity = Column::from_i64((0..N as i64).map(|v| (v * 7919) % 100).collect());
+    let rare = Predicate::cmp(CmpOp::Lt, 1i64);
+    let hits = select(&quantity, &rare).unwrap().len();
+    assert!(hits > 10_000 && hits < 11_000, "the selection is about 1 %: {hits}");
+    let ceiling = 2 * oid_bytes * hits + SLACK;
+    let peak = peak_bytes_during(|| select(&quantity, &rare));
+    assert!(peak <= ceiling, "select held {peak} bytes for {hits} hits (ceiling {ceiling})");
+
+    let everything: Vec<Oid> = (0..N as Oid).collect();
+    let peak = peak_bytes_during(|| select_with_candidates(&quantity, &rare, &everything));
+    assert!(peak <= ceiling, "candidate select held {peak} bytes (ceiling {ceiling})");
+
+    // A string predicate may also hold its per-dictionary-entry mask.
+    let flags = Column::from_strings((0..N).map(|i| if i % 100 == 0 { "R" } else { "N" }));
+    let returned = Predicate::cmp(CmpOp::Eq, "R");
+    let peak = peak_bytes_during(|| select(&flags, &returned));
+    assert!(peak <= ceiling, "string select held {peak} bytes (ceiling {ceiling})");
+
+    // Projecting a join side is the join window over one side's backing.
+    let join_chunk = Chunk::join(JoinResult {
+        outer_oids: (0..N as u64).collect(),
+        inner_oids: (0..N as u64).rev().collect(),
+    });
+    let window = Chunk::Join(join_chunk.as_join_view().unwrap().slice(4_321, 64 * 1024));
+    let cat = Catalog::new();
+    for side in [JoinSide::Outer, JoinSide::Inner] {
+        let spec = OperatorSpec::ProjectJoinSide { side };
+        let (allocs, _) =
+            allocations_during(|| execute_node(0, &spec, std::slice::from_ref(&window), &cat));
+        assert_eq!(allocs, 0, "ProjectJoinSide allocated");
+    }
+    let projected =
+        execute_node(0, &OperatorSpec::ProjectJoinSide { side: JoinSide::Inner }, &[window], &cat)
+            .unwrap();
+    let view = projected.as_oids_view().unwrap();
+    assert_eq!((view.offset(), view.stream_base(), view.len()), (4_321, 4_321, 64 * 1024));
+    assert_eq!(view.as_slice()[0], (N - 1 - 4_321) as Oid);
+
+    // A build over Int64 keys owns bucket heads and chain links only
+    // (2 Mi + 1 Mi entries of 4 bytes), not 8 MiB of keys ...
+    let keys = Column::from_i64((0..N as i64).collect());
+    let peak = peak_bytes_during(|| JoinHashTable::build(&keys));
+    assert!(peak <= 3 * N * 4 + SLACK, "an Int64 build held {peak} bytes: a key copy?");
+    // ... and a probe holds its two reserved output vectors, not 8 MiB more
+    // for the outer keys — whether they are Int64 or widened from Int32.
+    let table = JoinHashTable::build(&Column::from_i64((0..64).collect())).unwrap();
+    let outputs = 2 * oid_bytes * N + SLACK;
+    let peak = peak_bytes_during(|| table.probe(&keys));
+    assert!(peak <= outputs, "an Int64 probe held {peak} bytes (outputs {outputs})");
+    let narrow = Column::from_i32((0..N as i32).collect());
+    let peak = peak_bytes_during(|| table.probe(&narrow));
+    assert!(peak <= outputs, "an Int32 probe held {peak} bytes (outputs {outputs})");
 }
 
 #[test]
@@ -164,4 +248,6 @@ fn stream_view_cuts_are_alloc_free() {
             .sum::<i64>()
     });
     assert_eq!(allocs, 0, "Column::slice + i64_values allocated");
+
+    kernels_hold_no_more_than_their_outputs();
 }

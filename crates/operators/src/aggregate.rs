@@ -10,10 +10,12 @@
 //! the paper's `aggr.sum` over `mat.pack`-ed partials in the Q14 plan.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use apq_columnar::{Column, DataType, ScalarValue};
 
 use crate::error::{OperatorError, Result};
+use crate::join::mix;
 
 /// Aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,14 +260,15 @@ impl GroupedAgg {
         self.keys.is_empty()
     }
 
-    fn state_mut(&mut self, key: GroupKey) -> &mut AggState {
-        let func = self.func;
-        let idx = *self.index.entry(key.clone()).or_insert_with(|| {
-            self.keys.push(key);
-            self.states.push(AggState::new(func));
-            self.keys.len() - 1
-        });
-        &mut self.states[idx]
+    /// Index of `key`'s group, appended (in first-occurrence order) if new.
+    fn slot(&mut self, key: &GroupKey) -> usize {
+        if let Some(&idx) = self.index.get(key) {
+            return idx;
+        }
+        self.keys.push(key.clone());
+        self.states.push(AggState::new(self.func));
+        self.index.insert(key.clone(), self.keys.len() - 1);
+        self.keys.len() - 1
     }
 
     /// Finalized value of one group, if present.
@@ -273,7 +276,9 @@ impl GroupedAgg {
         self.index.get(key).map(|&i| self.states[i].finish())
     }
 
-    /// Merges another grouped aggregate (same function) into this one.
+    /// Merges another grouped aggregate into this one. Groups new to `self`
+    /// are appended in `other`'s order; `IncompatibleAggregates` (and `self`
+    /// untouched) when the two compute different functions.
     pub fn merge(&mut self, other: &GroupedAgg) -> Result<()> {
         if self.func != other.func {
             return Err(OperatorError::IncompatibleAggregates(format!(
@@ -283,7 +288,8 @@ impl GroupedAgg {
             )));
         }
         for (key, state) in other.keys.iter().zip(&other.states) {
-            self.state_mut(key.clone()).merge(state)?;
+            let slot = self.slot(key);
+            self.states[slot].merge(state)?;
         }
         Ok(())
     }
@@ -297,83 +303,166 @@ impl GroupedAgg {
         out
     }
 
-    /// Approximate memory footprint in bytes (profiler memory claim).
+    /// Memory footprint in bytes (profiler memory claim): per group one key
+    /// and one state in the group vectors plus one `(key, slot)` entry in the
+    /// index, and the bytes of a string key twice (the index owns a copy).
+    /// Allocator slack and the index's empty buckets are not counted.
     pub fn byte_size(&self) -> usize {
-        self.keys.len() * (std::mem::size_of::<GroupKey>() + std::mem::size_of::<AggState>())
+        let per_group = std::mem::size_of::<GroupKey>()
+            + std::mem::size_of::<AggState>()
+            + std::mem::size_of::<(GroupKey, usize)>();
+        let key_heap: usize = self
+            .keys
+            .iter()
+            .map(|k| match k {
+                GroupKey::I64(_) => 0,
+                GroupKey::Str(s) => 2 * s.len(),
+            })
+            .sum();
+        self.keys.len() * per_group + key_heap
     }
 }
 
-/// Converts a key column row into a [`GroupKey`], using a per-dictionary-code
-/// cache for string columns so the conversion stays O(1) per row.
-fn key_extractor(keys: &Column) -> Result<Box<dyn Fn(usize) -> GroupKey + '_>> {
-    match keys.data_type() {
-        DataType::Int64 => {
-            let vals = keys.i64_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i])))
+/// The one accumulation loop: row `i` updates the state of group
+/// `slot_of(keys[i])` with `values[i]`, the value column read through its
+/// typed slice and the matching [`AggState`] update.
+fn accumulate<K: Copy>(
+    agg: &mut GroupedAgg,
+    keys: &[K],
+    values: &Column,
+    slot_of: impl FnMut(&mut GroupedAgg, K) -> usize,
+) -> Result<()> {
+    fn rows<K: Copy, V: Copy>(
+        agg: &mut GroupedAgg,
+        keys: &[K],
+        values: &[V],
+        mut slot_of: impl FnMut(&mut GroupedAgg, K) -> usize,
+        update: impl Fn(&mut AggState, V),
+    ) {
+        for (&k, &v) in keys.iter().zip(values) {
+            let slot = slot_of(agg, k);
+            update(&mut agg.states[slot], v);
         }
+    }
+    match values.data_type() {
+        DataType::Int64 => rows(agg, keys, values.i64_values()?, slot_of, AggState::update_i64),
         DataType::Int32 => {
-            let vals = keys.i32_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i] as i64)))
+            rows(agg, keys, values.i32_values()?, slot_of, |s, v| s.update_i64(v as i64))
         }
+        DataType::Float64 => rows(agg, keys, values.f64_values()?, slot_of, AggState::update_f64),
         DataType::Bool => {
-            let vals = keys.bool_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i] as i64)))
+            rows(agg, keys, values.bool_values()?, slot_of, |s, v| s.update_i64(v as i64))
         }
         DataType::Str => {
-            let (codes, dict) = keys.str_codes()?;
-            Ok(Box::new(move |i| GroupKey::Str(dict[codes[i] as usize].clone())))
+            if agg.func != AggFunc::Count {
+                return Err(OperatorError::IncompatibleAggregates(format!(
+                    "{} over a string value column",
+                    agg.func.name()
+                )));
+            }
+            // Only the row count matters: every key row counts one.
+            rows(agg, keys, keys, slot_of, |s, _| s.update_i64(1))
         }
-        DataType::Float64 => Err(OperatorError::IncompatibleAggregates(
-            "float group-by keys are not supported".to_string(),
-        )),
     }
+    Ok(())
+}
+
+/// Groups keys drawn from a small dense domain `0..domain` (dictionary codes,
+/// booleans) through a `code → group slot` table: the [`GroupKey`] is built,
+/// and the aggregate's own index consulted, once per distinct code.
+fn accumulate_dense<K: Copy>(
+    agg: &mut GroupedAgg,
+    keys: &[K],
+    values: &Column,
+    domain: usize,
+    code_of: impl Fn(K) -> usize,
+    key_of: impl Fn(usize) -> GroupKey,
+) -> Result<()> {
+    const UNSEEN: u32 = u32::MAX;
+    let mut slots = vec![UNSEEN; domain];
+    accumulate(agg, keys, values, |agg, k| {
+        let code = code_of(k);
+        if slots[code] == UNSEEN {
+            // Two codes may carry one key (a dictionary with a repeated
+            // entry): `slot` finds the group the first of them opened.
+            slots[code] = agg.slot(&key_of(code)) as u32;
+        }
+        slots[code] as usize
+    })
+}
+
+/// The join's multiplicative hash as a `Hasher` for `i64` keys.
+#[derive(Default)]
+struct FibHasher(u64);
+
+impl Hasher for FibHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only i64 keys are hashed");
+    }
+    fn write_i64(&mut self, key: i64) {
+        // The map takes its bucket from the low end of the hash and its
+        // control byte from the top: give the low end the well-mixed half.
+        self.0 = mix(key).rotate_left(32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Groups integer keys through an `i64 → group slot` map.
+fn accumulate_ints<K: Copy>(
+    agg: &mut GroupedAgg,
+    keys: &[K],
+    values: &Column,
+    widen: impl Fn(K) -> i64,
+) -> Result<()> {
+    let mut slots: HashMap<i64, usize, BuildHasherDefault<FibHasher>> = HashMap::default();
+    accumulate(agg, keys, values, |agg, k| {
+        let key = widen(k);
+        *slots.entry(key).or_insert_with(|| agg.slot(&GroupKey::I64(key)))
+    })
 }
 
 /// Single-attribute grouped aggregation: `SELECT key, func(value) GROUP BY key`.
 ///
 /// `keys` and `values` must be equally long and positionally aligned (they
-/// usually are two columns fetched through the same candidate list).
+/// usually are two columns fetched through the same candidate list). One pass
+/// over both; groups are kept in first-occurrence order.
+///
+/// Errors, in this order: `LengthMismatch`; `IncompatibleAggregates` for
+/// `Float64` keys; `IncompatibleAggregates` for anything but `Count` over a
+/// string value column.
 pub fn grouped_agg(func: AggFunc, keys: &Column, values: &Column) -> Result<GroupedAgg> {
     if keys.len() != values.len() {
         return Err(OperatorError::LengthMismatch { left: keys.len(), right: values.len() });
     }
-    let extract = key_extractor(keys)?;
     let mut agg = GroupedAgg::new(func);
-    match values.data_type() {
-        DataType::Int64 => {
-            let vals = values.i64_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v);
-            }
-        }
-        DataType::Int32 => {
-            let vals = values.i32_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v as i64);
-            }
+    match keys.data_type() {
+        DataType::Int64 => accumulate_ints(&mut agg, keys.i64_values()?, values, |k| k)?,
+        DataType::Int32 => accumulate_ints(&mut agg, keys.i32_values()?, values, i64::from)?,
+        DataType::Bool => accumulate_dense(
+            &mut agg,
+            keys.bool_values()?,
+            values,
+            2,
+            |k| k as usize,
+            |code| GroupKey::I64(code as i64),
+        )?,
+        DataType::Str => {
+            let (codes, dict) = keys.str_codes()?;
+            accumulate_dense(
+                &mut agg,
+                codes,
+                values,
+                dict.len(),
+                |c| c as usize,
+                |code| GroupKey::Str(dict[code].clone()),
+            )?
         }
         DataType::Float64 => {
-            let vals = values.f64_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_f64(v);
-            }
-        }
-        DataType::Bool => {
-            let vals = values.bool_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v as i64);
-            }
-        }
-        DataType::Str => {
-            if func != AggFunc::Count {
-                return Err(OperatorError::IncompatibleAggregates(format!(
-                    "{} over a string value column",
-                    func.name()
-                )));
-            }
-            for i in 0..keys.len() {
-                agg.state_mut(extract(i)).update_i64(1);
-            }
+            return Err(OperatorError::IncompatibleAggregates(
+                "float group-by keys are not supported".to_string(),
+            ))
         }
     }
     Ok(agg)
@@ -504,6 +593,64 @@ mod tests {
         }
         let merged = merge_grouped(&parts).unwrap();
         assert_eq!(merged.finish_sorted(), whole.finish_sorted());
+    }
+
+    #[test]
+    fn groups_keep_first_occurrence_order() {
+        let values = Column::from_i64(vec![1; 6]);
+        let by_str = Column::from_strings(["b", "a", "b", "c", "a", "d"]);
+        let g = grouped_agg(AggFunc::Count, &by_str, &values).unwrap();
+        let strs = |keys: &[&str]| keys.iter().map(|k| GroupKey::Str(k.to_string())).collect();
+        let expected: Vec<GroupKey> = strs(&["b", "a", "c", "d"]);
+        assert_eq!(g.keys, expected);
+        // A window sees its own first occurrences, not the dictionary's order.
+        let window =
+            grouped_agg(AggFunc::Count, &by_str.slice(3, 3).unwrap(), &values.slice(3, 3).unwrap())
+                .unwrap();
+        let expected: Vec<GroupKey> = strs(&["c", "a", "d"]);
+        assert_eq!(window.keys, expected);
+
+        let ints = |keys: &[i64]| keys.iter().map(|&k| GroupKey::I64(k)).collect::<Vec<_>>();
+        let by_i64 = Column::from_i64(vec![7, -1, 7, i64::MIN, -1, 0]);
+        assert_eq!(
+            grouped_agg(AggFunc::Sum, &by_i64, &values).unwrap().keys,
+            ints(&[7, -1, i64::MIN, 0])
+        );
+        let by_i32 = Column::from_i32(vec![2, 2, 1, 3, 1, 2]);
+        assert_eq!(grouped_agg(AggFunc::Sum, &by_i32, &values).unwrap().keys, ints(&[2, 1, 3]));
+        let by_bool = Column::from_bool(vec![true, true, false, true, false, false]);
+        assert_eq!(grouped_agg(AggFunc::Sum, &by_bool, &values).unwrap().keys, ints(&[1, 0]));
+
+        // Merging ragged partials appends unseen groups in the other's order,
+        // and states stay parallel to keys.
+        let mut merged = window.clone();
+        merged.merge(&g).unwrap();
+        let expected: Vec<GroupKey> = strs(&["c", "a", "d", "b"]);
+        assert_eq!(merged.keys, expected);
+        let counts: Vec<i64> = merged.states.iter().map(AggState::count).collect();
+        assert_eq!(counts, vec![2, 3, 2, 2]);
+        for (i, key) in merged.keys.iter().enumerate() {
+            assert_eq!(merged.index[key], i);
+        }
+    }
+
+    #[test]
+    fn byte_size_counts_keys_states_index_and_string_bytes() {
+        let per_group = std::mem::size_of::<GroupKey>()
+            + std::mem::size_of::<AggState>()
+            + std::mem::size_of::<(GroupKey, usize)>();
+        let values = Column::from_i64(vec![1, 2, 3, 4]);
+        let ints = grouped_agg(AggFunc::Sum, &Column::from_i64(vec![5, 6, 5, 7]), &values).unwrap();
+        assert_eq!(ints.byte_size(), 3 * per_group);
+        // "AIR" + "TRUCK" = 8 bytes of key text, held by the key vector and by the index.
+        let strs = grouped_agg(
+            AggFunc::Sum,
+            &Column::from_strings(["AIR", "TRUCK", "AIR", "AIR"]),
+            &values,
+        )
+        .unwrap();
+        assert_eq!(strs.byte_size(), 2 * per_group + 2 * 8);
+        assert_eq!(GroupedAgg::new(AggFunc::Sum).byte_size(), 0);
     }
 
     #[test]

@@ -10,29 +10,32 @@
 //! paper's boundary adjustment, dropping overshooting oids and reporting how
 //! many were dropped.
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Column, Oid};
 
 use crate::error::Result;
 
-/// Fetches `column[oid]` for every oid, producing a dense value column.
+/// Fetches `column[oid]` for every oid, producing a dense value column in
+/// `oids` order (unsorted and duplicated oids are fine).
 ///
 /// Every oid must lie inside the column view's `[base_oid, end_oid)` range;
-/// otherwise a `MisalignedOid` storage error is returned (the paper's
-/// "invalid access").
+/// otherwise a `MisalignedOid` storage error naming the first offending oid
+/// in list order is returned (the paper's "invalid access") and no column is
+/// produced. The range check and the load are one pass.
 pub fn fetch(column: &Column, oids: &[Oid]) -> Result<Column> {
     Ok(column.gather_oids(oids)?)
 }
 
 /// Fetch with boundary clamping: oids outside the column view are dropped
 /// (the paper's "the lower boundary of LT is adjusted ... to match the lower
-/// boundary of RH"). Returns the fetched column, the clamped oid list and the
-/// number of oids that were dropped.
+/// boundary of RH"). Returns the fetched column, the clamped oid list (the
+/// surviving oids in their original order) and the number of oids that were
+/// dropped. Never fails on an out-of-range oid.
 pub fn fetch_clamped(column: &Column, oids: &[Oid]) -> Result<(Column, Vec<Oid>, usize)> {
-    let range = RowRange::new(column.base_oid() as usize, column.end_oid() as usize);
-    let clamped: Vec<Oid> = oids.iter().copied().filter(|&o| range.contains(o as usize)).collect();
-    let dropped = oids.len() - clamped.len();
+    let (lo, len) = (column.base_oid(), column.len() as Oid);
+    // An oid below `lo` wraps far past `len`.
+    let clamped: Vec<Oid> = oids.iter().copied().filter(|o| o.wrapping_sub(lo) < len).collect();
     let fetched = column.gather_oids(&clamped)?;
+    let dropped = oids.len() - clamped.len();
     Ok((fetched, clamped, dropped))
 }
 

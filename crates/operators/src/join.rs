@@ -22,14 +22,22 @@ use crate::error::{OperatorError, Result};
 
 const EMPTY: u32 = u32::MAX;
 
+/// Outer rows whose bucket heads are looked up ahead of their chain walks.
+const STAGE: usize = 32;
+
 /// An immutable hash table over the inner (build-side) join keys.
+///
+/// Entry `i` is build row `i`, i.e. inner oid `base + i`, so no oid vector is
+/// stored. An `Int64` build column is borrowed (an `Arc` clone of the view);
+/// an `Int32` one is widened into an owned `Int64` column once, here.
 #[derive(Debug)]
 pub struct JoinHashTable {
     mask: u64,
     heads: Vec<u32>,
     next: Vec<u32>,
-    keys: Vec<i64>,
-    oids: Vec<Oid>,
+    keys: Column,
+    owns_keys: bool,
+    base: Oid,
 }
 
 /// The output of a probe: parallel vectors of matching outer and inner oids.
@@ -87,94 +95,180 @@ impl JoinResult {
     }
 }
 
+/// Fibonacci hashing: cheap, good spread for dense and sparse keys alike.
+/// The well-mixed bits of the product are its high half.
 #[inline]
-fn hash_key(key: i64, mask: u64) -> usize {
-    // Fibonacci hashing: cheap, good spread for dense and sparse keys alike.
-    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & mask) as usize
+pub(crate) fn mix(key: i64) -> u64 {
+    (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Extracts the visible values of an integer key column, widened to `i64`.
-fn key_values(column: &Column) -> Result<Vec<i64>> {
-    match column.data_type() {
-        DataType::Int64 => Ok(column.i64_values()?.to_vec()),
-        DataType::Int32 => Ok(column.i32_values()?.iter().map(|&v| v as i64).collect()),
-        other => Err(OperatorError::UnsupportedJoinKey(other.name())),
-    }
+#[inline]
+fn hash_key(key: i64, mask: u64) -> usize {
+    (mix(key) >> 32 & mask) as usize
+}
+
+/// What [`JoinHashTable::scan`] reports for the outer rows: every matching
+/// entry, or only whether there is one.
+#[derive(Clone, Copy, PartialEq)]
+enum Matches {
+    All,
+    First,
 }
 
 impl JoinHashTable {
     /// Builds the hash table over the inner key column. Entry `i` records the
     /// absolute oid `inner.base_oid() + i`.
+    ///
+    /// `UnsupportedJoinKey` unless the column is `Int64` or `Int32`.
     pub fn build(inner: &Column) -> Result<JoinHashTable> {
-        let keys = key_values(inner)?;
-        let n = keys.len();
+        let (keys, owns_keys) = match inner.data_type() {
+            DataType::Int64 => (inner.clone(), false),
+            DataType::Int32 => {
+                (Column::from_i64(inner.i32_values()?.iter().map(|&v| v as i64).collect()), true)
+            }
+            other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
+        };
+        let values = keys.i64_values()?;
+        let n = values.len();
         let n_buckets = (n.max(1) * 2).next_power_of_two();
         let mask = (n_buckets - 1) as u64;
         let mut heads = vec![EMPTY; n_buckets];
         let mut next = vec![EMPTY; n];
-        let base = inner.base_oid();
-        let oids: Vec<Oid> = (0..n as u64).map(|i| base + i).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            let b = hash_key(key, mask);
-            next[i] = heads[b];
-            heads[b] = i as u32;
+        for (i, (&key, link)) in values.iter().zip(&mut next).enumerate() {
+            let head = &mut heads[hash_key(key, mask)];
+            *link = *head;
+            *head = i as u32;
         }
-        Ok(JoinHashTable { mask, heads, next, keys, oids })
+        Ok(JoinHashTable { mask, heads, next, keys, owns_keys, base: inner.base_oid() })
+    }
+
+    fn keys(&self) -> &[i64] {
+        self.keys.i64_values().expect("build stores an Int64 key column")
     }
 
     /// Number of build-side entries.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.next.len()
     }
 
     /// True when the build side was empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.next.is_empty()
     }
 
-    /// Approximate memory footprint in bytes (profiler memory claim).
+    /// Memory the table owns, in bytes (profiler memory claim): 4 per bucket
+    /// head, 4 per chain link, and 8 per key only when the keys were widened
+    /// from `Int32` — a borrowed `Int64` build column is its producer's claim.
     pub fn byte_size(&self) -> usize {
-        self.heads.len() * 4 + self.next.len() * 4 + self.keys.len() * 8 + self.oids.len() * 8
+        let owned_keys = if self.owns_keys { self.keys.byte_size() } else { 0 };
+        (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>() + owned_keys
     }
 
-    /// Returns the inner oids whose key equals `key`.
+    /// Returns the inner oids whose key equals `key`, newest-inserted first.
     pub fn lookup(&self, key: i64) -> Vec<Oid> {
         let mut out = Vec::new();
-        let mut e = self.heads[hash_key(key, self.mask)];
-        while e != EMPTY {
-            let i = e as usize;
-            if self.keys[i] == key {
-                out.push(self.oids[i]);
-            }
-            e = self.next[i];
-        }
+        self.scan(&[key], |k| k, Matches::All, |_, entry| out.extend(entry.map(|j| self.base + j)));
         out
     }
 
-    /// Probes the table with an outer key column. Each outer row's absolute
-    /// oid is paired with every matching inner oid.
-    pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
-        let keys = key_values(outer)?;
-        let base = outer.base_oid();
-        let mut result = JoinResult::default();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
-                    result.outer_oids.push(base + i as Oid);
-                    result.inner_oids.push(self.oids[j]);
+    /// The one probe loop. For outer row `i` (in row order) calls
+    /// `emit(i, Some(entry))` for each matching build entry along the bucket
+    /// chain — newest-inserted first, only the first under
+    /// [`Matches::First`] — or `emit(i, None)` once when nothing matched.
+    #[inline]
+    fn scan<T: Copy>(
+        &self,
+        outer: &[T],
+        widen: impl Fn(T) -> i64,
+        matches: Matches,
+        mut emit: impl FnMut(usize, Option<Oid>),
+    ) {
+        let keys = self.keys();
+        let mut firsts = [EMPTY; STAGE];
+        for (block, rows) in outer.chunks(STAGE).enumerate() {
+            // The bucket heads of a block of rows are independent loads:
+            // issued back to back they miss the cache together, instead of
+            // each waiting behind the previous row's chain walk.
+            for (first, &k) in firsts.iter_mut().zip(rows) {
+                *first = self.heads[hash_key(widen(k), self.mask)];
+            }
+            for (r, (&k, &first)) in rows.iter().zip(&firsts).enumerate() {
+                let (i, key) = (block * STAGE + r, widen(k));
+                let mut e = first;
+                let mut matched = false;
+                while e != EMPTY {
+                    let j = e as usize;
+                    if keys[j] == key {
+                        matched = true;
+                        emit(i, Some(j as Oid));
+                        if matches == Matches::First {
+                            break;
+                        }
+                    }
+                    e = self.next[j];
                 }
-                e = self.next[j];
+                if !matched {
+                    emit(i, None);
+                }
             }
         }
+    }
+
+    /// [`JoinHashTable::scan`] over an outer key column: `Int64` keys are
+    /// read in place, `Int32` keys are widened per row — neither is copied.
+    fn scan_column(
+        &self,
+        outer: &Column,
+        matches: Matches,
+        emit: impl FnMut(usize, Option<Oid>),
+    ) -> Result<()> {
+        match outer.data_type() {
+            DataType::Int64 => self.scan(outer.i64_values()?, |v| v, matches, emit),
+            DataType::Int32 => self.scan(outer.i32_values()?, i64::from, matches, emit),
+            other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
+        }
+        Ok(())
+    }
+
+    /// [`JoinHashTable::probe_with_oids`] with `oid_of(i)` naming outer row `i`.
+    fn probe_pairs(&self, outer: &Column, oid_of: impl Fn(usize) -> Oid) -> Result<JoinResult> {
+        // Reserved for one match per outer row (the foreign-key case; more
+        // only grows), and the unused tail handed back: a filtered build
+        // side matches a fraction, and the result outlives the probe.
+        let mut result = JoinResult {
+            outer_oids: Vec::with_capacity(outer.len()),
+            inner_oids: Vec::with_capacity(outer.len()),
+        };
+        self.scan_column(outer, Matches::All, |i, entry| {
+            if let Some(j) = entry {
+                result.outer_oids.push(oid_of(i));
+                result.inner_oids.push(self.base + j);
+            }
+        })?;
+        result.outer_oids.shrink_to_fit();
+        result.inner_oids.shrink_to_fit();
         Ok(result)
+    }
+
+    /// Probes the table with an outer key column. Each outer row's absolute
+    /// oid (`outer.base_oid() + row`) is paired with every matching inner oid.
+    ///
+    /// Pairs come in ascending outer-row order; the matches of one outer row
+    /// come newest-inserted build row first. `UnsupportedJoinKey` unless the
+    /// column is `Int64` or `Int32`.
+    pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
+        let base = outer.base_oid();
+        self.probe_pairs(outer, |i| base + i as Oid)
     }
 
     /// Probes with explicit outer oids: `outer_oids[i]` is reported for row
     /// `i` of `outer_keys` instead of `outer_keys.base_oid() + i`. Used when
     /// the outer keys were produced by a fetch over a candidate list, so the
     /// join result keeps referring to base-table oids.
+    ///
+    /// Same pair order as [`JoinHashTable::probe`]. `LengthMismatch` when the
+    /// two inputs differ in length (checked before the key type), then
+    /// `UnsupportedJoinKey`.
     pub fn probe_with_oids(&self, outer_keys: &Column, outer_oids: &[Oid]) -> Result<JoinResult> {
         if outer_keys.len() != outer_oids.len() {
             return Err(OperatorError::LengthMismatch {
@@ -182,40 +276,35 @@ impl JoinHashTable {
                 right: outer_oids.len(),
             });
         }
-        let keys = key_values(outer_keys)?;
-        let mut result = JoinResult::default();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
-                    result.outer_oids.push(outer_oids[i]);
-                    result.inner_oids.push(self.oids[j]);
-                }
-                e = self.next[j];
-            }
-        }
-        Ok(result)
+        self.probe_pairs(outer_keys, |i| outer_oids[i])
     }
 
     /// Probes and reports only whether each outer row has at least one match
-    /// (semi-join), returning the matching outer oids. Used for `EXISTS`
-    /// style sub-queries (TPC-H Q4).
+    /// (semi-join), returning the matching outer oids in ascending order,
+    /// each once. Used for `EXISTS` style sub-queries (TPC-H Q4).
+    /// `UnsupportedJoinKey` unless the column is `Int64` or `Int32`.
     pub fn probe_semi(&self, outer: &Column) -> Result<Vec<Oid>> {
-        let keys = key_values(outer)?;
+        self.probe_existence(outer, true)
+    }
+
+    /// The complement of [`JoinHashTable::probe_semi`]: the absolute oids of
+    /// the outer rows with *no* build-side match (`NOT EXISTS`, TPC-H Q22),
+    /// in ascending order. `UnsupportedJoinKey` unless the column is `Int64`
+    /// or `Int32`.
+    pub fn probe_anti(&self, outer: &Column) -> Result<Vec<Oid>> {
+        self.probe_existence(outer, false)
+    }
+
+    /// Outer oids whose "has a match" equals `wanted`.
+    fn probe_existence(&self, outer: &Column, wanted: bool) -> Result<Vec<Oid>> {
         let base = outer.base_oid();
-        let mut out = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
-                    out.push(base + i as Oid);
-                    break;
-                }
-                e = self.next[j];
+        let mut out = Vec::with_capacity(outer.len());
+        self.scan_column(outer, Matches::First, |i, entry| {
+            if entry.is_some() == wanted {
+                out.push(base + i as Oid);
             }
-        }
+        })?;
+        out.shrink_to_fit();
         Ok(out)
     }
 }
@@ -311,6 +400,57 @@ mod tests {
         let outer = Column::from_i64(vec![1, 3, 2, 1]);
         let ht = JoinHashTable::build(&inner).unwrap();
         assert_eq!(ht.probe_semi(&outer).unwrap(), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn anti_join_is_the_complement_of_the_semi_join() {
+        let inner = Column::from_i64(vec![1, 1, 2]);
+        let outer = Column::from_i64(vec![9, 1, 3, 2, 1, 3]).slice(1, 5).unwrap(); // oids [1, 6)
+        let ht = JoinHashTable::build(&inner).unwrap();
+        assert_eq!(ht.probe_semi(&outer).unwrap(), vec![1, 3, 4]);
+        assert_eq!(ht.probe_anti(&outer).unwrap(), vec![2, 5]);
+        // Nothing matches an empty build side; nothing is left of an empty outer.
+        let empty = JoinHashTable::build(&Column::from_i64(vec![])).unwrap();
+        assert_eq!(empty.probe_anti(&outer).unwrap(), vec![1, 2, 3, 4, 5]);
+        assert!(ht.probe_anti(&Column::from_i32(vec![])).unwrap().is_empty());
+        assert!(ht.probe_anti(&Column::from_f64(vec![1.0])).is_err());
+    }
+
+    #[test]
+    fn duplicate_build_keys_pair_newest_inserted_first() {
+        let inner = Column::from_i64(vec![7, 8, 7, 7]).with_base_oid(100);
+        let ht = JoinHashTable::build(&inner).unwrap();
+        assert_eq!(ht.lookup(7), vec![103, 102, 100]);
+        let res = ht.probe(&Column::from_i64(vec![8, 7])).unwrap();
+        assert_eq!(res.outer_oids, vec![0, 1, 1, 1]);
+        assert_eq!(res.inner_oids, vec![101, 103, 102, 100]);
+    }
+
+    #[test]
+    fn byte_size_counts_what_the_table_owns() {
+        // 5 rows → 16 buckets: 16 heads + 5 links, 4 bytes each.
+        let keys: Vec<i64> = vec![3, 1, 4, 1, 5];
+        let borrowed = JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap();
+        assert_eq!(borrowed.byte_size(), 16 * 4 + 5 * 4);
+        // A window is borrowed just the same.
+        let window = Column::from_i64((0..100).collect()).slice(10, 5).unwrap();
+        assert_eq!(JoinHashTable::build(&window).unwrap().byte_size(), 16 * 4 + 5 * 4);
+        // Int32 keys are widened into a copy the table owns: 8 bytes a row more.
+        let widened =
+            JoinHashTable::build(&Column::from_i32(keys.iter().map(|&k| k as i32).collect()))
+                .unwrap();
+        assert_eq!(widened.byte_size(), 16 * 4 + 5 * 4 + 5 * 8);
+        // The empty table: one bucket, nothing else.
+        assert_eq!(JoinHashTable::build(&Column::from_i64(vec![])).unwrap().byte_size(), 2 * 4);
+    }
+
+    #[test]
+    fn an_int64_build_shares_the_key_column() {
+        let inner = Column::from_i64((0..1000).collect());
+        let ht = JoinHashTable::build(&inner.slice(100, 800).unwrap()).unwrap();
+        assert!(ht.keys.shares_storage_with(&inner));
+        assert_eq!(ht.lookup(100), vec![100]);
+        assert!(ht.lookup(99).is_empty());
     }
 
     #[test]

@@ -8,43 +8,92 @@
 use apq_columnar::{Column, Oid};
 
 use crate::error::Result;
-use crate::predicate::Predicate;
+use crate::predicate::{Predicate, RowKernel};
+
+/// Oids are compacted into a stack block of this many entries and appended
+/// to the output a block at a time.
+const BLOCK: usize = 1024;
 
 /// Evaluates `predicate` over every visible row of `column` and returns the
-/// absolute oids of matching rows, in ascending order.
+/// absolute oids (`column.base_oid() + row`) of matching rows, in ascending
+/// order.
+///
+/// One pass over the typed slice, no row mask. A predicate that cannot apply
+/// to the column's type is `PredicateTypeMismatch`, also for an empty column.
 pub fn select(column: &Column, predicate: &Predicate) -> Result<Vec<Oid>> {
-    let mask = predicate.eval_mask(column)?;
-    let base = column.base_oid();
-    let mut out = Vec::new();
-    for (i, hit) in mask.into_iter().enumerate() {
-        if hit {
-            out.push(base + i as Oid);
+    struct Scan(Oid);
+    impl RowKernel for Scan {
+        type Out = Vec<Oid>;
+        fn run<T: Copy>(self, values: &[T], hit: impl Fn(T) -> bool) -> Vec<Oid> {
+            let mut out = Vec::new();
+            let mut block = [0 as Oid; BLOCK];
+            let mut oid = self.0;
+            for rows in values.chunks(BLOCK) {
+                // Every row stores its oid; only a hit advances the cursor,
+                // so there is no branch on the data. `k` never passes the
+                // rows seen of a chunk of at most BLOCK, so the (checked)
+                // indexing stays in bounds.
+                let mut k = 0;
+                for &v in rows {
+                    block[k] = oid;
+                    k += hit(v) as usize;
+                    oid += 1;
+                }
+                out.extend_from_slice(&block[..k]);
+            }
+            out
         }
     }
-    Ok(out)
+    Ok(predicate.resolve(column)?.drive(Scan(column.base_oid())))
 }
 
 /// Evaluates `predicate` only for the rows named by `candidates` (absolute
-/// oids) and returns the surviving oids, preserving the candidate order.
+/// oids) and returns the surviving oids, preserving the candidate order
+/// (unsorted and duplicated candidates are kept as given).
 ///
 /// This is the second select flavour of paper §2.2: a filter that accepts a
 /// column *and* the output of a previous selection. Candidates that fall
-/// outside the column slice are ignored (they belong to another partition's
-/// clone and will be evaluated there).
+/// outside the column's `[base_oid, end_oid)` are ignored (they belong to
+/// another partition's clone and will be evaluated there). The partition
+/// test, the value load and the predicate are one loop over the candidates —
+/// no gathered column.
+///
+/// The predicate is resolved before any candidate is looked at, so a
+/// predicate that cannot apply to the column's type is
+/// `PredicateTypeMismatch` even when no candidate falls inside the partition.
 pub fn select_with_candidates(
     column: &Column,
     predicate: &Predicate,
     candidates: &[Oid],
 ) -> Result<Vec<Oid>> {
-    let lo = column.base_oid();
-    let hi = column.end_oid();
-    let in_range: Vec<Oid> = candidates.iter().copied().filter(|&o| o >= lo && o < hi).collect();
-    if in_range.is_empty() {
-        return Ok(Vec::new());
+    struct Probe<'a>(Oid, &'a [Oid]);
+    impl RowKernel for Probe<'_> {
+        type Out = Vec<Oid>;
+        fn run<T: Copy>(self, values: &[T], hit: impl Fn(T) -> bool) -> Vec<Oid> {
+            let Probe(lo, candidates) = self;
+            let mut out = Vec::new();
+            let Some(last) = values.len().checked_sub(1) else {
+                return out;
+            };
+            let mut block = [0 as Oid; BLOCK];
+            for oids in candidates.chunks(BLOCK) {
+                let mut k = 0;
+                for &oid in oids {
+                    // An oid below `lo` wraps to a position past the end. An
+                    // outside candidate still loads a value (the last row's)
+                    // so that the loop has no branch; `inside` discards it.
+                    let pos = oid.wrapping_sub(lo);
+                    let inside = pos <= last as Oid;
+                    let v = values[if inside { pos as usize } else { last }];
+                    block[k] = oid;
+                    k += (inside & hit(v)) as usize;
+                }
+                out.extend_from_slice(&block[..k]);
+            }
+            out
+        }
     }
-    let gathered = column.gather_oids(&in_range)?;
-    let mask = predicate.eval_mask(&gathered)?;
-    Ok(in_range.into_iter().zip(mask).filter_map(|(oid, hit)| hit.then_some(oid)).collect())
+    Ok(predicate.resolve(column)?.drive(Probe(column.base_oid(), candidates)))
 }
 
 /// Fraction of rows of `column` that satisfy `predicate` (test / workload helper).

@@ -1,0 +1,885 @@
+//! Kernel property suite: every one-pass kernel against the two-pass body it
+//! replaced.
+//!
+//! [`reference`] holds the previous implementations of `eval_mask`, `select`,
+//! `select_with_candidates`, `gather_oids`, `fetch_clamped`, the hash join
+//! (`probe`, `probe_with_oids`, `probe_semi`, the interpreter's `anti_join`)
+//! and `grouped_agg`, written against the public API only. Each property
+//! generates columns of all five types (as windows with a non-zero offset
+//! and, sometimes, a relabelled base oid), predicates of every shape with
+//! constants of every type, and oid lists that are unsorted, duplicated,
+//! empty and out of partition, and demands the same `Result` — the same `Ok`
+//! value and the same error, field for field.
+//!
+//! The vendored proptest shim has no recursive or mapped strategies, so each
+//! property draws one seed and [`Gen`] derives the inputs from it; a failure
+//! prints the seed, which reproduces the case exactly.
+//!
+//! Run it in `--release` as well (CI does): the debug build's overflow and
+//! bounds checks change the loops this suite is meant to exercise.
+
+use apq_columnar::{Column, ColumnarError, DataType, Oid, ScalarValue, StringColumn};
+use apq_operators::{
+    fetch, fetch_clamped, grouped_agg, merge_grouped, select, select_with_candidates, AggFunc,
+    AggState, CmpOp, GroupKey, JoinHashTable, JoinResult, OperatorError, Predicate,
+};
+use proptest::prelude::*;
+
+type Result<T> = std::result::Result<T, OperatorError>;
+
+/// The bodies the kernels had before the one-pass rewrite.
+mod reference {
+    use super::*;
+    use apq_columnar::strings::like_match;
+    use std::collections::HashMap;
+
+    fn holds<T: PartialOrd>(op: CmpOp, left: T, right: T) -> bool {
+        match op {
+            CmpOp::Eq => left == right,
+            CmpOp::Ne => left != right,
+            CmpOp::Lt => left < right,
+            CmpOp::Le => left <= right,
+            CmpOp::Gt => left > right,
+            CmpOp::Ge => left >= right,
+        }
+    }
+
+    fn type_error(p: &Predicate, column: &Column) -> OperatorError {
+        OperatorError::PredicateTypeMismatch {
+            column_type: column.data_type().name(),
+            predicate: p.describe(),
+        }
+    }
+
+    pub fn eval_mask(p: &Predicate, column: &Column) -> Result<Vec<bool>> {
+        match p {
+            Predicate::And(a, b) => {
+                let mut m = eval_mask(a, column)?;
+                let mb = eval_mask(b, column)?;
+                for (x, y) in m.iter_mut().zip(mb) {
+                    *x = *x && y;
+                }
+                Ok(m)
+            }
+            Predicate::Or(a, b) => {
+                let mut m = eval_mask(a, column)?;
+                let mb = eval_mask(b, column)?;
+                for (x, y) in m.iter_mut().zip(mb) {
+                    *x = *x || y;
+                }
+                Ok(m)
+            }
+            Predicate::Not(a) => {
+                let mut m = eval_mask(a, column)?;
+                for x in m.iter_mut() {
+                    *x = !*x;
+                }
+                Ok(m)
+            }
+            _ => eval_leaf(p, column),
+        }
+    }
+
+    fn eval_leaf(p: &Predicate, column: &Column) -> Result<Vec<bool>> {
+        match column.data_type() {
+            DataType::Int64 => eval_i64(p, column.i64_values()?.iter().copied(), column),
+            // Widening: predicates on dates are i32 columns with i64 constants.
+            DataType::Int32 => eval_i64(p, column.i32_values()?.iter().map(|&v| v as i64), column),
+            DataType::Float64 => eval_f64(p, column.f64_values()?, column),
+            DataType::Bool => eval_bool(p, column.bool_values()?, column),
+            DataType::Str => eval_str(p, column),
+        }
+    }
+
+    fn eval_i64(
+        p: &Predicate,
+        values: impl Iterator<Item = i64>,
+        column: &Column,
+    ) -> Result<Vec<bool>> {
+        Ok(match p {
+            Predicate::Compare { op, value } => {
+                let rhs = value.as_i64().ok_or_else(|| type_error(p, column))?;
+                values.map(|v| holds(*op, v, rhs)).collect()
+            }
+            Predicate::Between { lo, hi, lo_inclusive, hi_inclusive } => {
+                let lo = lo.as_i64().ok_or_else(|| type_error(p, column))?;
+                let hi = hi.as_i64().ok_or_else(|| type_error(p, column))?;
+                values
+                    .map(|v| {
+                        let ge = if *lo_inclusive { v >= lo } else { v > lo };
+                        let le = if *hi_inclusive { v <= hi } else { v < hi };
+                        ge && le
+                    })
+                    .collect()
+            }
+            Predicate::InI64(set) => values.map(|v| set.contains(&v)).collect(),
+            _ => return Err(type_error(p, column)),
+        })
+    }
+
+    fn eval_f64(p: &Predicate, values: &[f64], column: &Column) -> Result<Vec<bool>> {
+        Ok(match p {
+            Predicate::Compare { op, value } => {
+                let rhs = value.as_f64().ok_or_else(|| type_error(p, column))?;
+                values.iter().map(|&v| holds(*op, v, rhs)).collect()
+            }
+            Predicate::Between { lo, hi, lo_inclusive, hi_inclusive } => {
+                let lo = lo.as_f64().ok_or_else(|| type_error(p, column))?;
+                let hi = hi.as_f64().ok_or_else(|| type_error(p, column))?;
+                values
+                    .iter()
+                    .map(|&v| {
+                        let ge = if *lo_inclusive { v >= lo } else { v > lo };
+                        let le = if *hi_inclusive { v <= hi } else { v < hi };
+                        ge && le
+                    })
+                    .collect()
+            }
+            _ => return Err(type_error(p, column)),
+        })
+    }
+
+    fn eval_bool(p: &Predicate, values: &[bool], column: &Column) -> Result<Vec<bool>> {
+        match p {
+            Predicate::IsTrue => Ok(values.to_vec()),
+            Predicate::Compare { op: CmpOp::Eq, value: ScalarValue::Bool(b) } => {
+                Ok(values.iter().map(|&v| v == *b).collect())
+            }
+            _ => Err(type_error(p, column)),
+        }
+    }
+
+    fn eval_str(p: &Predicate, column: &Column) -> Result<Vec<bool>> {
+        let (codes, dict) = column.str_codes()?;
+        let dict_mask: Vec<bool> = match p {
+            Predicate::Compare { op, value } => {
+                let rhs = value.as_str().ok_or_else(|| type_error(p, column))?;
+                dict.iter().map(|s| holds(*op, s.as_str(), rhs)).collect()
+            }
+            Predicate::Like { pattern } => dict.iter().map(|s| like_match(pattern, s)).collect(),
+            Predicate::InStr(set) => dict.iter().map(|s| set.iter().any(|x| x == s)).collect(),
+            _ => return Err(type_error(p, column)),
+        };
+        Ok(codes.iter().map(|&c| dict_mask[c as usize]).collect())
+    }
+
+    pub fn select(column: &Column, predicate: &Predicate) -> Result<Vec<Oid>> {
+        let mask = eval_mask(predicate, column)?;
+        let base = column.base_oid();
+        let mut out = Vec::new();
+        for (i, hit) in mask.into_iter().enumerate() {
+            if hit {
+                out.push(base + i as Oid);
+            }
+        }
+        Ok(out)
+    }
+
+    pub fn select_with_candidates(
+        column: &Column,
+        predicate: &Predicate,
+        candidates: &[Oid],
+    ) -> Result<Vec<Oid>> {
+        let lo = column.base_oid();
+        let hi = column.end_oid();
+        let in_range: Vec<Oid> =
+            candidates.iter().copied().filter(|&o| o >= lo && o < hi).collect();
+        if in_range.is_empty() {
+            return Ok(Vec::new());
+        }
+        let gathered = gather_oids(column, &in_range)?;
+        let mask = eval_mask(predicate, &gathered)?;
+        Ok(in_range.into_iter().zip(mask).filter_map(|(oid, hit)| hit.then_some(oid)).collect())
+    }
+
+    /// Validate every oid, then gather by position.
+    pub fn gather_oids(column: &Column, oids: &[Oid]) -> Result<Column> {
+        let lo = column.base_oid();
+        let hi = column.end_oid();
+        for &oid in oids {
+            if oid < lo || oid >= hi {
+                return Err(ColumnarError::MisalignedOid { oid, lo, hi }.into());
+            }
+        }
+        let positions = oids.iter().map(|&o| (o - lo) as usize);
+        Ok(match column.data_type() {
+            DataType::Int64 => {
+                let v = column.i64_values()?;
+                Column::from_i64(positions.map(|p| v[p]).collect())
+            }
+            DataType::Int32 => {
+                let v = column.i32_values()?;
+                Column::from_i32(positions.map(|p| v[p]).collect())
+            }
+            DataType::Float64 => {
+                let v = column.f64_values()?;
+                Column::from_f64(positions.map(|p| v[p]).collect())
+            }
+            DataType::Bool => {
+                let v = column.bool_values()?;
+                Column::from_bool(positions.map(|p| v[p]).collect())
+            }
+            DataType::Str => {
+                let abs: Vec<usize> = positions.map(|p| column.offset() + p).collect();
+                Column::from_string_column(column.string_column()?.gather(&abs))
+            }
+        })
+    }
+
+    pub fn fetch_clamped(column: &Column, oids: &[Oid]) -> Result<(Column, Vec<Oid>, usize)> {
+        let (lo, hi) = (column.base_oid(), column.end_oid());
+        let clamped: Vec<Oid> = oids.iter().copied().filter(|&o| o >= lo && o < hi).collect();
+        let dropped = oids.len() - clamped.len();
+        let fetched = gather_oids(column, &clamped)?;
+        Ok((fetched, clamped, dropped))
+    }
+
+    const EMPTY: u32 = u32::MAX;
+
+    /// The bucket-head + next-chain table with its own key and oid copies.
+    pub struct Table {
+        mask: u64,
+        heads: Vec<u32>,
+        next: Vec<u32>,
+        keys: Vec<i64>,
+        oids: Vec<Oid>,
+    }
+
+    fn hash_key(key: i64, mask: u64) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & mask) as usize
+    }
+
+    fn key_values(column: &Column) -> Result<Vec<i64>> {
+        match column.data_type() {
+            DataType::Int64 => Ok(column.i64_values()?.to_vec()),
+            DataType::Int32 => Ok(column.i32_values()?.iter().map(|&v| v as i64).collect()),
+            other => Err(OperatorError::UnsupportedJoinKey(other.name())),
+        }
+    }
+
+    impl Table {
+        pub fn build(inner: &Column) -> Result<Table> {
+            let keys = key_values(inner)?;
+            let n = keys.len();
+            let n_buckets = (n.max(1) * 2).next_power_of_two();
+            let mask = (n_buckets - 1) as u64;
+            let mut heads = vec![EMPTY; n_buckets];
+            let mut next = vec![EMPTY; n];
+            let base = inner.base_oid();
+            let oids: Vec<Oid> = (0..n as u64).map(|i| base + i).collect();
+            for (i, &key) in keys.iter().enumerate() {
+                let b = hash_key(key, mask);
+                next[i] = heads[b];
+                heads[b] = i as u32;
+            }
+            Ok(Table { mask, heads, next, keys, oids })
+        }
+
+        pub fn lookup(&self, key: i64) -> Vec<Oid> {
+            let mut out = Vec::new();
+            let mut e = self.heads[hash_key(key, self.mask)];
+            while e != EMPTY {
+                let i = e as usize;
+                if self.keys[i] == key {
+                    out.push(self.oids[i]);
+                }
+                e = self.next[i];
+            }
+            out
+        }
+
+        pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
+            let keys = key_values(outer)?;
+            let base = outer.base_oid();
+            let mut result = JoinResult::default();
+            for (i, &key) in keys.iter().enumerate() {
+                for inner in self.lookup(key) {
+                    result.outer_oids.push(base + i as Oid);
+                    result.inner_oids.push(inner);
+                }
+            }
+            Ok(result)
+        }
+
+        pub fn probe_with_oids(
+            &self,
+            outer_keys: &Column,
+            outer_oids: &[Oid],
+        ) -> Result<JoinResult> {
+            if outer_keys.len() != outer_oids.len() {
+                return Err(OperatorError::LengthMismatch {
+                    left: outer_keys.len(),
+                    right: outer_oids.len(),
+                });
+            }
+            let keys = key_values(outer_keys)?;
+            let mut result = JoinResult::default();
+            for (i, &key) in keys.iter().enumerate() {
+                for inner in self.lookup(key) {
+                    result.outer_oids.push(outer_oids[i]);
+                    result.inner_oids.push(inner);
+                }
+            }
+            Ok(result)
+        }
+
+        pub fn probe_semi(&self, outer: &Column) -> Result<Vec<Oid>> {
+            let keys = key_values(outer)?;
+            let base = outer.base_oid();
+            let mut out = Vec::new();
+            for (i, &key) in keys.iter().enumerate() {
+                if !self.lookup(key).is_empty() {
+                    out.push(base + i as Oid);
+                }
+            }
+            Ok(out)
+        }
+
+        /// The interpreter's `anti_join`: a semi-join, then a second pass
+        /// over the outer rows skipping the matched oids.
+        pub fn anti_join(&self, outer: &Column) -> Result<Vec<Oid>> {
+            let matching = self.probe_semi(outer)?;
+            let mut matching_iter = matching.into_iter().peekable();
+            let base = outer.base_oid();
+            let mut out = Vec::new();
+            for i in 0..outer.len() {
+                let oid = base + i as Oid;
+                if matching_iter.peek() == Some(&oid) {
+                    matching_iter.next();
+                } else {
+                    out.push(oid);
+                }
+            }
+            Ok(out)
+        }
+    }
+
+    /// Row `i` of a key column that is not `Float64`.
+    fn group_key(keys: &Column, i: usize) -> Result<GroupKey> {
+        Ok(match keys.data_type() {
+            DataType::Int64 => GroupKey::I64(keys.i64_values()?[i]),
+            DataType::Int32 => GroupKey::I64(keys.i32_values()?[i] as i64),
+            DataType::Bool => GroupKey::I64(keys.bool_values()?[i] as i64),
+            DataType::Str => {
+                let (codes, dict) = keys.str_codes()?;
+                GroupKey::Str(dict[codes[i] as usize].clone())
+            }
+            DataType::Float64 => unreachable!("refused before the first row"),
+        })
+    }
+
+    /// One `GroupKey` clone and one SipHash lookup per row; groups in
+    /// first-occurrence order.
+    pub fn grouped_agg(
+        func: AggFunc,
+        keys: &Column,
+        values: &Column,
+    ) -> Result<Vec<(GroupKey, AggState)>> {
+        if keys.len() != values.len() {
+            return Err(OperatorError::LengthMismatch { left: keys.len(), right: values.len() });
+        }
+        if keys.data_type() == DataType::Float64 {
+            return Err(OperatorError::IncompatibleAggregates(
+                "float group-by keys are not supported".to_string(),
+            ));
+        }
+        if values.data_type() == DataType::Str && func != AggFunc::Count {
+            return Err(OperatorError::IncompatibleAggregates(format!(
+                "{} over a string value column",
+                func.name()
+            )));
+        }
+        let mut groups: Vec<(GroupKey, AggState)> = Vec::new();
+        let mut index: HashMap<GroupKey, usize> = HashMap::new();
+        for i in 0..keys.len() {
+            let key = group_key(keys, i)?;
+            let slot = *index.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, AggState::new(func)));
+                groups.len() - 1
+            });
+            let state = &mut groups[slot].1;
+            match values.data_type() {
+                DataType::Int64 => state.update_i64(values.i64_values()?[i]),
+                DataType::Int32 => state.update_i64(values.i32_values()?[i] as i64),
+                DataType::Float64 => state.update_f64(values.f64_values()?[i]),
+                DataType::Bool => state.update_i64(values.bool_values()?[i] as i64),
+                DataType::Str => state.update_i64(1),
+            }
+        }
+        Ok(groups)
+    }
+}
+
+// ------------------------------------------------------------ generation
+
+/// SplitMix64: the inputs of one case, derived from its seed.
+struct Gen(u64);
+
+const ALL_TYPES: [DataType; 5] =
+    [DataType::Int64, DataType::Int32, DataType::Float64, DataType::Bool, DataType::Str];
+const WORDS: [&str; 8] = ["", "AIR", "RAIL", "SHIP", "PROMO BRUSHED", "PROMO PLATED", "a_c", "%"];
+const PATTERNS: [&str; 7] = ["%", "PROMO%", "%ED", "%A%", "_IR", "", "SHIP"];
+const FLOATS: [f64; 10] =
+    [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, -1.5, 1.5, 2.0, -2.0, 1e300];
+const INT_EDGES: [i64; 8] = [
+    i64::MIN,
+    i64::MAX,
+    i32::MIN as i64 - 1,
+    i32::MIN as i64,
+    i32::MAX as i64,
+    i32::MAX as i64 + 1,
+    -1,
+    0,
+];
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    fn chance(&mut self, one_in: usize) -> bool {
+        self.below(one_in) == 0
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+
+    /// A small value most of the time (so that rows collide with constants
+    /// and with each other), an edge of `i32`/`i64` otherwise.
+    fn int(&mut self) -> i64 {
+        if self.chance(6) {
+            self.pick(&INT_EDGES)
+        } else {
+            self.below(13) as i64 - 6
+        }
+    }
+
+    fn int32(&mut self) -> i32 {
+        self.int().clamp(i32::MIN as i64, i32::MAX as i64) as i32
+    }
+
+    fn word(&mut self) -> String {
+        self.pick(&WORDS).to_string()
+    }
+
+    /// A base column of `rows` rows of `ty`.
+    fn base_column(&mut self, ty: DataType, rows: usize) -> Column {
+        match ty {
+            DataType::Int64 => Column::from_i64((0..rows).map(|_| self.int()).collect()),
+            DataType::Int32 => Column::from_i32((0..rows).map(|_| self.int32()).collect()),
+            DataType::Float64 => Column::from_f64((0..rows).map(|_| self.pick(&FLOATS)).collect()),
+            DataType::Bool => Column::from_bool((0..rows).map(|_| self.chance(2)).collect()),
+            DataType::Str => {
+                let values: Vec<String> = (0..rows).map(|_| self.word()).collect();
+                Column::from_strings(values)
+            }
+        }
+    }
+
+    /// A window over a base column: usually at a non-zero offset, sometimes
+    /// empty, sometimes relabelled so that `base_oid() != offset()` (a
+    /// computed intermediate aligned with some partition).
+    fn column(&mut self, ty: DataType) -> Column {
+        let rows = if self.chance(8) { 0 } else { self.below(2_500) };
+        let base = self.base_column(ty, rows);
+        let start = self.below(rows + 1);
+        let len = if self.chance(10) { 0 } else { self.below(rows - start + 1) };
+        let window = base.slice(start, len).expect("window inside the column");
+        if self.chance(4) {
+            let relabel = self.below(5_000) as Oid;
+            window.with_base_oid(relabel)
+        } else {
+            window
+        }
+    }
+
+    fn scalar(&mut self) -> ScalarValue {
+        match self.below(6) {
+            0 | 1 => ScalarValue::I64(self.int()),
+            2 => ScalarValue::I32(self.int32()),
+            3 => ScalarValue::F64(self.pick(&FLOATS)),
+            4 => ScalarValue::Bool(self.chance(2)),
+            _ => ScalarValue::Str(self.word()),
+        }
+    }
+
+    /// A scalar that usually fits a column of `ty` (so that most generated
+    /// predicates evaluate) and sometimes does not (so that some fail).
+    fn scalar_for(&mut self, ty: DataType) -> ScalarValue {
+        if self.chance(8) {
+            return self.scalar();
+        }
+        match ty {
+            DataType::Int64 | DataType::Int32 => ScalarValue::I64(self.int()),
+            DataType::Float64 => ScalarValue::F64(self.pick(&FLOATS)),
+            DataType::Bool => ScalarValue::Bool(self.chance(2)),
+            DataType::Str => ScalarValue::Str(self.word()),
+        }
+    }
+
+    fn leaf(&mut self, ty: DataType) -> Predicate {
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        // A leaf shape that suits the type most of the time.
+        let shape = if self.chance(6) {
+            self.below(6)
+        } else {
+            match ty {
+                DataType::Int64 | DataType::Int32 => self.below(3),
+                DataType::Float64 => self.below(2),
+                DataType::Bool => self.pick(&[0, 5]),
+                DataType::Str => self.pick(&[0, 3, 4]),
+            }
+        };
+        match shape {
+            0 => {
+                let op = if ty == DataType::Bool && !self.chance(4) {
+                    CmpOp::Eq
+                } else {
+                    self.pick(&ops)
+                };
+                Predicate::Compare { op, value: self.scalar_for(ty) }
+            }
+            1 => Predicate::Between {
+                lo: self.scalar_for(ty),
+                hi: self.scalar_for(ty),
+                lo_inclusive: self.chance(2),
+                hi_inclusive: self.chance(2),
+            },
+            2 => {
+                let n = self.below(6);
+                Predicate::InI64((0..n).map(|_| self.int()).collect())
+            }
+            3 => Predicate::like(self.pick(&PATTERNS)),
+            4 => {
+                let n = self.below(4);
+                Predicate::InStr((0..n).map(|_| self.word()).collect())
+            }
+            _ => Predicate::IsTrue,
+        }
+    }
+
+    fn predicate(&mut self, ty: DataType, depth: usize) -> Predicate {
+        if depth == 0 || self.chance(2) {
+            return self.leaf(ty);
+        }
+        match self.below(3) {
+            0 => self.predicate(ty, depth - 1).and(self.predicate(ty, depth - 1)),
+            1 => self.predicate(ty, depth - 1).or(self.predicate(ty, depth - 1)),
+            _ => self.predicate(ty, depth - 1).negate(),
+        }
+    }
+
+    /// Oids around `column`'s range: unsorted, duplicated, and — one in
+    /// `stray` — outside `[base_oid, end_oid)` on either side.
+    fn oids(&mut self, column: &Column, stray: usize) -> Vec<Oid> {
+        let n = if self.chance(6) { 0 } else { self.below(2_500) };
+        let (lo, len) = (column.base_oid(), column.len() as Oid);
+        (0..n)
+            .map(|_| {
+                if len == 0 || (stray > 0 && self.chance(stray)) {
+                    match self.below(3) {
+                        0 => lo.saturating_sub(1 + self.below(40) as Oid),
+                        1 => lo + len + self.below(40) as Oid,
+                        _ => self.next(),
+                    }
+                } else {
+                    lo + self.below(len as usize) as Oid
+                }
+            })
+            .collect()
+    }
+}
+
+// ------------------------------------------------------------- comparison
+
+/// Everything observable about a column; floats by bit pattern, so that
+/// `NaN` and `-0.0` must be carried over exactly.
+fn facts(column: &Column) -> (DataType, Oid, usize, Vec<String>) {
+    let rows = match column.data_type() {
+        DataType::Float64 => {
+            column.f64_values().unwrap().iter().map(|v| format!("{:#x}", v.to_bits())).collect()
+        }
+        _ => column.to_scalars().iter().map(|v| format!("{v:?}")).collect(),
+    };
+    (column.data_type(), column.base_oid(), column.len(), rows)
+}
+
+fn column_facts(result: Result<Column>) -> Result<(DataType, Oid, usize, Vec<String>)> {
+    result.map(|c| facts(&c))
+}
+
+/// A reference result as what `GroupedAgg` lets a caller observe: the sorted
+/// finalized groups. `Debug` text, because a `NaN` sum is not `==` itself.
+fn sorted_groups(mut groups: Vec<(GroupKey, AggState)>) -> String {
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    let finished: Vec<(GroupKey, ScalarValue)> =
+        groups.into_iter().map(|(k, s)| (k, s.finish())).collect();
+    format!("{finished:?}")
+}
+
+const FUNCS: [AggFunc; 5] =
+    [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `select` and `eval_mask` over every column type and predicate shape.
+    #[test]
+    fn select_and_mask_match_the_two_pass_bodies(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for ty in ALL_TYPES {
+            let column = g.column(ty);
+            let predicate = g.predicate(ty, 3);
+            prop_assert_eq!(
+                select(&column, &predicate),
+                reference::select(&column, &predicate),
+                "select of {} over a {} window", predicate.describe(), ty
+            );
+            prop_assert_eq!(
+                predicate.eval_mask(&column),
+                reference::eval_mask(&predicate, &column),
+                "mask of {} over a {} window", predicate.describe(), ty
+            );
+        }
+    }
+
+    /// `select_with_candidates`: candidate order kept, strays skipped. The
+    /// one permitted difference: the predicate is resolved first, so a
+    /// mismatched predicate fails even when the old body, finding no
+    /// candidate inside the partition, never looked at it.
+    #[test]
+    fn candidate_select_matches_filter_gather_mask(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for ty in ALL_TYPES {
+            let column = g.column(ty);
+            let predicate = g.predicate(ty, 3);
+            let stray = g.pick(&[0, 2, 5]);
+            let candidates = g.oids(&column, stray);
+            let expected = reference::eval_mask(&predicate, &column)
+                .and_then(|_| reference::select_with_candidates(&column, &predicate, &candidates));
+            prop_assert_eq!(
+                select_with_candidates(&column, &predicate, &candidates),
+                expected,
+                "{} over a {} window, {} candidates", predicate.describe(), ty, candidates.len()
+            );
+        }
+    }
+
+    /// `gather_oids` / `fetch` / `fetch_clamped` / `gather_positions`: rows
+    /// in list order, the first offending oid named, nothing on error.
+    #[test]
+    fn gathers_match_validate_then_gather(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for ty in ALL_TYPES {
+            let column = g.column(ty);
+            let stray = g.pick(&[0, 0, 50, 3]);
+            let oids = g.oids(&column, stray);
+            let expected = column_facts(reference::gather_oids(&column, &oids));
+            prop_assert_eq!(column_facts(fetch(&column, &oids)), expected.clone());
+            prop_assert_eq!(
+                column_facts(column.gather_oids(&oids).map_err(OperatorError::from)),
+                expected
+            );
+
+            let clamped = fetch_clamped(&column, &oids).map(|(c, kept, dropped)| (facts(&c), kept, dropped));
+            let expected = reference::fetch_clamped(&column, &oids)
+                .map(|(c, kept, dropped)| (facts(&c), kept, dropped));
+            prop_assert_eq!(clamped, expected);
+
+            // Positions are oids relative to the window.
+            let positions: Vec<usize> = oids
+                .iter()
+                .map(|&o| usize::try_from(o.wrapping_sub(column.base_oid())).unwrap_or(usize::MAX))
+                .collect();
+            let first_bad = positions.iter().copied().find(|&p| p >= column.len());
+            match (column.gather_positions(&positions), first_bad) {
+                (Ok(c), None) => prop_assert_eq!(
+                    Ok(facts(&c.with_base_oid(0))),
+                    column_facts(reference::gather_oids(&column, &oids).map(|c| c.with_base_oid(0)))
+                ),
+                (Err(e), Some(index)) => {
+                    prop_assert_eq!(e, ColumnarError::OutOfBounds { index, len: column.len() })
+                }
+                (got, bad) => panic!("gather_positions returned {got:?}, first bad position {bad:?}"),
+            }
+        }
+    }
+
+    /// The hash join: `Int64` and `Int32` keys on either side, duplicate
+    /// build keys (pair order: outer ascending, newest-inserted match
+    /// first), windows on both sides, unsupported key types.
+    #[test]
+    fn probes_match_the_copying_table(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let key_types = [DataType::Int64, DataType::Int32];
+        let inner_ty = g.pick(&key_types);
+        let inner = g.column(inner_ty);
+        let table = JoinHashTable::build(&inner).unwrap();
+        let expected = reference::Table::build(&inner).unwrap();
+        prop_assert_eq!(table.len(), inner.len());
+        prop_assert_eq!(table.is_empty(), inner.is_empty());
+        for _ in 0..8 {
+            let key = g.int();
+            prop_assert_eq!(table.lookup(key), expected.lookup(key));
+        }
+        for ty in ALL_TYPES {
+            let outer = g.column(ty);
+            prop_assert_eq!(table.probe(&outer), expected.probe(&outer), "probe with {} keys", ty);
+            prop_assert_eq!(table.probe_semi(&outer), expected.probe_semi(&outer));
+            prop_assert_eq!(table.probe_anti(&outer), expected.anti_join(&outer));
+            let mut oids = g.oids(&outer, 2);
+            if !g.chance(5) {
+                oids.resize(outer.len(), 7);
+            }
+            prop_assert_eq!(
+                table.probe_with_oids(&outer, &oids),
+                expected.probe_with_oids(&outer, &oids)
+            );
+            // A build over a non-integer column is refused the same way.
+            if !key_types.contains(&ty) {
+                prop_assert_eq!(
+                    JoinHashTable::build(&outer).map(|t| t.len()),
+                    reference::Table::build(&outer).map(|_| 0)
+                );
+            }
+        }
+    }
+
+    /// `grouped_agg` over every key type × value type × function, and the
+    /// merge of ragged partials against the whole-column reference.
+    #[test]
+    fn grouped_agg_matches_the_per_row_hashing_body(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for key_ty in ALL_TYPES {
+            let rows = g.below(2_500);
+            let keys = g.column(key_ty);
+            let keys = keys.slice(0, rows.min(keys.len())).unwrap();
+            for value_ty in ALL_TYPES {
+                let base = g.base_column(value_ty, keys.len() + 3);
+                // Same length most of the time; a mismatch must be reported first.
+                let values = base.slice(g.below(3), if g.chance(10) { keys.len() + 1 } else { keys.len() }).unwrap();
+                for func in FUNCS {
+                    let got = grouped_agg(func, &keys, &values);
+                    let expected = reference::grouped_agg(func, &keys, &values);
+                    match (got, expected) {
+                        (Ok(got), Ok(expected)) => {
+                            prop_assert_eq!(got.len(), expected.len());
+                            prop_assert_eq!(got.func(), func);
+                            for (key, state) in &expected {
+                                prop_assert_eq!(
+                                    format!("{:?}", got.get(key)),
+                                    format!("{:?}", Some(state.finish()))
+                                );
+                            }
+                            prop_assert_eq!(
+                                format!("{:?}", got.finish_sorted()),
+                                sorted_groups(expected)
+                            );
+                        }
+                        (got, expected) => prop_assert_eq!(
+                            got.map(|g| g.len()).err(),
+                            expected.map(|g| g.len()).err(),
+                            "{:?} of {} by {}", func, value_ty, key_ty
+                        ),
+                    }
+                }
+            }
+            // Ragged partials (exact arithmetic: integer values) merge to the whole.
+            if key_ty != DataType::Float64 {
+                let values = g.base_column(DataType::Int32, keys.len());
+                let mut cuts: Vec<usize> = (0..g.below(5)).map(|_| g.below(keys.len() + 1)).collect();
+                cuts.extend([0, keys.len()]);
+                cuts.sort_unstable();
+                for func in FUNCS {
+                    let parts: Vec<_> = cuts
+                        .windows(2)
+                        .map(|w| {
+                            let (k, v) = (
+                                keys.slice(w[0], w[1] - w[0]).unwrap(),
+                                values.slice(w[0], w[1] - w[0]).unwrap(),
+                            );
+                            grouped_agg(func, &k, &v).unwrap()
+                        })
+                        .collect();
+                    let merged = merge_grouped(&parts).unwrap();
+                    let whole = reference::grouped_agg(func, &keys, &values).unwrap();
+                    prop_assert_eq!(format!("{:?}", merged.finish_sorted()), sorted_groups(whole));
+                }
+            }
+        }
+    }
+}
+
+/// The documented widening of `select_with_candidates`, pinned on its own: a
+/// predicate that cannot apply to the column fails although no candidate
+/// falls inside the partition. Before the rewrite this returned `Ok(vec![])`.
+#[test]
+fn a_mismatched_predicate_fails_candidate_select_without_any_inside_candidate() {
+    let part = Column::from_i64((0..100).collect()).slice(50, 50).unwrap();
+    let mismatched = Predicate::like("%x%");
+    for candidates in [&[][..], &[1, 2, 3][..], &[100, 7][..]] {
+        assert_eq!(reference::select_with_candidates(&part, &mismatched, candidates), Ok(vec![]));
+        assert!(matches!(
+            select_with_candidates(&part, &mismatched, candidates),
+            Err(OperatorError::PredicateTypeMismatch { column_type: "int64", .. })
+        ));
+    }
+    // With a predicate that does apply, the same calls are still empty.
+    let fits = Predicate::cmp(CmpOp::Ge, 0i64);
+    assert_eq!(select_with_candidates(&part, &fits, &[1, 2, 3]), Ok(vec![]));
+}
+
+/// Constants outside `i32` against an `Int32` column: the values widen, the
+/// constant is never narrowed (which would wrap `i32::MAX + 1` to
+/// `i32::MIN` and select everything or nothing).
+#[test]
+fn int32_columns_compare_against_wide_constants_by_widening() {
+    let column = Column::from_i32(vec![i32::MIN, -1, 0, 1, i32::MAX]);
+    let above = i32::MAX as i64 + 1;
+    let below = i32::MIN as i64 - 1;
+    let all: Vec<Oid> = (0..5).collect();
+    let none: Vec<Oid> = Vec::new();
+    for (predicate, expected) in [
+        (Predicate::cmp(CmpOp::Lt, above), &all),
+        (Predicate::cmp(CmpOp::Ge, above), &none),
+        (Predicate::cmp(CmpOp::Eq, above), &none),
+        (Predicate::cmp(CmpOp::Ne, above), &all),
+        (Predicate::cmp(CmpOp::Gt, below), &all),
+        (Predicate::cmp(CmpOp::Le, below), &none),
+        (Predicate::between(below, above), &all),
+        (Predicate::range(above, i64::MAX), &none),
+        (Predicate::InI64(vec![above, below]), &none),
+        (Predicate::cmp(CmpOp::Lt, i64::MIN), &none),
+        (Predicate::cmp(CmpOp::Gt, i64::MAX), &none),
+        (Predicate::cmp(CmpOp::Ge, i64::MIN), &all),
+    ] {
+        assert_eq!(&select(&column, &predicate).unwrap(), expected, "{}", predicate.describe());
+        assert_eq!(select(&column, &predicate), reference::select(&column, &predicate));
+    }
+}
+
+/// A dictionary with a repeated entry (two codes, one string) still forms
+/// one group per string.
+#[test]
+fn grouped_agg_groups_by_string_not_by_dictionary_code() {
+    let dict = std::sync::Arc::new(vec!["x".to_string(), "y".to_string(), "x".to_string()]);
+    let keys = Column::from_string_column(StringColumn::from_codes(vec![2, 1, 0, 2], dict));
+    let values = Column::from_i64(vec![1, 10, 100, 1000]);
+    let got = grouped_agg(AggFunc::Sum, &keys, &values).unwrap();
+    assert_eq!(
+        got.finish_sorted(),
+        vec![
+            (GroupKey::Str("x".into()), ScalarValue::I64(1101)),
+            (GroupKey::Str("y".into()), ScalarValue::I64(10)),
+        ]
+    );
+}
