@@ -23,18 +23,24 @@
 use std::sync::Arc;
 
 use apq_columnar::partition::RowRange;
-use apq_columnar::{Catalog, TableBuilder};
+use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
 use apq_engine::{Engine, QueryOutput};
-use apq_operators::{AggFunc, CmpOp, Predicate};
+use apq_operators::{AggFunc, CmpOp, GroupKey, Predicate};
 
 /// Catalog with a fact table whose `fk` joins a small dimension, plus a
 /// per-row measure and group key.
 fn catalog(rows: usize) -> Arc<Catalog> {
+    catalog_with_fk((0..rows as i64).map(|v| (v * 13) % 50).collect())
+}
+
+/// The same catalog with the fact table's `fk` column given row by row.
+fn catalog_with_fk(fk: Vec<i64>) -> Arc<Catalog> {
+    let rows = fk.len();
     let mut c = Catalog::new();
     c.register(
         TableBuilder::new("fact")
-            .i64_column("fk", (0..rows as i64).map(|v| (v * 13) % 50).collect())
+            .i64_column("fk", fk)
             .i64_column("measure", (0..rows as i64).map(|v| v % 1000).collect())
             .i64_column("grp", (0..rows as i64).map(|v| (v * 7) % 5).collect())
             .build()
@@ -281,6 +287,50 @@ fn anti_join_cloned_over_stream_partitions_matches_the_unsplit_plan() {
         split.validate().expect("split plan is valid");
         let out = engine.execute(&split, &cat).expect("split plan executes").output;
         assert_eq!(out, expected, "anti-join over stream partitions (cut at {k}) mislabelled rows");
+    }
+}
+
+/// The probe works through its outer rows a block (256) at a time and, for an
+/// anti-join, compacts each block's unmatched rows afterwards. Here the only
+/// unmatched stream positions are two runs that straddle block edges of the
+/// *second* partition's clone — edges that sit at `cut + 256` and `cut + 512`
+/// of the stream, nowhere near a multiple of 256 — so a survivor numbered
+/// within its block, or within its partition, lands on another row's group.
+#[test]
+fn anti_join_misses_spanning_a_probe_block_edge_keep_their_stream_offset() {
+    let (rows, cut) = (1_500, 100);
+    let missing =
+        |p: usize| (cut + 250..cut + 262).contains(&p) || p == cut + 511 || p == cut + 512;
+    // `grp = (v * 7) % 5 < 4` drops the rows with `v % 5 == 2`; walk the rows
+    // and give the surviving stream positions their keys (dim holds 0..20).
+    let mut position = 0;
+    let mut expected = std::collections::BTreeMap::new();
+    let fk: Vec<i64> = (0..rows as i64)
+        .map(|v| {
+            if (v * 7) % 5 == 4 {
+                return 0;
+            }
+            let p = position;
+            position += 1;
+            if missing(p) {
+                *expected.entry((v * 7) % 5).or_insert(0) += v % 1000;
+                20 + v % 30
+            } else {
+                v % 20
+            }
+        })
+        .collect();
+    assert!(position > cut + 600, "the stream reaches past the second block edge");
+    let expected: Vec<_> =
+        expected.into_iter().map(|(g, sum)| (GroupKey::I64(g), ScalarValue::I64(sum))).collect();
+
+    let cat = catalog_with_fk(fk);
+    let engine = Engine::with_workers(2);
+    for split in [None, Some(cut)] {
+        let plan = anti_join_over_stream_plan(rows, 4, split);
+        plan.validate().expect("plan is valid");
+        let out = engine.execute(&plan, &cat).expect("plan executes").output;
+        assert_eq!(out, QueryOutput::Groups(expected.clone()), "anti-join split at {split:?}");
     }
 }
 

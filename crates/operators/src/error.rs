@@ -32,6 +32,12 @@ pub enum OperatorError {
     IncompatibleAggregates(String),
     /// The join received a key column of an unsupported type.
     UnsupportedJoinKey(&'static str),
+    /// The join's build side has more rows than the table can number (`u32`
+    /// row indices, `u32::MAX` reserved).
+    JoinBuildTooLarge {
+        /// Rows of the build column.
+        rows: usize,
+    },
     /// Division by zero during `calc` evaluation.
     DivisionByZero,
     /// An operator that requires at least one input got none.
@@ -54,6 +60,13 @@ impl fmt::Display for OperatorError {
             }
             OperatorError::UnsupportedJoinKey(ty) => {
                 write!(f, "unsupported join key type: {ty}")
+            }
+            OperatorError::JoinBuildTooLarge { rows } => {
+                write!(
+                    f,
+                    "join build side of {rows} rows exceeds the limit of {} rows",
+                    u32::MAX - 1
+                )
             }
             OperatorError::DivisionByZero => write!(f, "division by zero"),
             OperatorError::EmptyInput(op) => write!(f, "operator {op} requires at least one input"),
@@ -95,5 +108,7 @@ mod tests {
         assert!(OperatorError::UnsupportedJoinKey("bool").to_string().contains("bool"));
         let e = OperatorError::LengthMismatch { left: 3, right: 5 };
         assert!(e.to_string().contains('3') && e.to_string().contains('5'));
+        let e = OperatorError::JoinBuildTooLarge { rows: 5_000_000_000 };
+        assert!(e.to_string().contains("5000000000") && e.to_string().contains("4294967294"));
     }
 }

@@ -9,7 +9,8 @@
 //! and, sometimes, a relabelled base oid), predicates of every shape with
 //! constants of every type, and oid lists that are unsorted, duplicated,
 //! empty and out of partition, and demands the same `Result` — the same `Ok`
-//! value and the same error, field for field.
+//! value and the same error, field for field. One deterministic test lines
+//! outer lengths and hit patterns up with the edges of the probe's row blocks.
 //!
 //! The vendored proptest shim has no recursive or mapped strategies, so each
 //! property draws one seed and [`Gen`] derives the inputs from it; a failure
@@ -836,6 +837,76 @@ fn a_mismatched_predicate_fails_candidate_select_without_any_inside_candidate() 
     // With a predicate that does apply, the same calls are still empty.
     let fits = Predicate::cmp(CmpOp::Ge, 0i64);
     assert_eq!(select_with_candidates(&part, &fits, &[1, 2, 3]), Ok(vec![]));
+}
+
+/// The probe's block length (`BLOCK` in `join.rs`): bucket heads are looked
+/// up for this many outer rows, the rows with an empty bucket dropped, and
+/// only then are chains walked and — for semi/anti — the block's survivors
+/// compacted.
+const PROBE_BLOCK: usize = 256;
+
+/// Outer columns whose length and hit pattern sit on the probe's block edges,
+/// as `Int64` and `Int32`, as offset windows and relabelled intermediates,
+/// against build sides without duplicates, with every key tripled and with
+/// one key holding more rows than two blocks — all four probes against the
+/// reference table. The generated cases above rarely exceed a few blocks and
+/// never line a pattern up with an edge.
+#[test]
+fn probes_match_the_copying_table_at_block_edges() {
+    // (build keys, the keys a hitting row cycles through); odd keys miss, some
+    // into an empty bucket and some into another key's chain.
+    let builds: [(Vec<i64>, Vec<i64>); 3] = [
+        ((0..300).map(|k| 2 * k).collect(), (0..300).map(|k| 2 * k).collect()),
+        ((0..900).map(|i| 2 * (i % 300)).collect(), (0..300).map(|k| 2 * k).collect()),
+        (vec![0; 2 * PROBE_BLOCK + 3], vec![0]),
+    ];
+    type Pattern = fn(usize, usize) -> bool;
+    let patterns: [(&str, Pattern); 4] = [
+        ("all rows miss", |_, _| false),
+        ("all rows hit", |_, _| true),
+        ("alternating", |i, _| i % 2 == 0),
+        ("only the last row of a block hits", |i, len| {
+            i % PROBE_BLOCK == PROBE_BLOCK - 1 || i + 1 == len
+        }),
+    ];
+    for (build_keys, hit_keys) in &builds {
+        let inner = Column::from_i64(build_keys.clone()).with_base_oid(100);
+        let table = JoinHashTable::build(&inner).unwrap();
+        let expected = reference::Table::build(&inner).unwrap();
+        for len in [0, 1, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 2 * PROBE_BLOCK + 1] {
+            for (name, hits) in patterns {
+                // Five rows of padding in front: the window starts at offset 5.
+                let keys: Vec<i64> = (0..len + 5)
+                    .map(|row| match row.checked_sub(5) {
+                        Some(i) if hits(i, len) => hit_keys[i % hit_keys.len()],
+                        Some(i) => 2 * i as i64 + 1,
+                        None => 0,
+                    })
+                    .collect();
+                let narrow = Column::from_i32(keys.iter().map(|&k| k as i32).collect());
+                let oids: Vec<Oid> = (0..len as Oid).map(|i| 7_000 + 3 * i).collect();
+                for base in [Column::from_i64(keys), narrow] {
+                    let window = base.slice(5, len).unwrap();
+                    for outer in [window.clone(), window.with_base_oid(1_000)] {
+                        let case = format!(
+                            "{name}, {len} {} rows from oid {}, {} build rows",
+                            outer.data_type(),
+                            outer.base_oid(),
+                            inner.len()
+                        );
+                        assert_eq!(table.probe(&outer), expected.probe(&outer), "{case}");
+                        assert_eq!(
+                            table.probe_with_oids(&outer, &oids),
+                            expected.probe_with_oids(&outer, &oids),
+                            "{case}"
+                        );
+                        assert_eq!(table.probe_semi(&outer), expected.probe_semi(&outer), "{case}");
+                        assert_eq!(table.probe_anti(&outer), expected.anti_join(&outer), "{case}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Constants outside `i32` against an `Int32` column: the values widen, the
