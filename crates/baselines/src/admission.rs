@@ -27,32 +27,21 @@
 //!   engine's scheduler through the query's
 //!   [`apq_engine::QueryHandle`] — at most `dop` of the query's tasks
 //!   execute concurrently. This is the faithful model of a resource
-//!   governor: throttling happens at dispatch time, can be re-granted
-//!   mid-flight ([`apq_engine::QueryHandle::set_admitted_dop`]), and leaves
-//!   the plan untouched.
+//!   governor: throttling happens at dispatch time and leaves the plan
+//!   untouched.
 //!
-//! With the engine's elastic resource controller enabled
-//! ([`apq_engine::EngineConfig::with_controller`]), the second mechanism
-//! stops being a one-shot gate and becomes an admission *policy layered
-//! over the controller*: `admit()` still decides the entry grant from the
-//! instantaneous load, but from then on the controller owns the grant — it
-//! re-grants survivors as clients leave and claws back headroom as new ones
-//! arrive, recording every change in the query's
-//! [`apq_engine::QueryProfile::dop_timeline`]. That is the full
-//! Vectorwise-style elasticity the paper's concurrency experiments model;
-//! without the controller, behavior is exactly the historical fixed-grant
-//! scheme.
-//!
-//! **Known limitation — two censuses.** This controller counts clients in
-//! its own atomic, while the engine's registry (the census controller
-//! ticks read) only learns about a query once it is submitted. A client
-//! holding a ticket but not yet executing is counted here and invisible
-//! there, so entry grants and mid-flight re-grant targets can disagree
-//! for the whole ticket-held window. The engine's service layer closes
-//! that window by folding admission into the registry itself — a ticket
-//! *is* a reservation ([`apq_engine::Engine::reserve_admitted`],
-//! [`apq_engine::QueryService`]); this baseline keeps the historical
-//! split-census behavior as the paper's comparison point.
+//! Either way the grant is **one-shot**: decided at admission from the
+//! instantaneous load and never revisited — a query admitted at saturation
+//! keeps its serial cap after every peer has left, which is the degradation
+//! the paper hypothesises. The engine's own admission is the contrast: a
+//! ticket there *is* a registry reservation
+//! ([`apq_engine::Engine::reserve_admitted`], [`apq_engine::QueryService`])
+//! whose share is recomputed whenever a reservation arrives or leaves, so
+//! the survivor is re-granted the pool at its peer's release
+//! (`examples/elastic_concurrency.rs` prints the two side by side). This
+//! baseline counts its clients in its own atomic and leaves the engine's
+//! census alone: a cap set through
+//! [`apq_engine::QueryOptions::with_admitted_dop`] is the client's own.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -276,75 +265,8 @@ mod tests {
         assert_eq!(exec.output, expected, "throttled execution diverged");
         // The plan itself was not rewritten: all 4 partitions executed.
         assert_eq!(exec.profile.count_by_name()["select"], 4);
-    }
-
-    #[test]
-    fn engine_controller_regrants_admitted_queries_mid_flight() {
-        use std::time::Duration;
-
-        use apq_engine::{ControllerConfig, EngineConfig, QueryOptions};
-
-        // A controller-enabled engine whose background thread is dormant;
-        // ticks are driven synchronously for determinism.
-        let engine = Engine::new(
-            EngineConfig::with_workers(4)
-                .with_controller(ControllerConfig::default().with_tick(Duration::from_secs(3_600))),
-        );
-        let cat = catalog(4_000);
-        let plan = Arc::new(serial_plan(4_000));
-
-        // Saturated admission: the next client would be granted DOP 1.
-        let ctrl = AdmissionController::new(4);
-        let _peers = (ctrl.admit(), ctrl.admit(), ctrl.admit());
-        let ticket = ctrl.admit();
-        assert_eq!(ticket.dop(), 1);
-
-        // The admitted grant is only the starting point: once the engine's
-        // controller sees the query alone on the pool, it re-grants the
-        // whole pool, regardless of the (stale) admission census. Execute
-        // on a scoped thread and tick from this one until it finishes.
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(ticket.dop()));
-        let engine_ref = &engine;
-        let exec = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
-                engine_ref.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap()
-            });
-            // Wait for the query to appear in the engine's registry before
-            // draining, so at least one tick is guaranteed to observe it
-            // (unless it already finished, in which case tick on its
-            // retained handle via the registry is moot and the timeline
-            // assertions below cover only the admit grant).
-            while engine_ref.in_flight_queries() == 0 && !worker.is_finished() {
-                std::thread::yield_now();
-            }
-            let mut observed = false;
-            while engine_ref.in_flight_queries() > 0 {
-                observed |= engine_ref.controller_tick().governed > 0;
-                std::thread::yield_now();
-            }
-            let exec = worker.join().unwrap();
-            (exec, observed)
-        });
-        let (exec, tick_observed_query) = exec;
-        drop(ticket);
-        assert_eq!(exec.output, engine.execute(&serial_plan(4_000), &cat).unwrap().output);
-        // The timeline invariantly starts at the admitted grant and only
-        // ever moves to the equal-share target (the whole 4-worker pool).
-        let timeline = &exec.profile.dop_timeline;
-        assert_eq!(timeline[0].dop, 1);
-        assert!(
-            timeline.iter().skip(1).all(|e| e.dop == 4),
-            "unexpected re-grant targets: {timeline:?}"
-        );
-        // And if any tick saw the query in the registry, the re-grant really
-        // happened (not a vacuous pass). Assert on the *live* handle, not
-        // the profile: the query stays registered for a moment after its
-        // profile (and timeline snapshot) is taken, so a last-instant tick
-        // can re-grant the handle without reaching the snapshot.
-        if tick_observed_query {
-            assert_eq!(handle.admitted_dop(), 4, "tick governed the query but never re-granted");
-            assert!(handle.dop_timeline().len() > 1, "re-grant left no timeline event");
-        }
+        // One-shot: alone on the engine, the query still ran at its grant.
+        assert_eq!(exec.profile.dop_timeline.len(), 1, "the static grant was revisited");
     }
 
     #[test]

@@ -12,17 +12,11 @@
 //! execution mode (`ExecutionMode::MorselDriven`): per worker, the tasks
 //! executed and the morsels pulled, showing how pipeline fan-out spreads
 //! locality-friendly work units across the pool.
-//!
-//! The metrics table additionally carries **controller-on rows** — the same
-//! plans executed with the elastic resource controller ticking (adaptive
-//! morsel sizing, `apq_engine::controller`) — next to the controller-off
-//! rows, so the on/off comparison is read straight off one table. Results
-//! are asserted identical; only the dispatch statistics may differ.
 
 use std::sync::Arc;
 
 use apq_baselines::heuristic_parallelize;
-use apq_engine::{ControllerConfig, Engine, EngineConfig, ExecutionMode};
+use apq_engine::{Engine, EngineConfig, ExecutionMode};
 use apq_workloads::tpch::{self, queries::q14, TpchScale};
 
 use crate::common::{adaptive, engine};
@@ -51,23 +45,6 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
     let ap_morsel = morsel_engine.execute(&report.best_plan, &catalog).expect("AP morsel");
     let hp_morsel = morsel_engine.execute(&hp_plan, &catalog).expect("HP morsel");
 
-    // Controller-on rows: the same two plans with the elastic resource
-    // controller ticking (adaptive morsel sizing; results must not change).
-    let controlled_engine = Engine::new(
-        EngineConfig::with_workers(workers)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(cfg.morsel_rows)
-            .with_controller(
-                ControllerConfig::default()
-                    .with_tick(std::time::Duration::from_micros(500))
-                    .with_morsel_bounds(cfg.morsel_rows / 8, cfg.morsel_rows * 8),
-            ),
-    );
-    let ap_ctrl = controlled_engine.execute(&report.best_plan, &catalog).expect("AP controlled");
-    let hp_ctrl = controlled_engine.execute(&hp_plan, &catalog).expect("HP controlled");
-    assert_eq!(ap_ctrl.output, ap_exec.output, "controller changed the AP result");
-    assert_eq!(hp_ctrl.output, hp_exec.output, "controller changed the HP result");
-
     let mut metrics = ExperimentTable::new(
         "Figures 19/20 (metrics)",
         format!("TPC-H Q14 isolated execution on {workers} workers"),
@@ -87,8 +64,6 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<ExperimentTable> {
         ("heuristic (Fig. 20)", "operator-at-a-time", &hp_exec),
         ("adaptive (Fig. 19)", "morsel-driven", &ap_morsel),
         ("heuristic (Fig. 20)", "morsel-driven", &hp_morsel),
-        ("adaptive (Fig. 19)", "morsel-driven + controller", &ap_ctrl),
-        ("heuristic (Fig. 20)", "morsel-driven + controller", &hp_ctrl),
     ] {
         metrics.row(vec![
             label.to_string(),
@@ -181,13 +156,8 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         let tables = run(&cfg);
         assert_eq!(tables.len(), 5);
-        // Two plans × (operator-at-a-time, morsel, morsel + controller).
-        assert_eq!(tables[0].len(), 6);
-        // The controller rows really ran morsel-wise too.
-        for row in &tables[0].rows[4..6] {
-            assert!(row[1].contains("controller"));
-            assert!(row[3].parse::<usize>().unwrap() > 0, "controller row reported no morsels");
-        }
+        // Two plans × (operator-at-a-time, morsel-driven).
+        assert_eq!(tables[0].len(), 4);
         // One header line plus one lane per worker.
         assert_eq!(tables[1].len(), cfg.workers + 1);
         assert_eq!(tables[2].len(), cfg.workers + 1);

@@ -6,12 +6,8 @@
 //! than by base-table position (a fetch output, a join result, a projected
 //! join side). Plan mutations cut such streams positionally
 //! ([`crate::plan::OperatorSpec::SlicePart`]), and the morsel-driven
-//! execution mode ([`crate::pipeline`]) cuts them again into morsels. Note
-//! that the morsel size is **not a per-engine constant**: the elastic
-//! resource controller ([`crate::controller`]) may re-size it per pipeline
-//! *launch* (never within a launched pipeline), so nothing below this layer
-//! may assume two pipelines of one query used the same cut width — only the
-//! stream-offset labels make slices position-safe, not any fixed stride.
+//! execution mode ([`crate::pipeline`]) cuts them again into morsels. Only
+//! the stream-offset labels make slices position-safe, not any fixed stride.
 //!
 //! [`Chunk::Oids`] and [`Chunk::Join`] mirror what [`Column`] already is: an
 //! `Arc`-shared backing plus an `(offset, len)` window ([`OidsView`] /

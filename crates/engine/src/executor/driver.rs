@@ -48,8 +48,8 @@ struct Driver {
     fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
     /// Steps still to complete.
     remaining: AtomicUsize,
-    /// Engine-default morsel size; each pipeline launch may override it
-    /// with the query's live hint (see [`FusedRun::morsel_rows`]).
+    /// The engine's morsel size, in rows: every pipeline's slicing and
+    /// fan-out cut on this grid.
     morsel_rows: usize,
 }
 
@@ -105,11 +105,6 @@ pub(super) fn execute(
 /// Per-pipeline morsel bookkeeping, created when the pipeline is launched
 /// (its fan-out depends on the actual source size).
 struct FusedRun {
-    /// Morsel size resolved at launch: the query's live override
-    /// ([`QueryHandle::morsel_rows_hint`], written by the adaptive
-    /// controller) or the engine default. Fixed for the pipeline's lifetime
-    /// so slicing and fan-out agree.
-    morsel_rows: usize,
     n_morsels: usize,
     /// Rows of the pipeline's input (effective scan range or source chunk).
     source_rows: usize,
@@ -150,16 +145,10 @@ impl FusedRun {
                 (chunk.rows(), 0, is_positional(chunk))
             }
         };
-        // Morsel size is resolved per pipeline launch: the adaptive
-        // controller may have overridden the query's size since the last
-        // pipeline started. Within one pipeline the size is fixed (slice
-        // offsets and fan-out must agree).
-        let morsel_rows = run.handle.morsel_rows_hint().unwrap_or(state.morsel_rows).max(1);
-        let n_morsels = if sliceable { morsel_count(source_rows, morsel_rows) } else { 1 };
+        let n_morsels = if sliceable { morsel_count(source_rows, state.morsel_rows) } else { 1 };
         let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         let n_members = pipeline.member_nodes().len();
         Ok(FusedRun {
-            morsel_rows,
             n_morsels,
             source_rows,
             scan_start,
@@ -252,7 +241,7 @@ fn run_morsel(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, morsel: us
     let run = Arc::clone(
         state.fused_runs[step].get().expect("morsel dispatched before its step was launched"),
     );
-    let part = match stream_morsel(&state.run, pipeline, &run, morsel) {
+    let part = match stream_morsel(&state, pipeline, &run, morsel) {
         Ok(Some(part)) => part,
         Ok(None) => return,
         Err(e) => return state.run.fail(e),
@@ -277,12 +266,13 @@ fn run_morsel(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, morsel: us
 /// partial output — or `None` when a [`RunContext::checkpoint`] stopped the
 /// task.
 fn stream_morsel(
-    ctx: &RunContext,
+    state: &Driver,
     pipeline: &Pipeline,
     run: &FusedRun,
     morsel: usize,
 ) -> Result<Option<Chunk>> {
-    let offset = morsel * run.morsel_rows;
+    let (ctx, morsel_rows) = (&state.run, state.morsel_rows);
+    let offset = morsel * morsel_rows;
     // Stream slices go through `slice_part`, which preserves the
     // `stream_base` alignment invariant (see `crate::chunk::Chunk::Oids`).
     let mut member = 0;
@@ -291,7 +281,7 @@ fn stream_morsel(
             let Some(inject_panic) = ctx.checkpoint(node) else { return Ok(None) };
             let (table, column, _) = scan_source(&ctx.plan, node)?;
             let lo = run.scan_start + offset;
-            let hi = (lo + run.morsel_rows).min(run.scan_start + run.source_rows);
+            let hi = (lo + morsel_rows).min(run.scan_start + run.source_rows);
             let sub = OperatorSpec::ScanColumn {
                 table: table.to_string(),
                 column: column.to_string(),
@@ -308,7 +298,7 @@ fn stream_morsel(
             if run.n_morsels == 1 {
                 chunk.clone()
             } else {
-                slice_part(producer, chunk, offset, run.morsel_rows)?
+                slice_part(producer, chunk, offset, morsel_rows)?
             }
         }
     };
@@ -338,7 +328,7 @@ fn stream_morsel(
                     }
                     .into());
                 }
-                inputs.push(slice_part(input, chunk, offset, run.morsel_rows)?);
+                inputs.push(slice_part(input, chunk, offset, morsel_rows)?);
             } else {
                 inputs.push(chunk.clone());
             }
@@ -415,7 +405,7 @@ fn assemble_pipeline(
         step,
         nodes: members,
         n_morsels: run.n_morsels,
-        morsel_rows: run.morsel_rows,
+        morsel_rows: state.morsel_rows,
         source_rows: run.source_rows,
         queue_wait_us: run.queue_wait_us.load(Ordering::Relaxed),
         morsels_by_worker: run

@@ -8,11 +8,11 @@
 //! operator basis." (§2)
 //!
 //! This module is the engine and its live-query registry: [`EngineConfig`],
-//! the [`Engine`] that owns the worker pool ("interpreter per CPU core"),
-//! census reservations ([`ReservedQuery`]) and the supervised controller
-//! thread. A submission ([`Engine::execute`]) is validated, entered into the
-//! registry and handed to the one execution runtime, which lives in two
-//! private submodules:
+//! the [`Engine`] that owns the worker pool ("interpreter per CPU core")
+//! and census reservations ([`ReservedQuery`]), whose admitted DOP follows
+//! the live population. A submission ([`Engine::execute`]) is validated,
+//! entered into the registry and handed to the one execution runtime, which
+//! lives in two private submodules:
 //!
 //! * `driver` — plans the query into steps
 //!   ([`ExecutionMode`] picks the *planning*: one whole-node step per
@@ -41,15 +41,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use apq_columnar::Catalog;
 
 use crate::chunk::QueryOutput;
-use crate::controller::{
-    equal_share, is_governed, share_weight, weighted_share, ControllerConfig, ResourceController,
-    TickReport,
-};
 use crate::error::Result;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
@@ -70,15 +66,8 @@ pub struct EngineConfig {
     pub execution_mode: ExecutionMode,
     /// Morsel size in rows for the fused pipelines of
     /// [`ExecutionMode::MorselDriven`] (default [`DEFAULT_MORSEL_ROWS`]);
-    /// operator-at-a-time planning has no pipelines to cut. Under the
-    /// elastic controller this is the *starting* size; the controller may
-    /// override it per query within its configured bounds.
+    /// operator-at-a-time planning has no pipelines to cut.
     pub morsel_rows: usize,
-    /// Elastic resource controller ([`crate::controller`]): mid-flight DOP
-    /// re-grants and adaptive morsel sizing driven by live scheduler
-    /// signals. `None` (default) disables the subsystem — admitted DOP and
-    /// morsel size then stay exactly as submitted.
-    pub controller: Option<ControllerConfig>,
     /// Deterministic fault injection ([`crate::fault`]): seeded operator
     /// panics, dispatch stalls, spurious cancellations and delays, threaded
     /// through the driver's operator checkpoint and the scheduler's
@@ -94,7 +83,6 @@ impl Default for EngineConfig {
             n_workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             execution_mode: ExecutionMode::default(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            controller: None,
             faults: None,
         }
     }
@@ -116,13 +104,6 @@ impl EngineConfig {
     /// style). Values are clamped to at least 1 at use sites.
     pub fn with_morsel_rows(mut self, morsel_rows: usize) -> Self {
         self.morsel_rows = morsel_rows;
-        self
-    }
-
-    /// Enables the elastic resource controller (builder style); see
-    /// [`crate::controller`] for the feedback-loop specification.
-    pub fn with_controller(mut self, controller: ControllerConfig) -> Self {
-        self.controller = Some(controller);
         self
     }
 
@@ -165,19 +146,54 @@ pub struct QueryExecution {
     pub profile: QueryProfile,
 }
 
+/// The live-query registry and, inside it, the census the pool is split
+/// over. One lock guards both, so a reservation's admit-time share and its
+/// peers' re-grants are computed from the same population. Lock order is
+/// registry → a handle's DOP timeline, never the reverse.
+struct Registry {
+    /// Worker count: the pool the census divides.
+    pool: usize,
+    /// Every query executing or reserved ([`Engine::active_queries`]).
+    live: HashMap<u64, Arc<QueryHandle>>,
+    /// The reservations of [`Engine::reserve_admitted`]; each holds
+    /// [`Registry::share`].
+    census: Vec<Arc<QueryHandle>>,
+}
+
+impl Registry {
+    /// The equal share of the pool among `n` census members.
+    fn share(&self, n: usize) -> usize {
+        (self.pool / n.max(1)).max(1)
+    }
+
+    /// Brings every census member's cap to the current share, writing (and
+    /// recording a [`DopPhase::Regrant`]) only where it differs. Called
+    /// wherever the census changes: [`Engine::reserve_admitted`] and
+    /// [`ReservedQuery`]'s drop.
+    fn regrant(&self) {
+        let share = self.share(self.census.len());
+        for handle in &self.census {
+            if handle.admitted_dop() != share {
+                handle.set_admitted_dop(share);
+            }
+        }
+    }
+}
+
 /// A census reservation: a [`QueryHandle`] registered in the engine's
 /// live-query registry *before* submission ([`Engine::reserve_query`] /
-/// [`Engine::reserve_admitted`]), so the elastic controller counts the
-/// pending client from issue time — a ticket *is* a registry entry, not a
-/// side counter.
+/// [`Engine::reserve_admitted`]), so the pending client counts from issue
+/// time — a ticket *is* a registry entry, not a side counter.
 ///
-/// Dropping the reservation releases the census slot (and with it the
-/// query's claim on future DOP shares). The reservation does not cancel a
-/// submission already in flight — cancellation stays with
-/// [`QueryHandle::cancel`].
+/// Dropping the reservation releases the slot; when it held a share of the
+/// pool ([`Engine::reserve_admitted`]) the remaining share holders are
+/// re-granted under the same registry lock. The reservation does not cancel
+/// a submission already in flight — cancellation stays with
+/// [`QueryHandle::cancel`] — and a query still executing when its
+/// reservation is dropped simply keeps the cap it holds.
 pub struct ReservedQuery {
     handle: Arc<QueryHandle>,
-    registry: Arc<Mutex<HashMap<u64, Arc<QueryHandle>>>>,
+    registry: Arc<Mutex<Registry>>,
 }
 
 impl ReservedQuery {
@@ -204,7 +220,10 @@ impl std::fmt::Debug for ReservedQuery {
 
 impl Drop for ReservedQuery {
     fn drop(&mut self) {
-        self.registry.lock().remove(&self.handle.id());
+        let mut registry = self.registry.lock();
+        registry.live.remove(&self.handle.id());
+        registry.census.retain(|h| h.id() != self.handle.id());
+        registry.regrant();
     }
 }
 
@@ -216,24 +235,11 @@ pub struct Engine {
     next_query_id: AtomicU64,
     /// Queries currently inside `execute_with_handle` (all clients).
     in_flight: AtomicUsize,
-    /// Handles of the queries currently executing, keyed by query id — the
-    /// registry the controller's ticks (and [`Engine::active_queries`])
-    /// snapshot.
-    registry: Arc<Mutex<HashMap<u64, Arc<QueryHandle>>>>,
-    /// Elastic resource controller; `None` when disabled.
-    controller: Option<Arc<ResourceController>>,
-    /// Stop flag + wakeup for the background control thread.
-    controller_stop: Arc<(Mutex<bool>, Condvar)>,
-    controller_thread: Option<JoinHandle<()>>,
+    /// Handles of the queries currently executing or reserved, and the
+    /// census the pool is split over.
+    registry: Arc<Mutex<Registry>>,
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
-    /// Monotonic controller tick number, shared by the background loop and
-    /// [`Engine::controller_tick`] (the fault schedule keys scripted tick
-    /// panics on it).
-    controller_ticks: Arc<AtomicU64>,
-    /// Times the tick watchdog contained a panicking controller tick and
-    /// restarted the loop.
-    controller_restarts: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -258,41 +264,11 @@ impl Engine {
                     .expect("failed to spawn worker thread"),
             );
         }
-        let registry: Arc<Mutex<HashMap<u64, Arc<QueryHandle>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let controller = config
-            .controller
-            .clone()
-            .map(|cfg| Arc::new(ResourceController::new(cfg, n_workers, config.morsel_rows)));
-        let controller_stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let controller_ticks = Arc::new(AtomicU64::new(0));
-        let controller_restarts = Arc::new(AtomicU64::new(0));
-        let controller_thread = controller.as_ref().map(|ctrl| {
-            let ctrl = Arc::clone(ctrl);
-            let registry = Arc::clone(&registry);
-            let sched = Arc::clone(&scheduler);
-            let stop = Arc::clone(&controller_stop);
-            let faults = faults.clone();
-            let ticks = Arc::clone(&controller_ticks);
-            let restarts = Arc::clone(&controller_restarts);
-            std::thread::Builder::new()
-                .name("apq-controller".to_string())
-                .spawn(move || loop {
-                    {
-                        let (lock, cv) = &*stop;
-                        let mut stopped = lock.lock();
-                        if *stopped {
-                            return;
-                        }
-                        cv.wait_for(&mut stopped, ctrl.config().tick);
-                        if *stopped {
-                            return;
-                        }
-                    }
-                    supervised_tick(&ctrl, &registry, &sched, faults.as_deref(), &ticks, &restarts);
-                })
-                .expect("failed to spawn controller thread")
-        });
+        let registry = Arc::new(Mutex::new(Registry {
+            pool: n_workers,
+            live: HashMap::new(),
+            census: Vec::new(),
+        }));
         Engine {
             config,
             scheduler,
@@ -300,12 +276,7 @@ impl Engine {
             next_query_id: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             registry,
-            controller,
-            controller_stop,
-            controller_thread,
             faults,
-            controller_ticks,
-            controller_restarts,
         }
     }
 
@@ -335,50 +306,10 @@ impl Engine {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Handles of the queries currently executing (all clients), in no
-    /// particular order — the live population the controller governs.
+    /// Handles of the queries currently executing or reserved (all
+    /// clients), in no particular order.
     pub fn active_queries(&self) -> Vec<Arc<QueryHandle>> {
-        self.registry.lock().values().cloned().collect()
-    }
-
-    /// Number of submitted tasks not yet dispatched by the scheduler (pool
-    /// pressure; approximate while workers drain concurrently).
-    pub fn pending_tasks(&self) -> usize {
-        self.scheduler.pending_tasks()
-    }
-
-    /// Runs one synchronous control round of the elastic resource
-    /// controller over the currently active queries, returning what it did.
-    /// A no-op returning an empty report when the controller is disabled.
-    ///
-    /// The background control thread ticks on its own
-    /// ([`ControllerConfig::tick`]); this entry point exists so tests,
-    /// examples and operators can force a deterministic round. Like the
-    /// background loop, the round runs under the tick watchdog: a panicking
-    /// tick is contained, counted in [`Engine::controller_restarts`] and
-    /// returns an empty report instead of unwinding into the caller.
-    pub fn controller_tick(&self) -> TickReport {
-        match &self.controller {
-            Some(ctrl) => supervised_tick(
-                ctrl,
-                &self.registry,
-                &self.scheduler,
-                self.faults.as_deref(),
-                &self.controller_ticks,
-                &self.controller_restarts,
-            ),
-            None => TickReport::default(),
-        }
-    }
-
-    /// Times the controller tick watchdog contained a panicking tick and
-    /// restarted the control loop (0 in healthy operation; chaos runs with
-    /// scripted tick panics drive it up). A panic costs one interval of
-    /// adaptive signal, never the control loop itself — the alternative, a
-    /// dead `apq-controller` thread, would silently freeze elastic
-    /// re-grants for the rest of the engine's life.
-    pub fn controller_restarts(&self) -> u64 {
-        self.controller_restarts.load(Ordering::Relaxed)
+        self.registry.lock().live.values().cloned().collect()
     }
 
     /// Cumulative fault-injection counters of the chaos layer
@@ -395,13 +326,12 @@ impl Engine {
         Arc::new(QueryHandle::new(id, options.priority, options.admitted_dop))
     }
 
-    /// Reserves a census slot for a query *before* it is submitted: the
+    /// Reserves a registry slot for a query *before* it is submitted: the
     /// returned reservation's handle enters the live-query registry
-    /// immediately, so [`Engine::active_queries`] and controller ticks count
-    /// it from issue time. This is the unified-census replacement for
-    /// side-table admission tickets (the baselines crate's
-    /// `AdmissionController` keeps its own active counter — a second census
-    /// the controller's ticks cannot see).
+    /// immediately, so [`Engine::active_queries`] counts it from issue time.
+    /// The cap in `options` is the client's own and stays as set — the
+    /// one-shot admission baseline; [`Engine::reserve_admitted`] is the
+    /// reservation whose cap follows the census.
     ///
     /// The reservation is RAII: dropping it removes the handle from the
     /// registry. Executing via [`Engine::execute_with_handle`] with the
@@ -416,54 +346,44 @@ impl Engine {
             options.admitted_dop,
             DopPhase::Reserve,
         ));
-        self.registry.lock().insert(id, Arc::clone(&handle));
+        self.registry.lock().live.insert(id, Arc::clone(&handle));
         ReservedQuery { handle, registry: Arc::clone(&self.registry) }
     }
 
     /// Reserves a census slot with an *admission-controlled* DOP grant: the
-    /// equal share `max(1, total_dop / n_governed)` over the governed
-    /// population, counted and granted under one registry lock — the same
-    /// census snapshot the elastic controller's ticks rebalance over, so
-    /// the admit-time target and the next re-grant target can never
-    /// disagree about who is present. `total_dop == 0` means the engine's
-    /// worker count.
+    /// equal share `max(1, workers / n)` of the pool among the `n` live
+    /// reservations made through this call, the newcomer included. The
+    /// census changes in exactly two places — here and where a
+    /// [`ReservedQuery`] drops — and both bring every member to the new
+    /// share under the one registry lock: an arrival claws its peers back,
+    /// a release re-grants the survivors ([`DopPhase::Regrant`] in their
+    /// timelines). The scheduler re-reads the cap at every slot
+    /// acquisition, so a raise reaches already-queued tasks and a cap below
+    /// the running-task count just stops granting slots until tasks drain.
     ///
     /// ```
-    /// use apq_engine::Engine;
+    /// use apq_engine::{DopPhase, Engine};
     ///
     /// let engine = Engine::with_workers(4);
-    /// let first = engine.reserve_admitted(0, 4);
+    /// let first = engine.reserve_admitted(0);
     /// assert_eq!(first.handle().admitted_dop(), 4); // alone: whole pool
-    /// let second = engine.reserve_admitted(0, 4);
+    /// let second = engine.reserve_admitted(0);
     /// assert_eq!(second.handle().admitted_dop(), 2); // equal share of 2
+    /// assert_eq!(first.handle().admitted_dop(), 2); // clawed back
     /// // Both are census-visible before any submission:
     /// assert_eq!(engine.active_queries().len(), 2);
     /// drop(first);
-    /// assert_eq!(engine.active_queries().len(), 1);
+    /// assert_eq!(second.handle().admitted_dop(), 4); // re-granted
+    /// assert_eq!(second.handle().dop_timeline().last().unwrap().phase, DopPhase::Regrant);
     /// ```
-    pub fn reserve_admitted(&self, priority: u8, total_dop: usize) -> ReservedQuery {
-        let total = if total_dop == 0 { self.config.n_workers } else { total_dop };
+    pub fn reserve_admitted(&self, priority: u8) -> ReservedQuery {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let weighted = self.controller.as_ref().is_some_and(|c| c.config().weighted_shares);
         let mut registry = self.registry.lock();
-        let target = if weighted {
-            // Priority-weighted admission (`ControllerConfig::weighted_shares`):
-            // the grant is proportional to `priority + 1` over the governed
-            // population plus this arrival, mirroring the controller's
-            // weighted re-grants tick-for-tick.
-            let weight_sum = registry
-                .values()
-                .filter(|h| is_governed(h))
-                .map(|h| share_weight(h.priority()))
-                .sum::<usize>()
-                + share_weight(priority);
-            weighted_share(total, share_weight(priority), weight_sum)
-        } else {
-            let n_governed = registry.values().filter(|h| is_governed(h)).count() + 1;
-            equal_share(total, n_governed)
-        };
-        let handle = Arc::new(QueryHandle::with_phase(id, priority, target, DopPhase::Reserve));
-        registry.insert(id, Arc::clone(&handle));
+        let share = registry.share(registry.census.len() + 1);
+        let handle = Arc::new(QueryHandle::with_phase(id, priority, share, DopPhase::Reserve));
+        registry.live.insert(id, Arc::clone(&handle));
+        registry.census.push(Arc::clone(&handle));
+        registry.regrant();
         drop(registry);
         ReservedQuery { handle, registry: Arc::clone(&self.registry) }
     }
@@ -555,18 +475,17 @@ impl Engine {
         let _in_flight = InFlightGuard(&self.in_flight);
 
         // Publish the handle in the live-query registry for the duration of
-        // the execution, so controller ticks see it. The guard keeps the
-        // registry consistent on every exit path; a re-grant racing query
-        // completion at worst writes to a handle nobody reads anymore.
+        // the execution. The guard keeps the registry consistent on every
+        // exit path.
         //
-        // A handle that is *already* registered is a census reservation
-        // ([`Engine::reserve_admitted`]): it entered the registry at issue
-        // time and its [`ReservedQuery`] owns the removal, so the guard must
-        // not unregister it here — the reservation stays census-visible
-        // until the client drops it, even across repeated submissions.
+        // A handle that is *already* registered is a reservation: it
+        // entered the registry at issue time and its [`ReservedQuery`] owns
+        // the removal, so the guard must not unregister it here — the
+        // reservation stays census-visible until the client drops it, even
+        // across repeated submissions.
         let reserved = {
             let mut registry = self.registry.lock();
-            match registry.entry(handle.id()) {
+            match registry.live.entry(handle.id()) {
                 hash_map::Entry::Occupied(_) => true,
                 hash_map::Entry::Vacant(slot) => {
                     slot.insert(Arc::clone(&handle));
@@ -578,14 +497,14 @@ impl Engine {
             handle.mark_submitted();
         }
         struct RegistryGuard<'a> {
-            registry: &'a Mutex<HashMap<u64, Arc<QueryHandle>>>,
+            registry: &'a Mutex<Registry>,
             id: u64,
             owned: bool,
         }
         impl Drop for RegistryGuard<'_> {
             fn drop(&mut self) {
                 if self.owned {
-                    self.registry.lock().remove(&self.id);
+                    self.registry.lock().live.remove(&self.id);
                 }
             }
         }
@@ -606,56 +525,11 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Stop the control loop first so no tick runs against a draining
-        // scheduler.
-        if let Some(thread) = self.controller_thread.take() {
-            {
-                let (lock, cv) = &*self.controller_stop;
-                *lock.lock() = true;
-                cv.notify_all();
-            }
-            let _ = thread.join();
-        }
         // Shutting the scheduler down lets the workers drain remaining tasks
         // and exit.
         self.scheduler.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// One watchdog-supervised controller round, shared by the background
-/// control thread and [`Engine::controller_tick`]. A panicking tick (a
-/// controller bug, or a scripted
-/// [`crate::fault::FaultConfig::controller_tick_panics`] entry) is contained
-/// here: the controller's signal windows are reset (a panic may have unwound
-/// mid-update) and the restart counter incremented, so the control loop
-/// keeps ticking instead of dying silently and freezing elastic re-grants.
-fn supervised_tick(
-    ctrl: &ResourceController,
-    registry: &Mutex<HashMap<u64, Arc<QueryHandle>>>,
-    sched: &Scheduler,
-    faults: Option<&FaultInjector>,
-    ticks: &AtomicU64,
-    restarts: &AtomicU64,
-) -> TickReport {
-    let tick_idx = ticks.fetch_add(1, Ordering::Relaxed);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(faults) = faults {
-            if faults.tick_should_panic(tick_idx) {
-                panic!("injected controller tick panic (tick {tick_idx})");
-            }
-        }
-        let active: Vec<Arc<QueryHandle>> = registry.lock().values().cloned().collect();
-        ctrl.tick(&active, sched.pending_tasks())
-    }));
-    match outcome {
-        Ok(report) => report,
-        Err(_) => {
-            ctrl.reset();
-            restarts.fetch_add(1, Ordering::Relaxed);
-            TickReport::default()
         }
     }
 }

@@ -152,10 +152,6 @@ pub struct FaultConfig {
     /// Scripted faults fired on exact `(query_id, node)` matches, on top
     /// of the probabilistic layer.
     pub schedule: Vec<ScheduledFault>,
-    /// Controller tick indices (0-based, counted per engine) whose tick
-    /// body panics — exercises the tick watchdog
-    /// ([`crate::Engine::controller_restarts`]).
-    pub controller_tick_panics: Vec<u64>,
 }
 
 impl FaultConfig {
@@ -172,7 +168,6 @@ impl FaultConfig {
             max_stall_us: 0,
             cancel_probability: 0.0,
             schedule: Vec::new(),
-            controller_tick_panics: Vec::new(),
         }
     }
 
@@ -219,13 +214,6 @@ impl FaultConfig {
     /// Adds a scripted fault (builder style).
     pub fn with_scheduled(mut self, query_id: u64, node: NodeId, kind: FaultKind) -> Self {
         self.schedule.push(ScheduledFault { query_id, node, kind });
-        self
-    }
-
-    /// Makes controller tick `tick` panic (builder style); see
-    /// [`FaultConfig::controller_tick_panics`].
-    pub fn with_controller_tick_panic(mut self, tick: u64) -> Self {
-        self.controller_tick_panics.push(tick);
         self
     }
 
@@ -406,16 +394,6 @@ impl FaultInjector {
             std::thread::sleep(std::time::Duration::from_micros(stall));
         }
     }
-
-    /// Should controller tick number `tick` panic? (Counted as a panic
-    /// injection.)
-    pub fn tick_should_panic(&self, tick: u64) -> bool {
-        if self.config.controller_tick_panics.contains(&tick) {
-            self.panics.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -528,16 +506,6 @@ mod tests {
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.cancels, 1);
         assert_eq!(stats.delays, 1);
-    }
-
-    #[test]
-    fn controller_tick_panics_fire_on_listed_ticks_only() {
-        let inj = FaultInjector::new(FaultConfig::quiet(1).with_controller_tick_panic(2));
-        assert!(!inj.tick_should_panic(0));
-        assert!(!inj.tick_should_panic(1));
-        assert!(inj.tick_should_panic(2));
-        assert!(!inj.tick_should_panic(3));
-        assert_eq!(inj.stats().panics, 1);
     }
 
     #[test]

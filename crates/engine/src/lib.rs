@@ -19,12 +19,8 @@
 //!   [`EngineConfig::execution_mode`];
 //! * [`scheduler`] — the work-stealing task scheduler (per-worker deques
 //!   plus shared injectors), per-query scheduling state ([`QueryHandle`]:
-//!   priority, admitted DOP, cancellation, live dispatch signals) and
-//!   per-worker dispatch counters;
-//! * [`controller`] — the elastic resource controller: a feedback loop over
-//!   the live signals that re-grants/claws back admitted DOP as clients
-//!   come and go and adapts the per-query morsel size
-//!   ([`EngineConfig::controller`]);
+//!   priority, admitted DOP, cancellation) and per-worker dispatch
+//!   counters;
 //! * [`profiler`] — per-operator execution feedback (time, worker, memory
 //!   claim) and query-level multi-core-utilization metrics;
 //! * [`fault`] — the deterministic chaos layer and the engine's one
@@ -34,14 +30,13 @@
 //!   seed;
 //! * [`service`] — the long-lived production query service: sessions with
 //!   per-session submission queues, unified admission (a ticket *is* a
-//!   registry reservation, one census with the controller) and shared
+//!   registry reservation whose DOP share follows the census) and shared
 //!   plan/result caches ([`QueryService`], [`Session`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;
-pub mod controller;
 pub mod error;
 pub mod executor;
 pub mod fault;
@@ -53,7 +48,6 @@ pub mod scheduler;
 pub mod service;
 
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
-pub use controller::{ControllerConfig, TickReport};
 pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, QueryOptions, ReservedQuery};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
@@ -62,5 +56,5 @@ pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
 #[doc(hidden)]
 pub use scheduler::SchedulerPolicy;
-pub use scheduler::{QueryHandle, QuerySignals, SchedulerStats, WorkerStats};
+pub use scheduler::{QueryHandle, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};

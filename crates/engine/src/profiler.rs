@@ -66,8 +66,7 @@ pub enum DopPhase {
     /// ([`crate::Engine::register_query`]); always at offset 0.
     Admit,
     /// Admit-time grant of a *reservation*: the query is census-visible
-    /// (counted by controller ticks) but not yet submitted; always at
-    /// offset 0.
+    /// but not yet submitted; always at offset 0.
     Reserve,
     /// A reserved query began executing (`execute_with_handle` on the
     /// pre-registered handle). Records the grant in force at submission —
@@ -75,8 +74,9 @@ pub enum DopPhase {
     /// window.
     Submit,
     /// Mid-flight re-grant or claw-back via
-    /// [`crate::QueryHandle::set_admitted_dop`] — made by the client or by
-    /// the elastic resource controller ([`crate::controller`]).
+    /// [`crate::QueryHandle::set_admitted_dop`] — made by the client, or by
+    /// the engine when the census of [`crate::Engine::reserve_admitted`]
+    /// reservations gains or loses a member.
     Regrant,
     /// The query's deadline expired ([`crate::QueryHandle::deadline`]):
     /// the effective DOP collapses to 0 and the query fails with
@@ -114,11 +114,7 @@ pub struct PipelineProfile {
     /// Number of morsels the source was cut into (≥ 1; empty inputs still
     /// run one morsel).
     pub n_morsels: usize,
-    /// Morsel size used for *this* pipeline launch, in rows. With a static
-    /// configuration this equals [`crate::EngineConfig::morsel_rows`]; under
-    /// adaptive sizing ([`crate::controller`]) it is whatever the per-query
-    /// override held when the pipeline launched, so sizes may differ across
-    /// pipelines of one query.
+    /// Morsel size in rows ([`crate::EngineConfig::morsel_rows`]).
     pub morsel_rows: usize,
     /// Rows of the pipeline's source (effective scan range or input chunk).
     pub source_rows: usize,
@@ -152,8 +148,8 @@ pub struct QueryProfile {
     /// Admitted-DOP history of the query: the admit-time grant plus every
     /// mid-flight re-grant/claw-back, in order (never empty for executed
     /// queries). A strictly increasing `dop` after the first entry is the
-    /// signature of elastic re-granting (peers left, the controller widened
-    /// the query's share).
+    /// signature of re-granting (peers left the census and the query's
+    /// share widened).
     pub dop_timeline: Vec<DopEvent>,
 }
 
@@ -240,14 +236,6 @@ impl QueryProfile {
         out
     }
 
-    /// Morsel sizes chosen across the query's pipeline launches, in launch
-    /// order (one entry per pipeline; empty in operator-at-a-time mode).
-    /// Under static configuration every entry is the same; under adaptive
-    /// sizing the sequence shows the controller's trajectory.
-    pub fn morsel_sizes(&self) -> Vec<usize> {
-        self.pipelines.iter().map(|p| p.morsel_rows).collect()
-    }
-
     /// Always `0`: scan sharing is gone (`docs/architecture.md` §10). Kept
     /// only because `benchmark/src/sut.rs` links this symbol and may not be
     /// edited outside a `[benchmark]` PR; the next one drops it together with
@@ -265,7 +253,7 @@ impl QueryProfile {
     }
 
     /// True when the admitted DOP was raised after the admit-time grant —
-    /// i.e. the query received a mid-flight elastic re-grant
+    /// i.e. the query received a mid-flight re-grant
     /// ([`DopPhase::Regrant`]; `Submit` events only restate the standing
     /// grant). A later grant of `0` (unlimited) counts as a raise; a query
     /// *admitted* unlimited has nothing to re-grant and always returns
@@ -505,7 +493,6 @@ mod tests {
         ];
         assert_eq!(p.total_morsels(), 5);
         assert_eq!(p.morsels_by_worker(), vec![2, 2, 1, 0]);
-        assert_eq!(p.morsel_sizes(), vec![1024, 1024]);
         assert_eq!(p.fused_groupagg_pipelines(), 1);
     }
 

@@ -62,20 +62,6 @@ impl crate::EngineConfig {
     }
 }
 
-/// Live per-query execution signals accumulated by task dispatch, readable
-/// while the query is still running — the controller's input
-/// ([`crate::controller`]). All values are cumulative since the handle was
-/// created; consumers diff successive snapshots to get per-interval rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuerySignals {
-    /// Total time the query's dispatched tasks spent queued, microseconds.
-    pub queue_wait_us: u64,
-    /// Total time the query's dispatched tasks spent executing, microseconds.
-    pub busy_us: u64,
-    /// Number of tasks dispatched so far.
-    pub dispatched: u64,
-}
-
 /// Per-query scheduling state, shared between the submitting client, the
 /// scheduler and every task of the query.
 #[derive(Debug)]
@@ -95,8 +81,6 @@ pub struct QueryHandle {
     /// Admitted-DOP change history: the initial grant plus every
     /// [`QueryHandle::set_admitted_dop`] call, in order.
     dop_events: Mutex<Vec<DopEvent>>,
-    /// Per-query morsel-size override (rows); `0` = engine default.
-    morsel_rows: AtomicUsize,
     /// Deadline as a nanosecond offset from `created`; `0` = no deadline.
     /// Nanosecond granularity so an instantly expired deadline
     /// (`set_deadline(Duration::ZERO)`) is observed as exceeded on the very
@@ -105,8 +89,7 @@ pub struct QueryHandle {
     /// Whether the [`DopPhase::Timeout`] timeline event was recorded (at
     /// most one, by whichever checkpoint observes the expiry first).
     timeout_recorded: AtomicBool,
-    queue_wait_us: AtomicU64,
-    busy_us: AtomicU64,
+    /// Tasks of this query dispatched so far.
     dispatched: AtomicU64,
 }
 
@@ -129,11 +112,8 @@ impl QueryHandle {
             inflight: AtomicUsize::new(0),
             created: Instant::now(),
             dop_events: Mutex::new(vec![DopEvent { at_us: 0, dop: admitted_dop, phase }]),
-            morsel_rows: AtomicUsize::new(0),
             deadline_ns: AtomicU64::new(0),
             timeout_recorded: AtomicBool::new(false),
-            queue_wait_us: AtomicU64::new(0),
-            busy_us: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
         }
     }
@@ -187,7 +167,7 @@ impl QueryHandle {
     /// let engine = Engine::with_workers(2);
     /// let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
     /// assert_eq!(handle.admitted_dop(), 1);
-    /// // A resource controller (or the client) re-grants mid-flight:
+    /// // The client — or the engine, for a census reservation — re-grants:
     /// handle.set_admitted_dop(4);
     /// assert_eq!(handle.admitted_dop(), 4);
     /// let timeline = handle.dop_timeline();
@@ -197,8 +177,8 @@ impl QueryHandle {
     /// ```
     pub fn set_admitted_dop(&self, dop: usize) {
         // Store and timeline append happen under one lock so concurrent
-        // setters (controller thread vs. client) cannot leave the recorded
-        // timeline ending on a different value than the live cap.
+        // setters (a census re-grant vs. the client) cannot leave the
+        // recorded timeline ending on a different value than the live cap.
         let mut events = self.dop_events.lock();
         self.admitted_dop.store(dop, Ordering::Release);
         events.push(DopEvent {
@@ -214,40 +194,11 @@ impl QueryHandle {
         self.dop_events.lock().clone()
     }
 
-    /// Sets the per-query morsel-size override, in rows (`0` clears it back
-    /// to the engine default). Morsel-driven execution re-reads this at every
-    /// pipeline launch, so a running query's later pipelines pick the new
-    /// size up; morsels of an already-launched pipeline keep theirs (the
-    /// fan-out is fixed at launch).
-    pub fn set_morsel_rows(&self, rows: usize) {
-        self.morsel_rows.store(rows, Ordering::Release);
-    }
-
-    /// The current per-query morsel-size override; `None` = engine default.
-    pub fn morsel_rows_hint(&self) -> Option<usize> {
-        match self.morsel_rows.load(Ordering::Acquire) {
-            0 => None,
-            rows => Some(rows),
-        }
-    }
-
-    /// Test-only: injects synthetic cumulative signals, so controller ticks
-    /// can be driven without real executions.
-    #[cfg(test)]
-    pub(crate) fn test_add_signals(&self, queue_wait_us: u64, busy_us: u64) {
-        self.queue_wait_us.fetch_add(queue_wait_us, Ordering::Relaxed);
-        self.busy_us.fetch_add(busy_us, Ordering::Relaxed);
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the query's cumulative dispatch signals (queue wait, busy
-    /// time, task count) — readable mid-flight, the controller's input.
-    pub fn signals(&self) -> QuerySignals {
-        QuerySignals {
-            queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
-            busy_us: self.busy_us.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-        }
+    /// Number of this query's tasks dispatched so far (cumulative, readable
+    /// mid-flight). The fault layer keys dispatch stalls on it, and a query
+    /// refused before dispatch reads `0`.
+    pub fn dispatched(&self) -> u64 {
+        self.dispatched.load(Ordering::Relaxed)
     }
 
     /// Requests cancellation: tasks already running finish, queued tasks of
@@ -436,13 +387,7 @@ impl Task {
         submitter: &LocalSubmitter<'_>,
     ) {
         let ctx = TaskContext { worker, queue_wait, origin, submitter };
-        let started = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(&ctx)));
-        // Accumulate the query's live signals (controller input) before the
-        // slot is released, so a controller tick never sees a task counted
-        // as neither running nor accounted.
-        self.handle.queue_wait_us.fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
-        self.handle.busy_us.fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         self.handle.dispatched.fetch_add(1, Ordering::Relaxed);
         self.handle.task_finished();
         // Slot released first, lifetime count second: `inflight == 0`

@@ -184,7 +184,7 @@ impl Scheduler {
                         // OS preemption at the scheduler boundary). Timing-
                         // only; lands in queue-wait accounting, not results.
                         let h = task.handle();
-                        faults.maybe_stall(h.id(), h.signals().dispatched);
+                        faults.maybe_stall(h.id(), h.dispatched());
                     }
                     let queue_wait = task.queue_wait();
                     self.counters[worker].record(origin, queue_wait);
@@ -221,17 +221,6 @@ impl Scheduler {
     /// Snapshot of the per-worker counters.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats { workers: self.counters.iter().map(WorkerCounters::snapshot).collect() }
-    }
-
-    /// Number of submitted tasks not yet dispatched — the pool-pressure
-    /// signal ([`crate::controller`] reads it every tick). Approximate by
-    /// design: queues are concurrently drained while counting.
-    pub fn pending_tasks(&self) -> usize {
-        // Local deques are observed through their stealer halves; workers
-        // drain concurrently, so the sum is a momentary approximation.
-        self.injector.len()
-            + self.high_injector.len()
-            + self.stealers.iter().map(Stealer::len).sum::<usize>()
     }
 }
 

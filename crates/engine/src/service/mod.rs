@@ -4,17 +4,14 @@
 //! one-shot benchmark harnesses into a service that many clients connect
 //! to and submit queries through:
 //!
-//! * **Unified admission (single census).** The historical
-//!   `AdmissionController` baseline keeps its own active-client counter
-//!   next to the engine's live-query registry — a *double census*: a
-//!   client holding a ticket but not yet submitted is invisible to the
-//!   elastic controller, so admit-time and re-grant DOP targets can
-//!   briefly disagree. Here a ticket *is* a registry reservation
-//!   ([`crate::Engine::reserve_admitted`]): the handle enters the registry
-//!   at issue time, the admit-time share is computed under the registry
-//!   lock from the same population controller ticks rebalance over, and
-//!   the profiler's DOP timeline records the reservation phases
-//!   ([`crate::DopPhase`]).
+//! * **Unified admission (single census).** Every submission that
+//!   executes holds a registry reservation
+//!   ([`crate::Engine::reserve_admitted`]) for as long as it runs: the
+//!   handle enters the registry at issue time, its admit-time share and
+//!   its peers' claw-back are computed under one registry lock, its
+//!   release re-grants the sessions still running, and the profiler's DOP
+//!   timeline records every step ([`crate::DopPhase`]). The one-shot
+//!   `AdmissionController` baseline grants once and never revisits.
 //! * **Sessions.** [`QueryService::connect`] returns a [`Session`]: a
 //!   cheap-clone handle with a per-session FIFO submission queue (clones
 //!   share the queue, submissions serialize in ticket order), a scheduling
@@ -36,14 +33,13 @@
 //!         plan cache (signature → Arc<Plan>)
 //!                   │
 //!      Engine::reserve_admitted ─────────┐ one registry lock:
-//!        (ticket = registry entry,       │ count governed ∪ {self},
-//!         admit dop = equal share)       │ grant max(1, total/n)
+//!        (ticket = registry entry,       │ census ∪ {self} = n,
+//!         admit dop = equal share)       │ everyone ← max(1, workers/n)
 //!                   │                    │
 //!      Engine::execute_with_handle ◄─────┘
-//!                   │         ▲
-//!                   │         │ controller ticks rebalance over the
-//!                   │         │ SAME registry (reservations included)
-//!                   ▼
+//!                   │
+//!        reservation drops ──► survivors ← max(1, workers/(n−1))
+//!                   │
 //!        result cache insert → ServiceResponse
 //! ```
 
@@ -69,17 +65,9 @@ use session::WaiterRegistry;
 /// Configuration of a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Configuration of the service-owned engine (workers, scheduler,
-    /// execution mode, elastic controller, ...).
+    /// Configuration of the service-owned engine (workers, execution mode,
+    /// morsel size, fault injection).
     pub engine: EngineConfig,
-    /// Enables unified admission: submissions reserve a census slot and
-    /// run under the equal-share DOP grant. The pool it divides is the
-    /// elastic controller's [`crate::ControllerConfig::total_dop`] when
-    /// `engine.controller` is set, else the engine's worker count, so
-    /// admit-time grants and tick re-grants share one budget. When
-    /// `false`, submissions run uncapped (registry-visible only while
-    /// executing).
-    pub admission: bool,
     /// Plan-cache capacity in entries (`0` disables the plan cache).
     pub plan_cache_capacity: usize,
     /// Result-cache capacity in entries (`0` disables the result cache).
@@ -107,7 +95,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            admission: true,
             plan_cache_capacity: 256,
             result_cache_capacity: 128,
             default_timeout: None,
@@ -121,12 +108,6 @@ impl ServiceConfig {
     /// Config with the given engine configuration.
     pub fn with_engine(engine: EngineConfig) -> Self {
         ServiceConfig { engine, ..ServiceConfig::default() }
-    }
-
-    /// Enables or disables unified admission.
-    pub fn with_admission(mut self, admission: bool) -> Self {
-        self.admission = admission;
-        self
     }
 
     /// Sets the plan-cache capacity (`0` disables it).
@@ -363,7 +344,6 @@ impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
             .field("engine", &self.inner.engine)
-            .field("admission", &self.inner.config.admission)
             .field("plan_cache", &self.inner.plan_cache.len())
             .field("result_cache", &self.inner.result_cache.len())
             .finish()
@@ -417,7 +397,7 @@ impl QueryService {
         Session::open(Arc::clone(&self.inner), id, priority)
     }
 
-    /// The service-owned engine (worker pool, registry, controller).
+    /// The service-owned engine (worker pool, registry).
     pub fn engine(&self) -> &Engine {
         &self.inner.engine
     }

@@ -22,7 +22,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{EngineError, Result};
-use crate::executor::QueryOptions;
 use crate::plan::Plan;
 use crate::scheduler::QueryHandle;
 
@@ -443,35 +442,18 @@ impl Session {
 
         let catalog = service.catalog();
         let started = Instant::now();
-        let handle;
-        let execution = if service.config.admission {
-            // Unified admission: the reservation is the ticket AND the
-            // census entry; it is held (registry-visible) until the
-            // submission finishes, then dropped.
-            // One budget for admit-time grants and tick re-grants: the
-            // controller's pool when there is one, else the worker count.
-            let total_dop = service.config.engine.controller.as_ref().map_or(0, |c| c.total_dop);
-            let reservation = service.engine.reserve_admitted(inner.priority, total_dop);
-            handle = reservation.handle();
-            if let Some(left) = remaining {
-                handle.set_deadline(left);
-            }
-            inner.track(Arc::clone(&handle));
-            let result = service.engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle));
-            inner.untrack(reservation.id());
-            result
-        } else {
-            handle = service
-                .engine
-                .register_query(QueryOptions { priority: inner.priority, admitted_dop: 0 });
-            if let Some(left) = remaining {
-                handle.set_deadline(left);
-            }
-            inner.track(Arc::clone(&handle));
-            let result = service.engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle));
-            inner.untrack(handle.id());
-            result
-        };
+        // Unified admission: the reservation is the ticket AND the census
+        // entry; it is held (registry-visible) until the submission
+        // finishes, and its drop re-grants the sessions still running.
+        let reservation = service.engine.reserve_admitted(inner.priority);
+        let handle = reservation.handle();
+        if let Some(left) = remaining {
+            handle.set_deadline(left);
+        }
+        inner.track(Arc::clone(&handle));
+        let execution = service.engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle));
+        inner.untrack(reservation.id());
+        drop(reservation);
         service.record_latency(started.elapsed());
         let execution = match execution {
             Ok(execution) => execution,

@@ -80,18 +80,6 @@ fn submissions_run_under_reserved_census_slots() {
 }
 
 #[test]
-fn admission_disabled_runs_uncapped() {
-    let svc =
-        service(ServiceConfig::with_engine(EngineConfig::with_workers(2)).with_admission(false));
-    let session = svc.connect();
-    let response = session.submit(&sum_plan(10_000, 500)).unwrap();
-    assert_eq!(response.output, expected_sum(500));
-    let profile = response.profile.unwrap();
-    assert_eq!(profile.dop_timeline[0].phase, DopPhase::Admit);
-    assert_eq!(profile.dop_timeline[0].dop, 0, "no admission cap");
-}
-
-#[test]
 fn plan_cache_hits_are_byte_identical_to_cold_execution() {
     // Result cache off so the second submission re-executes through the
     // cached shared plan instead of short-circuiting.

@@ -1,38 +1,43 @@
-//! Elastic concurrency: a client-churn workload in which the engine's
-//! resource controller re-grants degrees of parallelism mid-flight.
+//! Admission under client churn: a one-shot grant next to a share that
+//! follows the census.
 //!
-//! Four clients hit one engine through a Vectorwise-style admission
-//! controller. Two run short queries and leave early; two run long queries
-//! and survive the churn. Every client is admitted with a fixed share of
-//! the pool (the classic one-shot scheme under which later clients stay
-//! throttled forever) — but the engine's elastic controller keeps watching
-//! `Engine::active_queries()` and, as the short clients finish, re-grants
-//! the survivors' admitted DOP up to their new equal share. The survivors'
-//! `QueryProfile::dop_timeline` prints the whole story; with morsel-driven
-//! execution the controller also adapts each query's morsel size from live
-//! queue-wait feedback (`QueryProfile::morsel_sizes`).
+//! The churn shape of the paper's §4.2.4: a short query is in flight, a long
+//! one is admitted behind it, the short one leaves. Run twice on the same
+//! engine:
+//!
+//! * **static** — `AdmissionController::execute_admitted`, the Vectorwise
+//!   model: each client's DOP is fixed when it is admitted. The long query
+//!   arrives second, is granted half the pool and keeps that cap after its
+//!   peer has gone — the degradation the paper hypothesises.
+//! * **census** — `Engine::reserve_admitted`: the grant is the equal share
+//!   of the pool among the live reservations, recomputed where that
+//!   population changes. The long query is admitted at the same half, and
+//!   re-granted the whole pool the moment the short client's reservation
+//!   drops.
+//!
+//! For each regime the survivor's latency and `QueryProfile::dop_timeline`
+//! are printed side by side.
 //!
 //! ```text
 //! cargo run --release --example elastic_concurrency
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use adaptive_parallelization::baselines::{heuristic_parallelize, AdmissionController};
+use adaptive_parallelization::baselines::AdmissionController;
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
 use adaptive_parallelization::engine::{
-    ControllerConfig, Engine, EngineConfig, ExecutionMode, QueryOptions, QueryProfile,
+    Engine, EngineConfig, ExecutionMode, Plan, QueryExecution, QueryProfile,
 };
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
 
-/// sum(amount * (100 - discount) / 100) over `rows` rows with region < cut.
-fn revenue_plan(
-    catalog: &Catalog,
-    table: &str,
-    cut: i64,
-) -> adaptive_parallelization::engine::Plan {
+const WORKERS: usize = 2;
+const ROUNDS: usize = 7;
+
+/// sum(amount * (100 - discount) / 100) over `table`'s rows with region < cut.
+fn revenue_plan(catalog: &Catalog, table: &str, cut: i64) -> Plan {
     let mut b = PlanBuilder::new(catalog);
     let region = b.scan(table, "region").expect("column exists");
     let selected = b.select(region, Predicate::cmp(CmpOp::Lt, cut));
@@ -47,97 +52,104 @@ fn revenue_plan(
     b.finish(total).expect("plan builds")
 }
 
-fn describe(label: &str, profile: &QueryProfile) {
-    let timeline: Vec<String> =
-        profile.dop_timeline.iter().map(|e| format!("{}@{}us", e.dop, e.at_us)).collect();
-    println!(
-        "  {label:<12} dop timeline [{}]{}",
-        timeline.join(" -> "),
-        if profile.dop_was_regranted() { "  << re-granted mid-flight" } else { "" },
-    );
-    if !profile.pipelines.is_empty() {
-        println!("  {:<12} morsel sizes {:?}", "", profile.morsel_sizes());
-    }
+/// One churn round: `submit` the short query, `submit` the long one as soon
+/// as the short is in flight, return the long one's latency and execution.
+fn churn(
+    engine: &Engine,
+    short: &Arc<Plan>,
+    long: &Arc<Plan>,
+    submit: &(dyn Fn(&Arc<Plan>) -> QueryExecution + Sync),
+) -> (Duration, QueryExecution) {
+    std::thread::scope(|scope| {
+        let peer = scope.spawn(|| submit(short));
+        while engine.in_flight_queries() == 0 && !peer.is_finished() {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        let survivor = submit(long);
+        let latency = started.elapsed();
+        peer.join().expect("short client");
+        (latency, survivor)
+    })
+}
+
+fn timeline(profile: &QueryProfile) -> String {
+    let events: Vec<String> = profile
+        .dop_timeline
+        .iter()
+        .map(|e| format!("{:?} {} @{}us", e.phase, e.dop, e.at_us))
+        .collect();
+    events.join(" -> ")
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workers = 4;
-
-    // One table, two row populations: "short" clients touch a small slice
-    // of the workload, "long" clients a large one.
-    let rows = 2_000_000;
+    // The short client reads a table an eighth the size of the survivor's.
     let mut catalog = Catalog::new();
-    catalog.register(
-        TableBuilder::new("sales")
-            .i64_column("amount", datagen::prices_decimal2(rows, 1.0, 500.0, 1))
-            .i64_column("discount", datagen::uniform_i64(rows, 0, 11, 2))
-            .i64_column("region", datagen::uniform_i64(rows, 0, 25, 3))
-            .build()?,
-    );
+    for (table, rows) in [("recent", 500_000), ("sales", 4_000_000)] {
+        catalog.register(
+            TableBuilder::new(table)
+                .i64_column("amount", datagen::prices_decimal2(rows, 1.0, 500.0, 1))
+                .i64_column("discount", datagen::uniform_i64(rows, 0, 11, 2))
+                .i64_column("region", datagen::uniform_i64(rows, 0, 25, 3))
+                .build()?,
+        );
+    }
     let catalog = Arc::new(catalog);
+    let short = Arc::new(revenue_plan(&catalog, "recent", 23));
+    let long = Arc::new(revenue_plan(&catalog, "sales", 23));
 
-    // The engine runs morsel-driven with the elastic controller ticking in
-    // the background: DOP re-grants as clients leave, morsel sizes adapted
-    // from live queue-wait feedback.
-    let engine = Arc::new(Engine::new(
-        EngineConfig::with_workers(workers)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(64 * 1024)
-            .with_controller(
-                ControllerConfig::default()
-                    .with_tick(Duration::from_micros(500))
-                    .with_morsel_bounds(8 * 1024, 512 * 1024),
-            ),
-    ));
+    // Plans stay as written; morsel fan-out supplies the parallelism and
+    // the scheduler enforces whatever cap admission hands out.
+    let engine = Engine::new(
+        EngineConfig::with_workers(WORKERS).with_execution_mode(ExecutionMode::MorselDriven),
+    );
+    let expected = engine.execute_shared(&long, &catalog)?.output;
 
-    // Fully parallel plans; throttling is purely the scheduler's job.
-    let short_serial = revenue_plan(&catalog, "sales", 2);
-    let long_serial = revenue_plan(&catalog, "sales", 23);
-    let short_plan = Arc::new(heuristic_parallelize(&short_serial, &catalog, workers)?);
-    let long_plan = Arc::new(heuristic_parallelize(&long_serial, &catalog, workers)?);
+    let admission = AdmissionController::new(WORKERS);
+    let one_shot = |plan: &Arc<Plan>| {
+        admission.execute_admitted(&engine, plan, &catalog).expect("query executes").0
+    };
+    let census = |plan: &Arc<Plan>| {
+        let reservation = engine.reserve_admitted(0);
+        engine.execute_with_handle(plan, &catalog, reservation.handle()).expect("query executes")
+        // The reservation drops here: the release that re-grants the peer.
+    };
 
-    // Admission: every client gets a fixed entry grant from the current
-    // census; the engine controller owns the grant afterwards.
-    let admission = Arc::new(AdmissionController::new(workers));
-
-    println!("client churn on {workers} workers (2 short clients, 2 long survivors):");
-    let mut clients = Vec::new();
-    for (name, plan) in [
-        ("long-0", &long_plan),
-        ("long-1", &long_plan),
-        ("short-0", &short_plan),
-        ("short-1", &short_plan),
-    ] {
-        let engine = Arc::clone(&engine);
-        let catalog = Arc::clone(&catalog);
-        let plan = Arc::clone(plan);
-        let admission = Arc::clone(&admission);
-        clients.push(std::thread::spawn(move || {
-            let ticket = admission.admit();
-            let handle = engine.register_query(QueryOptions::with_admitted_dop(ticket.dop()));
-            let exec = engine.execute_with_handle(&plan, &catalog, handle).expect("query executes");
-            (name, ticket.dop(), exec)
-        }));
+    println!(
+        "churn on {WORKERS} workers: a short query in flight, a long one admitted behind it, \
+         the short one leaves ({ROUNDS} rounds each, alternated)"
+    );
+    let mut runs: [Vec<(Duration, QueryExecution)>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..ROUNDS {
+        runs[0].push(churn(&engine, &short, &long, &one_shot));
+        runs[1].push(churn(&engine, &short, &long, &census));
     }
 
-    let mut results = Vec::new();
-    for client in clients {
-        results.push(client.join().expect("client thread"));
-    }
-    results.sort_by_key(|(name, ..)| *name);
-    for (name, admitted, exec) in &results {
+    let mut medians = Vec::new();
+    for (label, mut regime) in ["static", "census"].into_iter().zip(runs) {
+        regime.sort_by_key(|(latency, _)| *latency);
+        let (fastest, slowest) = (regime[0].0, regime[ROUNDS - 1].0);
+        let (median, exec) = &regime[ROUNDS / 2];
+        assert_eq!(exec.output, expected, "admission changed a result");
         println!();
-        println!("  {name}: admitted at DOP {admitted}, result {}", exec.output.summary());
-        describe(name, &exec.profile);
+        println!(
+            "  {label}: survivor latency {:.1} ms (median; {:.1}-{:.1})",
+            median.as_secs_f64() * 1e3,
+            fastest.as_secs_f64() * 1e3,
+            slowest.as_secs_f64() * 1e3,
+        );
+        println!("  {:<6}  dop timeline [{}]", "", timeline(&exec.profile));
+        println!(
+            "  {:<6}  re-granted mid-flight: {}",
+            "",
+            if exec.profile.dop_was_regranted() { "yes" } else { "no" }
+        );
+        medians.push(*median);
     }
-
-    let regrants = results.iter().filter(|(.., e)| e.profile.dop_was_regranted()).count();
     println!();
     println!(
-        "{regrants} of {} queries were re-granted DOP mid-flight \
-         (expect the long survivors on a multi-core machine; short queries \
-         may finish before the controller's first tick).",
-        results.len()
+        "static / census survivor latency: {:.2}x",
+        medians[0].as_secs_f64() / medians[1].as_secs_f64()
     );
     Ok(())
 }

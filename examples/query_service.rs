@@ -1,24 +1,23 @@
 //! The production front door: client churn rewritten against the
 //! [`QueryService`] session API.
 //!
-//! Where `elastic_concurrency.rs` wires admission, registration and
-//! execution together by hand (admission ticket → `register_query` →
-//! `execute_with_handle`), this example opens a session and submits — the
-//! service folds admission into the engine's live-query registry, so a
-//! client counts against the census from `connect`-and-submit time and the
-//! elastic controller re-grants survivors as others leave. Shared plan and
-//! result caches turn repeat submissions into cache hits across sessions.
+//! Where `elastic_concurrency.rs` wires reservation and execution together
+//! by hand (`reserve_admitted` → `execute_with_handle`), this example opens
+//! a session and submits — the service folds admission into the engine's
+//! live-query registry, so a submission counts against the census for as
+//! long as it runs and the survivors are re-granted as others return.
+//! Shared plan and result caches turn repeat submissions into cache hits
+//! across sessions.
 //!
 //! ```text
 //! cargo run --release --example query_service
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
 use adaptive_parallelization::engine::{
-    ControllerConfig, DopPhase, EngineConfig, ExecutionMode, Plan, QueryService, ServiceConfig,
+    DopPhase, EngineConfig, ExecutionMode, Plan, QueryService, ServiceConfig,
 };
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
@@ -51,18 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?,
     );
 
-    // One long-lived service instance is the whole setup: engine, admission,
-    // controller and caches behind a cloneable handle.
+    // One long-lived service instance is the whole setup: engine, admission
+    // and caches behind a cloneable handle.
     let service = QueryService::new(
         ServiceConfig::with_engine(
             EngineConfig::with_workers(workers)
                 .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(64 * 1024)
-                .with_controller(
-                    ControllerConfig::default()
-                        .with_tick(Duration::from_micros(500))
-                        .with_morsel_bounds(8 * 1024, 512 * 1024),
-                ),
+                .with_morsel_rows(64 * 1024),
         ),
         Arc::new(catalog),
     );
@@ -83,8 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clients.push(std::thread::spawn(move || {
             let session = service.connect();
             let response = session.submit(&plan).expect("query executes");
-            // Sessions close on drop; explicit close releases the census
-            // slot the moment this client is done.
+            // The census slot was released when `submit` returned; sessions
+            // close on drop, this one a line early.
             session.close();
             (name, response)
         }));

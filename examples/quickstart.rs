@@ -103,11 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Where to next: `EngineConfig::with_controller` adds the elastic
-    // resource controller — mid-flight DOP re-grants as clients come and go
-    // and adaptive morsel sizing from live queue-wait feedback. See the
-    // `elastic_concurrency` example for a client-churn workload where the
-    // re-grants kick in:
+    // Where to next: under concurrency, `Engine::reserve_admitted` gives
+    // each client the equal share of the pool and re-grants the survivors
+    // when a client leaves. See the `elastic_concurrency` example for the
+    // churn shape next to a one-shot admission grant:
     //
     //     cargo run --release --example elastic_concurrency
     Ok(())

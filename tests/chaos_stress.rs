@@ -1,5 +1,5 @@
-//! Chaos suite: seeded fault schedules across the full execution matrix
-//! (2 execution modes × controller on/off).
+//! Chaos suite: seeded fault schedules under both plannings
+//! (operator-at-a-time and morsel-driven).
 //!
 //! Every cell must satisfy the robustness contract of
 //! `docs/architecture.md` §9:
@@ -20,8 +20,8 @@ use std::thread;
 use std::time::Duration;
 
 use adaptive_parallelization::engine::{
-    ControllerConfig, DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig,
-    OperatorSpec, Plan, QueryOptions, QueryOutput,
+    DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan,
+    QueryOptions, QueryOutput,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
@@ -107,19 +107,13 @@ fn workload() -> Vec<Plan> {
     ]
 }
 
-fn engine(mode: ExecutionMode, controller: bool, faults: FaultConfig) -> Engine {
-    let mut config = EngineConfig::with_workers(WORKERS)
-        .with_execution_mode(mode)
-        .with_morsel_rows(MORSEL_ROWS)
-        .with_faults(faults);
-    if controller {
-        config = config.with_controller(
-            ControllerConfig::default()
-                .with_tick(Duration::from_micros(200))
-                .with_total_dop(WORKERS),
-        );
-    }
-    Engine::new(config)
+fn engine(mode: ExecutionMode, faults: FaultConfig) -> Engine {
+    Engine::new(
+        EngineConfig::with_workers(WORKERS)
+            .with_execution_mode(mode)
+            .with_morsel_rows(MORSEL_ROWS)
+            .with_faults(faults),
+    )
 }
 
 /// Runs `f` under the cell watchdog; a cell that does not finish in time
@@ -141,13 +135,9 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
 /// Submits the workload serially (query ids — and therefore fault sites —
 /// are deterministic), returning each submission's outcome. Verifies the
 /// per-cell robustness contract before returning.
-fn run_cell(
-    mode: ExecutionMode,
-    controller: bool,
-    faults: FaultConfig,
-) -> Vec<Result<QueryOutput, EngineError>> {
+fn run_cell(mode: ExecutionMode, faults: FaultConfig) -> Vec<Result<QueryOutput, EngineError>> {
     let catalog = catalog();
-    let engine = engine(mode, controller, faults);
+    let engine = engine(mode, faults);
     let mut outcomes = Vec::new();
     let mut handles = Vec::new();
     for round in 0..2 {
@@ -168,18 +158,10 @@ fn run_cell(
     }
     // Census consistent: nothing left registered once every submission
     // returned.
-    assert!(
-        engine.active_queries().is_empty(),
-        "[{mode:?}/ctl={controller}] live-query registry not drained"
-    );
+    assert!(engine.active_queries().is_empty(), "[{mode:?}] live-query registry not drained");
     // No leaked DOP slots, successful or failed alike.
     for handle in &handles {
-        assert_eq!(
-            handle.running(),
-            0,
-            "[{mode:?}/ctl={controller}] query {} leaked a DOP slot",
-            handle.id()
-        );
+        assert_eq!(handle.running(), 0, "[{mode:?}] query {} leaked a DOP slot", handle.id());
     }
     outcomes
 }
@@ -196,13 +178,10 @@ fn allowed_chaos_error(err: &EngineError) -> bool {
 /// seed must fail the same submissions and produce byte-identical successes.
 /// (The *kind* of failure may differ when two injected faults race inside
 /// one query.)
-fn assert_cell_reproduces(seed: u64, mode: ExecutionMode, controller: bool) {
-    let label = format!("seed {seed} [{mode:?}/ctl={controller}]");
+fn assert_cell_reproduces(seed: u64, mode: ExecutionMode) {
+    let label = format!("seed {seed} [{mode:?}]");
     let (first, second) = with_watchdog(&label, move || {
-        (
-            run_cell(mode, controller, FaultConfig::chaos(seed)),
-            run_cell(mode, controller, FaultConfig::chaos(seed)),
-        )
+        (run_cell(mode, FaultConfig::chaos(seed)), run_cell(mode, FaultConfig::chaos(seed)))
     });
     assert_eq!(first.len(), second.len());
     for (i, (a, b)) in first.iter().zip(&second).enumerate() {
@@ -224,9 +203,7 @@ fn assert_cell_reproduces(seed: u64, mode: ExecutionMode, controller: bool) {
 fn chaos_matrix_terminates_cleanly_and_reproduces_from_the_seed() {
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            for controller in [false, true] {
-                assert_cell_reproduces(seed, mode, controller);
-            }
+            assert_cell_reproduces(seed, mode);
         }
     }
 }
@@ -241,7 +218,7 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
             // stalls, which stretch wall-clock but may not change any
             // result byte.
             for faults in [FaultConfig::quiet(seed), FaultConfig::timing_only(seed)] {
-                let engine = engine(mode, false, faults);
+                let engine = engine(mode, faults);
                 for plan in &workload() {
                     let expected =
                         reference.execute(plan, &catalog).expect("reference executes").output;
@@ -258,23 +235,11 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
 }
 
 #[test]
-fn chaos_matrix_with_sharing_reproduces_from_the_seed() {
-    // The controller-off column of the matrix above (the name predates the
-    // removal of scan sharing and is kept for the test floor).
-    for seed in SEEDS {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            assert_cell_reproduces(seed, mode, false);
-        }
-    }
-}
-
-#[test]
-fn chaos_sharing_successes_match_the_unshared_reference() {
+fn chaos_survivors_match_the_fault_free_reference() {
     // Whatever a chaos seed does to its victims, every submission that
     // *succeeds* must still be byte-identical to the fault-free reference:
     // a query that failed must never leak partial state into another
-    // query's result. (The name predates the removal of scan sharing and is
-    // kept for the test floor.)
+    // query's result.
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     let expected: Vec<QueryOutput> = workload()
@@ -284,8 +249,7 @@ fn chaos_sharing_successes_match_the_unshared_reference() {
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
             let label = format!("seed {seed} [{mode:?}]");
-            let outcomes =
-                with_watchdog(&label, move || run_cell(mode, false, FaultConfig::chaos(seed)));
+            let outcomes = with_watchdog(&label, move || run_cell(mode, FaultConfig::chaos(seed)));
             for (i, outcome) in outcomes.iter().enumerate() {
                 match outcome {
                     Ok(output) => assert_eq!(
@@ -318,7 +282,7 @@ fn already_expired_deadline_fails_before_any_dispatch() {
             .execute_with_handle(&shared, &catalog, Arc::clone(&handle))
             .expect_err("expired deadline must not execute");
         assert_eq!(err, EngineError::DeadlineExceeded, "[{mode:?}]");
-        assert_eq!(handle.signals().dispatched, 0, "[{mode:?}]: a task was dispatched");
+        assert_eq!(handle.dispatched(), 0, "[{mode:?}]: a task was dispatched");
         assert_eq!(handle.running(), 0, "[{mode:?}]");
         // The expiry landed in the DOP timeline exactly once.
         let timeouts =
@@ -333,7 +297,7 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
     // mid-flight for at least some submissions; whatever the outcome, the
     // engine must drain clean.
     let catalog = catalog();
-    let engine = engine(ExecutionMode::MorselDriven, false, FaultConfig::timing_only(7));
+    let engine = engine(ExecutionMode::MorselDriven, FaultConfig::timing_only(7));
     let mut timed_out = 0;
     for (i, plan) in workload().iter().cycle().take(24).enumerate() {
         let shared = Arc::new(plan.clone());
@@ -356,36 +320,4 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
     // With 50µs–1.2ms deadlines over delay-stretched queries, at least
     // the tightest submissions must have expired.
     assert!(timed_out > 0, "deadline sweep never timed out");
-}
-
-#[test]
-fn controller_tick_watchdog_contains_scripted_panics() {
-    // Scripted tick panics must be contained by the watchdog: the restart
-    // counter moves, later ticks run normally, and queries still execute.
-    let catalog = catalog();
-    let engine = Engine::new(
-        EngineConfig::with_workers(2)
-            .with_controller(
-                // An hour-long tick: the background thread stays out of the
-                // way and the synchronous ticks below consume the scripted
-                // indices (the counter is shared, so a stray background
-                // tick only shifts which call hits the panic).
-                ControllerConfig::default().with_tick(Duration::from_secs(3_600)),
-            )
-            .with_faults(
-                FaultConfig::quiet(3).with_controller_tick_panic(0).with_controller_tick_panic(1),
-            ),
-    );
-    engine.controller_tick();
-    engine.controller_tick();
-    assert!(
-        engine.controller_restarts() >= 1,
-        "scripted tick panic was not contained/counted by the watchdog"
-    );
-    // The controller survived: a later tick and a real query both work.
-    engine.controller_tick();
-    let plan = plain_sum("a");
-    let expected = Engine::with_workers(2).execute(&plan, &catalog).unwrap().output;
-    let got = engine.execute(&plan, &catalog).expect("engine healthy after tick panics").output;
-    assert_eq!(got, expected);
 }

@@ -11,12 +11,11 @@
 //! invariant, now also load-bearing for morsel slicing).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
-    ControllerConfig, Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput,
-    QueryService, ServiceConfig,
+    Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput, QueryService,
+    ServiceConfig,
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
@@ -95,59 +94,6 @@ fn tpcds_serial_and_heuristic_plans_match_across_modes() {
     }
 }
 
-/// A controller-enabled morsel engine whose morsel-size lever reacts on
-/// every tick with hair-trigger thresholds, so sizes really change
-/// mid-workload. The elastic-DOP lever stays off: these queries are
-/// submitted uncapped and must remain so.
-fn adaptive_engine() -> Engine {
-    Engine::new(
-        EngineConfig::with_workers(WORKERS)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(MORSEL_ROWS)
-            .with_controller(
-                ControllerConfig::default()
-                    .with_tick(Duration::from_micros(200))
-                    .with_elastic_dop(false)
-                    .with_morsel_bounds(250, 4_000),
-            ),
-    )
-}
-
-#[test]
-fn adaptive_morsel_sizing_matches_static_sizing_under_both_policies() {
-    // Morsel size is a pure dispatch-granularity knob: whatever trajectory
-    // the controller drives it along, results must stay byte-identical to
-    // the static configuration.
-    let catalog = tpch::generate(TpchScale::new(0.002), 1234);
-    let reference = Engine::with_workers(WORKERS);
-    for query in TpchQuery::all() {
-        let serial = query.build(&catalog).expect("serial plan builds");
-        let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
-        for plan in [&serial, &hp] {
-            let expected = reference.execute(plan, &catalog).expect("reference executes").output;
-            let engine = adaptive_engine();
-            let shared = Arc::new(plan.clone());
-            // Repeats give the controller time to move the size around;
-            // every repeat must still match the static reference.
-            for rep in 0..4 {
-                let exec = engine.execute_shared(&shared, &catalog).expect("executes");
-                assert_eq!(
-                    exec.output, expected,
-                    "{query} rep {rep}: adaptive morsel sizing diverged"
-                );
-                // Whatever size each pipeline launched with, it stayed
-                // inside the configured clamps.
-                for &size in &exec.profile.morsel_sizes() {
-                    assert!(
-                        (250..=4_000).contains(&size),
-                        "{query}: morsel size {size} escaped the clamps"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Catalog for the two-aligned-input fused shapes: two value columns of a
 /// row count that does not divide the morsel size (ragged last morsel).
 fn two_column_catalog(rows: usize) -> Arc<Catalog> {
@@ -206,10 +152,9 @@ fn if_then_else_plan(rows: usize) -> (Plan, usize) {
 
 #[test]
 fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
-    // The newly fusible two-range-aligned-input shapes (Calc col⊗col,
-    // IfThenElse) must stay byte-identical across 2 execution modes ×
-    // controller on/off — and must actually have fused:
-    // the two-input stage appears inside a multi-morsel pipeline.
+    // The two-range-aligned-input shapes (Calc col⊗col, IfThenElse) must
+    // stay byte-identical across both plannings — and must actually have
+    // fused: the two-input stage appears inside a multi-morsel pipeline.
     let rows = 12_345; // ragged last morsel at MORSEL_ROWS = 1_000
     let catalog = two_column_catalog(rows);
     let reference = Engine::with_workers(WORKERS);
@@ -218,8 +163,8 @@ fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
     for (label, plan, fused_node) in
         [("calc col⊗col", &calc_plan, calc_node), ("ifthenelse", &ite_plan, ite_node)]
     {
-        let expected = assert_modes_agree(label, plan, &catalog, &reference);
-        // Controller off: assert the stage really fused and morsel-ran.
+        assert_modes_agree(label, plan, &catalog, &reference);
+        // The stage really fused and morsel-ran.
         let exec = morsel_engine().execute(plan, &catalog).expect("morsel executes");
         let pipeline = exec
             .profile
@@ -228,11 +173,6 @@ fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
             .find(|p| p.nodes.contains(&fused_node))
             .unwrap_or_else(|| panic!("{label}: stage {fused_node} not in any pipeline"));
         assert!(pipeline.n_morsels > 1, "{label}: fused pipeline ran a single morsel");
-        // Controller on (adaptive morsel re-sizing): still identical.
-        for rep in 0..3 {
-            let exec = adaptive_engine().execute(plan, &catalog).expect("executes");
-            assert_eq!(exec.output, expected, "{label} rep {rep}: adaptive run diverged");
-        }
     }
 }
 
@@ -251,11 +191,10 @@ fn group_agg_plan(rows: usize, func: AggFunc) -> (Plan, usize) {
 
 #[test]
 fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
-    // GroupAgg now fuses as a pipeline terminal over range-aligned
-    // keys/values inputs: each morsel yields a partial grouped aggregate
-    // and the driver merges them in morsel order. Results must stay
-    // byte-identical to operator-at-a-time across 2 execution modes ×
-    // controller on/off — on a row count that does not divide the morsel
+    // GroupAgg fuses as a pipeline terminal over range-aligned keys/values
+    // inputs: each morsel yields a partial grouped aggregate and the driver
+    // merges them in morsel order. Results must stay byte-identical to
+    // operator-at-a-time on a row count that does not divide the morsel
     // size (ragged last morsel).
     let rows = 12_345;
     let catalog = two_column_catalog(rows);
@@ -263,7 +202,7 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Count] {
         let label = format!("groupagg {}", func.name());
         let (plan, group_node) = group_agg_plan(rows, func);
-        let expected = assert_modes_agree(&label, &plan, &catalog, &reference);
+        assert_modes_agree(&label, &plan, &catalog, &reference);
         // The aggregate really fused and morsel-ran, and the profile
         // says so.
         let exec = morsel_engine().execute(&plan, &catalog).expect("morsel executes");
@@ -276,12 +215,6 @@ fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
         assert!(pipeline.n_morsels > 1, "{label}: groupagg ran a single morsel");
         assert!(pipeline.groupagg_fused, "{label}: terminal flag not set");
         assert_eq!(exec.profile.fused_groupagg_pipelines(), 1, "{label}");
-
-        // Controller on (adaptive morsel re-sizing): still identical.
-        for rep in 0..3 {
-            let exec = adaptive_engine().execute(&plan, &catalog).expect("executes");
-            assert_eq!(exec.output, expected, "{label} rep {rep}: adaptive run diverged");
-        }
     }
 }
 

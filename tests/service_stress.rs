@@ -1,19 +1,17 @@
 //! Service churn stress: concurrent sessions submitting through the
 //! shared plan/result caches must return byte-identical results to a
-//! direct `Engine` execution of the same plans — across 2 execution
-//! modes × controller on/off × cache hit/miss.
+//! direct `Engine` execution of the same plans — across both plannings
+//! × cache hit/miss.
 //!
 //! Each configuration runs several client threads with their own
 //! sessions; half the clients close mid-run (staggered departures), so
-//! the unified census shrinks while survivors keep submitting, and the
-//! controller (when on) re-grants DOP concurrently with cache churn.
+//! the census shrinks while survivors keep submitting and every release
+//! re-grants DOP concurrently with cache churn.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use adaptive_parallelization::engine::{
-    ControllerConfig, Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput, QueryService,
-    ServiceConfig,
+    Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput, QueryService, ServiceConfig,
 };
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -25,17 +23,8 @@ const ROUNDS: usize = 3;
 /// The query mix every client cycles through.
 const QUERIES: [TpchQuery; 3] = [TpchQuery::Q4, TpchQuery::Q6, TpchQuery::Q14];
 
-fn engine_config(mode: ExecutionMode, controller: bool) -> EngineConfig {
-    let mut config =
-        EngineConfig::with_workers(WORKERS).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS);
-    if controller {
-        config = config.with_controller(
-            ControllerConfig::default()
-                .with_tick(Duration::from_micros(500))
-                .with_morsel_bounds(250, 4_000),
-        );
-    }
-    config
+fn engine_config(mode: ExecutionMode) -> EngineConfig {
+    EngineConfig::with_workers(WORKERS).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS)
 }
 
 #[test]
@@ -51,79 +40,77 @@ fn churning_sessions_return_byte_identical_results_across_the_matrix() {
         .collect();
 
     for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        for controller in [false, true] {
-            let label = format!("{mode:?}/controller={controller}");
-            let service = QueryService::new(
-                ServiceConfig::with_engine(engine_config(mode, controller)),
-                Arc::clone(&catalog),
-            );
+        let label = format!("{mode:?}");
+        let service = QueryService::new(
+            ServiceConfig::with_engine(engine_config(mode)),
+            Arc::clone(&catalog),
+        );
 
-            let threads: Vec<_> = (0..CLIENTS)
-                .map(|client| {
-                    let service = service.clone();
-                    let catalog = Arc::clone(&catalog);
-                    let expected = expected.clone();
-                    let label = label.clone();
-                    std::thread::spawn(move || {
-                        let session = service.connect();
-                        for round in 0..ROUNDS {
-                            // Staggered departures: odd clients leave
-                            // after the first round and must be refused
-                            // from then on, shrinking the census the
-                            // survivors are re-granted from.
-                            if client % 2 == 1 && round == 1 {
-                                session.close();
-                            }
-                            for (q, want) in QUERIES.iter().zip(&expected) {
-                                let plan = q.build(&catalog).expect("plan builds");
-                                match session.submit(&plan) {
-                                    Ok(response) => {
-                                        assert!(!session.is_closed());
-                                        assert_eq!(
-                                            &response.output, want,
-                                            "{label} client {client} round {round} {q}: \
-                                             result diverged from direct engine"
-                                        );
-                                        // A hit skips execution, a miss
-                                        // profiles one — never both.
-                                        assert_eq!(
-                                            response.profile.is_none(),
-                                            response.result_cache_hit,
-                                            "{label}: hit/profile disagree"
-                                        );
-                                    }
-                                    Err(err) => {
-                                        assert!(session.is_closed());
-                                        assert_eq!(err, EngineError::SessionClosed);
-                                    }
+        let threads: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let service = service.clone();
+                let catalog = Arc::clone(&catalog);
+                let expected = expected.clone();
+                let label = label.clone();
+                std::thread::spawn(move || {
+                    let session = service.connect();
+                    for round in 0..ROUNDS {
+                        // Staggered departures: odd clients leave
+                        // after the first round and must be refused
+                        // from then on, shrinking the census the
+                        // survivors are re-granted from.
+                        if client % 2 == 1 && round == 1 {
+                            session.close();
+                        }
+                        for (q, want) in QUERIES.iter().zip(&expected) {
+                            let plan = q.build(&catalog).expect("plan builds");
+                            match session.submit(&plan) {
+                                Ok(response) => {
+                                    assert!(!session.is_closed());
+                                    assert_eq!(
+                                        &response.output, want,
+                                        "{label} client {client} round {round} {q}: \
+                                         result diverged from direct engine"
+                                    );
+                                    // A hit skips execution, a miss
+                                    // profiles one — never both.
+                                    assert_eq!(
+                                        response.profile.is_none(),
+                                        response.result_cache_hit,
+                                        "{label}: hit/profile disagree"
+                                    );
+                                }
+                                Err(err) => {
+                                    assert!(session.is_closed());
+                                    assert_eq!(err, EngineError::SessionClosed);
                                 }
                             }
                         }
-                        session.close();
-                    })
+                    }
+                    session.close();
                 })
-                .collect();
-            for t in threads {
-                t.join().expect("client thread panicked");
-            }
-
-            // Both cache outcomes were exercised: first submissions
-            // missed, repeats (cross-session, shared cache) hit.
-            let stats = service.stats();
-            assert!(stats.result_cache_hits > 0, "{label}: no cache hits exercised");
-            assert!(stats.result_cache_misses >= QUERIES.len() as u64, "{label}: no misses");
-            assert_eq!(
-                stats.result_cache_hits + stats.result_cache_misses,
-                stats.queries,
-                "{label}: per-query cache accounting drifted"
-            );
-            assert_eq!(stats.sessions_opened, CLIENTS as u64, "{label}");
-            assert_eq!(stats.sessions_closed, CLIENTS as u64, "{label}");
-            // The census drains completely once every client is gone.
-            assert!(
-                service.engine().active_queries().is_empty(),
-                "{label}: reservations leaked past their sessions"
-            );
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("client thread panicked");
         }
+
+        // Both cache outcomes were exercised: first submissions
+        // missed, repeats (cross-session, shared cache) hit.
+        let stats = service.stats();
+        assert!(stats.result_cache_hits > 0, "{label}: no cache hits exercised");
+        assert!(stats.result_cache_misses >= QUERIES.len() as u64, "{label}: no misses");
+        assert_eq!(
+            stats.result_cache_hits + stats.result_cache_misses,
+            stats.queries,
+            "{label}: per-query cache accounting drifted"
+        );
+        assert_eq!(stats.sessions_opened, CLIENTS as u64, "{label}");
+        assert_eq!(stats.sessions_closed, CLIENTS as u64, "{label}");
+        // The census drains completely once every client is gone.
+        assert!(
+            service.engine().active_queries().is_empty(),
+            "{label}: reservations leaked past their sessions"
+        );
     }
 }
