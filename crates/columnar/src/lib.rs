@@ -15,9 +15,9 @@
 //!   aligned with the base column (paper Fig. 8).
 //! * [`StringColumn`] — dictionary-encoded strings (codes + shared dictionary).
 //! * [`Table`] / [`Catalog`] — named collections of equally long columns.
-//! * [`partition`] — range-partition descriptors, the dynamic partition set
-//!   used by adaptive parallelization, and the boundary-alignment scenarios
-//!   of paper Fig. 9/10.
+//! * [`partition`] — the range-partition descriptor ([`RowRange`]) that
+//!   plan scans carry, with the halving and equi-range cuts the adaptive and
+//!   heuristic parallelizers make.
 //! * [`datagen`] — synthetic data generators: uniform, sequential, Zipf and
 //!   the skewed distribution of paper Fig. 13, plus TPC-style helpers.
 
@@ -35,7 +35,7 @@ pub mod value;
 pub use catalog::Catalog;
 pub use column::{typed_cache_hits, Column, ColumnData};
 pub use error::{ColumnarError, Result};
-pub use partition::{AlignmentScenario, PartitionSet, RowRange};
+pub use partition::RowRange;
 pub use strings::StringColumn;
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, ScalarValue};

@@ -1,22 +1,14 @@
-//! Range partitioning and boundary alignment.
+//! Range partitioning.
 //!
 //! Adaptive parallelization creates *dynamically sized* range partitions: each
 //! mutation halves the partition of the currently most expensive operator, so
-//! the partition set ends up containing ranges of different sizes whose
-//! boundaries stay aligned with the base column (paper Fig. 8). This module
-//! provides:
-//!
-//! * [`RowRange`] — a half-open `[start, end)` row/oid range.
-//! * [`PartitionSet`] — an ordered set of ranges covering `[0, n)` exactly
-//!   once, supporting the "split the expensive partition" operation and the
-//!   static equi-range partitioning used by the heuristic baseline.
-//! * [`AlignmentScenario`] / [`align_ranges`] — the boundary relationships of
-//!   paper Fig. 9 that arise between a candidate-list partition and a value
-//!   column partition during tuple reconstruction, plus the clamping needed
-//!   to restore a valid access.
-
-use crate::error::{ColumnarError, Result};
-use crate::Oid;
+//! a plan ends up scanning ranges of different sizes whose boundaries stay
+//! aligned with the base column (paper Fig. 8). [`RowRange`] is that
+//! half-open `[start, end)` row/oid range, with the halving step of the
+//! adaptive split mutation and the equi-range cut of the heuristic baseline.
+//! (Alignment between a candidate-list partition and a value-column partition
+//! during tuple reconstruction is the engine's `stream_base` invariant —
+//! `docs/architecture.md` §6.)
 
 /// A half-open range of row positions / oids: `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,18 +41,6 @@ impl RowRange {
         row >= self.start && row < self.end
     }
 
-    /// True when `other` is entirely inside `self`.
-    pub fn contains_range(&self, other: &RowRange) -> bool {
-        other.start >= self.start && other.end <= self.end
-    }
-
-    /// Intersection of two ranges (empty range at `self.start.max(other.start)` when disjoint).
-    pub fn intersect(&self, other: &RowRange) -> RowRange {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end).max(start);
-        RowRange { start, end }
-    }
-
     /// Splits the range in two halves at its midpoint.
     ///
     /// The left half receives the extra row when the length is odd, matching
@@ -85,216 +65,6 @@ impl RowRange {
         }
         out
     }
-
-    /// Start of the range as an oid.
-    pub fn start_oid(&self) -> Oid {
-        self.start as Oid
-    }
-
-    /// End of the range as an oid.
-    pub fn end_oid(&self) -> Oid {
-        self.end as Oid
-    }
-}
-
-/// The boundary relationship between two ranges, per paper Fig. 9.
-///
-/// `left` is typically the oid range covered by a candidate list (LT in the
-/// paper's Fig. 10), `right` the oid range of the value column slice being
-/// probed (RH). Any scenario other than [`AlignmentScenario::Exact`] or
-/// [`AlignmentScenario::LeftInsideRight`] requires clamping the left range
-/// before tuple reconstruction, otherwise lookups would be invalid accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignmentScenario {
-    /// Boundaries coincide exactly (Fig. 9A — fixed-size partitions).
-    Exact,
-    /// The left range lies strictly inside the right range (valid access).
-    LeftInsideRight,
-    /// The left range strictly contains the right range (both boundaries overshoot).
-    LeftContainsRight,
-    /// The left range starts before the right range and ends inside it.
-    LeftOvershootsStart,
-    /// The left range starts inside the right range and ends after it (Fig. 9D).
-    LeftOvershootsEnd,
-    /// The ranges do not overlap at all.
-    Disjoint,
-}
-
-/// Classifies the boundary relationship between `left` and `right` and
-/// returns the clamped (aligned) left range that guarantees valid accesses.
-///
-/// The clamped range is simply the intersection — the paper's example
-/// ("the lower boundary of LT is adjusted by removing row-id 8, to match the
-/// lower boundary of RH") is exactly an intersection of oid ranges.
-pub fn align_ranges(left: &RowRange, right: &RowRange) -> (AlignmentScenario, RowRange) {
-    let clamped = left.intersect(right);
-    let scenario = if left == right {
-        AlignmentScenario::Exact
-    } else if clamped.is_empty() && (left.end <= right.start || left.start >= right.end) {
-        AlignmentScenario::Disjoint
-    } else if right.contains_range(left) {
-        AlignmentScenario::LeftInsideRight
-    } else if left.contains_range(right) {
-        AlignmentScenario::LeftContainsRight
-    } else if left.start < right.start {
-        AlignmentScenario::LeftOvershootsStart
-    } else {
-        AlignmentScenario::LeftOvershootsEnd
-    };
-    (scenario, clamped)
-}
-
-/// Clamps a sorted-or-unsorted list of oids to a target oid range, dropping
-/// the ones that fall outside.
-///
-/// Used by the fetch operator when the adaptive partitioner produced a
-/// candidate list whose boundaries overshoot the value-column slice.
-pub fn clamp_oids(oids: &[Oid], target: &RowRange) -> Vec<Oid> {
-    oids.iter()
-        .copied()
-        .filter(|&o| (o as usize) >= target.start && (o as usize) < target.end)
-        .collect()
-}
-
-/// An ordered set of ranges that partitions `[0, total_rows)` exactly once.
-///
-/// Invariants (validated by [`PartitionSet::validate`] and enforced by the
-/// mutating operations): ranges are sorted, non-empty, contiguous and cover
-/// the domain with no gaps and no overlaps — the "no repetition / no
-/// omission" requirement of paper §2.3.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSet {
-    total_rows: usize,
-    ranges: Vec<RowRange>,
-}
-
-impl PartitionSet {
-    /// A single partition covering the whole domain (the serial plan's view).
-    pub fn single(total_rows: usize) -> Self {
-        PartitionSet { total_rows, ranges: vec![RowRange::new(0, total_rows)] }
-    }
-
-    /// `n` near-equal static partitions (heuristic parallelization).
-    pub fn equal(total_rows: usize, n: usize) -> Self {
-        let ranges = RowRange::new(0, total_rows)
-            .split_even(n)
-            .into_iter()
-            .filter(|r| !r.is_empty() || total_rows == 0)
-            .collect::<Vec<_>>();
-        let ranges = if ranges.is_empty() { vec![RowRange::new(0, total_rows)] } else { ranges };
-        PartitionSet { total_rows, ranges }
-    }
-
-    /// Builds a partition set from explicit ranges, validating the invariants.
-    pub fn from_ranges(total_rows: usize, ranges: Vec<RowRange>) -> Result<Self> {
-        let set = PartitionSet { total_rows, ranges };
-        set.validate()?;
-        Ok(set)
-    }
-
-    /// Number of partitions.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// True when there are no partitions (only possible for an empty domain).
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Total number of rows covered.
-    pub fn total_rows(&self) -> usize {
-        self.total_rows
-    }
-
-    /// The partition ranges, in base-column order.
-    pub fn ranges(&self) -> &[RowRange] {
-        &self.ranges
-    }
-
-    /// The `i`-th partition.
-    pub fn range(&self, i: usize) -> RowRange {
-        self.ranges[i]
-    }
-
-    /// Index of the partition containing `row`, if any.
-    pub fn partition_of(&self, row: usize) -> Option<usize> {
-        self.ranges.iter().position(|r| r.contains(row))
-    }
-
-    /// Size of the largest partition.
-    pub fn max_partition_rows(&self) -> usize {
-        self.ranges.iter().map(RowRange::len).max().unwrap_or(0)
-    }
-
-    /// Size of the smallest partition.
-    pub fn min_partition_rows(&self) -> usize {
-        self.ranges.iter().map(RowRange::len).min().unwrap_or(0)
-    }
-
-    /// Splits partition `i` into two halves (the adaptive "basic mutation"
-    /// partitioning step), keeping the set ordered and aligned.
-    ///
-    /// Returns the indices of the two new partitions. Splitting a
-    /// single-row partition is rejected.
-    pub fn split(&mut self, i: usize) -> Result<(usize, usize)> {
-        let range = *self
-            .ranges
-            .get(i)
-            .ok_or(ColumnarError::OutOfBounds { index: i, len: self.ranges.len() })?;
-        if range.len() < 2 {
-            return Err(ColumnarError::InvalidPartitioning(format!(
-                "partition {i} covering [{}, {}) is too small to split",
-                range.start, range.end
-            )));
-        }
-        let (a, b) = range.split();
-        self.ranges[i] = a;
-        self.ranges.insert(i + 1, b);
-        Ok((i, i + 1))
-    }
-
-    /// Validates the partition invariants (coverage, ordering, no overlap).
-    pub fn validate(&self) -> Result<()> {
-        if self.total_rows == 0 {
-            return Ok(());
-        }
-        if self.ranges.is_empty() {
-            return Err(ColumnarError::InvalidPartitioning(
-                "no partitions for a non-empty domain".to_string(),
-            ));
-        }
-        if self.ranges[0].start != 0 {
-            return Err(ColumnarError::InvalidPartitioning(format!(
-                "first partition starts at {}, expected 0",
-                self.ranges[0].start
-            )));
-        }
-        for w in self.ranges.windows(2) {
-            if w[0].end != w[1].start {
-                return Err(ColumnarError::InvalidPartitioning(format!(
-                    "gap or overlap between [{}, {}) and [{}, {})",
-                    w[0].start, w[0].end, w[1].start, w[1].end
-                )));
-            }
-        }
-        for r in &self.ranges {
-            if r.is_empty() {
-                return Err(ColumnarError::InvalidPartitioning(format!(
-                    "empty partition at [{}, {})",
-                    r.start, r.end
-                )));
-            }
-        }
-        let last = self.ranges.last().expect("non-empty");
-        if last.end != self.total_rows {
-            return Err(ColumnarError::InvalidPartitioning(format!(
-                "last partition ends at {}, expected {}",
-                last.end, self.total_rows
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -309,8 +79,6 @@ mod tests {
         assert!(r.contains(10));
         assert!(r.contains(19));
         assert!(!r.contains(20));
-        assert_eq!(r.start_oid(), 10);
-        assert_eq!(r.end_oid(), 20);
         assert!(RowRange::new(5, 5).is_empty());
     }
 
@@ -339,133 +107,5 @@ mod tests {
         assert_eq!(parts[2], RowRange::new(7, 10));
         let total: usize = parts.iter().map(RowRange::len).sum();
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn intersection() {
-        let a = RowRange::new(0, 10);
-        let b = RowRange::new(5, 15);
-        assert_eq!(a.intersect(&b), RowRange::new(5, 10));
-        let c = RowRange::new(20, 30);
-        assert!(a.intersect(&c).is_empty());
-    }
-
-    #[test]
-    fn alignment_scenarios_match_figure_9() {
-        // A: exact alignment.
-        let (s, c) = align_ranges(&RowRange::new(0, 8), &RowRange::new(0, 8));
-        assert_eq!(s, AlignmentScenario::Exact);
-        assert_eq!(c, RowRange::new(0, 8));
-
-        // Left inside right: still a valid access.
-        let (s, c) = align_ranges(&RowRange::new(2, 6), &RowRange::new(0, 8));
-        assert_eq!(s, AlignmentScenario::LeftInsideRight);
-        assert_eq!(c, RowRange::new(2, 6));
-
-        // Left contains right.
-        let (s, c) = align_ranges(&RowRange::new(0, 10), &RowRange::new(2, 6));
-        assert_eq!(s, AlignmentScenario::LeftContainsRight);
-        assert_eq!(c, RowRange::new(2, 6));
-
-        // Fig. 9D: LT starts after RH start and extends beyond RH end;
-        // clamping removes the overshooting tail.
-        let (s, c) = align_ranges(&RowRange::new(2, 9), &RowRange::new(1, 8));
-        assert_eq!(s, AlignmentScenario::LeftOvershootsEnd);
-        assert_eq!(c, RowRange::new(2, 8));
-
-        // Mirror image: LT starts before RH.
-        let (s, c) = align_ranges(&RowRange::new(0, 5), &RowRange::new(3, 8));
-        assert_eq!(s, AlignmentScenario::LeftOvershootsStart);
-        assert_eq!(c, RowRange::new(3, 5));
-
-        // Disjoint ranges clamp to empty.
-        let (s, c) = align_ranges(&RowRange::new(0, 3), &RowRange::new(5, 8));
-        assert_eq!(s, AlignmentScenario::Disjoint);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn clamp_oids_drops_out_of_range() {
-        let oids = vec![2, 4, 5, 7, 8];
-        let clamped = clamp_oids(&oids, &RowRange::new(1, 8));
-        assert_eq!(clamped, vec![2, 4, 5, 7]);
-        let clamped = clamp_oids(&oids, &RowRange::new(5, 6));
-        assert_eq!(clamped, vec![5]);
-        assert!(clamp_oids(&oids, &RowRange::new(20, 30)).is_empty());
-    }
-
-    #[test]
-    fn partition_set_single_and_equal() {
-        let s = PartitionSet::single(100);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.range(0), RowRange::new(0, 100));
-        s.validate().unwrap();
-
-        let e = PartitionSet::equal(100, 8);
-        assert_eq!(e.len(), 8);
-        e.validate().unwrap();
-        assert_eq!(e.max_partition_rows(), 13);
-        assert_eq!(e.min_partition_rows(), 12);
-
-        // More partitions than rows: degenerates to one partition per row.
-        let tiny = PartitionSet::equal(3, 8);
-        tiny.validate().unwrap();
-        assert_eq!(tiny.len(), 3);
-    }
-
-    #[test]
-    fn dynamic_split_mirrors_figure_8() {
-        // Fig. 8: column split into partitions 0|1, then 1 -> 2|3, then 2 -> 4|5.
-        let mut s = PartitionSet::single(1000);
-        s.split(0).unwrap(); // B: two partitions
-        assert_eq!(s.len(), 2);
-        s.split(1).unwrap(); // C: partition 1 split into 2nd and 3rd
-        assert_eq!(s.len(), 3);
-        s.split(1).unwrap(); // D: 2nd partition split into 4th and 5th
-        assert_eq!(s.len(), 4);
-        s.validate().unwrap();
-        // Partitions have different sizes but stay aligned on the base column.
-        assert_eq!(s.range(0), RowRange::new(0, 500));
-        assert_eq!(s.range(1), RowRange::new(500, 625));
-        assert_eq!(s.range(2), RowRange::new(625, 750));
-        assert_eq!(s.range(3), RowRange::new(750, 1000));
-        assert_eq!(s.partition_of(700), Some(2));
-        assert_eq!(s.partition_of(999), Some(3));
-        assert_eq!(s.partition_of(1000), None);
-    }
-
-    #[test]
-    fn split_rejects_tiny_partition() {
-        let mut s = PartitionSet::single(1);
-        assert!(s.split(0).is_err());
-        let mut s = PartitionSet::single(4);
-        assert!(s.split(5).is_err());
-    }
-
-    #[test]
-    fn from_ranges_validates() {
-        assert!(
-            PartitionSet::from_ranges(10, vec![RowRange::new(0, 5), RowRange::new(5, 10)]).is_ok()
-        );
-        // Gap.
-        assert!(
-            PartitionSet::from_ranges(10, vec![RowRange::new(0, 4), RowRange::new(5, 10)]).is_err()
-        );
-        // Overlap.
-        assert!(
-            PartitionSet::from_ranges(10, vec![RowRange::new(0, 6), RowRange::new(5, 10)]).is_err()
-        );
-        // Wrong end.
-        assert!(PartitionSet::from_ranges(10, vec![RowRange::new(0, 9)]).is_err());
-        // Wrong start.
-        assert!(PartitionSet::from_ranges(10, vec![RowRange::new(1, 10)]).is_err());
-        // Empty partition inside.
-        assert!(PartitionSet::from_ranges(
-            10,
-            vec![RowRange::new(0, 5), RowRange::new(5, 5), RowRange::new(5, 10)]
-        )
-        .is_err());
-        // Empty domain is fine.
-        assert!(PartitionSet::from_ranges(0, vec![]).is_ok());
     }
 }

@@ -1,10 +1,8 @@
 //! Property-based tests for the storage layer invariants the adaptive
-//! parallelizer relies on: slicing never loses or duplicates data, dynamic
-//! partition sets always cover the base column exactly once, and boundary
-//! alignment always yields valid accesses.
+//! parallelizer relies on: slicing never loses or duplicates data, and
+//! oid gathers inside a slice address the base column's values.
 
-use apq_columnar::partition::{align_ranges, clamp_oids, AlignmentScenario};
-use apq_columnar::{Column, PartitionSet, RowRange};
+use apq_columnar::Column;
 use proptest::prelude::*;
 
 proptest! {
@@ -27,58 +25,6 @@ proptest! {
         }
         let packed = Column::concat(&parts).unwrap();
         prop_assert_eq!(packed.i64_values().unwrap(), &values[..]);
-    }
-
-    /// Any sequence of dynamic splits keeps the partition set valid and
-    /// keeps the total row coverage constant (no repetition, no omission).
-    #[test]
-    fn dynamic_splits_preserve_coverage(total in 2usize..10_000,
-                                        picks in prop::collection::vec(0usize..64, 0..40)) {
-        let mut set = PartitionSet::single(total);
-        for pick in picks {
-            let idx = pick % set.len();
-            // Splitting may legitimately fail when the partition has 1 row.
-            let _ = set.split(idx);
-            set.validate().unwrap();
-            let covered: usize = set.ranges().iter().map(RowRange::len).sum();
-            prop_assert_eq!(covered, total);
-        }
-    }
-
-    /// Static equal partitioning covers the domain for any n.
-    #[test]
-    fn equal_partitioning_covers(total in 1usize..50_000, n in 1usize..128) {
-        let set = PartitionSet::equal(total, n);
-        set.validate().unwrap();
-        let covered: usize = set.ranges().iter().map(RowRange::len).sum();
-        prop_assert_eq!(covered, total);
-        // Partition sizes differ by at most one row.
-        prop_assert!(set.max_partition_rows() - set.min_partition_rows() <= 1);
-    }
-
-    /// The alignment clamp always produces a sub-range of both inputs, and
-    /// clamped oids always index validly into the right range.
-    #[test]
-    fn alignment_clamp_is_sound(ls in 0usize..1000, ll in 0usize..1000,
-                                rs in 0usize..1000, rl in 0usize..1000) {
-        let left = RowRange::new(ls, ls + ll);
-        let right = RowRange::new(rs, rs + rl);
-        let (scenario, clamped) = align_ranges(&left, &right);
-        prop_assert!(clamped.len() <= left.len());
-        prop_assert!(clamped.len() <= right.len());
-        if !clamped.is_empty() {
-            prop_assert!(left.contains(clamped.start) && right.contains(clamped.start));
-            prop_assert!(left.contains(clamped.end - 1) && right.contains(clamped.end - 1));
-        }
-        if scenario == AlignmentScenario::Exact {
-            prop_assert_eq!(clamped, left);
-        }
-        // Every oid inside `left`, once clamped, is a valid index of `right`.
-        let oids: Vec<u64> = (left.start..left.end).map(|v| v as u64).collect();
-        let clamped_oids = clamp_oids(&oids, &right);
-        for o in clamped_oids {
-            prop_assert!(right.contains(o as usize));
-        }
     }
 
     /// gather_oids round-trips values for oids drawn inside the slice.

@@ -37,6 +37,7 @@ use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, PipelineSource, Step
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
+use crate::sync::lock;
 
 /// Step-graph state of one query execution, shared by all of its tasks.
 struct Driver {
@@ -401,7 +402,7 @@ fn assemble_pipeline(
         }
     }
 
-    state.run.pipeline_profiles.lock().push(PipelineProfile {
+    lock(&state.run.pipeline_profiles).push(PipelineProfile {
         step,
         nodes: members,
         n_morsels: run.n_morsels,

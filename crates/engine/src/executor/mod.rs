@@ -38,10 +38,8 @@ mod tests;
 
 use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use apq_columnar::Catalog;
 
@@ -52,6 +50,7 @@ use crate::pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 use crate::plan::Plan;
 use crate::profiler::{DopPhase, QueryProfile};
 use crate::scheduler::{QueryHandle, Scheduler, SchedulerStats};
+use crate::sync::lock;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -220,7 +219,7 @@ impl std::fmt::Debug for ReservedQuery {
 
 impl Drop for ReservedQuery {
     fn drop(&mut self) {
-        let mut registry = self.registry.lock();
+        let mut registry = lock(&self.registry);
         registry.live.remove(&self.handle.id());
         registry.census.retain(|h| h.id() != self.handle.id());
         registry.regrant();
@@ -309,7 +308,7 @@ impl Engine {
     /// Handles of the queries currently executing or reserved (all
     /// clients), in no particular order.
     pub fn active_queries(&self) -> Vec<Arc<QueryHandle>> {
-        self.registry.lock().live.values().cloned().collect()
+        lock(&self.registry).live.values().cloned().collect()
     }
 
     /// Cumulative fault-injection counters of the chaos layer
@@ -346,7 +345,7 @@ impl Engine {
             options.admitted_dop,
             DopPhase::Reserve,
         ));
-        self.registry.lock().live.insert(id, Arc::clone(&handle));
+        lock(&self.registry).live.insert(id, Arc::clone(&handle));
         ReservedQuery { handle, registry: Arc::clone(&self.registry) }
     }
 
@@ -378,7 +377,7 @@ impl Engine {
     /// ```
     pub fn reserve_admitted(&self, priority: u8) -> ReservedQuery {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let mut registry = self.registry.lock();
+        let mut registry = lock(&self.registry);
         let share = registry.share(registry.census.len() + 1);
         let handle = Arc::new(QueryHandle::with_phase(id, priority, share, DopPhase::Reserve));
         registry.live.insert(id, Arc::clone(&handle));
@@ -484,7 +483,7 @@ impl Engine {
         // reservation stays census-visible until the client drops it, even
         // across repeated submissions.
         let reserved = {
-            let mut registry = self.registry.lock();
+            let mut registry = lock(&self.registry);
             match registry.live.entry(handle.id()) {
                 hash_map::Entry::Occupied(_) => true,
                 hash_map::Entry::Vacant(slot) => {
@@ -504,7 +503,7 @@ impl Engine {
         impl Drop for RegistryGuard<'_> {
             fn drop(&mut self) {
                 if self.owned {
-                    self.registry.lock().live.remove(&self.id);
+                    lock(self.registry).live.remove(&self.id);
                 }
             }
         }

@@ -18,10 +18,8 @@
 //!   drain stragglers, then surface the error or the root's output.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use apq_columnar::Catalog;
 
@@ -33,6 +31,7 @@ use crate::interpreter::execute_node;
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
 use crate::scheduler::{QueryHandle, TaskContext};
+use crate::sync::{lock, wait};
 
 /// Shared state of one query execution.
 pub(super) struct RunContext {
@@ -87,14 +86,14 @@ impl RunContext {
     /// Wakes the submitting client: every step completed (or the query
     /// failed, via [`RunContext::fail`]).
     pub fn finish(&self) {
-        *self.done.lock() = true;
+        *lock(&self.done) = true;
         self.done_cv.notify_all();
     }
 
     /// Fails the query with `err` (the first failure wins) and wakes the
     /// client; tasks still queued bail at their next checkpoint.
     pub fn fail(&self, err: EngineError) {
-        self.error.lock().get_or_insert(err);
+        lock(&self.error).get_or_insert(err);
         self.failed.store(true, Ordering::Release);
         self.finish();
     }
@@ -200,13 +199,13 @@ impl RunContext {
     /// error or the root's output with the query profile.
     pub fn wait(&self) -> Result<QueryExecution> {
         {
-            let mut done = self.done.lock();
+            let mut done = lock(&self.done);
             while !*done {
-                self.done_cv.wait(&mut done);
+                done = wait(&self.done_cv, done);
             }
         }
         drain_query_tasks(&self.handle);
-        if let Some(err) = self.error.lock().clone() {
+        if let Some(err) = lock(&self.error).clone() {
             return Err(err);
         }
         let root = self.plan.root().expect("validated plan has a root");
@@ -219,7 +218,7 @@ impl RunContext {
             n_workers: self.n_workers,
             concurrent_peers: self.concurrent_peers,
             operators: self.profiles.iter().filter_map(OnceLock::get).cloned().collect(),
-            pipelines: std::mem::take(&mut *self.pipeline_profiles.lock()),
+            pipelines: std::mem::take(&mut *lock(&self.pipeline_profiles)),
             dop_timeline: self.handle.dop_timeline(),
         };
         Ok(QueryExecution { output, profile })

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use apq_columnar::{Catalog, Column, DataType, Oid, ScalarValue};
 use apq_operators::{
-    calc_col_col, calc_col_scalar, calc_scalar_col, fetch, fetch_clamped, grouped_agg, scalar_agg,
-    select, select_with_candidates, AggState, BinaryOp, GroupedAgg, JoinHashTable, JoinResult,
+    calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, scalar_agg, select,
+    select_with_candidates, AggState, BinaryOp, GroupedAgg, JoinHashTable, JoinResult,
     OperatorError,
 };
 
@@ -119,16 +119,6 @@ pub fn execute_node(
             // select) be cloned over SlicePart partitions of a stream: each
             // partition's fetch output knows where in the stream it sits.
             Ok(Chunk::Column(fetch(col, oids.as_slice())?.with_base_oid(oids.stream_base())))
-        }
-
-        OperatorSpec::FetchClamped => {
-            let oids = as_oids(node, &inputs[0])?;
-            let col = as_column(node, &inputs[1])?;
-            let (fetched, _, dropped) = fetch_clamped(col, oids.as_slice())?;
-            // Dropped oids shift positions, so stream alignment only
-            // survives a clamp that dropped nothing.
-            let base = if dropped == 0 { oids.stream_base() } else { 0 };
-            Ok(Chunk::Column(fetched.with_base_oid(base)))
         }
 
         OperatorSpec::HashBuild => {

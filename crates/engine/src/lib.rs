@@ -46,6 +46,7 @@ pub mod plan;
 pub mod profiler;
 pub mod scheduler;
 pub mod service;
+mod sync;
 
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
 pub use error::{EngineError, Result};

@@ -85,8 +85,6 @@ pub enum OperatorSpec {
     },
     /// Tuple reconstruction: fetch values of input-1 at the oids of input-0.
     Fetch,
-    /// Tuple reconstruction that clamps out-of-slice oids instead of failing.
-    FetchClamped,
     /// Builds a join hash table over the input key column.
     HashBuild,
     /// Probes a hash table (input 1) with an outer key column (input 0).
@@ -151,7 +149,7 @@ impl OperatorSpec {
             OperatorSpec::Select { .. } => "select",
             OperatorSpec::PredMask { .. } => "predmask",
             OperatorSpec::IfThenElse { .. } => "ifthenelse",
-            OperatorSpec::Fetch | OperatorSpec::FetchClamped => "fetch",
+            OperatorSpec::Fetch => "fetch",
             OperatorSpec::HashBuild => "hashbuild",
             OperatorSpec::HashProbe => "join",
             OperatorSpec::SemiJoin => "semijoin",
@@ -181,7 +179,6 @@ impl OperatorSpec {
             OperatorSpec::Select { .. } | OperatorSpec::Calc { .. } => (1, 2),
             OperatorSpec::IfThenElse { .. }
             | OperatorSpec::Fetch
-            | OperatorSpec::FetchClamped
             | OperatorSpec::HashProbe
             | OperatorSpec::SemiJoin
             | OperatorSpec::AntiJoin
@@ -210,7 +207,6 @@ impl OperatorSpec {
             | OperatorSpec::Calc { .. }
             | OperatorSpec::GroupAgg { .. } => &[true, true],
             OperatorSpec::Fetch
-            | OperatorSpec::FetchClamped
             | OperatorSpec::HashProbe
             | OperatorSpec::SemiJoin
             | OperatorSpec::AntiJoin => &[true, false],
@@ -231,7 +227,6 @@ impl OperatorSpec {
             | OperatorSpec::PredMask { .. }
             | OperatorSpec::IfThenElse { .. }
             | OperatorSpec::Fetch
-            | OperatorSpec::FetchClamped
             | OperatorSpec::HashProbe
             | OperatorSpec::SemiJoin
             | OperatorSpec::AntiJoin

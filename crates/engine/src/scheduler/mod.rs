@@ -32,12 +32,11 @@ mod stealing;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::profiler::{DopEvent, DopPhase};
+use crate::sync::lock;
 
 use stealing::LocalSubmitter;
 pub use stealing::Scheduler;
@@ -122,7 +121,7 @@ impl QueryHandle {
     /// [`DopPhase::Submit`] event restating the grant currently in force,
     /// closing the reservation-held window in the timeline.
     pub(crate) fn mark_submitted(&self) {
-        let mut events = self.dop_events.lock();
+        let mut events = lock(&self.dop_events);
         let dop = self.admitted_dop.load(Ordering::Acquire);
         events.push(DopEvent {
             at_us: self.created.elapsed().as_micros() as u64,
@@ -179,7 +178,7 @@ impl QueryHandle {
         // Store and timeline append happen under one lock so concurrent
         // setters (a census re-grant vs. the client) cannot leave the
         // recorded timeline ending on a different value than the live cap.
-        let mut events = self.dop_events.lock();
+        let mut events = lock(&self.dop_events);
         self.admitted_dop.store(dop, Ordering::Release);
         events.push(DopEvent {
             at_us: self.created.elapsed().as_micros() as u64,
@@ -191,7 +190,7 @@ impl QueryHandle {
     /// The admitted-DOP change history: the initial grant (at offset 0) plus
     /// one entry per [`QueryHandle::set_admitted_dop`] call, in call order.
     pub fn dop_timeline(&self) -> Vec<DopEvent> {
-        self.dop_events.lock().clone()
+        lock(&self.dop_events).clone()
     }
 
     /// Number of this query's tasks dispatched so far (cumulative, readable
@@ -248,7 +247,7 @@ impl QueryHandle {
         if self.timeout_recorded.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.dop_events.lock().push(DopEvent {
+        lock(&self.dop_events).push(DopEvent {
             at_us: self.created.elapsed().as_micros() as u64,
             dop: 0,
             phase: DopPhase::Timeout,

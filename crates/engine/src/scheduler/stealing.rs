@@ -1,19 +1,20 @@
 //! The engine's scheduler: a work-stealing dispatch loop.
 //!
-//! Layout follows the classic sharded-worker design (crossbeam-deque's
-//! intended topology, as used by rayon and noria): every worker owns a
-//! local deque; follow-up tasks produced *on* a worker are pushed to that
-//! worker's own deque and popped oldest-first (FIFO deque; thieves take the
-//! oldest task too), so a chunk's consumer usually runs on the core that
-//! just materialized the chunk. Tasks submitted from *outside* the pool
-//! (query seeding) enter a shared [`Injector`]; a second injector forms the
-//! priority lane.
+//! Layout follows the sharded-worker design of Leis et al.'s morsel
+//! dispatcher (and of rayon and noria): every worker owns a local queue;
+//! follow-up tasks produced *on* a worker are pushed to that worker's own
+//! queue and popped oldest-first (thieves take the oldest task too), so a
+//! chunk's consumer usually runs on the core that just materialized the
+//! chunk. Tasks submitted from *outside* the pool (query seeding) enter a
+//! shared injector queue; a second injector forms the priority lane. Every
+//! queue is a `Mutex<VecDeque<Task>>` — lock-based, not lock-free: any
+//! scheduler-overhead reading is a reading of that.
 //!
 //! Dispatch order per worker:
-//! 1. own deque (locality),
+//! 1. own queue (locality),
 //! 2. priority injector,
 //! 3. normal injector,
-//! 4. steal from sibling deques, round-robin starting after own index.
+//! 4. steal from sibling queues, round-robin starting after own index.
 //!
 //! Every grab — injector or sibling — takes exactly one task (see
 //! `find_task` for why nothing is moved in batches).
@@ -21,31 +22,41 @@
 //! Idle workers park on a condvar with a short timeout; every submission
 //! notifies one sleeper.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::fault::FaultInjector;
+use crate::sync::{lock, wait_for};
 
 use super::{DeferBackoff, SchedulerStats, Task, TaskOrigin, WorkerCounters, IDLE_PARK};
 
-/// The engine's scheduler: per-worker deques + shared injectors.
+type Queue = Mutex<VecDeque<Task>>;
+
+fn pop(queue: &Queue) -> Option<Task> {
+    lock(queue).pop_front()
+}
+
+/// One worker's local queue and dispatch counters. Aligned to a pair of
+/// cache lines (x86 prefetches lines in adjacent pairs) so the slots of a
+/// `Vec` never put two workers' locks and counters on one line.
+#[derive(Default)]
+#[repr(align(128))]
+struct WorkerSlot {
+    queue: Queue,
+    counters: WorkerCounters,
+}
+
+/// The engine's scheduler: per-worker queues + shared injectors.
 ///
 /// The executor tracks dataflow dependencies and submits a [`Task`] exactly
 /// when it becomes runnable; the scheduler decides which worker runs it when.
 /// Every submitted task runs exactly once (until [`Scheduler::shutdown`]), in
 /// arbitrary order — dependency order is the executor's responsibility.
 pub struct Scheduler {
-    injector: Injector<Task>,
-    high_injector: Injector<Task>,
-    /// Local deques, parked here until each worker thread claims its own at
-    /// the top of [`Scheduler::run_worker`] (the `Worker` half is
-    /// single-owner by design).
-    locals: Mutex<Vec<Option<Worker<Task>>>>,
-    stealers: Vec<Stealer<Task>>,
-    counters: Vec<WorkerCounters>,
+    injector: Queue,
+    high_injector: Queue,
+    workers: Vec<WorkerSlot>,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     shutdown: AtomicBool,
@@ -63,15 +74,10 @@ impl Scheduler {
     /// Creates the scheduler with an optional fault injector wired into the
     /// dispatch loop.
     pub(crate) fn with_faults(n_workers: usize, faults: Option<Arc<FaultInjector>>) -> Self {
-        let n = n_workers.max(1);
-        let locals: Vec<Worker<Task>> = (0..n).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(Worker::stealer).collect();
         Scheduler {
-            injector: Injector::new(),
-            high_injector: Injector::new(),
-            locals: Mutex::new(locals.into_iter().map(Some).collect()),
-            stealers,
-            counters: (0..n).map(|_| WorkerCounters::default()).collect(),
+            injector: Queue::default(),
+            high_injector: Queue::default(),
+            workers: (0..n_workers.max(1)).map(|_| WorkerSlot::default()).collect(),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -81,12 +87,12 @@ impl Scheduler {
 
     fn notify_one(&self) {
         // Lock/unlock pairs the notify with a sleeper's check-then-wait.
-        drop(self.sleep_lock.lock());
+        drop(lock(&self.sleep_lock));
         self.sleep_cv.notify_one();
     }
 
     fn notify_all(&self) {
-        drop(self.sleep_lock.lock());
+        drop(lock(&self.sleep_lock));
         self.sleep_cv.notify_all();
     }
 
@@ -94,58 +100,37 @@ impl Scheduler {
         if requeue {
             task.requeued();
         }
-        if task.handle().priority() > 0 {
-            self.high_injector.push(task);
-        } else {
-            self.injector.push(task);
-        }
+        let lane = if task.handle().priority() > 0 { &self.high_injector } else { &self.injector };
+        lock(lane).push_back(task);
         self.notify_one();
     }
 
     /// One full scan for work from worker `worker`'s perspective.
-    fn find_task(&self, worker: usize, local: &Worker<Task>) -> Option<(Task, TaskOrigin)> {
-        if let Some(task) = local.pop() {
+    ///
+    /// Every grab takes a single task: moving a batch would spill injected
+    /// or stolen tasks into the local queue, where their later pops would
+    /// count as `Local` hits and inflate the locality metric the fig. 19
+    /// experiment reports. One task per grab keeps every dispatch labelled
+    /// with its true origin (and over mutex-guarded queues a batch would
+    /// amortize nothing anyway).
+    fn find_task(&self, worker: usize) -> Option<(Task, TaskOrigin)> {
+        if let Some(task) = pop(&self.workers[worker].queue) {
             return Some((task, TaskOrigin::Local));
         }
-        loop {
-            match self.high_injector.steal() {
-                Steal::Success(task) => return Some((task, TaskOrigin::Injected)),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
+        if let Some(task) = pop(&self.high_injector).or_else(|| pop(&self.injector)) {
+            return Some((task, TaskOrigin::Injected));
         }
-        // Single-task steals, not `steal_batch_and_pop`: a batch-move would
-        // spill injected/stolen tasks into the local deque, where their later
-        // pops would count as `Local` hits and inflate the locality metric
-        // the fig. 19 experiment reports. One task per grab keeps every
-        // dispatch labelled with its true origin (and with the mutex-backed
-        // deque shim, batching would amortize nothing anyway).
-        loop {
-            match self.injector.steal() {
-                Steal::Success(task) => return Some((task, TaskOrigin::Injected)),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        let n = self.stealers.len();
-        for i in 1..n {
-            let victim = (worker + i) % n;
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(task) => return Some((task, TaskOrigin::Stolen)),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
+        let n = self.workers.len();
+        (1..n)
+            .find_map(|i| pop(&self.workers[(worker + i) % n].queue))
+            .map(|task| (task, TaskOrigin::Stolen))
     }
 
-    fn queues_are_empty(&self, local: &Worker<Task>) -> bool {
-        local.is_empty()
-            && self.high_injector.is_empty()
-            && self.injector.is_empty()
-            && self.stealers.iter().all(Stealer::is_empty)
+    fn queues_are_empty(&self) -> bool {
+        let empty = |queue: &Queue| lock(queue).is_empty();
+        empty(&self.high_injector)
+            && empty(&self.injector)
+            && self.workers.iter().all(|w| empty(&w.queue))
     }
 
     /// Submits a task from outside the worker pool (query seeding). Returns
@@ -158,24 +143,22 @@ impl Scheduler {
         true
     }
 
-    /// Runs worker `worker`'s dispatch loop until shutdown. Called exactly
-    /// once per worker index, from that worker's thread.
+    /// Runs worker `worker`'s dispatch loop until shutdown, on the calling
+    /// thread — one thread per worker index.
     pub fn run_worker(&self, worker: usize) {
-        let local = self.locals.lock()[worker]
-            .take()
-            .expect("run_worker called twice for the same worker index");
-        let submitter = LocalSubmitter { scheduler: self, local: &local };
+        let counters = &self.workers[worker].counters;
+        let submitter = LocalSubmitter { scheduler: self, worker };
         let mut backoff = DeferBackoff::default();
         loop {
-            match self.find_task(worker, &local) {
+            match self.find_task(worker) {
                 Some((task, origin)) => {
                     if !task.handle().acquire_slot() {
                         // Query at its admitted DOP: hand the task to the
-                        // shared injector (not the local deque — other
+                        // shared injector (not the local queue — other
                         // queries' local work should not sit behind it) and
                         // scan again.
                         self.inject(task, true);
-                        backoff.deferred(&self.counters[worker]);
+                        backoff.deferred(counters);
                         continue;
                     }
                     backoff.dispatched();
@@ -187,11 +170,11 @@ impl Scheduler {
                         faults.maybe_stall(h.id(), h.dispatched());
                     }
                     let queue_wait = task.queue_wait();
-                    self.counters[worker].record(origin, queue_wait);
+                    counters.record(origin, queue_wait);
                     task.dispatch(worker, origin, queue_wait, &submitter);
                 }
                 None => {
-                    if self.shutdown.load(Ordering::Acquire) && self.queues_are_empty(&local) {
+                    if self.shutdown.load(Ordering::Acquire) && self.queues_are_empty() {
                         return;
                     }
                     // Park until a submission notifies or the timeout forces
@@ -203,9 +186,9 @@ impl Scheduler {
                     // can never fall into the gap between scan and wait,
                     // which would otherwise add up to one IDLE_PARK of
                     // phantom queue wait per task.
-                    let mut guard = self.sleep_lock.lock();
-                    if self.queues_are_empty(&local) && !self.shutdown.load(Ordering::Acquire) {
-                        self.sleep_cv.wait_for(&mut guard, IDLE_PARK);
+                    let guard = lock(&self.sleep_lock);
+                    if self.queues_are_empty() && !self.shutdown.load(Ordering::Acquire) {
+                        drop(wait_for(&self.sleep_cv, guard, IDLE_PARK));
                     }
                 }
             }
@@ -220,20 +203,20 @@ impl Scheduler {
 
     /// Snapshot of the per-worker counters.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats { workers: self.counters.iter().map(WorkerCounters::snapshot).collect() }
+        SchedulerStats { workers: self.workers.iter().map(|w| w.counters.snapshot()).collect() }
     }
 }
 
-/// Context submitter bound to the executing worker: follow-ups go to the
-/// local deque.
+/// Context submitter bound to the executing worker: follow-ups go to that
+/// worker's own queue.
 pub(crate) struct LocalSubmitter<'a> {
     scheduler: &'a Scheduler,
-    local: &'a Worker<Task>,
+    worker: usize,
 }
 
 impl LocalSubmitter<'_> {
     pub(crate) fn submit_task(&self, task: Task) {
-        self.local.push(task);
+        lock(&self.scheduler.workers[self.worker].queue).push_back(task);
         // Another worker may be idle while this one now has >1 queued task.
         self.scheduler.notify_one();
     }
@@ -314,6 +297,95 @@ mod tests {
     }
 
     #[test]
+    fn owner_pops_its_oldest_task_and_a_thief_takes_the_victims_oldest() {
+        const FOLLOW_UPS: usize = 6;
+        let sched = Arc::new(Scheduler::new(2));
+        // (label, worker, origin) of every follow-up, in start order.
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let owner = Arc::new(AtomicUsize::new(usize::MAX));
+        let h = handle(1, 0, 0);
+        let (h2, runs2, owner2) = (Arc::clone(&h), Arc::clone(&runs), Arc::clone(&owner));
+        sched.submit(Task::new(Arc::clone(&h), move |ctx| {
+            owner2.store(ctx.worker, Ordering::Release);
+            for label in 0..FOLLOW_UPS {
+                let runs = Arc::clone(&runs2);
+                ctx.submit(Task::new(Arc::clone(&h2), move |ctx| {
+                    lock(&runs).push((label, ctx.worker, ctx.origin));
+                    // The stolen task holds the thief until the owner has
+                    // drained the rest, so each side's order is its own.
+                    while ctx.origin == TaskOrigin::Stolen && lock(&runs).len() < FOLLOW_UPS {
+                        std::thread::yield_now();
+                    }
+                }));
+            }
+            // Hold this worker until the other one has started a follow-up,
+            // which it can only have got by stealing.
+            while lock(&runs2).is_empty() {
+                std::thread::yield_now();
+            }
+        }));
+        let workers = run_pool(&sched, 2);
+        while lock(&runs).len() < FOLLOW_UPS {
+            std::thread::yield_now();
+        }
+        sched.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let owner = owner.load(Ordering::Acquire);
+        let got = lock(&runs).clone();
+        assert_eq!(
+            got[0],
+            (0, 1 - owner, TaskOrigin::Stolen),
+            "the thief takes the oldest: {got:?}"
+        );
+        let rest: Vec<_> = (1..FOLLOW_UPS).map(|label| (label, owner, TaskOrigin::Local)).collect();
+        assert_eq!(got[1..], rest, "the owner pops oldest-first");
+        let stats = sched.stats();
+        assert_eq!((stats.total_injector_hits(), stats.total_steals()), (1, 1));
+        assert_eq!(stats.total_local_hits(), FOLLOW_UPS as u64 - 1);
+    }
+
+    #[test]
+    fn normal_injector_is_fifo_across_submitting_threads() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 25;
+        let sched = Scheduler::new(1);
+        // (submitting thread, sequence number, origin), in execution order.
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let submit = |thread: u64, seq: u64| {
+            let order = Arc::clone(&order);
+            assert!(sched.submit(Task::new(handle(thread, 0, 0), move |ctx| {
+                lock(&order).push((thread, seq, ctx.origin));
+            })));
+        };
+        std::thread::scope(|s| {
+            for thread in 0..THREADS {
+                let submit = &submit;
+                s.spawn(move || (0..PER_THREAD).for_each(|seq| submit(thread, seq)));
+            }
+        });
+        // Submitted after every thread was joined: must run last.
+        submit(THREADS, 0);
+        let total = (THREADS * PER_THREAD + 1) as usize;
+        std::thread::scope(|s| {
+            s.spawn(|| sched.run_worker(0));
+            while lock(&order).len() < total {
+                std::thread::yield_now();
+            }
+            sched.shutdown();
+        });
+        let got = lock(&order).clone();
+        assert!(got.iter().all(|run| run.2 == TaskOrigin::Injected));
+        assert_eq!(got[total - 1], (THREADS, 0, TaskOrigin::Injected));
+        for thread in 0..THREADS {
+            let seqs: Vec<u64> =
+                got.iter().filter(|run| run.0 == thread).map(|run| run.1).collect();
+            assert_eq!(seqs, (0..PER_THREAD).collect::<Vec<_>>(), "thread {thread} reordered");
+        }
+    }
+
+    #[test]
     fn follow_up_runs_from_the_local_deque_on_a_one_worker_pool() {
         let sched = Arc::new(Scheduler::new(1));
         let executed = Arc::new(AtomicUsize::new(0));
@@ -344,26 +416,26 @@ mod tests {
     #[test]
     fn priority_lane_preempts_the_normal_injector() {
         let sched = Arc::new(Scheduler::new(1));
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let order = Arc::clone(&order);
-            sched.submit(Task::new(handle(i, 0, 0), move |_ctx| order.lock().push(("normal", i))));
+            sched.submit(Task::new(handle(i, 0, 0), move |_ctx| lock(&order).push(("normal", i))));
         }
         for i in 0..2 {
             let order = Arc::clone(&order);
             sched.submit(Task::new(handle(10 + i, 3, 0), move |_ctx| {
-                order.lock().push(("high", i))
+                lock(&order).push(("high", i))
             }));
         }
         let workers = run_pool(&sched, 1);
-        while order.lock().len() < 5 {
+        while lock(&order).len() < 5 {
             std::thread::yield_now();
         }
         sched.shutdown();
         for w in workers {
             w.join().unwrap();
         }
-        let got = order.lock().clone();
+        let got = lock(&order).clone();
         assert_eq!(got[0].0, "high", "priority task not served first: {got:?}");
         assert_eq!(got[1].0, "high", "priority tasks not served first: {got:?}");
     }
@@ -426,14 +498,5 @@ mod tests {
         }
         assert_eq!(h.running(), 0, "panicking task leaked its DOP slot");
         assert_eq!(sched.stats().total_executed(), 2);
-    }
-
-    #[test]
-    fn run_worker_twice_for_same_index_panics() {
-        let sched = Arc::new(Scheduler::new(1));
-        sched.shutdown();
-        sched.run_worker(0); // returns immediately: shutdown + empty
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.run_worker(0)));
-        assert!(result.is_err());
     }
 }

@@ -24,12 +24,11 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::chunk::QueryOutput;
 use crate::plan::Plan;
+use crate::sync::lock;
 
 /// A bounded map with least-recently-used eviction, shared by both caches.
 /// Recency is tracked in a `VecDeque` of keys (front = coldest); `get`
@@ -107,7 +106,7 @@ impl PlanCache {
     /// Returns the cached shared plan for `signature`, or inserts one built
     /// by cloning `plan`. The boolean is `true` on a hit.
     pub(crate) fn get_or_insert(&self, signature: &str, plan: &Plan) -> (Arc<Plan>, bool) {
-        let mut entries = self.entries.lock();
+        let mut entries = lock(&self.entries);
         if let Some(shared) = entries.get(signature) {
             return (Arc::clone(shared), true);
         }
@@ -117,7 +116,7 @@ impl PlanCache {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 }
 
@@ -140,25 +139,25 @@ impl ResultCache {
     }
 
     pub(crate) fn get(&self, signature: &str) -> Option<QueryOutput> {
-        self.entries.lock().get(signature).map(|r| r.output.clone())
+        lock(&self.entries).get(signature).map(|r| r.output.clone())
     }
 
     pub(crate) fn insert(&self, signature: String, output: QueryOutput, tables: Vec<String>) {
-        self.entries.lock().insert(signature, CachedResult { output, tables });
+        lock(&self.entries).insert(signature, CachedResult { output, tables });
     }
 
     /// Drops every entry computed from `table`; returns how many.
     pub(crate) fn invalidate_table(&self, table: &str) -> usize {
-        self.entries.lock().retain(|r| !r.tables.iter().any(|t| t == table))
+        lock(&self.entries).retain(|r| !r.tables.iter().any(|t| t == table))
     }
 
     /// Drops everything; returns how many entries were held.
     pub(crate) fn invalidate_all(&self) -> usize {
-        self.entries.lock().clear()
+        lock(&self.entries).clear()
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 }
 

@@ -47,15 +47,14 @@ pub(crate) mod cache;
 mod session;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use apq_columnar::Catalog;
 
 use crate::executor::{Engine, EngineConfig};
 use crate::profiler::QueryProfile;
+use crate::sync::lock;
 use crate::QueryOutput;
 
 use cache::{PlanCache, ResultCache};
@@ -236,7 +235,7 @@ pub(crate) struct ServiceInner {
 
 impl ServiceInner {
     pub(crate) fn catalog(&self) -> Arc<Catalog> {
-        Arc::clone(&self.catalog.lock())
+        Arc::clone(&lock(&self.catalog))
     }
 
     pub(crate) fn count_query(&self) {
@@ -410,9 +409,7 @@ impl QueryService {
     /// Swaps the served catalog. All cached results are invalidated — they
     /// were computed from the old data.
     pub fn replace_catalog(&self, catalog: Arc<Catalog>) {
-        let mut slot = self.inner.catalog.lock();
-        *slot = catalog;
-        drop(slot);
+        *lock(&self.inner.catalog) = catalog;
         self.invalidate_results();
     }
 

@@ -16,14 +16,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{EngineError, Result};
 use crate::plan::Plan;
 use crate::scheduler::QueryHandle;
+use crate::sync::{lock, wait};
 
 use super::{ServiceInner, ServiceResponse};
 
@@ -59,7 +58,7 @@ impl Waiter {
     /// when the waiter already left the Waiting state (lost a race to a
     /// concurrent shed/close/grant).
     fn resolve(&self, next: WaiterState) -> bool {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if *state != WaiterState::Waiting {
             return false;
         }
@@ -71,9 +70,9 @@ impl Waiter {
 
     /// Parks until resolved; returns the terminal state.
     fn park(&self) -> WaiterState {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         while *state == WaiterState::Waiting {
-            self.wake.wait(&mut state);
+            state = wait(&self.wake, state);
         }
         *state
     }
@@ -89,7 +88,7 @@ pub(crate) struct WaiterRegistry {
 
 impl WaiterRegistry {
     pub(crate) fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 
     /// Admits `waiter` into the queued census, shedding to stay under
@@ -98,7 +97,7 @@ impl WaiterRegistry {
     /// when nothing queued outranks the newcomer, the newcomer itself is
     /// refused. Returns `false` when the newcomer was refused.
     fn admit(&self, waiter: &Arc<Waiter>, max_queued: usize) -> bool {
-        let mut entries = self.entries.lock();
+        let mut entries = lock(&self.entries);
         while max_queued > 0 && entries.len() >= max_queued {
             let victim = entries
                 .iter()
@@ -124,7 +123,7 @@ impl WaiterRegistry {
     /// it). Every waiter deregisters itself on wake-up, whatever the
     /// outcome.
     fn remove(&self, waiter: &Arc<Waiter>) {
-        self.entries.lock().retain(|w| !Arc::ptr_eq(w, waiter));
+        lock(&self.entries).retain(|w| !Arc::ptr_eq(w, waiter));
     }
 }
 
@@ -157,7 +156,7 @@ impl SessionInner {
         if self.closed.load(Ordering::Acquire) {
             return Err(EngineError::SessionClosed);
         }
-        let mut queue = self.queue.lock();
+        let mut queue = lock(&self.queue);
         let waiter = if !queue.busy && queue.waiters.is_empty() {
             queue.busy = true;
             None
@@ -210,7 +209,7 @@ impl SessionInner {
     /// shed or closed while queued; idles the session when the line is
     /// empty.
     fn release_turn(&self) {
-        let mut queue = self.queue.lock();
+        let mut queue = lock(&self.queue);
         debug_assert!(queue.busy, "release_turn without a held turn");
         loop {
             match queue.waiters.pop_front() {
@@ -228,11 +227,11 @@ impl SessionInner {
     }
 
     fn track(&self, handle: Arc<QueryHandle>) {
-        self.live.lock().push(handle);
+        lock(&self.live).push(handle);
     }
 
     fn untrack(&self, id: u64) {
-        self.live.lock().retain(|h| h.id() != id);
+        lock(&self.live).retain(|h| h.id() != id);
     }
 
     fn close(&self) {
@@ -243,12 +242,12 @@ impl SessionInner {
         // sit in a dead session's line waiting for the running submission
         // to drain. Each waiter deregisters itself from the service census
         // on wake-up.
-        let mut queue = self.queue.lock();
+        let mut queue = lock(&self.queue);
         for waiter in queue.waiters.drain(..) {
             waiter.resolve(WaiterState::Closed);
         }
         drop(queue);
-        for handle in self.live.lock().iter() {
+        for handle in lock(&self.live).iter() {
             handle.cancel();
         }
         self.service.count_session_closed();

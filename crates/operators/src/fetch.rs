@@ -6,9 +6,9 @@
 //! explains the alignment hazard this creates under dynamically sized
 //! partitions: if the oid list's boundaries overshoot the value slice's
 //! boundaries, the lookup is an invalid access. [`fetch`] enforces strict
-//! alignment (any overshoot is an error); [`fetch_clamped`] implements the
-//! paper's boundary adjustment, dropping overshooting oids and reporting how
-//! many were dropped.
+//! alignment: any overshoot is an error, and nothing clamps (how plans stay
+//! aligned is the engine's `stream_base` invariant, `docs/architecture.md`
+//! §6).
 
 use apq_columnar::{Column, Oid};
 
@@ -23,20 +23,6 @@ use crate::error::Result;
 /// produced. The range check and the load are one pass.
 pub fn fetch(column: &Column, oids: &[Oid]) -> Result<Column> {
     Ok(column.gather_oids(oids)?)
-}
-
-/// Fetch with boundary clamping: oids outside the column view are dropped
-/// (the paper's "the lower boundary of LT is adjusted ... to match the lower
-/// boundary of RH"). Returns the fetched column, the clamped oid list (the
-/// surviving oids in their original order) and the number of oids that were
-/// dropped. Never fails on an out-of-range oid.
-pub fn fetch_clamped(column: &Column, oids: &[Oid]) -> Result<(Column, Vec<Oid>, usize)> {
-    let (lo, len) = (column.base_oid(), column.len() as Oid);
-    // An oid below `lo` wraps far past `len`.
-    let clamped: Vec<Oid> = oids.iter().copied().filter(|o| o.wrapping_sub(lo) < len).collect();
-    let fetched = column.gather_oids(&clamped)?;
-    let dropped = oids.len() - clamped.len();
-    Ok((fetched, clamped, dropped))
 }
 
 #[cfg(test)]
@@ -68,28 +54,6 @@ mod tests {
             err,
             crate::OperatorError::Columnar(ColumnarError::MisalignedOid { oid: 60, .. })
         ));
-    }
-
-    #[test]
-    fn clamped_fetch_adjusts_boundaries() {
-        // Mirrors the paper's Fig. 10 example: LT holds oids {2,4,5,7,8} but the
-        // value slice covers oids [1,8); oid 8 overshoots and must be dropped.
-        let base = Column::from_i64(vec![0, 11, 12, 13, 14, 20, 16, 13, 99]);
-        let rh = base.slice(1, 7).unwrap(); // oids [1, 8)
-        let lt = vec![2u64, 4, 5, 7, 8];
-        let (vals, clamped, dropped) = fetch_clamped(&rh, &lt).unwrap();
-        assert_eq!(clamped, vec![2, 4, 5, 7]);
-        assert_eq!(dropped, 1);
-        assert_eq!(vals.i64_values().unwrap(), &[12, 14, 20, 13]);
-    }
-
-    #[test]
-    fn clamped_fetch_with_fully_aligned_input_drops_nothing() {
-        let base = Column::from_i64((0..10).collect());
-        let (vals, clamped, dropped) = fetch_clamped(&base, &[0, 9, 5]).unwrap();
-        assert_eq!(dropped, 0);
-        assert_eq!(clamped, vec![0, 9, 5]);
-        assert_eq!(vals.i64_values().unwrap(), &[0, 9, 5]);
     }
 
     #[test]

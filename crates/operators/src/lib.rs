@@ -11,8 +11,8 @@
 //!   (`algebra.select` / `uselect`), optionally restricted by a previous
 //!   candidate list (the "filter operator which ... accepts column and also a
 //!   bit vector from another selection operator's output").
-//! * [`mod@fetch`] — tuple reconstruction (`algebra.leftfetchjoin`) with the
-//!   boundary-alignment handling of paper Fig. 9/10.
+//! * [`mod@fetch`] — tuple reconstruction (`algebra.leftfetchjoin`); an oid
+//!   outside the value slice is an error (the hazard of paper Fig. 9/10).
 //! * [`join`] — hash join build and probe; only the outer side is ever
 //!   partitioned, matching the paper's join parallelization.
 //! * [`calc`] — vectorized arithmetic (`batcalc.*`).
@@ -20,7 +20,6 @@
 //!   mergeable partial states (`aggr.sum`, `group.*`).
 //! * [`exchange`] — the exchange-union operator (`mat.pack`) combining the
 //!   results of cloned operators while preserving the mutation order.
-//! * [`sort`] — order-by / top-n helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,6 @@ pub mod fetch;
 pub mod join;
 pub mod predicate;
 pub mod select;
-pub mod sort;
 
 pub use aggregate::{
     grouped_agg, merge_grouped, scalar_agg, AggFunc, AggState, GroupKey, GroupedAgg,
@@ -41,8 +39,7 @@ pub use aggregate::{
 pub use calc::{calc_col_col, calc_col_scalar, calc_scalar_col, BinaryOp};
 pub use error::{OperatorError, Result};
 pub use exchange::{pack_columns, pack_oids};
-pub use fetch::{fetch, fetch_clamped};
+pub use fetch::fetch;
 pub use join::{JoinHashTable, JoinResult};
 pub use predicate::{CmpOp, Predicate};
 pub use select::{select, select_with_candidates, selectivity};
-pub use sort::{sort_column, top_n_oids};

@@ -2,7 +2,7 @@
 //! replaced.
 //!
 //! [`reference`] holds the previous implementations of `eval_mask`, `select`,
-//! `select_with_candidates`, `gather_oids`, `fetch_clamped`, the hash join
+//! `select_with_candidates`, `gather_oids`, the hash join
 //! (`probe`, `probe_with_oids`, `probe_semi`, the interpreter's `anti_join`)
 //! and `grouped_agg`, written against the public API only. Each property
 //! generates columns of all five types (as windows with a non-zero offset
@@ -21,8 +21,8 @@
 
 use apq_columnar::{Column, ColumnarError, DataType, Oid, ScalarValue, StringColumn};
 use apq_operators::{
-    fetch, fetch_clamped, grouped_agg, merge_grouped, select, select_with_candidates, AggFunc,
-    AggState, CmpOp, GroupKey, JoinHashTable, JoinResult, OperatorError, Predicate,
+    fetch, grouped_agg, merge_grouped, select, select_with_candidates, AggFunc, AggState, CmpOp,
+    GroupKey, JoinHashTable, JoinResult, OperatorError, Predicate,
 };
 use proptest::prelude::*;
 
@@ -225,14 +225,6 @@ mod reference {
                 Column::from_string_column(column.string_column()?.gather(&abs))
             }
         })
-    }
-
-    pub fn fetch_clamped(column: &Column, oids: &[Oid]) -> Result<(Column, Vec<Oid>, usize)> {
-        let (lo, hi) = (column.base_oid(), column.end_oid());
-        let clamped: Vec<Oid> = oids.iter().copied().filter(|&o| o >= lo && o < hi).collect();
-        let dropped = oids.len() - clamped.len();
-        let fetched = gather_oids(column, &clamped)?;
-        Ok((fetched, clamped, dropped))
     }
 
     const EMPTY: u32 = u32::MAX;
@@ -675,7 +667,7 @@ proptest! {
         }
     }
 
-    /// `gather_oids` / `fetch` / `fetch_clamped` / `gather_positions`: rows
+    /// `gather_oids` / `fetch` / `gather_positions`: rows
     /// in list order, the first offending oid named, nothing on error.
     #[test]
     fn gathers_match_validate_then_gather(seed in 0u64..u64::MAX) {
@@ -690,11 +682,6 @@ proptest! {
                 column_facts(column.gather_oids(&oids).map_err(OperatorError::from)),
                 expected
             );
-
-            let clamped = fetch_clamped(&column, &oids).map(|(c, kept, dropped)| (facts(&c), kept, dropped));
-            let expected = reference::fetch_clamped(&column, &oids)
-                .map(|(c, kept, dropped)| (facts(&c), kept, dropped));
-            prop_assert_eq!(clamped, expected);
 
             // Positions are oids relative to the window.
             let positions: Vec<usize> = oids
