@@ -40,14 +40,14 @@
 //! the survivor is re-granted the pool at its peer's release
 //! (`examples/elastic_concurrency.rs` prints the two side by side). This
 //! baseline counts its clients in its own atomic and leaves the engine's
-//! census alone: a cap set through
-//! [`apq_engine::QueryOptions::with_admitted_dop`] is the client's own.
+//! census alone: a cap set through [`apq_engine::Engine::register_query`] is
+//! the client's own.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use apq_columnar::Catalog;
-use apq_engine::{Engine, Plan, QueryExecution, QueryOptions, Result};
+use apq_engine::{Engine, Plan, QueryExecution, Result};
 
 use crate::heuristic::heuristic_parallelize;
 
@@ -122,7 +122,7 @@ impl AdmissionController {
         catalog: &Arc<Catalog>,
     ) -> Result<(QueryExecution, usize)> {
         let ticket = self.admit();
-        let handle = engine.register_query(QueryOptions::with_admitted_dop(ticket.dop()));
+        let handle = engine.register_query(ticket.dop());
         let exec = engine.execute_with_handle(plan, catalog, handle)?;
         Ok((exec, ticket.dop()))
     }

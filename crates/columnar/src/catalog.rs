@@ -27,11 +27,6 @@ impl Catalog {
         self.tables.insert(table.name().to_string(), table);
     }
 
-    /// Registers a table under an explicit name (useful for aliases).
-    pub fn register_as(&mut self, name: impl Into<String>, table: Arc<Table>) {
-        self.tables.insert(name.into(), table);
-    }
-
     /// Looks up a table.
     pub fn table(&self, name: &str) -> Result<&Arc<Table>> {
         self.tables.get(name).ok_or_else(|| ColumnarError::UnknownTable(name.to_string()))
@@ -50,11 +45,6 @@ impl Catalog {
     /// True when no tables are registered.
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
-    }
-
-    /// Names of all registered tables, sorted.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
     }
 
     /// Total approximate size of the catalog in bytes.
@@ -90,16 +80,7 @@ mod tests {
         assert!(!c.has_table("orders"));
         assert_eq!(c.table("lineitem").unwrap().row_count(), 100);
         assert!(matches!(c.table("orders").unwrap_err(), ColumnarError::UnknownTable(_)));
-        assert_eq!(c.table_names().collect::<Vec<_>>(), vec!["lineitem", "part"]);
         assert!(c.byte_size() > 0);
-    }
-
-    #[test]
-    fn register_as_alias() {
-        let mut c = Catalog::new();
-        c.register_as("li_alias", table("lineitem", 5));
-        assert!(c.has_table("li_alias"));
-        assert!(!c.has_table("lineitem"));
     }
 
     #[test]

@@ -94,14 +94,6 @@ impl StringColumn {
         self.dict.iter().position(|d| d == s).map(|p| p as u32)
     }
 
-    /// Returns the set of codes whose dictionary entry satisfies `pred`.
-    ///
-    /// This is the dictionary-side half of a `LIKE`-style predicate: the
-    /// per-row half is a membership test against the returned boolean map.
-    pub fn matching_codes<F: Fn(&str) -> bool>(&self, pred: F) -> Vec<bool> {
-        self.dict.iter().map(|s| pred(s)).collect()
-    }
-
     /// Materializes a sub-range as a new `StringColumn` sharing the dictionary.
     pub fn slice(&self, start: usize, len: usize) -> StringColumn {
         self.with_codes(self.codes[start..start + len].to_vec())
@@ -157,13 +149,6 @@ mod tests {
         assert_eq!(c.code_of("x"), Some(0));
         assert_eq!(c.code_of("y"), Some(1));
         assert_eq!(c.code_of("z"), None);
-    }
-
-    #[test]
-    fn matching_codes_marks_dictionary_entries() {
-        let c = StringColumn::from_values(["PROMO BRUSHED", "STANDARD", "PROMO PLATED"]);
-        let mask = c.matching_codes(|s| s.starts_with("PROMO"));
-        assert_eq!(mask, vec![true, false, true]);
     }
 
     #[test]

@@ -32,22 +32,12 @@ impl Table {
         self.columns.len()
     }
 
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Looks up a column by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
         self.index
             .get(name)
             .map(|&i| &self.columns[i].1)
             .ok_or_else(|| ColumnarError::UnknownColumn(format!("{}.{}", self.name, name)))
-    }
-
-    /// Looks up a column by name, returning an owned (cheap, `Arc`-backed) clone.
-    pub fn column_cloned(&self, name: &str) -> Result<Column> {
-        self.column(name).cloned()
     }
 
     /// True when the table has a column of the given name.
@@ -151,10 +141,6 @@ mod tests {
         assert!(!t.has_column("missing"));
         assert_eq!(t.column("l_quantity").unwrap().i64_values().unwrap(), &[1, 2, 3]);
         assert_eq!(t.column_type("l_discount").unwrap(), DataType::Float64);
-        assert_eq!(
-            t.column_names().collect::<Vec<_>>(),
-            vec!["l_quantity", "l_discount", "l_shipmode"]
-        );
         assert!(t.byte_size() > 0);
     }
 
@@ -181,13 +167,5 @@ mod tests {
         let t = TableBuilder::new("empty").build().unwrap();
         assert_eq!(t.row_count(), 0);
         assert_eq!(t.column_count(), 0);
-    }
-
-    #[test]
-    fn column_cloned_shares_storage() {
-        let t = sample();
-        let c1 = t.column_cloned("l_quantity").unwrap();
-        let c2 = t.column("l_quantity").unwrap();
-        assert!(c1.shares_storage_with(c2));
     }
 }

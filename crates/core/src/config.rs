@@ -1,44 +1,27 @@
 //! Configuration of the adaptive parallelizer.
 
+use crate::convergence::EXTRA_RUNS;
 use crate::error::{CoreError, Result};
 
 /// Tunables of adaptive parallelization and its convergence algorithm.
 ///
-/// Field names follow the paper's formulas (§3): `n_cores` is
-/// `Number_Of_Cores`, `extra_runs` is `Extra_Runs`, `gme_threshold` is the
-/// GME replacement threshold, and `union_input_threshold` is the
-/// plan-explosion guard of §2.3 ("The threshold in the current implementation
-/// is 15 parameters").
+/// Only what callers set differently lives here. The values the paper prints
+/// are constants beside their readers: [`crate::convergence::GME_THRESHOLD`],
+/// [`crate::convergence::EXTRA_RUNS`], the outlier rule of
+/// [`crate::convergence::ConvergenceState::record_run`] and
+/// [`crate::mutation::medium::UNION_INPUT_THRESHOLD`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// `Number_Of_Cores`: drives credit/debit accumulation, the leaking-debit
     /// threshold run, and the convergence bounds. Usually set to the engine's
     /// worker count.
     pub n_cores: usize,
-    /// GME replacement threshold (fraction of the serial execution time by
-    /// which a run must beat the current GME's improvement). Paper example: 5%.
-    pub gme_threshold: f64,
-    /// `Extra_Runs`: multiplier on `n_cores` that bounds the remaining runs
-    /// used to compute the leaking debit. Paper: 8.
-    pub extra_runs: usize,
-    /// Maximum number of exchange-union inputs before the medium mutation is
-    /// suppressed (plan-explosion guard). Paper: 15.
-    pub union_input_threshold: usize,
     /// Partitions smaller than this are never split further; keeps the
     /// mutation from creating degenerate single-row partitions.
     pub min_partition_rows: usize,
     /// Hard safety cap on the number of adaptive runs (the convergence
     /// algorithm normally terminates long before this).
     pub max_runs: usize,
-    /// A run whose execution time exceeds `outlier_factor × serial time` is
-    /// treated as a noise peak (§3.3.3) and ignored by the credit/debit
-    /// bookkeeping.
-    pub outlier_factor: f64,
-    /// How strongly the profiler's queue-wait share discounts a worsening
-    /// run's debit (`0.0` = ignore contention, the paper's exact algorithm;
-    /// `1.0` = a run that was pure queue wait contributes no debit at all).
-    /// See `ConvergenceState::record_run_contended`.
-    pub contention_discount: f64,
     /// Re-execute the result comparison against the serial plan after every
     /// run (used by tests; disabled in benchmarks).
     pub verify_results: bool,
@@ -48,13 +31,8 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             n_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            gme_threshold: 0.05,
-            extra_runs: 8,
-            union_input_threshold: 15,
             min_partition_rows: 1024,
             max_runs: 256,
-            outlier_factor: 1.0,
-            contention_discount: 0.5,
             verify_results: false,
         }
     }
@@ -84,50 +62,13 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Sets `Extra_Runs`.
-    pub fn with_extra_runs(mut self, extra_runs: usize) -> Self {
-        self.extra_runs = extra_runs.max(1);
-        self
-    }
-
-    /// Sets the contention discount (clamped to `[0, 1]`).
-    pub fn with_contention_discount(mut self, discount: f64) -> Self {
-        self.contention_discount = discount.clamp(0.0, 1.0);
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.n_cores == 0 {
             return Err(CoreError::InvalidConfig("n_cores must be at least 1".into()));
         }
-        if !(0.0..=1.0).contains(&self.gme_threshold) {
-            return Err(CoreError::InvalidConfig(format!(
-                "gme_threshold {} must lie in [0, 1]",
-                self.gme_threshold
-            )));
-        }
-        if self.extra_runs == 0 {
-            return Err(CoreError::InvalidConfig("extra_runs must be at least 1".into()));
-        }
-        if self.union_input_threshold < 2 {
-            return Err(CoreError::InvalidConfig(
-                "union_input_threshold must be at least 2".into(),
-            ));
-        }
         if self.max_runs == 0 {
             return Err(CoreError::InvalidConfig("max_runs must be at least 1".into()));
-        }
-        if self.outlier_factor < 1.0 {
-            return Err(CoreError::InvalidConfig(
-                "outlier_factor below 1.0 would flag improving runs as outliers".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.contention_discount) {
-            return Err(CoreError::InvalidConfig(format!(
-                "contention_discount {} must lie in [0, 1]",
-                self.contention_discount
-            )));
         }
         Ok(())
     }
@@ -140,20 +81,22 @@ impl AdaptiveConfig {
     /// Approximate upper bound on the convergence runs
     /// (`Number_Of_Cores + 1 + Remaining_Runs`, paper §3.3.4).
     pub fn upper_bound_runs(&self) -> usize {
-        self.n_cores + 1 + self.extra_runs * self.n_cores
+        self.n_cores + 1 + EXTRA_RUNS * self.n_cores
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::GME_THRESHOLD;
+    use crate::mutation::medium::UNION_INPUT_THRESHOLD;
 
     #[test]
     fn defaults_follow_the_paper() {
+        assert_eq!(EXTRA_RUNS, 8);
+        assert_eq!(UNION_INPUT_THRESHOLD, 15);
+        assert!((GME_THRESHOLD - 0.05).abs() < 1e-12);
         let c = AdaptiveConfig::default();
-        assert_eq!(c.extra_runs, 8);
-        assert_eq!(c.union_input_threshold, 15);
-        assert!((c.gme_threshold - 0.05).abs() < 1e-12);
         assert!(c.n_cores >= 1);
         c.validate().unwrap();
     }
@@ -163,15 +106,13 @@ mod tests {
         let c = AdaptiveConfig::for_cores(8)
             .with_verification()
             .with_min_partition_rows(10)
-            .with_max_runs(50)
-            .with_extra_runs(4);
+            .with_max_runs(50);
         assert_eq!(c.n_cores, 8);
         assert!(c.verify_results);
         assert_eq!(c.min_partition_rows, 10);
         assert_eq!(c.max_runs, 50);
-        assert_eq!(c.extra_runs, 4);
         assert_eq!(c.lower_bound_runs(), 9);
-        assert_eq!(c.upper_bound_runs(), 8 + 1 + 4 * 8);
+        assert_eq!(c.upper_bound_runs(), 8 + 1 + 8 * 8);
         c.validate().unwrap();
     }
 
@@ -181,36 +122,8 @@ mod tests {
         c.n_cores = 0;
         assert!(c.validate().is_err());
         let mut c = AdaptiveConfig::for_cores(4);
-        c.gme_threshold = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = AdaptiveConfig::for_cores(4);
-        c.extra_runs = 0;
-        assert!(c.validate().is_err());
-        let mut c = AdaptiveConfig::for_cores(4);
-        c.union_input_threshold = 1;
-        assert!(c.validate().is_err());
-        let mut c = AdaptiveConfig::for_cores(4);
         c.max_runs = 0;
         assert!(c.validate().is_err());
-        let mut c = AdaptiveConfig::for_cores(4);
-        c.outlier_factor = 0.5;
-        assert!(c.validate().is_err());
-        let mut c = AdaptiveConfig::for_cores(4);
-        c.contention_discount = 1.5;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn contention_discount_builder_clamps() {
-        assert_eq!(
-            AdaptiveConfig::for_cores(2).with_contention_discount(2.0).contention_discount,
-            1.0
-        );
-        assert_eq!(
-            AdaptiveConfig::for_cores(2).with_contention_discount(-1.0).contention_discount,
-            0.0
-        );
-        assert!((AdaptiveConfig::default().contention_discount - 0.5).abs() < 1e-12);
     }
 
     #[test]

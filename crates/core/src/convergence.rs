@@ -19,21 +19,16 @@
 //! `Number_Of_Cores` runs have passed), and convergence in a noisy
 //! environment (runs slower than the serial execution are treated as outlier
 //! peaks and ignored).
-//!
-//! **Contention awareness.** Beyond the paper's algorithm, the state accepts
-//! the profiler's queue-wait share per run
-//! ([`ConvergenceState::record_run_contended`]): the fraction of a run's
-//! in-system time its operators spent queued behind other work rather than
-//! executing. A worsening run's *debit* is scaled by `1 − discount ×
-//! wait_share` — a slowdown that coincides with heavy queueing is evidence of
-//! scheduler interference (concurrent queries fighting for the worker pool,
-//! §4.2.3), not evidence that the mutated plan is worse, so it should not
-//! drain the search budget at full weight. Credits are never scaled: genuine
-//! improvements keep their full value. [`ConvergenceState::record_run`] is
-//! the zero-contention special case and behaves exactly as the paper's
-//! formulas.
 
 use crate::config::AdaptiveConfig;
+
+/// GME replacement threshold (§3.1): the fraction of the serial execution
+/// time by which a run must beat the current GME's improvement. Paper: 5 %.
+pub const GME_THRESHOLD: f64 = 0.05;
+
+/// `Extra_Runs` (§3.3.2): multiplier on `Number_Of_Cores` bounding the
+/// remaining runs over which the leaking debit drains the credit. Paper: 8.
+pub const EXTRA_RUNS: usize = 8;
 
 /// Bookkeeping for a single adaptive run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,9 +39,6 @@ pub struct RunObservation {
     pub exec_us: u64,
     /// Rate of improvement relative to the previous (non-outlier) run.
     pub roi: f64,
-    /// Queue-wait share of the run (`0.0` when recorded without contention
-    /// feedback): fraction of in-system operator time spent queued.
-    pub wait_share: f64,
     /// True when the run was classified as a noise peak and ignored.
     pub is_outlier: bool,
     /// Credit accumulated so far.
@@ -107,7 +99,6 @@ impl ConvergenceState {
             run: 0,
             exec_us,
             roi: 0.0,
-            wait_share: 0.0,
             is_outlier: false,
             credit: self.credit,
             debit: self.debit,
@@ -117,21 +108,9 @@ impl ConvergenceState {
     }
 
     /// Records one adaptive (parallel) run and updates credit, debit, GME and
-    /// the leaking debit. Equivalent to
-    /// [`ConvergenceState::record_run_contended`] with a zero queue-wait
-    /// share (the paper's exact formulas).
+    /// the leaking debit.
     pub fn record_run(&mut self, exec_us: u64) -> RunObservation {
-        self.record_run_contended(exec_us, 0.0)
-    }
-
-    /// Records one adaptive run together with the profiler's queue-wait
-    /// share (see [`apq_engine::QueryProfile::queue_wait_share`]): the debit
-    /// of a worsening run is scaled by `1 − contention_discount × wait_share`
-    /// so that slowdowns caused by scheduler interference do not drain the
-    /// search budget at full weight.
-    pub fn record_run_contended(&mut self, exec_us: u64, wait_share: f64) -> RunObservation {
         let exec_us = exec_us.max(1);
-        let wait_share = wait_share.clamp(0.0, 1.0);
         let serial = self.serial_us.expect("record_serial must be called first");
         self.run_index += 1;
         let run = self.run_index;
@@ -139,7 +118,7 @@ impl ConvergenceState {
         // Outlier peaks (noisy environment, §3.3.3): a run slower than the
         // serial execution is ignored — no credit, no debit, no GME update —
         // which "allows the immediate next run to execute".
-        let is_outlier = (exec_us as f64) > self.config.outlier_factor * serial as f64;
+        let is_outlier = exec_us > serial;
 
         let prev = self.prev_us.unwrap_or(serial);
         let roi = if is_outlier {
@@ -153,11 +132,7 @@ impl ConvergenceState {
             if roi > 0.0 {
                 self.credit += roi * self.config.n_cores as f64;
             } else {
-                // Contention-aware debit: discount the share of the slowdown
-                // attributable to queueing behind concurrent work.
-                let contention_scale =
-                    1.0 - (self.config.contention_discount * wait_share).clamp(0.0, 1.0);
-                self.debit += roi.abs() * self.config.n_cores as f64 * contention_scale;
+                self.debit += roi.abs() * self.config.n_cores as f64;
             }
             self.prev_us = Some(exec_us);
 
@@ -179,7 +154,7 @@ impl ConvergenceState {
                 Some(gme) => {
                     let cur_imprv = (serial as f64 - exec_us as f64).abs() / serial as f64;
                     let gme_imprv = (serial as f64 - gme as f64).abs() / serial as f64;
-                    if exec_us < gme && cur_imprv - gme_imprv > self.config.gme_threshold {
+                    if exec_us < gme && cur_imprv - gme_imprv > GME_THRESHOLD {
                         self.gme_us = Some(exec_us);
                         self.gme_run = run;
                         became_gme = true;
@@ -191,7 +166,7 @@ impl ConvergenceState {
         // Leaking debit (§3.3.2): once the threshold run (Number_Of_Cores) is
         // crossed, a constant debit drains the credit accumulated so far.
         if run == self.config.n_cores {
-            let remaining_runs = (self.config.extra_runs * self.config.n_cores).max(1);
+            let remaining_runs = (EXTRA_RUNS * self.config.n_cores).max(1);
             self.leaking_debit = Some(self.credit / remaining_runs as f64);
         }
         if run > self.config.n_cores {
@@ -204,7 +179,6 @@ impl ConvergenceState {
             run,
             exec_us,
             roi,
-            wait_share,
             is_outlier,
             credit: self.credit,
             debit: self.debit,
@@ -376,9 +350,7 @@ mod tests {
 
     #[test]
     fn gme_threshold_discards_marginal_improvements() {
-        let mut cfg = config(8);
-        cfg.gme_threshold = 0.05;
-        let mut c = ConvergenceState::new(cfg);
+        let mut c = ConvergenceState::new(config(8));
         c.record_serial(100_000);
         c.record_run(50_000); // GME = 50_000 (improvement 50%)
         assert_eq!(c.gme_us(), Some(50_000));
@@ -410,57 +382,6 @@ mod tests {
         assert_eq!(obs[2].run, 2);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.serial_us(), Some(1_000));
-    }
-
-    #[test]
-    fn contended_slowdowns_debit_less_than_quiet_slowdowns() {
-        // Two identical histories; in one, the worsening run is reported as
-        // 80% queue wait. With the default 0.5 discount its debit must be
-        // scaled by 1 − 0.5·0.8 = 0.6.
-        let mut quiet = ConvergenceState::new(config(8));
-        let mut contended = ConvergenceState::new(config(8));
-        for c in [&mut quiet, &mut contended] {
-            c.record_serial(10_000);
-            c.record_run(5_000);
-        }
-        let q = quiet.record_run(8_000);
-        let c = contended.record_run_contended(8_000, 0.8);
-        assert_eq!(q.roi, c.roi, "ROI itself is contention-independent");
-        assert!(c.debit < q.debit, "contended debit {} not below quiet debit {}", c.debit, q.debit);
-        let quiet_debit = q.debit;
-        let contended_debit = c.debit;
-        assert!(
-            (contended_debit - quiet_debit * 0.6).abs() < 1e-9,
-            "expected debit scale 0.6: quiet {quiet_debit}, contended {contended_debit}"
-        );
-        assert!(contended.balance() > quiet.balance());
-        assert_eq!(c.wait_share, 0.8);
-        assert_eq!(q.wait_share, 0.0);
-    }
-
-    #[test]
-    fn contention_never_scales_credits_and_clamps_inputs() {
-        let mut c = ConvergenceState::new(config(4));
-        c.record_serial(10_000);
-        // Improving run with (nonsense) wait share: credit must be the full
-        // ROI × cores regardless.
-        let obs = c.record_run_contended(5_000, 7.5);
-        assert!(obs.roi > 0.0);
-        assert_eq!(obs.wait_share, 1.0, "wait share is clamped to [0, 1]");
-        let mut reference = ConvergenceState::new(config(4));
-        reference.record_serial(10_000);
-        let ref_obs = reference.record_run(5_000);
-        assert_eq!(obs.credit, ref_obs.credit);
-        // With discount 1 and wait share 1, a worsening run adds no debit.
-        let mut cfg = config(4);
-        cfg.contention_discount = 1.0;
-        let mut full = ConvergenceState::new(cfg);
-        full.record_serial(10_000);
-        full.record_run(5_000);
-        let b = full.balance();
-        let obs = full.record_run_contended(9_000, 1.0);
-        assert!(!obs.is_outlier);
-        assert_eq!(full.balance(), b, "fully-contended slowdown must not debit");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::config::AdaptiveConfig;
-use crate::mutation::split::can_split;
+use crate::mutation::{medium::UNION_INPUT_THRESHOLD, split::can_split};
 
 /// What kind of mutation a candidate operator calls for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub fn ranked_candidates(
         match spec {
             OperatorSpec::ExchangeUnion => {
                 let n_inputs = plan.node(op.node).expect("live node").inputs.len();
-                if n_inputs <= config.union_input_threshold {
+                if n_inputs <= UNION_INPUT_THRESHOLD {
                     out.push(Candidate {
                         node: op.node,
                         duration_us: op.duration_us,
@@ -104,7 +104,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: costs
@@ -173,23 +172,26 @@ mod tests {
 
     #[test]
     fn unions_are_medium_candidates_unless_too_wide() {
-        let mut p = Plan::new();
-        let a = p.add(scan(10_000), vec![]);
-        let pred = Predicate::cmp(CmpOp::Lt, 5i64);
-        let selects: Vec<NodeId> = (0..4)
-            .map(|_| p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a]))
-            .collect();
-        let union = p.add(OperatorSpec::ExchangeUnion, selects);
-        p.set_root(union);
-        let prof = profile(&p, &[(union, 9_000, 100), (0, 100, 10_000)]);
         let cfg = AdaptiveConfig::for_cores(4);
-        let ranked = ranked_candidates(&p, &prof, &cfg);
-        assert_eq!(ranked[0].node, union);
-        assert_eq!(ranked[0].action, TargetAction::PropagateUnion);
-
-        let mut narrow = cfg.clone();
-        narrow.union_input_threshold = 3;
-        assert!(ranked_candidates(&p, &prof, &narrow).iter().all(|c| c.node != union));
+        for (n_inputs, candidate) in
+            [(UNION_INPUT_THRESHOLD, true), (UNION_INPUT_THRESHOLD + 1, false)]
+        {
+            let mut p = Plan::new();
+            let a = p.add(scan(10_000), vec![]);
+            let pred = Predicate::cmp(CmpOp::Lt, 5i64);
+            let selects: Vec<NodeId> = (0..n_inputs)
+                .map(|_| p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a]))
+                .collect();
+            let union = p.add(OperatorSpec::ExchangeUnion, selects);
+            p.set_root(union);
+            let prof = profile(&p, &[(union, 9_000, 100), (a, 100, 10_000)]);
+            let ranked = ranked_candidates(&p, &prof, &cfg);
+            assert_eq!(ranked.iter().any(|c| c.node == union), candidate, "{n_inputs} inputs");
+            if candidate {
+                assert_eq!(ranked[0].node, union);
+                assert_eq!(ranked[0].action, TargetAction::PropagateUnion);
+            }
+        }
     }
 
     #[test]

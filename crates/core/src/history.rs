@@ -67,11 +67,6 @@ impl PlanHistory {
     pub fn best(&self) -> Option<&PlanVersion> {
         self.versions.iter().min_by_key(|v| v.exec_us)
     }
-
-    /// The most recent version.
-    pub fn latest(&self) -> Option<&PlanVersion> {
-        self.versions.last()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,6 @@ mod tests {
         assert!(!h.is_empty());
         assert_eq!(h.best().unwrap().run, 1);
         assert_eq!(h.best().unwrap().exec_us, 600);
-        assert_eq!(h.latest().unwrap().run, 2);
         assert_eq!(h.at_run(0).unwrap().node_count, 1);
         assert_eq!(h.at_run(2).unwrap().node_count, 5);
         assert!(h.at_run(7).is_none());

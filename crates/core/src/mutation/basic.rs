@@ -145,7 +145,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: plan
@@ -319,7 +318,6 @@ mod tests {
         let empty_prof = QueryProfile {
             wall_time: Duration::from_micros(1),
             n_workers: 1,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: vec![],

@@ -20,11 +20,13 @@ use std::collections::HashMap;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
-use crate::config::AdaptiveConfig;
 use crate::error::{CoreError, Result};
 use crate::mutation::basic::is_combiner;
 use crate::mutation::split::output_len;
 use crate::mutation::{MutationKind, MutationOutcome};
+
+/// §2.3's plan-explosion guard: a union with more inputs is not removed.
+pub const UNION_INPUT_THRESHOLD: usize = 15;
 
 /// Attempts the medium mutation on the exchange-union node `union_id`.
 ///
@@ -36,14 +38,12 @@ pub fn propagate_union(
     plan: &mut Plan,
     profile: &QueryProfile,
     union_id: NodeId,
-    config: &AdaptiveConfig,
 ) -> Result<Option<MutationOutcome>> {
     let union_node = plan.node(union_id).map_err(CoreError::from)?.clone();
     if !matches!(union_node.spec, OperatorSpec::ExchangeUnion) {
         return Err(CoreError::Mutation(format!("node {union_id} is not an exchange union")));
     }
-    // Plan-explosion guard.
-    if union_node.inputs.len() > config.union_input_threshold {
+    if union_node.inputs.len() > UNION_INPUT_THRESHOLD {
         return Ok(None);
     }
     let consumers = plan.consumers(union_id);
@@ -184,7 +184,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: rows
@@ -235,8 +234,7 @@ mod tests {
     fn medium_mutation_clones_the_consumer_per_union_input() {
         let (mut p, s0, s1, union, fetch) = union_plan();
         let prof = profile_with(&[(s0, 60), (s1, 40), (union, 100), (fetch, 100)]);
-        let cfg = AdaptiveConfig::for_cores(4);
-        let outcome = propagate_union(&mut p, &prof, union, &cfg).unwrap().unwrap();
+        let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Medium);
         assert_eq!(outcome.clones.len(), 2);
@@ -275,8 +273,7 @@ mod tests {
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
         let prof = profile_with(&[(f0, 500), (f1, 500), (union, 1000), (agg, 1)]);
-        let cfg = AdaptiveConfig::for_cores(4);
-        let outcome = propagate_union(&mut p, &prof, union, &cfg).unwrap().unwrap();
+        let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.combiner, fin);
         assert_eq!(p.count_of("aggregate"), 2);
@@ -284,37 +281,71 @@ mod tests {
         assert_eq!(p.node(fin).unwrap().inputs.len(), 2);
     }
 
+    /// `union_plan` with `n` selects over `n` 100-row scan partitions.
+    fn wide_union_plan(n: usize) -> (Plan, NodeId, QueryProfile) {
+        let mut p = Plan::new();
+        let pred = Predicate::cmp(CmpOp::Lt, 100i64);
+        let selects: Vec<NodeId> = (0..n)
+            .map(|i| {
+                let part = p.add(
+                    OperatorSpec::ScanColumn {
+                        table: "t".into(),
+                        column: "a".into(),
+                        range: RowRange::new(i * 100, (i + 1) * 100),
+                    },
+                    vec![],
+                );
+                p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![part])
+            })
+            .collect();
+        let union = p.add(OperatorSpec::ExchangeUnion, selects.clone());
+        let b = p.add(scan("b", n * 100), vec![]);
+        let fetch = p.add(OperatorSpec::Fetch, vec![union, b]);
+        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
+        let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+        p.set_root(fin);
+        let mut rows: Vec<(NodeId, usize)> = selects.iter().map(|&s| (s, 10)).collect();
+        rows.extend([(union, n * 10), (fetch, n * 10)]);
+        let prof = profile_with(&rows);
+        (p, union, prof)
+    }
+
     #[test]
     fn guard_suppresses_removal_of_wide_unions() {
-        let (mut p, s0, s1, union, fetch) = union_plan();
-        let prof = profile_with(&[(s0, 60), (s1, 40), (union, 100), (fetch, 100)]);
-        let mut cfg = AdaptiveConfig::for_cores(4);
-        cfg.union_input_threshold = 1; // pretend the union is already too wide
-                                       // Validation would reject threshold 1, but propagate_union only reads it.
-        assert!(propagate_union(&mut p, &prof, union, &cfg).unwrap().is_none());
+        // §2.3: 16 inputs cross the threshold, 15 do not.
+        let (mut p, union, prof) = wide_union_plan(UNION_INPUT_THRESHOLD + 1);
+        let nodes = p.node_count();
+        assert!(propagate_union(&mut p, &prof, union).unwrap().is_none());
         assert!(p.contains(union));
+        assert_eq!(p.node_count(), nodes);
+
+        let (mut p, union, prof) = wide_union_plan(UNION_INPUT_THRESHOLD);
+        let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
+        p.validate().unwrap();
+        assert!(!p.contains(union));
+        assert_eq!(outcome.clones.len(), UNION_INPUT_THRESHOLD);
+        assert_eq!(p.count_of("fetch"), UNION_INPUT_THRESHOLD);
     }
 
     #[test]
     fn multiple_consumers_or_missing_profile_disable_the_mutation() {
-        let cfg = AdaptiveConfig::for_cores(4);
         // Two consumers of the union.
         let (mut p, _, _, union, _) = union_plan();
         let b = p.add(scan("b", 1000), vec![]);
         let extra = p.add(OperatorSpec::Fetch, vec![union, b]);
         let _keep_alive = p.add(OperatorSpec::ExchangeUnion, vec![extra]);
         let prof = profile_with(&[(union, 100)]);
-        assert!(propagate_union(&mut p, &prof, union, &cfg).unwrap().is_none());
+        assert!(propagate_union(&mut p, &prof, union).unwrap().is_none());
 
         // Missing row counts for the union inputs.
         let (mut p, _, _, union, _) = union_plan();
         let empty = profile_with(&[]);
-        assert!(propagate_union(&mut p, &empty, union, &cfg).unwrap().is_none());
+        assert!(propagate_union(&mut p, &empty, union).unwrap().is_none());
 
         // Wrong target kind is a hard error.
         let (mut p, s0, _, _, _) = union_plan();
         let prof = profile_with(&[(s0, 10)]);
-        assert!(propagate_union(&mut p, &prof, s0, &cfg).is_err());
+        assert!(propagate_union(&mut p, &prof, s0).is_err());
     }
 
     #[test]
@@ -337,8 +368,7 @@ mod tests {
         let outer = p.add(OperatorSpec::ExchangeUnion, vec![inner, s2]);
         p.set_root(outer);
         let prof = profile_with(&[(s0, 10), (s1, 10), (s2, 10), (inner, 20)]);
-        let cfg = AdaptiveConfig::for_cores(4);
-        let outcome = propagate_union(&mut p, &prof, inner, &cfg).unwrap().unwrap();
+        let outcome = propagate_union(&mut p, &prof, inner).unwrap().unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.combiner, outer);
         assert!(!p.contains(inner));
@@ -373,8 +403,7 @@ mod tests {
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
         let prof = profile_with(&[(a0, 600), (a1, 400), (union, 1000), (calc, 1000)]);
-        let cfg = AdaptiveConfig::for_cores(4);
-        let outcome = propagate_union(&mut p, &prof, union, &cfg).unwrap().unwrap();
+        let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.clones.len(), 2);
         assert_eq!(p.count_of("slice"), 2);

@@ -81,7 +81,7 @@ pub fn mutate_most_expensive(
                 // most expensive candidate.
                 clone_over_partitions(plan, profile, candidate.node).ok()
             }
-            TargetAction::PropagateUnion => propagate_union(plan, profile, candidate.node, config)?,
+            TargetAction::PropagateUnion => propagate_union(plan, profile, candidate.node)?,
         };
         if let Some(outcome) = attempt {
             return Ok(Some(outcome));
@@ -124,7 +124,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: costs

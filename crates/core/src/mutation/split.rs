@@ -142,7 +142,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(100),
             n_workers: 2,
-            concurrent_peers: 0,
             pipelines: vec![],
             dop_timeline: vec![],
             operators: rows

@@ -30,11 +30,6 @@ impl AdaptiveOptimizer {
         AdaptiveOptimizer { config }
     }
 
-    /// Optimizer configured for the engine's worker count.
-    pub fn for_engine(engine: &Engine) -> Self {
-        AdaptiveOptimizer::new(AdaptiveConfig::for_cores(engine.n_workers()))
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &AdaptiveConfig {
         &self.config
@@ -104,20 +99,7 @@ impl AdaptiveOptimizer {
                 return Err(CoreError::ResultMismatch { run });
             }
             let exec_us = exec.profile.wall_us().max(1);
-            // Feed the profiler's queue-wait share into the balance: runs
-            // slowed down by scheduler interference (concurrent queries on
-            // the shared pool) are debited less than runs whose operators
-            // were genuinely slow. With no concurrent peers, all queue wait
-            // is self-inflicted (the mutation created more ready tasks than
-            // workers) and must keep its full debit weight — discounting it
-            // would reward exactly the over-partitioned plans the algorithm
-            // is trying to abandon.
-            let wait_share = if exec.profile.concurrent_peers > 0 {
-                exec.profile.queue_wait_share()
-            } else {
-                0.0
-            };
-            let obs = convergence.record_run_contended(exec_us, wait_share);
+            let obs = convergence.record_run(exec_us);
             history.record(obs.run, &plan, exec_us);
             let record =
                 run_record(obs.run, &plan, &exec, Some(mutation.kind), obs.is_outlier, obs.balance);
@@ -296,15 +278,14 @@ mod tests {
         let cat = catalog(100);
         let engine = Engine::with_workers(2);
         let mut bad_config = AdaptiveConfig::for_cores(2);
-        bad_config.extra_runs = 0;
+        bad_config.n_cores = 0;
         let optimizer = AdaptiveOptimizer::new(bad_config);
         assert!(matches!(
             optimizer.optimize(&engine, &cat, &serial_plan(100)),
             Err(CoreError::InvalidConfig(_))
         ));
 
-        let optimizer = AdaptiveOptimizer::for_engine(&engine);
-        assert_eq!(optimizer.config().n_cores, 2);
+        let optimizer = AdaptiveOptimizer::new(AdaptiveConfig::for_cores(2));
         let empty = Plan::new();
         assert!(optimizer.optimize(&engine, &cat, &empty).is_err());
     }

@@ -40,7 +40,7 @@ pub enum EngineError {
     /// The query's deadline ([`crate::QueryHandle::deadline`]) expired
     /// before it finished; partial work was cancelled.
     DeadlineExceeded,
-    /// The service shed this submission because its queues are full
+    /// The service refused this submission because its queues are full
     /// ([`crate::ServiceConfig::max_queued`]); retry after backing off.
     Overloaded {
         /// Suggested client backoff before resubmitting, derived from the

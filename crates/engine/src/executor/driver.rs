@@ -61,12 +61,11 @@ pub(super) fn execute(
     plan: &Arc<Plan>,
     catalog: &Arc<Catalog>,
     handle: Arc<QueryHandle>,
-    concurrent_peers: usize,
 ) -> Result<QueryExecution> {
     let graph = PipelinePlan::analyze(plan, engine.config.execution_mode)?;
     let n_steps = graph.steps.len();
     let morsel_rows = engine.config.morsel_rows.max(1);
-    let run = RunContext::new(engine, plan, catalog, handle, concurrent_peers);
+    let run = RunContext::new(engine, plan, catalog, handle);
 
     let state = Arc::new(Driver {
         run,

@@ -24,8 +24,8 @@
 //!   wait-drain-collect tail every submission returns through.
 //!
 //! *Which* worker runs a task *when* is the scheduler's choice — see
-//! [`crate::scheduler`] (per-worker deques with local-first pop, shared
-//! injectors, single-task steals). Because the pool is shared by *all*
+//! [`crate::scheduler`] (per-worker deques with local-first pop, a shared
+//! injector, single-task steals). Because the pool is shared by *all*
 //! concurrently submitted queries, a heavy concurrent workload creates
 //! exactly the resource contention the paper studies; per-task queue-wait
 //! times are recorded in the profile so downstream consumers can tell
@@ -111,28 +111,6 @@ impl EngineConfig {
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self
-    }
-}
-
-/// Per-query submission options: scheduling priority and admitted degree of
-/// parallelism (see [`QueryHandle`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryOptions {
-    /// Scheduling priority; `> 0` uses the scheduler's priority lane.
-    pub priority: u8,
-    /// Maximum concurrently executing tasks of this query (`0` = unlimited).
-    pub admitted_dop: usize,
-}
-
-impl QueryOptions {
-    /// Options with an admitted degree of parallelism.
-    pub fn with_admitted_dop(dop: usize) -> Self {
-        QueryOptions { admitted_dop: dop, ..QueryOptions::default() }
-    }
-
-    /// Options with a scheduling priority.
-    pub fn with_priority(priority: u8) -> Self {
-        QueryOptions { priority, ..QueryOptions::default() }
     }
 }
 
@@ -317,34 +295,31 @@ impl Engine {
         self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
     }
 
-    /// Registers a query with the scheduler, returning its handle. The handle
-    /// can be passed to [`Engine::execute_with_handle`] and retained by the
-    /// caller for mid-flight control (cancellation, DOP re-grants).
-    pub fn register_query(&self, options: QueryOptions) -> Arc<QueryHandle> {
+    /// Registers a query with the scheduler, returning its handle: at most
+    /// `admitted_dop` of its tasks execute at once (`0` = unlimited). The
+    /// handle can be passed to [`Engine::execute_with_handle`] and retained
+    /// by the caller for mid-flight control (cancellation, DOP re-grants).
+    pub fn register_query(&self, admitted_dop: usize) -> Arc<QueryHandle> {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        Arc::new(QueryHandle::new(id, options.priority, options.admitted_dop))
+        Arc::new(QueryHandle::new(id, admitted_dop))
     }
 
     /// Reserves a registry slot for a query *before* it is submitted: the
     /// returned reservation's handle enters the live-query registry
     /// immediately, so [`Engine::active_queries`] counts it from issue time.
-    /// The cap in `options` is the client's own and stays as set — the
-    /// one-shot admission baseline; [`Engine::reserve_admitted`] is the
-    /// reservation whose cap follows the census.
+    /// The cap `admitted_dop` (`0` = unlimited) is the client's own and
+    /// stays as set — the one-shot admission baseline;
+    /// [`Engine::reserve_admitted`] is the reservation whose cap follows the
+    /// census.
     ///
     /// The reservation is RAII: dropping it removes the handle from the
     /// registry. Executing via [`Engine::execute_with_handle`] with the
     /// reservation's handle records a [`DopPhase::Submit`] timeline event
     /// and leaves registration to the reservation — the slot stays held
     /// across repeated submissions until the client drops it.
-    pub fn reserve_query(&self, options: QueryOptions) -> ReservedQuery {
+    pub fn reserve_query(&self, admitted_dop: usize) -> ReservedQuery {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let handle = Arc::new(QueryHandle::with_phase(
-            id,
-            options.priority,
-            options.admitted_dop,
-            DopPhase::Reserve,
-        ));
+        let handle = Arc::new(QueryHandle::with_phase(id, admitted_dop, DopPhase::Reserve));
         lock(&self.registry).live.insert(id, Arc::clone(&handle));
         ReservedQuery { handle, registry: Arc::clone(&self.registry) }
     }
@@ -364,9 +339,9 @@ impl Engine {
     /// use apq_engine::{DopPhase, Engine};
     ///
     /// let engine = Engine::with_workers(4);
-    /// let first = engine.reserve_admitted(0);
+    /// let first = engine.reserve_admitted();
     /// assert_eq!(first.handle().admitted_dop(), 4); // alone: whole pool
-    /// let second = engine.reserve_admitted(0);
+    /// let second = engine.reserve_admitted();
     /// assert_eq!(second.handle().admitted_dop(), 2); // equal share of 2
     /// assert_eq!(first.handle().admitted_dop(), 2); // clawed back
     /// // Both are census-visible before any submission:
@@ -375,11 +350,11 @@ impl Engine {
     /// assert_eq!(second.handle().admitted_dop(), 4); // re-granted
     /// assert_eq!(second.handle().dop_timeline().last().unwrap().phase, DopPhase::Regrant);
     /// ```
-    pub fn reserve_admitted(&self, priority: u8) -> ReservedQuery {
+    pub fn reserve_admitted(&self) -> ReservedQuery {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         let mut registry = lock(&self.registry);
         let share = registry.share(registry.census.len() + 1);
-        let handle = Arc::new(QueryHandle::with_phase(id, priority, share, DopPhase::Reserve));
+        let handle = Arc::new(QueryHandle::with_phase(id, share, DopPhase::Reserve));
         registry.live.insert(id, Arc::clone(&handle));
         registry.census.push(Arc::clone(&handle));
         registry.regrant();
@@ -445,13 +420,13 @@ impl Engine {
         plan: &Arc<Plan>,
         catalog: &Arc<Catalog>,
     ) -> Result<QueryExecution> {
-        let handle = self.register_query(QueryOptions::default());
+        let handle = self.register_query(0);
         self.execute_with_handle(plan, catalog, handle)
     }
 
     /// Executes a plan under an explicit [`QueryHandle`] (from
     /// [`Engine::register_query`]), giving the caller per-query scheduling
-    /// control: priority, admitted degree of parallelism, cancellation.
+    /// control: admitted degree of parallelism, cancellation, deadline.
     pub fn execute_with_handle(
         &self,
         plan: &Arc<Plan>,
@@ -460,11 +435,8 @@ impl Engine {
     ) -> Result<QueryExecution> {
         plan.validate()?;
 
-        // Count of *other* queries in flight at submission, recorded in the
-        // profile so consumers of the queue-wait signal can tell cross-query
-        // interference from self-inflicted queueing (more partitions than
-        // workers). The guard keeps the counter balanced on error returns.
-        let concurrent_peers = self.in_flight.fetch_add(1, Ordering::AcqRel);
+        // The guard keeps the in-flight gauge balanced on error returns.
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
         struct InFlightGuard<'a>(&'a AtomicUsize);
         impl Drop for InFlightGuard<'_> {
             fn drop(&mut self) {
@@ -518,7 +490,7 @@ impl Engine {
             return Err(err);
         }
 
-        driver::execute(self, plan, catalog, handle, concurrent_peers)
+        driver::execute(self, plan, catalog, handle)
     }
 }
 

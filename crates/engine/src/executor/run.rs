@@ -53,7 +53,6 @@ pub(super) struct RunContext {
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
     pub n_workers: usize,
-    concurrent_peers: usize,
 }
 
 impl RunContext {
@@ -62,7 +61,6 @@ impl RunContext {
         plan: &Arc<Plan>,
         catalog: &Arc<Catalog>,
         handle: Arc<QueryHandle>,
-        concurrent_peers: usize,
     ) -> Self {
         let capacity = plan.capacity();
         RunContext {
@@ -79,7 +77,6 @@ impl RunContext {
             started: Instant::now(),
             faults: engine.faults.clone(),
             n_workers: engine.config.n_workers,
-            concurrent_peers,
         }
     }
 
@@ -216,7 +213,6 @@ impl RunContext {
         let profile = QueryProfile {
             wall_time: self.started.elapsed(),
             n_workers: self.n_workers,
-            concurrent_peers: self.concurrent_peers,
             operators: self.profiles.iter().filter_map(OnceLock::get).cloned().collect(),
             pipelines: std::mem::take(&mut *lock(&self.pipeline_profiles)),
             dop_timeline: self.handle.dop_timeline(),

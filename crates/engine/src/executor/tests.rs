@@ -210,7 +210,7 @@ fn cancellation_aborts_the_query() {
     let engine = Engine::with_workers(2);
     let cat = catalog(1_000);
     let plan = Arc::new(filter_sum_plan(1_000, 10));
-    let handle = engine.register_query(QueryOptions::default());
+    let handle = engine.register_query(0);
     handle.cancel();
     let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
@@ -222,7 +222,7 @@ fn admitted_dop_throttles_but_preserves_results() {
     let cat = catalog(10_000);
     let plan = Arc::new(filter_sum_plan(10_000, 500));
     let expected = engine.execute_shared(&plan, &cat).unwrap().output;
-    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let handle = engine.register_query(1);
     let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
     assert_eq!(exec.output, expected, "throttled run diverged");
 }
@@ -286,7 +286,7 @@ fn morsel_mode_handles_errors_and_cancellation() {
 
     // Cancellation before submission aborts the query.
     let plan = Arc::new(filter_sum_plan(100, 10));
-    let handle = engine.register_query(QueryOptions::default());
+    let handle = engine.register_query(0);
     handle.cancel();
     let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
@@ -306,7 +306,7 @@ fn morsel_mode_respects_admitted_dop() {
     let cat = catalog(10_000);
     let plan = Arc::new(filter_sum_plan(10_000, 500));
     let expected = engine.execute_shared(&plan, &cat).unwrap().output;
-    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let handle = engine.register_query(1);
     let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
     assert_eq!(exec.output, expected, "throttled morsel run diverged");
 }
@@ -385,7 +385,7 @@ fn refused_submission_still_drains_and_reports_shutdown() {
     for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
         let engine = Engine::new(EngineConfig::with_workers(2).with_execution_mode(mode));
         engine.scheduler.shutdown();
-        let handle = engine.register_query(QueryOptions::default());
+        let handle = engine.register_query(0);
         let plan = Arc::new(filter_sum_plan(1_000, 10));
         let err = engine.execute_with_handle(&plan, &catalog(1_000), Arc::clone(&handle));
         assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{mode}");

@@ -18,9 +18,9 @@
 //!   chains driven by fixed-size morsels, selectable via
 //!   [`EngineConfig::execution_mode`];
 //! * [`scheduler`] — the work-stealing task scheduler (per-worker deques
-//!   plus shared injectors), per-query scheduling state ([`QueryHandle`]:
-//!   priority, admitted DOP, cancellation) and per-worker dispatch
-//!   counters;
+//!   plus one shared injector), per-query scheduling state
+//!   ([`QueryHandle`]: admitted DOP, cancellation, deadline) and per-worker
+//!   dispatch counters;
 //! * [`profiler`] — per-operator execution feedback (time, worker, memory
 //!   claim) and query-level multi-core-utilization metrics;
 //! * [`fault`] — the deterministic chaos layer and the engine's one
@@ -50,7 +50,7 @@ mod sync;
 
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
 pub use error::{EngineError, Result};
-pub use executor::{Engine, EngineConfig, QueryExecution, QueryOptions, ReservedQuery};
+pub use executor::{Engine, EngineConfig, QueryExecution, ReservedQuery};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};

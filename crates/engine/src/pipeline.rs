@@ -307,9 +307,9 @@ impl PipelinePlan {
     pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
         let fuse = mode == ExecutionMode::MorselDriven;
         // Chain heads are found in topological order (a head's producer
-        // must already belong to a step). Without fusion any order does,
-        // and node-id order skips the quadratic sort — operator-at-a-time
-        // plans are the adaptive optimizer's, with hundreds of small nodes.
+        // must already belong to a step). Without fusion any order does, so
+        // node-id order stands in for a second sort — `Plan::validate` ran
+        // the (linear) one for this submission already.
         let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];

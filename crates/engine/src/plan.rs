@@ -9,7 +9,7 @@
 //! per-operator metadata such as which inputs are range-partitionable — lives
 //! here.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 use apq_columnar::partition::RowRange;
@@ -443,10 +443,15 @@ impl Plan {
         self.count_by_name().get(name).copied().unwrap_or(0)
     }
 
-    /// Topological order of the live nodes (producers before consumers).
+    /// Topological order of the live nodes (producers before consumers),
+    /// ties broken by ascending id. Linear in nodes + input edges: it runs on
+    /// every submission ([`Plan::validate`]).
     pub fn topo_order(&self) -> Result<Vec<NodeId>> {
+        let mut in_deg = vec![0usize; self.nodes.len()];
+        // One entry per input reference, so a consumer listing the same
+        // producer several times appears that many times (adjacently).
+        let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         let ids = self.node_ids();
-        let mut in_deg: HashMap<NodeId, usize> = ids.iter().map(|&i| (i, 0)).collect();
         for &id in &ids {
             for &input in &self.node(id)?.inputs {
                 if !self.contains(input) {
@@ -454,21 +459,18 @@ impl Plan {
                         "node {id} references missing node {input}"
                     )));
                 }
-                *in_deg.get_mut(&id).expect("present") += 1;
+                in_deg[id] += 1;
+                consumers[input].push(id);
             }
         }
-        let mut ready: Vec<NodeId> = ids.iter().copied().filter(|i| in_deg[i] == 0).collect();
-        ready.sort_unstable();
+        let mut queue: VecDeque<NodeId> =
+            ids.iter().copied().filter(|&id| in_deg[id] == 0).collect();
         let mut order = Vec::with_capacity(ids.len());
-        let mut queue = std::collections::VecDeque::from(ready);
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            for consumer in self.consumers(id) {
-                let d = in_deg.get_mut(&consumer).expect("present");
-                // A consumer may list the same producer several times.
-                let times = self.node(consumer)?.inputs.iter().filter(|&&i| i == id).count();
-                *d -= times;
-                if *d == 0 {
+            for &consumer in &consumers[id] {
+                in_deg[consumer] -= 1;
+                if in_deg[consumer] == 0 {
                     queue.push_back(consumer);
                 }
             }
@@ -508,42 +510,6 @@ impl Plan {
         }
         self.topo_order()?;
         Ok(())
-    }
-
-    /// Graphviz DOT rendering of the plan DAG.
-    ///
-    /// The paper's companion tool Stethoscope visualizes MAL plans as data
-    /// flow graphs (its Fig. 7); this produces the equivalent picture for the
-    /// plans built and mutated here (`dot -Tsvg plan.dot -o plan.svg`).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{name}\" {{");
-        let _ = writeln!(out, "  rankdir=BT;");
-        let _ = writeln!(out, "  node [shape=box, fontsize=10];");
-        for id in self.node_ids() {
-            let node = self.node(id).expect("live");
-            let fill = match node.spec.name() {
-                "select" | "predmask" => "#cde7cd",
-                "join" | "semijoin" | "antijoin" | "hashbuild" => "#cdd5e7",
-                "union" => "#e7d9cd",
-                "aggregate" | "groupby" | "finalizeagg" | "mergegroup" => "#e7e3cd",
-                _ => "#f2f2f2",
-            };
-            let peripheries = if self.root == Some(id) { 2 } else { 1 };
-            let _ = writeln!(
-                out,
-                "  n{id} [label=\"[{id}] {}\\n{}\", style=filled, fillcolor=\"{fill}\", peripheries={peripheries}];",
-                node.spec.name(),
-                node.spec.describe().replace('"', "'"),
-            );
-        }
-        for id in self.node_ids() {
-            for &input in &self.node(id).expect("live").inputs {
-                let _ = writeln!(out, "  n{input} -> n{id};");
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
     }
 
     /// Human-readable plan dump (one line per node, topological order).
@@ -641,6 +607,112 @@ mod tests {
         assert!(p.splice_input(u, 999, &[s1]).is_err());
     }
 
+    /// The quadratic body `Plan::topo_order` replaced (one `consumers` scan
+    /// per node), kept as the reference the linear one is held to.
+    fn topo_order_reference(plan: &Plan) -> Result<Vec<NodeId>> {
+        let ids = plan.node_ids();
+        let mut in_deg: HashMap<NodeId, usize> = ids.iter().map(|&i| (i, 0)).collect();
+        for &id in &ids {
+            for &input in &plan.node(id)?.inputs {
+                if !plan.contains(input) {
+                    return Err(EngineError::InvalidPlan(format!(
+                        "node {id} references missing node {input}"
+                    )));
+                }
+                *in_deg.get_mut(&id).expect("present") += 1;
+            }
+        }
+        let mut ready: Vec<NodeId> = ids.iter().copied().filter(|i| in_deg[i] == 0).collect();
+        ready.sort_unstable();
+        let mut order = Vec::with_capacity(ids.len());
+        let mut queue = VecDeque::from(ready);
+        while let Some(id) = queue.pop_front() {
+            order.push(id);
+            for consumer in plan.consumers(id) {
+                let d = in_deg.get_mut(&consumer).expect("present");
+                // A consumer may list the same producer several times.
+                let times = plan.node(consumer)?.inputs.iter().filter(|&&i| i == id).count();
+                *d -= times;
+                if *d == 0 {
+                    queue.push_back(consumer);
+                }
+            }
+        }
+        if order.len() != ids.len() {
+            return Err(EngineError::InvalidPlan("plan contains a cycle".to_string()));
+        }
+        Ok(order)
+    }
+
+    /// A ~2,000-node plan of the `heuristic_parallelize(.., 128)` shape:
+    /// per column pair, 128 partition chains (two scans, select, fetch, a
+    /// calc reading its input twice, partial aggregate) under one wide
+    /// union and one wide finalize; a few chains are removed to leave holes
+    /// in the node table, and later columns reuse the first one's scans.
+    fn wide_plan() -> Plan {
+        const PARTITIONS: usize = 128;
+        let mut p = Plan::new();
+        let mut first_scans = Vec::new();
+        let mut roots = Vec::new();
+        for column in 0..3 {
+            let mut selects = Vec::new();
+            let mut partials = Vec::new();
+            for part in 0..PARTITIONS {
+                let range = RowRange::new(part * 100, (part + 1) * 100);
+                let a = if column == 0 {
+                    let a = p.add(
+                        OperatorSpec::ScanColumn { table: "t".into(), column: "a".into(), range },
+                        vec![],
+                    );
+                    first_scans.push(a);
+                    a
+                } else {
+                    first_scans[part]
+                };
+                let b = p.add(
+                    OperatorSpec::ScanColumn { table: "t".into(), column: "b".into(), range },
+                    vec![],
+                );
+                let pred = Predicate::cmp(CmpOp::Lt, column as i64);
+                let sel = p.add(OperatorSpec::Select { predicate: pred }, vec![a]);
+                let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+                let square = p.add(
+                    OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
+                    vec![fetch, fetch],
+                );
+                let dead = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]);
+                if part % 7 == 0 {
+                    p.remove(dead).unwrap();
+                }
+                selects.push(sel);
+                partials.push(p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]));
+            }
+            p.add(OperatorSpec::ExchangeUnion, selects);
+            roots.push(p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials));
+        }
+        let root = p.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, roots[..2].to_vec());
+        p.set_root(root);
+        p
+    }
+
+    #[test]
+    fn topo_order_matches_the_quadratic_reference() {
+        let wide = wide_plan();
+        assert!(wide.node_count() > 2_000, "{} nodes", wide.node_count());
+        let mut rewired = tiny_plan();
+        let sel2 = rewired
+            .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![0]);
+        rewired.replace_input(3, 1, sel2).unwrap();
+        rewired.remove(1).unwrap();
+        let mut cyclic = tiny_plan();
+        cyclic.node_mut(0).unwrap().inputs.push(5);
+        let mut dangling = tiny_plan();
+        dangling.remove(2).unwrap();
+        for plan in [tiny_plan(), rewired, wide, cyclic, dangling, Plan::new()] {
+            assert_eq!(plan.topo_order(), topo_order_reference(&plan));
+        }
+    }
+
     #[test]
     fn topo_order_and_cycles() {
         let p = tiny_plan();
@@ -698,23 +770,6 @@ mod tests {
         let probe = OperatorSpec::HashProbe;
         assert_eq!(probe.name(), "join");
         assert_eq!(probe.aligned_inputs(2), vec![true, false]);
-    }
-
-    #[test]
-    fn dot_export_lists_nodes_and_edges() {
-        let p = tiny_plan();
-        let dot = p.to_dot("q");
-        assert!(dot.starts_with("digraph \"q\""));
-        assert!(dot.ends_with("}\n"));
-        // One node statement per live node, one edge per input reference.
-        let nodes = dot.lines().filter(|l| l.contains("label=")).count();
-        assert_eq!(nodes, p.node_count());
-        let edges = dot.lines().filter(|l| l.contains(" -> ")).count();
-        let inputs: usize = p.node_ids().iter().map(|&id| p.node(id).unwrap().inputs.len()).sum();
-        assert_eq!(edges, inputs);
-        // The root is highlighted with a double border.
-        assert!(dot.contains("peripheries=2"));
-        assert!(dot.contains("select"));
     }
 
     #[test]

@@ -37,8 +37,7 @@ pub struct OperatorProfile {
     pub duration_us: u64,
     /// Time the operator spent queued between becoming runnable (all inputs
     /// materialized) and starting execution, in microseconds. Separates
-    /// "operator was slow" from "operator sat in the queue" — the scheduler-
-    /// interference signal the adaptive convergence loop consumes.
+    /// "operator was slow" from "operator sat in the queue".
     pub queue_wait_us: u64,
     /// Index of the worker thread that executed the operator.
     pub worker: usize,
@@ -137,10 +136,6 @@ pub struct QueryProfile {
     pub wall_time: Duration,
     /// Size of the worker pool that executed the query.
     pub n_workers: usize,
-    /// Number of *other* queries in flight on the engine when this query was
-    /// submitted. Zero means any queue wait in this profile is self-inflicted
-    /// (more ready tasks than workers), not cross-query interference.
-    pub concurrent_peers: usize,
     /// Per-operator profiles (every executed node appears exactly once).
     pub operators: Vec<OperatorProfile>,
     /// Per-pipeline morsel statistics; empty in operator-at-a-time mode.
@@ -199,9 +194,16 @@ impl QueryProfile {
         (self.total_cpu_us() as f64 / denom as f64).min(1.0)
     }
 
-    /// Number of distinct worker threads that executed at least one operator.
+    /// Number of distinct worker threads that executed at least one operator
+    /// or morsel. A fused stage's [`OperatorProfile::worker`] names only the
+    /// worker that assembled its pipeline, so the workers that ran the
+    /// pipeline's morsels are read off [`PipelineProfile::morsels_by_worker`].
     pub fn workers_used(&self) -> usize {
         let mut seen: Vec<usize> = self.operators.iter().map(|o| o.worker).collect();
+        for pipeline in &self.pipelines {
+            let ran = pipeline.morsels_by_worker.iter().enumerate().filter(|(_, &n)| n > 0);
+            seen.extend(ran.map(|(worker, _)| worker));
+        }
         seen.sort_unstable();
         seen.dedup();
         seen.len()
@@ -288,38 +290,6 @@ impl QueryProfile {
         out
     }
 
-    /// Total execution time per operator family, in microseconds.
-    pub fn time_by_name(&self) -> HashMap<&'static str, u64> {
-        let mut out = HashMap::new();
-        for op in &self.operators {
-            *out.entry(op.name).or_insert(0) += op.duration_us;
-        }
-        out
-    }
-
-    /// Exports the per-operator profile as CSV (header plus one line per
-    /// executed operator) for offline analysis or plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "node,operator,worker,start_us,duration_us,queue_wait_us,rows_out,bytes_out\n",
-        );
-        for op in &self.operators {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                op.node,
-                op.name,
-                op.worker,
-                op.start_us,
-                op.duration_us,
-                op.queue_wait_us,
-                op.rows_out,
-                op.bytes_out
-            );
-        }
-        out
-    }
-
     /// Tomograph-style ASCII timeline: one lane per worker, time flowing to
     /// the right, each cell showing the operator family that was running
     /// (`S`elect, `J`oin, `U`nion, `F`etch, `C`alc, `A`ggregate, `.` idle).
@@ -399,7 +369,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            concurrent_peers: 0,
             operators: vec![
                 op(0, "scan", 0, 50, 0),
                 op(1, "select", 50, 400, 0),
@@ -433,9 +402,6 @@ mod tests {
         let counts = p.count_by_name();
         assert_eq!(counts["select"], 2);
         assert_eq!(counts["union"], 1);
-        let times = p.time_by_name();
-        assert_eq!(times["select"], 700);
-        assert_eq!(times["aggregate"], 200);
     }
 
     #[test]
@@ -454,14 +420,27 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_has_one_line_per_operator() {
-        let p = sample();
-        let csv = p.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + p.operators.len());
-        assert!(lines[0].starts_with("node,operator,worker"));
-        assert!(lines[1].contains("scan"));
-        assert!(lines.iter().any(|l| l.contains("union")));
+    fn workers_used_counts_morsel_workers_not_only_the_assembler() {
+        // One fused pipeline whose morsels ran on workers 0 and 1; worker 0
+        // finished the last morsel, so both stages' profiles name worker 0.
+        let p = QueryProfile {
+            wall_time: Duration::from_micros(1000),
+            n_workers: 2,
+            operators: vec![op(0, "scan", 0, 50, 0), op(1, "select", 0, 400, 0)],
+            pipelines: vec![PipelineProfile {
+                step: 0,
+                nodes: vec![0, 1],
+                n_morsels: 4,
+                morsel_rows: 1024,
+                source_rows: 4096,
+                queue_wait_us: 0,
+                morsels_by_worker: vec![3, 1],
+                groupagg_fused: false,
+            }],
+            dop_timeline: vec![],
+        };
+        assert_eq!(p.workers_used(), 2);
+        assert_eq!(p.multi_core_utilization(), 1.0);
     }
 
     #[test]
@@ -534,7 +513,6 @@ mod tests {
         let p = QueryProfile {
             wall_time: Duration::ZERO,
             n_workers: 0,
-            concurrent_peers: 0,
             operators: vec![],
             pipelines: vec![],
             dop_timeline: vec![],

@@ -9,8 +9,8 @@
 //!   locality, the work-stealing idiom of §4.1.1 (and of noria's sharded
 //!   workers). It accepts ready tasks, hands them to worker threads and
 //!   exposes per-worker counters;
-//! * [`QueryHandle`] — per-query scheduling state: query id, priority,
-//!   admitted degree of parallelism, and a cancellation flag, so admission
+//! * [`QueryHandle`] — per-query scheduling state: query id, admitted
+//!   degree of parallelism, and a cancellation flag, so admission
 //!   control ([`crate::executor::Engine::execute_with_handle`]) is enforced
 //!   by the scheduler rather than by a plan-rewriting shim;
 //! * [`SchedulerStats`] / [`WorkerStats`] — per-worker `local` / `steal` /
@@ -19,10 +19,9 @@
 //! **Queue-wait feedback.** Every task records the time between becoming
 //! runnable (all inputs materialized) and starting execution. The executor
 //! writes it into [`crate::profiler::OperatorProfile::queue_wait_us`],
-//! separating "the operator was slow" from "the operator sat in the queue" —
-//! the signal the adaptive convergence loop uses to avoid debiting a plan for
-//! scheduler interference it did not cause (paper §4.2.3's concurrent-
-//! workload analysis).
+//! separating "the operator was slow" from "the operator sat in the queue"
+//! (paper §4.2.3's concurrent-workload analysis reads it through
+//! [`crate::profiler::QueryProfile::queue_wait_share`]).
 //!
 //! Dispatch order never affects query *results*: dependency order is
 //! enforced by the executor's atomic dependency counters, never by queue
@@ -66,7 +65,6 @@ impl crate::EngineConfig {
 #[derive(Debug)]
 pub struct QueryHandle {
     id: u64,
-    priority: u8,
     admitted_dop: AtomicUsize,
     cancelled: AtomicBool,
     running: AtomicUsize,
@@ -94,17 +92,16 @@ pub struct QueryHandle {
 
 impl QueryHandle {
     /// Creates a handle. `admitted_dop == 0` means "no per-query cap".
-    pub(crate) fn new(id: u64, priority: u8, admitted_dop: usize) -> Self {
-        QueryHandle::with_phase(id, priority, admitted_dop, DopPhase::Admit)
+    pub(crate) fn new(id: u64, admitted_dop: usize) -> Self {
+        QueryHandle::with_phase(id, admitted_dop, DopPhase::Admit)
     }
 
     /// Creates a handle whose initial timeline event carries `phase` —
     /// [`DopPhase::Reserve`] for census reservations
     /// ([`crate::Engine::reserve_admitted`]), [`DopPhase::Admit`] otherwise.
-    pub(crate) fn with_phase(id: u64, priority: u8, admitted_dop: usize, phase: DopPhase) -> Self {
+    pub(crate) fn with_phase(id: u64, admitted_dop: usize, phase: DopPhase) -> Self {
         QueryHandle {
             id,
-            priority,
             admitted_dop: AtomicUsize::new(admitted_dop),
             cancelled: AtomicBool::new(false),
             running: AtomicUsize::new(0),
@@ -135,12 +132,6 @@ impl QueryHandle {
         self.id
     }
 
-    /// Scheduling priority; tasks of priority `> 0` are dispatched before
-    /// normal-priority tasks waiting in the shared injector.
-    pub fn priority(&self) -> u8 {
-        self.priority
-    }
-
     /// Admitted degree of parallelism: at most this many tasks of the query
     /// execute simultaneously (`0` = unlimited). This is how admission
     /// control becomes a scheduler policy — the plan can stay maximally
@@ -161,10 +152,10 @@ impl QueryHandle {
     /// executor publishes as [`crate::profiler::QueryProfile::dop_timeline`].
     ///
     /// ```
-    /// use apq_engine::{Engine, QueryOptions};
+    /// use apq_engine::Engine;
     ///
     /// let engine = Engine::with_workers(2);
-    /// let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    /// let handle = engine.register_query(1);
     /// assert_eq!(handle.admitted_dop(), 1);
     /// // The client — or the engine, for a census reservation — re-grants:
     /// handle.set_admitted_dop(4);
@@ -313,7 +304,7 @@ pub enum TaskOrigin {
     Local,
     /// Stolen from another worker's deque.
     Stolen,
-    /// Taken from a shared injector.
+    /// Taken from the shared injector.
     Injected,
 }
 
@@ -448,7 +439,7 @@ pub struct WorkerStats {
     pub local_hits: u64,
     /// Tasks stolen from sibling workers' deques.
     pub steals: u64,
-    /// Tasks taken from the shared injectors.
+    /// Tasks taken from the shared injector.
     pub injector_hits: u64,
     /// Total time tasks executed by this worker spent queued, microseconds.
     pub queue_wait_us: u64,
@@ -545,9 +536,8 @@ mod tests {
 
     #[test]
     fn query_handle_state_machine() {
-        let h = QueryHandle::new(7, 2, 3);
+        let h = QueryHandle::new(7, 3);
         assert_eq!(h.id(), 7);
-        assert_eq!(h.priority(), 2);
         assert_eq!(h.admitted_dop(), 3);
         assert!(!h.is_cancelled());
         assert_eq!(h.running(), 0);
@@ -568,7 +558,7 @@ mod tests {
 
     #[test]
     fn deadline_state_machine() {
-        let h = QueryHandle::new(9, 0, 1);
+        let h = QueryHandle::new(9, 1);
         assert!(h.deadline().is_none());
         assert!(!h.deadline_exceeded());
         h.set_deadline(Duration::from_secs(3600));
@@ -591,7 +581,7 @@ mod tests {
 
     #[test]
     fn slot_acquisition_is_race_free() {
-        let h = Arc::new(QueryHandle::new(1, 0, 2));
+        let h = Arc::new(QueryHandle::new(1, 2));
         let acquired = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..8)
             .map(|_| {

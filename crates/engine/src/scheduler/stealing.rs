@@ -5,16 +5,15 @@
 //! follow-up tasks produced *on* a worker are pushed to that worker's own
 //! queue and popped oldest-first (thieves take the oldest task too), so a
 //! chunk's consumer usually runs on the core that just materialized the
-//! chunk. Tasks submitted from *outside* the pool (query seeding) enter a
-//! shared injector queue; a second injector forms the priority lane. Every
-//! queue is a `Mutex<VecDeque<Task>>` — lock-based, not lock-free: any
-//! scheduler-overhead reading is a reading of that.
+//! chunk. Tasks submitted from *outside* the pool (query seeding) enter the
+//! one shared injector queue. Every queue is a `Mutex<VecDeque<Task>>` —
+//! lock-based, not lock-free: any scheduler-overhead reading is a reading of
+//! that.
 //!
 //! Dispatch order per worker:
 //! 1. own queue (locality),
-//! 2. priority injector,
-//! 3. normal injector,
-//! 4. steal from sibling queues, round-robin starting after own index.
+//! 2. the injector,
+//! 3. steal from sibling queues, round-robin starting after own index.
 //!
 //! Every grab — injector or sibling — takes exactly one task (see
 //! `find_task` for why nothing is moved in batches).
@@ -47,7 +46,7 @@ struct WorkerSlot {
     counters: WorkerCounters,
 }
 
-/// The engine's scheduler: per-worker queues + shared injectors.
+/// The engine's scheduler: per-worker queues + a shared injector.
 ///
 /// The executor tracks dataflow dependencies and submits a [`Task`] exactly
 /// when it becomes runnable; the scheduler decides which worker runs it when.
@@ -55,7 +54,6 @@ struct WorkerSlot {
 /// arbitrary order — dependency order is the executor's responsibility.
 pub struct Scheduler {
     injector: Queue,
-    high_injector: Queue,
     workers: Vec<WorkerSlot>,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
@@ -76,7 +74,6 @@ impl Scheduler {
     pub(crate) fn with_faults(n_workers: usize, faults: Option<Arc<FaultInjector>>) -> Self {
         Scheduler {
             injector: Queue::default(),
-            high_injector: Queue::default(),
             workers: (0..n_workers.max(1)).map(|_| WorkerSlot::default()).collect(),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
@@ -100,8 +97,7 @@ impl Scheduler {
         if requeue {
             task.requeued();
         }
-        let lane = if task.handle().priority() > 0 { &self.high_injector } else { &self.injector };
-        lock(lane).push_back(task);
+        lock(&self.injector).push_back(task);
         self.notify_one();
     }
 
@@ -117,7 +113,7 @@ impl Scheduler {
         if let Some(task) = pop(&self.workers[worker].queue) {
             return Some((task, TaskOrigin::Local));
         }
-        if let Some(task) = pop(&self.high_injector).or_else(|| pop(&self.injector)) {
+        if let Some(task) = pop(&self.injector) {
             return Some((task, TaskOrigin::Injected));
         }
         let n = self.workers.len();
@@ -128,9 +124,7 @@ impl Scheduler {
 
     fn queues_are_empty(&self) -> bool {
         let empty = |queue: &Queue| lock(queue).is_empty();
-        empty(&self.high_injector)
-            && empty(&self.injector)
-            && self.workers.iter().all(|w| empty(&w.queue))
+        empty(&self.injector) && self.workers.iter().all(|w| empty(&w.queue))
     }
 
     /// Submits a task from outside the worker pool (query seeding). Returns
@@ -229,8 +223,8 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    fn handle(id: u64, priority: u8, dop: usize) -> Arc<QueryHandle> {
-        Arc::new(QueryHandle::new(id, priority, dop))
+    fn handle(id: u64, dop: usize) -> Arc<QueryHandle> {
+        Arc::new(QueryHandle::new(id, dop))
     }
 
     fn run_pool(sched: &Arc<Scheduler>, n: usize) -> Vec<std::thread::JoinHandle<()>> {
@@ -248,7 +242,7 @@ mod tests {
         let executed = Arc::new(AtomicUsize::new(0));
         for i in 0..50 {
             let executed = Arc::clone(&executed);
-            assert!(sched.submit(Task::new(handle(i, 0, 0), move |_ctx| {
+            assert!(sched.submit(Task::new(handle(i, 0), move |_ctx| {
                 executed.fetch_add(1, Ordering::AcqRel);
             })));
         }
@@ -261,7 +255,7 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(sched.stats().total_executed(), 50);
-        assert!(!sched.submit(Task::new(handle(99, 0, 0), |_ctx| {})));
+        assert!(!sched.submit(Task::new(handle(99, 0), |_ctx| {})));
     }
 
     #[test]
@@ -270,7 +264,7 @@ mod tests {
         let executed = Arc::new(AtomicUsize::new(0));
         // One seed task fans out 40 follow-ups from whichever worker runs it;
         // the other worker can only get work by stealing.
-        let h = handle(1, 0, 0);
+        let h = handle(1, 0);
         let ex = Arc::clone(&executed);
         let h2 = Arc::clone(&h);
         sched.submit(Task::new(Arc::clone(&h), move |ctx| {
@@ -303,7 +297,7 @@ mod tests {
         // (label, worker, origin) of every follow-up, in start order.
         let runs = Arc::new(Mutex::new(Vec::new()));
         let owner = Arc::new(AtomicUsize::new(usize::MAX));
-        let h = handle(1, 0, 0);
+        let h = handle(1, 0);
         let (h2, runs2, owner2) = (Arc::clone(&h), Arc::clone(&runs), Arc::clone(&owner));
         sched.submit(Task::new(Arc::clone(&h), move |ctx| {
             owner2.store(ctx.worker, Ordering::Release);
@@ -347,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn normal_injector_is_fifo_across_submitting_threads() {
+    fn injector_is_fifo_across_submitting_threads() {
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 25;
         let sched = Scheduler::new(1);
@@ -355,7 +349,7 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let submit = |thread: u64, seq: u64| {
             let order = Arc::clone(&order);
-            assert!(sched.submit(Task::new(handle(thread, 0, 0), move |ctx| {
+            assert!(sched.submit(Task::new(handle(thread, 0), move |ctx| {
                 lock(&order).push((thread, seq, ctx.origin));
             })));
         };
@@ -389,7 +383,7 @@ mod tests {
     fn follow_up_runs_from_the_local_deque_on_a_one_worker_pool() {
         let sched = Arc::new(Scheduler::new(1));
         let executed = Arc::new(AtomicUsize::new(0));
-        let h = handle(1, 0, 0);
+        let h = handle(1, 0);
         let ex2 = Arc::clone(&executed);
         let h2 = Arc::clone(&h);
         assert!(sched.submit(Task::new(Arc::clone(&h), move |ctx| {
@@ -414,36 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn priority_lane_preempts_the_normal_injector() {
-        let sched = Arc::new(Scheduler::new(1));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3 {
-            let order = Arc::clone(&order);
-            sched.submit(Task::new(handle(i, 0, 0), move |_ctx| lock(&order).push(("normal", i))));
-        }
-        for i in 0..2 {
-            let order = Arc::clone(&order);
-            sched.submit(Task::new(handle(10 + i, 3, 0), move |_ctx| {
-                lock(&order).push(("high", i))
-            }));
-        }
-        let workers = run_pool(&sched, 1);
-        while lock(&order).len() < 5 {
-            std::thread::yield_now();
-        }
-        sched.shutdown();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let got = lock(&order).clone();
-        assert_eq!(got[0].0, "high", "priority task not served first: {got:?}");
-        assert_eq!(got[1].0, "high", "priority tasks not served first: {got:?}");
-    }
-
-    #[test]
     fn dop_cap_is_never_exceeded_under_stealing() {
         let sched = Arc::new(Scheduler::new(3));
-        let h = handle(5, 0, 2);
+        let h = handle(5, 2);
         let executed = Arc::new(AtomicUsize::new(0));
         let concurrent = Arc::new(AtomicUsize::new(0));
         let max_seen = Arc::new(AtomicUsize::new(0));
@@ -481,7 +448,7 @@ mod tests {
     #[test]
     fn panicking_task_does_not_kill_the_worker_or_leak_its_dop_slot() {
         let sched = Arc::new(Scheduler::new(1));
-        let h = handle(1, 0, 1); // DOP 1: a leaked slot would deadlock task 2
+        let h = handle(1, 1); // DOP 1: a leaked slot would deadlock task 2
         let executed = Arc::new(AtomicUsize::new(0));
         sched.submit(Task::new(Arc::clone(&h), |_ctx| panic!("boom")));
         let ex = Arc::clone(&executed);

@@ -9,8 +9,10 @@
 //! **Keying rules** (also documented in `docs/architecture.md` §8):
 //!
 //! * plan cache: `signature → Arc<Plan>`. A hit skips the deep plan clone
-//!   and re-validation setup of a cold submission and executes via the
-//!   engine's shared-plan path ([`crate::Engine::execute_shared`] style);
+//!   of a cold submission — not validation, which
+//!   [`crate::Engine::execute_with_handle`] runs on every submission — and
+//!   executes via the engine's shared-plan path
+//!   ([`crate::Engine::execute_shared`] style);
 //!   results are byte-identical by construction since the *same* plan
 //!   object is executed.
 //! * result cache: `signature → (QueryOutput, referenced tables)`. A hit

@@ -14,8 +14,8 @@
 //!   `AdmissionController` baseline grants once and never revisits.
 //! * **Sessions.** [`QueryService::connect`] returns a [`Session`]: a
 //!   cheap-clone handle with a per-session FIFO submission queue (clones
-//!   share the queue, submissions serialize in ticket order), a scheduling
-//!   priority, and close/cancel semantics — closing a session cancels its
+//!   share the queue, submissions serialize in ticket order) and
+//!   close/cancel semantics — closing a session cancels its
 //!   in-flight queries and fails later submissions with
 //!   [`crate::EngineError::SessionClosed`].
 //! * **Shared caches.** A plan cache keyed on [`crate::Plan::signature`] (reusing
@@ -78,10 +78,10 @@ pub struct ServiceConfig {
     /// wait counts against the deadline.
     pub default_timeout: Option<Duration>,
     /// Service-wide bound on *queued* (not yet executing) submissions. At
-    /// the bound a new submission sheds the lowest-priority waiter — or
-    /// itself, when nothing queued outranks it — with
-    /// [`crate::EngineError::Overloaded`] instead of blocking. `0` (the
-    /// default) means unbounded queues and no shedding.
+    /// the bound a new submission is refused with
+    /// [`crate::EngineError::Overloaded`] instead of blocking; nobody
+    /// already queued is evicted. `0` (the default) means unbounded queues
+    /// and no shedding.
     pub max_queued: usize,
     /// Cost-aware result-cache admission: an execution's output is inserted
     /// into the result cache only when its wall-clock time reached this
@@ -222,9 +222,8 @@ pub(crate) struct ServiceInner {
     catalog: Mutex<Arc<Catalog>>,
     pub(crate) plan_cache: PlanCache,
     pub(crate) result_cache: ResultCache,
-    /// Service-wide registry of submissions waiting for their session's
-    /// turn — the census [`ServiceConfig::max_queued`] bounds and the
-    /// population lowest-priority shedding picks victims from.
+    /// Service-wide count of submissions waiting for their session's turn
+    /// — the population [`ServiceConfig::max_queued`] bounds.
     pub(crate) waiters: WaiterRegistry,
     /// EWMA of recent execution latency in µs, the basis of
     /// [`crate::EngineError::Overloaded`]'s `retry_after_hint`.
@@ -369,7 +368,7 @@ impl QueryService {
         }
     }
 
-    /// Opens a normal-priority session.
+    /// Opens a session.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -385,15 +384,9 @@ impl QueryService {
     /// assert_eq!(service.stats().sessions_closed, 1);
     /// ```
     pub fn connect(&self) -> Session {
-        self.connect_with_priority(0)
-    }
-
-    /// Opens a session whose submissions run at `priority` (`> 0` uses the
-    /// scheduler's priority lane).
-    pub fn connect_with_priority(&self, priority: u8) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        Session::open(Arc::clone(&self.inner), id, priority)
+        Session::open(Arc::clone(&self.inner), id)
     }
 
     /// The service-owned engine (worker pool, registry).

@@ -6,16 +6,16 @@
 //!
 //! * [`Session::close`] wakes every queued waiter *immediately* with
 //!   [`EngineError::SessionClosed`] instead of letting the line drain,
-//! * the service-wide [`WaiterRegistry`] can shed the lowest-priority
-//!   waiter with [`EngineError::Overloaded`] when
-//!   [`super::ServiceConfig::max_queued`] is hit,
+//! * the service-wide [`WaiterRegistry`] refuses a newcomer with
+//!   [`EngineError::Overloaded`] once [`super::ServiceConfig::max_queued`]
+//!   waiters are queued (nobody already queued is evicted),
 //! * [`Session::try_submit`] can refuse without ever joining the line.
 //!
 //! Failure semantics of the full submit path are catalogued in
 //! `docs/architecture.md` §9.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,30 +33,26 @@ enum WaiterState {
     Waiting,
     /// The previous submission finished; this waiter owns the turn.
     Granted,
-    /// Evicted by the overload policy — resolves to
-    /// [`EngineError::Overloaded`].
-    Shed,
     /// The session closed underneath it — resolves to
     /// [`EngineError::SessionClosed`].
     Closed,
 }
 
 /// One blocked submission. Waiters park on their own mutex/condvar so a
-/// single wake (grant, shed, close) targets exactly one thread.
-pub(crate) struct Waiter {
+/// single wake (grant, close) targets exactly one thread.
+struct Waiter {
     state: Mutex<WaiterState>,
     wake: Condvar,
-    priority: u8,
 }
 
 impl Waiter {
-    fn new(priority: u8) -> Arc<Self> {
-        Arc::new(Waiter { state: Mutex::new(WaiterState::Waiting), wake: Condvar::new(), priority })
+    fn new() -> Arc<Self> {
+        Arc::new(Waiter { state: Mutex::new(WaiterState::Waiting), wake: Condvar::new() })
     }
 
     /// Moves a still-waiting waiter to `next` and wakes it; returns `false`
     /// when the waiter already left the Waiting state (lost a race to a
-    /// concurrent shed/close/grant).
+    /// concurrent close/grant).
     fn resolve(&self, next: WaiterState) -> bool {
         let mut state = lock(&self.state);
         if *state != WaiterState::Waiting {
@@ -78,52 +74,33 @@ impl Waiter {
     }
 }
 
-/// Service-wide census of queued submissions: the population
-/// [`super::ServiceConfig::max_queued`] bounds, and the pool the shed
-/// policy picks its lowest-priority victim from.
+/// Service-wide count of queued submissions: the population
+/// [`super::ServiceConfig::max_queued`] bounds.
 #[derive(Default)]
 pub(crate) struct WaiterRegistry {
-    entries: Mutex<Vec<Arc<Waiter>>>,
+    queued: AtomicUsize,
 }
 
 impl WaiterRegistry {
     pub(crate) fn len(&self) -> usize {
-        lock(&self.entries).len()
+        self.queued.load(Ordering::Acquire)
     }
 
-    /// Admits `waiter` into the queued census, shedding to stay under
-    /// `max_queued` (`0` = unbounded). At the bound the lowest-priority
-    /// queued waiter strictly below the newcomer is evicted in its place;
-    /// when nothing queued outranks the newcomer, the newcomer itself is
-    /// refused. Returns `false` when the newcomer was refused.
-    fn admit(&self, waiter: &Arc<Waiter>, max_queued: usize) -> bool {
-        let mut entries = lock(&self.entries);
-        while max_queued > 0 && entries.len() >= max_queued {
-            let victim = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.priority)
-                .filter(|(_, w)| w.priority < waiter.priority)
-                .map(|(i, _)| i);
-            match victim {
-                Some(i) => {
-                    let evicted = entries.swap_remove(i);
-                    // A waiter that already left Waiting (racing close) is
-                    // simply dropped from the census; keep looking.
-                    evicted.resolve(WaiterState::Shed);
-                }
-                None => return false,
-            }
-        }
-        entries.push(Arc::clone(waiter));
-        true
+    /// Counts one more queued submission unless `max_queued` (`0` =
+    /// unbounded) are queued already; returns `false` when the newcomer is
+    /// refused. Nobody already queued is evicted.
+    fn admit(&self, max_queued: usize) -> bool {
+        self.queued
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |queued| {
+                (max_queued == 0 || queued < max_queued).then_some(queued + 1)
+            })
+            .is_ok()
     }
 
-    /// Drops `waiter` from the census (no-op when a shed already removed
-    /// it). Every waiter deregisters itself on wake-up, whatever the
-    /// outcome.
-    fn remove(&self, waiter: &Arc<Waiter>) {
-        lock(&self.entries).retain(|w| !Arc::ptr_eq(w, waiter));
+    /// Uncounts an admitted submission; every waiter calls it once on
+    /// wake-up, whatever the outcome.
+    fn remove(&self) {
+        self.queued.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -139,7 +116,6 @@ struct WaitQueue {
 struct SessionInner {
     service: Arc<ServiceInner>,
     id: u64,
-    priority: u8,
     closed: AtomicBool,
     queue: Mutex<WaitQueue>,
     /// Handles of this session's queries currently inside the engine, so
@@ -170,14 +146,14 @@ impl SessionInner {
             // Join the service-wide queued census first (still under the
             // session lock so close() cannot miss us), then the session
             // line.
-            let waiter = Waiter::new(self.priority);
-            if !self.service.waiters.admit(&waiter, self.service.config.max_queued) {
+            if !self.service.waiters.admit(self.service.config.max_queued) {
                 drop(queue);
                 self.service.count_shed();
                 return Err(EngineError::Overloaded {
                     retry_after_hint: self.service.retry_after_hint(),
                 });
             }
+            let waiter = Waiter::new();
             queue.waiters.push_back(Arc::clone(&waiter));
             Some(waiter)
         };
@@ -185,15 +161,9 @@ impl SessionInner {
 
         if let Some(waiter) = waiter {
             let outcome = waiter.park();
-            self.service.waiters.remove(&waiter);
+            self.service.waiters.remove();
             match outcome {
                 WaiterState::Granted => {}
-                WaiterState::Shed => {
-                    self.service.count_shed();
-                    return Err(EngineError::Overloaded {
-                        retry_after_hint: self.service.retry_after_hint(),
-                    });
-                }
                 WaiterState::Closed => return Err(EngineError::SessionClosed),
                 WaiterState::Waiting => unreachable!("park returns a terminal state"),
             }
@@ -206,7 +176,7 @@ impl SessionInner {
     }
 
     /// Hands the turn to the next live waiter, skipping entries that were
-    /// shed or closed while queued; idles the session when the line is
+    /// closed while queued; idles the session when the line is
     /// empty.
     fn release_turn(&self) {
         let mut queue = lock(&self.queue);
@@ -275,7 +245,7 @@ impl Drop for TurnGuard<'_> {
 /// A client's connection to a [`super::QueryService`].
 ///
 /// Cloning is cheap; clones share the session's FIFO submission queue
-/// (submissions serialize in arrival order), priority, and close state.
+/// (submissions serialize in arrival order) and close state.
 /// Dropping the last clone closes the session.
 ///
 /// ```
@@ -325,19 +295,17 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.inner.id)
-            .field("priority", &self.inner.priority)
             .field("closed", &self.inner.closed.load(Ordering::Acquire))
             .finish()
     }
 }
 
 impl Session {
-    pub(crate) fn open(service: Arc<ServiceInner>, id: u64, priority: u8) -> Self {
+    pub(crate) fn open(service: Arc<ServiceInner>, id: u64) -> Self {
         Session {
             inner: Arc::new(SessionInner {
                 service,
                 id,
-                priority,
                 closed: AtomicBool::new(false),
                 queue: Mutex::new(WaitQueue::default()),
                 live: Mutex::new(Vec::new()),
@@ -348,11 +316,6 @@ impl Session {
     /// Service-assigned session id.
     pub fn id(&self) -> u64 {
         self.inner.id
-    }
-
-    /// The session's scheduling priority.
-    pub fn priority(&self) -> u8 {
-        self.inner.priority
     }
 
     /// True once the session was closed (explicitly or by drop of the last
@@ -369,7 +332,7 @@ impl Session {
     /// [`super::ServiceConfig::default_timeout`] (when set) bounds the
     /// whole submission — queue wait included — with
     /// [`EngineError::DeadlineExceeded`]; at the
-    /// [`super::ServiceConfig::max_queued`] bound the overload policy sheds
+    /// [`super::ServiceConfig::max_queued`] bound the submission is refused
     /// with [`EngineError::Overloaded`]. Errors with
     /// [`EngineError::SessionClosed`] once the session is closed; a close
     /// racing a running submission cancels it mid-flight
@@ -444,7 +407,7 @@ impl Session {
         // Unified admission: the reservation is the ticket AND the census
         // entry; it is held (registry-visible) until the submission
         // finishes, and its drop re-grants the sessions still running.
-        let reservation = service.engine.reserve_admitted(inner.priority);
+        let reservation = service.engine.reserve_admitted();
         let handle = reservation.handle();
         if let Some(left) = remaining {
             handle.set_deadline(left);

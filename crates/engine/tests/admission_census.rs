@@ -19,7 +19,7 @@ use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{
     DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, QueryHandle,
-    QueryOptions, QueryOutput, QueryService, ReservedQuery, ServiceConfig,
+    QueryOutput, QueryService, ReservedQuery, ServiceConfig,
 };
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
@@ -98,24 +98,24 @@ fn arrivals_claw_back_and_releases_regrant_with_timeline_events() {
     let engine = Engine::with_workers(4);
     use DopPhase::{Regrant, Reserve};
 
-    let a = engine.reserve_admitted(0);
+    let a = engine.reserve_admitted();
     assert_eq!(timeline(&a.handle()), [(Reserve, 4)], "alone: the whole pool");
 
     // B arrives while A's ticket is outstanding: one census, one target —
     // B is admitted at the share A is clawed back to, under one lock.
-    let b = engine.reserve_admitted(0);
+    let b = engine.reserve_admitted();
     assert_eq!(timeline(&b.handle()), [(Reserve, 2)]);
     assert_eq!(timeline(&a.handle()), [(Reserve, 4), (Regrant, 2)]);
 
     // 4/3 floors to 1; a fourth arrival leaves the share where it is and
     // writes nothing — only a cap that differs is touched.
-    let c = engine.reserve_admitted(0);
-    let d = engine.reserve_admitted(0);
+    let c = engine.reserve_admitted();
+    let d = engine.reserve_admitted();
     assert_eq!(timeline(&a.handle()), [(Reserve, 4), (Regrant, 2), (Regrant, 1)]);
     assert_eq!(timeline(&c.handle()), [(Reserve, 1)]);
     assert_eq!(timeline(&d.handle()), [(Reserve, 1)]);
     // Past saturation the share floors at 1.
-    let e = engine.reserve_admitted(0);
+    let e = engine.reserve_admitted();
     assert_eq!(timeline(&e.handle()), [(Reserve, 1)]);
     assert_eq!(engine.active_queries().len(), 5, "tickets are census-visible unsubmitted");
     drop(e);
@@ -142,18 +142,18 @@ fn a_cap_the_client_set_is_not_in_the_census() {
     let plan = Arc::new(partitioned_plan(10_000, 500, 4));
 
     // Registry-visible from issue time, with the reservation-phase grant.
-    let fixed = engine.reserve_query(QueryOptions::with_admitted_dop(3));
+    let fixed = engine.reserve_query(3);
     let census = engine.active_queries();
     assert_eq!(census.len(), 1, "a held ticket is visible from issue time");
     assert_eq!(census[0].id(), fixed.id());
     assert_eq!(engine.in_flight_queries(), 0, "visible, but not executing");
-    let uncapped = engine.reserve_query(QueryOptions::default());
+    let uncapped = engine.reserve_query(0);
 
     // Neither dilutes the share of the reservations that split the pool,
     // and neither is rewritten when those come and go.
-    let shared = engine.reserve_admitted(0);
+    let shared = engine.reserve_admitted();
     assert_eq!(shared.handle().admitted_dop(), 4, "static caps must not dilute the share");
-    let peer = engine.reserve_admitted(0);
+    let peer = engine.reserve_admitted();
     drop(peer);
     drop(shared);
     assert_eq!(timeline(&fixed.handle()), [(DopPhase::Reserve, 3)]);
@@ -161,7 +161,7 @@ fn a_cap_the_client_set_is_not_in_the_census() {
 
     // The one-shot baseline: a directly registered query runs at exactly
     // the cap it was submitted with, alone on the engine or not.
-    let handle = engine.register_query(QueryOptions::with_admitted_dop(1));
+    let handle = engine.register_query(1);
     let exec = engine.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap();
     assert_eq!(exec.output, expected_sum(500));
     assert_eq!(exec.profile.dop_timeline.len(), 1, "a static grant is never revisited");
@@ -178,7 +178,7 @@ fn survivors_execute_under_the_regranted_share() {
     let cat = catalog(10_000);
     let plan = Arc::new(partitioned_plan(10_000, 500, 4));
 
-    let mut census: Vec<_> = (0..4).map(|_| engine.reserve_admitted(0)).collect();
+    let mut census: Vec<_> = (0..4).map(|_| engine.reserve_admitted()).collect();
     assert_equal_shares(4, &census, "four arrivals");
     // The two oldest clients leave; the two admitted at saturation stay.
     census.drain(..2);
@@ -201,7 +201,7 @@ fn reservation_stays_registered_across_repeated_submissions() {
     let cat = catalog(5_000);
     let plan = Arc::new(partitioned_plan(5_000, 300, 1));
 
-    let reservation = engine.reserve_admitted(0);
+    let reservation = engine.reserve_admitted();
     let first = engine.execute_with_handle(&plan, &cat, reservation.handle()).unwrap();
     assert_eq!(first.output, expected_sum(300));
     assert_eq!(
@@ -234,14 +234,14 @@ fn clawback_below_the_running_task_count_drains_gracefully() {
         // only consulted at slot acquisition, so running tasks finish and
         // the rest trickle through one at a time — completion, not
         // pre-emption.
-        let wide = engine.reserve_admitted(0);
+        let wide = engine.reserve_admitted();
         let handle = wide.handle();
         let runner = {
             let (engine, plan, cat) = (Arc::clone(&engine), Arc::clone(&plan), Arc::clone(&cat));
             let handle = Arc::clone(&handle);
             std::thread::spawn(move || engine.execute_with_handle(&plan, &cat, handle))
         };
-        let peers: Vec<_> = (0..3).map(|_| engine.reserve_admitted(0)).collect();
+        let peers: Vec<_> = (0..3).map(|_| engine.reserve_admitted()).collect();
         let exec = runner.join().unwrap().unwrap();
         assert_eq!(exec.output, expected_sum(2_000), "{mode}: claw-back corrupted");
         assert_eq!(handle.inflight_tasks(), 0, "{mode}: tasks outlived the submission");
@@ -259,7 +259,7 @@ fn regrant_racing_completion_is_harmless() {
 
     // A peer arrives and leaves over and over for the query's whole life:
     // every arrival claws the runner back to 1, every release re-grants 2.
-    let runner_ticket = engine.reserve_admitted(0);
+    let runner_ticket = engine.reserve_admitted();
     let handle = runner_ticket.handle();
     let runner = {
         let (engine, plan, cat) = (Arc::clone(&engine), Arc::clone(&plan), Arc::clone(&cat));
@@ -268,13 +268,13 @@ fn regrant_racing_completion_is_harmless() {
     };
     let mut churned = 0;
     while !runner.is_finished() || churned < 4 {
-        drop(engine.reserve_admitted(0));
+        drop(engine.reserve_admitted());
         churned += 1;
     }
     let exec = runner.join().unwrap().unwrap();
     // ...and beyond it: the ticket is still held, so these write to a handle
     // nobody dispatches from any more.
-    drop(engine.reserve_admitted(0));
+    drop(engine.reserve_admitted());
 
     assert_eq!(exec.output, expected_sum(1_000));
     assert_eq!(handle.inflight_tasks(), 0);
@@ -294,9 +294,9 @@ fn regrant_racing_cancellation_does_not_resurrect_the_query() {
 
     // Cancelled before submission: a re-grant between cancel and execute
     // must not bring it back, and no task is dispatched for it.
-    let ticket = engine.reserve_admitted(0);
+    let ticket = engine.reserve_admitted();
     ticket.handle().cancel();
-    drop(engine.reserve_admitted(0)); // claw-back + re-grant on the cancelled handle
+    drop(engine.reserve_admitted()); // claw-back + re-grant on the cancelled handle
     let err = engine.execute_with_handle(&plan, &cat, ticket.handle()).unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
     assert_eq!(ticket.handle().dispatched(), 0);
@@ -305,16 +305,16 @@ fn regrant_racing_cancellation_does_not_resurrect_the_query() {
     // Cancelled mid-flight while peers come and go: the query either
     // finished first (Ok) or observed the cancel (Cancelled); nothing else,
     // and the engine survives either way.
-    let ticket = engine.reserve_admitted(0);
+    let ticket = engine.reserve_admitted();
     let handle = ticket.handle();
     let runner = {
         let (engine, plan, cat) = (Arc::clone(&engine), Arc::clone(&plan), Arc::clone(&cat));
         let handle = Arc::clone(&handle);
         std::thread::spawn(move || engine.execute_with_handle(&plan, &cat, handle))
     };
-    drop(engine.reserve_admitted(0));
+    drop(engine.reserve_admitted());
     handle.cancel();
-    drop(engine.reserve_admitted(0));
+    drop(engine.reserve_admitted());
     match runner.join().unwrap() {
         Ok(exec) => assert_eq!(exec.output, expected_sum(100)),
         Err(err) => assert_eq!(err, EngineError::Cancelled),
@@ -336,8 +336,8 @@ fn a_reservation_dropped_under_a_running_query_releases_its_share() {
     let cat = catalog(20_000);
     let plan = Arc::new(partitioned_plan(20_000, 400, 8));
 
-    let leaving = engine.reserve_admitted(0);
-    let staying = engine.reserve_admitted(0);
+    let leaving = engine.reserve_admitted();
+    let staying = engine.reserve_admitted();
     let handle = leaving.handle();
     let runner = {
         let (engine, plan, cat) = (Arc::clone(&engine), Arc::clone(&plan), Arc::clone(&cat));
@@ -390,7 +390,7 @@ fn seeded_reserve_release_cancel_sequences_hold_the_share_invariant() {
         for step in 0..400 {
             let what = match gen.below(8) {
                 0..=2 => {
-                    census.push(engine.reserve_admitted(gen.below(3) as u8));
+                    census.push(engine.reserve_admitted());
                     "reserve"
                 }
                 3 | 4 if !census.is_empty() => {
@@ -403,7 +403,7 @@ fn seeded_reserve_release_cancel_sequences_hold_the_share_invariant() {
                 }
                 6 => {
                     let cap = gen.below(4);
-                    fixed.push((engine.reserve_query(QueryOptions::with_admitted_dop(cap)), cap));
+                    fixed.push((engine.reserve_query(cap), cap));
                     "static reserve"
                 }
                 _ if !fixed.is_empty() => {

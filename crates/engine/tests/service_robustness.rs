@@ -1,7 +1,7 @@
 //! Directed regression tests for the service robustness layer: deadline
 //! results never reach the result cache, `close()` wakes queued
-//! submitters immediately, the overload policy sheds lowest-priority
-//! first, and `try_submit` never blocks. Companion to the randomized
+//! submitters immediately, the overload policy refuses the newcomer and
+//! evicts nobody, and `try_submit` never blocks. Companion to the randomized
 //! `proptest_faults.rs`; the failure taxonomy lives in
 //! `docs/architecture.md` §9.
 
@@ -165,30 +165,22 @@ fn submit_async(
 }
 
 #[test]
-fn overload_sheds_the_lowest_priority_waiter_first() {
-    // Queue bound 1. Low-priority session A: one running submission plus
-    // one queued waiter (census full). When a high-priority waiter needs
-    // the slot, A's queued waiter is shed with Overloaded; the
-    // high-priority one proceeds.
+fn newcomer_is_refused_when_nothing_queued_outranks_it() {
+    // Queue bound 1, one running submission plus one queued waiter: the
+    // bound is service-wide, so the next submission that would have to
+    // queue — on this session or another — gets Overloaded, and the waiter
+    // already in line is untouched.
     let service = slow_service(20, 1);
-    let low = service.connect(); // priority 0
-    let high = service.connect_with_priority(3);
+    let session = service.connect();
+    let other = service.connect();
     let plan = sum_plan(353);
 
-    let low_running = submit_async(&low, &plan);
-    await_condition("low query to go live", || !service.engine().active_queries().is_empty());
-    let low_queued = submit_async(&low, &plan);
-    await_condition("low waiter to queue", || service.queued() == 1);
+    let running = submit_async(&session, &plan);
+    await_condition("query to go live", || !service.engine().active_queries().is_empty());
+    let queued = submit_async(&session, &plan);
+    await_condition("waiter to queue", || service.queued() == 1);
 
-    // Fill high's turn, then queue a second high submission: it needs a
-    // census slot, the census is full, and the only queued waiter is
-    // lower-priority — shed it.
-    let high_running = submit_async(&high, &plan);
-    await_condition("high query to go live", || service.engine().active_queries().len() == 2);
-    let high_queued = submit_async(&high, &plan);
-
-    let shed = low_queued.join().unwrap().expect_err("the low-priority waiter must be shed");
-    match shed {
+    match session.submit(&plan).expect_err("the census is full") {
         EngineError::Overloaded { retry_after_hint } => {
             assert!(
                 retry_after_hint >= Duration::from_millis(1),
@@ -197,37 +189,22 @@ fn overload_sheds_the_lowest_priority_waiter_first() {
         }
         other => panic!("expected Overloaded, got {other}"),
     }
+    assert_eq!(service.queued(), 1, "the refusal must not evict the queued waiter");
 
-    for handle in [low_running, high_running, high_queued] {
-        handle.join().unwrap().expect("surviving submissions complete normally");
+    // An idle session's first submission takes its turn without queueing;
+    // its second would have to queue and is refused like the one above.
+    let other_running = submit_async(&other, &plan);
+    await_condition("other query to go live", || service.engine().active_queries().len() == 2);
+    let refused = other.submit(&plan).expect_err("the census is still full");
+    assert!(matches!(refused, EngineError::Overloaded { .. }), "got {refused}");
+    assert_eq!(service.queued(), 1, "the refusal must not evict the queued waiter");
+
+    for handle in [running, queued, other_running] {
+        handle.join().unwrap().expect("admitted submissions complete normally");
     }
-    let stats = service.stats();
-    assert_eq!(stats.shed, 1);
+    assert_eq!(service.stats().shed, 2);
     assert_eq!(service.queued(), 0);
     assert!(service.engine().active_queries().is_empty());
-}
-
-#[test]
-fn newcomer_is_refused_when_nothing_queued_outranks_it() {
-    // Same-bound scenario, but the newcomer has the same priority as the
-    // queued waiter: nothing outranks it, so the *newcomer* gets
-    // Overloaded and the queue is untouched.
-    let service = slow_service(20, 1);
-    let session = service.connect();
-    let plan = sum_plan(353);
-
-    let running = submit_async(&session, &plan);
-    await_condition("query to go live", || !service.engine().active_queries().is_empty());
-    let queued = submit_async(&session, &plan);
-    await_condition("waiter to queue", || service.queued() == 1);
-
-    let refused = session.submit(&plan).expect_err("the census is full");
-    assert!(matches!(refused, EngineError::Overloaded { .. }), "got {refused}");
-    assert_eq!(service.queued(), 1, "the refusal must not evict the equal-priority waiter");
-
-    running.join().unwrap().expect("running submission completes");
-    queued.join().unwrap().expect("queued submission completes");
-    assert_eq!(service.stats().shed, 1);
 }
 
 #[test]

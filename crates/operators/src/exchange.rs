@@ -38,13 +38,6 @@ pub fn pack_columns(parts: &[Column]) -> Result<Column> {
     Ok(Column::concat(parts)?)
 }
 
-/// Number of bytes an exchange union moving these columns would copy — the
-/// "intermediate data copying due to low selectivity input" the medium
-/// mutation reacts to. Exposed for the profiler's memory claims.
-pub fn pack_cost_bytes(parts: &[Column]) -> usize {
-    parts.iter().map(Column::byte_size).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,13 +68,5 @@ mod tests {
         let out = pack_columns(&[a, b]).unwrap();
         assert_eq!(out.i64_values().unwrap(), &[1, 2, 3]);
         assert!(pack_columns(&[]).is_err());
-    }
-
-    #[test]
-    fn pack_cost_tracks_bytes() {
-        let a = Column::from_i64(vec![1, 2, 3]);
-        let b = Column::from_i64(vec![4]);
-        assert_eq!(pack_cost_bytes(&[a, b]), 32);
-        assert_eq!(pack_cost_bytes(&[]), 0);
     }
 }

@@ -84,11 +84,6 @@ impl BackgroundLoad {
         BackgroundLoad { stop, executed, handles }
     }
 
-    /// Number of background queries completed so far.
-    pub fn executed_queries(&self) -> usize {
-        self.executed.load(Ordering::Acquire)
-    }
-
     /// Number of client threads.
     pub fn clients(&self) -> usize {
         self.handles.len()
@@ -191,9 +186,7 @@ mod tests {
         assert_eq!(load.clients(), 3);
         // Give the clients a moment to run.
         std::thread::sleep(Duration::from_millis(50));
-        let seen = load.executed_queries();
         let total = load.stop();
-        assert!(total >= seen);
         assert!(total > 0, "background clients executed no queries");
     }
 

@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         admission.execute_admitted(&engine, plan, &catalog).expect("query executes").0
     };
     let census = |plan: &Arc<Plan>| {
-        let reservation = engine.reserve_admitted(0);
+        let reservation = engine.reserve_admitted();
         engine.execute_with_handle(plan, &catalog, reservation.handle()).expect("query executes")
         // The reservation drops here: the release that re-grants the peer.
     };

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use adaptive_parallelization::engine::{
     DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan,
-    QueryOptions, QueryOutput,
+    QueryOutput,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
@@ -143,7 +143,7 @@ fn run_cell(mode: ExecutionMode, faults: FaultConfig) -> Vec<Result<QueryOutput,
     for round in 0..2 {
         for plan in &workload() {
             let shared = Arc::new(plan.clone());
-            let handle = engine.register_query(QueryOptions { priority: 0, admitted_dop: 0 });
+            let handle = engine.register_query(0);
             // Round 1 resubmits with an already-expired deadline on every
             // other query: deterministic DeadlineExceeded, zero dispatch.
             if round == 1 && handle.id().is_multiple_of(2) {
@@ -275,7 +275,7 @@ fn already_expired_deadline_fails_before_any_dispatch() {
         let engine = Engine::new(
             EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS),
         );
-        let handle = engine.register_query(QueryOptions { priority: 0, admitted_dop: 0 });
+        let handle = engine.register_query(0);
         handle.set_deadline(Duration::ZERO);
         let shared = Arc::new(filtered_sum("a", 500));
         let err = engine
@@ -301,7 +301,7 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
     let mut timed_out = 0;
     for (i, plan) in workload().iter().cycle().take(24).enumerate() {
         let shared = Arc::new(plan.clone());
-        let handle = engine.register_query(QueryOptions { priority: 0, admitted_dop: 0 });
+        let handle = engine.register_query(0);
         // Sweep the deadline from "hopeless" to "comfortable".
         handle.set_deadline(Duration::from_micros(50 * (i as u64 + 1)));
         match engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle)) {

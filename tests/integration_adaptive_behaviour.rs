@@ -133,6 +133,44 @@ fn adaptive_plans_respond_under_concurrent_load() {
 }
 
 #[test]
+fn adaptive_optimization_converges_while_background_load_is_live() {
+    // The optimizer's own runs share the pool with other clients' queries
+    // (the other tests here optimize first and start the load afterwards):
+    // every run still returns the serial answer, and the loop still stops.
+    let workers = 4;
+    let catalog = tpch::generate(TpchScale::new(0.002), 55);
+    let engine = Arc::new(Engine::with_workers(workers));
+    let serial = TpchQuery::Q6.build(&catalog).expect("Q6 builds");
+    let expected = engine.execute(&serial, &catalog).expect("serial executes").output;
+    let config = AdaptiveConfig::for_cores(workers)
+        .with_min_partition_rows(256)
+        .with_max_runs(8)
+        .with_verification();
+
+    let background: Vec<_> = TpchQuery::all()
+        .iter()
+        .map(|q| {
+            let s = q.build(&catalog).expect("builds");
+            heuristic_parallelize(&s, &catalog, workers).expect("HP rewrite")
+        })
+        .collect();
+    let load = BackgroundLoad::start(Arc::clone(&engine), Arc::clone(&catalog), background, 2, 3);
+    while engine.in_flight_queries() == 0 {
+        std::thread::yield_now();
+    }
+    let report = AdaptiveOptimizer::new(config.clone())
+        .optimize(&engine, &catalog, &serial)
+        .expect("every run under load matches the serial result");
+    let executed = load.stop();
+
+    assert!(executed > 0, "background load executed nothing");
+    assert!(report.total_runs <= config.max_runs);
+    assert_eq!(report.records.len(), report.total_runs + 1);
+    assert_eq!(report.final_output, expected);
+    assert!(report.best_us <= report.serial_us);
+}
+
+#[test]
 fn convergence_statistics_are_reported_consistently() {
     let workers = 4;
     let catalog = tpch::generate(TpchScale::new(0.002), 99);

@@ -4,14 +4,14 @@
 //! the pool is oversubscribed.
 //!
 //! This is the correctness obligation of the scheduler subsystem: dispatch
-//! may reorder arbitrarily (local-first pop, stealing, priority lanes, DOP
-//! throttling), but dependency order — and therefore the result —
-//! is enforced by the executor's dataflow counters, never by queue order.
+//! may reorder arbitrarily (local-first pop, stealing, DOP throttling), but
+//! dependency order — and therefore the result — is enforced by the
+//! executor's dataflow counters, never by queue order.
 
 use std::sync::Arc;
 
 use adaptive_parallelization::baselines::{heuristic_parallelize, AdmissionController};
-use adaptive_parallelization::engine::{Engine, QueryOptions, QueryOutput};
+use adaptive_parallelization::engine::{Engine, QueryOutput};
 use adaptive_parallelization::workloads::micro::{join_sweep, select_sweep, skewed};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -122,9 +122,8 @@ fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
             for _ in 0..2 {
                 match i % 3 {
                     0 => {
-                        // Throttled to one task at a time, high priority.
-                        let handle =
-                            engine.register_query(QueryOptions { priority: 1, admitted_dop: 1 });
+                        // Throttled to one task at a time.
+                        let handle = engine.register_query(1);
                         let out = engine
                             .execute_with_handle(&skew_plan, &skew_cat, handle)
                             .expect("throttled skew executes")
