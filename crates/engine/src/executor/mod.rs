@@ -7,12 +7,12 @@
 //! scheduled operators, the profiler gathers performance data on an executed
 //! operator basis." (§2)
 //!
-//! This module is the engine and its live-query registry: [`EngineConfig`],
-//! the [`Engine`] that owns the worker pool ("interpreter per CPU core")
-//! and census reservations ([`ReservedQuery`]), whose admitted DOP follows
-//! the live population. A submission ([`Engine::execute`]) is validated,
-//! entered into the registry and handed to the one execution runtime, which
-//! lives in two private submodules:
+//! This module is the engine and its census: [`EngineConfig`], the
+//! [`Engine`] that owns the worker pool ("interpreter per CPU core") and
+//! census reservations ([`ReservedQuery`]), whose admitted DOP follows the
+//! live population. A submission ([`Engine::execute`]) is validated and
+//! handed to the one execution runtime, which lives in two private
+//! submodules:
 //!
 //! * `driver` — plans the query into steps
 //!   ([`ExecutionMode`] picks the *planning*: one whole-node step per
@@ -36,7 +36,6 @@ mod run;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -123,15 +122,13 @@ pub struct QueryExecution {
     pub profile: QueryProfile,
 }
 
-/// The live-query registry and, inside it, the census the pool is split
-/// over. One lock guards both, so a reservation's admit-time share and its
-/// peers' re-grants are computed from the same population. Lock order is
-/// registry → a handle's DOP timeline, never the reverse.
+/// The census the pool is split over. One lock guards it, so a
+/// reservation's admit-time share and its peers' re-grants are computed from
+/// the same population. Lock order is registry → a handle's DOP timeline,
+/// never the reverse.
 struct Registry {
     /// Worker count: the pool the census divides.
     pool: usize,
-    /// Every query executing or reserved ([`Engine::active_queries`]).
-    live: HashMap<u64, Arc<QueryHandle>>,
     /// The reservations of [`Engine::reserve_admitted`]; each holds
     /// [`Registry::share`].
     census: Vec<Arc<QueryHandle>>,
@@ -157,14 +154,13 @@ impl Registry {
     }
 }
 
-/// A census reservation: a [`QueryHandle`] registered in the engine's
-/// live-query registry *before* submission ([`Engine::reserve_query`] /
-/// [`Engine::reserve_admitted`]), so the pending client counts from issue
-/// time — a ticket *is* a registry entry, not a side counter.
+/// A census reservation: a [`QueryHandle`] entered into the engine's census
+/// *before* submission ([`Engine::reserve_admitted`]), so the pending client
+/// counts from issue time — a ticket *is* a census entry, not a side
+/// counter.
 ///
-/// Dropping the reservation releases the slot; when it held a share of the
-/// pool ([`Engine::reserve_admitted`]) the remaining share holders are
-/// re-granted under the same registry lock. The reservation does not cancel
+/// Dropping the reservation releases the slot and re-grants the remaining
+/// reservations under the same registry lock. The reservation does not cancel
 /// a submission already in flight — cancellation stays with
 /// [`QueryHandle::cancel`] — and a query still executing when its
 /// reservation is dropped simply keeps the cap it holds.
@@ -198,7 +194,6 @@ impl std::fmt::Debug for ReservedQuery {
 impl Drop for ReservedQuery {
     fn drop(&mut self) {
         let mut registry = lock(&self.registry);
-        registry.live.remove(&self.handle.id());
         registry.census.retain(|h| h.id() != self.handle.id());
         registry.regrant();
     }
@@ -212,8 +207,7 @@ pub struct Engine {
     next_query_id: AtomicU64,
     /// Queries currently inside `execute_with_handle` (all clients).
     in_flight: AtomicUsize,
-    /// Handles of the queries currently executing or reserved, and the
-    /// census the pool is split over.
+    /// The census the pool is split over.
     registry: Arc<Mutex<Registry>>,
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
@@ -241,11 +235,7 @@ impl Engine {
                     .expect("failed to spawn worker thread"),
             );
         }
-        let registry = Arc::new(Mutex::new(Registry {
-            pool: n_workers,
-            live: HashMap::new(),
-            census: Vec::new(),
-        }));
+        let registry = Arc::new(Mutex::new(Registry { pool: n_workers, census: Vec::new() }));
         Engine {
             config,
             scheduler,
@@ -283,10 +273,11 @@ impl Engine {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Handles of the queries currently executing or reserved (all
-    /// clients), in no particular order.
-    pub fn active_queries(&self) -> Vec<Arc<QueryHandle>> {
-        lock(&self.registry).live.values().cloned().collect()
+    /// Handles of the live [`Engine::reserve_admitted`] reservations — the
+    /// census the pool is split over — in arrival order. A handle from
+    /// [`Engine::register_query`] is never in it.
+    pub fn reservations(&self) -> Vec<Arc<QueryHandle>> {
+        lock(&self.registry).census.clone()
     }
 
     /// Cumulative fault-injection counters of the chaos layer
@@ -304,26 +295,6 @@ impl Engine {
         Arc::new(QueryHandle::new(id, admitted_dop))
     }
 
-    /// Reserves a registry slot for a query *before* it is submitted: the
-    /// returned reservation's handle enters the live-query registry
-    /// immediately, so [`Engine::active_queries`] counts it from issue time.
-    /// The cap `admitted_dop` (`0` = unlimited) is the client's own and
-    /// stays as set — the one-shot admission baseline;
-    /// [`Engine::reserve_admitted`] is the reservation whose cap follows the
-    /// census.
-    ///
-    /// The reservation is RAII: dropping it removes the handle from the
-    /// registry. Executing via [`Engine::execute_with_handle`] with the
-    /// reservation's handle records a [`DopPhase::Submit`] timeline event
-    /// and leaves registration to the reservation — the slot stays held
-    /// across repeated submissions until the client drops it.
-    pub fn reserve_query(&self, admitted_dop: usize) -> ReservedQuery {
-        let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let handle = Arc::new(QueryHandle::with_phase(id, admitted_dop, DopPhase::Reserve));
-        lock(&self.registry).live.insert(id, Arc::clone(&handle));
-        ReservedQuery { handle, registry: Arc::clone(&self.registry) }
-    }
-
     /// Reserves a census slot with an *admission-controlled* DOP grant: the
     /// equal share `max(1, workers / n)` of the pool among the `n` live
     /// reservations made through this call, the newcomer included. The
@@ -335,6 +306,11 @@ impl Engine {
     /// acquisition, so a raise reaches already-queued tasks and a cap below
     /// the running-task count just stops granting slots until tasks drain.
     ///
+    /// The reservation is RAII: dropping it leaves the census. Executing
+    /// via [`Engine::execute_with_handle`] with the reservation's handle
+    /// records a [`DopPhase::Submit`] timeline event; the slot stays held
+    /// across repeated submissions until the client drops it.
+    ///
     /// ```
     /// use apq_engine::{DopPhase, Engine};
     ///
@@ -345,7 +321,7 @@ impl Engine {
     /// assert_eq!(second.handle().admitted_dop(), 2); // equal share of 2
     /// assert_eq!(first.handle().admitted_dop(), 2); // clawed back
     /// // Both are census-visible before any submission:
-    /// assert_eq!(engine.active_queries().len(), 2);
+    /// assert_eq!(engine.reservations().len(), 2);
     /// drop(first);
     /// assert_eq!(second.handle().admitted_dop(), 4); // re-granted
     /// assert_eq!(second.handle().dop_timeline().last().unwrap().phase, DopPhase::Regrant);
@@ -355,7 +331,6 @@ impl Engine {
         let mut registry = lock(&self.registry);
         let share = registry.share(registry.census.len() + 1);
         let handle = Arc::new(QueryHandle::with_phase(id, share, DopPhase::Reserve));
-        registry.live.insert(id, Arc::clone(&handle));
         registry.census.push(Arc::clone(&handle));
         registry.regrant();
         drop(registry);
@@ -425,8 +400,11 @@ impl Engine {
     }
 
     /// Executes a plan under an explicit [`QueryHandle`] (from
-    /// [`Engine::register_query`]), giving the caller per-query scheduling
-    /// control: admitted degree of parallelism, cancellation, deadline.
+    /// [`Engine::register_query`] or [`ReservedQuery::handle`]), giving the
+    /// caller per-query scheduling control: admitted degree of parallelism,
+    /// cancellation, deadline. Takes no registry lock: the census is
+    /// changed only by reservations, and [`Engine::in_flight_queries`]
+    /// counts the executing queries.
     pub fn execute_with_handle(
         &self,
         plan: &Arc<Plan>,
@@ -444,43 +422,7 @@ impl Engine {
             }
         }
         let _in_flight = InFlightGuard(&self.in_flight);
-
-        // Publish the handle in the live-query registry for the duration of
-        // the execution. The guard keeps the registry consistent on every
-        // exit path.
-        //
-        // A handle that is *already* registered is a reservation: it
-        // entered the registry at issue time and its [`ReservedQuery`] owns
-        // the removal, so the guard must not unregister it here — the
-        // reservation stays census-visible until the client drops it, even
-        // across repeated submissions.
-        let reserved = {
-            let mut registry = lock(&self.registry);
-            match registry.live.entry(handle.id()) {
-                hash_map::Entry::Occupied(_) => true,
-                hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Arc::clone(&handle));
-                    false
-                }
-            }
-        };
-        if reserved {
-            handle.mark_submitted();
-        }
-        struct RegistryGuard<'a> {
-            registry: &'a Mutex<Registry>,
-            id: u64,
-            owned: bool,
-        }
-        impl Drop for RegistryGuard<'_> {
-            fn drop(&mut self) {
-                if self.owned {
-                    lock(self.registry).live.remove(&self.id);
-                }
-            }
-        }
-        let _registered =
-            RegistryGuard { registry: &self.registry, id: handle.id(), owned: !reserved };
+        handle.mark_submitted();
 
         // Pre-dispatch liveness gate: a query submitted already cancelled or
         // with an expired deadline fails here, before a single task reaches

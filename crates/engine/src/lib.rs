@@ -9,7 +9,7 @@
 //!   mutations rely on;
 //! * [`chunk`] — materialized intermediates flowing along plan edges;
 //! * [`interpreter`] — executes one operator over its inputs;
-//! * [`executor`] — the shared worker pool, the live-query registry and the
+//! * [`executor`] — the shared worker pool, the admission census and the
 //!   one dependency-driven execution runtime ("an operator is scheduled for
 //!   execution once all its input sources are available"), usable
 //!   concurrently by many client threads;

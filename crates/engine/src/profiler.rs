@@ -56,7 +56,7 @@ pub struct OperatorProfile {
 /// The reservation phases ([`DopPhase::Reserve`], [`DopPhase::Submit`])
 /// only appear for queries admitted through the unified census path
 /// ([`crate::Engine::reserve_admitted`] / the service layer in
-/// [`crate::service`]): a reservation enters the live-query registry at
+/// [`crate::service`]): a reservation enters the census at
 /// *issue* time, so its grant and the gap until submission are both
 /// visible in the timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,7 @@ pub enum DopPhase {
     /// but not yet submitted; always at offset 0.
     Reserve,
     /// A reserved query began executing (`execute_with_handle` on the
-    /// pre-registered handle). Records the grant in force at submission —
+    /// reservation's handle). Records the grant in force at submission —
     /// the `at_us` gap from the `Reserve` event is the reservation-held
     /// window.
     Submit,

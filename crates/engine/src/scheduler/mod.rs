@@ -114,11 +114,15 @@ impl QueryHandle {
         }
     }
 
-    /// Records the submission of a reserved query: appends a
-    /// [`DopPhase::Submit`] event restating the grant currently in force,
-    /// closing the reservation-held window in the timeline.
+    /// Records the submission of a reserved query — a handle whose initial
+    /// event is [`DopPhase::Reserve`] — by appending a [`DopPhase::Submit`]
+    /// event restating the grant currently in force, closing the
+    /// reservation-held window in the timeline. A no-op for other handles.
     pub(crate) fn mark_submitted(&self) {
         let mut events = lock(&self.dop_events);
+        if events[0].phase != DopPhase::Reserve {
+            return;
+        }
         let dop = self.admitted_dop.load(Ordering::Acquire);
         events.push(DopEvent {
             at_us: self.created.elapsed().as_micros() as u64,
@@ -202,7 +206,8 @@ impl QueryHandle {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    /// Arms (or tightens) the query's deadline to `timeout` from now. Every
+    /// Arms or replaces the query's deadline: it becomes `timeout` from now,
+    /// whatever was armed before, so a later, longer budget loosens it. Every
     /// point that reads the cancel flag — morsel dispatch, operator task
     /// bodies, slot acquisition — also checks the deadline, so expiry fails
     /// the query with [`crate::EngineError::DeadlineExceeded`] at the next
@@ -570,6 +575,10 @@ mod tests {
         // failure can propagate through dispatch.
         assert!(h.acquire_slot());
         h.task_finished();
+        // A later call replaces the deadline rather than keeping the
+        // tighter one: the expired deadline is re-armed an hour out.
+        h.set_deadline(Duration::from_secs(3600));
+        assert!(!h.deadline_exceeded(), "set_deadline kept the expired deadline");
         // The Timeout timeline entry is recorded exactly once.
         h.mark_deadline_exceeded();
         h.mark_deadline_exceeded();

@@ -5,18 +5,18 @@
 //! to and submit queries through:
 //!
 //! * **Unified admission (single census).** Every submission that
-//!   executes holds a registry reservation
+//!   executes holds a census reservation
 //!   ([`crate::Engine::reserve_admitted`]) for as long as it runs: the
-//!   handle enters the registry at issue time, its admit-time share and
+//!   handle enters the census at issue time, its admit-time share and
 //!   its peers' claw-back are computed under one registry lock, its
 //!   release re-grants the sessions still running, and the profiler's DOP
 //!   timeline records every step ([`crate::DopPhase`]). The one-shot
 //!   `AdmissionController` baseline grants once and never revisits.
 //! * **Sessions.** [`QueryService::connect`] returns a [`Session`]: a
-//!   cheap-clone handle with a per-session FIFO submission queue (clones
-//!   share the queue, submissions serialize in ticket order) and
+//!   cheap-clone handle with a per-session ticket line (clones share the
+//!   line, submissions run one at a time in ticket order) and
 //!   close/cancel semantics — closing a session cancels its
-//!   in-flight queries and fails later submissions with
+//!   running query and fails later submissions with
 //!   [`crate::EngineError::SessionClosed`].
 //! * **Shared caches.** A plan cache keyed on [`crate::Plan::signature`] (reusing
 //!   the `Arc<Plan>` shared-execution path) and a bounded result cache
@@ -26,14 +26,14 @@
 //! ```text
 //!            Session::submit(plan)
 //!                   │
-//!          per-session FIFO queue
+//!          per-session ticket line
 //!                   │
 //!        result cache ──hit──► ServiceResponse (no engine work)
 //!                   │miss
 //!         plan cache (signature → Arc<Plan>)
 //!                   │
 //!      Engine::reserve_admitted ─────────┐ one registry lock:
-//!        (ticket = registry entry,       │ census ∪ {self} = n,
+//!        (ticket = census entry,         │ census ∪ {self} = n,
 //!         admit dop = equal share)       │ everyone ← max(1, workers/n)
 //!                   │                    │
 //!      Engine::execute_with_handle ◄─────┘
@@ -71,23 +71,12 @@ pub struct ServiceConfig {
     pub plan_cache_capacity: usize,
     /// Result-cache capacity in entries (`0` disables the result cache).
     pub result_cache_capacity: usize,
-    /// Deadline applied to every [`Session::submit`] that does not carry an
-    /// explicit one ([`Session::submit_with_deadline`] overrides it per
-    /// call). `None` (the default) means submissions never time out. The
-    /// clock starts when the submission enters the session queue, so queue
-    /// wait counts against the deadline.
-    pub default_timeout: Option<Duration>,
     /// Service-wide bound on *queued* (not yet executing) submissions. At
     /// the bound a new submission is refused with
     /// [`crate::EngineError::Overloaded`] instead of blocking; nobody
     /// already queued is evicted. `0` (the default) means unbounded queues
     /// and no shedding.
     pub max_queued: usize,
-    /// Cost-aware result-cache admission: an execution's output is inserted
-    /// into the result cache only when its wall-clock time reached this
-    /// floor. `Duration::ZERO` (the default) admits everything; a nonzero
-    /// floor keeps cheap queries from evicting expensive cached results.
-    pub min_cache_cost: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -96,9 +85,7 @@ impl Default for ServiceConfig {
             engine: EngineConfig::default(),
             plan_cache_capacity: 256,
             result_cache_capacity: 128,
-            default_timeout: None,
             max_queued: 0,
-            min_cache_cost: Duration::ZERO,
         }
     }
 }
@@ -121,12 +108,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the default per-submission deadline (`None` = never time out).
-    pub fn with_default_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.default_timeout = timeout;
-        self
-    }
-
     /// Sets the service-wide queued-submission bound (`0` = unbounded).
     pub fn with_max_queued(mut self, max_queued: usize) -> Self {
         self.max_queued = max_queued;
@@ -139,13 +120,6 @@ impl ServiceConfig {
     /// `sharing.*` rungs, the scheduler-policy shim and `typed_cache_hits`.
     #[doc(hidden)]
     pub fn with_shared_scans(self, _: bool) -> Self {
-        self
-    }
-
-    /// Sets the execution-cost floor for result-cache admission
-    /// (`Duration::ZERO` admits everything).
-    pub fn with_min_cache_cost(mut self, cost: Duration) -> Self {
-        self.min_cache_cost = cost;
         self
     }
 }

@@ -1,21 +1,23 @@
-//! Session handles: per-client submission queues over the shared service.
+//! Session handles: per-client ticket lines over the shared service.
 //!
-//! Submissions of one session serialize in arrival order through a FIFO
-//! waiter queue. Unlike a ticket counter, each waiter is an addressable
-//! object, which is what the robustness layer needs:
+//! Submissions of one session run one at a time in arrival order: each
+//! takes the next ticket of the session's line and waits until the line
+//! serves it. The whole line is one mutex and one condvar:
 //!
-//! * [`Session::close`] wakes every queued waiter *immediately* with
-//!   [`EngineError::SessionClosed`] instead of letting the line drain,
+//! * [`Session::close`] wakes every queued submission *immediately* with
+//!   [`EngineError::SessionClosed`] instead of letting the line drain, and
+//!   cancels the submission holding the turn — also one that holds the turn
+//!   but has not reached the engine yet,
 //! * the service-wide [`WaiterRegistry`] refuses a newcomer with
 //!   [`EngineError::Overloaded`] once [`super::ServiceConfig::max_queued`]
-//!   waiters are queued (nobody already queued is evicted),
+//!   submissions are queued, before it takes a ticket (nobody already
+//!   queued is evicted),
 //! * [`Session::try_submit`] can refuse without ever joining the line.
 //!
 //! Failure semantics of the full submit path are catalogued in
 //! `docs/architecture.md` §9.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -25,54 +27,6 @@ use crate::scheduler::QueryHandle;
 use crate::sync::{lock, wait};
 
 use super::{ServiceInner, ServiceResponse};
-
-/// Terminal state a queued waiter is woken with.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WaiterState {
-    /// Still in line.
-    Waiting,
-    /// The previous submission finished; this waiter owns the turn.
-    Granted,
-    /// The session closed underneath it — resolves to
-    /// [`EngineError::SessionClosed`].
-    Closed,
-}
-
-/// One blocked submission. Waiters park on their own mutex/condvar so a
-/// single wake (grant, close) targets exactly one thread.
-struct Waiter {
-    state: Mutex<WaiterState>,
-    wake: Condvar,
-}
-
-impl Waiter {
-    fn new() -> Arc<Self> {
-        Arc::new(Waiter { state: Mutex::new(WaiterState::Waiting), wake: Condvar::new() })
-    }
-
-    /// Moves a still-waiting waiter to `next` and wakes it; returns `false`
-    /// when the waiter already left the Waiting state (lost a race to a
-    /// concurrent close/grant).
-    fn resolve(&self, next: WaiterState) -> bool {
-        let mut state = lock(&self.state);
-        if *state != WaiterState::Waiting {
-            return false;
-        }
-        *state = next;
-        drop(state);
-        self.wake.notify_one();
-        true
-    }
-
-    /// Parks until resolved; returns the terminal state.
-    fn park(&self) -> WaiterState {
-        let mut state = lock(&self.state);
-        while *state == WaiterState::Waiting {
-            state = wait(&self.wake, state);
-        }
-        *state
-    }
-}
 
 /// Service-wide count of queued submissions: the population
 /// [`super::ServiceConfig::max_queued`] bounds.
@@ -104,122 +58,78 @@ impl WaiterRegistry {
     }
 }
 
-/// The session's FIFO line: `busy` marks a submission holding the turn,
-/// `waiters` the line behind it (front = next served).
+/// The session's ticket line. The submission holding ticket `serving` has
+/// the turn; `next != serving` means the session is busy, and everyone
+/// holding a ticket in `serving + 1 .. next` is queued behind it.
 #[derive(Default)]
-struct WaitQueue {
-    busy: bool,
-    waiters: VecDeque<Arc<Waiter>>,
+struct Line {
+    /// The ticket the next arrival takes.
+    next: u64,
+    /// The ticket holding the turn.
+    serving: u64,
+    closed: bool,
+    /// The turn holder's query once it has one, so [`SessionInner::close`]
+    /// can cancel it. One slot: a session runs one submission at a time.
+    running: Option<Arc<QueryHandle>>,
 }
 
 /// State shared by all clones of one session.
 struct SessionInner {
     service: Arc<ServiceInner>,
     id: u64,
-    closed: AtomicBool,
-    queue: Mutex<WaitQueue>,
-    /// Handles of this session's queries currently inside the engine, so
-    /// [`Session::close`] can cancel them mid-flight.
-    live: Mutex<Vec<Arc<QueryHandle>>>,
+    line: Mutex<Line>,
+    /// Signalled when `serving` advances or the line closes.
+    turn: Condvar,
 }
 
 impl SessionInner {
     /// Waits for this submission's turn. The returned guard passes the turn
-    /// to the next waiter on drop (success and error paths alike). With
-    /// `block = false` the call never joins the line: a busy session is
-    /// refused with [`EngineError::Overloaded`] on the spot.
+    /// on when dropped (success and error paths alike). With `block =
+    /// false` the call never joins the line: a busy session is refused with
+    /// [`EngineError::Overloaded`] on the spot.
     fn acquire_turn(&self, block: bool) -> Result<TurnGuard<'_>> {
-        if self.closed.load(Ordering::Acquire) {
+        let mut line = lock(&self.line);
+        if line.closed {
             return Err(EngineError::SessionClosed);
         }
-        let mut queue = lock(&self.queue);
-        let waiter = if !queue.busy && queue.waiters.is_empty() {
-            queue.busy = true;
-            None
-        } else if !block {
-            drop(queue);
+        let ticket = line.next;
+        let queues = ticket != line.serving;
+        // A newcomer that would queue joins the service-wide queued census
+        // before it takes a ticket: a refused one leaves no trace in the line.
+        if queues && (!block || !self.service.waiters.admit(self.service.config.max_queued)) {
+            drop(line);
             self.service.count_shed();
             return Err(EngineError::Overloaded {
                 retry_after_hint: self.service.retry_after_hint(),
             });
-        } else {
-            // Join the service-wide queued census first (still under the
-            // session lock so close() cannot miss us), then the session
-            // line.
-            if !self.service.waiters.admit(self.service.config.max_queued) {
-                drop(queue);
-                self.service.count_shed();
-                return Err(EngineError::Overloaded {
-                    retry_after_hint: self.service.retry_after_hint(),
-                });
+        }
+        line.next += 1;
+        if queues {
+            while line.serving != ticket && !line.closed {
+                line = wait(&self.turn, line);
             }
-            let waiter = Waiter::new();
-            queue.waiters.push_back(Arc::clone(&waiter));
-            Some(waiter)
-        };
-        drop(queue);
-
-        if let Some(waiter) = waiter {
-            let outcome = waiter.park();
             self.service.waiters.remove();
-            match outcome {
-                WaiterState::Granted => {}
-                WaiterState::Closed => return Err(EngineError::SessionClosed),
-                WaiterState::Waiting => unreachable!("park returns a terminal state"),
+            if line.closed {
+                return Err(EngineError::SessionClosed);
             }
         }
-        let guard = TurnGuard { inner: self };
-        if self.closed.load(Ordering::Acquire) {
-            return Err(EngineError::SessionClosed);
-        }
-        Ok(guard)
-    }
-
-    /// Hands the turn to the next live waiter, skipping entries that were
-    /// closed while queued; idles the session when the line is
-    /// empty.
-    fn release_turn(&self) {
-        let mut queue = lock(&self.queue);
-        debug_assert!(queue.busy, "release_turn without a held turn");
-        loop {
-            match queue.waiters.pop_front() {
-                Some(next) => {
-                    if next.resolve(WaiterState::Granted) {
-                        return; // `busy` stays true: the grantee owns the turn.
-                    }
-                }
-                None => {
-                    queue.busy = false;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn track(&self, handle: Arc<QueryHandle>) {
-        lock(&self.live).push(handle);
-    }
-
-    fn untrack(&self, id: u64) {
-        lock(&self.live).retain(|h| h.id() != id);
+        Ok(TurnGuard { inner: self })
     }
 
     fn close(&self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
+        let mut line = lock(&self.line);
+        if line.closed {
             return;
         }
-        // Wake every queued waiter with SessionClosed *now* — nobody should
-        // sit in a dead session's line waiting for the running submission
-        // to drain. Each waiter deregisters itself from the service census
-        // on wake-up.
-        let mut queue = lock(&self.queue);
-        for waiter in queue.waiters.drain(..) {
-            waiter.resolve(WaiterState::Closed);
-        }
-        drop(queue);
-        for handle in lock(&self.live).iter() {
+        // Wake every queued submission with SessionClosed *now* — nobody
+        // should sit in a dead session's line waiting for the running
+        // submission to drain.
+        line.closed = true;
+        if let Some(handle) = &line.running {
             handle.cancel();
         }
+        drop(line);
+        self.turn.notify_all();
         self.service.count_session_closed();
     }
 }
@@ -230,22 +140,46 @@ impl Drop for SessionInner {
     }
 }
 
-/// Passes the session's turn to the next waiter when a submission leaves
-/// the critical section (normally or on error).
+/// The turn of one submission; dropping it (normally or on error) serves
+/// the next ticket.
 struct TurnGuard<'a> {
     inner: &'a SessionInner,
 }
 
+impl TurnGuard<'_> {
+    /// Publishes the turn holder's query for [`SessionInner::close`] to
+    /// cancel. The closed check happens under the same lock, so a close
+    /// that landed after the turn was granted still cancels the query —
+    /// before dispatch, which then fails it with [`EngineError::Cancelled`].
+    fn start(&self, handle: &Arc<QueryHandle>) {
+        let mut line = lock(&self.inner.line);
+        if line.closed {
+            handle.cancel();
+        } else {
+            line.running = Some(Arc::clone(handle));
+        }
+    }
+}
+
 impl Drop for TurnGuard<'_> {
     fn drop(&mut self) {
-        self.inner.release_turn();
+        let mut line = lock(&self.inner.line);
+        line.serving += 1;
+        line.running = None;
+        let waiting = line.next != line.serving;
+        drop(line);
+        // Every waiter re-checks its own ticket; only the one now served
+        // proceeds.
+        if waiting {
+            self.inner.turn.notify_all();
+        }
     }
 }
 
 /// A client's connection to a [`super::QueryService`].
 ///
-/// Cloning is cheap; clones share the session's FIFO submission queue
-/// (submissions serialize in arrival order) and close state.
+/// Cloning is cheap; clones share the session's ticket line (submissions
+/// run one at a time in arrival order) and close state.
 /// Dropping the last clone closes the session.
 ///
 /// ```
@@ -295,7 +229,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.inner.id)
-            .field("closed", &self.inner.closed.load(Ordering::Acquire))
+            .field("closed", &self.is_closed())
             .finish()
     }
 }
@@ -306,9 +240,8 @@ impl Session {
             inner: Arc::new(SessionInner {
                 service,
                 id,
-                closed: AtomicBool::new(false),
-                queue: Mutex::new(WaitQueue::default()),
-                live: Mutex::new(Vec::new()),
+                line: Mutex::new(Line::default()),
+                turn: Condvar::new(),
             }),
         }
     }
@@ -321,7 +254,7 @@ impl Session {
     /// True once the session was closed (explicitly or by drop of the last
     /// clone).
     pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire)
+        lock(&self.inner.line).closed
     }
 
     /// Submits a plan through the session, blocking until the result is
@@ -329,16 +262,13 @@ impl Session {
     /// run one at a time in arrival order; concurrency comes from many
     /// sessions, which is what the admission census governs.
     ///
-    /// [`super::ServiceConfig::default_timeout`] (when set) bounds the
-    /// whole submission — queue wait included — with
-    /// [`EngineError::DeadlineExceeded`]; at the
-    /// [`super::ServiceConfig::max_queued`] bound the submission is refused
-    /// with [`EngineError::Overloaded`]. Errors with
+    /// At the [`super::ServiceConfig::max_queued`] bound the submission is
+    /// refused with [`EngineError::Overloaded`]. Errors with
     /// [`EngineError::SessionClosed`] once the session is closed; a close
-    /// racing a running submission cancels it mid-flight
+    /// racing a running submission cancels it
     /// ([`EngineError::Cancelled`]).
     pub fn submit(&self, plan: &Plan) -> Result<ServiceResponse> {
-        self.submit_inner(plan, self.inner.service.config.default_timeout, true)
+        self.submit_inner(plan, None, true)
     }
 
     /// Like [`Session::submit`] with a per-call deadline covering the whole
@@ -357,7 +287,7 @@ impl Session {
     /// submission of this session holds the turn. The refusal counts as a
     /// shed in [`super::ServiceStats`].
     pub fn try_submit(&self, plan: &Plan) -> Result<ServiceResponse> {
-        self.submit_inner(plan, self.inner.service.config.default_timeout, false)
+        self.submit_inner(plan, None, false)
     }
 
     fn submit_inner(
@@ -366,10 +296,9 @@ impl Session {
         timeout: Option<Duration>,
         block: bool,
     ) -> Result<ServiceResponse> {
-        let inner = &*self.inner;
-        let service = &inner.service;
+        let service = &self.inner.service;
         let submitted = Instant::now();
-        let _turn = inner.acquire_turn(block)?;
+        let turn = self.inner.acquire_turn(block)?;
         service.count_query();
 
         // The deadline clock started at submission, so queue wait has
@@ -405,16 +334,15 @@ impl Session {
         let catalog = service.catalog();
         let started = Instant::now();
         // Unified admission: the reservation is the ticket AND the census
-        // entry; it is held (registry-visible) until the submission
-        // finishes, and its drop re-grants the sessions still running.
+        // entry; it is held until the submission finishes, and its drop
+        // re-grants the sessions still running.
         let reservation = service.engine.reserve_admitted();
         let handle = reservation.handle();
         if let Some(left) = remaining {
             handle.set_deadline(left);
         }
-        inner.track(Arc::clone(&handle));
+        turn.start(&handle);
         let execution = service.engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle));
-        inner.untrack(reservation.id());
         drop(reservation);
         service.record_latency(started.elapsed());
         let execution = match execution {
@@ -430,12 +358,8 @@ impl Session {
         // Never publish a result whose query ended cancelled or past its
         // deadline — a racing close/expiry after the last checkpoint could
         // otherwise pin a half-trusted output in the cache and serve it to
-        // the next identical submission. Cost-aware admission: executions
-        // cheaper than `min_cache_cost` are not worth a cache slot.
-        if !handle.is_cancelled()
-            && !handle.deadline_exceeded()
-            && started.elapsed() >= service.config.min_cache_cost
-        {
+        // the next identical submission.
+        if !handle.is_cancelled() && !handle.deadline_exceeded() {
             service.result_cache.insert(
                 signature,
                 execution.output.clone(),
@@ -451,9 +375,55 @@ impl Session {
     }
 
     /// Closes the session: immediately wakes every queued submission with
-    /// [`EngineError::SessionClosed`], cancels its in-flight queries, and
-    /// makes every later submission fail with the same error. Idempotent.
+    /// [`EngineError::SessionClosed`], cancels the query of the submission
+    /// holding the turn, and makes every later submission fail with
+    /// [`EngineError::SessionClosed`]. Idempotent.
     pub fn close(&self) {
         self.inner.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use apq_columnar::partition::RowRange;
+    use apq_columnar::{Catalog, TableBuilder};
+
+    use crate::plan::OperatorSpec;
+    use crate::{EngineConfig, QueryService, ServiceConfig};
+
+    use super::*;
+
+    #[test]
+    fn a_close_after_the_turn_is_granted_cancels_the_query_before_dispatch() {
+        let mut catalog = Catalog::new();
+        catalog.register(TableBuilder::new("t").i64_column("v", vec![1, 2]).build().unwrap());
+        let service = QueryService::new(
+            ServiceConfig::with_engine(EngineConfig::with_workers(1)),
+            Arc::new(catalog),
+        );
+        let mut plan = Plan::new();
+        let scan = plan.add(
+            OperatorSpec::ScanColumn {
+                table: "t".into(),
+                column: "v".into(),
+                range: RowRange::new(0, 2),
+            },
+            vec![],
+        );
+        plan.set_root(scan);
+        let session = service.connect();
+
+        // The close lands after the turn was granted and before the
+        // submission reached the engine, where nothing was running yet.
+        let turn = session.inner.acquire_turn(true).unwrap();
+        session.close();
+        let handle = service.engine().register_query(0);
+        turn.start(&handle);
+        assert!(handle.is_cancelled(), "the close missed the turn holder");
+        let plan = Arc::new(plan);
+        let err =
+            service.engine().execute_with_handle(&plan, &service.catalog(), Arc::clone(&handle));
+        assert_eq!(err.unwrap_err(), EngineError::Cancelled);
+        assert_eq!(handle.dispatched(), 0, "a task was dispatched for a closed session");
     }
 }

@@ -70,15 +70,21 @@ fn timeline(handle: &QueryHandle) -> Vec<(DopPhase, usize)> {
     handle.dop_timeline().iter().map(|e| (e.phase, e.dop)).collect()
 }
 
-/// The invariant: every live reservation's cap is the equal share.
-fn assert_equal_shares(workers: usize, census: &[ReservedQuery], step: &str) {
+/// The invariant: the engine's census is exactly the live reservations,
+/// and every one of them holds the equal share.
+fn assert_equal_shares(engine: &Engine, workers: usize, census: &[ReservedQuery], step: &str) {
+    let mut held: Vec<u64> = census.iter().map(ReservedQuery::id).collect();
+    let mut counted: Vec<u64> = engine.reservations().iter().map(|h| h.id()).collect();
+    held.sort_unstable();
+    counted.sort_unstable();
+    assert_eq!(counted, held, "{step}: the census is not the live reservations");
     let share = (workers / census.len().max(1)).max(1);
-    for reservation in census {
+    for handle in engine.reservations() {
         assert_eq!(
-            reservation.handle().admitted_dop(),
+            handle.admitted_dop(),
             share,
             "{step}: query {} is off the share of {workers} workers over {} reservations",
-            reservation.id(),
+            handle.id(),
             census.len()
         );
     }
@@ -117,7 +123,7 @@ fn arrivals_claw_back_and_releases_regrant_with_timeline_events() {
     // Past saturation the share floors at 1.
     let e = engine.reserve_admitted();
     assert_eq!(timeline(&e.handle()), [(Reserve, 1)]);
-    assert_eq!(engine.active_queries().len(), 5, "tickets are census-visible unsubmitted");
+    assert_eq!(engine.reservations().len(), 5, "tickets are census-visible unsubmitted");
     drop(e);
     assert_eq!(timeline(&d.handle()), [(Reserve, 1)], "5 → 4 reservations: still 1 each");
 
@@ -132,7 +138,7 @@ fn arrivals_claw_back_and_releases_regrant_with_timeline_events() {
         [(Reserve, 4), (Regrant, 2), (Regrant, 1), (Regrant, 2), (Regrant, 4)]
     );
     drop(a);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
 }
 
 #[test]
@@ -141,13 +147,11 @@ fn a_cap_the_client_set_is_not_in_the_census() {
     let cat = catalog(10_000);
     let plan = Arc::new(partitioned_plan(10_000, 500, 4));
 
-    // Registry-visible from issue time, with the reservation-phase grant.
-    let fixed = engine.reserve_query(3);
-    let census = engine.active_queries();
-    assert_eq!(census.len(), 1, "a held ticket is visible from issue time");
-    assert_eq!(census[0].id(), fixed.id());
-    assert_eq!(engine.in_flight_queries(), 0, "visible, but not executing");
-    let uncapped = engine.reserve_query(0);
+    // Held by the client, with its own grant, and in no census.
+    let fixed = engine.register_query(3);
+    let uncapped = engine.register_query(0);
+    assert!(engine.reservations().is_empty(), "a client's own cap is not in the census");
+    assert_eq!(engine.in_flight_queries(), 0, "held, but not executing");
 
     // Neither dilutes the share of the reservations that split the pool,
     // and neither is rewritten when those come and go.
@@ -156,20 +160,21 @@ fn a_cap_the_client_set_is_not_in_the_census() {
     let peer = engine.reserve_admitted();
     drop(peer);
     drop(shared);
-    assert_eq!(timeline(&fixed.handle()), [(DopPhase::Reserve, 3)]);
-    assert_eq!(timeline(&uncapped.handle()), [(DopPhase::Reserve, 0)]);
+    assert_eq!(timeline(&fixed), [(DopPhase::Admit, 3)]);
+    assert_eq!(timeline(&uncapped), [(DopPhase::Admit, 0)]);
 
     // The one-shot baseline: a directly registered query runs at exactly
-    // the cap it was submitted with, alone on the engine or not.
-    let handle = engine.register_query(1);
-    let exec = engine.execute_with_handle(&plan, &cat, Arc::clone(&handle)).unwrap();
+    // the cap it was submitted with, alone on the engine or beside a
+    // reservation, and executing it leaves the census as it was.
+    let peer = engine.reserve_admitted();
+    let exec = engine.execute_with_handle(&plan, &cat, Arc::clone(&fixed)).unwrap();
     assert_eq!(exec.output, expected_sum(500));
     assert_eq!(exec.profile.dop_timeline.len(), 1, "a static grant is never revisited");
     assert!(!exec.profile.dop_was_regranted());
-
-    drop(fixed);
-    drop(uncapped);
-    assert!(engine.active_queries().is_empty());
+    assert_eq!(engine.reservations().len(), 1);
+    assert_eq!(peer.handle().admitted_dop(), 4, "an executing static cap diluted the share");
+    drop(peer);
+    assert!(engine.reservations().is_empty());
 }
 
 #[test]
@@ -179,10 +184,10 @@ fn survivors_execute_under_the_regranted_share() {
     let plan = Arc::new(partitioned_plan(10_000, 500, 4));
 
     let mut census: Vec<_> = (0..4).map(|_| engine.reserve_admitted()).collect();
-    assert_equal_shares(4, &census, "four arrivals");
+    assert_equal_shares(&engine, 4, &census, "four arrivals");
     // The two oldest clients leave; the two admitted at saturation stay.
     census.drain(..2);
-    assert_equal_shares(4, &census, "two releases");
+    assert_equal_shares(&engine, 4, &census, "two releases");
 
     // The profile records the whole lifecycle: admitted serial, re-granted
     // while the ticket was held, submitted at the wider share.
@@ -205,7 +210,7 @@ fn reservation_stays_registered_across_repeated_submissions() {
     let first = engine.execute_with_handle(&plan, &cat, reservation.handle()).unwrap();
     assert_eq!(first.output, expected_sum(300));
     assert_eq!(
-        engine.active_queries().len(),
+        engine.reservations().len(),
         1,
         "execution completion must not unregister a held reservation"
     );
@@ -217,7 +222,7 @@ fn reservation_stays_registered_across_repeated_submissions() {
     assert_eq!(phases, [DopPhase::Reserve, DopPhase::Submit, DopPhase::Submit]);
 
     drop(reservation);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
 }
 
 #[test]
@@ -283,7 +288,7 @@ fn regrant_racing_completion_is_harmless() {
     drop(runner_ticket);
     // The engine stays healthy for the next client.
     assert_eq!(engine.execute_shared(&plan, &cat).unwrap().output, exec.output);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
 }
 
 #[test]
@@ -321,7 +326,7 @@ fn regrant_racing_cancellation_does_not_resurrect_the_query() {
     }
     assert_eq!(handle.inflight_tasks(), 0);
     drop(ticket);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
     let ok = engine.execute_shared(&plan, &cat).unwrap();
     assert_eq!(ok.output, expected_sum(100), "engine unhealthy after the cancel race");
 }
@@ -351,14 +356,14 @@ fn a_reservation_dropped_under_a_running_query_releases_its_share() {
     // the pool from here on, and the running query keeps the cap it had —
     // it is no longer anyone's to re-grant.
     assert_eq!(staying.handle().admitted_dop(), 2);
-    assert_eq!(engine.active_queries().len(), 1);
+    assert_eq!(engine.reservations().len(), 1);
     let exec = runner.join().unwrap().unwrap();
     assert_eq!(exec.output, expected_sum(400));
     assert_eq!(handle.inflight_tasks(), 0);
     assert_eq!(handle.admitted_dop(), 1);
-    assert_eq!(engine.active_queries().len(), 1, "completion must not touch the registry");
+    assert_eq!(engine.reservations().len(), 1, "completion must not touch the registry");
     drop(staying);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
 }
 
 /// SplitMix64, the repository's seeded-sequence idiom.
@@ -385,8 +390,9 @@ fn seeded_reserve_release_cancel_sequences_hold_the_share_invariant() {
         let workers = 1 + gen.below(8);
         let engine = Engine::with_workers(workers);
         let mut census: Vec<ReservedQuery> = Vec::new();
-        // Static reservations ride along; their caps must never move.
-        let mut fixed: Vec<(ReservedQuery, usize)> = Vec::new();
+        // Held handles with the client's own cap ride along; they are never
+        // counted and their caps must never move.
+        let mut fixed: Vec<(Arc<QueryHandle>, usize)> = Vec::new();
         for step in 0..400 {
             let what = match gen.below(8) {
                 0..=2 => {
@@ -403,32 +409,26 @@ fn seeded_reserve_release_cancel_sequences_hold_the_share_invariant() {
                 }
                 6 => {
                     let cap = gen.below(4);
-                    fixed.push((engine.reserve_query(cap), cap));
-                    "static reserve"
+                    fixed.push((engine.register_query(cap), cap));
+                    "static register"
                 }
                 _ if !fixed.is_empty() => {
                     fixed.swap_remove(gen.below(fixed.len()));
-                    "static release"
+                    "static drop"
                 }
                 _ => continue,
             };
             let context = format!("seed {seed}, step {step} ({what})");
-            assert_equal_shares(workers, &census, &context);
-            for (reservation, cap) in &fixed {
-                assert_eq!(
-                    reservation.handle().admitted_dop(),
-                    *cap,
-                    "{context}: static cap moved"
-                );
+            assert_equal_shares(&engine, workers, &census, &context);
+            for (handle, cap) in &fixed {
+                assert_eq!(handle.admitted_dop(), *cap, "{context}: static cap moved");
             }
-            assert_eq!(engine.active_queries().len(), census.len() + fixed.len(), "{context}");
         }
         while let Some(reservation) = census.pop() {
             drop(reservation);
-            assert_equal_shares(workers, &census, &format!("seed {seed}, drain"));
+            assert_equal_shares(&engine, workers, &census, &format!("seed {seed}, drain"));
         }
-        fixed.clear();
-        assert!(engine.active_queries().is_empty(), "seed {seed}: registry not drained");
+        assert!(engine.reservations().is_empty(), "seed {seed}: census not drained");
     }
 }
 
@@ -447,8 +447,7 @@ fn a_long_query_behind_a_short_one_is_regranted_the_pool_through_the_service() {
     );
     let engine = service.engine();
     let caps = || {
-        let mut caps: Vec<usize> =
-            engine.active_queries().iter().map(|h| h.admitted_dop()).collect();
+        let mut caps: Vec<usize> = engine.reservations().iter().map(|h| h.admitted_dop()).collect();
         caps.sort_unstable();
         caps
     };
@@ -480,5 +479,5 @@ fn a_long_query_behind_a_short_one_is_regranted_the_pool_through_the_service() {
     assert_eq!(short[0], (DopPhase::Reserve, 2));
     assert!(short[1..].contains(&(DopPhase::Regrant, 1)), "{short:?}");
     assert_eq!(long, [(DopPhase::Reserve, 1), (DopPhase::Submit, 1), (DopPhase::Regrant, 2)]);
-    assert!(engine.active_queries().is_empty());
+    assert!(engine.reservations().is_empty());
 }

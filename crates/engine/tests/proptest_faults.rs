@@ -4,8 +4,9 @@
 //! {result, `Cancelled`, `DeadlineExceeded`, `Overloaded`,
 //! `WorkerPanicked`} — and a *result* must be byte-identical to the
 //! fault-free reference (timing faults never change bytes; outcome faults
-//! fail the query instead). Afterwards the live-query registry is empty
-//! and the service's `timed_out` counter matches the observed outcomes.
+//! fail the query instead). Afterwards the census is empty, nothing is
+//! executing, and the service's `timed_out` counter matches the observed
+//! outcomes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -157,8 +158,9 @@ proptest! {
                 }
             }
 
-            // The registry drains: no live query survives its submission.
-            prop_assert!(service.engine().active_queries().is_empty());
+            // The census drains: no query survives its submission.
+            prop_assert!(service.engine().reservations().is_empty());
+            prop_assert_eq!(service.engine().in_flight_queries(), 0);
             let stats = service.stats();
             prop_assert_eq!(stats.timed_out, timed_out);
             prop_assert_eq!(stats.faults_injected, service.engine().fault_stats().total());

@@ -111,7 +111,7 @@ proptest! {
         }
 
         // The census drains: no reservations survive their submissions.
-        prop_assert!(service.engine().active_queries().is_empty());
+        prop_assert!(service.engine().reservations().is_empty());
         let stats = service.stats();
         prop_assert_eq!(
             stats.result_cache_hits + stats.result_cache_misses,

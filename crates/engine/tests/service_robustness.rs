@@ -119,43 +119,26 @@ fn close_wakes_queued_submitters_immediately() {
     let session = service.connect();
     let plan = sum_plan(353);
 
-    let a = {
-        let (session, plan) = (session.clone(), plan.clone());
-        thread::spawn(move || {
-            let started = Instant::now();
-            (session.submit(&plan), started.elapsed())
-        })
-    };
-    // B queues only once A holds the turn (a query is live in the engine).
-    await_condition("A's query to go live", || !service.engine().active_queries().is_empty());
-    let b = {
-        let (session, plan) = (session.clone(), plan.clone());
-        thread::spawn(move || {
-            let started = Instant::now();
-            (session.submit(&plan), started.elapsed())
-        })
-    };
+    let a = submit_async(&session, &plan);
+    // B queues only once A holds the turn (a query is inside the engine).
+    await_condition("A's query to go live", || service.engine().in_flight_queries() == 1);
+    let b = submit_async(&session, &plan);
     await_condition("B to join the queue", || service.queued() == 1);
 
     session.close();
-    let (b_result, b_elapsed) = b.join().unwrap();
-    let (a_result, _a_elapsed) = a.join().unwrap();
+    let b_result = b.join().unwrap();
+    let a_result = a.join().unwrap();
 
     assert_eq!(b_result.unwrap_err(), EngineError::SessionClosed);
     // Close also cancelled A's in-flight query.
     assert_eq!(a_result.unwrap_err(), EngineError::Cancelled);
-    // "Immediately": had B been granted the turn and executed, its
-    // submission would have spent ≥120ms in operator overhead. Waking
-    // with SessionClosed must not involve running anything.
-    assert!(
-        b_elapsed < Duration::from_millis(60),
-        "B took {b_elapsed:?} to observe the close — it ran instead of waking"
-    );
+    // "Immediately": B never got a turn — a submission is counted only once
+    // its turn is granted, so A is the only one the service counted.
+    assert_eq!(service.stats().queries, 1, "B ran instead of waking");
     assert_eq!(service.queued(), 0, "the queued census retained a woken waiter");
 }
 
-/// Spawns a submission on `session` once `ready` says the queue reached the
-/// expected shape, returning the join handle.
+/// Spawns a blocking submission on `session`, returning the join handle.
 fn submit_async(
     session: &Session,
     plan: &Plan,
@@ -176,7 +159,7 @@ fn newcomer_is_refused_when_nothing_queued_outranks_it() {
     let plan = sum_plan(353);
 
     let running = submit_async(&session, &plan);
-    await_condition("query to go live", || !service.engine().active_queries().is_empty());
+    await_condition("query to go live", || service.engine().in_flight_queries() == 1);
     let queued = submit_async(&session, &plan);
     await_condition("waiter to queue", || service.queued() == 1);
 
@@ -194,7 +177,7 @@ fn newcomer_is_refused_when_nothing_queued_outranks_it() {
     // An idle session's first submission takes its turn without queueing;
     // its second would have to queue and is refused like the one above.
     let other_running = submit_async(&other, &plan);
-    await_condition("other query to go live", || service.engine().active_queries().len() == 2);
+    await_condition("other query to go live", || service.engine().in_flight_queries() == 2);
     let refused = other.submit(&plan).expect_err("the census is still full");
     assert!(matches!(refused, EngineError::Overloaded { .. }), "got {refused}");
     assert_eq!(service.queued(), 1, "the refusal must not evict the queued waiter");
@@ -204,7 +187,8 @@ fn newcomer_is_refused_when_nothing_queued_outranks_it() {
     }
     assert_eq!(service.stats().shed, 2);
     assert_eq!(service.queued(), 0);
-    assert!(service.engine().active_queries().is_empty());
+    assert_eq!(service.engine().in_flight_queries(), 0);
+    assert!(service.engine().reservations().is_empty());
 }
 
 #[test]
@@ -220,15 +204,13 @@ fn try_submit_refuses_instead_of_queueing() {
     // Busy session: try_submit returns Overloaded without waiting.
     service.invalidate_results(); // force the next submissions to execute
     let running = submit_async(&session, &plan);
-    await_condition("query to go live", || !service.engine().active_queries().is_empty());
-    let started = Instant::now();
+    await_condition("query to go live", || service.engine().in_flight_queries() == 1);
     let refused = session.try_submit(&plan).expect_err("busy session refuses try_submit");
-    let elapsed = started.elapsed();
     assert!(matches!(refused, EngineError::Overloaded { .. }), "got {refused}");
-    assert!(
-        elapsed < Duration::from_millis(50),
-        "try_submit blocked for {elapsed:?} instead of refusing immediately"
-    );
+    // The refusal came back while the running submission is still inside
+    // the engine: try_submit did not wait for the turn.
+    assert_eq!(service.engine().in_flight_queries(), 1, "try_submit waited for the turn");
+    assert!(!running.is_finished(), "try_submit waited for the turn");
     running.join().unwrap().expect("running submission completes");
     assert_eq!(service.stats().shed, 1);
 }
@@ -242,7 +224,7 @@ fn cancelled_submissions_never_reach_the_result_cache() {
     let plan = sum_plan(101);
 
     let running = submit_async(&session, &plan);
-    await_condition("query to go live", || !service.engine().active_queries().is_empty());
+    await_condition("query to go live", || service.engine().in_flight_queries() == 1);
     session.close();
     assert_eq!(running.join().unwrap().unwrap_err(), EngineError::Cancelled);
     assert_eq!(service.result_cache_len(), 0, "cancelled outcome reached the result cache");

@@ -2,12 +2,15 @@
 //! and plan/result cache correctness (hits byte-identical to cold
 //! execution, bounds respected, invalidation selective).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
-use apq_engine::{DopPhase, EngineConfig, EngineError, QueryOutput, QueryService, ServiceConfig};
+use apq_engine::{
+    DopPhase, EngineConfig, EngineError, FaultConfig, QueryOutput, QueryService, ServiceConfig,
+};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
 fn catalog_with(rows: usize, scale: i64) -> Arc<Catalog> {
@@ -62,6 +65,15 @@ fn service(config: ServiceConfig) -> QueryService {
     QueryService::new(config, catalog(10_000))
 }
 
+/// Spins until `cond` holds; a wait on a state change, never on a duration.
+fn await_condition(label: &str, mut cond: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(start.elapsed() < Duration::from_secs(20), "timed out waiting for {label}");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn submissions_run_under_reserved_census_slots() {
     let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
@@ -76,7 +88,7 @@ fn submissions_run_under_reserved_census_slots() {
     // A lone client gets the whole pool at admit time.
     assert_eq!(profile.dop_timeline[0].dop, 2);
     // The reservation was released once the submission finished.
-    assert!(svc.engine().active_queries().is_empty());
+    assert!(svc.engine().reservations().is_empty());
 }
 
 #[test]
@@ -233,5 +245,48 @@ fn concurrent_submissions_through_one_session_serialize_safely() {
         );
     }
     assert_eq!(svc.stats().queries, 4);
-    assert!(svc.engine().active_queries().is_empty());
+    assert!(svc.engine().reservations().is_empty());
+}
+
+#[test]
+fn queued_submissions_are_served_in_arrival_order() {
+    // 20 ms per operator: the first submission holds the turn for ~0.1 s,
+    // far longer than the four behind it take to queue.
+    let svc = service(
+        ServiceConfig::with_engine(
+            EngineConfig::with_workers(2).with_faults(FaultConfig::fixed_delay(20_000)),
+        )
+        .with_result_cache_capacity(0),
+    );
+    let session = svc.connect();
+    let thresholds = [100, 200, 300, 400, 500];
+    let answered = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        let submit = |threshold: i64| {
+            let (session, answered) = (session.clone(), &answered);
+            scope.spawn(move || {
+                let response = session.submit(&sum_plan(10_000, threshold)).unwrap();
+                answered.lock().unwrap().push((threshold, response.output));
+            })
+        };
+        let first = submit(thresholds[0]);
+        await_condition("the first submission to hold the turn", || {
+            svc.engine().in_flight_queries() == 1
+        });
+        // The i-th follower arrives only once the i before it are queued.
+        for (i, &threshold) in thresholds[1..].iter().enumerate() {
+            await_condition("the previous follower to queue", || {
+                assert!(!first.is_finished(), "the turn holder returned before the line formed");
+                svc.queued() == i
+            });
+            submit(threshold);
+        }
+    });
+    let answered = answered.into_inner().unwrap();
+    let order: Vec<i64> = answered.iter().map(|(threshold, _)| *threshold).collect();
+    assert_eq!(order, thresholds, "the line did not serve in arrival order");
+    for (threshold, output) in answered {
+        assert_eq!(output, expected_sum(threshold), "threshold {threshold}");
+    }
+    assert_eq!(svc.queued(), 0);
 }

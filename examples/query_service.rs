@@ -4,7 +4,7 @@
 //! Where `elastic_concurrency.rs` wires reservation and execution together
 //! by hand (`reserve_admitted` → `execute_with_handle`), this example opens
 //! a session and submits — the service folds admission into the engine's
-//! live-query registry, so a submission counts against the census for as
+//! census, so a submission counts against it for as
 //! long as it runs and the survivors are re-granted as others return.
 //! Shared plan and result caches turn repeat submissions into cache hits
 //! across sessions.

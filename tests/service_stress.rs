@@ -109,7 +109,7 @@ fn churning_sessions_return_byte_identical_results_across_the_matrix() {
         assert_eq!(stats.sessions_closed, CLIENTS as u64, "{label}");
         // The census drains completely once every client is gone.
         assert!(
-            service.engine().active_queries().is_empty(),
+            service.engine().reservations().is_empty(),
             "{label}: reservations leaked past their sessions"
         );
     }

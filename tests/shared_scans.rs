@@ -11,9 +11,7 @@
 //! * **failure isolation** — a submission that misses its deadline leaves
 //!   its session usable,
 //! * **invalidation flushes** — per-table invalidation drops the cached
-//!   results computed from that table, and the next run re-executes,
-//! * **cost-aware caching** — executions cheaper than
-//!   [`ServiceConfig::min_cache_cost`] never claim a result-cache slot.
+//!   results computed from that table, and the next run re-executes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -220,29 +218,4 @@ fn cancellation_and_deadlines_leave_the_group_healthy() {
     let expected = reference.execute(&follow_up, &catalog).expect("reference").output;
     let got = session.submit(&follow_up).expect("session survives a failed submission").output;
     assert_eq!(got, expected);
-}
-
-#[test]
-fn min_cache_cost_gates_result_cache_admission() {
-    let catalog = catalog();
-    let plan = scaled_sum(2);
-    // A floor no sub-second query reaches: nothing is admitted, the warm
-    // submission re-executes.
-    let expensive_only = QueryService::new(
-        ServiceConfig::with_engine(EngineConfig::with_workers(WORKERS))
-            .with_min_cache_cost(Duration::from_secs(3_600)),
-        Arc::clone(&catalog),
-    );
-    let session = expensive_only.connect();
-    session.submit(&plan).expect("cold run executes");
-    let warm = session.submit(&plan).expect("warm run executes");
-    assert!(!warm.result_cache_hit, "a cheap execution claimed a cache slot");
-    assert!(warm.profile.is_some(), "warm run should have re-executed");
-
-    // The zero default admits everything, as before.
-    let admit_all = QueryService::new(ServiceConfig::default(), Arc::clone(&catalog));
-    let session = admit_all.connect();
-    session.submit(&plan).expect("cold run executes");
-    let warm = session.submit(&plan).expect("warm run is served from cache");
-    assert!(warm.result_cache_hit, "zero floor should admit the cold result");
 }
