@@ -148,19 +148,13 @@ pub fn heuristic_parallelize_with_driver(
                     }
                     parts.insert(id, versions);
                 } else {
-                    // Keep the operator single; merging combiners absorb the
+                    // Keep the operator single; combiners absorb the
                     // partitioned versions directly, everything else reads a
                     // packed exchange union.
-                    let splices_partials = matches!(
-                        spec,
-                        OperatorSpec::FinalizeAgg { .. }
-                            | OperatorSpec::MergeGrouped
-                            | OperatorSpec::ExchangeUnion
-                    );
                     let mut inputs = Vec::new();
                     for input in &node.inputs {
                         if let Some(versions) = parts.get(input) {
-                            if splices_partials {
+                            if spec.is_combiner() {
                                 inputs.extend(versions.iter().copied());
                             } else {
                                 inputs.push(resolve_single(

@@ -65,7 +65,6 @@ pub struct ConvergenceState {
     debit: f64,
     leaking_debit: Option<f64>,
     run_index: usize,
-    observations: Vec<RunObservation>,
 }
 
 impl ConvergenceState {
@@ -83,7 +82,6 @@ impl ConvergenceState {
             debit: 0.0,
             leaking_debit: None,
             run_index: 0,
-            observations: Vec::new(),
         }
     }
 
@@ -95,16 +93,6 @@ impl ConvergenceState {
         self.best_us = Some(exec_us);
         self.best_run = 0;
         self.run_index = 0;
-        self.observations.push(RunObservation {
-            run: 0,
-            exec_us,
-            roi: 0.0,
-            is_outlier: false,
-            credit: self.credit,
-            debit: self.debit,
-            balance: self.balance(),
-            became_gme: false,
-        });
     }
 
     /// Records one adaptive (parallel) run and updates credit, debit, GME and
@@ -136,7 +124,10 @@ impl ConvergenceState {
             }
             self.prev_us = Some(exec_us);
 
-            // Track the true minimum (used to pick the final plan).
+            // Track the true minimum: the optimizer returns this run's plan.
+            // Strict `<` keeps the earliest of equal runs; an outlier never
+            // gets here, and it could not win anyway (it is slower than the
+            // serial run, which is the first candidate).
             if self.best_us.is_none_or(|b| exec_us < b) {
                 self.best_us = Some(exec_us);
                 self.best_run = run;
@@ -175,7 +166,7 @@ impl ConvergenceState {
             }
         }
 
-        let obs = RunObservation {
+        RunObservation {
             run,
             exec_us,
             roi,
@@ -184,9 +175,7 @@ impl ConvergenceState {
             debit: self.debit,
             balance: self.balance(),
             became_gme,
-        };
-        self.observations.push(obs.clone());
-        obs
+        }
     }
 
     /// Current balance of convergence runs (`credit − debit`).
@@ -228,11 +217,6 @@ impl ConvergenceState {
     /// Number of adaptive runs recorded so far (excluding the serial run).
     pub fn runs(&self) -> usize {
         self.run_index
-    }
-
-    /// Per-run observations, including the serial run.
-    pub fn observations(&self) -> &[RunObservation] {
-        &self.observations
     }
 
     /// The leaking debit, once activated.
@@ -371,15 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn observations_are_recorded_in_order() {
+    fn runs_are_numbered_in_order() {
         let mut c = ConvergenceState::new(config(2));
         c.record_serial(1_000);
-        c.record_run(800);
-        c.record_run(700);
-        let obs = c.observations();
-        assert_eq!(obs.len(), 3);
-        assert_eq!(obs[0].run, 0);
-        assert_eq!(obs[2].run, 2);
+        assert_eq!(c.record_run(800).run, 1);
+        assert_eq!(c.record_run(700).run, 2);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.serial_us(), Some(1_000));
     }

@@ -14,10 +14,10 @@
 //! * [`mutation`] — the basic, medium and advanced plan mutations, the
 //!   dynamic-partition splitting helpers, and the plan-explosion guard;
 //! * [`convergence`] — the credit/debit convergence algorithm with leaking
-//!   debit, outlier handling and GME tracking;
-//! * [`history`] — plan administration (choosing the fastest plan from the
-//!   plan history);
-//! * [`optimizer`] — the run loop (paper Fig. 2) driving it all;
+//!   debit, outlier handling, GME tracking and the fastest run so far;
+//! * [`optimizer`] — the run loop (paper Fig. 2) driving it all, and the
+//!   paper's plan administration policy: it keeps the fastest run's plan
+//!   and returns it as [`AdaptiveReport::best_plan`];
 //! * [`config`] / [`report`] — tunables and result structures.
 
 #![forbid(unsafe_code)]
@@ -27,7 +27,6 @@ pub mod config;
 pub mod convergence;
 pub mod error;
 pub mod expensive;
-pub mod history;
 pub mod mutation;
 pub mod optimizer;
 pub mod report;
@@ -36,7 +35,6 @@ pub use config::AdaptiveConfig;
 pub use convergence::{ConvergenceState, RunObservation};
 pub use error::{CoreError, Result};
 pub use expensive::{most_expensive, ranked_candidates, Candidate, TargetAction};
-pub use history::{PlanHistory, PlanVersion};
 pub use mutation::{mutate_most_expensive, MutationKind, MutationOutcome};
 pub use optimizer::AdaptiveOptimizer;
 pub use report::{AdaptiveReport, AdaptiveRunRecord};

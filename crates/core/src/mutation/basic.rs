@@ -22,16 +22,6 @@ use crate::error::{CoreError, Result};
 use crate::mutation::split::{aligned_inputs, output_len, remove_if_orphan, split_input};
 use crate::mutation::{MutationKind, MutationOutcome};
 
-/// True when `spec` is one of the combiner operators that can absorb
-/// additional cloned inputs directly (the "existing" exchange union of the
-/// paper, or the merging combiners used by the advanced mutation).
-pub(crate) fn is_combiner(spec: &OperatorSpec) -> bool {
-    matches!(
-        spec,
-        OperatorSpec::ExchangeUnion | OperatorSpec::FinalizeAgg { .. } | OperatorSpec::MergeGrouped
-    )
-}
-
 /// Applies the basic / advanced mutation to `target`.
 pub fn clone_over_partitions(
     plan: &mut Plan,
@@ -95,7 +85,7 @@ pub fn clone_over_partitions(
     // exactly one, otherwise introduce a new exchange union.
     let consumers = plan.consumers(target);
     let combiner = if consumers.len() == 1
-        && is_combiner(&plan.node(consumers[0]).map_err(CoreError::from)?.spec)
+        && plan.node(consumers[0]).map_err(CoreError::from)?.spec.is_combiner()
     {
         let existing = consumers[0];
         plan.splice_input(existing, target, &[clone_first, clone_second])

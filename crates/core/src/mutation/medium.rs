@@ -21,7 +21,6 @@ use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::basic::is_combiner;
 use crate::mutation::split::output_len;
 use crate::mutation::{MutationKind, MutationOutcome};
 
@@ -55,7 +54,7 @@ pub fn propagate_union(
 
     // Union feeding another combiner: simply inline the inputs ("the
     // exchange union operator is removed" without cloning anything).
-    if is_combiner(&consumer.spec) {
+    if consumer.spec.is_combiner() {
         plan.splice_input(consumer_id, union_id, &union_node.inputs).map_err(CoreError::from)?;
         plan.remove(union_id).map_err(CoreError::from)?;
         return Ok(Some(MutationOutcome {
@@ -142,7 +141,7 @@ pub fn propagate_union(
     // Combine the clones and rewire the consumer's consumers.
     let grand_consumers = plan.consumers(consumer_id);
     let combiner = if grand_consumers.len() == 1
-        && is_combiner(&plan.node(grand_consumers[0]).map_err(CoreError::from)?.spec)
+        && plan.node(grand_consumers[0]).map_err(CoreError::from)?.spec.is_combiner()
     {
         let existing = grand_consumers[0];
         plan.splice_input(existing, consumer_id, &clones).map_err(CoreError::from)?;

@@ -3,8 +3,9 @@
 //!
 //! Starting from an optimal *serial* plan, every invocation executes the
 //! current plan, profiles it, and derives the next plan by parallelizing the
-//! most expensive operator. The convergence algorithm decides when to stop;
-//! the plan-history policy picks the fastest plan as the final one.
+//! most expensive operator. The convergence algorithm decides when to stop
+//! and tracks the fastest run; the plan that run executed is the final one
+//! (the paper's plan administration policy, §2).
 
 use std::sync::Arc;
 
@@ -14,7 +15,6 @@ use apq_engine::{Engine, Plan, QueryExecution};
 use crate::config::AdaptiveConfig;
 use crate::convergence::ConvergenceState;
 use crate::error::{CoreError, Result};
-use crate::history::PlanHistory;
 use crate::mutation::{mutate_most_expensive, MutationKind};
 use crate::report::{AdaptiveReport, AdaptiveRunRecord};
 
@@ -66,7 +66,6 @@ impl AdaptiveOptimizer {
 
         let mut plan = serial_plan.clone();
         let mut convergence = ConvergenceState::new(self.config.clone());
-        let mut history = PlanHistory::new();
         let mut records: Vec<AdaptiveRunRecord> = Vec::new();
 
         // Run 0: the serial plan.
@@ -74,7 +73,7 @@ impl AdaptiveOptimizer {
         let serial_output = serial_exec.output.clone();
         let serial_us = serial_exec.profile.wall_us().max(1);
         convergence.record_serial(serial_us);
-        history.record(0, &plan, serial_us);
+        let mut best_plan = plan.clone();
         let record = run_record(0, &plan, &serial_exec, None, false, convergence.balance());
         observer(&record);
         records.push(record);
@@ -100,7 +99,9 @@ impl AdaptiveOptimizer {
             }
             let exec_us = exec.profile.wall_us().max(1);
             let obs = convergence.record_run(exec_us);
-            history.record(obs.run, &plan, exec_us);
+            if convergence.best_run() == obs.run {
+                best_plan = plan.clone();
+            }
             let record =
                 run_record(obs.run, &plan, &exec, Some(mutation.kind), obs.is_outlier, obs.balance);
             observer(&record);
@@ -108,16 +109,15 @@ impl AdaptiveOptimizer {
             last_profile = exec.profile;
         }
 
-        let best = history.best().expect("at least the serial run is recorded");
         Ok(AdaptiveReport {
             serial_us,
-            best_run: best.run,
-            best_us: best.exec_us,
+            best_run: convergence.best_run(),
+            best_us: convergence.best_us().unwrap_or(serial_us),
             gme_run: convergence.gme_run(),
             gme_us: convergence.gme_us().unwrap_or(serial_us),
             total_runs: convergence.runs(),
             converged_by_balance,
-            best_plan: best.plan.clone(),
+            best_plan,
             final_output: serial_output,
             records,
         })
@@ -240,6 +240,22 @@ mod tests {
         // The best plan re-executes to the same answer.
         let again = engine.execute(&report.best_plan, &cat).unwrap();
         assert_eq!(again.output, report.final_output);
+    }
+
+    #[test]
+    fn best_run_is_the_earliest_fastest_record_and_its_plan_is_returned() {
+        let rows = 40_000;
+        let cat = catalog(rows);
+        let engine = Engine::with_workers(2);
+        let config = AdaptiveConfig::for_cores(2).with_min_partition_rows(256).with_max_runs(8);
+        let report =
+            AdaptiveOptimizer::new(config).optimize(&engine, &cat, &serial_plan(rows)).unwrap();
+        let fastest = report.records.iter().map(|r| r.exec_us).min().unwrap();
+        assert_eq!(report.best_us, fastest);
+        let earliest = report.records.iter().find(|r| r.exec_us == fastest).unwrap();
+        assert_eq!(report.best_run, earliest.run);
+        assert_eq!(report.best_plan.node_count(), earliest.plan_nodes);
+        assert_eq!(engine.execute(&report.best_plan, &cat).unwrap().output, report.final_output);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct AdaptiveReport {
     /// True when the run loop stopped because the credit/debit balance was
     /// exhausted (as opposed to running out of mutations or hitting the cap).
     pub converged_by_balance: bool,
-    /// The fastest plan found (the plan-history policy's choice).
+    /// The plan of run `best_run`, the fastest run (the paper's plan
+    /// administration policy). The GME is reported beside it.
     pub best_plan: Plan,
     /// Query result of the best plan (identical to the serial result).
     pub final_output: QueryOutput,

@@ -163,20 +163,18 @@ impl OidsView {
     }
 }
 
-/// A zero-copy window over an `Arc`-shared join result, exactly like
-/// [`OidsView`] but windowing the parallel `(outer, inner)` oid vectors of a
-/// [`JoinResult`].
+/// A zero-copy window over an `Arc`-shared join result: an [`OidsView`]
+/// over the outer side, whose window and stream offset the inner side
+/// shares, plus the inner side's backing. All window arithmetic — and so the
+/// `stream_base` invariant — is the outer view's.
 ///
 /// The two sides are separate `Arc`s, so projecting one side
 /// (`ProjectJoinSide`) is an [`OidsView`] over that side's backing — the same
 /// window, no copy.
 #[derive(Debug, Clone)]
 pub struct JoinView {
-    outer: Arc<Vec<Oid>>,
+    outer: OidsView,
     inner: Arc<Vec<Oid>>,
-    offset: usize,
-    len: usize,
-    stream_base: Oid,
 }
 
 impl JoinView {
@@ -188,24 +186,20 @@ impl JoinView {
     /// A full view of a fresh join result sitting at `stream_base` within
     /// its join-result stream.
     pub fn at(result: JoinResult, stream_base: Oid) -> Self {
-        let len = result.len();
         JoinView {
-            outer: Arc::new(result.outer_oids),
+            outer: OidsView::at(result.outer_oids, stream_base),
             inner: Arc::new(result.inner_oids),
-            offset: 0,
-            len,
-            stream_base,
         }
     }
 
     /// The visible outer-side oids.
     pub fn outer(&self) -> &[Oid] {
-        &self.outer[self.offset..self.offset + self.len]
+        self.outer.as_slice()
     }
 
     /// The visible inner-side oids.
     pub fn inner(&self) -> &[Oid] {
-        &self.inner[self.offset..self.offset + self.len]
+        &self.inner[self.offset()..self.offset() + self.len()]
     }
 
     /// One side of the visible pairs as a candidate-list view over the join
@@ -213,73 +207,57 @@ impl JoinView {
     /// views of consecutive join windows are themselves consecutive
     /// ([`OidsView::is_contiguous_with`]).
     pub(crate) fn side(&self, side: JoinSide) -> OidsView {
-        let data = match side {
-            JoinSide::Outer => &self.outer,
-            JoinSide::Inner => &self.inner,
-        };
-        OidsView {
-            data: Arc::clone(data),
-            offset: self.offset,
-            len: self.len,
-            stream_base: self.stream_base,
+        match side {
+            JoinSide::Outer => self.outer.clone(),
+            JoinSide::Inner => OidsView { data: Arc::clone(&self.inner), ..self.outer.clone() },
         }
     }
 
     /// Number of visible pairs.
     pub fn len(&self) -> usize {
-        self.len
+        self.outer.len()
     }
 
     /// True when the window covers no pairs.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.outer.is_empty()
     }
 
     /// Offset of the window within the backing join result.
     pub fn offset(&self) -> usize {
-        self.offset
+        self.outer.offset()
     }
 
     /// Offset of the window within its join-result stream.
     pub fn stream_base(&self) -> Oid {
-        self.stream_base
+        self.outer.stream_base()
     }
 
     /// Total pair count of the shared backing join result.
     pub fn backing_len(&self) -> usize {
-        self.outer.len()
+        self.outer.backing_len()
     }
 
     /// Cuts a sub-window: window arithmetic only, no allocation, clamped
     /// like [`OidsView::slice`].
     pub fn slice(&self, start: usize, len: usize) -> JoinView {
-        let end = start.saturating_add(len).min(self.len);
-        let start = start.min(end);
-        JoinView {
-            offset: self.offset + start,
-            len: end - start,
-            stream_base: self.stream_base + start as Oid,
-            ..self.clone()
-        }
+        JoinView { outer: self.outer.slice(start, len), inner: Arc::clone(&self.inner) }
     }
 
     /// True when both views window the same backing allocation.
     pub fn shares_backing_with(&self, other: &JoinView) -> bool {
-        Arc::ptr_eq(&self.outer, &other.outer) && Arc::ptr_eq(&self.inner, &other.inner)
+        self.outer.shares_backing_with(&other.outer) && Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// True when `next` immediately follows `self` in the same backing and
     /// the same stream (see [`OidsView::is_contiguous_with`]).
     pub fn is_contiguous_with(&self, next: &JoinView) -> bool {
-        self.shares_backing_with(next)
-            && next.offset == self.offset + self.len
-            && next.stream_base == self.stream_base + self.len as Oid
+        self.outer.is_contiguous_with(&next.outer) && Arc::ptr_eq(&self.inner, &next.inner)
     }
 
     /// The parent window covering `len` pairs from this view's start.
     pub fn widened(&self, len: usize) -> JoinView {
-        debug_assert!(self.offset + len <= self.outer.len(), "widened window exceeds backing");
-        JoinView { len, ..self.clone() }
+        JoinView { outer: self.outer.widened(len), inner: Arc::clone(&self.inner) }
     }
 }
 

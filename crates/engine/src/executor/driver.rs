@@ -16,16 +16,20 @@
 //! at *step* granularity over the precomputed `deps`/`out_edges`: a step is
 //! launched when its last cross-step input edge is satisfied. A single step
 //! is one task ([`run_single_step`]); a fused step fans out into one task
-//! per morsel ([`run_morsel`]), and the last morsel to finish assembles the
-//! partial outputs in morsel order and publishes the terminal chunk exactly
-//! where whole-node execution would have published it. Everything the tasks
-//! share lives in the [`RunContext`].
+//! per morsel ([`run_morsel`]). A morsel is a zero-copy window of the chunk
+//! the pipeline's producer published — a base-table scan is a single step
+//! like any other, so its morsels are windows of its column slice with the
+//! same absolute oids. The last morsel to finish assembles the partial
+//! outputs in morsel order and publishes the terminal chunk exactly where
+//! whole-node execution would have published it. Consumer steps and morsel
+//! fan-outs are submitted from the completing worker's task context, so
+//! they start on that worker's deque. Everything the tasks share lives in
+//! the [`RunContext`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
 
 use super::run::{guarded_execute, RunContext};
@@ -33,7 +37,7 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::interpreter::{exchange_union, slice_part};
-use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, PipelineSource, Step};
+use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, Step};
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
@@ -103,18 +107,16 @@ pub(super) fn execute(
 }
 
 /// Per-pipeline morsel bookkeeping, created when the pipeline is launched
-/// (its fan-out depends on the actual source size).
+/// (its fan-out depends on the size of the producer's published chunk).
 struct FusedRun {
+    /// The producer's published chunk, cut into the morsels.
+    source: Chunk,
     n_morsels: usize,
-    /// Rows of the pipeline's input (effective scan range or source chunk).
-    source_rows: usize,
-    /// First effective row of a scan source (clamped to the table size).
-    scan_start: usize,
     /// Terminal partial output per morsel, assembled in morsel order.
     parts: Vec<OnceLock<Chunk>>,
     remaining: AtomicUsize,
     /// Accumulated per-stage execution time / output rows / output bytes,
-    /// indexed like `Pipeline::member_nodes`.
+    /// indexed like `Pipeline::stages`.
     stage_time_us: Vec<AtomicU64>,
     stage_rows: Vec<AtomicU64>,
     stage_bytes: Vec<AtomicU64>,
@@ -126,56 +128,36 @@ struct FusedRun {
 }
 
 impl FusedRun {
-    /// Resolves a runnable pipeline's source geometry and morsel fan-out.
+    /// Sizes a runnable pipeline's morsel fan-out from its producer's chunk.
     fn open(state: &Driver, pipeline: &Pipeline) -> Result<FusedRun> {
         let run = &state.run;
-        let (source_rows, scan_start, sliceable) = match pipeline.source {
-            PipelineSource::Scan { node } => {
-                let (table, column, range) = scan_source(&run.plan, node)?;
-                let len = run.catalog.table(table)?.column(column)?.len();
-                let end = range.end.min(len);
-                let start = range.start.min(end);
-                (end - start, start, true)
-            }
-            PipelineSource::Chunk { producer } => {
-                let chunk = run.input(pipeline.stages[0], producer)?;
-                // Non-positional chunks (hash tables, scalars, partials)
-                // cannot be sliced; the pipeline still runs, as a single
-                // morsel covering the whole input.
-                (chunk.rows(), 0, is_positional(chunk))
-            }
-        };
-        let n_morsels = if sliceable { morsel_count(source_rows, state.morsel_rows) } else { 1 };
+        let source = run.input(pipeline.stages[0], pipeline.producer)?.clone();
+        // Non-positional chunks (hash tables, scalars, partials) cannot be
+        // sliced; the pipeline still runs, as a single morsel covering the
+        // whole input.
+        let n_morsels =
+            if is_positional(&source) { morsel_count(source.rows(), state.morsel_rows) } else { 1 };
         let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let n_members = pipeline.member_nodes().len();
+        let n_stages = pipeline.stages.len();
         Ok(FusedRun {
+            source,
             n_morsels,
-            source_rows,
-            scan_start,
             parts: (0..n_morsels).map(|_| OnceLock::new()).collect(),
             remaining: AtomicUsize::new(n_morsels),
-            stage_time_us: counters(n_members),
-            stage_rows: counters(n_members),
-            stage_bytes: counters(n_members),
+            stage_time_us: counters(n_stages),
+            stage_rows: counters(n_stages),
+            stage_bytes: counters(n_stages),
             morsels_by_worker: counters(run.n_workers),
             queue_wait_us: AtomicU64::new(0),
             start_us: run.started.elapsed().as_micros() as u64,
         })
     }
 
-    fn record_stage(&self, member: usize, started: Instant, chunk: &Chunk) {
-        self.stage_time_us[member]
+    fn record_stage(&self, stage: usize, started: Instant, chunk: &Chunk) {
+        self.stage_time_us[stage]
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.stage_rows[member].fetch_add(chunk.rows() as u64, Ordering::Relaxed);
-        self.stage_bytes[member].fetch_add(chunk.byte_size() as u64, Ordering::Relaxed);
-    }
-}
-
-/// The `(table, column, range)` of a pipeline's scan source.
-fn scan_source(plan: &Plan, node: NodeId) -> Result<(&str, &str, RowRange)> {
-    match &plan.node(node)?.spec {
-        OperatorSpec::ScanColumn { table, column, range } => Ok((table, column, *range)),
-        _ => Err(EngineError::InvalidPlan(format!("pipeline source {node} is not a scan"))),
+        self.stage_rows[stage].fetch_add(chunk.rows() as u64, Ordering::Relaxed);
+        self.stage_bytes[stage].fetch_add(chunk.byte_size() as u64, Ordering::Relaxed);
     }
 }
 
@@ -254,17 +236,17 @@ fn run_morsel(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, morsel: us
         )));
     }
     if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        match assemble_pipeline(&state, ctx, step, pipeline, &run) {
+        match assemble_pipeline(&state, ctx, pipeline, &run) {
             Ok(()) => complete_step(&state, ctx, step),
             Err(e) => state.run.fail(e),
         }
     }
 }
 
-/// Slices the pipeline's source at `morsel` and streams the slice through
-/// every fused stage while it is cache-hot, returning the terminal stage's
-/// partial output — or `None` when a [`RunContext::checkpoint`] stopped the
-/// task.
+/// Cuts the producer's published chunk at `morsel` and streams the window
+/// through every fused stage while it is cache-hot, returning the terminal
+/// stage's partial output — or `None` when a [`RunContext::checkpoint`]
+/// stopped the task.
 fn stream_morsel(
     state: &Driver,
     pipeline: &Pipeline,
@@ -273,37 +255,16 @@ fn stream_morsel(
 ) -> Result<Option<Chunk>> {
     let (ctx, morsel_rows) = (&state.run, state.morsel_rows);
     let offset = morsel * morsel_rows;
-    // Stream slices go through `slice_part`, which preserves the
-    // `stream_base` alignment invariant (see `crate::chunk::Chunk::Oids`).
-    let mut member = 0;
-    let mut cur = match pipeline.source {
-        PipelineSource::Scan { node } => {
-            let Some(inject_panic) = ctx.checkpoint(node) else { return Ok(None) };
-            let (table, column, _) = scan_source(&ctx.plan, node)?;
-            let lo = run.scan_start + offset;
-            let hi = (lo + morsel_rows).min(run.scan_start + run.source_rows);
-            let sub = OperatorSpec::ScanColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-                range: RowRange::new(lo, hi),
-            };
-            let started = Instant::now();
-            let chunk = guarded_execute(node, &sub, &[], &ctx.catalog, inject_panic)?;
-            run.record_stage(member, started, &chunk);
-            member = 1;
-            chunk
-        }
-        PipelineSource::Chunk { producer } => {
-            let chunk = ctx.input(pipeline.stages[0], producer)?;
-            if run.n_morsels == 1 {
-                chunk.clone()
-            } else {
-                slice_part(producer, chunk, offset, morsel_rows)?
-            }
-        }
+    // Windows go through `slice_part`, which keeps absolute oids for columns
+    // and the `stream_base` alignment invariant for streams (see
+    // `crate::chunk::Chunk::Oids`).
+    let mut cur = if run.n_morsels == 1 {
+        run.source.clone()
+    } else {
+        slice_part(pipeline.producer, &run.source, offset, morsel_rows)?
     };
 
-    for &stage in &pipeline.stages {
+    for (idx, &stage) in pipeline.stages.iter().enumerate() {
         let node_ref = ctx.plan.node(stage)?;
         let aligned = node_ref.spec.aligned_inputs(node_ref.inputs.len());
         let mut inputs: Vec<Chunk> = Vec::with_capacity(node_ref.inputs.len());
@@ -313,17 +274,17 @@ fn stream_morsel(
             // A range-aligned secondary input (Calc col⊗col, IfThenElse,
             // GroupAgg values) zips positionally against the pipeline
             // stream, so it must be cut at the same relative window as the
-            // source morsel. The analyzer only fuses these stages when
-            // nothing upstream has compacted the stream, so the source's
+            // producer's morsel. The analyzer only fuses these stages when
+            // nothing upstream has compacted the stream, so the producer's
             // morsel grid applies verbatim. A whole-length mismatch is
             // surfaced here exactly as whole-node execution would report
             // it; without this check each morsel-sized slice pair could
             // happen to agree and silently diverge from the serial
             // semantics.
             if run.n_morsels > 1 && aligned[i] && is_positional(chunk) {
-                if chunk.rows() != run.source_rows {
+                if chunk.rows() != run.source.rows() {
                     return Err(apq_operators::OperatorError::LengthMismatch {
-                        left: run.source_rows,
+                        left: run.source.rows(),
                         right: chunk.rows(),
                     }
                     .into());
@@ -336,8 +297,7 @@ fn stream_morsel(
         let Some(inject_panic) = ctx.checkpoint(stage) else { return Ok(None) };
         let started = Instant::now();
         cur = guarded_execute(stage, &node_ref.spec, &inputs, &ctx.catalog, inject_panic)?;
-        run.record_stage(member, started, &cur);
-        member += 1;
+        run.record_stage(idx, started, &cur);
     }
 
     // The injected delay applies once per morsel (the dispatch unit here,
@@ -353,13 +313,11 @@ fn stream_morsel(
 fn assemble_pipeline(
     state: &Driver,
     ctx: &TaskContext<'_>,
-    step: usize,
     pipeline: &Pipeline,
     run: &FusedRun,
 ) -> Result<()> {
     let terminal = pipeline.terminal();
-    let members = pipeline.member_nodes();
-    let terminal_member = members.len() - 1;
+    let terminal_idx = pipeline.stages.len() - 1;
 
     let assembly_started = Instant::now();
     let final_chunk = if run.n_morsels == 1 {
@@ -369,12 +327,12 @@ fn assemble_pipeline(
             run.parts.iter().map(|p| p.get().cloned().expect("all morsels completed")).collect();
         exchange_union(terminal, &parts)?
     };
-    run.stage_time_us[terminal_member]
+    run.stage_time_us[terminal_idx]
         .fetch_add(assembly_started.elapsed().as_micros() as u64, Ordering::Relaxed);
 
-    for (i, &node) in members.iter().enumerate() {
+    for (i, &node) in pipeline.stages.iter().enumerate() {
         let spec = &state.run.plan.node(node)?.spec;
-        let is_terminal = i == terminal_member;
+        let is_terminal = i == terminal_idx;
         let profile = OperatorProfile {
             node,
             name: spec.name(),
@@ -402,12 +360,9 @@ fn assemble_pipeline(
     }
 
     lock(&state.run.pipeline_profiles).push(PipelineProfile {
-        step,
-        nodes: members,
+        nodes: pipeline.stages.clone(),
         n_morsels: run.n_morsels,
-        morsel_rows: state.morsel_rows,
-        source_rows: run.source_rows,
-        queue_wait_us: run.queue_wait_us.load(Ordering::Relaxed),
+        source_rows: run.source.rows(),
         morsels_by_worker: run
             .morsels_by_worker
             .iter()

@@ -13,22 +13,26 @@
 //! starts. That leaves the work-stealing scheduler's locality advantage
 //! mostly unexercised: a chunk produced on one core is consumed exactly
 //! once, by one follow-up task. [`ExecutionMode::MorselDriven`] instead
-//! *fuses* compatible operator chains into pipelines, splits each pipeline's
-//! input into fixed-size **morsels** (configurable via
+//! *fuses* compatible operator chains into pipelines. A pipeline has one
+//! source, its **producer**: the step before it whose published chunk is cut
+//! into fixed-size **morsels** (zero-copy windows, configurable via
 //! [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
-//! rows) and dispatches one scheduler task per morsel. Workers pull morsels
-//! from their own deques, each morsel flows through *all* fused stages while
-//! its data is cache-hot, and the per-stage whole-chunk materialization
-//! disappears inside the pipeline.
+//! rows), one scheduler task per morsel. A base-table scan is such a step
+//! like any other: it publishes a zero-copy slice of its column, and the
+//! pipeline over it cuts that slice. Workers pull morsels from their own
+//! deques, each morsel flows through *all* fused stages while its data is
+//! cache-hot, and the per-stage whole-chunk materialization disappears
+//! inside the pipeline.
 //!
 //! ```text
 //! operator-at-a-time                 morsel-driven
 //! ==================                 =============
 //!
-//!  scan ──► [whole chunk]            pipeline = scan→select→fetch→agg
-//!            select ──► [chunk]        morsel 0 ─► scan₀ sel₀ fetch₀ agg₀ ─┐
-//!                    fetch ─► [chunk]  morsel 1 ─► scan₁ sel₁ fetch₁ agg₁ ─┼─► assemble
-//!                          agg ─► out  morsel 2 ─► scan₂ sel₂ fetch₂ agg₂ ─┘
+//!  scan ──► [whole chunk]            scan ──► [column slice]   (single step)
+//!            select ──► [chunk]      pipeline = producer scan → select→fetch→agg
+//!                    fetch ─► [chunk]  morsel 0 ─► sel₀ fetch₀ agg₀ ─┐
+//!                          agg ─► out  morsel 1 ─► sel₁ fetch₁ agg₁ ─┼─► assemble
+//!                                      morsel 2 ─► sel₂ fetch₂ agg₂ ─┘
 //!  (one task per operator,           (one task per MORSEL; stages fused,
 //!   whole chunks between them)        partial outputs packed in morsel order)
 //! ```
@@ -57,18 +61,18 @@
 //! so a morsel yields only morsel-local ranks, and morsel lengths become
 //! data dependent):
 //!
-//! 1. no later stage that *emits positions* of that stream (another
-//!    selection or join) may fuse — its output bases would be morsel-local;
+//! 1. no later stage that creates a stream of its own (another selection or
+//!    join, whose output values are positions of its input) may fuse — its
+//!    output bases would be morsel-local;
 //! 2. no later stage with a second range-aligned input may fuse — the
-//!    source's morsel grid no longer describes the stream, so the
+//!    producer's morsel grid no longer describes the stream, so the
 //!    grid-aligned cut of the shared input would zip against the wrong rows.
 //!
 //! Either stage instead starts its own pipeline over the globally assembled
-//! chunk (see `creates_stream` / `emits_positions` /
-//! `has_aligned_second_input` below). Fusing a two-aligned-input stage also
-//! requires the shared input's whole row count to equal the pipeline
-//! source's — the executor checks this once per morsel and reports the same
-//! `LengthMismatch` operator-at-a-time execution would.
+//! chunk (see `creates_stream` / `has_aligned_second_input` below). Fusing a
+//! two-aligned-input stage also requires the shared input's whole row count
+//! to equal the producer's — the executor checks this once per morsel and
+//! reports the same `LengthMismatch` operator-at-a-time execution would.
 //!
 //! # Result equivalence
 //!
@@ -134,30 +138,16 @@ impl std::fmt::Display for ExecutionMode {
     }
 }
 
-/// Where a pipeline's morsels come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PipelineSource {
-    /// The pipeline starts at its own `ScanColumn` leaf; morsels are
-    /// sub-ranges of the scan (zero-copy column slices).
-    Scan {
-        /// The scan node (a member of the pipeline).
-        node: NodeId,
-    },
-    /// Morsels are positional slices of an already-materialized chunk
-    /// produced by a node *outside* the pipeline.
-    Chunk {
-        /// The external producer whose published chunk is sliced.
-        producer: NodeId,
-    },
-}
-
 /// A fused chain of operators executed morsel-at-a-time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pipeline {
-    /// Morsel source.
-    pub source: PipelineSource,
-    /// Fused stage nodes in chain order. `stages[0]` consumes the source;
-    /// each later stage consumes its predecessor as first input. Non-empty.
+    /// The node whose published chunk is cut into morsels: a scan, a
+    /// breaker or another pipeline's terminal — always outside this
+    /// pipeline, in an earlier step.
+    pub producer: NodeId,
+    /// Fused stage nodes in chain order. `stages[0]` consumes the producer's
+    /// morsels; each later stage consumes its predecessor as first input.
+    /// Non-empty.
     pub stages: Vec<NodeId>,
 }
 
@@ -165,16 +155,6 @@ impl Pipeline {
     /// The stage whose output is materialized and published to the plan.
     pub fn terminal(&self) -> NodeId {
         *self.stages.last().expect("pipeline has at least one stage")
-    }
-
-    /// All member node ids (including a scan source), in execution order.
-    pub fn member_nodes(&self) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(self.stages.len() + 1);
-        if let PipelineSource::Scan { node } = self.source {
-            nodes.push(node);
-        }
-        nodes.extend_from_slice(&self.stages);
-        nodes
     }
 }
 
@@ -187,6 +167,16 @@ pub(crate) enum Step {
     Single(NodeId),
     /// A fused pipeline executed morsel-at-a-time.
     Fused(Pipeline),
+}
+
+impl Step {
+    /// The plan nodes the step executes, in execution order.
+    fn nodes(&self) -> &[NodeId] {
+        match self {
+            Step::Single(node) => std::slice::from_ref(node),
+            Step::Fused(pipeline) => &pipeline.stages,
+        }
+    }
 }
 
 /// The step decomposition of a plan: a DAG of [`Step`]s covering every live
@@ -253,9 +243,20 @@ fn is_terminal_stage(spec: &OperatorSpec) -> bool {
 }
 
 /// True when the operator *compacts* its input into a brand-new stream
-/// (candidate list or join result) whose positions are global ranks: a
-/// morsel of the input yields only the morsel-local ranks, so everything
-/// downstream that depends on stream *positions* is morsel-relative.
+/// (candidate list or join result) whose positions are global ranks:
+/// selections and the join family. A morsel of the input yields only the
+/// morsel-local ranks, so everything downstream that depends on stream
+/// *positions* is morsel-relative.
+///
+/// The same operators are the ones whose output *values* are positions of
+/// their input (base oid + local index), so none of them may be fused after
+/// another: its input's base would be a morsel-local 0 instead of the global
+/// stream position, and it would silently emit morsel-relative positions
+/// (the bug class the `stream_base` invariant exists to prevent).
+/// Value-transforming stages (fetch, calc, predicate masks, join-side
+/// projections, partial aggregates) are safe anywhere: their values are
+/// correct per morsel and their base labels reassemble to the
+/// operator-at-a-time label (a fresh stream's base 0).
 fn creates_stream(spec: &OperatorSpec) -> bool {
     matches!(
         spec,
@@ -266,23 +267,10 @@ fn creates_stream(spec: &OperatorSpec) -> bool {
     )
 }
 
-/// True when the operator's output *values* are positions of its input
-/// (base oid + local index): selections and the join family. Such a stage
-/// may not be fused after a stream-creating stage — its input's base would
-/// be a morsel-local 0 instead of the global stream position, and it would
-/// silently emit morsel-relative positions (the same bug class as the PR-1
-/// `stream_base` fix). Value-transforming stages (fetch, calc, predicate
-/// masks, join-side projections, partial aggregates) are safe anywhere:
-/// their values are correct per morsel and their base labels reassemble to
-/// the operator-at-a-time label (a fresh stream's base 0).
-fn emits_positions(spec: &OperatorSpec) -> bool {
-    creates_stream(spec)
-}
-
 /// True when the operator zips a *second range-aligned input* against its
 /// first (`Calc` col⊗col, `IfThenElse`): the executor slices that shared
-/// input on the same morsel grid as the pipeline source. This is only sound
-/// while the stream still *is* the source's grid — once a stage has
+/// input on the same morsel grid as the pipeline's producer. This is only
+/// sound while the stream still *is* the producer's grid — once a stage has
 /// compacted the stream ([`creates_stream`]), morsel lengths are data
 /// dependent and the grid-aligned cut of the external input would zip
 /// against the wrong (or wrongly sized) rows. Such a stage must then start
@@ -318,9 +306,10 @@ impl PipelinePlan {
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
         // consumed exactly once, by c, as c's first input, and c is a
         // fusible stage. Once the chain has passed a stream-creating stage
-        // (`stream_created`), position-emitting stages may not join: their
-        // input bases would be morsel-local. They instead start their own
-        // pipeline over the globally assembled chunk, which is correct.
+        // (`stream_created`), another stream creator may not join (its
+        // input bases would be morsel-local), nor may a stage zipping a
+        // second aligned input. They instead start their own pipeline over
+        // the globally assembled chunk, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
             let consumers = plan.consumers(id);
             let [consumer] = consumers.as_slice() else { return None };
@@ -330,7 +319,7 @@ impl PipelinePlan {
                 return None;
             }
             if stream_created
-                && (emits_positions(&node.spec)
+                && (creates_stream(&node.spec)
                     || has_aligned_second_input(&node.spec, node.inputs.len()))
             {
                 return None;
@@ -344,59 +333,37 @@ impl PipelinePlan {
             }
             let node = plan.node(id)?;
 
-            // A pipeline head is either a single-consumer scan feeding a
-            // fusible stage, or a fusible stage whose first input is already
-            // materialized by an external step.
-            let head = match &node.spec {
-                _ if !fuse => None,
-                OperatorSpec::ScanColumn { .. } => chain_next(id, false)
-                    .map(|first_stage| (PipelineSource::Scan { node: id }, first_stage)),
-                spec if is_fusible_stage(spec, node.inputs.len()) => {
-                    // Head streams over its producer's published chunk. The
-                    // producer is external by construction: it was assigned
-                    // to an earlier step (topological order), or forms one.
-                    let occurrences = node.inputs.iter().filter(|&&i| i == node.inputs[0]).count();
-                    (occurrences == 1 || node.inputs.len() == 1)
-                        .then_some((PipelineSource::Chunk { producer: node.inputs[0] }, id))
-                }
-                _ => None,
-            };
-
-            let step = match head {
-                Some((source, first_stage)) => {
-                    let mut stages = vec![first_stage];
-                    let mut last = first_stage;
-                    // The head streams over source slices whose bases are
-                    // globally correct (column slices keep absolute oids,
-                    // stream slices keep `stream_base`), so the head itself
-                    // may emit positions; the constraint starts after the
-                    // first in-pipeline stream creator.
-                    let mut stream_created = creates_stream(&plan.node(first_stage)?.spec);
-                    if !is_terminal_stage(&plan.node(first_stage)?.spec) {
-                        while let Some(next) = chain_next(last, stream_created) {
-                            let spec = &plan.node(next)?.spec;
-                            stream_created |= creates_stream(spec);
-                            let terminal = is_terminal_stage(spec);
-                            stages.push(next);
-                            last = next;
-                            if terminal {
-                                break;
-                            }
+            // A pipeline head is a fusible stage that streams over its first
+            // input, published by an earlier step (topological order): a
+            // scan, a breaker or another pipeline's terminal. A stage that
+            // reads that input twice (`calc(x, x)`) runs whole instead.
+            let head = fuse
+                && is_fusible_stage(&node.spec, node.inputs.len())
+                && node.inputs.iter().filter(|&&i| i == node.inputs[0]).count() == 1;
+            let step = if head {
+                let mut stages = vec![id];
+                // The head streams over producer slices whose bases are
+                // globally correct (column slices keep absolute oids, stream
+                // slices keep `stream_base`), so the head itself may emit
+                // positions; the constraint starts after the first
+                // in-pipeline stream creator.
+                let mut stream_created = creates_stream(&node.spec);
+                if !is_terminal_stage(&node.spec) {
+                    while let Some(next) = chain_next(stages[stages.len() - 1], stream_created) {
+                        let spec = &plan.node(next)?.spec;
+                        stream_created |= creates_stream(spec);
+                        stages.push(next);
+                        if is_terminal_stage(spec) {
+                            break;
                         }
                     }
-                    Step::Fused(Pipeline { source, stages })
                 }
-                None => Step::Single(id),
+                Step::Fused(Pipeline { producer: node.inputs[0], stages })
+            } else {
+                Step::Single(id)
             };
-
-            let idx = steps.len();
-            match &step {
-                Step::Single(n) => step_of[*n] = Some(idx),
-                Step::Fused(p) => {
-                    for n in p.member_nodes() {
-                        step_of[n] = Some(idx);
-                    }
-                }
+            for &n in step.nodes() {
+                step_of[n] = Some(steps.len());
             }
             steps.push(step);
         }
@@ -407,11 +374,7 @@ impl PipelinePlan {
         let mut deps = vec![0usize; steps.len()];
         let mut out_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); steps.len()];
         for (idx, step) in steps.iter().enumerate() {
-            let members = match step {
-                Step::Single(n) => vec![*n],
-                Step::Fused(p) => p.member_nodes(),
-            };
-            for member in members {
+            for &member in step.nodes() {
                 for &input in &plan.node(member)?.inputs {
                     let producer_step = step_of[input].expect("live input is assigned");
                     if producer_step != idx {
@@ -526,9 +489,11 @@ mod tests {
     fn fuses_scan_select_fetch_agg_chain() {
         let plan = filter_sum_plan(1000);
         let fused = analyze(&plan);
-        // Expected: [scan a, select, fetch, agg] fused; scan b single
-        // (feeds the fetch as a shared, unaligned input); finalize single.
+        // Expected: scan a single, producing for the fused [select, fetch,
+        // agg]; scan b single (feeds the fetch as a shared, unaligned input);
+        // finalize single.
         assert_eq!(fused.n_pipelines(), 1);
+        assert!(matches!(fused.steps[fused.step_of[0].unwrap()], Step::Single(0)));
         let pipeline = fused
             .steps
             .iter()
@@ -537,10 +502,9 @@ mod tests {
                 Step::Single(_) => None,
             })
             .unwrap();
-        assert_eq!(pipeline.source, PipelineSource::Scan { node: 0 });
+        assert_eq!(pipeline.producer, 0);
         assert_eq!(pipeline.stages, vec![1, 3, 4]);
         assert_eq!(pipeline.terminal(), 4);
-        assert_eq!(pipeline.member_nodes(), vec![0, 1, 3, 4]);
         // Every live node is assigned to exactly one step.
         for id in plan.node_ids() {
             assert!(fused.step_of[id].is_some(), "node {id} unassigned");
@@ -552,12 +516,16 @@ mod tests {
         let plan = filter_sum_plan(1000);
         let fused = analyze(&plan);
         let pipe_idx = fused.steps.iter().position(|s| matches!(s, Step::Fused(_))).unwrap();
+        let scan_a_idx = fused.step_of[0].unwrap();
         let scan_b_idx = fused.step_of[2].unwrap();
         let fin_idx = fused.step_of[5].unwrap();
         assert_ne!(pipe_idx, scan_b_idx);
-        // The pipeline waits for scan b (fetch's shared input).
-        assert_eq!(fused.deps[pipe_idx], 1);
+        // The pipeline waits for its producer, scan a, and for scan b
+        // (fetch's shared input).
+        assert_eq!(fused.deps[pipe_idx], 2);
+        assert_eq!(fused.deps[scan_a_idx], 0);
         assert_eq!(fused.deps[scan_b_idx], 0);
+        assert!(fused.out_edges[scan_a_idx].contains(&(pipe_idx, 1)));
         // Finalize waits for the pipeline's terminal aggregate.
         assert_eq!(fused.deps[fin_idx], 1);
         assert!(fused.out_edges[pipe_idx].contains(&(fin_idx, 1)));
@@ -582,7 +550,7 @@ mod tests {
         assert!(matches!(fused.steps[0], Step::Single(0)));
         let s1_step = &fused.steps[fused.step_of[s1].unwrap()];
         assert!(
-            matches!(s1_step, Step::Fused(p) if p.source == PipelineSource::Chunk { producer: a }),
+            matches!(s1_step, Step::Fused(p) if p.producer == a),
             "select over a fan-out scan should stream the materialized chunk: {s1_step:?}"
         );
         assert!(matches!(fused.steps[fused.step_of[u].unwrap()], Step::Single(_)));
@@ -632,9 +600,7 @@ mod tests {
         p2.set_root(calc);
         let fused2 = analyze(&p2);
         let calc_step = &fused2.steps[fused2.step_of[calc].unwrap()];
-        assert!(
-            matches!(calc_step, Step::Fused(pl) if pl.source == PipelineSource::Chunk { producer: part }),
-        );
+        assert!(matches!(calc_step, Step::Fused(pl) if pl.producer == part),);
     }
 
     #[test]
@@ -655,14 +621,14 @@ mod tests {
         p.set_root(semi);
         let fused = analyze(&p);
 
-        let first = &fused.steps[fused.step_of[a].unwrap()];
+        let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
-            matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
+            matches!(first, Step::Fused(pl) if pl.producer == a && pl.stages == vec![sel, fetch]),
             "chain should stop before the semijoin: {first:?}"
         );
         let semi_step = &fused.steps[fused.step_of[semi].unwrap()];
         assert!(
-            matches!(semi_step, Step::Fused(pl) if pl.source == PipelineSource::Chunk { producer: fetch }
+            matches!(semi_step, Step::Fused(pl) if pl.producer == fetch
                 && pl.stages == vec![semi]),
             "semijoin should start its own pipeline over the assembled chunk: {semi_step:?}"
         );
@@ -707,7 +673,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: a }
+            matches!(chain, Step::Fused(pl) if pl.producer == a
                 && pl.stages == vec![calc, agg]),
             "col⊗col calc should fuse with its first-input scan: {chain:?}"
         );
@@ -730,7 +696,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[ite].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: m }
+            matches!(chain, Step::Fused(pl) if pl.producer == m
                 && pl.stages == vec![mask, ite, agg]),
             "ifthenelse should fuse behind the mask chain: {chain:?}"
         );
@@ -755,7 +721,7 @@ mod tests {
         );
         p.set_root(calc);
         let fused = analyze(&p);
-        let first = &fused.steps[fused.step_of[a].unwrap()];
+        let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
             "chain should stop before the two-input calc: {first:?}"
@@ -763,7 +729,7 @@ mod tests {
         let calc_step = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
             matches!(calc_step, Step::Fused(pl)
-                if pl.source == PipelineSource::Chunk { producer: fetch }
+                if pl.producer == fetch
                 && pl.stages == vec![calc]),
             "two-input calc should restart over the assembled chunk: {calc_step:?}"
         );
@@ -783,7 +749,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
+            matches!(chain, Step::Fused(pl) if pl.producer == k
                 && pl.stages == vec![group]),
             "groupagg should fuse with its key scan: {chain:?}"
         );
@@ -812,7 +778,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
+            matches!(chain, Step::Fused(pl) if pl.producer == k
                 && pl.stages == vec![shifted, group]),
             "groupagg should terminate the calc chain: {chain:?}"
         );
@@ -834,7 +800,7 @@ mod tests {
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
         let fused = analyze(&p);
-        let first = &fused.steps[fused.step_of[a].unwrap()];
+        let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
             "chain should stop before the groupagg: {first:?}"
@@ -842,7 +808,7 @@ mod tests {
         let group_step = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
             matches!(group_step, Step::Fused(pl)
-                if pl.source == PipelineSource::Chunk { producer: fetch }
+                if pl.producer == fetch
                 && pl.stages == vec![group]),
             "groupagg should restart over the assembled chunk: {group_step:?}"
         );

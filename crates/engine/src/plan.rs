@@ -252,6 +252,20 @@ impl OperatorSpec {
         self.combiner() != CombinerKind::NotParallelizable
     }
 
+    /// True when the operator absorbs partitioned inputs directly: it takes
+    /// any number of inputs and combines them (an exchange union packs them,
+    /// `FinalizeAgg` / `MergeGrouped` merge partial aggregates), so a
+    /// rewrite may splice a producer's partitioned versions into its input
+    /// list instead of placing a new union in front of it.
+    pub fn is_combiner(&self) -> bool {
+        matches!(
+            self,
+            OperatorSpec::ExchangeUnion
+                | OperatorSpec::FinalizeAgg { .. }
+                | OperatorSpec::MergeGrouped
+        )
+    }
+
     /// Compact parameter description for plan pretty-printing.
     pub fn describe(&self) -> String {
         match self {
@@ -761,6 +775,14 @@ mod tests {
         assert!(!union.is_parallelizable());
         assert_eq!(union.aligned_inputs(4), vec![true; 4]);
         assert_eq!(union.arity(), (1, usize::MAX));
+
+        // The combiners are exactly the operators of unbounded arity.
+        let fin = OperatorSpec::FinalizeAgg { func: AggFunc::Sum };
+        for spec in [&union, &fin, &OperatorSpec::MergeGrouped] {
+            assert!(spec.is_combiner(), "{spec:?}");
+            assert_eq!(spec.arity().1, usize::MAX);
+        }
+        assert!(!sel.is_combiner() && !agg.is_combiner() && !group.is_combiner());
 
         let scanop = scan("t", "a", 5);
         assert!(!scanop.is_parallelizable());

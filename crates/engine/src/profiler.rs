@@ -105,20 +105,15 @@ pub struct DopEvent {
 /// which workers pulled them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineProfile {
-    /// Index of the pipeline's step in the fused decomposition of the plan.
-    pub step: usize,
-    /// Member node ids (scan source first, then the fused stages in chain
-    /// order; the last entry is the terminal whose output was published).
+    /// The fused stages in chain order; the last entry is the terminal
+    /// whose output was published. The terminal's [`OperatorProfile`] holds
+    /// the time the pipeline's morsel tasks spent queued.
     pub nodes: Vec<NodeId>,
-    /// Number of morsels the source was cut into (≥ 1; empty inputs still
-    /// run one morsel).
+    /// Number of morsels the producer's chunk was cut into (≥ 1; empty
+    /// inputs still run one morsel).
     pub n_morsels: usize,
-    /// Morsel size in rows ([`crate::EngineConfig::morsel_rows`]).
-    pub morsel_rows: usize,
-    /// Rows of the pipeline's source (effective scan range or input chunk).
+    /// Rows of the producer's published chunk.
     pub source_rows: usize,
-    /// Total time the pipeline's morsel tasks spent queued, microseconds.
-    pub queue_wait_us: u64,
     /// Morsels executed per worker, indexed by worker id — the locality
     /// signal of the work-stealing comparison (fig19's morsel counters).
     pub morsels_by_worker: Vec<u64>,
@@ -428,12 +423,9 @@ mod tests {
             n_workers: 2,
             operators: vec![op(0, "scan", 0, 50, 0), op(1, "select", 0, 400, 0)],
             pipelines: vec![PipelineProfile {
-                step: 0,
                 nodes: vec![0, 1],
                 n_morsels: 4,
-                morsel_rows: 1024,
                 source_rows: 4096,
-                queue_wait_us: 0,
                 morsels_by_worker: vec![3, 1],
                 groupagg_fused: false,
             }],
@@ -450,22 +442,16 @@ mod tests {
         assert_eq!(p.morsels_by_worker(), vec![0, 0, 0, 0]);
         p.pipelines = vec![
             PipelineProfile {
-                step: 0,
                 nodes: vec![0, 1],
                 n_morsels: 3,
-                morsel_rows: 1024,
                 source_rows: 2500,
-                queue_wait_us: 10,
                 morsels_by_worker: vec![2, 1, 0, 0],
                 groupagg_fused: false,
             },
             PipelineProfile {
-                step: 2,
                 nodes: vec![2],
                 n_morsels: 2,
-                morsel_rows: 1024,
                 source_rows: 1100,
-                queue_wait_us: 5,
                 morsels_by_worker: vec![0, 1, 1, 0],
                 groupagg_fused: true,
             },

@@ -141,6 +141,56 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
 }
 
 #[test]
+fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
+    // A scan over rows [3_000, 12_000) of a 10_000-row table publishes the
+    // clamped slice [3_000, 10_000); the fused select → fetch → agg over it
+    // cuts that slice into 1_000-row windows whose oids stay absolute. The
+    // summed values are the row ids themselves, so a window cut at the wrong
+    // offset cannot add up to the same total.
+    let rows = 10_000i64;
+    let mut c = Catalog::new();
+    c.register(
+        TableBuilder::new("seq")
+            .i64_column("m", (0..rows).map(|v| (v * 7_919) % 1_009).collect())
+            .i64_column("v", (0..rows).collect())
+            .build()
+            .unwrap(),
+    );
+    let cat = Arc::new(c);
+    let scan = |column: &str, range: RowRange| OperatorSpec::ScanColumn {
+        table: "seq".into(),
+        column: column.into(),
+        range,
+    };
+    let mut p = Plan::new();
+    let m = p.add(scan("m", RowRange::new(3_000, 12_000)), vec![]);
+    let sel = p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 250i64) }, vec![m]);
+    let v = p.add(scan("v", RowRange::new(0, rows as usize)), vec![]);
+    let fetched = p.add(OperatorSpec::Fetch, vec![sel, v]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    p.set_root(fin);
+
+    let expected = Engine::with_workers(3).execute(&p, &cat).unwrap().output;
+    let by_hand: i64 = (3_000..rows).filter(|r| (r * 7_919) % 1_009 < 250).sum();
+    assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
+
+    let exec = morsel_engine(1_000).execute(&p, &cat).unwrap();
+    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped scan");
+    let [pipeline] = exec.profile.pipelines.as_slice() else {
+        panic!("one pipeline expected: {:?}", exec.profile.pipelines)
+    };
+    assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
+    assert_eq!(pipeline.source_rows, 7_000);
+    assert_eq!(pipeline.n_morsels, 7);
+    assert_eq!(exec.profile.total_morsels(), 7);
+    assert_eq!(exec.profile.operator(m).unwrap().rows_out, 7_000);
+    let mut profiled: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
+    profiled.sort_unstable();
+    assert_eq!(profiled, p.node_ids(), "one profile per live node");
+}
+
+#[test]
 fn stream_partitions_keep_alignment_under_morsel_execution() {
     // SlicePart partitions of a candidate stream start at offsets that are
     // not multiples of the morsel size; the fused fetch → probe chains over

@@ -5,8 +5,8 @@
 //! This is the execution-layer analogue of `integration_correctness.rs`:
 //! plan mutation changes *what the plan looks like*, the execution mode
 //! changes *how a fixed plan is dispatched* — neither may change what a
-//! query returns. Serial plans exercise scan-source pipelines; the
-//! heuristically parallelized plans exercise chunk-source pipelines over
+//! query returns. Serial plans exercise pipelines cutting a scan's column
+//! slice; the heuristically parallelized plans exercise pipelines over
 //! `SlicePart` stream partitions (the PR-1 `stream_base` alignment
 //! invariant, now also load-bearing for morsel slicing).
 
