@@ -51,15 +51,13 @@ struct Driver {
     step_deps: Vec<AtomicUsize>,
     /// Morsel bookkeeping per step; set when a fused step is launched.
     fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
-    /// Steps still to complete.
-    remaining: AtomicUsize,
     /// The engine's morsel size, in rows: every pipeline's slicing and
     /// fan-out cut on this grid.
     morsel_rows: usize,
 }
 
 /// Executes a validated plan: plans it into steps, seeds the runnable ones
-/// and blocks in [`RunContext::wait`] until the query completed or failed.
+/// and blocks in [`RunContext::wait`] until the query's last task is done.
 pub(super) fn execute(
     engine: &Engine,
     plan: &Arc<Plan>,
@@ -75,7 +73,6 @@ pub(super) fn execute(
         run,
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
         fused_runs: (0..n_steps).map(|_| OnceLock::new()).collect(),
-        remaining: AtomicUsize::new(n_steps),
         morsel_rows,
         graph,
     });
@@ -89,8 +86,8 @@ pub(super) fn execute(
         let accepted = engine.scheduler.submit(task);
         if !accepted {
             // `Task::new` counted the task as in flight; the scheduler
-            // dropped it unrun, so balance the count or the drain in
-            // `RunContext::wait` could never reach zero.
+            // dropped it unrun, so balance the count or `RunContext::wait`
+            // could never return.
             state.run.handle.task_completed();
         }
         accepted
@@ -98,7 +95,7 @@ pub(super) fn execute(
     for (step, &n_deps) in state.graph.deps.iter().enumerate() {
         if n_deps == 0 && !launch_step(&state, step, &submit) {
             // A refused submission is a failure like any other: tasks
-            // already handed over are drained by the common tail.
+            // already handed over are waited for by the common tail.
             state.run.fail(EngineError::EngineShutDown);
             break;
         }
@@ -381,9 +378,10 @@ fn assemble_pipeline(
 }
 
 /// Marks a step complete: launches consumer steps whose dependencies are now
-/// all satisfied (their tasks go through the task context, so the scheduler
+/// all satisfied. Their tasks go through the task context, so the scheduler
 /// keeps them on the publishing worker's deque, where the chunk is
-/// cache-hot) and finishes the query when every step is done.
+/// cache-hot; and they are spawned before this task leaves the scheduler,
+/// so the query's task count cannot touch zero between two steps.
 fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
     for &(consumer, edges) in &state.graph.out_edges[step] {
         if state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel) == edges {
@@ -392,8 +390,5 @@ fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
                 true
             });
         }
-    }
-    if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        state.run.finish();
     }
 }

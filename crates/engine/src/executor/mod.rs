@@ -21,7 +21,7 @@
 //!   have finished and is then handed to the engine's [`Scheduler`];
 //! * `run` — the per-query run context every task shares: result and
 //!   profile slots, the failure latch, the operator checkpoint and the
-//!   wait-drain-collect tail every submission returns through.
+//!   wait-then-collect tail every submission returns through.
 //!
 //! *Which* worker runs a task *when* is the scheduler's choice — see
 //! [`crate::scheduler`] (per-worker deques with local-first pop, a shared
@@ -67,9 +67,8 @@ pub struct EngineConfig {
     /// operator-at-a-time planning has no pipelines to cut.
     pub morsel_rows: usize,
     /// Deterministic fault injection ([`crate::fault`]): seeded operator
-    /// panics, dispatch stalls, spurious cancellations and delays, threaded
-    /// through the driver's operator checkpoint and the scheduler's
-    /// dispatch loop. Also the engine's one injected-latency
+    /// panics, spurious cancellations and delays, all fired at the driver's
+    /// operator executions. Also the engine's one injected-latency
     /// mechanism: a fixed per-operator delay ([`FaultConfig::fixed_delay`])
     /// emulates a slower platform. `None` (default) disables the layer.
     pub faults: Option<FaultConfig>,
@@ -224,7 +223,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let n_workers = config.n_workers.max(1);
         let faults = config.faults.clone().map(|c| Arc::new(FaultInjector::new(c)));
-        let scheduler = Arc::new(Scheduler::with_faults(n_workers, faults.clone()));
+        let scheduler = Arc::new(Scheduler::new(n_workers));
         let mut workers = Vec::with_capacity(n_workers);
         for worker_idx in 0..n_workers {
             let sched = Arc::clone(&scheduler);

@@ -3,22 +3,22 @@
 //! One [`RunContext`] is built per submission and owned (inside the
 //! driver's step-graph state, see [`super::driver`]) by every task of the
 //! query. It holds the plan and catalog, the query handle, the write-once
-//! result/profile slots, the failure latch and completion signal, and the
-//! engine's optional chaos layer. It also owns the three protocols every
-//! task and the submitting client go through, so there is exactly one copy
-//! of each:
+//! result/profile slots, the failure latch, and the engine's optional chaos
+//! layer. It also owns the three protocols every task and the submitting
+//! client go through, so there is exactly one copy of each:
 //!
 //! * [`RunContext::checkpoint`] — the failed-flag → liveness → injected
 //!   fault preamble run before every operator execution, whole-node or
-//!   fused stage alike;
+//!   fused stage alike — the one site where the chaos layer decides a
+//!   panic or a cancel;
 //! * [`RunContext::execute_and_publish`] — gather inputs, execute the
 //!   operator panic-guarded, publish its chunk and profile;
 //! * [`RunContext::wait`] — the only way out of a submission once its first
-//!   task was handed to the scheduler: wait for completion or failure,
-//!   drain stragglers, then surface the error or the root's output.
+//!   task was handed to the scheduler: wait until the query's last task has
+//!   left the scheduler, then surface the error or the root's output.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use apq_columnar::Catalog;
@@ -31,7 +31,7 @@ use crate::interpreter::execute_node;
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
 use crate::scheduler::{QueryHandle, TaskContext};
-use crate::sync::{lock, wait};
+use crate::sync::lock;
 
 /// Shared state of one query execution.
 pub(super) struct RunContext {
@@ -47,8 +47,6 @@ pub(super) struct RunContext {
     /// Fast-path flag mirroring `error.is_some()`.
     failed: AtomicBool,
     error: Mutex<Option<EngineError>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
     pub started: Instant,
     /// Chaos layer ([`crate::fault`]); `None` when disabled.
     faults: Option<Arc<FaultInjector>>,
@@ -72,37 +70,26 @@ impl RunContext {
             pipeline_profiles: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
             started: Instant::now(),
             faults: engine.faults.clone(),
             n_workers: engine.config.n_workers,
         }
     }
 
-    /// Wakes the submitting client: every step completed (or the query
-    /// failed, via [`RunContext::fail`]).
-    pub fn finish(&self) {
-        *lock(&self.done) = true;
-        self.done_cv.notify_all();
-    }
-
-    /// Fails the query with `err` (the first failure wins) and wakes the
-    /// client; tasks still queued bail at their next checkpoint.
+    /// Fails the query with `err` (the first failure wins); tasks still
+    /// queued bail at their next checkpoint.
     pub fn fail(&self, err: EngineError) {
         lock(&self.error).get_or_insert(err);
         self.failed.store(true, Ordering::Release);
-        self.finish();
     }
 
     /// The preamble of every operator execution. `None` means the task must
     /// stop: a sibling already failed the query, the query was cancelled or
-    /// timed out, or the chaos layer fired a
-    /// [`FaultKind::SpuriousCancel`] here (which flips the real cancel flag,
-    /// so every later checkpoint observes what an external cancellation
-    /// would have caused). `Some(inject_panic)` clears the operator to run;
-    /// `inject_panic` is the chaos layer's [`FaultKind::OperatorPanic`]
-    /// decision for [`guarded_execute`].
+    /// timed out, or the chaos layer fired a spurious cancel here (which
+    /// flips the real cancel flag, so every later checkpoint observes what
+    /// an external cancellation would have caused). `Some(inject_panic)` clears the operator to run;
+    /// `inject_panic` is the chaos layer's operator-panic decision for
+    /// [`guarded_execute`].
     pub fn checkpoint(&self, node: NodeId) -> Option<bool> {
         if self.failed.load(Ordering::Acquire) {
             return None;
@@ -135,9 +122,9 @@ impl RunContext {
         })
     }
 
-    /// Sleeps for the chaos layer's [`FaultKind::Delay`] at this site — the
-    /// engine's one injected-latency mechanism. Timing-only: results are
-    /// unaffected by construction.
+    /// Sleeps for the chaos layer's delay at this site — the engine's one
+    /// injected-latency mechanism. Timing-only: results are unaffected by
+    /// construction.
     pub fn inject_delay(&self, node: NodeId) {
         if let Some(faults) = &self.faults {
             let delay = faults.operator_delay_us(self.handle.id(), node);
@@ -190,25 +177,24 @@ impl RunContext {
     }
 
     /// The tail of every submission, and the only way out once the first
-    /// task was submitted: waits for completion or failure, drains the
-    /// query's straggler tasks (so `running() == 0` holds the moment the
-    /// client gets its answer, errors included), then returns the recorded
-    /// error or the root's output with the query profile.
+    /// task was submitted: waits until the query's last task has left the
+    /// scheduler, whether the query completed, failed or lost a task to a
+    /// panic outside [`guarded_execute`] — so `running() == 0` holds the
+    /// moment the client gets its answer, errors included — then returns the
+    /// recorded error or the root's output with the query profile.
     pub fn wait(&self) -> Result<QueryExecution> {
-        {
-            let mut done = lock(&self.done);
-            while !*done {
-                done = wait(&self.done_cv, done);
-            }
-        }
-        drain_query_tasks(&self.handle);
+        self.handle.wait_for_tasks();
         if let Some(err) = lock(&self.error).clone() {
             return Err(err);
         }
         let root = self.plan.root().expect("validated plan has a root");
+        // Every task left, none failed the query, yet the root is missing:
+        // a task body panicked outside the operator guard.
         let output = self
             .result(root)
-            .ok_or_else(|| EngineError::InvalidPlan("root node produced no result".to_string()))?
+            .ok_or_else(|| {
+                EngineError::WorkerPanicked("a task ended before the root was published".into())
+            })?
             .to_output();
         let profile = QueryProfile {
             wall_time: self.started.elapsed(),
@@ -222,41 +208,22 @@ impl RunContext {
 }
 
 /// The liveness check every cancel checkpoint runs: `Cancelled` wins over
-/// `DeadlineExceeded` (an explicit client action over a passive expiry);
-/// expiry records the [`crate::DopPhase::Timeout`] timeline event on first
-/// observation.
+/// `DeadlineExceeded` (an explicit client action over a passive expiry).
 pub(super) fn liveness_error(handle: &QueryHandle) -> Option<EngineError> {
     if handle.is_cancelled() {
         return Some(EngineError::Cancelled);
     }
     if handle.deadline_exceeded() {
-        handle.mark_deadline_exceeded();
         return Some(EngineError::DeadlineExceeded);
     }
     None
-}
-
-/// Spin-waits until no task of the query is left anywhere in the scheduler.
-///
-/// Completion (`done`) fires from inside the last task's body — and a
-/// *failure* fires from the first checkpoint that observes it, with sibling
-/// tasks still queued or executing. Returning to the client at that point
-/// would leak stragglers into the pool: they hold DOP slots, touch the run
-/// state, and skew the next submission's scheduling. Draining here makes
-/// `running() == 0` an invariant the moment a submission returns, errors
-/// included. The wait is short by construction — post-failure tasks bail at
-/// their first checkpoint before doing operator work.
-fn drain_query_tasks(handle: &QueryHandle) {
-    while handle.inflight_tasks() > 0 {
-        std::thread::yield_now();
-    }
 }
 
 /// Executes one operator, converting panics into query-level errors: a
 /// panicking operator must fail *this query* (waking the submitting client)
 /// rather than unwind through the shared worker pool.
 ///
-/// `inject_panic` is the chaos layer's [`FaultKind::OperatorPanic`]: the
+/// `inject_panic` is the chaos layer's operator-panic decision: the
 /// injected panic unwinds from *inside* the guarded region, so it exercises
 /// exactly the containment path a genuine operator bug would take.
 pub(super) fn guarded_execute(

@@ -24,10 +24,10 @@
 //! * [`profiler`] — per-operator execution feedback (time, worker, memory
 //!   claim) and query-level multi-core-utilization metrics;
 //! * [`fault`] — the deterministic chaos layer and the engine's one
-//!   injected-latency mechanism: seeded, site-keyed injection of operator
-//!   delays and panics, dispatch stalls and spurious cancellations
-//!   ([`EngineConfig::with_faults`]), reproducible byte-for-byte from a
-//!   seed;
+//!   injected-latency mechanism: seeded injection of operator delays,
+//!   operator panics and spurious cancellations, each keyed on its
+//!   `(query, operator)` site ([`EngineConfig::with_faults`]) and
+//!   reproducible byte-for-byte from a seed;
 //! * [`service`] — the long-lived production query service: sessions with
 //!   per-session submission queues, unified admission (a ticket *is* a
 //!   registry reservation whose DOP share follows the census) and shared
@@ -51,7 +51,7 @@ mod sync;
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
 pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, ReservedQuery};
-pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
+pub use fault::{FaultConfig, FaultStats};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};

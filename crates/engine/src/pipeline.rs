@@ -197,37 +197,21 @@ pub(crate) struct PipelinePlan {
     pub out_edges: Vec<Vec<(usize, usize)>>,
 }
 
-/// True when `spec` can run as a fused pipeline stage: it streams its first
-/// input row-wise, and every other input is either shared whole (hash
-/// tables, fetch targets) or — for the two-range-aligned-input stages
-/// (`Calc` col⊗col, `IfThenElse`) — sliced at the same relative window as
-/// the stream, which is byte-identical because those operators are pure
-/// positional zips of equal-length inputs.
+/// True when `spec` can run as a fused pipeline stage: exactly the operators
+/// a plan mutation may clone over range partitions
+/// ([`OperatorSpec::is_parallelizable`]), since a morsel is a range
+/// partition the driver cuts at run time. Each streams its first input
+/// row-wise, and every other input is either shared whole (hash tables,
+/// fetch targets) or — for the range-aligned second inputs of `Calc`
+/// col⊗col, `IfThenElse` and `GroupAgg` — sliced at the same relative
+/// window as the stream. `GroupAgg` only ever fuses as a terminal (see
+/// `is_terminal_stage`).
 ///
-/// `Select` only qualifies in its single-column-input form: a
-/// candidate-refining select filters through an *unaligned* oid list that
-/// cannot be cut on the stream's morsel grid. `SlicePart` is excluded
-/// because its `start`/`len` address the whole input, not a morsel of it.
+/// The one exception is a candidate-refining `Select`: its candidate input
+/// is an *unaligned* oid list that cannot be cut on the stream's morsel
+/// grid.
 fn is_fusible_stage(spec: &OperatorSpec, n_inputs: usize) -> bool {
-    match spec {
-        OperatorSpec::Select { .. } => n_inputs == 1,
-        OperatorSpec::Calc { .. } => n_inputs <= 2,
-        // Grouped aggregation streams its range-aligned keys/values pair
-        // like a `Calc` col⊗col zip, but only ever as a pipeline *terminal*
-        // (see `is_terminal_stage`): its `Chunk::Grouped` output is a
-        // pipeline breaker.
-        OperatorSpec::GroupAgg { .. } => n_inputs == 2,
-        OperatorSpec::PredMask { .. }
-        | OperatorSpec::Fetch
-        | OperatorSpec::HashProbe
-        | OperatorSpec::SemiJoin
-        | OperatorSpec::AntiJoin
-        | OperatorSpec::ProjectJoinSide { .. }
-        | OperatorSpec::IfThenElse { .. }
-        | OperatorSpec::OidsFromColumn
-        | OperatorSpec::ScalarAgg { .. } => true,
-        _ => false,
-    }
+    spec.is_parallelizable() && !(matches!(spec, OperatorSpec::Select { .. }) && n_inputs > 1)
 }
 
 /// True when the stage *terminates* any pipeline it joins: its output is a

@@ -77,11 +77,6 @@ pub enum DopPhase {
     /// the engine when the census of [`crate::Engine::reserve_admitted`]
     /// reservations gains or loses a member.
     Regrant,
-    /// The query's deadline expired ([`crate::QueryHandle::deadline`]):
-    /// the effective DOP collapses to 0 and the query fails with
-    /// [`crate::EngineError::DeadlineExceeded`]. Recorded at most once,
-    /// by whichever checkpoint observed the expiry first.
-    Timeout,
 }
 
 /// One point of a query's admitted-DOP timeline: the degree of parallelism

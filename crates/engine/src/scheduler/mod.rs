@@ -31,11 +31,11 @@ mod stealing;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::profiler::{DopEvent, DopPhase};
-use crate::sync::lock;
+use crate::sync::{lock, wait};
 
 use stealing::LocalSubmitter;
 pub use stealing::Scheduler;
@@ -69,10 +69,12 @@ pub struct QueryHandle {
     cancelled: AtomicBool,
     running: AtomicUsize,
     /// Tasks of this query alive anywhere in the scheduler: created and not
-    /// yet fully dispatched (queued, deferred, or executing). The executor
-    /// drains this to zero before a submission returns — see
-    /// [`QueryHandle::inflight_tasks`].
+    /// yet fully dispatched (queued, deferred, or executing). A submission
+    /// returns once this reaches zero — see [`QueryHandle::inflight_tasks`].
     inflight: AtomicUsize,
+    /// Paired with `idle_cv`, which is notified when `inflight` reaches 0.
+    idle_lock: Mutex<()>,
+    idle_cv: Condvar,
     /// Epoch for [`DopEvent::at_us`] offsets (handle creation time).
     created: Instant,
     /// Admitted-DOP change history: the initial grant plus every
@@ -83,9 +85,6 @@ pub struct QueryHandle {
     /// (`set_deadline(Duration::ZERO)`) is observed as exceeded on the very
     /// next check, even when both happen within the same microsecond.
     deadline_ns: AtomicU64,
-    /// Whether the [`DopPhase::Timeout`] timeline event was recorded (at
-    /// most one, by whichever checkpoint observes the expiry first).
-    timeout_recorded: AtomicBool,
     /// Tasks of this query dispatched so far.
     dispatched: AtomicU64,
 }
@@ -106,10 +105,11 @@ impl QueryHandle {
             cancelled: AtomicBool::new(false),
             running: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
+            idle_lock: Mutex::new(()),
+            idle_cv: Condvar::new(),
             created: Instant::now(),
             dop_events: Mutex::new(vec![DopEvent { at_us: 0, dop: admitted_dop, phase }]),
             deadline_ns: AtomicU64::new(0),
-            timeout_recorded: AtomicBool::new(false),
             dispatched: AtomicU64::new(0),
         }
     }
@@ -189,8 +189,7 @@ impl QueryHandle {
     }
 
     /// Number of this query's tasks dispatched so far (cumulative, readable
-    /// mid-flight). The fault layer keys dispatch stalls on it, and a query
-    /// refused before dispatch reads `0`.
+    /// mid-flight); a query refused before dispatch reads `0`.
     pub fn dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
     }
@@ -237,19 +236,6 @@ impl QueryHandle {
         }
     }
 
-    /// Records the [`DopPhase::Timeout`] timeline event (first caller wins;
-    /// later calls are no-ops so concurrent checkpoints record one entry).
-    pub(crate) fn mark_deadline_exceeded(&self) {
-        if self.timeout_recorded.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        lock(&self.dop_events).push(DopEvent {
-            at_us: self.created.elapsed().as_micros() as u64,
-            dop: 0,
-            phase: DopPhase::Timeout,
-        });
-    }
-
     /// Number of this query's tasks currently executing.
     pub fn running(&self) -> usize {
         self.running.load(Ordering::Acquire)
@@ -259,9 +245,9 @@ impl QueryHandle {
     /// queued, deferred by the DOP cap, or executing. Unlike
     /// [`QueryHandle::running`] (slots held right now), this spans the
     /// whole task lifetime, so `0` means the pool holds no trace of the
-    /// query. The executor drains it to zero before a submission returns,
-    /// failed and timed-out submissions included, which is what lets chaos
-    /// tests assert `running() == 0` immediately after an error.
+    /// query. A submission returns only once it is zero, failed and
+    /// timed-out submissions included, which is what lets chaos tests
+    /// assert `running() == 0` immediately after an error.
     pub fn inflight_tasks(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
     }
@@ -273,9 +259,25 @@ impl QueryHandle {
     }
 
     /// Counts a task of this query leaving the scheduler for good (fully
-    /// dispatched, after its slot was released).
+    /// dispatched, after its slot was released), and wakes
+    /// [`QueryHandle::wait_for_tasks`] when it was the last.
     pub(crate) fn task_completed(&self) {
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        if self.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Lock/unlock pairs the notify with a waiter's check-then-wait.
+            drop(lock(&self.idle_lock));
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Blocks until no task of this query is left in the scheduler. A task
+    /// spawns its follow-ups before it leaves, so `inflight` reaches zero
+    /// only once every task has run — or bailed after a failure, or
+    /// panicked outside the operator guard.
+    pub(crate) fn wait_for_tasks(&self) {
+        let mut guard = lock(&self.idle_lock);
+        while self.inflight.load(Ordering::Acquire) > 0 {
+            guard = wait(&self.idle_cv, guard);
+        }
     }
 
     /// Atomically claims an execution slot for one task. Fails (without
@@ -371,9 +373,8 @@ impl Task {
     ///
     /// A panicking task must not kill the worker thread (the pool is shared
     /// by every client) nor leak the DOP slot, so the panic is contained
-    /// here. The executor's task body additionally converts panics into a
-    /// query-level [`crate::EngineError::WorkerPanicked`] failure so the
-    /// submitting client is woken rather than left waiting forever.
+    /// here. The task still leaves the scheduler, so the submitting client
+    /// waiting in [`QueryHandle::wait_for_tasks`] is woken either way.
     pub(crate) fn dispatch(
         self,
         worker: usize,
@@ -382,16 +383,13 @@ impl Task {
         submitter: &LocalSubmitter<'_>,
     ) {
         let ctx = TaskContext { worker, queue_wait, origin, submitter };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(&ctx)));
+        // A panic is swallowed by design: the worker must survive.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(&ctx)));
         self.handle.dispatched.fetch_add(1, Ordering::Relaxed);
         self.handle.task_finished();
         // Slot released first, lifetime count second: `inflight == 0`
         // therefore implies `running == 0` for this query's tasks.
         self.handle.task_completed();
-        if result.is_err() {
-            // Swallowed by design: the worker must survive. The query itself
-            // was already failed by the task body's own panic handler.
-        }
     }
 }
 
@@ -579,13 +577,8 @@ mod tests {
         // tighter one: the expired deadline is re-armed an hour out.
         h.set_deadline(Duration::from_secs(3600));
         assert!(!h.deadline_exceeded(), "set_deadline kept the expired deadline");
-        // The Timeout timeline entry is recorded exactly once.
-        h.mark_deadline_exceeded();
-        h.mark_deadline_exceeded();
-        let timeline = h.dop_timeline();
-        let timeouts: Vec<_> = timeline.iter().filter(|e| e.phase == DopPhase::Timeout).collect();
-        assert_eq!(timeouts.len(), 1);
-        assert_eq!(timeouts[0].dop, 0);
+        // Deadlines are not grants: the timeline holds the admit event only.
+        assert_eq!(h.dop_timeline().len(), 1);
     }
 
     #[test]

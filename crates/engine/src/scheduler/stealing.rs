@@ -23,9 +23,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
-use crate::fault::FaultInjector;
 use crate::sync::{lock, wait_for};
 
 use super::{DeferBackoff, SchedulerStats, Task, TaskOrigin, WorkerCounters, IDLE_PARK};
@@ -58,27 +57,17 @@ pub struct Scheduler {
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     shutdown: AtomicBool,
-    /// Chaos layer: consulted before every dispatch for injected stalls
-    /// ([`crate::fault::FaultKind::DispatchStall`]).
-    faults: Option<Arc<FaultInjector>>,
 }
 
 impl Scheduler {
     /// Creates the scheduler for `n_workers` worker threads.
     pub fn new(n_workers: usize) -> Self {
-        Scheduler::with_faults(n_workers, None)
-    }
-
-    /// Creates the scheduler with an optional fault injector wired into the
-    /// dispatch loop.
-    pub(crate) fn with_faults(n_workers: usize, faults: Option<Arc<FaultInjector>>) -> Self {
         Scheduler {
             injector: Queue::default(),
             workers: (0..n_workers.max(1)).map(|_| WorkerSlot::default()).collect(),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            faults,
         }
     }
 
@@ -156,13 +145,6 @@ impl Scheduler {
                         continue;
                     }
                     backoff.dispatched();
-                    if let Some(faults) = &self.faults {
-                        // Chaos: stall between dequeue and dispatch (emulates
-                        // OS preemption at the scheduler boundary). Timing-
-                        // only; lands in queue-wait accounting, not results.
-                        let h = task.handle();
-                        faults.maybe_stall(h.id(), h.dispatched());
-                    }
                     let queue_wait = task.queue_wait();
                     counters.record(origin, queue_wait);
                     task.dispatch(worker, origin, queue_wait, &submitter);
@@ -456,9 +438,10 @@ mod tests {
             ex.fetch_add(1, Ordering::AcqRel);
         }));
         let workers = run_pool(&sched, 1);
-        while executed.load(Ordering::Acquire) < 1 {
-            std::thread::yield_now();
-        }
+        // The wait a submission blocks in: it returns although the first
+        // task's body never reached its end.
+        h.wait_for_tasks();
+        assert_eq!(executed.load(Ordering::Acquire), 1);
         sched.shutdown();
         for w in workers {
             w.join().expect("worker survived the panicking task");

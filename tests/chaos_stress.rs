@@ -1,4 +1,4 @@
-//! Chaos suite: seeded fault schedules under both plannings
+//! Chaos suite: seeded fault injection under both plannings
 //! (operator-at-a-time and morsel-driven).
 //!
 //! Every cell must satisfy the robustness contract of
@@ -6,7 +6,7 @@
 //!
 //! * **no hang** — the whole cell finishes under a watchdog deadline,
 //! * **no leaked DOP slots** — every retained handle reads `running() == 0`
-//!   after the drain,
+//!   and `inflight_tasks() == 0` once its submission returned,
 //! * **nothing left executing** — `in_flight_queries()` reads 0 afterwards,
 //! * **reproducible** — the same seed yields the same pass/fail pattern
 //!   and byte-identical successful outputs on a rerun, and fault-free
@@ -20,8 +20,7 @@ use std::thread;
 use std::time::Duration;
 
 use adaptive_parallelization::engine::{
-    DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan,
-    QueryOutput,
+    Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan, QueryOutput,
 };
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
@@ -33,7 +32,7 @@ const ROWS: usize = 6_000;
 /// Fixed seed matrix, mirrored by the CI chaos job.
 const SEEDS: [u64; 3] = [11, 42, 2016];
 /// Per-cell watchdog: generous next to the µs-scale injected delays, but
-/// finite — a hung drain fails the test instead of wedging CI.
+/// finite — a hung submission fails the test instead of wedging CI.
 const CELL_DEADLINE: Duration = Duration::from_secs(120);
 
 fn catalog() -> Arc<Catalog> {
@@ -158,9 +157,10 @@ fn run_cell(mode: ExecutionMode, faults: FaultConfig) -> Vec<Result<QueryOutput,
     }
     // Nothing left executing once every submission returned.
     assert_eq!(engine.in_flight_queries(), 0, "[{mode:?}] a submission outlived its return");
-    // No leaked DOP slots, successful or failed alike.
+    // No leaked DOP slots or tasks, successful or failed alike.
     for handle in &handles {
         assert_eq!(handle.running(), 0, "[{mode:?}] query {} leaked a DOP slot", handle.id());
+        assert_eq!(handle.inflight_tasks(), 0, "[{mode:?}] query {} left a task", handle.id());
     }
     outcomes
 }
@@ -213,9 +213,8 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
     let reference = Engine::with_workers(WORKERS);
     for seed in SEEDS {
         for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            // `quiet` injects nothing; `timing_only` injects delays and
-            // stalls, which stretch wall-clock but may not change any
-            // result byte.
+            // `quiet` injects nothing; `timing_only` injects delays, which
+            // stretch wall-clock but may not change any result byte.
             for faults in [FaultConfig::quiet(seed), FaultConfig::timing_only(seed)] {
                 let engine = engine(mode, faults);
                 for plan in &workload() {
@@ -283,10 +282,9 @@ fn already_expired_deadline_fails_before_any_dispatch() {
         assert_eq!(err, EngineError::DeadlineExceeded, "[{mode:?}]");
         assert_eq!(handle.dispatched(), 0, "[{mode:?}]: a task was dispatched");
         assert_eq!(handle.running(), 0, "[{mode:?}]");
-        // The expiry landed in the DOP timeline exactly once.
-        let timeouts =
-            handle.dop_timeline().iter().filter(|e| e.phase == DopPhase::Timeout).count();
-        assert_eq!(timeouts, 1, "[{mode:?}]: expected exactly one Timeout event");
+        // Expiry is reported by the error alone: the DOP timeline still
+        // holds only the admit-time grant.
+        assert_eq!(handle.dop_timeline().len(), 1, "[{mode:?}]: expiry touched the timeline");
     }
 }
 
@@ -307,9 +305,7 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
             Ok(_) => {}
             Err(EngineError::DeadlineExceeded) => {
                 timed_out += 1;
-                let timeouts =
-                    handle.dop_timeline().iter().filter(|e| e.phase == DopPhase::Timeout).count();
-                assert_eq!(timeouts, 1, "Timeout event recorded once");
+                assert_eq!(handle.dop_timeline().len(), 1, "expiry appended to the DOP timeline");
             }
             Err(other) => panic!("unexpected error {other}"),
         }
