@@ -3,31 +3,31 @@
 //! The paper's run-time is a single dataflow rule — "an operator is
 //! scheduled for execution once all its input sources are available" (§2) —
 //! and this module is its single implementation. A validated plan is first
-//! *planned* into a step graph by [`PipelinePlan::analyze`], and that call is
-//! the only place [`ExecutionMode`](crate::ExecutionMode) is consulted:
-//!
-//! * operator-at-a-time planning yields one [`Step::Single`] per live node —
-//!   every operator runs whole, as one task, exactly the model the paper's
-//!   adaptive optimizer was measured on;
-//! * morsel-driven planning additionally fuses streamable chains into
-//!   [`Step::Fused`] pipelines (see [`crate::pipeline`]).
+//! *planned* into a graph of [`Pipeline`] steps by [`PipelinePlan::analyze`],
+//! and that call is the only place [`ExecutionMode`](crate::ExecutionMode) is
+//! consulted: operator-at-a-time planning yields one whole-node step per
+//! live node, morsel-driven planning additionally fuses streamable chains
+//! (see [`crate::pipeline`]).
 //!
 //! The driver then runs whatever graph it was given. Dependency tracking is
 //! at *step* granularity over the precomputed `deps`/`out_edges`: a step is
-//! launched when its last cross-step input edge is satisfied. A single step
-//! is one task ([`run_single_step`]); a fused step fans out into one task
-//! per morsel ([`run_morsel`]). A morsel is a zero-copy window of the chunk
-//! the pipeline's producer published — a base-table scan is a single step
-//! like any other, so its morsels are windows of its column slice with the
-//! same absolute oids. The last morsel to finish assembles the partial
-//! outputs in morsel order and publishes the terminal chunk exactly where
-//! whole-node execution would have published it. Consumer steps and morsel
-//! fan-outs are submitted from the completing worker's task context, so
-//! they start on that worker's deque. Everything the tasks share lives in
-//! the [`RunContext`].
+//! launched when its last cross-step input edge is satisfied. Every task,
+//! whatever its step, runs one body ([`run_task`]), in the style of Leis et
+//! al.'s morsel-driven model: push one morsel through the step's chain of
+//! stages. A streaming step over a positional chunk is cut into one morsel
+//! per `morsel_rows` window of its producer's published chunk — a base-table
+//! scan is a step like any other, so its morsels are windows of its column
+//! slice with the same absolute oids. Every other step is a single morsel:
+//! one task over whole inputs, which for a whole-node step is
+//! operator-at-a-time execution. The task that finishes a step's last morsel
+//! assembles the partial outputs in morsel order and publishes the terminal
+//! chunk exactly where whole-node execution would have published it.
+//! Consumer steps and morsel fan-outs are submitted from the completing
+//! worker's task context, so they start on that worker's deque. Everything
+//! the tasks share lives in the [`RunContext`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use apq_columnar::Catalog;
@@ -37,8 +37,8 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::interpreter::{exchange_union, slice_part};
-use crate::pipeline::{morsel_count, Pipeline, PipelinePlan, Step};
-use crate::plan::{NodeId, OperatorSpec, Plan};
+use crate::pipeline::{morsel_count, Pipeline, PipelinePlan};
+use crate::plan::{OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
 use crate::sync::lock;
@@ -49,8 +49,6 @@ struct Driver {
     graph: PipelinePlan,
     /// Remaining cross-step input edges per step.
     step_deps: Vec<AtomicUsize>,
-    /// Morsel bookkeeping per step; set when a fused step is launched.
-    fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
     /// The engine's morsel size, in rows: every pipeline's slicing and
     /// fan-out cut on this grid.
     morsel_rows: usize,
@@ -65,15 +63,10 @@ pub(super) fn execute(
     handle: Arc<QueryHandle>,
 ) -> Result<QueryExecution> {
     let graph = PipelinePlan::analyze(plan, engine.config.execution_mode)?;
-    let n_steps = graph.steps.len();
-    let morsel_rows = engine.config.morsel_rows.max(1);
-    let run = RunContext::new(engine, plan, catalog, handle);
-
     let state = Arc::new(Driver {
-        run,
+        run: RunContext::new(engine, plan, catalog, handle),
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
-        fused_runs: (0..n_steps).map(|_| OnceLock::new()).collect(),
-        morsel_rows,
+        morsel_rows: engine.config.morsel_rows.max(1),
         graph,
     });
 
@@ -103,59 +96,48 @@ pub(super) fn execute(
     state.run.wait()
 }
 
-/// Per-pipeline morsel bookkeeping, created when the pipeline is launched
-/// (its fan-out depends on the size of the producer's published chunk).
-struct FusedRun {
-    /// The producer's published chunk, cut into the morsels.
-    source: Chunk,
-    n_morsels: usize,
-    /// Terminal partial output per morsel, assembled in morsel order.
-    parts: Vec<OnceLock<Chunk>>,
-    remaining: AtomicUsize,
-    /// Accumulated per-stage execution time / output rows / output bytes,
-    /// indexed like `Pipeline::stages`.
-    stage_time_us: Vec<AtomicU64>,
-    stage_rows: Vec<AtomicU64>,
-    stage_bytes: Vec<AtomicU64>,
-    /// Morsels executed per worker — the locality signal fig19 reports.
-    morsels_by_worker: Vec<AtomicU64>,
-    queue_wait_us: AtomicU64,
-    /// Offset since query start when the pipeline became runnable.
+/// What one task measured — or, merged over its morsels, one step.
+struct Tally {
+    /// Execution start in µs since the query started; the earliest once
+    /// merged.
     start_us: u64,
+    queue_wait_us: u64,
+    /// `[time µs, rows, bytes]` of every stage but the terminal, in chain
+    /// order (empty for a one-stage step, so it never allocates there).
+    stages: Vec<[u64; 3]>,
+    /// The terminal's time, injected delay (and assembly) included; its rows
+    /// and bytes are the published chunk's.
+    terminal_us: u64,
+    /// Morsels run per worker; empty unless the step streams.
+    morsels_by_worker: Vec<u64>,
 }
 
-impl FusedRun {
-    /// Sizes a runnable pipeline's morsel fan-out from its producer's chunk.
-    fn open(state: &Driver, pipeline: &Pipeline) -> Result<FusedRun> {
-        let run = &state.run;
-        let source = run.input(pipeline.stages[0], pipeline.producer)?.clone();
-        // Non-positional chunks (hash tables, scalars, partials) cannot be
-        // sliced; the pipeline still runs, as a single morsel covering the
-        // whole input.
-        let n_morsels =
-            if is_positional(&source) { morsel_count(source.rows(), state.morsel_rows) } else { 1 };
-        let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let n_stages = pipeline.stages.len();
-        Ok(FusedRun {
-            source,
-            n_morsels,
-            parts: (0..n_morsels).map(|_| OnceLock::new()).collect(),
-            remaining: AtomicUsize::new(n_morsels),
-            stage_time_us: counters(n_stages),
-            stage_rows: counters(n_stages),
-            stage_bytes: counters(n_stages),
-            morsels_by_worker: counters(run.n_workers),
-            queue_wait_us: AtomicU64::new(0),
-            start_us: run.started.elapsed().as_micros() as u64,
-        })
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.start_us = self.start_us.min(other.start_us);
+        self.queue_wait_us += other.queue_wait_us;
+        self.terminal_us += other.terminal_us;
+        for (sum, stage) in self.stages.iter_mut().zip(other.stages) {
+            sum.iter_mut().zip(stage).for_each(|(s, v)| *s += v);
+        }
+        self.morsels_by_worker.iter_mut().zip(other.morsels_by_worker).for_each(|(s, v)| *s += v);
     }
+}
 
-    fn record_stage(&self, stage: usize, started: Instant, chunk: &Chunk) {
-        self.stage_time_us[stage]
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.stage_rows[stage].fetch_add(chunk.rows() as u64, Ordering::Relaxed);
-        self.stage_bytes[stage].fetch_add(chunk.byte_size() as u64, Ordering::Relaxed);
-    }
+/// The shared state of a step cut into more than one morsel. A step run as
+/// one task needs none: it publishes straight from that task.
+struct Fanout {
+    /// Rows of the producer's chunk, which every cut range-aligned input
+    /// must match.
+    source_rows: usize,
+    morsels: Mutex<Morsels>,
+}
+
+struct Morsels {
+    /// Terminal partial output per morsel, assembled in morsel order.
+    parts: Vec<Option<Chunk>>,
+    remaining: usize,
+    tally: Option<Tally>,
 }
 
 /// True for chunks addressed by row position, which `slice_part` can cut
@@ -164,214 +146,200 @@ fn is_positional(chunk: &Chunk) -> bool {
     matches!(chunk, Chunk::Column(_) | Chunk::Oids(_) | Chunk::Join(_))
 }
 
-/// Launches a runnable step: submits the single-node task, or computes the
-/// morsel fan-out and submits one task per morsel.
+/// Launches a runnable step: one task per morsel of a streaming step over a
+/// positional chunk, one task over whole inputs for every other step.
 ///
 /// Returns `false` only when the scheduler refused a submission (engine shut
-/// down). Query-level failures (bad catalog references, double launches) are
-/// routed through [`RunContext::fail`] and return `true` — the engine is
-/// alive, the query is not.
+/// down). Query-level failures are routed through [`RunContext::fail`] and
+/// return `true` — the engine is alive, the query is not.
 fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) -> bool {
-    let handle = &state.run.handle;
-    match &state.graph.steps[step] {
-        Step::Single(node) => {
-            let (st, node) = (Arc::clone(state), *node);
-            submit(Task::new(Arc::clone(handle), move |ctx| run_single_step(st, ctx, step, node)))
-        }
-        Step::Fused(pipeline) => {
-            let opened = FusedRun::open(state, pipeline).and_then(|run| {
-                let n_morsels = run.n_morsels;
-                match state.fused_runs[step].set(Arc::new(run)) {
-                    Ok(()) => Ok(n_morsels),
-                    Err(_) => Err(EngineError::InvalidPlan(format!("step {step} launched twice"))),
-                }
-            });
-            let n_morsels = match opened {
-                Ok(n_morsels) => n_morsels,
-                Err(e) => {
-                    state.run.fail(e);
-                    return true;
-                }
-            };
-            (0..n_morsels).all(|morsel| {
-                let st = Arc::clone(state);
-                submit(Task::new(Arc::clone(handle), move |ctx| run_morsel(st, ctx, step, morsel)))
-            })
-        }
-    }
-}
-
-/// Executes a single-node step whole — operator-at-a-time execution — then
-/// advances the step graph.
-fn run_single_step(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, node: NodeId) {
-    let Some(inject_panic) = state.run.checkpoint(node) else { return };
-    if let Err(e) = state.run.execute_and_publish(ctx, node, inject_panic) {
-        return state.run.fail(e);
-    }
-    complete_step(&state, ctx, step);
-}
-
-/// Executes one morsel of a fused step and stores its terminal partial
-/// output. The last morsel to finish assembles and publishes.
-fn run_morsel(state: Arc<Driver>, ctx: &TaskContext<'_>, step: usize, morsel: usize) {
-    let Step::Fused(pipeline) = &state.graph.steps[step] else {
-        return state.run.fail(EngineError::InvalidPlan(format!("step {step} is not a pipeline")));
+    let task = |cut: Option<(Arc<Fanout>, usize)>| {
+        let st = Arc::clone(state);
+        Task::new(Arc::clone(&state.run.handle), move |ctx| run_task(st, ctx, step, cut))
     };
-    let run = Arc::clone(
-        state.fused_runs[step].get().expect("morsel dispatched before its step was launched"),
-    );
-    let part = match stream_morsel(&state, pipeline, &run, morsel) {
-        Ok(Some(part)) => part,
-        Ok(None) => return,
-        Err(e) => return state.run.fail(e),
-    };
-    run.morsels_by_worker[ctx.worker].fetch_add(1, Ordering::Relaxed);
-    run.queue_wait_us.fetch_add(ctx.queue_wait.as_micros() as u64, Ordering::Relaxed);
-    if run.parts[morsel].set(part).is_err() {
-        return state.run.fail(EngineError::InvalidPlan(format!(
-            "morsel {morsel} of step {step} executed twice"
-        )));
-    }
-    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        match assemble_pipeline(&state, ctx, pipeline, &run) {
-            Ok(()) => complete_step(&state, ctx, step),
-            Err(e) => state.run.fail(e),
+    let pipeline = &state.graph.steps[step];
+    // Non-positional chunks (hash tables, scalars, partials) cannot be
+    // sliced; a pipeline over one still runs, as a single morsel.
+    let source_rows = match pipeline.producer.map(|p| state.run.input(pipeline.stages[0], p)) {
+        Some(Ok(source)) if is_positional(source) => source.rows(),
+        Some(Err(e)) => {
+            state.run.fail(e);
+            return true;
         }
+        _ => return submit(task(None)),
+    };
+    let n_morsels = morsel_count(source_rows, state.morsel_rows);
+    if n_morsels == 1 {
+        return submit(task(None));
+    }
+    let fanout = Arc::new(Fanout {
+        source_rows,
+        morsels: Mutex::new(Morsels {
+            parts: (0..n_morsels).map(|_| None).collect(),
+            remaining: n_morsels,
+            tally: None,
+        }),
+    });
+    (0..n_morsels).all(|morsel| submit(task(Some((Arc::clone(&fanout), morsel)))))
+}
+
+/// The one task body: runs morsel `cut` of `step` — or, with `cut` `None`,
+/// the step's whole inputs — through every stage, then advances the step
+/// graph if this task published the step.
+fn run_task(
+    state: Arc<Driver>,
+    ctx: &TaskContext<'_>,
+    step: usize,
+    cut: Option<(Arc<Fanout>, usize)>,
+) {
+    let cut = cut.as_ref().map(|(fanout, morsel)| (&**fanout, *morsel));
+    match run_stages(&state, ctx, step, cut) {
+        Ok(true) => complete_step(&state, ctx, step),
+        Ok(false) => {}
+        Err(e) => state.run.fail(e),
     }
 }
 
-/// Cuts the producer's published chunk at `morsel` and streams the window
-/// through every fused stage while it is cache-hot, returning the terminal
-/// stage's partial output — or `None` when a [`RunContext::checkpoint`]
-/// stopped the task.
-fn stream_morsel(
-    state: &Driver,
-    pipeline: &Pipeline,
-    run: &FusedRun,
-    morsel: usize,
-) -> Result<Option<Chunk>> {
-    let (ctx, morsel_rows) = (&state.run, state.morsel_rows);
-    let offset = morsel * morsel_rows;
-    // Windows go through `slice_part`, which keeps absolute oids for columns
-    // and the `stream_base` alignment invariant for streams (see
-    // `crate::chunk::Chunk::Oids`).
-    let mut cur = if run.n_morsels == 1 {
-        run.source.clone()
-    } else {
-        slice_part(pipeline.producer, &run.source, offset, morsel_rows)?
-    };
-
-    for (idx, &stage) in pipeline.stages.iter().enumerate() {
-        let node_ref = ctx.plan.node(stage)?;
-        let aligned = node_ref.spec.aligned_inputs(node_ref.inputs.len());
-        let mut inputs: Vec<Chunk> = Vec::with_capacity(node_ref.inputs.len());
-        inputs.push(cur);
-        for (i, &input) in node_ref.inputs.iter().enumerate().skip(1) {
-            let chunk = ctx.input(stage, input)?;
-            // A range-aligned secondary input (Calc col⊗col, IfThenElse,
-            // GroupAgg values) zips positionally against the pipeline
-            // stream, so it must be cut at the same relative window as the
-            // producer's morsel. The analyzer only fuses these stages when
-            // nothing upstream has compacted the stream, so the producer's
-            // morsel grid applies verbatim. A whole-length mismatch is
-            // surfaced here exactly as whole-node execution would report
-            // it; without this check each morsel-sized slice pair could
-            // happen to agree and silently diverge from the serial
-            // semantics.
-            if run.n_morsels > 1 && aligned[i] && is_positional(chunk) {
-                if chunk.rows() != run.source.rows() {
-                    return Err(apq_operators::OperatorError::LengthMismatch {
-                        left: run.source.rows(),
-                        right: chunk.rows(),
-                    }
-                    .into());
-                }
-                inputs.push(slice_part(input, chunk, offset, morsel_rows)?);
-            } else {
-                inputs.push(chunk.clone());
-            }
-        }
-        let Some(inject_panic) = ctx.checkpoint(stage) else { return Ok(None) };
-        let started = Instant::now();
-        cur = guarded_execute(stage, &node_ref.spec, &inputs, &ctx.catalog, inject_panic)?;
-        run.record_stage(idx, started, &cur);
-    }
-
-    // The injected delay applies once per morsel (the dispatch unit here,
-    // as the operator is for single steps), keyed on the pipeline terminal.
-    ctx.inject_delay(pipeline.terminal());
-    Ok(Some(cur))
-}
-
-/// Runs on the worker that finished a pipeline's last morsel: packs the
-/// partial outputs in morsel order (the exchange-union recombination, so the
-/// published chunk is byte-identical to whole-node execution) and publishes
-/// the terminal chunk and the per-node/per-pipeline profiles.
-fn assemble_pipeline(
+/// Streams the task's window through the step's stages while it is
+/// cache-hot. Returns whether this task published the step: `false` when a
+/// [`RunContext::checkpoint`] stopped it or other morsels are outstanding.
+fn run_stages(
     state: &Driver,
     ctx: &TaskContext<'_>,
+    step: usize,
+    cut: Option<(&Fanout, usize)>,
+) -> Result<bool> {
+    let (run, pipeline) = (&state.run, &state.graph.steps[step]);
+    let mut tally = Tally {
+        start_us: 0,
+        queue_wait_us: ctx.queue_wait.as_micros() as u64,
+        stages: Vec::new(),
+        terminal_us: 0,
+        morsels_by_worker: match pipeline.producer {
+            Some(_) => (0..run.n_workers).map(|w| u64::from(w == ctx.worker)).collect(),
+            None => Vec::new(),
+        },
+    };
+    let mut out = None;
+    for (idx, &stage) in pipeline.stages.iter().enumerate() {
+        let Some(inject_panic) = run.checkpoint(stage) else { return Ok(false) };
+        let node = run.plan.node(stage)?;
+        // Only a cut task needs the aligned mask; `Vec::new` does not
+        // allocate.
+        let aligned =
+            if cut.is_some() { node.spec.aligned_inputs(node.inputs.len()) } else { Vec::new() };
+        // A later stage streams its predecessor's output as first input.
+        let mut inputs: Vec<Chunk> = Vec::with_capacity(node.inputs.len());
+        inputs.extend(out.take());
+        for (i, &input) in node.inputs.iter().enumerate().skip(inputs.len()) {
+            let chunk = run.input(stage, input)?;
+            inputs.push(match cut {
+                // The first input is the producer's chunk. A range-aligned
+                // secondary input (Calc col⊗col, IfThenElse, GroupAgg
+                // values) zips positionally against the stream, so it is cut
+                // at the same window; the analyzer only fuses such stages
+                // while nothing upstream has compacted the stream. Windows
+                // go through `slice_part`, which keeps absolute oids for
+                // columns and the `stream_base` alignment for streams (see
+                // `crate::chunk::Chunk::Oids`). A whole-length mismatch is
+                // reported as whole-node execution would report it, rather
+                // than zipping morsel-sized slices that happen to agree.
+                Some((fanout, morsel)) if aligned[i] && is_positional(chunk) => {
+                    if chunk.rows() != fanout.source_rows {
+                        return Err(apq_operators::OperatorError::LengthMismatch {
+                            left: fanout.source_rows,
+                            right: chunk.rows(),
+                        }
+                        .into());
+                    }
+                    slice_part(input, chunk, morsel * state.morsel_rows, state.morsel_rows)?
+                }
+                _ => chunk.clone(),
+            });
+        }
+        let started = Instant::now();
+        if idx == 0 {
+            tally.start_us = started.duration_since(run.started).as_micros() as u64;
+        }
+        let chunk = guarded_execute(stage, &node.spec, &inputs, &run.catalog, inject_panic)?;
+        if idx + 1 == pipeline.stages.len() {
+            // Once per task, keyed on the terminal, counted in its time.
+            run.inject_delay(stage);
+            tally.terminal_us = started.elapsed().as_micros() as u64;
+        } else {
+            let micros = started.elapsed().as_micros() as u64;
+            tally.stages.push([micros, chunk.rows() as u64, chunk.byte_size() as u64]);
+        }
+        out = Some(chunk);
+    }
+    let part = out.expect("a step has at least one stage");
+
+    let Some((fanout, morsel)) = cut else {
+        publish(run, ctx, pipeline, part, tally)?;
+        return Ok(true);
+    };
+    let mut morsels = lock(&fanout.morsels);
+    morsels.parts[morsel] = Some(part);
+    match &mut morsels.tally {
+        Some(sum) => sum.merge(tally),
+        sum @ None => *sum = Some(tally),
+    }
+    morsels.remaining -= 1;
+    if morsels.remaining > 0 {
+        return Ok(false);
+    }
+    let parts: Vec<Chunk> = morsels.parts.drain(..).flatten().collect();
+    let mut tally = morsels.tally.take().expect("every morsel merged its tally");
+    drop(morsels);
+    // Packing the partial outputs in morsel order is the exchange-union
+    // recombination, so the published chunk is byte-identical to
+    // whole-node execution.
+    let assembly = Instant::now();
+    let chunk = exchange_union(pipeline.terminal(), &parts)?;
+    tally.terminal_us += assembly.elapsed().as_micros() as u64;
+    publish(run, ctx, pipeline, chunk, tally)?;
+    Ok(true)
+}
+
+/// Publishes a finished step from the task that finished it: every stage's
+/// profile, the pipeline profile of a streaming step, and the terminal chunk.
+fn publish(
+    run: &RunContext,
+    ctx: &TaskContext<'_>,
     pipeline: &Pipeline,
-    run: &FusedRun,
+    chunk: Chunk,
+    tally: Tally,
 ) -> Result<()> {
     let terminal = pipeline.terminal();
-    let terminal_idx = pipeline.stages.len() - 1;
-
-    let assembly_started = Instant::now();
-    let final_chunk = if run.n_morsels == 1 {
-        run.parts[0].get().cloned().expect("single morsel completed")
-    } else {
-        let parts: Vec<Chunk> =
-            run.parts.iter().map(|p| p.get().cloned().expect("all morsels completed")).collect();
-        exchange_union(terminal, &parts)?
-    };
-    run.stage_time_us[terminal_idx]
-        .fetch_add(assembly_started.elapsed().as_micros() as u64, Ordering::Relaxed);
-
-    for (i, &node) in pipeline.stages.iter().enumerate() {
-        let spec = &state.run.plan.node(node)?.spec;
-        let is_terminal = i == terminal_idx;
+    let last = [tally.terminal_us, chunk.rows() as u64, chunk.byte_size() as u64];
+    let measured = tally.stages.iter().copied().chain([last]);
+    for (&node, [duration_us, rows, bytes]) in pipeline.stages.iter().zip(measured) {
         let profile = OperatorProfile {
             node,
-            name: spec.name(),
-            start_us: run.start_us,
-            duration_us: run.stage_time_us[i].load(Ordering::Relaxed),
-            // The pipeline's accumulated morsel queue wait is attributed to
-            // the terminal stage so query-level totals stay meaningful
-            // without double counting per fused stage.
-            queue_wait_us: if is_terminal { run.queue_wait_us.load(Ordering::Relaxed) } else { 0 },
+            name: run.plan.node(node)?.spec.name(),
+            start_us: tally.start_us,
+            duration_us,
+            // A streaming step's queue wait, summed over its morsels, is the
+            // terminal's, so query totals count it once.
+            queue_wait_us: if node == terminal { tally.queue_wait_us } else { 0 },
             worker: ctx.worker,
-            rows_out: if is_terminal {
-                final_chunk.rows()
-            } else {
-                run.stage_rows[i].load(Ordering::Relaxed) as usize
-            },
-            bytes_out: if is_terminal {
-                final_chunk.byte_size()
-            } else {
-                run.stage_bytes[i].load(Ordering::Relaxed) as usize
-            },
+            rows_out: rows as usize,
+            bytes_out: bytes as usize,
         };
-        if state.run.profiles[node].set(profile).is_err() {
+        if run.profiles[node].set(profile).is_err() {
             return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
         }
     }
-
-    lock(&state.run.pipeline_profiles).push(PipelineProfile {
-        nodes: pipeline.stages.clone(),
-        n_morsels: run.n_morsels,
-        source_rows: run.source.rows(),
-        morsels_by_worker: run
-            .morsels_by_worker
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-        groupagg_fused: matches!(
-            state.run.plan.node(terminal)?.spec,
-            OperatorSpec::GroupAgg { .. }
-        ),
-    });
-
-    if state.run.results[terminal].set(final_chunk).is_err() {
+    if let Some(producer) = pipeline.producer {
+        lock(&run.pipeline_profiles).push(PipelineProfile {
+            nodes: pipeline.stages.clone(),
+            n_morsels: tally.morsels_by_worker.iter().sum::<u64>() as usize,
+            source_rows: run.input(pipeline.stages[0], producer)?.rows(),
+            morsels_by_worker: tally.morsels_by_worker,
+            groupagg_fused: matches!(run.plan.node(terminal)?.spec, OperatorSpec::GroupAgg { .. }),
+        });
+    }
+    if run.results[terminal].set(chunk).is_err() {
         return Err(EngineError::InvalidPlan(format!("node {terminal} produced two results")));
     }
     Ok(())

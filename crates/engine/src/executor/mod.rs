@@ -14,11 +14,12 @@
 //! handed to the one execution runtime, which lives in two private
 //! submodules:
 //!
-//! * `driver` — plans the query into steps
+//! * `driver` — plans the query into steps, each a chain of stages
 //!   ([`ExecutionMode`] picks the *planning*: one whole-node step per
 //!   operator, or fused morsel pipelines) and runs the step graph by
 //!   dependency counting: a step becomes runnable when all its producers
-//!   have finished and is then handed to the engine's [`Scheduler`];
+//!   have finished and is then handed to the engine's [`Scheduler`] as one
+//!   task per morsel, every task running the same body;
 //! * `run` — the per-query run context every task shares: result and
 //!   profile slots, the failure latch, the operator checkpoint and the
 //!   wait-then-collect tail every submission returns through.

@@ -4,18 +4,19 @@
 //! driver's step-graph state, see [`super::driver`]) by every task of the
 //! query. It holds the plan and catalog, the query handle, the write-once
 //! result/profile slots, the failure latch, and the engine's optional chaos
-//! layer. It also owns the three protocols every task and the submitting
+//! layer. It also owns the two protocols every task and the submitting
 //! client go through, so there is exactly one copy of each:
 //!
 //! * [`RunContext::checkpoint`] — the failed-flag → liveness → injected
-//!   fault preamble run before every operator execution, whole-node or
-//!   fused stage alike — the one site where the chaos layer decides a
-//!   panic or a cancel;
-//! * [`RunContext::execute_and_publish`] — gather inputs, execute the
-//!   operator panic-guarded, publish its chunk and profile;
+//!   fault preamble the driver's one task body runs before every stage it
+//!   executes — the one site where the chaos layer decides a panic or a
+//!   cancel;
 //! * [`RunContext::wait`] — the only way out of a submission once its first
 //!   task was handed to the scheduler: wait until the query's last task has
 //!   left the scheduler, then surface the error or the root's output.
+//!
+//! Executing a stage ([`guarded_execute`]) and publishing a step are the
+//! task body's, in [`super::driver`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -30,7 +31,7 @@ use crate::fault::{FaultInjector, FaultKind};
 use crate::interpreter::execute_node;
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
-use crate::scheduler::{QueryHandle, TaskContext};
+use crate::scheduler::QueryHandle;
 use crate::sync::lock;
 
 /// Shared state of one query execution.
@@ -39,8 +40,7 @@ pub(super) struct RunContext {
     pub catalog: Arc<Catalog>,
     pub handle: Arc<QueryHandle>,
     /// One write-once slot per plan node: a producer publishes its chunk,
-    /// consumers read it lock-free. Only published nodes (whole-node steps
-    /// and pipeline terminals) are ever set.
+    /// consumers read it lock-free. Only step terminals are ever set.
     pub results: Vec<OnceLock<Chunk>>,
     pub profiles: Vec<OnceLock<OperatorProfile>>,
     pub pipeline_profiles: Mutex<Vec<PipelineProfile>>,
@@ -132,48 +132,6 @@ impl RunContext {
                 std::thread::sleep(Duration::from_micros(delay));
             }
         }
-    }
-
-    /// Gathers `node`'s materialized inputs from the write-once slots,
-    /// executes the operator whole (panic-guarded, injected delay applied)
-    /// and publishes its chunk and profile. Errors are returned for the
-    /// caller to fail the query with.
-    pub fn execute_and_publish(
-        &self,
-        ctx: &TaskContext<'_>,
-        node: NodeId,
-        inject_panic: bool,
-    ) -> Result<()> {
-        let node_ref = self.plan.node(node)?;
-        let inputs: Vec<Chunk> = node_ref
-            .inputs
-            .iter()
-            .map(|&input| self.input(node, input).cloned())
-            .collect::<Result<_>>()?;
-
-        let start_us = self.started.elapsed().as_micros() as u64;
-        let outcome = guarded_execute(node, &node_ref.spec, &inputs, &self.catalog, inject_panic);
-        self.inject_delay(node);
-        let end_us = self.started.elapsed().as_micros() as u64;
-
-        let chunk = outcome?;
-        let profile = OperatorProfile {
-            node,
-            name: node_ref.spec.name(),
-            start_us,
-            duration_us: end_us.saturating_sub(start_us),
-            queue_wait_us: ctx.queue_wait.as_micros() as u64,
-            worker: ctx.worker,
-            rows_out: chunk.rows(),
-            bytes_out: chunk.byte_size(),
-        };
-        if self.profiles[node].set(profile).is_err() {
-            return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
-        }
-        if self.results[node].set(chunk).is_err() {
-            return Err(EngineError::InvalidPlan(format!("node {node} produced two results")));
-        }
-        Ok(())
     }
 
     /// The tail of every submission, and the only way out once the first

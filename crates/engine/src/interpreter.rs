@@ -256,7 +256,7 @@ pub fn execute_node(
 pub(crate) fn slice_part(node: NodeId, input: &Chunk, start: usize, len: usize) -> Result<Chunk> {
     match input {
         Chunk::Column(c) => {
-            let end = (start + len).min(c.len());
+            let end = start.saturating_add(len).min(c.len());
             let start = start.min(end);
             Ok(Chunk::Column(c.slice(start, end - start)?))
         }
@@ -713,6 +713,24 @@ mod tests {
         let scalar = Chunk::Scalar(ScalarValue::I64(1));
         assert!(execute_node(3, &OperatorSpec::SlicePart { start: 0, len: 1 }, &[scalar], &cat)
             .is_err());
+
+        // `start + len` past `usize::MAX` saturates to the tail on every
+        // positional kind instead of overflowing.
+        let tail = OperatorSpec::SlicePart { start: 1, len: usize::MAX };
+        let col = Chunk::Column(Column::from_i64(vec![1, 2, 3]));
+        let sliced = execute_node(4, &tail, &[col], &cat).unwrap();
+        match &sliced {
+            Chunk::Column(c) => assert_eq!(c.i64_values().unwrap(), &[2, 3]),
+            other => panic!("unexpected {other:?}"),
+        }
+        let oids = Chunk::oids(vec![9, 8, 7]);
+        let sliced = execute_node(5, &tail, &[oids], &cat).unwrap();
+        assert_eq!(sliced.to_output(), crate::chunk::QueryOutput::Oids(vec![8, 7]));
+        let join = Chunk::join(JoinResult { outer_oids: vec![1, 2, 3], inner_oids: vec![4, 5, 6] });
+        match execute_node(6, &tail, &[join], &cat).unwrap() {
+            Chunk::Join(v) => assert_eq!((v.outer(), v.inner()), (&[2, 3][..], &[5, 6][..])),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

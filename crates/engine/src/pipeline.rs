@@ -5,7 +5,10 @@
 //! The engine has one execution runtime (the morsel driver behind
 //! [`crate::Engine`]) and two *plannings* of a plan into the step graph
 //! that runtime executes; [`ExecutionMode`] picks the planning and is read
-//! nowhere else.
+//! nowhere else. Every step is a `Pipeline` — a non-empty chain of stages
+//! that the driver's one task body runs — and a step either streams or it
+//! does not. A **whole-node step** is the one-stage chain that does not
+//! stream: one task over whole inputs.
 //!
 //! [`ExecutionMode::OperatorAtATime`] (the default, and the model the
 //! paper's adaptive optimizer was measured on) emits one whole-node step per
@@ -13,10 +16,10 @@
 //! starts. That leaves the work-stealing scheduler's locality advantage
 //! mostly unexercised: a chunk produced on one core is consumed exactly
 //! once, by one follow-up task. [`ExecutionMode::MorselDriven`] instead
-//! *fuses* compatible operator chains into pipelines. A pipeline has one
-//! source, its **producer**: the step before it whose published chunk is cut
-//! into fixed-size **morsels** (zero-copy windows, configurable via
-//! [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
+//! *fuses* compatible operator chains into streaming pipelines. A pipeline
+//! has one source, its **producer**: the step before it whose published
+//! chunk is cut into fixed-size **morsels** (zero-copy windows, configurable
+//! via [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
 //! rows), one scheduler task per morsel. A base-table scan is such a step
 //! like any other: it publishes a zero-copy slice of its column, and the
 //! pipeline over it cuts that slice. Workers pull morsels from their own
@@ -28,7 +31,7 @@
 //! operator-at-a-time                 morsel-driven
 //! ==================                 =============
 //!
-//!  scan ──► [whole chunk]            scan ──► [column slice]   (single step)
+//!  scan ──► [whole chunk]            scan ──► [column slice]   (whole-node step)
 //!            select ──► [chunk]      pipeline = producer scan → select→fetch→agg
 //!                    fetch ─► [chunk]  morsel 0 ─► sel₀ fetch₀ agg₀ ─┐
 //!                          agg ─► out  morsel 1 ─► sel₁ fetch₁ agg₁ ─┼─► assemble
@@ -138,16 +141,17 @@ impl std::fmt::Display for ExecutionMode {
     }
 }
 
-/// A fused chain of operators executed morsel-at-a-time.
+/// One step of the plan: a chain of stages that one task body runs. A
+/// whole-node step is the one-stage chain that does not stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pipeline {
-    /// The node whose published chunk is cut into morsels: a scan, a
-    /// breaker or another pipeline's terminal — always outside this
-    /// pipeline, in an earlier step.
-    pub producer: NodeId,
-    /// Fused stage nodes in chain order. `stages[0]` consumes the producer's
-    /// morsels; each later stage consumes its predecessor as first input.
-    /// Non-empty.
+    /// `Some` when the step streams: the node whose published chunk (a
+    /// scan's, a breaker's or another pipeline's terminal's — always in an
+    /// earlier step) is cut into morsels, always `stages[0]`'s first input.
+    /// `None` for a whole-node step.
+    pub producer: Option<NodeId>,
+    /// Stage nodes in chain order; each stage after the first consumes its
+    /// predecessor as first input. Non-empty.
     pub stages: Vec<NodeId>,
 }
 
@@ -158,35 +162,14 @@ impl Pipeline {
     }
 }
 
-/// One schedulable unit of the fused plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// A node executed whole as one task: every node under
-    /// operator-at-a-time planning, pipeline breakers and unfusible nodes
-    /// under morsel-driven planning.
-    Single(NodeId),
-    /// A fused pipeline executed morsel-at-a-time.
-    Fused(Pipeline),
-}
-
-impl Step {
-    /// The plan nodes the step executes, in execution order.
-    fn nodes(&self) -> &[NodeId] {
-        match self {
-            Step::Single(node) => std::slice::from_ref(node),
-            Step::Fused(pipeline) => &pipeline.stages,
-        }
-    }
-}
-
-/// The step decomposition of a plan: a DAG of [`Step`]s covering every live
-/// node exactly once.
+/// The step decomposition of a plan: a DAG of [`Pipeline`]s covering every
+/// live node exactly once.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelinePlan {
     /// The steps. The driver orders execution by `deps`/`out_edges` alone,
     /// never by index: morsel-driven planning happens to emit a topological
     /// order, operator-at-a-time planning emits node-id order.
-    pub steps: Vec<Step>,
+    pub steps: Vec<Pipeline>,
     /// `step_of[node] == Some(step index)` for every live node.
     #[cfg(test)]
     pub step_of: Vec<Option<usize>>,
@@ -267,15 +250,15 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 impl PipelinePlan {
     /// Plans a validated plan into steps under `mode`.
     ///
-    /// [`ExecutionMode::OperatorAtATime`] emits one [`Step::Single`] per
+    /// [`ExecutionMode::OperatorAtATime`] emits one whole-node step per
     /// live node and never fuses — the step graph *is* the plan DAG.
     ///
-    /// [`ExecutionMode::MorselDriven`] decomposes the plan into pipelines
-    /// and single-node steps. Fusion is conservative: a chain only forms
-    /// where the plan structure *guarantees* that intermediate outputs are
-    /// consumed exactly once, by the next stage, as its first input.
+    /// [`ExecutionMode::MorselDriven`] decomposes the plan into streaming
+    /// pipelines and whole-node steps. Fusion is conservative: a chain only
+    /// forms where the plan structure *guarantees* that intermediate outputs
+    /// are consumed exactly once, by the next stage, as its first input.
     /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
-    /// arities — falls back to single-node steps.
+    /// arities — falls back to whole-node steps.
     pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
         let fuse = mode == ExecutionMode::MorselDriven;
         // Chain heads are found in topological order (a head's producer
@@ -285,7 +268,7 @@ impl PipelinePlan {
         let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
-        let mut steps: Vec<Step> = Vec::new();
+        let mut steps: Vec<Pipeline> = Vec::new();
 
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
         // consumed exactly once, by c, as c's first input, and c is a
@@ -342,23 +325,23 @@ impl PipelinePlan {
                         }
                     }
                 }
-                Step::Fused(Pipeline { producer: node.inputs[0], stages })
+                Pipeline { producer: Some(node.inputs[0]), stages }
             } else {
-                Step::Single(id)
+                Pipeline { producer: None, stages: vec![id] }
             };
-            for &n in step.nodes() {
+            for &n in &step.stages {
                 step_of[n] = Some(steps.len());
             }
             steps.push(step);
         }
 
         // Step-level dependency edges: count every input reference that
-        // crosses a step boundary. Only published (terminal/single) nodes
-        // can be referenced across steps, by construction.
+        // crosses a step boundary. Only published (terminal) nodes can be
+        // referenced across steps, by construction.
         let mut deps = vec![0usize; steps.len()];
         let mut out_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); steps.len()];
         for (idx, step) in steps.iter().enumerate() {
-            for &member in step.nodes() {
+            for &member in &step.stages {
                 for &input in &plan.node(member)?.inputs {
                     let producer_step = step_of[input].expect("live input is assigned");
                     if producer_step != idx {
@@ -381,10 +364,10 @@ impl PipelinePlan {
         })
     }
 
-    /// Number of fused pipelines in the decomposition.
+    /// Number of streaming pipelines in the decomposition.
     #[cfg(test)]
     pub fn n_pipelines(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s, Step::Fused(_))).count()
+        self.steps.iter().filter(|s| s.producer.is_some()).count()
     }
 }
 
@@ -426,19 +409,29 @@ mod tests {
         p
     }
 
+    /// The whole-node step of `node`.
+    fn whole(node: NodeId) -> Pipeline {
+        Pipeline { producer: None, stages: vec![node] }
+    }
+
+    /// The pipeline streaming `producer`'s chunk through `stages`.
+    fn streams(producer: NodeId, stages: &[NodeId]) -> Pipeline {
+        Pipeline { producer: Some(producer), stages: stages.to_vec() }
+    }
+
     /// Morsel-driven planning of `plan` — and, for every plan this module's
-    /// tests build, the operator-at-a-time contract: exactly one
-    /// [`Step::Single`] per live node, no pipeline, and a step graph that is
-    /// the plan DAG edge for edge.
+    /// tests build, the operator-at-a-time contract: exactly one whole-node
+    /// step per live node, no pipeline, and a step graph that is the plan DAG
+    /// edge for edge.
     fn analyze(plan: &Plan) -> PipelinePlan {
         let oat = PipelinePlan::analyze(plan, ExecutionMode::OperatorAtATime).unwrap();
         assert_eq!(oat.n_pipelines(), 0);
         let singles: Vec<NodeId> = oat
             .steps
             .iter()
-            .map(|s| match s {
-                Step::Single(n) => *n,
-                Step::Fused(p) => panic!("operator-at-a-time planning fused {p:?}"),
+            .map(|s| match (s.producer, s.stages.as_slice()) {
+                (None, &[n]) => n,
+                _ => panic!("operator-at-a-time planning fused {s:?}"),
             })
             .collect();
         assert_eq!(singles, plan.node_ids());
@@ -473,20 +466,13 @@ mod tests {
     fn fuses_scan_select_fetch_agg_chain() {
         let plan = filter_sum_plan(1000);
         let fused = analyze(&plan);
-        // Expected: scan a single, producing for the fused [select, fetch,
-        // agg]; scan b single (feeds the fetch as a shared, unaligned input);
-        // finalize single.
+        // Expected: scan a whole, producing for the fused [select, fetch,
+        // agg]; scan b whole (feeds the fetch as a shared, unaligned input);
+        // finalize whole.
         assert_eq!(fused.n_pipelines(), 1);
-        assert!(matches!(fused.steps[fused.step_of[0].unwrap()], Step::Single(0)));
-        let pipeline = fused
-            .steps
-            .iter()
-            .find_map(|s| match s {
-                Step::Fused(p) => Some(p),
-                Step::Single(_) => None,
-            })
-            .unwrap();
-        assert_eq!(pipeline.producer, 0);
+        assert_eq!(fused.steps[fused.step_of[0].unwrap()], whole(0));
+        let pipeline = fused.steps.iter().find(|s| s.producer.is_some()).unwrap();
+        assert_eq!(pipeline.producer, Some(0));
         assert_eq!(pipeline.stages, vec![1, 3, 4]);
         assert_eq!(pipeline.terminal(), 4);
         // Every live node is assigned to exactly one step.
@@ -499,7 +485,7 @@ mod tests {
     fn step_dependencies_count_cross_step_edges() {
         let plan = filter_sum_plan(1000);
         let fused = analyze(&plan);
-        let pipe_idx = fused.steps.iter().position(|s| matches!(s, Step::Fused(_))).unwrap();
+        let pipe_idx = fused.steps.iter().position(|s| s.producer.is_some()).unwrap();
         let scan_a_idx = fused.step_of[0].unwrap();
         let scan_b_idx = fused.step_of[2].unwrap();
         let fin_idx = fused.step_of[5].unwrap();
@@ -528,16 +514,16 @@ mod tests {
         let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s2]);
         p.set_root(u);
         let fused = analyze(&p);
-        // The scan is a single step; each select becomes its own chunk-source
+        // The scan is a whole-node step; each select becomes its own
         // pipeline over the scan's chunk; the union is a breaker.
         assert_eq!(fused.step_of[a], Some(0));
-        assert!(matches!(fused.steps[0], Step::Single(0)));
+        assert_eq!(fused.steps[0], whole(0));
         let s1_step = &fused.steps[fused.step_of[s1].unwrap()];
         assert!(
-            matches!(s1_step, Step::Fused(p) if p.producer == a),
+            *s1_step == streams(a, &[s1]),
             "select over a fan-out scan should stream the materialized chunk: {s1_step:?}"
         );
-        assert!(matches!(fused.steps[fused.step_of[u].unwrap()], Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[u].unwrap()], whole(u));
     }
 
     #[test]
@@ -553,7 +539,7 @@ mod tests {
         p.set_root(s2);
         let fused = analyze(&p);
         let s2_step = &fused.steps[fused.step_of[s2].unwrap()];
-        assert!(matches!(s2_step, Step::Single(_)), "refining select fused: {s2_step:?}");
+        assert!(*s2_step == whole(s2), "refining select fused: {s2_step:?}");
     }
 
     #[test]
@@ -567,8 +553,7 @@ mod tests {
         let part = p.add(OperatorSpec::SlicePart { start: 10, len: 20 }, vec![sel]);
         p.set_root(part);
         let fused = analyze(&p);
-        let part_step = &fused.steps[fused.step_of[part].unwrap()];
-        assert!(matches!(part_step, Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[part].unwrap()], whole(part));
         // But a fusible consumer of the SlicePart streams its chunk.
         let mut p2 = Plan::new();
         let a = p2.add(scan("a", 100), vec![]);
@@ -583,8 +568,7 @@ mod tests {
         );
         p2.set_root(calc);
         let fused2 = analyze(&p2);
-        let calc_step = &fused2.steps[fused2.step_of[calc].unwrap()];
-        assert!(matches!(calc_step, Step::Fused(pl) if pl.producer == part),);
+        assert_eq!(fused2.steps[fused2.step_of[calc].unwrap()], streams(part, &[calc]));
     }
 
     #[test]
@@ -607,13 +591,12 @@ mod tests {
 
         let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
-            matches!(first, Step::Fused(pl) if pl.producer == a && pl.stages == vec![sel, fetch]),
+            *first == streams(a, &[sel, fetch]),
             "chain should stop before the semijoin: {first:?}"
         );
         let semi_step = &fused.steps[fused.step_of[semi].unwrap()];
         assert!(
-            matches!(semi_step, Step::Fused(pl) if pl.producer == fetch
-                && pl.stages == vec![semi]),
+            *semi_step == streams(fetch, &[semi]),
             "semijoin should start its own pipeline over the assembled chunk: {semi_step:?}"
         );
 
@@ -634,7 +617,7 @@ mod tests {
         let fused2 = analyze(&p2);
         let chain = &fused2.steps[fused2.step_of[join].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.stages == vec![join, side, fetched, agg]),
+            *chain == streams(outer, &[join, side, fetched, agg]),
             "probe + value transforms should stay fused: {chain:?}"
         );
     }
@@ -642,8 +625,8 @@ mod tests {
     #[test]
     fn two_input_calc_fuses_on_the_source_grid() {
         // scan a → calc(a ⊗ b) → agg → finalize, b scanned separately: the
-        // col⊗col calc fuses into the scan's pipeline; b stays a single step
-        // shared into it (and sliced per morsel by the executor).
+        // col⊗col calc fuses into the scan's pipeline; b stays a whole-node
+        // step shared into it (and sliced per morsel by the executor).
         let mut p = Plan::new();
         let a = p.add(scan("a", 1000), vec![]);
         let b = p.add(scan("b", 1000), vec![]);
@@ -657,11 +640,10 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.producer == a
-                && pl.stages == vec![calc, agg]),
+            *chain == streams(a, &[calc, agg]),
             "col⊗col calc should fuse with its first-input scan: {chain:?}"
         );
-        assert!(matches!(fused.steps[fused.step_of[b].unwrap()], Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[b].unwrap()], whole(b));
     }
 
     #[test]
@@ -680,8 +662,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[ite].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.producer == m
-                && pl.stages == vec![mask, ite, agg]),
+            *chain == streams(m, &[mask, ite, agg]),
             "ifthenelse should fuse behind the mask chain: {chain:?}"
         );
     }
@@ -707,14 +688,12 @@ mod tests {
         let fused = analyze(&p);
         let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
-            matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
+            *first == streams(a, &[sel, fetch]),
             "chain should stop before the two-input calc: {first:?}"
         );
         let calc_step = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
-            matches!(calc_step, Step::Fused(pl)
-                if pl.producer == fetch
-                && pl.stages == vec![calc]),
+            *calc_step == streams(fetch, &[calc]),
             "two-input calc should restart over the assembled chunk: {calc_step:?}"
         );
     }
@@ -733,12 +712,11 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.producer == k
-                && pl.stages == vec![group]),
+            *chain == streams(k, &[group]),
             "groupagg should fuse with its key scan: {chain:?}"
         );
-        assert!(matches!(fused.steps[fused.step_of[v].unwrap()], Step::Single(_)));
-        assert!(matches!(fused.steps[fused.step_of[merge].unwrap()], Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[v].unwrap()], whole(v));
+        assert_eq!(fused.steps[fused.step_of[merge].unwrap()], whole(merge));
     }
 
     #[test]
@@ -762,8 +740,7 @@ mod tests {
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
-            matches!(chain, Step::Fused(pl) if pl.producer == k
-                && pl.stages == vec![shifted, group]),
+            *chain == streams(k, &[shifted, group]),
             "groupagg should terminate the calc chain: {chain:?}"
         );
     }
@@ -786,14 +763,12 @@ mod tests {
         let fused = analyze(&p);
         let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
-            matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
+            *first == streams(a, &[sel, fetch]),
             "chain should stop before the groupagg: {first:?}"
         );
         let group_step = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
-            matches!(group_step, Step::Fused(pl)
-                if pl.producer == fetch
-                && pl.stages == vec![group]),
+            *group_step == streams(fetch, &[group]),
             "groupagg should restart over the assembled chunk: {group_step:?}"
         );
     }
@@ -808,7 +783,7 @@ mod tests {
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
         let fused = analyze(&p);
-        assert!(matches!(fused.steps[fused.step_of[group].unwrap()], Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[group].unwrap()], whole(group));
     }
 
     #[test]
@@ -823,7 +798,7 @@ mod tests {
         );
         p.set_root(sq);
         let fused = analyze(&p);
-        assert!(matches!(fused.steps[fused.step_of[sq].unwrap()], Step::Single(_)));
+        assert_eq!(fused.steps[fused.step_of[sq].unwrap()], whole(sq));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use adaptive_parallelization::baselines::{heuristic_parallelize, AdmissionController};
-use adaptive_parallelization::engine::{Engine, QueryOutput};
+use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
 use adaptive_parallelization::workloads::micro::{join_sweep, select_sweep, skewed};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -32,7 +32,7 @@ fn plan_pool(
 }
 
 #[test]
-fn concurrent_queries_produce_identical_outputs_under_every_policy() {
+fn concurrent_queries_match_their_solo_outputs() {
     let (catalog, plans) = plan_pool();
     let plans: Vec<Arc<_>> = plans.into_iter().map(Arc::new).collect();
     let n_clients = 6;
@@ -78,19 +78,35 @@ fn concurrent_queries_produce_identical_outputs_under_every_policy() {
 }
 
 #[test]
-fn oversubscribed_pool_records_queue_wait_under_every_policy() {
+fn oversubscribed_pool_records_queue_wait_under_both_plannings() {
     let catalog = select_sweep::catalog(60_000, 7);
     let plan = select_sweep::plan(&catalog, 40).expect("plan builds");
     let parallel = Arc::new(heuristic_parallelize(&plan, &catalog, 8).expect("HP rewrite"));
-    // 8 partitions on 2 workers: ready tasks must queue.
-    let engine = Engine::with_workers(2);
-    let exec = engine.execute_shared(&parallel, &catalog).expect("executes");
-    assert!(exec.profile.total_queue_wait_us() > 0, "oversubscribed plan recorded no queue wait");
-    let share = exec.profile.queue_wait_share();
-    assert!((0.0..=1.0).contains(&share), "wait share {share} out of range");
-    let stats = engine.scheduler_stats();
-    assert_eq!(stats.total_executed() as usize, exec.profile.operators.len());
-    assert_eq!(stats.total_queue_wait_us(), exec.profile.total_queue_wait_us());
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        // 8 partitions on 2 workers: ready tasks must queue. Small morsels
+        // cut every pipeline into several tasks.
+        let engine = Engine::new(
+            EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(1_000),
+        );
+        let exec = engine.execute_shared(&parallel, &catalog).expect("executes");
+        let profile = &exec.profile;
+        assert!(profile.total_queue_wait_us() > 0, "[{mode}] oversubscribed plan recorded no wait");
+        let share = profile.queue_wait_share();
+        assert!((0.0..=1.0).contains(&share), "[{mode}] wait share {share} out of range");
+        // One task per profile outside a pipeline, one per morsel inside.
+        let one_task_steps = profile
+            .operators
+            .iter()
+            .filter(|o| !profile.pipelines.iter().any(|p| p.nodes.contains(&o.node)))
+            .count();
+        let stats = engine.scheduler_stats();
+        assert_eq!(
+            stats.total_executed() as usize,
+            one_task_steps + profile.total_morsels(),
+            "[{mode}]"
+        );
+        assert_eq!(stats.total_queue_wait_us(), profile.total_queue_wait_us(), "[{mode}]");
+    }
 }
 
 #[test]
@@ -150,7 +166,7 @@ fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
 }
 
 #[test]
-fn admission_as_scheduler_policy_matches_plan_rewriting_results() {
+fn scheduler_throttled_admission_matches_plan_rewriting() {
     let catalog = tpch::generate(TpchScale::new(0.002), 17);
     let serial = TpchQuery::Q6.build(&catalog).expect("Q6 builds");
     let engine = Engine::with_workers(4);
