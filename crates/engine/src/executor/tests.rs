@@ -138,6 +138,27 @@ fn execution_errors_are_propagated() {
     let err = engine.execute(&p, &cat).unwrap_err();
     assert!(matches!(err, EngineError::Operator(_)));
 
+    // `i64::MIN / -1` fails the query with the operator's error, not a
+    // caught panic.
+    let mut extremes = Catalog::new();
+    extremes.register(TableBuilder::new("t").i64_column("a", vec![7, i64::MIN]).build().unwrap());
+    let mut p = Plan::new();
+    let a = p.add(scan("a", 2), vec![]);
+    let div = p.add(
+        OperatorSpec::Calc {
+            op: apq_operators::BinaryOp::Div,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(-1)),
+        },
+        vec![a],
+    );
+    p.set_root(div);
+    let err = engine.execute(&p, &Arc::new(extremes)).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Operator(apq_operators::OperatorError::InvalidCalc(m)) if m.contains("overflow")),
+        "{err}"
+    );
+
     // Unknown table surfaces as a storage error.
     let mut p = Plan::new();
     let bad = p.add(

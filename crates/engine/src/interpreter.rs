@@ -640,6 +640,29 @@ mod tests {
     }
 
     #[test]
+    fn integer_division_overflow_fails_the_node_with_invalid_calc() {
+        let cat = catalog();
+        let min = Chunk::Column(Column::from_i64(vec![1, i64::MIN]));
+        let minus_one = Chunk::Column(Column::from_i64(vec![1, -1]));
+        let div = |left_scalar, right_scalar| OperatorSpec::Calc {
+            op: BinaryOp::Div,
+            left_scalar,
+            right_scalar,
+        };
+        for (spec, inputs) in [
+            (div(None, None), vec![min.clone(), minus_one.clone()]),
+            (div(None, Some(ScalarValue::I64(-1))), vec![min]),
+            (div(Some(ScalarValue::I64(i64::MIN)), None), vec![minus_one]),
+        ] {
+            let err = execute_node(9, &spec, &inputs, &cat).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Operator(OperatorError::InvalidCalc(m)) if m.contains("overflow")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn aggregates_and_scalars() {
         let cat = catalog();
         let col = Chunk::Column(Column::from_i64(vec![1, 2, 3, 4]));

@@ -18,8 +18,9 @@
 //! The kernels above the views are held to ceilings through the same gate
 //! (`docs/architecture.md`, "kernel contract"): a select's live heap never
 //! exceeds its output (no row mask), a candidate select's likewise (no
-//! gathered column), projecting a join side allocates nothing, and a hash
-//! build or probe over `Int64` keys never holds a copy of them.
+//! gathered column), projecting a join side allocates nothing, a hash
+//! build or probe over `Int64` keys never holds a copy of them, and `calc`
+//! reads `Int32` operands in place instead of widening them into copies.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
@@ -32,7 +33,10 @@ use apq_columnar::{Catalog, Column, Oid};
 use apq_engine::interpreter::execute_node;
 use apq_engine::plan::{JoinSide, OperatorSpec};
 use apq_engine::{Chunk, JoinView, OidsView};
-use apq_operators::{select, select_with_candidates, CmpOp, JoinHashTable, JoinResult, Predicate};
+use apq_operators::{
+    calc_col_col, select, select_with_candidates, BinaryOp, CmpOp, JoinHashTable, JoinResult,
+    Predicate,
+};
 
 /// Wraps the system allocator, counting allocations (and their bytes) made
 /// while the gate is open. Deallocations do not count as allocations
@@ -149,11 +153,12 @@ fn kernels_hold_no_more_than_their_outputs() {
     assert_eq!((view.offset(), view.stream_base(), view.len()), (4_321, 4_321, 64 * 1024));
     assert_eq!(view.as_slice()[0], (N - 1 - 4_321) as Oid);
 
-    // A build over Int64 keys owns bucket heads and chain links only
-    // (2 Mi + 1 Mi entries of 4 bytes), not 8 MiB of keys ...
+    // A build over Int64 keys owns its directory and chain links only — for
+    // the dense range 0..N, 1 Mi slots + 1 Mi links of 4 bytes — not 8 MiB
+    // of keys ...
     let keys = Column::from_i64((0..N as i64).collect());
     let peak = peak_bytes_during(|| JoinHashTable::build(&keys));
-    assert!(peak <= 3 * N * 4 + SLACK, "an Int64 build held {peak} bytes: a key copy?");
+    assert!(peak <= 2 * N * 4 + SLACK, "an Int64 build held {peak} bytes: a key copy?");
     // ... and a probe holds its two reserved output vectors, not 8 MiB more
     // for the outer keys — whether they are Int64 or widened from Int32.
     let table = JoinHashTable::build(&Column::from_i64((0..64).collect())).unwrap();
@@ -163,6 +168,12 @@ fn kernels_hold_no_more_than_their_outputs() {
     let narrow = Column::from_i32((0..N as i32).collect());
     let peak = peak_bytes_during(|| table.probe(&narrow));
     assert!(peak <= outputs, "an Int32 probe held {peak} bytes (outputs {outputs})");
+
+    // Arithmetic over two Int32 columns holds its Int64 output, not two
+    // 8 MiB widened copies of its inputs.
+    let output = 8 * N + SLACK;
+    let peak = peak_bytes_during(|| calc_col_col(BinaryOp::Mul, &narrow, &narrow));
+    assert!(peak <= output, "an Int32 calc held {peak} bytes (output {output})");
 }
 
 #[test]

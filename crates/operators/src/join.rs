@@ -14,12 +14,21 @@
 //!   `(outer_oid, inner_oid)` pairs.
 //!
 //! The table is a classic bucket-head + next-chain layout specialized for
-//! integer keys — no per-bucket allocations. A bucket is named by the *top*
-//! bits of the key's Fibonacci product, which spreads TPC-H's dense keys one
-//! per bucket, and the probe looks a block of outer rows' bucket heads up
-//! before it walks any chain, dropping the rows whose bucket is empty on the
-//! way: at two buckets per build row a typical hit costs one chain entry and
-//! a typical miss none.
+//! integer keys — no per-bucket allocations. Its directory takes one of two
+//! forms, chosen once per build from the keys' range:
+//!
+//! * **dense** — when `max − min` is smaller than the hashed directory would
+//!   be, one slot per key value (`slot = key − min`): no two keys share a
+//!   chain, the directory is never larger than the hashed one, and a probe
+//!   key outside the range reads "empty";
+//! * **hashed** — otherwise, two buckets per build row, a bucket named by the
+//!   *top* bits of the key's Fibonacci product, which spreads TPC-H's dense
+//!   keys one per bucket.
+//!
+//! One build loop and one probe body serve both, generic over the slot
+//! function. The probe looks a block of outer rows' chain heads up before it
+//! walks any chain, dropping the rows whose slot is empty on the way: a
+//! typical hit costs one chain entry and a typical miss none.
 
 use apq_columnar::{Column, DataType, Oid};
 
@@ -41,7 +50,7 @@ const _: () = assert!(BLOCK <= 1 << 16);
 /// an `Int32` one is widened into an owned `Int64` column once, here.
 #[derive(Debug)]
 pub struct JoinHashTable {
-    mask: u64,
+    directory: Directory,
     heads: Vec<u32>,
     next: Vec<u32>,
     keys: Column,
@@ -125,8 +134,50 @@ fn hash_key(key: i64, mask: u64) -> usize {
     (mix(key) >> mask.leading_zeros()) as usize
 }
 
-// Chain entries this thread's probes have compared a key with: the
-// chain-quality tests count steps, not time.
+/// How a key names the head of its chain in `heads`.
+#[derive(Debug, Clone, Copy)]
+enum Directory {
+    /// One slot per key value from `min` up ([`dense_slot`]).
+    Dense { min: i64 },
+    /// `mask + 1` buckets ([`hash_key`]).
+    Hashed { mask: u64 },
+}
+
+/// The slot of `key` in a dense directory starting at `min`: `key − min`
+/// taken mod 2^64, so exactly the keys `min..min + slots` land inside a
+/// directory of `slots` slots and every other key lands past its end.
+#[inline]
+fn dense_slot(key: i64, min: i64) -> usize {
+    usize::try_from(key.wrapping_sub(min) as u64).unwrap_or(usize::MAX)
+}
+
+/// The smallest and largest key when they are less than `limit` apart,
+/// `None` otherwise and for no keys. Taken a block at a time, so a sparse
+/// build side stops as soon as its span reaches `limit`.
+fn dense_range(keys: &[i64], limit: u64) -> Option<(i64, i64)> {
+    let (mut min, mut max) = (i64::MAX, i64::MIN);
+    for block in keys.chunks(1024) {
+        (min, max) = block.iter().fold((min, max), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        if max.abs_diff(min) >= limit {
+            return None;
+        }
+    }
+    (min <= max).then_some((min, max))
+}
+
+/// Puts build row `i` at the front of its slot's chain, for every row in
+/// order, so a chain lists its entries newest-inserted first.
+#[inline]
+fn link(keys: &[i64], heads: &mut [u32], next: &mut [u32], slot: impl Fn(i64) -> usize) {
+    for (i, (&key, link)) in keys.iter().zip(next).enumerate() {
+        let head = &mut heads[slot(key)];
+        *link = *head;
+        *head = i as u32;
+    }
+}
+
+// Chain entries this thread's probes have visited: the chain-quality tests
+// count steps, not time.
 #[cfg(test)]
 thread_local!(static CHAIN_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
 
@@ -151,6 +202,10 @@ impl JoinHashTable {
     /// Builds the hash table over the inner key column. Entry `i` records the
     /// absolute oid `inner.base_oid() + i`.
     ///
+    /// The directory is dense when the keys' `max − min` is smaller than the
+    /// `(2n).next_power_of_two()` buckets a hashed one would have, so it is
+    /// never the larger of the two; pair order is the same either way.
+    ///
     /// Build rows are numbered in `u32` with `u32::MAX` as the "no entry"
     /// mark: `JoinBuildTooLarge` for a column of `u32::MAX` rows or more
     /// (checked first, before anything is allocated). `UnsupportedJoinKey`
@@ -167,15 +222,27 @@ impl JoinHashTable {
         let values = keys.i64_values()?;
         let n = values.len();
         let n_buckets = (n.max(1) * 2).next_power_of_two();
-        let mask = (n_buckets - 1) as u64;
-        let mut heads = vec![EMPTY; n_buckets];
         let mut next = vec![EMPTY; n];
-        for (i, (&key, link)) in values.iter().zip(&mut next).enumerate() {
-            let head = &mut heads[hash_key(key, mask)];
-            *link = *head;
-            *head = i as u32;
-        }
-        Ok(JoinHashTable { mask, heads, next, keys, owns_keys, base: inner.base_oid() })
+        let (directory, heads) = match dense_range(values, n_buckets as u64) {
+            Some((min, max)) => {
+                let mut heads = vec![EMPTY; max.abs_diff(min) as usize + 1];
+                link(values, &mut heads, &mut next, |k| dense_slot(k, min));
+                (Directory::Dense { min }, heads)
+            }
+            None => {
+                let mask = (n_buckets - 1) as u64;
+                let mut heads = vec![EMPTY; n_buckets];
+                link(values, &mut heads, &mut next, |k| hash_key(k, mask));
+                (Directory::Hashed { mask }, heads)
+            }
+        };
+        Ok(JoinHashTable { directory, heads, next, keys, owns_keys, base: inner.base_oid() })
+    }
+
+    /// True when the directory has one slot per key value, false when it
+    /// hashes (see [`JoinHashTable::build`]).
+    pub fn is_dense(&self) -> bool {
+        matches!(self.directory, Directory::Dense { .. })
     }
 
     fn keys(&self) -> &[i64] {
@@ -192,9 +259,10 @@ impl JoinHashTable {
         self.next.is_empty()
     }
 
-    /// Memory the table owns, in bytes (profiler memory claim): 4 per bucket
-    /// head, 4 per chain link, and 8 per key only when the keys were widened
-    /// from `Int32` — a borrowed `Int64` build column is its producer's claim.
+    /// Memory the table owns, in bytes (profiler memory claim): 4 per
+    /// directory slot, 4 per chain link, and 8 per key only when the keys
+    /// were widened from `Int32` — a borrowed `Int64` build column is its
+    /// producer's claim.
     pub fn byte_size(&self) -> usize {
         let owned_keys = if self.owns_keys { self.keys.byte_size() } else { 0 };
         (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>() + owned_keys
@@ -207,17 +275,52 @@ impl JoinHashTable {
         out
     }
 
-    /// The one probe loop, a block of [`BLOCK`] outer rows at a time. Calls
-    /// `on_match(i, entry)` for outer row `i` (in row order) and each build
-    /// entry with its key along the bucket chain — newest-inserted first,
-    /// only the first under [`Matches::First`] — and, once the block's
-    /// chains are walked, `on_block(start, matched)` with one "had a match"
-    /// flag per row of the block starting at outer row `start`.
+    /// The one probe loop over the table's directory: [`JoinHashTable::walk`]
+    /// with the slot function chosen once per call.
     #[inline]
     fn scan<T: Copy>(
         &self,
         outer: &[T],
         widen: impl Fn(T) -> i64,
+        matches: Matches,
+        on_match: impl FnMut(usize, Oid),
+        on_block: impl FnMut(usize, &[bool]),
+    ) {
+        match self.directory {
+            Directory::Dense { min } => self.walk::<true, T>(
+                outer,
+                widen,
+                |k| dense_slot(k, min),
+                matches,
+                on_match,
+                on_block,
+            ),
+            Directory::Hashed { mask } => self.walk::<false, T>(
+                outer,
+                widen,
+                |k| hash_key(k, mask),
+                matches,
+                on_match,
+                on_block,
+            ),
+        }
+    }
+
+    /// The probe body, a block of [`BLOCK`] outer rows at a time. Calls
+    /// `on_match(i, entry)` for outer row `i` (in row order) and each build
+    /// entry with its key along the chain at `slot(key)` — newest-inserted
+    /// first, only the first under [`Matches::First`]; a slot past the
+    /// directory's end is empty — and, once the block's chains are walked,
+    /// `on_block(start, matched)` with one "had a match" flag per row of the
+    /// block starting at outer row `start`. `EXACT` says every entry of a
+    /// chain holds the key that named its slot (a dense directory), so no
+    /// key is compared.
+    #[inline]
+    fn walk<const EXACT: bool, T: Copy>(
+        &self,
+        outer: &[T],
+        widen: impl Fn(T) -> i64,
+        slot: impl Fn(i64) -> usize,
         matches: Matches,
         mut on_match: impl FnMut(usize, Oid),
         mut on_block: impl FnMut(usize, &[bool]),
@@ -227,15 +330,15 @@ impl JoinHashTable {
         let mut rows = [0u16; BLOCK];
         let mut matched = [false; BLOCK];
         for (b, block) in outer.chunks(BLOCK).enumerate() {
-            // The bucket heads of a block are independent loads: issued back
+            // The chain heads of a block are independent loads: issued back
             // to back they miss the cache together, not one behind another
-            // row's chain walk. A row with an empty bucket cannot match and
+            // row's chain walk. A row with an empty slot cannot match and
             // is dropped here by the stack-block idiom of `select` — a store
             // and an add, no branch on the data; `c` counts rows seen of a
             // chunk of at most BLOCK, so the (checked) index stays in bounds.
             let mut c = 0;
             for (r, &k) in block.iter().enumerate() {
-                let first = self.heads[hash_key(widen(k), self.mask)];
+                let first = self.heads.get(slot(widen(k))).map_or(EMPTY, |&head| head);
                 firsts[c] = first;
                 rows[c] = r as u16;
                 c += usize::from(first != EMPTY);
@@ -250,7 +353,7 @@ impl JoinHashTable {
                     let j = e as usize;
                     #[cfg(test)]
                     CHAIN_STEPS.with(|steps| steps.set(steps.get() + 1));
-                    if keys[j] == key {
+                    if EXACT || keys[j] == key {
                         matched[r] = true;
                         on_match(b * BLOCK + r, j as Oid);
                         if matches == Matches::First {
@@ -496,20 +599,68 @@ mod tests {
 
     #[test]
     fn byte_size_counts_what_the_table_owns() {
-        // 5 rows → 16 buckets: 16 heads + 5 links, 4 bytes each.
+        // 5 rows would hash into 16 buckets; keys 1..=5 span 4 < 16, so the
+        // directory is dense: 5 slots + 5 links, 4 bytes each.
         let keys: Vec<i64> = vec![3, 1, 4, 1, 5];
-        let borrowed = JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap();
-        assert_eq!(borrowed.byte_size(), 16 * 4 + 5 * 4);
-        // A window is borrowed just the same.
+        let dense = JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap();
+        assert!(dense.is_dense());
+        assert_eq!(dense.byte_size(), 5 * 4 + 5 * 4);
+        // Keys spanning 16 or more hash: 16 buckets + 5 links.
+        let hashed = JoinHashTable::build(&Column::from_i64(vec![3, 1, 4, 1, 17])).unwrap();
+        assert!(!hashed.is_dense());
+        assert_eq!(hashed.byte_size(), 16 * 4 + 5 * 4);
+        // A window is borrowed just the same: keys 10..15, 5 slots.
         let window = Column::from_i64((0..100).collect()).slice(10, 5).unwrap();
-        assert_eq!(JoinHashTable::build(&window).unwrap().byte_size(), 16 * 4 + 5 * 4);
+        assert_eq!(JoinHashTable::build(&window).unwrap().byte_size(), 5 * 4 + 5 * 4);
         // Int32 keys are widened into a copy the table owns: 8 bytes a row more.
         let widened =
             JoinHashTable::build(&Column::from_i32(keys.iter().map(|&k| k as i32).collect()))
                 .unwrap();
-        assert_eq!(widened.byte_size(), 16 * 4 + 5 * 4 + 5 * 8);
-        // The empty table: one bucket, nothing else.
-        assert_eq!(JoinHashTable::build(&Column::from_i64(vec![])).unwrap().byte_size(), 2 * 4);
+        assert_eq!(widened.byte_size(), 5 * 4 + 5 * 4 + 5 * 8);
+        // The empty table: two hashed buckets, nothing else.
+        let empty = JoinHashTable::build(&Column::from_i64(vec![])).unwrap();
+        assert!(!empty.is_dense());
+        assert_eq!(empty.byte_size(), 2 * 4);
+    }
+
+    #[test]
+    fn the_directory_goes_dense_below_the_hashed_size_and_never_grows() {
+        // 100 rows hash into 256 buckets: a span of 255 is dense (256
+        // slots), a span of 256 hashes. Neither owns more than the hashed
+        // count, and each finds every key, newest-inserted first.
+        let n = 100;
+        let hashed_bytes = (256 + n) * 4;
+        for span in [0, 1, 99, 254, 255, 256, 257, 1 << 40] {
+            let keys: Vec<i64> = (0..n as i64)
+                .map(|i| -7 + if i == 1 { span } else { (i * 37) % (span + 1) })
+                .collect();
+            let table = JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap();
+            assert_eq!(table.is_dense(), span < 256, "span {span}");
+            assert!(table.byte_size() <= hashed_bytes, "span {span}: {} bytes", table.byte_size());
+            for key in [-8, -7, -6, -7 + span, -6 + span, i64::MIN, i64::MAX] {
+                let expected: Vec<Oid> =
+                    (0..n as Oid).rev().filter(|&i| keys[i as usize] == key).collect();
+                assert_eq!(table.lookup(key), expected, "span {span}, key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_directories_at_the_ends_of_i64_read_outside_keys_as_empty() {
+        for keys in [vec![i64::MIN, i64::MIN + 2], vec![i64::MAX - 2, i64::MAX, i64::MAX]] {
+            let table = JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap();
+            assert!(table.is_dense());
+            let outer = Column::from_i64(vec![i64::MIN, i64::MIN + 1, -1, 0, i64::MAX, keys[0]]);
+            let expected: Vec<Oid> = outer
+                .i64_values()
+                .unwrap()
+                .iter()
+                .enumerate()
+                .filter(|(_, k)| keys.contains(k))
+                .map(|(i, _)| i as Oid)
+                .collect();
+            assert_eq!(table.probe_semi(&outer).unwrap(), expected, "{keys:?}");
+        }
     }
 
     #[test]
@@ -577,18 +728,35 @@ mod tests {
         chain_quality(keys.clone(), keys)
     }
 
+    #[test]
+    fn a_dense_build_of_distinct_keys_walks_one_entry_per_row() {
+        // TPC-H's part/order keys (200 k) and supplier keys (10 k).
+        for n in [200_000, 10_000] {
+            assert!(JoinHashTable::build(&Column::from_i64((0..n).collect())).unwrap().is_dense());
+            assert_eq!(all_hit_quality((0..n).collect()), (1.0, 1), "0..{n}");
+        }
+    }
+
     // The pins below are counts, not timings: chain steps per probing row and
     // the longest chain, against what the top-bits bucket index gives at two
-    // buckets per build row. They are there to fail on an index taken from
-    // anywhere else in the product: bits 32.. read 3.31 steps per row on the
-    // dense ranges, 2.57 on the filtered dimension and 97.7 (one chain of 98)
-    // on the 2^40 stride.
+    // buckets per build row, on key sets sparse enough to stay hashed. They
+    // are there to fail on an index taken from anywhere else in the product:
+    // bits 32.. read 3.31 steps per row on the dense ranges, 2.57 on the
+    // filtered dimension and 97.7 (one chain of 98) on the 2^40 stride.
+
+    /// `keys`, checked to be sparse enough that the table hashes them.
+    fn hashed(keys: impl IntoIterator<Item = i64>) -> Vec<i64> {
+        let keys: Vec<i64> = keys.into_iter().collect();
+        assert!(!JoinHashTable::build(&Column::from_i64(keys.clone())).unwrap().is_dense());
+        keys
+    }
 
     #[test]
     fn dense_keys_sit_one_to_a_bucket() {
-        // TPC-H's part/order keys (200 k) and supplier keys (10 k): 1.00 / 1.
+        // TPC-H's part/order keys (200 k) and supplier keys (10 k), and one
+        // far key: 1.00 / 1.
         for n in [200_000, 10_000] {
-            let (steps, longest) = all_hit_quality((0..n).collect());
+            let (steps, longest) = all_hit_quality(hashed((0..n).chain([i64::MAX])));
             assert!(steps <= 1.05 && longest <= 2, "0..{n}: {steps:.2} steps, longest {longest}");
         }
     }
@@ -598,7 +766,7 @@ mod tests {
         // Q9's part(%BRUSHED%): a 20 % subset of the keys built, every key
         // probed — 0.34 steps per row, most rows dropped at an empty bucket.
         let kept = datagen::uniform_i64(200_000, 0, 100, 7);
-        let build = (0..200_000).zip(kept).filter(|&(_, draw)| draw < 20).map(|(k, _)| k).collect();
+        let build = hashed((0..200_000).zip(kept).filter(|&(_, draw)| draw < 20).map(|(k, _)| k));
         let (steps, _) = chain_quality(build, datagen::fk_uniform(200_000, 200_000, 8));
         assert!(steps <= 0.40, "{steps:.2} steps per row");
     }
@@ -606,7 +774,7 @@ mod tests {
     #[test]
     fn keys_that_differ_only_in_high_bits_still_spread() {
         for shift in [20, 32, 40] {
-            let (steps, longest) = all_hit_quality((0..200_000i64).map(|i| i << shift).collect());
+            let (steps, longest) = all_hit_quality(hashed((0..200_000i64).map(|i| i << shift)));
             assert!(
                 steps <= 1.05 && longest <= 2,
                 "stride 1 << {shift}: {steps:.2} steps, longest {longest}"
@@ -616,8 +784,8 @@ mod tests {
 
     #[test]
     fn keys_at_the_ends_of_i64_spread() {
-        let below_zero = (0..200_000).map(|m| -1 - m).collect();
-        let below_max = (0..200_000).map(|m| i64::MAX - m).collect();
+        let below_zero = hashed((0..200_000).map(|m| -1 - m).chain([i64::MAX]));
+        let below_max = hashed((0..200_000).map(|m| i64::MAX - m).chain([0]));
         for (name, keys) in [("-1 - m", below_zero), ("i64::MAX - m", below_max)] {
             let (steps, longest) = all_hit_quality(keys);
             assert!(steps <= 1.05 && longest <= 2, "{name}: {steps:.2} steps, longest {longest}");
@@ -629,7 +797,7 @@ mod tests {
         // Fibonacci hashing does not give every stride one key a bucket: ten
         // golden-ratio steps land close to a whole turn, so neighbours pile
         // up — 1.99 steps per row, longest chain 3.
-        let (steps, longest) = all_hit_quality((0..200_000).map(|i| i * 10).collect());
+        let (steps, longest) = all_hit_quality(hashed((0..200_000).map(|i| i * 10)));
         assert!(steps <= 2.1 && longest <= 4, "{steps:.2} steps, longest {longest}");
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! [`reference`] holds the previous implementations of `eval_mask`, `select`,
 //! `select_with_candidates`, `gather_oids`, the hash join
-//! (`probe`, `probe_with_oids`, `probe_semi`, the interpreter's `anti_join`)
-//! and `grouped_agg`, written against the public API only. Each property
+//! (`probe`, `probe_with_oids`, `probe_semi`, the interpreter's `anti_join`),
+//! `grouped_agg` and the three `calc` flavours, written against the public
+//! API only. Each property
 //! generates columns of all five types (as windows with a non-zero offset
 //! and, sometimes, a relabelled base oid), predicates of every shape with
 //! constants of every type, and oid lists that are unsorted, duplicated,
@@ -21,8 +22,9 @@
 
 use apq_columnar::{Column, ColumnarError, DataType, Oid, ScalarValue, StringColumn};
 use apq_operators::{
-    fetch, grouped_agg, merge_grouped, select, select_with_candidates, AggFunc, AggState, CmpOp,
-    GroupKey, JoinHashTable, JoinResult, OperatorError, Predicate,
+    calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, merge_grouped, select,
+    select_with_candidates, AggFunc, AggState, BinaryOp, CmpOp, GroupKey, JoinHashTable,
+    JoinResult, OperatorError, Predicate,
 };
 use proptest::prelude::*;
 
@@ -347,6 +349,135 @@ mod reference {
         }
     }
 
+    fn apply_i64(op: BinaryOp, a: i64, b: i64) -> Result<i64> {
+        Ok(match op {
+            BinaryOp::Add => a.wrapping_add(b),
+            BinaryOp::Sub => a.wrapping_sub(b),
+            BinaryOp::Mul => a.wrapping_mul(b),
+            BinaryOp::Div => {
+                if b == 0 {
+                    return Err(OperatorError::DivisionByZero);
+                }
+                a / b
+            }
+        })
+    }
+
+    fn apply_f64(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+        Ok(match op {
+            BinaryOp::Add => a + b,
+            BinaryOp::Sub => a - b,
+            BinaryOp::Mul => a * b,
+            BinaryOp::Div => {
+                if b == 0.0 {
+                    return Err(OperatorError::DivisionByZero);
+                }
+                a / b
+            }
+        })
+    }
+
+    fn numeric_error(left: DataType, right: DataType) -> OperatorError {
+        OperatorError::InvalidCalc(format!(
+            "calc requires numeric inputs of matching class, got {left} and {right}"
+        ))
+    }
+
+    fn is_int(t: DataType) -> bool {
+        matches!(t, DataType::Int64 | DataType::Int32)
+    }
+
+    fn widened_i64(col: &Column) -> Result<std::borrow::Cow<'_, [i64]>> {
+        match col.data_type() {
+            DataType::Int64 => Ok(std::borrow::Cow::Borrowed(col.i64_values()?)),
+            DataType::Int32 => {
+                Ok(std::borrow::Cow::Owned(col.i32_values()?.iter().map(|&v| v as i64).collect()))
+            }
+            other => Err(numeric_error(other, other)),
+        }
+    }
+
+    /// A per-row `Result` and a per-row `match op`, over `Int32` inputs
+    /// widened into copies first.
+    pub fn calc_col_col(op: BinaryOp, left: &Column, right: &Column) -> Result<Column> {
+        if left.len() != right.len() {
+            return Err(OperatorError::LengthMismatch { left: left.len(), right: right.len() });
+        }
+        match (left.data_type(), right.data_type()) {
+            (DataType::Float64, DataType::Float64) => {
+                let l = left.f64_values()?;
+                let r = right.f64_values()?;
+                let mut out = Vec::with_capacity(l.len());
+                for (a, b) in l.iter().zip(r) {
+                    out.push(apply_f64(op, *a, *b)?);
+                }
+                Ok(Column::from_f64(out))
+            }
+            (lt, rt) if is_int(lt) && is_int(rt) => {
+                let l = widened_i64(left)?;
+                let r = widened_i64(right)?;
+                let mut out = Vec::with_capacity(l.len());
+                for (a, b) in l.iter().zip(r.iter()) {
+                    out.push(apply_i64(op, *a, *b)?);
+                }
+                Ok(Column::from_i64(out))
+            }
+            (lt, rt) => Err(numeric_error(lt, rt)),
+        }
+    }
+
+    pub fn calc_col_scalar(op: BinaryOp, left: &Column, scalar: &ScalarValue) -> Result<Column> {
+        match left.data_type() {
+            DataType::Float64 => {
+                let rhs = scalar
+                    .as_f64()
+                    .ok_or_else(|| numeric_error(DataType::Float64, scalar.data_type()))?;
+                let l = left.f64_values()?;
+                let mut out = Vec::with_capacity(l.len());
+                for a in l {
+                    out.push(apply_f64(op, *a, rhs)?);
+                }
+                Ok(Column::from_f64(out))
+            }
+            lt if is_int(lt) => {
+                let rhs = scalar.as_i64().ok_or_else(|| numeric_error(lt, scalar.data_type()))?;
+                let l = widened_i64(left)?;
+                let mut out = Vec::with_capacity(l.len());
+                for a in l.iter() {
+                    out.push(apply_i64(op, *a, rhs)?);
+                }
+                Ok(Column::from_i64(out))
+            }
+            lt => Err(numeric_error(lt, scalar.data_type())),
+        }
+    }
+
+    pub fn calc_scalar_col(op: BinaryOp, scalar: &ScalarValue, right: &Column) -> Result<Column> {
+        match right.data_type() {
+            DataType::Float64 => {
+                let lhs = scalar
+                    .as_f64()
+                    .ok_or_else(|| numeric_error(scalar.data_type(), DataType::Float64))?;
+                let r = right.f64_values()?;
+                let mut out = Vec::with_capacity(r.len());
+                for b in r {
+                    out.push(apply_f64(op, lhs, *b)?);
+                }
+                Ok(Column::from_f64(out))
+            }
+            rt if is_int(rt) => {
+                let lhs = scalar.as_i64().ok_or_else(|| numeric_error(scalar.data_type(), rt))?;
+                let r = widened_i64(right)?;
+                let mut out = Vec::with_capacity(r.len());
+                for b in r.iter() {
+                    out.push(apply_i64(op, lhs, *b)?);
+                }
+                Ok(Column::from_i64(out))
+            }
+            rt => Err(numeric_error(scalar.data_type(), rt)),
+        }
+    }
+
     /// Row `i` of a key column that is not `Float64`.
     fn group_key(keys: &Column, i: usize) -> Result<GroupKey> {
         Ok(match keys.data_type() {
@@ -424,6 +555,11 @@ const INT_EDGES: [i64; 8] = [
     -1,
     0,
 ];
+/// Divisors the TPC-H plans use, the reciprocal division's edges, and the
+/// divisors it does not take.
+const DIVISORS: [i64; 12] = [100, 365, 2, 3, 7, 1 << 32, i64::MAX, 1, 0, -1, -100, i64::MIN];
+const OPS: [BinaryOp; 4] = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div];
+const NUMERIC: [DataType; 3] = [DataType::Int64, DataType::Int32, DataType::Float64];
 
 impl Gen {
     fn next(&mut self) -> u64 {
@@ -571,6 +707,118 @@ impl Gen {
         }
     }
 
+    /// Puts `values` in a window at a small offset of a longer column of
+    /// `ty`, sometimes relabelled.
+    fn window(&mut self, ty: DataType, values: Vec<i64>) -> Column {
+        let (pad, len) = (self.below(4), values.len());
+        let padded: Vec<i64> = (0..pad).map(|_| self.int()).chain(values).chain([0, 1]).collect();
+        let base = match ty {
+            DataType::Int32 => Column::from_i32(padded.iter().map(|&v| v as i32).collect()),
+            _ => Column::from_i64(padded),
+        };
+        let window = base.slice(pad, len).expect("window inside the column");
+        if self.chance(4) {
+            window.with_base_oid(self.below(5_000) as Oid)
+        } else {
+            window
+        }
+    }
+
+    /// A join key column of `ty` (`Int64` or `Int32`) and the range its keys
+    /// were drawn from. The range decides the directory: a dense range from a
+    /// small, negative or extreme start; a span straddling the hashed
+    /// directory's `buckets` (spans `buckets - 2` and `- 1` are dense,
+    /// `buckets` and `+ 1` hash); or
+    /// [`Gen::column`]'s mix of small values and edges.
+    fn join_keys(&mut self, ty: DataType) -> (Column, (i64, i64)) {
+        let rows = if self.chance(8) { 0 } else { self.below(2_500) };
+        let buckets = (rows.max(1) * 2).next_power_of_two() as i64;
+        let span = match self.below(3) {
+            0 => self.below(rows + 1) as i64,
+            1 => buckets - 2 + self.below(4) as i64,
+            _ => return (self.column(ty), (-6, 6)),
+        };
+        let (type_min, type_max) = match ty {
+            DataType::Int32 => (i32::MIN as i64, i32::MAX as i64),
+            _ => (i64::MIN, i64::MAX),
+        };
+        let lo = match self.below(4) {
+            0 => self.below(10_000) as i64,
+            1 => -(self.below(10_000) as i64) - span,
+            2 => type_min,
+            _ => type_max - span,
+        };
+        // The range's ends come first, so the window's keys span it exactly.
+        let keys = (0..rows)
+            .map(|row| match row {
+                0 => lo,
+                1 => lo + span,
+                _ => lo + self.below(span as usize + 1) as i64,
+            })
+            .collect();
+        (self.window(ty, keys), (lo, lo + span))
+    }
+
+    /// Probe keys of `ty` for a table over `range`: mostly inside it, some
+    /// just outside either end, some anywhere.
+    fn probe_keys(&mut self, ty: DataType, (lo, hi): (i64, i64)) -> Column {
+        let rows = if self.chance(8) { 0 } else { self.below(2_500) };
+        let keys = (0..rows)
+            .map(|_| match self.below(8) {
+                0 => lo.saturating_sub(1 + self.below(3) as i64),
+                1 => hi.saturating_add(1 + self.below(3) as i64),
+                2 => self.int(),
+                _ => lo + (self.next() % ((hi - lo) as u64 + 1)) as i64,
+            })
+            .map(|k| match ty {
+                DataType::Int32 => k.clamp(i32::MIN as i64, i32::MAX as i64),
+                _ => k,
+            })
+            .collect();
+        self.window(ty, keys)
+    }
+
+    /// A numeric column of `len` rows for `calc`, one time in ten of another
+    /// length. Without `zeros`, no row is `0` or `-1` (nor `±0.0`), so a
+    /// division by it mostly divides rather than failing.
+    fn calc_column(&mut self, ty: DataType, len: usize, zeros: bool) -> Column {
+        let len = if self.chance(10) { self.below(len + 2) } else { len };
+        match ty {
+            DataType::Float64 => {
+                let pad = self.below(4);
+                let values: Vec<f64> = (0..pad + len)
+                    .map(|_| self.pick(&FLOATS))
+                    .map(|v| if v == 0.0 && !zeros { 2.0 } else { v })
+                    .collect();
+                Column::from_f64(values).slice(pad, len).expect("window inside the column")
+            }
+            DataType::Int64 | DataType::Int32 => {
+                let values = (0..len)
+                    .map(|_| if ty == DataType::Int32 { self.int32() as i64 } else { self.int() })
+                    .map(|v| if (v == 0 || v == -1) && !zeros { v + 7 } else { v })
+                    .collect();
+                self.window(ty, values)
+            }
+            other => self.base_column(other, len),
+        }
+    }
+
+    /// A scalar operand for `calc` next to a column of `ty`: usually of its
+    /// numeric class, often a divisor the TPC-H plans use or an edge of the
+    /// reciprocal division, sometimes anything.
+    fn calc_scalar(&mut self, ty: DataType) -> ScalarValue {
+        if self.chance(8) {
+            return self.scalar();
+        }
+        match (ty, self.below(3)) {
+            (DataType::Float64, 0) => ScalarValue::F64(self.pick(&FLOATS)),
+            (DataType::Float64, _) => ScalarValue::F64(self.pick(&DIVISORS) as f64),
+            (_, 0) => ScalarValue::I64(self.int()),
+            (_, 1) => ScalarValue::I32(self.int32()),
+            _ => ScalarValue::I64(self.pick(&DIVISORS)),
+        }
+    }
+
     /// Oids around `column`'s range: unsorted, duplicated, and — one in
     /// `stray` — outside `[base_oid, end_oid)` on either side.
     fn oids(&mut self, column: &Column, stray: usize) -> Vec<Oid> {
@@ -594,9 +842,12 @@ impl Gen {
 
 // ------------------------------------------------------------- comparison
 
-/// Everything observable about a column; floats by bit pattern, so that
-/// `NaN` and `-0.0` must be carried over exactly.
-fn facts(column: &Column) -> (DataType, Oid, usize, Vec<String>) {
+/// Everything observable about a column: type, base oid, length and rows.
+type Facts = (DataType, Oid, usize, Vec<String>);
+
+/// A column's [`Facts`]; floats by bit pattern, so that `NaN` and `-0.0`
+/// must be carried over exactly.
+fn facts(column: &Column) -> Facts {
     let rows = match column.data_type() {
         DataType::Float64 => {
             column.f64_values().unwrap().iter().map(|v| format!("{:#x}", v.to_bits())).collect()
@@ -606,7 +857,7 @@ fn facts(column: &Column) -> (DataType, Oid, usize, Vec<String>) {
     (column.data_type(), column.base_oid(), column.len(), rows)
 }
 
-fn column_facts(result: Result<Column>) -> Result<(DataType, Oid, usize, Vec<String>)> {
+fn column_facts(result: Result<Column>) -> Result<Facts> {
     result.map(|c| facts(&c))
 }
 
@@ -617,6 +868,54 @@ fn sorted_groups(mut groups: Vec<(GroupKey, AggState)>) -> String {
     let finished: Vec<(GroupKey, ScalarValue)> =
         groups.into_iter().map(|(k, s)| (k, s.finish())).collect();
     format!("{finished:?}")
+}
+
+/// One operand of a `calc` call.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Column(&'a Column),
+    Scalar(&'a ScalarValue),
+}
+
+/// An operand's rows as the integer path reads them (a scalar repeated
+/// `rows` times), `None` when `calc` takes another path for it.
+fn int_rows(operand: Operand, rows: usize) -> Option<Vec<i64>> {
+    match operand {
+        Operand::Column(c) => match c.data_type() {
+            DataType::Int64 => Some(c.i64_values().unwrap().to_vec()),
+            DataType::Int32 => Some(c.i32_values().unwrap().iter().map(|&v| v as i64).collect()),
+            _ => None,
+        },
+        Operand::Scalar(s) => s.as_i64().map(|v| vec![v; rows]),
+    }
+}
+
+/// What `dividend <op> divisor` must return when it is an integer division
+/// that reaches a row `i64::MIN / -1`: `DivisionByZero` if any divisor is
+/// zero, the overflow otherwise. `None` for every other call.
+fn overflowing_division(
+    op: BinaryOp,
+    dividend: Operand,
+    divisor: Operand,
+) -> Option<Result<Facts>> {
+    let column_rows = |o: Operand| match o {
+        Operand::Column(c) => c.len(),
+        Operand::Scalar(_) => 0,
+    };
+    let rows = column_rows(dividend).max(column_rows(divisor));
+    let (a, b) = (int_rows(dividend, rows)?, int_rows(divisor, rows)?);
+    if op != BinaryOp::Div || a.len() != b.len() {
+        return None;
+    }
+    let pairs: Vec<(i64, i64)> = a.into_iter().zip(b).collect();
+    if !pairs.contains(&(i64::MIN, -1)) {
+        return None;
+    }
+    Some(Err(if pairs.iter().any(|&(_, b)| b == 0) {
+        OperatorError::DivisionByZero
+    } else {
+        OperatorError::InvalidCalc(format!("integer overflow: {} / -1", i64::MIN))
+    }))
 }
 
 const FUNCS: [AggFunc; 5] =
@@ -704,23 +1003,28 @@ proptest! {
 
     /// The hash join: `Int64` and `Int32` keys on either side, duplicate
     /// build keys (pair order: outer ascending, newest-inserted match
-    /// first), windows on both sides, unsupported key types.
+    /// first), windows on both sides, unsupported key types — over build
+    /// sides whose ranges give dense and hashed directories, probed inside,
+    /// around and far from the range.
     #[test]
     fn probes_match_the_copying_table(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let key_types = [DataType::Int64, DataType::Int32];
         let inner_ty = g.pick(&key_types);
-        let inner = g.column(inner_ty);
+        let (inner, (lo, hi)) = g.join_keys(inner_ty);
         let table = JoinHashTable::build(&inner).unwrap();
         let expected = reference::Table::build(&inner).unwrap();
         prop_assert_eq!(table.len(), inner.len());
         prop_assert_eq!(table.is_empty(), inner.is_empty());
-        for _ in 0..8 {
-            let key = g.int();
+        for key in [lo.saturating_sub(1), lo, hi, hi.saturating_add(1), g.int(), g.int()] {
             prop_assert_eq!(table.lookup(key), expected.lookup(key));
         }
         for ty in ALL_TYPES {
-            let outer = g.column(ty);
+            let outer = if key_types.contains(&ty) && g.chance(2) {
+                g.probe_keys(ty, (lo, hi))
+            } else {
+                g.column(ty)
+            };
             prop_assert_eq!(table.probe(&outer), expected.probe(&outer), "probe with {} keys", ty);
             prop_assert_eq!(table.probe_semi(&outer), expected.probe_semi(&outer));
             prop_assert_eq!(table.probe_anti(&outer), expected.anti_join(&outer));
@@ -737,6 +1041,45 @@ proptest! {
                 prop_assert_eq!(
                     JoinHashTable::build(&outer).map(|t| t.len()),
                     reference::Table::build(&outer).map(|_| 0)
+                );
+            }
+        }
+    }
+
+    /// The three `calc` flavours over every operator, `Int64` / `Int32` /
+    /// `Float64` mixes (a non-numeric operand now and then), both scalar
+    /// sides, offset windows, zero divisors, empty columns and `i64`
+    /// extremes. The reference panics on `i64::MIN / -1`; where a division
+    /// reaches that row, [`overflowing_division`] stands in for it.
+    #[test]
+    fn calc_matches_the_per_row_result_bodies(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for op in OPS {
+            for lt in NUMERIC {
+                let len = if g.chance(8) { 0 } else { g.below(2_500) };
+                let rt = if g.chance(8) { g.pick(&ALL_TYPES) } else { g.pick(&NUMERIC) };
+                let left = g.calc_column(lt, len, true);
+                let zeros = g.chance(4);
+                let right = g.calc_column(rt, len, zeros);
+                let scalar = g.calc_scalar(lt);
+                let (l, r, s) = (Operand::Column(&left), Operand::Column(&right), Operand::Scalar(&scalar));
+                prop_assert_eq!(
+                    column_facts(calc_col_col(op, &left, &right)),
+                    overflowing_division(op, l, r)
+                        .unwrap_or_else(|| column_facts(reference::calc_col_col(op, &left, &right))),
+                    "{:?} of {} and {} columns", op, lt, rt
+                );
+                prop_assert_eq!(
+                    column_facts(calc_col_scalar(op, &left, &scalar)),
+                    overflowing_division(op, l, s)
+                        .unwrap_or_else(|| column_facts(reference::calc_col_scalar(op, &left, &scalar))),
+                    "{:?} of a {} column and {:?}", op, lt, scalar
+                );
+                prop_assert_eq!(
+                    column_facts(calc_scalar_col(op, &scalar, &right)),
+                    overflowing_division(op, s, r)
+                        .unwrap_or_else(|| column_facts(reference::calc_scalar_col(op, &scalar, &right))),
+                    "{:?} of {:?} and a {} column", op, scalar, rt
                 );
             }
         }
@@ -894,6 +1237,26 @@ fn probes_match_the_copying_table_at_block_edges() {
             }
         }
     }
+}
+
+/// The build sides [`Gen::join_keys`] generates give both directories, and
+/// its straddling spans land on both sides of the dense threshold.
+#[test]
+fn join_key_ranges_reach_both_directories() {
+    let (mut dense, mut hashed, mut straddling) = (0, 0, [0; 2]);
+    for seed in 0..256 {
+        let mut g = Gen(seed);
+        let ty = g.pick(&[DataType::Int64, DataType::Int32]);
+        let (inner, (lo, hi)) = g.join_keys(ty);
+        let table = JoinHashTable::build(&inner).unwrap();
+        *if table.is_dense() { &mut dense } else { &mut hashed } += 1;
+        let buckets = (inner.len().max(1) * 2).next_power_of_two() as i64;
+        if inner.len() >= 2 && (buckets - 2..=buckets + 1).contains(&(hi - lo)) {
+            straddling[usize::from(table.is_dense())] += 1;
+        }
+    }
+    assert!(dense >= 32 && hashed >= 32, "{dense} dense, {hashed} hashed");
+    assert!(straddling[0] >= 8 && straddling[1] >= 8, "straddling spans: {straddling:?}");
 }
 
 /// Constants outside `i32` against an `Int32` column: the values widen, the

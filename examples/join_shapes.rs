@@ -13,8 +13,11 @@
 //! cargo run --release --example join_shapes -- --check
 //! ```
 //!
-//! `--check` makes one pass and asserts the deterministic part only: each
-//! shape's pair count equals a plain `HashMap` count of the same keys.
+//! Each row also names the table's directory (`dense`: one slot per key
+//! value; `hashed`) and the bytes the table owns. `--check` makes one pass
+//! and asserts the deterministic part only: each shape's pair count equals a
+//! plain `HashMap` count of the same keys, and its directory is the one
+//! listed in `shapes`.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -57,6 +60,8 @@ struct Shape {
     build: Column,
     outer: Column,
     flavour: Flavour,
+    /// The build keys' range is narrower than a hashed directory.
+    dense: bool,
 }
 
 fn shapes(seed: u64) -> Vec<Shape> {
@@ -72,36 +77,42 @@ fn shapes(seed: u64) -> Vec<Shape> {
             build: subset(PARTS, 200, seed ^ 1),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 2),
             flavour: Flavour::Inner,
+            dense: false,
         },
         Shape {
             name: "Q8 lineitem x part(STEEL)",
             build: subset(PARTS, 7, seed ^ 3),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 4),
             flavour: Flavour::Inner,
+            dense: false,
         },
         Shape {
             name: "Q9 lineitem x supplier",
             build: dense(SUPPLIERS),
             outer: uniform(OUTER_ROWS, SUPPLIERS, seed ^ 5),
             flavour: Flavour::Inner,
+            dense: true,
         },
         Shape {
             name: "lineitem x part (all hit)",
             build: dense(PARTS),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 6),
             flavour: Flavour::Inner,
+            dense: true,
         },
         Shape {
             name: "Q4 orders semi late lineitems",
             build: uniform(3_800_000, ORDERS, seed ^ 7),
             outer: subset(ORDERS, 38, seed ^ 8),
             flavour: Flavour::Semi,
+            dense: true,
         },
         Shape {
             name: "Q22 customer anti orders",
             build: Column::from_i64(o_custkey),
             outer: subset(CUSTOMERS, 255, seed ^ 9),
             flavour: Flavour::Anti,
+            dense: true,
         },
     ]
 }
@@ -156,8 +167,15 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let passes = if check { 1 } else { 5 };
     println!(
-        "{:<32} {:>10} {:>10} {:>12} {:>12} {:>10}",
-        "shape", "build_rows", "outer_rows", "build_ns/row", "probe_ns/row", "pairs"
+        "{:<32} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>12}",
+        "shape",
+        "build_rows",
+        "outer_rows",
+        "build_ns/row",
+        "probe_ns/row",
+        "pairs",
+        "directory",
+        "table_bytes"
     );
     for shape in shapes(2016) {
         let (build, outer) = (&shape.build, &shape.outer);
@@ -167,20 +185,24 @@ fn main() {
         let (probe_ns, pairs) = best_ns_per_row(passes, outer.len(), || {
             probe_pass(&table, black_box(outer), shape.flavour)
         });
+        let directory = if table.is_dense() { "dense" } else { "hashed" };
         println!(
-            "{:<32} {:>10} {:>10} {:>12.2} {:>12.2} {:>10}",
+            "{:<32} {:>10} {:>10} {:>12.2} {:>12.2} {:>10} {:>9} {:>12}",
             shape.name,
             build.len(),
             outer.len(),
             build_ns,
             probe_ns,
-            pairs
+            pairs,
+            directory,
+            table.byte_size()
         );
         if check {
             assert_eq!(pairs, reference_pairs(&shape), "{}: pair count", shape.name);
+            assert_eq!(table.is_dense(), shape.dense, "{}: {directory} directory", shape.name);
         }
     }
     if check {
-        println!("pair counts match the nested-map reference");
+        println!("pair counts match the nested-map reference; directories as listed");
     }
 }
