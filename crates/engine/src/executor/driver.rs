@@ -37,7 +37,7 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::interpreter::{exchange_union, slice_part};
-use crate::pipeline::{morsel_count, Pipeline, PipelinePlan};
+use crate::pipeline::{morsel_count, stream_input, Pipeline, PipelinePlan};
 use crate::plan::{OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
@@ -224,27 +224,38 @@ fn run_stages(
     for (idx, &stage) in pipeline.stages.iter().enumerate() {
         let Some(inject_panic) = run.checkpoint(stage) else { return Ok(false) };
         let node = run.plan.node(stage)?;
-        // Only a cut task needs the aligned mask; `Vec::new` does not
-        // allocate.
-        let aligned =
-            if cut.is_some() { node.spec.aligned_inputs(node.inputs.len()) } else { Vec::new() };
-        // A later stage streams its predecessor's output as first input.
+        // The stage streams one input: the producer's window (or whole
+        // chunk) at the head, its predecessor's output further down.
+        let stream = stream_input(&node.spec, node.inputs.len());
+        // Only a cut task cuts other inputs, and only alongside a stream on
+        // the first input, which the aligned mask describes (a refining
+        // select's column is shared whole); `Vec::new` does not allocate.
+        let aligned = match cut {
+            Some(_) if stream == 0 => node.spec.aligned_inputs(node.inputs.len()),
+            _ => Vec::new(),
+        };
         let mut inputs: Vec<Chunk> = Vec::with_capacity(node.inputs.len());
-        inputs.extend(out.take());
-        for (i, &input) in node.inputs.iter().enumerate().skip(inputs.len()) {
+        for (i, &input) in node.inputs.iter().enumerate() {
+            if let Some(streamed) = out.take_if(|_| i == stream) {
+                inputs.push(streamed);
+                continue;
+            }
             let chunk = run.input(stage, input)?;
             inputs.push(match cut {
-                // The first input is the producer's chunk. A range-aligned
-                // secondary input (Calc col⊗col, IfThenElse, GroupAgg
-                // values) zips positionally against the stream, so it is cut
-                // at the same window; the analyzer only fuses such stages
-                // while nothing upstream has compacted the stream. Windows
-                // go through `slice_part`, which keeps absolute oids for
-                // columns and the `stream_base` alignment for streams (see
-                // `crate::chunk::Chunk::Oids`). A whole-length mismatch is
-                // reported as whole-node execution would report it, rather
-                // than zipping morsel-sized slices that happen to agree.
-                Some((fanout, morsel)) if aligned[i] && is_positional(chunk) => {
+                // The streamed input is the producer's chunk. A
+                // range-aligned secondary input (Calc col⊗col, IfThenElse,
+                // GroupAgg values) zips positionally against the stream, so
+                // it is cut at the same window; the analyzer only fuses such
+                // stages while nothing upstream has compacted the stream.
+                // Windows go through `slice_part`, which keeps absolute oids
+                // for columns and the `stream_base` alignment for streams
+                // (see `crate::chunk::Chunk::Oids`). A whole-length mismatch
+                // is reported as whole-node execution would report it,
+                // rather than zipping morsel-sized slices that happen to
+                // agree.
+                Some((fanout, morsel))
+                    if (i == stream || aligned.get(i) == Some(&true)) && is_positional(chunk) =>
+                {
                     if chunk.rows() != fanout.source_rows {
                         return Err(apq_operators::OperatorError::LengthMismatch {
                             left: fanout.source_rows,

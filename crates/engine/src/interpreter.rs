@@ -126,6 +126,11 @@ pub fn execute_node(
             Ok(Chunk::Hash(Arc::new(JoinHashTable::build(col)?)))
         }
 
+        OperatorSpec::KeySet => {
+            let col = as_column(node, &inputs[0])?;
+            Ok(Chunk::Hash(Arc::new(JoinHashTable::build_key_set(col)?)))
+        }
+
         OperatorSpec::HashProbe => {
             let outer = as_column(node, &inputs[0])?;
             let hash = as_hash(node, &inputs[1])?;
@@ -152,19 +157,13 @@ pub fn execute_node(
 
         OperatorSpec::OidsFromColumn => {
             let col = as_column(node, &inputs[0])?;
-            let oids: Vec<Oid> = match col.data_type() {
-                DataType::Int64 => col
-                    .i64_values()
-                    .map_err(OperatorError::from)?
-                    .iter()
-                    .map(|&v| v.max(0) as Oid)
-                    .collect(),
-                DataType::Int32 => col
-                    .i32_values()
-                    .map_err(OperatorError::from)?
-                    .iter()
-                    .map(|&v| v.max(0) as Oid)
-                    .collect(),
+            let oids = match col.data_type() {
+                DataType::Int64 => {
+                    values_as_oids(node, col.i64_values().map_err(OperatorError::from)?)?
+                }
+                DataType::Int32 => {
+                    values_as_oids(node, col.i32_values().map_err(OperatorError::from)?)?
+                }
                 other => {
                     return Err(EngineError::InvalidPlan(format!(
                         "node {node}: cannot interpret a {other} column as oids"
@@ -241,6 +240,23 @@ pub fn execute_node(
             Ok(Chunk::Scalar(calc_scalars(*op, a, b)?))
         }
     }
+}
+
+/// An integer column's values as oids. A negative value names no row: it is
+/// refused, naming the node and the first such value, instead of being read
+/// as some row.
+fn values_as_oids<T: Copy + Into<i64>>(node: NodeId, values: &[T]) -> Result<Vec<Oid>> {
+    values
+        .iter()
+        .map(|&v| {
+            let v = v.into();
+            Oid::try_from(v).map_err(|_| {
+                EngineError::InvalidPlan(format!(
+                    "node {node}: the negative value {v} is not an oid"
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Positional slice of an intermediate chunk, clamped to the actual length
@@ -577,6 +593,49 @@ mod tests {
         assert_eq!(semi.to_output(), crate::chunk::QueryOutput::Oids(vec![1, 2, 3]));
         let anti = execute_node(5, &OperatorSpec::AntiJoin, &[outer, hash], &cat).unwrap();
         assert_eq!(anti.to_output(), crate::chunk::QueryOutput::Oids(vec![0]));
+    }
+
+    #[test]
+    fn a_key_set_feeds_semi_and_anti_joins() {
+        let cat = catalog();
+        let inner = Chunk::Column(Column::from_i64(vec![2, 4, 6]));
+        let set = execute_node(0, &OperatorSpec::KeySet, &[inner], &cat).unwrap();
+        match &set {
+            Chunk::Hash(table) => assert_eq!(table.directory(), "bits"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let outer = Chunk::Column(Column::from_i64(vec![1, 2, 4, 4]));
+        let semi =
+            execute_node(1, &OperatorSpec::SemiJoin, &[outer.clone(), set.clone()], &cat).unwrap();
+        assert_eq!(semi.to_output(), crate::chunk::QueryOutput::Oids(vec![1, 2, 3]));
+        let anti =
+            execute_node(2, &OperatorSpec::AntiJoin, &[outer.clone(), set.clone()], &cat).unwrap();
+        assert_eq!(anti.to_output(), crate::chunk::QueryOutput::Oids(vec![0]));
+        // Executed anyway, a probe over it fails rather than pairing.
+        let err = execute_node(3, &OperatorSpec::HashProbe, &[outer, set], &cat).unwrap_err();
+        assert_eq!(err, EngineError::Operator(OperatorError::KeySetHasNoPairs));
+    }
+
+    #[test]
+    fn oids_from_column_refuses_negative_values() {
+        let cat = catalog();
+        let spec = OperatorSpec::OidsFromColumn;
+        let fine = Chunk::Column(Column::from_i32(vec![3, 0, 7]).with_base_oid(5));
+        let oids = execute_node(1, &spec, &[fine], &cat).unwrap();
+        assert_eq!(oids.to_output(), crate::chunk::QueryOutput::Oids(vec![3, 0, 7]));
+        for (column, value) in [
+            (Column::from_i64(vec![4, -1, -9]), -1i64),
+            (Column::from_i32(vec![i32::MIN, 2]), i32::MIN as i64),
+        ] {
+            let err = execute_node(11, &spec, &[Chunk::Column(column)], &cat).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                EngineError::InvalidPlan(format!(
+                    "node 11: the negative value {value} is not an oid"
+                ))
+                .to_string()
+            );
+        }
     }
 
     #[test]

@@ -43,15 +43,20 @@
 //! # Which chains fuse
 //!
 //! A pipeline is a maximal linear chain of *streamable* stages: operators
-//! that process their first (range-aligned) input row-wise while every other
-//! input is either shared whole — hash tables, full columns being fetched
-//! into — or, for the **two-range-aligned-input** stages (`Calc` col⊗col,
-//! `IfThenElse`, `GroupAgg` keys⊗values), sliced on the *same morsel grid*
-//! as the stream (see [`crate::plan::OperatorSpec::aligned_inputs`]). Select,
-//! fetch, hash probe / semi / anti join, calc (scalar *and* column⊗column),
-//! if-then-else, predicate masks, join-side projections and partial
-//! aggregates (scalar *and* grouped) all qualify; pipeline breakers (hash
-//! build, exchange union, finalize/merge) run operator-at-a-time between
+//! that process one input row-wise — the input they *stream* — while every
+//! other input is either shared whole — hash tables, full columns being
+//! fetched into — or, for the **two-range-aligned-input** stages (`Calc`
+//! col⊗col, `IfThenElse`, `GroupAgg` keys⊗values), sliced on the *same
+//! morsel grid* as the stream (see
+//! [`crate::plan::OperatorSpec::aligned_inputs`]). A stage streams its first
+//! input, except a **candidate-refining select** (`Select` over a column and
+//! a candidate list), which streams its candidates and shares its column
+//! whole, never cut: it is a filter, its outputs a subset of its candidates,
+//! not positions of its input. Select (refining too), fetch, hash probe /
+//! semi / anti join, calc (scalar *and* column⊗column), if-then-else,
+//! predicate masks, join-side projections and partial aggregates (scalar
+//! *and* grouped) all qualify; pipeline breakers (hash build, key set,
+//! exchange union, finalize/merge) run operator-at-a-time between
 //! pipelines. Aggregates only ever *terminate* a chain: each morsel yields a
 //! partial (`AggState` / `GroupedAgg`) that the driver merges in morsel
 //! order, so nothing streams past them (`GroupAgg` is enforced explicitly —
@@ -64,18 +69,22 @@
 //! so a morsel yields only morsel-local ranks, and morsel lengths become
 //! data dependent):
 //!
-//! 1. no later stage that creates a stream of its own (another selection or
-//!    join, whose output values are positions of its input) may fuse — its
-//!    output bases would be morsel-local;
+//! 1. no later stage whose output values are positions of its input (a
+//!    selection over a column, a join) may fuse — its output bases would be
+//!    morsel-local. A refining select may: its outputs are values of its
+//!    candidates, correct in every morsel, so `scan → select → refining
+//!    select → refining select` is one chain, and it marks the stream
+//!    compacted in turn;
 //! 2. no later stage with a second range-aligned input may fuse — the
 //!    producer's morsel grid no longer describes the stream, so the
 //!    grid-aligned cut of the shared input would zip against the wrong rows.
 //!
 //! Either stage instead starts its own pipeline over the globally assembled
-//! chunk (see `creates_stream` / `has_aligned_second_input` below). Fusing a
-//! two-aligned-input stage also requires the shared input's whole row count
-//! to equal the producer's — the executor checks this once per morsel and
-//! reports the same `LengthMismatch` operator-at-a-time execution would.
+//! chunk (see `numbers_its_input` / `has_aligned_second_input` below).
+//! Fusing a two-aligned-input stage also requires the shared input's whole
+//! row count to equal the producer's — the executor checks this once per
+//! morsel and reports the same `LengthMismatch` operator-at-a-time execution
+//! would.
 //!
 //! # Result equivalence
 //!
@@ -147,11 +156,11 @@ impl std::fmt::Display for ExecutionMode {
 pub(crate) struct Pipeline {
     /// `Some` when the step streams: the node whose published chunk (a
     /// scan's, a breaker's or another pipeline's terminal's — always in an
-    /// earlier step) is cut into morsels, always `stages[0]`'s first input.
-    /// `None` for a whole-node step.
+    /// earlier step) is cut into morsels, always the input `stages[0]`
+    /// streams ([`stream_input`]). `None` for a whole-node step.
     pub producer: Option<NodeId>,
-    /// Stage nodes in chain order; each stage after the first consumes its
-    /// predecessor as first input. Non-empty.
+    /// Stage nodes in chain order; each stage after the first streams its
+    /// predecessor's output as the input [`stream_input`] names. Non-empty.
     pub stages: Vec<NodeId>,
 }
 
@@ -180,21 +189,13 @@ pub(crate) struct PipelinePlan {
     pub out_edges: Vec<Vec<(usize, usize)>>,
 }
 
-/// True when `spec` can run as a fused pipeline stage: exactly the operators
-/// a plan mutation may clone over range partitions
-/// ([`OperatorSpec::is_parallelizable`]), since a morsel is a range
-/// partition the driver cuts at run time. Each streams its first input
-/// row-wise, and every other input is either shared whole (hash tables,
-/// fetch targets) or — for the range-aligned second inputs of `Calc`
-/// col⊗col, `IfThenElse` and `GroupAgg` — sliced at the same relative
-/// window as the stream. `GroupAgg` only ever fuses as a terminal (see
-/// `is_terminal_stage`).
-///
-/// The one exception is a candidate-refining `Select`: its candidate input
-/// is an *unaligned* oid list that cannot be cut on the stream's morsel
-/// grid.
-fn is_fusible_stage(spec: &OperatorSpec, n_inputs: usize) -> bool {
-    spec.is_parallelizable() && !(matches!(spec, OperatorSpec::Select { .. }) && n_inputs > 1)
+/// The input a stage streams: a candidate-refining `Select`'s candidate
+/// list (input 1) and every other stage's first input. A refining select is
+/// a *filter*, not a position emitter: its outputs are a subset of its
+/// candidates' values, so it can stream a window of them while its column
+/// input is shared whole, never cut.
+pub(crate) fn stream_input(spec: &OperatorSpec, n_inputs: usize) -> usize {
+    usize::from(matches!(spec, OperatorSpec::Select { .. }) && n_inputs > 1)
 }
 
 /// True when the stage *terminates* any pipeline it joins: its output is a
@@ -209,21 +210,10 @@ fn is_terminal_stage(spec: &OperatorSpec) -> bool {
     matches!(spec, OperatorSpec::GroupAgg { .. })
 }
 
-/// True when the operator *compacts* its input into a brand-new stream
-/// (candidate list or join result) whose positions are global ranks:
-/// selections and the join family. A morsel of the input yields only the
-/// morsel-local ranks, so everything downstream that depends on stream
-/// *positions* is morsel-relative.
-///
-/// The same operators are the ones whose output *values* are positions of
-/// their input (base oid + local index), so none of them may be fused after
-/// another: its input's base would be a morsel-local 0 instead of the global
-/// stream position, and it would silently emit morsel-relative positions
-/// (the bug class the `stream_base` invariant exists to prevent).
-/// Value-transforming stages (fetch, calc, predicate masks, join-side
-/// projections, partial aggregates) are safe anywhere: their values are
-/// correct per morsel and their base labels reassemble to the
-/// operator-at-a-time label (a fresh stream's base 0).
+/// True when the operator *compacts* its streamed input into a brand-new
+/// stream (candidate list or join result): selections and the join family.
+/// A morsel of the input yields only the morsel-local part, so morsel
+/// lengths become data dependent and the stream's positions morsel-relative.
 fn creates_stream(spec: &OperatorSpec) -> bool {
     matches!(
         spec,
@@ -232,6 +222,21 @@ fn creates_stream(spec: &OperatorSpec) -> bool {
             | OperatorSpec::SemiJoin
             | OperatorSpec::AntiJoin
     )
+}
+
+/// True when the operator's output *values* are positions of its streamed
+/// input (base oid + local index): every stream creator but a
+/// candidate-refining select, whose outputs are values of its candidates.
+/// None of these may be fused after a stream creator: its input's base
+/// would be a morsel-local 0 instead of the global stream position, and it
+/// would silently emit morsel-relative positions (the bug class the
+/// `stream_base` invariant exists to prevent). Value-transforming stages
+/// (fetch, calc, predicate masks, join-side projections, partial
+/// aggregates) and refining selects are safe anywhere: their values are
+/// correct per morsel and their base labels reassemble to the
+/// operator-at-a-time label (a fresh stream's base 0).
+fn numbers_its_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
+    creates_stream(spec) && stream_input(spec, n_inputs) == 0
 }
 
 /// True when the operator zips a *second range-aligned input* against its
@@ -256,7 +261,7 @@ impl PipelinePlan {
     /// [`ExecutionMode::MorselDriven`] decomposes the plan into streaming
     /// pipelines and whole-node steps. Fusion is conservative: a chain only
     /// forms where the plan structure *guarantees* that intermediate outputs
-    /// are consumed exactly once, by the next stage, as its first input.
+    /// are consumed exactly once, by the next stage, as the input it streams.
     /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
     /// arities — falls back to whole-node steps.
     pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
@@ -271,27 +276,31 @@ impl PipelinePlan {
         let mut steps: Vec<Pipeline> = Vec::new();
 
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
-        // consumed exactly once, by c, as c's first input, and c is a
-        // fusible stage. Once the chain has passed a stream-creating stage
-        // (`stream_created`), another stream creator may not join (its
-        // input bases would be morsel-local), nor may a stage zipping a
-        // second aligned input. They instead start their own pipeline over
-        // the globally assembled chunk, which is correct.
+        // consumed exactly once, by c, as the input c streams, and c is a
+        // fusible stage — one a plan mutation may clone over range
+        // partitions ([`OperatorSpec::is_parallelizable`]), since a morsel
+        // is a range partition the driver cuts at run time. Once the chain
+        // has passed a stream-creating stage (`stream_created`), a stage
+        // that numbers its input may not join (its input bases would be
+        // morsel-local), nor may a stage zipping a second aligned input.
+        // They instead start their own pipeline over the globally assembled
+        // chunk, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
             let consumers = plan.consumers(id);
             let [consumer] = consumers.as_slice() else { return None };
             let node = plan.node(*consumer).ok()?;
+            let n_inputs = node.inputs.len();
             let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
-            if occurrences != 1 || node.inputs.first() != Some(&id) {
+            if occurrences != 1 || node.inputs[stream_input(&node.spec, n_inputs)] != id {
                 return None;
             }
             if stream_created
-                && (creates_stream(&node.spec)
-                    || has_aligned_second_input(&node.spec, node.inputs.len()))
+                && (numbers_its_input(&node.spec, n_inputs)
+                    || has_aligned_second_input(&node.spec, n_inputs))
             {
                 return None;
             }
-            is_fusible_stage(&node.spec, node.inputs.len()).then_some(*consumer)
+            node.spec.is_parallelizable().then_some(*consumer)
         };
 
         for &id in &order {
@@ -300,13 +309,15 @@ impl PipelinePlan {
             }
             let node = plan.node(id)?;
 
-            // A pipeline head is a fusible stage that streams over its first
-            // input, published by an earlier step (topological order): a
-            // scan, a breaker or another pipeline's terminal. A stage that
-            // reads that input twice (`calc(x, x)`) runs whole instead.
+            // A pipeline head is a fusible stage that streams over the input
+            // `stream_input` names, published by an earlier step
+            // (topological order): a scan, a breaker or another pipeline's
+            // terminal. A stage that reads that input twice (`calc(x, x)`)
+            // runs whole instead.
+            let stream = node.inputs.get(stream_input(&node.spec, node.inputs.len())).copied();
             let head = fuse
-                && is_fusible_stage(&node.spec, node.inputs.len())
-                && node.inputs.iter().filter(|&&i| i == node.inputs[0]).count() == 1;
+                && node.spec.is_parallelizable()
+                && stream.is_some_and(|s| node.inputs.iter().filter(|&&i| i == s).count() == 1);
             let step = if head {
                 let mut stages = vec![id];
                 // The head streams over producer slices whose bases are
@@ -325,7 +336,7 @@ impl PipelinePlan {
                         }
                     }
                 }
-                Pipeline { producer: Some(node.inputs[0]), stages }
+                Pipeline { producer: stream, stages }
             } else {
                 Pipeline { producer: None, stages: vec![id] }
             };
@@ -527,19 +538,52 @@ mod tests {
     }
 
     #[test]
-    fn candidate_refining_select_is_not_fused() {
-        // select with a candidate-list second input must not stream.
+    fn candidate_refining_selects_extend_the_chain_through_their_candidates() {
+        // scan a → select → select(b, ·) → select(c, ·) → fetch(d) → agg:
+        // each refining select streams its predecessor's candidates and
+        // shares its column whole, so the chain runs on past two stream
+        // creators; the fetch, a value transform, joins it too.
+        let sel = |p: &mut Plan, inputs: Vec<NodeId>| {
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, inputs)
+        };
         let mut p = Plan::new();
         let a = p.add(scan("a", 100), vec![]);
-        let s1 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
+        let s1 = sel(&mut p, vec![a]);
         let b = p.add(scan("b", 100), vec![]);
-        let s2 = p
-            .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 10i64) }, vec![b, s1]);
-        p.set_root(s2);
+        let s2 = sel(&mut p, vec![b, s1]);
+        let c = p.add(scan("c", 100), vec![]);
+        let s3 = sel(&mut p, vec![c, s2]);
+        let d = p.add(scan("d", 100), vec![]);
+        let fetched = p.add(OperatorSpec::Fetch, vec![s3, d]);
+        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
+        let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+        p.set_root(fin);
         let fused = analyze(&p);
-        let s2_step = &fused.steps[fused.step_of[s2].unwrap()];
-        assert!(*s2_step == whole(s2), "refining select fused: {s2_step:?}");
+        assert_eq!(fused.n_pipelines(), 1);
+        let chain_idx = fused.step_of[s1].unwrap();
+        assert_eq!(fused.steps[chain_idx], streams(a, &[s1, s2, s3, fetched, agg]));
+        // The producer and the three shared columns, whole-node steps each.
+        assert_eq!(fused.deps[chain_idx], 4);
+        for column in [b, c, d] {
+            assert_eq!(fused.steps[fused.step_of[column].unwrap()], whole(column));
+        }
+
+        // A refining select whose candidates fan out heads its own pipeline
+        // over them; a select over a column fetched after it numbers its
+        // input, so it does not join the chain but streams the fetch.
+        let mut p = Plan::new();
+        let a = p.add(scan("a", 100), vec![]);
+        let s1 = sel(&mut p, vec![a]);
+        let b = p.add(scan("b", 100), vec![]);
+        let s2 = sel(&mut p, vec![b, s1]);
+        let fetched = p.add(OperatorSpec::Fetch, vec![s2, b]);
+        let s3 = sel(&mut p, vec![fetched]);
+        let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s3]);
+        p.set_root(u);
+        let fused = analyze(&p);
+        assert_eq!(fused.steps[fused.step_of[s1].unwrap()], streams(a, &[s1]));
+        assert_eq!(fused.steps[fused.step_of[s2].unwrap()], streams(s1, &[s2, fetched]));
+        assert_eq!(fused.steps[fused.step_of[s3].unwrap()], streams(fetched, &[s3]));
     }
 
     #[test]

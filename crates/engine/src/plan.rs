@@ -87,6 +87,11 @@ pub enum OperatorSpec {
     Fetch,
     /// Builds a join hash table over the input key column.
     HashBuild,
+    /// Builds a key set over the input key column: the table a `SemiJoin`
+    /// or `AntiJoin` needs, which may be a bitmap of the keys and nothing
+    /// else ([`apq_operators::JoinHashTable::build_key_set`]). A `HashProbe`
+    /// over it is refused by [`Plan::validate`].
+    KeySet,
     /// Probes a hash table (input 1) with an outer key column (input 0).
     HashProbe,
     /// Semi-join: outer oids that have at least one match in the hash table.
@@ -150,7 +155,8 @@ impl OperatorSpec {
             OperatorSpec::PredMask { .. } => "predmask",
             OperatorSpec::IfThenElse { .. } => "ifthenelse",
             OperatorSpec::Fetch => "fetch",
-            OperatorSpec::HashBuild => "hashbuild",
+            // A key set is a hash build to traces and Table 5's counts.
+            OperatorSpec::HashBuild | OperatorSpec::KeySet => "hashbuild",
             OperatorSpec::HashProbe => "join",
             OperatorSpec::SemiJoin => "semijoin",
             OperatorSpec::AntiJoin => "antijoin",
@@ -173,6 +179,7 @@ impl OperatorSpec {
             OperatorSpec::SlicePart { .. }
             | OperatorSpec::PredMask { .. }
             | OperatorSpec::HashBuild
+            | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
             | OperatorSpec::ScalarAgg { .. } => (1, 1),
@@ -199,6 +206,7 @@ impl OperatorSpec {
             OperatorSpec::Select { .. } => &[true, false],
             OperatorSpec::PredMask { .. }
             | OperatorSpec::HashBuild
+            | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
             | OperatorSpec::ScalarAgg { .. }
@@ -238,6 +246,7 @@ impl OperatorSpec {
             OperatorSpec::ScanColumn { .. }
             | OperatorSpec::SlicePart { .. }
             | OperatorSpec::HashBuild
+            | OperatorSpec::KeySet
             | OperatorSpec::FinalizeAgg { .. }
             | OperatorSpec::MergeGrouped
             | OperatorSpec::ExchangeUnion
@@ -496,6 +505,7 @@ impl Plan {
     }
 
     /// Structural validation: root set and live, inputs live, arities valid,
+    /// no `HashProbe` over a `KeySet` (a key set may have no rows to pair),
     /// DAG acyclic.
     pub fn validate(&self) -> Result<()> {
         let root =
@@ -518,6 +528,13 @@ impl Plan {
                 if !self.contains(input) {
                     return Err(EngineError::InvalidPlan(format!(
                         "node {id} references missing node {input}"
+                    )));
+                }
+            }
+            if let (OperatorSpec::HashProbe, Some(&table)) = (&node.spec, node.inputs.get(1)) {
+                if self.node(table)?.spec == OperatorSpec::KeySet {
+                    return Err(EngineError::InvalidPlan(format!(
+                        "node {id} (join) probes key set {table}, which has no rows to pair"
                     )));
                 }
             }
@@ -755,6 +772,24 @@ mod tests {
         let f = p.add(OperatorSpec::Fetch, vec![a]);
         p.set_root(f);
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_a_probe_over_a_key_set() {
+        let mut p = Plan::new();
+        let keys = p.add(scan("t", "a", 10), vec![]);
+        let outer = p.add(scan("t", "b", 10), vec![]);
+        let set = p.add(OperatorSpec::KeySet, vec![keys]);
+        let semi = p.add(OperatorSpec::SemiJoin, vec![outer, set]);
+        p.set_root(semi);
+        p.validate().unwrap();
+        let probe = p.add(OperatorSpec::HashProbe, vec![outer, set]);
+        p.set_root(probe);
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains(&format!("node {probe} (join) probes key set {set}")), "{err}");
+        // A key set is a hash build to the operator counts.
+        assert_eq!(OperatorSpec::KeySet.name(), "hashbuild");
+        assert!(!OperatorSpec::KeySet.is_parallelizable());
     }
 
     #[test]

@@ -303,3 +303,155 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let expected = Engine::with_workers(2).execute(&p, &cat).unwrap().output;
     assert_eq!(engine.execute(&p, &cat).unwrap().output, expected);
 }
+
+fn fact_scan(p: &mut Plan, column: &str, rows: usize) -> usize {
+    p.add(
+        OperatorSpec::ScanColumn {
+            table: "fact".into(),
+            column: column.into(),
+            range: RowRange::new(0, rows),
+        },
+        vec![],
+    )
+}
+
+fn select(p: &mut Plan, inputs: Vec<usize>, predicate: Predicate) -> usize {
+    p.add(OperatorSpec::Select { predicate }, inputs)
+}
+
+/// Runs `plan` operator-at-a-time and under every morsel size, asserting the
+/// same output, and that `stages` ran as one pipeline whose morsels covered
+/// its producer. Returns the reference output.
+fn assert_streams_as_one_pipeline(
+    cat: &Arc<Catalog>,
+    plan: &Plan,
+    stages: &[usize],
+    morsel_sizes: &[usize],
+) -> QueryOutput {
+    let expected = Engine::with_workers(3).execute(plan, cat).unwrap().output;
+    for &morsel_rows in morsel_sizes {
+        let exec = morsel_engine(morsel_rows).execute(plan, cat).unwrap();
+        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+        let pipeline = exec
+            .profile
+            .pipelines
+            .iter()
+            .find(|p| p.nodes.first() == stages.first())
+            .unwrap_or_else(|| panic!("no pipeline starts at {:?}", stages.first()));
+        assert_eq!(pipeline.nodes, stages, "morsel_rows {morsel_rows}");
+        assert_eq!(pipeline.n_morsels, pipeline.source_rows.div_ceil(morsel_rows).max(1));
+    }
+    expected
+}
+
+#[test]
+fn refining_selects_stream_candidates_past_empty_morsels() {
+    // scan measure → select(< 100) → select(grp, ·) → select(fk, ·) → fetch
+    // → sum: one chain. The first select keeps rows 0..100 of every 1,000,
+    // so most small morsels hand the refining selects no candidates at all.
+    let rows = 4_001;
+    let cat = catalog(rows);
+    let mut p = Plan::new();
+    let measure = fact_scan(&mut p, "measure", rows);
+    let low = select(&mut p, vec![measure], Predicate::cmp(CmpOp::Lt, 100i64));
+    let grp = fact_scan(&mut p, "grp", rows);
+    let in_grp = select(&mut p, vec![grp, low], Predicate::cmp(CmpOp::Lt, 4i64));
+    let fk = fact_scan(&mut p, "fk", rows);
+    let keyed = select(&mut p, vec![fk, in_grp], Predicate::cmp(CmpOp::Ge, 10i64));
+    let fetched = p.add(OperatorSpec::Fetch, vec![keyed, measure]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    p.set_root(fin);
+    let chain = [low, in_grp, keyed, fetched, agg];
+    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[7, 100, 777, 4_096]);
+    let by_hand: i64 = (0..rows as i64)
+        .filter(|v| v % 1000 < 100 && (v * 7) % 5 < 4 && (v * 13) % 50 >= 10)
+        .map(|v| v % 1000)
+        .sum();
+    assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
+}
+
+#[test]
+fn refining_select_candidates_may_name_rows_of_any_morsel() {
+    // probe fk ⋈ dim → inner side → select(dim.key, ·) → fetch(dim.key) →
+    // sum. Each morsel of the probe's outer column hands the refining select
+    // dimension oids from all over its column, unsorted and repeated: the
+    // column is shared whole, so no candidate is lost to a morsel's window.
+    let rows = 4_001;
+    let cat = catalog(rows);
+    let mut p = Plan::new();
+    let fk = fact_scan(&mut p, "fk", rows);
+    let dim_key = p.add(
+        OperatorSpec::ScanColumn {
+            table: "dim".into(),
+            column: "key".into(),
+            range: RowRange::new(0, 20),
+        },
+        vec![],
+    );
+    let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
+    let join = p.add(OperatorSpec::HashProbe, vec![fk, hash]);
+    let dim_side = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Inner }, vec![join]);
+    let odd = select(&mut p, vec![dim_key, dim_side], Predicate::InI64(vec![1, 3, 5, 13, 19]));
+    let keys = p.add(OperatorSpec::Fetch, vec![odd, dim_key]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![keys]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    p.set_root(fin);
+    let chain = [join, dim_side, odd, keys, agg];
+    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[13, 100, 1_000]);
+    let by_hand: i64 =
+        (0..rows as i64).map(|v| (v * 13) % 50).filter(|k| [1, 3, 5, 13, 19].contains(k)).sum();
+    assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
+}
+
+#[test]
+fn a_refining_select_over_an_intermediate_column_keeps_stream_positions() {
+    // select(grp < 4) → fetch measure and fk into its candidate stream; a
+    // select over the fetched measure emits stream positions, and a
+    // refining select over the fetched fk filters them: both columns are
+    // intermediates whose rows are stream positions, not table rows.
+    let rows = 4_000;
+    let cat = catalog(rows);
+    let mut p = Plan::new();
+    let grp = fact_scan(&mut p, "grp", rows);
+    let cands = select(&mut p, vec![grp], Predicate::cmp(CmpOp::Lt, 4i64));
+    let measure = fact_scan(&mut p, "measure", rows);
+    let fk = fact_scan(&mut p, "fk", rows);
+    let measure_f = p.add(OperatorSpec::Fetch, vec![cands, measure]);
+    let fk_f = p.add(OperatorSpec::Fetch, vec![cands, fk]);
+    let cheap = select(&mut p, vec![measure_f], Predicate::cmp(CmpOp::Lt, 500i64));
+    let keyed = select(&mut p, vec![fk_f, cheap], Predicate::cmp(CmpOp::Ge, 25i64));
+    let picked = p.add(OperatorSpec::Fetch, vec![keyed, measure_f]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![picked]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    p.set_root(fin);
+    let chain = [cheap, keyed, picked, agg];
+    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[7, 64, 999, 4_096]);
+    let by_hand: i64 = (0..rows as i64)
+        .filter(|v| (v * 7) % 5 < 4 && v % 1000 < 500 && (v * 13) % 50 >= 25)
+        .map(|v| v % 1000)
+        .sum();
+    assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
+}
+
+#[test]
+fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
+    let rows = 1_000;
+    let cat = catalog(rows);
+    let mut p = Plan::new();
+    let fk = fact_scan(&mut p, "fk", rows);
+    let keys = fact_scan(&mut p, "grp", rows);
+    let set = p.add(OperatorSpec::KeySet, vec![keys]);
+    let semi = p.add(OperatorSpec::SemiJoin, vec![fk, set]);
+    p.set_root(semi);
+    let expected: Vec<u64> = (0..rows as u64).filter(|v| (v * 13) % 50 < 5).collect();
+    assert_eq!(morsel_engine(100).execute(&p, &cat).unwrap().output, QueryOutput::Oids(expected));
+
+    let probe = p.add(OperatorSpec::HashProbe, vec![fk, set]);
+    p.set_root(probe);
+    let refusal = format!("invalid plan: node {probe} (join) probes key set {set}");
+    for engine in [Engine::with_workers(3), morsel_engine(100)] {
+        let err = engine.execute(&p, &cat).unwrap_err().to_string();
+        assert!(err.starts_with(&refusal), "{err}");
+    }
+}

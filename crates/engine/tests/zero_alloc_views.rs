@@ -19,8 +19,9 @@
 //! (`docs/architecture.md`, "kernel contract"): a select's live heap never
 //! exceeds its output (no row mask), a candidate select's likewise (no
 //! gathered column), projecting a join side allocates nothing, a hash
-//! build or probe over `Int64` keys never holds a copy of them, and `calc`
-//! reads `Int32` operands in place instead of widening them into copies.
+//! build or probe over `Int64` keys never holds a copy of them, a key set
+//! whose span fits its bitmap is that one bitmap, and `calc` reads `Int32`
+//! operands in place instead of widening them into copies.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
@@ -159,6 +160,10 @@ fn kernels_hold_no_more_than_their_outputs() {
     let keys = Column::from_i64((0..N as i64).collect());
     let peak = peak_bytes_during(|| JoinHashTable::build(&keys));
     assert!(peak <= 2 * N * 4 + SLACK, "an Int64 build held {peak} bytes: a key copy?");
+    // A key set over the same keys is one allocation: the bitmap of the
+    // span's N bits, N / 8 bytes — no directory, no links, no keys.
+    let (allocs, bytes) = allocations_during(|| JoinHashTable::build_key_set(&keys));
+    assert_eq!((allocs, bytes), (1, N / 8), "a key-set build over a span of {N} keys");
     // ... and a probe holds its two reserved output vectors, not 8 MiB more
     // for the outer keys — whether they are Int64 or widened from Int32.
     let table = JoinHashTable::build(&Column::from_i64((0..64).collect())).unwrap();

@@ -12,7 +12,7 @@
 //! `DivisionByZero` and `i64::MIN / -1` overflow are found before its loop —
 //! an `Int32` operand is read in place and widened per row, never copied,
 //! and an integer division by a scalar `d ≥ 2` multiplies by a precomputed
-//! [`Reciprocal`] instead of dividing.
+//! `Reciprocal` instead of dividing.
 
 use apq_columnar::{Column, DataType, ScalarValue};
 

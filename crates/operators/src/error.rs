@@ -38,6 +38,9 @@ pub enum OperatorError {
         /// Rows of the build column.
         rows: usize,
     },
+    /// Join pairs were asked of a key set whose table is a bitmap: it knows
+    /// which keys the build side holds, not which rows.
+    KeySetHasNoPairs,
     /// Division by zero during `calc` evaluation.
     DivisionByZero,
     /// An operator that requires at least one input got none.
@@ -67,6 +70,9 @@ impl fmt::Display for OperatorError {
                     "join build side of {rows} rows exceeds the limit of {} rows",
                     u32::MAX - 1
                 )
+            }
+            OperatorError::KeySetHasNoPairs => {
+                write!(f, "a key set answers membership only and has no rows to pair")
             }
             OperatorError::DivisionByZero => write!(f, "division by zero"),
             OperatorError::EmptyInput(op) => write!(f, "operator {op} requires at least one input"),
@@ -106,6 +112,7 @@ mod tests {
         assert!(OperatorError::DivisionByZero.to_string().contains("zero"));
         assert!(OperatorError::EmptyInput("pack").to_string().contains("pack"));
         assert!(OperatorError::UnsupportedJoinKey("bool").to_string().contains("bool"));
+        assert!(OperatorError::KeySetHasNoPairs.to_string().contains("key set"));
         let e = OperatorError::LengthMismatch { left: 3, right: 5 };
         assert!(e.to_string().contains('3') && e.to_string().contains('5'));
         let e = OperatorError::JoinBuildTooLarge { rows: 5_000_000_000 };

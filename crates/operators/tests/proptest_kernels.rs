@@ -2,8 +2,8 @@
 //! replaced.
 //!
 //! [`reference`] holds the previous implementations of `eval_mask`, `select`,
-//! `select_with_candidates`, `gather_oids`, the hash join
-//! (`probe`, `probe_with_oids`, `probe_semi`, the interpreter's `anti_join`),
+//! `select_with_candidates`, `gather_oids`, the hash join (the build, the
+//! pair probes and the existence probes before key sets and bitmaps),
 //! `grouped_agg` and the three `calc` flavours, written against the public
 //! API only. Each property
 //! generates columns of all five types (as windows with a non-zero offset
@@ -21,6 +21,7 @@
 //! bounds checks change the loops this suite is meant to exercise.
 
 use apq_columnar::{Column, ColumnarError, DataType, Oid, ScalarValue, StringColumn};
+use apq_operators::join::BITMAP_FLOOR_BYTES;
 use apq_operators::{
     calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, merge_grouped, select,
     select_with_candidates, AggFunc, AggState, BinaryOp, CmpOp, GroupKey, JoinHashTable,
@@ -230,70 +231,156 @@ mod reference {
     }
 
     const EMPTY: u32 = u32::MAX;
+    const BLOCK: usize = 256;
 
-    /// The bucket-head + next-chain table with its own key and oid copies.
+    /// The join table before key sets and bitmaps: a dense directory
+    /// (`slot = key − min`) when the keys' span is below the
+    /// `(2n).next_power_of_two()` buckets a hashed one would have, Fibonacci
+    /// top-bit buckets otherwise, the key column kept either way, and pairs
+    /// pushed one at a time.
     pub struct Table {
+        /// `Some(min)` for a dense directory, `None` for a hashed one.
+        dense_min: Option<i64>,
         mask: u64,
         heads: Vec<u32>,
         next: Vec<u32>,
-        keys: Vec<i64>,
-        oids: Vec<Oid>,
+        keys: Column,
+        base: Oid,
     }
 
     fn hash_key(key: i64, mask: u64) -> usize {
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & mask) as usize
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> mask.leading_zeros()) as usize
     }
 
-    fn key_values(column: &Column) -> Result<Vec<i64>> {
-        match column.data_type() {
-            DataType::Int64 => Ok(column.i64_values()?.to_vec()),
-            DataType::Int32 => Ok(column.i32_values()?.iter().map(|&v| v as i64).collect()),
-            other => Err(OperatorError::UnsupportedJoinKey(other.name())),
+    fn dense_slot(key: i64, min: i64) -> usize {
+        usize::try_from(key.wrapping_sub(min) as u64).unwrap_or(usize::MAX)
+    }
+
+    fn dense_range(keys: &[i64], limit: u64) -> Option<(i64, i64)> {
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        for block in keys.chunks(1024) {
+            (min, max) = block.iter().fold((min, max), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+            if max.abs_diff(min) >= limit {
+                return None;
+            }
+        }
+        (min <= max).then_some((min, max))
+    }
+
+    fn link(keys: &[i64], heads: &mut [u32], next: &mut [u32], slot: impl Fn(i64) -> usize) {
+        for (i, (&key, link)) in keys.iter().zip(next).enumerate() {
+            let head = &mut heads[slot(key)];
+            *link = *head;
+            *head = i as u32;
         }
     }
 
     impl Table {
         pub fn build(inner: &Column) -> Result<Table> {
-            let keys = key_values(inner)?;
-            let n = keys.len();
-            let n_buckets = (n.max(1) * 2).next_power_of_two();
-            let mask = (n_buckets - 1) as u64;
-            let mut heads = vec![EMPTY; n_buckets];
-            let mut next = vec![EMPTY; n];
-            let base = inner.base_oid();
-            let oids: Vec<Oid> = (0..n as u64).map(|i| base + i).collect();
-            for (i, &key) in keys.iter().enumerate() {
-                let b = hash_key(key, mask);
-                next[i] = heads[b];
-                heads[b] = i as u32;
+            if inner.len() >= EMPTY as usize {
+                return Err(OperatorError::JoinBuildTooLarge { rows: inner.len() });
             }
-            Ok(Table { mask, heads, next, keys, oids })
+            let keys = match inner.data_type() {
+                DataType::Int64 => inner.clone(),
+                DataType::Int32 => {
+                    Column::from_i64(inner.i32_values()?.iter().map(|&v| v as i64).collect())
+                }
+                other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
+            };
+            let values = keys.i64_values()?;
+            let n = values.len();
+            let n_buckets = (n.max(1) * 2).next_power_of_two();
+            let mut next = vec![EMPTY; n];
+            let mask = (n_buckets - 1) as u64;
+            let (dense_min, heads) = match dense_range(values, n_buckets as u64) {
+                Some((min, max)) => {
+                    let mut heads = vec![EMPTY; max.abs_diff(min) as usize + 1];
+                    link(values, &mut heads, &mut next, |k| dense_slot(k, min));
+                    (Some(min), heads)
+                }
+                None => {
+                    let mut heads = vec![EMPTY; n_buckets];
+                    link(values, &mut heads, &mut next, |k| hash_key(k, mask));
+                    (None, heads)
+                }
+            };
+            Ok(Table { dense_min, mask, heads, next, keys, base: inner.base_oid() })
+        }
+
+        /// The probe body: a block's chain heads first, rows with an empty
+        /// slot dropped, then the survivors' chains; `first` stops a row's
+        /// walk at its first match.
+        fn walk(
+            &self,
+            outer: &[i64],
+            first: bool,
+            mut on_match: impl FnMut(usize, Oid),
+            mut on_block: impl FnMut(usize, &[bool]),
+        ) {
+            let keys = self.keys.i64_values().unwrap();
+            let slot = |k: i64| match self.dense_min {
+                Some(min) => dense_slot(k, min),
+                None => hash_key(k, self.mask),
+            };
+            let mut firsts = [EMPTY; BLOCK];
+            let mut rows = [0u16; BLOCK];
+            let mut matched = [false; BLOCK];
+            for (b, block) in outer.chunks(BLOCK).enumerate() {
+                let mut c = 0;
+                for (r, &k) in block.iter().enumerate() {
+                    let head = self.heads.get(slot(k)).map_or(EMPTY, |&h| h);
+                    firsts[c] = head;
+                    rows[c] = r as u16;
+                    c += usize::from(head != EMPTY);
+                }
+                let matched = &mut matched[..block.len()];
+                matched.fill(false);
+                for (&head, &r) in firsts[..c].iter().zip(&rows[..c]) {
+                    let r = usize::from(r);
+                    let mut e = head;
+                    while e != EMPTY {
+                        let j = e as usize;
+                        if self.dense_min.is_some() || keys[j] == block[r] {
+                            matched[r] = true;
+                            on_match(b * BLOCK + r, j as Oid);
+                            if first {
+                                break;
+                            }
+                        }
+                        e = self.next[j];
+                    }
+                }
+                on_block(b * BLOCK, matched);
+            }
         }
 
         pub fn lookup(&self, key: i64) -> Vec<Oid> {
             let mut out = Vec::new();
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let i = e as usize;
-                if self.keys[i] == key {
-                    out.push(self.oids[i]);
-                }
-                e = self.next[i];
-            }
+            self.walk(&[key], false, |_, j| out.push(self.base + j), |_, _| {});
             out
         }
 
-        pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
+        fn pairs(&self, outer: &Column, oid_of: impl Fn(usize) -> Oid) -> Result<JoinResult> {
             let keys = key_values(outer)?;
-            let base = outer.base_oid();
-            let mut result = JoinResult::default();
-            for (i, &key) in keys.iter().enumerate() {
-                for inner in self.lookup(key) {
-                    result.outer_oids.push(base + i as Oid);
-                    result.inner_oids.push(inner);
-                }
-            }
+            let mut result = JoinResult {
+                outer_oids: Vec::with_capacity(outer.len()),
+                inner_oids: Vec::with_capacity(outer.len()),
+            };
+            self.walk(
+                &keys,
+                false,
+                |i, j| {
+                    result.outer_oids.push(oid_of(i));
+                    result.inner_oids.push(self.base + j);
+                },
+                |_, _| {},
+            );
             Ok(result)
+        }
+
+        pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
+            let base = outer.base_oid();
+            self.pairs(outer, |i| base + i as Oid)
         }
 
         pub fn probe_with_oids(
@@ -307,45 +394,42 @@ mod reference {
                     right: outer_oids.len(),
                 });
             }
-            let keys = key_values(outer_keys)?;
-            let mut result = JoinResult::default();
-            for (i, &key) in keys.iter().enumerate() {
-                for inner in self.lookup(key) {
-                    result.outer_oids.push(outer_oids[i]);
-                    result.inner_oids.push(inner);
-                }
-            }
-            Ok(result)
+            self.pairs(outer_keys, |i| outer_oids[i])
         }
 
-        pub fn probe_semi(&self, outer: &Column) -> Result<Vec<Oid>> {
+        fn existence(&self, outer: &Column, wanted: bool) -> Result<Vec<Oid>> {
             let keys = key_values(outer)?;
             let base = outer.base_oid();
             let mut out = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                if !self.lookup(key).is_empty() {
-                    out.push(base + i as Oid);
-                }
-            }
+            self.walk(
+                &keys,
+                true,
+                |_, _| {},
+                |start, matched| {
+                    for (r, &m) in matched.iter().enumerate() {
+                        if m == wanted {
+                            out.push(base + (start + r) as Oid);
+                        }
+                    }
+                },
+            );
             Ok(out)
         }
 
-        /// The interpreter's `anti_join`: a semi-join, then a second pass
-        /// over the outer rows skipping the matched oids.
-        pub fn anti_join(&self, outer: &Column) -> Result<Vec<Oid>> {
-            let matching = self.probe_semi(outer)?;
-            let mut matching_iter = matching.into_iter().peekable();
-            let base = outer.base_oid();
-            let mut out = Vec::new();
-            for i in 0..outer.len() {
-                let oid = base + i as Oid;
-                if matching_iter.peek() == Some(&oid) {
-                    matching_iter.next();
-                } else {
-                    out.push(oid);
-                }
-            }
-            Ok(out)
+        pub fn probe_semi(&self, outer: &Column) -> Result<Vec<Oid>> {
+            self.existence(outer, true)
+        }
+
+        pub fn probe_anti(&self, outer: &Column) -> Result<Vec<Oid>> {
+            self.existence(outer, false)
+        }
+    }
+
+    fn key_values(column: &Column) -> Result<Vec<i64>> {
+        match column.data_type() {
+            DataType::Int64 => Ok(column.i64_values()?.to_vec()),
+            DataType::Int32 => Ok(column.i32_values()?.iter().map(|&v| v as i64).collect()),
+            other => Err(OperatorError::UnsupportedJoinKey(other.name())),
         }
     }
 
@@ -728,14 +812,16 @@ impl Gen {
     /// were drawn from. The range decides the directory: a dense range from a
     /// small, negative or extreme start; a span straddling the hashed
     /// directory's `buckets` (spans `buckets - 2` and `- 1` are dense,
-    /// `buckets` and `+ 1` hash); or
-    /// [`Gen::column`]'s mix of small values and edges.
+    /// `buckets` and `+ 1` hash); a span straddling the bitmap's limit
+    /// (`bitmap_bits(rows) - 2` and `- 1` keep a bitmap, the limit and
+    /// `+ 1` do not); or [`Gen::column`]'s mix of small values and edges.
     fn join_keys(&mut self, ty: DataType) -> (Column, (i64, i64)) {
         let rows = if self.chance(8) { 0 } else { self.below(2_500) };
         let buckets = (rows.max(1) * 2).next_power_of_two() as i64;
-        let span = match self.below(3) {
+        let span = match self.below(4) {
             0 => self.below(rows + 1) as i64,
             1 => buckets - 2 + self.below(4) as i64,
+            2 => bitmap_bits(rows) - 2 + self.below(4) as i64,
             _ => return (self.column(ty), (-6, 6)),
         };
         let (type_min, type_max) = match ty {
@@ -838,6 +924,13 @@ impl Gen {
             })
             .collect()
     }
+}
+
+/// The widest key span a bitmap covers for `rows` build rows: the hashed
+/// directory's bytes or the floor, whichever is more, in bits.
+fn bitmap_bits(rows: usize) -> i64 {
+    let buckets = (rows.max(1) * 2).next_power_of_two();
+    (buckets * 4).max(BITMAP_FLOOR_BYTES) as i64 * 8
 }
 
 // ------------------------------------------------------------- comparison
@@ -1004,20 +1097,27 @@ proptest! {
     /// The hash join: `Int64` and `Int32` keys on either side, duplicate
     /// build keys (pair order: outer ascending, newest-inserted match
     /// first), windows on both sides, unsupported key types — over build
-    /// sides whose ranges give dense and hashed directories, probed inside,
-    /// around and far from the range.
+    /// sides whose ranges give every directory, probed inside, around and
+    /// far from the range — and the key set over the same keys: the same
+    /// existence answers, and pairs only when it is not a bitmap.
     #[test]
-    fn probes_match_the_copying_table(seed in 0u64..u64::MAX) {
+    fn probes_match_the_parent_table(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let key_types = [DataType::Int64, DataType::Int32];
         let inner_ty = g.pick(&key_types);
         let (inner, (lo, hi)) = g.join_keys(inner_ty);
         let table = JoinHashTable::build(&inner).unwrap();
+        let key_set = JoinHashTable::build_key_set(&inner).unwrap();
         let expected = reference::Table::build(&inner).unwrap();
         prop_assert_eq!(table.len(), inner.len());
+        prop_assert_eq!(key_set.len(), inner.len());
         prop_assert_eq!(table.is_empty(), inner.is_empty());
+        let pairs_of_set = |pairs: Result<JoinResult>| match key_set.directory() {
+            "bits" => Err(OperatorError::KeySetHasNoPairs),
+            _ => pairs,
+        };
         for key in [lo.saturating_sub(1), lo, hi, hi.saturating_add(1), g.int(), g.int()] {
-            prop_assert_eq!(table.lookup(key), expected.lookup(key));
+            prop_assert_eq!(table.lookup(key), Ok(expected.lookup(key)));
         }
         for ty in ALL_TYPES {
             let outer = if key_types.contains(&ty) && g.chance(2) {
@@ -1025,9 +1125,13 @@ proptest! {
             } else {
                 g.column(ty)
             };
-            prop_assert_eq!(table.probe(&outer), expected.probe(&outer), "probe with {} keys", ty);
-            prop_assert_eq!(table.probe_semi(&outer), expected.probe_semi(&outer));
-            prop_assert_eq!(table.probe_anti(&outer), expected.anti_join(&outer));
+            let pairs = expected.probe(&outer);
+            prop_assert_eq!(table.probe(&outer), pairs.clone(), "probe with {} keys", ty);
+            prop_assert_eq!(key_set.probe(&outer), pairs_of_set(pairs));
+            for probed in [&table, &key_set] {
+                prop_assert_eq!(probed.probe_semi(&outer), expected.probe_semi(&outer));
+                prop_assert_eq!(probed.probe_anti(&outer), expected.probe_anti(&outer));
+            }
             let mut oids = g.oids(&outer, 2);
             if !g.chance(5) {
                 oids.resize(outer.len(), 7);
@@ -1038,10 +1142,9 @@ proptest! {
             );
             // A build over a non-integer column is refused the same way.
             if !key_types.contains(&ty) {
-                prop_assert_eq!(
-                    JoinHashTable::build(&outer).map(|t| t.len()),
-                    reference::Table::build(&outer).map(|_| 0)
-                );
+                let refused = reference::Table::build(&outer).map(|_| 0);
+                prop_assert_eq!(JoinHashTable::build(&outer).map(|t| t.len()), refused.clone());
+                prop_assert_eq!(JoinHashTable::build_key_set(&outer).map(|t| t.len()), refused);
             }
         }
     }
@@ -1178,11 +1281,12 @@ const PROBE_BLOCK: usize = 256;
 /// Outer columns whose length and hit pattern sit on the probe's block edges,
 /// as `Int64` and `Int32`, as offset windows and relabelled intermediates,
 /// against build sides without duplicates, with every key tripled and with
-/// one key holding more rows than two blocks — all four probes against the
-/// reference table. The generated cases above rarely exceed a few blocks and
-/// never line a pattern up with an edge.
+/// one key holding more rows than two blocks — all four probes, and the key
+/// set's two, against the parent table. The generated cases above rarely
+/// exceed a few blocks and never line a pattern up with an edge; the second
+/// build side's pairs also fill the pair probe's stack blocks several times.
 #[test]
-fn probes_match_the_copying_table_at_block_edges() {
+fn probes_match_the_parent_table_at_block_edges() {
     // (build keys, the keys a hitting row cycles through); odd keys miss, some
     // into an empty bucket and some into another key's chain.
     let builds: [(Vec<i64>, Vec<i64>); 3] = [
@@ -1202,6 +1306,7 @@ fn probes_match_the_copying_table_at_block_edges() {
     for (build_keys, hit_keys) in &builds {
         let inner = Column::from_i64(build_keys.clone()).with_base_oid(100);
         let table = JoinHashTable::build(&inner).unwrap();
+        let key_set = JoinHashTable::build_key_set(&inner).unwrap();
         let expected = reference::Table::build(&inner).unwrap();
         for len in [0, 1, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 2 * PROBE_BLOCK + 1] {
             for (name, hits) in patterns {
@@ -1230,8 +1335,18 @@ fn probes_match_the_copying_table_at_block_edges() {
                             expected.probe_with_oids(&outer, &oids),
                             "{case}"
                         );
-                        assert_eq!(table.probe_semi(&outer), expected.probe_semi(&outer), "{case}");
-                        assert_eq!(table.probe_anti(&outer), expected.anti_join(&outer), "{case}");
+                        for probed in [&table, &key_set] {
+                            assert_eq!(
+                                probed.probe_semi(&outer),
+                                expected.probe_semi(&outer),
+                                "{case}"
+                            );
+                            assert_eq!(
+                                probed.probe_anti(&outer),
+                                expected.probe_anti(&outer),
+                                "{case}"
+                            );
+                        }
                     }
                 }
             }
@@ -1239,24 +1354,36 @@ fn probes_match_the_copying_table_at_block_edges() {
     }
 }
 
-/// The build sides [`Gen::join_keys`] generates give both directories, and
-/// its straddling spans land on both sides of the dense threshold.
+/// The build sides [`Gen::join_keys`] generates give every directory, and
+/// its straddling spans land on both sides of the dense threshold and of the
+/// bitmap's limit.
 #[test]
-fn join_key_ranges_reach_both_directories() {
-    let (mut dense, mut hashed, mut straddling) = (0, 0, [0; 2]);
-    for seed in 0..256 {
+fn join_key_ranges_reach_every_directory() {
+    let mut kinds: std::collections::BTreeMap<&str, usize> = Default::default();
+    let (mut dense_edge, mut bitmap_edge) = ([0; 2], [0; 2]);
+    for seed in 0..512 {
         let mut g = Gen(seed);
         let ty = g.pick(&[DataType::Int64, DataType::Int32]);
         let (inner, (lo, hi)) = g.join_keys(ty);
         let table = JoinHashTable::build(&inner).unwrap();
-        *if table.is_dense() { &mut dense } else { &mut hashed } += 1;
+        let key_set = JoinHashTable::build_key_set(&inner).unwrap();
+        for kind in [table.directory(), key_set.directory()] {
+            *kinds.entry(kind).or_default() += 1;
+        }
         let buckets = (inner.len().max(1) * 2).next_power_of_two() as i64;
         if inner.len() >= 2 && (buckets - 2..=buckets + 1).contains(&(hi - lo)) {
-            straddling[usize::from(table.is_dense())] += 1;
+            dense_edge[usize::from(table.directory() == "dense")] += 1;
+        }
+        let bits = bitmap_bits(inner.len());
+        if inner.len() >= 2 && (bits - 2..=bits + 1).contains(&(hi - lo)) {
+            bitmap_edge[usize::from(key_set.directory() == "bits")] += 1;
         }
     }
-    assert!(dense >= 32 && hashed >= 32, "{dense} dense, {hashed} hashed");
-    assert!(straddling[0] >= 8 && straddling[1] >= 8, "straddling spans: {straddling:?}");
+    for kind in ["bits", "dense", "hashed+bits", "hashed"] {
+        assert!(kinds.get(kind).copied().unwrap_or(0) >= 32, "{kinds:?}");
+    }
+    assert!(dense_edge[0] >= 8 && dense_edge[1] >= 8, "dense threshold: {dense_edge:?}");
+    assert!(bitmap_edge[0] >= 8 && bitmap_edge[1] >= 8, "bitmap limit: {bitmap_edge:?}");
 }
 
 /// Constants outside `i32` against an `Int32` column: the values widen, the

@@ -81,6 +81,12 @@ impl<'a> PlanBuilder<'a> {
         self.plan.add(OperatorSpec::HashBuild, vec![keys])
     }
 
+    /// Key-set build over a key column: the table a semi- or anti-join
+    /// needs, which no hash-join probe may read.
+    pub fn key_set(&mut self, keys: NodeId) -> NodeId {
+        self.plan.add(OperatorSpec::KeySet, vec![keys])
+    }
+
     /// Hash-join probe.
     pub fn probe(&mut self, outer_keys: NodeId, hash: NodeId) -> NodeId {
         self.plan.add(OperatorSpec::HashProbe, vec![outer_keys, hash])

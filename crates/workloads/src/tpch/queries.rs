@@ -175,7 +175,7 @@ pub fn q04(catalog: &Catalog) -> Result<Plan> {
     let late = b.select(lateness, Predicate::cmp(CmpOp::Gt, 0i64));
     let l_orderkey = b.scan("lineitem", "l_orderkey")?;
     let late_orders = b.fetch(late, l_orderkey);
-    let hash = b.hash_build(late_orders);
+    let late_keys = b.key_set(late_orders);
 
     // Orders of 1993 Q3.
     let orderdate = b.scan("orders", "o_orderdate")?;
@@ -185,7 +185,7 @@ pub fn q04(catalog: &Catalog) -> Result<Plan> {
     );
     let o_orderkey = b.scan("orders", "o_orderkey")?;
     let okeys = b.fetch(quarter, o_orderkey);
-    let with_late_item = b.semi_join(okeys, hash);
+    let with_late_item = b.semi_join(okeys, late_keys);
 
     let priority = b.scan("orders", "o_orderpriority")?;
     let priority_f = b.fetch(quarter, priority);
@@ -354,8 +354,8 @@ pub fn q22(catalog: &Catalog) -> Result<Plan> {
     let cust_keys = b.fetch(positive, c_custkey);
 
     let o_custkey = b.scan("orders", "o_custkey")?;
-    let orders_hash = b.hash_build(o_custkey);
-    let without_orders = b.anti_join(cust_keys, orders_hash);
+    let ordering = b.key_set(o_custkey);
+    let without_orders = b.anti_join(cust_keys, ordering);
 
     let cntry_f = b.fetch(positive, cntry);
     let bal_f = b.fetch(positive, acctbal);

@@ -13,11 +13,13 @@
 //! cargo run --release --example join_shapes -- --check
 //! ```
 //!
-//! Each row also names the table's directory (`dense`: one slot per key
-//! value; `hashed`) and the bytes the table owns. `--check` makes one pass
-//! and asserts the deterministic part only: each shape's pair count equals a
-//! plain `HashMap` count of the same keys, and its directory is the one
-//! listed in `shapes`.
+//! The semi- and anti-join shapes (Q4, Q22) build key sets, the others pair
+//! tables. Each row also names the table's directory (`bits`: a key set's
+//! bitmap and nothing else; `dense`: one slot per key value; `hashed+bits`:
+//! hashed behind a bitmap of the keys; `hashed`), the bytes of its bitmap
+//! and the bytes the table owns. `--check` makes one pass and asserts the
+//! deterministic part only: each shape's pair count equals a plain `HashMap`
+//! count of the same keys, and its directory is the one listed in `shapes`.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -60,8 +62,8 @@ struct Shape {
     build: Column,
     outer: Column,
     flavour: Flavour,
-    /// The build keys' range is narrower than a hashed directory.
-    dense: bool,
+    /// The directory the build keys get (`JoinHashTable::directory`).
+    directory: &'static str,
 }
 
 fn shapes(seed: u64) -> Vec<Shape> {
@@ -77,44 +79,53 @@ fn shapes(seed: u64) -> Vec<Shape> {
             build: subset(PARTS, 200, seed ^ 1),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 2),
             flavour: Flavour::Inner,
-            dense: false,
+            directory: "hashed+bits",
         },
         Shape {
             name: "Q8 lineitem x part(STEEL)",
             build: subset(PARTS, 7, seed ^ 3),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 4),
             flavour: Flavour::Inner,
-            dense: false,
+            directory: "hashed+bits",
         },
         Shape {
             name: "Q9 lineitem x supplier",
             build: dense(SUPPLIERS),
             outer: uniform(OUTER_ROWS, SUPPLIERS, seed ^ 5),
             flavour: Flavour::Inner,
-            dense: true,
+            directory: "dense",
         },
         Shape {
             name: "lineitem x part (all hit)",
             build: dense(PARTS),
             outer: uniform(OUTER_ROWS, PARTS, seed ^ 6),
             flavour: Flavour::Inner,
-            dense: true,
+            directory: "dense",
         },
         Shape {
             name: "Q4 orders semi late lineitems",
             build: uniform(3_800_000, ORDERS, seed ^ 7),
             outer: subset(ORDERS, 38, seed ^ 8),
             flavour: Flavour::Semi,
-            dense: true,
+            directory: "bits",
         },
         Shape {
             name: "Q22 customer anti orders",
             build: Column::from_i64(o_custkey),
             outer: subset(CUSTOMERS, 255, seed ^ 9),
             flavour: Flavour::Anti,
-            dense: true,
+            directory: "bits",
         },
     ]
+}
+
+/// The table a shape's join builds: a key set for an existence join.
+fn build_table(build: &Column, flavour: Flavour) -> JoinHashTable {
+    match flavour {
+        Flavour::Inner => JoinHashTable::build(build),
+        Flavour::Semi | Flavour::Anti => JoinHashTable::build_key_set(build),
+    }
+    .expect("integer keys")
 }
 
 /// Pairs (inner), or surviving outer rows (semi, anti), of one pass over the
@@ -167,7 +178,7 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let passes = if check { 1 } else { 5 };
     println!(
-        "{:<32} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>12}",
+        "{:<32} {:>10} {:>10} {:>12} {:>12} {:>10} {:>11} {:>12} {:>12}",
         "shape",
         "build_rows",
         "outer_rows",
@@ -175,19 +186,19 @@ fn main() {
         "probe_ns/row",
         "pairs",
         "directory",
+        "bitmap_bytes",
         "table_bytes"
     );
     for shape in shapes(2016) {
         let (build, outer) = (&shape.build, &shape.outer);
-        let (build_ns, table) = best_ns_per_row(passes, build.len(), || {
-            JoinHashTable::build(black_box(build)).expect("integer keys")
-        });
+        let (build_ns, table) =
+            best_ns_per_row(passes, build.len(), || build_table(black_box(build), shape.flavour));
         let (probe_ns, pairs) = best_ns_per_row(passes, outer.len(), || {
             probe_pass(&table, black_box(outer), shape.flavour)
         });
-        let directory = if table.is_dense() { "dense" } else { "hashed" };
+        let directory = table.directory();
         println!(
-            "{:<32} {:>10} {:>10} {:>12.2} {:>12.2} {:>10} {:>9} {:>12}",
+            "{:<32} {:>10} {:>10} {:>12.2} {:>12.2} {:>10} {:>11} {:>12} {:>12}",
             shape.name,
             build.len(),
             outer.len(),
@@ -195,11 +206,12 @@ fn main() {
             probe_ns,
             pairs,
             directory,
+            table.bitmap_bytes(),
             table.byte_size()
         );
         if check {
             assert_eq!(pairs, reference_pairs(&shape), "{}: pair count", shape.name);
-            assert_eq!(table.is_dense(), shape.dense, "{}: {directory} directory", shape.name);
+            assert_eq!(directory, shape.directory, "{}: directory", shape.name);
         }
     }
     if check {

@@ -151,7 +151,7 @@ fn if_then_else_plan(rows: usize) -> (Plan, usize) {
 }
 
 #[test]
-fn two_aligned_input_fused_stages_match_across_modes_policies_and_controller() {
+fn two_aligned_input_fused_stages_match_across_modes() {
     // The two-range-aligned-input shapes (Calc col⊗col, IfThenElse) must
     // stay byte-identical across both plannings — and must actually have
     // fused: the two-input stage appears inside a multi-morsel pipeline.
@@ -190,7 +190,7 @@ fn group_agg_plan(rows: usize, func: AggFunc) -> (Plan, usize) {
 }
 
 #[test]
-fn fused_group_agg_matches_across_modes_policies_sharing_and_controller() {
+fn fused_group_agg_matches_across_modes() {
     // GroupAgg fuses as a pipeline terminal over range-aligned keys/values
     // inputs: each morsel yields a partial grouped aggregate and the driver
     // merges them in morsel order. Results must stay byte-identical to
@@ -257,7 +257,7 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
 }
 
 #[test]
-fn service_plan_cache_hits_match_cold_execution_across_modes_and_policies() {
+fn service_plan_cache_hits_match_cold_execution_across_modes() {
     // The service layer's plan cache is a dispatch-path knob like the
     // execution mode: a warm submission re-executes through the cached
     // `Arc<Plan>` and must stay byte-identical to the cold run and to the
@@ -297,11 +297,10 @@ fn service_plan_cache_hits_match_cold_execution_across_modes_and_policies() {
 }
 
 #[test]
-fn shared_scans_stay_byte_identical_across_policies_and_modes() {
+fn repeated_executions_stay_byte_identical_across_modes() {
     // Every workload query stays byte-identical to the reference in both
     // execution modes — on a cold engine AND on a repeat over the same
-    // engine, which must not carry state from the first run. (The name
-    // predates the removal of scan sharing and is kept for the test floor.)
+    // engine, which must not carry state from the first run.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
@@ -324,6 +323,61 @@ fn shared_scans_stay_byte_identical_across_policies_and_modes() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
+    // Q6's and Q19's candidate-refining selects stream the candidates of
+    // the select before them: each sits in the same multi-morsel pipeline
+    // as its candidate input, and the results match operator-at-a-time.
+    let catalog = tpch::generate(TpchScale::new(0.002), 1234);
+    let reference = Engine::with_workers(WORKERS);
+    for query in [TpchQuery::Q6, TpchQuery::Q19] {
+        let plan = query.build(&catalog).expect("serial plan builds");
+        assert_modes_agree(&format!("{query} serial"), &plan, &catalog, &reference);
+        let exec = morsel_engine().execute(&plan, &catalog).expect("morsel executes");
+        let refining: Vec<(usize, usize)> = plan
+            .node_ids()
+            .into_iter()
+            .filter_map(|id| {
+                let node = plan.node(id).unwrap();
+                matches!(node.spec, OperatorSpec::Select { .. })
+                    .then(|| node.inputs.get(1).map(|&cands| (id, cands)))
+                    .flatten()
+            })
+            .collect();
+        assert_eq!(refining.len(), 2, "{query}");
+        for (select, cands) in refining {
+            let pipeline = exec
+                .profile
+                .pipelines
+                .iter()
+                .find(|p| p.nodes.contains(&select))
+                .unwrap_or_else(|| panic!("{query}: refining select {select} did not stream"));
+            assert!(pipeline.nodes.contains(&cands), "{query}: {:?}", pipeline.nodes);
+            assert!(pipeline.n_morsels > 1, "{query}: one morsel");
+        }
+    }
+
+    // Q4 and Q22 build key sets for their existence joins; a probe over one
+    // is refused before anything runs, identically under both plannings.
+    for query in [TpchQuery::Q4, TpchQuery::Q22] {
+        let mut plan = query.build(&catalog).expect("serial plan builds");
+        let sets: Vec<usize> = plan
+            .node_ids()
+            .into_iter()
+            .filter(|&id| plan.node(id).unwrap().spec == OperatorSpec::KeySet)
+            .collect();
+        let [set] = sets[..] else { panic!("{query}: key sets {sets:?}") };
+        assert_eq!(plan.count_of("hashbuild"), 1, "{query}: a key set counts as a hash build");
+        let outer = plan.node(plan.consumers(set)[0]).unwrap().inputs[0];
+        let probe = plan.add(OperatorSpec::HashProbe, vec![outer, set]);
+        plan.set_root(probe);
+        let oat = reference.execute(&plan, &catalog).expect_err("refused").to_string();
+        let morsel = morsel_engine().execute(&plan, &catalog).expect_err("refused").to_string();
+        assert_eq!(morsel, oat, "{query}");
+        assert!(oat.contains(&format!("probes key set {set}")), "{query}: {oat}");
     }
 }
 
