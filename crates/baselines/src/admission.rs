@@ -13,25 +13,18 @@
 //! is modelled by exactly that admission-control mechanism: a controller
 //! tracks the number of active queries and grants the full degree of
 //! parallelism only while the system is idle; once other clients occupy the
-//! system, newly admitted queries are throttled down (to a serial plan at
-//! full saturation).
+//! system, newly admitted queries are throttled down (to one task at a time
+//! at full saturation).
 //!
-//! Two enforcement mechanisms exist:
+//! The granted DOP is enforced by the engine's scheduler
+//! ([`AdmissionController::execute_admitted`]): the plan stays maximally
+//! parallel, and the query's [`apq_engine::QueryHandle`] lets at most `dop`
+//! of its tasks execute concurrently. This is the faithful model of a
+//! resource governor: throttling happens at dispatch time and leaves the
+//! plan untouched.
 //!
-//! * **Plan rewriting** ([`AdmissionController::plan_for`], the seed
-//!   behavior): the granted DOP is baked into a statically parallelized
-//!   exchange plan, exactly like the heuristic baseline. Once admitted, a
-//!   query keeps its plan even if resources free up.
-//! * **Scheduler policy** ([`AdmissionController::execute_admitted`]): the
-//!   plan stays maximally parallel and the granted DOP is enforced by the
-//!   engine's scheduler through the query's
-//!   [`apq_engine::QueryHandle`] — at most `dop` of the query's tasks
-//!   execute concurrently. This is the faithful model of a resource
-//!   governor: throttling happens at dispatch time and leaves the plan
-//!   untouched.
-//!
-//! Either way the grant is **one-shot**: decided at admission from the
-//! instantaneous load and never revisited — a query admitted at saturation
+//! The grant is **one-shot**: decided at admission from the instantaneous
+//! load and never revisited — a query admitted at saturation
 //! keeps its serial cap after every peer has left, which is the degradation
 //! the paper hypothesises. The engine's own admission is the contrast: a
 //! ticket there *is* a registry reservation
@@ -48,8 +41,6 @@ use std::sync::Arc;
 
 use apq_columnar::Catalog;
 use apq_engine::{Engine, Plan, QueryExecution, Result};
-
-use crate::heuristic::heuristic_parallelize;
 
 /// Tracks concurrently running queries and assigns each new query a degree of
 /// parallelism based on the current load.
@@ -97,19 +88,6 @@ impl AdmissionController {
         AdmissionTicket { dop, active: Arc::clone(&self.active) }
     }
 
-    /// Builds the plan an admission-controlled exchange engine would run for
-    /// this query right now, together with the ticket that must be held while
-    /// the query executes.
-    pub fn plan_for(&self, serial: &Plan, catalog: &Catalog) -> Result<(Plan, AdmissionTicket)> {
-        let ticket = self.admit();
-        let plan = if ticket.dop <= 1 {
-            serial.clone()
-        } else {
-            heuristic_parallelize(serial, catalog, ticket.dop)?
-        };
-        Ok((plan, ticket))
-    }
-
     /// Admission as a *scheduler policy*: executes `plan` (typically the
     /// fully parallelized plan) with the currently granted DOP enforced by
     /// the engine's scheduler rather than baked into the plan. The admission
@@ -144,6 +122,7 @@ impl Drop for AdmissionTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristic::heuristic_parallelize;
     use apq_columnar::partition::RowRange;
     use apq_columnar::TableBuilder;
     use apq_engine::plan::OperatorSpec;
@@ -213,30 +192,6 @@ mod tests {
         assert_eq!(ctrl.active_queries(), 0);
         // After everyone left, the next query gets everything again.
         assert_eq!(ctrl.admit().dop(), 8);
-    }
-
-    #[test]
-    fn plans_reflect_the_granted_dop_and_stay_correct() {
-        let rows = 6_000;
-        let cat = catalog(rows);
-        let engine = Engine::with_workers(4);
-        let serial = serial_plan(rows);
-        let expected = engine.execute(&serial, &cat).unwrap().output;
-
-        let ctrl = AdmissionController::new(4);
-        let (fast_plan, _t1) = ctrl.plan_for(&serial, &cat).unwrap();
-        assert_eq!(fast_plan.count_of("select"), 4);
-        // While the first query "runs", a second one is throttled to DOP 2.
-        let (mid_plan, _t2) = ctrl.plan_for(&serial, &cat).unwrap();
-        assert_eq!(mid_plan.count_of("select"), 2);
-        // At saturation the plan is serial.
-        let (_t3, _t4) = (ctrl.admit(), ctrl.admit());
-        let (slow_plan, _t5) = ctrl.plan_for(&serial, &cat).unwrap();
-        assert_eq!(slow_plan.count_of("select"), 1);
-
-        for plan in [&fast_plan, &mid_plan, &slow_plan] {
-            assert_eq!(engine.execute(plan, &cat).unwrap().output, expected);
-        }
     }
 
     #[test]

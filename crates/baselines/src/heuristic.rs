@@ -38,7 +38,8 @@ pub const DEFAULT_WORK_STEALING_PARTITIONS: usize = 128;
 
 /// Rewrites `serial` into a statically parallelized plan with one partition
 /// per `n_partitions`, using the largest base table referenced by the plan as
-/// the partitioning driver (the heuristic MonetDB applies).
+/// the partitioning driver (the heuristic MonetDB applies). A plan that
+/// scans no table cannot be valid, and returns its validation error.
 pub fn heuristic_parallelize(
     serial: &Plan,
     catalog: &Catalog,
@@ -55,7 +56,11 @@ pub fn heuristic_parallelize(
     }
     match driver {
         Some((table, _)) => heuristic_parallelize_with_driver(serial, &table, n_partitions),
-        None => Ok(serial.clone()),
+        // Only a scan takes no input, so a plan without one fails validation.
+        None => {
+            serial.validate()?;
+            Err(EngineError::InvalidPlan("plan has no scan".to_string()))
+        }
     }
 }
 
@@ -370,25 +375,29 @@ mod tests {
     }
 
     #[test]
-    fn single_partition_or_no_scans_returns_the_serial_plan() {
+    fn single_partition_returns_the_serial_plan_and_a_scanless_plan_is_an_error() {
         let rows = 1_000;
         let cat = catalog(rows);
         let serial = filter_sum_plan(rows);
         let same = heuristic_parallelize(&serial, &cat, 1).unwrap();
         assert_eq!(same.node_count(), serial.node_count());
 
-        // A plan without scans is returned untouched.
-        let mut p = Plan::new();
-        let c = p.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, vec![]);
-        // Fix arity by rebuilding a valid two-input scalar plan.
-        let mut p2 = Plan::new();
-        let a = p2.add(scan("fact", "a", rows), vec![]);
-        let agg = p2.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![a]);
-        let fin = p2.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
-        p2.set_root(fin);
-        let hp = heuristic_parallelize_with_driver(&p2, "missing_table", 4).unwrap();
+        // A driver table the plan never scans leaves every operator single.
+        let hp = heuristic_parallelize_with_driver(&serial, "missing_table", 4).unwrap();
         assert_eq!(hp.count_of("aggregate"), 1);
-        let _ = (p, c);
+
+        // Without a scan there is no valid plan: both entry points say why.
+        let empty = Plan::new();
+        let err = heuristic_parallelize(&empty, &cat, 4).unwrap_err();
+        assert_eq!(err, heuristic_parallelize_with_driver(&empty, "fact", 4).unwrap_err());
+        assert!(matches!(err, EngineError::InvalidPlan(_)), "{err}");
+        let mut scanless = Plan::new();
+        let c = scanless.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, vec![]);
+        scanless.set_root(c);
+        assert!(matches!(
+            heuristic_parallelize(&scanless, &cat, 4),
+            Err(EngineError::InvalidPlan(_))
+        ));
     }
 
     #[test]

@@ -14,4 +14,4 @@ pub mod datagen;
 pub mod queries;
 
 pub use datagen::{generate, TpchScale};
-pub use queries::{QueryClass, TpchQuery};
+pub use queries::TpchQuery;

@@ -17,15 +17,6 @@ use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use crate::builder::PlanBuilder;
 use crate::dates::days_from_civil;
 
-/// Classification used by paper Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryClass {
-    /// Single-table selection/aggregation queries (Q6, Q14).
-    Simple,
-    /// Multi-join queries (Q4, Q8, Q9, Q19, Q22).
-    Complex,
-}
-
 /// The evaluated TPC-H query subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TpchQuery {
@@ -69,14 +60,6 @@ impl TpchQuery {
             TpchQuery::Q14 => 14,
             TpchQuery::Q19 => 19,
             TpchQuery::Q22 => 22,
-        }
-    }
-
-    /// Simple/complex classification (paper Table 4).
-    pub fn class(&self) -> QueryClass {
-        match self {
-            TpchQuery::Q6 | TpchQuery::Q14 => QueryClass::Simple,
-            _ => QueryClass::Complex,
         }
     }
 
@@ -380,10 +363,6 @@ mod tests {
         assert_eq!(TpchQuery::all().len(), 7);
         assert_eq!(TpchQuery::Q14.number(), 14);
         assert_eq!(TpchQuery::Q14.to_string(), "Q14");
-        assert_eq!(TpchQuery::Q6.class(), QueryClass::Simple);
-        assert_eq!(TpchQuery::Q14.class(), QueryClass::Simple);
-        assert_eq!(TpchQuery::Q9.class(), QueryClass::Complex);
-        assert_eq!(TpchQuery::Q22.class(), QueryClass::Complex);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Plan evolution and tomograph-style execution traces (paper Figs. 19/20).
+//! Plan evolution, plan statistics and tomograph-style execution traces
+//! (paper table 5 and figs. 19/20).
 //!
 //! Shows TPC-H Q14's serial plan, the plan adaptive parallelization converges
-//! to, and the statically parallelized plan — then executes the latter two
-//! and renders per-worker timelines so the multi-core-utilization difference
-//! is visible in the terminal.
+//! to, and the statically parallelized plan — then executes the latter two,
+//! renders per-worker timelines so the multi-core-utilization difference is
+//! visible in the terminal, and prints table 5: both plans' operator counts
+//! per family and both executions' utilization.
 //!
 //! ```text
 //! cargo run --release --example plan_trace
@@ -42,12 +44,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", ap_exec.profile.timeline(100));
     println!("--- heuristic execution trace (paper Fig. 20) ---");
     println!("{}", hp_exec.profile.timeline(100));
-    println!(
-        "multi-core utilization: adaptive {:.1}% vs heuristic {:.1}%  |  parallelism usage: adaptive {:.1}% vs heuristic {:.1}%",
-        ap_exec.profile.multi_core_utilization() * 100.0,
-        hp_exec.profile.multi_core_utilization() * 100.0,
-        ap_exec.profile.parallelism_usage() * 100.0,
-        hp_exec.profile.parallelism_usage() * 100.0,
-    );
+    println!("--- Q14 plan statistics (paper table 5) ---");
+    println!("{:<26} {:>9} {:>10}", "", "adaptive", "heuristic");
+    for family in ["select", "join", "fetch", "union"] {
+        let (ap, hp) = (report.best_plan.count_of(family), hp.count_of(family));
+        println!("{:<26} {ap:>9} {hp:>10}", format!("# {family} operators"));
+    }
+    let (ap_nodes, hp_nodes) = (report.best_plan.node_count(), hp.node_count());
+    println!("{:<26} {ap_nodes:>9} {hp_nodes:>10}", "# plan operators");
+    for (metric, ap, hp) in [
+        (
+            "% multi-core utilization",
+            ap_exec.profile.multi_core_utilization(),
+            hp_exec.profile.multi_core_utilization(),
+        ),
+        (
+            "% parallelism usage",
+            ap_exec.profile.parallelism_usage(),
+            hp_exec.profile.parallelism_usage(),
+        ),
+    ] {
+        println!("{metric:<26} {:>9.1} {:>10.1}", ap * 100.0, hp * 100.0);
+    }
     Ok(())
 }

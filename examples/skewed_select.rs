@@ -1,5 +1,5 @@
-//! Skew handling: static vs dynamic (adaptive) partitioning of a select over
-//! the skewed column of the paper's Figure 13.
+//! Skew handling (paper Figure 12): static vs dynamic (adaptive)
+//! partitioning of a select over the skewed column of the paper's Figure 13.
 //!
 //! Static equi-range partitioning assigns every worker the same number of
 //! rows, but all the matching rows live in one region of the column, so one

@@ -11,12 +11,10 @@
 //! * [`apq_core`] — adaptive parallelization (plan mutation + convergence).
 //! * [`apq_baselines`] — heuristic / work-stealing / admission-control baselines.
 //! * [`apq_workloads`] — TPC-H-like and TPC-DS-like workloads, micro-benchmarks.
-//! * [`apq_bench`] — experiment harness reproducing the paper's tables and figures.
 
 #![forbid(unsafe_code)]
 
 pub use apq_baselines as baselines;
-pub use apq_bench as bench;
 pub use apq_columnar as columnar;
 pub use apq_core as adaptive;
 pub use apq_engine as engine;

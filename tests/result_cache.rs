@@ -1,6 +1,6 @@
-//! Repeated and overlapping scans through the service, without scan sharing
-//! (`docs/architecture.md` §10 says why there is none; the file and test
-//! names predate its removal and are kept for the test floor).
+//! The service's result cache, and repeated submissions of one column
+//! through the service with that cache off (there is no scan sharing;
+//! `docs/architecture.md` §10 says why).
 //!
 //! The contract under test:
 //!
@@ -78,7 +78,7 @@ fn uncached_service(mode: ExecutionMode, catalog: &Arc<Catalog>) -> QueryService
 }
 
 #[test]
-fn sixteen_sessions_cost_one_table_pass() {
+fn sixteen_uncached_sessions_match_the_reference() {
     // 16 sessions scanning the same column: each executes (a profile comes
     // back) and returns what the reference engine returns.
     let catalog = catalog();
@@ -95,7 +95,7 @@ fn sixteen_sessions_cost_one_table_pass() {
 }
 
 #[test]
-fn sharing_is_byte_identical_across_policies_and_modes() {
+fn uncached_repeats_match_the_reference_under_both_plannings() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
@@ -115,7 +115,7 @@ fn sharing_is_byte_identical_across_policies_and_modes() {
 }
 
 #[test]
-fn repeated_aggregates_resume_from_cached_partials() {
+fn uncached_scalar_repeat_re_executes_to_the_same_result() {
     let catalog = catalog();
     let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     let plan = scaled_sum(7);
@@ -129,7 +129,7 @@ fn repeated_aggregates_resume_from_cached_partials() {
 }
 
 #[test]
-fn repeated_group_aggregates_resume_from_cached_partials() {
+fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
     // A fused GroupAgg terminal, cold and warm: the partials merged in
     // morsel order equal the reference engine's whole-node aggregate.
     let mut c = Catalog::new();
@@ -179,7 +179,7 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
 }
 
 #[test]
-fn per_table_invalidation_flushes_partials_and_windows() {
+fn invalidating_a_table_drops_its_cached_result() {
     // What per-table invalidation flushes is the result cache.
     let catalog = catalog();
     let service = QueryService::new(config(ExecutionMode::MorselDriven), Arc::clone(&catalog));
@@ -202,7 +202,7 @@ fn per_table_invalidation_flushes_partials_and_windows() {
 }
 
 #[test]
-fn cancellation_and_deadlines_leave_the_group_healthy() {
+fn expired_deadline_leaves_the_session_usable() {
     // A submission failing out (expired deadline here) must not stall or
     // poison its session: the next submission still executes.
     let catalog = catalog();

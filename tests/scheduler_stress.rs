@@ -166,18 +166,15 @@ fn skew_and_joins_survive_stealing_with_throttled_and_priority_queries() {
 }
 
 #[test]
-fn scheduler_throttled_admission_matches_plan_rewriting() {
+fn scheduler_throttled_admission_matches_serial() {
     let catalog = tpch::generate(TpchScale::new(0.002), 17);
     let serial = TpchQuery::Q6.build(&catalog).expect("Q6 builds");
     let engine = Engine::with_workers(4);
     let expected = engine.execute(&serial, &catalog).expect("serial").output;
     let parallel = Arc::new(heuristic_parallelize(&serial, &catalog, 4).expect("HP"));
-    let ctrl = AdmissionController::new(4);
-    // Old mechanism: DOP baked into the plan.
-    let (rewritten, _ticket) = ctrl.plan_for(&serial, &catalog).expect("plan_for");
-    let rewritten_out = engine.execute(&rewritten, &catalog).expect("rewritten").output;
-    // New mechanism: DOP enforced by the scheduler.
-    let (exec, _dop) = ctrl.execute_admitted(&engine, &parallel, &catalog).expect("admitted");
-    assert_eq!(rewritten_out, expected, "rewritten plan diverged");
+    // The plan stays 4-way; the granted DOP is enforced by the scheduler.
+    let (exec, _dop) = AdmissionController::new(4)
+        .execute_admitted(&engine, &parallel, &catalog)
+        .expect("admitted");
     assert_eq!(exec.output, expected, "scheduler-throttled plan diverged");
 }
