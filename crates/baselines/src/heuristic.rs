@@ -66,7 +66,7 @@ pub fn heuristic_parallelize(
 
 /// Rewrites `serial` by partitioning every scan of `driver_table` into
 /// `n_partitions` equi-range scans and propagating the partitioning.
-pub fn heuristic_parallelize_with_driver(
+fn heuristic_parallelize_with_driver(
     serial: &Plan,
     driver_table: &str,
     n_partitions: usize,
@@ -316,8 +316,7 @@ mod tests {
         let fetch_g = p.add(OperatorSpec::Fetch, vec![sel, g]);
         let fetch_b = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch_g, fetch_b]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         p
     }
 
@@ -369,7 +368,8 @@ mod tests {
         let hp = heuristic_parallelize(&serial, &cat, 6).unwrap();
         hp.validate().unwrap();
         assert_eq!(hp.count_of("groupby"), 6);
-        assert_eq!(hp.count_of("mergegroup"), 1);
+        // The root exchange union merges the six grouped partials.
+        assert_eq!(hp.count_of("union"), 1);
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
     }

@@ -18,6 +18,4 @@ pub mod admission;
 pub mod heuristic;
 
 pub use admission::{AdmissionController, AdmissionTicket};
-pub use heuristic::{
-    heuristic_parallelize, heuristic_parallelize_with_driver, DEFAULT_WORK_STEALING_PARTITIONS,
-};
+pub use heuristic::{heuristic_parallelize, DEFAULT_WORK_STEALING_PARTITIONS};

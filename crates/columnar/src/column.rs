@@ -214,21 +214,6 @@ impl Column {
         })
     }
 
-    /// Returns a zero-copy sub-view addressed by absolute oids `[lo, hi)`.
-    ///
-    /// The requested oid range must lie inside this view; this is the
-    /// primitive used to create aligned dynamic partitions.
-    pub fn slice_oid_range(&self, lo: Oid, hi: Oid) -> Result<Column> {
-        if lo > hi || lo < self.base_oid() || hi > self.end_oid() {
-            return Err(ColumnarError::MisalignedOid {
-                oid: if lo < self.base_oid() { lo } else { hi },
-                lo: self.base_oid(),
-                hi: self.end_oid(),
-            });
-        }
-        self.slice((lo - self.base_oid()) as usize, (hi - lo) as usize)
-    }
-
     // ---------------------------------------------------------------- typed access
 
     /// Visible rows as an `i64` slice.
@@ -496,15 +481,13 @@ mod tests {
     #[test]
     fn slice_by_oid_range() {
         let c = Column::from_i64((0..50).collect());
-        let part = c.slice_oid_range(20, 30).unwrap();
+        let part = c.slice(20, 10).unwrap();
         assert_eq!(part.base_oid(), 20);
         assert_eq!(part.len(), 10);
-        // A sub-partition of the partition, still by absolute oid.
-        let sub = part.slice_oid_range(25, 28).unwrap();
+        // A sub-partition of the partition, labelled with absolute oids.
+        let sub = part.slice(5, 3).unwrap();
+        assert_eq!(sub.base_oid(), 25);
         assert_eq!(sub.i64_values().unwrap(), &[25, 26, 27]);
-        // Requesting oids outside the partition fails.
-        assert!(part.slice_oid_range(10, 15).is_err());
-        assert!(part.slice_oid_range(25, 40).is_err());
     }
 
     #[test]
@@ -626,7 +609,8 @@ mod tests {
         let s = computed.slice(2, 2).unwrap();
         assert_eq!(s.base_oid(), 102);
         assert_eq!(s.i64_values().unwrap(), &[9, 10]);
-        let r = computed.slice_oid_range(101, 103).unwrap();
+        let r = computed.slice(1, 2).unwrap();
+        assert_eq!(r.base_oid(), 101);
         assert_eq!(r.i64_values().unwrap(), &[8, 9]);
     }
 

@@ -41,15 +41,6 @@ impl RowRange {
         row >= self.start && row < self.end
     }
 
-    /// Splits the range in two halves at its midpoint.
-    ///
-    /// The left half receives the extra row when the length is odd, matching
-    /// the "introduce two new partitions" step of the basic mutation.
-    pub fn split(&self) -> (RowRange, RowRange) {
-        let mid = self.start + self.len().div_ceil(2);
-        (RowRange::new(self.start, mid), RowRange::new(mid, self.end))
-    }
-
     /// Splits the range into `n` near-equal contiguous pieces (static / heuristic partitioning).
     pub fn split_even(&self, n: usize) -> Vec<RowRange> {
         assert!(n > 0, "cannot split into zero partitions");
@@ -90,12 +81,14 @@ mod tests {
 
     #[test]
     fn split_halves_with_left_bias() {
-        let (a, b) = RowRange::new(0, 10).split();
-        assert_eq!((a, b), (RowRange::new(0, 5), RowRange::new(5, 10)));
-        let (a, b) = RowRange::new(0, 11).split();
-        assert_eq!((a, b), (RowRange::new(0, 6), RowRange::new(6, 11)));
-        let (a, b) = RowRange::new(3, 5).split();
-        assert_eq!((a, b), (RowRange::new(3, 4), RowRange::new(4, 5)));
+        // Two halves, the left one taking the odd row: the basic mutation's
+        // "introduce two new partitions" step.
+        let halves = RowRange::new(0, 10).split_even(2);
+        assert_eq!(halves, [RowRange::new(0, 5), RowRange::new(5, 10)]);
+        let halves = RowRange::new(0, 11).split_even(2);
+        assert_eq!(halves, [RowRange::new(0, 6), RowRange::new(6, 11)]);
+        let halves = RowRange::new(3, 5).split_even(2);
+        assert_eq!(halves, [RowRange::new(3, 4), RowRange::new(4, 5)]);
     }
 
     #[test]

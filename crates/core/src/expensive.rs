@@ -75,15 +75,6 @@ pub fn ranked_candidates(
     out
 }
 
-/// The single most expensive mutable operator, if any.
-pub fn most_expensive(
-    plan: &Plan,
-    profile: &QueryProfile,
-    config: &AdaptiveConfig,
-) -> Option<Candidate> {
-    ranked_candidates(plan, profile, config).into_iter().next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +143,6 @@ mod tests {
         assert_eq!(ranked[0].action, TargetAction::CloneOverPartitions);
         assert_eq!(ranked[1].node, fetch);
         assert_eq!(ranked[2].node, agg);
-        assert_eq!(most_expensive(&p, &prof, &cfg).unwrap().node, sel);
     }
 
     #[test]
@@ -165,7 +155,6 @@ mod tests {
         let prof = profile(&p, &[(sel, 1_000, 50)]);
         let cfg = AdaptiveConfig::for_cores(4); // min_partition_rows = 1024 > 100/2
         assert!(ranked_candidates(&p, &prof, &cfg).is_empty());
-        assert!(most_expensive(&p, &prof, &cfg).is_none());
         let cfg_small = cfg.with_min_partition_rows(10);
         assert_eq!(ranked_candidates(&p, &prof, &cfg_small).len(), 1);
     }

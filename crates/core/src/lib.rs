@@ -34,7 +34,7 @@ pub mod report;
 pub use config::AdaptiveConfig;
 pub use convergence::{ConvergenceState, RunObservation};
 pub use error::{CoreError, Result};
-pub use expensive::{most_expensive, ranked_candidates, Candidate, TargetAction};
+pub use expensive::{ranked_candidates, Candidate, TargetAction};
 pub use mutation::{mutate_most_expensive, MutationKind, MutationOutcome};
 pub use optimizer::AdaptiveOptimizer;
 pub use report::{AdaptiveReport, AdaptiveRunRecord};

@@ -9,17 +9,20 @@
 //!
 //! The *advanced* mutation is the same cloning step applied to non-filtering
 //! operators (grouped aggregation, scalar aggregation); their clones are
-//! combined by a merging combiner instead of a plain pack, which in this
-//! implementation is the already-present `FinalizeAgg` / `MergeGrouped`
-//! node (or an exchange union, which also merges partial aggregate chunks).
+//! combined by a merging combiner instead of a plain pack. In this
+//! implementation that is the exchange union itself, which merges partial
+//! aggregate chunks, or the already-present `FinalizeAgg` of a scalar
+//! aggregate.
 
 use std::collections::HashMap;
 
-use apq_engine::plan::{CombinerKind, NodeId, OperatorSpec, Plan};
+use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::split::{aligned_inputs, output_len, remove_if_orphan, split_input};
+use crate::mutation::split::{
+    aligned_inputs, combine_clones, output_len, remove_if_orphan, split_input,
+};
 use crate::mutation::{MutationKind, MutationOutcome};
 
 /// Applies the basic / advanced mutation to `target`.
@@ -29,8 +32,7 @@ pub fn clone_over_partitions(
     target: NodeId,
 ) -> Result<MutationOutcome> {
     let node = plan.node(target).map_err(CoreError::from)?.clone();
-    let combiner_kind = node.spec.combiner();
-    if combiner_kind == CombinerKind::NotParallelizable {
+    if !node.spec.is_parallelizable() {
         return Err(CoreError::Mutation(format!(
             "operator {} (node {target}) cannot be cloned over partitions",
             node.spec.name()
@@ -81,36 +83,16 @@ pub fn clone_over_partitions(
     let clone_first = plan.add(node.spec.clone(), inputs_first);
     let clone_second = plan.add(node.spec.clone(), inputs_second);
 
-    // Combine the clones: reuse an existing combiner consumer if there is
-    // exactly one, otherwise introduce a new exchange union.
-    let consumers = plan.consumers(target);
-    let combiner = if consumers.len() == 1
-        && plan.node(consumers[0]).map_err(CoreError::from)?.spec.is_combiner()
-    {
-        let existing = consumers[0];
-        plan.splice_input(existing, target, &[clone_first, clone_second])
-            .map_err(CoreError::from)?;
-        existing
-    } else {
-        let union = plan.add(OperatorSpec::ExchangeUnion, vec![clone_first, clone_second]);
-        for consumer in consumers {
-            plan.replace_input(consumer, target, union).map_err(CoreError::from)?;
-        }
-        if plan.root() == Some(target) {
-            plan.set_root(union);
-        }
-        union
-    };
+    let combiner = combine_clones(plan, target, &[clone_first, clone_second])?;
 
     plan.remove(target).map_err(CoreError::from)?;
     for &input in &aligned {
         remove_if_orphan(plan, input);
     }
 
-    let kind = match combiner_kind {
-        CombinerKind::ExchangeUnion => MutationKind::Basic,
-        CombinerKind::FinalizeAgg | CombinerKind::MergeGrouped => MutationKind::Advanced,
-        CombinerKind::NotParallelizable => unreachable!("rejected above"),
+    let kind = match node.spec {
+        OperatorSpec::ScalarAgg { .. } | OperatorSpec::GroupAgg { .. } => MutationKind::Advanced,
+        _ => MutationKind::Basic,
     };
     Ok(MutationOutcome { kind, target, clones: vec![clone_first, clone_second], combiner })
 }
@@ -263,13 +245,14 @@ mod tests {
         let keys = p.add(scan("k", 1000), vec![]);
         let vals = p.add(scan("v", 1000), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![keys, vals]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         let prof = profile_for(&p, 1000);
         let outcome = clone_over_partitions(&mut p, &prof, group).unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Advanced);
-        assert_eq!(outcome.combiner, merge);
+        // The exchange union that merges grouped partials takes the root.
+        assert_eq!(p.root(), Some(outcome.combiner));
+        assert!(matches!(p.node(outcome.combiner).unwrap().spec, OperatorSpec::ExchangeUnion));
         assert_eq!(p.count_of("groupby"), 2);
         // Both scans were split: 2 half scans per original scan.
         assert_eq!(p.count_of("scan"), 4);

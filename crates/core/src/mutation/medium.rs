@@ -21,7 +21,7 @@ use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::split::output_len;
+use crate::mutation::split::{combine_clones, output_len};
 use crate::mutation::{MutationKind, MutationOutcome};
 
 /// §2.3's plan-explosion guard: a union with more inputs is not removed.
@@ -138,24 +138,7 @@ pub fn propagate_union(
         clones.push(plan.add(consumer.spec.clone(), inputs));
     }
 
-    // Combine the clones and rewire the consumer's consumers.
-    let grand_consumers = plan.consumers(consumer_id);
-    let combiner = if grand_consumers.len() == 1
-        && plan.node(grand_consumers[0]).map_err(CoreError::from)?.spec.is_combiner()
-    {
-        let existing = grand_consumers[0];
-        plan.splice_input(existing, consumer_id, &clones).map_err(CoreError::from)?;
-        existing
-    } else {
-        let new_union = plan.add(OperatorSpec::ExchangeUnion, clones.clone());
-        for gc in grand_consumers {
-            plan.replace_input(gc, consumer_id, new_union).map_err(CoreError::from)?;
-        }
-        if plan.root() == Some(consumer_id) {
-            plan.set_root(new_union);
-        }
-        new_union
-    };
+    let combiner = combine_clones(plan, consumer_id, &clones)?;
 
     plan.remove(consumer_id).map_err(CoreError::from)?;
     plan.remove(union_id).map_err(CoreError::from)?;

@@ -1,5 +1,5 @@
 //! Helpers shared by the mutation schemes: input splitting, length lookup,
-//! orphan cleanup.
+//! clone recombination, orphan cleanup.
 //!
 //! Adaptive parallelization partitions "the base or the intermediate column"
 //! (paper §2.3). Base columns are partitioned by splitting the `ScanColumn`
@@ -68,7 +68,8 @@ pub fn split_input(
                     range.start, range.end
                 )));
             }
-            let (a, b) = range.split();
+            let halves = range.split_even(2);
+            let (a, b) = (halves[0], halves[1]);
             let first = plan.add(
                 OperatorSpec::ScanColumn { table: table.clone(), column: column.clone(), range: a },
                 vec![],
@@ -109,6 +110,28 @@ pub fn split_input(
             Ok((first, second))
         }
     }
+}
+
+/// Puts `clones` in the place of `target` and returns the node combining
+/// them: `target`'s sole consumer absorbs them in `target`'s input position
+/// when it is a combiner (an exchange union or `FinalizeAgg`), or else a new
+/// exchange union over them takes `target`'s place, as the root too.
+pub(crate) fn combine_clones(plan: &mut Plan, target: NodeId, clones: &[NodeId]) -> Result<NodeId> {
+    let consumers = plan.consumers(target);
+    if let [consumer] = consumers[..] {
+        if plan.node(consumer).map_err(CoreError::from)?.spec.is_combiner() {
+            plan.splice_input(consumer, target, clones).map_err(CoreError::from)?;
+            return Ok(consumer);
+        }
+    }
+    let union = plan.add(OperatorSpec::ExchangeUnion, clones.to_vec());
+    for consumer in consumers {
+        plan.replace_input(consumer, target, union).map_err(CoreError::from)?;
+    }
+    if plan.root() == Some(target) {
+        plan.set_root(union);
+    }
+    Ok(union)
 }
 
 /// Removes `id` if nothing consumes it any more and it is not the plan root.

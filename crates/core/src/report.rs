@@ -73,16 +73,6 @@ impl AdaptiveReport {
         self.records.iter().map(|r| (r.run, r.exec_us as f64 / 1000.0)).collect()
     }
 
-    /// Execution time of a given run, if it happened.
-    pub fn exec_us_at(&self, run: usize) -> Option<u64> {
-        self.records.iter().find(|r| r.run == run).map(|r| r.exec_us)
-    }
-
-    /// Number of operators of the best plan, per family (`select`, `join`, ...).
-    pub fn best_plan_operator_count(&self, family: &str) -> usize {
-        self.best_plan.count_of(family)
-    }
-
     /// Multi-line human-readable summary.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -170,10 +160,6 @@ mod tests {
         assert_eq!(curve.len(), 3);
         assert_eq!(curve[0], (0, 10.0));
         assert_eq!(curve[2], (2, 2.5));
-        assert_eq!(r.exec_us_at(1), Some(6_000));
-        assert_eq!(r.exec_us_at(9), None);
-        assert_eq!(r.best_plan_operator_count("scan"), 1);
-        assert_eq!(r.best_plan_operator_count("join"), 0);
     }
 
     #[test]

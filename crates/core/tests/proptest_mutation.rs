@@ -71,8 +71,7 @@ fn grouped_query(rows: usize, threshold: i64) -> Plan {
     let fetch_g = p.add(OperatorSpec::Fetch, vec![sel, g]);
     let fetch_b = p.add(OperatorSpec::Fetch, vec![sel, b]);
     let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch_g, fetch_b]);
-    let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-    p.set_root(merge);
+    p.set_root(group);
     p
 }
 

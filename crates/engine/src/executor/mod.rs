@@ -71,7 +71,8 @@ pub struct EngineConfig {
     /// panics, spurious cancellations and delays, all fired at the driver's
     /// operator executions. Also the engine's one injected-latency
     /// mechanism: a fixed per-operator delay ([`FaultConfig::fixed_delay`])
-    /// emulates a slower platform. `None` (default) disables the layer.
+    /// makes every operator deliberately slow. `None` (default) disables
+    /// the layer.
     pub faults: Option<FaultConfig>,
 }
 
@@ -220,9 +221,11 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration, spawning the worker pool.
-    pub fn new(config: EngineConfig) -> Self {
-        let n_workers = config.n_workers.max(1);
+    /// Creates an engine with the given configuration, spawning the worker
+    /// pool. A worker count of 0 runs, and reads back, as one worker.
+    pub fn new(mut config: EngineConfig) -> Self {
+        config.n_workers = config.n_workers.max(1);
+        let n_workers = config.n_workers;
         let faults = config.faults.clone().map(|c| Arc::new(FaultInjector::new(c)));
         let scheduler = Arc::new(Scheduler::new(n_workers));
         let mut workers = Vec::with_capacity(n_workers);

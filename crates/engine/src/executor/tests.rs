@@ -287,6 +287,23 @@ fn morsel_mode_matches_operator_at_a_time() {
 }
 
 #[test]
+fn a_zero_worker_count_runs_and_reports_one_worker() {
+    let cat = catalog(10_000);
+    let plan = filter_sum_plan(10_000, 500);
+    let config = EngineConfig { n_workers: 0, ..EngineConfig::default() }
+        .with_execution_mode(ExecutionMode::MorselDriven)
+        .with_morsel_rows(1_000);
+    let engine = Engine::new(config);
+    assert_eq!(engine.n_workers(), 1);
+    assert_eq!(engine.config().n_workers, 1);
+    let exec = engine.execute(&plan, &cat).unwrap();
+    assert_eq!(exec.profile.n_workers, 1);
+    assert_eq!(exec.profile.total_morsels(), 10);
+    assert_eq!(exec.profile.pipelines[0].n_morsels, 10);
+    assert_eq!(exec.profile.multi_core_utilization(), 1.0);
+}
+
+#[test]
 fn morsel_mode_handles_errors_and_cancellation() {
     let engine =
         Engine::new(EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven));

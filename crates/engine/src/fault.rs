@@ -11,8 +11,9 @@
 //! * **delay** (`delay_probability`) — an operator execution is stretched by
 //!   a delay drawn from `[min_delay_us, max_delay_us]`: random jitter for
 //!   convergence-robustness runs, or a fixed per-operator cost
-//!   ([`FaultConfig::fixed_delay`]) emulating a platform with slower memory
-//!   access (the 4-socket machine of paper Fig. 17b);
+//!   ([`FaultConfig::fixed_delay`]) that makes every operator deliberately
+//!   slow, for tests whose queries must stay in flight or whose operators
+//!   must outlast thread wake-up;
 //! * **operator panic** (`panic_probability`) — an operator panics
 //!   mid-execution, exercising the executor's panic containment
 //!   ([`crate::EngineError::WorkerPanicked`] must wake the client, the
@@ -123,9 +124,9 @@ impl FaultConfig {
     }
 
     /// Every operator execution is stretched by exactly `delay_us`
-    /// microseconds and nothing else is injected: the emulation of a
-    /// platform with slower memory access (paper Fig. 17b's 4-socket
-    /// machine) and of a deliberately slow service in overload tests.
+    /// microseconds and nothing else is injected: a deliberately slow
+    /// engine, for tests whose queries must stay in flight (admission,
+    /// overload) or whose operators must outlast thread wake-up.
     /// Timing-only, so no seed is involved.
     pub fn fixed_delay(delay_us: u64) -> Self {
         FaultConfig {

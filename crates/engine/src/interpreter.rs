@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use apq_columnar::{Catalog, Column, DataType, Oid, ScalarValue};
 use apq_operators::{
-    calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, scalar_agg, select,
-    select_with_candidates, AggState, BinaryOp, GroupedAgg, JoinHashTable, JoinResult,
+    calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, merge_grouped, scalar_agg,
+    select, select_with_candidates, AggFunc, AggState, BinaryOp, JoinHashTable, JoinResult,
     OperatorError,
 };
 
@@ -198,38 +198,13 @@ pub fn execute_node(
         }
 
         OperatorSpec::FinalizeAgg { func } => {
-            let mut state = AggState::new(*func);
-            for chunk in inputs {
-                match chunk {
-                    Chunk::AggPartial(p) => state.merge(p)?,
-                    other => return Err(input_error(node, "agg-partial", other)),
-                }
-            }
-            Ok(Chunk::Scalar(state.finish()))
+            Ok(Chunk::Scalar(merge_agg_partials(node, *func, inputs)?.finish()))
         }
 
         OperatorSpec::GroupAgg { func } => {
             let keys = as_column(node, &inputs[0])?;
             let values = as_column(node, &inputs[1])?;
             Ok(Chunk::Grouped(Arc::new(grouped_agg(*func, keys, values)?)))
-        }
-
-        OperatorSpec::MergeGrouped => {
-            let mut iter = inputs.iter();
-            let first = match iter.next() {
-                Some(Chunk::Grouped(g)) => g,
-                Some(other) => return Err(input_error(node, "grouped", other)),
-                None => return Err(EngineError::Operator(OperatorError::EmptyInput("mergegroup"))),
-            };
-            let mut merged = GroupedAgg::new(first.func());
-            merged.merge(first)?;
-            for chunk in iter {
-                match chunk {
-                    Chunk::Grouped(g) => merged.merge(g)?,
-                    other => return Err(input_error(node, "grouped", other)),
-                }
-            }
-            Ok(Chunk::Grouped(Arc::new(merged)))
         }
 
         OperatorSpec::ExchangeUnion => exchange_union(node, inputs),
@@ -409,27 +384,33 @@ pub(crate) fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
             Ok(Chunk::join_at(JoinResult::concat_parts(&parts), views[0].stream_base()))
         }
         Chunk::AggPartial(first_state) => {
-            let mut state = AggState::new(first_state.func());
-            for chunk in inputs {
-                match chunk {
-                    Chunk::AggPartial(p) => state.merge(p)?,
-                    other => return Err(input_error(node, "agg-partial", other)),
-                }
-            }
-            Ok(Chunk::AggPartial(state))
+            Ok(Chunk::AggPartial(merge_agg_partials(node, first_state.func(), inputs)?))
         }
-        Chunk::Grouped(first_group) => {
-            let mut merged = GroupedAgg::new(first_group.func());
-            for chunk in inputs {
-                match chunk {
-                    Chunk::Grouped(g) => merged.merge(g)?,
-                    other => return Err(input_error(node, "grouped", other)),
-                }
-            }
-            Ok(Chunk::Grouped(Arc::new(merged)))
+        Chunk::Grouped(_) => {
+            let parts = inputs
+                .iter()
+                .map(|chunk| match chunk {
+                    Chunk::Grouped(g) => Ok(&**g),
+                    other => Err(input_error(node, "grouped", other)),
+                })
+                .collect::<Result<Vec<_>>>()?;
+            Ok(Chunk::Grouped(Arc::new(merge_grouped(parts)?)))
         }
         other => Err(input_error(node, "packable chunk", other)),
     }
+}
+
+/// Merges partial scalar aggregates of `func` in argument order: the
+/// exchange union's merge, which `FinalizeAgg` finishes.
+fn merge_agg_partials(node: NodeId, func: AggFunc, inputs: &[Chunk]) -> Result<AggState> {
+    let mut state = AggState::new(func);
+    for chunk in inputs {
+        match chunk {
+            Chunk::AggPartial(p) => state.merge(p)?,
+            other => return Err(input_error(node, "agg-partial", other)),
+        }
+    }
+    Ok(state)
 }
 
 /// Scalar-scalar arithmetic for final result expressions.
@@ -749,7 +730,7 @@ mod tests {
             execute_node(3, &OperatorSpec::GroupAgg { func: AggFunc::Sum }, &[keys, vals], &cat)
                 .unwrap();
         let merged =
-            execute_node(4, &OperatorSpec::MergeGrouped, &[grouped.clone(), grouped], &cat)
+            execute_node(4, &OperatorSpec::ExchangeUnion, &[grouped.clone(), grouped], &cat)
                 .unwrap();
         match merged.to_output() {
             crate::chunk::QueryOutput::Groups(g) => {

@@ -53,7 +53,7 @@ pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, ReservedQuery};
 pub use fault::{FaultConfig, FaultStats};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
-pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
+pub use plan::{JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
 #[doc(hidden)]
 pub use scheduler::SchedulerPolicy;

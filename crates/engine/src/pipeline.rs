@@ -203,9 +203,9 @@ pub(crate) fn stream_input(spec: &OperatorSpec, n_inputs: usize) -> usize {
 /// chain must stop extending once it is pushed. `GroupAgg` qualifies — each
 /// morsel produces a partial [`apq_operators::GroupedAgg`]
 /// (`Chunk::Grouped`) and the driver merges the partials in morsel order
-/// (the `MergeGrouped` combiner's guarantee), keeping float results
-/// byte-exact. `ScalarAgg` is a de-facto terminal for the same reason but
-/// needs no explicit rule: nothing fusible consumes its `AggPartial`.
+/// (the exchange union's grouped merge), keeping float results byte-exact.
+/// `ScalarAgg` is a de-facto terminal for the same reason but needs no
+/// explicit rule: nothing fusible consumes its `AggPartial`.
 fn is_terminal_stage(spec: &OperatorSpec) -> bool {
     matches!(spec, OperatorSpec::GroupAgg { .. })
 }
@@ -744,15 +744,13 @@ mod tests {
 
     #[test]
     fn group_agg_fuses_as_pipeline_terminal() {
-        // scan k → groupagg(k, v) → mergegrouped, v scanned separately: the
-        // grouped aggregate fuses into the key scan's pipeline as its
-        // terminal stage, with v grid-sliced per morsel by the executor.
+        // scan k → groupagg(k, v), v scanned separately: the grouped
+        // aggregate fuses into the key scan's pipeline as its terminal stage, with v grid-sliced per morsel by the executor.
         let mut p = Plan::new();
         let k = p.add(scan("k", 1000), vec![]);
         let v = p.add(scan("v", 1000), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
@@ -760,7 +758,6 @@ mod tests {
             "groupagg should fuse with its key scan: {chain:?}"
         );
         assert_eq!(fused.steps[fused.step_of[v].unwrap()], whole(v));
-        assert_eq!(fused.steps[fused.step_of[merge].unwrap()], whole(merge));
     }
 
     #[test]
@@ -779,8 +776,7 @@ mod tests {
         );
         let v = p.add(scan("v", 1000), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Min }, vec![shifted, v]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         let fused = analyze(&p);
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
@@ -802,8 +798,7 @@ mod tests {
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, k]);
         let v = p.add(scan("v", 1000), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch, v]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         let fused = analyze(&p);
         let first = &fused.steps[fused.step_of[sel].unwrap()];
         assert!(
@@ -824,8 +819,7 @@ mod tests {
         let mut p = Plan::new();
         let x = p.add(scan("x", 100), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Count }, vec![x, x]);
-        let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-        p.set_root(merge);
+        p.set_root(group);
         let fused = analyze(&p);
         assert_eq!(fused.steps[fused.step_of[group].unwrap()], whole(group));
     }

@@ -30,19 +30,6 @@ pub enum JoinSide {
     Inner,
 }
 
-/// How the results of cloned instances of an operator are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombinerKind {
-    /// Pack with an exchange-union operator (oids, columns, join pairs).
-    ExchangeUnion,
-    /// Merge partial scalar aggregates and finalize.
-    FinalizeAgg,
-    /// Merge partial grouped aggregates.
-    MergeGrouped,
-    /// The operator cannot be cloned over partitions.
-    NotParallelizable,
-}
-
 /// The physical operator a plan node executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OperatorSpec {
@@ -133,9 +120,8 @@ pub enum OperatorSpec {
         /// The aggregate function.
         func: AggFunc,
     },
-    /// Merges partial grouped aggregates (any number of inputs).
-    MergeGrouped,
-    /// Exchange union: packs same-kind inputs in argument order.
+    /// Exchange union: packs same-kind inputs in argument order, and merges
+    /// partial aggregates (scalar or grouped) in that order.
     ExchangeUnion,
     /// Arithmetic between two scalar inputs (final result expressions).
     CalcScalars {
@@ -166,7 +152,6 @@ impl OperatorSpec {
             OperatorSpec::ScalarAgg { .. } => "aggregate",
             OperatorSpec::FinalizeAgg { .. } => "finalizeagg",
             OperatorSpec::GroupAgg { .. } => "groupby",
-            OperatorSpec::MergeGrouped => "mergegroup",
             OperatorSpec::ExchangeUnion => "union",
             OperatorSpec::CalcScalars { .. } => "calcscalar",
         }
@@ -191,9 +176,7 @@ impl OperatorSpec {
             | OperatorSpec::AntiJoin
             | OperatorSpec::GroupAgg { .. }
             | OperatorSpec::CalcScalars { .. } => (2, 2),
-            OperatorSpec::FinalizeAgg { .. }
-            | OperatorSpec::MergeGrouped
-            | OperatorSpec::ExchangeUnion => (1, usize::MAX),
+            OperatorSpec::FinalizeAgg { .. } | OperatorSpec::ExchangeUnion => (1, usize::MAX),
         }
     }
 
@@ -221,15 +204,17 @@ impl OperatorSpec {
             OperatorSpec::ExchangeUnion => return vec![true; n_inputs],
             OperatorSpec::ScanColumn { .. }
             | OperatorSpec::FinalizeAgg { .. }
-            | OperatorSpec::MergeGrouped
             | OperatorSpec::CalcScalars { .. } => return vec![false; n_inputs],
         };
         (0..n_inputs).map(|i| pattern.get(i).copied().unwrap_or(false)).collect()
     }
 
-    /// How clones of this operator are recombined; also encodes whether the
-    /// operator is a candidate for parallelization at all.
-    pub fn combiner(&self) -> CombinerKind {
+    /// True when the operator can be cloned over range partitions by the
+    /// basic or advanced mutation (the exchange-union is handled separately
+    /// by the medium mutation). The clones are recombined by an exchange
+    /// union, which packs positional outputs and merges partial aggregates,
+    /// or by an existing combiner consumer.
+    pub fn is_parallelizable(&self) -> bool {
         match self {
             OperatorSpec::Select { .. }
             | OperatorSpec::PredMask { .. }
@@ -240,39 +225,27 @@ impl OperatorSpec {
             | OperatorSpec::AntiJoin
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
-            | OperatorSpec::Calc { .. } => CombinerKind::ExchangeUnion,
-            OperatorSpec::ScalarAgg { .. } => CombinerKind::FinalizeAgg,
-            OperatorSpec::GroupAgg { .. } => CombinerKind::MergeGrouped,
+            | OperatorSpec::Calc { .. }
+            | OperatorSpec::ScalarAgg { .. }
+            | OperatorSpec::GroupAgg { .. } => true,
             OperatorSpec::ScanColumn { .. }
             | OperatorSpec::SlicePart { .. }
             | OperatorSpec::HashBuild
             | OperatorSpec::KeySet
             | OperatorSpec::FinalizeAgg { .. }
-            | OperatorSpec::MergeGrouped
             | OperatorSpec::ExchangeUnion
-            | OperatorSpec::CalcScalars { .. } => CombinerKind::NotParallelizable,
+            | OperatorSpec::CalcScalars { .. } => false,
         }
     }
 
-    /// True when the operator can be cloned over range partitions by the
-    /// basic or advanced mutation (the exchange-union is handled separately
-    /// by the medium mutation).
-    pub fn is_parallelizable(&self) -> bool {
-        self.combiner() != CombinerKind::NotParallelizable
-    }
-
     /// True when the operator absorbs partitioned inputs directly: it takes
-    /// any number of inputs and combines them (an exchange union packs them,
-    /// `FinalizeAgg` / `MergeGrouped` merge partial aggregates), so a
-    /// rewrite may splice a producer's partitioned versions into its input
-    /// list instead of placing a new union in front of it.
+    /// any number of inputs and combines them (an exchange union packs or
+    /// merges them, `FinalizeAgg` merges partial scalar aggregates and
+    /// finishes them), so a rewrite may splice a producer's partitioned
+    /// versions into its input list instead of placing a new union in front
+    /// of it.
     pub fn is_combiner(&self) -> bool {
-        matches!(
-            self,
-            OperatorSpec::ExchangeUnion
-                | OperatorSpec::FinalizeAgg { .. }
-                | OperatorSpec::MergeGrouped
-        )
+        matches!(self, OperatorSpec::ExchangeUnion | OperatorSpec::FinalizeAgg { .. })
     }
 
     /// Compact parameter description for plan pretty-printing.
@@ -797,13 +770,12 @@ mod tests {
         let sel = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 1i64) };
         assert_eq!(sel.name(), "select");
         assert!(sel.is_parallelizable());
-        assert_eq!(sel.combiner(), CombinerKind::ExchangeUnion);
         assert_eq!(sel.aligned_inputs(2), vec![true, false]);
 
         let agg = OperatorSpec::ScalarAgg { func: AggFunc::Sum };
-        assert_eq!(agg.combiner(), CombinerKind::FinalizeAgg);
+        assert!(agg.is_parallelizable());
         let group = OperatorSpec::GroupAgg { func: AggFunc::Sum };
-        assert_eq!(group.combiner(), CombinerKind::MergeGrouped);
+        assert!(group.is_parallelizable());
         assert_eq!(group.aligned_inputs(2), vec![true, true]);
 
         let union = OperatorSpec::ExchangeUnion;
@@ -813,7 +785,8 @@ mod tests {
 
         // The combiners are exactly the operators of unbounded arity.
         let fin = OperatorSpec::FinalizeAgg { func: AggFunc::Sum };
-        for spec in [&union, &fin, &OperatorSpec::MergeGrouped] {
+        assert!(!fin.is_parallelizable());
+        for spec in [&union, &fin] {
             assert!(spec.is_combiner(), "{spec:?}");
             assert_eq!(spec.arity().1, usize::MAX);
         }

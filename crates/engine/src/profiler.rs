@@ -114,8 +114,8 @@ pub struct PipelineProfile {
     pub morsels_by_worker: Vec<u64>,
     /// True when the pipeline's terminal stage is a fused `GroupAgg`: each
     /// morsel produced a partial grouped aggregate and the driver merged
-    /// the partials in morsel order (the `MergeGrouped` guarantee that
-    /// keeps float results byte-exact).
+    /// the partials in morsel order (the exchange union's grouped merge,
+    /// which keeps float results byte-exact).
     pub groupagg_fused: bool,
 }
 
@@ -326,7 +326,7 @@ fn family_char(name: &str) -> char {
         "union" => 'U',
         "fetch" | "projectside" => 'F',
         "calc" | "ifthenelse" | "calcscalar" => 'C',
-        "aggregate" | "groupby" | "finalizeagg" | "mergegroup" => 'A',
+        "aggregate" | "groupby" | "finalizeagg" => 'A',
         "scan" | "slice" => 's',
         _ => 'o',
     }

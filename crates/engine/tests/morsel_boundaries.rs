@@ -57,8 +57,7 @@ fn grouped_sum_plan(rows: usize) -> Plan {
     let fetched_grp = p.add(OperatorSpec::Fetch, vec![cands, grp]);
     let grouped =
         p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetched_grp, fetched_measure]);
-    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
-    p.set_root(merged);
+    p.set_root(grouped);
     p
 }
 
@@ -111,8 +110,7 @@ fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
     let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
     let measure_j = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_j, measure_j]);
-    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
-    p.set_root(merged);
+    p.set_root(grouped);
     p
 }
 

@@ -117,8 +117,7 @@ fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) 
     let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
     let measure_j = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_j, measure_j]);
-    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
-    p.set_root(merged);
+    p.set_root(grouped);
     p
 }
 
@@ -267,8 +266,7 @@ fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usiz
     let grp_u = p.add(OperatorSpec::Fetch, vec![unmatched, grp_stream]);
     let measure_u = p.add(OperatorSpec::Fetch, vec![unmatched, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_u, measure_u]);
-    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
-    p.set_root(merged);
+    p.set_root(grouped);
     p
 }
 
@@ -399,8 +397,7 @@ fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) 
     let grp_s = p.add(OperatorSpec::Fetch, vec![selected, grp_j]);
     let measure_s = p.add(OperatorSpec::Fetch, vec![selected, measure_j]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_s, measure_s]);
-    let merged = p.add(OperatorSpec::MergeGrouped, vec![grouped]);
-    p.set_root(merged);
+    p.set_root(grouped);
     p
 }
 

@@ -468,11 +468,13 @@ pub fn grouped_agg(func: AggFunc, keys: &Column, values: &Column) -> Result<Grou
     Ok(agg)
 }
 
-/// Merges per-partition grouped aggregates into one (the advanced mutation's
-/// combiner). The inputs are consumed in order; order does not affect the
-/// result because the partial states commute.
-pub fn merge_grouped(parts: &[GroupedAgg]) -> Result<GroupedAgg> {
-    let first = parts.first().ok_or(OperatorError::EmptyInput("merge_grouped"))?;
+/// Merges per-partition grouped aggregates into one (the exchange union's
+/// grouped merge, which recombines the advanced mutation's clones and a
+/// fused pipeline's morsels). The inputs are consumed in order: groups
+/// appear in first-occurrence order, and float states sum in that order.
+pub fn merge_grouped<'a>(parts: impl IntoIterator<Item = &'a GroupedAgg>) -> Result<GroupedAgg> {
+    let mut parts = parts.into_iter().peekable();
+    let first = parts.peek().ok_or(OperatorError::EmptyInput("merge_grouped"))?;
     let mut out = GroupedAgg::new(first.func());
     for p in parts {
         out.merge(p)?;

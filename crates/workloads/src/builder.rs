@@ -160,11 +160,10 @@ impl<'a> PlanBuilder<'a> {
         self.plan.add(OperatorSpec::FinalizeAgg { func }, vec![partial])
     }
 
-    /// Single-attribute grouped aggregate followed by its merger; returns the
-    /// merger node.
+    /// Single-attribute grouped aggregate; returns its node. Clones of it are
+    /// recombined by an exchange union, which merges grouped partials.
     pub fn group_agg(&mut self, func: AggFunc, keys: NodeId, values: NodeId) -> NodeId {
-        let partial = self.plan.add(OperatorSpec::GroupAgg { func }, vec![keys, values]);
-        self.plan.add(OperatorSpec::MergeGrouped, vec![partial])
+        self.plan.add(OperatorSpec::GroupAgg { func }, vec![keys, values])
     }
 
     /// Arithmetic between two scalar results.

@@ -89,8 +89,7 @@ fn grouped_sum() -> Plan {
     let k = scan(&mut p, "a");
     let v = scan(&mut p, "b");
     let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
-    let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-    p.set_root(merge);
+    p.set_root(group);
     p
 }
 

@@ -176,16 +176,14 @@ fn two_aligned_input_fused_stages_match_across_modes() {
     }
 }
 
-/// scan a, scan b → groupagg(a, b) → mergegrouped: the grouped aggregate
-/// fuses as the key scan's pipeline terminal, with b grid-sliced on the
-/// same morsel grid. Returns (plan, groupagg node).
+/// scan a, scan b → groupagg(a, b): the grouped aggregate fuses as the key
+/// scan's pipeline terminal, with b grid-sliced on the same morsel grid. Returns (plan, groupagg node).
 fn group_agg_plan(rows: usize, func: AggFunc) -> (Plan, usize) {
     let mut p = Plan::new();
     let k = scan_t(&mut p, "a", rows);
     let v = scan_t(&mut p, "b", rows);
     let group = p.add(OperatorSpec::GroupAgg { func }, vec![k, v]);
-    let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-    p.set_root(merge);
+    p.set_root(group);
     (p, group)
 }
 

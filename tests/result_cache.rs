@@ -160,8 +160,7 @@ fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
         vec![],
     );
     let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
-    let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
-    p.set_root(merge);
+    p.set_root(group);
 
     let expected = Engine::with_workers(WORKERS).execute(&p, &catalog).expect("reference").output;
     let session = service.connect();
