@@ -109,19 +109,18 @@ fn heuristic_parallelize_with_driver(
             }
             spec => {
                 let flags = spec.aligned_inputs(node.inputs.len());
-                let aligned_partitioned: Vec<bool> = node
-                    .inputs
-                    .iter()
-                    .zip(&flags)
-                    .map(|(input, &aligned)| aligned && parts.contains_key(input))
-                    .collect();
-                let any_partitioned = aligned_partitioned.iter().any(|&b| b);
+                // A windowed edge reads its producer whole and then cuts it,
+                // so it reads the packed (single) version, window kept.
+                let partitioned = |(input, window): (NodeId, Option<_>)| {
+                    window.is_none() && parts.contains_key(&input)
+                };
+                let any_partitioned =
+                    node.edges().zip(&flags).any(|(edge, &aligned)| aligned && partitioned(edge));
                 let all_aligned_partitioned = node
-                    .inputs
-                    .iter()
+                    .edges()
                     .zip(&flags)
                     .filter(|&(_, &aligned)| aligned)
-                    .all(|(input, _)| parts.contains_key(input));
+                    .all(|(edge, _)| partitioned(edge));
 
                 if spec.is_parallelizable() && any_partitioned && all_aligned_partitioned {
                     // Clone once per partition, propagating the partitioned inputs.
@@ -133,52 +132,34 @@ fn heuristic_parallelize_with_driver(
                     // mis-align tuple reconstruction (paper Fig. 9 hazards).
                     let mut versions = Vec::with_capacity(n);
                     for k in 0..n {
-                        let mut inputs = Vec::with_capacity(node.inputs.len());
-                        for (input, &aligned) in node.inputs.iter().zip(&flags) {
-                            if aligned {
-                                inputs.push(parts[input][k]);
-                            } else if let Some(broadcast_parts) = parts.get(input) {
-                                inputs.push(broadcast_parts[k]);
+                        let mut edges = Vec::with_capacity(node.inputs.len());
+                        for (edge @ (input, window), &aligned) in node.edges().zip(&flags) {
+                            if aligned || partitioned(edge) {
+                                edges.push((parts[&input][k], None));
                             } else {
-                                inputs.push(resolve_single(
-                                    &mut out,
-                                    *input,
-                                    &single,
-                                    &parts,
-                                    &mut packed,
-                                )?);
+                                let single_input =
+                                    resolve_single(&mut out, input, &single, &parts, &mut packed)?;
+                                edges.push((single_input, window));
                             }
                         }
-                        versions.push(out.add(spec.clone(), inputs));
+                        versions.push(out.add_edges(spec.clone(), edges));
                     }
                     parts.insert(id, versions);
                 } else {
                     // Keep the operator single; combiners absorb the
                     // partitioned versions directly, everything else reads a
                     // packed exchange union.
-                    let mut inputs = Vec::new();
-                    for input in &node.inputs {
-                        if let Some(versions) = parts.get(input) {
-                            if spec.is_combiner() {
-                                inputs.extend(versions.iter().copied());
-                            } else {
-                                inputs.push(resolve_single(
-                                    &mut out,
-                                    *input,
-                                    &single,
-                                    &parts,
-                                    &mut packed,
-                                )?);
-                            }
+                    let mut edges = Vec::new();
+                    for edge @ (input, window) in node.edges() {
+                        if spec.is_combiner() && partitioned(edge) {
+                            edges.extend(parts[&input].iter().map(|&version| (version, None)));
                         } else {
-                            inputs.push(*single.get(input).ok_or_else(|| {
-                                EngineError::InvalidPlan(format!(
-                                    "input {input} of node {id} was not rewritten"
-                                ))
-                            })?);
+                            let single_input =
+                                resolve_single(&mut out, input, &single, &parts, &mut packed)?;
+                            edges.push((single_input, window));
                         }
                     }
-                    let new_id = out.add(spec.clone(), inputs);
+                    let new_id = out.add_edges(spec.clone(), edges);
                     single.insert(id, new_id);
                 }
             }
@@ -338,6 +319,38 @@ mod tests {
         assert_eq!(hp.count_of("scan"), 16);
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn hp_reads_windowed_edges_from_the_packed_producer() {
+        // sum(b) where a < 100, the candidates fetched through two windows.
+        let rows = 10_000;
+        let cat = catalog(rows);
+        let engine = Engine::with_workers(4);
+        let mut serial = Plan::new();
+        let a = serial.add(scan("fact", "a", rows), vec![]);
+        let pred = Predicate::cmp(CmpOp::Lt, 100i64);
+        let sel = serial.add(OperatorSpec::Select { predicate: pred }, vec![a]);
+        let b = serial.add(scan("fact", "b", rows), vec![]);
+        let partials: Vec<NodeId> = [RowRange::new(0, 300), RowRange::new(300, rows)]
+            .into_iter()
+            .map(|w| {
+                let fetched = serial.add_edges(OperatorSpec::Fetch, [(sel, Some(w)), (b, None)]);
+                serial.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched])
+            })
+            .collect();
+        let fin = serial.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
+        serial.set_root(fin);
+        let expected = engine.execute(&serial, &cat).unwrap().output;
+
+        let hp = heuristic_parallelize(&serial, &cat, 4).unwrap();
+        // The select is cloned; each fetch stays single and reads its
+        // window of the packed candidates.
+        assert_eq!((hp.count_of("select"), hp.count_of("fetch")), (4, 2));
+        let windows: Vec<_> =
+            hp.node_ids().into_iter().filter_map(|id| hp.node(id).unwrap().window(0)).collect();
+        assert_eq!(windows, [RowRange::new(0, 300), RowRange::new(300, rows)]);
+        assert_eq!(engine.execute(&hp, &cat).unwrap().output, expected);
     }
 
     #[test]

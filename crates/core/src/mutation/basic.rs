@@ -14,18 +14,15 @@
 //! aggregate chunks, or the already-present `FinalizeAgg` of a scalar
 //! aggregate.
 
-use std::collections::HashMap;
-
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::split::{
-    aligned_inputs, combine_clones, output_len, remove_if_orphan, split_input,
-};
+use crate::mutation::split::{aligned_inputs, combine_clones, edge_window};
 use crate::mutation::{MutationKind, MutationOutcome};
 
-/// Applies the basic / advanced mutation to `target`.
+/// Applies the basic / advanced mutation to `target`: every aligned input
+/// edge's window is halved, and one clone reads each half.
 pub fn clone_over_partitions(
     plan: &mut Plan,
     profile: &QueryProfile,
@@ -45,56 +42,43 @@ pub fn clone_over_partitions(
     if aligned.is_empty() {
         return Err(CoreError::Mutation(format!("node {target} has no partitionable input")));
     }
-    let mut lengths = Vec::with_capacity(aligned.len());
-    for &input in &aligned {
-        let len = output_len(plan, profile, input).ok_or_else(|| {
-            CoreError::Mutation(format!("input {input} of node {target} has unknown length"))
-        })?;
-        lengths.push(len);
-    }
-    if lengths.windows(2).any(|w| w[0] != w[1]) {
+    let windows = aligned
+        .iter()
+        .map(|&edge| edge_window(plan, profile, edge))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| CoreError::Mutation(format!("an input of node {target} has no length")))?;
+    let lengths: Vec<usize> = windows.iter().map(|w| w.len()).collect();
+    if lengths.iter().any(|&len| len != lengths[0] || len < 2) {
         return Err(CoreError::Mutation(format!(
-            "aligned inputs of node {target} have differing lengths {lengths:?}"
+            "aligned inputs of node {target} of lengths {lengths:?} do not split in two"
         )));
     }
 
-    // Split every aligned input once (memoized: the same input may appear at
-    // several aligned positions).
-    let mut splits: HashMap<NodeId, (NodeId, NodeId)> = HashMap::new();
-    for &input in &aligned {
-        let halves = split_input(plan, profile, input)?;
-        splits.insert(input, halves);
-    }
-
-    // Clone the target over the two halves.
+    // One clone per half of every aligned edge's window (the same edge may
+    // appear at several aligned positions); other edges are shared as they are.
     let flags = node.spec.aligned_inputs(node.inputs.len());
-    let mut inputs_first = Vec::with_capacity(node.inputs.len());
-    let mut inputs_second = Vec::with_capacity(node.inputs.len());
-    for (&input, &is_aligned) in node.inputs.iter().zip(&flags) {
-        if is_aligned {
-            let (a, b) = splits[&input];
-            inputs_first.push(a);
-            inputs_second.push(b);
-        } else {
-            inputs_first.push(input);
-            inputs_second.push(input);
-        }
-    }
-    let clone_first = plan.add(node.spec.clone(), inputs_first);
-    let clone_second = plan.add(node.spec.clone(), inputs_second);
+    let clones: Vec<NodeId> = (0..2)
+        .map(|half| {
+            let edges: Vec<_> = node
+                .edges()
+                .zip(&flags)
+                .map(|(edge, &is_aligned)| match aligned.iter().position(|&a| a == edge) {
+                    Some(at) if is_aligned => (edge.0, Some(windows[at].split_even(2)[half])),
+                    _ => edge,
+                })
+                .collect();
+            plan.add_edges(node.spec.clone(), edges)
+        })
+        .collect();
 
-    let combiner = combine_clones(plan, target, &[clone_first, clone_second])?;
-
+    let combiner = combine_clones(plan, target, &clones)?;
     plan.remove(target).map_err(CoreError::from)?;
-    for &input in &aligned {
-        remove_if_orphan(plan, input);
-    }
 
     let kind = match node.spec {
         OperatorSpec::ScalarAgg { .. } | OperatorSpec::GroupAgg { .. } => MutationKind::Advanced,
         _ => MutationKind::Basic,
     };
-    Ok(MutationOutcome { kind, target, clones: vec![clone_first, clone_second], combiner })
+    Ok(MutationOutcome { kind, target, clones, combiner })
 }
 
 #[cfg(test)]
@@ -150,8 +134,17 @@ mod tests {
         (p, sel, fetch, agg)
     }
 
+    /// The windows node `id`'s edges read, in input order.
+    fn windows(p: &Plan, id: NodeId) -> Vec<Option<RowRange>> {
+        p.node(id).unwrap().windows.clone()
+    }
+
+    fn window(start: usize, end: usize) -> Option<RowRange> {
+        Some(RowRange::new(start, end))
+    }
+
     #[test]
-    fn basic_mutation_of_a_select_splits_the_scan() {
+    fn basic_mutation_of_a_select_windows_the_scan() {
         let (mut p, sel, fetch, _) = filter_sum_plan(1000);
         let prof = profile_for(&p, 500);
         let before_scans = p.count_of("scan");
@@ -164,22 +157,51 @@ mod tests {
         assert!(!p.contains(sel));
         assert_eq!(p.count_of("select"), 2);
         assert_eq!(p.count_of("union"), 1);
-        // The original scan of `a` was only used by the select and is removed,
-        // replaced by two half-range scans (plus the untouched scan of `b`).
-        assert_eq!(p.count_of("scan"), before_scans + 1);
+        // The scan of `a` stays whole: no scan or slice node is added.
+        assert_eq!(p.count_of("scan"), before_scans);
+        assert_eq!(p.count_of("slice"), 0);
         // The fetch now reads from the union.
         assert!(p.node(fetch).unwrap().inputs.contains(&outcome.combiner));
-        // The two clones scan adjacent ranges covering the original domain.
-        let mut ranges = Vec::new();
-        for id in p.node_ids() {
-            if let OperatorSpec::ScanColumn { column, range, .. } = &p.node(id).unwrap().spec {
-                if column == "a" {
-                    ranges.push((range.start, range.end));
-                }
-            }
+        // The two clones read adjacent windows covering the scan's output.
+        for (&clone, half) in outcome.clones.iter().zip([window(0, 500), window(500, 1000)]) {
+            assert_eq!(p.node(clone).unwrap().inputs, vec![0]);
+            assert_eq!(windows(&p, clone), vec![half]);
         }
-        ranges.sort_unstable();
-        assert_eq!(ranges, vec![(0, 500), (500, 1000)]);
+    }
+
+    #[test]
+    fn halving_scans_intermediates_and_windows() {
+        let mut p = Plan::new();
+        let a = p.add(scan("a", 101), vec![]);
+        let sel =
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
+        let b = p.add(scan("b", 101), vec![]);
+        let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+        p.set_root(fetch);
+        let prof = profile_for(&p, 33);
+
+        // A scan edge starts from the scan's range: [0, 51) and [51, 101).
+        let selects = clone_over_partitions(&mut p, &prof, sel).unwrap().clones;
+        assert_eq!(windows(&p, selects[0]), vec![window(0, 51)]);
+        assert_eq!(windows(&p, selects[1]), vec![window(51, 101)]);
+
+        // An intermediate's edge starts from its profiled length: the fetch
+        // reads the union of the selects, 33 rows, as [0, 17) and [17, 33);
+        // its broadcast column stays whole.
+        let union = p.node(fetch).unwrap().inputs[0];
+        let prof = profile_for(&p, 33);
+        let fetches = clone_over_partitions(&mut p, &prof, fetch).unwrap().clones;
+        assert_eq!(p.node(fetches[0]).unwrap().inputs, vec![union, b]);
+        assert_eq!(windows(&p, fetches[0]), vec![window(0, 17), None]);
+        assert_eq!(windows(&p, fetches[1]), vec![window(17, 33), None]);
+
+        // A window is halved in place, over the same producer.
+        let quarters = clone_over_partitions(&mut p, &prof, fetches[0]).unwrap().clones;
+        assert_eq!(p.node(quarters[0]).unwrap().inputs, vec![union, b]);
+        assert_eq!(windows(&p, quarters[0]), vec![window(0, 9), None]);
+        assert_eq!(windows(&p, quarters[1]), vec![window(9, 17), None]);
+        p.validate().unwrap();
+        assert_eq!(p.count_of("scan"), 2);
     }
 
     #[test]
@@ -204,25 +226,21 @@ mod tests {
     }
 
     #[test]
-    fn fetch_mutation_slices_the_candidate_list() {
+    fn fetch_mutation_windows_the_candidate_list() {
         let (mut p, sel, fetch, _) = filter_sum_plan(1000);
         let prof = profile_for(&p, 600);
         let outcome = clone_over_partitions(&mut p, &prof, fetch).unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Basic);
-        // The select survives (it feeds the slices), two SlicePart nodes appear.
+        // The select survives (the clones read it), and no slice node appears.
         assert!(p.contains(sel));
-        assert_eq!(p.count_of("slice"), 2);
+        assert_eq!(p.count_of("slice"), 0);
         assert_eq!(p.count_of("fetch"), 2);
-        // Slices cover [0, 300) and [300, 600) of the candidate list.
-        let mut windows = Vec::new();
-        for id in p.node_ids() {
-            if let OperatorSpec::SlicePart { start, len } = p.node(id).unwrap().spec {
-                windows.push((start, len));
-            }
+        // The windows cover [0, 300) and [300, 600) of the candidate list.
+        for (&clone, half) in outcome.clones.iter().zip([window(0, 300), window(300, 600)]) {
+            assert_eq!(p.node(clone).unwrap().inputs, vec![sel, 2]);
+            assert_eq!(windows(&p, clone), vec![half, None]);
         }
-        windows.sort_unstable();
-        assert_eq!(windows, vec![(0, 300), (300, 300)]);
     }
 
     #[test]
@@ -254,10 +272,12 @@ mod tests {
         assert_eq!(p.root(), Some(outcome.combiner));
         assert!(matches!(p.node(outcome.combiner).unwrap().spec, OperatorSpec::ExchangeUnion));
         assert_eq!(p.count_of("groupby"), 2);
-        // Both scans were split: 2 half scans per original scan.
-        assert_eq!(p.count_of("scan"), 4);
-        assert!(!p.contains(keys));
-        assert!(!p.contains(vals));
+        // Both scans are read in halves, at the same windows.
+        assert_eq!(p.count_of("scan"), 2);
+        for (&clone, half) in outcome.clones.iter().zip([window(0, 500), window(500, 1000)]) {
+            assert_eq!(p.node(clone).unwrap().inputs, vec![keys, vals]);
+            assert_eq!(windows(&p, clone), vec![half, half]);
+        }
     }
 
     #[test]
@@ -286,6 +306,10 @@ mod tests {
         assert!(clone_over_partitions(&mut tiny, &tiny_prof, tiny_sel).is_err());
         // Unknown node.
         assert!(clone_over_partitions(&mut p, &prof, 999).is_err());
+        // Neither can a fetch over a one-row intermediate.
+        let (mut p3, _, fetch3, _) = filter_sum_plan(1000);
+        let one_row = profile_for(&p3, 1);
+        assert!(clone_over_partitions(&mut p3, &one_row, fetch3).is_err());
         // Fetch whose candidate list was never profiled cannot be split.
         let (mut p2, _, fetch2, _) = filter_sum_plan(1000);
         let empty_prof = QueryProfile {

@@ -15,13 +15,12 @@
 //! parameters cross a certain threshold" (15 in the paper, configurable
 //! here).
 
-use std::collections::HashMap;
-
+use apq_columnar::partition::RowRange;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::split::{combine_clones, output_len};
+use crate::mutation::split::{combine_clones, edge_window};
 use crate::mutation::{MutationKind, MutationOutcome};
 
 /// §2.3's plan-explosion guard: a union with more inputs is not removed.
@@ -30,9 +29,9 @@ pub const UNION_INPUT_THRESHOLD: usize = 15;
 /// Attempts the medium mutation on the exchange-union node `union_id`.
 ///
 /// Returns `Ok(None)` when the mutation is not applicable (too many union
-/// inputs, multiple consumers, the consumer cannot be cloned, or the
-/// intermediate sizes needed for re-slicing are unknown); the caller then
-/// falls back to the next most expensive operator.
+/// inputs, multiple consumers, a consumer reading a window of the union, a
+/// consumer that cannot be cloned, or unknown intermediate sizes); the
+/// caller then falls back to the next most expensive operator.
 pub fn propagate_union(
     plan: &mut Plan,
     profile: &QueryProfile,
@@ -51,11 +50,16 @@ pub fn propagate_union(
     }
     let consumer_id = consumers[0];
     let consumer = plan.node(consumer_id).map_err(CoreError::from)?.clone();
+    // The union's parts are parts of its whole output only.
+    if consumer.edges().any(|(input, window)| input == union_id && window.is_some()) {
+        return Ok(None);
+    }
 
-    // Union feeding another combiner: simply inline the inputs ("the
-    // exchange union operator is removed" without cloning anything).
+    // Union feeding another combiner: simply inline the inputs, each with
+    // its window ("the exchange union operator is removed" without cloning
+    // anything).
     if consumer.spec.is_combiner() {
-        plan.splice_input(consumer_id, union_id, &union_node.inputs).map_err(CoreError::from)?;
+        plan.splice_input(consumer_id, union_id, union_node.edges()).map_err(CoreError::from)?;
         plan.remove(union_id).map_err(CoreError::from)?;
         return Ok(Some(MutationOutcome {
             kind: MutationKind::Medium,
@@ -81,61 +85,47 @@ pub fn propagate_union(
         return Ok(None);
     }
 
-    // Row counts of every union input (needed both for slicing the consumer's
-    // other aligned inputs and for sanity-checking alignment).
+    // Row counts of every union input (needed both for windowing the
+    // consumer's other aligned inputs and for sanity-checking alignment).
     let mut part_lens = Vec::with_capacity(union_node.inputs.len());
-    for &input in &union_node.inputs {
-        match output_len(plan, profile, input) {
-            Some(len) => part_lens.push(len),
+    for edge in union_node.edges() {
+        match edge_window(plan, profile, edge) {
+            Some(window) => part_lens.push(window.len()),
             None => return Ok(None),
         }
     }
     let total: usize = part_lens.iter().sum();
 
     // Any other aligned input of the consumer must be positionally aligned
-    // with the union's packed output, i.e. have the same total length.
-    let other_aligned: Vec<NodeId> = consumer
-        .inputs
-        .iter()
-        .zip(&aligned_flags)
-        .filter(|&(&input, &aligned)| aligned && input != union_id)
-        .map(|(&input, _)| input)
-        .collect();
-    for &other in &other_aligned {
-        match output_len(plan, profile, other) {
-            Some(len) if len == total => {}
-            _ => return Ok(None),
+    // with the union's packed output, i.e. have the same total length; the
+    // clones read its rows through windows of the edge's window.
+    let mut within = vec![None; consumer.inputs.len()];
+    for (i, (edge, &aligned)) in consumer.edges().zip(&aligned_flags).enumerate() {
+        if aligned && edge.0 != union_id {
+            match edge_window(plan, profile, edge) {
+                Some(window) if window.len() == total => within[i] = Some(window),
+                _ => return Ok(None),
+            }
         }
     }
 
-    // Clone the consumer once per union input. Other aligned inputs are
-    // re-sliced with the partition offsets; broadcast inputs are shared.
-    let mut offsets = Vec::with_capacity(part_lens.len());
-    let mut acc = 0usize;
-    for &len in &part_lens {
-        offsets.push(acc);
-        acc += len;
-    }
-    let mut slices: HashMap<(NodeId, usize), NodeId> = HashMap::new();
+    // Clone the consumer once per union input: it reads that part where it
+    // read the union, each other aligned input at the part's offset, and
+    // every broadcast input as before.
     let mut clones = Vec::with_capacity(union_node.inputs.len());
-    for (i, &part) in union_node.inputs.iter().enumerate() {
-        let mut inputs = Vec::with_capacity(consumer.inputs.len());
-        for (&input, &aligned) in consumer.inputs.iter().zip(&aligned_flags) {
-            if input == union_id {
-                inputs.push(part);
-            } else if aligned {
-                let slice = *slices.entry((input, i)).or_insert_with(|| {
-                    plan.add(
-                        OperatorSpec::SlicePart { start: offsets[i], len: part_lens[i] },
-                        vec![input],
-                    )
-                });
-                inputs.push(slice);
-            } else {
-                inputs.push(input);
-            }
-        }
-        clones.push(plan.add(consumer.spec.clone(), inputs));
+    let mut offset = 0usize;
+    for (part, &len) in union_node.edges().zip(&part_lens) {
+        let edges: Vec<_> = consumer
+            .edges()
+            .zip(&within)
+            .map(|(edge, within)| match within {
+                _ if edge.0 == union_id => part,
+                Some(w) => (edge.0, Some(RowRange::new(w.start + offset, w.start + offset + len))),
+                None => edge,
+            })
+            .collect();
+        clones.push(plan.add_edges(consumer.spec.clone(), edges));
+        offset += len;
     }
 
     let combiner = combine_clones(plan, consumer_id, &clones)?;
@@ -357,10 +347,13 @@ mod tests {
         assert_eq!(p.node(outer).unwrap().inputs, vec![s0, s1, s2]);
     }
 
-    #[test]
-    fn consumer_with_second_aligned_input_is_resliced() {
-        // union (of two fetched halves) and another full-length column feed a
-        // calc; the medium mutation must slice the other column per partition.
+    /// `union(a[0, 600), a[600, 1000))` and a second column feeding a calc
+    /// over both; the second column, `other_rows` long, is read through
+    /// `other_window`.
+    fn calc_over_union_plan(
+        other_rows: usize,
+        other_window: Option<RowRange>,
+    ) -> (Plan, NodeId, QueryProfile) {
         let mut p = Plan::new();
         let a0 = p.add(scan("a", 600), vec![]);
         let a1 = p.add(
@@ -372,31 +365,88 @@ mod tests {
             vec![],
         );
         let union = p.add(OperatorSpec::ExchangeUnion, vec![a0, a1]);
-        let other = p.add(scan("b", 1000), vec![]);
-        let calc = p.add(
+        let other = p.add(scan("b", other_rows), vec![]);
+        let calc = p.add_edges(
             OperatorSpec::Calc {
                 op: apq_operators::BinaryOp::Mul,
                 left_scalar: None,
                 right_scalar: None,
             },
-            vec![union, other],
+            [(union, None), (other, other_window)],
         );
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![calc]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
         let prof = profile_with(&[(a0, 600), (a1, 400), (union, 1000), (calc, 1000)]);
+        (p, union, prof)
+    }
+
+    #[test]
+    fn consumer_with_second_aligned_input_is_windowed() {
+        // union (of two scanned halves) and another column feed a calc; the
+        // medium mutation must window the other column per partition.
+        let (mut p, union, prof) = calc_over_union_plan(1000, None);
         let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.clones.len(), 2);
-        assert_eq!(p.count_of("slice"), 2);
-        // The slices over `other` cover [0,600) and [600,1000).
-        let mut windows = Vec::new();
-        for id in p.node_ids() {
-            if let OperatorSpec::SlicePart { start, len } = p.node(id).unwrap().spec {
-                windows.push((start, len));
-            }
-        }
-        windows.sort_unstable();
-        assert_eq!(windows, vec![(0, 600), (600, 400)]);
+        assert_eq!(p.count_of("slice"), 0);
+        assert_eq!(p.count_of("scan"), 3);
+        // The clones read each part whole and `other` over [0,600) and
+        // [600,1000).
+        let edges: Vec<Vec<_>> =
+            outcome.clones.iter().map(|&c| p.node(c).unwrap().edges().collect()).collect();
+        assert_eq!(
+            edges,
+            vec![
+                vec![(0, None), (3, Some(RowRange::new(0, 600)))],
+                vec![(1, None), (3, Some(RowRange::new(600, 1000)))],
+            ]
+        );
+    }
+
+    #[test]
+    fn windows_compose_with_the_edge_window_and_stay_inside_it() {
+        // `other` is read at [150, 1150): the parts' windows are offset into
+        // it. A window that claims more rows than the union's total keeps
+        // the mutation away.
+        let (mut p, union, prof) = calc_over_union_plan(1200, Some(RowRange::new(150, 1150)));
+        let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
+        let windows: Vec<_> =
+            outcome.clones.iter().map(|&c| p.node(c).unwrap().window(1)).collect();
+        assert_eq!(windows, vec![Some(RowRange::new(150, 750)), Some(RowRange::new(750, 1150))]);
+
+        let (mut p, union, prof) = calc_over_union_plan(1200, Some(RowRange::new(0, 1100)));
+        assert!(propagate_union(&mut p, &prof, union).unwrap().is_none());
+        // Unwindowed, `other` is its scan's 1,200 rows: not aligned either.
+        let (mut p, union, prof) = calc_over_union_plan(1200, None);
+        assert!(propagate_union(&mut p, &prof, union).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_windowed_read_of_the_union_is_left_alone_and_inlining_keeps_windows() {
+        // The calc reads a window of the union: its parts are not windows of
+        // that window, so nothing is propagated.
+        let (mut p, union, prof) = calc_over_union_plan(1000, None);
+        let calc = p.consumers(union)[0];
+        p.node_mut(calc).unwrap().windows[0] = Some(RowRange::new(0, 500));
+        let nodes = p.node_count();
+        assert!(propagate_union(&mut p, &prof, union).unwrap().is_none());
+        assert_eq!(p.node_count(), nodes);
+
+        // A union of windows inlined into another union keeps each window.
+        let mut p = Plan::new();
+        let a = p.add(scan("a", 1000), vec![]);
+        let pred = Predicate::cmp(CmpOp::Lt, 100i64);
+        let sel = p.add(OperatorSpec::Select { predicate: pred }, vec![a]);
+        let (head, tail) = (Some(RowRange::new(0, 10)), Some(RowRange::new(10, 99)));
+        let inner = p.add_edges(OperatorSpec::ExchangeUnion, [(sel, head), (sel, tail)]);
+        let outer = p.add(OperatorSpec::ExchangeUnion, vec![inner, a]);
+        p.set_root(outer);
+        let prof = profile_with(&[(sel, 99), (inner, 99)]);
+        let outcome = propagate_union(&mut p, &prof, inner).unwrap().unwrap();
+        p.validate().unwrap();
+        assert_eq!(outcome.combiner, outer);
+        let edges: Vec<_> = p.node(outer).unwrap().edges().collect();
+        assert_eq!(edges, vec![(sel, head), (sel, tail), (a, None)]);
     }
 }

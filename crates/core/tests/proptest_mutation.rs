@@ -1,7 +1,10 @@
 //! Property-based tests for the adaptive parallelizer's core invariants:
 //!
 //! * any sequence of plan mutations keeps the plan structurally valid;
-//! * every mutated plan produces exactly the serial plan's result;
+//! * every mutated plan produces exactly the serial plan's result, under
+//!   both plannings, with morsels cut inside the partitions' windows;
+//! * a mutation partitions through windows on plan edges: the scans stay
+//!   the serial plan's and no slice node appears;
 //! * the convergence algorithm always terminates within the paper's bounds.
 
 use std::sync::Arc;
@@ -10,7 +13,7 @@ use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_core::{mutate_most_expensive, AdaptiveConfig, ConvergenceState};
 use apq_engine::plan::OperatorSpec;
-use apq_engine::{Engine, Plan};
+use apq_engine::{Engine, EngineConfig, ExecutionMode, Plan, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use proptest::prelude::*;
 
@@ -75,6 +78,25 @@ fn grouped_query(rows: usize, threshold: i64) -> Plan {
     p
 }
 
+/// Morsel planning with morsels that do not divide the partitions.
+fn morsel_engine() -> Engine {
+    Engine::new(
+        EngineConfig::with_workers(3)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(700),
+    )
+}
+
+/// What every mutant must keep of its serial plan: the result under both
+/// plannings, and the scans (a partition is a window, not a new scan or
+/// slice node).
+fn check_mutant(plan: &Plan, serial: &Plan, expected: &QueryOutput, cat: &Arc<Catalog>) {
+    let fused = morsel_engine().execute(plan, cat).unwrap();
+    assert_eq!(&fused.output, expected, "morsel planning diverged:\n{}", plan.pretty());
+    assert_eq!(plan.count_of("scan"), serial.count_of("scan"), "{}", plan.pretty());
+    assert_eq!(plan.count_of("slice"), 0, "{}", plan.pretty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -88,7 +110,8 @@ proptest! {
         let cat = catalog(rows, seed);
         let engine = Engine::with_workers(3);
         let config = AdaptiveConfig::for_cores(3).with_min_partition_rows(64);
-        let mut plan = scalar_query(rows, threshold);
+        let serial = scalar_query(rows, threshold);
+        let mut plan = serial.clone();
         let baseline = engine.execute(&plan, &cat).unwrap();
         let expected = baseline.output.clone();
         let mut profile = baseline.profile;
@@ -98,6 +121,7 @@ proptest! {
                     plan.validate().unwrap();
                     let exec = engine.execute(&plan, &cat).unwrap();
                     prop_assert_eq!(&exec.output, &expected);
+                    check_mutant(&plan, &serial, &expected, &cat);
                     profile = exec.profile;
                 }
                 None => break,
@@ -114,7 +138,8 @@ proptest! {
         let cat = catalog(rows, seed);
         let engine = Engine::with_workers(3);
         let config = AdaptiveConfig::for_cores(3).with_min_partition_rows(64);
-        let mut plan = grouped_query(rows, threshold);
+        let serial = grouped_query(rows, threshold);
+        let mut plan = serial.clone();
         let baseline = engine.execute(&plan, &cat).unwrap();
         let expected = baseline.output.clone();
         let mut profile = baseline.profile;
@@ -124,6 +149,7 @@ proptest! {
                     plan.validate().unwrap();
                     let exec = engine.execute(&plan, &cat).unwrap();
                     prop_assert_eq!(&exec.output, &expected);
+                    check_mutant(&plan, &serial, &expected, &cat);
                     profile = exec.profile;
                 }
                 None => break,

@@ -4,10 +4,11 @@
 //!
 //! A *candidate stream* is an intermediate ordered by an oid list rather
 //! than by base-table position (a fetch output, a join result, a projected
-//! join side). Plan mutations cut such streams positionally
-//! ([`crate::plan::OperatorSpec::SlicePart`]), and the morsel-driven
-//! execution mode ([`crate::pipeline`]) cuts them again into morsels. Only
-//! the stream-offset labels make slices position-safe, not any fixed stride.
+//! join side). Plan mutations cut such streams positionally, as row windows
+//! on the plan edges that read them ([`crate::plan::PlanNode::windows`]),
+//! and the morsel-driven execution mode ([`crate::pipeline`]) cuts them
+//! again into morsels; both cuts are [`Chunk::slice`]. Only the
+//! stream-offset labels make slices position-safe, not any fixed stride.
 //!
 //! [`Chunk::Oids`] and [`Chunk::Join`] mirror what [`Column`] already is: an
 //! `Arc`-shared backing plus an `(offset, len)` window ([`OidsView`] /
@@ -273,8 +274,8 @@ pub enum Chunk {
     /// A windowed view of a candidate list of absolute oids.
     ///
     /// The view's `stream_base` is its offset within the candidate *stream*
-    /// it belongs to: `0` for a freshly produced list, `k` for a
-    /// `SlicePart { start: k, .. }` window of one. Operators whose outputs
+    /// it belongs to: `0` for a freshly produced list, `k` for a window of
+    /// one starting at row `k`. Operators whose outputs
     /// are positionally aligned with the candidate stream (fetch) propagate
     /// it into their output column's base oid, so that plan mutations may
     /// clone position-emitting consumers (joins, selects) over partitions of
@@ -327,6 +328,26 @@ impl Chunk {
     pub fn as_join_view(&self) -> Option<&JoinView> {
         match self {
             Chunk::Join(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Rows `[start, start + len)` of a positional chunk (a column, an oid
+    /// list or a join result), clamped to its length (the boundary
+    /// adjustment of paper Fig. 9), or `None` for any other kind. The
+    /// executor's one cut, for edge windows and morsels alike: pure window
+    /// arithmetic with **zero heap allocations** (pinned by
+    /// `crates/engine/tests/zero_alloc_views.rs`) that keeps absolute oids
+    /// and `stream_base` labels.
+    pub fn slice(&self, start: usize, len: usize) -> Option<Chunk> {
+        match self {
+            Chunk::Column(c) => {
+                let end = start.saturating_add(len).min(c.len());
+                let start = start.min(end);
+                Some(Chunk::Column(c.slice(start, end - start).expect("clamped to the column")))
+            }
+            Chunk::Oids(view) => Some(Chunk::Oids(view.slice(start, len))),
+            Chunk::Join(view) => Some(Chunk::Join(view.slice(start, len))),
             _ => None,
         }
     }
@@ -538,6 +559,39 @@ mod tests {
         assert_eq!(rest.len(), 20);
         assert!(w.is_contiguous_with(&rest));
         assert_eq!(w.widened(40).outer(), (10..50).collect::<Vec<Oid>>());
+    }
+
+    #[test]
+    fn slice_clamps() {
+        let col = Chunk::Column(Column::from_i64(vec![1, 2, 3, 4, 5]));
+        let sliced = col.slice(2, 10).unwrap();
+        assert_eq!(sliced.rows(), 3);
+        // A column window keeps absolute base oids.
+        assert!(matches!(&sliced, Chunk::Column(c) if c.base_oid() == 2));
+        let oids = Chunk::oids(vec![9, 8, 7]);
+        let sliced = oids.slice(1, 1).unwrap();
+        assert_eq!(sliced.to_output(), QueryOutput::Oids(vec![8]));
+        let join = Chunk::join(JoinResult { outer_oids: vec![1, 2], inner_oids: vec![3, 4] });
+        let sliced = join.slice(0, 1).unwrap();
+        assert_eq!(sliced.rows(), 1);
+        let scalar = Chunk::Scalar(ScalarValue::I64(1));
+        assert!(scalar.slice(0, 1).is_none());
+
+        // `start + len` past `usize::MAX` saturates to the tail on every
+        // positional kind instead of overflowing.
+        let col = Chunk::Column(Column::from_i64(vec![1, 2, 3]));
+        match &col.slice(1, usize::MAX).unwrap() {
+            Chunk::Column(c) => assert_eq!(c.i64_values().unwrap(), &[2, 3]),
+            other => panic!("unexpected {other:?}"),
+        }
+        let oids = Chunk::oids(vec![9, 8, 7]);
+        let sliced = oids.slice(1, usize::MAX).unwrap();
+        assert_eq!(sliced.to_output(), QueryOutput::Oids(vec![8, 7]));
+        let join = Chunk::join(JoinResult { outer_oids: vec![1, 2, 3], inner_oids: vec![4, 5, 6] });
+        match join.slice(1, usize::MAX).unwrap() {
+            Chunk::Join(v) => assert_eq!((v.outer(), v.inner()), (&[2, 3][..], &[5, 6][..])),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use super::run::{guarded_execute, RunContext};
 use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
-use crate::interpreter::{exchange_union, slice_part};
+use crate::interpreter::exchange_union;
 use crate::pipeline::{morsel_count, stream_input, Pipeline, PipelinePlan};
 use crate::plan::{OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
@@ -127,8 +127,8 @@ impl Tally {
 /// The shared state of a step cut into more than one morsel. A step run as
 /// one task needs none: it publishes straight from that task.
 struct Fanout {
-    /// Rows of the producer's chunk, which every cut range-aligned input
-    /// must match.
+    /// Rows the head stage reads of the producer's chunk (its edge's window
+    /// when it has one), which every cut range-aligned input must match.
     source_rows: usize,
     morsels: Mutex<Morsels>,
 }
@@ -140,8 +140,8 @@ struct Morsels {
     tally: Option<Tally>,
 }
 
-/// True for chunks addressed by row position, which `slice_part` can cut
-/// on a morsel grid.
+/// True for chunks addressed by row position, which [`Chunk::slice`] can
+/// cut on a morsel grid.
 fn is_positional(chunk: &Chunk) -> bool {
     matches!(chunk, Chunk::Column(_) | Chunk::Oids(_) | Chunk::Join(_))
 }
@@ -158,10 +158,16 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
         Task::new(Arc::clone(&state.run.handle), move |ctx| run_task(st, ctx, step, cut))
     };
     let pipeline = &state.graph.steps[step];
-    // Non-positional chunks (hash tables, scalars, partials) cannot be
-    // sliced; a pipeline over one still runs, as a single morsel.
-    let source_rows = match pipeline.producer.map(|p| state.run.input(pipeline.stages[0], p)) {
-        Some(Ok(source)) if is_positional(source) => source.rows(),
+    // The producer's chunk as the head stage streams it: windowed first when
+    // its edge has a window, then cut on the morsel grid. Non-positional
+    // chunks (hash tables, scalars, partials) cannot be sliced; a pipeline
+    // over one still runs, as a single morsel.
+    let source = pipeline.producer.map(|_| {
+        let head = state.run.plan.node(pipeline.stages[0])?;
+        state.run.input(pipeline.stages[0], stream_input(&head.spec, head.inputs.len()))
+    });
+    let source_rows = match source {
+        Some(Ok(source)) if is_positional(&source) => source.rows(),
         Some(Err(e)) => {
             state.run.fail(e);
             return true;
@@ -235,26 +241,26 @@ fn run_stages(
             _ => Vec::new(),
         };
         let mut inputs: Vec<Chunk> = Vec::with_capacity(node.inputs.len());
-        for (i, &input) in node.inputs.iter().enumerate() {
+        for i in 0..node.inputs.len() {
             if let Some(streamed) = out.take_if(|_| i == stream) {
                 inputs.push(streamed);
                 continue;
             }
-            let chunk = run.input(stage, input)?;
+            // Already cut to the edge's window, if it has one.
+            let chunk = run.input(stage, i)?;
             inputs.push(match cut {
                 // The streamed input is the producer's chunk. A
                 // range-aligned secondary input (Calc col⊗col, IfThenElse,
                 // GroupAgg values) zips positionally against the stream, so
-                // it is cut at the same window; the analyzer only fuses such
+                // it is cut at the same morsel; the analyzer only fuses such
                 // stages while nothing upstream has compacted the stream.
-                // Windows go through `slice_part`, which keeps absolute oids
-                // for columns and the `stream_base` alignment for streams
-                // (see `crate::chunk::Chunk::Oids`). A whole-length mismatch
-                // is reported as whole-node execution would report it,
-                // rather than zipping morsel-sized slices that happen to
-                // agree.
+                // `Chunk::slice` keeps absolute oids for columns and the
+                // `stream_base` alignment for streams (see
+                // `crate::chunk::Chunk::Oids`). A whole-length mismatch is
+                // reported as whole-node execution would report it, rather
+                // than zipping morsel-sized slices that happen to agree.
                 Some((fanout, morsel))
-                    if (i == stream || aligned.get(i) == Some(&true)) && is_positional(chunk) =>
+                    if (i == stream || aligned.get(i) == Some(&true)) && is_positional(&chunk) =>
                 {
                     if chunk.rows() != fanout.source_rows {
                         return Err(apq_operators::OperatorError::LengthMismatch {
@@ -263,9 +269,10 @@ fn run_stages(
                         }
                         .into());
                     }
-                    slice_part(input, chunk, morsel * state.morsel_rows, state.morsel_rows)?
+                    let start = morsel * state.morsel_rows;
+                    chunk.slice(start, state.morsel_rows).expect("a positional chunk slices")
                 }
-                _ => chunk.clone(),
+                _ => chunk,
             });
         }
         let started = Instant::now();
@@ -341,11 +348,10 @@ fn publish(
             return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
         }
     }
-    if let Some(producer) = pipeline.producer {
+    if pipeline.producer.is_some() {
         lock(&run.pipeline_profiles).push(PipelineProfile {
             nodes: pipeline.stages.clone(),
             n_morsels: tally.morsels_by_worker.iter().sum::<u64>() as usize,
-            source_rows: run.input(pipeline.stages[0], producer)?.rows(),
             morsels_by_worker: tally.morsels_by_worker,
             groupagg_fused: matches!(run.plan.node(terminal)?.spec, OperatorSpec::GroupAgg { .. }),
         });

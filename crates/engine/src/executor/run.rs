@@ -113,12 +113,23 @@ impl RunContext {
         self.results.get(node).and_then(OnceLock::get)
     }
 
-    /// The published chunk of `input`, which `consumer` depends on.
-    pub fn input(&self, consumer: NodeId, input: NodeId) -> Result<&Chunk> {
-        self.result(input).ok_or_else(|| {
+    /// What `consumer` reads on its input edge `index`: the producer's
+    /// published chunk, cut to the edge's window when it has one. This is
+    /// the one place a window is resolved, before any morsel cut, and the
+    /// cut is a zero-copy view ([`Chunk::slice`]).
+    pub fn input(&self, consumer: NodeId, index: usize) -> Result<Chunk> {
+        let node = self.plan.node(consumer)?;
+        let input = node.inputs[index];
+        let chunk = self.result(input).ok_or_else(|| {
             EngineError::InvalidPlan(format!(
                 "node {consumer} was scheduled before its input {input} completed"
             ))
+        })?;
+        let Some(w) = node.window(index) else { return Ok(chunk.clone()) };
+        chunk.slice(w.start, w.len()).ok_or_else(|| EngineError::InvalidInput {
+            node: consumer,
+            expected: "column, oids or join",
+            found: chunk.kind(),
         })
     }
 

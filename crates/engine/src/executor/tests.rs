@@ -277,7 +277,8 @@ fn morsel_mode_matches_operator_at_a_time() {
     assert_eq!(exec.profile.pipelines.len(), 1);
     let pipeline = &exec.profile.pipelines[0];
     assert_eq!(pipeline.n_morsels, 10);
-    assert_eq!(pipeline.source_rows, 10_000);
+    // Its producer, the scan of `a` (node 0), published all 10,000 rows.
+    assert_eq!(exec.profile.operator(0).unwrap().rows_out, 10_000);
     assert_eq!(exec.profile.total_morsels(), 10);
     assert_eq!(
         exec.profile.morsels_by_worker().iter().sum::<u64>(),

@@ -253,7 +253,10 @@ impl FaultInjector {
         self.delays.fetch_add(1, Ordering::Relaxed);
         let min = self.config.min_delay_us;
         let spread = self.config.max_delay_us.saturating_sub(min);
-        min + self.site_hash(FaultKind::Delay, query_id, node ^ 0x5D) % (spread + 1)
+        let draw = self.site_hash(FaultKind::Delay, query_id, node ^ 0x5D);
+        // A spread of `u64::MAX` has no `spread + 1`: the range is all of
+        // `u64` (so `min` is 0), and every draw already lies in it.
+        min + spread.checked_add(1).map_or(draw, |width| draw % width)
     }
 }
 
@@ -335,5 +338,23 @@ mod tests {
             }
         }
         assert_eq!(fixed.stats(), FaultStats { delays: 100, ..FaultStats::default() });
+    }
+
+    #[test]
+    fn a_delay_range_spanning_all_of_u64_draws_without_overflow() {
+        let cfg = FaultConfig {
+            delay_probability: 1.0,
+            min_delay_us: 0,
+            max_delay_us: u64::MAX,
+            ..FaultConfig::quiet(9)
+        };
+        let inj = FaultInjector::new(cfg);
+        let draws: Vec<u64> = (0..10)
+            .flat_map(|q| (0..10).map(move |n| (q, n)))
+            .map(|(q, n)| inj.operator_delay_us(q, n))
+            .collect();
+        // Every draw is in range by type; the hash spreads them far apart.
+        assert!(draws.iter().any(|&d| d > u64::from(u32::MAX)), "{draws:?}");
+        assert_eq!(inj.stats().delays, 100);
     }
 }

@@ -4,7 +4,8 @@
 //! \[that\] executes the scheduled operators" (§2). [`execute_node`] is that
 //! interpreter's body: it dispatches an [`OperatorSpec`] over the input
 //! [`Chunk`]s and materializes the output chunk. It is a pure function —
-//! all scheduling, profiling and threading lives in the executor.
+//! all scheduling, profiling and threading lives in the executor, which
+//! also cuts each input to its plan edge's row window before calling it.
 
 use std::sync::Arc;
 
@@ -72,13 +73,9 @@ pub fn execute_node(
 ) -> Result<Chunk> {
     match spec {
         OperatorSpec::ScanColumn { table, column, range } => {
-            let col = catalog.table(table)?.column(column)?;
-            let end = range.end.min(col.len());
-            let start = range.start.min(end);
-            Ok(Chunk::Column(col.slice(start, end - start)?))
+            let col = Chunk::Column(catalog.table(table)?.column(column)?.clone());
+            Ok(col.slice(range.start, range.len()).expect("a column slices"))
         }
-
-        OperatorSpec::SlicePart { start, len } => slice_part(node, &inputs[0], *start, *len),
 
         OperatorSpec::Select { predicate } => {
             let col = as_column(node, &inputs[0])?;
@@ -116,8 +113,8 @@ pub fn execute_node(
             // The fetched values are positionally aligned with the candidate
             // stream, so the output column starts at the oid view's stream
             // offset. This is what lets a position-emitting consumer (probe,
-            // select) be cloned over SlicePart partitions of a stream: each
-            // partition's fetch output knows where in the stream it sits.
+            // select) be cloned over windows of a stream: each window's
+            // fetch output knows where in the stream it sits.
             Ok(Chunk::Column(fetch(col, oids.as_slice())?.with_base_oid(oids.stream_base())))
         }
 
@@ -234,29 +231,6 @@ fn values_as_oids<T: Copy + Into<i64>>(node: NodeId, values: &[T]) -> Result<Vec
         .collect()
 }
 
-/// Positional slice of an intermediate chunk, clamped to the actual length
-/// (the boundary adjustment of paper Fig. 9 for dynamically sized partitions).
-///
-/// Also the morsel cutter of the morsel-driven execution mode
-/// (`crate::pipeline`), which makes this a hot-path function: all three
-/// positional kinds are windowed views, so a cut is pure window arithmetic —
-/// **zero heap allocations** (pinned by
-/// `crates/engine/tests/zero_alloc_views.rs`). Stream windows derive their
-/// `stream_base` offset from the cut position, so fused stages over a morsel
-/// emit correctly labelled stream positions.
-pub(crate) fn slice_part(node: NodeId, input: &Chunk, start: usize, len: usize) -> Result<Chunk> {
-    match input {
-        Chunk::Column(c) => {
-            let end = start.saturating_add(len).min(c.len());
-            let start = start.min(end);
-            Ok(Chunk::Column(c.slice(start, end - start)?))
-        }
-        Chunk::Oids(view) => Ok(Chunk::Oids(view.slice(start, len))),
-        Chunk::Join(view) => Ok(Chunk::Join(view.slice(start, len))),
-        other => Err(input_error(node, "column, oids or join", other)),
-    }
-}
-
 /// `out[i] = cond[i] ? then[i] : otherwise`.
 fn if_then_else(
     node: NodeId,
@@ -323,8 +297,8 @@ fn stream_order_check<T>(views: &[&T], base_len: impl Fn(&T) -> (Oid, usize)) ->
 ///
 /// Stream parts (oid lists, join results) take a **zero-copy fast path**
 /// when every part is the window immediately following its predecessor in
-/// one shared backing — the common case when `SlicePart` windows of one
-/// stream are recombined: the union is then just the parent window (an `Arc`
+/// one shared backing — the common case when the windows of one stream that
+/// a mutation's clones read are recombined: the union is then just the parent window (an `Arc`
 /// clone), no packing. Heterogeneous parts fall back to packing, borrowing
 /// each part's visible slice directly (one allocation total, no per-part
 /// intermediate clones).
@@ -756,44 +730,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sum.to_output(), crate::chunk::QueryOutput::Scalar(ScalarValue::I64(3)));
-    }
-
-    #[test]
-    fn slice_part_clamps() {
-        let cat = catalog();
-        let col = Chunk::Column(Column::from_i64(vec![1, 2, 3, 4, 5]));
-        let sliced =
-            execute_node(0, &OperatorSpec::SlicePart { start: 2, len: 10 }, &[col], &cat).unwrap();
-        assert_eq!(sliced.rows(), 3);
-        let oids = Chunk::oids(vec![9, 8, 7]);
-        let sliced =
-            execute_node(1, &OperatorSpec::SlicePart { start: 1, len: 1 }, &[oids], &cat).unwrap();
-        assert_eq!(sliced.to_output(), crate::chunk::QueryOutput::Oids(vec![8]));
-        let join = Chunk::join(JoinResult { outer_oids: vec![1, 2], inner_oids: vec![3, 4] });
-        let sliced =
-            execute_node(2, &OperatorSpec::SlicePart { start: 0, len: 1 }, &[join], &cat).unwrap();
-        assert_eq!(sliced.rows(), 1);
-        let scalar = Chunk::Scalar(ScalarValue::I64(1));
-        assert!(execute_node(3, &OperatorSpec::SlicePart { start: 0, len: 1 }, &[scalar], &cat)
-            .is_err());
-
-        // `start + len` past `usize::MAX` saturates to the tail on every
-        // positional kind instead of overflowing.
-        let tail = OperatorSpec::SlicePart { start: 1, len: usize::MAX };
-        let col = Chunk::Column(Column::from_i64(vec![1, 2, 3]));
-        let sliced = execute_node(4, &tail, &[col], &cat).unwrap();
-        match &sliced {
-            Chunk::Column(c) => assert_eq!(c.i64_values().unwrap(), &[2, 3]),
-            other => panic!("unexpected {other:?}"),
-        }
-        let oids = Chunk::oids(vec![9, 8, 7]);
-        let sliced = execute_node(5, &tail, &[oids], &cat).unwrap();
-        assert_eq!(sliced.to_output(), crate::chunk::QueryOutput::Oids(vec![8, 7]));
-        let join = Chunk::join(JoinResult { outer_oids: vec![1, 2, 3], inner_oids: vec![4, 5, 6] });
-        match execute_node(6, &tail, &[join], &cat).unwrap() {
-            Chunk::Join(v) => assert_eq!((v.outer(), v.inner()), (&[2, 3][..], &[5, 6][..])),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -81,6 +81,11 @@
 //!
 //! Either stage instead starts its own pipeline over the globally assembled
 //! chunk (see `numbers_its_input` / `has_aligned_second_input` below).
+//!
+//! A plan edge with a row window (a partition a mutation cut) addresses its
+//! producer's whole output, so it never links two stages of a chain: the
+//! consumer heads a pipeline over the published chunk, which the driver
+//! cuts to the window before it cuts morsels.
 //! Fusing a two-aligned-input stage also requires the shared input's whole
 //! row count to equal the producer's — the executor checks this once per
 //! morsel and reports the same `LengthMismatch` operator-at-a-time execution
@@ -276,8 +281,8 @@ impl PipelinePlan {
         let mut steps: Vec<Pipeline> = Vec::new();
 
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
-        // consumed exactly once, by c, as the input c streams, and c is a
-        // fusible stage — one a plan mutation may clone over range
+        // consumed exactly once, by c, whole (no window on the edge), as the
+        // input c streams, and c is a fusible stage — one a plan mutation may clone over range
         // partitions ([`OperatorSpec::is_parallelizable`]), since a morsel
         // is a range partition the driver cuts at run time. Once the chain
         // has passed a stream-creating stage (`stream_created`), a stage
@@ -291,7 +296,11 @@ impl PipelinePlan {
             let node = plan.node(*consumer).ok()?;
             let n_inputs = node.inputs.len();
             let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
-            if occurrences != 1 || node.inputs[stream_input(&node.spec, n_inputs)] != id {
+            let stream = stream_input(&node.spec, n_inputs);
+            // A window addresses its producer's whole output, so a stage
+            // reading one is never fed a predecessor's morsel: it heads a
+            // pipeline over the published chunk instead.
+            if occurrences != 1 || node.inputs[stream] != id || node.window(stream).is_some() {
                 return None;
             }
             if stream_created
@@ -312,8 +321,8 @@ impl PipelinePlan {
             // A pipeline head is a fusible stage that streams over the input
             // `stream_input` names, published by an earlier step
             // (topological order): a scan, a breaker or another pipeline's
-            // terminal. A stage that reads that input twice (`calc(x, x)`)
-            // runs whole instead.
+            // terminal — through the edge's window, when it has one. A stage
+            // that reads that input twice (`calc(x, x)`) runs whole instead.
             let stream = node.inputs.get(stream_input(&node.spec, node.inputs.len())).copied();
             let head = fuse
                 && node.spec.is_parallelizable()
@@ -587,32 +596,32 @@ mod tests {
     }
 
     #[test]
-    fn slice_part_never_joins_a_pipeline() {
-        // SlicePart's start/len address the whole input; fusing it under a
-        // morsel slice would re-slice relative coordinates.
+    fn windowed_edges_never_chain() {
+        // A window addresses its producer's whole output; chaining the
+        // consumer under a morsel would re-cut relative coordinates.
         let mut p = Plan::new();
         let a = p.add(scan("a", 100), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
-        let part = p.add(OperatorSpec::SlicePart { start: 10, len: 20 }, vec![sel]);
-        p.set_root(part);
+        let add_one = OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(1)),
+        };
+        let fetch =
+            p.add_edges(OperatorSpec::Fetch, [(sel, Some(RowRange::new(10, 30))), (a, None)]);
+        let calc = p.add(add_one.clone(), vec![fetch]);
+        p.set_root(calc);
         let fused = analyze(&p);
-        assert_eq!(fused.steps[fused.step_of[part].unwrap()], whole(part));
-        // But a fusible consumer of the SlicePart streams its chunk.
+        assert_eq!(fused.steps[fused.step_of[sel].unwrap()], streams(a, &[sel]));
+        assert_eq!(fused.steps[fused.step_of[fetch].unwrap()], streams(sel, &[fetch, calc]));
+        // But a fusible stage streams its producer's chunk through a window.
         let mut p2 = Plan::new();
         let a = p2.add(scan("a", 100), vec![]);
-        let part = p2.add(OperatorSpec::SlicePart { start: 10, len: 20 }, vec![a]);
-        let calc = p2.add(
-            OperatorSpec::Calc {
-                op: BinaryOp::Add,
-                left_scalar: None,
-                right_scalar: Some(ScalarValue::I64(1)),
-            },
-            vec![part],
-        );
+        let calc = p2.add_edges(add_one, [(a, Some(RowRange::new(10, 30)))]);
         p2.set_root(calc);
         let fused2 = analyze(&p2);
-        assert_eq!(fused2.steps[fused2.step_of[calc].unwrap()], streams(part, &[calc]));
+        assert_eq!(fused2.steps[fused2.step_of[calc].unwrap()], streams(a, &[calc]));
     }
 
     #[test]

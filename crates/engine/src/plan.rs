@@ -1,13 +1,15 @@
 //! Dataflow plan representation.
 //!
 //! A [`Plan`] is a DAG of [`PlanNode`]s, each holding an [`OperatorSpec`] and
-//! the ids of its input nodes. This mirrors the property the paper requires
-//! of a host system: "its plan representation allows identification of
-//! individual expensive operators" (§2). The adaptive parallelizer (crate
-//! `apq-core`) morphs plans by cloning nodes over partitions and rewiring
-//! edges; everything it needs — consumer lookup, node insertion/removal,
-//! per-operator metadata such as which inputs are range-partitionable — lives
-//! here.
+//! its input edges: the ids of its producer nodes, each with an optional row
+//! window. This mirrors the property the paper requires of a host system:
+//! "its plan representation allows identification of individual expensive
+//! operators" (§2). The adaptive parallelizer (crate `apq-core`) morphs
+//! plans by cloning nodes over partitions and rewiring edges; everything it
+//! needs — consumer lookup, node insertion/removal, per-operator metadata
+//! such as which inputs are range-partitionable — lives here. A partition is
+//! a window on the edge that reads it, not a node: "creating slices involves
+//! marking the boundary ranges … there is no data copying involved" (§2.3).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -41,18 +43,6 @@ pub enum OperatorSpec {
         column: String,
         /// Row range of the slice (oid range).
         range: RowRange,
-    },
-    /// Positional slice of an intermediate (column, oid list or join result).
-    ///
-    /// Introduced by plan mutation when the partitionable input of an
-    /// expensive operator is itself an intermediate. The slice is clamped to
-    /// the actual intermediate length at runtime (boundary adjustment of
-    /// paper Fig. 9).
-    SlicePart {
-        /// First row of the slice.
-        start: usize,
-        /// Length of the slice.
-        len: usize,
     },
     /// Predicate selection producing a candidate oid list. Optional second
     /// input: a previous candidate list to refine.
@@ -136,7 +126,6 @@ impl OperatorSpec {
     pub fn name(&self) -> &'static str {
         match self {
             OperatorSpec::ScanColumn { .. } => "scan",
-            OperatorSpec::SlicePart { .. } => "slice",
             OperatorSpec::Select { .. } => "select",
             OperatorSpec::PredMask { .. } => "predmask",
             OperatorSpec::IfThenElse { .. } => "ifthenelse",
@@ -161,8 +150,7 @@ impl OperatorSpec {
     pub fn arity(&self) -> (usize, usize) {
         match self {
             OperatorSpec::ScanColumn { .. } => (0, 0),
-            OperatorSpec::SlicePart { .. }
-            | OperatorSpec::PredMask { .. }
+            OperatorSpec::PredMask { .. }
             | OperatorSpec::HashBuild
             | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
@@ -182,8 +170,8 @@ impl OperatorSpec {
 
     /// Which of the node's inputs are *range partitionable together*
     /// (aligned): when the operator is cloned over a partition, every aligned
-    /// input is sliced to the same row range while the others (hash tables,
-    /// full columns being fetched into, candidate lists) are shared.
+    /// input edge is windowed to the same row range while the others (hash
+    /// tables, full columns being fetched into, candidate lists) are shared.
     pub fn aligned_inputs(&self, n_inputs: usize) -> Vec<bool> {
         let pattern: &[bool] = match self {
             OperatorSpec::Select { .. } => &[true, false],
@@ -192,8 +180,7 @@ impl OperatorSpec {
             | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
-            | OperatorSpec::ScalarAgg { .. }
-            | OperatorSpec::SlicePart { .. } => &[true],
+            | OperatorSpec::ScalarAgg { .. } => &[true],
             OperatorSpec::IfThenElse { .. }
             | OperatorSpec::Calc { .. }
             | OperatorSpec::GroupAgg { .. } => &[true, true],
@@ -229,7 +216,6 @@ impl OperatorSpec {
             | OperatorSpec::ScalarAgg { .. }
             | OperatorSpec::GroupAgg { .. } => true,
             OperatorSpec::ScanColumn { .. }
-            | OperatorSpec::SlicePart { .. }
             | OperatorSpec::HashBuild
             | OperatorSpec::KeySet
             | OperatorSpec::FinalizeAgg { .. }
@@ -254,7 +240,6 @@ impl OperatorSpec {
             OperatorSpec::ScanColumn { table, column, range } => {
                 format!("{table}.{column}[{}, {})", range.start, range.end)
             }
-            OperatorSpec::SlicePart { start, len } => format!("[{start}, {})", start + len),
             OperatorSpec::Select { predicate } | OperatorSpec::PredMask { predicate } => {
                 predicate.describe()
             }
@@ -283,6 +268,22 @@ pub struct PlanNode {
     pub spec: OperatorSpec,
     /// Ids of the producer nodes whose outputs feed this node, in order.
     pub inputs: Vec<NodeId>,
+    /// One row window per input, in the same order: `Some(range)` reads rows
+    /// `[range.start, range.end)` of that producer's output, clamped to its
+    /// length; `None` reads the whole output.
+    pub windows: Vec<Option<RowRange>>,
+}
+
+impl PlanNode {
+    /// The window on input edge `index` (`None` for a whole-output edge).
+    pub fn window(&self, index: usize) -> Option<RowRange> {
+        self.windows.get(index).copied().flatten()
+    }
+
+    /// The input edges in order: each producer with its window.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, Option<RowRange>)> + '_ {
+        self.inputs.iter().enumerate().map(|(i, &input)| (input, self.window(i)))
+    }
 }
 
 /// A dataflow plan: a DAG of operator nodes with a single result node.
@@ -298,11 +299,21 @@ impl Plan {
         Plan::default()
     }
 
-    /// Adds a node and returns its id.
+    /// Adds a node reading the whole output of each input and returns its id.
     pub fn add(&mut self, spec: OperatorSpec, inputs: Vec<NodeId>) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(Some(PlanNode { spec, inputs }));
-        id
+        self.add_edges(spec, inputs.into_iter().map(|input| (input, None)))
+    }
+
+    /// Adds a node over `edges` — each producer with its row window — and
+    /// returns its id.
+    pub fn add_edges(
+        &mut self,
+        spec: OperatorSpec,
+        edges: impl IntoIterator<Item = (NodeId, Option<RowRange>)>,
+    ) -> NodeId {
+        let (inputs, windows) = edges.into_iter().unzip();
+        self.nodes.push(Some(PlanNode { spec, inputs, windows }));
+        self.nodes.len() - 1
     }
 
     /// Marks `id` as the plan's result node.
@@ -369,7 +380,8 @@ impl Plan {
             .collect()
     }
 
-    /// Replaces every occurrence of `old` in `node`'s input list with `new`.
+    /// Replaces every occurrence of `old` in `node`'s input list with `new`;
+    /// each edge keeps its window.
     pub fn replace_input(&mut self, node: NodeId, old: NodeId, new: NodeId) -> Result<()> {
         let n = self.node_mut(node)?;
         for input in n.inputs.iter_mut() {
@@ -380,19 +392,34 @@ impl Plan {
         Ok(())
     }
 
-    /// Replaces the single occurrence of `old` in `node`'s inputs with the
-    /// sequence `new` (used when a union input is replaced by two clones).
-    pub fn splice_input(&mut self, node: NodeId, old: NodeId, new: &[NodeId]) -> Result<()> {
+    /// Replaces the first occurrence of `old` in `node`'s inputs with the
+    /// edges `new`, each with its own window (used when a union input is
+    /// replaced by two clones). The replaced edge must read `old` whole: the
+    /// parts of a window are not windows of the parts.
+    pub fn splice_input(
+        &mut self,
+        node: NodeId,
+        old: NodeId,
+        new: impl IntoIterator<Item = (NodeId, Option<RowRange>)>,
+    ) -> Result<()> {
         let n = self.node_mut(node)?;
         let pos = n.inputs.iter().position(|&i| i == old).ok_or_else(|| {
             EngineError::InvalidPlan(format!("node {node} does not consume node {old}"))
         })?;
-        n.inputs.splice(pos..=pos, new.iter().copied());
+        if n.window(pos).is_some() {
+            return Err(EngineError::InvalidPlan(format!(
+                "node {node} reads a window of node {old}, which cannot be spliced"
+            )));
+        }
+        let (inputs, windows): (Vec<_>, Vec<_>) = new.into_iter().unzip();
+        n.inputs.splice(pos..=pos, inputs);
+        n.windows.splice(pos..=pos, windows);
         Ok(())
     }
 
     /// Canonical structural signature of the plan: every live node's full
-    /// operator spec and input wiring plus the root marker, in id order.
+    /// operator spec and input edges (windows included) plus the root
+    /// marker, in id order.
     /// Plans that build the same DAG the same way produce equal signatures;
     /// the encoding includes every operator parameter (predicate constants,
     /// scan ranges), so "same shape, different constants" never collides.
@@ -402,7 +429,7 @@ impl Plan {
         let mut out = String::new();
         for id in self.node_ids() {
             let node = self.node(id).expect("live node");
-            let _ = write!(out, "{id}:{:?}<-{:?};", node.spec, node.inputs);
+            let _ = write!(out, "{id}:{:?}<-{};", node.spec, Edges(node));
         }
         let _ = write!(out, "root={:?}", self.root);
         out
@@ -477,9 +504,9 @@ impl Plan {
         Ok(order)
     }
 
-    /// Structural validation: root set and live, inputs live, arities valid,
-    /// no `HashProbe` over a `KeySet` (a key set may have no rows to pair),
-    /// DAG acyclic.
+    /// Structural validation: root set and live, inputs live, one window
+    /// per input and none inverted, arities valid, no `HashProbe` over a
+    /// `KeySet` (a key set may have no rows to pair), DAG acyclic.
     pub fn validate(&self) -> Result<()> {
         let root =
             self.root.ok_or_else(|| EngineError::InvalidPlan("plan has no root".to_string()))?;
@@ -503,6 +530,14 @@ impl Plan {
                         "node {id} references missing node {input}"
                     )));
                 }
+            }
+            let inverted = node.windows.iter().flatten().any(|w| w.start > w.end);
+            if inverted || node.windows.len() != node.inputs.len() {
+                let windows = &node.windows;
+                let n = node.inputs.len();
+                return Err(EngineError::InvalidPlan(format!(
+                    "node {id} has windows {windows:?} for {n} inputs"
+                )));
             }
             if let (OperatorSpec::HashProbe, Some(&table)) = (&node.spec, node.inputs.get(1)) {
                 if self.node(table)?.spec == OperatorSpec::KeySet {
@@ -528,13 +563,32 @@ impl Plan {
             let marker = if Some(id) == self.root { "*" } else { " " };
             let _ = writeln!(
                 out,
-                "{marker}[{id:>3}] {:<12} {:<28} <- {:?}",
+                "{marker}[{id:>3}] {:<12} {:<28} <- {}",
                 node.spec.name(),
                 node.spec.describe(),
-                node.inputs
+                Edges(node)
             );
         }
         out
+    }
+}
+
+/// A node's input edges, shown as `[3, 5[0, 10)]`: each producer id,
+/// followed by its window when it has one. Written in place, since every
+/// service submission computes a [`Plan::signature`].
+struct Edges<'a>(&'a PlanNode);
+
+impl std::fmt::Display for Edges<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("[")?;
+        for (i, (input, window)) in self.0.edges().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{input}")?;
+            if let Some(w) = window {
+                write!(f, "[{}, {})", w.start, w.end)?;
+            }
+        }
+        f.write_str("]")
     }
 }
 
@@ -606,9 +660,76 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         let s4 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        p.splice_input(u, s2, &[s3, s4]).unwrap();
+        p.splice_input(u, s2, [(s3, None), (s4, None)]).unwrap();
         assert_eq!(p.node(u).unwrap().inputs, vec![s1, s3, s4]);
-        assert!(p.splice_input(u, 999, &[s1]).is_err());
+        assert!(p.splice_input(u, 999, [(s1, None)]).is_err());
+    }
+
+    #[test]
+    fn edges_carry_windows_through_rewiring() {
+        let mut p = Plan::new();
+        let a = p.add(scan("t", "a", 10), vec![]);
+        let sel =
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
+        let head = Some(RowRange::new(0, 4));
+        let tail = Some(RowRange::new(4, 10));
+        let u = p.add_edges(OperatorSpec::ExchangeUnion, [(sel, head), (sel, tail)]);
+        p.set_root(u);
+        p.validate().unwrap();
+        let node = p.node(u).unwrap();
+        assert_eq!(node.inputs, vec![sel, sel]);
+        assert_eq!(node.edges().collect::<Vec<_>>(), vec![(sel, head), (sel, tail)]);
+        assert_eq!(node.window(2), None);
+        assert_eq!(p.consumers(sel), vec![u]);
+
+        // The windows are part of the plan's identity and its dump.
+        let whole = {
+            let mut w = p.clone();
+            w.node_mut(u).unwrap().windows = vec![None, None];
+            w
+        };
+        assert_ne!(p.signature(), whole.signature());
+        assert!(p.pretty().contains(&format!("[{sel}[0, 4), {sel}[4, 10)]")), "{}", p.pretty());
+        assert!(whole.pretty().contains(&format!("[{sel}, {sel}]")), "{}", whole.pretty());
+
+        // A new producer keeps each edge's window; a windowed edge cannot be
+        // spliced, a whole one takes the new edges with theirs.
+        let sel2 =
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![a]);
+        p.replace_input(u, sel, sel2).unwrap();
+        assert_eq!(
+            p.node(u).unwrap().edges().collect::<Vec<_>>(),
+            vec![(sel2, head), (sel2, tail)]
+        );
+        assert!(p.splice_input(u, sel2, [(sel, None)]).is_err());
+        let outer = p.add(OperatorSpec::ExchangeUnion, vec![u, a]);
+        p.splice_input(outer, u, [(sel2, head), (sel, None)]).unwrap();
+        assert_eq!(
+            p.node(outer).unwrap().edges().collect::<Vec<_>>(),
+            vec![(sel2, head), (sel, None), (a, None)]
+        );
+    }
+
+    #[test]
+    fn validation_checks_windows() {
+        let mut p = Plan::new();
+        let a = p.add(scan("t", "a", 10), vec![]);
+        let sel = p.add_edges(
+            OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) },
+            [(a, Some(RowRange::new(2, 8)))],
+        );
+        p.set_root(sel);
+        p.validate().unwrap();
+        p.node_mut(sel).unwrap().windows.push(None);
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains(&format!("node {sel} has windows [Some(")), "{err}");
+        assert!(err.ends_with(", None] for 1 inputs"), "{err}");
+        p.node_mut(sel).unwrap().windows = vec![Some(RowRange { start: 8, end: 2 })];
+        let err = p.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("windows [Some(RowRange { start: 8, end: 2 })] for 1 inputs"),
+            "{err}"
+        );
     }
 
     /// The quadratic body `Plan::topo_order` replaced (one `consumers` scan
@@ -710,6 +831,7 @@ mod tests {
         rewired.remove(1).unwrap();
         let mut cyclic = tiny_plan();
         cyclic.node_mut(0).unwrap().inputs.push(5);
+        cyclic.node_mut(0).unwrap().windows.push(None);
         let mut dangling = tiny_plan();
         dangling.remove(2).unwrap();
         for plan in [tiny_plan(), rewired, wide, cyclic, dangling, Plan::new()] {
@@ -731,6 +853,7 @@ mod tests {
         // Introduce a cycle.
         let mut bad = p.clone();
         bad.node_mut(0).unwrap().inputs.push(5);
+        bad.node_mut(0).unwrap().windows.push(None);
         assert!(bad.topo_order().is_err());
         assert!(bad.validate().is_err());
     }

@@ -107,8 +107,6 @@ pub struct PipelineProfile {
     /// Number of morsels the producer's chunk was cut into (≥ 1; empty
     /// inputs still run one morsel).
     pub n_morsels: usize,
-    /// Rows of the producer's published chunk.
-    pub source_rows: usize,
     /// Morsels executed per worker, indexed by worker id — the locality
     /// signal of the work-stealing comparison (fig19's morsel counters).
     pub morsels_by_worker: Vec<u64>,
@@ -327,7 +325,7 @@ fn family_char(name: &str) -> char {
         "fetch" | "projectside" => 'F',
         "calc" | "ifthenelse" | "calcscalar" => 'C',
         "aggregate" | "groupby" | "finalizeagg" => 'A',
-        "scan" | "slice" => 's',
+        "scan" => 's',
         _ => 'o',
     }
 }
@@ -420,7 +418,6 @@ mod tests {
             pipelines: vec![PipelineProfile {
                 nodes: vec![0, 1],
                 n_morsels: 4,
-                source_rows: 4096,
                 morsels_by_worker: vec![3, 1],
                 groupagg_fused: false,
             }],
@@ -439,14 +436,12 @@ mod tests {
             PipelineProfile {
                 nodes: vec![0, 1],
                 n_morsels: 3,
-                source_rows: 2500,
                 morsels_by_worker: vec![2, 1, 0, 0],
                 groupagg_fused: false,
             },
             PipelineProfile {
                 nodes: vec![2],
                 n_morsels: 2,
-                source_rows: 1100,
                 morsels_by_worker: vec![0, 1, 1, 0],
                 groupagg_fused: true,
             },

@@ -3,19 +3,20 @@
 //! Morsel-driven execution cuts pipeline inputs at fixed row counts, so the
 //! dangerous inputs are the ones whose sizes do *not* divide evenly: the
 //! last morsel is short, single-morsel pipelines take the no-slice fast
-//! path, and stream partitions (`SlicePart`) start at offsets that are not
-//! multiples of the morsel size. Every case must produce byte-identical
-//! results to operator-at-a-time execution — including the `stream_base`
-//! candidate-stream alignment invariant fixed in PR 1: a pipeline fusing
-//! `fetch → probe` over a partition of a candidate stream must label its
-//! outputs with absolute stream positions, not morsel-local ones.
+//! path, and stream partitions (row windows on the edges that read a
+//! stream) start at offsets that are not multiples of the morsel size. Every
+//! case must produce byte-identical results to operator-at-a-time
+//! execution — including the `stream_base` candidate-stream alignment
+//! invariant fixed in PR 1: a pipeline fusing `fetch → probe` over a
+//! partition of a candidate stream must label its outputs with absolute
+//! stream positions, not morsel-local ones.
 
 use std::sync::Arc;
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
-use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
+use apq_engine::{Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
@@ -61,8 +62,8 @@ fn grouped_sum_plan(rows: usize) -> Plan {
     p
 }
 
-/// The PR-1 stream-alignment shape: a hash probe cloned over `SlicePart`
-/// partitions of a candidate stream, cut at `k`.
+/// The PR-1 stream-alignment shape: a hash probe cloned over windows of a
+/// candidate stream, cut at `k`.
 fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
     let full = RowRange::new(0, rows);
@@ -96,10 +97,10 @@ fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
             p.add(OperatorSpec::HashProbe, vec![fk_stream, hash])
         }
         Some(k) => {
-            let cands1 = p.add(OperatorSpec::SlicePart { start: 0, len: k }, vec![cands]);
-            let cands2 = p.add(OperatorSpec::SlicePart { start: k, len: rows }, vec![cands]);
-            let fk1 = p.add(OperatorSpec::Fetch, vec![cands1, fk_col]);
-            let fk2 = p.add(OperatorSpec::Fetch, vec![cands2, fk_col]);
+            let head = Some(RowRange::new(0, k));
+            let tail = Some(RowRange::new(k, k + rows));
+            let fk1 = p.add_edges(OperatorSpec::Fetch, [(cands, head), (fk_col, None)]);
+            let fk2 = p.add_edges(OperatorSpec::Fetch, [(cands, tail), (fk_col, None)]);
             let j1 = p.add(OperatorSpec::HashProbe, vec![fk1, hash]);
             let j2 = p.add(OperatorSpec::HashProbe, vec![fk2, hash]);
             p.add(OperatorSpec::ExchangeUnion, vec![j1, j2])
@@ -127,11 +128,14 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
         let engine = morsel_engine(morsel_rows);
         let exec = engine.execute(&plan, &cat).unwrap();
         assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
-        // The fan-out covered every source row.
+        // The fan-out covered every source row. Each pipeline's head (the
+        // select or a fetch) streams its first input.
         for pipeline in &exec.profile.pipelines {
+            let producer = plan.node(pipeline.nodes[0]).unwrap().inputs[0];
+            let source_rows = exec.profile.operator(producer).unwrap().rows_out;
             assert_eq!(
                 pipeline.n_morsels,
-                pipeline.source_rows.div_ceil(morsel_rows).max(1),
+                source_rows.div_ceil(morsel_rows).max(1),
                 "morsel_rows {morsel_rows}: wrong fan-out"
             );
         }
@@ -179,9 +183,9 @@ fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
         panic!("one pipeline expected: {:?}", exec.profile.pipelines)
     };
     assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
-    assert_eq!(pipeline.source_rows, 7_000);
     assert_eq!(pipeline.n_morsels, 7);
     assert_eq!(exec.profile.total_morsels(), 7);
+    // Its producer, the scan, published the clamped 7,000 rows.
     assert_eq!(exec.profile.operator(m).unwrap().rows_out, 7_000);
     let mut profiled: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     profiled.sort_unstable();
@@ -190,8 +194,8 @@ fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
 
 #[test]
 fn stream_partitions_keep_alignment_under_morsel_execution() {
-    // SlicePart partitions of a candidate stream start at offsets that are
-    // not multiples of the morsel size; the fused fetch → probe chains over
+    // Windows of a candidate stream start at offsets that are not
+    // multiples of the morsel size; the fused fetch → probe chains over
     // each partition must emit absolute stream positions (stream_base).
     let rows = 4_000;
     let cat = catalog(rows);
@@ -319,10 +323,11 @@ fn select(p: &mut Plan, inputs: Vec<usize>, predicate: Predicate) -> usize {
 
 /// Runs `plan` operator-at-a-time and under every morsel size, asserting the
 /// same output, and that `stages` ran as one pipeline whose morsels covered
-/// its producer. Returns the reference output.
+/// `producer`, the chunk its head streams. Returns the reference output.
 fn assert_streams_as_one_pipeline(
     cat: &Arc<Catalog>,
     plan: &Plan,
+    producer: usize,
     stages: &[usize],
     morsel_sizes: &[usize],
 ) -> QueryOutput {
@@ -337,7 +342,8 @@ fn assert_streams_as_one_pipeline(
             .find(|p| p.nodes.first() == stages.first())
             .unwrap_or_else(|| panic!("no pipeline starts at {:?}", stages.first()));
         assert_eq!(pipeline.nodes, stages, "morsel_rows {morsel_rows}");
-        assert_eq!(pipeline.n_morsels, pipeline.source_rows.div_ceil(morsel_rows).max(1));
+        let source_rows = exec.profile.operator(producer).unwrap().rows_out;
+        assert_eq!(pipeline.n_morsels, source_rows.div_ceil(morsel_rows).max(1));
     }
     expected
 }
@@ -361,7 +367,7 @@ fn refining_selects_stream_candidates_past_empty_morsels() {
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     p.set_root(fin);
     let chain = [low, in_grp, keyed, fetched, agg];
-    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[7, 100, 777, 4_096]);
+    let expected = assert_streams_as_one_pipeline(&cat, &p, measure, &chain, &[7, 100, 777, 4_096]);
     let by_hand: i64 = (0..rows as i64)
         .filter(|v| v % 1000 < 100 && (v * 7) % 5 < 4 && (v * 13) % 50 >= 10)
         .map(|v| v % 1000)
@@ -396,7 +402,7 @@ fn refining_select_candidates_may_name_rows_of_any_morsel() {
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     p.set_root(fin);
     let chain = [join, dim_side, odd, keys, agg];
-    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[13, 100, 1_000]);
+    let expected = assert_streams_as_one_pipeline(&cat, &p, fk, &chain, &[13, 100, 1_000]);
     let by_hand: i64 =
         (0..rows as i64).map(|v| (v * 13) % 50).filter(|k| [1, 3, 5, 13, 19].contains(k)).sum();
     assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
@@ -424,7 +430,8 @@ fn a_refining_select_over_an_intermediate_column_keeps_stream_positions() {
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     p.set_root(fin);
     let chain = [cheap, keyed, picked, agg];
-    let expected = assert_streams_as_one_pipeline(&cat, &p, &chain, &[7, 64, 999, 4_096]);
+    let expected =
+        assert_streams_as_one_pipeline(&cat, &p, measure_f, &chain, &[7, 64, 999, 4_096]);
     let by_hand: i64 = (0..rows as i64)
         .filter(|v| (v * 7) % 5 < 4 && v % 1000 < 500 && (v * 13) % 50 >= 25)
         .map(|v| v % 1000)
@@ -451,5 +458,22 @@ fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
     for engine in [Engine::with_workers(3), morsel_engine(100)] {
         let err = engine.execute(&p, &cat).unwrap_err().to_string();
         assert!(err.starts_with(&refusal), "{err}");
+    }
+}
+
+#[test]
+fn a_window_on_a_hash_table_fails_the_query_under_both_plannings() {
+    let cat = catalog(100);
+    let mut p = Plan::new();
+    let keys = fact_scan(&mut p, "grp", 10);
+    let table = p.add(OperatorSpec::HashBuild, vec![keys]);
+    let outer = fact_scan(&mut p, "fk", 100);
+    let window = Some(RowRange::new(0, 1));
+    let semi = p.add_edges(OperatorSpec::SemiJoin, [(outer, None), (table, window)]);
+    p.set_root(semi);
+    for engine in [Engine::with_workers(3), morsel_engine(10)] {
+        let err = engine.execute(&p, &cat).unwrap_err();
+        let expected = "column, oids or join";
+        assert_eq!(err, EngineError::InvalidInput { node: semi, expected, found: "hash" });
     }
 }

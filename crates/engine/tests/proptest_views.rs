@@ -1,14 +1,15 @@
 //! Property tests for windowed stream views: random nested
-//! `SlicePart` / `ExchangeUnion` sequences over candidate and join streams —
+//! `Chunk::slice` / `ExchangeUnion` sequences over candidate and join streams —
 //! odd offsets, empty windows, non-divisible morsel sizes, fresh-backing
 //! parts mixed into unions — must match a materializing reference
 //! implementation exactly, including the derived `stream_base` labels.
 //!
 //! The reference keeps a plain `Vec` plus an explicit stream offset and
 //! re-materializes on every cut (what the engine did before the view
-//! rewrite); the engine path goes through `execute_node`, exercising the
-//! zero-copy window arithmetic, the contiguous-windows union fast path and
-//! the borrowed-slice fallback pack.
+//! rewrite); the engine path cuts with `Chunk::slice`, as the executor does
+//! for plan-edge windows and morsels, and unions through `execute_node`,
+//! exercising the zero-copy window arithmetic, the contiguous-windows union
+//! fast path and the borrowed-slice fallback pack.
 
 use apq_columnar::{Catalog, Oid};
 use apq_engine::interpreter::execute_node;
@@ -38,9 +39,8 @@ impl RefStream {
     }
 }
 
-fn slice_chunk(cat: &Catalog, chunk: &Chunk, start: usize, len: usize) -> Chunk {
-    execute_node(0, &OperatorSpec::SlicePart { start, len }, std::slice::from_ref(chunk), cat)
-        .unwrap()
+fn slice_chunk(chunk: &Chunk, start: usize, len: usize) -> Chunk {
+    chunk.slice(start, len).unwrap()
 }
 
 fn union_chunks(cat: &Catalog, parts: &[Chunk]) -> Chunk {
@@ -69,12 +69,12 @@ fn assert_matches(chunk: &Chunk, reference: &RefStream) {
 /// last part ragged), optionally re-materializing every odd part into fresh
 /// backing at the correct stream offset — which forces the union's fallback
 /// pack path instead of the widening fast path.
-fn grid_parts(cat: &Catalog, chunk: &Chunk, morsel: usize, rematerialize_odd: bool) -> Vec<Chunk> {
+fn grid_parts(chunk: &Chunk, morsel: usize, rematerialize_odd: bool) -> Vec<Chunk> {
     let rows = chunk.rows();
     let n = rows.div_ceil(morsel).max(1);
     (0..n)
         .map(|i| {
-            let part = slice_chunk(cat, chunk, i * morsel, morsel);
+            let part = slice_chunk(chunk, i * morsel, morsel);
             if rematerialize_odd && i % 2 == 1 {
                 match &part {
                     Chunk::Oids(v) => Chunk::oids_at(v.as_slice().to_vec(), v.stream_base()),
@@ -127,7 +127,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 // past the end (clamping must agree with the reference).
                 0 => {
                     let start = if rows == 0 { a } else { a % (rows + 3) };
-                    *chunk = slice_chunk(&cat, chunk, start, b);
+                    *chunk = slice_chunk(chunk, start, b);
                     *reference = reference.slice(start, b);
                 }
                 // Morsel-grid split + union round-trip: all parts are
@@ -135,7 +135,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 // parent window (same backing) and the identical value.
                 1 => {
                     let morsel = (a % (rows + 2)).max(1);
-                    let parts = grid_parts(&cat, chunk, morsel, false);
+                    let parts = grid_parts(chunk, morsel, false);
                     let reunited = union_chunks(&cat, &parts);
                     match (&reunited, &*chunk) {
                         (Chunk::Oids(u), Chunk::Oids(c)) => {
@@ -154,7 +154,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 // stayed windowed because there was only one).
                 _ => {
                     let morsel = (b % (rows + 2)).max(1);
-                    let parts = grid_parts(&cat, chunk, morsel, true);
+                    let parts = grid_parts(chunk, morsel, true);
                     *chunk = union_chunks(&cat, &parts);
                 }
             }
@@ -181,9 +181,8 @@ fn empty_stream_round_trips() {
     // Degenerate shapes outside the sampled space: zero-length streams and
     // windows entirely past the end.
     drive(0, &[(0, 5, 9, 1), (1, 3, 0, 2), (2, 0, 4, 3)]);
-    let cat = Catalog::new();
     let chunk = Chunk::oids(vec![1, 2, 3]);
-    let empty = slice_chunk(&cat, &chunk, 50, 10);
+    let empty = slice_chunk(&chunk, 50, 10);
     assert_eq!(empty.rows(), 0);
     assert_eq!(empty.as_oids_view().unwrap().stream_base(), 3);
 }

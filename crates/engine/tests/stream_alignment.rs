@@ -1,9 +1,9 @@
 //! Regression test for candidate-stream alignment under plan mutation.
 //!
 //! The adaptive optimizer's medium mutation may clone a position-emitting
-//! consumer (a hash probe) over `SlicePart` partitions of a *candidate
-//! stream* (a fetch output ordered by an oid list rather than by base-table
-//! position). The seed engine forgot each partition's offset within the
+//! consumer (a hash probe) over windows of a *candidate stream* (a fetch
+//! output ordered by an oid list rather than by base-table position), each
+//! read through a row window on the edge. The seed engine forgot each partition's offset within the
 //! stream: the cloned probe on partition 2 emitted outer oids starting at 0
 //! instead of at the partition boundary, so downstream fetches paired rows
 //! from the wrong partition — group sums silently redistributed across
@@ -93,19 +93,19 @@ fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) 
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
     // Probe the fk stream — whole, or cloned over two partitions of the
-    // *candidate list* (the exact shape the medium mutation produces: the
-    // oid list is sliced first, each partition fetched separately, and the
-    // probe cloned per partition).
+    // *candidate list* (the exact shape the medium mutation produces: each
+    // partition of the oid list is a window on a fetch's edge, and the probe
+    // is cloned per partition).
     let join_union = match split {
         None => {
             let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
             p.add(OperatorSpec::HashProbe, vec![fk_stream, hash])
         }
         Some(k) => {
-            let cands1 = p.add(OperatorSpec::SlicePart { start: 0, len: k }, vec![cands]);
-            let cands2 = p.add(OperatorSpec::SlicePart { start: k, len: rows }, vec![cands]);
-            let fk1 = p.add(OperatorSpec::Fetch, vec![cands1, fk_col]);
-            let fk2 = p.add(OperatorSpec::Fetch, vec![cands2, fk_col]);
+            let head = Some(RowRange::new(0, k));
+            let tail = Some(RowRange::new(k, k + rows));
+            let fk1 = p.add_edges(OperatorSpec::Fetch, [(cands, head), (fk_col, None)]);
+            let fk2 = p.add_edges(OperatorSpec::Fetch, [(cands, tail), (fk_col, None)]);
             let j1 = p.add(OperatorSpec::HashProbe, vec![fk1, hash]);
             let j2 = p.add(OperatorSpec::HashProbe, vec![fk2, hash]);
             p.add(OperatorSpec::ExchangeUnion, vec![j1, j2])
@@ -201,9 +201,9 @@ fn sliced_join_results_keep_their_stream_offset() {
     );
     let mut partials = Vec::new();
     for (start, len) in [(0, 123), (123, rows)] {
-        let window = split.add(OperatorSpec::SlicePart { start, len }, vec![join]);
-        let outer =
-            split.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![window]);
+        let window = Some(RowRange::new(start, start + len));
+        let outer = split
+            .add_edges(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, [(join, window)]);
         let fetched = split.add(OperatorSpec::Fetch, vec![outer, measure]);
         partials.push(split.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]));
     }
@@ -255,8 +255,8 @@ fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usiz
             let parts: Vec<_> = [(0, k), (k, rows)]
                 .into_iter()
                 .map(|(start, len)| {
-                    let part = p.add(OperatorSpec::SlicePart { start, len }, vec![cands]);
-                    let fk = p.add(OperatorSpec::Fetch, vec![part, fk_col]);
+                    let part = Some(RowRange::new(start, start + len));
+                    let fk = p.add_edges(OperatorSpec::Fetch, [(cands, part), (fk_col, None)]);
                     p.add(OperatorSpec::AntiJoin, vec![fk, hash])
                 })
                 .collect();
@@ -334,7 +334,7 @@ fn anti_join_misses_spanning_a_probe_block_edge_keep_their_stream_offset() {
 
 /// Join-stream positions whose fact `measure` is below 500, grouped: the
 /// selection runs over the measure fetched through the projected outer side —
-/// of the whole join result, or of `SlicePart` windows of it. A projected
+/// of the whole join result, or of windows of it. A projected
 /// window that forgot its stream offset would select positions from 0 again.
 /// `union_only` instead returns the projected outer side itself, whole or
 /// reassembled from the windows.
@@ -371,9 +371,8 @@ fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) 
     let windows: Vec<_> = bounds
         .windows(2)
         .map(|w| {
-            let window =
-                p.add(OperatorSpec::SlicePart { start: w[0], len: w[1] - w[0] }, vec![join]);
-            p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![window])
+            let window = Some(RowRange::new(w[0], w[1]));
+            p.add_edges(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, [(join, window)])
         })
         .collect();
     if union_only {

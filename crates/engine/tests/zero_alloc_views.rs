@@ -1,14 +1,15 @@
 //! Pins the zero-copy claim of windowed stream views with a counting
-//! allocator: cutting a `Chunk::Oids` / `Chunk::Join` morsel (`SlicePart`,
-//! and the equivalent direct `OidsView::slice` / `JoinView::slice` calls)
-//! must perform **zero** heap allocations, and reassembling consecutive
+//! allocator: cutting a `Chunk::Oids` / `Chunk::Join` window or morsel
+//! (`Chunk::slice`, which resolves plan-edge windows and cuts morsels, and
+//! the direct `OidsView::slice` / `JoinView::slice` calls beneath it) must
+//! perform **zero** heap allocations, and reassembling consecutive
 //! windows through the exchange union must stay O(parts) — never O(rows) —
 //! no matter how large the stream is.
 //!
 //! The paper's cost model depends on this: "creating slices involves marking
 //! the boundary ranges … there is no data copying involved" (§2.3). Before
 //! the view rewrite, every morsel cut of a candidate stream was a
-//! `to_vec`, charged once per SlicePart partition *and* per morsel.
+//! `to_vec`, charged once per stream partition *and* per morsel.
 //!
 //! The same gate pins column views (`docs/architecture.md` §2.2): a typed
 //! read through **any** window of a backing is a tag match plus window
@@ -194,7 +195,7 @@ fn stream_view_cuts_are_alloc_free() {
     });
     let oids_view = oids_chunk.as_oids_view().unwrap().clone();
     let join_view = join_chunk.as_join_view().unwrap().clone();
-    let spec = OperatorSpec::SlicePart { start: 123_457, len: 64 * 1024 };
+    let (start, len) = (123_457, 64 * 1024);
 
     // Direct view cuts: pure window arithmetic.
     let (allocs, _) = allocations_during(|| -> OidsView { oids_view.slice(999, 4096) });
@@ -202,29 +203,17 @@ fn stream_view_cuts_are_alloc_free() {
     let (allocs, _) = allocations_during(|| -> JoinView { join_view.slice(999, 4096) });
     assert_eq!(allocs, 0, "JoinView::slice allocated");
 
-    // The interpreter's SlicePart path (the morsel cutter) on both stream
-    // kinds: still zero, through the full execute_node dispatch.
-    let (allocs, _) =
-        allocations_during(|| execute_node(0, &spec, std::slice::from_ref(&oids_chunk), &cat));
-    assert_eq!(allocs, 0, "SlicePart over Chunk::Oids allocated");
-    let (allocs, _) =
-        allocations_during(|| execute_node(0, &spec, std::slice::from_ref(&join_chunk), &cat));
-    assert_eq!(allocs, 0, "SlicePart over Chunk::Join allocated");
+    // The executor's cut (an edge window, then a morsel of it) on both
+    // stream kinds: still zero, through the `Chunk` dispatch.
+    let (allocs, _) = allocations_during(|| oids_chunk.slice(start, len));
+    assert_eq!(allocs, 0, "Chunk::slice over Chunk::Oids allocated");
+    let (allocs, _) = allocations_during(|| join_chunk.slice(start, len));
+    assert_eq!(allocs, 0, "Chunk::slice over Chunk::Join allocated");
 
     // Reassembling consecutive windows: the union's fast path widens the
     // first window instead of packing, so its footprint is a few pointers of
     // bookkeeping (the views vec), never the 8 MB an O(rows) pack would copy.
-    let parts: Vec<Chunk> = (0..4)
-        .map(|i| {
-            execute_node(
-                0,
-                &OperatorSpec::SlicePart { start: i * (N / 4), len: N / 4 },
-                std::slice::from_ref(&oids_chunk),
-                &cat,
-            )
-            .unwrap()
-        })
-        .collect();
+    let parts: Vec<Chunk> = (0..4).map(|i| oids_chunk.slice(i * (N / 4), N / 4).unwrap()).collect();
     let (allocs, bytes) =
         allocations_during(|| execute_node(1, &OperatorSpec::ExchangeUnion, &parts, &cat));
     assert!(allocs <= 4, "zero-copy union made {allocs} allocations");

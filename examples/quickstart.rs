@@ -98,8 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("identical      : {}", morsel.output == serial.output);
     for pipeline in &morsel.profile.pipelines {
         println!(
-            "  pipeline over nodes {:?}: {} rows in {} morsels, per-worker {:?}",
-            pipeline.nodes, pipeline.source_rows, pipeline.n_morsels, pipeline.morsels_by_worker,
+            "  pipeline over nodes {:?}: {} morsels, per-worker {:?}",
+            pipeline.nodes, pipeline.n_morsels, pipeline.morsels_by_worker,
         );
     }
 

@@ -7,8 +7,9 @@
 //! changes *how a fixed plan is dispatched* — neither may change what a
 //! query returns. Serial plans exercise pipelines cutting a scan's column
 //! slice; the heuristically parallelized plans exercise pipelines over
-//! `SlicePart` stream partitions (the PR-1 `stream_base` alignment
-//! invariant, now also load-bearing for morsel slicing).
+//! range-partitioned scans, exchange unions and cloned probes over their
+//! packed streams (the PR-1 `stream_base` alignment invariant, now also
+//! load-bearing for morsel slicing).
 
 use std::sync::Arc;
 
@@ -71,8 +72,8 @@ fn tpch_serial_and_heuristic_plans_match_across_modes() {
         let expected =
             assert_modes_agree(&format!("{query} serial"), &serial, &catalog, &reference);
 
-        // Heuristic plans contain SlicePart partitions, exchange unions and
-        // cloned probes — the chunk-source pipeline shapes.
+        // Heuristic plans contain range scans, exchange unions and cloned
+        // probes — the chunk-source pipeline shapes.
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         let hp_out = assert_modes_agree(&format!("{query} HP"), &hp, &catalog, &reference);
         assert_eq!(hp_out, expected, "{query}: HP plan diverged from serial");

@@ -3,7 +3,13 @@
 //! it runs, how many morsels they cut, how many operators it profiles and
 //! how many scheduler tasks it takes. These are deterministic; a change to
 //! planning, fusion, plan building or the driver's task split moves them.
+//!
+//! The second test holds the structure the adaptive mutations leave: a
+//! partition is a window on a plan edge, so a mutated plan scans what its
+//! serial plan scans and has no slice node, and returns its serial result
+//! under both plannings.
 
+use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
 use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -36,5 +42,43 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
             executed as usize,
         ];
         assert_eq!(counts, [pipelines, morsels, operators, tasks], "{query:?}");
+    }
+}
+
+#[test]
+fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plannings() {
+    let catalog = tpch::generate(TpchScale::new(0.01), 4242);
+    let oat = Engine::with_workers(2);
+    // Morsels smaller than most partitions, so they cut inside windows.
+    let morsel = Engine::new(
+        EngineConfig::with_workers(2)
+            .with_execution_mode(ExecutionMode::MorselDriven)
+            .with_morsel_rows(1_000),
+    );
+    // Small partitions, so every shape takes all six steps at this scale.
+    let config = AdaptiveConfig::for_cores(2).with_min_partition_rows(64);
+    for query in TpchQuery::all() {
+        let serial = query.build(&catalog).expect("query builds");
+        let expected = oat.execute(&serial, &catalog).expect("serial executes").output;
+        let mut plan = serial.clone();
+        let mut profile = oat.execute(&plan, &catalog).expect("serial executes").profile;
+        for step in 0..6 {
+            // Rank by rows rather than by time, so the sequence is the same
+            // on every run.
+            for op in &mut profile.operators {
+                op.duration_us = op.rows_out as u64;
+            }
+            let mutated = mutate_most_expensive(&mut plan, &profile, &config).expect("mutates");
+            assert!(mutated.is_some(), "{query:?} step {step}: nothing left to mutate");
+            plan.validate().expect("a mutant is valid");
+            let label = format!("{query:?} step {step}:\n{}", plan.pretty());
+            assert_eq!(plan.count_of("scan"), serial.count_of("scan"), "{label}");
+            assert_eq!(plan.count_of("slice"), 0, "{label}");
+            let fused = morsel.execute(&plan, &catalog).expect("mutant executes").output;
+            assert_eq!(fused, expected, "{label}");
+            let exec = oat.execute(&plan, &catalog).expect("mutant executes");
+            assert_eq!(exec.output, expected, "{label}");
+            profile = exec.profile;
+        }
     }
 }
