@@ -10,11 +10,20 @@
 //! * Zipf-skewed foreign keys / dimension references for the TPC-DS-like
 //!   workload ("the presence of the skewed data", §4.2.2).
 //!
+//! String columns draw a dictionary index per row and store codes
+//! ([`dictionary_column`]): a generator never holds a `String` per row.
+//!
 //! All generators are deterministic given a seed so experiments are
 //! reproducible run to run.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::column::Column;
+use crate::strings::StringColumn;
 
 /// Deterministic RNG used by every generator.
 pub fn rng(seed: u64) -> StdRng {
@@ -125,20 +134,43 @@ pub fn dates(n: usize, start_day: i32, end_day: i32, seed: u64) -> Vec<i32> {
     uniform_i32(n, start_day, end_day, seed)
 }
 
-/// `n` strings picked uniformly from `choices`.
-pub fn pick_strings(n: usize, choices: &[&str], seed: u64) -> Vec<String> {
-    assert!(!choices.is_empty(), "need at least one choice");
-    let mut r = rng(seed);
-    (0..n).map(|_| choices[r.gen_range(0..choices.len())].to_string()).collect()
+/// `n` rows of a dictionary-encoded string column over `domain`, without a
+/// `String` per row: `draw(row)` picks each row's domain index, the row
+/// stores its code, and the dictionary holds the drawn entries in order of
+/// first appearance. That is exactly what [`Column::from_strings`] builds
+/// from the drawn strings, so a generator may switch to this without
+/// changing a byte — while holding only the codes and the dictionary.
+///
+/// # Panics
+/// Panics when `domain` repeats an entry (two codes would then spell one
+/// string) or `draw` returns an index outside it.
+pub fn dictionary_column<S: AsRef<str>>(
+    domain: &[S],
+    n: usize,
+    mut draw: impl FnMut(usize) -> usize,
+) -> Column {
+    let distinct: HashSet<&str> = domain.iter().map(AsRef::as_ref).collect();
+    assert_eq!(distinct.len(), domain.len(), "dictionary domain repeats an entry");
+    let mut code_of = vec![u32::MAX; domain.len()];
+    let mut dict = Vec::new();
+    let codes = (0..n)
+        .map(|row| {
+            let index = draw(row);
+            let code = &mut code_of[index];
+            if *code == u32::MAX {
+                *code = dict.len() as u32;
+                dict.push(domain[index].as_ref().to_string());
+            }
+            *code
+        })
+        .collect();
+    Column::from_string_column(StringColumn::from_codes(codes, Arc::new(dict)))
 }
 
-/// `n` strings picked from `choices` with Zipf-skewed frequencies.
-pub fn pick_strings_zipf(n: usize, choices: &[&str], theta: f64, seed: u64) -> Vec<String> {
-    assert!(!choices.is_empty(), "need at least one choice");
-    zipf_i64(n, choices.len(), theta, seed)
-        .into_iter()
-        .map(|i| choices[i as usize].to_string())
-        .collect()
+/// `n` strings drawn uniformly from `choices`, as a [`dictionary_column`].
+pub fn uniform_strings(n: usize, choices: &[&str], seed: u64) -> Column {
+    let mut r = rng(seed);
+    dictionary_column(choices, n, |_| r.gen_range(0..choices.len()))
 }
 
 /// Fixed-point decimal helper: converts a float price into the `i64`
@@ -231,16 +263,28 @@ mod tests {
     }
 
     #[test]
-    fn dates_and_strings() {
+    fn dates_in_range() {
         let d = dates(100, 8035, 9861, 11); // 1992-01-01 .. 1996-xx
         assert!(d.iter().all(|&v| (8035..9861).contains(&v)));
-        let s = pick_strings(50, &["AIR", "RAIL", "TRUCK"], 2);
-        assert_eq!(s.len(), 50);
-        assert!(s.iter().all(|v| ["AIR", "RAIL", "TRUCK"].contains(&v.as_str())));
-        let z = pick_strings_zipf(5000, &["a", "b", "c", "d"], 1.5, 2);
-        let a = z.iter().filter(|v| v.as_str() == "a").count();
-        let d4 = z.iter().filter(|v| v.as_str() == "d").count();
-        assert!(a > d4);
+    }
+
+    #[test]
+    fn dictionary_column_matches_per_row_strings() {
+        let domain = ["AIR", "RAIL", "TRUCK", "SHIP"];
+        let mut r = rng(2);
+        let drawn: Vec<usize> = (0..500).map(|_| r.gen_range(0..3)).collect();
+        let col = dictionary_column(&domain, drawn.len(), |row| drawn[row]);
+        let reference = Column::from_strings(drawn.iter().map(|&i| domain[i]));
+        assert_eq!(col.str_codes().unwrap(), reference.str_codes().unwrap());
+        // Only drawn entries enter the dictionary: "SHIP" never is.
+        assert_eq!(col.string_column().unwrap().dict_len(), 3);
+        assert!(dictionary_column(&domain, 0, |_| 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dictionary domain repeats an entry")]
+    fn dictionary_column_refuses_a_repeated_entry() {
+        dictionary_column(&["a", "b", "a"], 3, |row| row);
     }
 
     #[test]

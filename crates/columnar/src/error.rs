@@ -68,6 +68,8 @@ pub enum ColumnarError {
         /// The length of the first column.
         expected: usize,
     },
+    /// A table was built with two columns of the same name.
+    DuplicateColumn(String),
 }
 
 impl fmt::Display for ColumnarError {
@@ -95,6 +97,9 @@ impl fmt::Display for ColumnarError {
             }
             ColumnarError::RaggedTable { column, len, expected } => {
                 write!(f, "column '{column}' has {len} rows but the table has {expected}")
+            }
+            ColumnarError::DuplicateColumn(column) => {
+                write!(f, "column '{column}' appears twice in the table")
             }
         }
     }

@@ -89,47 +89,82 @@ impl StringColumn {
         self.codes[i]
     }
 
-    /// Looks up the code for an exact string, if present in the dictionary.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.dict.iter().position(|d| d == s).map(|p| p as u32)
-    }
-
-    /// Materializes a sub-range as a new `StringColumn` sharing the dictionary.
-    pub fn slice(&self, start: usize, len: usize) -> StringColumn {
-        self.with_codes(self.codes[start..start + len].to_vec())
-    }
-
     /// Gathers the rows at `positions` into a new column sharing the dictionary.
     pub fn gather(&self, positions: &[usize]) -> StringColumn {
         self.with_codes(positions.iter().map(|&p| self.codes[p]).collect())
     }
 }
 
-/// Simple SQL `LIKE` matcher supporting `%` (any run) and `_` (any char).
+/// SQL `LIKE` matcher supporting `%` (any run) and `_` (any one char).
 ///
 /// The TPC-H queries in the paper only need prefix/suffix/contains patterns
 /// (`'%PROMO%'`, `'ECONOMY ANODIZED STEEL'`), but a general matcher keeps the
-/// operator layer honest.
+/// operator layer honest. It runs once per dictionary entry of a `LIKE`
+/// leaf, in O(pattern × value): on a mismatch it backtracks only to the last
+/// `%`, letting that `%` absorb one more character. Earlier `%`s never need
+/// revisiting — whatever they would absorb instead, the last one can.
 pub fn like_match(pattern: &str, value: &str) -> bool {
-    fn rec(p: &[char], v: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
-            Some('%') => {
-                // Try to match the rest of the pattern at every suffix.
-                (0..=v.len()).any(|skip| rec(&p[1..], &v[skip..]))
-            }
-            Some('_') => !v.is_empty() && rec(&p[1..], &v[1..]),
-            Some(&c) => v.first() == Some(&c) && rec(&p[1..], &v[1..]),
-        }
-    }
     let p: Vec<char> = pattern.chars().collect();
     let v: Vec<char> = value.chars().collect();
-    rec(&p, &v)
+    let (mut pi, mut vi) = (0, 0);
+    // After the last `%` seen: where the pattern resumes, and how much of
+    // the value that `%` has absorbed so far.
+    let mut last_any: Option<(usize, usize)> = None;
+    while vi < v.len() {
+        match p.get(pi) {
+            Some('%') => {
+                pi += 1;
+                last_any = Some((pi, vi));
+            }
+            Some(&c) if c == '_' || c == v[vi] => {
+                pi += 1;
+                vi += 1;
+            }
+            _ => match last_any {
+                Some((resume, absorbed)) => {
+                    last_any = Some((resume, absorbed + 1));
+                    (pi, vi) = (resume, absorbed + 1);
+                }
+                None => return false,
+            },
+        }
+    }
+    p[pi..].iter().all(|&c| c == '%')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recursive matcher `like_match` replaced: it tries every suffix
+    /// at each `%`, so its cost grows combinatorially with the wildcards.
+    fn like_match_reference(pattern: &str, value: &str) -> bool {
+        fn rec(p: &[char], v: &[char]) -> bool {
+            match p.first() {
+                None => v.is_empty(),
+                Some('%') => (0..=v.len()).any(|skip| rec(&p[1..], &v[skip..])),
+                Some('_') => !v.is_empty() && rec(&p[1..], &v[1..]),
+                Some(&c) => v.first() == Some(&c) && rec(&p[1..], &v[1..]),
+            }
+        }
+        let p: Vec<char> = pattern.chars().collect();
+        let v: Vec<char> = value.chars().collect();
+        rec(&p, &v)
+    }
+
+    /// Every string of length `0..=max_len` over `alphabet`, shortest first.
+    fn all_strings(alphabet: &[char], max_len: usize) -> Vec<String> {
+        let mut out = vec![String::new()];
+        let mut level = vec![String::new()];
+        for _ in 0..max_len {
+            level = level
+                .iter()
+                .flat_map(|s| alphabet.iter().map(move |&c| format!("{s}{c}")))
+                .collect();
+            out.extend(level.iter().cloned());
+        }
+        out
+    }
 
     #[test]
     fn builds_dictionary() {
@@ -144,21 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn code_lookup() {
-        let c = StringColumn::from_values(["x", "y"]);
-        assert_eq!(c.code_of("x"), Some(0));
-        assert_eq!(c.code_of("y"), Some(1));
-        assert_eq!(c.code_of("z"), None);
-    }
-
-    #[test]
-    fn slice_and_gather_share_dictionary() {
+    fn gather_shares_dictionary() {
         let c = StringColumn::from_values(["a", "b", "c", "d"]);
-        let s = c.slice(1, 2);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.value(0), "b");
-        assert!(Arc::ptr_eq(s.dict(), c.dict()));
-
         let g = c.gather(&[3, 0]);
         assert_eq!(g.value(0), "d");
         assert_eq!(g.value(1), "a");
@@ -183,5 +205,30 @@ mod tests {
         assert!(!like_match("", "x"));
         assert!(like_match("abc%", "abcdef"));
         assert!(like_match("%def", "abcdef"));
+    }
+
+    #[test]
+    fn like_matcher_agrees_with_the_recursive_reference() {
+        // Every pattern over `%`, `_` and two literals up to five symbols
+        // (the empty pattern included) against every value over the two
+        // literals and a two-byte char up to five chars (the empty value
+        // included): `_` must take one char, not one byte.
+        let patterns = all_strings(&['a', 'b', '%', '_'], 5);
+        let values = all_strings(&['a', 'b', 'é'], 5);
+        for p in &patterns {
+            for v in &values {
+                assert_eq!(like_match(p, v), like_match_reference(p, v), "{p:?} LIKE {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn like_matcher_is_linear_in_the_wildcards() {
+        // Twelve `%a` then `b` over 64 chars: the reference would try about
+        // C(64, 12) ≈ 3 · 10^12 ways to place the wildcards.
+        let pattern = format!("{}b", "%a".repeat(12));
+        assert!(!like_match(&pattern, &"a".repeat(64)));
+        assert!(like_match(&pattern, &format!("{}b", "a".repeat(63))));
+        assert!(!like_match(&pattern, &format!("{}b", "a".repeat(11))));
     }
 }

@@ -101,7 +101,8 @@ impl TableBuilder {
         self.column(name, Column::from_strings(values))
     }
 
-    /// Finalizes the table, validating that all columns are equally long.
+    /// Finalizes the table, validating that all columns are equally long
+    /// and that no two share a name.
     pub fn build(self) -> Result<Arc<Table>> {
         let row_count = self.columns.first().map(|(_, c)| c.len()).unwrap_or(0);
         for (name, col) in &self.columns {
@@ -113,7 +114,12 @@ impl TableBuilder {
                 });
             }
         }
-        let index = self.columns.iter().enumerate().map(|(i, (n, _))| (n.clone(), i)).collect();
+        let mut index = HashMap::with_capacity(self.columns.len());
+        for (i, (name, _)) in self.columns.iter().enumerate() {
+            if index.insert(name.clone(), i).is_some() {
+                return Err(ColumnarError::DuplicateColumn(format!("{}.{}", self.name, name)));
+            }
+        }
         Ok(Arc::new(Table { name: self.name, columns: self.columns, index, row_count }))
     }
 }
@@ -160,6 +166,18 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ColumnarError::RaggedTable { .. }));
+    }
+
+    #[test]
+    fn duplicate_column_names_rejected() {
+        let err = TableBuilder::new("t")
+            .i64_column("a", vec![1, 2])
+            .i64_column("b", vec![3, 4])
+            .i64_column("a", vec![5, 6])
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ColumnarError::DuplicateColumn("t.a".into()));
+        assert!(err.to_string().contains("'t.a'"), "{err}");
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! Consumer steps and morsel fan-outs are submitted from the completing
 //! worker's task context, so they start on that worker's deque. Everything
 //! the tasks share lives in the [`RunContext`].
+//!
+//! A published chunk lives only as long as something reads it: each step
+//! counts the cross-step edges that read its chunk, and the step finishing
+//! the last of them releases it ([`RunContext::release`]). The root's chunk
+//! is the query's answer and is never released, so a query holds its live
+//! set of intermediates rather than every one it made.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,6 +55,9 @@ struct Driver {
     graph: PipelinePlan,
     /// Remaining cross-step input edges per step.
     step_deps: Vec<AtomicUsize>,
+    /// Remaining cross-step reads of each step's published chunk: the step
+    /// that finishes the last one releases the chunk.
+    readers: Vec<AtomicUsize>,
     /// The engine's morsel size, in rows: every pipeline's slicing and
     /// fan-out cut on this grid.
     morsel_rows: usize,
@@ -66,6 +75,7 @@ pub(super) fn execute(
     let state = Arc::new(Driver {
         run: RunContext::new(engine, plan, catalog, handle),
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
+        readers: graph.readers().into_iter().map(AtomicUsize::new).collect(),
         morsel_rows: engine.config.morsel_rows.max(1),
         graph,
     });
@@ -356,19 +366,24 @@ fn publish(
             groupagg_fused: matches!(run.plan.node(terminal)?.spec, OperatorSpec::GroupAgg { .. }),
         });
     }
-    if run.results[terminal].set(chunk).is_err() {
-        return Err(EngineError::InvalidPlan(format!("node {terminal} produced two results")));
-    }
-    Ok(())
+    run.set_result(terminal, chunk)
 }
 
-/// Marks a step complete: launches consumer steps whose dependencies are now
+/// Marks a step complete. First it releases every input chunk this step
+/// was the last reader of, so a query holds only the chunks some step still
+/// has to read. Then it launches consumer steps whose dependencies are now
 /// all satisfied. Their tasks go through the task context, so the scheduler
 /// keeps them on the publishing worker's deque, where the chunk is
 /// cache-hot; and they are spawned before this task leaves the scheduler,
 /// so the query's task count cannot touch zero between two steps.
 fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {
-    for &(consumer, edges) in &state.graph.out_edges[step] {
+    let graph = &state.graph;
+    for &(producer, edges) in &graph.in_edges[step] {
+        if state.readers[producer].fetch_sub(edges, Ordering::AcqRel) == edges {
+            state.run.release(graph.steps[producer].terminal());
+        }
+    }
+    for &(consumer, edges) in &graph.out_edges[step] {
         if state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel) == edges {
             launch_step(state, consumer, &|task| {
                 ctx.submit(task);

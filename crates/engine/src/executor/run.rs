@@ -2,9 +2,9 @@
 //!
 //! One [`RunContext`] is built per submission and owned (inside the
 //! driver's step-graph state, see [`super::driver`]) by every task of the
-//! query. It holds the plan and catalog, the query handle, the write-once
-//! result/profile slots, the failure latch, and the engine's optional chaos
-//! layer. It also owns the two protocols every task and the submitting
+//! query. It holds the plan and catalog, the query handle, the result and
+//! write-once profile slots, the failure latch, and the engine's optional
+//! chaos layer. It also owns the two protocols every task and the submitting
 //! client go through, so there is exactly one copy of each:
 //!
 //! * [`RunContext::checkpoint`] — the failed-flag → liveness → injected
@@ -39,9 +39,10 @@ pub(super) struct RunContext {
     pub plan: Arc<Plan>,
     pub catalog: Arc<Catalog>,
     pub handle: Arc<QueryHandle>,
-    /// One write-once slot per plan node: a producer publishes its chunk,
-    /// consumers read it lock-free. Only step terminals are ever set.
-    pub results: Vec<OnceLock<Chunk>>,
+    /// One slot per plan node: a step publishes its terminal's chunk here
+    /// once, its consumers read it, and the last of them releases it
+    /// ([`RunContext::release`]). The root is never released.
+    results: Vec<Mutex<Option<Chunk>>>,
     pub profiles: Vec<OnceLock<OperatorProfile>>,
     pub pipeline_profiles: Mutex<Vec<PipelineProfile>>,
     /// Fast-path flag mirroring `error.is_some()`.
@@ -65,7 +66,7 @@ impl RunContext {
             plan: Arc::clone(plan),
             catalog: Arc::clone(catalog),
             handle,
-            results: (0..capacity).map(|_| OnceLock::new()).collect(),
+            results: (0..capacity).map(|_| Mutex::new(None)).collect(),
             profiles: (0..capacity).map(|_| OnceLock::new()).collect(),
             pipeline_profiles: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
@@ -108,9 +109,31 @@ impl RunContext {
         }
     }
 
-    /// The chunk `node` published, if it has completed.
-    pub fn result(&self, node: NodeId) -> Option<&Chunk> {
-        self.results.get(node).and_then(OnceLock::get)
+    /// The chunk `node` published, if it has completed and is not released.
+    fn result(&self, node: NodeId) -> Option<Chunk> {
+        self.results.get(node).and_then(|slot| lock(slot).clone())
+    }
+
+    /// Publishes `node`'s chunk; a node publishes once.
+    pub fn set_result(&self, node: NodeId, chunk: Chunk) -> Result<()> {
+        match &mut *lock(&self.results[node]) {
+            Some(_) => Err(EngineError::InvalidPlan(format!("node {node} produced two results"))),
+            slot => {
+                *slot = Some(chunk);
+                Ok(())
+            }
+        }
+    }
+
+    /// Drops the slot's hold on `node`'s chunk once nothing reads it any
+    /// more — the chunk's memory goes with it unless a later chunk shares
+    /// it. The root's chunk is the query's answer and stays.
+    pub fn release(&self, node: NodeId) {
+        if self.plan.root() != Some(node) {
+            // Taken under the lock, dropped after it.
+            let released = lock(&self.results[node]).take();
+            drop(released);
+        }
     }
 
     /// What `consumer` reads on its input edge `index`: the producer's
@@ -125,7 +148,7 @@ impl RunContext {
                 "node {consumer} was scheduled before its input {input} completed"
             ))
         })?;
-        let Some(w) = node.window(index) else { return Ok(chunk.clone()) };
+        let Some(w) = node.window(index) else { return Ok(chunk) };
         chunk.slice(w.start, w.len()).ok_or_else(|| EngineError::InvalidInput {
             node: consumer,
             expected: "column, oids or join",

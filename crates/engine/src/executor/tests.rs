@@ -8,7 +8,8 @@ use apq_operators::{AggFunc, CmpOp, Predicate};
 
 use super::*;
 use crate::error::EngineError;
-use crate::plan::OperatorSpec;
+use crate::pipeline::PipelinePlan;
+use crate::plan::{NodeId, OperatorSpec};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
     let mut c = Catalog::new();
@@ -431,5 +432,64 @@ fn refused_submission_still_drains_and_reports_shutdown() {
         assert_eq!(handle.inflight_tasks(), 0, "{mode}: refused task still counted");
         assert_eq!(handle.running(), 0);
         assert_eq!(engine.in_flight_queries(), 0);
+    }
+}
+
+/// `sum(a × a)` over `rows` rows, with the square's two halves summed
+/// through windowed edges: the scan is read twice by `calc(a, a)` and the
+/// square once by each window.
+fn square_halves_plan(rows: usize) -> (Plan, [NodeId; 3]) {
+    let mut p = Plan::new();
+    let a = p.add(scan("a", rows), vec![]);
+    let mul = OperatorSpec::Calc {
+        op: apq_operators::BinaryOp::Mul,
+        left_scalar: None,
+        right_scalar: None,
+    };
+    let square = p.add(mul, vec![a, a]);
+    let sum = || OperatorSpec::ScalarAgg { func: AggFunc::Sum };
+    let halves = [RowRange::new(0, rows / 2), RowRange::new(rows / 2, rows)]
+        .map(|w| p.add_edges(sum(), [(square, Some(w))]));
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, halves.to_vec());
+    p.set_root(fin);
+    (p, [a, square, fin])
+}
+
+#[test]
+fn a_double_edge_and_windowed_edges_each_count_as_readers() {
+    let (plan, [a, square, fin]) = square_halves_plan(1_000);
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let graph = PipelinePlan::analyze(&plan, mode).unwrap();
+        let readers = graph.readers();
+        let of = |node: NodeId| readers[graph.step_of[node].unwrap()];
+        // `calc(a, a)` reads the scan through two edges; each is a read.
+        assert_eq!(of(a), 2, "{mode}");
+        // Two windows over the square: two reads, one per window.
+        assert_eq!(of(square), 2, "{mode}");
+        // The root is read by nothing, so no step releases it.
+        assert_eq!(of(fin), 0, "{mode}");
+        // Every read is an input edge some step counts down.
+        let counted: usize = graph.in_edges.iter().flatten().map(|&(_, n)| n).sum();
+        assert_eq!(counted, readers.iter().sum::<usize>(), "{mode}");
+    }
+}
+
+#[test]
+fn released_chunks_are_never_read_again() {
+    // Each window's aggregate cuts many morsels of the square under morsel
+    // planning; a chunk released before its last reader finished would
+    // surface as "scheduled before its input completed".
+    let rows = 10_000;
+    let cat = catalog(rows);
+    let (plan, _) = square_halves_plan(rows);
+    let expected: i64 = (0..rows as i64).map(|v| v * v).sum();
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let engine = Engine::new(
+            EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(256),
+        );
+        for _ in 0..20 {
+            let exec = engine.execute(&plan, &cat).unwrap();
+            assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(expected)), "{mode}");
+        }
     }
 }

@@ -192,6 +192,9 @@ pub(crate) struct PipelinePlan {
     /// Per step: `(consumer step, edge count)` pairs fed by this step's
     /// published node.
     pub out_edges: Vec<Vec<(usize, usize)>>,
+    /// Per step: `(producer step, edge count)` pairs this step reads — the
+    /// transpose of `out_edges`.
+    pub in_edges: Vec<Vec<(usize, usize)>>,
 }
 
 /// The input a stage streams: a candidate-refining `Select`'s candidate
@@ -360,16 +363,21 @@ impl PipelinePlan {
         // referenced across steps, by construction.
         let mut deps = vec![0usize; steps.len()];
         let mut out_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); steps.len()];
+        let mut in_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); steps.len()];
+        fn count_edge(edges: &mut Vec<(usize, usize)>, other: usize) {
+            match edges.iter_mut().find(|(s, _)| *s == other) {
+                Some((_, count)) => *count += 1,
+                None => edges.push((other, 1)),
+            }
+        }
         for (idx, step) in steps.iter().enumerate() {
             for &member in &step.stages {
                 for &input in &plan.node(member)?.inputs {
                     let producer_step = step_of[input].expect("live input is assigned");
                     if producer_step != idx {
                         deps[idx] += 1;
-                        match out_edges[producer_step].iter_mut().find(|(c, _)| *c == idx) {
-                            Some((_, count)) => *count += 1,
-                            None => out_edges[producer_step].push((idx, 1)),
-                        }
+                        count_edge(&mut out_edges[producer_step], idx);
+                        count_edge(&mut in_edges[idx], producer_step);
                     }
                 }
             }
@@ -381,7 +389,16 @@ impl PipelinePlan {
             step_of,
             deps,
             out_edges,
+            in_edges,
         })
+    }
+
+    /// Per step: the cross-step edges that read its published chunk, each
+    /// counted once — a windowed edge and each edge of a node reading the
+    /// chunk twice (`calc(x, x)`) alike. The step finishing the last of
+    /// them is the chunk's last reader.
+    pub fn readers(&self) -> Vec<usize> {
+        self.out_edges.iter().map(|edges| edges.iter().map(|&(_, n)| n).sum()).collect()
     }
 
     /// Number of streaming pipelines in the decomposition.

@@ -24,6 +24,11 @@
 //! whose span fits its bitmap is that one bitmap, and `calc` reads `Int32`
 //! operands in place instead of widening them into copies.
 //!
+//! Two footprints above the kernels are pinned the same way: a generated
+//! string column holds its codes and its dictionary, never a `String` per
+//! row; and a query holds its live set of intermediates — each is released
+//! by its last reader — not one per node.
+//!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
 
@@ -31,13 +36,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
-use apq_columnar::{Catalog, Column, Oid};
+use std::sync::Arc;
+
+use apq_columnar::datagen::uniform_strings;
+use apq_columnar::partition::RowRange;
+use apq_columnar::{Catalog, Column, Oid, ScalarValue, TableBuilder};
 use apq_engine::interpreter::execute_node;
-use apq_engine::plan::{JoinSide, OperatorSpec};
-use apq_engine::{Chunk, JoinView, OidsView};
+use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
+use apq_engine::{Chunk, Engine, EngineConfig, ExecutionMode, JoinView, OidsView};
 use apq_operators::{
-    calc_col_col, select, select_with_candidates, BinaryOp, CmpOp, JoinHashTable, JoinResult,
-    Predicate,
+    calc_col_col, select, select_with_candidates, AggFunc, BinaryOp, CmpOp, JoinHashTable,
+    JoinResult, Predicate,
 };
 
 /// Wraps the system allocator, counting allocations (and their bytes) made
@@ -182,6 +191,61 @@ fn kernels_hold_no_more_than_their_outputs() {
     assert!(peak <= output, "an Int32 calc held {peak} bytes (output {output})");
 }
 
+/// A generated string column draws a dictionary index per row: it allocates
+/// per dictionary entry, not per row, and holds codes plus dictionary.
+fn generated_strings_hold_codes_and_dictionary() {
+    const N: usize = 1_000_000;
+    const SLACK: usize = 16 * 1024;
+    let modes = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+    let (allocs, _) = allocations_during(|| uniform_strings(N, &modes, 7));
+    assert!(allocs <= 2 * modes.len() + 8, "{allocs} allocations for {} entries", modes.len());
+    let dict_bytes: usize = modes.iter().map(|m| m.len() + std::mem::size_of::<String>()).sum();
+    let ceiling = 4 * N + dict_bytes + SLACK;
+    let peak = peak_bytes_during(|| uniform_strings(N, &modes, 7));
+    assert!(peak <= ceiling, "a {N}-row string column held {peak} bytes (ceiling {ceiling})");
+}
+
+/// scan → calc → calc → calc → calc → scalar agg over `N` `Int64` rows
+/// holds at most two intermediates at once — the one a calc reads and the
+/// one it writes — on one worker, under either planning.
+fn a_query_holds_its_live_set() {
+    const N: usize = 1 << 20;
+    const SLACK: usize = 64 * 1024;
+    let mut catalog = Catalog::new();
+    catalog
+        .register(TableBuilder::new("t").i64_column("x", (0..N as i64).collect()).build().unwrap());
+    let catalog = Arc::new(catalog);
+    let mut plan = Plan::new();
+    let scan = OperatorSpec::ScanColumn {
+        table: "t".into(),
+        column: "x".into(),
+        range: RowRange::new(0, N),
+    };
+    let mut last = plan.add(scan, vec![]);
+    for _ in 0..4 {
+        let add_one = OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(1)),
+        };
+        last = plan.add(add_one, vec![last]);
+    }
+    let agg = plan.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![last]);
+    let root = plan.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+    plan.set_root(root);
+    let plan = Arc::new(plan);
+    let expected = (0..N as i64).map(|v| v + 4).sum::<i64>();
+
+    let ceiling = 2 * 8 * N + SLACK;
+    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let engine = Engine::new(EngineConfig::with_workers(1).with_execution_mode(mode));
+        let output = engine.execute_shared(&plan, &catalog).unwrap().output;
+        assert_eq!(output, apq_engine::QueryOutput::Scalar(ScalarValue::I64(expected)));
+        let peak = peak_bytes_during(|| engine.execute_shared(&plan, &catalog).unwrap());
+        assert!(peak <= ceiling, "{mode}: the chain held {peak} bytes (ceiling {ceiling})");
+    }
+}
+
 #[test]
 fn stream_view_cuts_are_alloc_free() {
     const N: usize = 1_000_000;
@@ -255,4 +319,6 @@ fn stream_view_cuts_are_alloc_free() {
     assert_eq!(allocs, 0, "Column::slice + i64_values allocated");
 
     kernels_hold_no_more_than_their_outputs();
+    generated_strings_hold_codes_and_dictionary();
+    a_query_holds_its_live_set();
 }

@@ -21,6 +21,8 @@ pub mod builder;
 pub mod concurrent;
 pub mod dates;
 pub mod micro;
+#[cfg(test)]
+mod string_reference;
 pub mod tpcds;
 pub mod tpch;
 

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use apq_columnar::datagen::{pick_strings, prices_decimal2, sequential_i64, uniform_i64, zipf_i64};
+use apq_columnar::datagen::{
+    dictionary_column, prices_decimal2, sequential_i64, uniform_i64, uniform_strings, zipf_i64,
+};
 use apq_columnar::{Catalog, Table, TableBuilder};
 
 /// Scale factor for the TPC-DS-like schema (`store_sales ≈ 2.88 M × sf`).
@@ -61,13 +63,16 @@ pub const CATEGORIES: [&str; 10] = [
 /// Store states (filter attribute).
 pub const STATES: [&str; 8] = ["TN", "CA", "TX", "WA", "NY", "GA", "OH", "IL"];
 
+/// Number of distinct `i_brand` values.
+const BRANDS: usize = 120;
+
 fn item(scale: &TpcdsScale, seed: u64) -> Arc<Table> {
     let n = scale.item_rows();
-    let brands: Vec<String> = (0..n).map(|i| format!("Brand#{:03}", (i * 7919) % 120)).collect();
+    let brands: Vec<String> = (0..BRANDS).map(|b| format!("Brand#{b:03}")).collect();
     TableBuilder::new("item")
         .i64_column("i_item_sk", sequential_i64(n))
-        .str_column("i_brand", brands)
-        .str_column("i_category", pick_strings(n, &CATEGORIES, seed ^ 0x71))
+        .column("i_brand", dictionary_column(&brands, n, |i| (i * 7919) % BRANDS))
+        .column("i_category", uniform_strings(n, &CATEGORIES, seed ^ 0x71))
         .i64_column("i_manager_id", uniform_i64(n, 0, 100, seed ^ 0x72))
         .build()
         .expect("item columns are equally long")
@@ -91,7 +96,7 @@ fn store(scale: &TpcdsScale, seed: u64) -> Arc<Table> {
     let n = scale.store_rows();
     TableBuilder::new("store")
         .i64_column("s_store_sk", sequential_i64(n))
-        .str_column("s_state", pick_strings(n, &STATES, seed ^ 0x81))
+        .column("s_state", uniform_strings(n, &STATES, seed ^ 0x81))
         .build()
         .expect("store columns are equally long")
 }

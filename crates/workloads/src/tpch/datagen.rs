@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use apq_columnar::datagen::{
-    fk_uniform, pick_strings, prices_decimal2, rng, sequential_i64, uniform_i64,
+    dictionary_column, fk_uniform, prices_decimal2, rng, sequential_i64, uniform_i64,
+    uniform_strings,
 };
 use apq_columnar::{Catalog, Column, Table, TableBuilder};
 use rand::Rng;
@@ -77,6 +78,9 @@ pub mod domains {
     /// Order priorities (Q4 groups by this attribute).
     pub const ORDER_PRIORITIES: [&str; 5] =
         ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
+    /// Part containers.
+    pub const CONTAINERS: [&str; 7] =
+        ["SM CASE", "SM BOX", "MED BAG", "MED BOX", "LG CASE", "LG BOX", "JUMBO PACK"];
     /// Customer country codes (Q22 filters on a subset).
     pub const COUNTRY_CODES: [&str; 10] =
         ["10", "11", "13", "17", "18", "21", "23", "29", "30", "31"];
@@ -110,23 +114,32 @@ pub mod domains {
     ];
 }
 
-fn p_types(n: usize, seed: u64) -> Vec<String> {
+/// `p_type`: three words, each drawn uniformly in word order.
+fn p_types(n: usize, seed: u64) -> Column {
+    use domains::{TYPE_SYLLABLE_1 as W1, TYPE_SYLLABLE_2 as W2, TYPE_SYLLABLE_3 as W3};
+    let domain: Vec<String> = W1
+        .iter()
+        .flat_map(|a| W2.iter().flat_map(move |b| W3.iter().map(move |c| format!("{a} {b} {c}"))))
+        .collect();
     let mut r = rng(seed);
-    (0..n)
-        .map(|_| {
-            format!(
-                "{} {} {}",
-                domains::TYPE_SYLLABLE_1[r.gen_range(0..domains::TYPE_SYLLABLE_1.len())],
-                domains::TYPE_SYLLABLE_2[r.gen_range(0..domains::TYPE_SYLLABLE_2.len())],
-                domains::TYPE_SYLLABLE_3[r.gen_range(0..domains::TYPE_SYLLABLE_3.len())],
-            )
-        })
-        .collect()
+    dictionary_column(&domain, n, |_| {
+        let a = r.gen_range(0..W1.len());
+        let b = r.gen_range(0..W2.len());
+        let c = r.gen_range(0..W3.len());
+        (a * W2.len() + b) * W3.len() + c
+    })
 }
 
-fn p_brands(n: usize, seed: u64) -> Vec<String> {
+/// `p_brand`: `Brand#MN` with the digits `M` and `N` drawn uniformly from 1..=5.
+fn p_brands(n: usize, seed: u64) -> Column {
+    let domain: Vec<String> =
+        (1..6).flat_map(|m| (1..6).map(move |n| format!("Brand#{m}{n}"))).collect();
     let mut r = rng(seed);
-    (0..n).map(|_| format!("Brand#{}{}", r.gen_range(1..6), r.gen_range(1..6))).collect()
+    dictionary_column(&domain, n, |_| {
+        let m: usize = r.gen_range(1..6);
+        let n: usize = r.gen_range(1..6);
+        (m - 1) * 5 + (n - 1)
+    })
 }
 
 fn lineitem(scale: &TpchScale, seed: u64) -> Arc<Table> {
@@ -153,8 +166,8 @@ fn lineitem(scale: &TpchScale, seed: u64) -> Arc<Table> {
         .i32_column("l_shipdate", shipdate)
         .i32_column("l_commitdate", commitdate)
         .i32_column("l_receiptdate", receiptdate)
-        .str_column("l_shipmode", pick_strings(n, &domains::SHIP_MODES, seed ^ 0x28))
-        .str_column("l_shipinstruct", pick_strings(n, &domains::SHIP_INSTRUCTS, seed ^ 0x29))
+        .column("l_shipmode", uniform_strings(n, &domains::SHIP_MODES, seed ^ 0x28))
+        .column("l_shipinstruct", uniform_strings(n, &domains::SHIP_INSTRUCTS, seed ^ 0x29))
         .build()
         .expect("lineitem columns are equally long")
 }
@@ -174,7 +187,7 @@ fn orders(scale: &TpchScale, seed: u64) -> Arc<Table> {
         .i64_column("o_orderkey", sequential_i64(n))
         .i64_column("o_custkey", custkeys)
         .i32_column("o_orderdate", apq_columnar::datagen::dates(n, date_min, date_max, seed ^ 0x32))
-        .str_column("o_orderpriority", pick_strings(n, &domains::ORDER_PRIORITIES, seed ^ 0x33))
+        .column("o_orderpriority", uniform_strings(n, &domains::ORDER_PRIORITIES, seed ^ 0x33))
         .i64_column("o_totalprice", prices_decimal2(n, 800.0, 500_000.0, seed ^ 0x34))
         .build()
         .expect("orders columns are equally long")
@@ -184,16 +197,9 @@ fn part(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let n = scale.part_rows();
     TableBuilder::new("part")
         .i64_column("p_partkey", sequential_i64(n))
-        .str_column("p_type", p_types(n, seed ^ 0x41))
-        .str_column("p_brand", p_brands(n, seed ^ 0x42))
-        .str_column(
-            "p_container",
-            pick_strings(
-                n,
-                &["SM CASE", "SM BOX", "MED BAG", "MED BOX", "LG CASE", "LG BOX", "JUMBO PACK"],
-                seed ^ 0x43,
-            ),
-        )
+        .column("p_type", p_types(n, seed ^ 0x41))
+        .column("p_brand", p_brands(n, seed ^ 0x42))
+        .column("p_container", uniform_strings(n, &domains::CONTAINERS, seed ^ 0x43))
         .i64_column("p_size", uniform_i64(n, 1, 51, seed ^ 0x44))
         .i64_column("p_retailprice", prices_decimal2(n, 900.0, 2_000.0, seed ^ 0x45))
         .build()
@@ -206,7 +212,7 @@ fn customer(scale: &TpchScale, seed: u64) -> Arc<Table> {
         .i64_column("c_custkey", sequential_i64(n))
         .i64_column("c_nationkey", uniform_i64(n, 0, scale.nation_rows() as i64, seed ^ 0x51))
         .i64_column("c_acctbal", prices_decimal2(n, -999.99, 9_999.99, seed ^ 0x52))
-        .str_column("c_cntrycode", pick_strings(n, &domains::COUNTRY_CODES, seed ^ 0x53))
+        .column("c_cntrycode", uniform_strings(n, &domains::COUNTRY_CODES, seed ^ 0x53))
         .build()
         .expect("customer columns are equally long")
 }
