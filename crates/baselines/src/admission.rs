@@ -123,7 +123,6 @@ impl Drop for AdmissionTicket {
 mod tests {
     use super::*;
     use crate::heuristic::heuristic_parallelize;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::TableBuilder;
     use apq_engine::plan::OperatorSpec;
     use apq_engine::Engine;
@@ -141,26 +140,14 @@ mod tests {
         Arc::new(c)
     }
 
-    fn serial_plan(rows: usize) -> Plan {
+    fn serial_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(
-            OperatorSpec::ScanColumn {
-                table: "fact".into(),
-                column: "a".into(),
-                range: RowRange::new(0, rows),
-            },
-            vec![],
-        );
+        let a =
+            p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "a".into() }, vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
-        let b = p.add(
-            OperatorSpec::ScanColumn {
-                table: "fact".into(),
-                column: "b".into(),
-                range: RowRange::new(0, rows),
-            },
-            vec![],
-        );
+        let b =
+            p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "b".into() }, vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -205,7 +192,7 @@ mod tests {
     fn scheduler_enforced_admission_preserves_results() {
         let rows = 6_000;
         let cat = catalog(rows);
-        let serial = serial_plan(rows);
+        let serial = serial_plan();
         let engine = Engine::with_workers(4);
         let expected = engine.execute(&serial, &cat).unwrap().output;
         // The plan stays fully parallel; only the scheduler throttles it.
@@ -229,7 +216,7 @@ mod tests {
         let rows = 2_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(2);
-        let plan = Arc::new(serial_plan(rows));
+        let plan = Arc::new(serial_plan());
         let ctrl = AdmissionController::new(4);
         let (_, dop) = ctrl.execute_admitted(&engine, &plan, &cat).unwrap();
         assert_eq!(dop, 4, "idle system grants the full DOP");

@@ -8,12 +8,15 @@
 //! parallelizable operators are parallelized."
 //!
 //! [`heuristic_parallelize`] implements that rewriter over the same plan IR
-//! the adaptive parallelizer mutates: every scan of the largest ("driver")
-//! table is split into `n_partitions` equi-range scans and the partitioning
-//! is propagated in topological order — a parallelizable operator whose
-//! aligned inputs are all partitioned is cloned once per partition; anything
-//! else receives the packed (exchange-union) result. This mirrors MonetDB's
-//! mitosis + mergetable optimizer pair.
+//! the adaptive parallelizer mutates, and partitions the way the mutations
+//! do: a partition is a row window on a plan edge. Every scan of the largest
+//! ("driver") table stays in the plan once, whole, and is cut into
+//! `n_partitions` equal windows; the partitioning is propagated in
+//! topological order — a parallelizable operator whose aligned inputs are all
+//! partitioned is cloned once per partition, each clone reading its window
+//! of the scan or its matching upstream clone. Any other consumer reads the
+//! scan whole, or the packed (exchange-union) result of the clones. This
+//! mirrors MonetDB's mitosis + mergetable optimizer pair.
 //!
 //! The same rewriter is the paper's *work-stealing-style* baseline (§4.1.1):
 //! "One may argue that the work stealing approach could solve the problem of
@@ -28,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::{EngineError, Result};
@@ -45,17 +49,17 @@ pub fn heuristic_parallelize(
     catalog: &Catalog,
     n_partitions: usize,
 ) -> Result<Plan> {
-    let mut driver: Option<(String, usize)> = None;
+    let mut driver: Option<(&str, usize)> = None;
     for id in serial.node_ids() {
         if let OperatorSpec::ScanColumn { table, .. } = &serial.node(id)?.spec {
             let rows = catalog.table(table)?.row_count();
-            if driver.as_ref().is_none_or(|(_, best)| rows > *best) {
-                driver = Some((table.clone(), rows));
+            if driver.is_none_or(|(_, best)| rows > best) {
+                driver = Some((table, rows));
             }
         }
     }
     match driver {
-        Some((table, _)) => heuristic_parallelize_with_driver(serial, &table, n_partitions),
+        Some(driver) => heuristic_parallelize_with_driver(serial, driver, n_partitions),
         // Only a scan takes no input, so a plan without one fails validation.
         None => {
             serial.validate()?;
@@ -64,11 +68,14 @@ pub fn heuristic_parallelize(
     }
 }
 
-/// Rewrites `serial` by partitioning every scan of `driver_table` into
-/// `n_partitions` equi-range scans and propagating the partitioning.
+/// One input edge of a node: the producer and the edge's row window.
+type Edge = (NodeId, Option<RowRange>);
+
+/// Rewrites `serial` by cutting every scan of the driver table — `(name,
+/// rows)` — into `n_partitions` equal windows and propagating the cuts.
 fn heuristic_parallelize_with_driver(
     serial: &Plan,
-    driver_table: &str,
+    (driver_table, rows): (&str, usize),
     n_partitions: usize,
 ) -> Result<Plan> {
     serial.validate()?;
@@ -76,44 +83,33 @@ fn heuristic_parallelize_with_driver(
     if n == 1 {
         return Ok(serial.clone());
     }
+    let cuts = RowRange::new(0, rows).split_even(n);
 
     let mut out = Plan::new();
-    // serial node id -> single (unpartitioned) node in the new plan
+    // serial node id -> single (whole) node in the new plan
     let mut single: HashMap<NodeId, NodeId> = HashMap::new();
-    // serial node id -> its n partitioned versions in the new plan
-    let mut parts: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    // cache of exchange unions packing a partitioned node
+    // serial node id -> its n part edges in the new plan: a driver scan's
+    // windows, or a cloned operator's clones read whole
+    let mut parts: HashMap<NodeId, Vec<Edge>> = HashMap::new();
+    // cache of exchange unions packing a cloned node
     let mut packed: HashMap<NodeId, NodeId> = HashMap::new();
 
     for id in serial.topo_order()? {
         let node = serial.node(id)?.clone();
         match &node.spec {
-            OperatorSpec::ScanColumn { table, column, range }
-                if table == driver_table && range.len() >= n =>
-            {
-                let versions = range
-                    .split_even(n)
-                    .into_iter()
-                    .map(|r| {
-                        out.add(
-                            OperatorSpec::ScanColumn {
-                                table: table.clone(),
-                                column: column.clone(),
-                                range: r,
-                            },
-                            vec![],
-                        )
-                    })
-                    .collect();
-                parts.insert(id, versions);
+            spec @ OperatorSpec::ScanColumn { table, .. } => {
+                let scan = out.add(spec.clone(), vec![]);
+                single.insert(id, scan);
+                if table == driver_table && rows >= n {
+                    parts.insert(id, cuts.iter().map(|&cut| (scan, Some(cut))).collect());
+                }
             }
             spec => {
                 let flags = spec.aligned_inputs(node.inputs.len());
                 // A windowed edge reads its producer whole and then cuts it,
-                // so it reads the packed (single) version, window kept.
-                let partitioned = |(input, window): (NodeId, Option<_>)| {
-                    window.is_none() && parts.contains_key(&input)
-                };
+                // so it reads the single version, window kept.
+                let partitioned =
+                    |(input, window): Edge| window.is_none() && parts.contains_key(&input);
                 let any_partitioned =
                     node.edges().zip(&flags).any(|(edge, &aligned)| aligned && partitioned(edge));
                 let all_aligned_partitioned = node
@@ -135,24 +131,24 @@ fn heuristic_parallelize_with_driver(
                         let mut edges = Vec::with_capacity(node.inputs.len());
                         for (edge @ (input, window), &aligned) in node.edges().zip(&flags) {
                             if aligned || partitioned(edge) {
-                                edges.push((parts[&input][k], None));
+                                edges.push(parts[&input][k]);
                             } else {
                                 let single_input =
                                     resolve_single(&mut out, input, &single, &parts, &mut packed)?;
                                 edges.push((single_input, window));
                             }
                         }
-                        versions.push(out.add_edges(spec.clone(), edges));
+                        versions.push((out.add_edges(spec.clone(), edges), None));
                     }
                     parts.insert(id, versions);
                 } else {
-                    // Keep the operator single; combiners absorb the
-                    // partitioned versions directly, everything else reads a
+                    // Keep the operator single; combiners absorb the clones
+                    // directly, everything else reads the scan whole or a
                     // packed exchange union.
                     let mut edges = Vec::new();
                     for edge @ (input, window) in node.edges() {
-                        if spec.is_combiner() && partitioned(edge) {
-                            edges.extend(parts[&input].iter().map(|&version| (version, None)));
+                        if spec.is_combiner() && partitioned(edge) && !single.contains_key(&input) {
+                            edges.extend_from_slice(&parts[&input]);
                         } else {
                             let single_input =
                                 resolve_single(&mut out, input, &single, &parts, &mut packed)?;
@@ -170,23 +166,20 @@ fn heuristic_parallelize_with_driver(
     let root = serial
         .root()
         .ok_or_else(|| EngineError::InvalidPlan("serial plan has no root".to_string()))?;
-    let new_root = if let Some(&s) = single.get(&root) {
-        s
-    } else {
-        resolve_single(&mut out, root, &single, &parts, &mut packed)?
-    };
+    let new_root = resolve_single(&mut out, root, &single, &parts, &mut packed)?;
     out.set_root(new_root);
     out.validate()?;
     Ok(out)
 }
 
 /// Returns an unpartitioned node producing the output of serial node `id`:
-/// either its direct rewrite or an exchange union packing its partitions.
+/// either its direct rewrite (a scan stays whole) or an exchange union
+/// packing its clones.
 fn resolve_single(
     out: &mut Plan,
     id: NodeId,
     single: &HashMap<NodeId, NodeId>,
-    parts: &HashMap<NodeId, Vec<NodeId>>,
+    parts: &HashMap<NodeId, Vec<Edge>>,
     packed: &mut HashMap<NodeId, NodeId>,
 ) -> Result<NodeId> {
     if let Some(&s) = single.get(&id) {
@@ -198,7 +191,7 @@ fn resolve_single(
     let versions = parts.get(&id).ok_or_else(|| {
         EngineError::InvalidPlan(format!("node {id} was not rewritten by the HP rewriter"))
     })?;
-    let union = out.add(OperatorSpec::ExchangeUnion, versions.clone());
+    let union = out.add_edges(OperatorSpec::ExchangeUnion, versions.iter().copied());
     packed.insert(id, union);
     Ok(union)
 }
@@ -233,21 +226,17 @@ mod tests {
         Arc::new(c)
     }
 
-    fn scan(table: &str, column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: table.into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(table: &str, column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: table.into(), column: column.into() }
     }
 
     /// Serial plan: sum(b) where a < 100 (filter + fetch + aggregate).
-    fn filter_sum_plan(rows: usize) -> Plan {
+    fn filter_sum_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(scan("fact", "a", rows), vec![]);
+        let a = p.add(scan("fact", "a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 100i64) }, vec![a]);
-        let b = p.add(scan("fact", "b", rows), vec![]);
+        let b = p.add(scan("fact", "b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -257,24 +246,24 @@ mod tests {
 
     /// Serial plan with a join: sum(attr * b) for fact rows where a < 100,
     /// joining fact.fk with dim.id (hash built on the dimension).
-    fn join_plan(rows: usize) -> Plan {
+    fn join_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(scan("fact", "a", rows), vec![]);
+        let a = p.add(scan("fact", "a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 100i64) }, vec![a]);
-        let fk = p.add(scan("fact", "fk", rows), vec![]);
+        let fk = p.add(scan("fact", "fk"), vec![]);
         let keys = p.add(OperatorSpec::Fetch, vec![sel, fk]);
-        let dim_id = p.add(scan("dim", "id", 50), vec![]);
+        let dim_id = p.add(scan("dim", "id"), vec![]);
         let build = p.add(OperatorSpec::HashBuild, vec![dim_id]);
         let probe = p.add(OperatorSpec::HashProbe, vec![keys, build]);
         let outer =
             p.add(OperatorSpec::ProjectJoinSide { side: apq_engine::JoinSide::Outer }, vec![probe]);
         let inner =
             p.add(OperatorSpec::ProjectJoinSide { side: apq_engine::JoinSide::Inner }, vec![probe]);
-        let b = p.add(scan("fact", "b", rows), vec![]);
+        let b = p.add(scan("fact", "b"), vec![]);
         let bvals = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let b_j = p.add(OperatorSpec::Fetch, vec![outer, bvals]);
-        let attr = p.add(scan("dim", "attr", 50), vec![]);
+        let attr = p.add(scan("dim", "attr"), vec![]);
         let attr_j = p.add(OperatorSpec::Fetch, vec![inner, attr]);
         let prod = p.add(
             OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
@@ -287,13 +276,13 @@ mod tests {
     }
 
     /// Grouped plan: select g, sum(b) where a < 100 group by g.
-    fn grouped_plan(rows: usize) -> Plan {
+    fn grouped_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(scan("fact", "a", rows), vec![]);
+        let a = p.add(scan("fact", "a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 100i64) }, vec![a]);
-        let g = p.add(scan("fact", "g", rows), vec![]);
-        let b = p.add(scan("fact", "b", rows), vec![]);
+        let g = p.add(scan("fact", "g"), vec![]);
+        let b = p.add(scan("fact", "b"), vec![]);
         let fetch_g = p.add(OperatorSpec::Fetch, vec![sel, g]);
         let fetch_b = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch_g, fetch_b]);
@@ -306,7 +295,7 @@ mod tests {
         let rows = 10_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(4);
-        let serial = filter_sum_plan(rows);
+        let serial = filter_sum_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
 
         let hp = heuristic_parallelize(&serial, &cat, 8).unwrap();
@@ -315,8 +304,9 @@ mod tests {
         assert_eq!(hp.count_of("select"), 8);
         assert_eq!(hp.count_of("fetch"), 8);
         assert_eq!(hp.count_of("aggregate"), 8);
-        // 8 partitions of `a` + 8 of `b` (both columns belong to the driver table).
-        assert_eq!(hp.count_of("scan"), 16);
+        // `a` and `b` (both columns of the driver table) are each scanned
+        // once, whole; the clones read eight windows of each.
+        assert_eq!(hp.count_of("scan"), 2);
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
     }
@@ -328,10 +318,10 @@ mod tests {
         let cat = catalog(rows);
         let engine = Engine::with_workers(4);
         let mut serial = Plan::new();
-        let a = serial.add(scan("fact", "a", rows), vec![]);
+        let a = serial.add(scan("fact", "a"), vec![]);
         let pred = Predicate::cmp(CmpOp::Lt, 100i64);
         let sel = serial.add(OperatorSpec::Select { predicate: pred }, vec![a]);
-        let b = serial.add(scan("fact", "b", rows), vec![]);
+        let b = serial.add(scan("fact", "b"), vec![]);
         let partials: Vec<NodeId> = [RowRange::new(0, 300), RowRange::new(300, rows)]
             .into_iter()
             .map(|w| {
@@ -347,8 +337,9 @@ mod tests {
         // The select is cloned; each fetch stays single and reads its
         // window of the packed candidates.
         assert_eq!((hp.count_of("select"), hp.count_of("fetch")), (4, 2));
+        let fetches = hp.node_ids().into_iter().map(|id| hp.node(id).unwrap());
         let windows: Vec<_> =
-            hp.node_ids().into_iter().filter_map(|id| hp.node(id).unwrap().window(0)).collect();
+            fetches.filter(|n| n.spec == OperatorSpec::Fetch).filter_map(|n| n.window(0)).collect();
         assert_eq!(windows, [RowRange::new(0, 300), RowRange::new(300, rows)]);
         assert_eq!(engine.execute(&hp, &cat).unwrap().output, expected);
     }
@@ -358,7 +349,7 @@ mod tests {
         let rows = 8_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(4);
-        let serial = join_plan(rows);
+        let serial = join_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         assert!(matches!(expected, QueryOutput::Scalar(ScalarValue::I64(_))));
 
@@ -376,7 +367,7 @@ mod tests {
         let rows = 9_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(4);
-        let serial = grouped_plan(rows);
+        let serial = grouped_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         let hp = heuristic_parallelize(&serial, &cat, 6).unwrap();
         hp.validate().unwrap();
@@ -391,18 +382,18 @@ mod tests {
     fn single_partition_returns_the_serial_plan_and_a_scanless_plan_is_an_error() {
         let rows = 1_000;
         let cat = catalog(rows);
-        let serial = filter_sum_plan(rows);
+        let serial = filter_sum_plan();
         let same = heuristic_parallelize(&serial, &cat, 1).unwrap();
         assert_eq!(same.node_count(), serial.node_count());
 
         // A driver table the plan never scans leaves every operator single.
-        let hp = heuristic_parallelize_with_driver(&serial, "missing_table", 4).unwrap();
+        let hp = heuristic_parallelize_with_driver(&serial, ("missing_table", rows), 4).unwrap();
         assert_eq!(hp.count_of("aggregate"), 1);
 
         // Without a scan there is no valid plan: both entry points say why.
         let empty = Plan::new();
         let err = heuristic_parallelize(&empty, &cat, 4).unwrap_err();
-        assert_eq!(err, heuristic_parallelize_with_driver(&empty, "fact", 4).unwrap_err());
+        assert_eq!(err, heuristic_parallelize_with_driver(&empty, ("fact", rows), 4).unwrap_err());
         assert!(matches!(err, EngineError::InvalidPlan(_)), "{err}");
         let mut scanless = Plan::new();
         let c = scanless.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, vec![]);
@@ -418,11 +409,11 @@ mod tests {
         let rows = 5_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(4);
-        let serial = join_plan(rows);
+        let serial = join_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         // Partition by the dimension table instead: the probe pipeline stays
         // serial, the build side's scan is packed back together.
-        let hp = heuristic_parallelize_with_driver(&serial, "dim", 4).unwrap();
+        let hp = heuristic_parallelize_with_driver(&serial, ("dim", 50), 4).unwrap();
         hp.validate().unwrap();
         assert_eq!(hp.count_of("join"), 1);
         let out = engine.execute(&hp, &cat).unwrap().output;
@@ -434,7 +425,7 @@ mod tests {
         let rows = 2_000;
         let cat = catalog(rows);
         let engine = Engine::with_workers(2);
-        let serial = filter_sum_plan(rows);
+        let serial = filter_sum_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         let hp = heuristic_parallelize(&serial, &cat, 64).unwrap();
         hp.validate().unwrap();
@@ -452,7 +443,7 @@ mod tests {
         // `workers_used` assertion below needs every worker to get a turn.
         let engine =
             Engine::new(EngineConfig::with_workers(4).with_faults(FaultConfig::fixed_delay(1_000)));
-        let serial = filter_sum_plan(rows);
+        let serial = filter_sum_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         let ws = heuristic_parallelize(&serial, &cat, 32).unwrap();
         ws.validate().unwrap();

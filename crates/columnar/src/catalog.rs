@@ -32,11 +32,6 @@ impl Catalog {
         self.tables.get(name).ok_or_else(|| ColumnarError::UnknownTable(name.to_string()))
     }
 
-    /// True when the catalog holds a table of that name.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// Number of registered tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -76,8 +71,6 @@ mod tests {
         c.register(table("part", 10));
         c.register(table("lineitem", 100));
         assert_eq!(c.len(), 2);
-        assert!(c.has_table("part"));
-        assert!(!c.has_table("orders"));
         assert_eq!(c.table("lineitem").unwrap().row_count(), 100);
         assert!(matches!(c.table("orders").unwrap_err(), ColumnarError::UnknownTable(_)));
         assert!(c.byte_size() > 0);

@@ -15,9 +15,9 @@
 //!   aligned with the base column (paper Fig. 8).
 //! * [`StringColumn`] — dictionary-encoded strings (codes + shared dictionary).
 //! * [`Table`] / [`Catalog`] — named collections of equally long columns.
-//! * [`partition`] — the range-partition descriptor ([`RowRange`]) that
-//!   plan scans carry, with the halving and equi-range cuts the adaptive and
-//!   heuristic parallelizers make.
+//! * [`partition`] — the range-partition descriptor ([`RowRange`]): the row
+//!   window a plan edge carries, with the halving and equi-range cuts the
+//!   adaptive and heuristic parallelizers make.
 //! * [`datagen`] — synthetic data generators: uniform, sequential, Zipf and
 //!   the skewed distribution of paper Fig. 13, plus TPC-style helpers.
 

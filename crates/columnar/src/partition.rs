@@ -2,10 +2,11 @@
 //!
 //! Adaptive parallelization creates *dynamically sized* range partitions: each
 //! mutation halves the partition of the currently most expensive operator, so
-//! a plan ends up scanning ranges of different sizes whose boundaries stay
+//! a plan ends up reading windows of different sizes whose boundaries stay
 //! aligned with the base column (paper Fig. 8). [`RowRange`] is that
-//! half-open `[start, end)` row/oid range, with the halving step of the
-//! adaptive split mutation and the equi-range cut of the heuristic baseline.
+//! half-open `[start, end)` row/oid range — the window a plan edge carries
+//! over its producer's output — with the halving step of the adaptive split
+//! mutation and the equi-range cut of the heuristic baseline.
 //! (Alignment between a candidate-list partition and a value-column partition
 //! during tuple reconstruction is the engine's `stream_base` invariant —
 //! `docs/architecture.md` §6.)
@@ -36,11 +37,6 @@ impl RowRange {
         self.start == self.end
     }
 
-    /// True when `row` falls inside the range.
-    pub fn contains(&self, row: usize) -> bool {
-        row >= self.start && row < self.end
-    }
-
     /// Splits the range into `n` near-equal contiguous pieces (static / heuristic partitioning).
     pub fn split_even(&self, n: usize) -> Vec<RowRange> {
         assert!(n > 0, "cannot split into zero partitions");
@@ -67,9 +63,6 @@ mod tests {
         let r = RowRange::new(10, 20);
         assert_eq!(r.len(), 10);
         assert!(!r.is_empty());
-        assert!(r.contains(10));
-        assert!(r.contains(19));
-        assert!(!r.contains(20));
         assert!(RowRange::new(5, 5).is_empty());
     }
 

@@ -40,11 +40,6 @@ impl Table {
             .ok_or_else(|| ColumnarError::UnknownColumn(format!("{}.{}", self.name, name)))
     }
 
-    /// True when the table has a column of the given name.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.index.contains_key(name)
-    }
-
     /// Logical type of a column.
     pub fn column_type(&self, name: &str) -> Result<DataType> {
         Ok(self.column(name)?.data_type())
@@ -143,8 +138,6 @@ mod tests {
         assert_eq!(t.name(), "lineitem");
         assert_eq!(t.row_count(), 3);
         assert_eq!(t.column_count(), 3);
-        assert!(t.has_column("l_quantity"));
-        assert!(!t.has_column("missing"));
         assert_eq!(t.column("l_quantity").unwrap().i64_values().unwrap(), &[1, 2, 3]);
         assert_eq!(t.column_type("l_discount").unwrap(), DataType::Float64);
         assert!(t.byte_size() > 0);

@@ -78,17 +78,12 @@ pub fn ranked_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
 
-    fn scan(rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "a".into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan() -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }
     }
 
     fn profile(plan: &Plan, costs: &[(NodeId, u64, usize)]) -> QueryProfile {
@@ -116,10 +111,10 @@ mod tests {
     #[test]
     fn ranks_by_execution_time_and_filters_unmutable_operators() {
         let mut p = Plan::new();
-        let a = p.add(scan(100_000), vec![]);
+        let a = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let b = p.add(scan(100_000), vec![]);
+        let b = p.add(scan(), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -148,11 +143,11 @@ mod tests {
     #[test]
     fn small_partitions_drop_out_of_the_ranking() {
         let mut p = Plan::new();
-        let a = p.add(scan(100), vec![]);
+        let a = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         p.set_root(sel);
-        let prof = profile(&p, &[(sel, 1_000, 50)]);
+        let prof = profile(&p, &[(a, 10, 100), (sel, 1_000, 50)]);
         let cfg = AdaptiveConfig::for_cores(4); // min_partition_rows = 1024 > 100/2
         assert!(ranked_candidates(&p, &prof, &cfg).is_empty());
         let cfg_small = cfg.with_min_partition_rows(10);
@@ -166,7 +161,7 @@ mod tests {
             [(UNION_INPUT_THRESHOLD, true), (UNION_INPUT_THRESHOLD + 1, false)]
         {
             let mut p = Plan::new();
-            let a = p.add(scan(10_000), vec![]);
+            let a = p.add(scan(), vec![]);
             let pred = Predicate::cmp(CmpOp::Lt, 5i64);
             let selects: Vec<NodeId> = (0..n_inputs)
                 .map(|_| p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a]))
@@ -186,11 +181,11 @@ mod tests {
     #[test]
     fn dead_nodes_are_ignored() {
         let mut p = Plan::new();
-        let a = p.add(scan(10_000), vec![]);
+        let a = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         p.set_root(sel);
-        let prof = profile(&p, &[(sel, 1_000, 5_000), (77, 9_999, 5_000)]);
+        let prof = profile(&p, &[(a, 10, 10_000), (sel, 1_000, 5_000), (77, 9_999, 5_000)]);
         let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(10);
         let ranked = ranked_candidates(&p, &prof, &cfg);
         assert_eq!(ranked.len(), 1);

@@ -89,15 +89,12 @@ mod tests {
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
 
-    fn scan(column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
-    fn profile_for(plan: &Plan, rows: usize) -> QueryProfile {
+    /// Every scan published `scan_rows` rows, every other node `rows`.
+    fn profile_for(plan: &Plan, scan_rows: usize, rows: usize) -> QueryProfile {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
@@ -106,27 +103,32 @@ mod tests {
             operators: plan
                 .node_ids()
                 .into_iter()
-                .map(|node| OperatorProfile {
-                    node,
-                    name: plan.node(node).unwrap().spec.name(),
-                    start_us: 0,
-                    duration_us: 10,
-                    queue_wait_us: 0,
-                    worker: 0,
-                    rows_out: rows,
-                    bytes_out: rows * 8,
+                .map(|node| {
+                    let spec = &plan.node(node).unwrap().spec;
+                    let scan = matches!(spec, OperatorSpec::ScanColumn { .. });
+                    let rows_out = if scan { scan_rows } else { rows };
+                    OperatorProfile {
+                        node,
+                        name: spec.name(),
+                        start_us: 0,
+                        duration_us: 10,
+                        queue_wait_us: 0,
+                        worker: 0,
+                        rows_out,
+                        bytes_out: rows_out * 8,
+                    }
                 })
                 .collect(),
         }
     }
 
     /// sum(b) where a < k — the plan every other test builds on.
-    fn filter_sum_plan(rows: usize) -> (Plan, NodeId, NodeId, NodeId) {
+    fn filter_sum_plan() -> (Plan, NodeId, NodeId, NodeId) {
         let mut p = Plan::new();
-        let a = p.add(scan("a", rows), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
-        let b = p.add(scan("b", rows), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -145,8 +147,8 @@ mod tests {
 
     #[test]
     fn basic_mutation_of_a_select_windows_the_scan() {
-        let (mut p, sel, fetch, _) = filter_sum_plan(1000);
-        let prof = profile_for(&p, 500);
+        let (mut p, sel, fetch, _) = filter_sum_plan();
+        let prof = profile_for(&p, 1_000, 500);
         let before_scans = p.count_of("scan");
         let outcome = clone_over_partitions(&mut p, &prof, sel).unwrap();
         assert_eq!(outcome.kind, MutationKind::Basic);
@@ -172,15 +174,16 @@ mod tests {
     #[test]
     fn halving_scans_intermediates_and_windows() {
         let mut p = Plan::new();
-        let a = p.add(scan("a", 101), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let b = p.add(scan("b", 101), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         p.set_root(fetch);
-        let prof = profile_for(&p, 33);
+        let prof = profile_for(&p, 101, 33);
 
-        // A scan edge starts from the scan's range: [0, 51) and [51, 101).
+        // A scan edge starts from the scan's profiled length: [0, 51) and
+        // [51, 101).
         let selects = clone_over_partitions(&mut p, &prof, sel).unwrap().clones;
         assert_eq!(windows(&p, selects[0]), vec![window(0, 51)]);
         assert_eq!(windows(&p, selects[1]), vec![window(51, 101)]);
@@ -189,7 +192,7 @@ mod tests {
         // reads the union of the selects, 33 rows, as [0, 17) and [17, 33);
         // its broadcast column stays whole.
         let union = p.node(fetch).unwrap().inputs[0];
-        let prof = profile_for(&p, 33);
+        let prof = profile_for(&p, 101, 33);
         let fetches = clone_over_partitions(&mut p, &prof, fetch).unwrap().clones;
         assert_eq!(p.node(fetches[0]).unwrap().inputs, vec![union, b]);
         assert_eq!(windows(&p, fetches[0]), vec![window(0, 17), None]);
@@ -206,11 +209,11 @@ mod tests {
 
     #[test]
     fn repeated_mutation_reuses_the_existing_union() {
-        let (mut p, sel, _, _) = filter_sum_plan(1000);
-        let prof = profile_for(&p, 500);
+        let (mut p, sel, _, _) = filter_sum_plan();
+        let prof = profile_for(&p, 1_000, 500);
         let first = clone_over_partitions(&mut p, &prof, sel).unwrap();
         // Parallelize one of the clones: its consumer is the union created above.
-        let prof2 = profile_for(&p, 250);
+        let prof2 = profile_for(&p, 1_000, 250);
         let second = clone_over_partitions(&mut p, &prof2, first.clones[0]).unwrap();
         p.validate().unwrap();
         assert_eq!(second.combiner, first.combiner, "existing union must be reused");
@@ -227,8 +230,8 @@ mod tests {
 
     #[test]
     fn fetch_mutation_windows_the_candidate_list() {
-        let (mut p, sel, fetch, _) = filter_sum_plan(1000);
-        let prof = profile_for(&p, 600);
+        let (mut p, sel, fetch, _) = filter_sum_plan();
+        let prof = profile_for(&p, 1_000, 600);
         let outcome = clone_over_partitions(&mut p, &prof, fetch).unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Basic);
@@ -245,9 +248,9 @@ mod tests {
 
     #[test]
     fn advanced_mutation_of_scalar_agg_feeds_existing_finalizer() {
-        let (mut p, _, _, agg) = filter_sum_plan(1000);
+        let (mut p, _, _, agg) = filter_sum_plan();
         let fin = p.root().unwrap();
-        let prof = profile_for(&p, 400);
+        let prof = profile_for(&p, 1_000, 400);
         let outcome = clone_over_partitions(&mut p, &prof, agg).unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Advanced);
@@ -260,11 +263,11 @@ mod tests {
     #[test]
     fn advanced_mutation_of_group_agg() {
         let mut p = Plan::new();
-        let keys = p.add(scan("k", 1000), vec![]);
-        let vals = p.add(scan("v", 1000), vec![]);
+        let keys = p.add(scan("k"), vec![]);
+        let vals = p.add(scan("v"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![keys, vals]);
         p.set_root(group);
-        let prof = profile_for(&p, 1000);
+        let prof = profile_for(&p, 1_000, 1_000);
         let outcome = clone_over_partitions(&mut p, &prof, group).unwrap();
         p.validate().unwrap();
         assert_eq!(outcome.kind, MutationKind::Advanced);
@@ -283,11 +286,11 @@ mod tests {
     #[test]
     fn mutation_of_root_operator_moves_the_root() {
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
         p.set_root(sel);
-        let prof = profile_for(&p, 50);
+        let prof = profile_for(&p, 100, 50);
         let outcome = clone_over_partitions(&mut p, &prof, sel).unwrap();
         p.validate().unwrap();
         assert_eq!(p.root(), Some(outcome.combiner));
@@ -296,22 +299,22 @@ mod tests {
 
     #[test]
     fn rejects_unsplittable_targets() {
-        let (mut p, sel, _, _) = filter_sum_plan(1000);
+        let (mut p, sel, _, _) = filter_sum_plan();
         // Scan nodes cannot be mutated.
-        let prof = profile_for(&p, 500);
+        let prof = profile_for(&p, 1_000, 500);
         assert!(clone_over_partitions(&mut p, &prof, 0).is_err());
         // A select over a single-row scan cannot be split.
-        let (mut tiny, tiny_sel, _, _) = filter_sum_plan(1);
-        let tiny_prof = profile_for(&tiny, 1);
+        let (mut tiny, tiny_sel, _, _) = filter_sum_plan();
+        let tiny_prof = profile_for(&tiny, 1, 1);
         assert!(clone_over_partitions(&mut tiny, &tiny_prof, tiny_sel).is_err());
         // Unknown node.
         assert!(clone_over_partitions(&mut p, &prof, 999).is_err());
         // Neither can a fetch over a one-row intermediate.
-        let (mut p3, _, fetch3, _) = filter_sum_plan(1000);
-        let one_row = profile_for(&p3, 1);
+        let (mut p3, _, fetch3, _) = filter_sum_plan();
+        let one_row = profile_for(&p3, 1_000, 1);
         assert!(clone_over_partitions(&mut p3, &one_row, fetch3).is_err());
         // Fetch whose candidate list was never profiled cannot be split.
-        let (mut p2, _, fetch2, _) = filter_sum_plan(1000);
+        let (mut p2, _, fetch2, _) = filter_sum_plan();
         let empty_prof = QueryProfile {
             wall_time: Duration::from_micros(1),
             n_workers: 1,

@@ -144,12 +144,8 @@ mod tests {
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
 
-    fn scan(column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
     fn profile_with(rows: &[(NodeId, usize)]) -> QueryProfile {
@@ -174,6 +170,10 @@ mod tests {
         }
     }
 
+    /// The halves of `t.a`'s 1,000 rows, as windows on the edges reading it.
+    const HEAD: Option<RowRange> = Some(RowRange { start: 0, end: 500 });
+    const TAIL: Option<RowRange> = Some(RowRange { start: 500, end: 1000 });
+
     /// Plan shaped like the paper's Fig. 5: two selects packed by a union,
     /// whose output is fetched into and then aggregated.
     ///   select(a[0,500)) ─┐
@@ -181,20 +181,12 @@ mod tests {
     ///   select(a[500,1000))┘
     fn union_plan() -> (Plan, NodeId, NodeId, NodeId, NodeId) {
         let mut p = Plan::new();
-        let a0 = p.add(scan("a", 500), vec![]);
-        let a1 = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(500, 1000),
-            },
-            vec![],
-        );
+        let (a0, a1) = (p.add(scan("a"), vec![]), p.add(scan("a"), vec![]));
         let pred = Predicate::cmp(CmpOp::Lt, 100i64);
-        let s0 = p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a0]);
-        let s1 = p.add(OperatorSpec::Select { predicate: pred }, vec![a1]);
+        let s0 = p.add_edges(OperatorSpec::Select { predicate: pred.clone() }, [(a0, HEAD)]);
+        let s1 = p.add_edges(OperatorSpec::Select { predicate: pred }, [(a1, TAIL)]);
         let union = p.add(OperatorSpec::ExchangeUnion, vec![s0, s1]);
-        let b = p.add(scan("b", 1000), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![union, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -229,17 +221,10 @@ mod tests {
         // select0/select1 -> union -> sum -> finalize: cloning the sum per
         // union input reuses the finalizer as the combiner.
         let mut p = Plan::new();
-        let a0 = p.add(scan("a", 500), vec![]);
-        let a1 = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(500, 1000),
-            },
-            vec![],
-        );
-        let f0 = p.add(OperatorSpec::Fetch, vec![a0, a0]); // placeholder value columns
-        let f1 = p.add(OperatorSpec::Fetch, vec![a1, a1]);
+        let (a0, a1) = (p.add(scan("a"), vec![]), p.add(scan("a"), vec![]));
+        // placeholder value columns
+        let f0 = p.add_edges(OperatorSpec::Fetch, [(a0, HEAD), (a0, HEAD)]);
+        let f1 = p.add_edges(OperatorSpec::Fetch, [(a1, TAIL), (a1, TAIL)]);
         let union = p.add(OperatorSpec::ExchangeUnion, vec![f0, f1]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![union]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -253,25 +238,19 @@ mod tests {
         assert_eq!(p.node(fin).unwrap().inputs.len(), 2);
     }
 
-    /// `union_plan` with `n` selects over `n` 100-row scan partitions.
+    /// `union_plan` with `n` selects over `n` 100-row windows of scans.
     fn wide_union_plan(n: usize) -> (Plan, NodeId, QueryProfile) {
         let mut p = Plan::new();
         let pred = Predicate::cmp(CmpOp::Lt, 100i64);
         let selects: Vec<NodeId> = (0..n)
             .map(|i| {
-                let part = p.add(
-                    OperatorSpec::ScanColumn {
-                        table: "t".into(),
-                        column: "a".into(),
-                        range: RowRange::new(i * 100, (i + 1) * 100),
-                    },
-                    vec![],
-                );
-                p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![part])
+                let a = p.add(scan("a"), vec![]);
+                let window = Some(RowRange::new(i * 100, (i + 1) * 100));
+                p.add_edges(OperatorSpec::Select { predicate: pred.clone() }, [(a, window)])
             })
             .collect();
         let union = p.add(OperatorSpec::ExchangeUnion, selects.clone());
-        let b = p.add(scan("b", n * 100), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![union, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -303,7 +282,7 @@ mod tests {
     fn multiple_consumers_or_missing_profile_disable_the_mutation() {
         // Two consumers of the union.
         let (mut p, _, _, union, _) = union_plan();
-        let b = p.add(scan("b", 1000), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let extra = p.add(OperatorSpec::Fetch, vec![union, b]);
         let _keep_alive = p.add(OperatorSpec::ExchangeUnion, vec![extra]);
         let prof = profile_with(&[(union, 100)]);
@@ -323,20 +302,12 @@ mod tests {
     #[test]
     fn union_into_union_is_collapsed() {
         let mut p = Plan::new();
-        let a0 = p.add(scan("a", 500), vec![]);
-        let a1 = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(500, 1000),
-            },
-            vec![],
-        );
-        let pred = Predicate::cmp(CmpOp::Lt, 100i64);
-        let s0 = p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a0]);
-        let s1 = p.add(OperatorSpec::Select { predicate: pred.clone() }, vec![a1]);
+        let (a0, a1) = (p.add(scan("a"), vec![]), p.add(scan("a"), vec![]));
+        let select = || OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 100i64) };
+        let s0 = p.add_edges(select(), [(a0, HEAD)]);
+        let s1 = p.add_edges(select(), [(a1, TAIL)]);
         let inner = p.add(OperatorSpec::ExchangeUnion, vec![s0, s1]);
-        let s2 = p.add(OperatorSpec::Select { predicate: pred }, vec![a0]);
+        let s2 = p.add_edges(select(), [(a0, HEAD)]);
         let outer = p.add(OperatorSpec::ExchangeUnion, vec![inner, s2]);
         p.set_root(outer);
         let prof = profile_with(&[(s0, 10), (s1, 10), (s2, 10), (inner, 20)]);
@@ -355,17 +326,10 @@ mod tests {
         other_window: Option<RowRange>,
     ) -> (Plan, NodeId, QueryProfile) {
         let mut p = Plan::new();
-        let a0 = p.add(scan("a", 600), vec![]);
-        let a1 = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(600, 1000),
-            },
-            vec![],
-        );
-        let union = p.add(OperatorSpec::ExchangeUnion, vec![a0, a1]);
-        let other = p.add(scan("b", other_rows), vec![]);
+        let (a0, a1) = (p.add(scan("a"), vec![]), p.add(scan("a"), vec![]));
+        let (head, tail) = (RowRange::new(0, 600), RowRange::new(600, 1000));
+        let union = p.add_edges(OperatorSpec::ExchangeUnion, [(a0, Some(head)), (a1, Some(tail))]);
+        let other = p.add(scan("b"), vec![]);
         let calc = p.add_edges(
             OperatorSpec::Calc {
                 op: apq_operators::BinaryOp::Mul,
@@ -377,7 +341,7 @@ mod tests {
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![calc]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
-        let prof = profile_with(&[(a0, 600), (a1, 400), (union, 1000), (calc, 1000)]);
+        let prof = profile_with(&[(other, other_rows), (union, 1000), (calc, 1000)]);
         (p, union, prof)
     }
 
@@ -391,17 +355,12 @@ mod tests {
         assert_eq!(outcome.clones.len(), 2);
         assert_eq!(p.count_of("slice"), 0);
         assert_eq!(p.count_of("scan"), 3);
-        // The clones read each part whole and `other` over [0,600) and
-        // [600,1000).
+        // The clones read each part through its window and `other` over
+        // [0,600) and [600,1000).
+        let (head, tail) = (Some(RowRange::new(0, 600)), Some(RowRange::new(600, 1000)));
         let edges: Vec<Vec<_>> =
             outcome.clones.iter().map(|&c| p.node(c).unwrap().edges().collect()).collect();
-        assert_eq!(
-            edges,
-            vec![
-                vec![(0, None), (3, Some(RowRange::new(0, 600)))],
-                vec![(1, None), (3, Some(RowRange::new(600, 1000)))],
-            ]
-        );
+        assert_eq!(edges, vec![vec![(0, head), (3, head)], vec![(1, tail), (3, tail)]]);
     }
 
     #[test]
@@ -435,7 +394,7 @@ mod tests {
 
         // A union of windows inlined into another union keeps each window.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 1000), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let pred = Predicate::cmp(CmpOp::Lt, 100i64);
         let sel = p.add(OperatorSpec::Select { predicate: pred }, vec![a]);
         let (head, tail) = (Some(RowRange::new(0, 10)), Some(RowRange::new(10, 99)));

@@ -93,26 +93,21 @@ pub fn mutate_most_expensive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_engine::plan::OperatorSpec;
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
 
-    fn scan(column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
-    fn plan_filter_sum(rows: usize) -> (Plan, NodeId, NodeId) {
+    fn plan_filter_sum() -> (Plan, NodeId, NodeId) {
         let mut p = Plan::new();
-        let a = p.add(scan("a", rows), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
-        let b = p.add(scan("b", rows), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -144,7 +139,7 @@ mod tests {
 
     #[test]
     fn mutates_the_most_expensive_operator_first() {
-        let (mut p, sel, fetch) = plan_filter_sum(10_000);
+        let (mut p, sel, fetch) = plan_filter_sum();
         let prof =
             profile(&p, &[(0, 1, 10_000), (sel, 900, 5_000), (fetch, 100, 5_000), (4, 10, 1)]);
         let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(16);
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn falls_back_to_the_next_candidate_when_the_first_cannot_split() {
-        let (mut p, sel, fetch) = plan_filter_sum(10_000);
+        let (mut p, sel, fetch) = plan_filter_sum();
         // The select is the most expensive but its scan input is "too small"
         // given an absurd minimum partition size — actually make fetch's
         // candidate list large enough while the scan is not splittable by
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn returns_none_when_nothing_can_be_parallelized() {
-        let (mut p, sel, fetch) = plan_filter_sum(100);
+        let (mut p, sel, fetch) = plan_filter_sum();
         let prof = profile(&p, &[(sel, 900, 50), (fetch, 100, 50)]);
         let mut cfg = AdaptiveConfig::for_cores(4);
         cfg.min_partition_rows = 1_000_000;

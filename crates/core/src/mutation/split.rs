@@ -5,10 +5,10 @@
 //! (paper §2.3), and both the same way: a partition is a row window on the
 //! plan edge that reads the column, "marking the boundary ranges … there is
 //! no data copying involved". The producer stays in the plan whole — a scan
-//! keeps its range, an intermediate its node — and the executor cuts its
-//! output to each edge's window. An edge without a window covers its
-//! producer's output: the scan's range, or the row count the profiler
-//! observed in the previous run.
+//! publishes its whole column, an intermediate its node's output — and the
+//! executor cuts that output to each edge's window. An edge without a window
+//! covers its producer's output: the row count the profiler observed in the
+//! previous run.
 
 use apq_columnar::partition::RowRange;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
@@ -19,13 +19,10 @@ use crate::error::{CoreError, Result};
 /// One input edge of a plan node: the producer and the edge's row window.
 pub type Edge = (NodeId, Option<RowRange>);
 
-/// Number of rows node `id` produces: statically known for scans,
-/// otherwise taken from the previous run's profile.
+/// Number of rows node `id` produced in the previous run, as its profile
+/// records it (a scan's is its column's length).
 pub fn output_len(plan: &Plan, profile: &QueryProfile, id: NodeId) -> Option<usize> {
-    match &plan.node(id).ok()?.spec {
-        OperatorSpec::ScanColumn { range, .. } => Some(range.len()),
-        _ => profile.operator(id).map(|p| p.rows_out),
-    }
+    profile.operator(id).filter(|_| plan.contains(id)).map(|p| p.rows_out)
 }
 
 /// The rows an edge reads, as a window on its producer's output: the edge's
@@ -95,12 +92,8 @@ mod tests {
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
 
-    fn scan(rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "a".into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan() -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }
     }
 
     fn profile_with(rows: &[(NodeId, usize)]) -> QueryProfile {
@@ -126,13 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn output_len_prefers_static_info() {
+    fn output_len_is_the_profiled_row_count() {
         let mut p = Plan::new();
-        let s = p.add(scan(100), vec![]);
+        let s = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![s]);
         p.set_root(sel);
-        let prof = profile_with(&[(sel, 37)]);
+        let prof = profile_with(&[(s, 100), (sel, 37)]);
         assert_eq!(output_len(&p, &prof, s), Some(100));
         assert_eq!(output_len(&p, &prof, sel), Some(37));
         assert_eq!(output_len(&p, &prof, 99), None);
@@ -147,10 +140,10 @@ mod tests {
     #[test]
     fn aligned_inputs_respect_operator_metadata() {
         let mut p = Plan::new();
-        let a = p.add(scan(100), vec![]);
+        let a = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let b = p.add(scan(100), vec![]);
+        let b = p.add(scan(), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         p.set_root(agg);
@@ -175,11 +168,11 @@ mod tests {
     #[test]
     fn can_split_honours_minimum_partition_size() {
         let mut p = Plan::new();
-        let a = p.add(scan(100), vec![]);
+        let a = p.add(scan(), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         p.set_root(sel);
-        let prof = profile_with(&[(sel, 50)]);
+        let prof = profile_with(&[(a, 100), (sel, 50)]);
         assert!(can_split(&p, &prof, sel, 50));
         assert!(!can_split(&p, &prof, sel, 51));
         // Scans have no aligned inputs at all.

@@ -150,7 +150,6 @@ fn run_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::{ScalarValue, TableBuilder};
     use apq_engine::plan::OperatorSpec;
     use apq_engine::QueryOutput;
@@ -170,21 +169,17 @@ mod tests {
         Arc::new(c)
     }
 
-    fn scan(column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
     /// Serial plan: sum(b * 2) over rows where a < 300.
-    fn serial_plan(rows: usize) -> Plan {
+    fn serial_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(scan("a", rows), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 300i64) }, vec![a]);
-        let b = p.add(scan("b", rows), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let calc = p.add(
             OperatorSpec::Calc {
@@ -217,7 +212,7 @@ mod tests {
             .with_max_runs(12)
             .with_verification();
         let optimizer = AdaptiveOptimizer::new(config);
-        let plan = serial_plan(rows);
+        let plan = serial_plan();
         let report = optimizer.optimize(&engine, &cat, &plan).unwrap();
 
         assert_eq!(
@@ -249,7 +244,7 @@ mod tests {
         let engine = Engine::with_workers(2);
         let config = AdaptiveConfig::for_cores(2).with_min_partition_rows(256).with_max_runs(8);
         let report =
-            AdaptiveOptimizer::new(config).optimize(&engine, &cat, &serial_plan(rows)).unwrap();
+            AdaptiveOptimizer::new(config).optimize(&engine, &cat, &serial_plan()).unwrap();
         let fastest = report.records.iter().map(|r| r.exec_us).min().unwrap();
         assert_eq!(report.best_us, fastest);
         let earliest = report.records.iter().find(|r| r.exec_us == fastest).unwrap();
@@ -267,7 +262,7 @@ mod tests {
         let optimizer = AdaptiveOptimizer::new(config);
         let mut seen = Vec::new();
         let report = optimizer
-            .optimize_with_observer(&engine, &cat, &serial_plan(rows), |r| seen.push(r.run))
+            .optimize_with_observer(&engine, &cat, &serial_plan(), |r| seen.push(r.run))
             .unwrap();
         assert_eq!(seen.len(), report.records.len());
         assert_eq!(seen[0], 0);
@@ -282,11 +277,11 @@ mod tests {
         let config =
             AdaptiveConfig::for_cores(2).with_min_partition_rows(1_000_000).with_max_runs(10);
         let optimizer = AdaptiveOptimizer::new(config);
-        let report = optimizer.optimize(&engine, &cat, &serial_plan(rows)).unwrap();
+        let report = optimizer.optimize(&engine, &cat, &serial_plan()).unwrap();
         assert_eq!(report.total_runs, 0);
         assert!(!report.converged_by_balance);
         assert_eq!(report.best_run, 0);
-        assert_eq!(report.best_plan.node_count(), serial_plan(rows).node_count());
+        assert_eq!(report.best_plan.node_count(), serial_plan().node_count());
     }
 
     #[test]
@@ -297,7 +292,7 @@ mod tests {
         bad_config.n_cores = 0;
         let optimizer = AdaptiveOptimizer::new(bad_config);
         assert!(matches!(
-            optimizer.optimize(&engine, &cat, &serial_plan(100)),
+            optimizer.optimize(&engine, &cat, &serial_plan()),
             Err(CoreError::InvalidConfig(_))
         ));
 
@@ -313,7 +308,7 @@ mod tests {
         let engine = Engine::with_workers(4);
         let config = AdaptiveConfig::for_cores(4).with_min_partition_rows(16).with_max_runs(3);
         let optimizer = AdaptiveOptimizer::new(config);
-        let report = optimizer.optimize(&engine, &cat, &serial_plan(rows)).unwrap();
+        let report = optimizer.optimize(&engine, &cat, &serial_plan()).unwrap();
         assert!(report.total_runs <= 3);
     }
 }

@@ -103,20 +103,12 @@ impl AdaptiveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::ScalarValue;
     use apq_engine::plan::OperatorSpec;
 
     fn tiny_plan() -> Plan {
         let mut p = Plan::new();
-        let s = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(0, 10),
-            },
-            vec![],
-        );
+        let s = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
         p.set_root(s);
         p
     }

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_core::{mutate_most_expensive, AdaptiveConfig, ConvergenceState};
 use apq_engine::plan::OperatorSpec;
@@ -33,21 +32,17 @@ fn catalog(rows: usize, seed: u64) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-fn scan(column: &str, rows: usize) -> OperatorSpec {
-    OperatorSpec::ScanColumn {
-        table: "t".into(),
-        column: column.into(),
-        range: RowRange::new(0, rows),
-    }
+fn scan(column: &str) -> OperatorSpec {
+    OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
 }
 
 /// Serial plan: sum(b * 2) over rows where a < threshold.
-fn scalar_query(rows: usize, threshold: i64) -> Plan {
+fn scalar_query(threshold: i64) -> Plan {
     let mut p = Plan::new();
-    let a = p.add(scan("a", rows), vec![]);
+    let a = p.add(scan("a"), vec![]);
     let sel =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
-    let b = p.add(scan("b", rows), vec![]);
+    let b = p.add(scan("b"), vec![]);
     let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
     let calc = p.add(
         OperatorSpec::Calc {
@@ -64,13 +59,13 @@ fn scalar_query(rows: usize, threshold: i64) -> Plan {
 }
 
 /// Serial plan: select g, sum(b) from t where a < threshold group by g.
-fn grouped_query(rows: usize, threshold: i64) -> Plan {
+fn grouped_query(threshold: i64) -> Plan {
     let mut p = Plan::new();
-    let a = p.add(scan("a", rows), vec![]);
+    let a = p.add(scan("a"), vec![]);
     let sel =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
-    let g = p.add(scan("g", rows), vec![]);
-    let b = p.add(scan("b", rows), vec![]);
+    let g = p.add(scan("g"), vec![]);
+    let b = p.add(scan("b"), vec![]);
     let fetch_g = p.add(OperatorSpec::Fetch, vec![sel, g]);
     let fetch_b = p.add(OperatorSpec::Fetch, vec![sel, b]);
     let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch_g, fetch_b]);
@@ -110,7 +105,7 @@ proptest! {
         let cat = catalog(rows, seed);
         let engine = Engine::with_workers(3);
         let config = AdaptiveConfig::for_cores(3).with_min_partition_rows(64);
-        let serial = scalar_query(rows, threshold);
+        let serial = scalar_query(threshold);
         let mut plan = serial.clone();
         let baseline = engine.execute(&plan, &cat).unwrap();
         let expected = baseline.output.clone();
@@ -138,7 +133,7 @@ proptest! {
         let cat = catalog(rows, seed);
         let engine = Engine::with_workers(3);
         let config = AdaptiveConfig::for_cores(3).with_min_partition_rows(64);
-        let serial = grouped_query(rows, threshold);
+        let serial = grouped_query(threshold);
         let mut plan = serial.clone();
         let baseline = engine.execute(&plan, &cat).unwrap();
         let expected = baseline.output.clone();

@@ -354,7 +354,7 @@ impl Engine {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use apq_columnar::{partition::RowRange, Catalog, ScalarValue, TableBuilder};
+    /// use apq_columnar::{Catalog, ScalarValue, TableBuilder};
     /// use apq_engine::plan::{OperatorSpec, Plan};
     /// use apq_engine::{Engine, QueryOutput};
     /// use apq_operators::{AggFunc, CmpOp, Predicate};
@@ -368,11 +368,7 @@ impl Engine {
     ///
     /// let mut plan = Plan::new();
     /// let scan = plan.add(
-    ///     OperatorSpec::ScanColumn {
-    ///         table: "t".into(),
-    ///         column: "v".into(),
-    ///         range: RowRange::new(0, 5),
-    ///     },
+    ///     OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() },
     ///     vec![],
     /// );
     /// let sel = plan.add(

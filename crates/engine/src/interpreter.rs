@@ -72,9 +72,8 @@ pub fn execute_node(
     catalog: &Catalog,
 ) -> Result<Chunk> {
     match spec {
-        OperatorSpec::ScanColumn { table, column, range } => {
-            let col = Chunk::Column(catalog.table(table)?.column(column)?.clone());
-            Ok(col.slice(range.start, range.len()).expect("a column slices"))
+        OperatorSpec::ScanColumn { table, column } => {
+            Ok(Chunk::Column(catalog.table(table)?.column(column)?.clone()))
         }
 
         OperatorSpec::Select { predicate } => {
@@ -437,7 +436,6 @@ fn calc_scalars(op: BinaryOp, a: &ScalarValue, b: &ScalarValue) -> Result<Scalar
 mod tests {
     use super::*;
     use crate::plan::JoinSide;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::TableBuilder;
     use apq_operators::{AggFunc, CmpOp, Predicate};
 
@@ -457,14 +455,14 @@ mod tests {
         c
     }
 
-    fn scan(range: RowRange, column: &str) -> OperatorSpec {
-        OperatorSpec::ScanColumn { table: "t".into(), column: column.into(), range }
+    fn scan(column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
     #[test]
     fn scan_select_fetch_pipeline() {
         let cat = catalog();
-        let col = execute_node(0, &scan(RowRange::new(0, 100), "a"), &[], &cat).unwrap();
+        let col = execute_node(0, &scan("a"), &[], &cat).unwrap();
         assert_eq!(col.rows(), 100);
         let oids = execute_node(
             1,
@@ -474,7 +472,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(oids.rows(), 5);
-        let b = execute_node(2, &scan(RowRange::new(0, 100), "b"), &[], &cat).unwrap();
+        let b = execute_node(2, &scan("b"), &[], &cat).unwrap();
         let fetched = execute_node(3, &OperatorSpec::Fetch, &[oids, b], &cat).unwrap();
         match &fetched {
             Chunk::Column(c) => assert_eq!(c.i64_values().unwrap(), &[0, 10, 20, 30, 40]),
@@ -483,17 +481,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_clamps_to_table_size() {
+    fn scan_of_a_missing_table_fails() {
         let cat = catalog();
-        let col = execute_node(0, &scan(RowRange::new(90, 500), "a"), &[], &cat).unwrap();
-        assert_eq!(col.rows(), 10);
         let missing = execute_node(
             0,
-            &OperatorSpec::ScanColumn {
-                table: "nope".into(),
-                column: "a".into(),
-                range: RowRange::new(0, 1),
-            },
+            &OperatorSpec::ScanColumn { table: "nope".into(), column: "a".into() },
             &[],
             &cat,
         );
@@ -503,7 +495,7 @@ mod tests {
     #[test]
     fn select_with_candidates_and_union() {
         let cat = catalog();
-        let col = execute_node(0, &scan(RowRange::new(0, 100), "a"), &[], &cat).unwrap();
+        let col = execute_node(0, &scan("a"), &[], &cat).unwrap();
         let cands = Chunk::oids(vec![1, 3, 50, 99]);
         let sel = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 50i64) };
         let out = execute_node(1, &sel, &[col, cands], &cat).unwrap();
@@ -632,7 +624,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
 
-        let s = execute_node(3, &scan(RowRange::new(0, 3), "s"), &[], &cat).unwrap();
+        // The first three rows of `s`, as a window on the scan's edge reads them.
+        let s = execute_node(3, &scan("s"), &[], &cat).unwrap().slice(0, 3).expect("in bounds");
         let mask = execute_node(
             4,
             &OperatorSpec::PredMask { predicate: Predicate::cmp(CmpOp::Eq, "even") },

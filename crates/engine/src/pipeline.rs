@@ -424,21 +424,17 @@ mod tests {
     use apq_columnar::ScalarValue;
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
-    fn scan(col: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: col.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(col: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: "t".into(), column: col.into() }
     }
 
     /// scan(a) → select → fetch(b) → agg → finalize, with b scanned separately.
-    fn filter_sum_plan(rows: usize) -> Plan {
+    fn filter_sum_plan() -> Plan {
         let mut p = Plan::new();
-        let a = p.add(scan("a", rows), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
-        let b = p.add(scan("b", rows), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -501,7 +497,7 @@ mod tests {
 
     #[test]
     fn fuses_scan_select_fetch_agg_chain() {
-        let plan = filter_sum_plan(1000);
+        let plan = filter_sum_plan();
         let fused = analyze(&plan);
         // Expected: scan a whole, producing for the fused [select, fetch,
         // agg]; scan b whole (feeds the fetch as a shared, unaligned input);
@@ -520,7 +516,7 @@ mod tests {
 
     #[test]
     fn step_dependencies_count_cross_step_edges() {
-        let plan = filter_sum_plan(1000);
+        let plan = filter_sum_plan();
         let fused = analyze(&plan);
         let pipe_idx = fused.steps.iter().position(|s| s.producer.is_some()).unwrap();
         let scan_a_idx = fused.step_of[0].unwrap();
@@ -543,7 +539,7 @@ mod tests {
     fn multi_consumer_nodes_break_chains() {
         // scan a feeds two selects: no fusion across the fan-out.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let s1 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         let s2 =
@@ -573,13 +569,13 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, inputs)
         };
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let s1 = sel(&mut p, vec![a]);
-        let b = p.add(scan("b", 100), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let s2 = sel(&mut p, vec![b, s1]);
-        let c = p.add(scan("c", 100), vec![]);
+        let c = p.add(scan("c"), vec![]);
         let s3 = sel(&mut p, vec![c, s2]);
-        let d = p.add(scan("d", 100), vec![]);
+        let d = p.add(scan("d"), vec![]);
         let fetched = p.add(OperatorSpec::Fetch, vec![s3, d]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -598,9 +594,9 @@ mod tests {
         // over them; a select over a column fetched after it numbers its
         // input, so it does not join the chain but streams the fetch.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let s1 = sel(&mut p, vec![a]);
-        let b = p.add(scan("b", 100), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let s2 = sel(&mut p, vec![b, s1]);
         let fetched = p.add(OperatorSpec::Fetch, vec![s2, b]);
         let s3 = sel(&mut p, vec![fetched]);
@@ -617,7 +613,7 @@ mod tests {
         // A window addresses its producer's whole output; chaining the
         // consumer under a morsel would re-cut relative coordinates.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
         let add_one = OperatorSpec::Calc {
@@ -634,7 +630,7 @@ mod tests {
         assert_eq!(fused.steps[fused.step_of[fetch].unwrap()], streams(sel, &[fetch, calc]));
         // But a fusible stage streams its producer's chunk through a window.
         let mut p2 = Plan::new();
-        let a = p2.add(scan("a", 100), vec![]);
+        let a = p2.add(scan("a"), vec![]);
         let calc = p2.add_edges(add_one, [(a, Some(RowRange::new(10, 30)))]);
         p2.set_root(calc);
         let fused2 = analyze(&p2);
@@ -648,12 +644,12 @@ mod tests {
         // positions) must not join the chain — it gets its own pipeline
         // over the assembled fetch output.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 4_000), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 3_995i64) }, vec![a]);
-        let b = p.add(scan("b", 4_000), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
-        let dim = p.add(scan("k", 10), vec![]);
+        let dim = p.add(scan("k"), vec![]);
         let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
         let semi = p.add(OperatorSpec::SemiJoin, vec![fetch, hash]);
         p.set_root(semi);
@@ -673,13 +669,13 @@ mod tests {
         // A probe directly over a base column (no prior stream creator)
         // still fuses, and value-transforming stages may follow it.
         let mut p2 = Plan::new();
-        let outer = p2.add(scan("a", 4_000), vec![]);
-        let dim = p2.add(scan("k", 10), vec![]);
+        let outer = p2.add(scan("a"), vec![]);
+        let dim = p2.add(scan("k"), vec![]);
         let hash = p2.add(OperatorSpec::HashBuild, vec![dim]);
         let join = p2.add(OperatorSpec::HashProbe, vec![outer, hash]);
         let side = p2
             .add(OperatorSpec::ProjectJoinSide { side: crate::plan::JoinSide::Outer }, vec![join]);
-        let vals = p2.add(scan("b", 4_000), vec![]);
+        let vals = p2.add(scan("b"), vec![]);
         let fetched = p2.add(OperatorSpec::Fetch, vec![side, vals]);
         let agg = p2.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
         let fin = p2.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -698,8 +694,8 @@ mod tests {
         // col⊗col calc fuses into the scan's pipeline; b stays a whole-node
         // step shared into it (and sliced per morsel by the executor).
         let mut p = Plan::new();
-        let a = p.add(scan("a", 1000), vec![]);
-        let b = p.add(scan("b", 1000), vec![]);
+        let a = p.add(scan("a"), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let calc = p.add(
             OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
             vec![a, b],
@@ -721,10 +717,10 @@ mod tests {
         // scan mask → pred-mask → ifthenelse(mask, vals) → agg: the guarded
         // projection streams, its `vals` input sliced on the same grid.
         let mut p = Plan::new();
-        let m = p.add(scan("a", 1000), vec![]);
+        let m = p.add(scan("a"), vec![]);
         let mask =
             p.add(OperatorSpec::PredMask { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![m]);
-        let vals = p.add(scan("b", 1000), vec![]);
+        let vals = p.add(scan("b"), vec![]);
         let ite =
             p.add(OperatorSpec::IfThenElse { otherwise: ScalarValue::I64(0) }, vec![mask, vals]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![ite]);
@@ -744,12 +740,12 @@ mod tests {
         // longer line up — the calc must start its own pipeline over the
         // assembled fetch output.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 1000), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
-        let b = p.add(scan("b", 1000), vec![]);
+        let b = p.add(scan("b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
-        let c = p.add(scan("c", 1000), vec![]);
+        let c = p.add(scan("c"), vec![]);
         let calc = p.add(
             OperatorSpec::Calc { op: BinaryOp::Add, left_scalar: None, right_scalar: None },
             vec![fetch, c],
@@ -773,8 +769,8 @@ mod tests {
         // scan k → groupagg(k, v), v scanned separately: the grouped
         // aggregate fuses into the key scan's pipeline as its terminal stage, with v grid-sliced per morsel by the executor.
         let mut p = Plan::new();
-        let k = p.add(scan("k", 1000), vec![]);
-        let v = p.add(scan("v", 1000), vec![]);
+        let k = p.add(scan("k"), vec![]);
+        let v = p.add(scan("v"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
         p.set_root(group);
         let fused = analyze(&p);
@@ -791,7 +787,7 @@ mod tests {
         // scan k → calc(k + 1) → groupagg(·, v): the aggregate joins at the
         // end of the calc chain and nothing may extend past it.
         let mut p = Plan::new();
-        let k = p.add(scan("k", 1000), vec![]);
+        let k = p.add(scan("k"), vec![]);
         let shifted = p.add(
             OperatorSpec::Calc {
                 op: BinaryOp::Add,
@@ -800,7 +796,7 @@ mod tests {
             },
             vec![k],
         );
-        let v = p.add(scan("v", 1000), vec![]);
+        let v = p.add(scan("v"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Min }, vec![shifted, v]);
         p.set_root(group);
         let fused = analyze(&p);
@@ -817,12 +813,12 @@ mod tests {
         // the stream, so the grid-aligned cut of v would zip against the
         // wrong rows — the aggregate must restart over the assembled chunk.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 1000), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![a]);
-        let k = p.add(scan("k", 1000), vec![]);
+        let k = p.add(scan("k"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, k]);
-        let v = p.add(scan("v", 1000), vec![]);
+        let v = p.add(scan("v"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch, v]);
         p.set_root(group);
         let fused = analyze(&p);
@@ -843,7 +839,7 @@ mod tests {
         // groupagg(x, x): inputs[0] occurs twice — neither chain nor head
         // rule admits it; it runs whole, exactly like OAT.
         let mut p = Plan::new();
-        let x = p.add(scan("x", 100), vec![]);
+        let x = p.add(scan("x"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Count }, vec![x, x]);
         p.set_root(group);
         let fused = analyze(&p);
@@ -855,7 +851,7 @@ mod tests {
         // calc(x, x): inputs[0] occurs twice, so neither the chain rule nor
         // the head rule admits it — it runs whole, exactly like OAT.
         let mut p = Plan::new();
-        let a = p.add(scan("a", 100), vec![]);
+        let a = p.add(scan("a"), vec![]);
         let sq = p.add(
             OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
             vec![a, a],

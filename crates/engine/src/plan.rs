@@ -35,14 +35,14 @@ pub enum JoinSide {
 /// The physical operator a plan node executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OperatorSpec {
-    /// Zero-copy range slice of a base-table column (leaf).
+    /// A base-table column, published whole and zero-copy (leaf). A
+    /// consumer that reads part of it reads a window on its edge
+    /// ([`PlanNode::windows`]).
     ScanColumn {
         /// Table name in the catalog.
         table: String,
         /// Column name within the table.
         column: String,
-        /// Row range of the slice (oid range).
-        range: RowRange,
     },
     /// Predicate selection producing a candidate oid list. Optional second
     /// input: a previous candidate list to refine.
@@ -237,9 +237,7 @@ impl OperatorSpec {
     /// Compact parameter description for plan pretty-printing.
     pub fn describe(&self) -> String {
         match self {
-            OperatorSpec::ScanColumn { table, column, range } => {
-                format!("{table}.{column}[{}, {})", range.start, range.end)
-            }
+            OperatorSpec::ScanColumn { table, column } => format!("{table}.{column}"),
             OperatorSpec::Select { predicate } | OperatorSpec::PredMask { predicate } => {
                 predicate.describe()
             }
@@ -422,7 +420,8 @@ impl Plan {
     /// marker, in id order.
     /// Plans that build the same DAG the same way produce equal signatures;
     /// the encoding includes every operator parameter (predicate constants,
-    /// scan ranges), so "same shape, different constants" never collides.
+    /// scanned columns) and every edge window, so "same shape, different
+    /// constants" never collides.
     /// This is the cache key of the service layer's shared plan and result
     /// caches ([`crate::service`]).
     pub fn signature(&self) -> String {
@@ -597,21 +596,17 @@ mod tests {
     use super::*;
     use apq_operators::CmpOp;
 
-    fn scan(table: &str, column: &str, rows: usize) -> OperatorSpec {
-        OperatorSpec::ScanColumn {
-            table: table.into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        }
+    fn scan(table: &str, column: &str) -> OperatorSpec {
+        OperatorSpec::ScanColumn { table: table.into(), column: column.into() }
     }
 
     fn tiny_plan() -> Plan {
         // scan -> select -> (fetch from another scan) -> sum -> finalize
         let mut p = Plan::new();
-        let s0 = p.add(scan("t", "a", 100), vec![]);
+        let s0 = p.add(scan("t", "a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 10i64) }, vec![s0]);
-        let s1 = p.add(scan("t", "b", 100), vec![]);
+        let s1 = p.add(scan("t", "b"), vec![]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, s1]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -649,7 +644,7 @@ mod tests {
     #[test]
     fn splice_input_expands_unions() {
         let mut p = Plan::new();
-        let a = p.add(scan("t", "a", 10), vec![]);
+        let a = p.add(scan("t", "a"), vec![]);
         let s1 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         let s2 =
@@ -668,7 +663,7 @@ mod tests {
     #[test]
     fn edges_carry_windows_through_rewiring() {
         let mut p = Plan::new();
-        let a = p.add(scan("t", "a", 10), vec![]);
+        let a = p.add(scan("t", "a"), vec![]);
         let sel =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         let head = Some(RowRange::new(0, 4));
@@ -713,7 +708,7 @@ mod tests {
     #[test]
     fn validation_checks_windows() {
         let mut p = Plan::new();
-        let a = p.add(scan("t", "a", 10), vec![]);
+        let a = p.add(scan("t", "a"), vec![]);
         let sel = p.add_edges(
             OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) },
             [(a, Some(RowRange::new(2, 8)))],
@@ -770,8 +765,9 @@ mod tests {
     }
 
     /// A ~2,000-node plan of the `heuristic_parallelize(.., 128)` shape:
-    /// per column pair, 128 partition chains (two scans, select, fetch, a
-    /// calc reading its input twice, partial aggregate) under one wide
+    /// per column pair, 128 partition chains (two scans, each read through
+    /// the chain's window, select, fetch, a calc reading its input twice,
+    /// partial aggregate) under one wide
     /// union and one wide finalize; a few chains are removed to leave holes
     /// in the node table, and later columns reuse the first one's scans.
     fn wide_plan() -> Plan {
@@ -783,24 +779,18 @@ mod tests {
             let mut selects = Vec::new();
             let mut partials = Vec::new();
             for part in 0..PARTITIONS {
-                let range = RowRange::new(part * 100, (part + 1) * 100);
+                let window = Some(RowRange::new(part * 100, (part + 1) * 100));
                 let a = if column == 0 {
-                    let a = p.add(
-                        OperatorSpec::ScanColumn { table: "t".into(), column: "a".into(), range },
-                        vec![],
-                    );
+                    let a = p.add(scan("t", "a"), vec![]);
                     first_scans.push(a);
                     a
                 } else {
                     first_scans[part]
                 };
-                let b = p.add(
-                    OperatorSpec::ScanColumn { table: "t".into(), column: "b".into(), range },
-                    vec![],
-                );
+                let b = p.add(scan("t", "b"), vec![]);
                 let pred = Predicate::cmp(CmpOp::Lt, column as i64);
-                let sel = p.add(OperatorSpec::Select { predicate: pred }, vec![a]);
-                let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+                let sel = p.add_edges(OperatorSpec::Select { predicate: pred }, [(a, window)]);
+                let fetch = p.add_edges(OperatorSpec::Fetch, [(sel, None), (b, window)]);
                 let square = p.add(
                     OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
                     vec![fetch, fetch],
@@ -861,7 +851,7 @@ mod tests {
     #[test]
     fn validation_catches_bad_arity_and_missing_root() {
         let mut p = Plan::new();
-        let a = p.add(scan("t", "a", 10), vec![]);
+        let a = p.add(scan("t", "a"), vec![]);
         // No root set.
         assert!(p.validate().is_err());
         // Fetch with a single input violates arity.
@@ -873,8 +863,8 @@ mod tests {
     #[test]
     fn validation_refuses_a_probe_over_a_key_set() {
         let mut p = Plan::new();
-        let keys = p.add(scan("t", "a", 10), vec![]);
-        let outer = p.add(scan("t", "b", 10), vec![]);
+        let keys = p.add(scan("t", "a"), vec![]);
+        let outer = p.add(scan("t", "b"), vec![]);
         let set = p.add(OperatorSpec::KeySet, vec![keys]);
         let semi = p.add(OperatorSpec::SemiJoin, vec![outer, set]);
         p.set_root(semi);
@@ -915,7 +905,7 @@ mod tests {
         }
         assert!(!sel.is_combiner() && !agg.is_combiner() && !group.is_combiner());
 
-        let scanop = scan("t", "a", 5);
+        let scanop = scan("t", "a");
         assert!(!scanop.is_parallelizable());
         assert_eq!(scanop.arity(), (0, 0));
         assert!(scanop.describe().contains("t.a"));

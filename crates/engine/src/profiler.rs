@@ -264,11 +264,6 @@ impl QueryProfile {
         self.operators.iter().find(|o| o.node == node)
     }
 
-    /// The most expensive operator overall (by execution time).
-    pub fn most_expensive(&self) -> Option<&OperatorProfile> {
-        self.operators.iter().max_by_key(|o| o.duration_us)
-    }
-
     /// Number of executed operators per family.
     pub fn count_by_name(&self) -> HashMap<&'static str, usize> {
         let mut out = HashMap::new();
@@ -379,7 +374,6 @@ mod tests {
         assert!((p.parallelism_usage() - 1050.0 / 4000.0).abs() < 1e-9);
         assert_eq!(p.workers_used(), 2);
         assert!((p.multi_core_utilization() - 0.5).abs() < 1e-9);
-        assert_eq!(p.most_expensive().unwrap().node, 1);
         assert_eq!(p.operator(3).unwrap().name, "union");
         assert!(p.operator(99).is_none());
     }
@@ -496,7 +490,6 @@ mod tests {
         assert_eq!(p.total_cpu_us(), 0);
         assert_eq!(p.workers_used(), 0);
         assert_eq!(p.multi_core_utilization(), 0.0);
-        assert!(p.most_expensive().is_none());
         assert!(p.parallelism_usage() <= 1.0);
         assert_eq!(p.total_queue_wait_us(), 0);
         assert_eq!(p.queue_wait_share(), 0.0);

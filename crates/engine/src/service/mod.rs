@@ -265,7 +265,7 @@ impl ServiceInner {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use apq_columnar::{partition::RowRange, Catalog, ScalarValue, TableBuilder};
+/// use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 /// use apq_engine::plan::{OperatorSpec, Plan};
 /// use apq_engine::{QueryOutput, QueryService, ServiceConfig};
 /// use apq_operators::{AggFunc, CmpOp, Predicate};
@@ -279,11 +279,7 @@ impl ServiceInner {
 /// // `SELECT sum(v) FROM t WHERE v < 3`.
 /// let mut plan = Plan::new();
 /// let scan = plan.add(
-///     OperatorSpec::ScanColumn {
-///         table: "t".into(),
-///         column: "v".into(),
-///         range: RowRange::new(0, 5),
-///     },
+///     OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() },
 ///     vec![],
 /// );
 /// let sel = plan.add(

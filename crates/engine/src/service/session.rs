@@ -184,7 +184,7 @@ impl Drop for TurnGuard<'_> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use apq_columnar::{partition::RowRange, Catalog, ScalarValue, TableBuilder};
+/// use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 /// use apq_engine::plan::{OperatorSpec, Plan};
 /// use apq_engine::{EngineError, QueryOutput, QueryService, ServiceConfig};
 ///
@@ -198,11 +198,7 @@ impl Drop for TurnGuard<'_> {
 /// // `SELECT sum(v) FROM t` as a two-node plan.
 /// let mut plan = Plan::new();
 /// let scan = plan.add(
-///     OperatorSpec::ScanColumn {
-///         table: "t".into(),
-///         column: "v".into(),
-///         range: RowRange::new(0, 2),
-///     },
+///     OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() },
 ///     vec![],
 /// );
 /// let agg = plan.add(OperatorSpec::ScalarAgg { func: apq_operators::AggFunc::Sum }, vec![scan]);
@@ -385,7 +381,6 @@ impl Session {
 
 #[cfg(test)]
 mod tests {
-    use apq_columnar::partition::RowRange;
     use apq_columnar::{Catalog, TableBuilder};
 
     use crate::plan::OperatorSpec;
@@ -402,14 +397,8 @@ mod tests {
             Arc::new(catalog),
         );
         let mut plan = Plan::new();
-        let scan = plan.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "v".into(),
-                range: RowRange::new(0, 2),
-            },
-            vec![],
-        );
+        let scan =
+            plan.add(OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() }, vec![]);
         plan.set_root(scan);
         let session = service.connect();
 

@@ -35,24 +35,25 @@ fn catalog(rows: usize) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-fn scan(col: &str, lo: usize, hi: usize) -> OperatorSpec {
-    OperatorSpec::ScanColumn { table: "t".into(), column: col.into(), range: RowRange::new(lo, hi) }
+fn scan(col: &str) -> OperatorSpec {
+    OperatorSpec::ScanColumn { table: "t".into(), column: col.into() }
 }
 
 /// `partitions`-way parallel sum(b) where a < threshold — every partition is
-/// an independent scan→select→fetch→agg branch, so the query keeps many
-/// tasks runnable at once (the shape claw-backs must drain).
+/// an independent scan→select→fetch→agg branch, its select reading the
+/// partition's window of its scan, so the query keeps many tasks runnable
+/// at once (the shape claw-backs must drain).
 fn partitioned_plan(rows: usize, threshold: i64, partitions: usize) -> Plan {
     let mut p = Plan::new();
-    let b = p.add(scan("b", 0, rows), vec![]);
+    let b = p.add(scan("b"), vec![]);
     let mut partials = Vec::new();
     let step = rows.div_ceil(partitions);
     for part in 0..partitions {
         let lo = part * step;
         let hi = ((part + 1) * step).min(rows);
-        let a = p.add(scan("a", lo, hi), vec![]);
-        let sel = p
-            .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
+        let a = p.add(scan("a"), vec![]);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
+        let sel = p.add_edges(select, [(a, Some(RowRange::new(lo, hi)))]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         partials.push(p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]));
     }

@@ -42,14 +42,9 @@ fn morsel_engine(morsel_rows: usize) -> Engine {
 }
 
 /// Select → fetch → group-sum over the fact table.
-fn grouped_sum_plan(rows: usize) -> Plan {
+fn grouped_sum_plan() -> Plan {
     let mut p = Plan::new();
-    let full = RowRange::new(0, rows);
-    let scan = |col: &str| OperatorSpec::ScanColumn {
-        table: "fact".into(),
-        column: col.into(),
-        range: full,
-    };
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let grp = p.add(scan("grp"), vec![]);
     let cands =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 4i64) }, vec![grp]);
@@ -66,12 +61,7 @@ fn grouped_sum_plan(rows: usize) -> Plan {
 /// candidate stream, cut at `k`.
 fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
-    let full = RowRange::new(0, rows);
-    let scan = |col: &str| OperatorSpec::ScanColumn {
-        table: "fact".into(),
-        column: col.into(),
-        range: full,
-    };
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
 
     let grp = p.add(scan("grp"), vec![]);
     let cands =
@@ -81,14 +71,8 @@ fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
     let measure_stream = p.add(OperatorSpec::Fetch, vec![cands, measure_col]);
     let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
 
-    let dim_key = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let dim_key =
+        p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
     let join_union = match split {
@@ -120,7 +104,7 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
     // 4_001 rows is prime-ish on purpose: no morsel size below divides it.
     let rows = 4_001;
     let cat = catalog(rows);
-    let plan = grouped_sum_plan(rows);
+    let plan = grouped_sum_plan();
     let expected = Engine::with_workers(3).execute(&plan, &cat).unwrap().output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
 
@@ -143,12 +127,12 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
 }
 
 #[test]
-fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
-    // A scan over rows [3_000, 12_000) of a 10_000-row table publishes the
-    // clamped slice [3_000, 10_000); the fused select → fetch → agg over it
-    // cuts that slice into 1_000-row windows whose oids stay absolute. The
-    // summed values are the row ids themselves, so a window cut at the wrong
-    // offset cannot add up to the same total.
+fn window_past_the_table_end_is_clamped_before_morsels_are_cut() {
+    // A select reading rows [3_000, 12_000) of a 10_000-row table's scan
+    // reads the clamped window [3_000, 10_000); the fused select → fetch →
+    // agg over it cuts that window into 1_000-row morsels whose oids stay
+    // absolute. The summed values are the row ids themselves, so a window
+    // cut at the wrong offset cannot add up to the same total.
     let rows = 10_000i64;
     let mut c = Catalog::new();
     c.register(
@@ -159,15 +143,13 @@ fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
             .unwrap(),
     );
     let cat = Arc::new(c);
-    let scan = |column: &str, range: RowRange| OperatorSpec::ScanColumn {
-        table: "seq".into(),
-        column: column.into(),
-        range,
-    };
+    let scan =
+        |column: &str| OperatorSpec::ScanColumn { table: "seq".into(), column: column.into() };
     let mut p = Plan::new();
-    let m = p.add(scan("m", RowRange::new(3_000, 12_000)), vec![]);
-    let sel = p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 250i64) }, vec![m]);
-    let v = p.add(scan("v", RowRange::new(0, rows as usize)), vec![]);
+    let m = p.add(scan("m"), vec![]);
+    let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 250i64) };
+    let sel = p.add_edges(select, [(m, Some(RowRange::new(3_000, 12_000)))]);
+    let v = p.add(scan("v"), vec![]);
     let fetched = p.add(OperatorSpec::Fetch, vec![sel, v]);
     let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -178,15 +160,16 @@ fn scan_range_past_the_table_end_is_clamped_before_morsels_are_cut() {
     assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
 
     let exec = morsel_engine(1_000).execute(&p, &cat).unwrap();
-    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped scan");
+    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped window");
     let [pipeline] = exec.profile.pipelines.as_slice() else {
         panic!("one pipeline expected: {:?}", exec.profile.pipelines)
     };
     assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
     assert_eq!(pipeline.n_morsels, 7);
     assert_eq!(exec.profile.total_morsels(), 7);
-    // Its producer, the scan, published the clamped 7,000 rows.
-    assert_eq!(exec.profile.operator(m).unwrap().rows_out, 7_000);
+    // Its producer, the scan, published the whole column; the window cut
+    // the 7,000 rows the morsels cover.
+    assert_eq!(exec.profile.operator(m).unwrap().rows_out, 10_000);
     let mut profiled: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     profiled.sort_unstable();
     assert_eq!(profiled, p.node_ids(), "one profile per live node");
@@ -228,32 +211,12 @@ fn position_emitters_after_in_pipeline_selections_stay_global() {
     let rows = 4_000;
     let cat = catalog(rows);
     let mut p = Plan::new();
-    let grp = p.add(
-        OperatorSpec::ScanColumn {
-            table: "fact".into(),
-            column: "grp".into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    );
+    let grp =
+        p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "grp".into() }, vec![]);
     let sel = p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 4i64) }, vec![grp]);
-    let fk = p.add(
-        OperatorSpec::ScanColumn {
-            table: "fact".into(),
-            column: "fk".into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    );
+    let fk = p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into() }, vec![]);
     let fetched = p.add(OperatorSpec::Fetch, vec![sel, fk]);
-    let dim = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let dim = p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
     let semi = p.add(OperatorSpec::SemiJoin, vec![fetched, hash]);
     p.set_root(semi);
@@ -280,7 +243,7 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let cat = catalog(10);
     let engine = morsel_engine(1 << 16);
     // Input much smaller than a morsel.
-    let plan = grouped_sum_plan(10);
+    let plan = grouped_sum_plan();
     let expected = Engine::with_workers(2).execute(&plan, &cat).unwrap().output;
     let exec = engine.execute(&plan, &cat).unwrap();
     assert_eq!(exec.output, expected);
@@ -288,14 +251,8 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
 
     // A selection that keeps nothing: empty streams still flow through.
     let mut p = Plan::new();
-    let grp = p.add(
-        OperatorSpec::ScanColumn {
-            table: "fact".into(),
-            column: "grp".into(),
-            range: RowRange::new(0, 10),
-        },
-        vec![],
-    );
+    let grp =
+        p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "grp".into() }, vec![]);
     let none =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, -1i64) }, vec![grp]);
     let fetched = p.add(OperatorSpec::Fetch, vec![none, grp]);
@@ -306,15 +263,8 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
     assert_eq!(engine.execute(&p, &cat).unwrap().output, expected);
 }
 
-fn fact_scan(p: &mut Plan, column: &str, rows: usize) -> usize {
-    p.add(
-        OperatorSpec::ScanColumn {
-            table: "fact".into(),
-            column: column.into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    )
+fn fact_scan(p: &mut Plan, column: &str) -> usize {
+    p.add(OperatorSpec::ScanColumn { table: "fact".into(), column: column.into() }, vec![])
 }
 
 fn select(p: &mut Plan, inputs: Vec<usize>, predicate: Predicate) -> usize {
@@ -356,11 +306,11 @@ fn refining_selects_stream_candidates_past_empty_morsels() {
     let rows = 4_001;
     let cat = catalog(rows);
     let mut p = Plan::new();
-    let measure = fact_scan(&mut p, "measure", rows);
+    let measure = fact_scan(&mut p, "measure");
     let low = select(&mut p, vec![measure], Predicate::cmp(CmpOp::Lt, 100i64));
-    let grp = fact_scan(&mut p, "grp", rows);
+    let grp = fact_scan(&mut p, "grp");
     let in_grp = select(&mut p, vec![grp, low], Predicate::cmp(CmpOp::Lt, 4i64));
-    let fk = fact_scan(&mut p, "fk", rows);
+    let fk = fact_scan(&mut p, "fk");
     let keyed = select(&mut p, vec![fk, in_grp], Predicate::cmp(CmpOp::Ge, 10i64));
     let fetched = p.add(OperatorSpec::Fetch, vec![keyed, measure]);
     let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
@@ -384,15 +334,9 @@ fn refining_select_candidates_may_name_rows_of_any_morsel() {
     let rows = 4_001;
     let cat = catalog(rows);
     let mut p = Plan::new();
-    let fk = fact_scan(&mut p, "fk", rows);
-    let dim_key = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let fk = fact_scan(&mut p, "fk");
+    let dim_key =
+        p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
     let join = p.add(OperatorSpec::HashProbe, vec![fk, hash]);
     let dim_side = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Inner }, vec![join]);
@@ -417,10 +361,10 @@ fn a_refining_select_over_an_intermediate_column_keeps_stream_positions() {
     let rows = 4_000;
     let cat = catalog(rows);
     let mut p = Plan::new();
-    let grp = fact_scan(&mut p, "grp", rows);
+    let grp = fact_scan(&mut p, "grp");
     let cands = select(&mut p, vec![grp], Predicate::cmp(CmpOp::Lt, 4i64));
-    let measure = fact_scan(&mut p, "measure", rows);
-    let fk = fact_scan(&mut p, "fk", rows);
+    let measure = fact_scan(&mut p, "measure");
+    let fk = fact_scan(&mut p, "fk");
     let measure_f = p.add(OperatorSpec::Fetch, vec![cands, measure]);
     let fk_f = p.add(OperatorSpec::Fetch, vec![cands, fk]);
     let cheap = select(&mut p, vec![measure_f], Predicate::cmp(CmpOp::Lt, 500i64));
@@ -444,8 +388,8 @@ fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
     let rows = 1_000;
     let cat = catalog(rows);
     let mut p = Plan::new();
-    let fk = fact_scan(&mut p, "fk", rows);
-    let keys = fact_scan(&mut p, "grp", rows);
+    let fk = fact_scan(&mut p, "fk");
+    let keys = fact_scan(&mut p, "grp");
     let set = p.add(OperatorSpec::KeySet, vec![keys]);
     let semi = p.add(OperatorSpec::SemiJoin, vec![fk, set]);
     p.set_root(semi);
@@ -465,9 +409,9 @@ fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
 fn a_window_on_a_hash_table_fails_the_query_under_both_plannings() {
     let cat = catalog(100);
     let mut p = Plan::new();
-    let keys = fact_scan(&mut p, "grp", 10);
-    let table = p.add(OperatorSpec::HashBuild, vec![keys]);
-    let outer = fact_scan(&mut p, "fk", 100);
+    let keys = fact_scan(&mut p, "grp");
+    let table = p.add_edges(OperatorSpec::HashBuild, [(keys, Some(RowRange::new(0, 10)))]);
+    let outer = fact_scan(&mut p, "fk");
     let window = Some(RowRange::new(0, 1));
     let semi = p.add_edges(OperatorSpec::SemiJoin, [(outer, None), (table, window)]);
     p.set_root(semi);

@@ -31,18 +31,12 @@ fn catalog(rows: usize) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-/// Partitioned select/fetch/sum plan over `rows` rows in `partitions` slices
-/// of uneven sizes (the `skew` knob shifts the cut points).
+/// Partitioned select/fetch/sum plan over `rows` rows in `partitions`
+/// windows of uneven sizes, each on its own scan (the `skew` knob shifts the
+/// cut points).
 fn partitioned_plan(rows: usize, partitions: usize, threshold: i64, skew: usize) -> Plan {
     let mut p = Plan::new();
-    let b = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "b".into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    );
+    let b = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "b".into() }, vec![]);
     let mut aggs = Vec::new();
     let mut start = 0usize;
     for i in 0..partitions {
@@ -57,18 +51,10 @@ fn partitioned_plan(rows: usize, partitions: usize, threshold: i64, skew: usize)
             (base + (skew % (base + 1))).min(remaining - (parts_left - 1))
         };
         let end = start + len.max(1);
-        let scan = p.add(
-            OperatorSpec::ScanColumn {
-                table: "t".into(),
-                column: "a".into(),
-                range: RowRange::new(start, end),
-            },
-            vec![],
-        );
-        let sel = p.add(
-            OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) },
-            vec![scan],
-        );
+        let scan =
+            p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
+        let sel = p.add_edges(select, [(scan, Some(RowRange::new(start, end)))]);
         let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         aggs.push(agg);

@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{
@@ -35,22 +34,8 @@ fn catalog() -> Arc<Catalog> {
 /// to a predictable execution time.
 fn sum_plan(threshold: i64) -> Plan {
     let mut p = Plan::new();
-    let a = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "a".into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    );
-    let b = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "b".into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    );
+    let a = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
+    let b = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "b".into() }, vec![]);
     let sel =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
     let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);

@@ -5,7 +5,6 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{
@@ -30,24 +29,10 @@ fn catalog(rows: usize) -> Arc<Catalog> {
 }
 
 /// sum(b) where a < threshold.
-fn sum_plan(rows: usize, threshold: i64) -> Plan {
+fn sum_plan(threshold: i64) -> Plan {
     let mut p = Plan::new();
-    let a = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "a".into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    );
-    let b = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "b".into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    );
+    let a = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
+    let b = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "b".into() }, vec![]);
     let sel =
         p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) }, vec![a]);
     let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
@@ -78,7 +63,7 @@ fn await_condition(label: &str, mut cond: impl FnMut() -> bool) {
 fn submissions_run_under_reserved_census_slots() {
     let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
     let session = svc.connect();
-    let response = session.submit(&sum_plan(10_000, 500)).unwrap();
+    let response = session.submit(&sum_plan(500)).unwrap();
     assert_eq!(response.output, expected_sum(500));
     let profile = response.profile.expect("cold submissions execute");
     // The unified admission path: the query lived as a reservation first.
@@ -99,7 +84,7 @@ fn plan_cache_hits_are_byte_identical_to_cold_execution() {
         ServiceConfig::with_engine(EngineConfig::with_workers(2)).with_result_cache_capacity(0),
     );
     let session = svc.connect();
-    let plan = sum_plan(10_000, 777);
+    let plan = sum_plan(777);
 
     let cold = session.submit(&plan).unwrap();
     assert!(!cold.plan_cache_hit);
@@ -121,7 +106,7 @@ fn plan_cache_hits_are_byte_identical_to_cold_execution() {
 fn result_cache_hits_skip_execution_and_match_cold_output() {
     let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
     let session = svc.connect();
-    let plan = sum_plan(10_000, 250);
+    let plan = sum_plan(250);
 
     let cold = session.submit(&plan).unwrap();
     let hit = session.submit(&plan).unwrap();
@@ -130,7 +115,7 @@ fn result_cache_hits_skip_execution_and_match_cold_output() {
     assert_eq!(hit.output, cold.output);
 
     // Distinct constants are distinct keys: no false sharing.
-    let other = session.submit(&sum_plan(10_000, 251)).unwrap();
+    let other = session.submit(&sum_plan(251)).unwrap();
     assert!(!other.result_cache_hit);
     assert_eq!(other.output, QueryOutput::Scalar(ScalarValue::I64((0..251).map(|v| v * 2).sum())));
 
@@ -148,30 +133,30 @@ fn result_cache_respects_bounds_and_invalidation() {
     let session = svc.connect();
 
     for threshold in [100, 200, 300] {
-        session.submit(&sum_plan(10_000, threshold)).unwrap();
+        session.submit(&sum_plan(threshold)).unwrap();
     }
     assert_eq!(svc.result_cache_len(), 2, "bounded cache must evict");
     // The oldest entry (100) was evicted; the newer two still hit.
-    assert!(!session.submit(&sum_plan(10_000, 100)).unwrap().result_cache_hit);
-    assert!(session.submit(&sum_plan(10_000, 300)).unwrap().result_cache_hit);
+    assert!(!session.submit(&sum_plan(100)).unwrap().result_cache_hit);
+    assert!(session.submit(&sum_plan(300)).unwrap().result_cache_hit);
 
     // Per-table invalidation drops every entry computed from "t".
     let dropped = svc.invalidate_table("t");
     assert_eq!(dropped, 2);
     assert_eq!(svc.result_cache_len(), 0);
-    assert!(!session.submit(&sum_plan(10_000, 300)).unwrap().result_cache_hit);
+    assert!(!session.submit(&sum_plan(300)).unwrap().result_cache_hit);
     assert_eq!(svc.stats().results_invalidated, 2);
 
     // Invalidating an unrelated table drops nothing.
     assert_eq!(svc.invalidate_table("unrelated"), 0);
-    assert!(session.submit(&sum_plan(10_000, 300)).unwrap().result_cache_hit);
+    assert!(session.submit(&sum_plan(300)).unwrap().result_cache_hit);
 }
 
 #[test]
 fn replacing_the_catalog_invalidates_results() {
     let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
     let session = svc.connect();
-    let plan = sum_plan(10_000, 400);
+    let plan = sum_plan(400);
 
     let before = session.submit(&plan).unwrap();
     assert_eq!(before.output, expected_sum(400));
@@ -191,10 +176,10 @@ fn closed_sessions_reject_submissions_and_clones_share_the_close() {
     let clone = session.clone();
     assert_eq!(session.id(), clone.id());
 
-    session.submit(&sum_plan(10_000, 100)).unwrap();
+    session.submit(&sum_plan(100)).unwrap();
     clone.close();
     assert!(session.is_closed());
-    assert_eq!(session.submit(&sum_plan(10_000, 100)).unwrap_err(), EngineError::SessionClosed);
+    assert_eq!(session.submit(&sum_plan(100)).unwrap_err(), EngineError::SessionClosed);
     // Idempotent: a second close (and drops) do not double-count.
     session.close();
     drop(session);
@@ -211,7 +196,7 @@ fn sessions_are_independent_and_share_the_caches() {
     let b = svc.connect();
     assert_ne!(a.id(), b.id());
 
-    let plan = sum_plan(10_000, 600);
+    let plan = sum_plan(600);
     let cold = a.submit(&plan).unwrap();
     // Session B hits the shared result cache warmed by A.
     let warm = b.submit(&plan).unwrap();
@@ -233,7 +218,7 @@ fn concurrent_submissions_through_one_session_serialize_safely() {
             let session = session.clone();
             std::thread::spawn(move || {
                 let threshold = 100 + (i % 2) * 100; // two distinct queries
-                session.submit(&sum_plan(10_000, threshold)).map(|r| (threshold, r))
+                session.submit(&sum_plan(threshold)).map(|r| (threshold, r))
             })
         })
         .collect();
@@ -265,7 +250,7 @@ fn queued_submissions_are_served_in_arrival_order() {
         let submit = |threshold: i64| {
             let (session, answered) = (session.clone(), &answered);
             scope.spawn(move || {
-                let response = session.submit(&sum_plan(10_000, threshold)).unwrap();
+                let response = session.submit(&sum_plan(threshold)).unwrap();
                 answered.lock().unwrap().push((threshold, response.output));
             })
         };

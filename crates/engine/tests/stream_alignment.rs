@@ -61,12 +61,7 @@ fn catalog_with_fk(fk: Vec<i64>) -> Arc<Catalog> {
 /// mutation produces), unioning the per-partition join results.
 fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
-    let full = RowRange::new(0, rows);
-    let scan = |col: &str| OperatorSpec::ScanColumn {
-        table: "fact".into(),
-        column: col.into(),
-        range: full,
-    };
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
 
     // Candidate stream: rows with grp < selected_max, in base order.
     let grp = p.add(scan("grp"), vec![]);
@@ -82,14 +77,8 @@ fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) 
     let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
 
     // Dimension hash.
-    let dim_key = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let dim_key =
+        p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
     // Probe the fk stream — whole, or cloned over two partitions of the
@@ -152,26 +141,15 @@ fn sliced_join_results_keep_their_stream_offset() {
     let engine = Engine::with_workers(2);
 
     let mut whole = Plan::new();
-    let full = RowRange::new(0, rows);
-    let fk = whole.add(
-        OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into(), range: full },
-        vec![],
-    );
-    let dim = whole.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let fk =
+        whole.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into() }, vec![]);
+    let dim =
+        whole.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = whole.add(OperatorSpec::HashBuild, vec![dim]);
     let join = whole.add(OperatorSpec::HashProbe, vec![fk, hash]);
     let outer = whole.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
-    let measure = whole.add(
-        OperatorSpec::ScanColumn { table: "fact".into(), column: "measure".into(), range: full },
-        vec![],
-    );
+    let measure = whole
+        .add(OperatorSpec::ScanColumn { table: "fact".into(), column: "measure".into() }, vec![]);
     let fetched = whole.add(OperatorSpec::Fetch, vec![outer, measure]);
     let agg = whole.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
     let fin = whole.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -181,24 +159,14 @@ fn sliced_join_results_keep_their_stream_offset() {
     // Same pipeline, but the join result is sliced into two windows whose
     // projections are fetched and summed independently.
     let mut split = Plan::new();
-    let fk = split.add(
-        OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into(), range: full },
-        vec![],
-    );
-    let dim = split.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let fk =
+        split.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into() }, vec![]);
+    let dim =
+        split.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = split.add(OperatorSpec::HashBuild, vec![dim]);
     let join = split.add(OperatorSpec::HashProbe, vec![fk, hash]);
-    let measure = split.add(
-        OperatorSpec::ScanColumn { table: "fact".into(), column: "measure".into(), range: full },
-        vec![],
-    );
+    let measure = split
+        .add(OperatorSpec::ScanColumn { table: "fact".into(), column: "measure".into() }, vec![]);
     let mut partials = Vec::new();
     for (start, len) in [(0, 123), (123, rows)] {
         let window = Some(RowRange::new(start, start + len));
@@ -220,12 +188,7 @@ fn sliced_join_results_keep_their_stream_offset() {
 /// stream, or cloned over the stream cut at `split`.
 fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
-    let full = RowRange::new(0, rows);
-    let scan = |col: &str| OperatorSpec::ScanColumn {
-        table: "fact".into(),
-        column: col.into(),
-        range: full,
-    };
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let grp = p.add(scan("grp"), vec![]);
     let cands = p.add(
         OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, selected_max) },
@@ -235,14 +198,8 @@ fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usiz
     let measure_col = p.add(scan("measure"), vec![]);
     let measure_stream = p.add(OperatorSpec::Fetch, vec![cands, measure_col]);
     let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
-    let dim_key = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let dim_key =
+        p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
     // Stream positions without a match.
@@ -340,21 +297,9 @@ fn anti_join_misses_spanning_a_probe_block_edge_keep_their_stream_offset() {
 /// reassembled from the windows.
 fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) -> Plan {
     let mut p = Plan::new();
-    let full = RowRange::new(0, rows);
-    let scan = |col: &str| OperatorSpec::ScanColumn {
-        table: "fact".into(),
-        column: col.into(),
-        range: full,
-    };
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let fk = p.add(scan("fk"), vec![]);
-    let dim = p.add(
-        OperatorSpec::ScanColumn {
-            table: "dim".into(),
-            column: "key".into(),
-            range: RowRange::new(0, 20),
-        },
-        vec![],
-    );
+    let dim = p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
     let join = p.add(OperatorSpec::HashProbe, vec![fk, hash]);
     let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);

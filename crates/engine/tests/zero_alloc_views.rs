@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use apq_columnar::datagen::uniform_strings;
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, Column, Oid, ScalarValue, TableBuilder};
 use apq_engine::interpreter::execute_node;
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
@@ -216,11 +215,7 @@ fn a_query_holds_its_live_set() {
         .register(TableBuilder::new("t").i64_column("x", (0..N as i64).collect()).build().unwrap());
     let catalog = Arc::new(catalog);
     let mut plan = Plan::new();
-    let scan = OperatorSpec::ScanColumn {
-        table: "t".into(),
-        column: "x".into(),
-        range: RowRange::new(0, N),
-    };
+    let scan = OperatorSpec::ScanColumn { table: "t".into(), column: "x".into() };
     let mut last = plan.add(scan, vec![]);
     for _ in 0..4 {
         let add_one = OperatorSpec::Calc {

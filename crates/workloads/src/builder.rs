@@ -4,7 +4,6 @@
 //! compiler; this builder plays that role for the hand-written query plans of
 //! the workload crates, keeping them short and uniform.
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue};
 use apq_engine::plan::{JoinSide, NodeId, OperatorSpec, Plan};
 use apq_engine::Result;
@@ -28,15 +27,11 @@ impl<'a> PlanBuilder<'a> {
         self.plan.add(spec, inputs)
     }
 
-    /// Full-range scan of a base-table column.
+    /// Scan of a whole base-table column, which must exist in the catalog.
     pub fn scan(&mut self, table: &str, column: &str) -> Result<NodeId> {
-        let rows = self.catalog.table(table)?.row_count();
+        self.catalog.table(table)?.column(column)?;
         Ok(self.plan.add(
-            OperatorSpec::ScanColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-                range: RowRange::new(0, rows),
-            },
+            OperatorSpec::ScanColumn { table: table.to_string(), column: column.to_string() },
             vec![],
         ))
     }
@@ -182,8 +177,9 @@ impl<'a> PlanBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apq_columnar::ColumnarError;
     use apq_columnar::TableBuilder;
-    use apq_engine::{Engine, QueryOutput};
+    use apq_engine::{Engine, EngineError, QueryOutput};
     use apq_operators::CmpOp;
     use std::sync::Arc;
 
@@ -239,5 +235,16 @@ mod tests {
         let cat = catalog();
         let mut b = PlanBuilder::new(&cat);
         assert!(b.scan("missing", "x").is_err());
+    }
+
+    #[test]
+    fn unknown_column_is_an_error_at_build_time() {
+        let cat = catalog();
+        let mut b = PlanBuilder::new(&cat);
+        let err = b.scan("t", "missing").unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Columnar(ColumnarError::UnknownColumn(c)) if c == "t.missing"),
+            "{err}"
+        );
     }
 }

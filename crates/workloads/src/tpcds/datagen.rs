@@ -140,7 +140,7 @@ mod tests {
         let scale = TpcdsScale::new(0.005);
         let cat = generate(scale, 5);
         for t in ["store_sales", "item", "date_dim", "store"] {
-            assert!(cat.has_table(t), "missing {t}");
+            assert!(cat.table(t).is_ok(), "missing {t}");
         }
         assert_eq!(cat.table("store_sales").unwrap().row_count(), scale.store_sales_rows());
         assert_eq!(cat.largest_table().unwrap().0, "store_sales");

@@ -276,7 +276,7 @@ mod tests {
         let scale = TpchScale::new(0.002);
         let cat = generate(scale, 42);
         for t in ["lineitem", "orders", "part", "customer", "supplier", "nation"] {
-            assert!(cat.has_table(t), "missing table {t}");
+            assert!(cat.table(t).is_ok(), "missing table {t}");
         }
         let li = cat.table("lineitem").unwrap();
         assert_eq!(li.row_count(), scale.lineitem_rows());

@@ -22,7 +22,6 @@ use std::time::Duration;
 use adaptive_parallelization::engine::{
     Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan, QueryOutput,
 };
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
@@ -48,14 +47,7 @@ fn catalog() -> Arc<Catalog> {
 }
 
 fn scan(p: &mut Plan, column: &str) -> usize {
-    p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: column.into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    )
+    p.add(OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }, vec![])
 }
 
 /// `SELECT sum(col) FROM t WHERE col < threshold` — scan/select/fetch/agg,

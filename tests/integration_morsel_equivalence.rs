@@ -72,7 +72,7 @@ fn tpch_serial_and_heuristic_plans_match_across_modes() {
         let expected =
             assert_modes_agree(&format!("{query} serial"), &serial, &catalog, &reference);
 
-        // Heuristic plans contain range scans, exchange unions and cloned
+        // Heuristic plans contain windowed scan edges, exchange unions and cloned
         // probes — the chunk-source pipeline shapes.
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         let hp_out = assert_modes_agree(&format!("{query} HP"), &hp, &catalog, &reference);
@@ -109,23 +109,16 @@ fn two_column_catalog(rows: usize) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-fn scan_t(p: &mut Plan, col: &str, rows: usize) -> usize {
-    p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: col.into(),
-            range: RowRange::new(0, rows),
-        },
-        vec![],
-    )
+fn scan_t(p: &mut Plan, col: &str) -> usize {
+    p.add(OperatorSpec::ScanColumn { table: "t".into(), column: col.into() }, vec![])
 }
 
 /// scan a, scan b → calc(a ⊗ b) → sum: the col⊗col calc fuses into scan a's
 /// pipeline with b sliced on the same morsel grid. Returns (plan, calc node).
-fn calc_col_col_plan(rows: usize) -> (Plan, usize) {
+fn calc_col_col_plan() -> (Plan, usize) {
     let mut p = Plan::new();
-    let a = scan_t(&mut p, "a", rows);
-    let b = scan_t(&mut p, "b", rows);
+    let a = scan_t(&mut p, "a");
+    let b = scan_t(&mut p, "b");
     let calc = p.add(
         OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
         vec![a, b],
@@ -138,12 +131,12 @@ fn calc_col_col_plan(rows: usize) -> (Plan, usize) {
 
 /// scan a → mask(a < 500), scan b → ifthenelse(mask, b, 0) → sum: the
 /// guarded projection fuses behind the mask with b grid-sliced.
-fn if_then_else_plan(rows: usize) -> (Plan, usize) {
+fn if_then_else_plan() -> (Plan, usize) {
     let mut p = Plan::new();
-    let a = scan_t(&mut p, "a", rows);
+    let a = scan_t(&mut p, "a");
     let mask =
         p.add(OperatorSpec::PredMask { predicate: Predicate::cmp(CmpOp::Lt, 500i64) }, vec![a]);
-    let b = scan_t(&mut p, "b", rows);
+    let b = scan_t(&mut p, "b");
     let ite = p.add(OperatorSpec::IfThenElse { otherwise: ScalarValue::I64(0) }, vec![mask, b]);
     let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![ite]);
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
@@ -159,8 +152,8 @@ fn two_aligned_input_fused_stages_match_across_modes() {
     let rows = 12_345; // ragged last morsel at MORSEL_ROWS = 1_000
     let catalog = two_column_catalog(rows);
     let reference = Engine::with_workers(WORKERS);
-    let (calc_plan, calc_node) = calc_col_col_plan(rows);
-    let (ite_plan, ite_node) = if_then_else_plan(rows);
+    let (calc_plan, calc_node) = calc_col_col_plan();
+    let (ite_plan, ite_node) = if_then_else_plan();
     for (label, plan, fused_node) in
         [("calc col⊗col", &calc_plan, calc_node), ("ifthenelse", &ite_plan, ite_node)]
     {
@@ -179,10 +172,10 @@ fn two_aligned_input_fused_stages_match_across_modes() {
 
 /// scan a, scan b → groupagg(a, b): the grouped aggregate fuses as the key
 /// scan's pipeline terminal, with b grid-sliced on the same morsel grid. Returns (plan, groupagg node).
-fn group_agg_plan(rows: usize, func: AggFunc) -> (Plan, usize) {
+fn group_agg_plan(func: AggFunc) -> (Plan, usize) {
     let mut p = Plan::new();
-    let k = scan_t(&mut p, "a", rows);
-    let v = scan_t(&mut p, "b", rows);
+    let k = scan_t(&mut p, "a");
+    let v = scan_t(&mut p, "b");
     let group = p.add(OperatorSpec::GroupAgg { func }, vec![k, v]);
     p.set_root(group);
     (p, group)
@@ -200,7 +193,7 @@ fn fused_group_agg_matches_across_modes() {
     let reference = Engine::with_workers(WORKERS);
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Count] {
         let label = format!("groupagg {}", func.name());
-        let (plan, group_node) = group_agg_plan(rows, func);
+        let (plan, group_node) = group_agg_plan(func);
         assert_modes_agree(&label, &plan, &catalog, &reference);
         // The aggregate really fused and morsel-ran, and the profile
         // says so.
@@ -219,13 +212,15 @@ fn fused_group_agg_matches_across_modes() {
 
 #[test]
 fn fused_group_agg_handles_empty_and_tiny_inputs() {
-    // Empty scans still run one morsel and publish an empty grouped
+    // Empty windows still run one morsel and publish an empty grouped
     // result; single-morsel inputs take the n_morsels == 1 fast path. Both
     // must agree with operator-at-a-time.
     let catalog = two_column_catalog(12_345);
     let reference = Engine::with_workers(WORKERS);
     for rows in [0, 1, MORSEL_ROWS - 1, MORSEL_ROWS] {
-        let (plan, _) = group_agg_plan(rows, AggFunc::Sum);
+        // Both inputs read the first `rows` rows of their scans.
+        let (mut plan, group) = group_agg_plan(AggFunc::Sum);
+        plan.node_mut(group).unwrap().windows = vec![Some(RowRange::new(0, rows)); 2];
         assert_modes_agree(&format!("groupagg over {rows} rows"), &plan, &catalog, &reference);
     }
 }
@@ -237,11 +232,11 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
     // agree): the executor checks the whole-input length before slicing.
     let catalog = two_column_catalog(4_000);
     let mut p = Plan::new();
-    let a = scan_t(&mut p, "a", 4_000);
-    let b = scan_t(&mut p, "b", 2_000); // shorter aligned input
-    let calc = p.add(
+    let a = scan_t(&mut p, "a");
+    let b = scan_t(&mut p, "b");
+    let calc = p.add_edges(
         OperatorSpec::Calc { op: BinaryOp::Add, left_scalar: None, right_scalar: None },
-        vec![a, b],
+        [(a, None), (b, Some(RowRange::new(0, 2_000)))], // shorter aligned input
     );
     p.set_root(calc);
     let oat_err = Engine::with_workers(WORKERS)

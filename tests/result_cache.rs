@@ -20,7 +20,6 @@ use adaptive_parallelization::engine::{
     Engine, EngineConfig, EngineError, ExecutionMode, OperatorSpec, Plan, QueryService,
     ServiceConfig,
 };
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_operators::{AggFunc, BinaryOp};
 
@@ -44,14 +43,7 @@ fn catalog() -> Arc<Catalog> {
 /// the identical column range.
 fn scaled_sum(k: i64) -> Plan {
     let mut p = Plan::new();
-    let scan = p.add(
-        OperatorSpec::ScanColumn {
-            table: "t".into(),
-            column: "v".into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    );
+    let scan = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() }, vec![]);
     let calc = p.add(
         OperatorSpec::Calc {
             op: BinaryOp::Mul,
@@ -143,22 +135,8 @@ fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
     let catalog = Arc::new(c);
     let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
     let mut p = Plan::new();
-    let k = p.add(
-        OperatorSpec::ScanColumn {
-            table: "g".into(),
-            column: "k".into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    );
-    let v = p.add(
-        OperatorSpec::ScanColumn {
-            table: "g".into(),
-            column: "v".into(),
-            range: RowRange::new(0, ROWS),
-        },
-        vec![],
-    );
+    let k = p.add(OperatorSpec::ScanColumn { table: "g".into(), column: "k".into() }, vec![]);
+    let v = p.add(OperatorSpec::ScanColumn { table: "g".into(), column: "v".into() }, vec![]);
     let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
     p.set_root(group);
 
