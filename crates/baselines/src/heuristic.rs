@@ -8,15 +8,19 @@
 //! parallelizable operators are parallelized."
 //!
 //! [`heuristic_parallelize`] implements that rewriter over the same plan IR
-//! the adaptive parallelizer mutates, and partitions the way the mutations
-//! do: a partition is a row window on a plan edge. Every scan of the largest
-//! ("driver") table stays in the plan once, whole, and is cut into
-//! `n_partitions` equal windows; the partitioning is propagated in
-//! topological order — a parallelizable operator whose aligned inputs are all
-//! partitioned is cloned once per partition, each clone reading its window
-//! of the scan or its matching upstream clone. Any other consumer reads the
-//! scan whole, or the packed (exchange-union) result of the clones. This
-//! mirrors MonetDB's mitosis + mergetable optimizer pair.
+//! the adaptive parallelizer mutates, and partitions and recombines the way
+//! the mutations do: a partition is a row window on a plan edge, and clones
+//! take their original's place through [`Plan::recombine`]. It rewrites a
+//! copy of the serial plan in place. Every scan of the largest ("driver")
+//! table stays in the plan, whole, and is cut into `n_partitions` equal
+//! windows. A forward pass in topological order propagates the cuts: a
+//! parallelizable operator whose aligned inputs are all partitioned is
+//! cloned once per partition, each clone reading its window of the scan or
+//! its matching upstream clone. A reverse pass then recombines each cloned
+//! operator, readers before producers, so an original that only cloned
+//! operators read leaves nothing behind: a combiner takes the clones in its
+//! input list, and any other reader (and the root) reads their exchange
+//! union. This mirrors MonetDB's mitosis + mergetable optimizer pair.
 //!
 //! The same rewriter is the paper's *work-stealing-style* baseline (§4.1.1):
 //! "One may argue that the work stealing approach could solve the problem of
@@ -33,7 +37,7 @@ use std::collections::HashMap;
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
-use apq_engine::plan::{NodeId, OperatorSpec, Plan};
+use apq_engine::plan::{Edge, NodeId, OperatorSpec, Plan};
 use apq_engine::{EngineError, Result};
 
 /// Over-partitioning factor of the paper's work-stealing-style baseline
@@ -68,9 +72,6 @@ pub fn heuristic_parallelize(
     }
 }
 
-/// One input edge of a node: the producer and the edge's row window.
-type Edge = (NodeId, Option<RowRange>);
-
 /// Rewrites `serial` by cutting every scan of the driver table — `(name,
 /// rows)` — into `n_partitions` equal windows and propagating the cuts.
 fn heuristic_parallelize_with_driver(
@@ -85,115 +86,57 @@ fn heuristic_parallelize_with_driver(
     }
     let cuts = RowRange::new(0, rows).split_even(n);
 
-    let mut out = Plan::new();
-    // serial node id -> single (whole) node in the new plan
-    let mut single: HashMap<NodeId, NodeId> = HashMap::new();
-    // serial node id -> its n part edges in the new plan: a driver scan's
-    // windows, or a cloned operator's clones read whole
+    let mut plan = serial.clone();
+    // node id -> its n part edges: a driver scan's windows, or a cloned
+    // operator's clones read whole
     let mut parts: HashMap<NodeId, Vec<Edge>> = HashMap::new();
-    // cache of exchange unions packing a cloned node
-    let mut packed: HashMap<NodeId, NodeId> = HashMap::new();
-
+    let mut cloned = Vec::new();
     for id in serial.topo_order()? {
-        let node = serial.node(id)?.clone();
+        let node = serial.node(id)?;
+        let flags = node.spec.aligned_inputs(node.inputs.len());
+        // A windowed edge reads its producer whole and then cuts it, so it
+        // keeps reading the original, window kept.
+        let partitioned = |(input, window): Edge| window.is_none() && parts.contains_key(&input);
+        let mut aligned =
+            node.edges().zip(&flags).filter_map(|(edge, &a)| a.then_some(edge)).peekable();
+        let propagates = aligned.peek().is_some() && aligned.all(partitioned);
         match &node.spec {
-            spec @ OperatorSpec::ScanColumn { table, .. } => {
-                let scan = out.add(spec.clone(), vec![]);
-                single.insert(id, scan);
-                if table == driver_table && rows >= n {
-                    parts.insert(id, cuts.iter().map(|&cut| (scan, Some(cut))).collect());
-                }
+            OperatorSpec::ScanColumn { table, .. } if table == driver_table && rows >= n => {
+                parts.insert(id, cuts.iter().map(|&cut| (id, Some(cut))).collect());
             }
-            spec => {
-                let flags = spec.aligned_inputs(node.inputs.len());
-                // A windowed edge reads its producer whole and then cuts it,
-                // so it reads the single version, window kept.
-                let partitioned =
-                    |(input, window): Edge| window.is_none() && parts.contains_key(&input);
-                let any_partitioned =
-                    node.edges().zip(&flags).any(|(edge, &aligned)| aligned && partitioned(edge));
-                let all_aligned_partitioned = node
-                    .edges()
-                    .zip(&flags)
-                    .filter(|&(_, &aligned)| aligned)
-                    .all(|(edge, _)| partitioned(edge));
-
-                if spec.is_parallelizable() && any_partitioned && all_aligned_partitioned {
-                    // Clone once per partition, propagating the partitioned inputs.
-                    // Broadcast inputs that are themselves partitioned (other
-                    // columns of the driver table, or intermediates derived
-                    // from the same partitioned pipeline) use the matching
-                    // partition: their oid / positional domain is the
-                    // partition's domain, so packing them globally would
-                    // mis-align tuple reconstruction (paper Fig. 9 hazards).
-                    let mut versions = Vec::with_capacity(n);
-                    for k in 0..n {
-                        let mut edges = Vec::with_capacity(node.inputs.len());
-                        for (edge @ (input, window), &aligned) in node.edges().zip(&flags) {
+            // Clone once per partition, propagating the partitioned inputs.
+            // Broadcast inputs that are themselves partitioned (other
+            // columns of the driver table, or intermediates derived from the
+            // same partitioned pipeline) use the matching partition: their
+            // oid / positional domain is the partition's domain, so packing
+            // them globally would mis-align tuple reconstruction (paper
+            // Fig. 9 hazards).
+            spec if spec.is_parallelizable() && propagates => {
+                let clones = (0..n)
+                    .map(|k| {
+                        let edges = node.edges().zip(&flags).map(|(edge, &aligned)| {
                             if aligned || partitioned(edge) {
-                                edges.push(parts[&input][k]);
+                                parts[&edge.0][k]
                             } else {
-                                let single_input =
-                                    resolve_single(&mut out, input, &single, &parts, &mut packed)?;
-                                edges.push((single_input, window));
+                                edge
                             }
-                        }
-                        versions.push((out.add_edges(spec.clone(), edges), None));
-                    }
-                    parts.insert(id, versions);
-                } else {
-                    // Keep the operator single; combiners absorb the clones
-                    // directly, everything else reads the scan whole or a
-                    // packed exchange union.
-                    let mut edges = Vec::new();
-                    for edge @ (input, window) in node.edges() {
-                        if spec.is_combiner() && partitioned(edge) && !single.contains_key(&input) {
-                            edges.extend_from_slice(&parts[&input]);
-                        } else {
-                            let single_input =
-                                resolve_single(&mut out, input, &single, &parts, &mut packed)?;
-                            edges.push((single_input, window));
-                        }
-                    }
-                    let new_id = out.add_edges(spec.clone(), edges);
-                    single.insert(id, new_id);
-                }
+                        });
+                        (plan.add_edges(spec.clone(), edges), None)
+                    })
+                    .collect();
+                parts.insert(id, clones);
+                cloned.push(id);
             }
+            _ => {}
         }
     }
-
-    // Root: pack it if the root operator itself ended up partitioned.
-    let root = serial
-        .root()
-        .ok_or_else(|| EngineError::InvalidPlan("serial plan has no root".to_string()))?;
-    let new_root = resolve_single(&mut out, root, &single, &parts, &mut packed)?;
-    out.set_root(new_root);
-    out.validate()?;
-    Ok(out)
-}
-
-/// Returns an unpartitioned node producing the output of serial node `id`:
-/// either its direct rewrite (a scan stays whole) or an exchange union
-/// packing its clones.
-fn resolve_single(
-    out: &mut Plan,
-    id: NodeId,
-    single: &HashMap<NodeId, NodeId>,
-    parts: &HashMap<NodeId, Vec<Edge>>,
-    packed: &mut HashMap<NodeId, NodeId>,
-) -> Result<NodeId> {
-    if let Some(&s) = single.get(&id) {
-        return Ok(s);
+    // Readers before producers: by the time a node is recombined, the
+    // originals that read it are gone, and only its other readers remain.
+    for id in cloned.into_iter().rev() {
+        plan.recombine(id, &parts[&id])?;
     }
-    if let Some(&u) = packed.get(&id) {
-        return Ok(u);
-    }
-    let versions = parts.get(&id).ok_or_else(|| {
-        EngineError::InvalidPlan(format!("node {id} was not rewritten by the HP rewriter"))
-    })?;
-    let union = out.add_edges(OperatorSpec::ExchangeUnion, versions.iter().copied());
-    packed.insert(id, union);
-    Ok(union)
+    plan.validate()?;
+    Ok(plan)
 }
 
 #[cfg(test)]

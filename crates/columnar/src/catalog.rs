@@ -46,13 +46,6 @@ impl Catalog {
     pub fn byte_size(&self) -> usize {
         self.tables.values().map(|t| t.byte_size()).sum()
     }
-
-    /// Name and row count of the largest table (by rows); used by the
-    /// heuristic parallelizer which "uses ... the largest table size to
-    /// identify the number of partitions" (paper §4.2.1).
-    pub fn largest_table(&self) -> Option<(&str, usize)> {
-        self.tables.values().max_by_key(|t| t.row_count()).map(|t| (t.name(), t.row_count()))
-    }
 }
 
 #[cfg(test)]
@@ -74,16 +67,6 @@ mod tests {
         assert_eq!(c.table("lineitem").unwrap().row_count(), 100);
         assert!(matches!(c.table("orders").unwrap_err(), ColumnarError::UnknownTable(_)));
         assert!(c.byte_size() > 0);
-    }
-
-    #[test]
-    fn largest_table() {
-        let mut c = Catalog::new();
-        assert_eq!(c.largest_table(), None);
-        c.register(table("part", 10));
-        c.register(table("lineitem", 100));
-        c.register(table("orders", 50));
-        assert_eq!(c.largest_table(), Some(("lineitem", 100)));
     }
 
     #[test]

@@ -304,14 +304,6 @@ impl Column {
         })
     }
 
-    /// Gathers rows by positions relative to this view into a new dense
-    /// column, in `positions` order; `OutOfBounds` names the first position
-    /// outside the view.
-    pub fn gather_positions(&self, positions: &[usize]) -> Result<Column> {
-        self.gather(positions.iter().copied())
-            .map_err(|i| ColumnarError::OutOfBounds { index: positions[i], len: self.len })
-    }
-
     /// The one gather loop: bounds check and load per position in a single
     /// pass per type. `Err(i)` is the index (in list order) of the first
     /// position outside the view.
@@ -513,16 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_positions() {
-        let c = Column::from_strings(["a", "b", "c", "d"]);
-        let g = c.gather_positions(&[3, 1]).unwrap();
-        let (codes, dict) = g.str_codes().unwrap();
-        assert_eq!(dict[codes[0] as usize], "d");
-        assert_eq!(dict[codes[1] as usize], "b");
-        assert!(c.gather_positions(&[4]).is_err());
-    }
-
-    #[test]
     fn concat_packs_in_order() {
         let a = Column::from_i64(vec![1, 2]);
         let b = Column::from_i64(vec![3]);
@@ -582,8 +564,6 @@ mod tests {
         assert_eq!(err, ColumnarError::MisalignedOid { oid: 70, lo: 50, hi: 60 });
         let err = part.gather_oids(&[49]).unwrap_err();
         assert_eq!(err, ColumnarError::MisalignedOid { oid: 49, lo: 50, hi: 60 });
-        let err = part.gather_positions(&[0, 10, 99]).unwrap_err();
-        assert_eq!(err, ColumnarError::OutOfBounds { index: 10, len: 10 });
         // Duplicates, any order, all five types.
         assert_eq!(part.gather_oids(&[59, 50, 59]).unwrap().i64_values().unwrap(), &[59, 50, 59]);
         let strings = Column::from_strings(["a", "b", "c"]).slice(1, 2).unwrap();

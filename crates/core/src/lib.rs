@@ -9,10 +9,10 @@
 //!
 //! The crate is organized along the paper's architecture (§2, §3):
 //!
-//! * [`expensive`] — identification of the most expensive (and still
-//!   mutable) operator from the previous run's profile;
 //! * [`mutation`] — the basic, medium and advanced plan mutations, the
-//!   dynamic-partition splitting helpers, and the plan-explosion guard;
+//!   dynamic-partition splitting helpers, the plan-explosion guard, and
+//!   [`mutate_most_expensive`], which tries the previous run's operators by
+//!   execution time and mutates the first one a mutation applies to;
 //! * [`convergence`] — the credit/debit convergence algorithm with leaking
 //!   debit, outlier handling, GME tracking and the fastest run so far;
 //! * [`optimizer`] — the run loop (paper Fig. 2) driving it all, and the
@@ -26,7 +26,6 @@
 pub mod config;
 pub mod convergence;
 pub mod error;
-pub mod expensive;
 pub mod mutation;
 pub mod optimizer;
 pub mod report;
@@ -34,7 +33,6 @@ pub mod report;
 pub use config::AdaptiveConfig;
 pub use convergence::{ConvergenceState, RunObservation};
 pub use error::{CoreError, Result};
-pub use expensive::{ranked_candidates, Candidate, TargetAction};
 pub use mutation::{mutate_most_expensive, MutationKind, MutationOutcome};
 pub use optimizer::AdaptiveOptimizer;
 pub use report::{AdaptiveReport, AdaptiveRunRecord};

@@ -12,15 +12,15 @@
 //!
 //! §2.3 adds the plan-explosion guard: "The growth of large plans is
 //! suppressed by not removing the exchange union operator if its input
-//! parameters cross a certain threshold" (15 in the paper, configurable
-//! here).
+//! parameters cross a certain threshold": [`UNION_INPUT_THRESHOLD`], the
+//! paper's 15, read by [`propagate_union`] alone.
 
 use apq_columnar::partition::RowRange;
 use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-use crate::mutation::split::{combine_clones, edge_window};
+use crate::mutation::split::edge_window;
 use crate::mutation::{MutationKind, MutationOutcome};
 
 /// §2.3's plan-explosion guard: a union with more inputs is not removed.
@@ -31,7 +31,8 @@ pub const UNION_INPUT_THRESHOLD: usize = 15;
 /// Returns `Ok(None)` when the mutation is not applicable (too many union
 /// inputs, multiple consumers, a consumer reading a window of the union, a
 /// consumer that cannot be cloned, or unknown intermediate sizes); the
-/// caller then falls back to the next most expensive operator.
+/// caller then falls back to the next most expensive operator. `Err` means
+/// `union_id` is not an exchange union of the plan.
 pub fn propagate_union(
     plan: &mut Plan,
     profile: &QueryProfile,
@@ -55,18 +56,19 @@ pub fn propagate_union(
         return Ok(None);
     }
 
-    // Union feeding another combiner: simply inline the inputs, each with
-    // its window ("the exchange union operator is removed" without cloning
-    // anything).
+    // Union feeding another combiner: its inputs take the union's place,
+    // each with its window ("the exchange union operator is removed" without
+    // cloning anything).
     if consumer.spec.is_combiner() {
-        plan.splice_input(consumer_id, union_id, union_node.edges()).map_err(CoreError::from)?;
-        plan.remove(union_id).map_err(CoreError::from)?;
-        return Ok(Some(MutationOutcome {
+        let parts: Vec<_> = union_node.edges().collect();
+        let combiner = plan.recombine(union_id, &parts)?;
+        let outcome = MutationOutcome {
             kind: MutationKind::Medium,
             target: union_id,
             clones: Vec::new(),
-            combiner: consumer_id,
-        }));
+            combiner,
+        };
+        return Ok(Some(outcome));
     }
 
     if !consumer.spec.is_parallelizable() {
@@ -128,9 +130,8 @@ pub fn propagate_union(
         offset += len;
     }
 
-    let combiner = combine_clones(plan, consumer_id, &clones)?;
-
-    plan.remove(consumer_id).map_err(CoreError::from)?;
+    let parts: Vec<_> = clones.iter().map(|&clone| (clone, None)).collect();
+    let combiner = plan.recombine(consumer_id, &parts)?;
     plan.remove(union_id).map_err(CoreError::from)?;
 
     Ok(Some(MutationOutcome { kind: MutationKind::Medium, target: union_id, clones, combiner }))
@@ -232,7 +233,7 @@ mod tests {
         let prof = profile_with(&[(f0, 500), (f1, 500), (union, 1000), (agg, 1)]);
         let outcome = propagate_union(&mut p, &prof, union).unwrap().unwrap();
         p.validate().unwrap();
-        assert_eq!(outcome.combiner, fin);
+        assert_eq!(outcome.combiner, Some(fin));
         assert_eq!(p.count_of("aggregate"), 2);
         assert_eq!(p.count_of("union"), 0);
         assert_eq!(p.node(fin).unwrap().inputs.len(), 2);
@@ -313,7 +314,7 @@ mod tests {
         let prof = profile_with(&[(s0, 10), (s1, 10), (s2, 10), (inner, 20)]);
         let outcome = propagate_union(&mut p, &prof, inner).unwrap().unwrap();
         p.validate().unwrap();
-        assert_eq!(outcome.combiner, outer);
+        assert_eq!(outcome.combiner, Some(outer));
         assert!(!p.contains(inner));
         assert_eq!(p.node(outer).unwrap().inputs, vec![s0, s1, s2]);
     }
@@ -404,7 +405,7 @@ mod tests {
         let prof = profile_with(&[(sel, 99), (inner, 99)]);
         let outcome = propagate_union(&mut p, &prof, inner).unwrap().unwrap();
         p.validate().unwrap();
-        assert_eq!(outcome.combiner, outer);
+        assert_eq!(outcome.combiner, Some(outer));
         let edges: Vec<_> = p.node(outer).unwrap().edges().collect();
         assert_eq!(edges, vec![(sel, head), (sel, tail), (a, None)]);
     }

@@ -12,21 +12,24 @@
 //!   exchange union; its inputs are propagated onto its consumer, which is
 //!   cloned per input.
 //!
+//! Every scheme places its clones through one step, [`Plan::recombine`]: a
+//! combiner reading the replaced node whole takes them in its place, every
+//! other reader reads a union over them.
+//!
 //! [`mutate_most_expensive`] is the driver used by the optimizer: it walks
 //! the operators of the previous run in descending execution-time order
-//! (the "most expensive operator" heuristic) and applies the first mutation
-//! that is structurally possible.
+//! (the "most expensive operator" heuristic, paper §2.1) and mutates the
+//! first operator a mutation fits.
 
 pub mod basic;
 pub mod medium;
 pub mod split;
 
-use apq_engine::plan::{NodeId, Plan};
+use apq_engine::plan::{NodeId, OperatorSpec, Plan};
 use apq_engine::QueryProfile;
 
 use crate::config::AdaptiveConfig;
 use crate::error::Result;
-use crate::expensive::{ranked_candidates, TargetAction};
 
 pub use basic::clone_over_partitions;
 pub use medium::propagate_union;
@@ -62,29 +65,33 @@ pub struct MutationOutcome {
     pub target: NodeId,
     /// The cloned operator nodes introduced by the mutation.
     pub clones: Vec<NodeId>,
-    /// The node combining the clones (an existing or new union / merger).
-    pub combiner: NodeId,
+    /// The node combining the clones for the target's readers (an existing
+    /// or new union, or a `FinalizeAgg`); `None` when nothing read the
+    /// target ([`Plan::recombine`]).
+    pub combiner: Option<NodeId>,
 }
 
 /// Mutates `plan` by parallelizing the most expensive operator observed in
-/// `profile`. Returns `Ok(None)` when no operator can be parallelized any
-/// further — the plan has reached its maximal useful degree of parallelism.
+/// `profile`: the operators still in the plan are tried by descending
+/// execution time, ties by ascending node id, and the first one a mutation
+/// applies to is mutated — an exchange union by [`propagate_union`], any
+/// other operator by [`clone_over_partitions`]. Returns `Ok(None)` when no
+/// operator can be parallelized any further — the plan has reached its
+/// maximal useful degree of parallelism.
 pub fn mutate_most_expensive(
     plan: &mut Plan,
     profile: &QueryProfile,
     config: &AdaptiveConfig,
 ) -> Result<Option<MutationOutcome>> {
-    for candidate in ranked_candidates(plan, profile, config) {
-        let attempt = match candidate.action {
-            TargetAction::CloneOverPartitions => {
-                // A failure here is a structural impossibility: try the next
-                // most expensive candidate.
-                clone_over_partitions(plan, profile, candidate.node).ok()
-            }
-            TargetAction::PropagateUnion => propagate_union(plan, profile, candidate.node)?,
+    let mut ops: Vec<_> = profile.operators.iter().filter(|op| plan.contains(op.node)).collect();
+    ops.sort_by(|a, b| b.duration_us.cmp(&a.duration_us).then(a.node.cmp(&b.node)));
+    for op in ops {
+        let outcome = match plan.node(op.node)?.spec {
+            OperatorSpec::ExchangeUnion => propagate_union(plan, profile, op.node)?,
+            _ => clone_over_partitions(plan, profile, config, op.node)?,
         };
-        if let Some(outcome) = attempt {
-            return Ok(Some(outcome));
+        if outcome.is_some() {
+            return Ok(outcome);
         }
     }
     Ok(None)
@@ -93,9 +100,10 @@ pub fn mutate_most_expensive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_engine::plan::OperatorSpec;
+    use apq_columnar::partition::RowRange;
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
+    use medium::UNION_INPUT_THRESHOLD;
     use std::time::Duration;
 
     fn scan(column: &str) -> OperatorSpec {
@@ -125,7 +133,7 @@ mod tests {
                 .iter()
                 .map(|&(node, duration_us, rows_out)| OperatorProfile {
                     node,
-                    name: plan.node(node).unwrap().spec.name(),
+                    name: plan.node(node).map(|n| n.spec.name()).unwrap_or("dead"),
                     start_us: 0,
                     duration_us,
                     queue_wait_us: 0,
@@ -175,6 +183,93 @@ mod tests {
         assert!(mutate_most_expensive(&mut p, &prof, &cfg).unwrap().is_none());
         // The plan is untouched.
         assert_eq!(p.count_of("select"), 1);
+    }
+
+    /// The target `mutate_most_expensive` picks on a copy of `plan`, if any.
+    fn target_of(plan: &Plan, prof: &QueryProfile, cfg: &AdaptiveConfig) -> Option<NodeId> {
+        let mut plan = plan.clone();
+        let outcome = mutate_most_expensive(&mut plan, prof, cfg).unwrap();
+        outcome.map(|outcome| outcome.target)
+    }
+
+    #[test]
+    fn ranks_by_execution_time_skipping_scans_and_finalizers() {
+        let (p, sel, fetch) = plan_filter_sum();
+        let (a, agg, fin) = (0, 4, 5);
+        let cfg = AdaptiveConfig::for_cores(4);
+        // The scan and the finalize cost the most but cannot be cloned; the
+        // select is the most expensive of the rest.
+        let costs = |sel_us, fetch_us| {
+            let costs = [
+                (a, 5_000, 100_000),
+                (sel, sel_us, 40_000),
+                (fetch, fetch_us, 40_000),
+                (agg, 100, 1),
+                (fin, 5_000, 1),
+            ];
+            profile(&p, &costs)
+        };
+        assert_eq!(target_of(&p, &costs(3_000, 2_000), &cfg), Some(sel));
+        assert_eq!(target_of(&p, &costs(50, 2_000), &cfg), Some(fetch));
+        assert_eq!(target_of(&p, &costs(50, 40), &cfg), Some(agg));
+        // Equal times go to the lower node id.
+        assert_eq!(target_of(&p, &costs(2_000, 2_000), &cfg), Some(sel));
+    }
+
+    #[test]
+    fn small_partitions_are_not_mutated() {
+        let mut p = Plan::new();
+        let a = p.add(scan("a"), vec![]);
+        let sel =
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
+        p.set_root(sel);
+        let prof = profile(&p, &[(a, 10, 100), (sel, 1_000, 50)]);
+        let cfg = AdaptiveConfig::for_cores(4); // min_partition_rows = 1024 > 100/2
+        assert_eq!(target_of(&p, &prof, &cfg), None);
+        assert_eq!(target_of(&p, &prof, &cfg.with_min_partition_rows(10)), Some(sel));
+    }
+
+    #[test]
+    fn a_union_wider_than_the_guard_is_skipped() {
+        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(10);
+        for (n_inputs, removed) in
+            [(UNION_INPUT_THRESHOLD, true), (UNION_INPUT_THRESHOLD + 1, false)]
+        {
+            // n selects over 100-row windows of `a`, packed, then fetched into.
+            let mut p = Plan::new();
+            let a = p.add(scan("a"), vec![]);
+            let pred = Predicate::cmp(CmpOp::Lt, 5i64);
+            let selects: Vec<NodeId> = (0..n_inputs)
+                .map(|i| {
+                    let window = Some(RowRange::new(i * 100, (i + 1) * 100));
+                    p.add_edges(OperatorSpec::Select { predicate: pred.clone() }, [(a, window)])
+                })
+                .collect();
+            let union = p.add(OperatorSpec::ExchangeUnion, selects.clone());
+            let b = p.add(scan("b"), vec![]);
+            let fetch = p.add(OperatorSpec::Fetch, vec![union, b]);
+            p.set_root(fetch);
+            let mut costs: Vec<_> = selects.iter().map(|&s| (s, 10, 10)).collect();
+            costs.extend([(union, 9_000, n_inputs * 10), (a, 100, 10_000), (fetch, 500, 100)]);
+            let mut mutated = p.clone();
+            let outcome = mutate_most_expensive(&mut mutated, &profile(&p, &costs), &cfg).unwrap();
+            let outcome = outcome.expect("something is mutated");
+            let expected =
+                if removed { (MutationKind::Medium, union) } else { (MutationKind::Basic, fetch) };
+            assert_eq!((outcome.kind, outcome.target), expected, "{n_inputs} inputs");
+        }
+    }
+
+    #[test]
+    fn dead_profile_entries_are_ignored() {
+        let mut p = Plan::new();
+        let a = p.add(scan("a"), vec![]);
+        let sel =
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
+        p.set_root(sel);
+        let prof = profile(&p, &[(a, 10, 10_000), (sel, 1_000, 5_000), (77, 9_999, 5_000)]);
+        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(10);
+        assert_eq!(target_of(&p, &prof, &cfg), Some(sel));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Helpers shared by the mutation schemes: edge windows and lengths, clone
-//! recombination.
+//! Helpers shared by the mutation schemes: edge windows and lengths.
 //!
 //! Adaptive parallelization partitions "the base or the intermediate column"
 //! (paper §2.3), and both the same way: a partition is a row window on the
@@ -11,13 +10,10 @@
 //! previous run.
 
 use apq_columnar::partition::RowRange;
-use apq_engine::plan::{NodeId, OperatorSpec, Plan};
+use apq_engine::plan::{Edge, NodeId, Plan};
 use apq_engine::QueryProfile;
 
 use crate::error::{CoreError, Result};
-
-/// One input edge of a plan node: the producer and the edge's row window.
-pub type Edge = (NodeId, Option<RowRange>);
 
 /// Number of rows node `id` produced in the previous run, as its profile
 /// records it (a scan's is its column's length).
@@ -45,49 +41,11 @@ pub fn aligned_inputs(plan: &Plan, id: NodeId) -> Result<Vec<Edge>> {
     Ok(out)
 }
 
-/// True when every aligned input edge of `id` covers at least
-/// `2 × min_rows` rows, i.e. splitting it would not create partitions below
-/// the minimum size.
-pub fn can_split(plan: &Plan, profile: &QueryProfile, id: NodeId, min_rows: usize) -> bool {
-    match aligned_inputs(plan, id) {
-        Ok(edges) if !edges.is_empty() => edges.iter().all(|&edge| {
-            edge_window(plan, profile, edge).is_some_and(|w| w.len() >= 2 * min_rows.max(1))
-        }),
-        _ => false,
-    }
-}
-
-/// Puts `clones` in the place of `target` and returns the node combining
-/// them: `target`'s sole consumer absorbs them in `target`'s input position
-/// when it is a combiner (an exchange union or `FinalizeAgg`) reading
-/// `target` once and whole, or else a new exchange union over them takes
-/// `target`'s place, as the root too; every edge that read `target` reads
-/// the union through its own window.
-pub(crate) fn combine_clones(plan: &mut Plan, target: NodeId, clones: &[NodeId]) -> Result<NodeId> {
-    let consumers = plan.consumers(target);
-    if let [consumer] = consumers[..] {
-        let node = plan.node(consumer).map_err(CoreError::from)?;
-        let reads: Vec<_> = node.edges().filter(|&(input, _)| input == target).collect();
-        if node.spec.is_combiner() && reads == [(target, None)] {
-            let edges = clones.iter().map(|&clone| (clone, None));
-            plan.splice_input(consumer, target, edges).map_err(CoreError::from)?;
-            return Ok(consumer);
-        }
-    }
-    let union = plan.add(OperatorSpec::ExchangeUnion, clones.to_vec());
-    for consumer in consumers {
-        plan.replace_input(consumer, target, union).map_err(CoreError::from)?;
-    }
-    if plan.root() == Some(target) {
-        plan.set_root(union);
-    }
-    Ok(union)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apq_columnar::partition::RowRange;
+    use apq_engine::plan::OperatorSpec;
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
@@ -163,26 +121,5 @@ mod tests {
         let (head, tail) = (Some(RowRange::new(0, 5)), Some(RowRange::new(5, 10)));
         let zipped = p.add_edges(mul, [(fetch, head), (fetch, tail)]);
         assert_eq!(aligned_inputs(&p, zipped).unwrap(), vec![(fetch, head), (fetch, tail)]);
-    }
-
-    #[test]
-    fn can_split_honours_minimum_partition_size() {
-        let mut p = Plan::new();
-        let a = p.add(scan(), vec![]);
-        let sel =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        p.set_root(sel);
-        let prof = profile_with(&[(a, 100), (sel, 50)]);
-        assert!(can_split(&p, &prof, sel, 50));
-        assert!(!can_split(&p, &prof, sel, 51));
-        // Scans have no aligned inputs at all.
-        assert!(!can_split(&p, &prof, a, 1));
-        // A windowed edge counts its window's rows.
-        let part = p.add_edges(
-            OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) },
-            [(a, Some(RowRange::new(10, 30)))],
-        );
-        assert!(can_split(&p, &prof, part, 10));
-        assert!(!can_split(&p, &prof, part, 11));
     }
 }

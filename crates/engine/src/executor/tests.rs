@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
-use apq_operators::{AggFunc, CmpOp, Predicate};
+use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
 use super::*;
 use crate::error::EngineError;
@@ -123,7 +123,7 @@ fn execution_errors_are_propagated() {
     let a = p.add(scan("a"), vec![]);
     let div = p.add(
         OperatorSpec::Calc {
-            op: apq_operators::BinaryOp::Div,
+            op: BinaryOp::Div,
             left_scalar: None,
             right_scalar: Some(ScalarValue::I64(0)),
         },
@@ -141,7 +141,7 @@ fn execution_errors_are_propagated() {
     let a = p.add(scan("a"), vec![]);
     let div = p.add(
         OperatorSpec::Calc {
-            op: apq_operators::BinaryOp::Div,
+            op: BinaryOp::Div,
             left_scalar: None,
             right_scalar: Some(ScalarValue::I64(-1)),
         },
@@ -164,6 +164,23 @@ fn execution_errors_are_propagated() {
     // Invalid plans are rejected before execution.
     let p = Plan::new();
     assert!(matches!(engine.execute(&p, &cat), Err(EngineError::InvalidPlan(_))));
+}
+
+#[test]
+fn a_calc_over_fewer_columns_than_its_operands_is_refused_before_dispatch() {
+    let engine = Engine::with_workers(2);
+    let cat = catalog(100);
+    let mut p = Plan::new();
+    let a = p.add(scan("a"), vec![]);
+    let calc = OperatorSpec::Calc { op: BinaryOp::Add, left_scalar: None, right_scalar: None };
+    let c = p.add(calc, vec![a]);
+    p.set_root(c);
+    let err = engine.execute(&p, &cat).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::InvalidPlan(m) if m.contains(&format!("node {c} (calc)"))),
+        "{err}"
+    );
+    assert_eq!(engine.scheduler_stats().total_executed(), 0);
 }
 
 #[test]
@@ -303,7 +320,7 @@ fn morsel_mode_handles_errors_and_cancellation() {
     let a = p.add(scan("a"), vec![]);
     let div = p.add(
         OperatorSpec::Calc {
-            op: apq_operators::BinaryOp::Div,
+            op: BinaryOp::Div,
             left_scalar: None,
             right_scalar: Some(ScalarValue::I64(0)),
         },

@@ -4,10 +4,11 @@
 //! its input edges: the ids of its producer nodes, each with an optional row
 //! window. This mirrors the property the paper requires of a host system:
 //! "its plan representation allows identification of individual expensive
-//! operators" (§2). The adaptive parallelizer (crate `apq-core`) morphs
-//! plans by cloning nodes over partitions and rewiring edges; everything it
-//! needs — consumer lookup, node insertion/removal, per-operator metadata
-//! such as which inputs are range-partitionable — lives here. A partition is
+//! operators" (§2). The adaptive parallelizer (crate `apq-core`) and the
+//! heuristic baseline morph plans by cloning nodes over partitions and
+//! putting the clones in place ([`Plan::recombine`]); everything they need
+//! — consumer lookup, node insertion/removal, per-operator metadata such as
+//! which inputs are range-partitionable — lives here. A partition is
 //! a window on the edge that reads it, not a node: "creating slices involves
 //! marking the boundary ranges … there is no data copying involved" (§2.3).
 
@@ -22,6 +23,10 @@ use crate::error::{EngineError, Result};
 
 /// Identifier of a plan node (index into the plan's node table).
 pub type NodeId = usize;
+
+/// One input edge of a plan node: the producer and the edge's row window
+/// (`None` reads the producer's whole output).
+pub type Edge = (NodeId, Option<RowRange>);
 
 /// Which side of a join result an operator projects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,17 +151,20 @@ impl OperatorSpec {
         }
     }
 
-    /// Valid input arity `(min, max)`.
+    /// Valid input arity `(min, max)`. A `Calc` reads one column per
+    /// operand that is not a scalar.
     pub fn arity(&self) -> (usize, usize) {
         match self {
             OperatorSpec::ScanColumn { .. } => (0, 0),
+            OperatorSpec::Calc { left_scalar: None, right_scalar: None, .. } => (2, 2),
+            OperatorSpec::Calc { .. } => (1, 1),
             OperatorSpec::PredMask { .. }
             | OperatorSpec::HashBuild
             | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
             | OperatorSpec::ScalarAgg { .. } => (1, 1),
-            OperatorSpec::Select { .. } | OperatorSpec::Calc { .. } => (1, 2),
+            OperatorSpec::Select { .. } => (1, 2),
             OperatorSpec::IfThenElse { .. }
             | OperatorSpec::Fetch
             | OperatorSpec::HashProbe
@@ -279,7 +287,7 @@ impl PlanNode {
     }
 
     /// The input edges in order: each producer with its window.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, Option<RowRange>)> + '_ {
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.inputs.iter().enumerate().map(|(i, &input)| (input, self.window(i)))
     }
 }
@@ -307,7 +315,7 @@ impl Plan {
     pub fn add_edges(
         &mut self,
         spec: OperatorSpec,
-        edges: impl IntoIterator<Item = (NodeId, Option<RowRange>)>,
+        edges: impl IntoIterator<Item = Edge>,
     ) -> NodeId {
         let (inputs, windows) = edges.into_iter().unzip();
         self.nodes.push(Some(PlanNode { spec, inputs, windows }));
@@ -380,7 +388,7 @@ impl Plan {
 
     /// Replaces every occurrence of `old` in `node`'s input list with `new`;
     /// each edge keeps its window.
-    pub fn replace_input(&mut self, node: NodeId, old: NodeId, new: NodeId) -> Result<()> {
+    fn replace_input(&mut self, node: NodeId, old: NodeId, new: NodeId) -> Result<()> {
         let n = self.node_mut(node)?;
         for input in n.inputs.iter_mut() {
             if *input == old {
@@ -391,14 +399,13 @@ impl Plan {
     }
 
     /// Replaces the first occurrence of `old` in `node`'s inputs with the
-    /// edges `new`, each with its own window (used when a union input is
-    /// replaced by two clones). The replaced edge must read `old` whole: the
-    /// parts of a window are not windows of the parts.
-    pub fn splice_input(
+    /// edges `new`, each with its own window. The replaced edge must read
+    /// `old` whole: the parts of a window are not windows of the parts.
+    fn splice_input(
         &mut self,
         node: NodeId,
         old: NodeId,
-        new: impl IntoIterator<Item = (NodeId, Option<RowRange>)>,
+        new: impl IntoIterator<Item = Edge>,
     ) -> Result<()> {
         let n = self.node_mut(node)?;
         let pos = n.inputs.iter().position(|&i| i == old).ok_or_else(|| {
@@ -413,6 +420,46 @@ impl Plan {
         n.inputs.splice(pos..=pos, inputs);
         n.windows.splice(pos..=pos, windows);
         Ok(())
+    }
+
+    /// Puts `parts` in the place of `target` and removes `target`: the parts
+    /// are edges whose outputs, in order, make up `target`'s output (its
+    /// clones over partitions, or the inputs of a union). Every combiner that
+    /// reads `target` once and whole takes the parts in that input position;
+    /// every other reader, and the root, reads one new exchange union over
+    /// the parts, each edge keeping its window. This is the one step that
+    /// rewires the readers of a node replaced by parts.
+    ///
+    /// Returns the node combining the parts for `target`'s readers: the new
+    /// union when one was added, else the last combiner that took them;
+    /// `None` when nothing read `target`.
+    pub fn recombine(&mut self, target: NodeId, parts: &[Edge]) -> Result<Option<NodeId>> {
+        self.node(target)?;
+        let takes_parts = |node: &PlanNode| {
+            let mut reads = node.edges().filter(|&(input, _)| input == target);
+            let once_whole = reads.next() == Some((target, None)) && reads.next().is_none();
+            node.spec.is_combiner() && once_whole
+        };
+        let (combiners, others): (Vec<NodeId>, Vec<NodeId>) = self
+            .consumers(target)
+            .into_iter()
+            .partition(|&reader| self.node(reader).is_ok_and(takes_parts));
+        for &combiner in &combiners {
+            self.splice_input(combiner, target, parts.iter().copied())?;
+        }
+        let is_root = self.root == Some(target);
+        let union = (is_root || !others.is_empty())
+            .then(|| self.add_edges(OperatorSpec::ExchangeUnion, parts.iter().copied()));
+        if let Some(union) = union {
+            for reader in others {
+                self.replace_input(reader, target, union)?;
+            }
+            if is_root {
+                self.root = Some(union);
+            }
+        }
+        self.remove(target)?;
+        Ok(union.or(combiners.last().copied()))
     }
 
     /// Canonical structural signature of the plan: every live node's full
@@ -504,8 +551,9 @@ impl Plan {
     }
 
     /// Structural validation: root set and live, inputs live, one window
-    /// per input and none inverted, arities valid, no `HashProbe` over a
-    /// `KeySet` (a key set may have no rows to pair), DAG acyclic.
+    /// per input and none inverted, arities valid, no `Calc` with two scalar
+    /// operands, no `HashProbe` over a `KeySet` (a key set may have no rows
+    /// to pair), DAG acyclic.
     pub fn validate(&self) -> Result<()> {
         let root =
             self.root.ok_or_else(|| EngineError::InvalidPlan("plan has no root".to_string()))?;
@@ -536,6 +584,13 @@ impl Plan {
                 let n = node.inputs.len();
                 return Err(EngineError::InvalidPlan(format!(
                     "node {id} has windows {windows:?} for {n} inputs"
+                )));
+            }
+            if let OperatorSpec::Calc { left_scalar: Some(_), right_scalar: Some(_), .. } =
+                node.spec
+            {
+                return Err(EngineError::InvalidPlan(format!(
+                    "node {id} (calc) has two scalar operands and no column"
                 )));
             }
             if let (OperatorSpec::HashProbe, Some(&table)) = (&node.spec, node.inputs.get(1)) {
@@ -706,6 +761,45 @@ mod tests {
     }
 
     #[test]
+    fn recombine_splices_into_whole_combiners_and_unions_for_every_other_reader() {
+        let mut p = Plan::new();
+        let a = p.add(scan("t", "a"), vec![]);
+        let select = || OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) };
+        let target = p.add(select(), vec![a]);
+        // Read whole by a combiner, through a window, and by a fetch; and the root.
+        let combiner = p.add(OperatorSpec::ExchangeUnion, vec![target, a]);
+        let head = Some(RowRange::new(0, 4));
+        let windowed = p.add_edges(OperatorSpec::ExchangeUnion, [(target, head)]);
+        let fetch = p.add(OperatorSpec::Fetch, vec![target, a]);
+        p.set_root(target);
+        let clones = [(0, 5), (5, 10)]
+            .map(|(lo, hi)| p.add_edges(select(), [(a, Some(RowRange::new(lo, hi)))]));
+        let parts = clones.map(|clone| (clone, None));
+
+        let union = p.recombine(target, &parts).unwrap().expect("a union for the root");
+        assert!(!p.contains(target));
+        assert_eq!(p.root(), Some(union));
+        let edges = |p: &Plan, id| p.node(id).unwrap().edges().collect::<Vec<_>>();
+        assert_eq!(edges(&p, union), parts);
+        assert_eq!(edges(&p, combiner), [parts[0], parts[1], (a, None)]);
+        assert_eq!(edges(&p, windowed), [(union, head)]);
+        assert_eq!(edges(&p, fetch), [(union, None), (a, None)]);
+        assert_eq!(p.count_of("union"), 3, "one union serves every reader and the root");
+        p.validate().unwrap();
+
+        // Combiners alone take the parts and add nothing (the first clone is
+        // read by two); a node nothing reads is removed with nothing to
+        // combine.
+        let nodes = p.node_count();
+        assert_eq!(p.recombine(clones[0], &[(a, head)]).unwrap(), Some(union));
+        assert_eq!((edges(&p, combiner)[0], edges(&p, union)[0]), ((a, head), (a, head)));
+        assert_eq!(p.node_count(), nodes - 1);
+        assert_eq!(p.recombine(fetch, &[(a, None)]).unwrap(), None);
+        assert!(!p.contains(fetch));
+        assert!(p.recombine(fetch, &[]).is_err());
+    }
+
+    #[test]
     fn validation_checks_windows() {
         let mut p = Plan::new();
         let a = p.add(scan("t", "a"), vec![]);
@@ -858,6 +952,35 @@ mod tests {
         let f = p.add(OperatorSpec::Fetch, vec![a]);
         p.set_root(f);
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_a_calc_whose_inputs_disagree_with_its_scalars() {
+        let calc = |left_scalar, right_scalar| OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar,
+            right_scalar,
+        };
+        let one = || Some(ScalarValue::I64(1));
+        for (spec, n_inputs, valid) in [
+            (calc(None, None), 2, true),
+            (calc(None, None), 1, false),
+            (calc(one(), None), 1, true),
+            (calc(None, one()), 1, true),
+            (calc(one(), None), 2, false),
+            (calc(None, one()), 2, false),
+            (calc(one(), one()), 1, false),
+        ] {
+            let mut p = Plan::new();
+            let a = p.add(scan("t", "a"), vec![]);
+            let c = p.add(spec.clone(), vec![a; n_inputs]);
+            p.set_root(c);
+            let err = p.validate().err().map(|e| e.to_string());
+            assert_eq!(err.is_none(), valid, "{spec:?} over {n_inputs} inputs: {err:?}");
+            if let Some(err) = err {
+                assert!(err.contains(&format!("node {c} (calc)")), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -357,13 +357,8 @@ impl Task {
         &self.handle
     }
 
-    /// Resets the wait clock; called when a task is re-queued for policy
-    /// reasons (DOP cap) so the second wait does not double-count.
-    pub(crate) fn requeued(&mut self) {
-        self.submitted_at = Instant::now();
-    }
-
-    /// Time elapsed since the task was (re-)submitted.
+    /// Time elapsed since the task was submitted; a deferral at its query's
+    /// DOP cap keeps the clock running.
     pub(crate) fn queue_wait(&self) -> Duration {
         self.submitted_at.elapsed()
     }

@@ -82,10 +82,7 @@ impl Scheduler {
         self.sleep_cv.notify_all();
     }
 
-    fn inject(&self, mut task: Task, requeue: bool) {
-        if requeue {
-            task.requeued();
-        }
+    fn inject(&self, task: Task) {
         lock(&self.injector).push_back(task);
         self.notify_one();
     }
@@ -122,7 +119,7 @@ impl Scheduler {
         if self.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        self.inject(task, false);
+        self.inject(task);
         true
     }
 
@@ -140,7 +137,7 @@ impl Scheduler {
                         // shared injector (not the local queue — other
                         // queries' local work should not sit behind it) and
                         // scan again.
-                        self.inject(task, true);
+                        self.inject(task);
                         backoff.deferred(counters);
                         continue;
                     }
@@ -425,6 +422,40 @@ mod tests {
         assert_eq!(executed.load(Ordering::Acquire), 12);
         assert!(max_seen.load(Ordering::Acquire) <= 2, "admitted DOP 2 was exceeded");
         assert!(sched.stats().total_dop_deferrals() > 0, "no task was deferred at the cap");
+    }
+
+    #[test]
+    fn a_task_deferred_at_the_dop_cap_keeps_its_submission_time() {
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(30);
+        let sched = Arc::new(Scheduler::new(2));
+        let h = handle(1, 1);
+        // Whichever task takes the query's one slot holds it until the other
+        // has been deferred, and then for `HOLD`; the other records its wait.
+        let first = Arc::new(AtomicBool::new(true));
+        let waited = Arc::new(Mutex::new(None));
+        for _ in 0..2 {
+            let (pool, first, waited) =
+                (Arc::clone(&sched), Arc::clone(&first), Arc::clone(&waited));
+            sched.submit(Task::new(Arc::clone(&h), move |ctx| {
+                if first.swap(false, Ordering::AcqRel) {
+                    while pool.stats().total_dop_deferrals() == 0 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(HOLD);
+                } else {
+                    *lock(&waited) = Some(ctx.queue_wait);
+                }
+            }));
+        }
+        let workers = run_pool(&sched, 2);
+        h.wait_for_tasks();
+        sched.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert!(sched.stats().total_dop_deferrals() > 0, "no task was deferred at the cap");
+        let waited = lock(&waited).expect("the deferred task ran");
+        assert!(waited >= HOLD, "the deferred task reported {waited:?} of wait");
     }
 
     #[test]

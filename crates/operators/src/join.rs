@@ -578,9 +578,15 @@ impl JoinHashTable {
         Ok(())
     }
 
-    /// [`JoinHashTable::probe_with_oids`] with `oid_of(i)` naming outer row `i`.
-    fn probe_pairs(&self, outer: &Column, oid_of: impl Fn(usize) -> Oid) -> Result<JoinResult> {
+    /// Probes the table with an outer key column. Each outer row's absolute
+    /// oid (`outer.base_oid() + row`) is paired with every matching inner oid.
+    ///
+    /// Pairs come in ascending outer-row order; the matches of one outer row
+    /// come newest-inserted build row first. `KeySetHasNoPairs` for a bitmap,
+    /// then `UnsupportedJoinKey` unless the column is `Int64` or `Int32`.
+    pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
         self.check_pairs()?;
+        let base = outer.base_oid();
         // Reserved for one match per outer row (the foreign-key case; more
         // only grows), and the unused tail handed back: a filtered build
         // side matches a fraction, and the result outlives the probe.
@@ -596,7 +602,7 @@ impl JoinHashTable {
             outer,
             Matches::All,
             |i, j| {
-                outer_block[k] = oid_of(i);
+                outer_block[k] = base + i as Oid;
                 inner_block[k] = self.base + j;
                 k += 1;
                 if k == BLOCK {
@@ -612,34 +618,6 @@ impl JoinHashTable {
         result.outer_oids.shrink_to_fit();
         result.inner_oids.shrink_to_fit();
         Ok(result)
-    }
-
-    /// Probes the table with an outer key column. Each outer row's absolute
-    /// oid (`outer.base_oid() + row`) is paired with every matching inner oid.
-    ///
-    /// Pairs come in ascending outer-row order; the matches of one outer row
-    /// come newest-inserted build row first. `KeySetHasNoPairs` for a bitmap,
-    /// then `UnsupportedJoinKey` unless the column is `Int64` or `Int32`.
-    pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
-        let base = outer.base_oid();
-        self.probe_pairs(outer, |i| base + i as Oid)
-    }
-
-    /// Probes with explicit outer oids: `outer_oids[i]` is reported for row
-    /// `i` of `outer_keys` instead of `outer_keys.base_oid() + i`. Used when
-    /// the outer keys were produced by a fetch over a candidate list, so the
-    /// join result keeps referring to base-table oids.
-    ///
-    /// Same pair order as [`JoinHashTable::probe`]. `LengthMismatch` when
-    /// the two inputs differ in length (checked first), then as `probe`.
-    pub fn probe_with_oids(&self, outer_keys: &Column, outer_oids: &[Oid]) -> Result<JoinResult> {
-        if outer_keys.len() != outer_oids.len() {
-            return Err(OperatorError::LengthMismatch {
-                left: outer_keys.len(),
-                right: outer_oids.len(),
-            });
-        }
-        self.probe_pairs(outer_keys, |i| outer_oids[i])
     }
 
     /// Probes and reports only whether each outer row has at least one match
@@ -757,19 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_with_explicit_oids() {
-        let inner = Column::from_i64(vec![7, 8]);
-        let keys = Column::from_i64(vec![8, 9, 7]);
-        let oids = vec![100, 200, 300];
-        let ht = JoinHashTable::build(&inner).unwrap();
-        let res = ht.probe_with_oids(&keys, &oids).unwrap();
-        let pairs: Vec<(Oid, Oid)> =
-            res.outer_oids.iter().copied().zip(res.inner_oids.iter().copied()).collect();
-        assert_eq!(pairs, vec![(100, 1), (300, 0)]);
-        assert!(ht.probe_with_oids(&keys, &[1, 2]).is_err());
-    }
-
-    #[test]
     fn semi_join_reports_each_outer_once() {
         let inner = Column::from_i64(vec![1, 1, 2]);
         let outer = Column::from_i64(vec![1, 3, 2, 1]);
@@ -860,11 +825,7 @@ mod tests {
             assert_eq!(key_set.probe_semi(&outer), pairs.probe_semi(&outer));
             assert_eq!(key_set.probe_anti(&outer), pairs.probe_anti(&outer));
             assert_eq!(key_set.probe_semi(&outer).unwrap(), vec![2, 3]);
-            for refused in [
-                key_set.probe(&outer).map(|_| ()),
-                key_set.probe_with_oids(&outer, &[0; 6]).map(|_| ()),
-                key_set.lookup(5).map(|_| ()),
-            ] {
+            for refused in [key_set.probe(&outer).map(|_| ()), key_set.lookup(5).map(|_| ())] {
                 assert_eq!(refused, Err(OperatorError::KeySetHasNoPairs));
             }
         }

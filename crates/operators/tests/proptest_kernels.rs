@@ -360,8 +360,9 @@ mod reference {
             out
         }
 
-        fn pairs(&self, outer: &Column, oid_of: impl Fn(usize) -> Oid) -> Result<JoinResult> {
+        pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
             let keys = key_values(outer)?;
+            let base = outer.base_oid();
             let mut result = JoinResult {
                 outer_oids: Vec::with_capacity(outer.len()),
                 inner_oids: Vec::with_capacity(outer.len()),
@@ -370,31 +371,12 @@ mod reference {
                 &keys,
                 false,
                 |i, j| {
-                    result.outer_oids.push(oid_of(i));
+                    result.outer_oids.push(base + i as Oid);
                     result.inner_oids.push(self.base + j);
                 },
                 |_, _| {},
             );
             Ok(result)
-        }
-
-        pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
-            let base = outer.base_oid();
-            self.pairs(outer, |i| base + i as Oid)
-        }
-
-        pub fn probe_with_oids(
-            &self,
-            outer_keys: &Column,
-            outer_oids: &[Oid],
-        ) -> Result<JoinResult> {
-            if outer_keys.len() != outer_oids.len() {
-                return Err(OperatorError::LengthMismatch {
-                    left: outer_keys.len(),
-                    right: outer_oids.len(),
-                });
-            }
-            self.pairs(outer_keys, |i| outer_oids[i])
         }
 
         fn existence(&self, outer: &Column, wanted: bool) -> Result<Vec<Oid>> {
@@ -1059,8 +1041,8 @@ proptest! {
         }
     }
 
-    /// `gather_oids` / `fetch` / `gather_positions`: rows
-    /// in list order, the first offending oid named, nothing on error.
+    /// `gather_oids` / `fetch`: rows in list order, the first offending oid
+    /// named, nothing on error.
     #[test]
     fn gathers_match_validate_then_gather(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
@@ -1074,23 +1056,6 @@ proptest! {
                 column_facts(column.gather_oids(&oids).map_err(OperatorError::from)),
                 expected
             );
-
-            // Positions are oids relative to the window.
-            let positions: Vec<usize> = oids
-                .iter()
-                .map(|&o| usize::try_from(o.wrapping_sub(column.base_oid())).unwrap_or(usize::MAX))
-                .collect();
-            let first_bad = positions.iter().copied().find(|&p| p >= column.len());
-            match (column.gather_positions(&positions), first_bad) {
-                (Ok(c), None) => prop_assert_eq!(
-                    Ok(facts(&c.with_base_oid(0))),
-                    column_facts(reference::gather_oids(&column, &oids).map(|c| c.with_base_oid(0)))
-                ),
-                (Err(e), Some(index)) => {
-                    prop_assert_eq!(e, ColumnarError::OutOfBounds { index, len: column.len() })
-                }
-                (got, bad) => panic!("gather_positions returned {got:?}, first bad position {bad:?}"),
-            }
         }
     }
 
@@ -1132,14 +1097,6 @@ proptest! {
                 prop_assert_eq!(probed.probe_semi(&outer), expected.probe_semi(&outer));
                 prop_assert_eq!(probed.probe_anti(&outer), expected.probe_anti(&outer));
             }
-            let mut oids = g.oids(&outer, 2);
-            if !g.chance(5) {
-                oids.resize(outer.len(), 7);
-            }
-            prop_assert_eq!(
-                table.probe_with_oids(&outer, &oids),
-                expected.probe_with_oids(&outer, &oids)
-            );
             // A build over a non-integer column is refused the same way.
             if !key_types.contains(&ty) {
                 let refused = reference::Table::build(&outer).map(|_| 0);
@@ -1319,7 +1276,6 @@ fn probes_match_the_parent_table_at_block_edges() {
                     })
                     .collect();
                 let narrow = Column::from_i32(keys.iter().map(|&k| k as i32).collect());
-                let oids: Vec<Oid> = (0..len as Oid).map(|i| 7_000 + 3 * i).collect();
                 for base in [Column::from_i64(keys), narrow] {
                     let window = base.slice(5, len).unwrap();
                     for outer in [window.clone(), window.with_base_oid(1_000)] {
@@ -1330,11 +1286,6 @@ fn probes_match_the_parent_table_at_block_edges() {
                             inner.len()
                         );
                         assert_eq!(table.probe(&outer), expected.probe(&outer), "{case}");
-                        assert_eq!(
-                            table.probe_with_oids(&outer, &oids),
-                            expected.probe_with_oids(&outer, &oids),
-                            "{case}"
-                        );
                         for probed in [&table, &key_set] {
                             assert_eq!(
                                 probed.probe_semi(&outer),

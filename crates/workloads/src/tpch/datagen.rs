@@ -280,7 +280,10 @@ mod tests {
         }
         let li = cat.table("lineitem").unwrap();
         assert_eq!(li.row_count(), scale.lineitem_rows());
-        assert_eq!(cat.largest_table().unwrap().0, "lineitem");
+        for t in ["orders", "part", "customer", "supplier", "nation"] {
+            let rows = cat.table(t).unwrap().row_count();
+            assert!(rows < li.row_count(), "{t} outgrows lineitem");
+        }
 
         // Foreign keys reference valid parent rows.
         let orders_rows = cat.table("orders").unwrap().row_count() as i64;
