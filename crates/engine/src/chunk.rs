@@ -31,11 +31,17 @@
 //! window position ([`OidsView::slice`] advances base and window offset in
 //! lockstep), so the invariant holds by construction along slice chains.
 //! The explicit label still exists — and matters — for views over *fresh*
-//! backing at a non-zero stream position ([`Chunk::oids_at`] /
-//! [`Chunk::join_at`]: a packed union of heterogeneous parts), where the
-//! backing offset is 0 but the stream offset is not. A projected join side
-//! is not fresh backing: it is the join window itself seen through one of
-//! the result's two `Arc`s, so it inherits window and stream offset alike.
+//! backing at a non-zero stream position, where the backing offset is 0 but
+//! the stream offset is not: a packed union of heterogeneous parts
+//! ([`Chunk::oids_at`] / [`Chunk::join_at`]), and each part of a published
+//! part list. The morsel driver does not pack a step's per-morsel outputs
+//! back into one chunk; it publishes them in stream order, and every morsel
+//! of a selection or a probe numbers its fresh output from 0. Publishing
+//! relabels each part, zero-copy, with its offset within the step's stream
+//! — the label the packed chunk's slice at that offset would carry — and a
+//! fetch output's or a calc's base oid likewise. A projected join side is not fresh backing:
+//! it is the join window itself seen through one of the result's two
+//! `Arc`s, so it inherits window and stream offset alike.
 //!
 //! Fetch writes the offset into the output column's base oid
 //! ([`apq_columnar::Column::base_oid`]); position-emitting consumers
@@ -48,8 +54,9 @@
 //! **New position-emitting operators must follow the same three rules:**
 //! read the input's [`OidsView::stream_base`], emit `base + local index`,
 //! and label any freshly-backed output via [`Chunk::oids_at`] /
-//! [`Chunk::join_at`]. The exchange union `debug_assert`s that packed parts
-//! are in consistent stream order.
+//! [`Chunk::join_at`]. The exchange union `debug_assert`s that the parts it
+//! packs — oid lists, join results and columns alike — are in consistent
+//! stream order, and so does the driver of the parts it publishes.
 
 use std::sync::Arc;
 
@@ -134,6 +141,13 @@ impl OidsView {
             len: end - start,
             stream_base: self.stream_base + start as Oid,
         }
+    }
+
+    /// The same window labelled at `stream_base` within its stream: how a
+    /// part of a published part list takes the label of the packed chunk's
+    /// slice it stands for. No allocation.
+    pub(crate) fn rebased(self, stream_base: Oid) -> OidsView {
+        OidsView { stream_base, ..self }
     }
 
     /// True when both views window the same backing allocation.
@@ -243,6 +257,11 @@ impl JoinView {
     /// like [`OidsView::slice`].
     pub fn slice(&self, start: usize, len: usize) -> JoinView {
         JoinView { outer: self.outer.slice(start, len), inner: Arc::clone(&self.inner) }
+    }
+
+    /// The same window labelled at `stream_base` (see [`OidsView::rebased`]).
+    pub(crate) fn rebased(self, stream_base: Oid) -> JoinView {
+        JoinView { outer: self.outer.rebased(stream_base), inner: self.inner }
     }
 
     /// True when both views window the same backing allocation.

@@ -14,21 +14,37 @@
 //! launched when its last cross-step input edge is satisfied. Every task,
 //! whatever its step, runs one body ([`run_task`]), in the style of Leis et
 //! al.'s morsel-driven model: push one morsel through the step's chain of
-//! stages. A streaming step over a positional chunk is cut into one morsel
-//! per `morsel_rows` window of its producer's published chunk — a base-table
+//! stages. A streaming step over a positional source is cut into one morsel
+//! per `morsel_rows` window of its producer's published list — a base-table
 //! scan is a step like any other, so its morsels are windows of its column
-//! slice with the same absolute oids. Every other step is a single morsel:
-//! one task over whole inputs, which for a whole-node step is
-//! operator-at-a-time execution. The task that finishes a step's last morsel
-//! assembles the partial outputs in morsel order and publishes the terminal
-//! chunk exactly where whole-node execution would have published it.
+//! with the same absolute oids. Every other step is a single morsel: one
+//! task over whole inputs, which for a whole-node step is operator-at-a-time
+//! execution.
+//!
+//! A step publishes a [`Parts`] list, not one packed chunk. A morsel splits
+//! into *pieces* wherever a part of its stream or of a range-aligned input
+//! ends, and runs its chain once per piece, so every stage reads zero-copy
+//! windows of one part each; each piece's terminal output is one part of the
+//! step's list. A finishing task folds into the list every output the
+//! stream order allows — its own, and those of later morsels that finished
+//! first — relabelled so that every read of the list equals the same read of
+//! their exchange-union pack, which is what whole-node execution publishes;
+//! the task that finishes the last morsel publishes it. Only partial
+//! aggregates merge, and parts under half a morsel — a selective producer's
+//! — are packed cell by cell on the readers' morsel grid as they are folded;
+//! a list no reader takes piece by piece is packed whole at publish, since
+//! it will be read whole. Everything else that
+//! needs the whole chunk (a whole-node step's inputs, a shared input such as
+//! a fetch's looked-up column or a probe's build side, a window straddling
+//! parts, the root) packs it on first read, once, in the result slot.
+//!
 //! Consumer steps and morsel fan-outs are submitted from the completing
 //! worker's task context, so they start on that worker's deque. Everything
 //! the tasks share lives in the [`RunContext`].
 //!
-//! A published chunk lives only as long as something reads it: each step
-//! counts the cross-step edges that read its chunk, and the step finishing
-//! the last of them releases it ([`RunContext::release`]). The root's chunk
+//! A published list lives only as long as something reads it: each step
+//! counts the cross-step edges that read its list, and the step finishing
+//! the last of them releases it ([`RunContext::release`]). The root's list
 //! is the query's answer and is never released, so a query holds its live
 //! set of intermediates rather than every one it made.
 
@@ -38,11 +54,11 @@ use std::time::Instant;
 
 use apq_columnar::Catalog;
 
+use super::parts::{is_positional, merged, pieces, Folder, Parts};
 use super::run::{guarded_execute, RunContext};
 use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
-use crate::interpreter::exchange_union;
 use crate::pipeline::{morsel_count, stream_input, Pipeline, PipelinePlan};
 use crate::plan::{OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
@@ -55,12 +71,61 @@ struct Driver {
     graph: PipelinePlan,
     /// Remaining cross-step input edges per step.
     step_deps: Vec<AtomicUsize>,
-    /// Remaining cross-step reads of each step's published chunk: the step
-    /// that finishes the last one releases the chunk.
+    /// Remaining cross-step reads of each step's published list: the step
+    /// that finishes the last one releases the list.
     readers: Vec<AtomicUsize>,
     /// The engine's morsel size, in rows: every pipeline's slicing and
     /// fan-out cut on this grid.
     morsel_rows: usize,
+    /// Per step: whether a reader takes its published list piece by piece
+    /// ([`read_by_pieces`]).
+    read_by_pieces: Vec<bool>,
+}
+
+impl Driver {
+    /// The cells `step`'s published list is folded on ([`Parts::publish`]):
+    /// its readers' morsel grid when some reader takes it piece by piece;
+    /// `None`, one packed part, when every reader reads it whole — that read
+    /// would pack it anyway, and parts kept until then only hold memory.
+    fn cell_rows(&self, step: usize) -> Option<usize> {
+        self.read_by_pieces[step].then_some(self.morsel_rows)
+    }
+}
+
+/// True when a task of a streaming step reads input `i` of the stage at
+/// chain position `idx` one piece at a time: the head's stream, and a
+/// range-aligned input zipped against a stream on the first input. A
+/// refining select's column and every other input are read whole.
+fn read_by_piece(spec: &OperatorSpec, n_inputs: usize, idx: usize, i: usize) -> bool {
+    let stream = stream_input(spec, n_inputs);
+    if i == stream {
+        idx == 0
+    } else {
+        stream == 0 && spec.aligned_inputs(n_inputs)[i]
+    }
+}
+
+/// Per step: whether some streaming step reads its published list one piece
+/// at a time ([`read_by_piece`]).
+fn read_by_pieces(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<bool>> {
+    let mut step_of_terminal = vec![None; plan.capacity()];
+    for (step, pipeline) in graph.steps.iter().enumerate() {
+        step_of_terminal[pipeline.terminal()] = Some(step);
+    }
+    let mut by_pieces = vec![false; graph.steps.len()];
+    for pipeline in graph.steps.iter().filter(|p| p.producer.is_some()) {
+        for (idx, &stage) in pipeline.stages.iter().enumerate() {
+            let node = plan.node(stage)?;
+            for (i, &input) in node.inputs.iter().enumerate() {
+                if read_by_piece(&node.spec, node.inputs.len(), idx, i) {
+                    if let Some(producer) = step_of_terminal[input] {
+                        by_pieces[producer] = true;
+                    }
+                }
+            }
+        }
+    }
+    Ok(by_pieces)
 }
 
 /// Executes a validated plan: plans it into steps, seeds the runnable ones
@@ -77,6 +142,7 @@ pub(super) fn execute(
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
         readers: graph.readers().into_iter().map(AtomicUsize::new).collect(),
         morsel_rows: engine.config.morsel_rows.max(1),
+        read_by_pieces: read_by_pieces(plan, &graph)?,
         graph,
     });
 
@@ -115,8 +181,8 @@ struct Tally {
     /// `[time µs, rows, bytes]` of every stage but the terminal, in chain
     /// order (empty for a one-stage step, so it never allocates there).
     stages: Vec<[u64; 3]>,
-    /// The terminal's time, injected delay (and assembly) included; its rows
-    /// and bytes are the published chunk's.
+    /// The terminal's time, injected delay (and the publish) included; its
+    /// rows and bytes are the published list's.
     terminal_us: u64,
     /// Morsels run per worker; empty unless the step streams.
     morsels_by_worker: Vec<u64>,
@@ -134,30 +200,32 @@ impl Tally {
     }
 }
 
-/// The shared state of a step cut into more than one morsel. A step run as
-/// one task needs none: it publishes straight from that task.
+/// The shared state of a streaming step over a positional source: its
+/// part list as its morsels fold their outputs in, until the last one
+/// publishes it. A step run as one task over whole inputs needs none: it
+/// publishes straight from that task.
 struct Fanout {
-    /// Rows the head stage reads of the producer's chunk (its edge's window
-    /// when it has one), which every cut range-aligned input must match.
-    source_rows: usize,
+    /// The part list the head stage streams (cut to its edge's window when
+    /// it has one); every cut range-aligned input must match its rows.
+    source: Parts,
     morsels: Mutex<Morsels>,
 }
 
 struct Morsels {
-    /// Terminal partial output per morsel, assembled in morsel order.
-    parts: Vec<Option<Chunk>>,
+    /// Terminal outputs of morsels done before an earlier one was, waiting
+    /// for the gap to close.
+    waiting: Vec<Option<Vec<Chunk>>>,
+    /// The first morsel whose outputs the folder has not taken.
+    next: usize,
+    /// The step's part list so far: every output of the morsels before
+    /// `next`, in stream order.
+    folder: Folder,
     remaining: usize,
     tally: Option<Tally>,
 }
 
-/// True for chunks addressed by row position, which [`Chunk::slice`] can
-/// cut on a morsel grid.
-fn is_positional(chunk: &Chunk) -> bool {
-    matches!(chunk, Chunk::Column(_) | Chunk::Oids(_) | Chunk::Join(_))
-}
-
 /// Launches a runnable step: one task per morsel of a streaming step over a
-/// positional chunk, one task over whole inputs for every other step.
+/// positional source, one task over whole inputs for every other step.
 ///
 /// Returns `false` only when the scheduler refused a submission (engine shut
 /// down). Query-level failures are routed through [`RunContext::fail`] and
@@ -168,30 +236,29 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
         Task::new(Arc::clone(&state.run.handle), move |ctx| run_task(st, ctx, step, cut))
     };
     let pipeline = &state.graph.steps[step];
-    // The producer's chunk as the head stage streams it: windowed first when
+    // The producer's list as the head stage streams it: windowed first when
     // its edge has a window, then cut on the morsel grid. Non-positional
-    // chunks (hash tables, scalars, partials) cannot be sliced; a pipeline
-    // over one still runs, as a single morsel.
+    // chunks (hash tables, scalars, partials) cannot be cut; a pipeline over
+    // one still runs, as a single task.
     let source = pipeline.producer.map(|_| {
         let head = state.run.plan.node(pipeline.stages[0])?;
-        state.run.input(pipeline.stages[0], stream_input(&head.spec, head.inputs.len()))
+        state.run.parts(pipeline.stages[0], stream_input(&head.spec, head.inputs.len()))
     });
-    let source_rows = match source {
-        Some(Ok(source)) if is_positional(&source) => source.rows(),
+    let source = match source {
+        Some(Ok(source)) if source.is_positional() => source,
         Some(Err(e)) => {
             state.run.fail(e);
             return true;
         }
         _ => return submit(task(None)),
     };
-    let n_morsels = morsel_count(source_rows, state.morsel_rows);
-    if n_morsels == 1 {
-        return submit(task(None));
-    }
+    let n_morsels = morsel_count(source.rows(), state.morsel_rows);
     let fanout = Arc::new(Fanout {
-        source_rows,
+        source,
         morsels: Mutex::new(Morsels {
-            parts: (0..n_morsels).map(|_| None).collect(),
+            waiting: (0..n_morsels).map(|_| None).collect(),
+            next: 0,
+            folder: Folder::new(pipeline.terminal(), state.cell_rows(step)),
             remaining: n_morsels,
             tally: None,
         }),
@@ -216,9 +283,26 @@ fn run_task(
     }
 }
 
+/// How a stage of a task reads one of its inputs.
+enum Feed {
+    /// The predecessor stage's output, the stream of every stage but the
+    /// head.
+    Stream,
+    /// The task's window of a part list — the head's stream, or a
+    /// range-aligned input zipped against the stream — read one piece at a
+    /// time.
+    Cut(Parts),
+    /// The whole chunk, shared by every piece; read at the stage's first
+    /// checkpoint.
+    Whole(Option<Chunk>),
+}
+
 /// Streams the task's window through the step's stages while it is
-/// cache-hot. Returns whether this task published the step: `false` when a
-/// [`RunContext::checkpoint`] stopped it or other morsels are outstanding.
+/// cache-hot, one piece at a time: the window splits wherever a part of its
+/// stream or of a range-aligned input ends, so each stage reads zero-copy
+/// windows of one part each. Returns whether this task published the step:
+/// `false` when a [`RunContext::checkpoint`] stopped it or other morsels are
+/// outstanding.
 fn run_stages(
     state: &Driver,
     ctx: &TaskContext<'_>,
@@ -226,88 +310,154 @@ fn run_stages(
     cut: Option<(&Fanout, usize)>,
 ) -> Result<bool> {
     let (run, pipeline) = (&state.run, &state.graph.steps[step]);
+    let n_stages = pipeline.stages.len();
     let mut tally = Tally {
         start_us: 0,
         queue_wait_us: ctx.queue_wait.as_micros() as u64,
-        stages: Vec::new(),
+        stages: vec![[0; 3]; n_stages - 1],
         terminal_us: 0,
         morsels_by_worker: match pipeline.producer {
             Some(_) => (0..run.n_workers).map(|w| u64::from(w == ctx.worker)).collect(),
             None => Vec::new(),
         },
     };
-    let mut out = None;
+    // This task's morsel of the source grid, as `(start, len)`.
+    let cut = cut.map(|(fanout, morsel)| {
+        let start = morsel * state.morsel_rows;
+        (fanout, start, state.morsel_rows.min(fanout.source.rows() - start))
+    });
+    let mut nodes = Vec::with_capacity(n_stages);
+    let mut feeds: Vec<Vec<Feed>> = Vec::with_capacity(n_stages);
     for (idx, &stage) in pipeline.stages.iter().enumerate() {
-        let Some(inject_panic) = run.checkpoint(stage) else { return Ok(false) };
         let node = run.plan.node(stage)?;
+        let n_inputs = node.inputs.len();
         // The stage streams one input: the producer's window (or whole
-        // chunk) at the head, its predecessor's output further down.
-        let stream = stream_input(&node.spec, node.inputs.len());
-        // Only a cut task cuts other inputs, and only alongside a stream on
-        // the first input, which the aligned mask describes (a refining
-        // select's column is shared whole); `Vec::new` does not allocate.
-        let aligned = match cut {
-            Some(_) if stream == 0 => node.spec.aligned_inputs(node.inputs.len()),
-            _ => Vec::new(),
-        };
-        let mut inputs: Vec<Chunk> = Vec::with_capacity(node.inputs.len());
-        for i in 0..node.inputs.len() {
-            if let Some(streamed) = out.take_if(|_| i == stream) {
-                inputs.push(streamed);
-                continue;
-            }
-            // Already cut to the edge's window, if it has one.
-            let chunk = run.input(stage, i)?;
-            inputs.push(match cut {
-                // The streamed input is the producer's chunk. A
-                // range-aligned secondary input (Calc col⊗col, IfThenElse,
+        // list) at the head, its predecessor's output further down.
+        let stream = stream_input(&node.spec, n_inputs);
+        let mut stage_feeds = Vec::with_capacity(n_inputs);
+        for i in 0..n_inputs {
+            stage_feeds.push(match cut {
+                _ if idx > 0 && i == stream => Feed::Stream,
+                Some((fanout, start, len)) if i == stream => {
+                    Feed::Cut(fanout.source.window(start, len).expect("a positional source"))
+                }
+                // A range-aligned secondary input (Calc col⊗col, IfThenElse,
                 // GroupAgg values) zips positionally against the stream, so
                 // it is cut at the same morsel; the analyzer only fuses such
                 // stages while nothing upstream has compacted the stream.
-                // `Chunk::slice` keeps absolute oids for columns and the
-                // `stream_base` alignment for streams (see
-                // `crate::chunk::Chunk::Oids`). A whole-length mismatch is
-                // reported as whole-node execution would report it, rather
-                // than zipping morsel-sized slices that happen to agree.
-                Some((fanout, morsel))
-                    if (i == stream || aligned.get(i) == Some(&true)) && is_positional(&chunk) =>
-                {
-                    if chunk.rows() != fanout.source_rows {
-                        return Err(apq_operators::OperatorError::LengthMismatch {
-                            left: fanout.source_rows,
-                            right: chunk.rows(),
+                // Cuts keep absolute oids for columns and the `stream_base`
+                // alignment for streams (see `crate::chunk::Chunk::Oids`). A
+                // whole-length mismatch is reported as whole-node execution
+                // would report it, rather than zipping morsel-sized windows
+                // that happen to agree.
+                Some((fanout, start, len)) if read_by_piece(&node.spec, n_inputs, idx, i) => {
+                    let parts = run.parts(stage, i)?;
+                    match parts.window(start, len) {
+                        Some(_) if parts.rows() != fanout.source.rows() => {
+                            return Err(apq_operators::OperatorError::LengthMismatch {
+                                left: fanout.source.rows(),
+                                right: parts.rows(),
+                            }
+                            .into());
                         }
-                        .into());
+                        Some(cut) => Feed::Cut(cut),
+                        None => Feed::Whole(None),
                     }
-                    let start = morsel * state.morsel_rows;
-                    chunk.slice(start, state.morsel_rows).expect("a positional chunk slices")
                 }
-                _ => chunk,
+                _ => Feed::Whole(None),
             });
         }
-        let started = Instant::now();
-        if idx == 0 {
-            tally.start_us = started.duration_since(run.started).as_micros() as u64;
-        }
-        let chunk = guarded_execute(stage, &node.spec, &inputs, &run.catalog, inject_panic)?;
-        if idx + 1 == pipeline.stages.len() {
-            // Once per task, keyed on the terminal, counted in its time.
-            run.inject_delay(stage);
-            tally.terminal_us = started.elapsed().as_micros() as u64;
-        } else {
-            let micros = started.elapsed().as_micros() as u64;
-            tally.stages.push([micros, chunk.rows() as u64, chunk.byte_size() as u64]);
-        }
-        out = Some(chunk);
+        nodes.push(node);
+        feeds.push(stage_feeds);
     }
-    let part = out.expect("a step has at least one stage");
+    let cut_ends = feeds.iter().flatten().filter_map(|feed| match feed {
+        Feed::Cut(parts) => Some(parts.ends()),
+        _ => None,
+    });
+    // A task over whole inputs is one piece.
+    let cut_pieces;
+    let pieces: &[(usize, usize)] = match cut {
+        Some((_, _, len)) => {
+            cut_pieces = pieces(len, cut_ends.flatten());
+            &cut_pieces
+        }
+        None => &[(0, 0)],
+    };
 
-    let Some((fanout, morsel)) = cut else {
-        publish(run, ctx, pipeline, part, tally)?;
+    let mut outputs = Vec::with_capacity(pieces.len());
+    let mut panics = Vec::with_capacity(n_stages);
+    for (piece, &(start, len)) in pieces.iter().enumerate() {
+        let mut out = None;
+        for (idx, (&stage, node)) in pipeline.stages.iter().zip(&nodes).enumerate() {
+            // The checkpoint, and the whole reads behind it, once per stage
+            // per task: at the stage's first piece. A whole read that packs
+            // a part list counts in the stage's time.
+            let started = Instant::now();
+            if piece == 0 {
+                let Some(inject_panic) = run.checkpoint(stage) else { return Ok(false) };
+                panics.push(inject_panic);
+                for (i, feed) in feeds[idx].iter_mut().enumerate() {
+                    if let Feed::Whole(whole @ None) = feed {
+                        *whole = Some(run.input(stage, i)?);
+                    }
+                }
+            }
+            let inputs: Vec<Chunk> = feeds[idx]
+                .iter()
+                .map(|feed| match feed {
+                    Feed::Stream => out.take().expect("the predecessor ran"),
+                    Feed::Cut(parts) => {
+                        parts.piece(start, len).expect("a piece lies within one part")
+                    }
+                    Feed::Whole(chunk) => chunk.clone().expect("read at the first piece"),
+                })
+                .collect();
+            if piece == 0 && idx == 0 {
+                tally.start_us = started.duration_since(run.started).as_micros() as u64;
+            }
+            let chunk = guarded_execute(stage, &node.spec, &inputs, &run.catalog, panics[idx])?;
+            let micros = started.elapsed().as_micros() as u64;
+            match tally.stages.get_mut(idx) {
+                Some(sum) => {
+                    let measured = [micros, chunk.rows() as u64, chunk.byte_size() as u64];
+                    sum.iter_mut().zip(measured).for_each(|(s, v)| *s += v);
+                }
+                None => tally.terminal_us += micros,
+            }
+            out = Some(chunk);
+        }
+        outputs.push(out.expect("a step has at least one stage"));
+    }
+    // Once per task, keyed on the terminal, counted in its time.
+    let delay = Instant::now();
+    run.inject_delay(pipeline.terminal());
+    tally.terminal_us += delay.elapsed().as_micros() as u64;
+
+    let Some((fanout, start, _)) = cut else {
+        let parts = Parts::publish(pipeline.terminal(), outputs, state.cell_rows(step))?;
+        publish(run, ctx, pipeline, parts, tally)?;
         return Ok(true);
     };
-    let mut morsels = lock(&fanout.morsels);
-    morsels.parts[morsel] = Some(part);
+    // The task merges its own pieces' partial aggregates, in parallel with
+    // the other tasks, so the publishing task merges one per morsel.
+    let folding = Instant::now();
+    if !outputs.first().is_some_and(is_positional) {
+        outputs = merged(pipeline.terminal(), outputs)?;
+    }
+    let mut guard = lock(&fanout.morsels);
+    let morsels = &mut *guard;
+    // Fold every output the stream order now allows: this morsel's, and
+    // those of later morsels that finished first. The folding (relabelling,
+    // and packing a selective producer's small parts cell by cell) runs
+    // here, while other morsels still execute, not all in the last task.
+    morsels.waiting[start / state.morsel_rows] = Some(outputs);
+    while let Some(outputs) = morsels.waiting.get_mut(morsels.next).and_then(Option::take) {
+        morsels.next += 1;
+        for chunk in outputs {
+            morsels.folder.push(chunk)?;
+        }
+    }
+    tally.terminal_us += folding.elapsed().as_micros() as u64;
     match &mut morsels.tally {
         Some(sum) => sum.merge(tally),
         sum @ None => *sum = Some(tally),
@@ -316,30 +466,33 @@ fn run_stages(
     if morsels.remaining > 0 {
         return Ok(false);
     }
-    let parts: Vec<Chunk> = morsels.parts.drain(..).flatten().collect();
+    let folder = std::mem::replace(&mut morsels.folder, Folder::new(pipeline.terminal(), None));
     let mut tally = morsels.tally.take().expect("every morsel merged its tally");
-    drop(morsels);
-    // Packing the partial outputs in morsel order is the exchange-union
-    // recombination, so the published chunk is byte-identical to
-    // whole-node execution.
+    drop(guard);
+    // The pieces' outputs in stream order are the step's part list: every
+    // read of it equals the same read of their exchange-union pack, so the
+    // published result is byte-identical to whole-node execution. Partial
+    // aggregates merge here, in the same order, and a list only ever read
+    // whole is packed here.
     let assembly = Instant::now();
-    let chunk = exchange_union(pipeline.terminal(), &parts)?;
+    let published = folder.finish()?;
     tally.terminal_us += assembly.elapsed().as_micros() as u64;
-    publish(run, ctx, pipeline, chunk, tally)?;
+    publish(run, ctx, pipeline, published, tally)?;
     Ok(true)
 }
 
 /// Publishes a finished step from the task that finished it: every stage's
-/// profile, the pipeline profile of a streaming step, and the terminal chunk.
+/// profile, the pipeline profile of a streaming step, and the terminal's
+/// part list.
 fn publish(
     run: &RunContext,
     ctx: &TaskContext<'_>,
     pipeline: &Pipeline,
-    chunk: Chunk,
+    parts: Parts,
     tally: Tally,
 ) -> Result<()> {
     let terminal = pipeline.terminal();
-    let last = [tally.terminal_us, chunk.rows() as u64, chunk.byte_size() as u64];
+    let last = [tally.terminal_us, parts.rows() as u64, parts.byte_size() as u64];
     let measured = tally.stages.iter().copied().chain([last]);
     for (&node, [duration_us, rows, bytes]) in pipeline.stages.iter().zip(measured) {
         let profile = OperatorProfile {
@@ -366,14 +519,14 @@ fn publish(
             groupagg_fused: matches!(run.plan.node(terminal)?.spec, OperatorSpec::GroupAgg { .. }),
         });
     }
-    run.set_result(terminal, chunk)
+    run.set_result(terminal, parts)
 }
 
-/// Marks a step complete. First it releases every input chunk this step
-/// was the last reader of, so a query holds only the chunks some step still
+/// Marks a step complete. First it releases every input list this step
+/// was the last reader of, so a query holds only the lists some step still
 /// has to read. Then it launches consumer steps whose dependencies are now
 /// all satisfied. Their tasks go through the task context, so the scheduler
-/// keeps them on the publishing worker's deque, where the chunk is
+/// keeps them on the publishing worker's deque, where the parts are
 /// cache-hot; and they are spawned before this task leaves the scheduler,
 /// so the query's task count cannot touch zero between two steps.
 fn complete_step(state: &Arc<Driver>, ctx: &TaskContext<'_>, step: usize) {

@@ -33,6 +33,7 @@
 //! operator cost from scheduler interference.
 
 mod driver;
+mod parts;
 mod run;
 #[cfg(test)]
 mod tests;

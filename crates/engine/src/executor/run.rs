@@ -22,8 +22,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
 
+use super::parts::Parts;
 use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
@@ -39,10 +41,10 @@ pub(super) struct RunContext {
     pub plan: Arc<Plan>,
     pub catalog: Arc<Catalog>,
     pub handle: Arc<QueryHandle>,
-    /// One slot per plan node: a step publishes its terminal's chunk here
-    /// once, its consumers read it, and the last of them releases it
+    /// One slot per plan node: a step publishes its terminal's part list
+    /// here once, its consumers read it, and the last of them releases it
     /// ([`RunContext::release`]). The root is never released.
-    results: Vec<Mutex<Option<Chunk>>>,
+    results: Vec<Mutex<Option<Parts>>>,
     pub profiles: Vec<OnceLock<OperatorProfile>>,
     pub pipeline_profiles: Mutex<Vec<PipelineProfile>>,
     /// Fast-path flag mirroring `error.is_some()`.
@@ -109,17 +111,19 @@ impl RunContext {
         }
     }
 
-    /// The chunk `node` published, if it has completed and is not released.
-    fn result(&self, node: NodeId) -> Option<Chunk> {
-        self.results.get(node).and_then(|slot| lock(slot).clone())
+    /// The whole chunk `node` published, if it has completed and is not
+    /// released: its part list packed in its slot ([`Parts::pack`]).
+    fn packed(&self, node: NodeId) -> Option<Result<Chunk>> {
+        let mut slot = lock(self.results.get(node)?);
+        slot.as_mut().map(|parts| parts.pack(node))
     }
 
-    /// Publishes `node`'s chunk; a node publishes once.
-    pub fn set_result(&self, node: NodeId, chunk: Chunk) -> Result<()> {
+    /// Publishes `node`'s part list; a node publishes once.
+    pub fn set_result(&self, node: NodeId, parts: Parts) -> Result<()> {
         match &mut *lock(&self.results[node]) {
             Some(_) => Err(EngineError::InvalidPlan(format!("node {node} produced two results"))),
             slot => {
-                *slot = Some(chunk);
+                *slot = Some(parts);
                 Ok(())
             }
         }
@@ -136,23 +140,49 @@ impl RunContext {
         }
     }
 
-    /// What `consumer` reads on its input edge `index`: the producer's
-    /// published chunk, cut to the edge's window when it has one. This is
-    /// the one place a window is resolved, before any morsel cut, and the
-    /// cut is a zero-copy view ([`Chunk::slice`]).
-    pub fn input(&self, consumer: NodeId, index: usize) -> Result<Chunk> {
+    /// Runs `read` on the part list `consumer` reads on its input edge
+    /// `index` and that edge's window, under the list's slot lock.
+    fn read_input<T>(
+        &self,
+        consumer: NodeId,
+        index: usize,
+        read: impl FnOnce(&mut Parts, Option<RowRange>) -> Result<T>,
+    ) -> Result<T> {
         let node = self.plan.node(consumer)?;
         let input = node.inputs[index];
-        let chunk = self.result(input).ok_or_else(|| {
+        let mut slot = lock(&self.results[input]);
+        let parts = slot.as_mut().ok_or_else(|| {
             EngineError::InvalidPlan(format!(
                 "node {consumer} was scheduled before its input {input} completed"
             ))
         })?;
-        let Some(w) = node.window(index) else { return Ok(chunk) };
-        chunk.slice(w.start, w.len()).ok_or_else(|| EngineError::InvalidInput {
-            node: consumer,
-            expected: "column, oids or join",
-            found: chunk.kind(),
+        read(parts, node.window(index))
+    }
+
+    /// What `consumer` reads on its input edge `index`: the producer's
+    /// published part list, cut to the edge's window when it has one. This
+    /// is the one place a window is resolved, before any morsel cut, and the
+    /// cut is a zero-copy sub-list ([`Parts::window`]).
+    pub fn parts(&self, consumer: NodeId, index: usize) -> Result<Parts> {
+        self.read_input(consumer, index, |parts, window| match window {
+            None => Ok(parts.clone()),
+            Some(w) => parts.window(w.start, w.len()).ok_or_else(|| not_cuttable(consumer, parts)),
+        })
+    }
+
+    /// The same read as one whole chunk: the one part the edge reads, or,
+    /// when it spans several, a window of the producer's list packed in its
+    /// slot — the pack replaces the parts, so a list packs once, and the
+    /// slot's lock makes concurrent whole reads wait for it rather than
+    /// pack again.
+    pub fn input(&self, consumer: NodeId, index: usize) -> Result<Chunk> {
+        let input = self.plan.node(consumer)?.inputs[index];
+        self.read_input(consumer, index, |parts, window| {
+            let Some(w) = window else { return parts.pack(input) };
+            if let Some(chunk) = parts.piece(w.start, w.len()) {
+                return Ok(chunk);
+            }
+            parts.pack(input)?.slice(w.start, w.len()).ok_or_else(|| not_cuttable(consumer, parts))
         })
     }
 
@@ -183,10 +213,10 @@ impl RunContext {
         // Every task left, none failed the query, yet the root is missing:
         // a task body panicked outside the operator guard.
         let output = self
-            .result(root)
+            .packed(root)
             .ok_or_else(|| {
                 EngineError::WorkerPanicked("a task ended before the root was published".into())
-            })?
+            })??
             .to_output();
         let profile = QueryProfile {
             wall_time: self.started.elapsed(),
@@ -196,6 +226,15 @@ impl RunContext {
             dop_timeline: self.handle.dop_timeline(),
         };
         Ok(QueryExecution { output, profile })
+    }
+}
+
+/// The error for a window on an edge whose list cannot be cut.
+fn not_cuttable(consumer: NodeId, parts: &Parts) -> EngineError {
+    EngineError::InvalidInput {
+        node: consumer,
+        expected: "column, oids or join",
+        found: parts.kind(),
     }
 }
 

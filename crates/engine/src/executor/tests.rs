@@ -498,3 +498,231 @@ fn released_chunks_are_never_read_again() {
         }
     }
 }
+
+mod part_lists {
+    //! The part-list invariant: every read of a published list equals the
+    //! same read of the chunk the exchange union packs from it.
+
+    use apq_columnar::{Column, Oid};
+    use apq_operators::JoinHashTable;
+
+    use super::super::parts::{pieces, Parts};
+    use super::*;
+    use crate::chunk::Chunk;
+    use crate::interpreter::{exchange_union, execute_node};
+    use crate::plan::JoinSide;
+
+    const MORSEL: usize = 64;
+
+    fn label(chunk: &Chunk) -> Oid {
+        match chunk {
+            Chunk::Column(c) => c.base_oid(),
+            Chunk::Oids(v) => v.stream_base(),
+            Chunk::Join(v) => v.stream_base(),
+            other => panic!("{} has no position label", other.kind()),
+        }
+    }
+
+    /// Same kind, same values, same position label.
+    fn assert_same(actual: &Chunk, expected: &Chunk, what: &str) {
+        assert_eq!(actual.kind(), expected.kind(), "{what}");
+        assert_eq!(actual.to_output(), expected.to_output(), "{what}");
+        assert_eq!(label(actual), label(expected), "{what}: position label");
+    }
+
+    /// Part `i` of `parts` is `packed.slice(offset_i, len_i)`, and the parts
+    /// cover the packed chunk.
+    fn assert_parts_are_slices_of(parts: &Parts, packed: &Chunk, what: &str) {
+        let mut offset = 0;
+        for (i, part) in parts.chunks().iter().enumerate() {
+            let slice = packed.slice(offset, part.rows()).unwrap();
+            assert_same(part, &slice, &format!("{what}: part {i} at row {offset}"));
+            offset += part.rows();
+        }
+        assert_eq!(offset, packed.rows(), "{what}: the parts cover the pack");
+    }
+
+    /// What the tasks of a streaming step over `stream` leave: `spec` run on
+    /// every `MORSEL`-row window of it, with `shared` inputs read whole.
+    fn morsel_outputs(spec: &OperatorSpec, stream: &Chunk, shared: &[Chunk]) -> Vec<Chunk> {
+        let cat = Catalog::new();
+        (0..stream.rows().div_ceil(MORSEL))
+            .map(|m| {
+                let mut inputs = vec![stream.slice(m * MORSEL, MORSEL).unwrap()];
+                inputs.extend(shared.iter().cloned());
+                execute_node(0, spec, &inputs, &cat).unwrap()
+            })
+            .collect()
+    }
+
+    /// Publishes `outputs` (every part kept) and checks the invariant against
+    /// their pack, which must also be what the whole-node step computes.
+    fn published(outputs: Vec<Chunk>, whole: &Chunk, what: &str) -> (Parts, Chunk) {
+        let packed = exchange_union(0, &outputs).unwrap();
+        assert_same(&packed, whole, &format!("{what}: the pack is the whole-node output"));
+        let parts = Parts::publish(0, outputs, Some(1)).unwrap();
+        assert!(parts.chunks().len() > 1, "{what}: more than one part");
+        assert!(parts.chunks().iter().all(|p| p.rows() > 0), "{what}: an empty part");
+        assert_parts_are_slices_of(&parts, &packed, what);
+        (parts, packed)
+    }
+
+    fn values(rows: i64) -> Chunk {
+        Chunk::Column(Column::from_i64((0..rows).map(|v| (v * 7_919) % 100).collect()))
+    }
+
+    fn whole(spec: &OperatorSpec, inputs: &[Chunk]) -> Chunk {
+        execute_node(0, spec, inputs, &Catalog::new()).unwrap()
+    }
+
+    #[test]
+    fn fresh_stream_parts_are_slices_of_their_pack() {
+        // A select and a probe number each morsel's rows from 0: every part
+        // is a fresh stream until it is published.
+        let column = values(1_000);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 30i64) };
+        let outputs = morsel_outputs(&select, &column, &[]);
+        assert!(outputs.iter().all(|o| label(o) == 0));
+        published(outputs, &whole(&select, std::slice::from_ref(&column)), "select");
+
+        let keys = Column::from_i64((0..40).collect());
+        let hash = Chunk::Hash(Arc::new(JoinHashTable::build(&keys).unwrap()));
+        let probe = OperatorSpec::HashProbe;
+        let outputs = morsel_outputs(&probe, &column, std::slice::from_ref(&hash));
+        published(outputs, &whole(&probe, &[column, hash]), "probe");
+    }
+
+    #[test]
+    fn stream_window_parts_are_slices_of_their_pack() {
+        // A fetch over windows of a candidate stream, and a join side over
+        // windows of a join: each part carries its window's stream offset.
+        let column = values(1_000);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 60i64) };
+        let cands = whole(&select, std::slice::from_ref(&column));
+        let fetch = OperatorSpec::Fetch;
+        let outputs = morsel_outputs(&fetch, &cands, std::slice::from_ref(&column));
+        published(outputs, &whole(&fetch, &[cands.clone(), column.clone()]), "fetch");
+
+        let keys = Column::from_i64((0..40).collect());
+        let hash = Chunk::Hash(Arc::new(JoinHashTable::build(&keys).unwrap()));
+        let join = whole(&OperatorSpec::HashProbe, &[column.clone(), hash]);
+        for side in [JoinSide::Outer, JoinSide::Inner] {
+            let project = OperatorSpec::ProjectJoinSide { side };
+            let outputs = morsel_outputs(&project, &join, &[]);
+            published(outputs, &whole(&project, std::slice::from_ref(&join)), "join side");
+        }
+
+        // A calc over windows of a base column keeps absolute oids.
+        let add = OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(1)),
+        };
+        let window = column.slice(100, 700).unwrap();
+        let outputs = morsel_outputs(&add, &window, &[]);
+        published(outputs, &whole(&add, &[window]), "calc");
+    }
+
+    #[test]
+    fn windows_across_part_boundaries_equal_the_packed_slice() {
+        let column = values(1_000);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 60i64) };
+        let outputs = morsel_outputs(&select, &column, &[]);
+        let (parts, packed) = published(outputs, &whole(&select, &[column]), "select");
+        let ends: Vec<usize> = parts.ends().collect();
+        let rows = packed.rows();
+        let boundary = ends[1];
+        for (start, len) in [
+            (0, rows),
+            (boundary - 5, 10),
+            (boundary, 0),
+            (boundary, ends[2] - boundary),
+            (3, rows - 7),
+            (rows - 2, 50),
+            (rows + 3, 4),
+        ] {
+            let what = format!("window ({start}, {len})");
+            let mut window = parts.window(start, len).unwrap();
+            let expected = packed.slice(start, len).unwrap();
+            // A window cuts the parts it covers, zero-copy ...
+            let mut offset = 0;
+            for part in window.chunks() {
+                let slice = packed.slice(start + offset, part.rows()).unwrap();
+                assert_same(part, &slice, &what);
+                offset += part.rows();
+            }
+            // ... and reads as one chunk, whether it needs a pack or not.
+            assert_same(&window.pack(0).unwrap(), &expected, &what);
+            if let Some(piece) = parts.piece(start, len) {
+                assert_same(&piece, &expected, &what);
+            }
+        }
+        assert!(parts.piece(boundary - 5, 10).is_none(), "a piece never straddles parts");
+        // A window on a non-positional list is refused, as `Chunk::slice` is.
+        let scalar = Parts::publish(0, vec![Chunk::Scalar(ScalarValue::I64(1))], Some(1)).unwrap();
+        assert!(scalar.window(0, 1).is_none());
+    }
+
+    #[test]
+    fn small_parts_are_packed_cell_by_cell_on_the_readers_grid() {
+        let column = values(1_000);
+        let select =
+            |below: i64| OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, below) };
+        // About 13 rows a morsel: packed into 64-row cells, cut zero-copy
+        // where a part crosses a cell's edge.
+        let outputs = morsel_outputs(&select(20), &column, &[]);
+        let packed = exchange_union(0, &outputs).unwrap();
+        let parts = Parts::publish(0, outputs.clone(), Some(MORSEL)).unwrap();
+        let sizes: Vec<usize> = parts.chunks().iter().map(Chunk::rows).collect();
+        let (last, cells) = sizes.split_last().unwrap();
+        assert!(cells.iter().all(|&rows| rows == MORSEL), "{sizes:?}");
+        assert!(*last > 0 && *last <= MORSEL, "{sizes:?}");
+        assert_parts_are_slices_of(&parts, &packed, "cells");
+        // About 38 rows a morsel: at least half a cell, each part stays.
+        let outputs = morsel_outputs(&select(60), &column, &[]);
+        let packed = exchange_union(0, &outputs).unwrap();
+        let n_outputs = outputs.len();
+        let parts = Parts::publish(0, outputs.clone(), Some(MORSEL)).unwrap();
+        assert_eq!(parts.chunks().len(), n_outputs);
+        assert_parts_are_slices_of(&parts, &packed, "kept");
+        // A list only ever read whole is one pack.
+        let parts = Parts::publish(0, outputs, None).unwrap();
+        assert_eq!(parts.chunks().len(), 1);
+        assert_parts_are_slices_of(&parts, &packed, "packed");
+        // Empty outputs leave one empty part, labelled like the empty pack.
+        let outputs = morsel_outputs(&select(-1), &column, &[]);
+        let packed = exchange_union(0, &outputs).unwrap();
+        let parts = Parts::publish(0, outputs, Some(MORSEL)).unwrap();
+        assert_eq!(parts.chunks().len(), 1);
+        assert_parts_are_slices_of(&parts, &packed, "empty");
+    }
+
+    #[test]
+    fn pieces_cut_at_every_boundary_of_the_stream_and_the_aligned_inputs() {
+        assert_eq!(pieces(10, [3, 7, 10]), vec![(0, 3), (3, 4), (7, 3)]);
+        assert_eq!(pieces(10, [3, 7, 10, 5, 10, 3]), vec![(0, 3), (3, 2), (5, 2), (7, 3)]);
+        assert_eq!(pieces(10, []), vec![(0, 10)]);
+        assert_eq!(pieces(0, [0, 0]), vec![(0, 0)]);
+
+        // A stream and a range-aligned input of 100 rows, parted differently
+        // by the steps that published them, both windowed to one morsel.
+        let list = |cuts: &[usize]| {
+            let column = Chunk::Column(Column::from_i64((0..100).collect()));
+            let bounds: Vec<usize> = [0].iter().chain(cuts).chain(&[100]).copied().collect();
+            let chunks =
+                bounds.windows(2).map(|w| column.slice(w[0], w[1] - w[0]).unwrap()).collect();
+            Parts::publish(0, chunks, Some(1)).unwrap()
+        };
+        let stream = list(&[30, 55, 80]).window(20, 64).unwrap();
+        let aligned = list(&[10, 50, 90]).window(20, 64).unwrap();
+        let cut = pieces(64, stream.ends().chain(aligned.ends()));
+        // Rows 20..84: the stream ends parts at 30, 55 and 80, the aligned
+        // input at 50.
+        assert_eq!(cut, vec![(0, 10), (10, 20), (30, 5), (35, 25), (60, 4)]);
+        for &(start, len) in &cut {
+            let s = stream.piece(start, len).expect("the stream holds each piece in one part");
+            let a = aligned.piece(start, len).expect("the aligned input likewise");
+            assert_same(&s, &a, "stream and aligned pieces zip row for row");
+        }
+    }
+}

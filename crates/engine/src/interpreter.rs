@@ -290,9 +290,11 @@ fn stream_order_check<T>(views: &[&T], base_len: impl Fn(&T) -> (Oid, usize)) ->
 
 /// The exchange-union operator: packs same-kind chunks in argument order.
 ///
-/// Doubles as the morsel-driven pipeline assembler: packing the per-morsel
-/// terminal outputs in morsel order is exactly the recombination that makes
-/// morsel execution byte-identical to whole-node execution.
+/// Doubles as the morsel driver's packer and merger: a step's part list is
+/// exactly what this union would pack from its parts, so the driver merges
+/// partial aggregates, packs runs of small parts and answers a whole read
+/// with it, and morsel execution stays byte-identical to whole-node
+/// execution.
 ///
 /// Stream parts (oid lists, join results) take a **zero-copy fast path**
 /// when every part is the window immediately following its predecessor in
@@ -333,6 +335,12 @@ pub(crate) fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
             for chunk in inputs {
                 parts.push(as_column(node, chunk)?.clone());
             }
+            // Base oids follow the same rule as stream bases: all 0 (fresh
+            // intermediates) or consecutive windows of one row space.
+            debug_assert!(
+                stream_order_check(&parts.iter().collect::<Vec<_>>(), |c| (c.base_oid(), c.len())),
+                "node {node}: exchange-union column inputs are not in stream order"
+            );
             // Clones are packed in partition (mutation-sequence) order, so the
             // packed column's rows start at the first partition's base oid.
             Ok(Chunk::Column(

@@ -18,26 +18,37 @@
 //! once, by one follow-up task. [`ExecutionMode::MorselDriven`] instead
 //! *fuses* compatible operator chains into streaming pipelines. A pipeline
 //! has one source, its **producer**: the step before it whose published
-//! chunk is cut into fixed-size **morsels** (zero-copy windows, configurable
+//! result is cut into fixed-size **morsels** (zero-copy windows, configurable
 //! via [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
 //! rows), one scheduler task per morsel. A base-table scan is such a step
-//! like any other: it publishes a zero-copy slice of its column, and the
-//! pipeline over it cuts that slice. Workers pull morsels from their own
-//! deques, each morsel flows through *all* fused stages while its data is
-//! cache-hot, and the per-stage whole-chunk materialization disappears
-//! inside the pipeline.
+//! like any other: it publishes its whole column, and the pipeline over it
+//! cuts that column. Workers pull morsels from their own deques, each morsel
+//! flows through *all* fused stages while its data is cache-hot, and the
+//! per-stage whole-chunk materialization disappears inside the pipeline.
+//!
+//! Nor is a pipeline's output packed back into one chunk. The driver
+//! publishes a step's result as an ordered list of parts, one per piece of
+//! work its morsels did (parts under half a morsel packed together on the
+//! morsel grid), and a consumer that streams the list — or zips it
+//! as a range-aligned input — adopts those cuts: its morsel runs its stages
+//! once per part it covers, reading each part where it lies. Only partial
+//! aggregates merge as they are published; a list some reader needs whole
+//! (a breaker's input, a looked-up column, a build side, the root) is
+//! packed once, on that read.
 //!
 //! ```text
 //! operator-at-a-time                 morsel-driven
 //! ==================                 =============
 //!
-//!  scan ──► [whole chunk]            scan ──► [column slice]   (whole-node step)
-//!            select ──► [chunk]      pipeline = producer scan → select→fetch→agg
-//!                    fetch ─► [chunk]  morsel 0 ─► sel₀ fetch₀ agg₀ ─┐
-//!                          agg ─► out  morsel 1 ─► sel₁ fetch₁ agg₁ ─┼─► assemble
-//!                                      morsel 2 ─► sel₂ fetch₂ agg₂ ─┘
-//!  (one task per operator,           (one task per MORSEL; stages fused,
-//!   whole chunks between them)        partial outputs packed in morsel order)
+//!  scan ──► [whole chunk]            scan ──► [whole column] (whole-node step)
+//!            select ──► [chunk]      pipeline: producer scan → select → fetch
+//!                    fetch ─► [chunk]  morsel 0 ─► sel₀ fetch₀ ─► part 0 ─┐
+//!                          calc ─► out morsel 1 ─► sel₁ fetch₁ ─► part 1 ─┤
+//!                                      morsel 2 ─► sel₂ fetch₂ ─► part 2 ─┤
+//!                                    pipeline: producer fetch → calc      │
+//!                                      morsel 0 ─► calc once per part ◄───┘
+//!  (one task per operator,           (one task per MORSEL, stages fused; a
+//!   whole chunks between them)        morsel adopts the parts it covers)
 //! ```
 //!
 //! # Which chains fuse
@@ -57,9 +68,9 @@
 //! predicate masks, join-side projections and partial aggregates (scalar
 //! *and* grouped) all qualify; pipeline breakers (hash build, key set,
 //! exchange union, finalize/merge) run operator-at-a-time between
-//! pipelines. Aggregates only ever *terminate* a chain: each morsel yields a
-//! partial (`AggState` / `GroupedAgg`) that the driver merges in morsel
-//! order, so nothing streams past them (`GroupAgg` is enforced explicitly —
+//! pipelines. Aggregates only ever *terminate* a chain: each piece of a
+//! morsel yields a partial (`AggState` / `GroupedAgg`) that the driver
+//! merges in stream order, so nothing streams past them (`GroupAgg` is enforced explicitly —
 //! see `is_terminal_stage`). Every intermediate stage must have exactly one
 //! consumer (the next stage); only the terminal stage's output is
 //! materialized and published to the rest of the plan.
@@ -79,13 +90,14 @@
 //!    producer's morsel grid no longer describes the stream, so the
 //!    grid-aligned cut of the shared input would zip against the wrong rows.
 //!
-//! Either stage instead starts its own pipeline over the globally assembled
-//! chunk (see `numbers_its_input` / `has_aligned_second_input` below).
+//! Either stage instead starts its own pipeline over the published list,
+//! whose parts carry their global stream positions (see `numbers_its_input`
+//! / `has_aligned_second_input` below).
 //!
 //! A plan edge with a row window (a partition a mutation cut) addresses its
 //! producer's whole output, so it never links two stages of a chain: the
-//! consumer heads a pipeline over the published chunk, which the driver
-//! cuts to the window before it cuts morsels.
+//! consumer heads a pipeline over the published list, which the driver cuts
+//! to the window — a zero-copy sub-list — before it cuts morsels.
 //! Fusing a two-aligned-input stage also requires the shared input's whole
 //! row count to equal the producer's — the executor checks this once per
 //! morsel and reports the same `LengthMismatch` operator-at-a-time execution
@@ -94,7 +106,8 @@
 //! # Result equivalence
 //!
 //! Morsel mode produces **byte-identical** results to operator-at-a-time
-//! whatever order the scheduler dispatches in. Three properties make this hold:
+//! whatever order the scheduler dispatches in. Three properties make this
+//! hold:
 //!
 //! 1. [`apq_columnar::Column::slice`] preserves absolute base oids, so a
 //!    selection over morsel *k* of a column emits exactly the oids the
@@ -103,13 +116,16 @@
 //!    `stream_base` offset ([`crate::chunk::Chunk::Oids`], the PR-1
 //!    alignment invariant), so fetches inside a pipeline over a stream
 //!    partition label their outputs with the correct stream position;
-//! 3. partial outputs are assembled strictly in morsel order with the same
-//!    packing/merging the exchange-union operator uses, which is exactly the
-//!    recombination the adaptive mutations already rely on.
+//! 3. a step publishes its pieces' outputs in stream order, each relabelled
+//!    so that it *is* the slice at its offset of the chunk the exchange
+//!    union would pack from them — the recombination the adaptive mutations
+//!    already rely on. Every read of the list (a piece, a window, or the
+//!    pack a whole read takes) therefore equals the same read of that
+//!    chunk, which is what whole-node execution publishes.
 //!
-//! The assembly of partial scalar aggregates merges [`apq_operators::AggState`]s
-//! in morsel order — the identical guarantee the adaptive optimizer's
-//! `FinalizeAgg` combiner provides for mutation-split plans.
+//! Partial scalar aggregates merge [`apq_operators::AggState`]s in stream
+//! order as they are published — the identical guarantee the adaptive
+//! optimizer's `FinalizeAgg` combiner provides for mutation-split plans.
 
 use crate::error::Result;
 use crate::plan::{NodeId, OperatorSpec, Plan};
@@ -129,7 +145,7 @@ pub enum ExecutionMode {
     #[default]
     OperatorAtATime,
     /// Fused operator pipelines driven by fixed-size morsels: one task per
-    /// morsel, partial outputs assembled in morsel order. Byte-identical
+    /// morsel, outputs published as parts in stream order. Byte-identical
     /// results, different dispatch granularity.
     ///
     /// ```
@@ -210,7 +226,7 @@ pub(crate) fn stream_input(spec: &OperatorSpec, n_inputs: usize) -> usize {
 /// pipeline-breaker chunk kind that no later stage could stream, so the
 /// chain must stop extending once it is pushed. `GroupAgg` qualifies — each
 /// morsel produces a partial [`apq_operators::GroupedAgg`]
-/// (`Chunk::Grouped`) and the driver merges the partials in morsel order
+/// (`Chunk::Grouped`) and the driver merges the partials in stream order
 /// (the exchange union's grouped merge), keeping float results byte-exact.
 /// `ScalarAgg` is a de-facto terminal for the same reason but needs no
 /// explicit rule: nothing fusible consumes its `AggPartial`.
@@ -254,7 +270,7 @@ fn numbers_its_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 /// compacted the stream ([`creates_stream`]), morsel lengths are data
 /// dependent and the grid-aligned cut of the external input would zip
 /// against the wrong (or wrongly sized) rows. Such a stage must then start
-/// its own pipeline over the globally assembled chunk, where alignment is
+/// its own pipeline over the published list, where alignment is
 /// re-established against the whole intermediate.
 fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
     n_inputs > 1 && spec.aligned_inputs(n_inputs).iter().skip(1).any(|&a| a)
@@ -291,8 +307,8 @@ impl PipelinePlan {
         // has passed a stream-creating stage (`stream_created`), a stage
         // that numbers its input may not join (its input bases would be
         // morsel-local), nor may a stage zipping a second aligned input.
-        // They instead start their own pipeline over the globally assembled
-        // chunk, which is correct.
+        // They instead start their own pipeline over the published
+        // list, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
             let consumers = plan.consumers(id);
             let [consumer] = consumers.as_slice() else { return None };

@@ -17,7 +17,7 @@ use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
 use apq_engine::{Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput};
-use apq_operators::{AggFunc, CmpOp, Predicate};
+use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
     let mut c = Catalog::new();
@@ -419,5 +419,60 @@ fn a_window_on_a_hash_table_fails_the_query_under_both_plannings() {
         let err = engine.execute(&p, &cat).unwrap_err();
         let expected = "column, oids or join";
         assert_eq!(err, EngineError::InvalidInput { node: semi, expected, found: "hash" });
+    }
+}
+
+/// TPC-H Q9's fan-out in miniature. A probe's outer side is fetched into
+/// twice, for a col⊗col calc, and once more for a second probe, whose
+/// outer positions then fetch from the calc and whose inner side gives the
+/// group keys. Every intermediate between the first probe and the group-by
+/// is read by a step that streams it or zips it, so each is published as
+/// parts; the second probe emits positions from its column's labels, so a
+/// part labelled at the wrong stream offset fetches the wrong revenue.
+fn q9_shaped_plan() -> (Plan, [usize; 4]) {
+    let mut p = Plan::new();
+    let dim = |p: &mut Plan| {
+        p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![])
+    };
+    let fk = fact_scan(&mut p, "fk");
+    let dim_key = dim(&mut p);
+    let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
+    let join = p.add(OperatorSpec::HashProbe, vec![fk, hash]);
+    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
+    let measure = fact_scan(&mut p, "measure");
+    let grp = fact_scan(&mut p, "grp");
+    let price = p.add(OperatorSpec::Fetch, vec![outer, measure]);
+    let weight = p.add(OperatorSpec::Fetch, vec![outer, grp]);
+    let mul = OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+    let revenue = p.add(mul, vec![price, weight]);
+
+    let grp_f = p.add(OperatorSpec::Fetch, vec![outer, grp]);
+    let dim_key2 = dim(&mut p);
+    let hash2 = p.add(OperatorSpec::HashBuild, vec![dim_key2]);
+    let join2 = p.add(OperatorSpec::HashProbe, vec![grp_f, hash2]);
+    let outer2 = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join2]);
+    let inner2 = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Inner }, vec![join2]);
+    let revenue_j = p.add(OperatorSpec::Fetch, vec![outer2, revenue]);
+    let keys = p.add(OperatorSpec::Fetch, vec![inner2, dim_key2]);
+    let by_key = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![keys, revenue_j]);
+    p.set_root(by_key);
+    (p, [inner2, keys, by_key, revenue])
+}
+
+#[test]
+fn a_q9_shaped_fan_out_over_parted_intermediates_matches_operator_at_a_time() {
+    let rows = 4_001;
+    let cat = catalog(rows);
+    let (plan, [inner, keys, by_key, revenue]) = q9_shaped_plan();
+    let expected = Engine::with_workers(3).execute(&plan, &cat).unwrap().output;
+    let QueryOutput::Groups(ref groups) = expected else { panic!("a group-by returns groups") };
+    assert_eq!(groups.len(), 5, "one group per `grp` value");
+    for morsel_rows in [7, 100, 777, 4_096] {
+        let exec = morsel_engine(morsel_rows).execute(&plan, &cat).unwrap();
+        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+        // The group-by zips the fetched revenue's parts against its keys'.
+        let pipeline = exec.profile.pipelines.iter().find(|p| p.nodes.contains(&by_key)).unwrap();
+        assert_eq!(pipeline.nodes, vec![inner, keys, by_key], "morsel_rows {morsel_rows}");
+        assert!(exec.profile.pipelines.iter().any(|p| p.nodes.last() == Some(&revenue)));
     }
 }

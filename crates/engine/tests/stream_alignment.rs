@@ -25,8 +25,8 @@ use std::sync::Arc;
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
-use apq_engine::{Engine, QueryOutput};
-use apq_operators::{AggFunc, CmpOp, GroupKey, Predicate};
+use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
+use apq_operators::{AggFunc, BinaryOp, CmpOp, GroupKey, Predicate};
 
 /// Catalog with a fact table whose `fk` joins a small dimension, plus a
 /// per-row measure and group key.
@@ -366,5 +366,80 @@ fn projected_join_sides_of_stream_windows_keep_their_stream_offset() {
         );
         // Side views of consecutive windows reassemble into the whole side.
         assert_eq!(run(project_over_join_stream_plan(rows, cuts, true)), whole_side);
+    }
+}
+
+/// TPC-H Q9's fan-out over a candidate stream: the first probe runs over
+/// the fetched `fk` stream, whole or cloned over two windows of it; both
+/// join sides are read, a col⊗col calc zips two fetches through the outer
+/// side, a second probe over a third such fetch emits join-stream positions,
+/// and the group-by zips keys from its inner side against revenue fetched by
+/// its outer positions.
+fn q9_shaped_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
+    let mut p = Plan::new();
+    let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
+    let dim = || OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() };
+    let grp = p.add(scan("grp"), vec![]);
+    let cands =
+        p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 4i64) }, vec![grp]);
+    let fk_col = p.add(scan("fk"), vec![]);
+    let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
+    let measure = p.add(scan("measure"), vec![]);
+    let measure_stream = p.add(OperatorSpec::Fetch, vec![cands, measure]);
+    let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
+    let dim_key = p.add(dim(), vec![]);
+    let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
+    let join = match split {
+        None => p.add(OperatorSpec::HashProbe, vec![fk_stream, hash]),
+        Some(k) => {
+            let parts: Vec<_> = [(0, k), (k, rows)]
+                .into_iter()
+                .map(|(start, end)| {
+                    let window = Some(RowRange::new(start, end));
+                    p.add_edges(OperatorSpec::HashProbe, [(fk_stream, window), (hash, None)])
+                })
+                .collect();
+            p.add(OperatorSpec::ExchangeUnion, parts)
+        }
+    };
+    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
+    let price = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
+    let weight = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
+    let mul = OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+    let revenue = p.add(mul, vec![price, weight]);
+    let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
+    let dim_key2 = p.add(dim(), vec![]);
+    let hash2 = p.add(OperatorSpec::HashBuild, vec![dim_key2]);
+    let join2 = p.add(OperatorSpec::HashProbe, vec![grp_j, hash2]);
+    let outer2 = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join2]);
+    let inner2 = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Inner }, vec![join2]);
+    let revenue_j = p.add(OperatorSpec::Fetch, vec![outer2, revenue]);
+    let keys = p.add(OperatorSpec::Fetch, vec![inner2, dim_key2]);
+    let by_key = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![keys, revenue_j]);
+    p.set_root(by_key);
+    p
+}
+
+#[test]
+fn a_q9_shaped_fan_out_over_stream_windows_matches_the_unsplit_plan_under_morsels() {
+    let rows = 4_000;
+    let cat = catalog(rows);
+    let expected = Engine::with_workers(3)
+        .execute(&q9_shaped_over_stream_plan(rows, None), &cat)
+        .expect("unsplit plan executes")
+        .output;
+    assert!(matches!(expected, QueryOutput::Groups(ref g) if g.len() == 4));
+    for morsel_rows in [7, 100, 777, 4_096] {
+        let engine = Engine::new(
+            EngineConfig::with_workers(3)
+                .with_execution_mode(ExecutionMode::MorselDriven)
+                .with_morsel_rows(morsel_rows),
+        );
+        for split in [None, Some(1), Some(333), Some(1_500)] {
+            let plan = q9_shaped_over_stream_plan(rows, split);
+            plan.validate().expect("plan is valid");
+            let out = engine.execute(&plan, &cat).expect("plan executes").output;
+            assert_eq!(out, expected, "morsel_rows {morsel_rows}, probe split at {split:?}");
+        }
     }
 }

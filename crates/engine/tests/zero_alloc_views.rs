@@ -24,10 +24,11 @@
 //! whose span fits its bitmap is that one bitmap, and `calc` reads `Int32`
 //! operands in place instead of widening them into copies.
 //!
-//! Two footprints above the kernels are pinned the same way: a generated
+//! Three footprints above the kernels are pinned the same way: a generated
 //! string column holds its codes and its dictionary, never a `String` per
-//! row; and a query holds its live set of intermediates — each is released
-//! by its last reader — not one per node.
+//! row; a query holds its live set of intermediates — each is released by
+//! its last reader — not one per node; and an intermediate that every reader
+//! streams or zips stays in the parts its morsels left, never packed.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
@@ -241,6 +242,45 @@ fn a_query_holds_its_live_set() {
     }
 }
 
+/// A fan-out intermediate read only by steps that stream it or zip it is
+/// never packed: `c = x + 1` is summed by one pipeline and zipped against
+/// `x` by another, so the query allocates `c` and the product once each —
+/// not a third O(rows) copy assembling `c`'s morsels into one chunk.
+fn a_fan_out_read_piece_by_piece_is_never_packed() {
+    const N: usize = 1 << 20;
+    const SLACK: usize = 1 << 20;
+    let mut catalog = Catalog::new();
+    catalog
+        .register(TableBuilder::new("t").i64_column("x", (0..N as i64).collect()).build().unwrap());
+    let catalog = Arc::new(catalog);
+    let mut plan = Plan::new();
+    let x = plan.add(OperatorSpec::ScanColumn { table: "t".into(), column: "x".into() }, vec![]);
+    let add_one = OperatorSpec::Calc {
+        op: BinaryOp::Add,
+        left_scalar: None,
+        right_scalar: Some(ScalarValue::I64(1)),
+    };
+    let c = plan.add(add_one, vec![x]);
+    let mul = OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+    let product = plan.add(mul, vec![x, c]);
+    let sums = [c, product].map(|column| {
+        let agg = plan.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![column]);
+        plan.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg])
+    });
+    let root = plan.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, sums.to_vec());
+    plan.set_root(root);
+    let plan = Arc::new(plan);
+    let expected = (0..N as i64).map(|v| (v + 1) + v * (v + 1)).sum::<i64>();
+
+    let engine =
+        Engine::new(EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven));
+    let output = engine.execute_shared(&plan, &catalog).unwrap().output;
+    assert_eq!(output, apq_engine::QueryOutput::Scalar(ScalarValue::I64(expected)));
+    let ceiling = 2 * 8 * N + SLACK;
+    let (_, bytes) = allocations_during(|| engine.execute_shared(&plan, &catalog).unwrap());
+    assert!(bytes <= ceiling, "the fan-out allocated {bytes} bytes (no-pack ceiling {ceiling})");
+}
+
 #[test]
 fn stream_view_cuts_are_alloc_free() {
     const N: usize = 1_000_000;
@@ -316,4 +356,5 @@ fn stream_view_cuts_are_alloc_free() {
     kernels_hold_no_more_than_their_outputs();
     generated_strings_hold_codes_and_dictionary();
     a_query_holds_its_live_set();
+    a_fan_out_read_piece_by_piece_is_never_packed();
 }
