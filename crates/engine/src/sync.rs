@@ -3,11 +3,15 @@
 //! Operators and task bodies run under `catch_unwind` and fail their query
 //! through its own error path, and no engine critical section calls into
 //! them: each is a few pushes, pops, inserts or flag writes of the engine's
-//! own. The one exception is the pack of a part list on its first whole
-//! read, which holds the list's result slot so that it packs once; the pack
-//! replaces the parts only once it succeeded. A poisoned lock therefore
-//! marks a panic that was already reported, not torn data, and the next
-//! thread takes the guard and carries on.
+//! own. The exceptions are the morsel driver's packs of part lists: a
+//! list's first whole read holds the list's result slot, so that it packs
+//! once, and a finishing morsel holds its step's fold state while it packs
+//! a cell of small parts, so that cells pack in stream order. A slot's
+//! pack replaces the parts only once it succeeded, and a morsel that panics
+//! while folding never counts itself done, so its step never publishes the
+//! half-folded list. A poisoned lock therefore marks a panic that was
+//! already reported, not torn data, and the next thread takes the guard and
+//! carries on.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
