@@ -8,19 +8,14 @@
 //! parallelizable operators are parallelized."
 //!
 //! [`heuristic_parallelize`] implements that rewriter over the same plan IR
-//! the adaptive parallelizer mutates, and partitions and recombines the way
-//! the mutations do: a partition is a row window on a plan edge, and clones
-//! take their original's place through [`Plan::recombine`]. It rewrites a
-//! copy of the serial plan in place. Every scan of the largest ("driver")
-//! table stays in the plan, whole, and is cut into `n_partitions` equal
-//! windows. A forward pass in topological order propagates the cuts: a
-//! parallelizable operator whose aligned inputs are all partitioned is
-//! cloned once per partition, each clone reading its window of the scan or
-//! its matching upstream clone. A reverse pass then recombines each cloned
-//! operator, readers before producers, so an original that only cloned
-//! operators read leaves nothing behind: a combiner takes the clones in its
-//! input list, and any other reader (and the root) reads their exchange
-//! union. This mirrors MonetDB's mitosis + mergetable optimizer pair.
+//! the adaptive parallelizer mutates, and partitions the way the mutations
+//! do: with cuts ([`Cuts`]), so the parallel plan has its serial plan's
+//! nodes and edges. A forward pass in topological order cuts every
+//! parallelizable node that streams a scan of the largest ("driver") table
+//! into `n_partitions` equal parts of that table's rows, and has every
+//! parallelizable node that streams a cut node adopt its parts. The driver
+//! then runs each such node once per partition and every other reader packs
+//! their parts, which mirrors MonetDB's mitosis + mergetable optimizer pair.
 //!
 //! The same rewriter is the paper's *work-stealing-style* baseline (§4.1.1):
 //! "One may argue that the work stealing approach could solve the problem of
@@ -29,15 +24,13 @@
 //! Large number of smaller partitions allows those threads that finish work
 //! early to operate on remaining partitions, while threads on skewed
 //! partitions stay busy." The engine's worker pool already behaves that way
-//! (idle workers pull the next ready operator), so the baseline is simply
+//! (idle workers pull the next ready task), so the baseline is simply
 //! [`heuristic_parallelize`] with [`DEFAULT_WORK_STEALING_PARTITIONS`] (or
 //! any count far above the worker count) run on few workers.
 
-use std::collections::HashMap;
-
 use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
-use apq_engine::plan::{Edge, NodeId, OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, OperatorSpec, Plan};
 use apq_engine::{EngineError, Result};
 
 /// Over-partitioning factor of the paper's work-stealing-style baseline
@@ -72,8 +65,9 @@ pub fn heuristic_parallelize(
     }
 }
 
-/// Rewrites `serial` by cutting every scan of the driver table — `(name,
-/// rows)` — into `n_partitions` equal windows and propagating the cuts.
+/// Rewrites `serial` by cutting every reader of a scan of the driver table
+/// — `(name, rows)` — into `n_partitions` equal parts of its rows and
+/// propagating the parts.
 fn heuristic_parallelize_with_driver(
     serial: &Plan,
     (driver_table, rows): (&str, usize),
@@ -81,59 +75,29 @@ fn heuristic_parallelize_with_driver(
 ) -> Result<Plan> {
     serial.validate()?;
     let n = n_partitions.max(1);
-    if n == 1 {
-        return Ok(serial.clone());
-    }
-    let cuts = RowRange::new(0, rows).split_even(n);
-
     let mut plan = serial.clone();
-    // node id -> its n part edges: a driver scan's windows, or a cloned
-    // operator's clones read whole
-    let mut parts: HashMap<NodeId, Vec<Edge>> = HashMap::new();
-    let mut cloned = Vec::new();
+    if n == 1 || rows < n {
+        return Ok(plan);
+    }
+    let at: Vec<usize> =
+        RowRange::new(0, rows).split_even(n)[1..].iter().map(|r| r.start).collect();
+    let is_driver_scan = |id| {
+        matches!(&serial.node(id).map(|n| &n.spec),
+            Ok(OperatorSpec::ScanColumn { table, .. }) if table == driver_table)
+    };
     for id in serial.topo_order()? {
         let node = serial.node(id)?;
-        let flags = node.spec.aligned_inputs(node.inputs.len());
-        // A windowed edge reads its producer whole and then cuts it, so it
-        // keeps reading the original, window kept.
-        let partitioned = |(input, window): Edge| window.is_none() && parts.contains_key(&input);
-        let mut aligned =
-            node.edges().zip(&flags).filter_map(|(edge, &a)| a.then_some(edge)).peekable();
-        let propagates = aligned.peek().is_some() && aligned.all(partitioned);
-        match &node.spec {
-            OperatorSpec::ScanColumn { table, .. } if table == driver_table && rows >= n => {
-                parts.insert(id, cuts.iter().map(|&cut| (id, Some(cut))).collect());
-            }
-            // Clone once per partition, propagating the partitioned inputs.
-            // Broadcast inputs that are themselves partitioned (other
-            // columns of the driver table, or intermediates derived from the
-            // same partitioned pipeline) use the matching partition: their
-            // oid / positional domain is the partition's domain, so packing
-            // them globally would mis-align tuple reconstruction (paper
-            // Fig. 9 hazards).
-            spec if spec.is_parallelizable() && propagates => {
-                let clones = (0..n)
-                    .map(|k| {
-                        let edges = node.edges().zip(&flags).map(|(edge, &aligned)| {
-                            if aligned || partitioned(edge) {
-                                parts[&edge.0][k]
-                            } else {
-                                edge
-                            }
-                        });
-                        (plan.add_edges(spec.clone(), edges), None)
-                    })
-                    .collect();
-                parts.insert(id, clones);
-                cloned.push(id);
-            }
-            _ => {}
-        }
-    }
-    // Readers before producers: by the time a node is recombined, the
-    // originals that read it are gone, and only its other readers remain.
-    for id in cloned.into_iter().rev() {
-        plan.recombine(id, &parts[&id])?;
+        let Some(stream) = node.stream().filter(|_| node.spec.is_parallelizable()) else {
+            continue;
+        };
+        let cuts = if is_driver_scan(stream) {
+            Cuts::At(at.clone())
+        } else if plan.parts(stream) > 1 {
+            Cuts::Adopt
+        } else {
+            continue;
+        };
+        plan.node_mut(id)?.cuts = cuts;
     }
     plan.validate()?;
     Ok(plan)
@@ -142,7 +106,6 @@ fn heuristic_parallelize_with_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::{ScalarValue, TableBuilder};
     use apq_engine::{Engine, EngineConfig, FaultConfig, QueryOutput};
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
@@ -248,43 +211,35 @@ mod tests {
         assert_eq!(hp.count_of("fetch"), 8);
         assert_eq!(hp.count_of("aggregate"), 8);
         // `a` and `b` (both columns of the driver table) are each scanned
-        // once, whole; the clones read eight windows of each.
+        // once, whole; the select cuts `a` into eight parts, and the fetch
+        // reads `b` whole.
         assert_eq!(hp.count_of("scan"), 2);
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
     }
 
     #[test]
-    fn hp_reads_windowed_edges_from_the_packed_producer() {
-        // sum(b) where a < 100, the candidates fetched through two windows.
-        let rows = 10_000;
-        let cat = catalog(rows);
-        let engine = Engine::with_workers(4);
-        let mut serial = Plan::new();
-        let a = serial.add(scan("fact", "a"), vec![]);
-        let pred = Predicate::cmp(CmpOp::Lt, 100i64);
-        let sel = serial.add(OperatorSpec::Select { predicate: pred }, vec![a]);
-        let b = serial.add(scan("fact", "b"), vec![]);
-        let partials: Vec<NodeId> = [RowRange::new(0, 300), RowRange::new(300, rows)]
-            .into_iter()
-            .map(|w| {
-                let fetched = serial.add_edges(OperatorSpec::Fetch, [(sel, Some(w)), (b, None)]);
-                serial.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched])
-            })
-            .collect();
-        let fin = serial.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
-        serial.set_root(fin);
-        let expected = engine.execute(&serial, &cat).unwrap().output;
-
-        let hp = heuristic_parallelize(&serial, &cat, 4).unwrap();
-        // The select is cloned; each fetch stays single and reads its
-        // window of the packed candidates.
-        assert_eq!((hp.count_of("select"), hp.count_of("fetch")), (4, 2));
-        let fetches = hp.node_ids().into_iter().map(|id| hp.node(id).unwrap());
-        let windows: Vec<_> =
-            fetches.filter(|n| n.spec == OperatorSpec::Fetch).filter_map(|n| n.window(0)).collect();
-        assert_eq!(windows, [RowRange::new(0, 300), RowRange::new(300, rows)]);
-        assert_eq!(engine.execute(&hp, &cat).unwrap().output, expected);
+    fn hp_plans_keep_the_serial_nodes_and_edges_and_cut_the_driver_scans_readers() {
+        let cat = catalog(10_000);
+        for serial in [filter_sum_plan(), join_plan(), grouped_plan()] {
+            let hp = heuristic_parallelize(&serial, &cat, 4).unwrap();
+            for id in serial.node_ids() {
+                let (s, h) = (serial.node(id).unwrap(), hp.node(id).unwrap());
+                assert_eq!((&s.spec, &s.inputs), (&h.spec, &h.inputs), "node {id}");
+                let reads_driver_scan = h.stream().is_some_and(|i| {
+                    matches!(&hp.node(i).unwrap().spec, OperatorSpec::ScanColumn { table, .. } if table == "fact")
+                });
+                let expected = match &h.cuts {
+                    Cuts::At(at) => at.is_empty() || reads_driver_scan,
+                    Cuts::Adopt => hp.parts(h.stream().unwrap()) == 4,
+                };
+                assert!(expected, "node {id}: {:?}\n{}", h.cuts, hp.pretty());
+            }
+            assert_eq!((hp.node_count(), hp.root()), (serial.node_count(), serial.root()));
+        }
+        // Equal cuts of the driver table's rows.
+        let hp = heuristic_parallelize(&filter_sum_plan(), &cat, 4).unwrap();
+        assert_eq!(hp.node(1).unwrap().cuts, Cuts::At(vec![2_500, 5_000, 7_500]));
     }
 
     #[test]
@@ -315,8 +270,8 @@ mod tests {
         let hp = heuristic_parallelize(&serial, &cat, 6).unwrap();
         hp.validate().unwrap();
         assert_eq!(hp.count_of("groupby"), 6);
-        // The root exchange union merges the six grouped partials.
-        assert_eq!(hp.count_of("union"), 1);
+        // The group-by's parts merge their grouped partials as they publish.
+        assert_eq!(hp.node_count(), serial.node_count());
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
     }
@@ -355,7 +310,7 @@ mod tests {
         let serial = join_plan();
         let expected = engine.execute(&serial, &cat).unwrap().output;
         // Partition by the dimension table instead: the probe pipeline stays
-        // serial, the build side's scan is packed back together.
+        // serial, and so does the build, which reads its scan whole.
         let hp = heuristic_parallelize_with_driver(&serial, ("dim", 50), 4).unwrap();
         hp.validate().unwrap();
         assert_eq!(hp.count_of("join"), 1);

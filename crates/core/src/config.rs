@@ -8,8 +8,7 @@ use crate::error::{CoreError, Result};
 /// Only what callers set differently lives here. The values the paper prints
 /// are constants beside their readers: [`crate::convergence::GME_THRESHOLD`],
 /// [`crate::convergence::EXTRA_RUNS`], the outlier rule of
-/// [`crate::convergence::ConvergenceState::record_run`] and
-/// [`crate::mutation::medium::UNION_INPUT_THRESHOLD`].
+/// [`crate::convergence::ConvergenceState::record_run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// `Number_Of_Cores`: drives credit/debit accumulation, the leaking-debit
@@ -89,12 +88,10 @@ impl AdaptiveConfig {
 mod tests {
     use super::*;
     use crate::convergence::GME_THRESHOLD;
-    use crate::mutation::medium::UNION_INPUT_THRESHOLD;
 
     #[test]
     fn defaults_follow_the_paper() {
         assert_eq!(EXTRA_RUNS, 8);
-        assert_eq!(UNION_INPUT_THRESHOLD, 15);
         assert!((GME_THRESHOLD - 0.05).abs() < 1e-12);
         let c = AdaptiveConfig::default();
         assert!(c.n_cores >= 1);

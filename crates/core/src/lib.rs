@@ -9,10 +9,10 @@
 //!
 //! The crate is organized along the paper's architecture (§2, §3):
 //!
-//! * [`mutation`] — the basic, medium and advanced plan mutations, the
-//!   dynamic-partition splitting helpers, the plan-explosion guard, and
-//!   [`mutate_most_expensive`], which tries the previous run's operators by
-//!   execution time and mutates the first one a mutation applies to;
+//! * [`mutation`] — the basic, medium and advanced plan mutations, each a
+//!   change to one node's cuts, and [`mutate_most_expensive`], which tries
+//!   the previous run's operators by the time of their dearest part and
+//!   mutates the first one a mutation applies to;
 //! * [`convergence`] — the credit/debit convergence algorithm with leaking
 //!   debit, outlier handling, GME tracking and the fastest run so far;
 //! * [`optimizer`] — the run loop (paper Fig. 2) driving it all, and the

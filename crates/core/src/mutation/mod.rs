@@ -1,47 +1,49 @@
 //! Plan mutation: morphing a plan into a faster one by parallelizing its
 //! most expensive operator (paper §2.1).
 //!
-//! Three mutation schemes cover all cases:
+//! The paper clones an operator over two partitions and recombines the
+//! clones with an exchange union, and removes a union that turns out
+//! expensive by propagating its inputs onto its consumer. Here a partition
+//! is a part of a node's cuts ([`Cuts`]): the driver runs one task per part
+//! and a reader that needs the node's output whole packs the parts — the
+//! union's work — in its own time. So each scheme is a statement about cuts,
+//! and none adds or removes a node:
 //!
-//! * **Basic** ([`basic::clone_over_partitions`]) — the expensive operator is
-//!   a filtering / pipeline operator; it is replaced by two clones over the
-//!   split partition and an exchange union.
-//! * **Advanced** (same entry point) — the expensive operator does not filter
-//!   (grouped or scalar aggregation); the clones feed a *merging* combiner.
-//! * **Medium** ([`medium::propagate_union`]) — the expensive operator is an
-//!   exchange union; its inputs are propagated onto its consumer, which is
-//!   cloned per input.
+//! * **Basic** ([`basic::cut_dearest_part`]) — the node gets a new cut that
+//!   halves its dearest part: the paper's two clones over the split
+//!   partition.
+//! * **Advanced** (same entry point) — the same for a non-filtering operator
+//!   (grouped or scalar aggregation), whose parts' partials merge as they
+//!   are published.
+//! * **Medium** ([`medium::adopt_stream`]) — a node that reads a multi-part
+//!   stream whole, packing it as the paper's expensive union did, adopts its
+//!   stream's parts instead: the union's inputs propagate onto its consumer.
 //!
-//! Every scheme places its clones through one step, [`Plan::recombine`]: a
-//! combiner reading the replaced node whole takes them in its place, every
-//! other reader reads a union over them.
-//!
-//! [`mutate_most_expensive`] is the driver used by the optimizer: it walks
-//! the operators of the previous run in descending execution-time order
-//! (the "most expensive operator" heuristic, paper §2.1) and mutates the
-//! first operator a mutation fits.
+//! [`mutate_most_expensive`] is the driver used by the optimizer: it ranks
+//! the operators of the previous run by their dearest part (the "most
+//! expensive operator" heuristic, paper §2.1, at the grain a mutation acts
+//! on) and mutates the first operator a mutation fits.
 
 pub mod basic;
 pub mod medium;
-pub mod split;
 
-use apq_engine::plan::{NodeId, OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, NodeId, Plan};
 use apq_engine::QueryProfile;
 
 use crate::config::AdaptiveConfig;
 use crate::error::Result;
 
-pub use basic::clone_over_partitions;
-pub use medium::propagate_union;
+pub use basic::cut_dearest_part;
+pub use medium::adopt_stream;
 
 /// Which mutation scheme was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationKind {
-    /// Cloning of a filtering operator, combined by an exchange union.
+    /// A new cut in a filtering or pipeline operator's dearest part.
     Basic,
-    /// Removal of an expensive exchange union by propagating its inputs.
+    /// A node that packed its multi-part stream adopts its parts.
     Medium,
-    /// Cloning of a non-filtering operator (aggregation), combined by a merge.
+    /// A new cut in an aggregation's dearest part; its partials merge.
     Advanced,
 }
 
@@ -61,34 +63,32 @@ impl std::fmt::Display for MutationKind {
 pub struct MutationOutcome {
     /// Which scheme was applied.
     pub kind: MutationKind,
-    /// The node that was parallelized (it no longer exists afterwards).
+    /// The node whose cuts changed.
     pub target: NodeId,
-    /// The cloned operator nodes introduced by the mutation.
-    pub clones: Vec<NodeId>,
-    /// The node combining the clones for the target's readers (an existing
-    /// or new union, or a `FinalizeAgg`); `None` when nothing read the
-    /// target ([`Plan::recombine`]).
-    pub combiner: Option<NodeId>,
+    /// Its cuts afterwards.
+    pub cuts: Cuts,
 }
 
 /// Mutates `plan` by parallelizing the most expensive operator observed in
-/// `profile`: the operators still in the plan are tried by descending
-/// execution time, ties by ascending node id, and the first one a mutation
-/// applies to is mutated — an exchange union by [`propagate_union`], any
-/// other operator by [`clone_over_partitions`]. Returns `Ok(None)` when no
-/// operator can be parallelized any further — the plan has reached its
-/// maximal useful degree of parallelism.
+/// `profile`: the operators still in the plan are tried by the time of
+/// their dearest part ([`apq_engine::OperatorProfile::tasks`]), descending,
+/// ties by ascending node id, and the first one a mutation applies to is
+/// mutated — by [`adopt_stream`] when it reads a multi-part stream whole,
+/// else by [`cut_dearest_part`]. Returns `Ok(None)` when no operator can be
+/// parallelized any further — the plan has reached its maximal useful
+/// degree of parallelism.
 pub fn mutate_most_expensive(
     plan: &mut Plan,
     profile: &QueryProfile,
     config: &AdaptiveConfig,
 ) -> Result<Option<MutationOutcome>> {
+    let dearest = |op: &&apq_engine::OperatorProfile| op.tasks.iter().map(|&(_, us)| us).max();
     let mut ops: Vec<_> = profile.operators.iter().filter(|op| plan.contains(op.node)).collect();
-    ops.sort_by(|a, b| b.duration_us.cmp(&a.duration_us).then(a.node.cmp(&b.node)));
+    ops.sort_by(|a, b| dearest(b).cmp(&dearest(a)).then(a.node.cmp(&b.node)));
     for op in ops {
-        let outcome = match plan.node(op.node)?.spec {
-            OperatorSpec::ExchangeUnion => propagate_union(plan, profile, op.node)?,
-            _ => clone_over_partitions(plan, profile, config, op.node)?,
+        let outcome = match adopt_stream(plan, op.node)? {
+            Some(outcome) => Some(outcome),
+            None => cut_dearest_part(plan, op, config)?,
         };
         if outcome.is_some() {
             return Ok(outcome);
@@ -101,16 +101,18 @@ pub fn mutate_most_expensive(
 mod tests {
     use super::*;
     use apq_columnar::partition::RowRange;
+    use apq_engine::plan::OperatorSpec;
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
-    use medium::UNION_INPUT_THRESHOLD;
     use std::time::Duration;
 
     fn scan(column: &str) -> OperatorSpec {
         OperatorSpec::ScanColumn { table: "t".into(), column: column.into() }
     }
 
-    fn plan_filter_sum() -> (Plan, NodeId, NodeId) {
+    /// sum(b) where a < 10: scans 0 and 2, select 1, fetch 3, sum 4,
+    /// finalize 5.
+    fn plan_filter_sum() -> Plan {
         let mut p = Plan::new();
         let a = p.add(scan("a"), vec![]);
         let sel =
@@ -120,156 +122,114 @@ mod tests {
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
-        (p, sel, fetch)
+        p
     }
 
-    fn profile(plan: &Plan, costs: &[(NodeId, u64, usize)]) -> QueryProfile {
+    /// A task's `(start, end, µs)`.
+    type Task = (usize, usize, u64);
+
+    /// A profile whose node `n` ran the tasks of `parts`.
+    fn profile(parts: &[(NodeId, &[Task])]) -> QueryProfile {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
             pipelines: vec![],
             dop_timeline: vec![],
-            operators: costs
+            operators: parts
                 .iter()
-                .map(|&(node, duration_us, rows_out)| OperatorProfile {
+                .map(|&(node, tasks)| OperatorProfile {
                     node,
-                    name: plan.node(node).map(|n| n.spec.name()).unwrap_or("dead"),
+                    name: "op",
                     start_us: 0,
-                    duration_us,
+                    end_us: 0,
+                    duration_us: tasks.iter().map(|t| t.2).sum(),
                     queue_wait_us: 0,
                     worker: 0,
-                    rows_out,
-                    bytes_out: rows_out * 8,
+                    rows_out: 0,
+                    bytes_out: 0,
+                    tasks: tasks.iter().map(|&(s, e, us)| (RowRange::new(s, e), us)).collect(),
                 })
                 .collect(),
         }
     }
 
+    fn mutate(p: &mut Plan, prof: &QueryProfile, min_rows: usize) -> Option<MutationOutcome> {
+        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(min_rows);
+        mutate_most_expensive(p, prof, &cfg).unwrap()
+    }
+
+    fn cuts(p: &Plan, node: NodeId) -> Cuts {
+        p.node(node).unwrap().cuts.clone()
+    }
+
     #[test]
-    fn mutates_the_most_expensive_operator_first() {
-        let (mut p, sel, fetch) = plan_filter_sum();
+    fn a_basic_mutation_halves_the_dearest_part_of_the_dearest_node() {
+        let mut p = plan_filter_sum();
+        let serial = p.clone();
         let prof =
-            profile(&p, &[(0, 1, 10_000), (sel, 900, 5_000), (fetch, 100, 5_000), (4, 10, 1)]);
-        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(16);
-        let outcome = mutate_most_expensive(&mut p, &prof, &cfg).unwrap().unwrap();
-        assert_eq!(outcome.kind, MutationKind::Basic);
-        assert_eq!(outcome.target, sel);
+            profile(&[(0, &[(0, 1_001, 5_000)]), (1, &[(0, 1_001, 900)]), (3, &[(0, 40, 100)])]);
+        // The scan costs most but cannot run in parts; the select can.
+        let outcome = mutate(&mut p, &prof, 16).unwrap();
+        assert_eq!((outcome.kind, outcome.target), (MutationKind::Basic, 1));
+        // The left half takes the odd row.
+        assert_eq!(cuts(&p, 1), Cuts::At(vec![501]));
+        assert_eq!(outcome.cuts, cuts(&p, 1));
         p.validate().unwrap();
-        assert_eq!(p.count_of("select"), 2);
+        assert_eq!((p.node_count(), p.count_of("select")), (serial.node_count(), 2));
+
+        // The next cut halves the dearer part and keeps the other cut.
+        let prof = profile(&[(1, &[(0, 501, 100), (501, 1_001, 300)])]);
+        mutate(&mut p, &prof, 16).unwrap();
+        assert_eq!(cuts(&p, 1), Cuts::At(vec![501, 751]));
     }
 
     #[test]
-    fn falls_back_to_the_next_candidate_when_the_first_cannot_split() {
-        let (mut p, sel, fetch) = plan_filter_sum();
-        // The select is the most expensive but its scan input is "too small"
-        // given an absurd minimum partition size — actually make fetch's
-        // candidate list large enough while the scan is not splittable by
-        // reporting tiny rows for the select's scan via min_partition_rows.
-        let prof = profile(&p, &[(sel, 900, 50_000), (fetch, 800, 50_000)]);
-        let mut cfg = AdaptiveConfig::for_cores(4);
-        cfg.min_partition_rows = 6_000; // scan of 10k rows < 2*6000 -> select not splittable
-        let outcome = mutate_most_expensive(&mut p, &prof, &cfg).unwrap().unwrap();
-        // The fetch's aligned input (the select output, 50k rows) is splittable.
-        assert_eq!(outcome.target, fetch);
+    fn nodes_rank_by_their_dearest_part_not_their_total() {
+        let mut p = plan_filter_sum();
+        p.node_mut(1).unwrap().cuts = Cuts::At(vec![500]);
+        // The select's total (800 µs) exceeds the fetch's, but its dearest
+        // part (400 µs) does not; equal parts go to the lower id.
+        let prof = profile(&[(1, &[(0, 500, 400), (500, 1_000, 400)]), (4, &[(0, 600, 500)])]);
+        assert_eq!(mutate(&mut p.clone(), &prof, 16).unwrap().target, 4);
+        let tie = profile(&[(1, &[(0, 500, 400), (500, 1_000, 500)]), (4, &[(0, 600, 500)])]);
+        assert_eq!(mutate(&mut p, &tie, 16).unwrap().target, 1);
+    }
+
+    #[test]
+    fn a_node_reading_a_multi_part_stream_whole_adopts_it() {
+        let mut p = plan_filter_sum();
+        p.node_mut(1).unwrap().cuts = Cuts::At(vec![500]);
+        let prof = profile(&[(1, &[(0, 500, 10), (500, 1_000, 10)]), (3, &[(0, 40, 900)])]);
+        let outcome = mutate(&mut p, &prof, 1).unwrap();
+        assert_eq!((outcome.kind, outcome.target), (MutationKind::Medium, 3));
+        assert_eq!((cuts(&p, 3), p.parts(3), p.count_of("fetch")), (Cuts::Adopt, 2, 2));
+        // Adopted again downstream; a finalize never runs in parts.
+        let prof = profile(&[(4, &[(0, 30, 10), (30, 40, 900)]), (5, &[(0, 1, 5_000)])]);
+        let outcome = mutate(&mut p, &prof, 1).unwrap();
+        assert_eq!((outcome.kind, outcome.target, p.parts(4)), (MutationKind::Medium, 4, 2));
+
+        // A cut in an adopted part keeps the adopted cuts, explicit now:
+        // an advanced mutation, since the node aggregates.
+        let outcome = mutate(&mut p, &prof, 1).unwrap();
+        assert_eq!((outcome.kind, outcome.target), (MutationKind::Advanced, 4));
+        assert_eq!(cuts(&p, 4), Cuts::At(vec![30, 35]));
         p.validate().unwrap();
+        assert_eq!(p.node_count(), plan_filter_sum().node_count());
     }
 
     #[test]
-    fn returns_none_when_nothing_can_be_parallelized() {
-        let (mut p, sel, fetch) = plan_filter_sum();
-        let prof = profile(&p, &[(sel, 900, 50), (fetch, 100, 50)]);
-        let mut cfg = AdaptiveConfig::for_cores(4);
-        cfg.min_partition_rows = 1_000_000;
-        assert!(mutate_most_expensive(&mut p, &prof, &cfg).unwrap().is_none());
-        // The plan is untouched.
-        assert_eq!(p.count_of("select"), 1);
-    }
-
-    /// The target `mutate_most_expensive` picks on a copy of `plan`, if any.
-    fn target_of(plan: &Plan, prof: &QueryProfile, cfg: &AdaptiveConfig) -> Option<NodeId> {
-        let mut plan = plan.clone();
-        let outcome = mutate_most_expensive(&mut plan, prof, cfg).unwrap();
-        outcome.map(|outcome| outcome.target)
-    }
-
-    #[test]
-    fn ranks_by_execution_time_skipping_scans_and_finalizers() {
-        let (p, sel, fetch) = plan_filter_sum();
-        let (a, agg, fin) = (0, 4, 5);
-        let cfg = AdaptiveConfig::for_cores(4);
-        // The scan and the finalize cost the most but cannot be cloned; the
-        // select is the most expensive of the rest.
-        let costs = |sel_us, fetch_us| {
-            let costs = [
-                (a, 5_000, 100_000),
-                (sel, sel_us, 40_000),
-                (fetch, fetch_us, 40_000),
-                (agg, 100, 1),
-                (fin, 5_000, 1),
-            ];
-            profile(&p, &costs)
-        };
-        assert_eq!(target_of(&p, &costs(3_000, 2_000), &cfg), Some(sel));
-        assert_eq!(target_of(&p, &costs(50, 2_000), &cfg), Some(fetch));
-        assert_eq!(target_of(&p, &costs(50, 40), &cfg), Some(agg));
-        // Equal times go to the lower node id.
-        assert_eq!(target_of(&p, &costs(2_000, 2_000), &cfg), Some(sel));
-    }
-
-    #[test]
-    fn small_partitions_are_not_mutated() {
-        let mut p = Plan::new();
-        let a = p.add(scan("a"), vec![]);
-        let sel =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        p.set_root(sel);
-        let prof = profile(&p, &[(a, 10, 100), (sel, 1_000, 50)]);
-        let cfg = AdaptiveConfig::for_cores(4); // min_partition_rows = 1024 > 100/2
-        assert_eq!(target_of(&p, &prof, &cfg), None);
-        assert_eq!(target_of(&p, &prof, &cfg.with_min_partition_rows(10)), Some(sel));
-    }
-
-    #[test]
-    fn a_union_wider_than_the_guard_is_skipped() {
-        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(10);
-        for (n_inputs, removed) in
-            [(UNION_INPUT_THRESHOLD, true), (UNION_INPUT_THRESHOLD + 1, false)]
-        {
-            // n selects over 100-row windows of `a`, packed, then fetched into.
-            let mut p = Plan::new();
-            let a = p.add(scan("a"), vec![]);
-            let pred = Predicate::cmp(CmpOp::Lt, 5i64);
-            let selects: Vec<NodeId> = (0..n_inputs)
-                .map(|i| {
-                    let window = Some(RowRange::new(i * 100, (i + 1) * 100));
-                    p.add_edges(OperatorSpec::Select { predicate: pred.clone() }, [(a, window)])
-                })
-                .collect();
-            let union = p.add(OperatorSpec::ExchangeUnion, selects.clone());
-            let b = p.add(scan("b"), vec![]);
-            let fetch = p.add(OperatorSpec::Fetch, vec![union, b]);
-            p.set_root(fetch);
-            let mut costs: Vec<_> = selects.iter().map(|&s| (s, 10, 10)).collect();
-            costs.extend([(union, 9_000, n_inputs * 10), (a, 100, 10_000), (fetch, 500, 100)]);
-            let mut mutated = p.clone();
-            let outcome = mutate_most_expensive(&mut mutated, &profile(&p, &costs), &cfg).unwrap();
-            let outcome = outcome.expect("something is mutated");
-            let expected =
-                if removed { (MutationKind::Medium, union) } else { (MutationKind::Basic, fetch) };
-            assert_eq!((outcome.kind, outcome.target), expected, "{n_inputs} inputs");
-        }
-    }
-
-    #[test]
-    fn dead_profile_entries_are_ignored() {
-        let mut p = Plan::new();
-        let a = p.add(scan("a"), vec![]);
-        let sel =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        p.set_root(sel);
-        let prof = profile(&p, &[(a, 10, 10_000), (sel, 1_000, 5_000), (77, 9_999, 5_000)]);
-        let cfg = AdaptiveConfig::for_cores(4).with_min_partition_rows(10);
-        assert_eq!(target_of(&p, &prof, &cfg), Some(sel));
+    fn small_parts_and_unprofiled_nodes_are_not_mutated() {
+        let mut p = plan_filter_sum();
+        let prof = profile(&[(1, &[(0, 100, 1_000)]), (3, &[])]);
+        // Each half must hold `min_partition_rows` rows.
+        assert_eq!(mutate(&mut p.clone(), &prof, 51), None);
+        assert_eq!(mutate(&mut p.clone(), &prof, 50).unwrap().target, 1);
+        // Dead profile entries are skipped, and a refusal leaves the plan
+        // as it was.
+        let dead = profile(&[(77, &[(0, 1_000, 9_999)]), (3, &[])]);
+        assert_eq!(mutate(&mut p, &dead, 1), None);
+        assert_eq!(p.signature(), plan_filter_sum().signature());
+        assert!(cut_dearest_part(&mut p, &dead.operators[0], &AdaptiveConfig::default()).is_err());
     }
 
     #[test]

@@ -17,9 +17,11 @@ pub struct AdaptiveRunRecord {
     pub mutation: Option<MutationKind>,
     /// Number of live operators in the executed plan.
     pub plan_nodes: usize,
-    /// Number of select-family operators in the executed plan.
+    /// Number of select-family operators in the executed plan, each node
+    /// counting its parts ([`Plan::count_of`]).
     pub select_ops: usize,
-    /// Number of join-family operators in the executed plan.
+    /// Number of join-family operators in the executed plan, counted the
+    /// same way.
     pub join_ops: usize,
     /// Multi-core utilization of the run (fraction of workers used).
     pub multi_core_utilization: f64,
@@ -90,11 +92,10 @@ impl AdaptiveReport {
         );
         let _ = writeln!(
             out,
-            "best plan: {} operators ({} select, {} join, {} union)",
+            "best plan: {} operators; {} select and {} join parts",
             self.best_plan.node_count(),
             self.best_plan.count_of("select"),
             self.best_plan.count_of("join"),
-            self.best_plan.count_of("union"),
         );
         out
     }

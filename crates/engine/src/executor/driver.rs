@@ -5,40 +5,46 @@
 //! and this module is its single implementation. A validated plan is first
 //! *planned* into a graph of [`Pipeline`] steps by [`PipelinePlan::analyze`],
 //! and that call is the only place [`ExecutionMode`](crate::ExecutionMode) is
-//! consulted: operator-at-a-time planning yields one whole-node step per
-//! live node, morsel-driven planning additionally fuses streamable chains
-//! (see [`crate::pipeline`]).
+//! consulted: operator-at-a-time planning yields one step per live node,
+//! morsel-driven planning additionally fuses streamable chains (see
+//! [`crate::pipeline`]).
 //!
 //! The driver then runs whatever graph it was given. Dependency tracking is
 //! at *step* granularity over the precomputed `deps`/`out_edges`: a step is
 //! launched when its last cross-step input edge is satisfied. Every task,
 //! whatever its step, runs one body ([`run_task`]), in the style of Leis et
-//! al.'s morsel-driven model: push one morsel through the step's chain of
-//! stages. A streaming step over a positional source is cut into one morsel
-//! per `morsel_rows` window of its producer's published list — a base-table
-//! scan is a step like any other, so its morsels are windows of its column
-//! with the same absolute oids. Every other step is a single morsel: one
-//! task over whole inputs, which for a whole-node step is operator-at-a-time
-//! execution.
+//! al.'s morsel-driven model: push one range of the step's stream through
+//! its chain of stages. A streaming step runs one task per range of its
+//! producer's published list: one per part its head's cuts
+//! ([`crate::plan::Cuts`]) make, each cut further on the `morsel_rows` grid
+//! under morsel planning. A base-table scan is a step like any other, so
+//! its ranges are windows of its column with the same absolute oids. Every
+//! other step is one task over whole inputs, which for a whole-node step is
+//! operator-at-a-time execution.
 //!
-//! A step publishes a [`Parts`] list, not one packed chunk. A morsel splits
-//! into *pieces* wherever a part of its stream or of a range-aligned input
-//! ends, and runs its chain once per piece, so every stage reads zero-copy
-//! windows of one part each; each piece's terminal output is one part of the
-//! step's list. A finishing task folds into the list every output the
-//! stream order allows — its own, and those of later morsels that finished
-//! first — relabelled so that every read of the list equals the same read of
-//! their exchange-union pack, which is what whole-node execution publishes;
-//! the task that finishes the last morsel publishes it. Only partial
-//! aggregates merge, and parts under half a morsel — a selective producer's
-//! — are packed cell by cell on the readers' morsel grid as they are folded;
-//! a list no reader takes piece by piece is packed whole at publish, since
-//! it will be read whole. Everything else that
-//! needs the whole chunk (a whole-node step's inputs, a shared input such as
-//! a fetch's looked-up column or a probe's build side, a window straddling
-//! parts, the root) packs it on first read, once, in the result slot.
+//! A step publishes a [`Parts`] list, not one packed chunk. A task's range
+//! splits into *pieces* wherever a part of its stream or of a range-aligned
+//! input ends, and the task runs its chain once per piece, so every stage
+//! reads zero-copy windows of one part each; each piece's terminal output
+//! is one part of the step's list. A finishing task folds into the list
+//! every output the stream order allows — its own, and those of later tasks
+//! that finished first — relabelled so that every read of the list equals
+//! the same read of their pack, which is what whole-node execution
+//! publishes; the task that finishes the last range publishes it. Only
+//! partial aggregates merge, and parts under half a morsel — a selective
+//! producer's — are packed cell by cell on the readers' morsel grid as they
+//! are folded, within one cut range and never across a cut; a list no reader
+//! takes piece by piece and whose head has no cuts is packed whole at
+//! publish, since it will be read whole. Everything else that needs the
+//! whole chunk (a whole-node step's inputs, a shared input such as a
+//! fetch's looked-up column or a probe's build side, the root) packs it on
+//! first read, once, in the result slot, in the reader's time.
 //!
-//! Consumer steps and morsel fan-outs are submitted from the completing
+//! Each task records its stream range and time in the profile of every
+//! stage it ran ([`OperatorProfile::tasks`]): the parts the adaptive
+//! mutations rank and cut.
+//!
+//! Consumer steps and task fan-outs are submitted from the completing
 //! worker's task context, so they start on that worker's deque. Everything
 //! the tasks share lives in the [`RunContext`].
 //!
@@ -52,6 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
 
 use super::parts::{is_positional, merged, pieces, Folder, Parts};
@@ -59,11 +66,12 @@ use super::run::{guarded_execute, RunContext};
 use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
-use crate::pipeline::{morsel_count, stream_input, Pipeline, PipelinePlan};
-use crate::plan::{OperatorSpec, Plan};
+use crate::pipeline::{stream_input, Pipeline, PipelinePlan};
+use crate::plan::{Cuts, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
 use crate::sync::lock;
+use crate::ExecutionMode;
 
 /// Step-graph state of one query execution, shared by all of its tasks.
 struct Driver {
@@ -74,21 +82,22 @@ struct Driver {
     /// Remaining cross-step reads of each step's published list: the step
     /// that finishes the last one releases the list.
     readers: Vec<AtomicUsize>,
-    /// The engine's morsel size, in rows: every pipeline's slicing and
-    /// fan-out cut on this grid.
+    /// The engine's morsel size, in rows: the cells a published list is
+    /// folded on.
     morsel_rows: usize,
-    /// Per step: whether a reader takes its published list piece by piece
-    /// ([`read_by_pieces`]).
-    read_by_pieces: Vec<bool>,
+    /// Under morsel planning, the grid every streaming step's ranges are
+    /// cut on too: `morsel_rows`.
+    grid: Option<usize>,
+    /// Per step: whether it publishes its parts ([`keeps_parts`]).
+    keeps_parts: Vec<bool>,
 }
 
 impl Driver {
     /// The cells `step`'s published list is folded on ([`Parts::publish`]):
-    /// its readers' morsel grid when some reader takes it piece by piece;
-    /// `None`, one packed part, when every reader reads it whole — that read
-    /// would pack it anyway, and parts kept until then only hold memory.
+    /// its readers' morsel grid when it keeps its parts; `None`, one packed
+    /// part, otherwise.
     fn cell_rows(&self, step: usize) -> Option<usize> {
-        self.read_by_pieces[step].then_some(self.morsel_rows)
+        self.keeps_parts[step].then_some(self.morsel_rows)
     }
 }
 
@@ -105,14 +114,18 @@ fn read_by_piece(spec: &OperatorSpec, n_inputs: usize, idx: usize, i: usize) -> 
     }
 }
 
-/// Per step: whether some streaming step reads its published list one piece
-/// at a time ([`read_by_piece`]).
-fn read_by_pieces(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<bool>> {
+/// Per step: whether it publishes its parts rather than one packed chunk.
+/// It does when some streaming step reads its list one piece at a time
+/// ([`read_by_piece`]), and when its head has cuts, whose parts a whole read
+/// packs in the reader's time. Otherwise every reader reads it whole: that
+/// read would pack it anyway, and parts kept until then only hold memory.
+fn keeps_parts(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<bool>> {
     let mut step_of_terminal = vec![None; plan.capacity()];
+    let mut by_pieces = Vec::with_capacity(graph.steps.len());
     for (step, pipeline) in graph.steps.iter().enumerate() {
         step_of_terminal[pipeline.terminal()] = Some(step);
+        by_pieces.push(!plan.node(pipeline.stages[0])?.cuts.is_whole());
     }
-    let mut by_pieces = vec![false; graph.steps.len()];
     for pipeline in graph.steps.iter().filter(|p| p.producer.is_some()) {
         for (idx, &stage) in pipeline.stages.iter().enumerate() {
             let node = plan.node(stage)?;
@@ -136,13 +149,16 @@ pub(super) fn execute(
     catalog: &Arc<Catalog>,
     handle: Arc<QueryHandle>,
 ) -> Result<QueryExecution> {
-    let graph = PipelinePlan::analyze(plan, engine.config.execution_mode)?;
+    let mode = engine.config.execution_mode;
+    let graph = PipelinePlan::analyze(plan, mode)?;
+    let morsel_rows = engine.config.morsel_rows.max(1);
     let state = Arc::new(Driver {
         run: RunContext::new(engine, plan, catalog, handle),
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
         readers: graph.readers().into_iter().map(AtomicUsize::new).collect(),
-        morsel_rows: engine.config.morsel_rows.max(1),
-        read_by_pieces: read_by_pieces(plan, &graph)?,
+        morsel_rows,
+        grid: (mode == ExecutionMode::MorselDriven).then_some(morsel_rows),
+        keeps_parts: keeps_parts(plan, &graph)?,
         graph,
     });
 
@@ -172,19 +188,19 @@ pub(super) fn execute(
     state.run.wait()
 }
 
-/// What one task measured — or, merged over its morsels, one step.
+/// What one task measured — or, merged over its ranges, one step.
 struct Tally {
     /// Execution start in µs since the query started; the earliest once
     /// merged.
     start_us: u64,
     queue_wait_us: u64,
-    /// `[time µs, rows, bytes]` of every stage but the terminal, in chain
-    /// order (empty for a one-stage step, so it never allocates there).
-    stages: Vec<[u64; 3]>,
-    /// The terminal's time, injected delay (and the publish) included; its
+    /// `[time µs, rows, bytes]` of every stage, in chain order. The
+    /// terminal's time includes the injected delay and the publish; its
     /// rows and bytes are the published list's.
-    terminal_us: u64,
-    /// Morsels run per worker; empty unless the step streams.
+    stages: Vec<[u64; 3]>,
+    /// Per stage, in chain order: each task's stream range and time.
+    tasks: Vec<Vec<(RowRange, u64)>>,
+    /// Ranges run per worker; empty unless the step streams.
     morsels_by_worker: Vec<u64>,
 }
 
@@ -192,39 +208,68 @@ impl Tally {
     fn merge(&mut self, other: Tally) {
         self.start_us = self.start_us.min(other.start_us);
         self.queue_wait_us += other.queue_wait_us;
-        self.terminal_us += other.terminal_us;
         for (sum, stage) in self.stages.iter_mut().zip(other.stages) {
             sum.iter_mut().zip(stage).for_each(|(s, v)| *s += v);
+        }
+        for (tasks, other) in self.tasks.iter_mut().zip(other.tasks) {
+            tasks.extend(other);
         }
         self.morsels_by_worker.iter_mut().zip(other.morsels_by_worker).for_each(|(s, v)| *s += v);
     }
 }
 
 /// The shared state of a streaming step over a positional source: its
-/// part list as its morsels fold their outputs in, until the last one
-/// publishes it. A step run as one task over whole inputs needs none: it
-/// publishes straight from that task.
+/// ranges, and its part list as its tasks fold their outputs in, until the
+/// last one publishes it. A step run as one task over whole inputs needs
+/// none: it publishes straight from that task.
 struct Fanout {
-    /// The part list the head stage streams (cut to its edge's window when
-    /// it has one); every cut range-aligned input must match its rows.
+    /// The part list the head stage streams; every cut range-aligned input
+    /// must match its rows.
     source: Parts,
+    /// Each task's `(start, len, after_cut)` ([`ranges`]).
+    ranges: Vec<(usize, usize, bool)>,
     morsels: Mutex<Morsels>,
 }
 
 struct Morsels {
-    /// Terminal outputs of morsels done before an earlier one was, waiting
-    /// for the gap to close.
+    /// Terminal outputs of tasks done before an earlier one was, waiting for
+    /// the gap to close.
     waiting: Vec<Option<Vec<Chunk>>>,
-    /// The first morsel whose outputs the folder has not taken.
+    /// The first range whose outputs the folder has not taken.
     next: usize,
-    /// The step's part list so far: every output of the morsels before
+    /// The step's part list so far: every output of the ranges before
     /// `next`, in stream order.
     folder: Folder,
     remaining: usize,
     tally: Option<Tally>,
 }
 
-/// Launches a runnable step: one task per morsel of a streaming step over a
+/// The ranges `(start, len, after_cut)` a streaming step's tasks run over
+/// its source: one per part of the head's `cuts` — its offsets, or the ends
+/// of the source's parts when it adopts them — each cut further on `grid`.
+/// `after_cut` marks a range a cut precedes: the folder keeps the outputs
+/// on either side apart. Empty parts stay: a range with no rows still runs
+/// and publishes its (empty) part.
+fn ranges(cuts: &Cuts, source: &Parts, grid: Option<usize>) -> Vec<(usize, usize, bool)> {
+    let rows = source.rows();
+    let ends: Vec<usize> = match cuts {
+        Cuts::At(at) => at.iter().map(|&at| at.min(rows)).chain([rows]).collect(),
+        Cuts::Adopt => source.ends().collect(),
+    };
+    let (mut ranges, mut start) = (Vec::with_capacity(ends.len()), 0);
+    for (k, end) in ends.into_iter().enumerate() {
+        let mut at = start;
+        while let Some(next) = grid.map(|grid| (at / grid + 1) * grid).filter(|&next| next < end) {
+            ranges.push((at, next - at, k > 0 && at == start));
+            at = next;
+        }
+        ranges.push((at, end - at, k > 0 && at == start));
+        start = end;
+    }
+    ranges
+}
+
+/// Launches a runnable step: one task per range of a streaming step over a
 /// positional source, one task over whole inputs for every other step.
 ///
 /// Returns `false` only when the scheduler refused a submission (engine shut
@@ -236,37 +281,40 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
         Task::new(Arc::clone(&state.run.handle), move |ctx| run_task(st, ctx, step, cut))
     };
     let pipeline = &state.graph.steps[step];
-    // The producer's list as the head stage streams it: windowed first when
-    // its edge has a window, then cut on the morsel grid. Non-positional
-    // chunks (hash tables, scalars, partials) cannot be cut; a pipeline over
-    // one still runs, as a single task.
+    // The producer's list as the head stage streams it, cut into ranges.
+    // Non-positional chunks (hash tables, scalars, partials) cannot be cut;
+    // a pipeline over one still runs, as a single task.
     let source = pipeline.producer.map(|_| {
         let head = state.run.plan.node(pipeline.stages[0])?;
-        state.run.parts(pipeline.stages[0], stream_input(&head.spec, head.inputs.len()))
+        let source =
+            state.run.parts(pipeline.stages[0], stream_input(&head.spec, head.inputs.len()))?;
+        Ok((source, &head.cuts))
     });
-    let source = match source {
-        Some(Ok(source)) if source.is_positional() => source,
+    let (source, cuts) = match source {
+        Some(Ok((source, cuts))) if source.is_positional() => (source, cuts),
         Some(Err(e)) => {
             state.run.fail(e);
             return true;
         }
         _ => return submit(task(None)),
     };
-    let n_morsels = morsel_count(source.rows(), state.morsel_rows);
+    let ranges = ranges(cuts, &source, state.grid);
+    let n_ranges = ranges.len();
     let fanout = Arc::new(Fanout {
         source,
+        ranges,
         morsels: Mutex::new(Morsels {
-            waiting: (0..n_morsels).map(|_| None).collect(),
+            waiting: (0..n_ranges).map(|_| None).collect(),
             next: 0,
             folder: Folder::new(pipeline.terminal(), state.cell_rows(step)),
-            remaining: n_morsels,
+            remaining: n_ranges,
             tally: None,
         }),
     });
-    (0..n_morsels).all(|morsel| submit(task(Some((Arc::clone(&fanout), morsel)))))
+    (0..n_ranges).all(|range| submit(task(Some((Arc::clone(&fanout), range)))))
 }
 
-/// The one task body: runs morsel `cut` of `step` — or, with `cut` `None`,
+/// The one task body: runs range `cut` of `step` — or, with `cut` `None`,
 /// the step's whole inputs — through every stage, then advances the step
 /// graph if this task published the step.
 fn run_task(
@@ -297,11 +345,11 @@ enum Feed {
     Whole(Option<Chunk>),
 }
 
-/// Streams the task's window through the step's stages while it is
-/// cache-hot, one piece at a time: the window splits wherever a part of its
+/// Streams the task's range through the step's stages while it is
+/// cache-hot, one piece at a time: the range splits wherever a part of its
 /// stream or of a range-aligned input ends, so each stage reads zero-copy
 /// windows of one part each. Returns whether this task published the step:
-/// `false` when a [`RunContext::checkpoint`] stopped it or other morsels are
+/// `false` when a [`RunContext::checkpoint`] stopped it or other ranges are
 /// outstanding.
 fn run_stages(
     state: &Driver,
@@ -314,17 +362,17 @@ fn run_stages(
     let mut tally = Tally {
         start_us: 0,
         queue_wait_us: ctx.queue_wait.as_micros() as u64,
-        stages: vec![[0; 3]; n_stages - 1],
-        terminal_us: 0,
+        stages: vec![[0; 3]; n_stages],
+        tasks: Vec::new(),
         morsels_by_worker: match pipeline.producer {
             Some(_) => (0..run.n_workers).map(|w| u64::from(w == ctx.worker)).collect(),
             None => Vec::new(),
         },
     };
-    // This task's morsel of the source grid, as `(start, len)`.
-    let cut = cut.map(|(fanout, morsel)| {
-        let start = morsel * state.morsel_rows;
-        (fanout, start, state.morsel_rows.min(fanout.source.rows() - start))
+    // This task's range of the source, as `(start, len)`.
+    let cut = cut.map(|(fanout, index)| {
+        let (start, len, _) = fanout.ranges[index];
+        (fanout, index, start, len)
     });
     let mut nodes = Vec::with_capacity(n_stages);
     let mut feeds: Vec<Vec<Feed>> = Vec::with_capacity(n_stages);
@@ -338,19 +386,19 @@ fn run_stages(
         for i in 0..n_inputs {
             stage_feeds.push(match cut {
                 _ if idx > 0 && i == stream => Feed::Stream,
-                Some((fanout, start, len)) if i == stream => {
+                Some((fanout, _, start, len)) if i == stream => {
                     Feed::Cut(fanout.source.window(start, len).expect("a positional source"))
                 }
                 // A range-aligned secondary input (Calc col⊗col, IfThenElse,
                 // GroupAgg values) zips positionally against the stream, so
-                // it is cut at the same morsel; the analyzer only fuses such
+                // it is cut at the same range; the analyzer only fuses such
                 // stages while nothing upstream has compacted the stream.
                 // Cuts keep absolute oids for columns and the `stream_base`
                 // alignment for streams (see `crate::chunk::Chunk::Oids`). A
                 // whole-length mismatch is reported as whole-node execution
-                // would report it, rather than zipping morsel-sized windows
+                // would report it, rather than zipping range-sized windows
                 // that happen to agree.
-                Some((fanout, start, len)) if read_by_piece(&node.spec, n_inputs, idx, i) => {
+                Some((fanout, _, start, len)) if read_by_piece(&node.spec, n_inputs, idx, i) => {
                     let parts = run.parts(stage, i)?;
                     match parts.window(start, len) {
                         Some(_) if parts.rows() != fanout.source.rows() => {
@@ -377,7 +425,7 @@ fn run_stages(
     // A task over whole inputs is one piece.
     let cut_pieces;
     let pieces: &[(usize, usize)] = match cut {
-        Some((_, _, len)) => {
+        Some((_, _, _, len)) => {
             cut_pieces = pieces(len, cut_ends.flatten());
             &cut_pieces
         }
@@ -386,6 +434,9 @@ fn run_stages(
 
     let mut outputs = Vec::with_capacity(pieces.len());
     let mut panics = Vec::with_capacity(n_stages);
+    // The stream range the task's stages ran: its range of the source, or
+    // all of a whole-node step's stream (its output, for a scan).
+    let mut range = cut.map(|(_, _, start, len)| RowRange::new(start, start + len));
     for (piece, &(start, len)) in pieces.iter().enumerate() {
         let mut out = None;
         for (idx, (&stage, node)) in pipeline.stages.iter().zip(&nodes).enumerate() {
@@ -417,13 +468,10 @@ fn run_stages(
             }
             let chunk = guarded_execute(stage, &node.spec, &inputs, &run.catalog, panics[idx])?;
             let micros = started.elapsed().as_micros() as u64;
-            match tally.stages.get_mut(idx) {
-                Some(sum) => {
-                    let measured = [micros, chunk.rows() as u64, chunk.byte_size() as u64];
-                    sum.iter_mut().zip(measured).for_each(|(s, v)| *s += v);
-                }
-                None => tally.terminal_us += micros,
-            }
+            let measured = [micros, chunk.rows() as u64, chunk.byte_size() as u64];
+            tally.stages[idx].iter_mut().zip(measured).for_each(|(s, v)| *s += v);
+            let stream = inputs.get(stream_input(&node.spec, inputs.len()));
+            range.get_or_insert(RowRange::new(0, stream.map_or(chunk.rows(), Chunk::rows)));
             out = Some(chunk);
         }
         outputs.push(out.expect("a step has at least one stage"));
@@ -431,33 +479,38 @@ fn run_stages(
     // Once per task, keyed on the terminal, counted in its time.
     let delay = Instant::now();
     run.inject_delay(pipeline.terminal());
-    tally.terminal_us += delay.elapsed().as_micros() as u64;
+    tally.stages[n_stages - 1][0] += delay.elapsed().as_micros() as u64;
+    let range = range.expect("a task runs at least one piece");
+    tally.tasks = tally.stages.iter().map(|stage| vec![(range, stage[0])]).collect();
 
-    let Some((fanout, start, _)) = cut else {
+    let Some((fanout, index, _, _)) = cut else {
         let parts = Parts::publish(pipeline.terminal(), outputs, state.cell_rows(step))?;
         publish(run, ctx, pipeline, parts, tally)?;
         return Ok(true);
     };
     // The task merges its own pieces' partial aggregates, in parallel with
-    // the other tasks, so the publishing task merges one per morsel.
+    // the other tasks, so the publishing task merges one per range.
     let folding = Instant::now();
     if !outputs.first().is_some_and(is_positional) {
         outputs = merged(pipeline.terminal(), outputs)?;
     }
     let mut guard = lock(&fanout.morsels);
     let morsels = &mut *guard;
-    // Fold every output the stream order now allows: this morsel's, and
-    // those of later morsels that finished first. The folding (relabelling,
+    // Fold every output the stream order now allows: this range's, and
+    // those of later ranges that finished first. The folding (relabelling,
     // and packing a selective producer's small parts cell by cell) runs
-    // here, while other morsels still execute, not all in the last task.
-    morsels.waiting[start / state.morsel_rows] = Some(outputs);
+    // here, while other ranges still execute, not all in the last task.
+    morsels.waiting[index] = Some(outputs);
     while let Some(outputs) = morsels.waiting.get_mut(morsels.next).and_then(Option::take) {
+        if fanout.ranges[morsels.next].2 {
+            morsels.folder.cut()?;
+        }
         morsels.next += 1;
         for chunk in outputs {
             morsels.folder.push(chunk)?;
         }
     }
-    tally.terminal_us += folding.elapsed().as_micros() as u64;
+    tally.stages[n_stages - 1][0] += folding.elapsed().as_micros() as u64;
     match &mut morsels.tally {
         Some(sum) => sum.merge(tally),
         sum @ None => *sum = Some(tally),
@@ -470,13 +523,13 @@ fn run_stages(
     let mut tally = morsels.tally.take().expect("every morsel merged its tally");
     drop(guard);
     // The pieces' outputs in stream order are the step's part list: every
-    // read of it equals the same read of their exchange-union pack, so the
-    // published result is byte-identical to whole-node execution. Partial
-    // aggregates merge here, in the same order, and a list only ever read
-    // whole is packed here.
+    // read of it equals the same read of their pack, so the published
+    // result is byte-identical to whole-node execution. Partial aggregates
+    // merge here, in the same order, and a list only ever read whole is
+    // packed here.
     let assembly = Instant::now();
     let published = folder.finish()?;
-    tally.terminal_us += assembly.elapsed().as_micros() as u64;
+    tally.stages[n_stages - 1][0] += assembly.elapsed().as_micros() as u64;
     publish(run, ctx, pipeline, published, tally)?;
     Ok(true)
 }
@@ -492,13 +545,19 @@ fn publish(
     tally: Tally,
 ) -> Result<()> {
     let terminal = pipeline.terminal();
-    let last = [tally.terminal_us, parts.rows() as u64, parts.byte_size() as u64];
-    let measured = tally.stages.iter().copied().chain([last]);
+    let mut measured = tally.stages;
+    let last = measured.last_mut().expect("a step has at least one stage");
+    (last[1], last[2]) = (parts.rows() as u64, parts.byte_size() as u64);
+    let mut tasks = tally.tasks.into_iter();
+    let end_us = run.started.elapsed().as_micros() as u64;
     for (&node, [duration_us, rows, bytes]) in pipeline.stages.iter().zip(measured) {
+        let mut tasks = tasks.next().unwrap_or_default();
+        tasks.sort_by_key(|(range, _)| range.start);
         let profile = OperatorProfile {
             node,
             name: run.plan.node(node)?.spec.name(),
             start_us: tally.start_us,
+            end_us,
             duration_us,
             // A streaming step's queue wait, summed over its morsels, is the
             // terminal's, so query totals count it once.
@@ -506,6 +565,7 @@ fn publish(
             worker: ctx.worker,
             rows_out: rows as usize,
             bytes_out: bytes as usize,
+            tasks,
         };
         if run.profiles[node].set(profile).is_err() {
             return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));

@@ -1,23 +1,25 @@
 //! A published result as its step left it: an ordered list of parts.
 //!
-//! A step that runs as more than one piece of work — morsels, and the pieces
-//! a morsel splits into where its inputs' parts end — does not pack its
-//! outputs back into one chunk. It publishes them as a [`Parts`] list, in
-//! stream order, and a consumer that streams the list (or zips it as a
-//! range-aligned input) reads each part where it lies: "creating slices
-//! involves marking the boundary ranges … there is no data copying
-//! involved" (paper §2.3) then holds between steps as well as inside one.
+//! A step that runs as more than one piece of work — the ranges its head's
+//! cuts and the morsel grid make, and the pieces a range splits into where
+//! its inputs' parts end — does not pack its outputs back into one chunk. It
+//! publishes them as a [`Parts`] list, in stream order, and a consumer that
+//! streams the list (or zips it as a range-aligned input) reads each part
+//! where it lies: "creating slices involves marking the boundary ranges …
+//! there is no data copying involved" (paper §2.3) then holds between steps
+//! as well as inside one.
 //!
-//! Every read of a list equals the same read of the chunk the exchange union
-//! would pack from it ([`Parts::pack`]): part *i* is relabelled at publish
-//! so that it *is* `packed.slice(offset_i, len_i)` — the same values and the
-//! same `stream_base` / base oid. Only a read that needs the whole chunk (a
+//! Every read of a list equals the same read of the chunk packing it makes
+//! ([`Parts::pack`]): part *i* is relabelled at publish so that it *is*
+//! `packed.slice(offset_i, len_i)` — the same values and the same
+//! `stream_base` / base oid. Only a read that needs the whole chunk (a
 //! whole-node step's inputs, a shared input such as a fetch's looked-up
-//! column or a probe's build side, a window that straddles parts, and the
-//! root) packs, once, in the result slot. Parts under half a morsel — a
-//! selective producer's — are packed together cell by cell on the readers'
-//! morsel grid as they are folded into the list ([`Folder`]), so no reader
-//! runs its stages over a few rows at a time.
+//! column or a probe's build side, and the root) packs, once, in the result
+//! slot. Parts under half a morsel — a selective producer's — are packed
+//! together cell by cell on the readers' morsel grid as they are folded into
+//! the list ([`Folder`]), so no reader runs its stages over a few rows at a
+//! time; the folding stays within one cut range, so a cut step publishes at
+//! least one part per range and its readers can adopt them.
 //!
 //! The list is the driver's own: kernels never see it, only the chunks it
 //! hands them.
@@ -57,8 +59,9 @@ fn relabelled(chunk: Chunk, base: Oid) -> Chunk {
 
 /// One node's published result: its parts in stream order.
 ///
-/// Never empty. More than one part only for a positional kind, and then no
-/// part is empty; partial aggregates and other kinds are always one part.
+/// Never empty. More than one part only for a positional kind, and then a
+/// part is empty only where a cut range has no rows; partial aggregates and
+/// other kinds are always one part.
 #[derive(Debug, Clone)]
 pub(super) struct Parts {
     chunks: Vec<Chunk>,
@@ -90,11 +93,6 @@ impl Parts {
     /// packed chunk's size).
     pub fn byte_size(&self) -> usize {
         self.chunks.iter().map(Chunk::byte_size).sum()
-    }
-
-    /// Kind of the parts ([`Chunk::kind`]).
-    pub fn kind(&self) -> &'static str {
-        self.chunks[0].kind()
     }
 
     /// True when the parts are positional and can be windowed.
@@ -154,7 +152,7 @@ impl Parts {
         None
     }
 
-    /// The whole chunk: the parts packed in order by the exchange union,
+    /// The whole chunk: the parts packed in order ([`exchange_union`]),
     /// which then replaces them, so a list packs at most once.
     pub fn pack(&mut self, node: NodeId) -> Result<Chunk> {
         if self.chunks.len() > 1 {
@@ -165,7 +163,7 @@ impl Parts {
 }
 
 /// `chunks` as one part: partial aggregates merged, positional parts packed,
-/// both by the exchange union in order. Does nothing to a single chunk.
+/// both by [`exchange_union`] in order. Does nothing to a single chunk.
 pub(super) fn merged(node: NodeId, chunks: Vec<Chunk>) -> Result<Vec<Chunk>> {
     match chunks.len() {
         1 => Ok(chunks),
@@ -178,21 +176,21 @@ pub(super) fn merged(node: NodeId, chunks: Vec<Chunk>) -> Result<Vec<Chunk>> {
 /// outputs are in, so most of the folding runs while later morsels still
 /// execute.
 ///
-/// Partial aggregates are kept to merge into one part with the exchange
-/// union at [`Folder::finish`], as the packed chunk would; so are the parts
-/// of a list only ever read whole (`cell_rows` `None`), which it packs into
-/// one. Every other positional part takes the label of the packed chunk's
-/// slice at its offset, zero-copy, so part *i* equals
-/// `packed.slice(offset_i, len_i)`, and is folded on a grid of
-/// `cell_rows`-row cells over the list's rows. A part of at least half a
-/// cell stays as it is. Smaller parts are packed together cell by cell — one
-/// cut zero-copy where it crosses a cell's edge — since a consumer runs its
-/// stages once per part it reads, and a selective producer's part of a few
-/// thousand rows would pay each kernel's per-call setup (an output
-/// reservation, a dictionary walk, a group table) in every step that reads
-/// it. Packed on its readers' morsel grid, the list is cut by them into
-/// their morsels and nothing finer. Empty parts go; one stays if all are
-/// empty.
+/// Partial aggregates are kept to merge into one part at [`Folder::finish`],
+/// as the packed chunk would; so are the parts of a list only ever read
+/// whole (`cell_rows` `None`), which it packs into one. Every other
+/// positional part takes the label of the packed chunk's slice at its
+/// offset, zero-copy, so part *i* equals `packed.slice(offset_i, len_i)`,
+/// and is folded on a grid of `cell_rows`-row cells over the rows of its
+/// cut range. A part of at least half a cell stays as it is. Smaller parts
+/// are packed together cell by cell — one cut zero-copy where it crosses a
+/// cell's edge — since a consumer runs its stages once per part it reads,
+/// and a selective producer's part of a few thousand rows would pay each
+/// kernel's per-call setup (an output reservation, a dictionary walk, a
+/// group table) in every step that reads it. Packed on its readers' morsel
+/// grid, the list is cut by them into their morsels and nothing finer. No
+/// cell spans a cut ([`Folder::cut`]). Empty parts go, except that each cut
+/// range keeps one; one stays if all are empty.
 pub(super) struct Folder {
     node: NodeId,
     cell_rows: Option<usize>,
@@ -205,6 +203,11 @@ pub(super) struct Folder {
     run: Vec<Chunk>,
     /// Rows pushed so far.
     at: usize,
+    /// Where the current cut range starts, in rows and in parts.
+    range_at: usize,
+    range_parts: usize,
+    /// Whether the list has cuts, so its last range keeps a part too.
+    cut: bool,
     /// Whether the labels pushed are all 0 (fresh streams) or run on from
     /// part to part: the stream order the relabelling relies on.
     fresh: bool,
@@ -224,6 +227,9 @@ impl Folder {
             parts: Vec::new(),
             run: Vec::new(),
             at: 0,
+            range_at: 0,
+            range_parts: 0,
+            cut: false,
             fresh: true,
             consecutive: true,
             next_label: 0,
@@ -261,7 +267,7 @@ impl Folder {
         }
         let (mut rest, mut at) = (chunk, self.at - rows);
         loop {
-            let (rows, room) = (rest.rows(), cell_rows - at % cell_rows);
+            let (rows, room) = (rest.rows(), cell_rows - (at - self.range_at) % cell_rows);
             if rows < room {
                 self.run.push(rest);
                 return Ok(());
@@ -285,8 +291,29 @@ impl Folder {
         Ok(())
     }
 
+    /// Closes the current cut range: the outputs pushed next are never
+    /// packed with it, and it keeps one part, an empty one if it has no
+    /// rows. Does nothing to a list that is merged or packed whole.
+    pub fn cut(&mut self) -> Result<()> {
+        let Some(first) =
+            self.first.clone().filter(|f| self.cell_rows.is_some() && is_positional(f))
+        else {
+            return Ok(());
+        };
+        self.flush()?;
+        if self.parts.len() == self.range_parts {
+            let empty = first.slice(0, 0).expect("a positional part");
+            self.parts.push(relabelled(empty, label(&first) + self.at as Oid));
+        }
+        (self.range_at, self.range_parts, self.cut) = (self.at, self.parts.len(), true);
+        Ok(())
+    }
+
     /// The finished list.
     pub fn finish(mut self) -> Result<Parts> {
+        if self.cut {
+            self.cut()?;
+        }
         let first = self.first.take().expect("a step publishes at least one output");
         let chunks = match self.cell_rows.filter(|_| is_positional(&first)) {
             Some(_) => {

@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
 
 use super::parts::Parts;
@@ -140,50 +139,36 @@ impl RunContext {
         }
     }
 
-    /// Runs `read` on the part list `consumer` reads on its input edge
-    /// `index` and that edge's window, under the list's slot lock.
+    /// Runs `read` on the part list `consumer` reads on its input `index`,
+    /// under the list's slot lock.
     fn read_input<T>(
         &self,
         consumer: NodeId,
         index: usize,
-        read: impl FnOnce(&mut Parts, Option<RowRange>) -> Result<T>,
+        read: impl FnOnce(&mut Parts) -> Result<T>,
     ) -> Result<T> {
-        let node = self.plan.node(consumer)?;
-        let input = node.inputs[index];
+        let input = self.plan.node(consumer)?.inputs[index];
         let mut slot = lock(&self.results[input]);
         let parts = slot.as_mut().ok_or_else(|| {
             EngineError::InvalidPlan(format!(
                 "node {consumer} was scheduled before its input {input} completed"
             ))
         })?;
-        read(parts, node.window(index))
+        read(parts)
     }
 
-    /// What `consumer` reads on its input edge `index`: the producer's
-    /// published part list, cut to the edge's window when it has one. This
-    /// is the one place a window is resolved, before any morsel cut, and the
-    /// cut is a zero-copy sub-list ([`Parts::window`]).
+    /// The producer's published part list that `consumer` reads on its
+    /// input `index`.
     pub fn parts(&self, consumer: NodeId, index: usize) -> Result<Parts> {
-        self.read_input(consumer, index, |parts, window| match window {
-            None => Ok(parts.clone()),
-            Some(w) => parts.window(w.start, w.len()).ok_or_else(|| not_cuttable(consumer, parts)),
-        })
+        self.read_input(consumer, index, |parts| Ok(parts.clone()))
     }
 
-    /// The same read as one whole chunk: the one part the edge reads, or,
-    /// when it spans several, a window of the producer's list packed in its
-    /// slot — the pack replaces the parts, so a list packs once, and the
-    /// slot's lock makes concurrent whole reads wait for it rather than
-    /// pack again.
+    /// The same read as one whole chunk: the list packed in its slot — the
+    /// pack replaces the parts, so a list packs once, and the slot's lock
+    /// makes concurrent whole reads wait for it rather than pack again.
     pub fn input(&self, consumer: NodeId, index: usize) -> Result<Chunk> {
         let input = self.plan.node(consumer)?.inputs[index];
-        self.read_input(consumer, index, |parts, window| {
-            let Some(w) = window else { return parts.pack(input) };
-            if let Some(chunk) = parts.piece(w.start, w.len()) {
-                return Ok(chunk);
-            }
-            parts.pack(input)?.slice(w.start, w.len()).ok_or_else(|| not_cuttable(consumer, parts))
-        })
+        self.read_input(consumer, index, |parts| parts.pack(input))
     }
 
     /// Sleeps for the chaos layer's delay at this site — the engine's one
@@ -226,15 +211,6 @@ impl RunContext {
             dop_timeline: self.handle.dop_timeline(),
         };
         Ok(QueryExecution { output, profile })
-    }
-}
-
-/// The error for a window on an edge whose list cannot be cut.
-fn not_cuttable(consumer: NodeId, parts: &Parts) -> EngineError {
-    EngineError::InvalidInput {
-        node: consumer,
-        expected: "column, oids or join",
-        found: parts.kind(),
     }
 }
 

@@ -2,14 +2,13 @@
 
 use std::sync::Arc;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
 use super::*;
 use crate::error::EngineError;
 use crate::pipeline::PipelinePlan;
-use crate::plan::{NodeId, OperatorSpec};
+use crate::plan::{Cuts, NodeId, OperatorSpec};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
     let mut c = Catalog::new();
@@ -41,25 +40,15 @@ fn filter_sum_plan(threshold: i64) -> Plan {
     p
 }
 
-/// A hand-rolled heuristic partitioning of [`filter_sum_plan`]: `parts`
-/// clones of scan→select→fetch→agg under one finalize, each select reading
-/// an equal window of its scan.
+/// A hand-rolled heuristic partitioning of [`filter_sum_plan`]: the select
+/// cut into `parts` equal parts of the scan's `rows`, the fetch and the
+/// aggregate adopting them.
 fn partitioned_filter_sum_plan(rows: usize, threshold: i64, parts: usize) -> Plan {
-    let mut p = Plan::new();
-    let b = p.add(scan("b"), vec![]);
-    let pred = Predicate::cmp(CmpOp::Lt, threshold);
-    let partials = (0..parts)
-        .map(|i| {
-            let window = RowRange::new(i * rows / parts, (i + 1) * rows / parts);
-            let a = p.add(scan("a"), vec![]);
-            let select = OperatorSpec::Select { predicate: pred.clone() };
-            let sel = p.add_edges(select, [(a, Some(window))]);
-            let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
-            p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch])
-        })
-        .collect();
-    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
-    p.set_root(fin);
+    let mut p = filter_sum_plan(threshold);
+    p.node_mut(1).unwrap().cuts = Cuts::At((1..parts).map(|i| i * rows / parts).collect());
+    for adopting in [3, 4] {
+        p.node_mut(adopting).unwrap().cuts = Cuts::Adopt;
+    }
     p
 }
 
@@ -89,8 +78,10 @@ fn parallel_partitioned_plan_gives_same_answer() {
 
     let exec = engine.execute(&p, &cat).unwrap();
     assert_eq!(exec.output, serial_out);
-    // Both partitions' operators were profiled.
-    assert_eq!(exec.profile.operators.len(), 10);
+    // Every node was profiled once, each cut one with a task per part.
+    assert_eq!(exec.profile.operators.len(), 6);
+    let tasks: Vec<usize> = exec.profile.operators.iter().map(|o| o.tasks.len()).collect();
+    assert_eq!(tasks, [1, 2, 1, 2, 2, 1]);
 }
 
 #[test]
@@ -370,25 +361,36 @@ fn work_stealing_records_locality() {
 }
 
 #[test]
-fn operator_at_a_time_profiles_every_operator_on_its_own() {
+fn operator_at_a_time_profiles_every_operator_with_a_task_per_part() {
     // The per-operator shape `mutate_most_expensive` reads: under
-    // operator-at-a-time planning every live node is its own task, so it
-    // carries its own worker and queue wait and no pipeline exists.
-    let cat = catalog(80_000);
-    let plan = partitioned_filter_sum_plan(80_000, 4_000, 8);
+    // operator-at-a-time planning every live node is its own step, and a
+    // cut node runs one task per part, each recorded with its range.
+    let (rows, parts) = (80_000, 8);
+    let cat = catalog(rows);
+    let plan = partitioned_filter_sum_plan(rows, 4_000, parts);
     let expected = Engine::with_workers(2).execute(&filter_sum_plan(4_000), &cat).unwrap();
     let engine = Engine::with_workers(1);
     let exec = engine.execute(&plan, &cat).unwrap();
     assert_eq!(exec.output, expected.output);
-    assert!(exec.profile.pipelines.is_empty(), "OAT planned a pipeline");
-    assert_eq!(exec.profile.total_morsels(), 0);
+    let pipelines: Vec<_> = exec.profile.pipelines.iter().map(|p| p.nodes.clone()).collect();
+    assert_eq!(pipelines, [vec![1], vec![3], vec![4]], "one step per cut node, none fused");
     let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     nodes.sort_unstable();
     assert_eq!(nodes, plan.node_ids(), "one profile per live node");
-    assert_eq!(engine.scheduler_stats().total_executed(), plan.node_count() as u64);
+    let tasks: usize = plan.node_ids().into_iter().map(|id| plan.parts(id)).sum();
+    assert_eq!(engine.scheduler_stats().total_executed(), tasks as u64);
     assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
-    // One worker, 34 tasks: queueing is spread over the operators
-    // rather than attributed to one terminal per pipeline.
+    for op in &exec.profile.operators {
+        assert_eq!(op.tasks.len(), plan.parts(op.node), "node {}", op.node);
+        let total: u64 = op.tasks.iter().map(|&(_, us)| us).sum();
+        assert!(total <= op.duration_us, "node {}: tasks outlast the operator", op.node);
+    }
+    // The select's tasks tile the scan's rows at its cuts.
+    let select = exec.profile.operator(1).unwrap();
+    let ranges: Vec<_> = select.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect();
+    let at = |i: usize| i * rows / parts;
+    assert_eq!(ranges, (0..parts).map(|i| (at(i), at(i + 1))).collect::<Vec<_>>());
+    // One worker, 27 tasks: queueing is spread over the operators.
     let waited = exec.profile.operators.iter().filter(|o| o.queue_wait_us > 0).count();
     assert!(waited >= 2, "queue wait on {waited} operators only");
 }
@@ -440,9 +442,8 @@ fn refused_submission_still_drains_and_reports_shutdown() {
     }
 }
 
-/// `sum(a × a)` over `rows` rows, with the square's two halves summed
-/// through windowed edges: the scan is read twice by `calc(a, a)` and the
-/// square once by each window.
+/// `sum(a × a)` over `rows` rows, the sum cut in halves: the scan is read
+/// twice by `calc(a, a)`, the square once by the cut sum.
 fn square_halves_plan(rows: usize) -> (Plan, [NodeId; 3]) {
     let mut p = Plan::new();
     let a = p.add(scan("a"), vec![]);
@@ -452,16 +453,15 @@ fn square_halves_plan(rows: usize) -> (Plan, [NodeId; 3]) {
         right_scalar: None,
     };
     let square = p.add(mul, vec![a, a]);
-    let sum = || OperatorSpec::ScalarAgg { func: AggFunc::Sum };
-    let halves = [RowRange::new(0, rows / 2), RowRange::new(rows / 2, rows)]
-        .map(|w| p.add_edges(sum(), [(square, Some(w))]));
-    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, halves.to_vec());
+    let sum = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]);
+    p.node_mut(sum).unwrap().cuts = Cuts::At(vec![rows / 2]);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![sum]);
     p.set_root(fin);
     (p, [a, square, fin])
 }
 
 #[test]
-fn a_double_edge_and_windowed_edges_each_count_as_readers() {
+fn a_double_edge_counts_as_two_readers() {
     let (plan, [a, square, fin]) = square_halves_plan(1_000);
     for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
         let graph = PipelinePlan::analyze(&plan, mode).unwrap();
@@ -469,8 +469,8 @@ fn a_double_edge_and_windowed_edges_each_count_as_readers() {
         let of = |node: NodeId| readers[graph.step_of[node].unwrap()];
         // `calc(a, a)` reads the scan through two edges; each is a read.
         assert_eq!(of(a), 2, "{mode}");
-        // Two windows over the square: two reads, one per window.
-        assert_eq!(of(square), 2, "{mode}");
+        // The cut sum reads the square once, whatever its parts.
+        assert_eq!(of(square), 1, "{mode}");
         // The root is read by nothing, so no step releases it.
         assert_eq!(of(fin), 0, "{mode}");
         // Every read is an input edge some step counts down.
@@ -481,8 +481,8 @@ fn a_double_edge_and_windowed_edges_each_count_as_readers() {
 
 #[test]
 fn released_chunks_are_never_read_again() {
-    // Each window's aggregate cuts many morsels of the square under morsel
-    // planning; a chunk released before its last reader finished would
+    // Each part of the aggregate cuts many morsels of the square under
+    // morsel planning; a chunk released before its last reader finished would
     // surface as "scheduled before its input completed".
     let rows = 10_000;
     let cat = catalog(rows);

@@ -203,8 +203,6 @@ pub fn execute_node(
             Ok(Chunk::Grouped(Arc::new(grouped_agg(*func, keys, values)?)))
         }
 
-        OperatorSpec::ExchangeUnion => exchange_union(node, inputs),
-
         OperatorSpec::CalcScalars { op } => {
             let a = as_scalar(node, &inputs[0])?;
             let b = as_scalar(node, &inputs[1])?;
@@ -288,22 +286,22 @@ fn stream_order_check<T>(views: &[&T], base_len: impl Fn(&T) -> (Oid, usize)) ->
     stream_order_is_consistent(&bases)
 }
 
-/// The exchange-union operator: packs same-kind chunks in argument order.
+/// The exchange union: packs same-kind chunks in argument order, and merges
+/// partial aggregates (scalar or grouped) in that order.
 ///
-/// Doubles as the morsel driver's packer and merger: a step's part list is
-/// exactly what this union would pack from its parts, so the driver merges
-/// partial aggregates, packs runs of small parts and answers a whole read
-/// with it, and morsel execution stays byte-identical to whole-node
-/// execution.
+/// It is the driver's packer and merger: a step's part list is exactly what
+/// this union packs from its parts, so the driver merges partial aggregates,
+/// packs runs of small parts and answers a whole read with it, and a node
+/// run in parts stays byte-identical to the same node run whole.
 ///
 /// Stream parts (oid lists, join results) take a **zero-copy fast path**
 /// when every part is the window immediately following its predecessor in
-/// one shared backing — the common case when the windows of one stream that
-/// a mutation's clones read are recombined: the union is then just the parent window (an `Arc`
-/// clone), no packing. Heterogeneous parts fall back to packing, borrowing
-/// each part's visible slice directly (one allocation total, no per-part
-/// intermediate clones).
-pub(crate) fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
+/// one shared backing — the common case when the parts of one stream are
+/// packed: the union is then just the parent window (an `Arc` clone), no
+/// packing. Heterogeneous parts fall back to packing, borrowing each part's
+/// visible slice directly (one allocation total, no per-part intermediate
+/// clones).
+pub fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
     let first = inputs.first().ok_or(EngineError::Operator(OperatorError::EmptyInput("union")))?;
     match first {
         Chunk::Oids(_) => {
@@ -382,7 +380,7 @@ pub(crate) fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
 }
 
 /// Merges partial scalar aggregates of `func` in argument order: the
-/// exchange union's merge, which `FinalizeAgg` finishes.
+/// exchange union's merge, and `FinalizeAgg`'s over its one partial.
 fn merge_agg_partials(node: NodeId, func: AggFunc, inputs: &[Chunk]) -> Result<AggState> {
     let mut state = AggState::new(func);
     for chunk in inputs {
@@ -511,9 +509,7 @@ mod tests {
             Chunk::Oids(view) => assert_eq!(view.as_slice(), &[50, 99]),
             other => panic!("unexpected {other:?}"),
         }
-        let packed =
-            execute_node(2, &OperatorSpec::ExchangeUnion, &[Chunk::oids(vec![1, 2]), out], &cat)
-                .unwrap();
+        let packed = exchange_union(2, &[Chunk::oids(vec![1, 2]), out]).unwrap();
         assert_eq!(packed.rows(), 4);
     }
 
@@ -690,13 +686,10 @@ mod tests {
         .unwrap();
         let partial2 =
             execute_node(1, &OperatorSpec::ScalarAgg { func: AggFunc::Sum }, &[col], &cat).unwrap();
-        let total = execute_node(
-            2,
-            &OperatorSpec::FinalizeAgg { func: AggFunc::Sum },
-            &[partial, partial2],
-            &cat,
-        )
-        .unwrap();
+        let merged = exchange_union(2, &[partial, partial2]).unwrap();
+        let total =
+            execute_node(2, &OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, &[merged], &cat)
+                .unwrap();
         assert_eq!(total.to_output(), crate::chunk::QueryOutput::Scalar(ScalarValue::I64(20)));
 
         let keys = Chunk::Column(Column::from_strings(["a", "b", "a"]));
@@ -704,9 +697,7 @@ mod tests {
         let grouped =
             execute_node(3, &OperatorSpec::GroupAgg { func: AggFunc::Sum }, &[keys, vals], &cat)
                 .unwrap();
-        let merged =
-            execute_node(4, &OperatorSpec::ExchangeUnion, &[grouped.clone(), grouped], &cat)
-                .unwrap();
+        let merged = exchange_union(4, &[grouped.clone(), grouped]).unwrap();
         match merged.to_output() {
             crate::chunk::QueryOutput::Groups(g) => {
                 assert_eq!(g.len(), 2);
@@ -745,9 +736,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InvalidInput { node: 42, .. }));
-        let err = execute_node(7, &OperatorSpec::ExchangeUnion, &[scalar], &cat).unwrap_err();
+        let err = exchange_union(7, &[scalar]).unwrap_err();
         assert!(matches!(err, EngineError::InvalidInput { node: 7, .. }));
-        let err = execute_node(8, &OperatorSpec::ExchangeUnion, &[], &cat).unwrap_err();
+        let err = exchange_union(8, &[]).unwrap_err();
         assert!(matches!(err, EngineError::Operator(_)));
     }
 }

@@ -1,40 +1,34 @@
-//! Planning a query into steps: operator-at-a-time or fused morsel
+//! Planning a query into steps: one step per operator, or fused morsel
 //! pipelines (Leis et al., "Morsel-Driven Parallelism", adapted to this
-//! engine's operator-at-a-time plan IR).
+//! engine's plan IR).
 //!
-//! The engine has one execution runtime (the morsel driver behind
+//! The engine has one execution runtime (the driver behind
 //! [`crate::Engine`]) and two *plannings* of a plan into the step graph
 //! that runtime executes; [`ExecutionMode`] picks the planning and is read
 //! nowhere else. Every step is a `Pipeline` — a non-empty chain of stages
 //! that the driver's one task body runs — and a step either streams or it
 //! does not. A **whole-node step** is the one-stage chain that does not
-//! stream: one task over whole inputs.
+//! stream: one task over whole inputs. A streaming step has one source, its
+//! **producer**: the earlier step whose published list its head streams,
+//! one task per range of it.
 //!
 //! [`ExecutionMode::OperatorAtATime`] (the default, and the model the
-//! paper's adaptive optimizer was measured on) emits one whole-node step per
-//! operator: every operator's whole output materializes before any consumer
-//! starts. That leaves the work-stealing scheduler's locality advantage
-//! mostly unexercised: a chunk produced on one core is consumed exactly
-//! once, by one follow-up task. [`ExecutionMode::MorselDriven`] instead
-//! *fuses* compatible operator chains into streaming pipelines. A pipeline
-//! has one source, its **producer**: the step before it whose published
-//! result is cut into fixed-size **morsels** (zero-copy windows, configurable
-//! via [`crate::EngineConfig::morsel_rows`], default [`DEFAULT_MORSEL_ROWS`]
-//! rows), one scheduler task per morsel. A base-table scan is such a step
-//! like any other: it publishes its whole column, and the pipeline over it
-//! cuts that column. Workers pull morsels from their own deques, each morsel
-//! flows through *all* fused stages while its data is cache-hot, and the
-//! per-stage whole-chunk materialization disappears inside the pipeline.
+//! paper's adaptive optimizer was measured on) emits one step per operator:
+//! a node with cuts ([`crate::plan::Cuts`]) streams its input, one task per
+//! part, and every other node runs whole. [`ExecutionMode::MorselDriven`]
+//! makes every streamable operator a pipeline head, cuts every streaming
+//! step's ranges further into **morsels** of
+//! [`crate::EngineConfig::morsel_rows`] rows (default
+//! [`DEFAULT_MORSEL_ROWS`]), and *fuses* compatible chains: each morsel
+//! flows through all fused stages while its data is cache-hot, and the
+//! per-stage materialization disappears inside the pipeline.
 //!
-//! Nor is a pipeline's output packed back into one chunk. The driver
-//! publishes a step's result as an ordered list of parts, one per piece of
-//! work its morsels did (parts under half a morsel packed together on the
-//! morsel grid), and a consumer that streams the list — or zips it
-//! as a range-aligned input — adopts those cuts: its morsel runs its stages
-//! once per part it covers, reading each part where it lies. Only partial
-//! aggregates merge as they are published; a list some reader needs whole
-//! (a breaker's input, a looked-up column, a build side, the root) is
-//! packed once, on that read.
+//! Nor is a step's output packed back into one chunk. The driver publishes
+//! an ordered list of parts, and a consumer that streams the list — or zips
+//! it as a range-aligned input — runs its stages once per part it covers,
+//! reading each part where it lies. Only partial aggregates merge as they
+//! are published; a list some reader needs whole (a breaker's input, a
+//! looked-up column, a build side, the root) is packed once, on that read.
 //!
 //! ```text
 //! operator-at-a-time                 morsel-driven
@@ -47,33 +41,31 @@
 //!                                      morsel 2 ─► sel₂ fetch₂ ─► part 2 ─┤
 //!                                    pipeline: producer fetch → calc      │
 //!                                      morsel 0 ─► calc once per part ◄───┘
-//!  (one task per operator,           (one task per MORSEL, stages fused; a
+//!  (one task per operator part,      (one task per MORSEL, stages fused; a
 //!   whole chunks between them)        morsel adopts the parts it covers)
 //! ```
 //!
 //! # Which chains fuse
 //!
-//! A pipeline is a maximal linear chain of *streamable* stages: operators
-//! that process one input row-wise — the input they *stream* — while every
-//! other input is either shared whole — hash tables, full columns being
-//! fetched into — or, for the **two-range-aligned-input** stages (`Calc`
-//! col⊗col, `IfThenElse`, `GroupAgg` keys⊗values), sliced on the *same
-//! morsel grid* as the stream (see
-//! [`crate::plan::OperatorSpec::aligned_inputs`]). A stage streams its first
-//! input, except a **candidate-refining select** (`Select` over a column and
-//! a candidate list), which streams its candidates and shares its column
-//! whole, never cut: it is a filter, its outputs a subset of its candidates,
-//! not positions of its input. Select (refining too), fetch, hash probe /
-//! semi / anti join, calc (scalar *and* column⊗column), if-then-else,
-//! predicate masks, join-side projections and partial aggregates (scalar
-//! *and* grouped) all qualify; pipeline breakers (hash build, key set,
-//! exchange union, finalize/merge) run operator-at-a-time between
-//! pipelines. Aggregates only ever *terminate* a chain: each piece of a
-//! morsel yields a partial (`AggState` / `GroupedAgg`) that the driver
-//! merges in stream order, so nothing streams past them (`GroupAgg` is enforced explicitly —
-//! see `is_terminal_stage`). Every intermediate stage must have exactly one
-//! consumer (the next stage); only the terminal stage's output is
-//! materialized and published to the rest of the plan.
+//! A pipeline is a maximal linear chain of *streamable* stages — the
+//! operators that may run in parts ([`crate::plan::OperatorSpec::is_parallelizable`]).
+//! Each processes one input row-wise, the input it *streams*: its first,
+//! except a **candidate-refining select** (`Select` over a column and a
+//! candidate list), which streams its candidates and reads its column whole,
+//! since its outputs are a subset of its candidates, not positions of its
+//! input. Every other input is read whole — hash tables, columns being
+//! fetched into — or, for the range-aligned second inputs of `Calc`
+//! col⊗col, `IfThenElse` and `GroupAgg` keys⊗values, cut at the stream's
+//! ranges ([`crate::plan::OperatorSpec::aligned_inputs`]); their whole row
+//! count must equal the stream's, or the task reports the `LengthMismatch`
+//! whole-node execution would. Breakers (hash build, key set, finalize) run
+//! whole between pipelines. Aggregates only *terminate* a chain: each piece
+//! yields a partial that the driver merges in stream order (`GroupAgg` is
+//! enforced explicitly — see `is_terminal_stage`). Every intermediate stage
+//! has exactly one consumer, the next stage, and only the terminal's output
+//! is published. A node with explicit cut offsets never joins a chain below
+//! its head, since its offsets address its stream whole; one that adopts its
+//! stream's parts may, since in a chain it runs once per piece anyway.
 //!
 //! Two ordering constraints apply inside a chain, both triggered by a stage
 //! that has *created a new stream* (a selection or join compacts its input,
@@ -83,52 +75,30 @@
 //! 1. no later stage whose output values are positions of its input (a
 //!    selection over a column, a join) may fuse — its output bases would be
 //!    morsel-local. A refining select may: its outputs are values of its
-//!    candidates, correct in every morsel, so `scan → select → refining
-//!    select → refining select` is one chain, and it marks the stream
+//!    candidates, correct in every morsel, and it marks the stream
 //!    compacted in turn;
 //! 2. no later stage with a second range-aligned input may fuse — the
-//!    producer's morsel grid no longer describes the stream, so the
-//!    grid-aligned cut of the shared input would zip against the wrong rows.
+//!    producer's ranges no longer describe the stream, so the cut of the
+//!    shared input would zip against the wrong rows.
 //!
 //! Either stage instead starts its own pipeline over the published list,
 //! whose parts carry their global stream positions (see `numbers_its_input`
 //! / `has_aligned_second_input` below).
 //!
-//! A plan edge with a row window (a partition a mutation cut) addresses its
-//! producer's whole output, so it never links two stages of a chain: the
-//! consumer heads a pipeline over the published list, which the driver cuts
-//! to the window — a zero-copy sub-list — before it cuts morsels.
-//! Fusing a two-aligned-input stage also requires the shared input's whole
-//! row count to equal the producer's — the executor checks this once per
-//! morsel and reports the same `LengthMismatch` operator-at-a-time execution
-//! would.
-//!
 //! # Result equivalence
 //!
-//! Morsel mode produces **byte-identical** results to operator-at-a-time
-//! whatever order the scheduler dispatches in. Three properties make this
-//! hold:
-//!
-//! 1. [`apq_columnar::Column::slice`] preserves absolute base oids, so a
-//!    selection over morsel *k* of a column emits exactly the oids the
-//!    whole-column selection would emit for those rows;
-//! 2. positional slices of candidate/join streams carry their
-//!    `stream_base` offset ([`crate::chunk::Chunk::Oids`], the PR-1
-//!    alignment invariant), so fetches inside a pipeline over a stream
-//!    partition label their outputs with the correct stream position;
-//! 3. a step publishes its pieces' outputs in stream order, each relabelled
-//!    so that it *is* the slice at its offset of the chunk the exchange
-//!    union would pack from them — the recombination the adaptive mutations
-//!    already rely on. Every read of the list (a piece, a window, or the
-//!    pack a whole read takes) therefore equals the same read of that
-//!    chunk, which is what whole-node execution publishes.
-//!
-//! Partial scalar aggregates merge [`apq_operators::AggState`]s in stream
-//! order as they are published — the identical guarantee the adaptive
-//! optimizer's `FinalizeAgg` combiner provides for mutation-split plans.
+//! Both plannings, and every set of cuts, produce **byte-identical**
+//! results whatever order the scheduler dispatches in, because
+//! [`apq_columnar::Column::slice`] keeps absolute base oids, positional
+//! slices of candidate/join streams carry their `stream_base` offset
+//! ([`crate::chunk::Chunk::Oids`]), and a step publishes its pieces'
+//! outputs in stream order, each relabelled so that it *is* the slice at its
+//! offset of the chunk packing them would make. Partial aggregates merge in
+//! stream order as they are published, so a `FinalizeAgg` reads one
+//! partial whatever the parts of the aggregate before it.
 
 use crate::error::Result;
-use crate::plan::{NodeId, OperatorSpec, Plan};
+use crate::plan::{Cuts, NodeId, OperatorSpec, Plan};
 
 /// Default morsel size, in rows (the ballpark of Leis et al.'s ~100k-tuple
 /// morsels, rounded to a power of two).
@@ -226,8 +196,8 @@ pub(crate) fn stream_input(spec: &OperatorSpec, n_inputs: usize) -> usize {
 /// pipeline-breaker chunk kind that no later stage could stream, so the
 /// chain must stop extending once it is pushed. `GroupAgg` qualifies — each
 /// morsel produces a partial [`apq_operators::GroupedAgg`]
-/// (`Chunk::Grouped`) and the driver merges the partials in stream order
-/// (the exchange union's grouped merge), keeping float results byte-exact.
+/// (`Chunk::Grouped`) and the driver merges the partials in stream order,
+/// keeping float results byte-exact.
 /// `ScalarAgg` is a de-facto terminal for the same reason but needs no
 /// explicit rule: nothing fusible consumes its `AggPartial`.
 fn is_terminal_stage(spec: &OperatorSpec) -> bool {
@@ -279,8 +249,9 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 impl PipelinePlan {
     /// Plans a validated plan into steps under `mode`.
     ///
-    /// [`ExecutionMode::OperatorAtATime`] emits one whole-node step per
-    /// live node and never fuses — the step graph *is* the plan DAG.
+    /// [`ExecutionMode::OperatorAtATime`] emits one step per live node and
+    /// never fuses — the step graph *is* the plan DAG; a node with cuts
+    /// streams its input in its parts, every other node runs whole.
     ///
     /// [`ExecutionMode::MorselDriven`] decomposes the plan into streaming
     /// pipelines and whole-node steps. Fusion is conservative: a chain only
@@ -300,10 +271,10 @@ impl PipelinePlan {
         let mut steps: Vec<Pipeline> = Vec::new();
 
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
-        // consumed exactly once, by c, whole (no window on the edge), as the
-        // input c streams, and c is a fusible stage — one a plan mutation may clone over range
-        // partitions ([`OperatorSpec::is_parallelizable`]), since a morsel
-        // is a range partition the driver cuts at run time. Once the chain
+        // consumed exactly once, by c, as the input c streams, and c is a
+        // fusible stage — one that may run in parts
+        // ([`OperatorSpec::is_parallelizable`]), since a morsel is a part
+        // the driver cuts at run time — without explicit cut offsets. Once the chain
         // has passed a stream-creating stage (`stream_created`), a stage
         // that numbers its input may not join (its input bases would be
         // morsel-local), nor may a stage zipping a second aligned input.
@@ -316,10 +287,11 @@ impl PipelinePlan {
             let n_inputs = node.inputs.len();
             let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
             let stream = stream_input(&node.spec, n_inputs);
-            // A window addresses its producer's whole output, so a stage
-            // reading one is never fed a predecessor's morsel: it heads a
-            // pipeline over the published chunk instead.
-            if occurrences != 1 || node.inputs[stream] != id || node.window(stream).is_some() {
+            // Explicit offsets address the stream whole, so such a stage is
+            // never fed a predecessor's morsel: it heads a pipeline over the
+            // published list instead.
+            let explicit = matches!(&node.cuts, Cuts::At(at) if !at.is_empty());
+            if occurrences != 1 || node.inputs[stream] != id || explicit {
                 return None;
             }
             if stream_created
@@ -337,15 +309,18 @@ impl PipelinePlan {
             }
             let node = plan.node(id)?;
 
-            // A pipeline head is a fusible stage that streams over the input
-            // `stream_input` names, published by an earlier step
-            // (topological order): a scan, a breaker or another pipeline's
-            // terminal — through the edge's window, when it has one. A stage
-            // that reads that input twice (`calc(x, x)`) runs whole instead.
-            let stream = node.inputs.get(stream_input(&node.spec, node.inputs.len())).copied();
-            let head = fuse
-                && node.spec.is_parallelizable()
-                && stream.is_some_and(|s| node.inputs.iter().filter(|&&i| i == s).count() == 1);
+            // A pipeline head streams over the input `stream_input` names,
+            // published by an earlier step (topological order): a scan, a
+            // breaker or another pipeline's terminal. A node with cuts is
+            // one under either planning; under morsel planning so is every
+            // fusible stage but one that reads its stream twice
+            // (`calc(x, x)`), which runs whole instead.
+            let stream = node.stream();
+            let head = !node.cuts.is_whole()
+                || (fuse
+                    && node.spec.is_parallelizable()
+                    && stream
+                        .is_some_and(|s| node.inputs.iter().filter(|&&i| i == s).count() == 1));
             let step = if head {
                 let mut stages = vec![id];
                 // The head streams over producer slices whose bases are
@@ -354,7 +329,7 @@ impl PipelinePlan {
                 // positions; the constraint starts after the first
                 // in-pipeline stream creator.
                 let mut stream_created = creates_stream(&node.spec);
-                if !is_terminal_stage(&node.spec) {
+                if fuse && !is_terminal_stage(&node.spec) {
                     while let Some(next) = chain_next(stages[stages.len() - 1], stream_created) {
                         let spec = &plan.node(next)?.spec;
                         stream_created |= creates_stream(spec);
@@ -410,8 +385,8 @@ impl PipelinePlan {
     }
 
     /// Per step: the cross-step edges that read its published chunk, each
-    /// counted once — a windowed edge and each edge of a node reading the
-    /// chunk twice (`calc(x, x)`) alike. The step finishing the last of
+    /// counted once — each edge of a node reading the chunk twice
+    /// (`calc(x, x)`) too. The step finishing the last of
     /// them is the chunk's last reader.
     pub fn readers(&self) -> Vec<usize> {
         self.out_edges.iter().map(|edges| edges.iter().map(|&(_, n)| n).sum()).collect()
@@ -424,19 +399,9 @@ impl PipelinePlan {
     }
 }
 
-/// Number of morsels needed to cover `rows` at `morsel_rows` rows per
-/// morsel. Always at least 1, so empty inputs still execute the pipeline
-/// once (empty selections, empty scans and empty aggregates are meaningful
-/// outputs).
-pub(crate) fn morsel_count(rows: usize, morsel_rows: usize) -> usize {
-    let morsel_rows = morsel_rows.max(1);
-    rows.div_ceil(morsel_rows).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apq_columnar::partition::RowRange;
     use apq_columnar::ScalarValue;
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
@@ -560,11 +525,11 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
         let s2 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![a]);
-        let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s2]);
-        p.set_root(u);
+        let fetch = p.add(OperatorSpec::Fetch, vec![s2, a]);
+        p.set_root(fetch);
         let fused = analyze(&p);
         // The scan is a whole-node step; each select becomes its own
-        // pipeline over the scan's chunk; the union is a breaker.
+        // pipeline over the scan's chunk, the second with its fetch.
         assert_eq!(fused.step_of[a], Some(0));
         assert_eq!(fused.steps[0], whole(0));
         let s1_step = &fused.steps[fused.step_of[s1].unwrap()];
@@ -572,7 +537,7 @@ mod tests {
             *s1_step == streams(a, &[s1]),
             "select over a fan-out scan should stream the materialized chunk: {s1_step:?}"
         );
-        assert_eq!(fused.steps[fused.step_of[u].unwrap()], whole(u));
+        assert_eq!(fused.steps[fused.step_of[fetch].unwrap()], streams(a, &[s2, fetch]));
     }
 
     #[test]
@@ -616,8 +581,8 @@ mod tests {
         let s2 = sel(&mut p, vec![b, s1]);
         let fetched = p.add(OperatorSpec::Fetch, vec![s2, b]);
         let s3 = sel(&mut p, vec![fetched]);
-        let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s3]);
-        p.set_root(u);
+        p.add(OperatorSpec::Fetch, vec![s1, a]);
+        p.set_root(s3);
         let fused = analyze(&p);
         assert_eq!(fused.steps[fused.step_of[s1].unwrap()], streams(a, &[s1]));
         assert_eq!(fused.steps[fused.step_of[s2].unwrap()], streams(s1, &[s2, fetched]));
@@ -625,32 +590,41 @@ mod tests {
     }
 
     #[test]
-    fn windowed_edges_never_chain() {
-        // A window addresses its producer's whole output; chaining the
-        // consumer under a morsel would re-cut relative coordinates.
-        let mut p = Plan::new();
-        let a = p.add(scan("a"), vec![]);
-        let sel =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
-        let add_one = OperatorSpec::Calc {
-            op: BinaryOp::Add,
-            left_scalar: None,
-            right_scalar: Some(ScalarValue::I64(1)),
+    fn cut_nodes_head_their_own_step() {
+        // scan a → select → fetch(·, a) → calc: under either planning the
+        // fetch, cut at 10, heads a step over the select's list, since its
+        // offsets address that list whole; a fetch that adopts its stream's
+        // parts joins the select's chain under morsel planning.
+        let plan = |cuts: Cuts| {
+            let mut p = Plan::new();
+            let a = p.add(scan("a"), vec![]);
+            let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) };
+            let sel = p.add(select, vec![a]);
+            let fetch = p.add(OperatorSpec::Fetch, vec![sel, a]);
+            let add_one = OperatorSpec::Calc {
+                op: BinaryOp::Add,
+                left_scalar: None,
+                right_scalar: Some(ScalarValue::I64(1)),
+            };
+            let calc = p.add(add_one, vec![fetch]);
+            p.node_mut(fetch).unwrap().cuts = cuts;
+            p.set_root(calc);
+            (p, [a, sel, fetch, calc])
         };
-        let fetch =
-            p.add_edges(OperatorSpec::Fetch, [(sel, Some(RowRange::new(10, 30))), (a, None)]);
-        let calc = p.add(add_one.clone(), vec![fetch]);
-        p.set_root(calc);
-        let fused = analyze(&p);
+        let (cut, [a, sel, fetch, calc]) = plan(Cuts::At(vec![10]));
+        let fused = PipelinePlan::analyze(&cut, ExecutionMode::MorselDriven).unwrap();
         assert_eq!(fused.steps[fused.step_of[sel].unwrap()], streams(a, &[sel]));
         assert_eq!(fused.steps[fused.step_of[fetch].unwrap()], streams(sel, &[fetch, calc]));
-        // But a fusible stage streams its producer's chunk through a window.
-        let mut p2 = Plan::new();
-        let a = p2.add(scan("a"), vec![]);
-        let calc = p2.add_edges(add_one, [(a, Some(RowRange::new(10, 30)))]);
-        p2.set_root(calc);
-        let fused2 = analyze(&p2);
-        assert_eq!(fused2.steps[fused2.step_of[calc].unwrap()], streams(a, &[calc]));
+        let oat = PipelinePlan::analyze(&cut, ExecutionMode::OperatorAtATime).unwrap();
+        assert_eq!(oat.n_pipelines(), 1);
+        assert_eq!(oat.steps[oat.step_of[fetch].unwrap()], streams(sel, &[fetch]));
+        assert_eq!(oat.steps[oat.step_of[calc].unwrap()], whole(calc));
+
+        let (adopting, _) = plan(Cuts::Adopt);
+        let fused = PipelinePlan::analyze(&adopting, ExecutionMode::MorselDriven).unwrap();
+        assert_eq!(fused.steps[fused.step_of[sel].unwrap()], streams(a, &[sel, fetch, calc]));
+        let oat = PipelinePlan::analyze(&adopting, ExecutionMode::OperatorAtATime).unwrap();
+        assert_eq!(oat.steps[oat.step_of[fetch].unwrap()], streams(sel, &[fetch]));
     }
 
     #[test]
@@ -875,15 +849,5 @@ mod tests {
         p.set_root(sq);
         let fused = analyze(&p);
         assert_eq!(fused.steps[fused.step_of[sq].unwrap()], whole(sq));
-    }
-
-    #[test]
-    fn morsel_count_covers_all_rows() {
-        assert_eq!(morsel_count(0, 1024), 1);
-        assert_eq!(morsel_count(1, 1024), 1);
-        assert_eq!(morsel_count(1024, 1024), 1);
-        assert_eq!(morsel_count(1025, 1024), 2);
-        assert_eq!(morsel_count(10_000, 1024), 10);
-        assert_eq!(morsel_count(10, 0), 10, "morsel_rows 0 is clamped to 1");
     }
 }

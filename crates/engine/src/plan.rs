@@ -1,32 +1,36 @@
 //! Dataflow plan representation.
 //!
-//! A [`Plan`] is a DAG of [`PlanNode`]s, each holding an [`OperatorSpec`] and
-//! its input edges: the ids of its producer nodes, each with an optional row
-//! window. This mirrors the property the paper requires of a host system:
-//! "its plan representation allows identification of individual expensive
-//! operators" (§2). The adaptive parallelizer (crate `apq-core`) and the
-//! heuristic baseline morph plans by cloning nodes over partitions and
-//! putting the clones in place ([`Plan::recombine`]); everything they need
-//! — consumer lookup, node insertion/removal, per-operator metadata such as
-//! which inputs are range-partitionable — lives here. A partition is
-//! a window on the edge that reads it, not a node: "creating slices involves
-//! marking the boundary ranges … there is no data copying involved" (§2.3).
+//! A [`Plan`] is a DAG of [`PlanNode`]s, each holding an [`OperatorSpec`],
+//! the ids of its producer nodes and its [`Cuts`]. This mirrors the property
+//! the paper requires of a host system: "its plan representation allows
+//! identification of individual expensive operators" (§2).
+//!
+//! The paper parallelizes an operator by cloning it over range partitions
+//! and recombining the clones with an exchange union (§2.1). Here a
+//! parallelized node stays one node and carries its cut points instead: the
+//! rows it streams are cut into parts, "marking the boundary ranges … there
+//! is no data copying involved" (§2.3), the driver runs one task per part
+//! and publishes the parts as one list, and a reader that reads the list
+//! whole packs it once. Cuts never change a node's output, so the adaptive
+//! parallelizer (crate `apq-core`) and the heuristic baseline rewrite a plan
+//! by setting cuts alone, and every parallel plan has its serial plan's
+//! nodes and edges.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::ScalarValue;
 use apq_operators::{AggFunc, BinaryOp, Predicate};
 
 use crate::error::{EngineError, Result};
+use crate::pipeline::stream_input;
 
 /// Identifier of a plan node (index into the plan's node table).
 pub type NodeId = usize;
 
-/// One input edge of a plan node: the producer and the edge's row window
-/// (`None` reads the producer's whole output).
-pub type Edge = (NodeId, Option<RowRange>);
+fn missing(id: NodeId) -> EngineError {
+    EngineError::InvalidPlan(format!("node {id} does not exist"))
+}
 
 /// Which side of a join result an operator projects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +44,8 @@ pub enum JoinSide {
 /// The physical operator a plan node executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OperatorSpec {
-    /// A base-table column, published whole and zero-copy (leaf). A
-    /// consumer that reads part of it reads a window on its edge
-    /// ([`PlanNode::windows`]).
+    /// A base-table column, published whole and zero-copy (leaf). A reader
+    /// that runs in parts cuts it ([`PlanNode::cuts`]).
     ScanColumn {
         /// Table name in the catalog.
         table: String,
@@ -105,7 +108,8 @@ pub enum OperatorSpec {
         /// The aggregate function.
         func: AggFunc,
     },
-    /// Merges partial scalar aggregates (any number of inputs) and finalizes.
+    /// Finalizes a partial scalar aggregate (its parts merged when it was
+    /// published).
     FinalizeAgg {
         /// The aggregate function (must match the partials).
         func: AggFunc,
@@ -115,9 +119,6 @@ pub enum OperatorSpec {
         /// The aggregate function.
         func: AggFunc,
     },
-    /// Exchange union: packs same-kind inputs in argument order, and merges
-    /// partial aggregates (scalar or grouped) in that order.
-    ExchangeUnion,
     /// Arithmetic between two scalar inputs (final result expressions).
     CalcScalars {
         /// The arithmetic operation.
@@ -146,7 +147,6 @@ impl OperatorSpec {
             OperatorSpec::ScalarAgg { .. } => "aggregate",
             OperatorSpec::FinalizeAgg { .. } => "finalizeagg",
             OperatorSpec::GroupAgg { .. } => "groupby",
-            OperatorSpec::ExchangeUnion => "union",
             OperatorSpec::CalcScalars { .. } => "calcscalar",
         }
     }
@@ -163,7 +163,8 @@ impl OperatorSpec {
             | OperatorSpec::KeySet
             | OperatorSpec::ProjectJoinSide { .. }
             | OperatorSpec::OidsFromColumn
-            | OperatorSpec::ScalarAgg { .. } => (1, 1),
+            | OperatorSpec::ScalarAgg { .. }
+            | OperatorSpec::FinalizeAgg { .. } => (1, 1),
             OperatorSpec::Select { .. } => (1, 2),
             OperatorSpec::IfThenElse { .. }
             | OperatorSpec::Fetch
@@ -172,14 +173,13 @@ impl OperatorSpec {
             | OperatorSpec::AntiJoin
             | OperatorSpec::GroupAgg { .. }
             | OperatorSpec::CalcScalars { .. } => (2, 2),
-            OperatorSpec::FinalizeAgg { .. } | OperatorSpec::ExchangeUnion => (1, usize::MAX),
         }
     }
 
-    /// Which of the node's inputs are *range partitionable together*
-    /// (aligned): when the operator is cloned over a partition, every aligned
-    /// input edge is windowed to the same row range while the others (hash
-    /// tables, full columns being fetched into, candidate lists) are shared.
+    /// Which of the node's inputs are *range aligned*: row `i` of each is
+    /// zipped with row `i` of the others, so a cut cuts them all at the same
+    /// offsets, while the other inputs (hash tables, full columns being
+    /// fetched into, a refining select's column) are read whole.
     pub fn aligned_inputs(&self, n_inputs: usize) -> Vec<bool> {
         let pattern: &[bool] = match self {
             OperatorSpec::Select { .. } => &[true, false],
@@ -196,7 +196,6 @@ impl OperatorSpec {
             | OperatorSpec::HashProbe
             | OperatorSpec::SemiJoin
             | OperatorSpec::AntiJoin => &[true, false],
-            OperatorSpec::ExchangeUnion => return vec![true; n_inputs],
             OperatorSpec::ScanColumn { .. }
             | OperatorSpec::FinalizeAgg { .. }
             | OperatorSpec::CalcScalars { .. } => return vec![false; n_inputs],
@@ -204,11 +203,10 @@ impl OperatorSpec {
         (0..n_inputs).map(|i| pattern.get(i).copied().unwrap_or(false)).collect()
     }
 
-    /// True when the operator can be cloned over range partitions by the
-    /// basic or advanced mutation (the exchange-union is handled separately
-    /// by the medium mutation). The clones are recombined by an exchange
-    /// union, which packs positional outputs and merges partial aggregates,
-    /// or by an existing combiner consumer.
+    /// True when the operator may carry cuts ([`PlanNode::cuts`]): it runs
+    /// over the rows it streams part by part, and its parts' outputs, in
+    /// order, are its whole output — positional outputs side by side,
+    /// partial aggregates merged.
     pub fn is_parallelizable(&self) -> bool {
         match self {
             OperatorSpec::Select { .. }
@@ -227,19 +225,8 @@ impl OperatorSpec {
             | OperatorSpec::HashBuild
             | OperatorSpec::KeySet
             | OperatorSpec::FinalizeAgg { .. }
-            | OperatorSpec::ExchangeUnion
             | OperatorSpec::CalcScalars { .. } => false,
         }
-    }
-
-    /// True when the operator absorbs partitioned inputs directly: it takes
-    /// any number of inputs and combines them (an exchange union packs or
-    /// merges them, `FinalizeAgg` merges partial scalar aggregates and
-    /// finishes them), so a rewrite may splice a producer's partitioned
-    /// versions into its input list instead of placing a new union in front
-    /// of it.
-    pub fn is_combiner(&self) -> bool {
-        matches!(self, OperatorSpec::ExchangeUnion | OperatorSpec::FinalizeAgg { .. })
     }
 
     /// Compact parameter description for plan pretty-printing.
@@ -267,6 +254,44 @@ impl OperatorSpec {
     }
 }
 
+/// Where a node cuts the rows it streams into parts: the rows of its stream
+/// input (a refining select's candidates, every other operator's first
+/// input) and of the range-aligned inputs zipped with it. The driver runs
+/// one task per part and publishes the parts' outputs, in order, as the
+/// node's one output: cuts never change what a node computes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Cuts {
+    /// Ascending row offsets: part `k` is rows `[at[k - 1], at[k])`, the
+    /// first starting at 0 and the last ending at the stream's end (an
+    /// offset past it cuts there). No offsets: one part.
+    At(Vec<usize>),
+    /// One part per published part of the stream.
+    Adopt,
+}
+
+impl Default for Cuts {
+    fn default() -> Self {
+        Cuts::At(Vec::new())
+    }
+}
+
+impl Cuts {
+    /// True for the default: one part, the whole stream.
+    pub fn is_whole(&self) -> bool {
+        matches!(self, Cuts::At(at) if at.is_empty())
+    }
+}
+
+impl std::fmt::Display for Cuts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cuts::At(at) if at.is_empty() => Ok(()),
+            Cuts::At(at) => write!(f, " cut at {at:?}"),
+            Cuts::Adopt => f.write_str(" adopts its stream's parts"),
+        }
+    }
+}
+
 /// One node of the plan DAG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
@@ -274,28 +299,23 @@ pub struct PlanNode {
     pub spec: OperatorSpec,
     /// Ids of the producer nodes whose outputs feed this node, in order.
     pub inputs: Vec<NodeId>,
-    /// One row window per input, in the same order: `Some(range)` reads rows
-    /// `[range.start, range.end)` of that producer's output, clamped to its
-    /// length; `None` reads the whole output.
-    pub windows: Vec<Option<RowRange>>,
+    /// Where the node cuts the rows it streams; the default is one part.
+    pub cuts: Cuts,
 }
 
 impl PlanNode {
-    /// The window on input edge `index` (`None` for a whole-output edge).
-    pub fn window(&self, index: usize) -> Option<RowRange> {
-        self.windows.get(index).copied().flatten()
-    }
-
-    /// The input edges in order: each producer with its window.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.inputs.iter().enumerate().map(|(i, &input)| (input, self.window(i)))
+    /// The producer whose output this node streams, if it has inputs.
+    pub fn stream(&self) -> Option<NodeId> {
+        self.inputs.get(stream_input(&self.spec, self.inputs.len())).copied()
     }
 }
 
-/// A dataflow plan: a DAG of operator nodes with a single result node.
+/// A dataflow plan: a DAG of operator nodes with a single result node. A
+/// node's id is its index; nodes are never removed, since a rewrite only
+/// sets cuts.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    nodes: Vec<Option<PlanNode>>,
+    nodes: Vec<PlanNode>,
     root: Option<NodeId>,
 }
 
@@ -305,20 +325,9 @@ impl Plan {
         Plan::default()
     }
 
-    /// Adds a node reading the whole output of each input and returns its id.
+    /// Adds a node over `inputs`, in one part, and returns its id.
     pub fn add(&mut self, spec: OperatorSpec, inputs: Vec<NodeId>) -> NodeId {
-        self.add_edges(spec, inputs.into_iter().map(|input| (input, None)))
-    }
-
-    /// Adds a node over `edges` — each producer with its row window — and
-    /// returns its id.
-    pub fn add_edges(
-        &mut self,
-        spec: OperatorSpec,
-        edges: impl IntoIterator<Item = Edge>,
-    ) -> NodeId {
-        let (inputs, windows) = edges.into_iter().unzip();
-        self.nodes.push(Some(PlanNode { spec, inputs, windows }));
+        self.nodes.push(PlanNode { spec, inputs, cuts: Cuts::default() });
         self.nodes.len() - 1
     }
 
@@ -332,150 +341,68 @@ impl Plan {
         self.root
     }
 
-    /// Total slots in the node table (including removed nodes).
+    /// Size of the node table: one past the largest id.
     pub fn capacity(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Number of live nodes — the paper's "number of MAL instructions".
+    /// Number of nodes — the paper's "number of MAL instructions".
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.nodes.len()
     }
 
-    /// Immutable access to a live node.
+    /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> Result<&PlanNode> {
-        self.nodes
-            .get(id)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| EngineError::InvalidPlan(format!("node {id} does not exist")))
+        self.nodes.get(id).ok_or_else(|| missing(id))
     }
 
-    /// Mutable access to a live node.
+    /// Mutable access to a node.
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut PlanNode> {
-        self.nodes
-            .get_mut(id)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| EngineError::InvalidPlan(format!("node {id} does not exist")))
+        self.nodes.get_mut(id).ok_or_else(|| missing(id))
     }
 
-    /// True when the node id refers to a live node.
+    /// True when the node id refers to a node.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes.get(id).is_some_and(Option::is_some)
+        id < self.nodes.len()
     }
 
-    /// Removes a node (its consumers must have been rewired first).
-    pub fn remove(&mut self, id: NodeId) -> Result<()> {
-        if !self.contains(id) {
-            return Err(EngineError::InvalidPlan(format!("cannot remove missing node {id}")));
-        }
-        self.nodes[id] = None;
-        Ok(())
-    }
-
-    /// Ids of all live nodes, ascending.
+    /// Ids of all nodes, ascending.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.iter().enumerate().filter_map(|(i, n)| n.as_ref().map(|_| i)).collect()
+        (0..self.nodes.len()).collect()
     }
 
-    /// Ids of the live nodes that consume `id`'s output, ascending.
+    /// Ids of the nodes that consume `id`'s output, ascending.
     pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().and_then(|node| node.inputs.contains(&id).then_some(i)))
-            .collect()
+        (0..self.nodes.len()).filter(|&i| self.nodes[i].inputs.contains(&id)).collect()
     }
 
-    /// Replaces every occurrence of `old` in `node`'s input list with `new`;
-    /// each edge keeps its window.
-    fn replace_input(&mut self, node: NodeId, old: NodeId, new: NodeId) -> Result<()> {
-        let n = self.node_mut(node)?;
-        for input in n.inputs.iter_mut() {
-            if *input == old {
-                *input = new;
+    /// The parts `id` runs in: one per range of its explicit cuts, its
+    /// stream producer's parts when it adopts them, else one. This is the
+    /// count the driver's tasks and published parts follow under
+    /// operator-at-a-time planning (morsel planning cuts each part further
+    /// on its grid).
+    pub fn parts(&self, id: NodeId) -> usize {
+        match self.node(id) {
+            Ok(PlanNode { cuts: Cuts::At(at), .. }) => at.len() + 1,
+            Ok(node @ PlanNode { cuts: Cuts::Adopt, .. }) => {
+                node.stream().map_or(1, |s| self.parts(s))
             }
+            Err(_) => 0,
         }
-        Ok(())
-    }
-
-    /// Replaces the first occurrence of `old` in `node`'s inputs with the
-    /// edges `new`, each with its own window. The replaced edge must read
-    /// `old` whole: the parts of a window are not windows of the parts.
-    fn splice_input(
-        &mut self,
-        node: NodeId,
-        old: NodeId,
-        new: impl IntoIterator<Item = Edge>,
-    ) -> Result<()> {
-        let n = self.node_mut(node)?;
-        let pos = n.inputs.iter().position(|&i| i == old).ok_or_else(|| {
-            EngineError::InvalidPlan(format!("node {node} does not consume node {old}"))
-        })?;
-        if n.window(pos).is_some() {
-            return Err(EngineError::InvalidPlan(format!(
-                "node {node} reads a window of node {old}, which cannot be spliced"
-            )));
-        }
-        let (inputs, windows): (Vec<_>, Vec<_>) = new.into_iter().unzip();
-        n.inputs.splice(pos..=pos, inputs);
-        n.windows.splice(pos..=pos, windows);
-        Ok(())
-    }
-
-    /// Puts `parts` in the place of `target` and removes `target`: the parts
-    /// are edges whose outputs, in order, make up `target`'s output (its
-    /// clones over partitions, or the inputs of a union). Every combiner that
-    /// reads `target` once and whole takes the parts in that input position;
-    /// every other reader, and the root, reads one new exchange union over
-    /// the parts, each edge keeping its window. This is the one step that
-    /// rewires the readers of a node replaced by parts.
-    ///
-    /// Returns the node combining the parts for `target`'s readers: the new
-    /// union when one was added, else the last combiner that took them;
-    /// `None` when nothing read `target`.
-    pub fn recombine(&mut self, target: NodeId, parts: &[Edge]) -> Result<Option<NodeId>> {
-        self.node(target)?;
-        let takes_parts = |node: &PlanNode| {
-            let mut reads = node.edges().filter(|&(input, _)| input == target);
-            let once_whole = reads.next() == Some((target, None)) && reads.next().is_none();
-            node.spec.is_combiner() && once_whole
-        };
-        let (combiners, others): (Vec<NodeId>, Vec<NodeId>) = self
-            .consumers(target)
-            .into_iter()
-            .partition(|&reader| self.node(reader).is_ok_and(takes_parts));
-        for &combiner in &combiners {
-            self.splice_input(combiner, target, parts.iter().copied())?;
-        }
-        let is_root = self.root == Some(target);
-        let union = (is_root || !others.is_empty())
-            .then(|| self.add_edges(OperatorSpec::ExchangeUnion, parts.iter().copied()));
-        if let Some(union) = union {
-            for reader in others {
-                self.replace_input(reader, target, union)?;
-            }
-            if is_root {
-                self.root = Some(union);
-            }
-        }
-        self.remove(target)?;
-        Ok(union.or(combiners.last().copied()))
     }
 
     /// Canonical structural signature of the plan: every live node's full
-    /// operator spec and input edges (windows included) plus the root
-    /// marker, in id order.
+    /// operator spec, inputs and cuts plus the root marker, in id order.
     /// Plans that build the same DAG the same way produce equal signatures;
     /// the encoding includes every operator parameter (predicate constants,
-    /// scanned columns) and every edge window, so "same shape, different
-    /// constants" never collides.
+    /// scanned columns) and every cut, so "same shape, different constants"
+    /// never collides.
     /// This is the cache key of the service layer's shared plan and result
     /// caches ([`crate::service`]).
     pub fn signature(&self) -> String {
         let mut out = String::new();
-        for id in self.node_ids() {
-            let node = self.node(id).expect("live node");
-            let _ = write!(out, "{id}:{:?}<-{};", node.spec, Edges(node));
+        for (id, node) in self.nodes.iter().enumerate() {
+            let _ = write!(out, "{id}:{:?}<-{:?}{};", node.spec, node.inputs, node.cuts);
         }
         let _ = write!(out, "root={:?}", self.root);
         out
@@ -486,9 +413,9 @@ impl Plan {
     /// service layer's result cache ([`crate::service`]).
     pub fn referenced_tables(&self) -> Vec<String> {
         let mut tables: Vec<String> = self
-            .node_ids()
-            .into_iter()
-            .filter_map(|id| match &self.node(id).expect("live node").spec {
+            .nodes
+            .iter()
+            .filter_map(|node| match &node.spec {
                 OperatorSpec::ScanColumn { table, .. } => Some(table.clone()),
                 _ => None,
             })
@@ -498,21 +425,24 @@ impl Plan {
         tables
     }
 
-    /// Counts live operators per family name (e.g. `select`, `join`, `union`).
+    /// Counts operators per family name (e.g. `select`, `join`) as they run:
+    /// each live node counts its [`Plan::parts`], as the paper counts each
+    /// clone of an operator (Table 5).
     pub fn count_by_name(&self) -> HashMap<&'static str, usize> {
         let mut out = HashMap::new();
-        for id in self.node_ids() {
-            *out.entry(self.node(id).expect("live").spec.name()).or_insert(0) += 1;
+        for (id, node) in self.nodes.iter().enumerate() {
+            *out.entry(node.spec.name()).or_insert(0) += self.parts(id);
         }
         out
     }
 
-    /// Number of live operators of one family.
+    /// Number of operators of one family, counted as [`Plan::count_by_name`]
+    /// counts them.
     pub fn count_of(&self, name: &str) -> usize {
         self.count_by_name().get(name).copied().unwrap_or(0)
     }
 
-    /// Topological order of the live nodes (producers before consumers),
+    /// Topological order of the nodes (producers before consumers),
     /// ties broken by ascending id. Linear in nodes + input edges: it runs on
     /// every submission ([`Plan::validate`]).
     pub fn topo_order(&self) -> Result<Vec<NodeId>> {
@@ -520,9 +450,8 @@ impl Plan {
         // One entry per input reference, so a consumer listing the same
         // producer several times appears that many times (adjacently).
         let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        let ids = self.node_ids();
-        for &id in &ids {
-            for &input in &self.node(id)?.inputs {
+        for (id, node) in self.nodes.iter().enumerate() {
+            for &input in &node.inputs {
                 if !self.contains(input) {
                     return Err(EngineError::InvalidPlan(format!(
                         "node {id} references missing node {input}"
@@ -533,8 +462,8 @@ impl Plan {
             }
         }
         let mut queue: VecDeque<NodeId> =
-            ids.iter().copied().filter(|&id| in_deg[id] == 0).collect();
-        let mut order = Vec::with_capacity(ids.len());
+            (0..self.nodes.len()).filter(|&id| in_deg[id] == 0).collect();
+        let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(id) = queue.pop_front() {
             order.push(id);
             for &consumer in &consumers[id] {
@@ -544,47 +473,47 @@ impl Plan {
                 }
             }
         }
-        if order.len() != ids.len() {
+        if order.len() != self.nodes.len() {
             return Err(EngineError::InvalidPlan("plan contains a cycle".to_string()));
         }
         Ok(order)
     }
 
-    /// Structural validation: root set and live, inputs live, one window
-    /// per input and none inverted, arities valid, no `Calc` with two scalar
-    /// operands, no `HashProbe` over a `KeySet` (a key set may have no rows
-    /// to pair), DAG acyclic.
+    /// Structural validation: root set and a node, inputs nodes, arities
+    /// valid, cuts only on parallelizable nodes (an adopting one with a
+    /// stream) and strictly ascending, no `Calc` with two scalar operands,
+    /// no `HashProbe` over a `KeySet` (a key set may have no rows to pair),
+    /// DAG acyclic.
     pub fn validate(&self) -> Result<()> {
         let root =
             self.root.ok_or_else(|| EngineError::InvalidPlan("plan has no root".to_string()))?;
         if !self.contains(root) {
-            return Err(EngineError::InvalidPlan(format!("root {root} is not a live node")));
+            return Err(EngineError::InvalidPlan(format!("root {root} is not a node")));
         }
-        for id in self.node_ids() {
-            let node = self.node(id)?;
+        // Inputs are nodes and the DAG is acyclic.
+        self.topo_order()?;
+        for (id, node) in self.nodes.iter().enumerate() {
             let (min, max) = node.spec.arity();
             if node.inputs.len() < min || node.inputs.len() > max {
                 return Err(EngineError::InvalidPlan(format!(
-                    "node {id} ({}) has {} inputs, expected between {min} and {}",
+                    "node {id} ({}) has {} inputs, expected between {min} and {max}",
                     node.spec.name(),
                     node.inputs.len(),
-                    if max == usize::MAX { "unbounded".to_string() } else { max.to_string() }
                 )));
             }
-            for &input in &node.inputs {
-                if !self.contains(input) {
-                    return Err(EngineError::InvalidPlan(format!(
-                        "node {id} references missing node {input}"
-                    )));
+            let refusal = match &node.cuts {
+                Cuts::Adopt if node.stream().is_none() => Some("adopts but streams no input"),
+                cuts if !cuts.is_whole() && !node.spec.is_parallelizable() => {
+                    Some("is cut but cannot run in parts")
                 }
-            }
-            let inverted = node.windows.iter().flatten().any(|w| w.start > w.end);
-            if inverted || node.windows.len() != node.inputs.len() {
-                let windows = &node.windows;
-                let n = node.inputs.len();
-                return Err(EngineError::InvalidPlan(format!(
-                    "node {id} has windows {windows:?} for {n} inputs"
-                )));
+                Cuts::At(at) if at.windows(2).any(|w| w[0] >= w[1]) => {
+                    Some("has cut offsets that do not ascend")
+                }
+                _ => None,
+            };
+            if let Some(refusal) = refusal {
+                let name = node.spec.name();
+                return Err(EngineError::InvalidPlan(format!("node {id} ({name}) {refusal}")));
             }
             if let OperatorSpec::Calc { left_scalar: Some(_), right_scalar: Some(_), .. } =
                 node.spec
@@ -601,48 +530,25 @@ impl Plan {
                 }
             }
         }
-        self.topo_order()?;
         Ok(())
     }
 
     /// Human-readable plan dump (one line per node, topological order).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        let order = match self.topo_order() {
-            Ok(o) => o,
-            Err(_) => self.node_ids(),
-        };
-        for id in order {
-            let node = self.node(id).expect("live");
+        for id in self.topo_order().unwrap_or_else(|_| self.node_ids()) {
+            let node = &self.nodes[id];
             let marker = if Some(id) == self.root { "*" } else { " " };
             let _ = writeln!(
                 out,
-                "{marker}[{id:>3}] {:<12} {:<28} <- {}",
+                "{marker}[{id:>3}] {:<12} {:<28} <- {:?}{}",
                 node.spec.name(),
                 node.spec.describe(),
-                Edges(node)
+                node.inputs,
+                node.cuts
             );
         }
         out
-    }
-}
-
-/// A node's input edges, shown as `[3, 5[0, 10)]`: each producer id,
-/// followed by its window when it has one. Written in place, since every
-/// service submission computes a [`Plan::signature`].
-struct Edges<'a>(&'a PlanNode);
-
-impl std::fmt::Display for Edges<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("[")?;
-        for (i, (input, window)) in self.0.edges().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(f, "{sep}{input}")?;
-            if let Some(w) = window {
-                write!(f, "[{}, {})", w.start, w.end)?;
-            }
-        }
-        f.write_str("]")
     }
 }
 
@@ -680,145 +586,74 @@ mod tests {
     }
 
     #[test]
-    fn consumers_and_rewiring() {
+    fn consumers_are_the_readers_in_id_order() {
         let mut p = tiny_plan();
         assert_eq!(p.consumers(1), vec![3]); // select feeds fetch
         assert_eq!(p.consumers(5), Vec::<NodeId>::new());
-        // Replace the fetch's oid input with a new select.
-        let s0 = 0;
         let sel2 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![s0]);
-        p.replace_input(3, 1, sel2).unwrap();
-        assert_eq!(p.consumers(sel2), vec![3]);
-        assert!(p.consumers(1).is_empty());
-        p.remove(1).unwrap();
-        p.validate().unwrap();
-        assert!(p.remove(1).is_err());
+            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![0]);
+        assert_eq!(p.consumers(0), vec![1, sel2]);
+    }
+
+    /// `tiny_plan` with `cuts` on `node`.
+    fn cut(node: NodeId, cuts: Cuts) -> Plan {
+        let mut p = tiny_plan();
+        p.node_mut(node).unwrap().cuts = cuts;
+        p
     }
 
     #[test]
-    fn splice_input_expands_unions() {
-        let mut p = Plan::new();
-        let a = p.add(scan("t", "a"), vec![]);
-        let s1 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let s2 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s2]);
-        p.set_root(u);
-        let s3 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let s4 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        p.splice_input(u, s2, [(s3, None), (s4, None)]).unwrap();
-        assert_eq!(p.node(u).unwrap().inputs, vec![s1, s3, s4]);
-        assert!(p.splice_input(u, 999, [(s1, None)]).is_err());
+    fn cuts_are_part_of_the_signature_and_the_dump() {
+        let (select, fetch) = (1, 3);
+        let whole = tiny_plan();
+        let halves = cut(select, Cuts::At(vec![4]));
+        let thirds = cut(select, Cuts::At(vec![4, 8]));
+        let adopting = cut(fetch, Cuts::Adopt);
+        let signatures = [&whole, &halves, &thirds, &adopting].map(Plan::signature);
+        for (i, a) in signatures.iter().enumerate() {
+            for b in &signatures[i + 1..] {
+                assert_ne!(a, b, "the plan cache would mix up two cuts");
+            }
+        }
+        assert!(signatures[1].contains("1:Select") && signatures[1].contains("<-[0] cut at [4];"));
+        assert!(halves.pretty().contains("<- [0] cut at [4]"), "{}", halves.pretty());
+        assert!(adopting.pretty().contains("<- [1, 2] adopts its stream's parts"));
+        assert!(!whole.pretty().contains("cut"), "{}", whole.pretty());
     }
 
     #[test]
-    fn edges_carry_windows_through_rewiring() {
-        let mut p = Plan::new();
-        let a = p.add(scan("t", "a"), vec![]);
-        let sel =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) }, vec![a]);
-        let head = Some(RowRange::new(0, 4));
-        let tail = Some(RowRange::new(4, 10));
-        let u = p.add_edges(OperatorSpec::ExchangeUnion, [(sel, head), (sel, tail)]);
-        p.set_root(u);
-        p.validate().unwrap();
-        let node = p.node(u).unwrap();
-        assert_eq!(node.inputs, vec![sel, sel]);
-        assert_eq!(node.edges().collect::<Vec<_>>(), vec![(sel, head), (sel, tail)]);
-        assert_eq!(node.window(2), None);
-        assert_eq!(p.consumers(sel), vec![u]);
-
-        // The windows are part of the plan's identity and its dump.
-        let whole = {
-            let mut w = p.clone();
-            w.node_mut(u).unwrap().windows = vec![None, None];
-            w
-        };
-        assert_ne!(p.signature(), whole.signature());
-        assert!(p.pretty().contains(&format!("[{sel}[0, 4), {sel}[4, 10)]")), "{}", p.pretty());
-        assert!(whole.pretty().contains(&format!("[{sel}, {sel}]")), "{}", whole.pretty());
-
-        // A new producer keeps each edge's window; a windowed edge cannot be
-        // spliced, a whole one takes the new edges with theirs.
-        let sel2 =
-            p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![a]);
-        p.replace_input(u, sel, sel2).unwrap();
-        assert_eq!(
-            p.node(u).unwrap().edges().collect::<Vec<_>>(),
-            vec![(sel2, head), (sel2, tail)]
-        );
-        assert!(p.splice_input(u, sel2, [(sel, None)]).is_err());
-        let outer = p.add(OperatorSpec::ExchangeUnion, vec![u, a]);
-        p.splice_input(outer, u, [(sel2, head), (sel, None)]).unwrap();
-        assert_eq!(
-            p.node(outer).unwrap().edges().collect::<Vec<_>>(),
-            vec![(sel2, head), (sel, None), (a, None)]
-        );
+    fn parts_follow_cuts_and_adoption() {
+        let mut p = cut(1, Cuts::At(vec![4, 8]));
+        assert_eq!((p.parts(0), p.parts(1), p.parts(3)), (1, 3, 1));
+        p.node_mut(3).unwrap().cuts = Cuts::Adopt;
+        p.node_mut(4).unwrap().cuts = Cuts::Adopt;
+        assert_eq!((p.parts(3), p.parts(4), p.parts(5)), (3, 3, 1));
+        // Families count their parts; the node count stays the serial one.
+        assert_eq!((p.count_of("select"), p.count_of("fetch"), p.count_of("scan")), (3, 3, 2));
+        assert_eq!(p.node_count(), tiny_plan().node_count());
+        assert_eq!(p.parts(99), 0);
     }
 
     #[test]
-    fn recombine_splices_into_whole_combiners_and_unions_for_every_other_reader() {
-        let mut p = Plan::new();
-        let a = p.add(scan("t", "a"), vec![]);
-        let select = || OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) };
-        let target = p.add(select(), vec![a]);
-        // Read whole by a combiner, through a window, and by a fetch; and the root.
-        let combiner = p.add(OperatorSpec::ExchangeUnion, vec![target, a]);
-        let head = Some(RowRange::new(0, 4));
-        let windowed = p.add_edges(OperatorSpec::ExchangeUnion, [(target, head)]);
-        let fetch = p.add(OperatorSpec::Fetch, vec![target, a]);
-        p.set_root(target);
-        let clones = [(0, 5), (5, 10)]
-            .map(|(lo, hi)| p.add_edges(select(), [(a, Some(RowRange::new(lo, hi)))]));
-        let parts = clones.map(|clone| (clone, None));
-
-        let union = p.recombine(target, &parts).unwrap().expect("a union for the root");
-        assert!(!p.contains(target));
-        assert_eq!(p.root(), Some(union));
-        let edges = |p: &Plan, id| p.node(id).unwrap().edges().collect::<Vec<_>>();
-        assert_eq!(edges(&p, union), parts);
-        assert_eq!(edges(&p, combiner), [parts[0], parts[1], (a, None)]);
-        assert_eq!(edges(&p, windowed), [(union, head)]);
-        assert_eq!(edges(&p, fetch), [(union, None), (a, None)]);
-        assert_eq!(p.count_of("union"), 3, "one union serves every reader and the root");
-        p.validate().unwrap();
-
-        // Combiners alone take the parts and add nothing (the first clone is
-        // read by two); a node nothing reads is removed with nothing to
-        // combine.
-        let nodes = p.node_count();
-        assert_eq!(p.recombine(clones[0], &[(a, head)]).unwrap(), Some(union));
-        assert_eq!((edges(&p, combiner)[0], edges(&p, union)[0]), ((a, head), (a, head)));
-        assert_eq!(p.node_count(), nodes - 1);
-        assert_eq!(p.recombine(fetch, &[(a, None)]).unwrap(), None);
-        assert!(!p.contains(fetch));
-        assert!(p.recombine(fetch, &[]).is_err());
-    }
-
-    #[test]
-    fn validation_checks_windows() {
-        let mut p = Plan::new();
-        let a = p.add(scan("t", "a"), vec![]);
-        let sel = p.add_edges(
-            OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 5i64) },
-            [(a, Some(RowRange::new(2, 8)))],
-        );
-        p.set_root(sel);
-        p.validate().unwrap();
-        p.node_mut(sel).unwrap().windows.push(None);
-        let err = p.validate().unwrap_err().to_string();
-        assert!(err.contains(&format!("node {sel} has windows [Some(")), "{err}");
-        assert!(err.ends_with(", None] for 1 inputs"), "{err}");
-        p.node_mut(sel).unwrap().windows = vec![Some(RowRange { start: 8, end: 2 })];
-        let err = p.validate().unwrap_err().to_string();
-        assert!(
-            err.contains("windows [Some(RowRange { start: 8, end: 2 })] for 1 inputs"),
-            "{err}"
-        );
+    fn validation_refuses_misplaced_and_disordered_cuts() {
+        let refusal = |p: Plan| p.validate().unwrap_err().to_string();
+        for ok in [cut(1, Cuts::At(vec![0, 3, 99])), cut(3, Cuts::Adopt), cut(4, Cuts::At(vec![1]))]
+        {
+            ok.validate().unwrap();
+        }
+        // A scan streams nothing; a finalize and a hash build run whole.
+        assert!(refusal(cut(0, Cuts::Adopt)).contains("node 0 (scan) adopts but streams no input"));
+        assert!(refusal(cut(0, Cuts::At(vec![2]))).contains("node 0 (scan) is cut but cannot"));
+        assert!(refusal(cut(5, Cuts::Adopt)).contains("node 5 (finalizeagg) is cut but cannot"));
+        let mut build = tiny_plan();
+        let table = build.add(OperatorSpec::HashBuild, vec![2]);
+        build.node_mut(table).unwrap().cuts = Cuts::At(vec![1]);
+        assert!(refusal(build).contains(&format!("node {table} (hashbuild) is cut but cannot")));
+        // Offsets ascend strictly.
+        for at in [vec![5, 3], vec![3, 3], vec![0, 0]] {
+            let err = refusal(cut(1, Cuts::At(at.clone())));
+            assert!(err.contains("node 1 (select) has cut offsets that do not ascend"), "{at:?}");
+        }
     }
 
     /// The quadratic body `Plan::topo_order` replaced (one `consumers` scan
@@ -858,22 +693,18 @@ mod tests {
         Ok(order)
     }
 
-    /// A ~2,000-node plan of the `heuristic_parallelize(.., 128)` shape:
-    /// per column pair, 128 partition chains (two scans, each read through
-    /// the chain's window, select, fetch, a calc reading its input twice,
-    /// partial aggregate) under one wide
-    /// union and one wide finalize; a few chains are removed to leave holes
-    /// in the node table, and later columns reuse the first one's scans.
+    /// A ~2,000-node plan of the `heuristic_parallelize(.., 128)` shape the
+    /// paper's clones made: per column pair, 128 chains (a scan, select,
+    /// fetch, a calc reading its input twice, partial aggregate and
+    /// finalize), with a few dead aggregates, and later columns reuse the
+    /// first one's scans.
     fn wide_plan() -> Plan {
         const PARTITIONS: usize = 128;
         let mut p = Plan::new();
         let mut first_scans = Vec::new();
         let mut roots = Vec::new();
         for column in 0..3 {
-            let mut selects = Vec::new();
-            let mut partials = Vec::new();
             for part in 0..PARTITIONS {
-                let window = Some(RowRange::new(part * 100, (part + 1) * 100));
                 let a = if column == 0 {
                     let a = p.add(scan("t", "a"), vec![]);
                     first_scans.push(a);
@@ -883,21 +714,18 @@ mod tests {
                 };
                 let b = p.add(scan("t", "b"), vec![]);
                 let pred = Predicate::cmp(CmpOp::Lt, column as i64);
-                let sel = p.add_edges(OperatorSpec::Select { predicate: pred }, [(a, window)]);
-                let fetch = p.add_edges(OperatorSpec::Fetch, [(sel, None), (b, window)]);
+                let sel = p.add(OperatorSpec::Select { predicate: pred }, vec![a]);
+                let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
                 let square = p.add(
                     OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
                     vec![fetch, fetch],
                 );
-                let dead = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]);
                 if part % 7 == 0 {
-                    p.remove(dead).unwrap();
+                    p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]);
                 }
-                selects.push(sel);
-                partials.push(p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]));
+                let partial = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![square]);
+                roots.push(p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![partial]));
             }
-            p.add(OperatorSpec::ExchangeUnion, selects);
-            roots.push(p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials));
         }
         let root = p.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, roots[..2].to_vec());
         p.set_root(root);
@@ -908,17 +736,15 @@ mod tests {
     fn topo_order_matches_the_quadratic_reference() {
         let wide = wide_plan();
         assert!(wide.node_count() > 2_000, "{} nodes", wide.node_count());
-        let mut rewired = tiny_plan();
-        let sel2 = rewired
+        let mut reordered = tiny_plan();
+        let sel2 = reordered
             .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![0]);
-        rewired.replace_input(3, 1, sel2).unwrap();
-        rewired.remove(1).unwrap();
+        reordered.node_mut(3).unwrap().inputs[0] = sel2;
         let mut cyclic = tiny_plan();
         cyclic.node_mut(0).unwrap().inputs.push(5);
-        cyclic.node_mut(0).unwrap().windows.push(None);
         let mut dangling = tiny_plan();
-        dangling.remove(2).unwrap();
-        for plan in [tiny_plan(), rewired, wide, cyclic, dangling, Plan::new()] {
+        dangling.node_mut(3).unwrap().inputs[1] = 99;
+        for plan in [tiny_plan(), reordered, wide, cyclic, dangling, Plan::new()] {
             assert_eq!(plan.topo_order(), topo_order_reference(&plan));
         }
     }
@@ -937,7 +763,6 @@ mod tests {
         // Introduce a cycle.
         let mut bad = p.clone();
         bad.node_mut(0).unwrap().inputs.push(5);
-        bad.node_mut(0).unwrap().windows.push(None);
         assert!(bad.topo_order().is_err());
         assert!(bad.validate().is_err());
     }
@@ -1014,19 +839,9 @@ mod tests {
         assert!(group.is_parallelizable());
         assert_eq!(group.aligned_inputs(2), vec![true, true]);
 
-        let union = OperatorSpec::ExchangeUnion;
-        assert!(!union.is_parallelizable());
-        assert_eq!(union.aligned_inputs(4), vec![true; 4]);
-        assert_eq!(union.arity(), (1, usize::MAX));
-
-        // The combiners are exactly the operators of unbounded arity.
         let fin = OperatorSpec::FinalizeAgg { func: AggFunc::Sum };
         assert!(!fin.is_parallelizable());
-        for spec in [&union, &fin] {
-            assert!(spec.is_combiner(), "{spec:?}");
-            assert_eq!(spec.arity().1, usize::MAX);
-        }
-        assert!(!sel.is_combiner() && !agg.is_combiner() && !group.is_combiner());
+        assert_eq!(fin.arity(), (1, 1));
 
         let scanop = scan("t", "a");
         assert!(!scanop.is_parallelizable());

@@ -17,6 +17,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use apq_columnar::partition::RowRange;
+
 use crate::plan::NodeId;
 
 /// Profile of one executed operator.
@@ -26,8 +28,12 @@ pub struct OperatorProfile {
     pub node: NodeId,
     /// Operator family name (`select`, `join`, `union`, ...).
     pub name: &'static str,
-    /// Start of execution, microseconds since the query started.
+    /// Start of execution, microseconds since the query started: its first
+    /// task's.
     pub start_us: u64,
+    /// When its output was published, microseconds since the query
+    /// started: after its last task. Its consumers start no earlier.
+    pub end_us: u64,
     /// Execution time in microseconds — *CPU time*, not elapsed time. For a
     /// whole-node step it is the operator's one execution, so it fits inside
     /// the query's wall time. For a stage of a fused pipeline it is the
@@ -49,6 +55,11 @@ pub struct OperatorProfile {
     /// shared backing's — so per-morsel claims over one backing sum to the
     /// backing size once, never N× it.
     pub bytes_out: usize,
+    /// One entry per task that ran the operator, in stream order: the range
+    /// of its stream the task covered and its time in µs (the terminal's
+    /// with the injected delay). A whole-node operator has one entry over
+    /// its whole stream; a node with cuts has at least one per part.
+    pub tasks: Vec<(RowRange, u64)>,
 }
 
 /// Which lifecycle step produced a [`DopEvent`].
@@ -264,11 +275,13 @@ impl QueryProfile {
         self.operators.iter().find(|o| o.node == node)
     }
 
-    /// Number of executed operators per family.
+    /// Number of executed operators per family, each counted once per task
+    /// that ran it ([`OperatorProfile::tasks`]): as many as its parts under
+    /// operator-at-a-time planning.
     pub fn count_by_name(&self) -> HashMap<&'static str, usize> {
         let mut out = HashMap::new();
         for op in &self.operators {
-            *out.entry(op.name).or_insert(0) += 1;
+            *out.entry(op.name).or_insert(0) += op.tasks.len().max(1);
         }
         out
     }
@@ -286,9 +299,7 @@ impl QueryProfile {
                 continue;
             }
             let from = (op.start_us * width as u64 / wall) as usize;
-            let to = (((op.start_us + op.duration_us) * width as u64).div_ceil(wall) as usize)
-                .min(width)
-                .max(from + 1);
+            let to = ((op.end_us * width as u64).div_ceil(wall) as usize).min(width).max(from + 1);
             let c = family_char(op.name);
             for cell in &mut lanes[op.worker][from..to.min(width)] {
                 *cell = c;
@@ -340,11 +351,13 @@ mod tests {
             node,
             name,
             start_us: start,
+            end_us: start + dur,
             duration_us: dur,
             queue_wait_us: 5,
             worker,
             rows_out: 1,
             bytes_out: 8,
+            tasks: vec![],
         }
     }
 

@@ -14,9 +14,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
-use apq_engine::plan::{OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, OperatorSpec, Plan};
 use apq_engine::{
     DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, QueryHandle,
     QueryOutput, QueryService, ReservedQuery, ServiceConfig,
@@ -39,25 +38,24 @@ fn scan(col: &str) -> OperatorSpec {
     OperatorSpec::ScanColumn { table: "t".into(), column: col.into() }
 }
 
-/// `partitions`-way parallel sum(b) where a < threshold — every partition is
-/// an independent scan→select→fetch→agg branch, its select reading the
-/// partition's window of its scan, so the query keeps many tasks runnable
-/// at once (the shape claw-backs must drain).
+/// `partitions`-way parallel sum(b) where a < threshold — the select cut
+/// into `partitions` ranges of its scan, the fetch and the aggregate
+/// adopting them, so the query keeps many tasks runnable at once (the shape
+/// claw-backs must drain).
 fn partitioned_plan(rows: usize, threshold: i64, partitions: usize) -> Plan {
     let mut p = Plan::new();
     let b = p.add(scan("b"), vec![]);
-    let mut partials = Vec::new();
+    let a = p.add(scan("a"), vec![]);
+    let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
+    let sel = p.add(select, vec![a]);
+    let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
     let step = rows.div_ceil(partitions);
-    for part in 0..partitions {
-        let lo = part * step;
-        let hi = ((part + 1) * step).min(rows);
-        let a = p.add(scan("a"), vec![]);
-        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
-        let sel = p.add_edges(select, [(a, Some(RowRange::new(lo, hi)))]);
-        let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
-        partials.push(p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]));
+    p.node_mut(sel).unwrap().cuts = Cuts::At((1..partitions).map(|part| part * step).collect());
+    for adopting in [fetch, agg] {
+        p.node_mut(adopting).unwrap().cuts = Cuts::Adopt;
     }
-    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     p.set_root(fin);
     p
 }

@@ -2,9 +2,9 @@
 //!
 //! Morsel-driven execution cuts pipeline inputs at fixed row counts, so the
 //! dangerous inputs are the ones whose sizes do *not* divide evenly: the
-//! last morsel is short, single-morsel pipelines take the no-slice fast
-//! path, and stream partitions (row windows on the edges that read a
-//! stream) start at offsets that are not multiples of the morsel size. Every
+//! last morsel is short, single-morsel pipelines run one task, and the parts
+//! of a cut stream start at offsets that are not multiples of the morsel
+//! size. Every
 //! case must produce byte-identical results to operator-at-a-time
 //! execution — including the `stream_base` candidate-stream alignment
 //! invariant fixed in PR 1: a pipeline fusing `fetch → probe` over a
@@ -13,9 +13,8 @@
 
 use std::sync::Arc;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, TableBuilder};
-use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, JoinSide, OperatorSpec, Plan};
 use apq_engine::{Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
@@ -57,9 +56,9 @@ fn grouped_sum_plan() -> Plan {
     p
 }
 
-/// The PR-1 stream-alignment shape: a hash probe cloned over windows of a
-/// candidate stream, cut at `k`.
-fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
+/// The PR-1 stream-alignment shape: a hash probe adopting the parts of a
+/// candidate stream's fetch, cut at `k`.
+fn probe_over_stream_plan(split: Option<usize>) -> Plan {
     let mut p = Plan::new();
     let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
 
@@ -75,23 +74,14 @@ fn probe_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
         p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
-    let join_union = match split {
-        None => {
-            let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
-            p.add(OperatorSpec::HashProbe, vec![fk_stream, hash])
-        }
-        Some(k) => {
-            let head = Some(RowRange::new(0, k));
-            let tail = Some(RowRange::new(k, k + rows));
-            let fk1 = p.add_edges(OperatorSpec::Fetch, [(cands, head), (fk_col, None)]);
-            let fk2 = p.add_edges(OperatorSpec::Fetch, [(cands, tail), (fk_col, None)]);
-            let j1 = p.add(OperatorSpec::HashProbe, vec![fk1, hash]);
-            let j2 = p.add(OperatorSpec::HashProbe, vec![fk2, hash]);
-            p.add(OperatorSpec::ExchangeUnion, vec![j1, j2])
-        }
-    };
+    let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
+    let join = p.add(OperatorSpec::HashProbe, vec![fk_stream, hash]);
+    if let Some(k) = split {
+        p.node_mut(fk_stream).unwrap().cuts = Cuts::At(vec![k]);
+        p.node_mut(join).unwrap().cuts = Cuts::Adopt;
+    }
 
-    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join_union]);
+    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
     let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
     let measure_j = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_j, measure_j]);
@@ -127,12 +117,13 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
 }
 
 #[test]
-fn window_past_the_table_end_is_clamped_before_morsels_are_cut() {
-    // A select reading rows [3_000, 12_000) of a 10_000-row table's scan
-    // reads the clamped window [3_000, 10_000); the fused select → fetch →
-    // agg over it cuts that window into 1_000-row morsels whose oids stay
-    // absolute. The summed values are the row ids themselves, so a window
-    // cut at the wrong offset cannot add up to the same total.
+fn a_cut_past_the_table_end_is_clamped_before_morsels_are_cut() {
+    // A select over a 10_000-row table's scan cut at 3_000 and 12_000 runs
+    // the ranges [0, 3_000), [3_000, 10_000) and an empty [10_000, 10_000);
+    // the fused select → fetch → agg cuts each range into 1_000-row morsels
+    // whose oids stay absolute. The summed values are the row ids
+    // themselves, so a range cut at the wrong offset cannot add up to the
+    // same total.
     let rows = 10_000i64;
     let mut c = Catalog::new();
     c.register(
@@ -148,7 +139,8 @@ fn window_past_the_table_end_is_clamped_before_morsels_are_cut() {
     let mut p = Plan::new();
     let m = p.add(scan("m"), vec![]);
     let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 250i64) };
-    let sel = p.add_edges(select, [(m, Some(RowRange::new(3_000, 12_000)))]);
+    let sel = p.add(select, vec![m]);
+    p.node_mut(sel).unwrap().cuts = Cuts::At(vec![3_000, 12_000]);
     let v = p.add(scan("v"), vec![]);
     let fetched = p.add(OperatorSpec::Fetch, vec![sel, v]);
     let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
@@ -156,19 +148,22 @@ fn window_past_the_table_end_is_clamped_before_morsels_are_cut() {
     p.set_root(fin);
 
     let expected = Engine::with_workers(3).execute(&p, &cat).unwrap().output;
-    let by_hand: i64 = (3_000..rows).filter(|r| (r * 7_919) % 1_009 < 250).sum();
+    let by_hand: i64 = (0..rows).filter(|r| (r * 7_919) % 1_009 < 250).sum();
     assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
 
     let exec = morsel_engine(1_000).execute(&p, &cat).unwrap();
-    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped window");
+    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped cut");
     let [pipeline] = exec.profile.pipelines.as_slice() else {
         panic!("one pipeline expected: {:?}", exec.profile.pipelines)
     };
     assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
-    assert_eq!(pipeline.n_morsels, 7);
-    assert_eq!(exec.profile.total_morsels(), 7);
-    // Its producer, the scan, published the whole column; the window cut
-    // the 7,000 rows the morsels cover.
+    // 3 + 7 morsels and the empty range's one.
+    assert_eq!(pipeline.n_morsels, 11);
+    assert_eq!(exec.profile.total_morsels(), 11);
+    let ranges: Vec<_> = exec.profile.operator(sel).unwrap().tasks.iter().map(|t| t.0).collect();
+    assert_eq!(ranges.first().map(|r| (r.start, r.end)), Some((0, 1_000)));
+    assert_eq!(ranges.last().map(|r| (r.start, r.end)), Some((10_000, 10_000)));
+    // Its producer, the scan, published the whole column.
     assert_eq!(exec.profile.operator(m).unwrap().rows_out, 10_000);
     let mut profiled: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     profiled.sort_unstable();
@@ -177,16 +172,16 @@ fn window_past_the_table_end_is_clamped_before_morsels_are_cut() {
 
 #[test]
 fn stream_partitions_keep_alignment_under_morsel_execution() {
-    // Windows of a candidate stream start at offsets that are not
+    // The parts of a candidate stream start at offsets that are not
     // multiples of the morsel size; the fused fetch → probe chains over
-    // each partition must emit absolute stream positions (stream_base).
+    // each part must emit absolute stream positions (stream_base).
     let rows = 4_000;
     let cat = catalog(rows);
-    let whole = probe_over_stream_plan(rows, None);
+    let whole = probe_over_stream_plan(None);
     let expected = Engine::with_workers(3).execute(&whole, &cat).unwrap().output;
 
     for (cut, morsel_rows) in [(1, 100), (7, 64), (100, 77), (1_000, 512), (2_000, 4_096)] {
-        let split = probe_over_stream_plan(rows, Some(cut));
+        let split = probe_over_stream_plan(Some(cut));
         let engine = morsel_engine(morsel_rows);
         let out = engine.execute(&split, &cat).unwrap().output;
         assert_eq!(
@@ -406,19 +401,19 @@ fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
 }
 
 #[test]
-fn a_window_on_a_hash_table_fails_the_query_under_both_plannings() {
+fn a_cut_hash_build_is_refused_under_both_plannings() {
     let cat = catalog(100);
     let mut p = Plan::new();
     let keys = fact_scan(&mut p, "grp");
-    let table = p.add_edges(OperatorSpec::HashBuild, [(keys, Some(RowRange::new(0, 10)))]);
+    let table = p.add(OperatorSpec::HashBuild, vec![keys]);
+    p.node_mut(table).unwrap().cuts = Cuts::At(vec![10]);
     let outer = fact_scan(&mut p, "fk");
-    let window = Some(RowRange::new(0, 1));
-    let semi = p.add_edges(OperatorSpec::SemiJoin, [(outer, None), (table, window)]);
+    let semi = p.add(OperatorSpec::SemiJoin, vec![outer, table]);
     p.set_root(semi);
     for engine in [Engine::with_workers(3), morsel_engine(10)] {
         let err = engine.execute(&p, &cat).unwrap_err();
-        let expected = "column, oids or join";
-        assert_eq!(err, EngineError::InvalidInput { node: semi, expected, found: "hash" });
+        let refusal = format!("node {table} (hashbuild) is cut but cannot run in parts");
+        assert_eq!(err, EngineError::InvalidPlan(refusal));
     }
 }
 

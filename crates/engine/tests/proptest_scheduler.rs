@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
-use apq_engine::plan::OperatorSpec;
+use apq_engine::plan::{Cuts, OperatorSpec};
 use apq_engine::{Engine, Plan, QueryOutput};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 use proptest::prelude::*;
@@ -32,12 +31,12 @@ fn catalog(rows: usize) -> Arc<Catalog> {
 }
 
 /// Partitioned select/fetch/sum plan over `rows` rows in `partitions`
-/// windows of uneven sizes, each on its own scan (the `skew` knob shifts the
-/// cut points).
+/// parts of uneven sizes (the `skew` knob shifts the cut points): the
+/// select is cut, the fetch and the aggregate adopt its parts.
 fn partitioned_plan(rows: usize, partitions: usize, threshold: i64, skew: usize) -> Plan {
     let mut p = Plan::new();
     let b = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "b".into() }, vec![]);
-    let mut aggs = Vec::new();
+    let mut at = Vec::new();
     let mut start = 0usize;
     for i in 0..partitions {
         let remaining = rows - start;
@@ -50,17 +49,21 @@ fn partitioned_plan(rows: usize, partitions: usize, threshold: i64, skew: usize)
         } else {
             (base + (skew % (base + 1))).min(remaining - (parts_left - 1))
         };
-        let end = start + len.max(1);
-        let scan =
-            p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
-        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
-        let sel = p.add_edges(select, [(scan, Some(RowRange::new(start, end)))]);
-        let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
-        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
-        aggs.push(agg);
-        start = end;
+        start += len.max(1);
+        if i + 1 < partitions {
+            at.push(start);
+        }
     }
-    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, aggs);
+    let scan = p.add(OperatorSpec::ScanColumn { table: "t".into(), column: "a".into() }, vec![]);
+    let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, threshold) };
+    let sel = p.add(select, vec![scan]);
+    let fetch = p.add(OperatorSpec::Fetch, vec![sel, b]);
+    let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetch]);
+    p.node_mut(sel).unwrap().cuts = Cuts::At(at);
+    for adopting in [fetch, agg] {
+        p.node_mut(adopting).unwrap().cuts = Cuts::Adopt;
+    }
+    let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     p.set_root(fin);
     p
 }
@@ -99,10 +102,9 @@ proptest! {
             for &input in &plan.node(node).unwrap().inputs {
                 let producer = exec.profile.operator(input).expect("input profiled");
                 prop_assert!(
-                    consumer.start_us >= producer.start_us + producer.duration_us,
+                    consumer.start_us >= producer.end_us,
                     "node {} started at {}us before its input {} finished at {}us",
-                    node, consumer.start_us, input,
-                    producer.start_us + producer.duration_us
+                    node, consumer.start_us, input, producer.end_us
                 );
             }
         }

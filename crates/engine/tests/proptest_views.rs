@@ -1,5 +1,5 @@
 //! Property tests for windowed stream views: random nested
-//! `Chunk::slice` / `ExchangeUnion` sequences over candidate and join streams —
+//! `Chunk::slice` / `exchange_union` sequences over candidate and join streams —
 //! odd offsets, empty windows, non-divisible morsel sizes, fresh-backing
 //! parts mixed into unions — must match a materializing reference
 //! implementation exactly, including the derived `stream_base` labels.
@@ -7,13 +7,12 @@
 //! The reference keeps a plain `Vec` plus an explicit stream offset and
 //! re-materializes on every cut (what the engine did before the view
 //! rewrite); the engine path cuts with `Chunk::slice`, as the executor does
-//! for plan-edge windows and morsels, and unions through `execute_node`,
+//! for cut ranges and morsels, and packs with the driver's `exchange_union`,
 //! exercising the zero-copy window arithmetic, the contiguous-windows union
 //! fast path and the borrowed-slice fallback pack.
 
-use apq_columnar::{Catalog, Oid};
-use apq_engine::interpreter::execute_node;
-use apq_engine::plan::OperatorSpec;
+use apq_columnar::Oid;
+use apq_engine::interpreter::exchange_union;
 use apq_engine::Chunk;
 use apq_operators::JoinResult;
 use proptest::prelude::*;
@@ -43,8 +42,8 @@ fn slice_chunk(chunk: &Chunk, start: usize, len: usize) -> Chunk {
     chunk.slice(start, len).unwrap()
 }
 
-fn union_chunks(cat: &Catalog, parts: &[Chunk]) -> Chunk {
-    execute_node(1, &OperatorSpec::ExchangeUnion, parts, cat).unwrap()
+fn union_chunks(parts: &[Chunk]) -> Chunk {
+    exchange_union(1, parts).unwrap()
 }
 
 /// Asserts the engine chunk matches the reference: same values (via the
@@ -96,7 +95,6 @@ fn grid_parts(chunk: &Chunk, morsel: usize, rematerialize_odd: bool) -> Vec<Chun
 
 /// Drives one random op sequence over both an oid stream and a join stream.
 fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
-    let cat = Catalog::new();
     let mut cases: Vec<(Chunk, RefStream)> = vec![
         (
             Chunk::oids((0..len as Oid).map(|v| v * 3 + 7).collect()),
@@ -136,7 +134,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 1 => {
                     let morsel = (a % (rows + 2)).max(1);
                     let parts = grid_parts(chunk, morsel, false);
-                    let reunited = union_chunks(&cat, &parts);
+                    let reunited = union_chunks(&parts);
                     match (&reunited, &*chunk) {
                         (Chunk::Oids(u), Chunk::Oids(c)) => {
                             assert!(u.shares_backing_with(c), "fast path did not engage")
@@ -155,7 +153,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 _ => {
                     let morsel = (b % (rows + 2)).max(1);
                     let parts = grid_parts(chunk, morsel, true);
-                    *chunk = union_chunks(&cat, &parts);
+                    *chunk = union_chunks(&parts);
                 }
             }
             assert_matches(chunk, reference);

@@ -1,18 +1,20 @@
 //! Regression test for candidate-stream alignment under plan mutation.
 //!
-//! The adaptive optimizer's medium mutation may clone a position-emitting
-//! consumer (a hash probe) over windows of a *candidate stream* (a fetch
-//! output ordered by an oid list rather than by base-table position), each
-//! read through a row window on the edge. The seed engine forgot each partition's offset within the
-//! stream: the cloned probe on partition 2 emitted outer oids starting at 0
-//! instead of at the partition boundary, so downstream fetches paired rows
-//! from the wrong partition — group sums silently redistributed across
-//! groups (observed as a rare `ResultMismatch` on TPC-DS Q42-shape queries,
-//! reachable only through contention-skewed mutation sequences).
+//! The adaptive optimizer's mutations may run a position-emitting consumer
+//! (a hash probe) in parts of a *candidate stream* (a fetch output ordered
+//! by an oid list rather than by base-table position). The seed engine
+//! forgot each partition's offset within the stream: the probe on partition
+//! 2 emitted outer oids starting at 0 instead of at the partition boundary,
+//! so downstream fetches paired rows from the wrong partition — group sums
+//! silently redistributed across groups (observed as a rare
+//! `ResultMismatch` on TPC-DS Q42-shape queries, reachable only through
+//! contention-skewed mutation sequences).
 //!
 //! The fix threads a `stream_base` through `Chunk::Oids` / `Chunk::Join` and
 //! into fetch outputs' base oids. This test executes the exact pre-/post-
-//! mutation plan shapes deterministically and asserts identical results.
+//! mutation plan shapes deterministically — the mutated ones with cuts, the
+//! consumers adopting their producers' parts — and asserts identical
+//! results.
 //!
 //! The last two tests put the two position emitters added with the one-pass
 //! kernels through the same treatment: the anti-join (`probe_anti` emits
@@ -22,9 +24,8 @@
 
 use std::sync::Arc;
 
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
-use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, JoinSide, OperatorSpec, Plan};
 use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, GroupKey, Predicate};
 
@@ -56,10 +57,10 @@ fn catalog_with_fk(fk: Vec<i64>) -> Arc<Catalog> {
 }
 
 /// Plan mirroring the fatal TPC-DS shape. `split` controls the mutated
-/// variant: `None` probes the whole candidate stream through one join;
-/// `Some(k)` clones the probe over the stream sliced at `k` (what the medium
-/// mutation produces), unioning the per-partition join results.
-fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) -> Plan {
+/// variant: `None` probes the whole candidate stream in one part; `Some(k)`
+/// cuts the fetch of the fk stream at `k` and has the probe adopt its two
+/// parts (what the medium mutation produces).
+fn probe_over_stream_plan(selected_max: i64, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
     let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
 
@@ -81,28 +82,18 @@ fn probe_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) 
         p.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
-    // Probe the fk stream — whole, or cloned over two partitions of the
-    // *candidate list* (the exact shape the medium mutation produces: each
-    // partition of the oid list is a window on a fetch's edge, and the probe
-    // is cloned per partition).
-    let join_union = match split {
-        None => {
-            let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
-            p.add(OperatorSpec::HashProbe, vec![fk_stream, hash])
-        }
-        Some(k) => {
-            let head = Some(RowRange::new(0, k));
-            let tail = Some(RowRange::new(k, k + rows));
-            let fk1 = p.add_edges(OperatorSpec::Fetch, [(cands, head), (fk_col, None)]);
-            let fk2 = p.add_edges(OperatorSpec::Fetch, [(cands, tail), (fk_col, None)]);
-            let j1 = p.add(OperatorSpec::HashProbe, vec![fk1, hash]);
-            let j2 = p.add(OperatorSpec::HashProbe, vec![fk2, hash]);
-            p.add(OperatorSpec::ExchangeUnion, vec![j1, j2])
-        }
-    };
+    // Probe the fk stream — whole, or in two parts of the *candidate list*
+    // (the exact shape the medium mutation produces: the fetch is cut, and
+    // the probe adopts its parts).
+    let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
+    let join = p.add(OperatorSpec::HashProbe, vec![fk_stream, hash]);
+    if let Some(k) = split {
+        p.node_mut(fk_stream).unwrap().cuts = Cuts::At(vec![k]);
+        p.node_mut(join).unwrap().cuts = Cuts::Adopt;
+    }
 
     // Surviving stream positions → pair group keys with measures.
-    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join_union]);
+    let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
     let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
     let measure_j = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_j, measure_j]);
@@ -116,13 +107,13 @@ fn probe_cloned_over_stream_partitions_matches_the_unsplit_plan() {
     let cat = catalog(rows);
     let engine = Engine::with_workers(3);
 
-    let whole = probe_over_stream_plan(rows, 4, None);
+    let whole = probe_over_stream_plan(4, None);
     let expected = engine.execute(&whole, &cat).expect("unsplit plan executes").output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
 
     // Several cut points, including lopsided ones.
     for k in [1, 7, 100, 1_000, 2_000] {
-        let split = probe_over_stream_plan(rows, 4, Some(k));
+        let split = probe_over_stream_plan(4, Some(k));
         split.validate().expect("split plan is valid");
         let out = engine.execute(&split, &cat).expect("split plan executes").output;
         assert_eq!(
@@ -156,27 +147,13 @@ fn sliced_join_results_keep_their_stream_offset() {
     whole.set_root(fin);
     let expected = engine.execute(&whole, &cat).expect("whole executes").output;
 
-    // Same pipeline, but the join result is sliced into two windows whose
-    // projections are fetched and summed independently.
-    let mut split = Plan::new();
-    let fk =
-        split.add(OperatorSpec::ScanColumn { table: "fact".into(), column: "fk".into() }, vec![]);
-    let dim =
-        split.add(OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() }, vec![]);
-    let hash = split.add(OperatorSpec::HashBuild, vec![dim]);
-    let join = split.add(OperatorSpec::HashProbe, vec![fk, hash]);
-    let measure = split
-        .add(OperatorSpec::ScanColumn { table: "fact".into(), column: "measure".into() }, vec![]);
-    let mut partials = Vec::new();
-    for (start, len) in [(0, 123), (123, rows)] {
-        let window = Some(RowRange::new(start, start + len));
-        let outer = split
-            .add_edges(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, [(join, window)]);
-        let fetched = split.add(OperatorSpec::Fetch, vec![outer, measure]);
-        partials.push(split.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]));
+    // Same pipeline, but the projection cuts the join result in two, and
+    // the fetch and the sum adopt its parts.
+    let mut split = whole.clone();
+    split.node_mut(outer).unwrap().cuts = Cuts::At(vec![123]);
+    for adopting in [fetched, agg] {
+        split.node_mut(adopting).unwrap().cuts = Cuts::Adopt;
     }
-    let fin = split.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, partials);
-    split.set_root(fin);
     split.validate().expect("split plan is valid");
 
     let out = engine.execute(&split, &cat).expect("split executes").output;
@@ -185,8 +162,8 @@ fn sliced_join_results_keep_their_stream_offset() {
 
 /// Fact rows of the candidate stream (`grp < selected_max`) whose `fk` has no
 /// dimension match, summed per group — with the anti-join run over the whole
-/// stream, or cloned over the stream cut at `split`.
-fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usize>) -> Plan {
+/// stream, or in the two parts of the fk fetch cut at `split`.
+fn anti_join_over_stream_plan(selected_max: i64, split: Option<usize>) -> Plan {
     let mut p = Plan::new();
     let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let grp = p.add(scan("grp"), vec![]);
@@ -203,23 +180,12 @@ fn anti_join_over_stream_plan(rows: usize, selected_max: i64, split: Option<usiz
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
 
     // Stream positions without a match.
-    let unmatched = match split {
-        None => {
-            let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
-            p.add(OperatorSpec::AntiJoin, vec![fk_stream, hash])
-        }
-        Some(k) => {
-            let parts: Vec<_> = [(0, k), (k, rows)]
-                .into_iter()
-                .map(|(start, len)| {
-                    let part = Some(RowRange::new(start, start + len));
-                    let fk = p.add_edges(OperatorSpec::Fetch, [(cands, part), (fk_col, None)]);
-                    p.add(OperatorSpec::AntiJoin, vec![fk, hash])
-                })
-                .collect();
-            p.add(OperatorSpec::ExchangeUnion, parts)
-        }
-    };
+    let fk_stream = p.add(OperatorSpec::Fetch, vec![cands, fk_col]);
+    let unmatched = p.add(OperatorSpec::AntiJoin, vec![fk_stream, hash]);
+    if let Some(k) = split {
+        p.node_mut(fk_stream).unwrap().cuts = Cuts::At(vec![k]);
+        p.node_mut(unmatched).unwrap().cuts = Cuts::Adopt;
+    }
     let grp_u = p.add(OperatorSpec::Fetch, vec![unmatched, grp_stream]);
     let measure_u = p.add(OperatorSpec::Fetch, vec![unmatched, measure_stream]);
     let grouped = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![grp_u, measure_u]);
@@ -233,12 +199,12 @@ fn anti_join_cloned_over_stream_partitions_matches_the_unsplit_plan() {
     let cat = catalog(rows);
     let engine = Engine::with_workers(3);
     let expected = engine
-        .execute(&anti_join_over_stream_plan(rows, 4, None), &cat)
+        .execute(&anti_join_over_stream_plan(4, None), &cat)
         .expect("unsplit plan executes")
         .output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
     for k in [1, 7, 100, 1_000, 2_000] {
-        let split = anti_join_over_stream_plan(rows, 4, Some(k));
+        let split = anti_join_over_stream_plan(4, Some(k));
         split.validate().expect("split plan is valid");
         let out = engine.execute(&split, &cat).expect("split plan executes").output;
         assert_eq!(out, expected, "anti-join over stream partitions (cut at {k}) mislabelled rows");
@@ -248,7 +214,7 @@ fn anti_join_cloned_over_stream_partitions_matches_the_unsplit_plan() {
 /// The probe works through its outer rows a block (256) at a time and, for an
 /// anti-join, compacts each block's unmatched rows afterwards. Here the only
 /// unmatched stream positions are two runs that straddle block edges of the
-/// *second* partition's clone — edges that sit at `cut + 256` and `cut + 512`
+/// *second* part — edges that sit at `cut + 256` and `cut + 512`
 /// of the stream, nowhere near a multiple of 256 — so a survivor numbered
 /// within its block, or within its partition, lands on another row's group.
 #[test]
@@ -282,7 +248,7 @@ fn anti_join_misses_spanning_a_probe_block_edge_keep_their_stream_offset() {
     let cat = catalog_with_fk(fk);
     let engine = Engine::with_workers(2);
     for split in [None, Some(cut)] {
-        let plan = anti_join_over_stream_plan(rows, 4, split);
+        let plan = anti_join_over_stream_plan(4, split);
         plan.validate().expect("plan is valid");
         let out = engine.execute(&plan, &cat).expect("plan executes").output;
         assert_eq!(out, QueryOutput::Groups(expected.clone()), "anti-join split at {split:?}");
@@ -291,11 +257,12 @@ fn anti_join_misses_spanning_a_probe_block_edge_keep_their_stream_offset() {
 
 /// Join-stream positions whose fact `measure` is below 500, grouped: the
 /// selection runs over the measure fetched through the projected outer side —
-/// of the whole join result, or of windows of it. A projected
-/// window that forgot its stream offset would select positions from 0 again.
-/// `union_only` instead returns the projected outer side itself, whole or
-/// reassembled from the windows.
-fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) -> Plan {
+/// of the whole join result, or of its parts when the projection is cut at
+/// `cuts` and the fetch and the selection adopt them. A projected part that
+/// forgot its stream offset would select positions from 0 again.
+/// `side_only` instead returns the projected outer side itself, whole or
+/// packed from its parts.
+fn project_over_join_stream_plan(cuts: &[usize], side_only: bool) -> Plan {
     let mut p = Plan::new();
     let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let fk = p.add(scan("fk"), vec![]);
@@ -310,33 +277,21 @@ fn project_over_join_stream_plan(rows: usize, cuts: &[usize], union_only: bool) 
     let grp_j = p.add(OperatorSpec::Fetch, vec![outer, grp]);
 
     let below = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 500i64) };
-    let mut bounds = vec![0];
-    bounds.extend_from_slice(cuts);
-    bounds.push(rows);
-    let windows: Vec<_> = bounds
-        .windows(2)
-        .map(|w| {
-            let window = Some(RowRange::new(w[0], w[1]));
-            p.add_edges(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, [(join, window)])
-        })
-        .collect();
-    if union_only {
-        let root =
-            if cuts.is_empty() { outer } else { p.add(OperatorSpec::ExchangeUnion, windows) };
-        p.set_root(root);
+    let side = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
+    p.node_mut(side).unwrap().cuts = Cuts::At(cuts.to_vec());
+    if side_only {
+        p.set_root(side);
         return p;
     }
     let selected = if cuts.is_empty() {
         p.add(below, vec![measure_j])
     } else {
-        let parts: Vec<_> = windows
-            .into_iter()
-            .map(|side| {
-                let m = p.add(OperatorSpec::Fetch, vec![side, measure]);
-                p.add(below.clone(), vec![m])
-            })
-            .collect();
-        p.add(OperatorSpec::ExchangeUnion, parts)
+        let m = p.add(OperatorSpec::Fetch, vec![side, measure]);
+        let selected = p.add(below, vec![m]);
+        for adopting in [m, selected] {
+            p.node_mut(adopting).unwrap().cuts = Cuts::Adopt;
+        }
+        selected
     };
     let grp_s = p.add(OperatorSpec::Fetch, vec![selected, grp_j]);
     let measure_s = p.add(OperatorSpec::Fetch, vec![selected, measure_j]);
@@ -354,28 +309,28 @@ fn projected_join_sides_of_stream_windows_keep_their_stream_offset() {
         plan.validate().expect("plan is valid");
         engine.execute(&plan, &cat).expect("plan executes").output
     };
-    let expected = run(project_over_join_stream_plan(rows, &[], false));
+    let expected = run(project_over_join_stream_plan(&[], false));
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
-    let whole_side = run(project_over_join_stream_plan(rows, &[], true));
+    let whole_side = run(project_over_join_stream_plan(&[], true));
     assert!(matches!(whole_side, QueryOutput::Oids(ref o) if o.len() > 1_000));
     for cuts in [&[1][..], &[123], &[600, 601], &[5, 700, 1_100]] {
         assert_eq!(
-            run(project_over_join_stream_plan(rows, cuts, false)),
+            run(project_over_join_stream_plan(cuts, false)),
             expected,
-            "selection over projected join windows (cuts {cuts:?}) restarted its positions"
+            "selection over projected join parts (cuts {cuts:?}) restarted its positions"
         );
-        // Side views of consecutive windows reassemble into the whole side.
-        assert_eq!(run(project_over_join_stream_plan(rows, cuts, true)), whole_side);
+        // Side views of consecutive parts reassemble into the whole side.
+        assert_eq!(run(project_over_join_stream_plan(cuts, true)), whole_side);
     }
 }
 
 /// TPC-H Q9's fan-out over a candidate stream: the first probe runs over
-/// the fetched `fk` stream, whole or cloned over two windows of it; both
+/// the fetched `fk` stream, whole or cut in two parts of it; both
 /// join sides are read, a col⊗col calc zips two fetches through the outer
 /// side, a second probe over a third such fetch emits join-stream positions,
 /// and the group-by zips keys from its inner side against revenue fetched by
 /// its outer positions.
-fn q9_shaped_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
+fn q9_shaped_over_stream_plan(split: Option<usize>) -> Plan {
     let mut p = Plan::new();
     let scan = |col: &str| OperatorSpec::ScanColumn { table: "fact".into(), column: col.into() };
     let dim = || OperatorSpec::ScanColumn { table: "dim".into(), column: "key".into() };
@@ -389,19 +344,8 @@ fn q9_shaped_over_stream_plan(rows: usize, split: Option<usize>) -> Plan {
     let grp_stream = p.add(OperatorSpec::Fetch, vec![cands, grp]);
     let dim_key = p.add(dim(), vec![]);
     let hash = p.add(OperatorSpec::HashBuild, vec![dim_key]);
-    let join = match split {
-        None => p.add(OperatorSpec::HashProbe, vec![fk_stream, hash]),
-        Some(k) => {
-            let parts: Vec<_> = [(0, k), (k, rows)]
-                .into_iter()
-                .map(|(start, end)| {
-                    let window = Some(RowRange::new(start, end));
-                    p.add_edges(OperatorSpec::HashProbe, [(fk_stream, window), (hash, None)])
-                })
-                .collect();
-            p.add(OperatorSpec::ExchangeUnion, parts)
-        }
-    };
+    let join = p.add(OperatorSpec::HashProbe, vec![fk_stream, hash]);
+    p.node_mut(join).unwrap().cuts = Cuts::At(split.into_iter().collect());
     let outer = p.add(OperatorSpec::ProjectJoinSide { side: JoinSide::Outer }, vec![join]);
     let price = p.add(OperatorSpec::Fetch, vec![outer, measure_stream]);
     let weight = p.add(OperatorSpec::Fetch, vec![outer, grp_stream]);
@@ -425,7 +369,7 @@ fn a_q9_shaped_fan_out_over_stream_windows_matches_the_unsplit_plan_under_morsel
     let rows = 4_000;
     let cat = catalog(rows);
     let expected = Engine::with_workers(3)
-        .execute(&q9_shaped_over_stream_plan(rows, None), &cat)
+        .execute(&q9_shaped_over_stream_plan(None), &cat)
         .expect("unsplit plan executes")
         .output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if g.len() == 4));
@@ -436,7 +380,7 @@ fn a_q9_shaped_fan_out_over_stream_windows_matches_the_unsplit_plan_under_morsel
                 .with_morsel_rows(morsel_rows),
         );
         for split in [None, Some(1), Some(333), Some(1_500)] {
-            let plan = q9_shaped_over_stream_plan(rows, split);
+            let plan = q9_shaped_over_stream_plan(split);
             plan.validate().expect("plan is valid");
             let out = engine.execute(&plan, &cat).expect("plan executes").output;
             assert_eq!(out, expected, "morsel_rows {morsel_rows}, probe split at {split:?}");

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use apq_columnar::datagen::uniform_strings;
 use apq_columnar::{Catalog, Column, Oid, ScalarValue, TableBuilder};
-use apq_engine::interpreter::execute_node;
+use apq_engine::interpreter::{exchange_union, execute_node};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
 use apq_engine::{Chunk, Engine, EngineConfig, ExecutionMode, JoinView, OidsView};
 use apq_operators::{
@@ -284,7 +284,6 @@ fn a_fan_out_read_piece_by_piece_is_never_packed() {
 #[test]
 fn stream_view_cuts_are_alloc_free() {
     const N: usize = 1_000_000;
-    let cat = Catalog::new();
 
     // Everything the measured closures touch is built before the gate opens.
     let oids_chunk = Chunk::oids((0..N as u64).collect());
@@ -313,13 +312,12 @@ fn stream_view_cuts_are_alloc_free() {
     // first window instead of packing, so its footprint is a few pointers of
     // bookkeeping (the views vec), never the 8 MB an O(rows) pack would copy.
     let parts: Vec<Chunk> = (0..4).map(|i| oids_chunk.slice(i * (N / 4), N / 4).unwrap()).collect();
-    let (allocs, bytes) =
-        allocations_during(|| execute_node(1, &OperatorSpec::ExchangeUnion, &parts, &cat));
+    let (allocs, bytes) = allocations_during(|| exchange_union(1, &parts));
     assert!(allocs <= 4, "zero-copy union made {allocs} allocations");
     assert!(bytes < 1024, "zero-copy union allocated {bytes} bytes for a {} byte stream", N * 8);
 
     // And the reassembled window really is the parent backing.
-    let whole = execute_node(1, &OperatorSpec::ExchangeUnion, &parts, &cat).unwrap();
+    let whole = exchange_union(1, &parts).unwrap();
     let whole_view = whole.as_oids_view().unwrap();
     assert!(whole_view.shares_backing_with(oids_chunk.as_oids_view().unwrap()));
     assert_eq!(whole_view.len(), N);

@@ -20,7 +20,6 @@ use adaptive_parallelization::engine::{
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
-use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
@@ -212,15 +211,13 @@ fn fused_group_agg_matches_across_modes() {
 
 #[test]
 fn fused_group_agg_handles_empty_and_tiny_inputs() {
-    // Empty windows still run one morsel and publish an empty grouped
-    // result; single-morsel inputs take the n_morsels == 1 fast path. Both
-    // must agree with operator-at-a-time.
-    let catalog = two_column_catalog(12_345);
+    // Empty inputs still run one morsel and publish an empty grouped
+    // result; single-morsel inputs run one morsel. Both must agree with
+    // operator-at-a-time.
     let reference = Engine::with_workers(WORKERS);
     for rows in [0, 1, MORSEL_ROWS - 1, MORSEL_ROWS] {
-        // Both inputs read the first `rows` rows of their scans.
-        let (mut plan, group) = group_agg_plan(AggFunc::Sum);
-        plan.node_mut(group).unwrap().windows = vec![Some(RowRange::new(0, rows)); 2];
+        let catalog = two_column_catalog(rows);
+        let (plan, _) = group_agg_plan(AggFunc::Sum);
         assert_modes_agree(&format!("groupagg over {rows} rows"), &plan, &catalog, &reference);
     }
 }
@@ -230,13 +227,15 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
     // A col⊗col calc whose inputs disagree on length must fail identically
     // in both modes (never silently zip morsel-sized slices that happen to
     // agree): the executor checks the whole-input length before slicing.
-    let catalog = two_column_catalog(4_000);
+    let mut catalog = Catalog::clone(&two_column_catalog(4_000));
+    catalog.register(TableBuilder::new("u").i64_column("b", vec![1; 2_000]).build().unwrap());
+    let catalog = Arc::new(catalog);
     let mut p = Plan::new();
     let a = scan_t(&mut p, "a");
-    let b = scan_t(&mut p, "b");
-    let calc = p.add_edges(
+    let b = p.add(OperatorSpec::ScanColumn { table: "u".into(), column: "b".into() }, vec![]);
+    let calc = p.add(
         OperatorSpec::Calc { op: BinaryOp::Add, left_scalar: None, right_scalar: None },
-        [(a, None), (b, Some(RowRange::new(0, 2_000)))], // shorter aligned input
+        vec![a, b], // a shorter aligned input
     );
     p.set_root(calc);
     let oat_err = Engine::with_workers(WORKERS)

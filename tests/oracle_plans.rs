@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
 use adaptive_parallelization::baselines::heuristic_parallelize;
-use adaptive_parallelization::columnar::partition::RowRange;
 use adaptive_parallelization::columnar::{Catalog, Column, ScalarValue, TableBuilder};
 use adaptive_parallelization::engine::{
     Engine, EngineConfig, ExecutionMode, JoinSide, NodeId, OperatorSpec, Plan, QueryOutput,
@@ -449,15 +448,15 @@ impl V {
     }
 }
 
-/// A node's reference result. Positional results carry their label: the
-/// oid of a column's first row, or a stream's position of its first entry.
+/// A node's reference result. A column's rows, a stream's entries and a
+/// build side's rows are numbered from 0: every node's output is whole.
 #[derive(Debug, Clone)]
 enum Val {
-    Col(usize, Vec<V>),
-    Oids(usize, Vec<usize>),
-    Join(usize, Vec<(usize, usize)>),
-    /// A build side: its keys, by build row, and the column's first oid.
-    Table(usize, Vec<i64>),
+    Col(Vec<V>),
+    Oids(Vec<usize>),
+    Join(Vec<(usize, usize)>),
+    /// A build side: its keys, by build row.
+    Table(Vec<i64>),
     Partial(AggFunc, Vec<V>),
     Grouped(AggFunc, Vec<(GroupKey, V)>),
     Scalar(ScalarValue),
@@ -560,139 +559,77 @@ fn reference(plan: &Plan, catalog: &Catalog) -> QueryOutput {
     let mut results: HashMap<NodeId, Val> = HashMap::new();
     for id in plan.topo_order().expect("a valid plan") {
         let node = plan.node(id).expect("live node");
-        let inputs: Vec<Val> =
-            node.edges().map(|(i, window)| cut(results[&i].clone(), window)).collect();
+        let inputs: Vec<Val> = node.inputs.iter().map(|i| results[i].clone()).collect();
         results.insert(id, eval(&node.spec, inputs, catalog));
     }
     output(&results[&plan.root().expect("a root")])
 }
 
-/// `val` cut to an edge's row window, clamped to its length.
-fn cut(val: Val, window: Option<RowRange>) -> Val {
-    let Some(w) = window else { return val };
-    let range = |len: usize| w.start.min(len)..w.end.min(len);
-    match val {
-        Val::Col(base, vals) => {
-            let r = range(vals.len());
-            Val::Col(base + r.start, vals[r.clone()].to_vec())
-        }
-        Val::Oids(label, oids) => {
-            let r = range(oids.len());
-            Val::Oids(label + r.start, oids[r.clone()].to_vec())
-        }
-        Val::Join(label, pairs) => {
-            let r = range(pairs.len());
-            Val::Join(label + r.start, pairs[r.clone()].to_vec())
-        }
-        other => panic!("a window on {other:?}"),
-    }
-}
-
-/// The exchange union: same-kind inputs in argument order, labelled as the
-/// first.
-fn union(inputs: Vec<Val>) -> Val {
-    let mut inputs = inputs.into_iter();
-    let first = inputs.next().expect("an input");
-    inputs.fold(first, |acc, next| match (acc, next) {
-        (Val::Col(l, mut a), Val::Col(_, b)) => {
-            a.extend(b);
-            Val::Col(l, a)
-        }
-        (Val::Oids(l, mut a), Val::Oids(_, b)) => {
-            a.extend(b);
-            Val::Oids(l, a)
-        }
-        (Val::Join(l, mut a), Val::Join(_, b)) => {
-            a.extend(b);
-            Val::Join(l, a)
-        }
-        (Val::Partial(f, mut a), Val::Partial(_, b)) => {
-            a.extend(b);
-            Val::Partial(f, a)
-        }
-        (Val::Grouped(f, mut a), Val::Grouped(_, b)) => {
-            a.extend(b);
-            Val::Grouped(f, a)
-        }
-        other => panic!("union over {other:?}"),
-    })
-}
-
 fn eval(spec: &OperatorSpec, inputs: Vec<Val>, catalog: &Catalog) -> Val {
-    if *spec == OperatorSpec::ExchangeUnion {
-        return union(inputs);
-    }
     let mut inputs = inputs.into_iter();
     let mut next = || inputs.next().expect("an input");
     match spec {
         OperatorSpec::ScanColumn { table, column } => {
             let column = catalog.table(table).and_then(|t| t.column(column)).expect("a column");
-            Val::Col(0, column_values(column))
+            Val::Col(column_values(column))
         }
         OperatorSpec::Select { predicate } => match (next(), inputs.next()) {
-            (Val::Col(base, vals), None) => {
-                let hits = (0..vals.len()).filter(|&i| matches(predicate, vals[i]));
-                Val::Oids(0, hits.map(|i| base + i).collect())
+            (Val::Col(vals), None) => {
+                Val::Oids((0..vals.len()).filter(|&i| matches(predicate, vals[i])).collect())
             }
-            (Val::Col(base, vals), Some(Val::Oids(_, cands))) => {
-                // Candidates outside the column's rows are another part's.
-                let hit = |&c: &usize| {
-                    c.checked_sub(base)
-                        .and_then(|i| vals.get(i))
-                        .is_some_and(|&v| matches(predicate, v))
-                };
-                Val::Oids(0, cands.into_iter().filter(hit).collect())
+            (Val::Col(vals), Some(Val::Oids(cands))) => {
+                Val::Oids(cands.into_iter().filter(|&c| matches(predicate, vals[c])).collect())
             }
             other => panic!("select over {other:?}"),
         },
         OperatorSpec::PredMask { predicate } => match next() {
-            Val::Col(base, vals) => {
-                Val::Col(base, vals.into_iter().map(|v| V::B(matches(predicate, v))).collect())
+            Val::Col(vals) => {
+                Val::Col(vals.into_iter().map(|v| V::B(matches(predicate, v))).collect())
             }
             other => panic!("predmask over {other:?}"),
         },
         OperatorSpec::IfThenElse { otherwise } => match (next(), next()) {
-            (Val::Col(base, cond), Val::Col(_, then)) => {
+            (Val::Col(cond), Val::Col(then)) => {
                 let pick =
                     |(c, t): (V, V)| if matches!(c, V::B(true)) { t } else { scalar_v(otherwise) };
-                Val::Col(base, cond.into_iter().zip(then).map(pick).collect())
+                Val::Col(cond.into_iter().zip(then).map(pick).collect())
             }
             other => panic!("ifthenelse over {other:?}"),
         },
         OperatorSpec::Fetch => match (next(), next()) {
-            (Val::Oids(label, oids), Val::Col(base, vals)) => {
-                Val::Col(label, oids.into_iter().map(|o| vals[o - base]).collect())
+            (Val::Oids(oids), Val::Col(vals)) => {
+                Val::Col(oids.into_iter().map(|o| vals[o]).collect())
             }
             other => panic!("fetch over {other:?}"),
         },
         OperatorSpec::HashBuild | OperatorSpec::KeySet => match next() {
-            Val::Col(base, vals) => Val::Table(base, vals.into_iter().map(V::int).collect()),
+            Val::Col(vals) => Val::Table(vals.into_iter().map(V::int).collect()),
             other => panic!("build over {other:?}"),
         },
         OperatorSpec::HashProbe => match (next(), next()) {
-            (Val::Col(base, outer), Val::Table(inner_base, keys)) => {
+            (Val::Col(outer), Val::Table(keys)) => {
                 let mut pairs = Vec::new();
                 for (i, v) in outer.into_iter().enumerate() {
                     // Newest-inserted build row first.
                     for j in (0..keys.len()).rev().filter(|&j| keys[j] == v.int()) {
-                        pairs.push((base + i, inner_base + j));
+                        pairs.push((i, j));
                     }
                 }
-                Val::Join(0, pairs)
+                Val::Join(pairs)
             }
             other => panic!("probe over {other:?}"),
         },
         OperatorSpec::SemiJoin | OperatorSpec::AntiJoin => match (next(), next()) {
-            (Val::Col(base, outer), Val::Table(_, keys)) => {
+            (Val::Col(outer), Val::Table(keys)) => {
                 let semi = *spec == OperatorSpec::SemiJoin;
-                let hit = |i: &usize| keys.contains(&outer[*i].int()) == semi;
-                Val::Oids(0, (0..outer.len()).filter(hit).map(|i| base + i).collect())
+                Val::Oids(
+                    (0..outer.len()).filter(|&i| keys.contains(&outer[i].int()) == semi).collect(),
+                )
             }
             other => panic!("existence join over {other:?}"),
         },
         OperatorSpec::ProjectJoinSide { side } => match next() {
-            Val::Join(label, pairs) => Val::Oids(
-                label,
+            Val::Join(pairs) => Val::Oids(
                 pairs
                     .into_iter()
                     .map(|(o, i)| if *side == JoinSide::Outer { o } else { i })
@@ -701,45 +638,34 @@ fn eval(spec: &OperatorSpec, inputs: Vec<Val>, catalog: &Catalog) -> Val {
             other => panic!("projection over {other:?}"),
         },
         OperatorSpec::OidsFromColumn => match next() {
-            Val::Col(base, vals) => Val::Oids(
-                base,
+            Val::Col(vals) => Val::Oids(
                 vals.into_iter().map(|v| usize::try_from(v.int()).expect("an oid")).collect(),
             ),
             other => panic!("asoids over {other:?}"),
         },
         OperatorSpec::Calc { op, left_scalar, right_scalar } => {
-            let (base, first) = match next() {
-                Val::Col(base, vals) => (base, vals),
-                other => panic!("calc over {other:?}"),
-            };
-            let out = match (left_scalar, right_scalar) {
+            let Val::Col(first) = next() else { panic!("calc over a non-column") };
+            Val::Col(match (left_scalar, right_scalar) {
                 (Some(s), None) => first.into_iter().map(|v| arith(*op, scalar_v(s), v)).collect(),
                 (None, Some(s)) => first.into_iter().map(|v| arith(*op, v, scalar_v(s))).collect(),
                 _ => match next() {
-                    Val::Col(_, second) => {
+                    Val::Col(second) => {
                         first.into_iter().zip(second).map(|(a, b)| arith(*op, a, b)).collect()
                     }
                     other => panic!("calc over {other:?}"),
                 },
-            };
-            Val::Col(base, out)
+            })
         }
         OperatorSpec::ScalarAgg { func } => match next() {
-            Val::Col(_, vals) => Val::Partial(*func, vals),
+            Val::Col(vals) => Val::Partial(*func, vals),
             other => panic!("aggregate over {other:?}"),
         },
-        OperatorSpec::FinalizeAgg { func } => {
-            let mut all = Vec::new();
-            for partial in std::iter::once(next()).chain(inputs) {
-                match partial {
-                    Val::Partial(_, vals) => all.extend(vals),
-                    other => panic!("finalize over {other:?}"),
-                }
-            }
-            Val::Scalar(finish(*func, &all))
-        }
+        OperatorSpec::FinalizeAgg { func } => match next() {
+            Val::Partial(_, vals) => Val::Scalar(finish(*func, &vals)),
+            other => panic!("finalize over {other:?}"),
+        },
         OperatorSpec::GroupAgg { func } => match (next(), next()) {
-            (Val::Col(_, keys), Val::Col(_, vals)) => {
+            (Val::Col(keys), Val::Col(vals)) => {
                 let keys = keys.into_iter().map(|k| GroupKey::I64(k.int()));
                 Val::Grouped(*func, keys.zip(vals).collect())
             }
@@ -751,9 +677,9 @@ fn eval(spec: &OperatorSpec, inputs: Vec<Val>, catalog: &Catalog) -> Val {
 
 fn output(val: &Val) -> QueryOutput {
     match val {
-        Val::Col(_, vals) => QueryOutput::Column(vals.iter().map(|v| v.scalar()).collect()),
-        Val::Oids(_, oids) => QueryOutput::Oids(oids.iter().map(|&o| o as u64).collect()),
-        Val::Join(_, pairs) => {
+        Val::Col(vals) => QueryOutput::Column(vals.iter().map(|v| v.scalar()).collect()),
+        Val::Oids(oids) => QueryOutput::Oids(oids.iter().map(|&o| o as u64).collect()),
+        Val::Join(pairs) => {
             QueryOutput::JoinPairs(pairs.iter().map(|&(o, i)| (o as u64, i as u64)).collect())
         }
         Val::Partial(func, vals) => QueryOutput::Scalar(finish(*func, vals)),
@@ -771,7 +697,7 @@ fn output(val: &Val) -> QueryOutput {
             )
         }
         Val::Scalar(s) => QueryOutput::Scalar(s.clone()),
-        Val::Table(..) => panic!("a build side is never the root"),
+        Val::Table(_) => panic!("a build side is never the root"),
     }
 }
 
@@ -847,7 +773,9 @@ fn check_seed(seed: u64, engines: &[(String, Engine)]) {
     for step in 1..=6 {
         let mut profile = engines[0].1.execute(&plan, &catalog).expect("runs").profile;
         for op in &mut profile.operators {
-            op.duration_us = 1 + gen.below(1_000) as u64;
+            for (_, us) in &mut op.tasks {
+                *us = 1 + gen.below(1_000) as u64;
+            }
         }
         match mutate_most_expensive(&mut plan, &profile, &config).expect("mutates") {
             Some(_) => {

@@ -2,15 +2,16 @@
 //! factor and seed. These are deterministic; the claims about time live in
 //! the examples (`examples/plan_trace.rs` prints table 5's adaptive column).
 //!
-//! Table 5: the heuristic Q14 plan clones every parallelizable operator
-//! once per partition, so its operator counts grow with the partition count.
-//! Its aggregates' combiners absorb the partitions directly, so it packs
-//! nothing through an exchange union.
+//! Table 5: the heuristic Q14 plan runs every parallelizable operator once
+//! per partition, so its operator counts — each node counting its parts —
+//! grow with the partition count, as the paper's clones did. Its node count
+//! does not: a partition is a part of a node's cuts, not a clone, and the
+//! plan has no exchange union.
 //!
 //! The heuristic partitions the way the mutations do (paper §2.3: "marking
-//! the boundary ranges … there is no data copying involved"): a partition is
-//! a row window on the edge that reads a scan, so an HP plan scans what its
-//! serial plan scans, once each, and never packs scan windows back together.
+//! the boundary ranges … there is no data copying involved"): it sets cuts
+//! and nothing else, so an HP plan has its serial plan's nodes and edges —
+//! it scans what its serial plan scans, once each, and packs no scan.
 
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
@@ -26,12 +27,13 @@ fn heuristic_q14_plan_counts_match_table_5() {
     let catalog = tpch::generate(TpchScale::new(0.002), 42);
     let serial = q14(&catalog).expect("Q14 builds");
     let engine = Engine::with_workers(4);
+    let morsel =
+        Engine::new(EngineConfig::with_workers(4).with_execution_mode(ExecutionMode::MorselDriven));
     let expected = engine.execute(&serial, &catalog).expect("serial Q14 executes").output;
-    // (partitions, selects, joins, fetches, unions, operators). Q14 scans
-    // six columns; each is one whole scan whose clones read windows of it,
-    // so W = 4 has 6 scans where one scan per partition made 18 (90 nodes),
-    // and W = 8 has 6 where it made 34 (174 nodes).
-    for (w, select, join, fetch, union, nodes) in [(4, 4, 4, 24, 0, 78), (8, 8, 8, 48, 0, 146)] {
+    // (partitions, selects, joins, fetches, unions), each node counting its
+    // parts: the paper's clone counts, from a plan with the serial plan's
+    // nodes.
+    for (w, select, join, fetch, union) in [(4, 4, 4, 24, 0), (8, 8, 8, 48, 0)] {
         let hp = heuristic_parallelize(&serial, &catalog, w).expect("HP Q14 builds");
         let counts = [
             hp.count_of("select"),
@@ -40,9 +42,18 @@ fn heuristic_q14_plan_counts_match_table_5() {
             hp.count_of("union"),
             hp.node_count(),
         ];
-        assert_eq!(counts, [select, join, fetch, union, nodes], "W = {w}");
-        let out = engine.execute(&hp, &catalog).expect("HP Q14 executes").output;
-        assert_eq!(out, expected, "W = {w}: the heuristic plan changed Q14's result");
+        assert_eq!(counts, [select, join, fetch, union, serial.node_count()], "W = {w}");
+        for engine in [&engine, &morsel] {
+            let exec = engine.execute(&hp, &catalog).expect("HP Q14 executes");
+            assert_eq!(exec.output, expected, "W = {w}: the heuristic plan changed Q14's result");
+            // No cut is folded away: each select and join runs one task per
+            // part, whatever the parts' sizes.
+            for op in &exec.profile.operators {
+                if ["select", "join"].contains(&op.name) {
+                    assert_eq!(op.tasks.len(), w, "W = {w}: node {} ({})", op.node, op.name);
+                }
+            }
+        }
     }
 }
 
@@ -59,15 +70,14 @@ fn scans(plan: &Plan) -> Vec<String> {
     scans
 }
 
-/// Ids of the plan's exchange unions whose every input is a scan.
-fn unions_packing_scans(plan: &Plan) -> Vec<usize> {
-    let is_scan =
-        |id| matches!(plan.node(id).expect("live node").spec, OperatorSpec::ScanColumn { .. });
+/// Each live node's operator and inputs, in id order: the plan without its
+/// cuts.
+fn nodes_and_edges(plan: &Plan) -> Vec<(usize, OperatorSpec, Vec<usize>)> {
     plan.node_ids()
         .into_iter()
-        .filter(|&id| {
+        .map(|id| {
             let node = plan.node(id).expect("live node");
-            node.spec == OperatorSpec::ExchangeUnion && node.inputs.iter().all(|&i| is_scan(i))
+            (id, node.spec.clone(), node.inputs.clone())
         })
         .collect()
 }
@@ -89,7 +99,7 @@ fn assert_heuristic_shape(
         let hp = heuristic_parallelize(serial, catalog, w).expect("HP plan builds");
         let label = format!("{label} W = {w}:\n{}", hp.pretty());
         assert_eq!(scans(&hp), scans(serial), "{label}");
-        assert_eq!(unions_packing_scans(&hp), Vec::<usize>::new(), "{label}");
+        assert_eq!(nodes_and_edges(&hp), nodes_and_edges(serial), "{label}");
         for engine in [&oat, &morsel] {
             let out = engine.execute(&hp, catalog).expect("HP plan executes").output;
             assert_eq!(&out, expected, "{label}");
