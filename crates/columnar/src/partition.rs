@@ -1,12 +1,13 @@
 //! Range partitioning.
 //!
 //! Adaptive parallelization creates *dynamically sized* range partitions: each
-//! mutation halves the partition of the currently most expensive operator, so
-//! a plan ends up reading windows of different sizes whose boundaries stay
-//! aligned with the base column (paper Fig. 8). [`RowRange`] is that
-//! half-open `[start, end)` row/oid range — the window a plan edge carries
-//! over its producer's output — with the halving step of the adaptive split
-//! mutation and the equi-range cut of the heuristic baseline.
+//! mutation halves the dearest part of the currently most expensive
+//! operator, so a node ends up cut into parts of different sizes whose
+//! boundaries stay aligned with the rows it streams (paper Fig. 8).
+//! [`RowRange`] is that half-open `[start, end)` row/oid range — one part of
+//! a node's cuts, as the profiler records each task's — with the halving
+//! step of the adaptive mutation and the equi-range cut of the heuristic
+//! baseline.
 //! (Alignment between a candidate-list partition and a value-column partition
 //! during tuple reconstruction is the engine's `stream_base` invariant —
 //! `docs/architecture.md` §6.)

@@ -56,5 +56,5 @@ pub fn cut_dearest_part(
         OperatorSpec::ScalarAgg { .. } | OperatorSpec::GroupAgg { .. } => MutationKind::Advanced,
         _ => MutationKind::Basic,
     };
-    Ok(Some(MutationOutcome { kind, target: op.node, cuts: node.cuts.clone() }))
+    Ok(Some(MutationOutcome { kind, target: op.node }))
 }

@@ -30,5 +30,5 @@ pub fn adopt_stream(plan: &mut Plan, target: NodeId) -> Result<Option<MutationOu
         return Ok(None);
     }
     plan.node_mut(target).map_err(CoreError::from)?.cuts = Cuts::Adopt;
-    Ok(Some(MutationOutcome { kind: MutationKind::Medium, target, cuts: Cuts::Adopt }))
+    Ok(Some(MutationOutcome { kind: MutationKind::Medium, target }))
 }

@@ -4,7 +4,7 @@
 //! The paper clones an operator over two partitions and recombines the
 //! clones with an exchange union, and removes a union that turns out
 //! expensive by propagating its inputs onto its consumer. Here a partition
-//! is a part of a node's cuts ([`Cuts`]): the driver runs one task per part
+//! is a part of a node's cuts ([`apq_engine::plan::Cuts`]): the driver runs one task per part
 //! and a reader that needs the node's output whole packs the parts — the
 //! union's work — in its own time. So each scheme is a statement about cuts,
 //! and none adds or removes a node:
@@ -27,7 +27,7 @@
 pub mod basic;
 pub mod medium;
 
-use apq_engine::plan::{Cuts, NodeId, Plan};
+use apq_engine::plan::{NodeId, Plan};
 use apq_engine::QueryProfile;
 
 use crate::config::AdaptiveConfig;
@@ -65,8 +65,6 @@ pub struct MutationOutcome {
     pub kind: MutationKind,
     /// The node whose cuts changed.
     pub target: NodeId,
-    /// Its cuts afterwards.
-    pub cuts: Cuts,
 }
 
 /// Mutates `plan` by parallelizing the most expensive operator observed in
@@ -101,7 +99,7 @@ pub fn mutate_most_expensive(
 mod tests {
     use super::*;
     use apq_columnar::partition::RowRange;
-    use apq_engine::plan::OperatorSpec;
+    use apq_engine::plan::{Cuts, OperatorSpec};
     use apq_engine::profiler::OperatorProfile;
     use apq_operators::{AggFunc, CmpOp, Predicate};
     use std::time::Duration;
@@ -173,7 +171,6 @@ mod tests {
         assert_eq!((outcome.kind, outcome.target), (MutationKind::Basic, 1));
         // The left half takes the odd row.
         assert_eq!(cuts(&p, 1), Cuts::At(vec![501]));
-        assert_eq!(outcome.cuts, cuts(&p, 1));
         p.validate().unwrap();
         assert_eq!((p.node_count(), p.count_of("select")), (serial.node_count(), 2));
 

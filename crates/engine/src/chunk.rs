@@ -4,10 +4,10 @@
 //!
 //! A *candidate stream* is an intermediate ordered by an oid list rather
 //! than by base-table position (a fetch output, a join result, a projected
-//! join side). Plan mutations cut such streams positionally, as row windows
-//! on the plan edges that read them ([`crate::plan::PlanNode::windows`]),
-//! and the morsel-driven execution mode ([`crate::pipeline`]) cuts them
-//! again into morsels; both cuts are [`Chunk::slice`]. Only the
+//! join side). Plan mutations cut such streams positionally, as the parts
+//! of the nodes that stream them ([`crate::plan::PlanNode::cuts`]), and the
+//! morsel-driven execution mode ([`crate::pipeline`]) cuts them again into
+//! morsels; both cuts are [`Chunk::slice`]. Only the
 //! stream-offset labels make slices position-safe, not any fixed stride.
 //!
 //! [`Chunk::Oids`] and [`Chunk::Join`] mirror what [`Column`] already is: an
@@ -354,7 +354,7 @@ impl Chunk {
     /// Rows `[start, start + len)` of a positional chunk (a column, an oid
     /// list or a join result), clamped to its length (the boundary
     /// adjustment of paper Fig. 9), or `None` for any other kind. The
-    /// executor's one cut, for edge windows and morsels alike: pure window
+    /// executor's one cut, for cut ranges and morsels alike: pure window
     /// arithmetic with **zero heap allocations** (pinned by
     /// `crates/engine/tests/zero_alloc_views.rs`) that keeps absolute oids
     /// and `stream_base` labels.

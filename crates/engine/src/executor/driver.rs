@@ -250,7 +250,11 @@ struct Morsels {
 /// `after_cut` marks a range a cut precedes: the folder keeps the outputs
 /// on either side apart. Empty parts stay: a range with no rows still runs
 /// and publishes its (empty) part.
-fn ranges(cuts: &Cuts, source: &Parts, grid: Option<usize>) -> Vec<(usize, usize, bool)> {
+pub(super) fn ranges(
+    cuts: &Cuts,
+    source: &Parts,
+    grid: Option<usize>,
+) -> Vec<(usize, usize, bool)> {
     let rows = source.rows();
     let ends: Vec<usize> = match cuts {
         Cuts::At(at) => at.iter().map(|&at| at.min(rows)).chain([rows]).collect(),

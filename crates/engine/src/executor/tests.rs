@@ -506,7 +506,8 @@ mod part_lists {
     use apq_columnar::{Column, Oid};
     use apq_operators::JoinHashTable;
 
-    use super::super::parts::{pieces, Parts};
+    use super::super::driver::ranges;
+    use super::super::parts::{pieces, Folder, Parts};
     use super::*;
     use crate::chunk::Chunk;
     use crate::interpreter::{exchange_union, execute_node};
@@ -695,6 +696,99 @@ mod part_lists {
         let parts = Parts::publish(0, outputs, Some(MORSEL)).unwrap();
         assert_eq!(parts.chunks().len(), 1);
         assert_parts_are_slices_of(&parts, &packed, "empty");
+    }
+
+    #[test]
+    fn small_parts_are_never_packed_across_a_cut_and_every_cut_range_keeps_a_part() {
+        // About 13 rows a morsel, with a cut before morsels 3 and 9: the
+        // cells restart at each cut, and no cell takes rows from both sides.
+        let column = values(1_000);
+        let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 20i64) };
+        let outputs = morsel_outputs(&select, &column, &[]);
+        let packed = exchange_union(0, &outputs).unwrap();
+        let mut folder = Folder::new(0, Some(MORSEL));
+        let mut cut_at = Vec::new();
+        let mut rows = 0;
+        for (morsel, chunk) in outputs.into_iter().enumerate() {
+            if morsel == 3 || morsel == 9 {
+                folder.cut().unwrap();
+                cut_at.push(rows);
+            }
+            rows += chunk.rows();
+            folder.push(chunk).unwrap();
+        }
+        let parts = folder.finish().unwrap();
+        assert_parts_are_slices_of(&parts, &packed, "cut cells");
+        let ends: Vec<usize> = parts.ends().collect();
+        for at in cut_at {
+            assert!(ends.contains(&at), "a part straddles the cut at {at}: {ends:?}");
+        }
+
+        // Three ranges, the middle one empty: three parts, one of them
+        // empty, labelled where the pack's empty slice would be.
+        let stream = column.slice(0, 10).unwrap();
+        let ranges =
+            [stream.slice(0, 4).unwrap(), stream.slice(4, 0).unwrap(), stream.slice(4, 6).unwrap()];
+        let mut folder = Folder::new(0, Some(MORSEL));
+        for (k, range) in ranges.into_iter().enumerate() {
+            if k > 0 {
+                folder.cut().unwrap();
+            }
+            folder.push(range).unwrap();
+        }
+        let parts = folder.finish().unwrap();
+        assert_eq!(parts.ends().collect::<Vec<_>>(), [4, 4, 10]);
+        assert_parts_are_slices_of(&parts, &stream, "an empty range");
+    }
+
+    #[test]
+    fn a_steps_ranges_follow_its_cuts_its_stream_and_the_grid() {
+        let list = |lens: &[usize]| {
+            let column = Chunk::Column(Column::from_i64((0..100).collect()));
+            let mut at = 0;
+            let mut chunks = Vec::new();
+            for &len in lens {
+                chunks.push(column.slice(at, len).unwrap());
+                at += len;
+            }
+            Parts::publish(0, chunks, Some(1)).unwrap()
+        };
+        let source = list(&[20]);
+        let at = |offsets: &[usize]| Cuts::At(offsets.to_vec());
+        assert_eq!(ranges(&Cuts::default(), &source, None), [(0, 20, false)]);
+        assert_eq!(
+            ranges(&at(&[5, 12]), &source, None),
+            [(0, 5, false), (5, 7, true), (12, 8, true)]
+        );
+        // The grid cuts inside each range; only a cut separates them.
+        assert_eq!(
+            ranges(&at(&[5, 12]), &source, Some(4)),
+            [
+                (0, 4, false),
+                (4, 1, false),
+                (5, 3, true),
+                (8, 4, false),
+                (12, 4, true),
+                (16, 4, false)
+            ]
+        );
+        // Offsets past the end cut there; an empty stream is one range.
+        assert_eq!(ranges(&at(&[30]), &source, None), [(0, 20, false), (20, 0, true)]);
+        assert_eq!(ranges(&Cuts::default(), &list(&[0]), Some(4)), [(0, 0, false)]);
+        // Adoption takes one range per part of the stream, empty ones too.
+        let mut folder = Folder::new(0, Some(MORSEL));
+        let column = Chunk::Column(Column::from_i64((0..7).collect()));
+        for (k, (start, len)) in [(0, 3), (3, 0), (3, 4)].into_iter().enumerate() {
+            if k > 0 {
+                folder.cut().unwrap();
+            }
+            folder.push(column.slice(start, len).unwrap()).unwrap();
+        }
+        let adopted = folder.finish().unwrap();
+        assert_eq!(
+            ranges(&Cuts::Adopt, &adopted, None),
+            [(0, 3, false), (3, 0, true), (3, 4, true)]
+        );
     }
 
     #[test]

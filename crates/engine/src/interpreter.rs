@@ -628,7 +628,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
 
-        // The first three rows of `s`, as a window on the scan's edge reads them.
+        // The first three rows of `s`, as the first part of a cut reads them.
         let s = execute_node(3, &scan("s"), &[], &cat).unwrap().slice(0, 3).expect("in bounds");
         let mask = execute_node(
             4,

@@ -26,7 +26,7 @@ use crate::plan::NodeId;
 pub struct OperatorProfile {
     /// Plan node id.
     pub node: NodeId,
-    /// Operator family name (`select`, `join`, `union`, ...).
+    /// Operator family name (`select`, `join`, `fetch`, ...).
     pub name: &'static str,
     /// Start of execution, microseconds since the query started: its first
     /// task's.
@@ -123,8 +123,7 @@ pub struct PipelineProfile {
     pub morsels_by_worker: Vec<u64>,
     /// True when the pipeline's terminal stage is a fused `GroupAgg`: each
     /// morsel produced a partial grouped aggregate and the driver merged
-    /// the partials in morsel order (the exchange union's grouped merge,
-    /// which keeps float results byte-exact).
+    /// the partials in morsel order, which keeps float results byte-exact.
     pub groupagg_fused: bool,
 }
 
@@ -288,7 +287,7 @@ impl QueryProfile {
 
     /// Tomograph-style ASCII timeline: one lane per worker, time flowing to
     /// the right, each cell showing the operator family that was running
-    /// (`S`elect, `J`oin, `U`nion, `F`etch, `C`alc, `A`ggregate, `.` idle).
+    /// (`S`elect, `J`oin, `F`etch, `C`alc, `A`ggregate, `.` idle).
     /// This is the textual analogue of the paper's Figs. 19/20.
     pub fn timeline(&self, width: usize) -> String {
         let width = width.max(10);
@@ -327,7 +326,6 @@ fn family_char(name: &str) -> char {
     match name {
         "select" | "predmask" => 'S',
         "join" | "semijoin" | "antijoin" | "hashbuild" => 'J',
-        "union" => 'U',
         "fetch" | "projectside" => 'F',
         "calc" | "ifthenelse" | "calcscalar" => 'C',
         "aggregate" | "groupby" | "finalizeagg" => 'A',
@@ -369,7 +367,7 @@ mod tests {
                 op(0, "scan", 0, 50, 0),
                 op(1, "select", 50, 400, 0),
                 op(2, "select", 50, 300, 1),
-                op(3, "union", 500, 100, 1),
+                op(3, "hashbuild", 500, 100, 1),
                 op(4, "aggregate", 650, 200, 0),
             ],
             pipelines: vec![],
@@ -387,7 +385,7 @@ mod tests {
         assert!((p.parallelism_usage() - 1050.0 / 4000.0).abs() < 1e-9);
         assert_eq!(p.workers_used(), 2);
         assert!((p.multi_core_utilization() - 0.5).abs() < 1e-9);
-        assert_eq!(p.operator(3).unwrap().name, "union");
+        assert_eq!(p.operator(3).unwrap().name, "hashbuild");
         assert!(p.operator(99).is_none());
     }
 
@@ -396,7 +394,7 @@ mod tests {
         let p = sample();
         let counts = p.count_by_name();
         assert_eq!(counts["select"], 2);
-        assert_eq!(counts["union"], 1);
+        assert_eq!(counts["hashbuild"], 1);
     }
 
     #[test]

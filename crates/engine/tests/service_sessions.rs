@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
-use apq_engine::plan::{OperatorSpec, Plan};
+use apq_engine::plan::{Cuts, OperatorSpec, Plan};
 use apq_engine::{
     DopPhase, EngineConfig, EngineError, FaultConfig, QueryOutput, QueryService, ServiceConfig,
 };
@@ -100,6 +100,31 @@ fn plan_cache_hits_are_byte_identical_to_cold_execution() {
     assert_eq!(stats.plan_cache_hits, 1);
     assert_eq!(stats.plan_cache_misses, 1);
     assert_eq!(svc.plan_cache_len(), 1);
+}
+
+#[test]
+fn plans_differing_only_in_cuts_are_cached_apart() {
+    // The plan cache keys on `Plan::signature`: a plan cut differently is
+    // another plan, whose cached copy must carry its own cuts.
+    let svc = service(
+        ServiceConfig::with_engine(EngineConfig::with_workers(2)).with_result_cache_capacity(0),
+    );
+    let session = svc.connect();
+    let whole = sum_plan(777);
+    let (select, fetch) = (2, 3);
+    let mut halves = whole.clone();
+    halves.node_mut(select).unwrap().cuts = Cuts::At(vec![5_000]);
+    let mut adopting = halves.clone();
+    adopting.node_mut(fetch).unwrap().cuts = Cuts::Adopt;
+    for plan in [&whole, &halves, &adopting] {
+        let cold = session.submit(plan).unwrap();
+        assert!(!cold.plan_cache_hit, "a plan cut differently hit another plan's entry");
+        assert_eq!(cold.output, expected_sum(777));
+    }
+    let profile = session.submit(&adopting).unwrap().profile.expect("plan-cache hits execute");
+    let tasks = |node| profile.operator(node).unwrap().tasks.len();
+    assert_eq!((tasks(select), tasks(fetch)), (2, 2), "the cached plan lost its cuts");
+    assert_eq!((svc.stats().plan_cache_misses, svc.plan_cache_len()), (3, 3));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Pins the zero-copy claim of windowed stream views with a counting
 //! allocator: cutting a `Chunk::Oids` / `Chunk::Join` window or morsel
-//! (`Chunk::slice`, which resolves plan-edge windows and cuts morsels, and
+//! (`Chunk::slice`, which cuts a node's parts and morsels, and
 //! the direct `OidsView::slice` / `JoinView::slice` calls beneath it) must
 //! perform **zero** heap allocations, and reassembling consecutive
 //! windows through the exchange union must stay O(parts) — never O(rows) —
@@ -301,8 +301,8 @@ fn stream_view_cuts_are_alloc_free() {
     let (allocs, _) = allocations_during(|| -> JoinView { join_view.slice(999, 4096) });
     assert_eq!(allocs, 0, "JoinView::slice allocated");
 
-    // The executor's cut (an edge window, then a morsel of it) on both
-    // stream kinds: still zero, through the `Chunk` dispatch.
+    // The executor's cut (a cut range, then a morsel of it) on both stream
+    // kinds: still zero, through the `Chunk` dispatch.
     let (allocs, _) = allocations_during(|| oids_chunk.slice(start, len));
     assert_eq!(allocs, 0, "Chunk::slice over Chunk::Oids allocated");
     let (allocs, _) = allocations_during(|| join_chunk.slice(start, len));

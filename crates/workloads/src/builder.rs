@@ -155,8 +155,8 @@ impl<'a> PlanBuilder<'a> {
         self.plan.add(OperatorSpec::FinalizeAgg { func }, vec![partial])
     }
 
-    /// Single-attribute grouped aggregate; returns its node. Clones of it are
-    /// recombined by an exchange union, which merges grouped partials.
+    /// Single-attribute grouped aggregate; returns its node. Run in parts,
+    /// its grouped partials merge as they are published.
     pub fn group_agg(&mut self, func: AggFunc, keys: NodeId, values: NodeId) -> NodeId {
         self.plan.add(OperatorSpec::GroupAgg { func }, vec![keys, values])
     }

@@ -6,10 +6,9 @@
 //! plan mutation changes *what the plan looks like*, the execution mode
 //! changes *how a fixed plan is dispatched* — neither may change what a
 //! query returns. Serial plans exercise pipelines cutting a scan's column
-//! slice; the heuristically parallelized plans exercise pipelines over
-//! range-partitioned scans, exchange unions and cloned probes over their
-//! packed streams (the PR-1 `stream_base` alignment invariant, now also
-//! load-bearing for morsel slicing).
+//! slice; the heuristically parallelized plans exercise cut scans and
+//! probes that adopt their streams' parts (the PR-1 `stream_base`
+//! alignment invariant, now also load-bearing for morsel slicing).
 
 use std::sync::Arc;
 
@@ -71,8 +70,8 @@ fn tpch_serial_and_heuristic_plans_match_across_modes() {
         let expected =
             assert_modes_agree(&format!("{query} serial"), &serial, &catalog, &reference);
 
-        // Heuristic plans contain windowed scan edges, exchange unions and cloned
-        // probes — the chunk-source pipeline shapes.
+        // Heuristic plans cut every reader of the driver table's scans and
+        // have the nodes downstream adopt the parts.
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         let hp_out = assert_modes_agree(&format!("{query} HP"), &hp, &catalog, &reference);
         assert_eq!(hp_out, expected, "{query}: HP plan diverged from serial");

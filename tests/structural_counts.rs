@@ -5,9 +5,9 @@
 //! planning, fusion, plan building or the driver's task split moves them.
 //!
 //! The second test holds the structure the adaptive mutations leave: a
-//! partition is a window on a plan edge, so a mutated plan scans what its
-//! serial plan scans and has no slice node, and returns its serial result
-//! under both plannings.
+//! partition is a part of a node's cuts, so a mutated plan has its serial
+//! plan's nodes — it scans what its serial plan scans and has no slice
+//! node — and returns its serial result under both plannings.
 
 use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
 use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode};
@@ -49,7 +49,7 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
 fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plannings() {
     let catalog = tpch::generate(TpchScale::new(0.01), 4242);
     let oat = Engine::with_workers(2);
-    // Morsels smaller than most partitions, so they cut inside windows.
+    // Morsels smaller than most partitions, so they cut inside cut ranges.
     let morsel = Engine::new(
         EngineConfig::with_workers(2)
             .with_execution_mode(ExecutionMode::MorselDriven)
@@ -66,12 +66,15 @@ fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plann
             // Rank by rows rather than by time, so the sequence is the same
             // on every run.
             for op in &mut profile.operators {
-                op.duration_us = op.rows_out as u64;
+                for (range, us) in &mut op.tasks {
+                    *us = range.len() as u64;
+                }
             }
             let mutated = mutate_most_expensive(&mut plan, &profile, &config).expect("mutates");
             assert!(mutated.is_some(), "{query:?} step {step}: nothing left to mutate");
             plan.validate().expect("a mutant is valid");
             let label = format!("{query:?} step {step}:\n{}", plan.pretty());
+            assert_eq!(plan.node_count(), serial.node_count(), "{label}");
             assert_eq!(plan.count_of("scan"), serial.count_of("scan"), "{label}");
             assert_eq!(plan.count_of("slice"), 0, "{label}");
             let fused = morsel.execute(&plan, &catalog).expect("mutant executes").output;
