@@ -232,6 +232,7 @@ mod tests {
                 let expected = match &h.cuts {
                     Cuts::At(at) => at.is_empty() || reads_driver_scan,
                     Cuts::Adopt => hp.parts(h.stream().unwrap()) == 4,
+                    Cuts::Every(_) => false,
                 };
                 assert!(expected, "node {id}: {:?}\n{}", h.cuts, hp.pretty());
             }

@@ -25,7 +25,8 @@ use crate::mutation::{MutationKind, MutationOutcome};
 /// Applies the basic / advanced mutation to the node `op` profiles: the
 /// dearest of its profiled parts ([`OperatorProfile::tasks`], the earliest
 /// among equals) is halved by a new cut, the left half taking the odd row.
-/// A node that adopted its stream's parts keeps them as explicit cuts.
+/// A node that adopted its stream's parts, or was cut into morsels, keeps
+/// its parts as explicit cuts.
 ///
 /// Returns `Ok(None)` when the mutation does not apply: the operator cannot
 /// run in parts, `op` records no parts, or the dearest part holds fewer
@@ -46,7 +47,9 @@ pub fn cut_dearest_part(
     }
     let mut at = match &node.cuts {
         Cuts::At(at) => at.clone(),
-        Cuts::Adopt => op.tasks.iter().map(|(range, _)| range.start).filter(|&s| s > 0).collect(),
+        Cuts::Adopt | Cuts::Every(_) => {
+            op.tasks.iter().map(|(range, _)| range.start).filter(|&s| s > 0).collect()
+        }
     };
     at.push(dearest.split_even(2)[1].start);
     at.sort_unstable();

@@ -1,8 +1,8 @@
 //! Property-based tests for the adaptive parallelizer's core invariants:
 //!
 //! * any sequence of plan mutations keeps the plan structurally valid;
-//! * every mutated plan produces exactly the serial plan's result, under
-//!   both plannings, with morsels cut inside the partitions' windows;
+//! * every mutated plan produces exactly the serial plan's result, as built
+//!   and cut into morsels that do not divide its partitions;
 //! * a mutation partitions through windows on plan edges: the scans stay
 //!   the serial plan's and no slice node appears;
 //! * the convergence algorithm always terminates within the paper's bounds.
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_core::{mutate_most_expensive, AdaptiveConfig, ConvergenceState};
 use apq_engine::plan::OperatorSpec;
-use apq_engine::{Engine, EngineConfig, ExecutionMode, Plan, QueryOutput};
+use apq_engine::{Engine, Plan, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use proptest::prelude::*;
 
@@ -73,21 +73,13 @@ fn grouped_query(threshold: i64) -> Plan {
     p
 }
 
-/// Morsel planning with morsels that do not divide the partitions.
-fn morsel_engine() -> Engine {
-    Engine::new(
-        EngineConfig::with_workers(3)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(700),
-    )
-}
-
-/// What every mutant must keep of its serial plan: the result under both
-/// plannings, and the scans (a partition is a window, not a new scan or
-/// slice node).
+/// What every mutant must keep of its serial plan besides its result as
+/// built: the result cut into morsels of 700 rows, which do not divide its
+/// partitions, and the scans (a partition is a part of a node's cuts, not a
+/// new scan or slice node).
 fn check_mutant(plan: &Plan, serial: &Plan, expected: &QueryOutput, cat: &Arc<Catalog>) {
-    let fused = morsel_engine().execute(plan, cat).unwrap();
-    assert_eq!(&fused.output, expected, "morsel planning diverged:\n{}", plan.pretty());
+    let fused = Engine::with_workers(3).execute(&plan.cut_into_morsels(700), cat).unwrap();
+    assert_eq!(&fused.output, expected, "morsels diverged:\n{}", plan.pretty());
     assert_eq!(plan.count_of("scan"), serial.count_of("scan"), "{}", plan.pretty());
     assert_eq!(plan.count_of("slice"), 0, "{}", plan.pretty());
 }

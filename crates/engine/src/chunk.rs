@@ -5,9 +5,9 @@
 //! A *candidate stream* is an intermediate ordered by an oid list rather
 //! than by base-table position (a fetch output, a join result, a projected
 //! join side). Plan mutations cut such streams positionally, as the parts
-//! of the nodes that stream them ([`crate::plan::PlanNode::cuts`]), and the
-//! morsel-driven execution mode ([`crate::pipeline`]) cuts them again into
-//! morsels; both cuts are [`Chunk::slice`]. Only the
+//! of the nodes that stream them ([`crate::plan::PlanNode::cuts`]), and a
+//! plan cut into morsels cuts them every so many rows; every cut is
+//! [`Chunk::slice`]. Only the
 //! stream-offset labels make slices position-safe, not any fixed stride.
 //!
 //! [`Chunk::Oids`] and [`Chunk::Join`] mirror what [`Column`] already is: an

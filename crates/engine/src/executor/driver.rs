@@ -3,10 +3,10 @@
 //! The paper's run-time is a single dataflow rule — "an operator is
 //! scheduled for execution once all its input sources are available" (§2) —
 //! and this module is its single implementation. A validated plan is first
-//! *planned* into a graph of [`Pipeline`] steps by [`PipelinePlan::analyze`],
-//! and that call is the only place [`ExecutionMode`](crate::ExecutionMode) is
-//! consulted: operator-at-a-time planning yields one step per live node,
-//! morsel-driven planning additionally fuses streamable chains (see
+//! *planned* into a graph of [`Pipeline`] steps by [`PipelinePlan::analyze`]
+//! along its cuts: a node with cuts heads a streaming step, one that adopts
+//! its stream's parts or is cut into morsels joins its producer's chain
+//! where it may, and every other node is a step of its own (see
 //! [`crate::pipeline`]).
 //!
 //! The driver then runs whatever graph it was given. Dependency tracking is
@@ -15,12 +15,11 @@
 //! whatever its step, runs one body ([`run_task`]), in the style of Leis et
 //! al.'s morsel-driven model: push one range of the step's stream through
 //! its chain of stages. A streaming step runs one task per range of its
-//! producer's published list: one per part its head's cuts
-//! ([`crate::plan::Cuts`]) make, each cut further on the `morsel_rows` grid
-//! under morsel planning. A base-table scan is a step like any other, so
-//! its ranges are windows of its column with the same absolute oids. Every
-//! other step is one task over whole inputs, which for a whole-node step is
-//! operator-at-a-time execution.
+//! producer's published list, one per part its head's cuts
+//! ([`crate::plan::Cuts`]) make: its offsets, its stream's parts, or its
+//! morsels. A base-table scan is a step like any other, so its ranges are
+//! windows of its column with the same absolute oids. Every other step is
+//! one task over whole inputs.
 //!
 //! A step publishes a [`Parts`] list, not one packed chunk. A task's range
 //! splits into *pieces* wherever a part of its stream or of a range-aligned
@@ -32,17 +31,18 @@
 //! the same read of their pack, which is what whole-node execution
 //! publishes; the task that finishes the last range publishes it. Only
 //! partial aggregates merge, and parts under half a morsel — a selective
-//! producer's — are packed cell by cell on the readers' morsel grid as they
-//! are folded, within one cut range and never across a cut; a list no reader
-//! takes piece by piece and whose head has no cuts is packed whole at
-//! publish, since it will be read whole. Everything else that needs the
+//! producer's — are packed cell by cell on a morsel grid as they are folded,
+//! within one cut range and never across a cut; a list no reader takes
+//! piece by piece and whose head has no cut offsets and adopts nothing is
+//! packed whole at publish, since it will be read whole. Everything else that needs the
 //! whole chunk (a whole-node step's inputs, a shared input such as a
 //! fetch's looked-up column or a probe's build side, the root) packs it on
 //! first read, once, in the result slot, in the reader's time.
 //!
-//! Each task records its stream range and time in the profile of every
-//! stage it ran ([`OperatorProfile::tasks`]): the parts the adaptive
-//! mutations rank and cut.
+//! Each task records, in the profile of every stage it ran, the range of
+//! that stage's stream it read and its time there
+//! ([`OperatorProfile::tasks`]): the parts the adaptive mutations rank and
+//! cut, in the stage's own rows whether or not it was fused.
 //!
 //! Consumer steps and task fan-outs are submitted from the completing
 //! worker's task context, so they start on that worker's deque. Everything
@@ -67,11 +67,10 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::pipeline::{stream_input, Pipeline, PipelinePlan};
-use crate::plan::{Cuts, OperatorSpec, Plan};
+use crate::plan::{Cuts, OperatorSpec, Plan, DEFAULT_MORSEL_ROWS};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
 use crate::sync::lock;
-use crate::ExecutionMode;
 
 /// Step-graph state of one query execution, shared by all of its tasks.
 struct Driver {
@@ -82,23 +81,9 @@ struct Driver {
     /// Remaining cross-step reads of each step's published list: the step
     /// that finishes the last one releases the list.
     readers: Vec<AtomicUsize>,
-    /// The engine's morsel size, in rows: the cells a published list is
-    /// folded on.
-    morsel_rows: usize,
-    /// Under morsel planning, the grid every streaming step's ranges are
-    /// cut on too: `morsel_rows`.
-    grid: Option<usize>,
-    /// Per step: whether it publishes its parts ([`keeps_parts`]).
-    keeps_parts: Vec<bool>,
-}
-
-impl Driver {
-    /// The cells `step`'s published list is folded on ([`Parts::publish`]):
-    /// its readers' morsel grid when it keeps its parts; `None`, one packed
-    /// part, otherwise.
-    fn cell_rows(&self, step: usize) -> Option<usize> {
-        self.keeps_parts[step].then_some(self.morsel_rows)
-    }
+    /// Per step: the cells its published list is folded on
+    /// ([`Parts::publish`]), `None` for one packed part ([`cell_rows`]).
+    cells: Vec<Option<usize>>,
 }
 
 /// True when a task of a streaming step reads input `i` of the stage at
@@ -114,17 +99,24 @@ fn read_by_piece(spec: &OperatorSpec, n_inputs: usize, idx: usize, i: usize) -> 
     }
 }
 
-/// Per step: whether it publishes its parts rather than one packed chunk.
-/// It does when some streaming step reads its list one piece at a time
-/// ([`read_by_piece`]), and when its head has cuts, whose parts a whole read
+/// Per step: the cells it folds its published parts on, or `None` when it
+/// publishes one packed chunk. It keeps parts when some streaming step
+/// reads its list one piece at a time ([`read_by_piece`]), and when its head
+/// has cut offsets or adopts its stream's parts, whose parts a whole read
 /// packs in the reader's time. Otherwise every reader reads it whole: that
 /// read would pack it anyway, and parts kept until then only hold memory.
-fn keeps_parts(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<bool>> {
+/// The cells are its head's morsels, else [`DEFAULT_MORSEL_ROWS`] rows.
+fn cell_rows(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<Option<usize>>> {
     let mut step_of_terminal = vec![None; plan.capacity()];
-    let mut by_pieces = Vec::with_capacity(graph.steps.len());
+    let (mut by_pieces, mut cells) = (Vec::new(), Vec::new());
     for (step, pipeline) in graph.steps.iter().enumerate() {
         step_of_terminal[pipeline.terminal()] = Some(step);
-        by_pieces.push(!plan.node(pipeline.stages[0])?.cuts.is_whole());
+        let (keeps, rows) = match plan.node(pipeline.stages[0])?.cuts {
+            Cuts::Every(rows) => (false, rows),
+            ref cuts => (!cuts.is_whole(), DEFAULT_MORSEL_ROWS),
+        };
+        by_pieces.push(keeps);
+        cells.push(rows);
     }
     for pipeline in graph.steps.iter().filter(|p| p.producer.is_some()) {
         for (idx, &stage) in pipeline.stages.iter().enumerate() {
@@ -138,7 +130,7 @@ fn keeps_parts(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<bool>> {
             }
         }
     }
-    Ok(by_pieces)
+    Ok(by_pieces.into_iter().zip(cells).map(|(keeps, rows)| keeps.then_some(rows)).collect())
 }
 
 /// Executes a validated plan: plans it into steps, seeds the runnable ones
@@ -149,16 +141,12 @@ pub(super) fn execute(
     catalog: &Arc<Catalog>,
     handle: Arc<QueryHandle>,
 ) -> Result<QueryExecution> {
-    let mode = engine.config.execution_mode;
-    let graph = PipelinePlan::analyze(plan, mode)?;
-    let morsel_rows = engine.config.morsel_rows.max(1);
+    let graph = PipelinePlan::analyze(plan)?;
     let state = Arc::new(Driver {
         run: RunContext::new(engine, plan, catalog, handle),
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),
         readers: graph.readers().into_iter().map(AtomicUsize::new).collect(),
-        morsel_rows,
-        grid: (mode == ExecutionMode::MorselDriven).then_some(morsel_rows),
-        keeps_parts: keeps_parts(plan, &graph)?,
+        cells: cell_rows(plan, &graph)?,
         graph,
     });
 
@@ -198,8 +186,11 @@ struct Tally {
     /// terminal's time includes the injected delay and the publish; its
     /// rows and bytes are the published list's.
     stages: Vec<[u64; 3]>,
-    /// Per stage, in chain order: each task's stream range and time.
-    tasks: Vec<Vec<(RowRange, u64)>>,
+    /// Per stage, in chain order, one entry per task: the index of the
+    /// task's range of the step's source, the rows of the stage's stream it
+    /// read, and its time. [`publish`] lays the rows end to end in range
+    /// order, so each stage's ranges are in its own stream's rows.
+    tasks: Vec<Vec<(usize, usize, u64)>>,
     /// Ranges run per worker; empty unless the step streams.
     morsels_by_worker: Vec<u64>,
 }
@@ -245,32 +236,28 @@ struct Morsels {
 }
 
 /// The ranges `(start, len, after_cut)` a streaming step's tasks run over
-/// its source: one per part of the head's `cuts` — its offsets, or the ends
-/// of the source's parts when it adopts them — each cut further on `grid`.
-/// `after_cut` marks a range a cut precedes: the folder keeps the outputs
-/// on either side apart. Empty parts stay: a range with no rows still runs
-/// and publishes its (empty) part.
-pub(super) fn ranges(
-    cuts: &Cuts,
-    source: &Parts,
-    grid: Option<usize>,
-) -> Vec<(usize, usize, bool)> {
+/// its source: one per part of the head's `cuts` — its offsets, the ends of
+/// the source's parts when it adopts them, or every so many rows.
+/// `after_cut` marks a range a cut precedes: the folder keeps the outputs on
+/// either side apart, while morsels are a grid it may pack across. Empty
+/// parts stay: a range with no rows still runs and publishes its (empty)
+/// part.
+pub(super) fn ranges(cuts: &Cuts, source: &Parts) -> Vec<(usize, usize, bool)> {
     let rows = source.rows();
-    let ends: Vec<usize> = match cuts {
-        Cuts::At(at) => at.iter().map(|&at| at.min(rows)).chain([rows]).collect(),
-        Cuts::Adopt => source.ends().collect(),
-    };
-    let (mut ranges, mut start) = (Vec::with_capacity(ends.len()), 0);
-    for (k, end) in ends.into_iter().enumerate() {
-        let mut at = start;
-        while let Some(next) = grid.map(|grid| (at / grid + 1) * grid).filter(|&next| next < end) {
-            ranges.push((at, next - at, k > 0 && at == start));
-            at = next;
+    let (ends, cut): (Vec<usize>, bool) = match cuts {
+        Cuts::At(at) => (at.iter().map(|&at| at.min(rows)).chain([rows]).collect(), true),
+        Cuts::Adopt => (source.ends().collect(), true),
+        &Cuts::Every(every) => {
+            ((1..rows.div_ceil(every)).map(|k| k * every).chain([rows]).collect(), false)
         }
-        ranges.push((at, end - at, k > 0 && at == start));
+    };
+    let mut start = 0;
+    let ranges = ends.into_iter().enumerate().map(|(k, end)| {
+        let range = (start, end - start, cut && k > 0);
         start = end;
-    }
-    ranges
+        range
+    });
+    ranges.collect()
 }
 
 /// Launches a runnable step: one task per range of a streaming step over a
@@ -302,7 +289,7 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
         }
         _ => return submit(task(None)),
     };
-    let ranges = ranges(cuts, &source, state.grid);
+    let ranges = ranges(cuts, &source);
     let n_ranges = ranges.len();
     let fanout = Arc::new(Fanout {
         source,
@@ -310,7 +297,7 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
         morsels: Mutex::new(Morsels {
             waiting: (0..n_ranges).map(|_| None).collect(),
             next: 0,
-            folder: Folder::new(pipeline.terminal(), state.cell_rows(step)),
+            folder: Folder::new(pipeline.terminal(), state.cells[step]),
             remaining: n_ranges,
             tally: None,
         }),
@@ -438,9 +425,10 @@ fn run_stages(
 
     let mut outputs = Vec::with_capacity(pieces.len());
     let mut panics = Vec::with_capacity(n_stages);
-    // The stream range the task's stages ran: its range of the source, or
-    // all of a whole-node step's stream (its output, for a scan).
-    let mut range = cut.map(|(_, _, start, len)| RowRange::new(start, start + len));
+    // The rows of each stage's stream the task read: its range of the
+    // source at the head, its predecessor's outputs further down, all of a
+    // whole-node step's stream (its output, for a scan).
+    let mut streamed = vec![0; n_stages];
     for (piece, &(start, len)) in pieces.iter().enumerate() {
         let mut out = None;
         for (idx, (&stage, node)) in pipeline.stages.iter().zip(&nodes).enumerate() {
@@ -475,7 +463,7 @@ fn run_stages(
             let measured = [micros, chunk.rows() as u64, chunk.byte_size() as u64];
             tally.stages[idx].iter_mut().zip(measured).for_each(|(s, v)| *s += v);
             let stream = inputs.get(stream_input(&node.spec, inputs.len()));
-            range.get_or_insert(RowRange::new(0, stream.map_or(chunk.rows(), Chunk::rows)));
+            streamed[idx] += stream.map_or(chunk.rows(), Chunk::rows);
             out = Some(chunk);
         }
         outputs.push(out.expect("a step has at least one stage"));
@@ -484,11 +472,12 @@ fn run_stages(
     let delay = Instant::now();
     run.inject_delay(pipeline.terminal());
     tally.stages[n_stages - 1][0] += delay.elapsed().as_micros() as u64;
-    let range = range.expect("a task runs at least one piece");
-    tally.tasks = tally.stages.iter().map(|stage| vec![(range, stage[0])]).collect();
+    let index = cut.map_or(0, |(_, index, _, _)| index);
+    let stages = tally.stages.iter().zip(streamed);
+    tally.tasks = stages.map(|(stage, rows)| vec![(index, rows, stage[0])]).collect();
 
     let Some((fanout, index, _, _)) = cut else {
-        let parts = Parts::publish(pipeline.terminal(), outputs, state.cell_rows(step))?;
+        let parts = Parts::publish(pipeline.terminal(), outputs, state.cells[step])?;
         publish(run, ctx, pipeline, parts, tally)?;
         return Ok(true);
     };
@@ -556,7 +545,12 @@ fn publish(
     let end_us = run.started.elapsed().as_micros() as u64;
     for (&node, [duration_us, rows, bytes]) in pipeline.stages.iter().zip(measured) {
         let mut tasks = tasks.next().unwrap_or_default();
-        tasks.sort_by_key(|(range, _)| range.start);
+        tasks.sort_unstable_by_key(|&(index, ..)| index);
+        let mut at = 0;
+        let tasks = tasks.into_iter().map(|(_, rows, us)| {
+            at += rows;
+            (RowRange::new(at - rows, at), us)
+        });
         let profile = OperatorProfile {
             node,
             name: run.plan.node(node)?.spec.name(),
@@ -569,7 +563,7 @@ fn publish(
             worker: ctx.worker,
             rows_out: rows as usize,
             bytes_out: bytes as usize,
-            tasks,
+            tasks: tasks.collect(),
         };
         if run.profiles[node].set(profile).is_err() {
             return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));

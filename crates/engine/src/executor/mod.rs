@@ -14,12 +14,11 @@
 //! handed to the one execution runtime, which lives in two private
 //! submodules:
 //!
-//! * `driver` — plans the query into steps, each a chain of stages
-//!   ([`ExecutionMode`] picks the *planning*: one whole-node step per
-//!   operator, or fused morsel pipelines) and runs the step graph by
-//!   dependency counting: a step becomes runnable when all its producers
-//!   have finished and is then handed to the engine's [`Scheduler`] as one
-//!   task per morsel, every task running the same body;
+//! * `driver` — plans the query into steps along its cuts, each a chain of
+//!   stages ([`crate::pipeline`]), and runs the step graph by dependency
+//!   counting: a step becomes runnable when all its producers have finished
+//!   and is then handed to the engine's [`Scheduler`] as one task per part,
+//!   every task running the same body;
 //! * `run` — the per-query run context every task shares: result and
 //!   profile slots, the failure latch, the operator checkpoint and the
 //!   wait-then-collect tail every submission returns through.
@@ -47,8 +46,7 @@ use apq_columnar::Catalog;
 use crate::chunk::QueryOutput;
 use crate::error::Result;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
-use crate::pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
-use crate::plan::Plan;
+use crate::plan::{Plan, DEFAULT_MORSEL_ROWS};
 use crate::profiler::{DopPhase, QueryProfile};
 use crate::scheduler::{QueryHandle, Scheduler, SchedulerStats};
 use crate::sync::lock;
@@ -59,15 +57,6 @@ pub struct EngineConfig {
     /// Number of worker threads ("interpreters"). The paper's machines have
     /// 32 / 96 hardware threads; experiments here scale this down.
     pub n_workers: usize,
-    /// How plans are *planned* into scheduler tasks: one whole-node step per
-    /// operator (default) or fused pipelines driven by fixed-size morsels.
-    /// One driver runs both plannings (see [`crate::pipeline`]); results are
-    /// byte-identical either way.
-    pub execution_mode: ExecutionMode,
-    /// Morsel size in rows for the fused pipelines of
-    /// [`ExecutionMode::MorselDriven`] (default [`DEFAULT_MORSEL_ROWS`]);
-    /// operator-at-a-time planning has no pipelines to cut.
-    pub morsel_rows: usize,
     /// Deterministic fault injection ([`crate::fault`]): seeded operator
     /// panics, spurious cancellations and delays, all fired at the driver's
     /// operator executions. Also the engine's one injected-latency
@@ -75,15 +64,16 @@ pub struct EngineConfig {
     /// makes every operator deliberately slow. `None` (default) disables
     /// the layer.
     pub faults: Option<FaultConfig>,
+    /// Benchmark link compatibility only ([`ExecutionMode`]).
+    execution_mode: ExecutionMode,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             n_workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            execution_mode: ExecutionMode::default(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             faults: None,
+            execution_mode: Default::default(),
         }
     }
 }
@@ -94,23 +84,62 @@ impl EngineConfig {
         EngineConfig { n_workers: n_workers.max(1), ..EngineConfig::default() }
     }
 
-    /// Sets the execution mode (builder style).
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
-    /// Sets the morsel size in rows for morsel-driven execution (builder
-    /// style). Values are clamped to at least 1 at use sites.
-    pub fn with_morsel_rows(mut self, morsel_rows: usize) -> Self {
-        self.morsel_rows = morsel_rows;
-        self
-    }
-
     /// Enables deterministic fault injection (builder style); see
     /// [`crate::fault`] for the chaos-layer specification.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
+        self
+    }
+}
+
+/// Benchmark link compatibility only, ignored: `benchmark/src/sut.rs` names
+/// both variants and [`EngineConfig::with_scheduler`], and may not be
+/// edited outside a `[benchmark]` PR. The next `[benchmark]` PR drops this
+/// enum and that method together with `Runtime::MorselGlobal` and the
+/// `scheduler.stealing_vs_global_ratio` rung.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerPolicy {
+    GlobalQueue,
+    WorkStealing,
+}
+
+/// Benchmark link compatibility only: `benchmark/src/sut.rs` names
+/// `MorselDriven` and [`EngineConfig::with_execution_mode`], and may not be
+/// edited outside a `[benchmark]` PR. An engine set to `MorselDriven` runs
+/// each plan it is given cut into morsels of [`DEFAULT_MORSEL_ROWS`] rows
+/// ([`Plan::cut_into_morsels`]), the step graphs the benchmark's morsel
+/// runtimes have always run. The next `[benchmark]` PR drops this enum,
+/// that method and the field they set together with [`SchedulerPolicy`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecutionMode {
+    #[default]
+    OperatorAtATime,
+    MorselDriven,
+}
+
+impl ExecutionMode {
+    /// `plan` as an engine set to this mode runs it.
+    fn planned(self, plan: &Arc<Plan>) -> Arc<Plan> {
+        match self {
+            ExecutionMode::OperatorAtATime => Arc::clone(plan),
+            ExecutionMode::MorselDriven => Arc::new(plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)),
+        }
+    }
+}
+
+impl EngineConfig {
+    /// Benchmark link compatibility only, ignored — see [`SchedulerPolicy`].
+    #[doc(hidden)]
+    pub fn with_scheduler(self, _: SchedulerPolicy) -> Self {
+        self
+    }
+
+    /// Benchmark link compatibility only — see [`ExecutionMode`].
+    #[doc(hidden)]
+    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
+        self.execution_mode = mode;
         self
     }
 }
@@ -411,6 +440,7 @@ impl Engine {
         catalog: &Arc<Catalog>,
         handle: Arc<QueryHandle>,
     ) -> Result<QueryExecution> {
+        let plan = &self.config.execution_mode.planned(plan);
         plan.validate()?;
 
         // The guard keeps the in-flight gauge balanced on error returns.

@@ -1,4 +1,5 @@
-//! Engine-level tests of the one execution runtime under both plannings.
+//! Engine-level tests of the one execution runtime, over plans as built and
+//! cut into morsels.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use super::*;
 use crate::error::EngineError;
 use crate::pipeline::PipelinePlan;
-use crate::plan::{Cuts, NodeId, OperatorSpec};
+use crate::plan::{Cuts, NodeId, OperatorSpec, DEFAULT_MORSEL_ROWS};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
     let mut c = Catalog::new();
@@ -257,17 +258,13 @@ fn shared_plan_execution_avoids_replanning() {
 }
 
 #[test]
-fn morsel_mode_matches_operator_at_a_time() {
+fn morsels_match_the_plan_as_built() {
     let cat = catalog(10_000);
     let plan = filter_sum_plan(500);
-    let reference = Engine::with_workers(2).execute(&plan, &cat).unwrap();
-    let engine = Engine::new(
-        EngineConfig::with_workers(2)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(1_000),
-    );
-    let exec = engine.execute(&plan, &cat).unwrap();
-    assert_eq!(exec.output, reference.output, "morsel mode diverged");
+    let engine = Engine::with_workers(2);
+    let reference = engine.execute(&plan, &cat).unwrap();
+    let exec = engine.execute(&plan.cut_into_morsels(1_000), &cat).unwrap();
+    assert_eq!(exec.output, reference.output, "morsels diverged");
     // Every live node still gets a profile.
     assert_eq!(exec.profile.operators.len(), reference.profile.operators.len());
     // The scan→select→fetch→agg chain fused: 10 morsels of 1000 rows.
@@ -288,13 +285,10 @@ fn morsel_mode_matches_operator_at_a_time() {
 fn a_zero_worker_count_runs_and_reports_one_worker() {
     let cat = catalog(10_000);
     let plan = filter_sum_plan(500);
-    let config = EngineConfig { n_workers: 0, ..EngineConfig::default() }
-        .with_execution_mode(ExecutionMode::MorselDriven)
-        .with_morsel_rows(1_000);
-    let engine = Engine::new(config);
+    let engine = Engine::new(EngineConfig { n_workers: 0, ..EngineConfig::default() });
     assert_eq!(engine.n_workers(), 1);
     assert_eq!(engine.config().n_workers, 1);
-    let exec = engine.execute(&plan, &cat).unwrap();
+    let exec = engine.execute(&plan.cut_into_morsels(1_000), &cat).unwrap();
     assert_eq!(exec.profile.n_workers, 1);
     assert_eq!(exec.profile.total_morsels(), 10);
     assert_eq!(exec.profile.pipelines[0].n_morsels, 10);
@@ -302,9 +296,9 @@ fn a_zero_worker_count_runs_and_reports_one_worker() {
 }
 
 #[test]
-fn morsel_mode_handles_errors_and_cancellation() {
-    let engine =
-        Engine::new(EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven));
+fn morsels_handle_errors_and_cancellation() {
+    let engine = Engine::with_workers(2);
+    let morsels = |plan: Plan| plan.cut_into_morsels(DEFAULT_MORSEL_ROWS);
     let cat = catalog(100);
     // Division by zero inside a fused stage fails the query cleanly.
     let mut p = Plan::new();
@@ -318,29 +312,25 @@ fn morsel_mode_handles_errors_and_cancellation() {
         vec![a],
     );
     p.set_root(div);
-    assert!(matches!(engine.execute(&p, &cat), Err(EngineError::Operator(_))));
+    assert!(matches!(engine.execute(&morsels(p), &cat), Err(EngineError::Operator(_))));
 
     // Cancellation before submission aborts the query.
-    let plan = Arc::new(filter_sum_plan(10));
+    let plan = Arc::new(morsels(filter_sum_plan(10)));
     let handle = engine.register_query(0);
     handle.cancel();
     let err = engine.execute_with_handle(&plan, &cat, handle).unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
 
     // And the engine still executes healthy queries afterwards.
-    let ok = engine.execute(&filter_sum_plan(10), &cat).unwrap();
+    let ok = engine.execute(&morsels(filter_sum_plan(10)), &cat).unwrap();
     assert_eq!(ok.output, QueryOutput::Scalar(ScalarValue::I64(90)));
 }
 
 #[test]
-fn morsel_mode_respects_admitted_dop() {
-    let engine = Engine::new(
-        EngineConfig::with_workers(4)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(512),
-    );
+fn morsels_respect_admitted_dop() {
+    let engine = Engine::with_workers(4);
     let cat = catalog(10_000);
-    let plan = Arc::new(filter_sum_plan(500));
+    let plan = Arc::new(filter_sum_plan(500).cut_into_morsels(512));
     let expected = engine.execute_shared(&plan, &cat).unwrap().output;
     let handle = engine.register_query(1);
     let exec = engine.execute_with_handle(&plan, &cat, handle).unwrap();
@@ -361,10 +351,11 @@ fn work_stealing_records_locality() {
 }
 
 #[test]
-fn operator_at_a_time_profiles_every_operator_with_a_task_per_part() {
-    // The per-operator shape `mutate_most_expensive` reads: under
-    // operator-at-a-time planning every live node is its own step, and a
-    // cut node runs one task per part, each recorded with its range.
+fn cut_nodes_profile_every_operator_with_a_task_per_part() {
+    // The per-operator shape `mutate_most_expensive` reads: the cut select
+    // heads a step that the adopting fetch and sum join, each task runs
+    // all three over one part, and each stage records every task's range of
+    // its own stream with its time there.
     let (rows, parts) = (80_000, 8);
     let cat = catalog(rows);
     let plan = partitioned_filter_sum_plan(rows, 4_000, parts);
@@ -373,26 +364,72 @@ fn operator_at_a_time_profiles_every_operator_with_a_task_per_part() {
     let exec = engine.execute(&plan, &cat).unwrap();
     assert_eq!(exec.output, expected.output);
     let pipelines: Vec<_> = exec.profile.pipelines.iter().map(|p| p.nodes.clone()).collect();
-    assert_eq!(pipelines, [vec![1], vec![3], vec![4]], "one step per cut node, none fused");
+    assert_eq!(pipelines, [vec![1, 3, 4]], "the adopting nodes join the cut select's step");
     let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     nodes.sort_unstable();
     assert_eq!(nodes, plan.node_ids(), "one profile per live node");
-    let tasks: usize = plan.node_ids().into_iter().map(|id| plan.parts(id)).sum();
-    assert_eq!(engine.scheduler_stats().total_executed(), tasks as u64);
+    // Two scans and the finalize, and one task per part for the chain.
+    assert_eq!(engine.scheduler_stats().total_executed(), 3 + parts as u64);
     assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
     for op in &exec.profile.operators {
         assert_eq!(op.tasks.len(), plan.parts(op.node), "node {}", op.node);
         let total: u64 = op.tasks.iter().map(|&(_, us)| us).sum();
         assert!(total <= op.duration_us, "node {}: tasks outlast the operator", op.node);
     }
-    // The select's tasks tile the scan's rows at its cuts.
-    let select = exec.profile.operator(1).unwrap();
-    let ranges: Vec<_> = select.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect();
+    let ranges = |node: NodeId| -> Vec<(usize, usize)> {
+        let op = exec.profile.operator(node).unwrap();
+        op.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect()
+    };
+    // The select's tasks tile the scan's rows at its cuts; the fetch's and
+    // the sum's tile the 4,000 rows it selects, all from the first part.
     let at = |i: usize| i * rows / parts;
-    assert_eq!(ranges, (0..parts).map(|i| (at(i), at(i + 1))).collect::<Vec<_>>());
-    // One worker, 27 tasks: queueing is spread over the operators.
+    assert_eq!(ranges(1), (0..parts).map(|i| (at(i), at(i + 1))).collect::<Vec<_>>());
+    let selected: Vec<_> = (0..parts).map(|i| (4_000 * i.min(1), 4_000)).collect();
+    assert_eq!(ranges(3), selected);
+    assert_eq!(ranges(4), selected);
+    // One worker, 11 tasks: queueing is spread over the operators.
     let waited = exec.profile.operators.iter().filter(|o| o.queue_wait_us > 0).count();
     assert!(waited >= 2, "queue wait on {waited} operators only");
+}
+
+#[test]
+fn an_adopting_node_fuses_into_its_producers_step() {
+    // The cut select and the adopting fetch and sum: the fetch and the sum
+    // once ran as steps of their own, one task per part each. Fused, the
+    // plan takes one step and `parts` tasks fewer, publishes the same
+    // answer, and profiles each stage with the tasks it ran alone.
+    let (rows, parts) = (20_000, 4);
+    let cat = catalog(rows);
+    let fused = partitioned_filter_sum_plan(rows, 15_000, parts);
+    // The same parts with the sum cut at the fetch's part ends instead of
+    // adopting them: it cannot join, so it runs as a step of its own.
+    let mut apart = fused.clone();
+    apart.node_mut(4).unwrap().cuts = Cuts::At(vec![5_000, 10_000, 15_000]);
+    let engine = Engine::with_workers(1);
+    let run = |plan: &Plan| {
+        let before = engine.scheduler_stats().total_executed();
+        let exec = engine.execute(plan, &cat).unwrap();
+        (exec, engine.scheduler_stats().total_executed() - before)
+    };
+    let (fused_exec, fused_tasks) = run(&fused);
+    let (apart_exec, apart_tasks) = run(&apart);
+    assert_eq!(fused_exec.output, apart_exec.output);
+    assert_eq!(fused_exec.output, engine.execute(&filter_sum_plan(15_000), &cat).unwrap().output);
+    let steps = |exec: &QueryExecution| -> Vec<Vec<NodeId>> {
+        exec.profile.pipelines.iter().map(|p| p.nodes.clone()).collect()
+    };
+    assert_eq!(steps(&fused_exec), [vec![1, 3, 4]]);
+    let mut apart_steps = steps(&apart_exec);
+    apart_steps.sort();
+    assert_eq!(apart_steps, [vec![1, 3], vec![4]]);
+    assert_eq!(apart_tasks - fused_tasks, parts as u64);
+    for node in fused.node_ids() {
+        let tasks = |exec: &QueryExecution| -> Vec<_> {
+            let op = exec.profile.operator(node).unwrap();
+            op.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect()
+        };
+        assert_eq!(tasks(&fused_exec), tasks(&apart_exec), "node {node}");
+    }
 }
 
 #[test]
@@ -401,12 +438,8 @@ fn fused_stage_time_is_cpu_time_bounded_by_wall_times_workers() {
     // `duration_us` — and with it `total_cpu_us` — may exceed the query's
     // wall time; what bounds it is wall time × workers.
     let cat = catalog(200_000);
-    let plan = Arc::new(filter_sum_plan(150_000));
-    let engine = Engine::new(
-        EngineConfig::with_workers(2)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(2_000),
-    );
+    let plan = Arc::new(filter_sum_plan(150_000).cut_into_morsels(2_000));
+    let engine = Engine::with_workers(2);
     for _ in 0..5 {
         let profile = engine.execute_shared(&plan, &cat).unwrap().profile;
         assert_eq!(profile.total_morsels(), 100);
@@ -429,14 +462,15 @@ fn refused_submission_still_drains_and_reports_shutdown() {
     // The scheduler refuses work only once shut down (normally from
     // `Engine::drop`). The refusal must leave through the common tail:
     // error surfaced, nothing of the query left in the pool.
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let engine = Engine::new(EngineConfig::with_workers(2).with_execution_mode(mode));
+    let plan = filter_sum_plan(10);
+    for plan in [plan.clone(), plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)] {
+        let engine = Engine::with_workers(2);
         engine.scheduler.shutdown();
         let handle = engine.register_query(0);
-        let plan = Arc::new(filter_sum_plan(10));
-        let err = engine.execute_with_handle(&plan, &catalog(1_000), Arc::clone(&handle));
-        assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{mode}");
-        assert_eq!(handle.inflight_tasks(), 0, "{mode}: refused task still counted");
+        let label = plan.pretty();
+        let err = engine.execute_with_handle(&Arc::new(plan), &catalog(1_000), Arc::clone(&handle));
+        assert_eq!(err.unwrap_err(), EngineError::EngineShutDown, "{label}");
+        assert_eq!(handle.inflight_tasks(), 0, "{label}: refused task still counted");
         assert_eq!(handle.running(), 0);
         assert_eq!(engine.in_flight_queries(), 0);
     }
@@ -463,38 +497,40 @@ fn square_halves_plan(rows: usize) -> (Plan, [NodeId; 3]) {
 #[test]
 fn a_double_edge_counts_as_two_readers() {
     let (plan, [a, square, fin]) = square_halves_plan(1_000);
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let graph = PipelinePlan::analyze(&plan, mode).unwrap();
+    for plan in [plan.clone(), plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)] {
+        let graph = PipelinePlan::analyze(&plan).unwrap();
         let readers = graph.readers();
         let of = |node: NodeId| readers[graph.step_of[node].unwrap()];
+        let label = plan.pretty();
         // `calc(a, a)` reads the scan through two edges; each is a read.
-        assert_eq!(of(a), 2, "{mode}");
+        assert_eq!(of(a), 2, "{label}");
         // The cut sum reads the square once, whatever its parts.
-        assert_eq!(of(square), 1, "{mode}");
+        assert_eq!(of(square), 1, "{label}");
         // The root is read by nothing, so no step releases it.
-        assert_eq!(of(fin), 0, "{mode}");
+        assert_eq!(of(fin), 0, "{label}");
         // Every read is an input edge some step counts down.
         let counted: usize = graph.in_edges.iter().flatten().map(|&(_, n)| n).sum();
-        assert_eq!(counted, readers.iter().sum::<usize>(), "{mode}");
+        assert_eq!(counted, readers.iter().sum::<usize>(), "{label}");
     }
 }
 
 #[test]
 fn released_chunks_are_never_read_again() {
-    // Each part of the aggregate cuts many morsels of the square under
-    // morsel planning; a chunk released before its last reader finished would
+    // The aggregate reads the square in halves, or in morsels of 256 rows,
+    // one task each; a chunk released before its last reader finished would
     // surface as "scheduled before its input completed".
     let rows = 10_000;
     let cat = catalog(rows);
-    let (plan, _) = square_halves_plan(rows);
+    let (halves, _) = square_halves_plan(rows);
+    let mut morsels = halves.clone();
+    morsels.node_mut(2).unwrap().cuts = Cuts::Every(256);
     let expected: i64 = (0..rows as i64).map(|v| v * v).sum();
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let engine = Engine::new(
-            EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(256),
-        );
+    let engine = Engine::with_workers(2);
+    for plan in [halves, morsels] {
         for _ in 0..20 {
             let exec = engine.execute(&plan, &cat).unwrap();
-            assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(expected)), "{mode}");
+            let label = plan.pretty();
+            assert_eq!(exec.output, QueryOutput::Scalar(ScalarValue::I64(expected)), "{label}");
         }
     }
 }
@@ -741,8 +777,21 @@ mod part_lists {
         assert_parts_are_slices_of(&parts, &stream, "an empty range");
     }
 
+    /// The grid the driver once cut every streaming step's ranges on under
+    /// morsel planning, over a node without cuts: the reference
+    /// [`Cuts::Every`] is held to.
+    fn grid_ranges_reference(source: &Parts, grid: usize) -> Vec<(usize, usize, bool)> {
+        let (rows, mut at, mut ranges) = (source.rows(), 0, Vec::new());
+        while let Some(next) = Some((at / grid + 1) * grid).filter(|&next| next < rows) {
+            ranges.push((at, next - at, false));
+            at = next;
+        }
+        ranges.push((at, rows - at, false));
+        ranges
+    }
+
     #[test]
-    fn a_steps_ranges_follow_its_cuts_its_stream_and_the_grid() {
+    fn a_steps_ranges_follow_its_cuts_and_its_stream() {
         let list = |lens: &[usize]| {
             let column = Chunk::Column(Column::from_i64((0..100).collect()));
             let mut at = 0;
@@ -755,26 +804,23 @@ mod part_lists {
         };
         let source = list(&[20]);
         let at = |offsets: &[usize]| Cuts::At(offsets.to_vec());
-        assert_eq!(ranges(&Cuts::default(), &source, None), [(0, 20, false)]);
+        assert_eq!(ranges(&Cuts::default(), &source), [(0, 20, false)]);
+        assert_eq!(ranges(&at(&[5, 12]), &source), [(0, 5, false), (5, 7, true), (12, 8, true)]);
+        // Offsets past the end cut there.
+        assert_eq!(ranges(&at(&[30]), &source), [(0, 20, false), (20, 0, true)]);
+        // Morsels cut every so many rows of the stream, whatever its parts,
+        // and no cut separates them: the old grid over a node without cuts.
         assert_eq!(
-            ranges(&at(&[5, 12]), &source, None),
-            [(0, 5, false), (5, 7, true), (12, 8, true)]
+            ranges(&Cuts::Every(8), &source),
+            [(0, 8, false), (8, 8, false), (16, 4, false)]
         );
-        // The grid cuts inside each range; only a cut separates them.
-        assert_eq!(
-            ranges(&at(&[5, 12]), &source, Some(4)),
-            [
-                (0, 4, false),
-                (4, 1, false),
-                (5, 3, true),
-                (8, 4, false),
-                (12, 4, true),
-                (16, 4, false)
-            ]
-        );
-        // Offsets past the end cut there; an empty stream is one range.
-        assert_eq!(ranges(&at(&[30]), &source, None), [(0, 20, false), (20, 0, true)]);
-        assert_eq!(ranges(&Cuts::default(), &list(&[0]), Some(4)), [(0, 0, false)]);
+        let multi = list(&[3, 0, 40, 17]);
+        for source in [list(&[0]), source, multi] {
+            for every in [1, 3, 7, 8, 20, 21, 64] {
+                let expected = grid_ranges_reference(&source, every);
+                assert_eq!(ranges(&Cuts::Every(every), &source), expected, "every {every}");
+            }
+        }
         // Adoption takes one range per part of the stream, empty ones too.
         let mut folder = Folder::new(0, Some(MORSEL));
         let column = Chunk::Column(Column::from_i64((0..7).collect()));
@@ -785,10 +831,7 @@ mod part_lists {
             folder.push(column.slice(start, len).unwrap()).unwrap();
         }
         let adopted = folder.finish().unwrap();
-        assert_eq!(
-            ranges(&Cuts::Adopt, &adopted, None),
-            [(0, 3, false), (3, 0, true), (3, 4, true)]
-        );
+        assert_eq!(ranges(&Cuts::Adopt, &adopted), [(0, 3, false), (3, 0, true), (3, 4, true)]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   one dependency-driven execution runtime ("an operator is scheduled for
 //!   execution once all its input sources are available"), usable
 //!   concurrently by many client threads;
-//! * [`pipeline`] — how a plan is *planned* into that runtime's steps: one
-//!   whole-node step per operator (operator-at-a-time) or fused operator
-//!   chains driven by fixed-size morsels, selectable via
-//!   [`EngineConfig::execution_mode`];
+//! * [`pipeline`] — how a plan is *planned* into that runtime's steps along
+//!   its cuts: a node with cuts streams its input one task per part, and
+//!   nodes cut into morsels ([`Plan::cut_into_morsels`]) or adopting their
+//!   stream's parts fuse into their producer's pipeline;
 //! * [`scheduler`] — the work-stealing task scheduler (per-worker deques
 //!   plus one shared injector), per-query scheduling state
 //!   ([`QueryHandle`]: admitted DOP, cancellation, deadline) and per-worker
@@ -51,11 +51,10 @@ mod sync;
 pub use chunk::{Chunk, JoinView, OidsView, QueryOutput};
 pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, ReservedQuery};
-pub use fault::{FaultConfig, FaultStats};
-pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
-pub use plan::{JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
-pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
 #[doc(hidden)]
-pub use scheduler::SchedulerPolicy;
+pub use executor::{ExecutionMode, SchedulerPolicy};
+pub use fault::{FaultConfig, FaultStats};
+pub use plan::{JoinSide, NodeId, OperatorSpec, Plan, PlanNode, DEFAULT_MORSEL_ROWS};
+pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
 pub use scheduler::{QueryHandle, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};

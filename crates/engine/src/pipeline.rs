@@ -1,27 +1,25 @@
-//! Planning a query into steps: one step per operator, or fused morsel
-//! pipelines (Leis et al., "Morsel-Driven Parallelism", adapted to this
-//! engine's plan IR).
+//! Planning a query into steps: fused pipelines along the plan's cuts
+//! (Leis et al., "Morsel-Driven Parallelism", adapted to this engine's plan
+//! IR).
 //!
 //! The engine has one execution runtime (the driver behind
-//! [`crate::Engine`]) and two *plannings* of a plan into the step graph
-//! that runtime executes; [`ExecutionMode`] picks the planning and is read
-//! nowhere else. Every step is a `Pipeline` — a non-empty chain of stages
-//! that the driver's one task body runs — and a step either streams or it
-//! does not. A **whole-node step** is the one-stage chain that does not
-//! stream: one task over whole inputs. A streaming step has one source, its
+//! [`crate::Engine`]) and one planning of a plan into the step graph that
+//! runtime executes, decided by the plan's cuts ([`crate::plan::Cuts`]).
+//! Every step is a `Pipeline` — a non-empty chain of stages that the
+//! driver's one task body runs — and a step either streams or it does not.
+//! A **whole-node step** is the one-stage chain that does not stream: one
+//! task over whole inputs. A streaming step has one source, its
 //! **producer**: the earlier step whose published list its head streams,
 //! one task per range of it.
 //!
-//! [`ExecutionMode::OperatorAtATime`] (the default, and the model the
-//! paper's adaptive optimizer was measured on) emits one step per operator:
-//! a node with cuts ([`crate::plan::Cuts`]) streams its input, one task per
-//! part, and every other node runs whole. [`ExecutionMode::MorselDriven`]
-//! makes every streamable operator a pipeline head, cuts every streaming
-//! step's ranges further into **morsels** of
-//! [`crate::EngineConfig::morsel_rows`] rows (default
-//! [`DEFAULT_MORSEL_ROWS`]), and *fuses* compatible chains: each morsel
-//! flows through all fused stages while its data is cache-hot, and the
-//! per-stage materialization disappears inside the pipeline.
+//! A node without cuts runs whole. A node with explicit cut offsets heads a
+//! streaming step, one task per part. A node that adopts its stream's parts
+//! or is cut into **morsels** ([`Cuts::Every`]; [`Plan::cut_into_morsels`]
+//! cuts every node that may take them) *joins its producer's chain* wherever
+//! the rules below allow, and heads a step of its own where they do not:
+//! each range then flows through all fused stages while its data is
+//! cache-hot, and the per-stage materialization disappears inside the
+//! pipeline.
 //!
 //! Nor is a step's output packed back into one chunk. The driver publishes
 //! an ordered list of parts, and a consumer that streams the list — or zips
@@ -31,8 +29,8 @@
 //! looked-up column, a build side, the root) is packed once, on that read.
 //!
 //! ```text
-//! operator-at-a-time                 morsel-driven
-//! ==================                 =============
+//! plan as built (no cuts)            plan.cut_into_morsels(n)
+//! ========================            ========================
 //!
 //!  scan ──► [whole chunk]            scan ──► [whole column] (whole-node step)
 //!            select ──► [chunk]      pipeline: producer scan → select → fetch
@@ -41,7 +39,7 @@
 //!                                      morsel 2 ─► sel₂ fetch₂ ─► part 2 ─┤
 //!                                    pipeline: producer fetch → calc      │
 //!                                      morsel 0 ─► calc once per part ◄───┘
-//!  (one task per operator part,      (one task per MORSEL, stages fused; a
+//!  (one task per operator,           (one task per MORSEL, stages fused; a
 //!   whole chunks between them)        morsel adopts the parts it covers)
 //! ```
 //!
@@ -65,7 +63,9 @@
 //! has exactly one consumer, the next stage, and only the terminal's output
 //! is published. A node with explicit cut offsets never joins a chain below
 //! its head, since its offsets address its stream whole; one that adopts its
-//! stream's parts may, since in a chain it runs once per piece anyway.
+//! stream's parts may, since in a chain it runs once per piece anyway, and
+//! so may one cut into morsels, which in a chain runs over its head's
+//! ranges whatever its own morsel size.
 //!
 //! Two ordering constraints apply inside a chain, both triggered by a stage
 //! that has *created a new stream* (a selection or join compacts its input,
@@ -87,8 +87,7 @@
 //!
 //! # Result equivalence
 //!
-//! Both plannings, and every set of cuts, produce **byte-identical**
-//! results whatever order the scheduler dispatches in, because
+//! Every set of cuts produces **byte-identical** results whatever order the scheduler dispatches in, because
 //! [`apq_columnar::Column::slice`] keeps absolute base oids, positional
 //! slices of candidate/join streams carry their `stream_base` offset
 //! ([`crate::chunk::Chunk::Oids`]), and a step publishes its pieces'
@@ -100,54 +99,13 @@
 use crate::error::Result;
 use crate::plan::{Cuts, NodeId, OperatorSpec, Plan};
 
-/// Default morsel size, in rows (the ballpark of Leis et al.'s ~100k-tuple
-/// morsels, rounded to a power of two).
-pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
-
-/// How the engine plans a validated plan into scheduler tasks. Consulted in
-/// exactly one place — the planner call at the head of every execution —
-/// because both plannings run on the same driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One task per plan operator; every intermediate result materializes
-    /// whole before its consumers run (the seed engine's model, and the
-    /// model the paper's adaptive optimizer was measured on).
-    #[default]
-    OperatorAtATime,
-    /// Fused operator pipelines driven by fixed-size morsels: one task per
-    /// morsel, outputs published as parts in stream order. Byte-identical
-    /// results, different dispatch granularity.
-    ///
-    /// ```
-    /// use apq_engine::{Engine, EngineConfig, ExecutionMode};
-    ///
-    /// let engine = Engine::new(
-    ///     EngineConfig::with_workers(2)
-    ///         .with_execution_mode(ExecutionMode::MorselDriven)
-    ///         .with_morsel_rows(8_192),
-    /// );
-    /// assert_eq!(engine.config().execution_mode, ExecutionMode::MorselDriven);
-    /// assert_eq!(engine.config().morsel_rows, 8_192);
-    /// ```
-    MorselDriven,
-}
-
-impl std::fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutionMode::OperatorAtATime => f.write_str("operator-at-a-time"),
-            ExecutionMode::MorselDriven => f.write_str("morsel-driven"),
-        }
-    }
-}
-
 /// One step of the plan: a chain of stages that one task body runs. A
 /// whole-node step is the one-stage chain that does not stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pipeline {
     /// `Some` when the step streams: the node whose published chunk (a
     /// scan's, a breaker's or another pipeline's terminal's — always in an
-    /// earlier step) is cut into morsels, always the input `stages[0]`
+    /// earlier step) is cut into the head's ranges, always the input `stages[0]`
     /// streams ([`stream_input`]). `None` for a whole-node step.
     pub producer: Option<NodeId>,
     /// Stage nodes in chain order; each stage after the first streams its
@@ -166,9 +124,8 @@ impl Pipeline {
 /// live node exactly once.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelinePlan {
-    /// The steps. The driver orders execution by `deps`/`out_edges` alone,
-    /// never by index: morsel-driven planning happens to emit a topological
-    /// order, operator-at-a-time planning emits node-id order.
+    /// The steps, in topological order; the driver orders execution by
+    /// `deps`/`out_edges` alone.
     pub steps: Vec<Pipeline>,
     /// `step_of[node] == Some(step index)` for every live node.
     #[cfg(test)]
@@ -228,15 +185,15 @@ fn creates_stream(spec: &OperatorSpec) -> bool {
 /// (fetch, calc, predicate masks, join-side projections, partial
 /// aggregates) and refining selects are safe anywhere: their values are
 /// correct per morsel and their base labels reassemble to the
-/// operator-at-a-time label (a fresh stream's base 0).
+/// whole-node label (a fresh stream's base 0).
 fn numbers_its_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
     creates_stream(spec) && stream_input(spec, n_inputs) == 0
 }
 
 /// True when the operator zips a *second range-aligned input* against its
 /// first (`Calc` col⊗col, `IfThenElse`): the executor slices that shared
-/// input on the same morsel grid as the pipeline's producer. This is only
-/// sound while the stream still *is* the producer's grid — once a stage has
+/// input at the same ranges as the pipeline's producer. This is only
+/// sound while the stream still *is* the producer's rows — once a stage has
 /// compacted the stream ([`creates_stream`]), morsel lengths are data
 /// dependent and the grid-aligned cut of the external input would zip
 /// against the wrong (or wrongly sized) rows. Such a stage must then start
@@ -247,60 +204,46 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 }
 
 impl PipelinePlan {
-    /// Plans a validated plan into steps under `mode`.
-    ///
-    /// [`ExecutionMode::OperatorAtATime`] emits one step per live node and
-    /// never fuses — the step graph *is* the plan DAG; a node with cuts
-    /// streams its input in its parts, every other node runs whole.
-    ///
-    /// [`ExecutionMode::MorselDriven`] decomposes the plan into streaming
-    /// pipelines and whole-node steps. Fusion is conservative: a chain only
-    /// forms where the plan structure *guarantees* that intermediate outputs
-    /// are consumed exactly once, by the next stage, as the input it streams.
+    /// Plans a validated plan into steps along its cuts: a node without
+    /// cuts is a whole-node step; a node with cuts heads a streaming step,
+    /// unless it adopts its stream's parts or is cut into morsels and joins
+    /// its producer's chain. Fusion is conservative: a chain only forms
+    /// where the plan structure *guarantees* that intermediate outputs are
+    /// consumed exactly once, by the next stage, as the input it streams.
     /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
-    /// arities — falls back to whole-node steps.
-    pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
-        let fuse = mode == ExecutionMode::MorselDriven;
-        // Chain heads are found in topological order (a head's producer
-        // must already belong to a step). Without fusion any order does, so
-        // node-id order stands in for a second sort — `Plan::validate` ran
-        // the (linear) one for this submission already.
-        let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
+    /// arities — heads a step of its own.
+    pub fn analyze(plan: &Plan) -> Result<PipelinePlan> {
+        // Chain heads are found in topological order: a head's producer, and
+        // the head of a chain a node joins, already belong to a step.
+        let order = plan.topo_order()?;
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
         let mut steps: Vec<Pipeline> = Vec::new();
 
         // `chain_next(n, stream_created)` = Some(c) when node n's output is
-        // consumed exactly once, by c, as the input c streams, and c is a
-        // fusible stage — one that may run in parts
-        // ([`OperatorSpec::is_parallelizable`]), since a morsel is a part
-        // the driver cuts at run time — without explicit cut offsets. Once the chain
-        // has passed a stream-creating stage (`stream_created`), a stage
-        // that numbers its input may not join (its input bases would be
-        // morsel-local), nor may a stage zipping a second aligned input.
-        // They instead start their own pipeline over the published
-        // list, which is correct.
+        // consumed exactly once, by c, as the input c streams, and c adopts
+        // its stream's parts or is cut into morsels. Explicit offsets address
+        // the stream whole, so a stage cut at them is never fed a
+        // predecessor's piece: it heads a pipeline over the published list
+        // instead. Once the chain has passed a stream-creating stage
+        // (`stream_created`), a stage that numbers its input may not join
+        // (its input bases would be range-local), nor may a stage zipping a
+        // second aligned input. They instead start their own pipeline over
+        // the published list, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
             let consumers = plan.consumers(id);
             let [consumer] = consumers.as_slice() else { return None };
             let node = plan.node(*consumer).ok()?;
             let n_inputs = node.inputs.len();
             let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
-            let stream = stream_input(&node.spec, n_inputs);
-            // Explicit offsets address the stream whole, so such a stage is
-            // never fed a predecessor's morsel: it heads a pipeline over the
-            // published list instead.
-            let explicit = matches!(&node.cuts, Cuts::At(at) if !at.is_empty());
-            if occurrences != 1 || node.inputs[stream] != id || explicit {
+            let joins = matches!(node.cuts, Cuts::Adopt | Cuts::Every(_));
+            if occurrences != 1 || node.inputs[stream_input(&node.spec, n_inputs)] != id || !joins {
                 return None;
             }
-            if stream_created
+            let blocked = stream_created
                 && (numbers_its_input(&node.spec, n_inputs)
-                    || has_aligned_second_input(&node.spec, n_inputs))
-            {
-                return None;
-            }
-            node.spec.is_parallelizable().then_some(*consumer)
+                    || has_aligned_second_input(&node.spec, n_inputs));
+            (!blocked).then_some(*consumer)
         };
 
         for &id in &order {
@@ -308,28 +251,17 @@ impl PipelinePlan {
                 continue;
             }
             let node = plan.node(id)?;
-
-            // A pipeline head streams over the input `stream_input` names,
-            // published by an earlier step (topological order): a scan, a
-            // breaker or another pipeline's terminal. A node with cuts is
-            // one under either planning; under morsel planning so is every
-            // fusible stage but one that reads its stream twice
-            // (`calc(x, x)`), which runs whole instead.
-            let stream = node.stream();
-            let head = !node.cuts.is_whole()
-                || (fuse
-                    && node.spec.is_parallelizable()
-                    && stream
-                        .is_some_and(|s| node.inputs.iter().filter(|&&i| i == s).count() == 1));
-            let step = if head {
-                let mut stages = vec![id];
+            let step = if node.cuts.is_whole() {
+                Pipeline { producer: None, stages: vec![id] }
+            } else {
                 // The head streams over producer slices whose bases are
                 // globally correct (column slices keep absolute oids, stream
                 // slices keep `stream_base`), so the head itself may emit
                 // positions; the constraint starts after the first
                 // in-pipeline stream creator.
+                let mut stages = vec![id];
                 let mut stream_created = creates_stream(&node.spec);
-                if fuse && !is_terminal_stage(&node.spec) {
+                if !is_terminal_stage(&node.spec) {
                     while let Some(next) = chain_next(stages[stages.len() - 1], stream_created) {
                         let spec = &plan.node(next)?.spec;
                         stream_created |= creates_stream(spec);
@@ -339,9 +271,7 @@ impl PipelinePlan {
                         }
                     }
                 }
-                Pipeline { producer: stream, stages }
-            } else {
-                Pipeline { producer: None, stages: vec![id] }
+                Pipeline { producer: node.stream(), stages }
             };
             for &n in &step.stages {
                 step_of[n] = Some(steps.len());
@@ -402,6 +332,7 @@ impl PipelinePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::DEFAULT_MORSEL_ROWS;
     use apq_columnar::ScalarValue;
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
@@ -433,27 +364,19 @@ mod tests {
         Pipeline { producer: Some(producer), stages: stages.to_vec() }
     }
 
-    /// Morsel-driven planning of `plan` — and, for every plan this module's
-    /// tests build, the operator-at-a-time contract: exactly one whole-node
-    /// step per live node, no pipeline, and a step graph that is the plan DAG
-    /// edge for edge.
+    /// The planning of `plan` cut into morsels — and, for every plan this
+    /// module's tests build, the contract of a plan without cuts: exactly
+    /// one whole-node step per live node, no pipeline, and a step graph that
+    /// is the plan DAG edge for edge.
     fn analyze(plan: &Plan) -> PipelinePlan {
-        let oat = PipelinePlan::analyze(plan, ExecutionMode::OperatorAtATime).unwrap();
-        assert_eq!(oat.n_pipelines(), 0);
-        let singles: Vec<NodeId> = oat
-            .steps
-            .iter()
-            .map(|s| match (s.producer, s.stages.as_slice()) {
-                (None, &[n]) => n,
-                _ => panic!("operator-at-a-time planning fused {s:?}"),
-            })
-            .collect();
-        assert_eq!(singles, plan.node_ids());
-        for (idx, &node) in singles.iter().enumerate() {
-            assert_eq!(oat.step_of[node], Some(idx));
+        let graph = PipelinePlan::analyze(plan).unwrap();
+        assert_eq!(graph.n_pipelines(), 0);
+        for node in plan.node_ids() {
+            let idx = graph.step_of[node].unwrap();
+            assert_eq!(graph.steps[idx], whole(node));
             let inputs = &plan.node(node).unwrap().inputs;
-            assert_eq!(oat.deps[idx], inputs.len(), "node {node}");
-            let fed: usize = oat
+            assert_eq!(graph.deps[idx], inputs.len(), "node {node}");
+            let fed: usize = graph
                 .out_edges
                 .iter()
                 .flatten()
@@ -462,18 +385,12 @@ mod tests {
                 .sum();
             assert_eq!(fed, inputs.len(), "node {node}: out_edges disagree with deps");
             for &input in inputs {
-                let producer = oat.step_of[input].unwrap();
-                assert!(oat.out_edges[producer].iter().any(|&(c, _)| c == idx));
+                let producer = graph.step_of[input].unwrap();
+                assert!(graph.out_edges[producer].iter().any(|&(c, _)| c == idx));
             }
         }
-        PipelinePlan::analyze(plan, ExecutionMode::MorselDriven).unwrap()
-    }
-
-    #[test]
-    fn execution_mode_default_and_display() {
-        assert_eq!(ExecutionMode::default(), ExecutionMode::OperatorAtATime);
-        assert_eq!(ExecutionMode::OperatorAtATime.to_string(), "operator-at-a-time");
-        assert_eq!(ExecutionMode::MorselDriven.to_string(), "morsel-driven");
+        assert_eq!(graph.steps.len(), plan.node_count());
+        PipelinePlan::analyze(&plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)).unwrap()
     }
 
     #[test]
@@ -590,12 +507,13 @@ mod tests {
     }
 
     #[test]
-    fn cut_nodes_head_their_own_step() {
-        // scan a → select → fetch(·, a) → calc: under either planning the
-        // fetch, cut at 10, heads a step over the select's list, since its
-        // offsets address that list whole; a fetch that adopts its stream's
-        // parts joins the select's chain under morsel planning.
-        let plan = |cuts: Cuts| {
+    fn cut_nodes_head_their_own_step_and_adopting_nodes_join_their_producers() {
+        // scan a → select → fetch(·, a) → calc: the fetch, cut at 10, heads
+        // a step over the select's list, since its offsets address that list
+        // whole; a fetch that adopts its stream's parts joins the chain of a
+        // select with cuts, and the calc behind it joins too when it adopts
+        // them or takes morsels.
+        let plan = |cuts: [Cuts; 3]| {
             let mut p = Plan::new();
             let a = p.add(scan("a"), vec![]);
             let select = OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) };
@@ -607,24 +525,38 @@ mod tests {
                 right_scalar: Some(ScalarValue::I64(1)),
             };
             let calc = p.add(add_one, vec![fetch]);
-            p.node_mut(fetch).unwrap().cuts = cuts;
+            for (node, cuts) in [sel, fetch, calc].into_iter().zip(cuts) {
+                p.node_mut(node).unwrap().cuts = cuts;
+            }
             p.set_root(calc);
             (p, [a, sel, fetch, calc])
         };
-        let (cut, [a, sel, fetch, calc]) = plan(Cuts::At(vec![10]));
-        let fused = PipelinePlan::analyze(&cut, ExecutionMode::MorselDriven).unwrap();
-        assert_eq!(fused.steps[fused.step_of[sel].unwrap()], streams(a, &[sel]));
-        assert_eq!(fused.steps[fused.step_of[fetch].unwrap()], streams(sel, &[fetch, calc]));
-        let oat = PipelinePlan::analyze(&cut, ExecutionMode::OperatorAtATime).unwrap();
-        assert_eq!(oat.n_pipelines(), 1);
-        assert_eq!(oat.steps[oat.step_of[fetch].unwrap()], streams(sel, &[fetch]));
-        assert_eq!(oat.steps[oat.step_of[calc].unwrap()], whole(calc));
+        let steps = |p: &Plan| PipelinePlan::analyze(p).unwrap().steps;
+        let none = Cuts::default;
+        let (cut, [a, sel, fetch, calc]) = plan([none(), Cuts::At(vec![10]), none()]);
+        assert_eq!(steps(&cut), [whole(a), whole(sel), streams(sel, &[fetch]), whole(calc)]);
+        let morsels = cut.cut_into_morsels(64);
+        assert_eq!(steps(&morsels), [whole(a), streams(a, &[sel]), streams(sel, &[fetch, calc])]);
 
-        let (adopting, _) = plan(Cuts::Adopt);
-        let fused = PipelinePlan::analyze(&adopting, ExecutionMode::MorselDriven).unwrap();
-        assert_eq!(fused.steps[fused.step_of[sel].unwrap()], streams(a, &[sel, fetch, calc]));
-        let oat = PipelinePlan::analyze(&adopting, ExecutionMode::OperatorAtATime).unwrap();
-        assert_eq!(oat.steps[oat.step_of[fetch].unwrap()], streams(sel, &[fetch]));
+        // An adopting node whose producer runs whole heads its own step.
+        let (adopting, _) = plan([none(), Cuts::Adopt, none()]);
+        assert_eq!(steps(&adopting), [whole(a), whole(sel), streams(sel, &[fetch]), whole(calc)]);
+        let morsels = adopting.cut_into_morsels(64);
+        assert_eq!(steps(&morsels), [whole(a), streams(a, &[sel, fetch, calc])]);
+
+        // Behind a head with cuts, adoption and morsels of any size fuse:
+        // one step instead of three.
+        for tail in [Cuts::Adopt, Cuts::Every(3), Cuts::Every(1 << 20)] {
+            let (fused, _) = plan([Cuts::At(vec![10]), Cuts::Adopt, tail]);
+            assert_eq!(steps(&fused), [whole(a), streams(a, &[sel, fetch, calc])]);
+        }
+        // A whole node ends the chain, and an adopting one behind it heads a
+        // step of its own.
+        let (stopped, _) = plan([Cuts::At(vec![10]), none(), Cuts::Adopt]);
+        assert_eq!(
+            steps(&stopped),
+            [whole(a), streams(a, &[sel]), whole(fetch), streams(fetch, &[calc])]
+        );
     }
 
     #[test]
@@ -827,7 +759,7 @@ mod tests {
     #[test]
     fn self_grouping_group_agg_stays_single() {
         // groupagg(x, x): inputs[0] occurs twice — neither chain nor head
-        // rule admits it; it runs whole, exactly like OAT.
+        // rule admits it; it runs whole, as in a plan without cuts.
         let mut p = Plan::new();
         let x = p.add(scan("x"), vec![]);
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Count }, vec![x, x]);
@@ -839,7 +771,7 @@ mod tests {
     #[test]
     fn self_zipping_calc_stays_single() {
         // calc(x, x): inputs[0] occurs twice, so neither the chain rule nor
-        // the head rule admits it — it runs whole, exactly like OAT.
+        // the head rule admits it — it runs whole, as in a plan without cuts.
         let mut p = Plan::new();
         let a = p.add(scan("a"), vec![]);
         let sq = p.add(

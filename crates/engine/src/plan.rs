@@ -254,6 +254,10 @@ impl OperatorSpec {
     }
 }
 
+/// Default morsel size, in rows (the ballpark of Leis et al.'s ~100k-tuple
+/// morsels, rounded to a power of two).
+pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
+
 /// Where a node cuts the rows it streams into parts: the rows of its stream
 /// input (a refining select's candidates, every other operator's first
 /// input) and of the range-aligned inputs zipped with it. The driver runs
@@ -267,6 +271,10 @@ pub enum Cuts {
     At(Vec<usize>),
     /// One part per published part of the stream.
     Adopt,
+    /// One part per `rows` rows of the stream: morsels (Leis et al.). Unlike
+    /// explicit offsets, these parts are a dispatch grid, not partitions:
+    /// the driver may pack a selective stage's small outputs across them.
+    Every(usize),
 }
 
 impl Default for Cuts {
@@ -288,6 +296,7 @@ impl std::fmt::Display for Cuts {
             Cuts::At(at) if at.is_empty() => Ok(()),
             Cuts::At(at) => write!(f, " cut at {at:?}"),
             Cuts::Adopt => f.write_str(" adopts its stream's parts"),
+            Cuts::Every(rows) => write!(f, " cut every {rows} rows"),
         }
     }
 }
@@ -377,18 +386,36 @@ impl Plan {
     }
 
     /// The parts `id` runs in: one per range of its explicit cuts, its
-    /// stream producer's parts when it adopts them, else one. This is the
-    /// count the driver's tasks and published parts follow under
-    /// operator-at-a-time planning (morsel planning cuts each part further
-    /// on its grid).
+    /// stream producer's parts when it adopts them, else one. A node cut
+    /// [`Cuts::Every`] so many rows counts as one: its morsels depend on the
+    /// rows it streams, which the plan does not know.
     pub fn parts(&self, id: NodeId) -> usize {
         match self.node(id) {
             Ok(PlanNode { cuts: Cuts::At(at), .. }) => at.len() + 1,
             Ok(node @ PlanNode { cuts: Cuts::Adopt, .. }) => {
                 node.stream().map_or(1, |s| self.parts(s))
             }
+            Ok(PlanNode { cuts: Cuts::Every(_), .. }) => 1,
             Err(_) => 0,
         }
+    }
+
+    /// The plan cut into morsels of `rows` rows (Leis et al.): every node
+    /// without cuts that can run in parts and reads its stream once is cut
+    /// [`Cuts::Every`] `rows` rows, so the driver fuses each chain of such
+    /// nodes into one pipeline over its producer's list. Nodes with cuts
+    /// keep them; breakers, scans and a `calc(x, x)` run whole.
+    pub fn cut_into_morsels(&self, rows: usize) -> Plan {
+        let mut plan = self.clone();
+        for node in &mut plan.nodes {
+            let reads_stream_once = node
+                .stream()
+                .is_some_and(|stream| node.inputs.iter().filter(|&&i| i == stream).count() == 1);
+            if node.cuts.is_whole() && node.spec.is_parallelizable() && reads_stream_once {
+                node.cuts = Cuts::Every(rows);
+            }
+        }
+        plan
     }
 
     /// Canonical structural signature of the plan: every live node's full
@@ -481,9 +508,9 @@ impl Plan {
 
     /// Structural validation: root set and a node, inputs nodes, arities
     /// valid, cuts only on parallelizable nodes (an adopting one with a
-    /// stream) and strictly ascending, no `Calc` with two scalar operands,
-    /// no `HashProbe` over a `KeySet` (a key set may have no rows to pair),
-    /// DAG acyclic.
+    /// stream), offsets strictly ascending and morsels at least a row, no
+    /// `Calc` with two scalar operands, no `HashProbe` over a `KeySet` (a
+    /// key set may have no rows to pair), DAG acyclic.
     pub fn validate(&self) -> Result<()> {
         let root =
             self.root.ok_or_else(|| EngineError::InvalidPlan("plan has no root".to_string()))?;
@@ -509,6 +536,7 @@ impl Plan {
                 Cuts::At(at) if at.windows(2).any(|w| w[0] >= w[1]) => {
                     Some("has cut offsets that do not ascend")
                 }
+                Cuts::Every(0) => Some("is cut every 0 rows"),
                 _ => None,
             };
             if let Some(refusal) = refusal {
@@ -609,7 +637,8 @@ mod tests {
         let halves = cut(select, Cuts::At(vec![4]));
         let thirds = cut(select, Cuts::At(vec![4, 8]));
         let adopting = cut(fetch, Cuts::Adopt);
-        let signatures = [&whole, &halves, &thirds, &adopting].map(Plan::signature);
+        let morsels = cut(select, Cuts::Every(4));
+        let signatures = [&whole, &halves, &thirds, &adopting, &morsels].map(Plan::signature);
         for (i, a) in signatures.iter().enumerate() {
             for b in &signatures[i + 1..] {
                 assert_ne!(a, b, "the plan cache would mix up two cuts");
@@ -618,6 +647,7 @@ mod tests {
         assert!(signatures[1].contains("1:Select") && signatures[1].contains("<-[0] cut at [4];"));
         assert!(halves.pretty().contains("<- [0] cut at [4]"), "{}", halves.pretty());
         assert!(adopting.pretty().contains("<- [1, 2] adopts its stream's parts"));
+        assert!(morsels.pretty().contains("<- [0] cut every 4 rows"), "{}", morsels.pretty());
         assert!(!whole.pretty().contains("cut"), "{}", whole.pretty());
     }
 
@@ -632,6 +662,40 @@ mod tests {
         assert_eq!((p.count_of("select"), p.count_of("fetch"), p.count_of("scan")), (3, 3, 2));
         assert_eq!(p.node_count(), tiny_plan().node_count());
         assert_eq!(p.parts(99), 0);
+        // Morsels count one part, and so does a node adopting them.
+        p.node_mut(1).unwrap().cuts = Cuts::Every(4);
+        assert_eq!((p.parts(1), p.parts(3), p.parts(4)), (1, 1, 1));
+    }
+
+    #[test]
+    fn morsels_cut_every_whole_node_that_can_run_in_parts_and_streams_once() {
+        let mut p = cut(1, Cuts::At(vec![4]));
+        let square =
+            OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+        p.add(square, vec![3, 3]);
+        let morsels = p.cut_into_morsels(7);
+        let cuts: Vec<Cuts> =
+            p.node_ids().iter().map(|&id| morsels.node(id).unwrap().cuts.clone()).collect();
+        // The scans, the finalize and `calc(x, x)` run whole; the cut
+        // select keeps its offsets; the fetch and the sum take morsels.
+        let every = Cuts::Every(7);
+        let whole = Cuts::default();
+        assert_eq!(
+            cuts,
+            [
+                whole.clone(),
+                Cuts::At(vec![4]),
+                whole.clone(),
+                every.clone(),
+                every,
+                whole.clone(),
+                whole
+            ]
+        );
+        morsels.validate().unwrap();
+        // Nodes and edges are the plan's, and a second rewrite changes nothing.
+        assert_eq!(morsels.signature(), morsels.cut_into_morsels(7).signature());
+        assert_eq!(morsels.node_count(), p.node_count());
     }
 
     #[test]
@@ -649,6 +713,12 @@ mod tests {
         let table = build.add(OperatorSpec::HashBuild, vec![2]);
         build.node_mut(table).unwrap().cuts = Cuts::At(vec![1]);
         assert!(refusal(build).contains(&format!("node {table} (hashbuild) is cut but cannot")));
+        // Morsels have at least a row, and only a node that runs in parts
+        // takes them.
+        cut(1, Cuts::Every(1)).validate().unwrap();
+        assert!(refusal(cut(1, Cuts::Every(0))).contains("node 1 (select) is cut every 0 rows"));
+        assert!(refusal(cut(5, Cuts::Every(8))).contains("node 5 (finalizeagg) is cut but cannot"));
+        assert!(refusal(cut(0, Cuts::Every(8))).contains("node 0 (scan) is cut but cannot"));
         // Offsets ascend strictly.
         for at in [vec![5, 3], vec![3, 3], vec![0, 0]] {
             let err = refusal(cut(1, Cuts::At(at.clone())));

@@ -56,9 +56,10 @@ pub struct OperatorProfile {
     /// backing size once, never N× it.
     pub bytes_out: usize,
     /// One entry per task that ran the operator, in stream order: the range
-    /// of its stream the task covered and its time in µs (the terminal's
-    /// with the injected delay). A whole-node operator has one entry over
-    /// its whole stream; a node with cuts has at least one per part.
+    /// of its own stream the task covered — fused or not — and its time in
+    /// µs (the terminal's with the injected delay). A whole-node operator
+    /// has one entry over its whole stream; a node with cuts has one per
+    /// range of its step.
     pub tasks: Vec<(RowRange, u64)>,
 }
 
@@ -106,19 +107,19 @@ pub struct DopEvent {
     pub phase: DopPhase,
 }
 
-/// Profile of one fused pipeline executed in morsel-driven mode
-/// ([`crate::pipeline`]): how the pipeline's input was cut into morsels and
-/// which workers pulled them.
+/// Profile of one streaming step ([`crate::pipeline`]): its fused stages,
+/// how its producer's list was cut into ranges — morsels, or its head's
+/// parts — and which workers ran them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineProfile {
     /// The fused stages in chain order; the last entry is the terminal
     /// whose output was published. The terminal's [`OperatorProfile`] holds
     /// the time the pipeline's morsel tasks spent queued.
     pub nodes: Vec<NodeId>,
-    /// Number of morsels the producer's chunk was cut into (≥ 1; empty
-    /// inputs still run one morsel).
+    /// Number of ranges the producer's chunk was cut into (≥ 1; empty
+    /// inputs still run one).
     pub n_morsels: usize,
-    /// Morsels executed per worker, indexed by worker id — the locality
+    /// Ranges executed per worker, indexed by worker id — the locality
     /// signal of the work-stealing comparison (fig19's morsel counters).
     pub morsels_by_worker: Vec<u64>,
     /// True when the pipeline's terminal stage is a fused `GroupAgg`: each
@@ -136,7 +137,7 @@ pub struct QueryProfile {
     pub n_workers: usize,
     /// Per-operator profiles (every executed node appears exactly once).
     pub operators: Vec<OperatorProfile>,
-    /// Per-pipeline morsel statistics; empty in operator-at-a-time mode.
+    /// Per-streaming-step statistics; empty for a plan without cuts.
     pub pipelines: Vec<PipelineProfile>,
     /// Admitted-DOP history of the query: the admit-time grant plus every
     /// mid-flight re-grant/claw-back, in order (never empty for executed
@@ -216,14 +217,14 @@ impl QueryProfile {
         self.workers_used() as f64 / self.n_workers as f64
     }
 
-    /// Total morsels dispatched across all pipelines (0 in
-    /// operator-at-a-time mode).
+    /// Total ranges dispatched across all pipelines (0 for a plan without
+    /// cuts).
     pub fn total_morsels(&self) -> usize {
         self.pipelines.iter().map(|p| p.n_morsels).sum()
     }
 
-    /// Morsels executed per worker, aggregated over all pipelines and
-    /// indexed by worker id (all zeros in operator-at-a-time mode).
+    /// Ranges executed per worker, aggregated over all pipelines and
+    /// indexed by worker id (all zeros for a plan without cuts).
     pub fn morsels_by_worker(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.n_workers];
         for pipeline in &self.pipelines {
@@ -246,8 +247,8 @@ impl QueryProfile {
     }
 
     /// Number of pipelines whose terminal stage was a fused `GroupAgg`
-    /// (morsel-wise grouped aggregation with in-order partial merging; 0 in
-    /// operator-at-a-time mode).
+    /// (morsel-wise grouped aggregation with in-order partial merging; 0 for
+    /// a plan without cuts).
     pub fn fused_groupagg_pipelines(&self) -> usize {
         self.pipelines.iter().filter(|p| p.groupagg_fused).count()
     }
@@ -275,8 +276,8 @@ impl QueryProfile {
     }
 
     /// Number of executed operators per family, each counted once per task
-    /// that ran it ([`OperatorProfile::tasks`]): as many as its parts under
-    /// operator-at-a-time planning.
+    /// that ran it ([`OperatorProfile::tasks`]): as many as its parts, or
+    /// as its chain head's when it was fused.
     pub fn count_by_name(&self) -> HashMap<&'static str, usize> {
         let mut out = HashMap::new();
         for op in &self.operators {

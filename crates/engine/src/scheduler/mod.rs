@@ -40,26 +40,6 @@ use crate::sync::{lock, wait};
 use stealing::LocalSubmitter;
 pub use stealing::Scheduler;
 
-/// Benchmark link compatibility only, ignored: `benchmark/src/sut.rs` names
-/// both variants and [`crate::EngineConfig::with_scheduler`], and may not be
-/// edited outside a `[benchmark]` PR. The next `[benchmark]` PR drops this
-/// enum and that method together with `Runtime::MorselGlobal` and the
-/// `scheduler.stealing_vs_global_ratio` rung.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    GlobalQueue,
-    WorkStealing,
-}
-
-impl crate::EngineConfig {
-    /// Benchmark link compatibility only, ignored — see [`SchedulerPolicy`].
-    #[doc(hidden)]
-    pub fn with_scheduler(self, _: SchedulerPolicy) -> Self {
-        self
-    }
-}
-
 /// Per-query scheduling state, shared between the submitting client, the
 /// scheduler and every task of the query.
 #[derive(Debug)]

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{Cuts, OperatorSpec, Plan};
 use apq_engine::{
-    DopPhase, Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, QueryHandle,
-    QueryOutput, QueryService, ReservedQuery, ServiceConfig,
+    DopPhase, Engine, EngineConfig, EngineError, FaultConfig, QueryHandle, QueryOutput,
+    QueryService, ReservedQuery, ServiceConfig,
 };
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
@@ -226,12 +226,14 @@ fn reservation_stays_registered_across_repeated_submissions() {
 
 #[test]
 fn clawback_below_the_running_task_count_drains_gracefully() {
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let engine = Arc::new(Engine::new(
-            EngineConfig::with_workers(4).with_execution_mode(mode).with_morsel_rows(2_048),
-        ));
+    // The select cut 8 ways, or into morsels of 2,048 rows.
+    let partitioned = partitioned_plan(100_000, 2_000, 8);
+    let mut morsels = partitioned.clone();
+    morsels.node_mut(2).unwrap().cuts = Cuts::Every(2_048);
+    for (form, plan) in [("8 parts", partitioned), ("morsels", morsels)] {
+        let engine = Arc::new(Engine::with_workers(4));
         let cat = catalog(100_000);
-        let plan = Arc::new(partitioned_plan(100_000, 2_000, 8));
+        let plan = Arc::new(plan);
 
         // Admitted alone at 4, then three arrivals claw it back to 1 while
         // (potentially many) of its tasks are already running. The cap is
@@ -247,11 +249,11 @@ fn clawback_below_the_running_task_count_drains_gracefully() {
         };
         let peers: Vec<_> = (0..3).map(|_| engine.reserve_admitted()).collect();
         let exec = runner.join().unwrap().unwrap();
-        assert_eq!(exec.output, expected_sum(2_000), "{mode}: claw-back corrupted");
-        assert_eq!(handle.inflight_tasks(), 0, "{mode}: tasks outlived the submission");
-        assert_eq!(handle.admitted_dop(), 1, "{mode}: claw-back lost");
+        assert_eq!(exec.output, expected_sum(2_000), "{form}: claw-back corrupted");
+        assert_eq!(handle.inflight_tasks(), 0, "{form}: tasks outlived the submission");
+        assert_eq!(handle.admitted_dop(), 1, "{form}: claw-back lost");
         drop(peers);
-        assert_eq!(handle.admitted_dop(), 4, "{mode}: the survivor gets the pool back");
+        assert_eq!(handle.admitted_dop(), 4, "{form}: the survivor gets the pool back");
     }
 }
 

@@ -1,21 +1,20 @@
 //! Morsel-boundary regression tests.
 //!
-//! Morsel-driven execution cuts pipeline inputs at fixed row counts, so the
+//! A plan cut into morsels cuts pipeline inputs at fixed row counts, so the
 //! dangerous inputs are the ones whose sizes do *not* divide evenly: the
 //! last morsel is short, single-morsel pipelines run one task, and the parts
 //! of a cut stream start at offsets that are not multiples of the morsel
-//! size. Every
-//! case must produce byte-identical results to operator-at-a-time
-//! execution — including the `stream_base` candidate-stream alignment
-//! invariant fixed in PR 1: a pipeline fusing `fetch → probe` over a
-//! partition of a candidate stream must label its outputs with absolute
-//! stream positions, not morsel-local ones.
+//! size. Every case must produce byte-identical results to the plan as
+//! built — including the `stream_base` candidate-stream alignment
+//! invariant: a pipeline fusing `fetch → probe` over a partition of a
+//! candidate stream must label its outputs with absolute stream positions,
+//! not morsel-local ones.
 
 use std::sync::Arc;
 
 use apq_columnar::{Catalog, TableBuilder};
 use apq_engine::plan::{Cuts, JoinSide, OperatorSpec, Plan};
-use apq_engine::{Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput};
+use apq_engine::{Engine, EngineError, QueryExecution, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 
 fn catalog(rows: usize) -> Arc<Catalog> {
@@ -32,12 +31,13 @@ fn catalog(rows: usize) -> Arc<Catalog> {
     Arc::new(c)
 }
 
-fn morsel_engine(morsel_rows: usize) -> Engine {
-    Engine::new(
-        EngineConfig::with_workers(3)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(morsel_rows),
-    )
+/// Executes `plan` cut into morsels of `rows` rows on 3 workers.
+fn execute_morsels(
+    plan: &Plan,
+    cat: &Arc<Catalog>,
+    rows: usize,
+) -> apq_engine::Result<QueryExecution> {
+    Engine::with_workers(3).execute(&plan.cut_into_morsels(rows), cat)
 }
 
 /// Select → fetch → group-sum over the fact table.
@@ -98,10 +98,9 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
     let expected = Engine::with_workers(3).execute(&plan, &cat).unwrap().output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if !g.is_empty()));
 
-    for morsel_rows in [7, 13, 100, 1_000, 3_999, 4_001, 1 << 20] {
-        let engine = morsel_engine(morsel_rows);
-        let exec = engine.execute(&plan, &cat).unwrap();
-        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+    for morsel in [7, 13, 100, 1_000, 3_999, 4_001, 1 << 20] {
+        let exec = execute_morsels(&plan, &cat, morsel).unwrap();
+        assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
         // The fan-out covered every source row. Each pipeline's head (the
         // select or a fetch) streams its first input.
         for pipeline in &exec.profile.pipelines {
@@ -109,19 +108,19 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
             let source_rows = exec.profile.operator(producer).unwrap().rows_out;
             assert_eq!(
                 pipeline.n_morsels,
-                source_rows.div_ceil(morsel_rows).max(1),
-                "morsel_rows {morsel_rows}: wrong fan-out"
+                source_rows.div_ceil(morsel).max(1),
+                "morsel {morsel}: wrong fan-out"
             );
         }
     }
 }
 
 #[test]
-fn a_cut_past_the_table_end_is_clamped_before_morsels_are_cut() {
+fn a_cut_past_the_table_end_is_clamped() {
     // A select over a 10_000-row table's scan cut at 3_000 and 12_000 runs
-    // the ranges [0, 3_000), [3_000, 10_000) and an empty [10_000, 10_000);
-    // the fused select → fetch → agg cuts each range into 1_000-row morsels
-    // whose oids stay absolute. The summed values are the row ids
+    // the ranges [0, 3_000), [3_000, 10_000) and an empty [10_000, 10_000),
+    // the fetch and the aggregate fused behind it in morsels of 1_000 rows
+    // that run over the select's ranges, whose oids stay absolute. The summed values are the row ids
     // themselves, so a range cut at the wrong offset cannot add up to the
     // same total.
     let rows = 10_000i64;
@@ -151,18 +150,18 @@ fn a_cut_past_the_table_end_is_clamped_before_morsels_are_cut() {
     let by_hand: i64 = (0..rows).filter(|r| (r * 7_919) % 1_009 < 250).sum();
     assert_eq!(expected, QueryOutput::Scalar(apq_columnar::ScalarValue::I64(by_hand)));
 
-    let exec = morsel_engine(1_000).execute(&p, &cat).unwrap();
-    assert_eq!(exec.output, expected, "morsel mode diverged over a clamped cut");
+    let exec = execute_morsels(&p, &cat, 1_000).unwrap();
+    assert_eq!(exec.output, expected, "morsels diverged over a clamped cut");
     let [pipeline] = exec.profile.pipelines.as_slice() else {
         panic!("one pipeline expected: {:?}", exec.profile.pipelines)
     };
     assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
-    // 3 + 7 morsels and the empty range's one.
-    assert_eq!(pipeline.n_morsels, 11);
-    assert_eq!(exec.profile.total_morsels(), 11);
+    // The select's three ranges, the empty one too.
+    assert_eq!(pipeline.n_morsels, 3);
+    assert_eq!(exec.profile.total_morsels(), 3);
     let ranges: Vec<_> = exec.profile.operator(sel).unwrap().tasks.iter().map(|t| t.0).collect();
-    assert_eq!(ranges.first().map(|r| (r.start, r.end)), Some((0, 1_000)));
-    assert_eq!(ranges.last().map(|r| (r.start, r.end)), Some((10_000, 10_000)));
+    let ranges: Vec<_> = ranges.iter().map(|r| (r.start, r.end)).collect();
+    assert_eq!(ranges, [(0, 3_000), (3_000, 10_000), (10_000, 10_000)]);
     // Its producer, the scan, published the whole column.
     assert_eq!(exec.profile.operator(m).unwrap().rows_out, 10_000);
     let mut profiled: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
@@ -180,17 +179,16 @@ fn stream_partitions_keep_alignment_under_morsel_execution() {
     let whole = probe_over_stream_plan(None);
     let expected = Engine::with_workers(3).execute(&whole, &cat).unwrap().output;
 
-    for (cut, morsel_rows) in [(1, 100), (7, 64), (100, 77), (1_000, 512), (2_000, 4_096)] {
+    for (cut, morsel) in [(1, 100), (7, 64), (100, 77), (1_000, 512), (2_000, 4_096)] {
         let split = probe_over_stream_plan(Some(cut));
-        let engine = morsel_engine(morsel_rows);
-        let out = engine.execute(&split, &cat).unwrap().output;
+        let out = execute_morsels(&split, &cat, morsel).unwrap().output;
         assert_eq!(
             out, expected,
-            "probe over stream cut at {cut} (morsels of {morsel_rows}) \
+            "probe over stream cut at {cut} (morsels of {morsel}) \
              redistributed rows"
         );
         // The unsplit plan must agree too.
-        let out = engine.execute(&whole, &cat).unwrap().output;
+        let out = execute_morsels(&whole, &cat, morsel).unwrap().output;
         assert_eq!(out, expected, "unsplit plan diverged under morsels");
     }
 }
@@ -201,8 +199,8 @@ fn position_emitters_after_in_pipeline_selections_stay_global() {
     // morsel into a fresh candidate stream, so a semijoin fused behind it
     // would emit positions wrapping back to 0 at every morsel boundary.
     // The analysis must split the chain so the semijoin runs over the
-    // globally assembled stream, and the output must match
-    // operator-at-a-time exactly.
+    // globally assembled stream, and the output must match the plan as
+    // built exactly.
     let rows = 4_000;
     let cat = catalog(rows);
     let mut p = Plan::new();
@@ -222,12 +220,11 @@ fn position_emitters_after_in_pipeline_selections_stay_global() {
     // Sanity: positions are a strictly increasing global sequence.
     assert!(oids.windows(2).all(|w| w[0] < w[1]), "reference positions not global");
 
-    for morsel_rows in [100, 500, 777, 4_096] {
-        let engine = morsel_engine(morsel_rows);
-        let out = engine.execute(&p, &cat).unwrap().output;
+    for morsel in [100, 500, 777, 4_096] {
+        let out = execute_morsels(&p, &cat, morsel).unwrap().output;
         assert_eq!(
             out, expected,
-            "morsel_rows {morsel_rows}: semijoin after in-pipeline select \
+            "morsel {morsel}: semijoin after in-pipeline select \
              emitted morsel-local positions"
         );
     }
@@ -236,11 +233,10 @@ fn position_emitters_after_in_pipeline_selections_stay_global() {
 #[test]
 fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let cat = catalog(10);
-    let engine = morsel_engine(1 << 16);
     // Input much smaller than a morsel.
     let plan = grouped_sum_plan();
     let expected = Engine::with_workers(2).execute(&plan, &cat).unwrap().output;
-    let exec = engine.execute(&plan, &cat).unwrap();
+    let exec = execute_morsels(&plan, &cat, 1 << 16).unwrap();
     assert_eq!(exec.output, expected);
     assert!(exec.profile.pipelines.iter().all(|p| p.n_morsels == 1));
 
@@ -255,7 +251,7 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Count }, vec![agg]);
     p.set_root(fin);
     let expected = Engine::with_workers(2).execute(&p, &cat).unwrap().output;
-    assert_eq!(engine.execute(&p, &cat).unwrap().output, expected);
+    assert_eq!(execute_morsels(&p, &cat, 1 << 16).unwrap().output, expected);
 }
 
 fn fact_scan(p: &mut Plan, column: &str) -> usize {
@@ -266,7 +262,7 @@ fn select(p: &mut Plan, inputs: Vec<usize>, predicate: Predicate) -> usize {
     p.add(OperatorSpec::Select { predicate }, inputs)
 }
 
-/// Runs `plan` operator-at-a-time and under every morsel size, asserting the
+/// Runs `plan` as built and cut into every morsel size, asserting the
 /// same output, and that `stages` ran as one pipeline whose morsels covered
 /// `producer`, the chunk its head streams. Returns the reference output.
 fn assert_streams_as_one_pipeline(
@@ -277,18 +273,18 @@ fn assert_streams_as_one_pipeline(
     morsel_sizes: &[usize],
 ) -> QueryOutput {
     let expected = Engine::with_workers(3).execute(plan, cat).unwrap().output;
-    for &morsel_rows in morsel_sizes {
-        let exec = morsel_engine(morsel_rows).execute(plan, cat).unwrap();
-        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+    for &morsel in morsel_sizes {
+        let exec = execute_morsels(plan, cat, morsel).unwrap();
+        assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
         let pipeline = exec
             .profile
             .pipelines
             .iter()
             .find(|p| p.nodes.first() == stages.first())
             .unwrap_or_else(|| panic!("no pipeline starts at {:?}", stages.first()));
-        assert_eq!(pipeline.nodes, stages, "morsel_rows {morsel_rows}");
+        assert_eq!(pipeline.nodes, stages, "morsel {morsel}");
         let source_rows = exec.profile.operator(producer).unwrap().rows_out;
-        assert_eq!(pipeline.n_morsels, source_rows.div_ceil(morsel_rows).max(1));
+        assert_eq!(pipeline.n_morsels, source_rows.div_ceil(morsel).max(1));
     }
     expected
 }
@@ -389,13 +385,13 @@ fn a_probe_over_a_key_set_is_refused_at_validate_under_both_plannings() {
     let semi = p.add(OperatorSpec::SemiJoin, vec![fk, set]);
     p.set_root(semi);
     let expected: Vec<u64> = (0..rows as u64).filter(|v| (v * 13) % 50 < 5).collect();
-    assert_eq!(morsel_engine(100).execute(&p, &cat).unwrap().output, QueryOutput::Oids(expected));
+    assert_eq!(execute_morsels(&p, &cat, 100).unwrap().output, QueryOutput::Oids(expected));
 
     let probe = p.add(OperatorSpec::HashProbe, vec![fk, set]);
     p.set_root(probe);
     let refusal = format!("invalid plan: node {probe} (join) probes key set {set}");
-    for engine in [Engine::with_workers(3), morsel_engine(100)] {
-        let err = engine.execute(&p, &cat).unwrap_err().to_string();
+    for plan in [p.clone(), p.cut_into_morsels(100)] {
+        let err = Engine::with_workers(3).execute(&plan, &cat).unwrap_err().to_string();
         assert!(err.starts_with(&refusal), "{err}");
     }
 }
@@ -410,8 +406,8 @@ fn a_cut_hash_build_is_refused_under_both_plannings() {
     let outer = fact_scan(&mut p, "fk");
     let semi = p.add(OperatorSpec::SemiJoin, vec![outer, table]);
     p.set_root(semi);
-    for engine in [Engine::with_workers(3), morsel_engine(10)] {
-        let err = engine.execute(&p, &cat).unwrap_err();
+    for plan in [p.clone(), p.cut_into_morsels(10)] {
+        let err = Engine::with_workers(3).execute(&plan, &cat).unwrap_err();
         let refusal = format!("node {table} (hashbuild) is cut but cannot run in parts");
         assert_eq!(err, EngineError::InvalidPlan(refusal));
     }
@@ -462,12 +458,12 @@ fn a_q9_shaped_fan_out_over_parted_intermediates_matches_operator_at_a_time() {
     let expected = Engine::with_workers(3).execute(&plan, &cat).unwrap().output;
     let QueryOutput::Groups(ref groups) = expected else { panic!("a group-by returns groups") };
     assert_eq!(groups.len(), 5, "one group per `grp` value");
-    for morsel_rows in [7, 100, 777, 4_096] {
-        let exec = morsel_engine(morsel_rows).execute(&plan, &cat).unwrap();
-        assert_eq!(exec.output, expected, "morsel_rows {morsel_rows}: morsel mode diverged");
+    for morsel in [7, 100, 777, 4_096] {
+        let exec = execute_morsels(&plan, &cat, morsel).unwrap();
+        assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
         // The group-by zips the fetched revenue's parts against its keys'.
         let pipeline = exec.profile.pipelines.iter().find(|p| p.nodes.contains(&by_key)).unwrap();
-        assert_eq!(pipeline.nodes, vec![inner, keys, by_key], "morsel_rows {morsel_rows}");
+        assert_eq!(pipeline.nodes, vec![inner, keys, by_key], "morsel {morsel}");
         assert!(exec.profile.pipelines.iter().any(|p| p.nodes.last() == Some(&revenue)));
     }
 }

@@ -14,8 +14,7 @@ use std::time::Duration;
 use apq_columnar::{Catalog, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{
-    Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, QueryOutput, QueryService,
-    ServiceConfig,
+    Engine, EngineConfig, EngineError, FaultConfig, QueryOutput, QueryService, ServiceConfig,
 };
 use apq_operators::{AggFunc, CmpOp, Predicate};
 use proptest::prelude::*;
@@ -93,12 +92,11 @@ proptest! {
             .map(|&t| reference_engine.execute(&sum_plan(t), &cat).unwrap().output)
             .collect();
 
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        let forms: [fn(Plan) -> Plan; 2] = [|plan| plan, |plan| plan.cut_into_morsels(500)];
+        for form in forms {
             let service = QueryService::new(
                 ServiceConfig::with_engine(
                     EngineConfig::with_workers(2)
-                        .with_execution_mode(mode)
-                        .with_morsel_rows(500)
                         .with_faults(fault_config(preset, seed, panic_rate, cancel_rate)),
                 )
                 .with_max_queued(4),
@@ -108,7 +106,7 @@ proptest! {
             let mut timed_out = 0u64;
 
             for &(variant, q, deadline_us) in &ops {
-                let plan = sum_plan(THRESHOLDS[q]);
+                let plan = form(sum_plan(THRESHOLDS[q]));
                 let outcome = match variant {
                     0 => session.submit(&plan),
                     1 => session.submit_with_deadline(&plan, Duration::from_micros(deadline_us)),

@@ -116,7 +116,9 @@ fn plans_differing_only_in_cuts_are_cached_apart() {
     halves.node_mut(select).unwrap().cuts = Cuts::At(vec![5_000]);
     let mut adopting = halves.clone();
     adopting.node_mut(fetch).unwrap().cuts = Cuts::Adopt;
-    for plan in [&whole, &halves, &adopting] {
+    // Morsels are cuts too: a plan cut into them is not the whole plan.
+    let morsels = whole.cut_into_morsels(1_000);
+    for plan in [&whole, &halves, &adopting, &morsels] {
         let cold = session.submit(plan).unwrap();
         assert!(!cold.plan_cache_hit, "a plan cut differently hit another plan's entry");
         assert_eq!(cold.output, expected_sum(777));
@@ -124,7 +126,11 @@ fn plans_differing_only_in_cuts_are_cached_apart() {
     let profile = session.submit(&adopting).unwrap().profile.expect("plan-cache hits execute");
     let tasks = |node| profile.operator(node).unwrap().tasks.len();
     assert_eq!((tasks(select), tasks(fetch)), (2, 2), "the cached plan lost its cuts");
-    assert_eq!((svc.stats().plan_cache_misses, svc.plan_cache_len()), (3, 3));
+    let profile = session.submit(&morsels).unwrap().profile.expect("plan-cache hits execute");
+    let tasks = |node| profile.operator(node).unwrap().tasks.len();
+    assert_eq!((tasks(select), tasks(fetch)), (10, 10), "the cached plan lost its morsels");
+    assert_eq!(svc.stats().plan_cache_hits, 2);
+    assert_eq!((svc.stats().plan_cache_misses, svc.plan_cache_len()), (4, 4));
 }
 
 #[test]

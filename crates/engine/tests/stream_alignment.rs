@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{Cuts, JoinSide, OperatorSpec, Plan};
-use apq_engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
+use apq_engine::{Engine, QueryOutput};
 use apq_operators::{AggFunc, BinaryOp, CmpOp, GroupKey, Predicate};
 
 /// Catalog with a fact table whose `fk` joins a small dimension, plus a
@@ -373,17 +373,13 @@ fn a_q9_shaped_fan_out_over_stream_windows_matches_the_unsplit_plan_under_morsel
         .expect("unsplit plan executes")
         .output;
     assert!(matches!(expected, QueryOutput::Groups(ref g) if g.len() == 4));
-    for morsel_rows in [7, 100, 777, 4_096] {
-        let engine = Engine::new(
-            EngineConfig::with_workers(3)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(morsel_rows),
-        );
+    let engine = Engine::with_workers(3);
+    for morsel in [7, 100, 777, 4_096] {
         for split in [None, Some(1), Some(333), Some(1_500)] {
-            let plan = q9_shaped_over_stream_plan(split);
+            let plan = q9_shaped_over_stream_plan(split).cut_into_morsels(morsel);
             plan.validate().expect("plan is valid");
             let out = engine.execute(&plan, &cat).expect("plan executes").output;
-            assert_eq!(out, expected, "morsel_rows {morsel_rows}, probe split at {split:?}");
+            assert_eq!(out, expected, "morsels of {morsel} rows, probe split at {split:?}");
         }
     }
 }

@@ -11,7 +11,7 @@
 //! the view rewrite, every morsel cut of a candidate stream was a
 //! `to_vec`, charged once per stream partition *and* per morsel.
 //!
-//! The same gate pins column views (`docs/architecture.md` §2.2): a typed
+//! The same gate pins column views (`docs/architecture.md` §2.1): a typed
 //! read through **any** window of a backing is a tag match plus window
 //! arithmetic, cutting a window clones one `Arc`, and building a column
 //! allocates that one `Arc` and nothing else.
@@ -43,7 +43,7 @@ use apq_columnar::datagen::uniform_strings;
 use apq_columnar::{Catalog, Column, Oid, ScalarValue, TableBuilder};
 use apq_engine::interpreter::{exchange_union, execute_node};
 use apq_engine::plan::{JoinSide, OperatorSpec, Plan};
-use apq_engine::{Chunk, Engine, EngineConfig, ExecutionMode, JoinView, OidsView};
+use apq_engine::{Chunk, Engine, JoinView, OidsView, DEFAULT_MORSEL_ROWS};
 use apq_operators::{
     calc_col_col, select, select_with_candidates, AggFunc, BinaryOp, CmpOp, JoinHashTable,
     JoinResult, Predicate,
@@ -207,7 +207,7 @@ fn generated_strings_hold_codes_and_dictionary() {
 
 /// scan → calc → calc → calc → calc → scalar agg over `N` `Int64` rows
 /// holds at most two intermediates at once — the one a calc reads and the
-/// one it writes — on one worker, under either planning.
+/// one it writes — on one worker, as built and cut into morsels.
 fn a_query_holds_its_live_set() {
     const N: usize = 1 << 20;
     const SLACK: usize = 64 * 1024;
@@ -229,16 +229,18 @@ fn a_query_holds_its_live_set() {
     let agg = plan.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![last]);
     let root = plan.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
     plan.set_root(root);
-    let plan = Arc::new(plan);
     let expected = (0..N as i64).map(|v| v + 4).sum::<i64>();
 
     let ceiling = 2 * 8 * N + SLACK;
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let engine = Engine::new(EngineConfig::with_workers(1).with_execution_mode(mode));
+    let engine = Engine::with_workers(1);
+    for (form, plan) in
+        [("as built", plan.clone()), ("morsels", plan.cut_into_morsels(DEFAULT_MORSEL_ROWS))]
+    {
+        let plan = Arc::new(plan);
         let output = engine.execute_shared(&plan, &catalog).unwrap().output;
         assert_eq!(output, apq_engine::QueryOutput::Scalar(ScalarValue::I64(expected)));
         let peak = peak_bytes_during(|| engine.execute_shared(&plan, &catalog).unwrap());
-        assert!(peak <= ceiling, "{mode}: the chain held {peak} bytes (ceiling {ceiling})");
+        assert!(peak <= ceiling, "{form}: the chain held {peak} bytes (ceiling {ceiling})");
     }
 }
 
@@ -269,11 +271,10 @@ fn a_fan_out_read_piece_by_piece_is_never_packed() {
     });
     let root = plan.add(OperatorSpec::CalcScalars { op: BinaryOp::Add }, sums.to_vec());
     plan.set_root(root);
-    let plan = Arc::new(plan);
+    let plan = Arc::new(plan.cut_into_morsels(DEFAULT_MORSEL_ROWS));
     let expected = (0..N as i64).map(|v| (v + 1) + v * (v + 1)).sum::<i64>();
 
-    let engine =
-        Engine::new(EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven));
+    let engine = Engine::with_workers(2);
     let output = engine.execute_shared(&plan, &catalog).unwrap().output;
     assert_eq!(output, apq_engine::QueryOutput::Scalar(ScalarValue::I64(expected)));
     let ceiling = 2 * 8 * N + SLACK;

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use adaptive_parallelization::baselines::AdmissionController;
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, ExecutionMode, Plan, QueryExecution, QueryProfile,
+    Engine, Plan, QueryExecution, QueryProfile, DEFAULT_MORSEL_ROWS,
 };
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
@@ -95,14 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let catalog = Arc::new(catalog);
-    let short = Arc::new(revenue_plan(&catalog, "recent", 23));
-    let long = Arc::new(revenue_plan(&catalog, "sales", 23));
-
-    // Plans stay as written; morsel fan-out supplies the parallelism and
+    // Plans cut into morsels: morsel fan-out supplies the parallelism and
     // the scheduler enforces whatever cap admission hands out.
-    let engine = Engine::new(
-        EngineConfig::with_workers(WORKERS).with_execution_mode(ExecutionMode::MorselDriven),
-    );
+    let morsels = |table| revenue_plan(&catalog, table, 23).cut_into_morsels(DEFAULT_MORSEL_ROWS);
+    let short = Arc::new(morsels("recent"));
+    let long = Arc::new(morsels("sales"));
+    let engine = Engine::with_workers(WORKERS);
     let expected = engine.execute_shared(&long, &catalog)?.output;
 
     let admission = AdmissionController::new(WORKERS);

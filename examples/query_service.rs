@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
 use adaptive_parallelization::engine::{
-    DopPhase, EngineConfig, ExecutionMode, Plan, QueryService, ServiceConfig,
+    DopPhase, EngineConfig, Plan, QueryService, ServiceConfig, DEFAULT_MORSEL_ROWS,
 };
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
@@ -53,16 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One long-lived service instance is the whole setup: engine, admission
     // and caches behind a cloneable handle.
     let service = QueryService::new(
-        ServiceConfig::with_engine(
-            EngineConfig::with_workers(workers)
-                .with_execution_mode(ExecutionMode::MorselDriven)
-                .with_morsel_rows(64 * 1024),
-        ),
+        ServiceConfig::with_engine(EngineConfig::with_workers(workers)),
         Arc::new(catalog),
     );
 
-    let short_plan = Arc::new(revenue_plan(&service.catalog(), 2));
-    let long_plan = Arc::new(revenue_plan(&service.catalog(), 23));
+    // Plans cut into morsels: each fused chain fans out one task per morsel.
+    let morsels = |cut| revenue_plan(&service.catalog(), cut).cut_into_morsels(DEFAULT_MORSEL_ROWS);
+    let short_plan = Arc::new(morsels(2));
+    let long_plan = Arc::new(morsels(23));
 
     println!("client churn on {workers} workers (2 short clients, 2 long survivors):");
     let mut clients = Vec::new();

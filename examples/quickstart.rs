@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use adaptive_parallelization::adaptive::{AdaptiveConfig, AdaptiveOptimizer};
 use adaptive_parallelization::columnar::{datagen, Catalog, TableBuilder};
-use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode};
+use adaptive_parallelization::engine::{Engine, DEFAULT_MORSEL_ROWS};
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, Predicate};
 use adaptive_parallelization::workloads::PlanBuilder;
 
@@ -82,19 +82,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.total_queue_wait_us() as f64 / 1000.0,
     );
 
-    // 6. The same query in morsel-driven execution mode: compatible operator
-    //    chains fuse into pipelines, the input is cut into fixed-size
-    //    morsels, and each morsel flows through all fused stages as one
-    //    scheduler task. Results are byte-identical; the dispatch
-    //    granularity (and the work-stealing locality) changes.
-    let morsel_engine = Engine::new(
-        EngineConfig::with_workers(8)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(64 * 1024),
-    );
-    let morsel = morsel_engine.execute(&serial_plan, &catalog)?;
+    // 6. The same query cut into morsels: compatible operator chains fuse
+    //    into pipelines, the input is cut into fixed-size morsels, and each
+    //    morsel flows through all fused stages as one scheduler task.
+    //    Results are byte-identical; the dispatch granularity (and the
+    //    work-stealing locality) changes.
+    let morsel_plan = serial_plan.cut_into_morsels(DEFAULT_MORSEL_ROWS);
+    let morsel = Engine::with_workers(8).execute(&morsel_plan, &catalog)?;
     println!();
-    println!("morsel-driven  : {}", morsel.output.summary());
+    println!("morsels        : {}", morsel.output.summary());
     println!("identical      : {}", morsel.output == serial.output);
     for pipeline in &morsel.profile.pipelines {
         println!(

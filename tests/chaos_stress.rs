@@ -1,5 +1,5 @@
-//! Chaos suite: seeded fault injection under both plannings
-//! (operator-at-a-time and morsel-driven).
+//! Chaos suite: seeded fault injection into plans as built and cut into
+//! morsels.
 //!
 //! Every cell must satisfy the robustness contract of
 //! `docs/architecture.md` §9:
@@ -20,7 +20,7 @@ use std::thread;
 use std::time::Duration;
 
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, EngineError, ExecutionMode, FaultConfig, OperatorSpec, Plan, QueryOutput,
+    Engine, EngineConfig, EngineError, FaultConfig, OperatorSpec, Plan, QueryOutput,
 };
 use apq_columnar::{Catalog, TableBuilder};
 use apq_operators::{AggFunc, CmpOp, Predicate};
@@ -97,13 +97,27 @@ fn workload() -> Vec<Plan> {
     ]
 }
 
-fn engine(mode: ExecutionMode, faults: FaultConfig) -> Engine {
-    Engine::new(
-        EngineConfig::with_workers(WORKERS)
-            .with_execution_mode(mode)
-            .with_morsel_rows(MORSEL_ROWS)
-            .with_faults(faults),
-    )
+/// The forms every cell runs its plans in.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    AsBuilt,
+    /// Cut into morsels of [`MORSEL_ROWS`] rows.
+    Morsels,
+}
+
+const FORMS: [Form; 2] = [Form::AsBuilt, Form::Morsels];
+
+impl Form {
+    fn apply(self, plan: &Plan) -> Plan {
+        match self {
+            Form::AsBuilt => plan.clone(),
+            Form::Morsels => plan.cut_into_morsels(MORSEL_ROWS),
+        }
+    }
+}
+
+fn engine(faults: FaultConfig) -> Engine {
+    Engine::new(EngineConfig::with_workers(WORKERS).with_faults(faults))
 }
 
 /// Runs `f` under the cell watchdog; a cell that does not finish in time
@@ -125,14 +139,14 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
 /// Submits the workload serially (query ids — and therefore fault sites —
 /// are deterministic), returning each submission's outcome. Verifies the
 /// per-cell robustness contract before returning.
-fn run_cell(mode: ExecutionMode, faults: FaultConfig) -> Vec<Result<QueryOutput, EngineError>> {
+fn run_cell(form: Form, faults: FaultConfig) -> Vec<Result<QueryOutput, EngineError>> {
     let catalog = catalog();
-    let engine = engine(mode, faults);
+    let engine = engine(faults);
     let mut outcomes = Vec::new();
     let mut handles = Vec::new();
     for round in 0..2 {
         for plan in &workload() {
-            let shared = Arc::new(plan.clone());
+            let shared = Arc::new(form.apply(plan));
             let handle = engine.register_query(0);
             // Round 1 resubmits with an already-expired deadline on every
             // other query: deterministic DeadlineExceeded, zero dispatch.
@@ -147,11 +161,11 @@ fn run_cell(mode: ExecutionMode, faults: FaultConfig) -> Vec<Result<QueryOutput,
         }
     }
     // Nothing left executing once every submission returned.
-    assert_eq!(engine.in_flight_queries(), 0, "[{mode:?}] a submission outlived its return");
+    assert_eq!(engine.in_flight_queries(), 0, "[{form:?}] a submission outlived its return");
     // No leaked DOP slots or tasks, successful or failed alike.
     for handle in &handles {
-        assert_eq!(handle.running(), 0, "[{mode:?}] query {} leaked a DOP slot", handle.id());
-        assert_eq!(handle.inflight_tasks(), 0, "[{mode:?}] query {} left a task", handle.id());
+        assert_eq!(handle.running(), 0, "[{form:?}] query {} leaked a DOP slot", handle.id());
+        assert_eq!(handle.inflight_tasks(), 0, "[{form:?}] query {} left a task", handle.id());
     }
     outcomes
 }
@@ -168,10 +182,10 @@ fn allowed_chaos_error(err: &EngineError) -> bool {
 /// seed must fail the same submissions and produce byte-identical successes.
 /// (The *kind* of failure may differ when two injected faults race inside
 /// one query.)
-fn assert_cell_reproduces(seed: u64, mode: ExecutionMode) {
-    let label = format!("seed {seed} [{mode:?}]");
+fn assert_cell_reproduces(seed: u64, form: Form) {
+    let label = format!("seed {seed} [{form:?}]");
     let (first, second) = with_watchdog(&label, move || {
-        (run_cell(mode, FaultConfig::chaos(seed)), run_cell(mode, FaultConfig::chaos(seed)))
+        (run_cell(form, FaultConfig::chaos(seed)), run_cell(form, FaultConfig::chaos(seed)))
     });
     assert_eq!(first.len(), second.len());
     for (i, (a, b)) in first.iter().zip(&second).enumerate() {
@@ -192,8 +206,8 @@ fn assert_cell_reproduces(seed: u64, mode: ExecutionMode) {
 #[test]
 fn chaos_matrix_terminates_cleanly_and_reproduces_from_the_seed() {
     for seed in SEEDS {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            assert_cell_reproduces(seed, mode);
+        for form in FORMS {
+            assert_cell_reproduces(seed, form);
         }
     }
 }
@@ -203,17 +217,19 @@ fn fault_free_seeds_are_byte_identical_to_the_reference() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
     for seed in SEEDS {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        for form in FORMS {
             // `quiet` injects nothing; `timing_only` injects delays, which
             // stretch wall-clock but may not change any result byte.
             for faults in [FaultConfig::quiet(seed), FaultConfig::timing_only(seed)] {
-                let engine = engine(mode, faults);
+                let engine = engine(faults);
                 for plan in &workload() {
                     let expected =
                         reference.execute(plan, &catalog).expect("reference executes").output;
-                    let got =
-                        engine.execute(plan, &catalog).expect("fault-free seed executes").output;
-                    assert_eq!(got, expected, "seed {seed} [{mode:?}]: fault-free run diverged");
+                    let got = engine
+                        .execute(&form.apply(plan), &catalog)
+                        .expect("fault-free seed executes")
+                        .output;
+                    assert_eq!(got, expected, "seed {seed} [{form:?}]: fault-free run diverged");
                 }
                 let stats = engine.fault_stats();
                 assert_eq!(stats.panics, 0, "timing-only/quiet seeds never panic");
@@ -236,9 +252,9 @@ fn chaos_survivors_match_the_fault_free_reference() {
         .map(|p| reference.execute(p, &catalog).expect("reference executes").output)
         .collect();
     for seed in SEEDS {
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-            let label = format!("seed {seed} [{mode:?}]");
-            let outcomes = with_watchdog(&label, move || run_cell(mode, FaultConfig::chaos(seed)));
+        for form in FORMS {
+            let label = format!("seed {seed} [{form:?}]");
+            let outcomes = with_watchdog(&label, move || run_cell(form, FaultConfig::chaos(seed)));
             for (i, outcome) in outcomes.iter().enumerate() {
                 match outcome {
                     Ok(output) => assert_eq!(
@@ -260,22 +276,20 @@ fn already_expired_deadline_fails_before_any_dispatch() {
     // Acceptance criterion: a query submitted with an expired deadline
     // fails with DeadlineExceeded without dispatching a single task.
     let catalog = catalog();
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let engine = Engine::new(
-            EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS),
-        );
+    for form in FORMS {
+        let engine = Engine::with_workers(2);
         let handle = engine.register_query(0);
         handle.set_deadline(Duration::ZERO);
-        let shared = Arc::new(filtered_sum("a", 500));
+        let shared = Arc::new(form.apply(&filtered_sum("a", 500)));
         let err = engine
             .execute_with_handle(&shared, &catalog, Arc::clone(&handle))
             .expect_err("expired deadline must not execute");
-        assert_eq!(err, EngineError::DeadlineExceeded, "[{mode:?}]");
-        assert_eq!(handle.dispatched(), 0, "[{mode:?}]: a task was dispatched");
-        assert_eq!(handle.running(), 0, "[{mode:?}]");
+        assert_eq!(err, EngineError::DeadlineExceeded, "[{form:?}]");
+        assert_eq!(handle.dispatched(), 0, "[{form:?}]: a task was dispatched");
+        assert_eq!(handle.running(), 0, "[{form:?}]");
         // Expiry is reported by the error alone: the DOP timeline still
         // holds only the admit-time grant.
-        assert_eq!(handle.dop_timeline().len(), 1, "[{mode:?}]: expiry touched the timeline");
+        assert_eq!(handle.dop_timeline().len(), 1, "[{form:?}]: expiry touched the timeline");
     }
 }
 
@@ -285,10 +299,10 @@ fn mid_flight_deadlines_abort_at_checkpoints_without_leaks() {
     // mid-flight for at least some submissions; whatever the outcome, the
     // engine must drain clean.
     let catalog = catalog();
-    let engine = engine(ExecutionMode::MorselDriven, FaultConfig::timing_only(7));
+    let engine = engine(FaultConfig::timing_only(7));
     let mut timed_out = 0;
     for (i, plan) in workload().iter().cycle().take(24).enumerate() {
-        let shared = Arc::new(plan.clone());
+        let shared = Arc::new(Form::Morsels.apply(plan));
         let handle = engine.register_query(0);
         // Sweep the deadline from "hopeless" to "comfortable".
         handle.set_deadline(Duration::from_micros(50 * (i as u64 + 1)));

@@ -1,21 +1,20 @@
-//! Cross-mode equivalence: morsel-driven execution must produce
-//! byte-identical results to operator-at-a-time execution for every
-//! evaluated query.
+//! Morsel equivalence: a plan cut into morsels must produce byte-identical
+//! results to the plan as built, for every evaluated query.
 //!
 //! This is the execution-layer analogue of `integration_correctness.rs`:
-//! plan mutation changes *what the plan looks like*, the execution mode
-//! changes *how a fixed plan is dispatched* — neither may change what a
-//! query returns. Serial plans exercise pipelines cutting a scan's column
+//! plan mutation changes *what the plan computes in parallel*, morsels
+//! change *how finely a fixed plan is dispatched* — neither may change what
+//! a query returns. Serial plans exercise pipelines cutting a scan's column
 //! slice; the heuristically parallelized plans exercise cut scans and
-//! probes that adopt their streams' parts (the PR-1 `stream_base`
-//! alignment invariant, now also load-bearing for morsel slicing).
+//! probes that adopt their streams' parts (the `stream_base` alignment
+//! invariant, also load-bearing for morsel slicing).
 
 use std::sync::Arc;
 
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput, QueryService,
-    ServiceConfig,
+    Engine, EngineConfig, EngineError, OperatorSpec, Plan, QueryExecution, QueryOutput,
+    QueryService, ServiceConfig,
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
@@ -26,28 +25,29 @@ const WORKERS: usize = 4;
 /// Small enough that the ~12k-row sample workloads split into many morsels.
 const MORSEL_ROWS: usize = 1_000;
 
-fn morsel_engine() -> Engine {
-    Engine::new(
-        EngineConfig::with_workers(WORKERS)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(MORSEL_ROWS),
-    )
+/// `plan` cut into morsels of [`MORSEL_ROWS`] rows.
+fn morsels(plan: &Plan) -> Plan {
+    plan.cut_into_morsels(MORSEL_ROWS)
 }
 
-/// Executes `plan` operator-at-a-time, then under morsel mode, asserting
-/// identical outputs.
-fn assert_modes_agree(
+/// Executes `plan` cut into morsels on a fresh engine.
+fn execute_morsels(plan: &Plan, catalog: &Arc<Catalog>) -> Result<QueryExecution, EngineError> {
+    Engine::with_workers(WORKERS).execute(&morsels(plan), catalog)
+}
+
+/// Executes `plan` as built, then cut into morsels, asserting identical
+/// outputs.
+fn assert_morsels_agree(
     label: &str,
     plan: &Plan,
     catalog: &Arc<Catalog>,
     reference: &Engine,
 ) -> QueryOutput {
-    let expected = reference.execute(plan, catalog).expect("operator-at-a-time executes").output;
-    let engine = morsel_engine();
-    let exec = engine.execute(plan, catalog).expect("morsel mode executes");
-    assert_eq!(exec.output, expected, "{label}: morsel mode diverged");
-    // Morsel mode really ran morsel-wise: profiles carry pipelines and
-    // every executed node is profiled exactly once.
+    let expected = reference.execute(plan, catalog).expect("the plan as built executes").output;
+    let exec = execute_morsels(plan, catalog).expect("morsels execute");
+    assert_eq!(exec.output, expected, "{label}: morsels diverged");
+    // The morsels really ran: profiles carry pipelines and every executed
+    // node is profiled exactly once.
     assert_eq!(
         exec.profile.operators.len(),
         plan.node_count(),
@@ -68,12 +68,12 @@ fn tpch_serial_and_heuristic_plans_match_across_modes() {
     for query in TpchQuery::all() {
         let serial = query.build(&catalog).expect("serial plan builds");
         let expected =
-            assert_modes_agree(&format!("{query} serial"), &serial, &catalog, &reference);
+            assert_morsels_agree(&format!("{query} serial"), &serial, &catalog, &reference);
 
         // Heuristic plans cut every reader of the driver table's scans and
         // have the nodes downstream adopt the parts.
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
-        let hp_out = assert_modes_agree(&format!("{query} HP"), &hp, &catalog, &reference);
+        let hp_out = assert_morsels_agree(&format!("{query} HP"), &hp, &catalog, &reference);
         assert_eq!(hp_out, expected, "{query}: HP plan diverged from serial");
     }
 }
@@ -85,10 +85,10 @@ fn tpcds_serial_and_heuristic_plans_match_across_modes() {
     for query in TpcdsQuery::all() {
         let serial = query.build(&catalog).expect("serial plan builds");
         let expected =
-            assert_modes_agree(&format!("{query} serial"), &serial, &catalog, &reference);
+            assert_morsels_agree(&format!("{query} serial"), &serial, &catalog, &reference);
 
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
-        let hp_out = assert_modes_agree(&format!("{query} HP"), &hp, &catalog, &reference);
+        let hp_out = assert_morsels_agree(&format!("{query} HP"), &hp, &catalog, &reference);
         assert_eq!(hp_out, expected, "{query}: HP plan diverged from serial");
     }
 }
@@ -145,7 +145,7 @@ fn if_then_else_plan() -> (Plan, usize) {
 #[test]
 fn two_aligned_input_fused_stages_match_across_modes() {
     // The two-range-aligned-input shapes (Calc col⊗col, IfThenElse) must
-    // stay byte-identical across both plannings — and must actually have
+    // stay byte-identical as built and in morsels — and must actually have
     // fused: the two-input stage appears inside a multi-morsel pipeline.
     let rows = 12_345; // ragged last morsel at MORSEL_ROWS = 1_000
     let catalog = two_column_catalog(rows);
@@ -155,9 +155,9 @@ fn two_aligned_input_fused_stages_match_across_modes() {
     for (label, plan, fused_node) in
         [("calc col⊗col", &calc_plan, calc_node), ("ifthenelse", &ite_plan, ite_node)]
     {
-        assert_modes_agree(label, plan, &catalog, &reference);
+        assert_morsels_agree(label, plan, &catalog, &reference);
         // The stage really fused and morsel-ran.
-        let exec = morsel_engine().execute(plan, &catalog).expect("morsel executes");
+        let exec = execute_morsels(plan, &catalog).expect("morsels execute");
         let pipeline = exec
             .profile
             .pipelines
@@ -184,7 +184,7 @@ fn fused_group_agg_matches_across_modes() {
     // GroupAgg fuses as a pipeline terminal over range-aligned keys/values
     // inputs: each morsel yields a partial grouped aggregate and the driver
     // merges them in morsel order. Results must stay byte-identical to
-    // operator-at-a-time on a row count that does not divide the morsel
+    // the plan as built on a row count that does not divide the morsel
     // size (ragged last morsel).
     let rows = 12_345;
     let catalog = two_column_catalog(rows);
@@ -192,10 +192,10 @@ fn fused_group_agg_matches_across_modes() {
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Count] {
         let label = format!("groupagg {}", func.name());
         let (plan, group_node) = group_agg_plan(func);
-        assert_modes_agree(&label, &plan, &catalog, &reference);
+        assert_morsels_agree(&label, &plan, &catalog, &reference);
         // The aggregate really fused and morsel-ran, and the profile
         // says so.
-        let exec = morsel_engine().execute(&plan, &catalog).expect("morsel executes");
+        let exec = execute_morsels(&plan, &catalog).expect("morsels execute");
         let pipeline = exec
             .profile
             .pipelines
@@ -212,19 +212,19 @@ fn fused_group_agg_matches_across_modes() {
 fn fused_group_agg_handles_empty_and_tiny_inputs() {
     // Empty inputs still run one morsel and publish an empty grouped
     // result; single-morsel inputs run one morsel. Both must agree with
-    // operator-at-a-time.
+    // the plan as built.
     let reference = Engine::with_workers(WORKERS);
     for rows in [0, 1, MORSEL_ROWS - 1, MORSEL_ROWS] {
         let catalog = two_column_catalog(rows);
         let (plan, _) = group_agg_plan(AggFunc::Sum);
-        assert_modes_agree(&format!("groupagg over {rows} rows"), &plan, &catalog, &reference);
+        assert_morsels_agree(&format!("groupagg over {rows} rows"), &plan, &catalog, &reference);
     }
 }
 
 #[test]
 fn mismatched_aligned_input_errors_like_operator_at_a_time() {
     // A col⊗col calc whose inputs disagree on length must fail identically
-    // in both modes (never silently zip morsel-sized slices that happen to
+    // as built and in morsels (never silently zip morsel-sized slices that happen to
     // agree): the executor checks the whole-input length before slicing.
     let mut catalog = Catalog::clone(&two_column_catalog(4_000));
     catalog.register(TableBuilder::new("u").i64_column("b", vec![1; 2_000]).build().unwrap());
@@ -237,37 +237,31 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
         vec![a, b], // a shorter aligned input
     );
     p.set_root(calc);
-    let oat_err = Engine::with_workers(WORKERS)
+    let whole_err = Engine::with_workers(WORKERS)
         .execute(&p, &catalog)
-        .expect_err("operator-at-a-time rejects mismatched lengths")
+        .expect_err("the plan as built rejects mismatched lengths")
         .to_string();
-    let morsel_err = morsel_engine()
-        .execute(&p, &catalog)
-        .expect_err("morsel mode rejects mismatched lengths")
-        .to_string();
-    assert_eq!(morsel_err, oat_err, "error mismatch across modes");
+    let morsel_err =
+        execute_morsels(&p, &catalog).expect_err("morsels reject mismatched lengths").to_string();
+    assert_eq!(morsel_err, whole_err, "error mismatch between the plan as built and morsels");
 }
 
 #[test]
 fn service_plan_cache_hits_match_cold_execution_across_modes() {
-    // The service layer's plan cache is a dispatch-path knob like the
-    // execution mode: a warm submission re-executes through the cached
-    // `Arc<Plan>` and must stay byte-identical to the cold run and to the
-    // direct-engine reference — in both execution modes.
+    // The service layer's plan cache is a dispatch-path knob like morsels:
+    // a warm submission re-executes through the cached `Arc<Plan>` and must
+    // stay byte-identical to the cold run and to the direct-engine
+    // reference — as built and cut into morsels.
     // The result cache is disabled so the warm submission really executes.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
         let plan = query.build(&catalog).expect("serial plan builds");
         let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
-        for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
+        for (form, plan) in [("as built", plan.clone()), ("morsels", morsels(&plan))] {
             let service = QueryService::new(
-                ServiceConfig::with_engine(
-                    EngineConfig::with_workers(WORKERS)
-                        .with_execution_mode(mode)
-                        .with_morsel_rows(MORSEL_ROWS),
-                )
-                .with_result_cache_capacity(0),
+                ServiceConfig::with_engine(EngineConfig::with_workers(WORKERS))
+                    .with_result_cache_capacity(0),
                 Arc::clone(&catalog),
             );
             let session = service.connect();
@@ -275,14 +269,14 @@ fn service_plan_cache_hits_match_cold_execution_across_modes() {
             assert!(!cold.plan_cache_hit);
             assert_eq!(
                 cold.output, expected,
-                "{query} [{mode:?}]: service diverged from direct engine"
+                "{query} [{form}]: service diverged from direct engine"
             );
             let warm = session.submit(&plan).expect("warm submission executes");
-            assert!(warm.plan_cache_hit, "{query} [{mode:?}]: expected a hit");
+            assert!(warm.plan_cache_hit, "{query} [{form}]: expected a hit");
             assert!(warm.profile.is_some(), "plan-cache hits still execute");
             assert_eq!(
                 warm.output, expected,
-                "{query} [{mode:?}]: plan-cache hit changed the result"
+                "{query} [{form}]: plan-cache hit changed the result"
             );
         }
     }
@@ -290,8 +284,8 @@ fn service_plan_cache_hits_match_cold_execution_across_modes() {
 
 #[test]
 fn repeated_executions_stay_byte_identical_across_modes() {
-    // Every workload query stays byte-identical to the reference in both
-    // execution modes — on a cold engine AND on a repeat over the same
+    // Every workload query stays byte-identical to the reference as built
+    // and cut into morsels — on a cold engine AND on a repeat over the same
     // engine, which must not carry state from the first run.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
@@ -300,17 +294,13 @@ fn repeated_executions_stay_byte_identical_across_modes() {
         let hp = heuristic_parallelize(&serial, &catalog, WORKERS).expect("HP rewrite");
         for (label, plan) in [("serial", &serial), ("HP", &hp)] {
             let expected = reference.execute(plan, &catalog).expect("reference executes").output;
-            for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-                let engine = Engine::new(
-                    EngineConfig::with_workers(WORKERS)
-                        .with_execution_mode(mode)
-                        .with_morsel_rows(MORSEL_ROWS),
-                );
+            for (form, plan) in [("as built", plan.clone()), ("morsels", morsels(plan))] {
+                let engine = Engine::with_workers(WORKERS);
                 for rep in 0..2 {
-                    let exec = engine.execute(plan, &catalog).expect("executes");
+                    let exec = engine.execute(&plan, &catalog).expect("executes");
                     assert_eq!(
                         exec.output, expected,
-                        "{query} {label} [{mode:?}] rep {rep}: diverged"
+                        "{query} {label} [{form}] rep {rep}: diverged"
                     );
                 }
             }
@@ -322,13 +312,13 @@ fn repeated_executions_stay_byte_identical_across_modes() {
 fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
     // Q6's and Q19's candidate-refining selects stream the candidates of
     // the select before them: each sits in the same multi-morsel pipeline
-    // as its candidate input, and the results match operator-at-a-time.
+    // as its candidate input, and the results match the plan as built.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in [TpchQuery::Q6, TpchQuery::Q19] {
         let plan = query.build(&catalog).expect("serial plan builds");
-        assert_modes_agree(&format!("{query} serial"), &plan, &catalog, &reference);
-        let exec = morsel_engine().execute(&plan, &catalog).expect("morsel executes");
+        assert_morsels_agree(&format!("{query} serial"), &plan, &catalog, &reference);
+        let exec = execute_morsels(&plan, &catalog).expect("morsels execute");
         let refining: Vec<(usize, usize)> = plan
             .node_ids()
             .into_iter()
@@ -353,7 +343,7 @@ fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
     }
 
     // Q4 and Q22 build key sets for their existence joins; a probe over one
-    // is refused before anything runs, identically under both plannings.
+    // is refused before anything runs, identically as built and in morsels.
     for query in [TpchQuery::Q4, TpchQuery::Q22] {
         let mut plan = query.build(&catalog).expect("serial plan builds");
         let sets: Vec<usize> = plan
@@ -366,10 +356,10 @@ fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
         let outer = plan.node(plan.consumers(set)[0]).unwrap().inputs[0];
         let probe = plan.add(OperatorSpec::HashProbe, vec![outer, set]);
         plan.set_root(probe);
-        let oat = reference.execute(&plan, &catalog).expect_err("refused").to_string();
-        let morsel = morsel_engine().execute(&plan, &catalog).expect_err("refused").to_string();
-        assert_eq!(morsel, oat, "{query}");
-        assert!(oat.contains(&format!("probes key set {set}")), "{query}: {oat}");
+        let whole = reference.execute(&plan, &catalog).expect_err("refused").to_string();
+        let morsel = execute_morsels(&plan, &catalog).expect_err("refused").to_string();
+        assert_eq!(morsel, whole, "{query}");
+        assert!(whole.contains(&format!("probes key set {set}")), "{query}: {whole}");
     }
 }
 
@@ -379,14 +369,14 @@ fn morsel_mode_is_deterministic_across_repeats() {
     // whose pipelines see heavy inter-worker stealing.
     let catalog = tpch::generate(TpchScale::new(0.002), 99);
     let serial = TpchQuery::Q14.build(&catalog).expect("Q14 builds");
-    let engine = morsel_engine();
-    let plan = Arc::new(serial);
+    let engine = Engine::with_workers(WORKERS);
+    let plan = Arc::new(morsels(&serial));
     let first = engine.execute_shared(&plan, &catalog).expect("executes").output;
     for _ in 0..5 {
         assert_eq!(
             engine.execute_shared(&plan, &catalog).expect("executes").output,
             first,
-            "morsel-driven Q14 results varied across repeats"
+            "Q14 cut into morsels varied across repeats"
         );
     }
 }

@@ -15,7 +15,7 @@
 
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, ExecutionMode, OperatorSpec, Plan, QueryOutput,
+    Engine, OperatorSpec, Plan, QueryOutput, DEFAULT_MORSEL_ROWS,
 };
 use adaptive_parallelization::workloads::tpcds::{self, TpcdsQuery, TpcdsScale};
 use adaptive_parallelization::workloads::tpch::{self, queries::q14, TpchQuery, TpchScale};
@@ -27,8 +27,6 @@ fn heuristic_q14_plan_counts_match_table_5() {
     let catalog = tpch::generate(TpchScale::new(0.002), 42);
     let serial = q14(&catalog).expect("Q14 builds");
     let engine = Engine::with_workers(4);
-    let morsel =
-        Engine::new(EngineConfig::with_workers(4).with_execution_mode(ExecutionMode::MorselDriven));
     let expected = engine.execute(&serial, &catalog).expect("serial Q14 executes").output;
     // (partitions, selects, joins, fetches, unions), each node counting its
     // parts: the paper's clone counts, from a plan with the serial plan's
@@ -43,8 +41,8 @@ fn heuristic_q14_plan_counts_match_table_5() {
             hp.node_count(),
         ];
         assert_eq!(counts, [select, join, fetch, union, serial.node_count()], "W = {w}");
-        for engine in [&engine, &morsel] {
-            let exec = engine.execute(&hp, &catalog).expect("HP Q14 executes");
+        for plan in [hp.clone(), hp.cut_into_morsels(DEFAULT_MORSEL_ROWS)] {
+            let exec = engine.execute(&plan, &catalog).expect("HP Q14 executes");
             assert_eq!(exec.output, expected, "W = {w}: the heuristic plan changed Q14's result");
             // No cut is folded away: each select and join runs one task per
             // part, whatever the parts' sizes.
@@ -89,19 +87,14 @@ fn assert_heuristic_shape(
     catalog: &Arc<Catalog>,
     expected: &QueryOutput,
 ) {
-    let oat = Engine::with_workers(2);
-    let morsel = Engine::new(
-        EngineConfig::with_workers(2)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(1_000),
-    );
+    let engine = Engine::with_workers(2);
     for w in [2, 8] {
         let hp = heuristic_parallelize(serial, catalog, w).expect("HP plan builds");
         let label = format!("{label} W = {w}:\n{}", hp.pretty());
         assert_eq!(scans(&hp), scans(serial), "{label}");
         assert_eq!(nodes_and_edges(&hp), nodes_and_edges(serial), "{label}");
-        for engine in [&oat, &morsel] {
-            let out = engine.execute(&hp, catalog).expect("HP plan executes").output;
+        for plan in [hp.clone(), hp.cut_into_morsels(1_000)] {
+            let out = engine.execute(&plan, catalog).expect("HP plan executes").output;
             assert_eq!(&out, expected, "{label}");
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! * **byte-identical** — many sessions over one column, and cold and warm
 //!   repeats of one shape, all return what a plain reference engine
-//!   returns, under both plannings; with the result cache off every
+//!   returns, as built and cut into morsels; with the result cache off every
 //!   submission executes and carries a profile,
 //! * **failure isolation** — a submission that misses its deadline leaves
 //!   its session usable,
@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, EngineError, ExecutionMode, OperatorSpec, Plan, QueryService,
-    ServiceConfig,
+    Engine, EngineConfig, EngineError, OperatorSpec, Plan, QueryService, ServiceConfig,
 };
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_operators::{AggFunc, BinaryOp};
@@ -58,15 +57,18 @@ fn scaled_sum(k: i64) -> Plan {
     p
 }
 
-fn config(mode: ExecutionMode) -> ServiceConfig {
-    ServiceConfig::with_engine(
-        EngineConfig::with_workers(WORKERS).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS),
-    )
+/// `plan` cut into morsels of [`MORSEL_ROWS`] rows.
+fn morsels(plan: &Plan) -> Plan {
+    plan.cut_into_morsels(MORSEL_ROWS)
+}
+
+fn config() -> ServiceConfig {
+    ServiceConfig::with_engine(EngineConfig::with_workers(WORKERS))
 }
 
 /// A service whose every submission reaches the engine (result cache off).
-fn uncached_service(mode: ExecutionMode, catalog: &Arc<Catalog>) -> QueryService {
-    QueryService::new(config(mode).with_result_cache_capacity(0), Arc::clone(catalog))
+fn uncached_service(catalog: &Arc<Catalog>) -> QueryService {
+    QueryService::new(config().with_result_cache_capacity(0), Arc::clone(catalog))
 }
 
 #[test]
@@ -75,12 +77,12 @@ fn sixteen_uncached_sessions_match_the_reference() {
     // back) and returns what the reference engine returns.
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
-    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(&catalog);
     for k in 1..=16i64 {
         let plan = scaled_sum(k);
         let expected = reference.execute(&plan, &catalog).expect("reference executes").output;
         let session = service.connect();
-        let response = session.submit(&plan).expect("submission executes");
+        let response = session.submit(&morsels(&plan)).expect("submission executes");
         assert_eq!(response.output, expected, "k={k}: diverged from the reference");
         assert!(response.profile.is_some(), "k={k}: executions carry a profile");
     }
@@ -90,17 +92,17 @@ fn sixteen_uncached_sessions_match_the_reference() {
 fn uncached_repeats_match_the_reference_under_both_plannings() {
     let catalog = catalog();
     let reference = Engine::with_workers(WORKERS);
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let service = uncached_service(mode, &catalog);
-        for k in [1, 3, 5] {
-            let plan = scaled_sum(k);
-            let expected = reference.execute(&plan, &catalog).expect("reference").output;
+    let service = uncached_service(&catalog);
+    for k in [1, 3, 5] {
+        let plan = scaled_sum(k);
+        let expected = reference.execute(&plan, &catalog).expect("reference").output;
+        for (form, plan) in [("as built", plan.clone()), ("morsels", morsels(&plan))] {
             // Twice: cold, then a warm repeat of the identical signature.
             for rep in 0..2 {
                 let session = service.connect();
                 let got = session.submit(&plan).expect("executes");
-                assert_eq!(got.output, expected, "[{mode:?}] k={k} rep {rep}: diverged");
-                assert!(got.profile.is_some(), "[{mode:?}] k={k} rep {rep}: did not execute");
+                assert_eq!(got.output, expected, "[{form}] k={k} rep {rep}: diverged");
+                assert!(got.profile.is_some(), "[{form}] k={k} rep {rep}: did not execute");
             }
         }
     }
@@ -109,8 +111,8 @@ fn uncached_repeats_match_the_reference_under_both_plannings() {
 #[test]
 fn uncached_scalar_repeat_re_executes_to_the_same_result() {
     let catalog = catalog();
-    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
-    let plan = scaled_sum(7);
+    let service = uncached_service(&catalog);
+    let plan = morsels(&scaled_sum(7));
     let expected = Engine::with_workers(WORKERS).execute(&plan, &catalog).expect("reference");
     let session = service.connect();
     let first = session.submit(&plan).expect("cold run executes");
@@ -133,7 +135,7 @@ fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
             .unwrap(),
     );
     let catalog = Arc::new(c);
-    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(&catalog);
     let mut p = Plan::new();
     let k = p.add(OperatorSpec::ScanColumn { table: "g".into(), column: "k".into() }, vec![]);
     let v = p.add(OperatorSpec::ScanColumn { table: "g".into(), column: "v".into() }, vec![]);
@@ -141,6 +143,7 @@ fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
     p.set_root(group);
 
     let expected = Engine::with_workers(WORKERS).execute(&p, &catalog).expect("reference").output;
+    let p = morsels(&p);
     let session = service.connect();
     let first = session.submit(&p).expect("cold run executes");
     assert_eq!(first.output, expected, "cold run diverged from the reference");
@@ -159,8 +162,8 @@ fn uncached_fused_group_repeat_re_executes_to_the_same_result() {
 fn invalidating_a_table_drops_its_cached_result() {
     // What per-table invalidation flushes is the result cache.
     let catalog = catalog();
-    let service = QueryService::new(config(ExecutionMode::MorselDriven), Arc::clone(&catalog));
-    let plan = scaled_sum(7);
+    let service = QueryService::new(config(), Arc::clone(&catalog));
+    let plan = morsels(&scaled_sum(7));
     let session = service.connect();
     let expected = session.submit(&plan).expect("cold run executes").output;
     let warm = session.submit(&plan).expect("warm run is served from cache");
@@ -183,16 +186,17 @@ fn expired_deadline_leaves_the_session_usable() {
     // A submission failing out (expired deadline here) must not stall or
     // poison its session: the next submission still executes.
     let catalog = catalog();
-    let service = uncached_service(ExecutionMode::MorselDriven, &catalog);
+    let service = uncached_service(&catalog);
     let session = service.connect();
-    session.submit(&scaled_sum(3)).expect("first submission executes");
+    session.submit(&morsels(&scaled_sum(3))).expect("first submission executes");
     let err = session
-        .submit_with_deadline(&scaled_sum(4), Duration::ZERO)
+        .submit_with_deadline(&morsels(&scaled_sum(4)), Duration::ZERO)
         .expect_err("expired deadline must fail");
     assert_eq!(err, EngineError::DeadlineExceeded);
     let reference = Engine::with_workers(WORKERS);
     let follow_up = scaled_sum(5);
     let expected = reference.execute(&follow_up, &catalog).expect("reference").output;
-    let got = session.submit(&follow_up).expect("session survives a failed submission").output;
+    let got =
+        session.submit(&morsels(&follow_up)).expect("session survives a failed submission").output;
     assert_eq!(got, expected);
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use adaptive_parallelization::baselines::{heuristic_parallelize, AdmissionController};
-use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode, QueryOutput};
+use adaptive_parallelization::engine::{Engine, QueryOutput};
 use adaptive_parallelization::workloads::micro::{join_sweep, select_sweep, skewed};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -81,14 +81,14 @@ fn concurrent_queries_match_their_solo_outputs() {
 fn oversubscribed_pool_records_queue_wait_under_both_plannings() {
     let catalog = select_sweep::catalog(60_000, 7);
     let plan = select_sweep::plan(&catalog, 40).expect("plan builds");
-    let parallel = Arc::new(heuristic_parallelize(&plan, &catalog, 8).expect("HP rewrite"));
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        // 8 partitions on 2 workers: ready tasks must queue. Small morsels
-        // cut every pipeline into several tasks.
-        let engine = Engine::new(
-            EngineConfig::with_workers(2).with_execution_mode(mode).with_morsel_rows(1_000),
-        );
-        let exec = engine.execute_shared(&parallel, &catalog).expect("executes");
+    let parallel = heuristic_parallelize(&plan, &catalog, 8).expect("HP rewrite");
+    // 8 partitions on 2 workers: ready tasks must queue. Small morsels cut
+    // the nodes the rewrite left whole into several tasks.
+    for (mode, plan) in
+        [("as built", parallel.clone()), ("morsels", parallel.cut_into_morsels(1_000))]
+    {
+        let engine = Engine::with_workers(2);
+        let exec = engine.execute(&plan, &catalog).expect("executes");
         let profile = &exec.profile;
         assert!(profile.total_queue_wait_us() > 0, "[{mode}] oversubscribed plan recorded no wait");
         let share = profile.queue_wait_share();

@@ -1,7 +1,7 @@
 //! Service churn stress: concurrent sessions submitting through the
 //! shared plan/result caches must return byte-identical results to a
-//! direct `Engine` execution of the same plans — across both plannings
-//! × cache hit/miss.
+//! direct `Engine` execution of the same plans — across plans as built
+//! and cut into morsels × cache hit/miss.
 //!
 //! Each configuration runs several client threads with their own
 //! sessions; half the clients close mid-run (staggered departures), so
@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use adaptive_parallelization::engine::{
-    Engine, EngineConfig, EngineError, ExecutionMode, QueryOutput, QueryService, ServiceConfig,
+    Engine, EngineConfig, EngineError, QueryOutput, QueryService, ServiceConfig,
 };
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -23,9 +23,9 @@ const ROUNDS: usize = 3;
 /// The query mix every client cycles through.
 const QUERIES: [TpchQuery; 3] = [TpchQuery::Q4, TpchQuery::Q6, TpchQuery::Q14];
 
-fn engine_config(mode: ExecutionMode) -> EngineConfig {
-    EngineConfig::with_workers(WORKERS).with_execution_mode(mode).with_morsel_rows(MORSEL_ROWS)
-}
+/// Every configuration submits its plans as built (`None`) and cut into
+/// morsels of [`MORSEL_ROWS`] rows.
+const MORSELS: [Option<usize>; 2] = [None, Some(MORSEL_ROWS)];
 
 #[test]
 fn churning_sessions_return_byte_identical_results_across_the_matrix() {
@@ -39,10 +39,10 @@ fn churning_sessions_return_byte_identical_results_across_the_matrix() {
         })
         .collect();
 
-    for mode in [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven] {
-        let label = format!("{mode:?}");
+    for morsels in MORSELS {
+        let label = format!("morsels {morsels:?}");
         let service = QueryService::new(
-            ServiceConfig::with_engine(engine_config(mode)),
+            ServiceConfig::with_engine(EngineConfig::with_workers(WORKERS)),
             Arc::clone(&catalog),
         );
 
@@ -64,6 +64,10 @@ fn churning_sessions_return_byte_identical_results_across_the_matrix() {
                         }
                         for (q, want) in QUERIES.iter().zip(&expected) {
                             let plan = q.build(&catalog).expect("plan builds");
+                            let plan = match morsels {
+                                Some(rows) => plan.cut_into_morsels(rows),
+                                None => plan,
+                            };
                             match session.submit(&plan) {
                                 Ok(response) => {
                                     assert!(!session.is_closed());

@@ -1,5 +1,5 @@
 //! The structure each TPC-H shape executes as, pinned at a fixed scale
-//! factor and seed under morsel planning on 2 workers: how many pipelines
+//! factor and seed, cut into morsels on 2 workers: how many pipelines
 //! it runs, how many morsels they cut, how many operators it profiles and
 //! how many scheduler tasks it takes. These are deterministic; a change to
 //! planning, fusion, plan building or the driver's task split moves them.
@@ -7,10 +7,10 @@
 //! The second test holds the structure the adaptive mutations leave: a
 //! partition is a part of a node's cuts, so a mutated plan has its serial
 //! plan's nodes — it scans what its serial plan scans and has no slice
-//! node — and returns its serial result under both plannings.
+//! node — and returns its serial result as built and cut into morsels.
 
 use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
-use adaptive_parallelization::engine::{Engine, EngineConfig, ExecutionMode};
+use adaptive_parallelization::engine::{Engine, DEFAULT_MORSEL_ROWS};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
 #[test]
@@ -28,10 +28,9 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
     ];
     assert_eq!(pinned.map(|row| row.0), TpchQuery::all());
     for (query, pipelines, morsels, operators, tasks) in pinned {
-        let plan = query.build(&catalog).expect("query builds");
-        let engine = Engine::new(
-            EngineConfig::with_workers(2).with_execution_mode(ExecutionMode::MorselDriven),
-        );
+        let plan =
+            query.build(&catalog).expect("query builds").cut_into_morsels(DEFAULT_MORSEL_ROWS);
+        let engine = Engine::with_workers(2);
         let before = engine.scheduler_stats().total_executed();
         let profile = engine.execute(&plan, &catalog).expect("query executes").profile;
         let executed = engine.scheduler_stats().total_executed() - before;
@@ -48,20 +47,14 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
 #[test]
 fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plannings() {
     let catalog = tpch::generate(TpchScale::new(0.01), 4242);
-    let oat = Engine::with_workers(2);
-    // Morsels smaller than most partitions, so they cut inside cut ranges.
-    let morsel = Engine::new(
-        EngineConfig::with_workers(2)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(1_000),
-    );
+    let engine = Engine::with_workers(2);
     // Small partitions, so every shape takes all six steps at this scale.
     let config = AdaptiveConfig::for_cores(2).with_min_partition_rows(64);
     for query in TpchQuery::all() {
         let serial = query.build(&catalog).expect("query builds");
-        let expected = oat.execute(&serial, &catalog).expect("serial executes").output;
+        let expected = engine.execute(&serial, &catalog).expect("serial executes").output;
         let mut plan = serial.clone();
-        let mut profile = oat.execute(&plan, &catalog).expect("serial executes").profile;
+        let mut profile = engine.execute(&plan, &catalog).expect("serial executes").profile;
         for step in 0..6 {
             // Rank by rows rather than by time, so the sequence is the same
             // on every run.
@@ -77,9 +70,12 @@ fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plann
             assert_eq!(plan.node_count(), serial.node_count(), "{label}");
             assert_eq!(plan.count_of("scan"), serial.count_of("scan"), "{label}");
             assert_eq!(plan.count_of("slice"), 0, "{label}");
-            let fused = morsel.execute(&plan, &catalog).expect("mutant executes").output;
+            // Morsels smaller than most partitions, on the nodes the
+            // mutations left whole.
+            let morsels = plan.cut_into_morsels(1_000);
+            let fused = engine.execute(&morsels, &catalog).expect("mutant executes").output;
             assert_eq!(fused, expected, "{label}");
-            let exec = oat.execute(&plan, &catalog).expect("mutant executes");
+            let exec = engine.execute(&plan, &catalog).expect("mutant executes");
             assert_eq!(exec.output, expected, "{label}");
             profile = exec.profile;
         }
