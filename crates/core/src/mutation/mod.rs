@@ -99,9 +99,10 @@ pub fn mutate_most_expensive(
 mod tests {
     use super::*;
     use apq_columnar::partition::RowRange;
+    use apq_columnar::ScalarValue;
     use apq_engine::plan::{Cuts, OperatorSpec};
     use apq_engine::profiler::OperatorProfile;
-    use apq_operators::{AggFunc, CmpOp, Predicate};
+    use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
     use std::time::Duration;
 
     fn scan(column: &str) -> OperatorSpec {
@@ -212,6 +213,35 @@ mod tests {
         assert_eq!(cuts(&p, 4), Cuts::At(vec![30, 35]));
         p.validate().unwrap();
         assert_eq!(p.node_count(), plan_filter_sum().node_count());
+    }
+
+    #[test]
+    fn a_whole_reader_of_a_morsel_producer_adopts_its_morsels() {
+        // sum((a + 1)²): scan 0, calc 1, calc(1, 1) 2, sum 3, finalize 4.
+        let mut p = Plan::new();
+        let a = p.add(scan("a"), vec![]);
+        let add_one = OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(1)),
+        };
+        let c = p.add(add_one, vec![a]);
+        let square =
+            OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+        let sq = p.add(square, vec![c, c]);
+        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![sq]);
+        let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+        p.set_root(fin);
+        let mut p = p.cut_into_morsels(64);
+        // The rewrite leaves the calc reading its stream twice whole, and the
+        // plan counts its morsel producer as one part.
+        assert_eq!((cuts(&p, c), cuts(&p, sq), p.parts(c)), (Cuts::Every(64), Cuts::default(), 1));
+        let prof = profile(&[(c, &[(0, 64, 10), (64, 100, 10)]), (sq, &[(0, 100, 900)])]);
+        let outcome = mutate(&mut p, &prof, 1).unwrap();
+        assert_eq!((outcome.kind, outcome.target), (MutationKind::Medium, sq));
+        assert_eq!(cuts(&p, sq), Cuts::Adopt);
+        p.validate().unwrap();
+        assert_eq!(cuts(&p, agg), Cuts::Every(64), "the sum keeps its morsels");
     }
 
     #[test]

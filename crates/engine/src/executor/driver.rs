@@ -67,7 +67,7 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::pipeline::{stream_input, Pipeline, PipelinePlan};
-use crate::plan::{Cuts, OperatorSpec, Plan, DEFAULT_MORSEL_ROWS};
+use crate::plan::{Cuts, OperatorSpec, Plan, Sorted, DEFAULT_MORSEL_ROWS};
 use crate::profiler::{OperatorProfile, PipelineProfile};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
 use crate::sync::lock;
@@ -103,9 +103,10 @@ fn read_by_piece(spec: &OperatorSpec, n_inputs: usize, idx: usize, i: usize) -> 
 /// publishes one packed chunk. It keeps parts when some streaming step
 /// reads its list one piece at a time ([`read_by_piece`]), and when its head
 /// has cut offsets or adopts its stream's parts, whose parts a whole read
-/// packs in the reader's time. Otherwise every reader reads it whole: that
-/// read would pack it anyway, and parts kept until then only hold memory.
-/// The cells are its head's morsels, else [`DEFAULT_MORSEL_ROWS`] rows.
+/// packs in the reader's time. Otherwise every reader reads it whole, and
+/// it packs at publish: kept parts that the first whole read packs measured
+/// slower (`docs/architecture.md` §2.1). The cells are its head's morsels,
+/// else [`DEFAULT_MORSEL_ROWS`] rows.
 fn cell_rows(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<Option<usize>>> {
     let mut step_of_terminal = vec![None; plan.capacity()];
     let (mut by_pieces, mut cells) = (Vec::new(), Vec::new());
@@ -133,15 +134,16 @@ fn cell_rows(plan: &Plan, graph: &PipelinePlan) -> Result<Vec<Option<usize>>> {
     Ok(by_pieces.into_iter().zip(cells).map(|(keeps, rows)| keeps.then_some(rows)).collect())
 }
 
-/// Executes a validated plan: plans it into steps, seeds the runnable ones
-/// and blocks in [`RunContext::wait`] until the query's last task is done.
+/// Executes a plan `sorted` by its validation: plans it into steps, seeds
+/// the runnable ones and blocks until the query's last task is done.
 pub(super) fn execute(
     engine: &Engine,
     plan: &Arc<Plan>,
+    sorted: &Sorted,
     catalog: &Arc<Catalog>,
     handle: Arc<QueryHandle>,
 ) -> Result<QueryExecution> {
-    let graph = PipelinePlan::analyze(plan)?;
+    let graph = PipelinePlan::analyze(plan, sorted)?;
     let state = Arc::new(Driver {
         run: RunContext::new(engine, plan, catalog, handle),
         step_deps: graph.deps.iter().map(|&d| AtomicUsize::new(d)).collect(),

@@ -34,8 +34,6 @@
 mod driver;
 mod parts;
 mod run;
-#[cfg(test)]
-mod tests;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -441,7 +439,7 @@ impl Engine {
         handle: Arc<QueryHandle>,
     ) -> Result<QueryExecution> {
         let plan = &self.config.execution_mode.planned(plan);
-        plan.validate()?;
+        let sorted = plan.validated_order()?;
 
         // The guard keeps the in-flight gauge balanced on error returns.
         self.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -462,7 +460,7 @@ impl Engine {
             return Err(err);
         }
 
-        driver::execute(self, plan, catalog, handle)
+        driver::execute(self, plan, &sorted, catalog, handle)
     }
 }
 
@@ -476,3 +474,6 @@ impl Drop for Engine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

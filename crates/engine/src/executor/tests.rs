@@ -498,7 +498,7 @@ fn square_halves_plan(rows: usize) -> (Plan, [NodeId; 3]) {
 fn a_double_edge_counts_as_two_readers() {
     let (plan, [a, square, fin]) = square_halves_plan(1_000);
     for plan in [plan.clone(), plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)] {
-        let graph = PipelinePlan::analyze(&plan).unwrap();
+        let graph = PipelinePlan::analyze(&plan, &plan.validated_order().unwrap()).unwrap();
         let readers = graph.readers();
         let of = |node: NodeId| readers[graph.step_of[node].unwrap()];
         let label = plan.pretty();

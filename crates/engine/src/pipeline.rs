@@ -97,7 +97,7 @@
 //! partial whatever the parts of the aggregate before it.
 
 use crate::error::Result;
-use crate::plan::{Cuts, NodeId, OperatorSpec, Plan};
+use crate::plan::{Cuts, NodeId, OperatorSpec, Plan, Sorted};
 
 /// One step of the plan: a chain of stages that one task body runs. A
 /// whole-node step is the one-stage chain that does not stream.
@@ -204,7 +204,8 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 }
 
 impl PipelinePlan {
-    /// Plans a validated plan into steps along its cuts: a node without
+    /// Plans a validated plan, in the order its validation sorted it in
+    /// ([`Plan::validated_order`]), into steps along its cuts: a node without
     /// cuts is a whole-node step; a node with cuts heads a streaming step,
     /// unless it adopts its stream's parts or is cut into morsels and joins
     /// its producer's chain. Fusion is conservative: a chain only forms
@@ -212,10 +213,9 @@ impl PipelinePlan {
     /// consumed exactly once, by the next stage, as the input it streams.
     /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
     /// arities — heads a step of its own.
-    pub fn analyze(plan: &Plan) -> Result<PipelinePlan> {
+    pub fn analyze(plan: &Plan, sorted: &Sorted) -> Result<PipelinePlan> {
         // Chain heads are found in topological order: a head's producer, and
         // the head of a chain a node joins, already belong to a step.
-        let order = plan.topo_order()?;
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
         let mut steps: Vec<Pipeline> = Vec::new();
@@ -231,13 +231,12 @@ impl PipelinePlan {
         // second aligned input. They instead start their own pipeline over
         // the published list, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
-            let consumers = plan.consumers(id);
-            let [consumer] = consumers.as_slice() else { return None };
+            // One entry per input reference: a `calc(x, x)` reads `x` twice.
+            let [consumer] = sorted.consumers[id].as_slice() else { return None };
             let node = plan.node(*consumer).ok()?;
             let n_inputs = node.inputs.len();
-            let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
             let joins = matches!(node.cuts, Cuts::Adopt | Cuts::Every(_));
-            if occurrences != 1 || node.inputs[stream_input(&node.spec, n_inputs)] != id || !joins {
+            if node.inputs[stream_input(&node.spec, n_inputs)] != id || !joins {
                 return None;
             }
             let blocked = stream_created
@@ -246,7 +245,7 @@ impl PipelinePlan {
             (!blocked).then_some(*consumer)
         };
 
-        for &id in &order {
+        for &id in &sorted.order {
             if step_of[id].is_some() {
                 continue;
             }
@@ -364,12 +363,17 @@ mod tests {
         Pipeline { producer: Some(producer), stages: stages.to_vec() }
     }
 
+    /// The planning of a valid plan.
+    fn plan_steps(plan: &Plan) -> PipelinePlan {
+        PipelinePlan::analyze(plan, &plan.validated_order().unwrap()).unwrap()
+    }
+
     /// The planning of `plan` cut into morsels — and, for every plan this
     /// module's tests build, the contract of a plan without cuts: exactly
     /// one whole-node step per live node, no pipeline, and a step graph that
     /// is the plan DAG edge for edge.
     fn analyze(plan: &Plan) -> PipelinePlan {
-        let graph = PipelinePlan::analyze(plan).unwrap();
+        let graph = plan_steps(plan);
         assert_eq!(graph.n_pipelines(), 0);
         for node in plan.node_ids() {
             let idx = graph.step_of[node].unwrap();
@@ -390,7 +394,7 @@ mod tests {
             }
         }
         assert_eq!(graph.steps.len(), plan.node_count());
-        PipelinePlan::analyze(&plan.cut_into_morsels(DEFAULT_MORSEL_ROWS)).unwrap()
+        plan_steps(&plan.cut_into_morsels(DEFAULT_MORSEL_ROWS))
     }
 
     #[test]
@@ -531,7 +535,7 @@ mod tests {
             p.set_root(calc);
             (p, [a, sel, fetch, calc])
         };
-        let steps = |p: &Plan| PipelinePlan::analyze(p).unwrap().steps;
+        let steps = |p: &Plan| plan_steps(p).steps;
         let none = Cuts::default;
         let (cut, [a, sel, fetch, calc]) = plan([none(), Cuts::At(vec![10]), none()]);
         assert_eq!(steps(&cut), [whole(a), whole(sel), streams(sel, &[fetch]), whole(calc)]);

@@ -301,6 +301,13 @@ impl std::fmt::Display for Cuts {
     }
 }
 
+/// A plan's topological order and each node's consumers, one entry per
+/// input reference (a `calc(x, x)` is listed twice under `x`).
+pub(crate) struct Sorted {
+    pub(crate) order: Vec<NodeId>,
+    pub(crate) consumers: Vec<Vec<NodeId>>,
+}
+
 /// One node of the plan DAG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
@@ -385,10 +392,10 @@ impl Plan {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].inputs.contains(&id)).collect()
     }
 
-    /// The parts `id` runs in: one per range of its explicit cuts, its
-    /// stream producer's parts when it adopts them, else one. A node cut
-    /// [`Cuts::Every`] so many rows counts as one: its morsels depend on the
-    /// rows it streams, which the plan does not know.
+    /// The parts `id` runs in as the plan knows them (table 5's count): one
+    /// per range of its explicit cuts, its stream producer's parts when it
+    /// adopts them, else one — so one for a node cut [`Cuts::Every`] so many
+    /// rows, whose morsels a reader may adopt but the plan cannot count.
     pub fn parts(&self, id: NodeId) -> usize {
         match self.node(id) {
             Ok(PlanNode { cuts: Cuts::At(at), .. }) => at.len() + 1,
@@ -473,6 +480,11 @@ impl Plan {
     /// ties broken by ascending id. Linear in nodes + input edges: it runs on
     /// every submission ([`Plan::validate`]).
     pub fn topo_order(&self) -> Result<Vec<NodeId>> {
+        Ok(self.sorted()?.order)
+    }
+
+    /// [`Plan::topo_order`] with the consumer lists it sorts by.
+    fn sorted(&self) -> Result<Sorted> {
         let mut in_deg = vec![0usize; self.nodes.len()];
         // One entry per input reference, so a consumer listing the same
         // producer several times appears that many times (adjacently).
@@ -503,7 +515,7 @@ impl Plan {
         if order.len() != self.nodes.len() {
             return Err(EngineError::InvalidPlan("plan contains a cycle".to_string()));
         }
-        Ok(order)
+        Ok(Sorted { order, consumers })
     }
 
     /// Structural validation: root set and a node, inputs nodes, arities
@@ -512,13 +524,18 @@ impl Plan {
     /// `Calc` with two scalar operands, no `HashProbe` over a `KeySet` (a
     /// key set may have no rows to pair), DAG acyclic.
     pub fn validate(&self) -> Result<()> {
+        self.validated_order().map(drop)
+    }
+
+    /// [`Plan::validate`], handing on the order it sorted the plan in.
+    pub(crate) fn validated_order(&self) -> Result<Sorted> {
         let root =
             self.root.ok_or_else(|| EngineError::InvalidPlan("plan has no root".to_string()))?;
         if !self.contains(root) {
             return Err(EngineError::InvalidPlan(format!("root {root} is not a node")));
         }
         // Inputs are nodes and the DAG is acyclic.
-        self.topo_order()?;
+        let sorted = self.sorted()?;
         for (id, node) in self.nodes.iter().enumerate() {
             let (min, max) = node.spec.arity();
             if node.inputs.len() < min || node.inputs.len() > max {
@@ -558,7 +575,7 @@ impl Plan {
                 }
             }
         }
-        Ok(())
+        Ok(sorted)
     }
 
     /// Human-readable plan dump (one line per node, topological order).
@@ -621,6 +638,16 @@ mod tests {
         let sel2 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![0]);
         assert_eq!(p.consumers(0), vec![1, sel2]);
+        // Validation hands the same lists on, one entry per input reference.
+        let calc = p.add(
+            OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
+            vec![1, 1],
+        );
+        p.set_root(calc);
+        let sorted = p.validated_order().unwrap();
+        assert_eq!(sorted.order, p.topo_order().unwrap());
+        assert_eq!(sorted.consumers[0], p.consumers(0));
+        assert_eq!(sorted.consumers[1], [3, calc, calc]);
     }
 
     /// `tiny_plan` with `cuts` on `node`.

@@ -29,6 +29,7 @@
 
 mod stealing;
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,7 +38,6 @@ use std::time::{Duration, Instant};
 use crate::profiler::{DopEvent, DopPhase};
 use crate::sync::{lock, wait};
 
-use stealing::LocalSubmitter;
 pub use stealing::Scheduler;
 
 /// Per-query scheduling state, shared between the submitting client, the
@@ -49,9 +49,12 @@ pub struct QueryHandle {
     cancelled: AtomicBool,
     running: AtomicUsize,
     /// Tasks of this query alive anywhere in the scheduler: created and not
-    /// yet fully dispatched (queued, deferred, or executing). A submission
+    /// yet fully dispatched (queued, parked, or executing). A submission
     /// returns once this reaches zero — see [`QueryHandle::inflight_tasks`].
     inflight: AtomicUsize,
+    /// Tasks popped while the query ran at its cap ([`Task::admit`]),
+    /// handed back by [`QueryHandle::unpark`]. Locked before a worker queue.
+    parked: Mutex<VecDeque<Task>>,
     /// Paired with `idle_cv`, which is notified when `inflight` reaches 0.
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
@@ -85,6 +88,7 @@ impl QueryHandle {
             cancelled: AtomicBool::new(false),
             running: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
+            parked: Mutex::new(VecDeque::new()),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             created: Instant::now(),
@@ -127,8 +131,8 @@ impl QueryHandle {
     /// Re-grants the admitted degree of parallelism mid-flight (e.g. when
     /// another client leaves and resources free up, or claws back headroom
     /// when new clients are admitted). Takes effect at the *next* slot
-    /// acquisition: dispatch re-reads the cap for every task, so a raise is
-    /// picked up by already-queued tasks and a claw-back below the number of
+    /// acquisition: a raise is picked up by queued tasks and, at the query's
+    /// next task finish, by parked ones; a claw-back below the number of
     /// currently running tasks simply stops granting new slots until the
     /// running tasks drain — nothing is pre-empted.
     ///
@@ -174,8 +178,9 @@ impl QueryHandle {
         self.dispatched.load(Ordering::Relaxed)
     }
 
-    /// Requests cancellation: tasks already running finish, queued tasks of
-    /// the query fail it with [`crate::EngineError::Cancelled`] on dispatch.
+    /// Requests cancellation: tasks already running finish, queued and
+    /// parked tasks of the query fail it with
+    /// [`crate::EngineError::Cancelled`] on dispatch.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Release);
     }
@@ -222,7 +227,7 @@ impl QueryHandle {
     }
 
     /// Number of this query's tasks alive anywhere in the scheduler —
-    /// queued, deferred by the DOP cap, or executing. Unlike
+    /// queued, parked at the DOP cap, or executing. Unlike
     /// [`QueryHandle::running`] (slots held right now), this spans the
     /// whole task lifetime, so `0` means the pool holds no trace of the
     /// query. A submission returns only once it is zero, failed and
@@ -260,18 +265,23 @@ impl QueryHandle {
         }
     }
 
+    /// The cap on running tasks: the admitted DOP, unlimited for an uncapped,
+    /// cancelled or expired query (its tasks must run so the failure
+    /// propagates).
+    fn cap(&self) -> usize {
+        match self.admitted_dop.load(Ordering::Acquire) {
+            0 => usize::MAX,
+            _ if self.is_cancelled() || self.deadline_exceeded() => usize::MAX,
+            cap => cap,
+        }
+    }
+
     /// Atomically claims an execution slot for one task. Fails (without
-    /// side effects) when the query already runs at its admitted DOP; always
-    /// succeeds for uncapped, cancelled or deadline-expired queries
-    /// (cancelled/expired tasks must run so the failure propagates). A
-    /// `true` return obligates the caller to dispatch the task, which
+    /// side effects) when the query already runs at its [`QueryHandle::cap`].
+    /// A `true` return obligates the caller to dispatch the task, which
     /// releases the slot on completion.
     pub(crate) fn acquire_slot(&self) -> bool {
-        let cap = self.admitted_dop.load(Ordering::Acquire);
-        if cap == 0 || self.is_cancelled() || self.deadline_exceeded() {
-            self.running.fetch_add(1, Ordering::AcqRel);
-            return true;
-        }
+        let cap = self.cap();
         self.running
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |running| {
                 (running < cap).then_some(running + 1)
@@ -281,6 +291,17 @@ impl QueryHandle {
 
     pub(crate) fn task_finished(&self) {
         self.running.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// After a task released its slot: hands as many parked tasks as the
+    /// cap leaves free to `worker`'s deque. Each claims its slot when popped,
+    /// and parks again if a sibling claimed it first.
+    fn unpark(&self, scheduler: &Scheduler, worker: usize) {
+        let mut parked = lock(&self.parked);
+        let free = self.cap().saturating_sub(self.running()).min(parked.len());
+        for task in parked.drain(..free) {
+            scheduler.push_local(worker, task);
+        }
     }
 }
 
@@ -303,7 +324,7 @@ pub struct TaskContext<'a> {
     pub queue_wait: Duration,
     /// Which queue the task was dispatched from.
     pub origin: TaskOrigin,
-    submitter: &'a LocalSubmitter<'a>,
+    scheduler: &'a Scheduler,
 }
 
 impl TaskContext<'_> {
@@ -311,7 +332,7 @@ impl TaskContext<'_> {
     /// onto the executing worker's local deque (cache locality: the consumer
     /// of a chunk runs where the chunk was produced, unless stolen).
     pub fn submit(&self, task: Task) {
-        self.submitter.submit_task(task);
+        self.scheduler.push_local(self.worker, task);
     }
 }
 
@@ -319,6 +340,7 @@ impl TaskContext<'_> {
 pub struct Task {
     run: Box<dyn FnOnce(&TaskContext<'_>) + Send>,
     handle: Arc<QueryHandle>,
+    /// Start of the queue wait; parking at the query's cap does not reset it.
     submitted_at: Instant,
 }
 
@@ -332,19 +354,26 @@ impl Task {
         Task { run: Box::new(run), handle, submitted_at: Instant::now() }
     }
 
-    /// The owning query's handle.
-    pub fn handle(&self) -> &Arc<QueryHandle> {
-        &self.handle
-    }
-
-    /// Time elapsed since the task was submitted; a deferral at its query's
-    /// DOP cap keeps the clock running.
-    pub(crate) fn queue_wait(&self) -> Duration {
-        self.submitted_at.elapsed()
+    /// Claims a slot for the task, or parks it on its query, which runs at
+    /// its cap. The claim is retried under the park lock, which a finishing
+    /// task takes after releasing its slot, so a task parks only while
+    /// cap ≥ 1 siblings run, the first of which to finish hands it back.
+    /// `Some` obligates the caller to dispatch the task.
+    pub(crate) fn admit(self) -> Option<Task> {
+        if self.handle.acquire_slot() {
+            return Some(self);
+        }
+        let handle = Arc::clone(&self.handle);
+        let mut parked = lock(&handle.parked);
+        if handle.acquire_slot() {
+            return Some(self);
+        }
+        parked.push_back(self);
+        None
     }
 
     /// Runs the task. The caller must have claimed an execution slot via
-    /// [`QueryHandle::acquire_slot`]; dispatch releases it on completion.
+    /// [`Task::admit`]; dispatch releases it on completion.
     ///
     /// A panicking task must not kill the worker thread (the pool is shared
     /// by every client) nor leak the DOP slot, so the panic is contained
@@ -352,16 +381,17 @@ impl Task {
     /// waiting in [`QueryHandle::wait_for_tasks`] is woken either way.
     pub(crate) fn dispatch(
         self,
+        scheduler: &Scheduler,
         worker: usize,
         origin: TaskOrigin,
         queue_wait: Duration,
-        submitter: &LocalSubmitter<'_>,
     ) {
-        let ctx = TaskContext { worker, queue_wait, origin, submitter };
+        let ctx = TaskContext { worker, queue_wait, origin, scheduler };
         // A panic is swallowed by design: the worker must survive.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(&ctx)));
         self.handle.dispatched.fetch_add(1, Ordering::Relaxed);
         self.handle.task_finished();
+        self.handle.unpark(scheduler, worker);
         // Slot released first, lifetime count second: `inflight == 0`
         // therefore implies `running == 0` for this query's tasks.
         self.handle.task_completed();
@@ -382,7 +412,6 @@ pub(crate) struct WorkerCounters {
     pub(crate) steals: AtomicU64,
     pub(crate) injector_hits: AtomicU64,
     pub(crate) queue_wait_us: AtomicU64,
-    pub(crate) dop_deferrals: AtomicU64,
 }
 
 impl WorkerCounters {
@@ -393,7 +422,6 @@ impl WorkerCounters {
             steals: self.steals.load(Ordering::Relaxed),
             injector_hits: self.injector_hits.load(Ordering::Relaxed),
             queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
-            dop_deferrals: self.dop_deferrals.load(Ordering::Relaxed),
         }
     }
 
@@ -421,8 +449,6 @@ pub struct WorkerStats {
     pub injector_hits: u64,
     /// Total time tasks executed by this worker spent queued, microseconds.
     pub queue_wait_us: u64,
-    /// Times a task was re-queued because its query hit its admitted DOP.
-    pub dop_deferrals: u64,
 }
 
 /// Snapshot of the scheduler's per-worker counters.
@@ -458,11 +484,6 @@ impl SchedulerStats {
         self.workers.iter().map(|w| w.queue_wait_us).sum()
     }
 
-    /// Total DOP-cap deferrals across workers.
-    pub fn total_dop_deferrals(&self) -> u64 {
-        self.workers.iter().map(|w| w.dop_deferrals).sum()
-    }
-
     /// Fraction of executed tasks that ran on the worker that enqueued them
     /// (locality).
     pub fn locality(&self) -> f64 {
@@ -476,37 +497,8 @@ impl SchedulerStats {
 
 /// How long an idle worker sleeps between queue re-scans. A submission
 /// notifies sleepers immediately; the timeout only bounds the staleness of
-/// the shutdown check and of DOP-cap re-evaluation.
+/// the shutdown and steal checks.
 pub(crate) const IDLE_PARK: Duration = Duration::from_micros(500);
-
-/// Backoff for DOP-cap deferrals: a worker that keeps popping tasks of a
-/// capped query re-queues them, and after `LIMIT` consecutive deferrals
-/// sleeps one [`IDLE_PARK`] instead of spinning (the capped query's running
-/// tasks finish on other workers and free the cap).
-#[derive(Default)]
-pub(crate) struct DeferBackoff {
-    streak: u32,
-}
-
-impl DeferBackoff {
-    const LIMIT: u32 = 8;
-
-    /// Records one deferral in the worker's counters and sleeps briefly when
-    /// the worker has deferred [`Self::LIMIT`] tasks in a row.
-    pub(crate) fn deferred(&mut self, counters: &WorkerCounters) {
-        counters.dop_deferrals.fetch_add(1, Ordering::Relaxed);
-        self.streak += 1;
-        if self.streak > Self::LIMIT {
-            std::thread::sleep(IDLE_PARK);
-            self.streak = 0;
-        }
-    }
-
-    /// Resets the streak after a successful dispatch.
-    pub(crate) fn dispatched(&mut self) {
-        self.streak = 0;
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -606,7 +598,6 @@ mod tests {
                     steals: 1,
                     injector_hits: 0,
                     queue_wait_us: 100,
-                    dop_deferrals: 2,
                 },
                 WorkerStats {
                     executed: 6,
@@ -614,7 +605,6 @@ mod tests {
                     steals: 2,
                     injector_hits: 1,
                     queue_wait_us: 50,
-                    dop_deferrals: 0,
                 },
             ],
         };
@@ -623,7 +613,6 @@ mod tests {
         assert_eq!(stats.total_steals(), 3);
         assert_eq!(stats.total_injector_hits(), 1);
         assert_eq!(stats.total_queue_wait_us(), 150);
-        assert_eq!(stats.total_dop_deferrals(), 2);
         assert!((stats.locality() - 0.6).abs() < 1e-12);
         let empty = SchedulerStats { workers: vec![] };
         assert_eq!(empty.locality(), 0.0);

@@ -16,7 +16,10 @@
 //! 3. steal from sibling queues, round-robin starting after own index.
 //!
 //! Every grab — injector or sibling — takes exactly one task (see
-//! `find_task` for why nothing is moved in batches).
+//! `find_task` for why nothing is moved in batches). A task whose query
+//! already runs at its admitted DOP leaves the queues: it parks on its
+//! query ([`Task::admit`]) until one of the query's running tasks finishes
+//! and hands it back to that worker's own queue.
 //!
 //! Idle workers park on a condvar with a short timeout; every submission
 //! notifies one sleeper.
@@ -27,7 +30,7 @@ use std::sync::{Condvar, Mutex};
 
 use crate::sync::{lock, wait_for};
 
-use super::{DeferBackoff, SchedulerStats, Task, TaskOrigin, WorkerCounters, IDLE_PARK};
+use super::{SchedulerStats, Task, TaskOrigin, WorkerCounters, IDLE_PARK};
 
 type Queue = Mutex<VecDeque<Task>>;
 
@@ -82,11 +85,6 @@ impl Scheduler {
         self.sleep_cv.notify_all();
     }
 
-    fn inject(&self, task: Task) {
-        lock(&self.injector).push_back(task);
-        self.notify_one();
-    }
-
     /// One full scan for work from worker `worker`'s perspective.
     ///
     /// Every grab takes a single task: moving a batch would spill injected
@@ -119,53 +117,47 @@ impl Scheduler {
         if self.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        self.inject(task);
+        lock(&self.injector).push_back(task);
+        self.notify_one();
         true
     }
 
     /// Runs worker `worker`'s dispatch loop until shutdown, on the calling
     /// thread — one thread per worker index.
     pub fn run_worker(&self, worker: usize) {
-        let counters = &self.workers[worker].counters;
-        let submitter = LocalSubmitter { scheduler: self, worker };
-        let mut backoff = DeferBackoff::default();
         loop {
-            match self.find_task(worker) {
-                Some((task, origin)) => {
-                    if !task.handle().acquire_slot() {
-                        // Query at its admitted DOP: hand the task to the
-                        // shared injector (not the local queue — other
-                        // queries' local work should not sit behind it) and
-                        // scan again.
-                        self.inject(task);
-                        backoff.deferred(counters);
-                        continue;
-                    }
-                    backoff.dispatched();
-                    let queue_wait = task.queue_wait();
-                    counters.record(origin, queue_wait);
-                    task.dispatch(worker, origin, queue_wait, &submitter);
+            if !self.run_next(worker) {
+                if self.shutdown.load(Ordering::Acquire) && self.queues_are_empty() {
+                    return;
                 }
-                None => {
-                    if self.shutdown.load(Ordering::Acquire) && self.queues_are_empty() {
-                        return;
-                    }
-                    // Park until a submission notifies or the timeout forces
-                    // a shutdown / steal re-check. The emptiness re-check
-                    // happens *under the sleep lock*: a submitter pushes its
-                    // task first and only then takes the lock to notify, so
-                    // either the re-check sees the task or the notify is
-                    // delivered to this (already waiting) worker — a wakeup
-                    // can never fall into the gap between scan and wait,
-                    // which would otherwise add up to one IDLE_PARK of
-                    // phantom queue wait per task.
-                    let guard = lock(&self.sleep_lock);
-                    if self.queues_are_empty() && !self.shutdown.load(Ordering::Acquire) {
-                        drop(wait_for(&self.sleep_cv, guard, IDLE_PARK));
-                    }
+                // Park until a submission notifies or the timeout forces
+                // a shutdown / steal re-check. The emptiness re-check
+                // happens *under the sleep lock*: a submitter pushes its
+                // task first and only then takes the lock to notify, so
+                // either the re-check sees the task or the notify is
+                // delivered to this (already waiting) worker — a wakeup
+                // can never fall into the gap between scan and wait,
+                // which would otherwise add up to one IDLE_PARK of
+                // phantom queue wait per task.
+                let guard = lock(&self.sleep_lock);
+                if self.queues_are_empty() && !self.shutdown.load(Ordering::Acquire) {
+                    drop(wait_for(&self.sleep_cv, guard, IDLE_PARK));
                 }
             }
         }
+    }
+
+    /// Takes one task for `worker` and dispatches it, or parks it on its
+    /// query when the query runs at its admitted DOP. `false` when no queue
+    /// held a task.
+    fn run_next(&self, worker: usize) -> bool {
+        let Some((task, origin)) = self.find_task(worker) else { return false };
+        if let Some(task) = task.admit() {
+            let queue_wait = task.submitted_at.elapsed();
+            self.workers[worker].counters.record(origin, queue_wait);
+            task.dispatch(self, worker, origin, queue_wait);
+        }
+        true
     }
 
     /// Asks all workers to exit once the queues are drained of runnable work.
@@ -174,24 +166,17 @@ impl Scheduler {
         self.notify_all();
     }
 
+    /// Pushes `task` onto `worker`'s own queue: a follow-up of the task it
+    /// runs, or a task that task's finish handed back.
+    pub(crate) fn push_local(&self, worker: usize, task: Task) {
+        lock(&self.workers[worker].queue).push_back(task);
+        // Another worker may be idle while this one now has >1 queued task.
+        self.notify_one();
+    }
+
     /// Snapshot of the per-worker counters.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats { workers: self.workers.iter().map(|w| w.counters.snapshot()).collect() }
-    }
-}
-
-/// Context submitter bound to the executing worker: follow-ups go to that
-/// worker's own queue.
-pub(crate) struct LocalSubmitter<'a> {
-    scheduler: &'a Scheduler,
-    worker: usize,
-}
-
-impl LocalSubmitter<'_> {
-    pub(crate) fn submit_task(&self, task: Task) {
-        lock(&self.scheduler.workers[self.worker].queue).push_back(task);
-        // Another worker may be idle while this one now has >1 queued task.
-        self.scheduler.notify_one();
     }
 }
 
@@ -204,6 +189,11 @@ mod tests {
 
     fn handle(id: u64, dop: usize) -> Arc<QueryHandle> {
         Arc::new(QueryHandle::new(id, dop))
+    }
+
+    /// Number of `h`'s tasks parked at its cap.
+    fn parked(h: &QueryHandle) -> usize {
+        lock(&h.parked).len()
     }
 
     fn run_pool(sched: &Arc<Scheduler>, n: usize) -> Vec<std::thread::JoinHandle<()>> {
@@ -393,17 +383,21 @@ mod tests {
         let executed = Arc::new(AtomicUsize::new(0));
         let concurrent = Arc::new(AtomicUsize::new(0));
         let max_seen = Arc::new(AtomicUsize::new(0));
+        let parked_seen = Arc::new(AtomicBool::new(false));
         for _ in 0..12 {
             let executed = Arc::clone(&executed);
             let concurrent = Arc::clone(&concurrent);
             let max_seen = Arc::clone(&max_seen);
-            let pool = Arc::clone(&sched);
+            let (h2, parked_seen) = (Arc::clone(&h), Arc::clone(&parked_seen));
             sched.submit(Task::new(Arc::clone(&h), move |_ctx| {
                 let now = concurrent.fetch_add(1, Ordering::AcqRel) + 1;
                 max_seen.fetch_max(now, Ordering::AcqRel);
-                // Hold the slot until the worker left without one has been
-                // turned away at least once, so the deferral path always runs.
-                while pool.stats().total_dop_deferrals() == 0 {
+                // Hold the slot until the worker left without one has parked
+                // a task on the query, so the parking path always runs.
+                while !parked_seen.load(Ordering::Acquire) {
+                    if parked(&h2) > 0 {
+                        parked_seen.store(true, Ordering::Release);
+                    }
                     std::thread::yield_now();
                 }
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -412,33 +406,32 @@ mod tests {
             }));
         }
         let workers = run_pool(&sched, 3);
-        while executed.load(Ordering::Acquire) < 12 {
-            std::thread::yield_now();
-        }
+        h.wait_for_tasks();
         sched.shutdown();
         for w in workers {
             w.join().unwrap();
         }
         assert_eq!(executed.load(Ordering::Acquire), 12);
         assert!(max_seen.load(Ordering::Acquire) <= 2, "admitted DOP 2 was exceeded");
-        assert!(sched.stats().total_dop_deferrals() > 0, "no task was deferred at the cap");
+        assert!(parked_seen.load(Ordering::Acquire), "no task was parked at the cap");
+        assert_eq!((h.running(), parked(&h)), (0, 0));
+        assert_eq!(sched.stats().total_executed(), 12);
     }
 
     #[test]
-    fn a_task_deferred_at_the_dop_cap_keeps_its_submission_time() {
+    fn a_task_parked_at_the_dop_cap_keeps_its_submission_time() {
         const HOLD: std::time::Duration = std::time::Duration::from_millis(30);
         let sched = Arc::new(Scheduler::new(2));
         let h = handle(1, 1);
         // Whichever task takes the query's one slot holds it until the other
-        // has been deferred, and then for `HOLD`; the other records its wait.
+        // has parked, and then for `HOLD`; the other records its wait.
         let first = Arc::new(AtomicBool::new(true));
         let waited = Arc::new(Mutex::new(None));
         for _ in 0..2 {
-            let (pool, first, waited) =
-                (Arc::clone(&sched), Arc::clone(&first), Arc::clone(&waited));
+            let (h2, first, waited) = (Arc::clone(&h), Arc::clone(&first), Arc::clone(&waited));
             sched.submit(Task::new(Arc::clone(&h), move |ctx| {
                 if first.swap(false, Ordering::AcqRel) {
-                    while pool.stats().total_dop_deferrals() == 0 {
+                    while parked(&h2) == 0 {
                         std::thread::yield_now();
                     }
                     std::thread::sleep(HOLD);
@@ -453,9 +446,90 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        assert!(sched.stats().total_dop_deferrals() > 0, "no task was deferred at the cap");
-        let waited = lock(&waited).expect("the deferred task ran");
-        assert!(waited >= HOLD, "the deferred task reported {waited:?} of wait");
+        let waited = lock(&waited).expect("the parked task ran");
+        assert!(waited >= HOLD, "the parked task reported {waited:?} of wait");
+    }
+
+    /// The tests below drive a pool that no thread runs one task at a time
+    /// (`Scheduler::run_next`) from the test thread, so every interleaving
+    /// is fixed. Submits a task of `h` and `siblings` more, then runs the first on
+    /// worker 0. While it holds the query's one slot, worker 1 pops every
+    /// sibling, each of which parks, and then `meanwhile` runs. Returns the
+    /// siblings' log: each logs its label when it runs, and whether its
+    /// query was cancelled — the flag its operator checkpoint reads.
+    fn hold_and_park(
+        sched: &Arc<Scheduler>,
+        h: &Arc<QueryHandle>,
+        siblings: usize,
+        meanwhile: impl FnOnce() + Send + 'static,
+    ) -> Arc<Mutex<Vec<(usize, bool)>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (pool, h2) = (Arc::clone(sched), Arc::clone(h));
+        sched.submit(Task::new(Arc::clone(h), move |_ctx| {
+            for _ in 0..siblings {
+                assert!(pool.run_next(1), "worker 1 found no sibling");
+            }
+            assert_eq!((h2.running(), parked(&h2)), (1, siblings));
+            meanwhile();
+            assert_eq!(parked(&h2), siblings, "a parked task left before a finish");
+        }));
+        for label in 0..siblings {
+            let (log, h3) = (Arc::clone(&log), Arc::clone(h));
+            sched.submit(Task::new(Arc::clone(h), move |_ctx| {
+                lock(&log).push((label, h3.is_cancelled()));
+            }));
+        }
+        assert!(sched.run_next(0));
+        log
+    }
+
+    /// Runs worker 0 until no queue holds a task and checks that the query
+    /// left no trace.
+    fn drain(sched: &Scheduler, h: &QueryHandle) {
+        while sched.run_next(0) {}
+        assert_eq!((h.running(), parked(h), h.inflight_tasks()), (0, 0, 0));
+    }
+
+    fn local_queue_len(sched: &Scheduler, worker: usize) -> usize {
+        lock(&sched.workers[worker].queue).len()
+    }
+
+    #[test]
+    fn a_parked_task_runs_when_its_sibling_finishes() {
+        let sched = Arc::new(Scheduler::new(2));
+        let h = handle(1, 1);
+        let log = hold_and_park(&sched, &h, 1, || {});
+        // The finish handed the sibling to the finishing worker's deque.
+        assert_eq!((parked(&h), local_queue_len(&sched, 0)), (0, 1));
+        assert!(lock(&log).is_empty());
+        drain(&sched, &h);
+        assert_eq!(*lock(&log), [(0, false)]);
+        let stats = sched.stats();
+        assert_eq!((stats.workers[0].executed, stats.workers[1].executed), (2, 0));
+        assert_eq!((stats.total_injector_hits(), stats.total_local_hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_raised_cap_releases_the_extra_parked_tasks_at_the_next_finish() {
+        let sched = Arc::new(Scheduler::new(2));
+        let h = handle(1, 1);
+        let h2 = Arc::clone(&h);
+        let log = hold_and_park(&sched, &h, 3, move || h2.set_admitted_dop(2));
+        // Cap 2 and nothing running: two of the three go back.
+        assert_eq!((parked(&h), local_queue_len(&sched, 0)), (1, 2));
+        drain(&sched, &h);
+        assert_eq!(*lock(&log), [(0, false), (1, false), (2, false)]);
+    }
+
+    #[test]
+    fn cancelling_releases_every_parked_task_to_fail_at_its_checkpoint() {
+        let sched = Arc::new(Scheduler::new(2));
+        let h = handle(1, 1);
+        let h2 = Arc::clone(&h);
+        let log = hold_and_park(&sched, &h, 3, move || h2.cancel());
+        assert_eq!((parked(&h), local_queue_len(&sched, 0)), (0, 3));
+        drain(&sched, &h);
+        assert_eq!(*lock(&log), [(0, true), (1, true), (2, true)]);
     }
 
     #[test]

@@ -270,11 +270,6 @@ fn link<T: Copy>(
     }
 }
 
-// Chain entries this thread's probes have visited: the chain-quality tests
-// count steps, not time.
-#[cfg(test)]
-thread_local!(static CHAIN_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
-
 /// A build row index must stay below [`EMPTY`]: `i as u32` of a larger one
 /// would wrap, and `u32::MAX` itself would read as the end of a chain.
 fn check_build_rows(rows: usize) -> Result<()> {
@@ -660,6 +655,11 @@ impl JoinHashTable {
         Ok(out)
     }
 }
+
+// Chain entries this thread's probes have visited: the chain-quality tests
+// count steps, not time.
+#[cfg(test)]
+thread_local!(static CHAIN_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
 
 #[cfg(test)]
 mod tests {

@@ -21,8 +21,6 @@ pub mod builder;
 pub mod concurrent;
 pub mod dates;
 pub mod micro;
-#[cfg(test)]
-mod string_reference;
 pub mod tpcds;
 pub mod tpch;
 
@@ -30,3 +28,6 @@ pub use builder::PlanBuilder;
 pub use concurrent::{measure_under_load, BackgroundLoad, ConcurrentMeasurement};
 pub use tpcds::{TpcdsQuery, TpcdsScale};
 pub use tpch::{TpchQuery, TpchScale};
+
+#[cfg(test)]
+mod string_reference;

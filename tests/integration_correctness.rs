@@ -53,6 +53,31 @@ fn tpch_adaptive_and_heuristic_plans_match_serial_results() {
 }
 
 #[test]
+fn tpch_adaptive_loop_over_morsel_plans_matches_serial_results() {
+    // The loop mutates plans cut into morsels as it does plans as built: a
+    // morsel node's tasks become explicit cuts, and a node reading a morsel
+    // producer whole adopts its parts.
+    let workers = 4;
+    let catalog = tpch::generate(TpchScale::new(0.002), 1234);
+    let engine = Engine::with_workers(workers);
+    let optimizer = optimizer(workers);
+
+    let mut mutated_runs = 0;
+    for query in TpchQuery::all() {
+        let serial = query.build(&catalog).expect("serial plan builds");
+        let expected = engine.execute(&serial, &catalog).expect("serial executes").output;
+        let morsels = serial.cut_into_morsels(1024);
+        let report =
+            optimizer.optimize(&engine, &catalog, &morsels).expect("adaptive optimization");
+        mutated_runs += report.total_runs;
+        let ap_out = engine.execute(&report.best_plan, &catalog).expect("AP executes").output;
+        assert_eq!(ap_out, expected, "{query}: adaptive morsel plan diverged");
+        assert_eq!(report.final_output, expected, "{query}: report output diverged");
+    }
+    assert!(mutated_runs > 0, "the loop never mutated a morsel plan");
+}
+
+#[test]
 fn tpcds_adaptive_and_heuristic_plans_match_serial_results() {
     let workers = 4;
     let catalog = tpcds::generate(TpcdsScale::new(0.002), 77);
