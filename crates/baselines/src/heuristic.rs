@@ -92,7 +92,7 @@ fn heuristic_parallelize_with_driver(
         };
         let cuts = if is_driver_scan(stream) {
             Cuts::At(at.clone())
-        } else if plan.parts(stream) > 1 {
+        } else if plan.in_parts(stream) {
             Cuts::Adopt
         } else {
             continue;

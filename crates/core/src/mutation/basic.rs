@@ -38,8 +38,8 @@ pub fn cut_dearest_part(
     config: &AdaptiveConfig,
 ) -> Result<Option<MutationOutcome>> {
     let node = plan.node_mut(op.node).map_err(CoreError::from)?;
-    let dearest = op.tasks.iter().max_by_key(|&&(range, us)| (us, std::cmp::Reverse(range.start)));
-    let Some(&(dearest, _)) = dearest.filter(|_| node.spec.is_parallelizable()) else {
+    let dearest = op.tasks.iter().max_by_key(|t| (t.us, std::cmp::Reverse(t.range.start)));
+    let Some(dearest) = dearest.filter(|_| node.spec.is_parallelizable()).map(|t| t.range) else {
         return Ok(None);
     };
     if dearest.len() < 2 * config.min_partition_rows.max(1) {
@@ -48,7 +48,7 @@ pub fn cut_dearest_part(
     let mut at = match &node.cuts {
         Cuts::At(at) => at.clone(),
         Cuts::Adopt | Cuts::Every(_) => {
-            op.tasks.iter().map(|(range, _)| range.start).filter(|&s| s > 0).collect()
+            op.tasks.iter().map(|t| t.range.start).filter(|&s| s > 0).collect()
         }
     };
     at.push(dearest.split_even(2)[1].start);

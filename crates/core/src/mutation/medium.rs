@@ -18,17 +18,14 @@ use crate::error::{CoreError, Result};
 use crate::mutation::{MutationKind, MutationOutcome};
 
 /// Applies the medium mutation to `target`: when it can run in parts, has
-/// no cuts of its own and streams a producer of several [`Plan::parts`] or
-/// of morsels, it adopts that producer's parts.
+/// no cuts of its own and streams a producer whose output comes in several
+/// parts ([`Plan::in_parts`]), it adopts that producer's parts.
 ///
 /// Returns `Ok(None)` when the mutation does not apply; `Err` means `target`
 /// is not in the plan.
 pub fn adopt_stream(plan: &mut Plan, target: NodeId) -> Result<Option<MutationOutcome>> {
     let node = plan.node(target).map_err(CoreError::from)?;
-    let parted = node.stream().is_some_and(|stream| {
-        // `Plan::parts` counts a producer cut into morsels as one part.
-        plan.parts(stream) > 1 || matches!(plan.node(stream).map(|p| &p.cuts), Ok(Cuts::Every(_)))
-    });
+    let parted = node.stream().is_some_and(|stream| plan.in_parts(stream));
     if !(parted && node.cuts.is_whole() && node.spec.is_parallelizable()) {
         return Ok(None);
     }

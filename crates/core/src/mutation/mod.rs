@@ -80,7 +80,7 @@ pub fn mutate_most_expensive(
     profile: &QueryProfile,
     config: &AdaptiveConfig,
 ) -> Result<Option<MutationOutcome>> {
-    let dearest = |op: &&apq_engine::OperatorProfile| op.tasks.iter().map(|&(_, us)| us).max();
+    let dearest = |op: &&apq_engine::OperatorProfile| op.tasks.iter().map(|t| t.us).max();
     let mut ops: Vec<_> = profile.operators.iter().filter(|op| plan.contains(op.node)).collect();
     ops.sort_by(|a, b| dearest(b).cmp(&dearest(a)).then(a.node.cmp(&b.node)));
     for op in ops {
@@ -101,7 +101,7 @@ mod tests {
     use apq_columnar::partition::RowRange;
     use apq_columnar::ScalarValue;
     use apq_engine::plan::{Cuts, OperatorSpec};
-    use apq_engine::profiler::OperatorProfile;
+    use apq_engine::profiler::{OperatorProfile, TaskRecord};
     use apq_operators::{AggFunc, BinaryOp, CmpOp, Predicate};
     use std::time::Duration;
 
@@ -132,7 +132,6 @@ mod tests {
         QueryProfile {
             wall_time: Duration::from_micros(1000),
             n_workers: 4,
-            pipelines: vec![],
             dop_timeline: vec![],
             operators: parts
                 .iter()
@@ -146,7 +145,11 @@ mod tests {
                     worker: 0,
                     rows_out: 0,
                     bytes_out: 0,
-                    tasks: tasks.iter().map(|&(s, e, us)| (RowRange::new(s, e), us)).collect(),
+                    tasks: tasks
+                        .iter()
+                        .map(|&(s, e, us)| TaskRecord { range: RowRange::new(s, e), us, worker: 0 })
+                        .collect(),
+                    step: None,
                 })
                 .collect(),
         }
@@ -242,6 +245,39 @@ mod tests {
         assert_eq!(cuts(&p, sq), Cuts::Adopt);
         p.validate().unwrap();
         assert_eq!(cuts(&p, agg), Cuts::Every(64), "the sum keeps its morsels");
+    }
+
+    #[test]
+    fn a_whole_reader_of_an_adopting_morsel_reader_adopts_too() {
+        // sum((a + 1)⁴): scan 0, calc 1, calc(1, 1) 2, calc(2, 2) 3, sum 4,
+        // finalize 5. Both squares read their stream twice, so the morsel
+        // rewrite leaves them whole.
+        let mut p = Plan::new();
+        let a = p.add(scan("a"), vec![]);
+        let add_one = OperatorSpec::Calc {
+            op: BinaryOp::Add,
+            left_scalar: None,
+            right_scalar: Some(ScalarValue::I64(1)),
+        };
+        let c = p.add(add_one, vec![a]);
+        let square =
+            OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None };
+        let sq = p.add(square.clone(), vec![c, c]);
+        let fourth = p.add(square, vec![sq, sq]);
+        let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fourth]);
+        let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+        p.set_root(fin);
+        let mut p = p.cut_into_morsels(64);
+        let prof = profile(&[(c, &[(0, 64, 10), (64, 100, 10)]), (sq, &[(0, 100, 900)])]);
+        assert_eq!(mutate(&mut p, &prof, 1).unwrap().target, sq);
+        // The square runs in its producer's morsels, which the plan counts
+        // as one part; its reader still adopts them rather than cutting.
+        assert_eq!((cuts(&p, sq), p.parts(sq), p.in_parts(sq)), (Cuts::Adopt, 1, true));
+        let prof = profile(&[(sq, &[(0, 64, 10), (64, 100, 10)]), (fourth, &[(0, 100, 900)])]);
+        let outcome = mutate(&mut p, &prof, 1).unwrap();
+        assert_eq!((outcome.kind, outcome.target), (MutationKind::Medium, fourth));
+        assert_eq!(cuts(&p, fourth), Cuts::Adopt);
+        p.validate().unwrap();
     }
 
     #[test]

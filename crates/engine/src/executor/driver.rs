@@ -40,9 +40,11 @@
 //! first read, once, in the result slot, in the reader's time.
 //!
 //! Each task records, in the profile of every stage it ran, the range of
-//! that stage's stream it read and its time there
+//! that stage's stream it read, its time there and its worker
 //! ([`OperatorProfile::tasks`]): the parts the adaptive mutations rank and
-//! cut, in the stage's own rows whether or not it was fused.
+//! cut, in the stage's own rows whether or not it was fused. Every stage of
+//! a streaming step names the step by its terminal
+//! ([`OperatorProfile::step`]).
 //!
 //! Consumer steps and task fan-outs are submitted from the completing
 //! worker's task context, so they start on that worker's deque. Everything
@@ -68,7 +70,7 @@ use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::pipeline::{stream_input, Pipeline, PipelinePlan};
 use crate::plan::{Cuts, OperatorSpec, Plan, Sorted, DEFAULT_MORSEL_ROWS};
-use crate::profiler::{OperatorProfile, PipelineProfile};
+use crate::profiler::{OperatorProfile, TaskRecord};
 use crate::scheduler::{QueryHandle, Task, TaskContext};
 use crate::sync::lock;
 
@@ -190,11 +192,9 @@ struct Tally {
     stages: Vec<[u64; 3]>,
     /// Per stage, in chain order, one entry per task: the index of the
     /// task's range of the step's source, the rows of the stage's stream it
-    /// read, and its time. [`publish`] lays the rows end to end in range
-    /// order, so each stage's ranges are in its own stream's rows.
-    tasks: Vec<Vec<(usize, usize, u64)>>,
-    /// Ranges run per worker; empty unless the step streams.
-    morsels_by_worker: Vec<u64>,
+    /// read, its time and its worker. [`publish`] lays the rows end to end
+    /// in range order, so each stage's ranges are in its own stream's rows.
+    tasks: Vec<Vec<(usize, usize, u64, usize)>>,
 }
 
 impl Tally {
@@ -207,7 +207,6 @@ impl Tally {
         for (tasks, other) in self.tasks.iter_mut().zip(other.tasks) {
             tasks.extend(other);
         }
-        self.morsels_by_worker.iter_mut().zip(other.morsels_by_worker).for_each(|(s, v)| *s += v);
     }
 }
 
@@ -357,10 +356,6 @@ fn run_stages(
         queue_wait_us: ctx.queue_wait.as_micros() as u64,
         stages: vec![[0; 3]; n_stages],
         tasks: Vec::new(),
-        morsels_by_worker: match pipeline.producer {
-            Some(_) => (0..run.n_workers).map(|w| u64::from(w == ctx.worker)).collect(),
-            None => Vec::new(),
-        },
     };
     // This task's range of the source, as `(start, len)`.
     let cut = cut.map(|(fanout, index)| {
@@ -476,7 +471,7 @@ fn run_stages(
     tally.stages[n_stages - 1][0] += delay.elapsed().as_micros() as u64;
     let index = cut.map_or(0, |(_, index, _, _)| index);
     let stages = tally.stages.iter().zip(streamed);
-    tally.tasks = stages.map(|(stage, rows)| vec![(index, rows, stage[0])]).collect();
+    tally.tasks = stages.map(|(stage, rows)| vec![(index, rows, stage[0], ctx.worker)]).collect();
 
     let Some((fanout, index, _, _)) = cut else {
         let parts = Parts::publish(pipeline.terminal(), outputs, state.cells[step])?;
@@ -530,8 +525,7 @@ fn run_stages(
 }
 
 /// Publishes a finished step from the task that finished it: every stage's
-/// profile, the pipeline profile of a streaming step, and the terminal's
-/// part list.
+/// profile and the terminal's part list.
 fn publish(
     run: &RunContext,
     ctx: &TaskContext<'_>,
@@ -549,9 +543,9 @@ fn publish(
         let mut tasks = tasks.next().unwrap_or_default();
         tasks.sort_unstable_by_key(|&(index, ..)| index);
         let mut at = 0;
-        let tasks = tasks.into_iter().map(|(_, rows, us)| {
+        let tasks = tasks.into_iter().map(|(_, rows, us, worker)| {
             at += rows;
-            (RowRange::new(at - rows, at), us)
+            TaskRecord { range: RowRange::new(at - rows, at), us, worker }
         });
         let profile = OperatorProfile {
             node,
@@ -566,18 +560,11 @@ fn publish(
             rows_out: rows as usize,
             bytes_out: bytes as usize,
             tasks: tasks.collect(),
+            step: pipeline.producer.map(|_| terminal),
         };
         if run.profiles[node].set(profile).is_err() {
             return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
         }
-    }
-    if pipeline.producer.is_some() {
-        lock(&run.pipeline_profiles).push(PipelineProfile {
-            nodes: pipeline.stages.clone(),
-            n_morsels: tally.morsels_by_worker.iter().sum::<u64>() as usize,
-            morsels_by_worker: tally.morsels_by_worker,
-            groupagg_fused: matches!(run.plan.node(terminal)?.spec, OperatorSpec::GroupAgg { .. }),
-        });
     }
     run.set_result(terminal, parts)
 }

@@ -31,7 +31,7 @@ use crate::error::{EngineError, Result};
 use crate::fault::{FaultInjector, FaultKind};
 use crate::interpreter::execute_node;
 use crate::plan::{NodeId, OperatorSpec, Plan};
-use crate::profiler::{OperatorProfile, PipelineProfile, QueryProfile};
+use crate::profiler::{OperatorProfile, QueryProfile};
 use crate::scheduler::QueryHandle;
 use crate::sync::lock;
 
@@ -45,7 +45,6 @@ pub(super) struct RunContext {
     /// ([`RunContext::release`]). The root is never released.
     results: Vec<Mutex<Option<Parts>>>,
     pub profiles: Vec<OnceLock<OperatorProfile>>,
-    pub pipeline_profiles: Mutex<Vec<PipelineProfile>>,
     /// Fast-path flag mirroring `error.is_some()`.
     failed: AtomicBool,
     error: Mutex<Option<EngineError>>,
@@ -69,7 +68,6 @@ impl RunContext {
             handle,
             results: (0..capacity).map(|_| Mutex::new(None)).collect(),
             profiles: (0..capacity).map(|_| OnceLock::new()).collect(),
-            pipeline_profiles: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
             started: Instant::now(),
@@ -207,7 +205,6 @@ impl RunContext {
             wall_time: self.started.elapsed(),
             n_workers: self.n_workers,
             operators: self.profiles.iter().filter_map(OnceLock::get).cloned().collect(),
-            pipelines: std::mem::take(&mut *lock(&self.pipeline_profiles)),
             dop_timeline: self.handle.dop_timeline(),
         };
         Ok(QueryExecution { output, profile })

@@ -53,6 +53,14 @@ fn partitioned_filter_sum_plan(rows: usize, threshold: i64, parts: usize) -> Pla
     p
 }
 
+/// The stages of each streaming step ([`crate::OperatorProfile::step`]) in
+/// node order, the steps in their terminals' order.
+fn steps(profile: &QueryProfile) -> Vec<Vec<NodeId>> {
+    let ops = &profile.operators;
+    let stages = |t: NodeId| ops.iter().filter(|o| o.step == Some(t)).map(|o| o.node).collect();
+    ops.iter().filter(|t| t.step == Some(t.node)).map(|t| stages(t.node)).collect()
+}
+
 #[test]
 fn executes_serial_plan() {
     let engine = Engine::with_workers(2);
@@ -268,9 +276,8 @@ fn morsels_match_the_plan_as_built() {
     // Every live node still gets a profile.
     assert_eq!(exec.profile.operators.len(), reference.profile.operators.len());
     // The scan→select→fetch→agg chain fused: 10 morsels of 1000 rows.
-    assert_eq!(exec.profile.pipelines.len(), 1);
-    let pipeline = &exec.profile.pipelines[0];
-    assert_eq!(pipeline.n_morsels, 10);
+    assert_eq!(steps(&exec.profile), [vec![1, 3, 4]]);
+    assert_eq!(exec.profile.operator(4).unwrap().tasks.len(), 10);
     // Its producer, the scan of `a` (node 0), published all 10,000 rows.
     assert_eq!(exec.profile.operator(0).unwrap().rows_out, 10_000);
     assert_eq!(exec.profile.total_morsels(), 10);
@@ -291,7 +298,7 @@ fn a_zero_worker_count_runs_and_reports_one_worker() {
     let exec = engine.execute(&plan.cut_into_morsels(1_000), &cat).unwrap();
     assert_eq!(exec.profile.n_workers, 1);
     assert_eq!(exec.profile.total_morsels(), 10);
-    assert_eq!(exec.profile.pipelines[0].n_morsels, 10);
+    assert_eq!(exec.profile.operator(4).unwrap().tasks.len(), 10);
     assert_eq!(exec.profile.multi_core_utilization(), 1.0);
 }
 
@@ -363,7 +370,7 @@ fn cut_nodes_profile_every_operator_with_a_task_per_part() {
     let engine = Engine::with_workers(1);
     let exec = engine.execute(&plan, &cat).unwrap();
     assert_eq!(exec.output, expected.output);
-    let pipelines: Vec<_> = exec.profile.pipelines.iter().map(|p| p.nodes.clone()).collect();
+    let pipelines = steps(&exec.profile);
     assert_eq!(pipelines, [vec![1, 3, 4]], "the adopting nodes join the cut select's step");
     let mut nodes: Vec<_> = exec.profile.operators.iter().map(|o| o.node).collect();
     nodes.sort_unstable();
@@ -373,12 +380,12 @@ fn cut_nodes_profile_every_operator_with_a_task_per_part() {
     assert!(exec.profile.operators.iter().all(|o| o.worker == 0));
     for op in &exec.profile.operators {
         assert_eq!(op.tasks.len(), plan.parts(op.node), "node {}", op.node);
-        let total: u64 = op.tasks.iter().map(|&(_, us)| us).sum();
+        let total: u64 = op.tasks.iter().map(|t| t.us).sum();
         assert!(total <= op.duration_us, "node {}: tasks outlast the operator", op.node);
     }
     let ranges = |node: NodeId| -> Vec<(usize, usize)> {
         let op = exec.profile.operator(node).unwrap();
-        op.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect()
+        op.tasks.iter().map(|t| (t.range.start, t.range.end)).collect()
     };
     // The select's tasks tile the scan's rows at its cuts; the fetch's and
     // the sum's tile the 4,000 rows it selects, all from the first part.
@@ -415,18 +422,13 @@ fn an_adopting_node_fuses_into_its_producers_step() {
     let (apart_exec, apart_tasks) = run(&apart);
     assert_eq!(fused_exec.output, apart_exec.output);
     assert_eq!(fused_exec.output, engine.execute(&filter_sum_plan(15_000), &cat).unwrap().output);
-    let steps = |exec: &QueryExecution| -> Vec<Vec<NodeId>> {
-        exec.profile.pipelines.iter().map(|p| p.nodes.clone()).collect()
-    };
-    assert_eq!(steps(&fused_exec), [vec![1, 3, 4]]);
-    let mut apart_steps = steps(&apart_exec);
-    apart_steps.sort();
-    assert_eq!(apart_steps, [vec![1, 3], vec![4]]);
+    assert_eq!(steps(&fused_exec.profile), [vec![1, 3, 4]]);
+    assert_eq!(steps(&apart_exec.profile), [vec![1, 3], vec![4]]);
     assert_eq!(apart_tasks - fused_tasks, parts as u64);
     for node in fused.node_ids() {
         let tasks = |exec: &QueryExecution| -> Vec<_> {
             let op = exec.profile.operator(node).unwrap();
-            op.tasks.iter().map(|&(r, _)| (r.start, r.end)).collect()
+            op.tasks.iter().map(|t| (t.range.start, t.range.end)).collect()
         };
         assert_eq!(tasks(&fused_exec), tasks(&apart_exec), "node {node}");
     }

@@ -55,6 +55,6 @@ pub use executor::{Engine, EngineConfig, QueryExecution, ReservedQuery};
 pub use executor::{ExecutionMode, SchedulerPolicy};
 pub use fault::{FaultConfig, FaultStats};
 pub use plan::{JoinSide, NodeId, OperatorSpec, Plan, PlanNode, DEFAULT_MORSEL_ROWS};
-pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
+pub use profiler::{DopEvent, DopPhase, OperatorProfile, QueryProfile};
 pub use scheduler::{QueryHandle, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};

@@ -387,11 +387,6 @@ impl Plan {
         (0..self.nodes.len()).collect()
     }
 
-    /// Ids of the nodes that consume `id`'s output, ascending.
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        (0..self.nodes.len()).filter(|&i| self.nodes[i].inputs.contains(&id)).collect()
-    }
-
     /// The parts `id` runs in as the plan knows them (table 5's count): one
     /// per range of its explicit cuts, its stream producer's parts when it
     /// adopts them, else one — so one for a node cut [`Cuts::Every`] so many
@@ -404,6 +399,21 @@ impl Plan {
             }
             Ok(PlanNode { cuts: Cuts::Every(_), .. }) => 1,
             Err(_) => 0,
+        }
+    }
+
+    /// True when `id`'s output comes in several parts, so a reader may adopt
+    /// them: it is cut at offsets or into morsels, or adopts the parts of a
+    /// stream that comes in several. Unlike [`Plan::parts`], this counts
+    /// morsels as several.
+    pub fn in_parts(&self, id: NodeId) -> bool {
+        match self.node(id) {
+            Ok(PlanNode { cuts: Cuts::At(at), .. }) => !at.is_empty(),
+            Ok(PlanNode { cuts: Cuts::Every(_), .. }) => true,
+            Ok(node @ PlanNode { cuts: Cuts::Adopt, .. }) => {
+                node.stream().is_some_and(|s| self.in_parts(s))
+            }
+            Err(_) => false,
         }
     }
 
@@ -631,14 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn consumers_are_the_readers_in_id_order() {
+    fn validation_lists_each_nodes_readers_in_id_order() {
         let mut p = tiny_plan();
-        assert_eq!(p.consumers(1), vec![3]); // select feeds fetch
-        assert_eq!(p.consumers(5), Vec::<NodeId>::new());
         let sel2 =
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![0]);
-        assert_eq!(p.consumers(0), vec![1, sel2]);
-        // Validation hands the same lists on, one entry per input reference.
+        // One entry per input reference.
         let calc = p.add(
             OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
             vec![1, 1],
@@ -646,8 +653,9 @@ mod tests {
         p.set_root(calc);
         let sorted = p.validated_order().unwrap();
         assert_eq!(sorted.order, p.topo_order().unwrap());
-        assert_eq!(sorted.consumers[0], p.consumers(0));
+        assert_eq!(sorted.consumers[0], [1, sel2]);
         assert_eq!(sorted.consumers[1], [3, calc, calc]);
+        assert!(sorted.consumers[5].is_empty());
     }
 
     /// `tiny_plan` with `cuts` on `node`.
@@ -689,9 +697,16 @@ mod tests {
         assert_eq!((p.count_of("select"), p.count_of("fetch"), p.count_of("scan")), (3, 3, 2));
         assert_eq!(p.node_count(), tiny_plan().node_count());
         assert_eq!(p.parts(99), 0);
-        // Morsels count one part, and so does a node adopting them.
+        // Morsels count one part, and so does a node adopting them; their
+        // output still comes in parts.
         p.node_mut(1).unwrap().cuts = Cuts::Every(4);
         assert_eq!((p.parts(1), p.parts(3), p.parts(4)), (1, 1, 1));
+        assert_eq!(
+            [0, 1, 3, 4, 5, 99].map(|id| p.in_parts(id)),
+            [false, true, true, true, false, false]
+        );
+        p.node_mut(1).unwrap().cuts = Cuts::default();
+        assert!(!p.in_parts(1) && !p.in_parts(4), "adopting one part is one part");
     }
 
     #[test]
@@ -753,8 +768,8 @@ mod tests {
         }
     }
 
-    /// The quadratic body `Plan::topo_order` replaced (one `consumers` scan
-    /// per node), kept as the reference the linear one is held to.
+    /// The quadratic body `Plan::topo_order` replaced (one scan of every
+    /// node's inputs per node), kept as the reference the linear one is held to.
     fn topo_order_reference(plan: &Plan) -> Result<Vec<NodeId>> {
         let ids = plan.node_ids();
         let mut in_deg: HashMap<NodeId, usize> = ids.iter().map(|&i| (i, 0)).collect();
@@ -774,7 +789,8 @@ mod tests {
         let mut queue = VecDeque::from(ready);
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            for consumer in plan.consumers(id) {
+            let consumers = ids.iter().filter(|&&c| plan.nodes[c].inputs.contains(&id));
+            for &consumer in consumers {
                 let d = in_deg.get_mut(&consumer).expect("present");
                 // A consumer may list the same producer several times.
                 let times = plan.node(consumer)?.inputs.iter().filter(|&&i| i == id).count();

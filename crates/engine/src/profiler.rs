@@ -7,8 +7,10 @@
 //! feedback, and the multi-core-utilization analysis (Figs. 19/20, Table 5)
 //! is read straight off it, so the profile captures:
 //!
-//! * per operator: start offset, duration, executing worker, output rows and
-//!   bytes (memory claim);
+//! * per operator: start offset, duration, output rows and bytes (memory
+//!   claim), and per task that ran it its range, time and worker
+//!   ([`TaskRecord`]) — the thread affiliation, per task since an operator
+//!   with cuts runs as several;
 //! * per query: wall-clock time, worker-pool size, and the derived metrics
 //!   *parallelism usage* (aggregate busy time / (wall time × workers)) and
 //!   *multi-core utilization* (distinct workers used / workers available).
@@ -45,7 +47,11 @@ pub struct OperatorProfile {
     /// materialized) and starting execution, in microseconds. Separates
     /// "operator was slow" from "operator sat in the queue".
     pub queue_wait_us: u64,
-    /// Index of the worker thread that executed the operator.
+    /// Index of the worker thread that published the operator's output:
+    /// for a whole-node step the one that executed it, for a cut or fused
+    /// stage the one that ran the step's last task and published it — the
+    /// lane [`QueryProfile::timeline`] draws the operator in. The workers
+    /// that ran each task are in [`TaskRecord::worker`].
     pub worker: usize,
     /// Rows in the operator's output chunk.
     pub rows_out: usize,
@@ -55,12 +61,27 @@ pub struct OperatorProfile {
     /// shared backing's — so per-morsel claims over one backing sum to the
     /// backing size once, never N× it.
     pub bytes_out: usize,
-    /// One entry per task that ran the operator, in stream order: the range
-    /// of its own stream the task covered — fused or not — and its time in
-    /// µs (the terminal's with the injected delay). A whole-node operator
-    /// has one entry over its whole stream; a node with cuts has one per
-    /// range of its step.
-    pub tasks: Vec<(RowRange, u64)>,
+    /// One entry per task that ran the operator, in stream order. A
+    /// whole-node operator has one entry over its whole stream; a stage of a
+    /// streaming step has one per range of its step.
+    pub tasks: Vec<TaskRecord>,
+    /// The streaming step the operator ran in, named by the step's terminal
+    /// node: its own id for the terminal, the same id for every stage fused
+    /// before it. `None` for a whole-node step.
+    pub step: Option<NodeId>,
+}
+
+/// One task's run of one operator ([`OperatorProfile::tasks`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskRecord {
+    /// The range of the operator's own stream the task covered, fused or
+    /// not.
+    pub range: RowRange,
+    /// The task's time in the operator, in µs (the terminal's with the
+    /// injected delay).
+    pub us: u64,
+    /// Index of the worker thread that ran the task.
+    pub worker: usize,
 }
 
 /// Which lifecycle step produced a [`DopEvent`].
@@ -107,27 +128,6 @@ pub struct DopEvent {
     pub phase: DopPhase,
 }
 
-/// Profile of one streaming step ([`crate::pipeline`]): its fused stages,
-/// how its producer's list was cut into ranges — morsels, or its head's
-/// parts — and which workers ran them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineProfile {
-    /// The fused stages in chain order; the last entry is the terminal
-    /// whose output was published. The terminal's [`OperatorProfile`] holds
-    /// the time the pipeline's morsel tasks spent queued.
-    pub nodes: Vec<NodeId>,
-    /// Number of ranges the producer's chunk was cut into (≥ 1; empty
-    /// inputs still run one).
-    pub n_morsels: usize,
-    /// Ranges executed per worker, indexed by worker id — the locality
-    /// signal of the work-stealing comparison (fig19's morsel counters).
-    pub morsels_by_worker: Vec<u64>,
-    /// True when the pipeline's terminal stage is a fused `GroupAgg`: each
-    /// morsel produced a partial grouped aggregate and the driver merged
-    /// the partials in morsel order, which keeps float results byte-exact.
-    pub groupagg_fused: bool,
-}
-
 /// Profile of one executed query.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
@@ -137,8 +137,6 @@ pub struct QueryProfile {
     pub n_workers: usize,
     /// Per-operator profiles (every executed node appears exactly once).
     pub operators: Vec<OperatorProfile>,
-    /// Per-streaming-step statistics; empty for a plan without cuts.
-    pub pipelines: Vec<PipelineProfile>,
     /// Admitted-DOP history of the query: the admit-time grant plus every
     /// mid-flight re-grant/claw-back, in order (never empty for executed
     /// queries). A strictly increasing `dop` after the first entry is the
@@ -193,16 +191,11 @@ impl QueryProfile {
         (self.total_cpu_us() as f64 / denom as f64).min(1.0)
     }
 
-    /// Number of distinct worker threads that executed at least one operator
-    /// or morsel. A fused stage's [`OperatorProfile::worker`] names only the
-    /// worker that assembled its pipeline, so the workers that ran the
-    /// pipeline's morsels are read off [`PipelineProfile::morsels_by_worker`].
+    /// Number of distinct worker threads that ran at least one task
+    /// ([`TaskRecord::worker`]).
     pub fn workers_used(&self) -> usize {
-        let mut seen: Vec<usize> = self.operators.iter().map(|o| o.worker).collect();
-        for pipeline in &self.pipelines {
-            let ran = pipeline.morsels_by_worker.iter().enumerate().filter(|(_, &n)| n > 0);
-            seen.extend(ran.map(|(worker, _)| worker));
-        }
+        let tasks = self.operators.iter().flat_map(|op| &op.tasks);
+        let mut seen: Vec<usize> = tasks.map(|task| task.worker).collect();
         seen.sort_unstable();
         seen.dedup();
         seen.len()
@@ -217,21 +210,25 @@ impl QueryProfile {
         self.workers_used() as f64 / self.n_workers as f64
     }
 
-    /// Total ranges dispatched across all pipelines (0 for a plan without
-    /// cuts).
-    pub fn total_morsels(&self) -> usize {
-        self.pipelines.iter().map(|p| p.n_morsels).sum()
+    /// The terminal stage of each streaming step: the one operator that
+    /// names itself as its step ([`OperatorProfile::step`]).
+    fn terminals(&self) -> impl Iterator<Item = &OperatorProfile> {
+        self.operators.iter().filter(|op| op.step == Some(op.node))
     }
 
-    /// Ranges executed per worker, aggregated over all pipelines and
+    /// Total ranges dispatched across all streaming steps: their
+    /// terminals' tasks (0 for a plan without cuts).
+    pub fn total_morsels(&self) -> usize {
+        self.terminals().map(|op| op.tasks.len()).sum()
+    }
+
+    /// Ranges executed per worker, aggregated over all streaming steps and
     /// indexed by worker id (all zeros for a plan without cuts).
     pub fn morsels_by_worker(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.n_workers];
-        for pipeline in &self.pipelines {
-            for (worker, count) in pipeline.morsels_by_worker.iter().enumerate() {
-                if let Some(slot) = out.get_mut(worker) {
-                    *slot += count;
-                }
+        for task in self.terminals().flat_map(|op| &op.tasks) {
+            if let Some(slot) = out.get_mut(task.worker) {
+                *slot += 1;
             }
         }
         out
@@ -246,11 +243,12 @@ impl QueryProfile {
         0
     }
 
-    /// Number of pipelines whose terminal stage was a fused `GroupAgg`
-    /// (morsel-wise grouped aggregation with in-order partial merging; 0 for
-    /// a plan without cuts).
+    /// Number of streaming steps whose terminal stage was a `GroupAgg`: each
+    /// range produced a partial grouped aggregate and publishing merged the
+    /// partials in stream order, which keeps float results byte-exact (0
+    /// for a plan without cuts).
     pub fn fused_groupagg_pipelines(&self) -> usize {
-        self.pipelines.iter().filter(|p| p.groupagg_fused).count()
+        self.terminals().filter(|op| op.name == "groupby").count()
     }
 
     /// True when the admitted DOP was raised after the admit-time grant —
@@ -356,7 +354,8 @@ mod tests {
             worker,
             rows_out: 1,
             bytes_out: 8,
-            tasks: vec![],
+            tasks: vec![TaskRecord { range: RowRange::new(0, 1), us: dur, worker }],
+            step: None,
         }
     }
 
@@ -371,7 +370,6 @@ mod tests {
                 op(3, "hashbuild", 500, 100, 1),
                 op(4, "aggregate", 650, 200, 0),
             ],
-            pipelines: vec![],
             dop_timeline: vec![DopEvent { at_us: 0, dop: 2, phase: DopPhase::Admit }],
         }
     }
@@ -414,47 +412,45 @@ mod tests {
     }
 
     #[test]
-    fn workers_used_counts_morsel_workers_not_only_the_assembler() {
-        // One fused pipeline whose morsels ran on workers 0 and 1; worker 0
-        // finished the last morsel, so both stages' profiles name worker 0.
-        let p = QueryProfile {
+    fn step_statistics_fold_over_the_task_records() {
+        // A whole-node scan on worker 0, then a two-stage streaming step —
+        // a select fused into a group-by terminal — whose three ranges ran
+        // on workers 1, 2 and 1. Worker 2 ran the last range, so it is the
+        // one both stages' profiles name.
+        let ranges = [(0, 100, 1), (100, 200, 2), (200, 250, 1)];
+        let stage = |node, name| OperatorProfile {
+            tasks: ranges
+                .iter()
+                .map(|&(start, end, worker)| TaskRecord {
+                    range: RowRange::new(start, end),
+                    us: 10,
+                    worker,
+                })
+                .collect(),
+            step: Some(2),
+            ..op(node, name, 50, 30, 2)
+        };
+        let mut p = QueryProfile {
             wall_time: Duration::from_micros(1000),
-            n_workers: 2,
-            operators: vec![op(0, "scan", 0, 50, 0), op(1, "select", 0, 400, 0)],
-            pipelines: vec![PipelineProfile {
-                nodes: vec![0, 1],
-                n_morsels: 4,
-                morsels_by_worker: vec![3, 1],
-                groupagg_fused: false,
-            }],
+            n_workers: 4,
+            operators: vec![op(0, "scan", 0, 50, 0), stage(1, "select"), stage(2, "groupby")],
             dop_timeline: vec![],
         };
-        assert_eq!(p.workers_used(), 2);
-        assert_eq!(p.multi_core_utilization(), 1.0);
-    }
-
-    #[test]
-    fn morsel_aggregation() {
-        let mut p = sample();
-        assert_eq!(p.total_morsels(), 0);
-        assert_eq!(p.morsels_by_worker(), vec![0, 0, 0, 0]);
-        p.pipelines = vec![
-            PipelineProfile {
-                nodes: vec![0, 1],
-                n_morsels: 3,
-                morsels_by_worker: vec![2, 1, 0, 0],
-                groupagg_fused: false,
-            },
-            PipelineProfile {
-                nodes: vec![2],
-                n_morsels: 2,
-                morsels_by_worker: vec![0, 1, 1, 0],
-                groupagg_fused: true,
-            },
-        ];
-        assert_eq!(p.total_morsels(), 5);
-        assert_eq!(p.morsels_by_worker(), vec![2, 2, 1, 0]);
+        assert_eq!(p.workers_used(), 3);
+        assert_eq!(p.multi_core_utilization(), 0.75);
+        // Ranges count once per step, on its terminal, and a whole-node
+        // step dispatches none.
+        assert_eq!(p.total_morsels(), 3);
+        assert_eq!(p.morsels_by_worker(), vec![0, 2, 1, 0]);
         assert_eq!(p.fused_groupagg_pipelines(), 1);
+        assert_eq!(p.count_by_name()["groupby"], 3);
+
+        // The same group-by run whole terminates no streaming step.
+        p.operators.truncate(1);
+        p.operators.push(op(2, "groupby", 50, 30, 0));
+        assert_eq!((p.workers_used(), p.total_morsels()), (1, 0));
+        assert_eq!(p.morsels_by_worker(), vec![0; 4]);
+        assert_eq!(p.fused_groupagg_pipelines(), 0);
     }
 
     #[test]
@@ -496,7 +492,6 @@ mod tests {
             wall_time: Duration::ZERO,
             n_workers: 0,
             operators: vec![],
-            pipelines: vec![],
             dop_timeline: vec![],
         };
         assert_eq!(p.total_cpu_us(), 0);

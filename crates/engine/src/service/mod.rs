@@ -64,8 +64,8 @@ use session::WaiterRegistry;
 /// Configuration of a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Configuration of the service-owned engine (workers, execution mode,
-    /// morsel size, fault injection).
+    /// Configuration of the service-owned engine (workers, fault
+    /// injection).
     pub engine: EngineConfig,
     /// Plan-cache capacity in entries (`0` disables the plan cache).
     pub plan_cache_capacity: usize,
@@ -164,9 +164,6 @@ pub struct ServiceStats {
     /// Submissions rejected with [`crate::EngineError::Overloaded`] —
     /// queue-bound sheds plus non-blocking [`Session::try_submit`] refusals.
     pub shed: u64,
-    /// Faults the engine's chaos layer injected so far
-    /// ([`crate::FaultStats::total`]); `0` when fault injection is off.
-    pub faults_injected: u64,
     /// Always `0`: `benchmark/src/workloads.rs` reads it; the next
     /// `[benchmark]` PR drops it with `ServiceConfig::with_shared_scans`.
     #[doc(hidden)]
@@ -421,7 +418,6 @@ impl QueryService {
             results_invalidated: s.results_invalidated.load(Ordering::Relaxed),
             timed_out: s.timed_out.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
-            faults_injected: self.inner.engine.fault_stats().total(),
             partials_reused: 0,
         }
     }

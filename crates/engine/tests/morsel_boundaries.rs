@@ -40,6 +40,16 @@ fn execute_morsels(
     Engine::with_workers(3).execute(&plan.cut_into_morsels(rows), cat)
 }
 
+/// Each streaming step of a run, as its stages in node order and the number
+/// of ranges it ran: the operators that name one terminal as their step,
+/// and that terminal's tasks.
+fn steps(exec: &QueryExecution) -> Vec<(Vec<usize>, usize)> {
+    let ops = &exec.profile.operators;
+    let terminals = ops.iter().filter(|t| t.step == Some(t.node));
+    let stages = |t: usize| ops.iter().filter(|o| o.step == Some(t)).map(|o| o.node).collect();
+    terminals.map(|t| (stages(t.node), t.tasks.len())).collect()
+}
+
 /// Select → fetch → group-sum over the fact table.
 fn grouped_sum_plan() -> Plan {
     let mut p = Plan::new();
@@ -103,11 +113,11 @@ fn non_divisible_morsel_sizes_match_operator_at_a_time() {
         assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
         // The fan-out covered every source row. Each pipeline's head (the
         // select or a fetch) streams its first input.
-        for pipeline in &exec.profile.pipelines {
-            let producer = plan.node(pipeline.nodes[0]).unwrap().inputs[0];
+        for (stages, n_morsels) in steps(&exec) {
+            let producer = plan.node(stages[0]).unwrap().inputs[0];
             let source_rows = exec.profile.operator(producer).unwrap().rows_out;
             assert_eq!(
-                pipeline.n_morsels,
+                n_morsels,
                 source_rows.div_ceil(morsel).max(1),
                 "morsel {morsel}: wrong fan-out"
             );
@@ -152,15 +162,11 @@ fn a_cut_past_the_table_end_is_clamped() {
 
     let exec = execute_morsels(&p, &cat, 1_000).unwrap();
     assert_eq!(exec.output, expected, "morsels diverged over a clamped cut");
-    let [pipeline] = exec.profile.pipelines.as_slice() else {
-        panic!("one pipeline expected: {:?}", exec.profile.pipelines)
-    };
-    assert_eq!(pipeline.nodes, vec![sel, fetched, agg]);
-    // The select's three ranges, the empty one too.
-    assert_eq!(pipeline.n_morsels, 3);
+    // One step, over the select's three ranges, the empty one too.
+    assert_eq!(steps(&exec), [(vec![sel, fetched, agg], 3)]);
     assert_eq!(exec.profile.total_morsels(), 3);
-    let ranges: Vec<_> = exec.profile.operator(sel).unwrap().tasks.iter().map(|t| t.0).collect();
-    let ranges: Vec<_> = ranges.iter().map(|r| (r.start, r.end)).collect();
+    let ranges = exec.profile.operator(sel).unwrap().tasks.iter();
+    let ranges: Vec<_> = ranges.map(|t| (t.range.start, t.range.end)).collect();
     assert_eq!(ranges, [(0, 3_000), (3_000, 10_000), (10_000, 10_000)]);
     // Its producer, the scan, published the whole column.
     assert_eq!(exec.profile.operator(m).unwrap().rows_out, 10_000);
@@ -238,7 +244,7 @@ fn tiny_and_empty_inputs_execute_as_single_morsels() {
     let expected = Engine::with_workers(2).execute(&plan, &cat).unwrap().output;
     let exec = execute_morsels(&plan, &cat, 1 << 16).unwrap();
     assert_eq!(exec.output, expected);
-    assert!(exec.profile.pipelines.iter().all(|p| p.n_morsels == 1));
+    assert!(steps(&exec).iter().all(|&(_, n_morsels)| n_morsels == 1));
 
     // A selection that keeps nothing: empty streams still flow through.
     let mut p = Plan::new();
@@ -276,15 +282,13 @@ fn assert_streams_as_one_pipeline(
     for &morsel in morsel_sizes {
         let exec = execute_morsels(plan, cat, morsel).unwrap();
         assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
-        let pipeline = exec
-            .profile
-            .pipelines
-            .iter()
-            .find(|p| p.nodes.first() == stages.first())
+        let (nodes, n_morsels) = steps(&exec)
+            .into_iter()
+            .find(|(nodes, _)| nodes.first() == stages.first())
             .unwrap_or_else(|| panic!("no pipeline starts at {:?}", stages.first()));
-        assert_eq!(pipeline.nodes, stages, "morsel {morsel}");
+        assert_eq!(nodes, stages, "morsel {morsel}");
         let source_rows = exec.profile.operator(producer).unwrap().rows_out;
-        assert_eq!(pipeline.n_morsels, source_rows.div_ceil(morsel).max(1));
+        assert_eq!(n_morsels, source_rows.div_ceil(morsel).max(1));
     }
     expected
 }
@@ -462,8 +466,9 @@ fn a_q9_shaped_fan_out_over_parted_intermediates_matches_operator_at_a_time() {
         let exec = execute_morsels(&plan, &cat, morsel).unwrap();
         assert_eq!(exec.output, expected, "morsel {morsel}: morsels diverged");
         // The group-by zips the fetched revenue's parts against its keys'.
-        let pipeline = exec.profile.pipelines.iter().find(|p| p.nodes.contains(&by_key)).unwrap();
-        assert_eq!(pipeline.nodes, vec![inner, keys, by_key], "morsel {morsel}");
-        assert!(exec.profile.pipelines.iter().any(|p| p.nodes.last() == Some(&revenue)));
+        let steps = steps(&exec);
+        let (nodes, _) = steps.iter().find(|(nodes, _)| nodes.contains(&by_key)).unwrap();
+        assert_eq!(nodes, &[inner, keys, by_key], "morsel {morsel}");
+        assert!(steps.iter().any(|(nodes, _)| nodes.last() == Some(&revenue)));
     }
 }

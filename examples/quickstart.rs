@@ -92,12 +92,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("morsels        : {}", morsel.output.summary());
     println!("identical      : {}", morsel.output == serial.output);
-    for pipeline in &morsel.profile.pipelines {
-        println!(
-            "  pipeline over nodes {:?}: {} morsels, per-worker {:?}",
-            pipeline.nodes, pipeline.n_morsels, pipeline.morsels_by_worker,
-        );
+    // Every stage of a pipeline names it by its terminal stage, and the
+    // terminal records one task per morsel with the worker that ran it.
+    let ops = &morsel.profile.operators;
+    for terminal in ops.iter().filter(|o| o.step == Some(o.node)) {
+        let stages = ops.iter().filter(|o| o.step == Some(terminal.node)).map(|o| o.node);
+        let stages: Vec<_> = stages.collect();
+        let workers: Vec<_> = terminal.tasks.iter().map(|t| t.worker).collect();
+        let n_morsels = terminal.tasks.len();
+        println!("  pipeline over nodes {stages:?}: {n_morsels} morsels, on workers {workers:?}");
     }
+    println!("  morsels per worker: {:?}", morsel.profile.morsels_by_worker());
 
     // Where to next: under concurrency, `Engine::reserve_admitted` gives
     // each client the equal share of the pool and re-grants the survivors

@@ -158,13 +158,9 @@ fn two_aligned_input_fused_stages_match_across_modes() {
         assert_morsels_agree(label, plan, &catalog, &reference);
         // The stage really fused and morsel-ran.
         let exec = execute_morsels(plan, &catalog).expect("morsels execute");
-        let pipeline = exec
-            .profile
-            .pipelines
-            .iter()
-            .find(|p| p.nodes.contains(&fused_node))
-            .unwrap_or_else(|| panic!("{label}: stage {fused_node} not in any pipeline"));
-        assert!(pipeline.n_morsels > 1, "{label}: fused pipeline ran a single morsel");
+        let stage = exec.profile.operator(fused_node).expect("profiled");
+        assert!(stage.step.is_some(), "{label}: stage {fused_node} not in any pipeline");
+        assert!(stage.tasks.len() > 1, "{label}: fused pipeline ran a single morsel");
     }
 }
 
@@ -196,14 +192,9 @@ fn fused_group_agg_matches_across_modes() {
         // The aggregate really fused and morsel-ran, and the profile
         // says so.
         let exec = execute_morsels(&plan, &catalog).expect("morsels execute");
-        let pipeline = exec
-            .profile
-            .pipelines
-            .iter()
-            .find(|p| p.nodes.contains(&group_node))
-            .unwrap_or_else(|| panic!("{label}: groupagg not in any pipeline"));
-        assert!(pipeline.n_morsels > 1, "{label}: groupagg ran a single morsel");
-        assert!(pipeline.groupagg_fused, "{label}: terminal flag not set");
+        let group = exec.profile.operator(group_node).expect("profiled");
+        assert_eq!(group.step, Some(group_node), "{label}: groupagg ends no pipeline");
+        assert!(group.tasks.len() > 1, "{label}: groupagg ran a single morsel");
         assert_eq!(exec.profile.fused_groupagg_pipelines(), 1, "{label}");
     }
 }
@@ -331,14 +322,11 @@ fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
             .collect();
         assert_eq!(refining.len(), 2, "{query}");
         for (select, cands) in refining {
-            let pipeline = exec
-                .profile
-                .pipelines
-                .iter()
-                .find(|p| p.nodes.contains(&select))
-                .unwrap_or_else(|| panic!("{query}: refining select {select} did not stream"));
-            assert!(pipeline.nodes.contains(&cands), "{query}: {:?}", pipeline.nodes);
-            assert!(pipeline.n_morsels > 1, "{query}: one morsel");
+            let step = |node| exec.profile.operator(node).expect("profiled").step;
+            assert!(step(select).is_some(), "{query}: refining select {select} did not stream");
+            assert_eq!(step(cands), step(select), "{query}: {cands} runs apart from {select}");
+            let tasks = exec.profile.operator(select).unwrap().tasks.len();
+            assert!(tasks > 1, "{query}: one morsel");
         }
     }
 
@@ -353,7 +341,9 @@ fn tpch_refining_selects_stream_and_key_sets_refuse_probes_across_modes() {
             .collect();
         let [set] = sets[..] else { panic!("{query}: key sets {sets:?}") };
         assert_eq!(plan.count_of("hashbuild"), 1, "{query}: a key set counts as a hash build");
-        let outer = plan.node(plan.consumers(set)[0]).unwrap().inputs[0];
+        let reader =
+            plan.node_ids().into_iter().find(|&id| plan.node(id).unwrap().inputs.contains(&set));
+        let outer = plan.node(reader.expect("the key set is read")).unwrap().inputs[0];
         let probe = plan.add(OperatorSpec::HashProbe, vec![outer, set]);
         plan.set_root(probe);
         let whole = reference.execute(&plan, &catalog).expect_err("refused").to_string();

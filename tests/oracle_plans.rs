@@ -806,8 +806,8 @@ fn check_seed(seed: u64, engine: &Engine) {
     for step in 1..=6 {
         let mut profile = engine.execute(&plan, &catalog).expect("runs").profile;
         for op in &mut profile.operators {
-            for (_, us) in &mut op.tasks {
-                *us = 1 + gen.below(1_000) as u64;
+            for task in &mut op.tasks {
+                task.us = 1 + gen.below(1_000) as u64;
             }
         }
         match mutate_most_expensive(&mut plan, &profile, &config).expect("mutates") {

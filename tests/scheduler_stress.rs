@@ -94,11 +94,7 @@ fn oversubscribed_pool_records_queue_wait_under_both_plannings() {
         let share = profile.queue_wait_share();
         assert!((0.0..=1.0).contains(&share), "[{mode}] wait share {share} out of range");
         // One task per profile outside a pipeline, one per morsel inside.
-        let one_task_steps = profile
-            .operators
-            .iter()
-            .filter(|o| !profile.pipelines.iter().any(|p| p.nodes.contains(&o.node)))
-            .count();
+        let one_task_steps = profile.operators.iter().filter(|o| o.step.is_none()).count();
         let stats = engine.scheduler_stats();
         assert_eq!(
             stats.total_executed() as usize,

@@ -34,12 +34,9 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
         let before = engine.scheduler_stats().total_executed();
         let profile = engine.execute(&plan, &catalog).expect("query executes").profile;
         let executed = engine.scheduler_stats().total_executed() - before;
-        let counts = [
-            profile.pipelines.len(),
-            profile.total_morsels(),
-            profile.operators.len(),
-            executed as usize,
-        ];
+        // A streaming step is named by its terminal, which names itself.
+        let steps = profile.operators.iter().filter(|o| o.step == Some(o.node)).count();
+        let counts = [steps, profile.total_morsels(), profile.operators.len(), executed as usize];
         assert_eq!(counts, [pipelines, morsels, operators, tasks], "{query:?}");
     }
 }
@@ -59,8 +56,8 @@ fn tpch_mutants_keep_their_scans_add_no_slices_and_match_serial_under_both_plann
             // Rank by rows rather than by time, so the sequence is the same
             // on every run.
             for op in &mut profile.operators {
-                for (range, us) in &mut op.tasks {
-                    *us = range.len() as u64;
+                for task in &mut op.tasks {
+                    task.us = task.range.len() as u64;
                 }
             }
             let mutated = mutate_most_expensive(&mut plan, &profile, &config).expect("mutates");
