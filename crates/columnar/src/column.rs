@@ -181,9 +181,6 @@ impl Column {
     }
 
     /// Bytes covered by the visible window: exactly `len × value_width`.
-    ///
-    /// The profiler reports this as the operator's memory claim, mirroring
-    /// the "memory claims" item of the paper's profiled data (§2).
     pub fn byte_size(&self) -> usize {
         self.len * self.data_type().value_width()
     }

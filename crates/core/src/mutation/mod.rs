@@ -144,10 +144,14 @@ mod tests {
                     queue_wait_us: 0,
                     worker: 0,
                     rows_out: 0,
-                    bytes_out: 0,
                     tasks: tasks
                         .iter()
-                        .map(|&(s, e, us)| TaskRecord { range: RowRange::new(s, e), us, worker: 0 })
+                        .map(|&(s, e, us)| TaskRecord {
+                            range: RowRange::new(s, e),
+                            start_us: 0,
+                            us,
+                            worker: 0,
+                        })
                         .collect(),
                     step: None,
                 })

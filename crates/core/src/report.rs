@@ -15,21 +15,6 @@ pub struct AdaptiveRunRecord {
     pub exec_us: u64,
     /// The mutation that produced this run's plan (none for the serial run).
     pub mutation: Option<MutationKind>,
-    /// Number of live operators in the executed plan.
-    pub plan_nodes: usize,
-    /// Number of select-family operators in the executed plan, each node
-    /// counting its parts ([`Plan::count_of`]).
-    pub select_ops: usize,
-    /// Number of join-family operators in the executed plan, counted the
-    /// same way.
-    pub join_ops: usize,
-    /// Multi-core utilization of the run (fraction of workers used).
-    pub multi_core_utilization: f64,
-    /// Parallelism usage of the run (busy time / (wall × workers)).
-    pub parallelism_usage: f64,
-    /// Total time the run's operators spent queued before execution,
-    /// microseconds (scheduler-interference signal).
-    pub queue_wait_us: u64,
     /// True when the convergence algorithm classified the run as a noise peak.
     pub is_outlier: bool,
     /// Convergence balance (credit − debit) after the run.
@@ -119,12 +104,6 @@ mod tests {
             run,
             exec_us,
             mutation: if run == 0 { None } else { Some(MutationKind::Basic) },
-            plan_nodes: run + 1,
-            select_ops: run,
-            join_ops: 0,
-            multi_core_utilization: 0.5,
-            parallelism_usage: 0.3,
-            queue_wait_us: 40,
             is_outlier: false,
             balance: 1.0,
         }

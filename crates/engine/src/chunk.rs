@@ -121,8 +121,7 @@ impl OidsView {
     }
 
     /// Total length of the shared backing list (the window covers
-    /// `[offset, offset + len)` of it). [`Chunk::byte_size`] reports window
-    /// bytes; this is the honest denominator for shared-backing claims.
+    /// `[offset, offset + len)` of it).
     pub fn backing_len(&self) -> usize {
         self.data.len()
     }
@@ -397,26 +396,6 @@ impl Chunk {
         }
     }
 
-    /// Approximate size in bytes (profiler memory claims).
-    ///
-    /// Windowed variants (columns, oid lists, join results) report the
-    /// *window* bytes, not the shared backing allocation — N views over one
-    /// backing must not claim N× its memory. See [`OidsView::backing_len`] /
-    /// [`JoinView::backing_len`] for the backing size. A column view claims
-    /// exactly `len × value_width` ([`Column::byte_size`]), so disjoint
-    /// morsel windows sum to the bytes of the view they split.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Chunk::Column(c) => c.byte_size(),
-            Chunk::Oids(v) => v.len() * std::mem::size_of::<Oid>(),
-            Chunk::Join(v) => v.len() * 2 * std::mem::size_of::<Oid>(),
-            Chunk::Hash(h) => h.byte_size(),
-            Chunk::AggPartial(_) => std::mem::size_of::<AggState>(),
-            Chunk::Scalar(_) => std::mem::size_of::<ScalarValue>(),
-            Chunk::Grouped(g) => g.byte_size(),
-        }
-    }
-
     /// Converts the chunk into the comparable [`QueryOutput`] representation.
     pub fn to_output(&self) -> QueryOutput {
         match self {
@@ -494,16 +473,14 @@ mod tests {
     use apq_operators::AggFunc;
 
     #[test]
-    fn kinds_rows_and_sizes() {
+    fn kinds_and_rows() {
         let col = Chunk::Column(Column::from_i64(vec![1, 2, 3]));
         assert_eq!(col.kind(), "column");
         assert_eq!(col.rows(), 3);
-        assert_eq!(col.byte_size(), 24);
 
         let oids = Chunk::oids(vec![1, 2]);
         assert_eq!(oids.kind(), "oids");
         assert_eq!(oids.rows(), 2);
-        assert_eq!(oids.byte_size(), 16);
 
         let scalar = Chunk::Scalar(ScalarValue::I64(7));
         assert_eq!(scalar.rows(), 1);
@@ -511,7 +488,6 @@ mod tests {
 
         let agg = Chunk::AggPartial(AggState::new(AggFunc::Sum));
         assert_eq!(agg.rows(), 1);
-        assert!(agg.byte_size() > 0);
     }
 
     #[test]
@@ -611,19 +587,6 @@ mod tests {
             Chunk::Join(v) => assert_eq!((v.outer(), v.inner()), (&[2, 3][..], &[5, 6][..])),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn windowed_byte_size_reports_window_not_backing() {
-        let parent = Chunk::oids((0..1000).collect());
-        assert_eq!(parent.byte_size(), 8000);
-        let window = parent.as_oids_view().unwrap().slice(100, 10);
-        assert_eq!(window.backing_len(), 1000);
-        assert_eq!(Chunk::Oids(window).byte_size(), 80);
-
-        let jr = JoinResult { outer_oids: (0..100).collect(), inner_oids: (0..100).collect() };
-        let jw = JoinView::new(jr).slice(0, 4);
-        assert_eq!(Chunk::Join(jw).byte_size(), 64);
     }
 
     #[test]

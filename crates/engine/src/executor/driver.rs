@@ -39,11 +39,13 @@
 //! fetch's looked-up column or a probe's build side, the root) packs it on
 //! first read, once, in the result slot, in the reader's time.
 //!
-//! Each task records, in the profile of every stage it ran, the range of
-//! that stage's stream it read, its time there and its worker
-//! ([`OperatorProfile::tasks`]): the parts the adaptive mutations rank and
-//! cut, in the stage's own rows whether or not it was fused. Every stage of
-//! a streaming step names the step by its terminal
+//! Each task records, for every stage it ran, when it began the stage, its
+//! time there, its worker and how many rows of the stage's stream it read
+//! ([`TaskRecord`]). The fold places each record's range in the stage's own
+//! stream, in stream order, fused or not: the parts the adaptive mutations
+//! rank and cut. Publishing folds every [`OperatorProfile`] number from its
+//! stage's records ([`OperatorProfile::tasks`]), and every stage of a
+//! streaming step names the step by its terminal
 //! ([`OperatorProfile::step`]).
 //!
 //! Consumer steps and task fan-outs are submitted from the completing
@@ -180,36 +182,6 @@ pub(super) fn execute(
     state.run.wait()
 }
 
-/// What one task measured — or, merged over its ranges, one step.
-struct Tally {
-    /// Execution start in µs since the query started; the earliest once
-    /// merged.
-    start_us: u64,
-    queue_wait_us: u64,
-    /// `[time µs, rows, bytes]` of every stage, in chain order. The
-    /// terminal's time includes the injected delay and the publish; its
-    /// rows and bytes are the published list's.
-    stages: Vec<[u64; 3]>,
-    /// Per stage, in chain order, one entry per task: the index of the
-    /// task's range of the step's source, the rows of the stage's stream it
-    /// read, its time and its worker. [`publish`] lays the rows end to end
-    /// in range order, so each stage's ranges are in its own stream's rows.
-    tasks: Vec<Vec<(usize, usize, u64, usize)>>,
-}
-
-impl Tally {
-    fn merge(&mut self, other: Tally) {
-        self.start_us = self.start_us.min(other.start_us);
-        self.queue_wait_us += other.queue_wait_us;
-        for (sum, stage) in self.stages.iter_mut().zip(other.stages) {
-            sum.iter_mut().zip(stage).for_each(|(s, v)| *s += v);
-        }
-        for (tasks, other) in self.tasks.iter_mut().zip(other.tasks) {
-            tasks.extend(other);
-        }
-    }
-}
-
 /// The shared state of a streaming step over a positional source: its
 /// ranges, and its part list as its tasks fold their outputs in, until the
 /// last one publishes it. A step run as one task over whole inputs needs
@@ -224,16 +196,21 @@ struct Fanout {
 }
 
 struct Morsels {
-    /// Terminal outputs of tasks done before an earlier one was, waiting for
-    /// the gap to close.
-    waiting: Vec<Option<Vec<Chunk>>>,
+    /// Terminal outputs and stage records of tasks done before an earlier
+    /// one was, waiting for the gap to close.
+    waiting: Vec<Option<(Vec<Chunk>, Vec<TaskRecord>)>>,
     /// The first range whose outputs the folder has not taken.
     next: usize,
     /// The step's part list so far: every output of the ranges before
     /// `next`, in stream order.
     folder: Folder,
+    /// Per stage, in chain order, the records of the ranges before `next`,
+    /// laid end to end in the stage's own stream.
+    tasks: Vec<Vec<TaskRecord>>,
     remaining: usize,
-    tally: Option<Tally>,
+    /// The tasks' queue waits and their folding time, summed.
+    queue_wait_us: u64,
+    fold_us: u64,
 }
 
 /// The ranges `(start, len, after_cut)` a streaming step's tasks run over
@@ -299,8 +276,10 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
             waiting: (0..n_ranges).map(|_| None).collect(),
             next: 0,
             folder: Folder::new(pipeline.terminal(), state.cells[step]),
+            tasks: pipeline.stages.iter().map(|_| Vec::with_capacity(n_ranges)).collect(),
             remaining: n_ranges,
-            tally: None,
+            queue_wait_us: 0,
+            fold_us: 0,
         }),
     });
     (0..n_ranges).all(|range| submit(task(Some((Arc::clone(&fanout), range)))))
@@ -351,12 +330,6 @@ fn run_stages(
 ) -> Result<bool> {
     let (run, pipeline) = (&state.run, &state.graph.steps[step]);
     let n_stages = pipeline.stages.len();
-    let mut tally = Tally {
-        start_us: 0,
-        queue_wait_us: ctx.queue_wait.as_micros() as u64,
-        stages: vec![[0; 3]; n_stages],
-        tasks: Vec::new(),
-    };
     // This task's range of the source, as `(start, len)`.
     let cut = cut.map(|(fanout, index)| {
         let (start, len, _) = fanout.ranges[index];
@@ -422,10 +395,12 @@ fn run_stages(
 
     let mut outputs = Vec::with_capacity(pieces.len());
     let mut panics = Vec::with_capacity(n_stages);
-    // The rows of each stage's stream the task read: its range of the
-    // source at the head, its predecessor's outputs further down, all of a
-    // whole-node step's stream (its output, for a scan).
-    let mut streamed = vec![0; n_stages];
+    // One record per stage. Its range is `0..` the rows of the stage's
+    // stream the task read — its range of the source at the head, its
+    // predecessor's outputs further down, all of a whole-node step's stream
+    // (its output, for a scan) — until the fold places it in that stream.
+    let record = TaskRecord { range: RowRange::new(0, 0), start_us: 0, us: 0, worker: ctx.worker };
+    let mut records = vec![record; n_stages];
     for (piece, &(start, len)) in pieces.iter().enumerate() {
         let mut out = None;
         for (idx, (&stage, node)) in pipeline.stages.iter().zip(&nodes).enumerate() {
@@ -434,6 +409,7 @@ fn run_stages(
             // a part list counts in the stage's time.
             let started = Instant::now();
             if piece == 0 {
+                records[idx].start_us = started.duration_since(run.started).as_micros() as u64;
                 let Some(inject_panic) = run.checkpoint(stage) else { return Ok(false) };
                 panics.push(inject_panic);
                 for (i, feed) in feeds[idx].iter_mut().enumerate() {
@@ -452,15 +428,11 @@ fn run_stages(
                     Feed::Whole(chunk) => chunk.clone().expect("read at the first piece"),
                 })
                 .collect();
-            if piece == 0 && idx == 0 {
-                tally.start_us = started.duration_since(run.started).as_micros() as u64;
-            }
             let chunk = guarded_execute(stage, &node.spec, &inputs, &run.catalog, panics[idx])?;
-            let micros = started.elapsed().as_micros() as u64;
-            let measured = [micros, chunk.rows() as u64, chunk.byte_size() as u64];
-            tally.stages[idx].iter_mut().zip(measured).for_each(|(s, v)| *s += v);
+            let record = &mut records[idx];
+            record.us += started.elapsed().as_micros() as u64;
             let stream = inputs.get(stream_input(&node.spec, inputs.len()));
-            streamed[idx] += stream.map_or(chunk.rows(), Chunk::rows);
+            record.range.end += stream.map_or(chunk.rows(), Chunk::rows);
             out = Some(chunk);
         }
         outputs.push(out.expect("a step has at least one stage"));
@@ -468,14 +440,13 @@ fn run_stages(
     // Once per task, keyed on the terminal, counted in its time.
     let delay = Instant::now();
     run.inject_delay(pipeline.terminal());
-    tally.stages[n_stages - 1][0] += delay.elapsed().as_micros() as u64;
-    let index = cut.map_or(0, |(_, index, _, _)| index);
-    let stages = tally.stages.iter().zip(streamed);
-    tally.tasks = stages.map(|(stage, rows)| vec![(index, rows, stage[0], ctx.worker)]).collect();
+    records[n_stages - 1].us += delay.elapsed().as_micros() as u64;
+    let queue_wait_us = ctx.queue_wait.as_micros() as u64;
 
     let Some((fanout, index, _, _)) = cut else {
         let parts = Parts::publish(pipeline.terminal(), outputs, state.cells[step])?;
-        publish(run, ctx, pipeline, parts, tally)?;
+        let tasks = records.into_iter().map(|record| vec![record]).collect();
+        publish(run, ctx, pipeline, parts, tasks, queue_wait_us, 0)?;
         return Ok(true);
     };
     // The task merges its own pieces' partial aggregates, in parallel with
@@ -490,8 +461,11 @@ fn run_stages(
     // those of later ranges that finished first. The folding (relabelling,
     // and packing a selective producer's small parts cell by cell) runs
     // here, while other ranges still execute, not all in the last task.
-    morsels.waiting[index] = Some(outputs);
-    while let Some(outputs) = morsels.waiting.get_mut(morsels.next).and_then(Option::take) {
+    // Each stage's record continues its stream where the last one ended.
+    morsels.waiting[index] = Some((outputs, records));
+    while let Some((outputs, records)) =
+        morsels.waiting.get_mut(morsels.next).and_then(Option::take)
+    {
         if fanout.ranges[morsels.next].2 {
             morsels.folder.cut()?;
         }
@@ -499,18 +473,21 @@ fn run_stages(
         for chunk in outputs {
             morsels.folder.push(chunk)?;
         }
+        for (tasks, mut record) in morsels.tasks.iter_mut().zip(records) {
+            let at = tasks.last().map_or(0, |last| last.range.end);
+            record.range = RowRange::new(at, at + record.range.end);
+            tasks.push(record);
+        }
     }
-    tally.stages[n_stages - 1][0] += folding.elapsed().as_micros() as u64;
-    match &mut morsels.tally {
-        Some(sum) => sum.merge(tally),
-        sum @ None => *sum = Some(tally),
-    }
+    morsels.queue_wait_us += queue_wait_us;
+    morsels.fold_us += folding.elapsed().as_micros() as u64;
     morsels.remaining -= 1;
     if morsels.remaining > 0 {
         return Ok(false);
     }
     let folder = std::mem::replace(&mut morsels.folder, Folder::new(pipeline.terminal(), None));
-    let mut tally = morsels.tally.take().expect("every morsel merged its tally");
+    let tasks = std::mem::take(&mut morsels.tasks);
+    let (queue_wait_us, fold_us) = (morsels.queue_wait_us, morsels.fold_us);
     drop(guard);
     // The pieces' outputs in stream order are the step's part list: every
     // read of it equals the same read of their pack, so the published
@@ -519,47 +496,44 @@ fn run_stages(
     // packed here.
     let assembly = Instant::now();
     let published = folder.finish()?;
-    tally.stages[n_stages - 1][0] += assembly.elapsed().as_micros() as u64;
-    publish(run, ctx, pipeline, published, tally)?;
+    let fold_us = fold_us + assembly.elapsed().as_micros() as u64;
+    publish(run, ctx, pipeline, published, tasks, queue_wait_us, fold_us)?;
     Ok(true)
 }
 
-/// Publishes a finished step from the task that finished it: every stage's
-/// profile and the terminal's part list.
+/// Publishes a finished step from the task that finished it: the
+/// terminal's part list, and every stage's profile, folded from its task
+/// records (`tasks`, per stage in chain order). The terminal's time adds
+/// `fold_us`, the step's folding and publish, and its queue wait is the
+/// step's `queue_wait_us`, so query totals count both once.
 fn publish(
     run: &RunContext,
     ctx: &TaskContext<'_>,
     pipeline: &Pipeline,
     parts: Parts,
-    tally: Tally,
+    tasks: Vec<Vec<TaskRecord>>,
+    queue_wait_us: u64,
+    fold_us: u64,
 ) -> Result<()> {
     let terminal = pipeline.terminal();
-    let mut measured = tally.stages;
-    let last = measured.last_mut().expect("a step has at least one stage");
-    (last[1], last[2]) = (parts.rows() as u64, parts.byte_size() as u64);
-    let mut tasks = tally.tasks.into_iter();
     let end_us = run.started.elapsed().as_micros() as u64;
-    for (&node, [duration_us, rows, bytes]) in pipeline.stages.iter().zip(measured) {
-        let mut tasks = tasks.next().unwrap_or_default();
-        tasks.sort_unstable_by_key(|&(index, ..)| index);
-        let mut at = 0;
-        let tasks = tasks.into_iter().map(|(_, rows, us, worker)| {
-            at += rows;
-            TaskRecord { range: RowRange::new(at - rows, at), us, worker }
-        });
+    // A fused stage's output is the next stage's stream; the terminal's is
+    // the published list.
+    let streamed = |tasks: &Vec<TaskRecord>| tasks.iter().map(|task| task.range.len()).sum();
+    let rows_out: Vec<usize> = tasks[1..].iter().map(streamed).chain([parts.rows()]).collect();
+    for ((&node, tasks), rows_out) in pipeline.stages.iter().zip(tasks).zip(rows_out) {
+        let (fold_us, queue_wait_us) =
+            if node == terminal { (fold_us, queue_wait_us) } else { (0, 0) };
         let profile = OperatorProfile {
             node,
             name: run.plan.node(node)?.spec.name(),
-            start_us: tally.start_us,
+            start_us: tasks.iter().map(|task| task.start_us).min().unwrap_or_default(),
             end_us,
-            duration_us,
-            // A streaming step's queue wait, summed over its morsels, is the
-            // terminal's, so query totals count it once.
-            queue_wait_us: if node == terminal { tally.queue_wait_us } else { 0 },
+            duration_us: tasks.iter().map(|task| task.us).sum::<u64>() + fold_us,
+            queue_wait_us,
             worker: ctx.worker,
-            rows_out: rows as usize,
-            bytes_out: bytes as usize,
-            tasks: tasks.collect(),
+            rows_out,
+            tasks,
             step: pipeline.producer.map(|_| terminal),
         };
         if run.profiles[node].set(profile).is_err() {

@@ -293,8 +293,8 @@ impl Engine {
         &self.config
     }
 
-    /// Snapshot of the scheduler's per-worker counters (cumulative since the
-    /// engine was created).
+    /// Snapshot of the scheduler's dispatch counters, summed over its
+    /// workers (cumulative since the engine was created).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler.stats()
     }

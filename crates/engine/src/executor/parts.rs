@@ -89,12 +89,6 @@ impl Parts {
         self.chunks.iter().map(Chunk::rows).sum()
     }
 
-    /// Bytes of the whole list ([`Chunk::byte_size`] summed over parts: a
-    /// packed chunk's size).
-    pub fn byte_size(&self) -> usize {
-        self.chunks.iter().map(Chunk::byte_size).sum()
-    }
-
     /// True when the parts are positional and can be windowed.
     pub fn is_positional(&self) -> bool {
         is_positional(&self.chunks[0])

@@ -56,5 +56,5 @@ pub use executor::{ExecutionMode, SchedulerPolicy};
 pub use fault::{FaultConfig, FaultStats};
 pub use plan::{JoinSide, NodeId, OperatorSpec, Plan, PlanNode, DEFAULT_MORSEL_ROWS};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, QueryProfile};
-pub use scheduler::{QueryHandle, SchedulerStats, WorkerStats};
+pub use scheduler::{QueryHandle, SchedulerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};

@@ -7,10 +7,11 @@
 //! feedback, and the multi-core-utilization analysis (Figs. 19/20, Table 5)
 //! is read straight off it, so the profile captures:
 //!
-//! * per operator: start offset, duration, output rows and bytes (memory
-//!   claim), and per task that ran it its range, time and worker
-//!   ([`TaskRecord`]) — the thread affiliation, per task since an operator
-//!   with cuts runs as several;
+//! * per task that ran an operator ([`TaskRecord`]): its range, its start,
+//!   its time and its worker — the thread affiliation, per task since an
+//!   operator with cuts runs as several. Each [`OperatorProfile`] number is
+//!   folded from its records when its step publishes; memory claims are not
+//!   recorded;
 //! * per query: wall-clock time, worker-pool size, and the derived metrics
 //!   *parallelism usage* (aggregate busy time / (wall time × workers)) and
 //!   *multi-core utilization* (distinct workers used / workers available).
@@ -30,18 +31,18 @@ pub struct OperatorProfile {
     pub node: NodeId,
     /// Operator family name (`select`, `join`, `fetch`, ...).
     pub name: &'static str,
-    /// Start of execution, microseconds since the query started: its first
-    /// task's.
+    /// Start of execution, microseconds since the query started: the
+    /// earliest start of its tasks ([`TaskRecord::start_us`]).
     pub start_us: u64,
     /// When its output was published, microseconds since the query
     /// started: after its last task. Its consumers start no earlier.
     pub end_us: u64,
-    /// Execution time in microseconds — *CPU time*, not elapsed time. For a
-    /// whole-node step it is the operator's one execution, so it fits inside
-    /// the query's wall time. For a stage of a fused pipeline it is the
-    /// **sum of the stage's per-morsel times across all workers** (plus
-    /// assembly, on the terminal): morsels run concurrently, so the sum may
-    /// exceed the query's wall time. Its bound is `wall × n_workers`.
+    /// Execution time in microseconds — *CPU time*, not elapsed time: the
+    /// sum of its tasks' times ([`TaskRecord::us`]), plus, on a step's
+    /// terminal, the time its tasks spent folding their outputs and the
+    /// publish. Tasks run concurrently, so for an operator with several the
+    /// sum may exceed the query's wall time. Its bound is
+    /// `wall × n_workers`.
     pub duration_us: u64,
     /// Time the operator spent queued between becoming runnable (all inputs
     /// materialized) and starting execution, in microseconds. Separates
@@ -49,18 +50,12 @@ pub struct OperatorProfile {
     pub queue_wait_us: u64,
     /// Index of the worker thread that published the operator's output:
     /// for a whole-node step the one that executed it, for a cut or fused
-    /// stage the one that ran the step's last task and published it — the
-    /// lane [`QueryProfile::timeline`] draws the operator in. The workers
-    /// that ran each task are in [`TaskRecord::worker`].
+    /// stage the one that ran the step's last task and published it. The
+    /// workers that ran each task are in [`TaskRecord::worker`].
     pub worker: usize,
-    /// Rows in the operator's output chunk.
+    /// Rows in the operator's output: the published list's on a step's
+    /// terminal, the rows the next stage streamed on a fused stage.
     pub rows_out: usize,
-    /// Approximate bytes of the operator's output chunk (memory claim).
-    /// For windowed candidate/join streams ([`crate::chunk::OidsView`],
-    /// [`crate::chunk::JoinView`]) this is the *window's* bytes, not the
-    /// shared backing's — so per-morsel claims over one backing sum to the
-    /// backing size once, never N× it.
-    pub bytes_out: usize,
     /// One entry per task that ran the operator, in stream order. A
     /// whole-node operator has one entry over its whole stream; a stage of a
     /// streaming step has one per range of its step.
@@ -77,6 +72,8 @@ pub struct TaskRecord {
     /// The range of the operator's own stream the task covered, fused or
     /// not.
     pub range: RowRange,
+    /// When the task began the operator, in µs since the query started.
+    pub start_us: u64,
     /// The task's time in the operator, in µs (the terminal's with the
     /// injected delay).
     pub us: u64,
@@ -287,20 +284,20 @@ impl QueryProfile {
     /// Tomograph-style ASCII timeline: one lane per worker, time flowing to
     /// the right, each cell showing the operator family that was running
     /// (`S`elect, `J`oin, `F`etch, `C`alc, `A`ggregate, `.` idle).
-    /// This is the textual analogue of the paper's Figs. 19/20.
+    /// Every task is drawn on its own worker's lane from its start for its
+    /// time, at least one cell wide, so the marked lanes are the
+    /// [`QueryProfile::workers_used`]. This is the textual analogue of the
+    /// paper's Figs. 19/20.
     pub fn timeline(&self, width: usize) -> String {
         let width = width.max(10);
         let wall = self.wall_us().max(1);
         let mut lanes = vec![vec!['.'; width]; self.n_workers];
         for op in &self.operators {
-            if op.worker >= lanes.len() {
-                continue;
-            }
-            let from = (op.start_us * width as u64 / wall) as usize;
-            let to = ((op.end_us * width as u64).div_ceil(wall) as usize).min(width).max(from + 1);
-            let c = family_char(op.name);
-            for cell in &mut lanes[op.worker][from..to.min(width)] {
-                *cell = c;
+            for task in &op.tasks {
+                let Some(lane) = lanes.get_mut(task.worker) else { continue };
+                let from = ((task.start_us * width as u64 / wall) as usize).min(width - 1);
+                let to = ((task.start_us + task.us) * width as u64).div_ceil(wall) as usize;
+                lane[from..to.clamp(from + 1, width)].fill(family_char(op.name));
             }
         }
         let mut out = String::new();
@@ -353,8 +350,12 @@ mod tests {
             queue_wait_us: 5,
             worker,
             rows_out: 1,
-            bytes_out: 8,
-            tasks: vec![TaskRecord { range: RowRange::new(0, 1), us: dur, worker }],
+            tasks: vec![TaskRecord {
+                range: RowRange::new(0, 1),
+                start_us: start,
+                us: dur,
+                worker,
+            }],
             step: None,
         }
     }
@@ -423,6 +424,7 @@ mod tests {
                 .iter()
                 .map(|&(start, end, worker)| TaskRecord {
                     range: RowRange::new(start, end),
+                    start_us: 50,
                     us: 10,
                     worker,
                 })
@@ -451,6 +453,43 @@ mod tests {
         assert_eq!((p.workers_used(), p.total_morsels()), (1, 0));
         assert_eq!(p.morsels_by_worker(), vec![0; 4]);
         assert_eq!(p.fused_groupagg_pipelines(), 0);
+    }
+
+    #[test]
+    fn timeline_draws_every_task_on_its_own_workers_lane() {
+        // A whole-node scan on worker 0, then a cut select whose three
+        // tasks ran on workers 1, 2 and 3 while worker 0 published it.
+        let tasks = [(1, 100), (2, 300), (3, 600)];
+        let select = OperatorProfile {
+            tasks: tasks
+                .iter()
+                .map(|&(worker, start_us)| TaskRecord {
+                    range: RowRange::new(0, 10),
+                    start_us,
+                    us: 100,
+                    worker,
+                })
+                .collect(),
+            step: Some(1),
+            end_us: 900,
+            ..op(1, "select", 100, 300, 0)
+        };
+        let p = QueryProfile {
+            wall_time: Duration::from_micros(1000),
+            n_workers: 6,
+            operators: vec![op(0, "scan", 0, 50, 0), select],
+            dop_timeline: vec![],
+        };
+        let t = p.timeline(10);
+        let lanes: Vec<&str> = t.lines().skip(1).collect();
+        let marked = lanes.iter().filter(|l| l.split('|').nth(1).unwrap().contains(|c| c != '.'));
+        assert_eq!(marked.count(), p.workers_used());
+        assert_eq!(p.workers_used(), 4);
+        // Each task sits on its worker's lane at its start, for its time.
+        assert_eq!(lanes[0], "worker   0 |s.........|");
+        assert_eq!(lanes[1], "worker   1 |.S........|");
+        assert_eq!(lanes[3], "worker   3 |......S...|");
+        assert_eq!(lanes[5], "worker   5 |..........|");
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!   an injector for cross-query submission and local-first pop for cache
 //!   locality, the work-stealing idiom of §4.1.1 (and of noria's sharded
 //!   workers). It accepts ready tasks, hands them to worker threads and
-//!   exposes per-worker counters;
+//!   exposes its dispatch counters;
 //! * [`QueryHandle`] — per-query scheduling state: query id, admitted
 //!   degree of parallelism, and a cancellation flag, so admission
 //!   control ([`crate::executor::Engine::execute_with_handle`]) is enforced
 //!   by the scheduler rather than by a plan-rewriting shim;
-//! * [`SchedulerStats`] / [`WorkerStats`] — per-worker `local` / `steal` /
-//!   `inject` hit counters plus accumulated queue-wait time.
+//! * [`SchedulerStats`] — `local` / `steal` / `inject` hit counters plus
+//!   accumulated queue-wait time, kept per worker and summed at snapshot.
 //!
 //! **Queue-wait feedback.** Every task records the time between becoming
 //! runnable (all inputs materialized) and starting execution. The executor
@@ -415,16 +415,6 @@ pub(crate) struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    pub(crate) fn snapshot(&self) -> WorkerStats {
-        WorkerStats {
-            executed: self.executed.load(Ordering::Relaxed),
-            local_hits: self.local_hits.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            injector_hits: self.injector_hits.load(Ordering::Relaxed),
-            queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
-        }
-    }
-
     pub(crate) fn record(&self, origin: TaskOrigin, queue_wait: Duration) {
         self.executed.fetch_add(1, Ordering::Relaxed);
         match origin {
@@ -436,62 +426,64 @@ impl WorkerCounters {
     }
 }
 
-/// Snapshot of one worker's dispatch counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Tasks this worker executed.
-    pub executed: u64,
-    /// Tasks popped from the worker's own deque.
-    pub local_hits: u64,
-    /// Tasks stolen from sibling workers' deques.
-    pub steals: u64,
-    /// Tasks taken from the shared injector.
-    pub injector_hits: u64,
-    /// Total time tasks executed by this worker spent queued, microseconds.
-    pub queue_wait_us: u64,
-}
-
-/// Snapshot of the scheduler's per-worker counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Snapshot of the scheduler's dispatch counters, summed over its workers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// One entry per worker thread, indexed by worker id.
-    pub workers: Vec<WorkerStats>,
+    executed: u64,
+    local_hits: u64,
+    steals: u64,
+    injector_hits: u64,
+    queue_wait_us: u64,
 }
 
 impl SchedulerStats {
+    /// Sums the counters of `workers`.
+    pub(crate) fn sum<'a>(workers: impl IntoIterator<Item = &'a WorkerCounters>) -> Self {
+        let mut stats = SchedulerStats::default();
+        for w in workers {
+            stats.executed += w.executed.load(Ordering::Relaxed);
+            stats.local_hits += w.local_hits.load(Ordering::Relaxed);
+            stats.steals += w.steals.load(Ordering::Relaxed);
+            stats.injector_hits += w.injector_hits.load(Ordering::Relaxed);
+            stats.queue_wait_us += w.queue_wait_us.load(Ordering::Relaxed);
+        }
+        stats
+    }
+
     /// Total tasks executed across workers.
     pub fn total_executed(&self) -> u64 {
-        self.workers.iter().map(|w| w.executed).sum()
+        self.executed
     }
 
-    /// Total local-deque hits across workers.
+    /// Total local-deque hits across workers: tasks popped from the
+    /// worker's own deque.
     pub fn total_local_hits(&self) -> u64 {
-        self.workers.iter().map(|w| w.local_hits).sum()
+        self.local_hits
     }
 
-    /// Total steals across workers.
+    /// Total steals across workers: tasks taken from a sibling's deque.
     pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
+        self.steals
     }
 
-    /// Total injector hits across workers.
+    /// Total injector hits across workers: tasks taken from the shared
+    /// injector.
     pub fn total_injector_hits(&self) -> u64 {
-        self.workers.iter().map(|w| w.injector_hits).sum()
+        self.injector_hits
     }
 
     /// Total queued time across all executed tasks, microseconds.
     pub fn total_queue_wait_us(&self) -> u64 {
-        self.workers.iter().map(|w| w.queue_wait_us).sum()
+        self.queue_wait_us
     }
 
     /// Fraction of executed tasks that ran on the worker that enqueued them
     /// (locality).
     pub fn locality(&self) -> f64 {
-        let executed = self.total_executed();
-        if executed == 0 {
+        if self.executed == 0 {
             return 0.0;
         }
-        self.total_local_hits() as f64 / executed as f64
+        self.local_hits as f64 / self.executed as f64
     }
 }
 
@@ -580,41 +572,30 @@ mod tests {
         c.record(TaskOrigin::Local, Duration::from_micros(10));
         c.record(TaskOrigin::Stolen, Duration::from_micros(20));
         c.record(TaskOrigin::Injected, Duration::from_micros(30));
-        let s = c.snapshot();
-        assert_eq!(s.executed, 3);
-        assert_eq!(s.local_hits, 1);
-        assert_eq!(s.steals, 1);
-        assert_eq!(s.injector_hits, 1);
-        assert_eq!(s.queue_wait_us, 60);
+        let s = SchedulerStats::sum([&c]);
+        assert_eq!(s.total_executed(), 3);
+        assert_eq!(s.total_local_hits(), 1);
+        assert_eq!(s.total_steals(), 1);
+        assert_eq!(s.total_injector_hits(), 1);
+        assert_eq!(s.total_queue_wait_us(), 60);
     }
 
     #[test]
     fn stats_aggregation() {
-        let stats = SchedulerStats {
-            workers: vec![
-                WorkerStats {
-                    executed: 4,
-                    local_hits: 3,
-                    steals: 1,
-                    injector_hits: 0,
-                    queue_wait_us: 100,
-                },
-                WorkerStats {
-                    executed: 6,
-                    local_hits: 3,
-                    steals: 2,
-                    injector_hits: 1,
-                    queue_wait_us: 50,
-                },
-            ],
-        };
-        assert_eq!(stats.total_executed(), 10);
-        assert_eq!(stats.total_local_hits(), 6);
-        assert_eq!(stats.total_steals(), 3);
+        let (a, b) = (WorkerCounters::default(), WorkerCounters::default());
+        for origin in [TaskOrigin::Local, TaskOrigin::Stolen, TaskOrigin::Injected] {
+            a.record(origin, Duration::from_micros(40));
+        }
+        for origin in [TaskOrigin::Local, TaskOrigin::Local, TaskOrigin::Stolen] {
+            b.record(origin, Duration::from_micros(10));
+        }
+        let stats = SchedulerStats::sum([&a, &b]);
+        assert_eq!(stats.total_executed(), 6);
+        assert_eq!(stats.total_local_hits(), 3);
+        assert_eq!(stats.total_steals(), 2);
         assert_eq!(stats.total_injector_hits(), 1);
         assert_eq!(stats.total_queue_wait_us(), 150);
-        assert!((stats.locality() - 0.6).abs() < 1e-12);
-        let empty = SchedulerStats { workers: vec![] };
-        assert_eq!(empty.locality(), 0.0);
+        assert!((stats.locality() - 0.5).abs() < 1e-12);
+        assert_eq!(SchedulerStats::default().locality(), 0.0);
     }
 }

@@ -174,9 +174,9 @@ impl Scheduler {
         self.notify_one();
     }
 
-    /// Snapshot of the per-worker counters.
+    /// Snapshot of the workers' counters, summed.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats { workers: self.workers.iter().map(|w| w.counters.snapshot()).collect() }
+        SchedulerStats::sum(self.workers.iter().map(|w| &w.counters))
     }
 }
 
@@ -455,17 +455,20 @@ mod tests {
     /// is fixed. Submits a task of `h` and `siblings` more, then runs the first on
     /// worker 0. While it holds the query's one slot, worker 1 pops every
     /// sibling, each of which parks, and then `meanwhile` runs. Returns the
-    /// siblings' log: each logs its label when it runs, and whether its
-    /// query was cancelled — the flag its operator checkpoint reads.
+    /// siblings' log: each logs its label when it runs, whether its query
+    /// was cancelled — the flag its operator checkpoint reads — and the
+    /// worker that ran it.
     fn hold_and_park(
         sched: &Arc<Scheduler>,
         h: &Arc<QueryHandle>,
         siblings: usize,
         meanwhile: impl FnOnce() + Send + 'static,
-    ) -> Arc<Mutex<Vec<(usize, bool)>>> {
+    ) -> Arc<Mutex<Vec<(usize, bool, usize)>>> {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let (pool, h2) = (Arc::clone(sched), Arc::clone(h));
-        sched.submit(Task::new(Arc::clone(h), move |_ctx| {
+        let holder = Arc::new(Mutex::new(None));
+        let (pool, h2, ran_on) = (Arc::clone(sched), Arc::clone(h), Arc::clone(&holder));
+        sched.submit(Task::new(Arc::clone(h), move |ctx| {
+            *lock(&ran_on) = Some(ctx.worker);
             for _ in 0..siblings {
                 assert!(pool.run_next(1), "worker 1 found no sibling");
             }
@@ -475,11 +478,12 @@ mod tests {
         }));
         for label in 0..siblings {
             let (log, h3) = (Arc::clone(&log), Arc::clone(h));
-            sched.submit(Task::new(Arc::clone(h), move |_ctx| {
-                lock(&log).push((label, h3.is_cancelled()));
+            sched.submit(Task::new(Arc::clone(h), move |ctx| {
+                lock(&log).push((label, h3.is_cancelled(), ctx.worker));
             }));
         }
         assert!(sched.run_next(0));
+        assert_eq!(*lock(&holder), Some(0), "the holder ran on worker 0");
         log
     }
 
@@ -503,9 +507,11 @@ mod tests {
         assert_eq!((parked(&h), local_queue_len(&sched, 0)), (0, 1));
         assert!(lock(&log).is_empty());
         drain(&sched, &h);
-        assert_eq!(*lock(&log), [(0, false)]);
+        // Worker 1 popped the sibling but only parked it: both tasks ran on
+        // worker 0, and each counted once.
+        assert_eq!(*lock(&log), [(0, false, 0)]);
         let stats = sched.stats();
-        assert_eq!((stats.workers[0].executed, stats.workers[1].executed), (2, 0));
+        assert_eq!(stats.total_executed(), 2);
         assert_eq!((stats.total_injector_hits(), stats.total_local_hits()), (1, 1));
     }
 
@@ -518,7 +524,7 @@ mod tests {
         // Cap 2 and nothing running: two of the three go back.
         assert_eq!((parked(&h), local_queue_len(&sched, 0)), (1, 2));
         drain(&sched, &h);
-        assert_eq!(*lock(&log), [(0, false), (1, false), (2, false)]);
+        assert_eq!(*lock(&log), [(0, false, 0), (1, false, 0), (2, false, 0)]);
     }
 
     #[test]
@@ -529,7 +535,7 @@ mod tests {
         let log = hold_and_park(&sched, &h, 3, move || h2.cancel());
         assert_eq!((parked(&h), local_queue_len(&sched, 0)), (0, 3));
         drain(&sched, &h);
-        assert_eq!(*lock(&log), [(0, true), (1, true), (2, true)]);
+        assert_eq!(*lock(&log), [(0, true, 0), (1, true, 0), (2, true, 0)]);
     }
 
     #[test]

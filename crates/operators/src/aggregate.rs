@@ -303,9 +303,9 @@ impl GroupedAgg {
         out
     }
 
-    /// Memory footprint in bytes (profiler memory claim): per group one key
-    /// and one state in the group vectors plus one `(key, slot)` entry in the
-    /// index, and the bytes of a string key twice (the index owns a copy).
+    /// Memory footprint in bytes: per group one key and one state in the
+    /// group vectors plus one `(key, slot)` entry in the index, and the
+    /// bytes of a string key twice (the index owns a copy).
     /// Allocator slack and the index's empty buckets are not counted.
     pub fn byte_size(&self) -> usize {
         let per_group = std::mem::size_of::<GroupKey>()

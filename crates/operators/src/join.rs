@@ -397,10 +397,10 @@ impl JoinHashTable {
         self.rows == 0
     }
 
-    /// Memory the table owns, in bytes (profiler memory claim): 4 per
-    /// directory slot, 4 per chain link, 8 per bitmap word, and 8 per key
-    /// only when a hashed table widened them from `Int32` — a borrowed
-    /// `Int64` build column is its producer's claim.
+    /// Memory the table owns, in bytes: 4 per directory slot, 4 per chain
+    /// link, 8 per bitmap word, and 8 per key only when a hashed table
+    /// widened them from `Int32` — a borrowed `Int64` build column is its
+    /// producer's.
     pub fn byte_size(&self) -> usize {
         let owned_keys = match &self.directory {
             Directory::Hashed { keys, owns_keys: true, .. } => keys.byte_size(),

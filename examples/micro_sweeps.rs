@@ -62,12 +62,14 @@ fn episode(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let report = optimizer.optimize(engine, catalog, serial)?;
     println!("--- {label} ---");
-    println!("{:>4} {:>9} {:>9} {:>10} {:>8}", "run", "ms", "mutation", "plan_nodes", "balance");
+    println!("{:>4} {:>9} {:>9} {:>8}", "run", "ms", "mutation", "balance");
     for r in &report.records {
         let mutation = r.mutation.map_or("serial".to_string(), |m| m.to_string());
         let ms = r.exec_us as f64 / 1000.0;
-        println!("{:>4} {ms:>9.3} {mutation:>9} {:>10} {:>8.2}", r.run, r.plan_nodes, r.balance);
+        println!("{:>4} {ms:>9.3} {mutation:>9} {:>8.2}", r.run, r.balance);
     }
+    let parts: usize = report.best_plan.count_by_name().values().sum();
+    println!("best plan: {} operators in {parts} parts", report.best_plan.node_count());
     let hp = heuristic_parallelize(serial, catalog, WORKERS)?;
     let serial_ms = best_ms(engine, catalog, serial);
     println!(

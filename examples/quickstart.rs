@@ -58,20 +58,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("adaptive parallelization:");
     for record in &report.records {
         println!(
-            "  run {:>2}: {:>8.3} ms   {:<8} {:>3} operators   balance {:>6.2}",
+            "  run {:>2}: {:>8.3} ms   {:<8} balance {:>6.2}",
             record.run,
             record.exec_us as f64 / 1000.0,
             record.mutation.map(|m| m.to_string()).unwrap_or_else(|| "serial".into()),
-            record.plan_nodes,
             record.balance,
         );
     }
+    // A mutant keeps its serial plan's nodes; its parallelism is in the
+    // parts its nodes' cuts make.
+    let parts: usize = report.best_plan.count_by_name().values().sum();
+    println!("  best plan: {} operators in {parts} parts", report.best_plan.node_count());
     println!();
     print!("{}", report.summary());
     println!("result unchanged: {}", report.final_output == serial.output);
 
-    // 5. The scheduler's per-worker dispatch counters: how much work stayed
-    //    local vs. was stolen or injected, and how long tasks sat queued.
+    // 5. The scheduler's dispatch counters: how much work stayed local vs.
+    //    was stolen or injected, and how long tasks sat queued.
     let stats = engine.scheduler_stats();
     println!();
     println!(

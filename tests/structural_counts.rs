@@ -4,7 +4,10 @@
 //! how many scheduler tasks it takes. These are deterministic; a change to
 //! planning, fusion, plan building or the driver's task split moves them.
 //!
-//! The second test holds the structure the adaptive mutations leave: a
+//! The second test holds the same shapes' profiles to their task records:
+//! every operator number is folded from them when its step publishes.
+//!
+//! The third test holds the structure the adaptive mutations leave: a
 //! partition is a part of a node's cuts, so a mutated plan has its serial
 //! plan's nodes — it scans what its serial plan scans and has no slice
 //! node — and returns its serial result as built and cut into morsels.
@@ -38,6 +41,41 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
         let steps = profile.operators.iter().filter(|o| o.step == Some(o.node)).count();
         let counts = [steps, profile.total_morsels(), profile.operators.len(), executed as usize];
         assert_eq!(counts, [pipelines, morsels, operators, tasks], "{query:?}");
+    }
+}
+
+#[test]
+fn tpch_shapes_fold_every_operator_number_from_its_task_records() {
+    let catalog = tpch::generate(TpchScale::new(0.05), 4242);
+    let engine = Engine::with_workers(2);
+    for query in TpchQuery::all() {
+        let plan =
+            query.build(&catalog).expect("query builds").cut_into_morsels(DEFAULT_MORSEL_ROWS);
+        let profile = engine.execute(&plan, &catalog).expect("query executes").profile;
+        for op in &profile.operators {
+            let label = format!("{query:?} node {} ({})", op.node, op.name);
+            let start = op.tasks.iter().map(|task| task.start_us).min();
+            assert_eq!(Some(op.start_us), start, "{label}");
+            for task in &op.tasks {
+                assert!(task.start_us + task.us <= op.end_us, "{label}: {task:?}");
+            }
+            let busy: u64 = op.tasks.iter().map(|task| task.us).sum();
+            let terminal = op.step.is_none_or(|step| step == op.node);
+            if terminal {
+                assert!(op.duration_us >= busy, "{label}");
+            } else {
+                assert_eq!(op.duration_us, busy, "{label}");
+                // A fused stage's output is what the next stage streamed:
+                // the stage that reads it in the same step.
+                let next = profile.operators.iter().find(|next| {
+                    next.step == op.step
+                        && plan.node(next.node).is_ok_and(|n| n.inputs.contains(&op.node))
+                });
+                let next = next.expect("a fused stage feeds a later stage");
+                let streamed: usize = next.tasks.iter().map(|task| task.range.len()).sum();
+                assert_eq!(op.rows_out, streamed, "{label}");
+            }
+        }
     }
 }
 
