@@ -61,7 +61,7 @@
 use std::sync::Arc;
 
 use apq_columnar::{Column, Oid, ScalarValue};
-use apq_operators::{AggState, GroupKey, GroupedAgg, JoinHashTable, JoinResult};
+use apq_operators::{AggState, GroupKey, GroupedAgg, JoinHashTable, JoinResult, KeySetPart};
 
 use crate::plan::JoinSide;
 
@@ -118,12 +118,6 @@ impl OidsView {
     /// Offset of the window within its candidate stream.
     pub fn stream_base(&self) -> Oid {
         self.stream_base
-    }
-
-    /// Total length of the shared backing list (the window covers
-    /// `[offset, offset + len)` of it).
-    pub fn backing_len(&self) -> usize {
-        self.data.len()
     }
 
     /// Cuts a sub-window: pure window arithmetic, no allocation. `start` and
@@ -247,11 +241,6 @@ impl JoinView {
         self.outer.stream_base()
     }
 
-    /// Total pair count of the shared backing join result.
-    pub fn backing_len(&self) -> usize {
-        self.outer.backing_len()
-    }
-
     /// Cuts a sub-window: window arithmetic only, no allocation, clamped
     /// like [`OidsView::slice`].
     pub fn slice(&self, start: usize, len: usize) -> JoinView {
@@ -305,6 +294,10 @@ pub enum Chunk {
     Join(JoinView),
     /// A shared join hash table (build side).
     Hash(Arc<JoinHashTable>),
+    /// A part of a key set built in parts: a piece's [`KeySetPart`], which
+    /// the step merges with its other pieces' as it folds them and publishes
+    /// finished, as the [`Chunk::Hash`] of the whole key set.
+    KeySet(Arc<KeySetPart>),
     /// A mergeable partial scalar aggregate.
     AggPartial(AggState),
     /// A mergeable grouped aggregate.
@@ -377,6 +370,7 @@ impl Chunk {
             Chunk::Oids(_) => "oids",
             Chunk::Join(_) => "join",
             Chunk::Hash(_) => "hash",
+            Chunk::KeySet(_) => "key-set-part",
             Chunk::AggPartial(_) => "agg-partial",
             Chunk::Grouped(_) => "grouped",
             Chunk::Scalar(_) => "scalar",
@@ -391,6 +385,7 @@ impl Chunk {
             Chunk::Oids(v) => v.len(),
             Chunk::Join(v) => v.len(),
             Chunk::Hash(h) => h.len(),
+            Chunk::KeySet(part) => part.len(),
             Chunk::AggPartial(_) | Chunk::Scalar(_) => 1,
             Chunk::Grouped(g) => g.len(),
         }
@@ -408,6 +403,9 @@ impl Chunk {
                 v.outer().iter().copied().zip(v.inner().iter().copied()).collect(),
             ),
             Chunk::Hash(h) => QueryOutput::Opaque(format!("hash-table({} entries)", h.len())),
+            Chunk::KeySet(part) => {
+                QueryOutput::Opaque(format!("key-set-part({} entries)", part.len()))
+            }
         }
     }
 }
@@ -494,14 +492,12 @@ mod tests {
     fn oids_view_windows_share_backing() {
         let parent = OidsView::new((0..100).collect());
         assert_eq!(parent.len(), 100);
-        assert_eq!(parent.backing_len(), 100);
         assert_eq!(parent.stream_base(), 0);
 
         let a = parent.slice(10, 30);
         assert_eq!(a.as_slice(), (10..40).collect::<Vec<Oid>>());
         assert_eq!(a.offset(), 10);
         assert_eq!(a.stream_base(), 10);
-        assert_eq!(a.backing_len(), 100);
         assert!(a.shares_backing_with(&parent));
 
         // Nested slice: offsets and bases accumulate.
@@ -541,7 +537,6 @@ mod tests {
         let jr = JoinResult { outer_oids: (0..50).collect(), inner_oids: (100..150).collect() };
         let parent = JoinView::new(jr);
         assert_eq!(parent.len(), 50);
-        assert_eq!(parent.backing_len(), 50);
 
         let w = parent.slice(10, 20);
         assert_eq!(w.outer(), (10..30).collect::<Vec<Oid>>());

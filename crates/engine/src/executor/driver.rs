@@ -30,7 +30,9 @@
 //! that finished first — relabelled so that every read of the list equals
 //! the same read of their pack, which is what whole-node execution
 //! publishes; the task that finishes the last range publishes it. Only
-//! partial aggregates merge, and parts under half a morsel — a selective
+//! partial aggregates and key sets merge (a key set's pieces into their
+//! worker's part, the workers' parts at publish), and parts under half a
+//! morsel — a selective
 //! producer's — are packed cell by cell on a morsel grid as they are folded,
 //! within one cut range and never across a cut; a list no reader takes
 //! piece by piece and whose head has no cut offsets and adopts nothing is
@@ -64,8 +66,9 @@ use std::time::Instant;
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::Catalog;
+use apq_operators::KeySetPart;
 
-use super::parts::{is_positional, merged, pieces, Folder, Parts};
+use super::parts::{absorb, is_positional, merged, pieces, Folder, Parts};
 use super::run::{guarded_execute, RunContext};
 use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
@@ -193,6 +196,12 @@ struct Fanout {
     /// Each task's `(start, len, after_cut)` ([`ranges`]).
     ranges: Vec<(usize, usize, bool)>,
     morsels: Mutex<Morsels>,
+    /// For a step whose terminal is a key set, one part per worker: a task
+    /// merges its pieces' key-set parts into its worker's, and the
+    /// publishing task merges one part per worker, OR-ing bitmaps. The set
+    /// does not depend on which worker took which range. Empty for every
+    /// other step.
+    key_sets: Vec<Mutex<Option<KeySetPart>>>,
 }
 
 struct Morsels {
@@ -269,6 +278,8 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
     };
     let ranges = ranges(cuts, &source);
     let n_ranges = ranges.len();
+    let key_set = state.run.plan.node(pipeline.terminal()).map(|n| &n.spec);
+    let workers = if key_set == Ok(&OperatorSpec::KeySet) { state.run.n_workers } else { 0 };
     let fanout = Arc::new(Fanout {
         source,
         ranges,
@@ -281,6 +292,7 @@ fn launch_step(state: &Arc<Driver>, step: usize, submit: &dyn Fn(Task) -> bool) 
             queue_wait_us: 0,
             fold_us: 0,
         }),
+        key_sets: (0..workers).map(|_| Mutex::new(None)).collect(),
     });
     (0..n_ranges).all(|range| submit(task(Some((Arc::clone(&fanout), range)))))
 }
@@ -449,10 +461,22 @@ fn run_stages(
         publish(run, ctx, pipeline, parts, tasks, queue_wait_us, 0)?;
         return Ok(true);
     };
+    // A key set's pieces merge into the part of the worker that ran them:
+    // their keys' bits are set there, in the key set's time, while the keys
+    // are in this worker's cache and off the step's lock.
+    if let Some(merged) = fanout.key_sets.get(ctx.worker) {
+        let setting = Instant::now();
+        let mut merged = lock(merged);
+        for chunk in std::mem::take(&mut outputs) {
+            let Chunk::KeySet(part) = chunk else { unreachable!("a key set yields its parts") };
+            absorb(&mut merged, part);
+        }
+        records[n_stages - 1].us += setting.elapsed().as_micros() as u64;
+    }
     // The task merges its own pieces' partial aggregates, in parallel with
     // the other tasks, so the publishing task merges one per range.
     let folding = Instant::now();
-    if !outputs.first().is_some_and(is_positional) {
+    if outputs.first().is_some_and(|chunk| !is_positional(chunk)) {
         outputs = merged(pipeline.terminal(), outputs)?;
     }
     let mut guard = lock(&fanout.morsels);
@@ -485,7 +509,7 @@ fn run_stages(
     if morsels.remaining > 0 {
         return Ok(false);
     }
-    let folder = std::mem::replace(&mut morsels.folder, Folder::new(pipeline.terminal(), None));
+    let mut folder = std::mem::replace(&mut morsels.folder, Folder::new(pipeline.terminal(), None));
     let tasks = std::mem::take(&mut morsels.tasks);
     let (queue_wait_us, fold_us) = (morsels.queue_wait_us, morsels.fold_us);
     drop(guard);
@@ -495,6 +519,11 @@ fn run_stages(
     // merge here, in the same order, and a list only ever read whole is
     // packed here.
     let assembly = Instant::now();
+    for merged in &fanout.key_sets {
+        if let Some(part) = lock(merged).take() {
+            folder.push(Chunk::KeySet(Arc::new(part)))?;
+        }
+    }
     let published = folder.finish()?;
     let fold_us = fold_us + assembly.elapsed().as_micros() as u64;
     publish(run, ctx, pipeline, published, tasks, queue_wait_us, fold_us)?;

@@ -24,7 +24,10 @@
 //! The list is the driver's own: kernels never see it, only the chunks it
 //! hands them.
 
+use std::sync::Arc;
+
 use apq_columnar::Oid;
+use apq_operators::KeySetPart;
 
 use crate::chunk::Chunk;
 use crate::error::Result;
@@ -60,8 +63,8 @@ fn relabelled(chunk: Chunk, base: Oid) -> Chunk {
 /// One node's published result: its parts in stream order.
 ///
 /// Never empty. More than one part only for a positional kind, and then a
-/// part is empty only where a cut range has no rows; partial aggregates and
-/// other kinds are always one part.
+/// part is empty only where a cut range has no rows; partial aggregates,
+/// key sets and other kinds are always one part.
 #[derive(Debug, Clone)]
 pub(super) struct Parts {
     chunks: Vec<Chunk>,
@@ -170,9 +173,12 @@ pub(super) fn merged(node: NodeId, chunks: Vec<Chunk>) -> Result<Vec<Chunk>> {
 /// outputs are in, so most of the folding runs while later morsels still
 /// execute.
 ///
-/// Partial aggregates are kept to merge into one part at [`Folder::finish`],
-/// as the packed chunk would; so are the parts of a list only ever read
-/// whole (`cell_rows` `None`), which it packs into one. Every other
+/// A key set's parts are merged as they are pushed ([`absorb`]), and
+/// [`Folder::finish`] publishes the merged part finished
+/// ([`KeySetPart::finish`]): exactly the key set of the keys packed, and
+/// never a pack of them. Partial aggregates are kept to merge into one part
+/// at [`Folder::finish`], as the packed chunk would; so are the parts of a
+/// list only ever read whole (`cell_rows` `None`), which it packs into one. Every other
 /// positional part takes the label of the packed chunk's slice at its
 /// offset, zero-copy, so part *i* equals `packed.slice(offset_i, len_i)`,
 /// and is folded on a grid of `cell_rows`-row cells over the rows of its
@@ -208,6 +214,8 @@ pub(super) struct Folder {
     consecutive: bool,
     /// The label the next chunk continues from, when consecutive.
     next_label: Oid,
+    /// A key set's parts merged so far.
+    key_set: Option<KeySetPart>,
 }
 
 impl Folder {
@@ -227,11 +235,16 @@ impl Folder {
             fresh: true,
             consecutive: true,
             next_label: 0,
+            key_set: None,
         }
     }
 
     /// Appends the next output in stream order.
     pub fn push(&mut self, chunk: Chunk) -> Result<()> {
+        if let Chunk::KeySet(part) = chunk {
+            absorb(&mut self.key_set, part);
+            return Ok(());
+        }
         let first = self.first.get_or_insert_with(|| chunk.clone());
         let Some(cell_rows) = self.cell_rows.filter(|_| is_positional(first)) else {
             self.parts.push(chunk);
@@ -305,6 +318,9 @@ impl Folder {
 
     /// The finished list.
     pub fn finish(mut self) -> Result<Parts> {
+        if let Some(key_set) = self.key_set {
+            return Ok(Parts { chunks: vec![Chunk::Hash(Arc::new(key_set.finish()?))] });
+        }
         if self.cut {
             self.cut()?;
         }
@@ -320,6 +336,16 @@ impl Folder {
             None => merged(self.node, self.parts)?,
         };
         Ok(Parts { chunks })
+    }
+}
+
+/// Merges a key-set part into `merged`, the parts before it
+/// ([`KeySetPart::absorb`]): its keys' bits are set in `merged`'s bitmap, or
+/// its bitmap is OR'd in at its word offset.
+pub(super) fn absorb(merged: &mut Option<KeySetPart>, part: Arc<KeySetPart>) {
+    match merged {
+        Some(merged) => merged.absorb(&part),
+        None => *merged = Some(Arc::unwrap_or_clone(part)),
     }
 }
 

@@ -29,7 +29,7 @@ use super::{Engine, QueryExecution};
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultInjector, FaultKind};
-use crate::interpreter::execute_node;
+use crate::interpreter::execute_part;
 use crate::plan::{NodeId, OperatorSpec, Plan};
 use crate::profiler::{OperatorProfile, QueryProfile};
 use crate::scheduler::QueryHandle;
@@ -223,7 +223,8 @@ pub(super) fn liveness_error(handle: &QueryHandle) -> Option<EngineError> {
     None
 }
 
-/// Executes one operator, converting panics into query-level errors: a
+/// Executes one operator over one piece of its inputs ([`execute_part`]: a
+/// key set yields its part), converting panics into query-level errors: a
 /// panicking operator must fail *this query* (waking the submitting client)
 /// rather than unwind through the shared worker pool.
 ///
@@ -241,7 +242,7 @@ pub(super) fn guarded_execute(
         if inject_panic {
             panic!("injected operator fault");
         }
-        execute_node(node, spec, inputs, catalog)
+        execute_part(node, spec, inputs, catalog)
     }))
     .unwrap_or_else(|panic| {
         let msg = panic

@@ -13,7 +13,7 @@ use apq_columnar::{Catalog, Column, DataType, Oid, ScalarValue};
 use apq_operators::{
     calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, merge_grouped, scalar_agg,
     select, select_with_candidates, AggFunc, AggState, BinaryOp, JoinHashTable, JoinResult,
-    OperatorError,
+    KeySetPart, OperatorError,
 };
 
 use crate::chunk::{Chunk, JoinView, OidsView};
@@ -66,6 +66,23 @@ fn as_scalar(node: NodeId, chunk: &Chunk) -> Result<&ScalarValue> {
 /// `node` is only used to label errors; `catalog` resolves `ScanColumn`
 /// leaves.
 pub fn execute_node(
+    node: NodeId,
+    spec: &OperatorSpec,
+    inputs: &[Chunk],
+    catalog: &Catalog,
+) -> Result<Chunk> {
+    match execute_part(node, spec, inputs, catalog)? {
+        Chunk::KeySet(part) => Ok(Chunk::Hash(Arc::new(Arc::unwrap_or_clone(part).finish()?))),
+        chunk => Ok(chunk),
+    }
+}
+
+/// Executes one operator over one part of its inputs: the driver's call for
+/// every stage it runs. The output is [`execute_node`]'s but for a key set,
+/// whose part is a [`KeySetPart`] of its keys ([`Chunk::KeySet`]): the
+/// driver merges a step's parts as it folds its pieces and publishes the
+/// finished key set, so a key set runs in parts like any streaming stage.
+pub(crate) fn execute_part(
     node: NodeId,
     spec: &OperatorSpec,
     inputs: &[Chunk],
@@ -124,7 +141,7 @@ pub fn execute_node(
 
         OperatorSpec::KeySet => {
             let col = as_column(node, &inputs[0])?;
-            Ok(Chunk::Hash(Arc::new(JoinHashTable::build_key_set(col)?)))
+            Ok(Chunk::KeySet(Arc::new(KeySetPart::new(col)?)))
         }
 
         OperatorSpec::HashProbe => {

@@ -24,9 +24,10 @@
 //! Nor is a step's output packed back into one chunk. The driver publishes
 //! an ordered list of parts, and a consumer that streams the list — or zips
 //! it as a range-aligned input — runs its stages once per part it covers,
-//! reading each part where it lies. Only partial aggregates merge as they
-//! are published; a list some reader needs whole (a breaker's input, a
-//! looked-up column, a build side, the root) is packed once, on that read.
+//! reading each part where it lies. Only partial aggregates and key sets
+//! merge as they are published; a list some reader needs whole (a breaker's
+//! input, a looked-up column, a build side, the root) is packed once, on
+//! that read.
 //!
 //! ```text
 //! plan as built (no cuts)            plan.cut_into_morsels(n)
@@ -56,10 +57,11 @@
 //! col⊗col, `IfThenElse` and `GroupAgg` keys⊗values, cut at the stream's
 //! ranges ([`crate::plan::OperatorSpec::aligned_inputs`]); their whole row
 //! count must equal the stream's, or the task reports the `LengthMismatch`
-//! whole-node execution would. Breakers (hash build, key set, finalize) run
-//! whole between pipelines. Aggregates only *terminate* a chain: each piece
-//! yields a partial that the driver merges in stream order (`GroupAgg` is
-//! enforced explicitly — see `is_terminal_stage`). Every intermediate stage
+//! whole-node execution would. Breakers (hash build, finalize) run
+//! whole between pipelines. Aggregates and key sets only *terminate* a
+//! chain: each piece yields a partial that the driver merges in stream order
+//! (`GroupAgg` and `KeySet` are enforced explicitly — see
+//! `is_terminal_stage`). Every intermediate stage
 //! has exactly one consumer, the next stage, and only the terminal's output
 //! is published. A node with explicit cut offsets never joins a chain below
 //! its head, since its offsets address its stream whole; one that adopts its
@@ -154,11 +156,13 @@ pub(crate) fn stream_input(spec: &OperatorSpec, n_inputs: usize) -> usize {
 /// chain must stop extending once it is pushed. `GroupAgg` qualifies — each
 /// morsel produces a partial [`apq_operators::GroupedAgg`]
 /// (`Chunk::Grouped`) and the driver merges the partials in stream order,
-/// keeping float results byte-exact.
+/// keeping float results byte-exact — and so does `KeySet`: each piece
+/// builds a [`apq_operators::KeySetPart`] (`Chunk::KeySet`), which the
+/// driver ORs into the step's key set as it folds the pieces.
 /// `ScalarAgg` is a de-facto terminal for the same reason but needs no
 /// explicit rule: nothing fusible consumes its `AggPartial`.
 fn is_terminal_stage(spec: &OperatorSpec) -> bool {
-    matches!(spec, OperatorSpec::GroupAgg { .. })
+    matches!(spec, OperatorSpec::GroupAgg { .. } | OperatorSpec::KeySet)
 }
 
 /// True when the operator *compacts* its streamed input into a brand-new

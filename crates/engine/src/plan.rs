@@ -74,8 +74,9 @@ pub enum OperatorSpec {
     HashBuild,
     /// Builds a key set over the input key column: the table a `SemiJoin`
     /// or `AntiJoin` needs, which may be a bitmap of the keys and nothing
-    /// else ([`apq_operators::JoinHashTable::build_key_set`]). A `HashProbe`
-    /// over it is refused by [`Plan::validate`].
+    /// else ([`apq_operators::JoinHashTable::build_key_set`]). It may run in
+    /// parts, each building a [`apq_operators::KeySetPart`] that the step
+    /// merges. A `HashProbe` over it is refused by [`Plan::validate`].
     KeySet,
     /// Probes a hash table (input 1) with an outer key column (input 0).
     HashProbe,
@@ -206,7 +207,7 @@ impl OperatorSpec {
     /// True when the operator may carry cuts ([`PlanNode::cuts`]): it runs
     /// over the rows it streams part by part, and its parts' outputs, in
     /// order, are its whole output — positional outputs side by side,
-    /// partial aggregates merged.
+    /// partial aggregates and key-set parts merged.
     pub fn is_parallelizable(&self) -> bool {
         match self {
             OperatorSpec::Select { .. }
@@ -220,10 +221,10 @@ impl OperatorSpec {
             | OperatorSpec::OidsFromColumn
             | OperatorSpec::Calc { .. }
             | OperatorSpec::ScalarAgg { .. }
-            | OperatorSpec::GroupAgg { .. } => true,
+            | OperatorSpec::GroupAgg { .. }
+            | OperatorSpec::KeySet => true,
             OperatorSpec::ScanColumn { .. }
             | OperatorSpec::HashBuild
-            | OperatorSpec::KeySet
             | OperatorSpec::FinalizeAgg { .. }
             | OperatorSpec::CalcScalars { .. } => false,
         }
@@ -936,7 +937,7 @@ mod tests {
         assert!(err.contains(&format!("node {probe} (join) probes key set {set}")), "{err}");
         // A key set is a hash build to the operator counts.
         assert_eq!(OperatorSpec::KeySet.name(), "hashbuild");
-        assert!(!OperatorSpec::KeySet.is_parallelizable());
+        assert!(OperatorSpec::KeySet.is_parallelizable());
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! whose span fits its bitmap is that one bitmap, and `calc` reads `Int32`
 //! operands in place instead of widening them into copies.
 //!
-//! Three footprints above the kernels are pinned the same way: a generated
+//! Four footprints above the kernels are pinned the same way: a generated
 //! string column holds its codes and its dictionary, never a `String` per
 //! row; a query holds its live set of intermediates — each is released by
-//! its last reader — not one per node; and an intermediate that every reader
-//! streams or zips stays in the parts its morsels left, never packed.
+//! its last reader — not one per node; an intermediate that every reader
+//! streams or zips stays in the parts its morsels left, never packed; and a
+//! key set over morsels sets its bits from them, never from a pack.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test body can
 //! allocate while the gate is open.
@@ -282,6 +283,46 @@ fn a_fan_out_read_piece_by_piece_is_never_packed() {
     assert!(bytes <= ceiling, "the fan-out allocated {bytes} bytes (no-pack ceiling {ceiling})");
 }
 
+/// A key set over a stream cut into morsels builds its bitmap from the
+/// morsels where they lie: `k = x + 1` over `N` `Int64` rows feeds a key set
+/// in one pipeline, so the query allocates `k`'s morsels and a bitmap of
+/// `N` bits per worker (and one laid out from the smallest key) — not an
+/// 8-byte-per-row pack of `k` for the key set to read whole.
+fn a_key_set_over_morsels_packs_no_keys() {
+    const N: usize = 1 << 20;
+    const SLACK: usize = 1 << 20;
+    let mut catalog = Catalog::new();
+    catalog
+        .register(TableBuilder::new("t").i64_column("x", (0..N as i64).collect()).build().unwrap());
+    catalog.register(
+        TableBuilder::new("p")
+            .i64_column("y", vec![-5, 0, 1, 77, N as i64, 9 << 40])
+            .build()
+            .unwrap(),
+    );
+    let catalog = Arc::new(catalog);
+    let mut plan = Plan::new();
+    let x = plan.add(OperatorSpec::ScanColumn { table: "t".into(), column: "x".into() }, vec![]);
+    let add_one = OperatorSpec::Calc {
+        op: BinaryOp::Add,
+        left_scalar: None,
+        right_scalar: Some(ScalarValue::I64(1)),
+    };
+    let keys = plan.add(add_one, vec![x]);
+    let set = plan.add(OperatorSpec::KeySet, vec![keys]);
+    let y = plan.add(OperatorSpec::ScanColumn { table: "p".into(), column: "y".into() }, vec![]);
+    let root = plan.add(OperatorSpec::SemiJoin, vec![y, set]);
+    plan.set_root(root);
+    let plan = Arc::new(plan.cut_into_morsels(DEFAULT_MORSEL_ROWS));
+
+    let engine = Engine::with_workers(2);
+    let output = engine.execute_shared(&plan, &catalog).unwrap().output;
+    assert_eq!(output, apq_engine::QueryOutput::Oids(vec![2, 3, 4]));
+    let ceiling = 8 * N + 3 * N / 8 + SLACK;
+    let (_, bytes) = allocations_during(|| engine.execute_shared(&plan, &catalog).unwrap());
+    assert!(bytes <= ceiling, "the key set allocated {bytes} bytes (no-pack ceiling {ceiling})");
+}
+
 #[test]
 fn stream_view_cuts_are_alloc_free() {
     const N: usize = 1_000_000;
@@ -356,4 +397,5 @@ fn stream_view_cuts_are_alloc_free() {
     generated_strings_hold_codes_and_dictionary();
     a_query_holds_its_live_set();
     a_fan_out_read_piece_by_piece_is_never_packed();
+    a_key_set_over_morsels_packs_no_keys();
 }

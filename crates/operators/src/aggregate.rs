@@ -302,25 +302,6 @@ impl GroupedAgg {
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-
-    /// Memory footprint in bytes: per group one key and one state in the
-    /// group vectors plus one `(key, slot)` entry in the index, and the
-    /// bytes of a string key twice (the index owns a copy).
-    /// Allocator slack and the index's empty buckets are not counted.
-    pub fn byte_size(&self) -> usize {
-        let per_group = std::mem::size_of::<GroupKey>()
-            + std::mem::size_of::<AggState>()
-            + std::mem::size_of::<(GroupKey, usize)>();
-        let key_heap: usize = self
-            .keys
-            .iter()
-            .map(|k| match k {
-                GroupKey::I64(_) => 0,
-                GroupKey::Str(s) => 2 * s.len(),
-            })
-            .sum();
-        self.keys.len() * per_group + key_heap
-    }
 }
 
 /// The one accumulation loop: row `i` updates the state of group
@@ -555,7 +536,6 @@ mod tests {
         assert_eq!(g.get(&GroupKey::I64(2)), Some(ScalarValue::I64(70)));
         assert_eq!(g.get(&GroupKey::I64(3)), Some(ScalarValue::I64(40)));
         assert_eq!(g.get(&GroupKey::I64(9)), None);
-        assert!(g.byte_size() > 0);
     }
 
     #[test]
@@ -634,25 +614,6 @@ mod tests {
         for (i, key) in merged.keys.iter().enumerate() {
             assert_eq!(merged.index[key], i);
         }
-    }
-
-    #[test]
-    fn byte_size_counts_keys_states_index_and_string_bytes() {
-        let per_group = std::mem::size_of::<GroupKey>()
-            + std::mem::size_of::<AggState>()
-            + std::mem::size_of::<(GroupKey, usize)>();
-        let values = Column::from_i64(vec![1, 2, 3, 4]);
-        let ints = grouped_agg(AggFunc::Sum, &Column::from_i64(vec![5, 6, 5, 7]), &values).unwrap();
-        assert_eq!(ints.byte_size(), 3 * per_group);
-        // "AIR" + "TRUCK" = 8 bytes of key text, held by the key vector and by the index.
-        let strs = grouped_agg(
-            AggFunc::Sum,
-            &Column::from_strings(["AIR", "TRUCK", "AIR", "AIR"]),
-            &values,
-        )
-        .unwrap();
-        assert_eq!(strs.byte_size(), 2 * per_group + 2 * 8);
-        assert_eq!(GroupedAgg::new(AggFunc::Sum).byte_size(), 0);
     }
 
     #[test]

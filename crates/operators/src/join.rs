@@ -10,7 +10,12 @@
 //!   column once; the table is immutable afterwards and cheap to share
 //!   (`Arc`) between probe clones.
 //! * [`JoinHashTable::build_key_set`] builds the table an `EXISTS` /
-//!   `NOT EXISTS` needs: which keys the inner side holds, not where.
+//!   `NOT EXISTS` needs: which keys the inner side holds, not where. A key
+//!   set may also be built in parts, one [`KeySetPart`] per cut of its key
+//!   column: merging parts sets their keys' bits in one bitmap over the
+//!   union's span, or ORs a merged part's bitmap in at its word offset, and
+//!   the merged part finishes into exactly the key set the packed column
+//!   would build.
 //! * [`JoinHashTable::probe`] probes with an outer key column (a slice of the
 //!   outer base column or a fetched intermediate) and produces matching
 //!   `(outer_oid, inner_oid)` pairs; [`JoinHashTable::probe_semi`] and
@@ -171,31 +176,51 @@ fn head(heads: &[u32], slot: usize) -> u32 {
 }
 
 /// One bit per key value from `min` up: which values the build side holds.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct KeyBits {
     min: i64,
     words: Vec<u64>,
 }
 
 impl KeyBits {
+    /// The words a bitmap over `[min, max]` takes.
+    fn words(min: i64, max: i64) -> usize {
+        (max.abs_diff(min) / 64) as usize + 1
+    }
+
     /// The bitmap of `keys`, every one of which lies in `[min, max]`: one
     /// allocation of `max − min + 1` bits, rounded up to whole words.
     fn new<T: Copy>(keys: &[T], widen: impl Fn(T) -> i64, min: i64, max: i64) -> KeyBits {
-        let mut words = vec![0u64; (max.abs_diff(min) / 64) as usize + 1];
+        let mut bits = KeyBits { min, words: vec![0u64; KeyBits::words(min, max)] };
+        bits.set(keys, widen);
+        bits
+    }
+
+    /// Sets the bits of `keys`, every one of which lies in this bitmap's
+    /// span.
+    fn set<T: Copy>(&mut self, keys: &[T], widen: impl Fn(T) -> i64) {
         // A run of keys in one word (a sorted or clustered column) gathers
         // its bits in a register: set one by one in memory, each key would
         // wait for the previous key's store to the same word.
         let (mut word, mut bits) = (0, 0u64);
         for &key in keys {
-            let bit = dense_slot(widen(key), min);
+            let bit = dense_slot(widen(key), self.min);
             if bit / 64 != word {
-                words[word] |= bits;
+                self.words[word] |= bits;
                 (word, bits) = (bit / 64, 0);
             }
             bits |= 1 << (bit % 64);
         }
-        words[word] |= bits;
-        KeyBits { min, words }
+        self.words[word] |= bits;
+    }
+
+    /// Sets the bits of a key column's keys, every one of which lies in this
+    /// bitmap's span; the column's type was checked when its part was made.
+    fn set_column(&mut self, keys: &Column) {
+        match keys.data_type() {
+            DataType::Int64 => self.set(keys.i64_values().expect("an Int64 key column"), |k| k),
+            _ => self.set(keys.i32_values().expect("an Int32 key column"), i64::from),
+        }
     }
 
     /// True when `key` is a build key; one outside `[min, max]` lands past
@@ -208,6 +233,50 @@ impl KeyBits {
 
     fn byte_size(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
+    }
+
+    /// An empty bitmap over `[min, max]` laid on the grid of whole words
+    /// from `i64::MIN` up: it starts at the word edge at or below `min`, so
+    /// any two such bitmaps OR word by word, at a whole-word offset.
+    fn on_grid(min: i64, max: i64) -> KeyBits {
+        let start = min - min.rem_euclid(64);
+        KeyBits { min: start, words: vec![0; KeyBits::words(start, max)] }
+    }
+
+    /// This grid bitmap widened to the grid span of `[min, max]`, which
+    /// holds its own: itself when it already covers it, else a copy at its
+    /// word offset in a wider one.
+    fn widened(self, min: i64, max: i64) -> KeyBits {
+        let mut wide = KeyBits::on_grid(min, max);
+        if (self.min, self.words.len()) == (wide.min, wide.words.len()) {
+            return self;
+        }
+        wide.or(&self);
+        wide
+    }
+
+    /// ORs in `other`, a grid bitmap within this one's span, word by word
+    /// at its word offset.
+    fn or(&mut self, other: &KeyBits) {
+        let first = (other.min.abs_diff(self.min) / 64) as usize;
+        for (word, &bits) in self.words[first..].iter_mut().zip(&other.words) {
+            *word |= bits;
+        }
+    }
+
+    /// This grid bitmap of keys in `[min, max]` laid out from `min` up, as
+    /// [`KeyBits::new`] lays it: each word takes the high bits of one grid
+    /// word and the low bits of the next.
+    fn laid_from(self, min: i64, max: i64) -> KeyBits {
+        let shift = min.abs_diff(self.min);
+        if shift == 0 {
+            return self;
+        }
+        let words = (0..KeyBits::words(min, max)).map(|i| {
+            let next = self.words.get(i + 1).map_or(0, |&word| word << (64 - shift));
+            self.words[i] >> shift | next
+        });
+        KeyBits { min, words: words.collect() }
     }
 }
 
@@ -222,6 +291,19 @@ enum Directory {
     /// chain apart (borrowed when `Int64`, widened from `Int32` and owned
     /// otherwise); `filter` is the keys' bitmap when their span fits.
     Hashed { mask: u64, keys: Column, owns_keys: bool, filter: Option<KeyBits> },
+}
+
+/// The bitmap rule for `n` keys: the most bits their bitmap may take — the
+/// bytes of the hashed directory they would get (`buckets` of `u32`), or
+/// [`BITMAP_FLOOR_BYTES`], whichever is more.
+fn bitmap_limit(n: usize) -> u64 {
+    ((buckets(n) * std::mem::size_of::<u32>()).max(BITMAP_FLOOR_BYTES) * 8) as u64
+}
+
+/// The buckets of a hashed directory over `n` build rows: two per row, a
+/// power of two, at least 2.
+fn buckets(n: usize) -> usize {
+    (n.max(1) * 2).next_power_of_two()
 }
 
 /// The smallest and largest key when they are less than `limit` apart,
@@ -335,9 +417,8 @@ impl JoinHashTable {
         key_set: bool,
     ) -> Result<JoinHashTable> {
         let n = keys.len();
-        let n_buckets = (n.max(1) * 2).next_power_of_two();
-        let bitmap_bits = (n_buckets * std::mem::size_of::<u32>()).max(BITMAP_FLOOR_BYTES) * 8;
-        let range = key_range(keys, widen, bitmap_bits as u64);
+        let n_buckets = buckets(n);
+        let range = key_range(keys, widen, bitmap_limit(n));
         let (mut heads, mut next) = (Vec::new(), Vec::new());
         let directory = match range {
             Some((min, max)) if key_set => Directory::Bits(KeyBits::new(keys, widen, min, max)),
@@ -653,6 +734,136 @@ impl JoinHashTable {
         )?;
         out.shrink_to_fit();
         Ok(out)
+    }
+}
+
+/// One part of a key set built in parts: what
+/// [`JoinHashTable::build_key_set`] needs of one cut of its key column.
+///
+/// A part over a cut ([`KeySetPart::new`]) holds the cut's keys and their
+/// smallest and largest. Merging parts in stream order
+/// ([`KeySetPart::absorb`]) gathers every key in one bitmap over the
+/// union's span, on a grid of whole words that every part shares: a part
+/// that already has a bitmap — one merged before — is OR'd in word by word
+/// at its word offset, a fresh one sets its keys' bits. The merged part
+/// [`KeySetPart::finish`]es into exactly the key set the packed column would
+/// build: the same directory, members, `len()` and bytes. It keeps its key
+/// columns (zero-copy views) for the one case the bitmap cannot answer, a
+/// span the bitmap rule refuses, where `finish` packs them and builds the
+/// key set from the pack.
+#[derive(Debug, Clone)]
+pub struct KeySetPart {
+    /// The key columns merged so far, in the order they merged.
+    keys: Vec<Column>,
+    rows: usize,
+    span: Span,
+}
+
+/// What a [`KeySetPart`] knows of its keys' span.
+#[derive(Debug, Clone)]
+enum Span {
+    /// There are no keys.
+    Empty,
+    /// Every key lies in `[min, max]`, a span the bitmap rule admits for the
+    /// part's rows. `bits` is their grid bitmap ([`KeyBits::on_grid`]) once
+    /// parts merged, `None` for a part fresh from its cut.
+    Keys { min: i64, max: i64, bits: Option<KeyBits> },
+    /// A span the bitmap rule refused, for a cut or for the parts merged so
+    /// far: the keys themselves decide.
+    Wide,
+}
+
+impl KeySetPart {
+    /// The part over `keys`, a cut of a key set's column: its keys' span, in
+    /// one pass that stops where the span outgrows the bitmap rule for the
+    /// cut's rows. `UnsupportedJoinKey` unless the column is `Int64` or
+    /// `Int32`.
+    pub fn new(keys: &Column) -> Result<KeySetPart> {
+        let limit = bitmap_limit(keys.len());
+        let range = match keys.data_type() {
+            DataType::Int64 => key_range(keys.i64_values()?, |k| k, limit),
+            DataType::Int32 => key_range(keys.i32_values()?, i64::from, limit),
+            other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
+        };
+        let span = match range {
+            Some((min, max)) => Span::Keys { min, max, bits: None },
+            None if keys.is_empty() => Span::Empty,
+            None => Span::Wide,
+        };
+        Ok(KeySetPart { keys: vec![keys.clone()], rows: keys.len(), span })
+    }
+
+    /// Keys (rows) merged into the part.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when the part has no keys.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Merges `next`: its keys join this part's bitmap, widened to the
+    /// union's span when `next` reaches past it — its bitmap OR'd in at its
+    /// word offset, or its keys' bits set. A union whose span the bitmap
+    /// rule refuses for the rows merged so far keeps no bitmap from then on;
+    /// the set is the same, since the keys decide then.
+    pub fn absorb(&mut self, next: &KeySetPart) {
+        self.rows += next.rows;
+        self.span = match (std::mem::replace(&mut self.span, Span::Wide), &next.span) {
+            (Span::Wide, _) | (_, Span::Wide) => Span::Wide,
+            (span, Span::Empty) => span,
+            (Span::Empty, span) => span.clone(),
+            (Span::Keys { min, max, bits }, Span::Keys { min: lo, max: hi, bits: more }) => {
+                let (min, max) = (min.min(*lo), max.max(*hi));
+                if max.abs_diff(min) >= bitmap_limit(self.rows) {
+                    Span::Wide
+                } else {
+                    let mut bits = match bits {
+                        Some(bits) => bits.widened(min, max),
+                        None => {
+                            let mut bits = KeyBits::on_grid(min, max);
+                            self.keys.iter().for_each(|keys| bits.set_column(keys));
+                            bits
+                        }
+                    };
+                    match more {
+                        Some(more) => bits.or(more),
+                        None => next.keys.iter().for_each(|keys| bits.set_column(keys)),
+                    }
+                    Span::Keys { min, max, bits: Some(bits) }
+                }
+            }
+        };
+        self.keys.extend(next.keys.iter().cloned());
+    }
+
+    /// The key set over the merged parts: what
+    /// [`JoinHashTable::build_key_set`] gives their keys packed in order.
+    /// A span the rule admits is the bitmap, laid out from the smallest key
+    /// up; with no keys or a refused span the keys are packed and built.
+    /// Errors as `build_key_set`.
+    pub fn finish(self) -> Result<JoinHashTable> {
+        check_build_rows(self.rows)?;
+        let base = self.keys.first().map_or(0, Column::base_oid);
+        let bits = match self.span {
+            Span::Keys { min, max, bits: Some(bits) } => bits.laid_from(min, max),
+            Span::Keys { min, max, bits: None } => {
+                let mut bits = KeyBits { min, words: vec![0; KeyBits::words(min, max)] };
+                self.keys.iter().for_each(|keys| bits.set_column(keys));
+                bits
+            }
+            Span::Empty | Span::Wide => {
+                return match self.keys.as_slice() {
+                    [keys] => JoinHashTable::build_key_set(keys),
+                    keys => {
+                        JoinHashTable::build_key_set(&Column::concat(keys)?.with_base_oid(base))
+                    }
+                };
+            }
+        };
+        let directory = Directory::Bits(bits);
+        Ok(JoinHashTable { directory, heads: Vec::new(), next: Vec::new(), rows: self.rows, base })
     }
 }
 

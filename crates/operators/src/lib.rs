@@ -40,6 +40,6 @@ pub use calc::{calc_col_col, calc_col_scalar, calc_scalar_col, BinaryOp};
 pub use error::{OperatorError, Result};
 pub use exchange::{pack_columns, pack_oids};
 pub use fetch::fetch;
-pub use join::{JoinHashTable, JoinResult};
+pub use join::{JoinHashTable, JoinResult, KeySetPart};
 pub use predicate::{CmpOp, Predicate};
 pub use select::{select, select_with_candidates, selectivity};

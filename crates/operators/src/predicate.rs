@@ -281,11 +281,19 @@ impl Predicate {
 /// A row loop that [`Resolved::drive`] hands a typed slice and a per-value
 /// test with every constant already converted. The three kernels of the
 /// crate (mask, select, candidate select) are its implementations.
-pub(crate) trait RowKernel {
+pub(crate) trait RowKernel: Sized {
     /// What the loop produces.
     type Out;
     /// Runs the loop; `hit(values[i])` says whether row `i` qualifies.
     fn run<T: Copy>(self, values: &[T], hit: impl Fn(T) -> bool) -> Self::Out;
+
+    /// Runs the loop for the one range `lo <= v <= hi` over `Int32` values,
+    /// the bounds narrowed to `i32` (`lo > hi` is the empty range): by
+    /// default [`RowKernel::run`] with that test, which a kernel overrides
+    /// when the range has a faster loop.
+    fn run_i32_range(self, values: &[i32], lo: i32, hi: i32) -> Self::Out {
+        self.run(values, move |v| (lo <= v) & (v <= hi))
+    }
 }
 
 /// A predicate resolved against one column: the visible rows as a typed
@@ -305,6 +313,18 @@ impl Resolved<'_> {
     pub(crate) fn drive<K: RowKernel>(&self, kernel: K) -> K::Out {
         match self {
             Resolved::I64(values, node) => node.drive(values, |v| v, kernel),
+            // Every TPC-H date filter: compared at the column's width.
+            Resolved::I32(values, Node::Leaf(IntLeaf::Range { lo, hi })) => {
+                let narrowed = (
+                    i32::try_from((*lo).max(i32::MIN.into())),
+                    i32::try_from((*hi).min(i32::MAX.into())),
+                );
+                match narrowed {
+                    (Ok(lo), Ok(hi)) => kernel.run_i32_range(values, lo, hi),
+                    // A bound past the other end of `i32`: no value is inside.
+                    _ => kernel.run_i32_range(values, 1, 0),
+                }
+            }
             Resolved::I32(values, node) => node.drive(values, i64::from, kernel),
             Resolved::F64(values, node) => kernel.run(values, |v| node.eval(&|leaf| leaf.holds(v))),
             Resolved::Bool(values, table) => kernel.run(values, |v: bool| table[v as usize]),

@@ -43,6 +43,50 @@ pub fn select(column: &Column, predicate: &Predicate) -> Result<Vec<Oid>> {
             }
             out
         }
+
+        /// 64 rows at a time: the range test fills 64 bytes (a loop the
+        /// compiler vectorizes), eight multiply-shifts gather them into a
+        /// 64-bit mask, and only its set bits store an oid. Measured 3.3×
+        /// the stack-block loop's speed at 1 % selectivity and 1.2× at 60 %
+        /// on `Int32` dates (`docs/architecture.md` §1.1); over wider values
+        /// the byte-mask's pack costs more than it saves.
+        fn run_i32_range(self, values: &[i32], lo: i32, hi: i32) -> Vec<Oid> {
+            let mut out = Vec::new();
+            let mut block = [0 as Oid; BLOCK];
+            let mut oid = self.0;
+            for rows in values.chunks(BLOCK) {
+                let mut k = 0;
+                let mut groups = rows.chunks_exact(64);
+                for group in &mut groups {
+                    let mut hits = [0u8; 64];
+                    for (hit, &v) in hits.iter_mut().zip(group) {
+                        *hit = u8::from((lo <= v) & (v <= hi));
+                    }
+                    // Byte `i` of a word (0 or 1) lands on bit `56 + i` of
+                    // its product with this constant, with no carry.
+                    let mut mask = 0u64;
+                    for (i, eight) in hits.chunks_exact(8).enumerate() {
+                        let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+                        mask |= (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+                    }
+                    // `k` grows by at most 64 per group of a chunk of at
+                    // most BLOCK rows, so the (checked) index stays in bounds.
+                    while mask != 0 {
+                        block[k] = oid + Oid::from(mask.trailing_zeros());
+                        k += 1;
+                        mask &= mask - 1;
+                    }
+                    oid += 64;
+                }
+                for &v in groups.remainder() {
+                    block[k] = oid;
+                    k += usize::from((lo <= v) & (v <= hi));
+                    oid += 1;
+                }
+                out.extend_from_slice(&block[..k]);
+            }
+            out
+        }
     }
     Ok(predicate.resolve(column)?.drive(Scan(column.base_oid())))
 }

@@ -25,7 +25,7 @@ use apq_operators::join::BITMAP_FLOOR_BYTES;
 use apq_operators::{
     calc_col_col, calc_col_scalar, calc_scalar_col, fetch, grouped_agg, merge_grouped, select,
     select_with_candidates, AggFunc, AggState, BinaryOp, CmpOp, GroupKey, JoinHashTable,
-    JoinResult, OperatorError, Predicate,
+    JoinResult, KeySetPart, OperatorError, Predicate,
 };
 use proptest::prelude::*;
 
@@ -165,6 +165,26 @@ mod reference {
             _ => return Err(type_error(p, column)),
         };
         Ok(codes.iter().map(|&c| dict_mask[c as usize]).collect())
+    }
+
+    /// `select`'s one-pass body before `Int32` ranges got their own loop:
+    /// every row stores its oid into a 1,024-entry stack block and only a
+    /// hit advances the cursor, the values widened to `i64` for the test.
+    pub fn select_widening(column: &Column, hit: impl Fn(i64) -> bool) -> Vec<Oid> {
+        let values = column.i32_values().unwrap();
+        let mut out = Vec::new();
+        let mut block = [0 as Oid; 1024];
+        let mut oid = column.base_oid();
+        for rows in values.chunks(1024) {
+            let mut k = 0;
+            for &v in rows {
+                block[k] = oid;
+                k += hit(i64::from(v)) as usize;
+                oid += 1;
+            }
+            out.extend_from_slice(&block[..k]);
+        }
+        out
     }
 
     pub fn select(column: &Column, predicate: &Predicate) -> Result<Vec<Oid>> {
@@ -827,6 +847,53 @@ impl Gen {
         (self.window(ty, keys), (lo, lo + span))
     }
 
+    /// Key columns a key set is built in parts over, with the range their
+    /// keys were drawn from: [`Gen::join_keys`]' (every directory, and spans
+    /// on both sides of the bitmap's limit), the same sorted (so most parts'
+    /// spans are disjoint), or two sorted clusters whose gap puts the union
+    /// past the bitmap's limit while every part within one cluster fits.
+    fn key_set_keys(&mut self, ty: DataType) -> (Column, (i64, i64)) {
+        match self.below(4) {
+            0 => {
+                let rows = 2 + self.below(2_500);
+                let lo = self.below(10_000) as i64 - 5_000;
+                let gap = bitmap_bits(rows) + self.below(100) as i64;
+                let mut keys: Vec<i64> = (0..rows)
+                    .map(|row| lo + self.below(50) as i64 + if row % 2 == 0 { 0 } else { gap })
+                    .collect();
+                keys.sort_unstable();
+                (self.window(ty, keys), (lo, lo + gap + 50))
+            }
+            1 => {
+                let (keys, range) = self.join_keys(ty);
+                let mut sorted: Vec<i64> = match ty {
+                    DataType::Int32 => {
+                        keys.i32_values().unwrap().iter().map(|&k| k as i64).collect()
+                    }
+                    _ => keys.i64_values().unwrap().to_vec(),
+                };
+                sorted.sort_unstable();
+                (self.window(ty, sorted), range)
+            }
+            _ => self.join_keys(ty),
+        }
+    }
+
+    /// `column` cut into windows at ascending offsets: repeated offsets give
+    /// empty parts, adjacent ones one-row parts.
+    fn cut(&mut self, column: &Column) -> Vec<Column> {
+        let rows = column.len();
+        let mut at: Vec<usize> = (0..self.below(8)).map(|_| self.below(rows + 1)).collect();
+        if rows > 0 && self.chance(2) {
+            let one = self.below(rows);
+            at.extend([one, one + 1, one + 1]);
+        }
+        at.push(0);
+        at.push(rows);
+        at.sort_unstable();
+        at.windows(2).map(|w| column.slice(w[0], w[1] - w[0]).unwrap()).collect()
+    }
+
     /// Probe keys of `ty` for a table over `range`: mostly inside it, some
     /// just outside either end, some anywhere.
     fn probe_keys(&mut self, ty: DataType, (lo, hi): (i64, i64)) -> Column {
@@ -1103,6 +1170,77 @@ proptest! {
                 prop_assert_eq!(JoinHashTable::build(&outer).map(|t| t.len()), refused.clone());
                 prop_assert_eq!(JoinHashTable::build_key_set(&outer).map(|t| t.len()), refused);
             }
+        }
+    }
+
+    /// A key set built in parts: any cut of a key column — empty parts,
+    /// one-row parts, sorted keys whose parts' spans are disjoint — merged
+    /// part by part, in stream order or spread over workers that each merge
+    /// theirs before the workers' parts merge, finishes into exactly
+    /// `build_key_set` of the whole column: the same directory, members,
+    /// `len()` and bytes. That holds where every part keeps a bitmap and the
+    /// union's span fails the rule, which falls back to the hashed set.
+    #[test]
+    fn key_set_parts_merge_into_the_key_set_of_the_whole_column(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let ty = g.pick(&[DataType::Int64, DataType::Int32]);
+        let (keys, range) = g.key_set_keys(ty);
+        let whole = JoinHashTable::build_key_set(&keys).unwrap();
+        let workers = 1 + g.below(3);
+        let mut merged: Vec<Option<KeySetPart>> = vec![None; workers];
+        for cut in g.cut(&keys) {
+            let part = KeySetPart::new(&cut).unwrap();
+            match &mut merged[g.below(workers)] {
+                Some(merged) => merged.absorb(&part),
+                slot => *slot = Some(part),
+            }
+        }
+        let mut all: Option<KeySetPart> = None;
+        for part in merged.into_iter().flatten() {
+            match &mut all {
+                Some(all) => all.absorb(&part),
+                None => all = Some(part),
+            }
+        }
+        let set = all.unwrap().finish().unwrap();
+        let case = format!("{} {} keys over {:?}", keys.len(), ty, range);
+        prop_assert_eq!(set.directory(), whole.directory(), "{}", case);
+        prop_assert_eq!(set.len(), whole.len(), "{}", case);
+        prop_assert_eq!(set.is_empty(), whole.is_empty(), "{}", case);
+        prop_assert_eq!(set.bitmap_bytes(), whole.bitmap_bytes(), "{}", case);
+        prop_assert_eq!(set.byte_size(), whole.byte_size(), "{}", case);
+        for _ in 0..3 {
+            let outer = g.probe_keys(ty, range);
+            prop_assert_eq!(set.probe_semi(&outer), whole.probe_semi(&outer), "{}", case);
+            prop_assert_eq!(set.probe_anti(&outer), whole.probe_anti(&outer), "{}", case);
+        }
+    }
+
+    /// `select` over an `Int32` column with one range — the bounds at, past
+    /// and far past the ends of `i32`, either flavour of each — against the
+    /// stack-block loop it had before, which widened every value.
+    #[test]
+    fn int32_range_selects_match_the_widening_loop(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        for _ in 0..4 {
+            let column = g.column(DataType::Int32);
+            let (lo, hi) = (g.int(), g.int());
+            let (lo_inclusive, hi_inclusive) = (g.chance(2), g.chance(2));
+            let predicate = Predicate::Between {
+                lo: ScalarValue::I64(lo),
+                hi: ScalarValue::I64(hi),
+                lo_inclusive,
+                hi_inclusive,
+            };
+            let hit = |v: i64| {
+                (if lo_inclusive { v >= lo } else { v > lo })
+                    & (if hi_inclusive { v <= hi } else { v < hi })
+            };
+            prop_assert_eq!(
+                select(&column, &predicate),
+                Ok(reference::select_widening(&column, hit)),
+                "{} over {} rows", predicate.describe(), column.len()
+            );
         }
     }
 

@@ -5,8 +5,9 @@
 //! and no views. [`generate`] is a seeded generator (the SplitMix `Gen` idiom
 //! of `proptest_kernels.rs`: the proptest shim has no recursive strategies)
 //! of catalogs and plan DAGs: selects (plain and refining), calcs, fetches,
-//! probes with their side projections, semi and anti joins over a key set or
-//! a hash table, group-bys and scalar aggregates, over ragged, empty, skewed
+//! probes with their side projections, semi and anti joins over a key set
+//! (whole, cut at offsets or into morsels of its own) or a hash table,
+//! group-bys and scalar aggregates, over ragged, empty, skewed
 //! and duplicate-key columns that hold `NaN`, `-0.0` and the `i64` and `i32`
 //! extremes, with `Int64` and `Int32` keys, some of them dense in a narrow
 //! span (the join's dense directories).
@@ -22,6 +23,7 @@ use std::sync::Arc;
 use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
 use adaptive_parallelization::baselines::heuristic_parallelize;
 use adaptive_parallelization::columnar::{Catalog, Column, ScalarValue, TableBuilder};
+use adaptive_parallelization::engine::plan::Cuts;
 use adaptive_parallelization::engine::{Engine, JoinSide, NodeId, OperatorSpec, Plan, QueryOutput};
 use adaptive_parallelization::operators::{AggFunc, BinaryOp, CmpOp, GroupKey, Predicate};
 
@@ -384,6 +386,20 @@ impl Builder<'_> {
                 let pairs = self.gen.chance(3);
                 let spec = if pairs { OperatorSpec::HashBuild } else { OperatorSpec::KeySet };
                 let table = self.add(spec, vec![inner], Kind::Table { pairs });
+                // A key set runs in parts too: at offsets (some past its
+                // rows, so some parts are empty) or in morsels of its own.
+                if !pairs && self.gen.chance(2) {
+                    let cuts = if self.gen.chance(2) {
+                        let n = 1 + self.gen.below(4);
+                        let mut at: Vec<usize> = (0..n).map(|_| self.gen.below(80)).collect();
+                        at.sort_unstable();
+                        at.dedup();
+                        Cuts::At(at)
+                    } else {
+                        Cuts::Every(1 + self.gen.below(40))
+                    };
+                    self.plan.node_mut(table).expect("the key set was just added").cuts = cuts;
+                }
                 let spec = if self.gen.chance(2) {
                     OperatorSpec::SemiJoin
                 } else {

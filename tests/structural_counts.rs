@@ -13,6 +13,7 @@
 //! node — and returns its serial result as built and cut into morsels.
 
 use adaptive_parallelization::adaptive::{mutate_most_expensive, AdaptiveConfig};
+use adaptive_parallelization::engine::plan::OperatorSpec;
 use adaptive_parallelization::engine::{Engine, DEFAULT_MORSEL_ROWS};
 use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 
@@ -20,14 +21,19 @@ use adaptive_parallelization::workloads::tpch::{self, TpchQuery, TpchScale};
 fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
     let catalog = tpch::generate(TpchScale::new(0.05), 4242);
     // (query, pipelines, morsels, operator profiles, scheduler tasks)
+    //
+    // A key set runs in parts and ends the chain it joins: Q4's joins its
+    // calc → select → fetch chain, so it takes no task of its own and adds
+    // no morsel, and Q22's streams `o_custkey`'s two morsels as a pipeline
+    // of its own.
     let pinned = [
-        (TpchQuery::Q4, 4, 9, 16, 17),
+        (TpchQuery::Q4, 4, 9, 16, 16),
         (TpchQuery::Q6, 3, 7, 12, 12),
         (TpchQuery::Q8, 10, 15, 30, 25),
         (TpchQuery::Q9, 7, 11, 29, 22),
         (TpchQuery::Q14, 9, 13, 27, 23),
         (TpchQuery::Q19, 7, 11, 26, 21),
-        (TpchQuery::Q22, 6, 6, 14, 11),
+        (TpchQuery::Q22, 7, 8, 14, 12),
     ];
     assert_eq!(pinned.map(|row| row.0), TpchQuery::all());
     for (query, pipelines, morsels, operators, tasks) in pinned {
@@ -41,6 +47,18 @@ fn tpch_shapes_run_as_pinned_pipelines_morsels_operators_and_tasks() {
         let steps = profile.operators.iter().filter(|o| o.step == Some(o.node)).count();
         let counts = [steps, profile.total_morsels(), profile.operators.len(), executed as usize];
         assert_eq!(counts, [pipelines, morsels, operators, tasks], "{query:?}");
+        // Q4's key set builds one part per morsel of the lineitem stream
+        // its chain cuts, and publishes one key set over all of them.
+        if query == TpchQuery::Q4 {
+            let key_set = profile
+                .operators
+                .iter()
+                .find(|op| plan.node(op.node).is_ok_and(|node| node.spec == OperatorSpec::KeySet));
+            let key_set = key_set.expect("Q4 builds a key set");
+            let lineitem = catalog.table("lineitem").expect("TPC-H has lineitem").row_count();
+            assert_eq!(key_set.tasks.len(), lineitem.div_ceil(DEFAULT_MORSEL_ROWS));
+            assert_eq!(key_set.step, Some(key_set.node));
+        }
     }
 }
 
