@@ -20,7 +20,8 @@
 //! (`docs/architecture.md`, "kernel contract"): a select's live heap never
 //! exceeds its output (no row mask), a candidate select's likewise (no
 //! gathered column), projecting a join side allocates nothing, a hash
-//! build or probe over `Int64` keys never holds a copy of them, a key set
+//! build or probe never holds a copy of its keys (`Int64`, or `Int32` that a
+//! hashed directory borrows at their width), a key set
 //! whose span fits its bitmap is that one bitmap, and `calc` reads `Int32`
 //! operands in place instead of widening them into copies.
 //!
@@ -171,6 +172,13 @@ fn kernels_hold_no_more_than_their_outputs() {
     let keys = Column::from_i64((0..N as i64).collect());
     let peak = peak_bytes_during(|| JoinHashTable::build(&keys));
     assert!(peak <= 2 * N * 4 + SLACK, "an Int64 build held {peak} bytes: a key copy?");
+    // A hashed build over Int32 keys borrows them at their width: 2 Mi
+    // buckets + 1 Mi links of 4 bytes, not 8 MiB more of widened keys.
+    let sparse = Column::from_i32((0..N as i32).map(|k| k * 1000).collect());
+    assert_eq!(JoinHashTable::build(&sparse).unwrap().directory(), "hashed");
+    let hashed = 3 * N * 4 + SLACK;
+    let peak = peak_bytes_during(|| JoinHashTable::build(&sparse));
+    assert!(peak <= hashed, "an Int32 hashed build held {peak} bytes (directory {hashed})");
     // A key set over the same keys is one allocation: the bitmap of the
     // span's N bits, N / 8 bytes — no directory, no links, no keys.
     let (allocs, bytes) = allocations_during(|| JoinHashTable::build_key_set(&keys));

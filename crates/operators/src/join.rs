@@ -42,8 +42,9 @@
 //! **The bitmap rule** is one constant: a bitmap is never larger than the
 //! hashed directory the same keys would get, or [`BITMAP_FLOOR_BYTES`],
 //! whichever is bigger. A dense directory keeps no bitmap (its heads already
-//! answer exactly), and only a hashed table keeps its key column: the other
-//! forms never compare keys.
+//! answer exactly), and only a hashed table keeps its key column — borrowed
+//! at the column's own width, each key widened as the probe compares it: the
+//! other forms never compare keys.
 //!
 //! One build loop and one probe body serve every form, generic over how a key
 //! finds its chain. The probe looks a block of outer rows' chains up before it
@@ -72,9 +73,8 @@ pub const BITMAP_FLOOR_BYTES: usize = 32 << 10;
 /// An immutable hash table over the inner (build-side) join keys.
 ///
 /// Entry `i` is build row `i`, i.e. inner oid `base + i`, so no oid vector is
-/// stored. A hashed table borrows an `Int64` build column (an `Arc` clone of
-/// the view) and widens an `Int32` one into an owned `Int64` column once,
-/// here; the other directories keep no key column.
+/// stored. A hashed table borrows its build column at the column's own width
+/// (an `Arc` clone of the view); the other directories keep no key column.
 #[derive(Debug)]
 pub struct JoinHashTable {
     directory: Directory,
@@ -190,21 +190,21 @@ impl KeyBits {
 
     /// The bitmap of `keys`, every one of which lies in `[min, max]`: one
     /// allocation of `max − min + 1` bits, rounded up to whole words.
-    fn new<T: Copy>(keys: &[T], widen: impl Fn(T) -> i64, min: i64, max: i64) -> KeyBits {
+    fn new<T: Copy + Into<i64>>(keys: &[T], min: i64, max: i64) -> KeyBits {
         let mut bits = KeyBits { min, words: vec![0u64; KeyBits::words(min, max)] };
-        bits.set(keys, widen);
+        bits.set(keys);
         bits
     }
 
     /// Sets the bits of `keys`, every one of which lies in this bitmap's
     /// span.
-    fn set<T: Copy>(&mut self, keys: &[T], widen: impl Fn(T) -> i64) {
+    fn set<T: Copy + Into<i64>>(&mut self, keys: &[T]) {
         // A run of keys in one word (a sorted or clustered column) gathers
         // its bits in a register: set one by one in memory, each key would
         // wait for the previous key's store to the same word.
         let (mut word, mut bits) = (0, 0u64);
         for &key in keys {
-            let bit = dense_slot(widen(key), self.min);
+            let bit = dense_slot(key.into(), self.min);
             if bit / 64 != word {
                 self.words[word] |= bits;
                 (word, bits) = (bit / 64, 0);
@@ -218,8 +218,8 @@ impl KeyBits {
     /// bitmap's span; the column's type was checked when its part was made.
     fn set_column(&mut self, keys: &Column) {
         match keys.data_type() {
-            DataType::Int64 => self.set(keys.i64_values().expect("an Int64 key column"), |k| k),
-            _ => self.set(keys.i32_values().expect("an Int32 key column"), i64::from),
+            DataType::Int64 => self.set(keys.i64_values().expect("an Int64 key column")),
+            _ => self.set(keys.i32_values().expect("an Int32 key column")),
         }
     }
 
@@ -287,10 +287,10 @@ enum Directory {
     Bits(KeyBits),
     /// One slot per key value from `min` up ([`dense_slot`]).
     Dense { min: i64 },
-    /// `mask + 1` buckets ([`hash_key`]). `keys` tells the entries of a
-    /// chain apart (borrowed when `Int64`, widened from `Int32` and owned
-    /// otherwise); `filter` is the keys' bitmap when their span fits.
-    Hashed { mask: u64, keys: Column, owns_keys: bool, filter: Option<KeyBits> },
+    /// `mask + 1` buckets ([`hash_key`]). `keys`, the borrowed build column
+    /// (`Int64` or `Int32`), tells the entries of a chain apart; `filter` is
+    /// the keys' bitmap when their span fits.
+    Hashed { mask: u64, keys: Column, filter: Option<KeyBits> },
 }
 
 /// The bitmap rule for `n` keys: the most bits their bitmap may take — the
@@ -312,7 +312,7 @@ fn buckets(n: usize) -> usize {
 /// independent lanes: one running minimum and maximum compile to a branch
 /// per key, which a sorted column — every key a new maximum — mispredicts
 /// (six times slower on Q4's 3.6 M order keys in order).
-fn key_range<T: Copy>(keys: &[T], widen: impl Fn(T) -> i64, limit: u64) -> Option<(i64, i64)> {
+fn key_range<T: Copy + Into<i64>>(keys: &[T], limit: u64) -> Option<(i64, i64)> {
     const LANES: usize = 8;
     let (mut lo, mut hi) = ([i64::MAX; LANES], [i64::MIN; LANES]);
     let (mut min, mut max) = (i64::MAX, i64::MIN);
@@ -320,12 +320,12 @@ fn key_range<T: Copy>(keys: &[T], widen: impl Fn(T) -> i64, limit: u64) -> Optio
         let mut rows = block.chunks_exact(LANES);
         for row in &mut rows {
             for lane in 0..LANES {
-                let k = widen(row[lane]);
+                let k = row[lane].into();
                 (lo[lane], hi[lane]) = (lo[lane].min(k), hi[lane].max(k));
             }
         }
         for &k in rows.remainder() {
-            (lo[0], hi[0]) = (lo[0].min(widen(k)), hi[0].max(widen(k)));
+            (lo[0], hi[0]) = (lo[0].min(k.into()), hi[0].max(k.into()));
         }
         (min, max) = (lo.into_iter().fold(min, i64::min), hi.into_iter().fold(max, i64::max));
         if max.abs_diff(min) >= limit {
@@ -338,15 +338,14 @@ fn key_range<T: Copy>(keys: &[T], widen: impl Fn(T) -> i64, limit: u64) -> Optio
 /// Puts build row `i` at the front of its slot's chain, for every row in
 /// order, so a chain lists its entries newest-inserted first.
 #[inline]
-fn link<T: Copy>(
+fn link<T: Copy + Into<i64>>(
     keys: &[T],
-    widen: impl Fn(T) -> i64,
     heads: &mut [u32],
     next: &mut [u32],
     slot: impl Fn(i64) -> usize,
 ) {
     for (i, (&key, link)) in keys.iter().zip(next).enumerate() {
-        let head = &mut heads[slot(widen(key))];
+        let head = &mut heads[slot(key.into())];
         *link = *head;
         *head = i as u32;
     }
@@ -399,48 +398,37 @@ impl JoinHashTable {
     fn build_as(inner: &Column, key_set: bool) -> Result<JoinHashTable> {
         check_build_rows(inner.len())?;
         match inner.data_type() {
-            DataType::Int64 => {
-                JoinHashTable::build_from(inner, inner.i64_values()?, |k| k, key_set)
-            }
-            DataType::Int32 => {
-                JoinHashTable::build_from(inner, inner.i32_values()?, i64::from, key_set)
-            }
+            DataType::Int64 => JoinHashTable::build_from(inner, inner.i64_values()?, key_set),
+            DataType::Int32 => JoinHashTable::build_from(inner, inner.i32_values()?, key_set),
             other => Err(OperatorError::UnsupportedJoinKey(other.name())),
         }
     }
 
     /// The one build body over `inner`'s typed keys, read in place.
-    fn build_from<T: Copy>(
+    fn build_from<T: Copy + Into<i64>>(
         inner: &Column,
         keys: &[T],
-        widen: impl Fn(T) -> i64 + Copy,
         key_set: bool,
     ) -> Result<JoinHashTable> {
         let n = keys.len();
         let n_buckets = buckets(n);
-        let range = key_range(keys, widen, bitmap_limit(n));
+        let range = key_range(keys, bitmap_limit(n));
         let (mut heads, mut next) = (Vec::new(), Vec::new());
         let directory = match range {
-            Some((min, max)) if key_set => Directory::Bits(KeyBits::new(keys, widen, min, max)),
+            Some((min, max)) if key_set => Directory::Bits(KeyBits::new(keys, min, max)),
             Some((min, max)) if max.abs_diff(min) < n_buckets as u64 => {
                 heads = vec![EMPTY; max.abs_diff(min) as usize + 1];
                 next = vec![EMPTY; n];
-                link(keys, widen, &mut heads, &mut next, |k| dense_slot(k, min));
+                link(keys, &mut heads, &mut next, |k| dense_slot(k, min));
                 Directory::Dense { min }
             }
             range => {
                 let mask = (n_buckets - 1) as u64;
                 heads = vec![EMPTY; n_buckets];
                 next = vec![EMPTY; n];
-                link(keys, widen, &mut heads, &mut next, |k| hash_key(k, mask));
-                let owns_keys = inner.data_type() != DataType::Int64;
-                let keys_column = if owns_keys {
-                    Column::from_i64(keys.iter().map(|&k| widen(k)).collect())
-                } else {
-                    inner.clone()
-                };
-                let filter = range.map(|(min, max)| KeyBits::new(keys, widen, min, max));
-                Directory::Hashed { mask, keys: keys_column, owns_keys, filter }
+                link(keys, &mut heads, &mut next, |k| hash_key(k, mask));
+                let filter = range.map(|(min, max)| KeyBits::new(keys, min, max));
+                Directory::Hashed { mask, keys: inner.clone(), filter }
             }
         };
         Ok(JoinHashTable { directory, heads, next, rows: n, base: inner.base_oid() })
@@ -479,17 +467,10 @@ impl JoinHashTable {
     }
 
     /// Memory the table owns, in bytes: 4 per directory slot, 4 per chain
-    /// link, 8 per bitmap word, and 8 per key only when a hashed table
-    /// widened them from `Int32` — a borrowed `Int64` build column is its
-    /// producer's.
+    /// link and 8 per bitmap word — a hashed table's borrowed key column is
+    /// its producer's.
     pub fn byte_size(&self) -> usize {
-        let owned_keys = match &self.directory {
-            Directory::Hashed { keys, owns_keys: true, .. } => keys.byte_size(),
-            _ => 0,
-        };
-        (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>()
-            + self.bitmap_bytes()
-            + owned_keys
+        (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>() + self.bitmap_bytes()
     }
 
     /// Pairs need build rows; a bitmap has none.
@@ -505,17 +486,17 @@ impl JoinHashTable {
     pub fn lookup(&self, key: i64) -> Result<Vec<Oid>> {
         self.check_pairs()?;
         let mut out = Vec::new();
-        self.scan(&[key], |k| k, Matches::All, |_, j| out.push(self.base + j), |_, _| {});
+        self.scan(&[key], Matches::All, |_, j| out.push(self.base + j), |_, _| {});
         Ok(out)
     }
 
     /// The one probe loop over the table's directory: [`JoinHashTable::walk`]
-    /// with the chain lookup chosen once per call.
+    /// with the chain lookup, and a hashed table's key column at its width,
+    /// chosen once per call.
     #[inline]
-    fn scan<T: Copy>(
+    fn scan<T: Copy + Into<i64>>(
         &self,
         outer: &[T],
-        widen: impl Fn(T) -> i64,
         matches: Matches,
         on_match: impl FnMut(usize, Oid),
         on_block: impl FnMut(usize, &[bool]),
@@ -524,30 +505,43 @@ impl JoinHashTable {
         match &self.directory {
             // A member's chain is one placeholder entry, never followed: only
             // existence probes, which stop at the first entry, reach a bitmap.
-            Directory::Bits(bits) => self.walk::<true, T>(
+            Directory::Bits(bits) => self.walk::<true, T, i64>(
                 outer,
-                widen,
+                &[],
                 |k| if bits.contains(k) { 0 } else { EMPTY },
                 matches,
                 on_match,
                 on_block,
             ),
-            Directory::Dense { min } => self.walk::<true, T>(
+            Directory::Dense { min } => self.walk::<true, T, i64>(
                 outer,
-                widen,
+                &[],
                 |k| head(heads, dense_slot(k, *min)),
                 matches,
                 on_match,
                 on_block,
             ),
-            Directory::Hashed { mask, .. } => self.walk::<false, T>(
-                outer,
-                widen,
-                |k| head(heads, hash_key(k, *mask)),
-                matches,
-                on_match,
-                on_block,
-            ),
+            Directory::Hashed { mask, keys, .. } => {
+                let first = |k| head(heads, hash_key(k, *mask));
+                match keys.data_type() {
+                    DataType::Int64 => self.walk::<false, T, i64>(
+                        outer,
+                        keys.i64_values().expect("an Int64 key column"),
+                        first,
+                        matches,
+                        on_match,
+                        on_block,
+                    ),
+                    _ => self.walk::<false, T, i32>(
+                        outer,
+                        keys.i32_values().expect("an Int32 key column"),
+                        first,
+                        matches,
+                        on_match,
+                        on_block,
+                    ),
+                }
+            }
         }
     }
 
@@ -560,22 +554,21 @@ impl JoinHashTable {
     /// block starting at outer row `start`. A row whose key the table's
     /// filter lacks has no chain and is not looked up. `EXACT` says every
     /// entry of a chain holds the key that found it (a dense directory or a
-    /// bitmap), so no key is compared.
+    /// bitmap), so no key is compared; otherwise entry `j`'s key is
+    /// `keys[j]`, widened as it is compared.
     #[inline]
-    fn walk<const EXACT: bool, T: Copy>(
+    fn walk<const EXACT: bool, T: Copy + Into<i64>, K: Copy + Into<i64>>(
         &self,
         outer: &[T],
-        widen: impl Fn(T) -> i64,
+        keys: &[K],
         first: impl Fn(i64) -> u32,
         matches: Matches,
         mut on_match: impl FnMut(usize, Oid),
         mut on_block: impl FnMut(usize, &[bool]),
     ) {
-        let (keys, filter) = match &self.directory {
-            Directory::Hashed { keys, filter, .. } => {
-                (keys.i64_values().expect("build stores an Int64 key column"), filter.as_ref())
-            }
-            _ => (&[][..], None),
+        let filter = match &self.directory {
+            Directory::Hashed { filter, .. } => filter.as_ref(),
+            _ => None,
         };
         let mut firsts = [EMPTY; BLOCK];
         let mut rows = [0u16; BLOCK];
@@ -590,7 +583,7 @@ impl JoinHashTable {
             // chunk of at most BLOCK, so the (checked) index stays in bounds.
             let mut c = 0;
             let mut look_up = |r: usize, k: T| {
-                let head = first(widen(k));
+                let head = first(k.into());
                 firsts[c] = head;
                 rows[c] = r as u16;
                 c += usize::from(head != EMPTY);
@@ -604,7 +597,7 @@ impl JoinHashTable {
                     let mut m = 0;
                     for (r, &k) in block.iter().enumerate() {
                         members[m] = r as u16;
-                        m += usize::from(bits.contains(widen(k)));
+                        m += usize::from(bits.contains(k.into()));
                     }
                     for &r in &members[..m] {
                         look_up(usize::from(r), block[usize::from(r)]);
@@ -615,13 +608,13 @@ impl JoinHashTable {
             matched.fill(false);
             for (&head, &r) in firsts[..c].iter().zip(&rows[..c]) {
                 let r = usize::from(r);
-                let key = widen(block[r]);
+                let key: i64 = block[r].into();
                 let mut e = head;
                 while e != EMPTY {
                     let j = e as usize;
                     #[cfg(test)]
                     CHAIN_STEPS.with(|steps| steps.set(steps.get() + 1));
-                    if EXACT || keys[j] == key {
+                    if EXACT || keys[j].into() == key {
                         matched[r] = true;
                         on_match(b * BLOCK + r, j as Oid);
                         if matches == Matches::First {
@@ -645,10 +638,8 @@ impl JoinHashTable {
         on_block: impl FnMut(usize, &[bool]),
     ) -> Result<()> {
         match outer.data_type() {
-            DataType::Int64 => self.scan(outer.i64_values()?, |v| v, matches, on_match, on_block),
-            DataType::Int32 => {
-                self.scan(outer.i32_values()?, i64::from, matches, on_match, on_block)
-            }
+            DataType::Int64 => self.scan(outer.i64_values()?, matches, on_match, on_block),
+            DataType::Int32 => self.scan(outer.i32_values()?, matches, on_match, on_block),
             other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
         }
         Ok(())
@@ -781,8 +772,8 @@ impl KeySetPart {
     pub fn new(keys: &Column) -> Result<KeySetPart> {
         let limit = bitmap_limit(keys.len());
         let range = match keys.data_type() {
-            DataType::Int64 => key_range(keys.i64_values()?, |k| k, limit),
-            DataType::Int32 => key_range(keys.i32_values()?, i64::from, limit),
+            DataType::Int64 => key_range(keys.i64_values()?, limit),
+            DataType::Int32 => key_range(keys.i32_values()?, limit),
             other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
         };
         let span = match range {
@@ -1017,9 +1008,9 @@ mod tests {
         let filtered = JoinHashTable::build(&Column::from_i64(filtered_keys.clone())).unwrap();
         assert_eq!(filtered.directory(), "hashed+bits");
         assert_eq!(filtered.byte_size(), 16 * 4 + 5 * 4 + 8);
-        // Its Int32 twin owns the widened keys, 8 bytes a row more.
+        // Its Int32 twin borrows its keys at 32 bits, so it owns the same.
         let narrow = Column::from_i32(filtered_keys.iter().map(|&k| k as i32).collect());
-        assert_eq!(JoinHashTable::build(&narrow).unwrap().byte_size(), 16 * 4 + 5 * 4 + 8 + 5 * 8);
+        assert_eq!(JoinHashTable::build(&narrow).unwrap().byte_size(), 16 * 4 + 5 * 4 + 8);
     }
 
     #[test]
@@ -1116,16 +1107,21 @@ mod tests {
     }
 
     #[test]
-    fn a_hashed_int64_build_shares_the_key_column() {
-        let inner = Column::from_i64((0..1000).map(|k| k * 1000).collect());
-        let ht = JoinHashTable::build(&inner.slice(100, 800).unwrap()).unwrap();
-        assert_eq!(ht.directory(), "hashed");
-        let Directory::Hashed { keys, owns_keys: false, .. } = &ht.directory else {
-            panic!("a borrowed key column expected")
-        };
-        assert!(keys.shares_storage_with(&inner));
-        assert_eq!(ht.lookup(100_000).unwrap(), vec![100]);
-        assert!(ht.lookup(99_000).unwrap().is_empty());
+    fn a_hashed_build_shares_the_key_column_at_its_width() {
+        let wide = Column::from_i64((0..1000).map(|k| k * 1000).collect());
+        let narrow = Column::from_i32((0..1000).map(|k| k * 1000).collect());
+        for inner in [wide, narrow] {
+            let ht = JoinHashTable::build(&inner.slice(100, 800).unwrap()).unwrap();
+            assert_eq!(ht.directory(), "hashed");
+            let Directory::Hashed { keys, .. } = &ht.directory else {
+                panic!("a hashed directory expected")
+            };
+            assert_eq!(keys.data_type(), inner.data_type());
+            assert!(keys.shares_storage_with(&inner));
+            assert_eq!(ht.byte_size(), (2048 + 800) * 4);
+            assert_eq!(ht.lookup(100_000).unwrap(), vec![100]);
+            assert!(ht.lookup(99_000).unwrap().is_empty());
+        }
     }
 
     #[test]

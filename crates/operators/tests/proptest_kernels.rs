@@ -984,6 +984,36 @@ fn bitmap_bits(rows: usize) -> i64 {
 
 // ------------------------------------------------------------- comparison
 
+/// The `Int64` twin of an `Int32` key column: the same keys widened, the same
+/// base oid.
+fn int64_twin(narrow: &Column) -> Column {
+    let keys = narrow.i32_values().unwrap().iter().map(|&k| i64::from(k)).collect();
+    Column::from_i64(keys).with_base_oid(narrow.base_oid())
+}
+
+/// Everything a pair table and a key set over `inner` answer: each one's
+/// directory, `len()`, `byte_size()` and `bitmap_bytes()`, then its pairs
+/// (in order), semi rows and anti rows for a probe with each of `outers`.
+fn table_answers(inner: &Column, outers: &[Column]) -> Vec<String> {
+    let mut answers = Vec::new();
+    for table in [JoinHashTable::build(inner), JoinHashTable::build_key_set(inner)] {
+        let table = table.unwrap();
+        answers.push(format!(
+            "{} {} {} {}",
+            table.directory(),
+            table.len(),
+            table.byte_size(),
+            table.bitmap_bytes()
+        ));
+        for outer in outers {
+            answers.push(format!("{:?}", table.probe(outer)));
+            answers.push(format!("{:?}", table.probe_semi(outer)));
+            answers.push(format!("{:?}", table.probe_anti(outer)));
+        }
+    }
+    answers
+}
+
 /// Everything observable about a column: type, base oid, length and rows.
 type Facts = (DataType, Oid, usize, Vec<String>);
 
@@ -1214,6 +1244,22 @@ proptest! {
             prop_assert_eq!(set.probe_semi(&outer), whole.probe_semi(&outer), "{}", case);
             prop_assert_eq!(set.probe_anti(&outer), whole.probe_anti(&outer), "{}", case);
         }
+    }
+
+    /// A table over an `Int32` key column is the table over the same keys as
+    /// `Int64`: the same directory, `len()`, `byte_size()` and bitmap, and
+    /// the same pairs in the same order, semi and anti rows, probed with
+    /// keys of either width — over build sides of every directory.
+    #[test]
+    fn int32_build_sides_equal_their_int64_twins(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let (narrow, range) = g.join_keys(DataType::Int32);
+        let outers = [g.probe_keys(DataType::Int32, range), g.probe_keys(DataType::Int64, range)];
+        prop_assert_eq!(
+            table_answers(&narrow, &outers),
+            table_answers(&int64_twin(&narrow), &outers),
+            "{} Int32 keys over {:?}", narrow.len(), range
+        );
     }
 
     /// `select` over an `Int32` column with one range — the bounds at, past
@@ -1473,6 +1519,36 @@ fn join_key_ranges_reach_every_directory() {
     }
     assert!(dense_edge[0] >= 8 && dense_edge[1] >= 8, "dense threshold: {dense_edge:?}");
     assert!(bitmap_edge[0] >= 8 && bitmap_edge[1] >= 8, "bitmap limit: {bitmap_edge:?}");
+}
+
+/// The named build sides the `Int32` twin property covers by draw: dense,
+/// hashed, hashed behind a bitmap, a key set's bitmap, empty, duplicate and
+/// negative keys (down to `i32::MIN`) each build the table their `Int64`
+/// twin builds.
+#[test]
+fn int32_build_sides_of_every_directory_equal_their_int64_twins() {
+    let min = i32::MIN;
+    let cases: [(&str, Vec<i32>, &str); 7] = [
+        ("dense", vec![3, 1, 4, 1, 5], "dense"),
+        ("hashed", vec![0, 1 << 20, 7, 7, 3], "hashed"),
+        ("hashed+bits", vec![3, 1, 4, 1, 17], "hashed+bits"),
+        ("bits", (0..1000).collect(), "dense"),
+        ("empty", vec![], "hashed"),
+        ("duplicate", vec![9, 9, 9, 1 << 30, 9, 1 << 30], "hashed"),
+        ("negative", vec![-5, -3, -5, min, min + 1, -1], "hashed"),
+    ];
+    let outer: Vec<i32> = vec![9, -5, 3, 17, min, 0, 1 << 20, 1 << 30, -3, 1, 2, 999, min + 1];
+    for (name, keys, directory) in cases {
+        let narrow = Column::from_i32(keys).with_base_oid(40);
+        assert_eq!(JoinHashTable::build(&narrow).unwrap().directory(), directory, "{name}");
+        let outer = Column::from_i32(outer.clone());
+        let outers = [int64_twin(&outer), outer];
+        let (got, want) =
+            (table_answers(&narrow, &outers), table_answers(&int64_twin(&narrow), &outers));
+        assert_eq!(got, want, "{name}");
+    }
+    let bits = JoinHashTable::build_key_set(&Column::from_i32((0..1000).collect())).unwrap();
+    assert_eq!(bits.directory(), "bits");
 }
 
 /// Constants outside `i32` against an `Int32` column: the values widen, the

@@ -1,10 +1,14 @@
 //! Synthetic TPC-H-like data generator.
+//!
+//! The twelve key columns are `Int32`, as TPC-H's identifier type allows:
+//! each key is drawn as an `i64` and narrowed as it is drawn, so no `Int64`
+//! key vector is ever built. [`generate`] refuses a scale whose keys would
+//! not fit ([`TpchScale::keys_fit_i32`]).
 
 use std::sync::Arc;
 
 use apq_columnar::datagen::{
-    dictionary_column, fk_uniform, prices_decimal2, rng, sequential_i64, uniform_i64,
-    uniform_strings,
+    dictionary_column, prices_decimal2, rng, uniform_i64, uniform_strings,
 };
 use apq_columnar::{Catalog, Column, Table, TableBuilder};
 use rand::Rng;
@@ -58,6 +62,38 @@ impl TpchScale {
     pub fn nation_rows(&self) -> usize {
         25
     }
+
+    /// True when every key of this scale fits an `i32`: `orders` is the
+    /// largest keyed table, and its keys are `0..orders_rows()`. False from
+    /// sf ≈ 1,432 up.
+    pub fn keys_fit_i32(&self) -> bool {
+        self.orders_rows() <= i32::MAX as usize
+    }
+}
+
+/// `n` foreign keys drawn uniformly from `0..n_parent`: the `i64` draws of
+/// [`apq_columnar::datagen::fk_uniform`], one at a time, so each is narrowed
+/// as it is drawn.
+fn fk_draws(n: usize, n_parent: usize, seed: u64) -> impl Iterator<Item = i64> {
+    assert!(n_parent > 0, "parent table must not be empty");
+    let mut r = rng(seed);
+    (0..n).map(move |_| r.gen_range(0..n_parent as i64))
+}
+
+/// A key stored at 32 bits; [`generate`] has checked that the scale's keys
+/// fit.
+fn narrow(key: i64) -> i32 {
+    i32::try_from(key).expect("the scale's keys fit an i32")
+}
+
+/// `n` uniform foreign keys into a parent of `n_parent` rows, as `Int32`.
+fn fk_keys(n: usize, n_parent: usize, seed: u64) -> Vec<i32> {
+    fk_draws(n, n_parent, seed).map(narrow).collect()
+}
+
+/// The dense keys `0..n` (a table's primary key), as `Int32`.
+fn sequential_keys(n: usize) -> Vec<i32> {
+    (0..n as i64).map(narrow).collect()
 }
 
 /// TPC-H string domains used by the evaluated predicates.
@@ -156,9 +192,9 @@ fn lineitem(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let receiptdate: Vec<i32> = shipdate.iter().map(|&d| d + r.gen_range(1..30)).collect();
 
     TableBuilder::new("lineitem")
-        .i64_column("l_orderkey", fk_uniform(n, orders, seed ^ 0x21))
-        .i64_column("l_partkey", fk_uniform(n, parts, seed ^ 0x22))
-        .i64_column("l_suppkey", fk_uniform(n, suppliers, seed ^ 0x23))
+        .i32_column("l_orderkey", fk_keys(n, orders, seed ^ 0x21))
+        .i32_column("l_partkey", fk_keys(n, parts, seed ^ 0x22))
+        .i32_column("l_suppkey", fk_keys(n, suppliers, seed ^ 0x23))
         .i64_column("l_quantity", uniform_i64(n, 1, 51, seed ^ 0x24))
         .i64_column("l_extendedprice", prices_decimal2(n, 900.0, 105_000.0, seed ^ 0x25))
         .i64_column("l_discount", uniform_i64(n, 0, 11, seed ^ 0x26))
@@ -179,13 +215,12 @@ fn orders(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let date_max = days_from_civil(1998, 8, 2);
     // Like TPC-H, a third of the customers never place an order (dbgen skips
     // custkeys divisible by three); Q22's anti-join depends on this.
-    let custkeys: Vec<i64> = fk_uniform(n, customers, seed ^ 0x31)
-        .into_iter()
-        .map(|k| if k % 3 == 0 { (k + 1) % customers as i64 } else { k })
+    let custkeys: Vec<i32> = fk_draws(n, customers, seed ^ 0x31)
+        .map(|k| narrow(if k % 3 == 0 { (k + 1) % customers as i64 } else { k }))
         .collect();
     TableBuilder::new("orders")
-        .i64_column("o_orderkey", sequential_i64(n))
-        .i64_column("o_custkey", custkeys)
+        .i32_column("o_orderkey", sequential_keys(n))
+        .i32_column("o_custkey", custkeys)
         .i32_column("o_orderdate", apq_columnar::datagen::dates(n, date_min, date_max, seed ^ 0x32))
         .column("o_orderpriority", uniform_strings(n, &domains::ORDER_PRIORITIES, seed ^ 0x33))
         .i64_column("o_totalprice", prices_decimal2(n, 800.0, 500_000.0, seed ^ 0x34))
@@ -196,7 +231,7 @@ fn orders(scale: &TpchScale, seed: u64) -> Arc<Table> {
 fn part(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let n = scale.part_rows();
     TableBuilder::new("part")
-        .i64_column("p_partkey", sequential_i64(n))
+        .i32_column("p_partkey", sequential_keys(n))
         .column("p_type", p_types(n, seed ^ 0x41))
         .column("p_brand", p_brands(n, seed ^ 0x42))
         .column("p_container", uniform_strings(n, &domains::CONTAINERS, seed ^ 0x43))
@@ -209,8 +244,8 @@ fn part(scale: &TpchScale, seed: u64) -> Arc<Table> {
 fn customer(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let n = scale.customer_rows();
     TableBuilder::new("customer")
-        .i64_column("c_custkey", sequential_i64(n))
-        .i64_column("c_nationkey", uniform_i64(n, 0, scale.nation_rows() as i64, seed ^ 0x51))
+        .i32_column("c_custkey", sequential_keys(n))
+        .i32_column("c_nationkey", fk_keys(n, scale.nation_rows(), seed ^ 0x51))
         .i64_column("c_acctbal", prices_decimal2(n, -999.99, 9_999.99, seed ^ 0x52))
         .column("c_cntrycode", uniform_strings(n, &domains::COUNTRY_CODES, seed ^ 0x53))
         .build()
@@ -220,8 +255,8 @@ fn customer(scale: &TpchScale, seed: u64) -> Arc<Table> {
 fn supplier(scale: &TpchScale, seed: u64) -> Arc<Table> {
     let n = scale.supplier_rows();
     TableBuilder::new("supplier")
-        .i64_column("s_suppkey", sequential_i64(n))
-        .i64_column("s_nationkey", uniform_i64(n, 0, scale.nation_rows() as i64, seed ^ 0x61))
+        .i32_column("s_suppkey", sequential_keys(n))
+        .i32_column("s_nationkey", fk_keys(n, scale.nation_rows(), seed ^ 0x61))
         .i64_column("s_acctbal", prices_decimal2(n, -999.99, 9_999.99, seed ^ 0x62))
         .build()
         .expect("supplier columns are equally long")
@@ -230,15 +265,20 @@ fn supplier(scale: &TpchScale, seed: u64) -> Arc<Table> {
 fn nation(scale: &TpchScale) -> Arc<Table> {
     let n = scale.nation_rows();
     TableBuilder::new("nation")
-        .i64_column("n_nationkey", sequential_i64(n))
+        .i32_column("n_nationkey", sequential_keys(n))
         .str_column("n_name", domains::NATIONS[..n].to_vec())
-        .i64_column("n_regionkey", (0..n as i64).map(|v| v % 5).collect())
+        .i32_column("n_regionkey", (0..n as i64).map(|v| narrow(v % 5)).collect())
         .build()
         .expect("nation columns are equally long")
 }
 
 /// Generates the full TPC-H-like catalog for the given scale factor and seed.
+///
+/// # Panics
+/// Panics, before generating anything, when the scale's keys do not fit the
+/// `Int32` key columns ([`TpchScale::keys_fit_i32`]).
 pub fn generate(scale: TpchScale, seed: u64) -> Arc<Catalog> {
+    assert!(scale.keys_fit_i32(), "sf {} has keys past i32::MAX", scale.sf);
     let mut catalog = Catalog::new();
     catalog.register(lineitem(&scale, seed));
     catalog.register(orders(&scale, seed.wrapping_add(1)));
@@ -286,15 +326,77 @@ mod tests {
         }
 
         // Foreign keys reference valid parent rows.
-        let orders_rows = cat.table("orders").unwrap().row_count() as i64;
-        let ok = column(&cat, "lineitem", "l_orderkey").i64_values().unwrap();
+        let orders_rows = cat.table("orders").unwrap().row_count() as i32;
+        let ok = column(&cat, "lineitem", "l_orderkey").i32_values().unwrap();
         assert!(ok.iter().all(|&v| v >= 0 && v < orders_rows));
-        let parts_rows = cat.table("part").unwrap().row_count() as i64;
-        let pk = column(&cat, "lineitem", "l_partkey").i64_values().unwrap();
+        let parts_rows = cat.table("part").unwrap().row_count() as i32;
+        let pk = column(&cat, "lineitem", "l_partkey").i32_values().unwrap();
         assert!(pk.iter().all(|&v| v >= 0 && v < parts_rows));
         // o_orderkey and p_partkey are dense row ids.
-        assert_eq!(column(&cat, "orders", "o_orderkey").i64_values().unwrap()[5], 5);
-        assert_eq!(column(&cat, "part", "p_partkey").i64_values().unwrap()[7], 7);
+        assert_eq!(column(&cat, "orders", "o_orderkey").i32_values().unwrap()[5], 5);
+        assert_eq!(column(&cat, "part", "p_partkey").i32_values().unwrap()[7], 7);
+    }
+
+    /// The twelve key columns as the `Int64` generator drew them: the same
+    /// draws, in the same order, from the same seeds.
+    fn int64_keys(scale: &TpchScale, seed: u64) -> Vec<(&'static str, &'static str, Vec<i64>)> {
+        use apq_columnar::datagen::{fk_uniform, sequential_i64};
+        let (li, ord, customers) = (seed, seed.wrapping_add(1), scale.customer_rows());
+        let nations = scale.nation_rows() as i64;
+        let custkeys = fk_uniform(scale.orders_rows(), customers, ord ^ 0x31)
+            .into_iter()
+            .map(|k| if k % 3 == 0 { (k + 1) % customers as i64 } else { k })
+            .collect();
+        let n = scale.lineitem_rows();
+        vec![
+            ("lineitem", "l_orderkey", fk_uniform(n, scale.orders_rows(), li ^ 0x21)),
+            ("lineitem", "l_partkey", fk_uniform(n, scale.part_rows(), li ^ 0x22)),
+            ("lineitem", "l_suppkey", fk_uniform(n, scale.supplier_rows(), li ^ 0x23)),
+            ("orders", "o_orderkey", sequential_i64(scale.orders_rows())),
+            ("orders", "o_custkey", custkeys),
+            ("part", "p_partkey", sequential_i64(scale.part_rows())),
+            ("customer", "c_custkey", sequential_i64(customers)),
+            (
+                "customer",
+                "c_nationkey",
+                uniform_i64(customers, 0, nations, seed.wrapping_add(3) ^ 0x51),
+            ),
+            ("supplier", "s_suppkey", sequential_i64(scale.supplier_rows())),
+            (
+                "supplier",
+                "s_nationkey",
+                uniform_i64(scale.supplier_rows(), 0, nations, seed.wrapping_add(4) ^ 0x61),
+            ),
+            ("nation", "n_nationkey", sequential_i64(scale.nation_rows())),
+            ("nation", "n_regionkey", (0..nations).map(|v| v % 5).collect()),
+        ]
+    }
+
+    #[test]
+    fn key_columns_are_int32_and_equal_the_int64_draws() {
+        let scale = TpchScale::new(0.01);
+        for seed in [2016, 4242] {
+            let cat = generate(scale, seed);
+            for (table, name, expected) in int64_keys(&scale, seed) {
+                let keys = column(&cat, table, name);
+                assert_eq!(keys.data_type(), apq_columnar::DataType::Int32, "{name}");
+                let widened: Vec<i64> =
+                    keys.i32_values().unwrap().iter().map(|&v| i64::from(v)).collect();
+                assert_eq!(widened, expected, "{name}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_fit_i32_up_to_sf_1431() {
+        // Row arithmetic only: no data is generated.
+        for (sf, fits) in [(1.0, true), (1_000.0, true), (1_431.0, true), (1_432.0, false)] {
+            assert_eq!(TpchScale::new(sf).keys_fit_i32(), fits, "sf {sf}");
+        }
+        let last = TpchScale::new(1_431.0);
+        assert!(last.orders_rows() <= i32::MAX as usize);
+        assert!(TpchScale::new(1_432.0).orders_rows() > i32::MAX as usize);
+        assert!(last.part_rows() < last.orders_rows() && last.customer_rows() < last.orders_rows());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! a synthetic database with the same schema shape (fact table `lineitem`
 //! plus `orders`, `part`, `customer`, `supplier`, `nation`), uniform value
 //! distributions (TPC-H "has uniformly distributed data", §4.2.1), realistic
-//! foreign keys and the string domains the evaluated predicates rely on
+//! foreign keys (every key column `Int32`, as TPC-H's identifier type allows)
+//! and the string domains the evaluated predicates rely on
 //! (`p_type` prefixes for Q14, ship modes for Q19, ...). Row counts scale
 //! linearly with the scale factor exactly as in TPC-H (`lineitem ≈ 6 M × SF`).
 

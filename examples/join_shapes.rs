@@ -5,8 +5,9 @@
 //! Keys come from the seeded generators the TPC-H datagen uses
 //! (`columnar::datagen`, xoshiro seeded through SplitMix64) with TPC-H's
 //! cardinalities (200 k parts, 10 k suppliers, 1.5 M orders, 150 k
-//! customers); every probe runs over 64Ki-row windows of its outer column,
-//! as a morsel or a partition clone does. Times are the best of five passes.
+//! customers), stored as `Int32` like the datagen's key columns; every probe
+//! runs over 64Ki-row windows of its outer column, as a morsel or a
+//! partition clone does. Times are the best of five passes.
 //!
 //! ```text
 //! cargo run --release --example join_shapes
@@ -36,18 +37,21 @@ const SUPPLIERS: usize = 10_000;
 const ORDERS: usize = 1_500_000;
 const CUSTOMERS: usize = 150_000;
 
+/// An `Int32` key column of `keys`, each of which fits.
+fn key_column(keys: impl IntoIterator<Item = i64>) -> Column {
+    Column::from_i32(keys.into_iter().map(|k| i32::try_from(k).expect("a TPC-H key")).collect())
+}
+
 /// `rows` foreign keys drawn uniformly from `0..n`.
 fn uniform(rows: usize, n: usize, seed: u64) -> Column {
-    Column::from_i64(datagen::fk_uniform(rows, n, seed))
+    key_column(datagen::fk_uniform(rows, n, seed))
 }
 
 /// The keys of `0..n` a filter keeping `per_mille` in a thousand lets through,
 /// ascending — a dimension's key column fetched through a selection.
 fn subset(n: usize, per_mille: i64, seed: u64) -> Column {
     let draws = datagen::uniform_i64(n, 0, 1000, seed);
-    Column::from_i64(
-        (0..n as i64).zip(draws).filter(|&(_, d)| d < per_mille).map(|(k, _)| k).collect(),
-    )
+    key_column((0..n as i64).zip(draws).filter(|&(_, d)| d < per_mille).map(|(k, _)| k))
 }
 
 #[derive(Clone, Copy)]
@@ -67,12 +71,15 @@ struct Shape {
 }
 
 fn shapes(seed: u64) -> Vec<Shape> {
-    let dense = |n: usize| Column::from_i64(datagen::sequential_i64(n));
+    let dense = |n: usize| key_column(datagen::sequential_i64(n));
     // Like dbgen, a third of the customers never place an order.
-    let o_custkey = datagen::fk_uniform(ORDERS, CUSTOMERS, seed)
-        .into_iter()
-        .map(|k| if k % 3 == 0 { (k + 1) % CUSTOMERS as i64 } else { k })
-        .collect();
+    let o_custkey = datagen::fk_uniform(ORDERS, CUSTOMERS, seed).into_iter().map(|k| {
+        if k % 3 == 0 {
+            (k + 1) % CUSTOMERS as i64
+        } else {
+            k
+        }
+    });
     vec![
         Shape {
             name: "Q9 lineitem x part(%BRUSHED%)",
@@ -111,7 +118,7 @@ fn shapes(seed: u64) -> Vec<Shape> {
         },
         Shape {
             name: "Q22 customer anti orders",
-            build: Column::from_i64(o_custkey),
+            build: key_column(o_custkey),
             outer: subset(CUSTOMERS, 255, seed ^ 9),
             flavour: Flavour::Anti,
             directory: "bits",
@@ -147,13 +154,13 @@ fn probe_pass(table: &JoinHashTable, outer: &Column, flavour: Flavour) -> usize 
 
 /// What a nested map says `probe_pass` must count.
 fn reference_pairs(shape: &Shape) -> usize {
-    let build = shape.build.i64_values().expect("shapes are Int64");
-    let outer = shape.outer.i64_values().expect("shapes are Int64");
-    let mut copies: HashMap<i64, usize> = HashMap::new();
+    let build = shape.build.i32_values().expect("shapes are Int32");
+    let outer = shape.outer.i32_values().expect("shapes are Int32");
+    let mut copies: HashMap<i32, usize> = HashMap::new();
     for &k in build {
         *copies.entry(k).or_default() += 1;
     }
-    let of = |k: &i64| copies.get(k).copied().unwrap_or(0);
+    let of = |k: &i32| copies.get(k).copied().unwrap_or(0);
     match shape.flavour {
         Flavour::Inner => outer.iter().map(of).sum(),
         Flavour::Semi => outer.iter().filter(|k| of(k) > 0).count(),
