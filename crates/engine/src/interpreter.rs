@@ -5,7 +5,7 @@
 //! interpreter's body: it dispatches an [`OperatorSpec`] over the input
 //! [`Chunk`]s and materializes the output chunk. It is a pure function —
 //! all scheduling, profiling and threading lives in the executor, which
-//! also cuts each input to its plan edge's row window before calling it.
+//! hands it each streamed input one piece (a window of a part) at a time.
 
 use std::sync::Arc;
 

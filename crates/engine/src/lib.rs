@@ -5,8 +5,8 @@
 //!
 //! * [`plan`] — the dataflow plan DAG ([`Plan`], [`OperatorSpec`]) in which
 //!   "identification of individual expensive operators" is possible, plus the
-//!   per-operator metadata (partitionable inputs, combiner kind) the plan
-//!   mutations rely on;
+//!   per-operator metadata (aligned inputs, whether a node can run in
+//!   parts) and the cuts the plan mutations set;
 //! * [`chunk`] — materialized intermediates flowing along plan edges;
 //! * [`interpreter`] — executes one operator over its inputs;
 //! * [`executor`] — the shared worker pool, the admission census and the
@@ -21,8 +21,9 @@
 //!   plus one shared injector), per-query scheduling state
 //!   ([`QueryHandle`]: admitted DOP, cancellation, deadline) and per-worker
 //!   dispatch counters;
-//! * [`profiler`] — per-operator execution feedback (time, worker, memory
-//!   claim) and query-level multi-core-utilization metrics;
+//! * [`profiler`] — per-operator execution feedback (one record per task:
+//!   its range, start, time and worker) and query-level
+//!   multi-core-utilization metrics;
 //! * [`fault`] — the deterministic chaos layer and the engine's one
 //!   injected-latency mechanism: seeded injection of operator delays,
 //!   operator panics and spurious cancellations, each keyed on its
@@ -30,8 +31,8 @@
 //!   reproducible byte-for-byte from a seed;
 //! * [`service`] — the long-lived production query service: sessions with
 //!   per-session submission queues, unified admission (a ticket *is* a
-//!   registry reservation whose DOP share follows the census) and shared
-//!   plan/result caches ([`QueryService`], [`Session`]).
+//!   registry reservation whose DOP share follows the census) and a shared
+//!   result cache ([`QueryService`], [`Session`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

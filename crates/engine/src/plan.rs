@@ -442,8 +442,8 @@ impl Plan {
     /// the encoding includes every operator parameter (predicate constants,
     /// scanned columns) and every cut, so "same shape, different constants"
     /// never collides.
-    /// This is the cache key of the service layer's shared plan and result
-    /// caches ([`crate::service`]).
+    /// This is the key of the service layer's result cache
+    /// ([`crate::service`]).
     pub fn signature(&self) -> String {
         let mut out = String::new();
         for (id, node) in self.nodes.iter().enumerate() {
@@ -677,7 +677,7 @@ mod tests {
         let signatures = [&whole, &halves, &thirds, &adopting, &morsels].map(Plan::signature);
         for (i, a) in signatures.iter().enumerate() {
             for b in &signatures[i + 1..] {
-                assert_ne!(a, b, "the plan cache would mix up two cuts");
+                assert_ne!(a, b, "the result cache would mix up two cuts");
             }
         }
         assert!(signatures[1].contains("1:Select") && signatures[1].contains("<-[0] cut at [4];"));

@@ -1,38 +1,32 @@
-//! Shared caches of the query service: a plan cache keyed on plan shape
-//! and a bounded result cache with explicit invalidation.
+//! The query service's one cache: a bounded result cache with explicit
+//! invalidation.
 //!
-//! Both caches key on [`Plan::signature`] — the canonical structural
-//! encoding of the DAG including every operator parameter — so two clients
-//! building "the same query" hit the same entry while "same shape,
-//! different constants" never collides.
+//! It keys on [`crate::Plan::signature`] — the canonical structural
+//! encoding of the DAG including every operator parameter and every cut —
+//! so two clients building "the same query" hit the same entry while "same
+//! shape, different constants" never collides.
 //!
-//! **Keying rules** (also documented in `docs/architecture.md` §8):
+//! **Keying rules** (also documented in `docs/architecture.md` §8.3):
+//! `signature → (QueryOutput, referenced tables)`. A hit returns the stored
+//! output without touching the engine, so it is only correct while the
+//! underlying tables are unchanged — any mutation must call
+//! [`ResultCache::invalidate_table`] (or swap the catalog, which
+//! invalidates everything), and an output computed from a catalog that was
+//! swapped out while it ran is never stored ([`ResultCache::insert`]).
+//! A miss executes its own clone of the plan (`docs/architecture.md` §8.3
+//! says why plans are not cached).
 //!
-//! * plan cache: `signature → Arc<Plan>`. A hit skips the deep plan clone
-//!   of a cold submission — not validation, which
-//!   [`crate::Engine::execute_with_handle`] runs on every submission — and
-//!   executes via the engine's shared-plan path
-//!   ([`crate::Engine::execute_shared`] style);
-//!   results are byte-identical by construction since the *same* plan
-//!   object is executed.
-//! * result cache: `signature → (QueryOutput, referenced tables)`. A hit
-//!   returns the stored output without touching the engine, so it is only
-//!   correct while the underlying tables are unchanged — any mutation must
-//!   call [`ResultCache::invalidate_table`] (or swap the catalog, which
-//!   invalidates everything).
-//!
-//! Both caches are bounded: insertion beyond capacity evicts the least
+//! The cache is bounded: insertion beyond capacity evicts the least
 //! recently *used* entry (lookups refresh recency).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::chunk::QueryOutput;
-use crate::plan::Plan;
 use crate::sync::lock;
 
-/// A bounded map with least-recently-used eviction, shared by both caches.
+/// A bounded map with least-recently-used eviction.
 /// Recency is tracked in a `VecDeque` of keys (front = coldest); `get`
 /// refreshes, `insert` evicts from the front once full.
 struct LruMap<V> {
@@ -95,33 +89,6 @@ impl<V> LruMap<V> {
     }
 }
 
-/// Shared plan cache: plan signature → [`Arc<Plan>`]. Bounded, LRU.
-pub(crate) struct PlanCache {
-    entries: Mutex<LruMap<Arc<Plan>>>,
-}
-
-impl PlanCache {
-    pub(crate) fn new(capacity: usize) -> Self {
-        PlanCache { entries: Mutex::new(LruMap::new(capacity)) }
-    }
-
-    /// Returns the cached shared plan for `signature`, or inserts one built
-    /// by cloning `plan`. The boolean is `true` on a hit.
-    pub(crate) fn get_or_insert(&self, signature: &str, plan: &Plan) -> (Arc<Plan>, bool) {
-        let mut entries = lock(&self.entries);
-        if let Some(shared) = entries.get(signature) {
-            return (Arc::clone(shared), true);
-        }
-        let shared = Arc::new(plan.clone());
-        entries.insert(signature.to_string(), Arc::clone(&shared));
-        (shared, false)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        lock(&self.entries).len()
-    }
-}
-
 /// One stored result: the output plus the tables it was computed from
 /// (the invalidation keys).
 struct CachedResult {
@@ -144,8 +111,21 @@ impl ResultCache {
         lock(&self.entries).get(signature).map(|r| r.output.clone())
     }
 
-    pub(crate) fn insert(&self, signature: String, output: QueryOutput, tables: Vec<String>) {
-        lock(&self.entries).insert(signature, CachedResult { output, tables });
+    /// Stores `output` unless `current`, asked under the cache's lock,
+    /// says the data it was computed from has been replaced meanwhile. A
+    /// replacement that clears the cache after it swapped the data thus
+    /// either is seen here or clears this entry.
+    pub(crate) fn insert(
+        &self,
+        signature: String,
+        output: QueryOutput,
+        tables: Vec<String>,
+        current: impl FnOnce() -> bool,
+    ) {
+        let mut entries = lock(&self.entries);
+        if current() {
+            entries.insert(signature, CachedResult { output, tables });
+        }
     }
 
     /// Drops every entry computed from `table`; returns how many.
@@ -175,11 +155,11 @@ mod tests {
     #[test]
     fn lru_evicts_coldest_and_lookups_refresh() {
         let cache = ResultCache::new(2);
-        cache.insert("a".into(), out(1), vec![]);
-        cache.insert("b".into(), out(2), vec![]);
+        cache.insert("a".into(), out(1), vec![], || true);
+        cache.insert("b".into(), out(2), vec![], || true);
         // Touch `a` so `b` is the coldest entry, then overflow.
         assert!(cache.get("a").is_some());
-        cache.insert("c".into(), out(3), vec![]);
+        cache.insert("c".into(), out(3), vec![], || true);
         assert_eq!(cache.len(), 2);
         assert!(cache.get("b").is_none(), "coldest entry was evicted");
         assert!(cache.get("a").is_some());
@@ -189,8 +169,8 @@ mod tests {
     #[test]
     fn reinserting_a_key_does_not_grow_the_cache() {
         let cache = ResultCache::new(2);
-        cache.insert("a".into(), out(1), vec![]);
-        cache.insert("a".into(), out(2), vec![]);
+        cache.insert("a".into(), out(1), vec![], || true);
+        cache.insert("a".into(), out(2), vec![], || true);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get("a"), Some(out(2)));
     }
@@ -198,7 +178,7 @@ mod tests {
     #[test]
     fn zero_capacity_caches_nothing() {
         let cache = ResultCache::new(0);
-        cache.insert("a".into(), out(1), vec![]);
+        cache.insert("a".into(), out(1), vec![], || true);
         assert_eq!(cache.len(), 0);
         assert!(cache.get("a").is_none());
     }
@@ -206,9 +186,9 @@ mod tests {
     #[test]
     fn table_invalidation_is_selective() {
         let cache = ResultCache::new(8);
-        cache.insert("q1".into(), out(1), vec!["orders".into()]);
-        cache.insert("q2".into(), out(2), vec!["orders".into(), "lineitem".into()]);
-        cache.insert("q3".into(), out(3), vec!["part".into()]);
+        cache.insert("q1".into(), out(1), vec!["orders".into()], || true);
+        cache.insert("q2".into(), out(2), vec!["orders".into(), "lineitem".into()], || true);
+        cache.insert("q3".into(), out(3), vec!["part".into()], || true);
         assert_eq!(cache.invalidate_table("orders"), 2);
         assert!(cache.get("q1").is_none());
         assert!(cache.get("q2").is_none());

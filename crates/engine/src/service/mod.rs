@@ -18,9 +18,9 @@
 //!   close/cancel semantics — closing a session cancels its
 //!   running query and fails later submissions with
 //!   [`crate::EngineError::SessionClosed`].
-//! * **Shared caches.** A plan cache keyed on [`crate::Plan::signature`] (reusing
-//!   the `Arc<Plan>` shared-execution path) and a bounded result cache
-//!   with explicit per-table invalidation. Keying rules live in
+//! * **One shared cache.** A bounded result cache keyed on
+//!   [`crate::Plan::signature`], with explicit per-table invalidation; a
+//!   miss executes its own copy of the plan. Keying rules live in
 //!   `cache.rs`'s module docs and `docs/architecture.md` §8.
 //!
 //! ```text
@@ -30,8 +30,6 @@
 //!                   │
 //!        result cache ──hit──► ServiceResponse (no engine work)
 //!                   │miss
-//!         plan cache (signature → Arc<Plan>)
-//!                   │
 //!      Engine::reserve_admitted ─────────┐ one registry lock:
 //!        (ticket = census entry,         │ census ∪ {self} = n,
 //!         admit dop = equal share)       │ everyone ← max(1, workers/n)
@@ -40,7 +38,9 @@
 //!                   │
 //!        reservation drops ──► survivors ← max(1, workers/(n−1))
 //!                   │
-//!        result cache insert → ServiceResponse
+//!        result cache insert (if the catalog was not swapped meanwhile)
+//!                   │
+//!             ServiceResponse
 //! ```
 
 pub(crate) mod cache;
@@ -57,7 +57,7 @@ use crate::profiler::QueryProfile;
 use crate::sync::lock;
 use crate::QueryOutput;
 
-use cache::{PlanCache, ResultCache};
+use cache::ResultCache;
 pub use session::Session;
 use session::WaiterRegistry;
 
@@ -67,7 +67,12 @@ pub struct ServiceConfig {
     /// Configuration of the service-owned engine (workers, fault
     /// injection).
     pub engine: EngineConfig,
-    /// Plan-cache capacity in entries (`0` disables the plan cache).
+    /// Ignored, and always `0`: the plan cache is gone
+    /// (`docs/architecture.md` §8.3). Kept only because
+    /// `benchmark/src/sut.rs` reads it and may not be edited outside a
+    /// `[benchmark]` PR; the next one drops it with the
+    /// `service.plan_cache_hit_ratio` rung.
+    #[doc(hidden)]
     pub plan_cache_capacity: usize,
     /// Result-cache capacity in entries (`0` disables the result cache).
     pub result_cache_capacity: usize,
@@ -83,7 +88,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            plan_cache_capacity: 256,
+            plan_cache_capacity: 0,
             result_cache_capacity: 128,
             max_queued: 0,
         }
@@ -96,9 +101,11 @@ impl ServiceConfig {
         ServiceConfig { engine, ..ServiceConfig::default() }
     }
 
-    /// Sets the plan-cache capacity (`0` disables it).
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
+    /// Ignored: the plan cache is gone. Kept only because
+    /// `benchmark/src/sut.rs` calls it; the next `[benchmark]` PR drops it
+    /// with [`ServiceConfig::plan_cache_capacity`].
+    #[doc(hidden)]
+    pub fn with_plan_cache_capacity(self, _: usize) -> Self {
         self
     }
 
@@ -132,8 +139,6 @@ pub struct ServiceResponse {
     /// The execution profile; `None` when the result was served from the
     /// result cache (nothing executed).
     pub profile: Option<QueryProfile>,
-    /// True when the submission reused a cached shared plan.
-    pub plan_cache_hit: bool,
     /// True when the output was served from the result cache.
     pub result_cache_hit: bool,
 }
@@ -151,9 +156,15 @@ pub struct ServiceStats {
     pub result_cache_hits: u64,
     /// Submissions that missed the result cache.
     pub result_cache_misses: u64,
-    /// Executions that reused a cached shared plan.
+    /// Always `0`, like `plan_cache_misses`: the plan cache is gone. Kept
+    /// only because the benchmark reads both through `benchmark/src/sut.rs`'s
+    /// `ServiceStats`; the next `[benchmark]` PR drops them with
+    /// [`ServiceConfig::plan_cache_capacity`].
+    #[doc(hidden)]
     pub plan_cache_hits: u64,
-    /// Executions that populated the plan cache.
+    /// Always `0`; kept for `benchmark/src/sut.rs` until the next
+    /// `[benchmark]` PR, like `plan_cache_hits`.
+    #[doc(hidden)]
     pub plan_cache_misses: u64,
     /// Result-cache entries dropped by explicit invalidation.
     pub results_invalidated: u64,
@@ -178,8 +189,6 @@ struct StatCounters {
     queries: AtomicU64,
     result_cache_hits: AtomicU64,
     result_cache_misses: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
     results_invalidated: AtomicU64,
     timed_out: AtomicU64,
     shed: AtomicU64,
@@ -191,7 +200,6 @@ pub(crate) struct ServiceInner {
     pub(crate) config: ServiceConfig,
     /// The served catalog; swap with [`QueryService::replace_catalog`].
     catalog: Mutex<Arc<Catalog>>,
-    pub(crate) plan_cache: PlanCache,
     pub(crate) result_cache: ResultCache,
     /// Service-wide count of submissions waiting for their session's turn
     /// — the population [`ServiceConfig::max_queued`] bounds.
@@ -215,11 +223,6 @@ impl ServiceInner {
     pub(crate) fn count_result_cache(&self, hit: bool) {
         let counter =
             if hit { &self.stats.result_cache_hits } else { &self.stats.result_cache_misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_plan_cache(&self, hit: bool) {
-        let counter = if hit { &self.stats.plan_cache_hits } else { &self.stats.plan_cache_misses };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -255,10 +258,10 @@ impl ServiceInner {
 }
 
 /// The long-lived query service: owns an [`Engine`] and a catalog, hands
-/// out [`Session`]s, and shares the plan/result caches across them.
+/// out [`Session`]s, and shares the result cache across them.
 ///
 /// Cloning the service is cheap (shared state); all clones serve the same
-/// engine, caches and counters.
+/// engine, cache and counters.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -309,7 +312,6 @@ impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
             .field("engine", &self.inner.engine)
-            .field("plan_cache", &self.inner.plan_cache.len())
             .field("result_cache", &self.inner.result_cache.len())
             .finish()
     }
@@ -324,7 +326,6 @@ impl QueryService {
             inner: Arc::new(ServiceInner {
                 engine,
                 catalog: Mutex::new(catalog),
-                plan_cache: PlanCache::new(config.plan_cache_capacity),
                 result_cache: ResultCache::new(config.result_cache_capacity),
                 waiters: WaiterRegistry::default(),
                 latency_ewma_us: AtomicU64::new(0),
@@ -367,7 +368,10 @@ impl QueryService {
     }
 
     /// Swaps the served catalog. All cached results are invalidated — they
-    /// were computed from the old data.
+    /// were computed from the old data — and a query still running on the
+    /// old catalog does not cache its result. The swap comes before the
+    /// clear: an insert checks the served catalog under the cache's lock, so
+    /// it either sees the swap or is cleared with the rest.
     pub fn replace_catalog(&self, catalog: Arc<Catalog>) {
         *lock(&self.inner.catalog) = catalog;
         self.invalidate_results();
@@ -386,11 +390,6 @@ impl QueryService {
         let dropped = self.inner.result_cache.invalidate_all();
         self.inner.stats.results_invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
-    }
-
-    /// Number of entries currently held by the plan cache.
-    pub fn plan_cache_len(&self) -> usize {
-        self.inner.plan_cache.len()
     }
 
     /// Number of entries currently held by the result cache.
@@ -413,12 +412,51 @@ impl QueryService {
             queries: s.queries.load(Ordering::Relaxed),
             result_cache_hits: s.result_cache_hits.load(Ordering::Relaxed),
             result_cache_misses: s.result_cache_misses.load(Ordering::Relaxed),
-            plan_cache_hits: s.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: s.plan_cache_misses.load(Ordering::Relaxed),
+            plan_cache_hits: 0,
+            plan_cache_misses: 0,
             results_invalidated: s.results_invalidated.load(Ordering::Relaxed),
             timed_out: s.timed_out.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
             partials_reused: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use apq_columnar::{ScalarValue, TableBuilder};
+    use apq_operators::AggFunc;
+
+    use crate::plan::{OperatorSpec, Plan};
+
+    use super::*;
+
+    #[test]
+    fn the_plan_cache_link_compat_survivors_are_inert() {
+        let mut catalog = Catalog::new();
+        catalog
+            .register(TableBuilder::new("t").i64_column("v", (0..100).collect()).build().unwrap());
+        let catalog = Arc::new(catalog);
+        let mut plan = Plan::new();
+        let scan =
+            plan.add(OperatorSpec::ScanColumn { table: "t".into(), column: "v".into() }, vec![]);
+        let agg = plan.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![scan]);
+        let fin = plan.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
+        plan.set_root(fin);
+        for capacity in [0, 1, 256] {
+            let config = ServiceConfig::with_engine(EngineConfig::with_workers(2))
+                .with_result_cache_capacity(0)
+                .with_plan_cache_capacity(capacity);
+            assert_eq!(config.plan_cache_capacity, 0, "the capacity is ignored");
+            let service = QueryService::new(config, Arc::clone(&catalog));
+            let session = service.connect();
+            for _ in 0..3 {
+                let response = session.submit(&plan).unwrap();
+                assert_eq!(response.output, QueryOutput::Scalar(ScalarValue::I64(4_950)));
+            }
+            let stats = service.stats();
+            assert_eq!(stats.queries, 3);
+            assert_eq!((stats.plan_cache_hits, stats.plan_cache_misses), (0, 0));
         }
     }
 }

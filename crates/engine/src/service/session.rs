@@ -315,18 +315,11 @@ impl Session {
         let signature = plan.signature();
         if let Some(output) = service.result_cache.get(&signature) {
             service.count_result_cache(true);
-            return Ok(ServiceResponse {
-                output,
-                profile: None,
-                plan_cache_hit: false,
-                result_cache_hit: true,
-            });
+            return Ok(ServiceResponse { output, profile: None, result_cache_hit: true });
         }
         service.count_result_cache(false);
 
-        let (shared, plan_cache_hit) = service.plan_cache.get_or_insert(&signature, plan);
-        service.count_plan_cache(plan_cache_hit);
-
+        let owned = Arc::new(plan.clone());
         let catalog = service.catalog();
         let started = Instant::now();
         // Unified admission: the reservation is the ticket AND the census
@@ -338,7 +331,7 @@ impl Session {
             handle.set_deadline(left);
         }
         turn.start(&handle);
-        let execution = service.engine.execute_with_handle(&shared, &catalog, Arc::clone(&handle));
+        let execution = service.engine.execute_with_handle(&owned, &catalog, Arc::clone(&handle));
         drop(reservation);
         service.record_latency(started.elapsed());
         let execution = match execution {
@@ -354,18 +347,19 @@ impl Session {
         // Never publish a result whose query ended cancelled or past its
         // deadline — a racing close/expiry after the last checkpoint could
         // otherwise pin a half-trusted output in the cache and serve it to
-        // the next identical submission.
+        // the next identical submission — nor one computed from a catalog
+        // that `replace_catalog` swapped out while the query ran.
         if !handle.is_cancelled() && !handle.deadline_exceeded() {
             service.result_cache.insert(
                 signature,
                 execution.output.clone(),
-                shared.referenced_tables(),
+                plan.referenced_tables(),
+                || Arc::ptr_eq(&catalog, &service.catalog()),
             );
         }
         Ok(ServiceResponse {
             output: execution.output,
             profile: Some(execution.profile),
-            plan_cache_hit,
             result_cache_hit: false,
         })
     }

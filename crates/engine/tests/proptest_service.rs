@@ -1,5 +1,5 @@
 //! Property test for the service layer: arbitrary interleavings of session
-//! submit / close / reconnect with cache churn (tiny cache bounds, explicit
+//! submit / close / reconnect with cache churn (a tiny cache bound, explicit
 //! invalidation) must never change a result — every successful submission
 //! returns exactly what a direct `Engine` execution of the same plan
 //! returns, and closed sessions only ever fail with `SessionClosed`.
@@ -44,7 +44,7 @@ fn sum_plan(threshold: i64) -> Plan {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Random op sequences over 3 sessions × 3 plans with 2-entry caches:
+    /// Random op sequences over 3 sessions × 3 plans with a 2-entry cache:
     /// submissions (op 0–2), closes (op 3), reconnects (op 4) and
     /// table invalidation (op 5) interleave freely; results never drift
     /// from the direct-engine reference.
@@ -61,10 +61,9 @@ proptest! {
             .map(|&t| reference_engine.execute(&sum_plan(t), &cat).unwrap().output)
             .collect();
 
-        // Tiny caches so the op sequence constantly evicts and re-fills.
+        // A tiny cache so the op sequence constantly evicts and re-fills.
         let service = QueryService::new(
             ServiceConfig::with_engine(EngineConfig::with_workers(2))
-                .with_plan_cache_capacity(2)
                 .with_result_cache_capacity(2),
             Arc::clone(&cat),
         );

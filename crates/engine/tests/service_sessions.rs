@@ -1,6 +1,7 @@
 //! Service-layer behavior: session lifecycle, the unified admission path,
-//! and plan/result cache correctness (hits byte-identical to cold
-//! execution, bounds respected, invalidation selective).
+//! and result cache correctness (hits byte-identical to cold execution,
+//! bounds respected, invalidation selective, no result of a swapped-out
+//! catalog).
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -77,60 +78,42 @@ fn submissions_run_under_reserved_census_slots() {
 }
 
 #[test]
-fn plan_cache_hits_are_byte_identical_to_cold_execution() {
-    // Result cache off so the second submission re-executes through the
-    // cached shared plan instead of short-circuiting.
+fn uncached_repeats_re_execute_byte_identically_and_cuts_key_apart() {
+    // Result cache off: every submission executes its own copy of the plan.
     let svc = service(
         ServiceConfig::with_engine(EngineConfig::with_workers(2)).with_result_cache_capacity(0),
     );
     let session = svc.connect();
     let plan = sum_plan(777);
-
     let cold = session.submit(&plan).unwrap();
-    assert!(!cold.plan_cache_hit);
-    assert!(!cold.result_cache_hit);
+    let repeat = session.submit(&plan).unwrap();
+    assert!(!cold.result_cache_hit && !repeat.result_cache_hit);
+    assert!(repeat.profile.is_some(), "an uncached repeat executes");
+    assert_eq!(repeat.output, cold.output, "a repeat changed the result");
+    assert_eq!(cold.output, expected_sum(777));
 
-    let warm = session.submit(&plan).unwrap();
-    assert!(warm.plan_cache_hit, "second submission must reuse the cached plan");
-    assert!(!warm.result_cache_hit);
-    assert_eq!(warm.output, cold.output, "plan-cache hit changed the result");
-    assert!(warm.profile.is_some(), "plan-cache hits still execute");
-
-    let stats = svc.stats();
-    assert_eq!(stats.plan_cache_hits, 1);
-    assert_eq!(stats.plan_cache_misses, 1);
-    assert_eq!(svc.plan_cache_len(), 1);
-}
-
-#[test]
-fn plans_differing_only_in_cuts_are_cached_apart() {
-    // The plan cache keys on `Plan::signature`: a plan cut differently is
-    // another plan, whose cached copy must carry its own cuts.
-    let svc = service(
-        ServiceConfig::with_engine(EngineConfig::with_workers(2)).with_result_cache_capacity(0),
-    );
+    // The result cache keys on `Plan::signature`, which holds the cuts: a
+    // plan cut differently is another key, and runs with its own cuts.
+    let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
     let session = svc.connect();
-    let whole = sum_plan(777);
     let (select, fetch) = (2, 3);
-    let mut halves = whole.clone();
+    let mut halves = plan.clone();
     halves.node_mut(select).unwrap().cuts = Cuts::At(vec![5_000]);
     let mut adopting = halves.clone();
     adopting.node_mut(fetch).unwrap().cuts = Cuts::Adopt;
     // Morsels are cuts too: a plan cut into them is not the whole plan.
-    let morsels = whole.cut_into_morsels(1_000);
-    for plan in [&whole, &halves, &adopting, &morsels] {
+    let morsels = plan.cut_into_morsels(1_000);
+    let forms = [(&plan, (1, 1)), (&halves, (2, 1)), (&adopting, (2, 2)), (&morsels, (10, 10))];
+    for (plan, tasks) in forms {
         let cold = session.submit(plan).unwrap();
-        assert!(!cold.plan_cache_hit, "a plan cut differently hit another plan's entry");
+        assert!(!cold.result_cache_hit, "a plan cut differently hit another plan's entry");
         assert_eq!(cold.output, expected_sum(777));
+        let profile = cold.profile.expect("a miss executes");
+        let tasks_of = |node| profile.operator(node).unwrap().tasks.len();
+        assert_eq!((tasks_of(select), tasks_of(fetch)), tasks, "the executed plan lost its cuts");
+        assert!(session.submit(plan).unwrap().result_cache_hit);
     }
-    let profile = session.submit(&adopting).unwrap().profile.expect("plan-cache hits execute");
-    let tasks = |node| profile.operator(node).unwrap().tasks.len();
-    assert_eq!((tasks(select), tasks(fetch)), (2, 2), "the cached plan lost its cuts");
-    let profile = session.submit(&morsels).unwrap().profile.expect("plan-cache hits execute");
-    let tasks = |node| profile.operator(node).unwrap().tasks.len();
-    assert_eq!((tasks(select), tasks(fetch)), (10, 10), "the cached plan lost its morsels");
-    assert_eq!(svc.stats().plan_cache_hits, 2);
-    assert_eq!((svc.stats().plan_cache_misses, svc.plan_cache_len()), (4, 4));
+    assert_eq!(svc.result_cache_len(), 4);
 }
 
 #[test]
@@ -197,6 +180,31 @@ fn replacing_the_catalog_invalidates_results() {
     svc.replace_catalog(catalog_with(10_000, 3));
     let after = session.submit(&plan).unwrap();
     assert!(!after.result_cache_hit, "stale results must not survive a catalog swap");
+    assert_eq!(after.output, QueryOutput::Scalar(ScalarValue::I64((0..400).map(|v| v * 3).sum())));
+}
+
+#[test]
+fn a_catalog_swap_during_a_query_keeps_its_result_out_of_the_cache() {
+    // 20 ms per operator: the swap lands while the first query still runs
+    // on the old catalog.
+    let svc = QueryService::new(
+        ServiceConfig::with_engine(
+            EngineConfig::with_workers(2).with_faults(FaultConfig::fixed_delay(20_000)),
+        ),
+        catalog(1_000),
+    );
+    let plan = sum_plan(400);
+    let session = svc.connect();
+    let old = std::thread::scope(|scope| {
+        let running = scope.spawn(|| session.submit(&plan).unwrap());
+        await_condition("the query to execute", || svc.engine().in_flight_queries() > 0);
+        // Same table name, different data (b = 3a instead of 2a).
+        svc.replace_catalog(catalog_with(1_000, 3));
+        running.join().unwrap()
+    });
+    assert_eq!(old.output, expected_sum(400), "the query read its catalog before the swap");
+    let after = session.submit(&plan).unwrap();
+    assert!(!after.result_cache_hit, "a result of the old catalog was cached after the swap");
     assert_eq!(after.output, QueryOutput::Scalar(ScalarValue::I64((0..400).map(|v| v * 3).sum())));
 }
 

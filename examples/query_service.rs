@@ -6,8 +6,8 @@
 //! a session and submits — the service folds admission into the engine's
 //! census, so a submission counts against it for as
 //! long as it runs and the survivors are re-granted as others return.
-//! Shared plan and result caches turn repeat submissions into cache hits
-//! across sessions.
+//! A shared result cache turns repeat submissions into cache hits across
+//! sessions.
 //!
 //! ```text
 //! cargo run --release --example query_service
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One long-lived service instance is the whole setup: engine, admission
-    // and caches behind a cloneable handle.
+    // and the result cache behind a cloneable handle.
     let service = QueryService::new(
         ServiceConfig::with_engine(EngineConfig::with_workers(workers)),
         Arc::new(catalog),
@@ -116,13 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = service.stats();
     println!();
     println!(
-        "warm repeat: cache_hit={}, service totals: {} queries, {} result-cache hits, \
-         {} plan-cache hits across {} sessions",
-        warm.result_cache_hit,
-        stats.queries,
-        stats.result_cache_hits,
-        stats.plan_cache_hits,
-        stats.sessions_opened,
+        "warm repeat: cache_hit={}, service totals: {} queries, {} result-cache hits \
+         across {} sessions",
+        warm.result_cache_hit, stats.queries, stats.result_cache_hits, stats.sessions_opened,
     );
     Ok(())
 }

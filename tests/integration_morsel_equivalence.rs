@@ -238,12 +238,10 @@ fn mismatched_aligned_input_errors_like_operator_at_a_time() {
 }
 
 #[test]
-fn service_plan_cache_hits_match_cold_execution_across_modes() {
-    // The service layer's plan cache is a dispatch-path knob like morsels:
-    // a warm submission re-executes through the cached `Arc<Plan>` and must
-    // stay byte-identical to the cold run and to the direct-engine
-    // reference — as built and cut into morsels.
-    // The result cache is disabled so the warm submission really executes.
+fn uncached_service_repeats_match_cold_execution_across_modes() {
+    // With the result cache off a repeated submission re-executes its own
+    // copy of the plan and must stay byte-identical to the cold run and to
+    // the direct-engine reference — as built and cut into morsels.
     let catalog = tpch::generate(TpchScale::new(0.002), 1234);
     let reference = Engine::with_workers(WORKERS);
     for query in TpchQuery::all() {
@@ -257,18 +255,13 @@ fn service_plan_cache_hits_match_cold_execution_across_modes() {
             );
             let session = service.connect();
             let cold = session.submit(&plan).expect("cold submission executes");
-            assert!(!cold.plan_cache_hit);
             assert_eq!(
                 cold.output, expected,
                 "{query} [{form}]: service diverged from direct engine"
             );
-            let warm = session.submit(&plan).expect("warm submission executes");
-            assert!(warm.plan_cache_hit, "{query} [{form}]: expected a hit");
-            assert!(warm.profile.is_some(), "plan-cache hits still execute");
-            assert_eq!(
-                warm.output, expected,
-                "{query} [{form}]: plan-cache hit changed the result"
-            );
+            let repeat = session.submit(&plan).expect("repeat submission executes");
+            assert!(repeat.profile.is_some(), "{query} [{form}]: an uncached repeat executes");
+            assert_eq!(repeat.output, expected, "{query} [{form}]: a repeat changed the result");
         }
     }
 }
